@@ -259,7 +259,8 @@ func (g *Gateway) specialize(wd *prefork.Watchdog, fn Function) (*instance, boot
 	}
 	info := bootInfo{mode: bootGeneric, pull: pull, app: ph.app, skippedMB: skipped}
 	g.observeBoot(info)
-	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info, nil
+	inst, err := g.newInstance(fn, wd, nil)
+	return inst, info, err
 }
 
 // startInstance pays the full cold boot: listener + server up, then
@@ -277,7 +278,8 @@ func (g *Gateway) startInstance(fn Function) (*instance, bootInfo, error) {
 	}
 	info := bootInfo{mode: bootCold, pull: pull, runtime: ph.runtime, app: ph.app, skippedMB: skipped}
 	g.observeBoot(info)
-	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info, nil
+	inst, err := g.newInstance(fn, wd, nil)
+	return inst, info, err
 }
 
 // observeBoot feeds one boot's phase accounting into the

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -160,11 +161,20 @@ func TestWarmCapEnforcedContinuously(t *testing.T) {
 	// release evicts the oldest idle instance instead of growing past
 	// the limit.
 	d, base := startDaemon(t, PoolConfig{MaxIdlePerFunction: 2, ReapInterval: time.Hour})
-	if err := d.Deploy(DeploySpec{Name: "s", Handler: "echo"}); err != nil {
+	// The handler holds every request at a barrier until all four are in
+	// flight, so they run on four distinct instances however fast one
+	// request is.
+	var inFlight sync.WaitGroup
+	inFlight.Add(4)
+	if err := d.gw.Register(Function{Name: "s", Handler: func(b []byte) ([]byte, error) {
+		inFlight.Done()
+		inFlight.Wait()
+		return b, nil
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	// Four concurrent requests run on four distinct instances; as each
-	// finishes, the pool admits it but never exceeds the cap.
+	// As each request finishes, the pool admits its instance but never
+	// exceeds the cap.
 	done := make(chan struct{}, 4)
 	for i := 0; i < 4; i++ {
 		go func() {

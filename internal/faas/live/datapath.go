@@ -29,8 +29,8 @@ const copyBufSize = 32 << 10
 const maxPooledBody = 8 << 20
 
 // drainLimit bounds how many trailing response bytes the gateway reads
-// to salvage a keep-alive connection; past that, closing (and
-// re-dialing later) is cheaper than draining.
+// to keep an instance's watchdog connection; past that, closing and
+// re-dialing is cheaper than draining.
 const drainLimit = 256 << 10
 
 // copyBufPool recycles the fixed-size copy chunks. It stores *[]byte
@@ -121,10 +121,9 @@ func (t *trackWriter) Write(p []byte) (int, error) {
 }
 
 // drainClose consumes up to drainLimit of the remaining body so the
-// keep-alive connection underneath returns to the transport's idle
-// pool clean instead of poisoned by unread bytes, then closes it. On
-// the success path the body already sits at EOF and this is one cheap
-// read.
+// connection underneath is left at a message boundary, reusable instead
+// of poisoned by unread bytes, then closes the body. On the success
+// path the body already sits at EOF and this is one cheap read.
 func drainClose(rc io.ReadCloser) {
 	bp := copyBufPool.Get().(*[]byte)
 	buf := *bp
@@ -140,9 +139,9 @@ func drainClose(rc io.ReadCloser) {
 	rc.Close()
 }
 
-// isMaxBytesErr reports whether err (possibly a transport-wrapped
-// chain) originates from an http.MaxBytesReader limit — the signal to
-// answer 413 instead of blaming the backend.
+// isMaxBytesErr reports whether err (possibly wrapped, or flattened to
+// text by a handler) originates from an http.MaxBytesReader limit — the
+// signal to answer 413 instead of blaming the backend.
 func isMaxBytesErr(err error) bool {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {

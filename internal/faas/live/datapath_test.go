@@ -171,6 +171,9 @@ func TestMaxBodySizeRejectsOversize(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("chunked oversize: status %d, want 413", resp.StatusCode)
 	}
+	if res := g.ResilienceCounters(); res["proxy.failures"] != 0 {
+		t.Fatalf("the client's oversized body was blamed on the watchdog: %v", res)
+	}
 
 	// An in-bounds request still works.
 	resp, err = http.Post(base+"/function/f", "text/plain", strings.NewReader("ok"))

@@ -110,9 +110,12 @@ type Function struct {
 // stop() is deterministic (the accept-loop goroutine has exited when it
 // returns).
 type instance struct {
-	fn   Function
-	wd   *prefork.Watchdog
-	addr string
+	fn Function
+	wd *prefork.Watchdog
+	// hop is the instance's own connection to wd, dialed with the boot
+	// and touched only by whoever holds the instance (see hop.go). A
+	// sharing lease moves it to the renter's struct.
+	hop *hop
 	// idleSince is when the instance last returned to the warm pool
 	// (set under the shard lock; read by the janitor).
 	idleSince time.Time
@@ -229,7 +232,26 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody 
 	putBodyBuf(buf)
 }
 
+// newInstance wraps a specialized watchdog as fn's instance. Every boot
+// path ends here, so this is where the hop connection is dialed — once
+// per watchdog, as part of the boot. A sharing lease passes the
+// lender's connection along instead: same watchdog, nothing to dial.
+// On a dial failure the watchdog is stopped.
+func (g *Gateway) newInstance(fn Function, wd *prefork.Watchdog, conn *hop) (*instance, error) {
+	if conn == nil {
+		var err error
+		if conn, err = g.dialHop(wd.Addr()); err != nil {
+			wd.Stop()
+			return nil, fmt.Errorf("live: dial watchdog: %w", err)
+		}
+	}
+	return &instance{fn: fn, wd: wd, hop: conn}, nil
+}
+
+// stop tears the instance down. The connection goes first: a watchdog
+// shutdown waits on connections that never carried a request.
 func (i *instance) stop() {
+	i.hop.close()
 	i.wd.Stop()
 }
 
@@ -412,35 +434,27 @@ type Gateway struct {
 	// completed request. nil = no objectives tracked.
 	slo atomic.Pointer[obs.SLOMonitor]
 
-	server    *http.Server
-	lis       net.Listener
-	client    *http.Client
-	transport *http.Transport
+	server *http.Server
+	lis    net.Listener
+	// dial opens an instance's connection to its watchdog; tests wrap it
+	// to count dials.
+	dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
 // NewGateway creates a gateway. With reuse enabled, finished instances
 // return to a warm pool (the HotC behaviour); without it every request
 // boots and tears down an instance (the default cold behaviour).
 func NewGateway(reuse bool) *Gateway {
-	// The gateway talks to many watchdog instances, each its own
-	// host:port serving one request at a time. The default transport's
-	// 2-idle-conns-per-host and 100 idle conns total force TCP churn as
-	// soon as the warm pool grows past a hundred instances, so the
-	// gateway owns a transport sized for the pool: one keep-alive
-	// connection per warm instance, with generous totals.
-	transport := &http.Transport{
-		MaxIdleConns:        4096,
-		MaxIdleConnsPerHost: 16,
-		IdleConnTimeout:     90 * time.Second,
-	}
+	var dialer net.Dialer
 	g := &Gateway{
-		reuse:     reuse,
-		epoch:     time.Now(),
-		nowFn:     time.Now,
-		shards:    make(map[string]*shard),
-		ctlStop:   make(chan struct{}),
-		transport: transport,
-		client:    &http.Client{Timeout: 30 * time.Second, Transport: transport},
+		reuse:   reuse,
+		epoch:   time.Now(),
+		nowFn:   time.Now,
+		shards:  make(map[string]*shard),
+		ctlStop: make(chan struct{}),
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return dialer.DialContext(ctx, "tcp", addr)
+		},
 	}
 	// Seed the default phase split so an un-configured gateway still
 	// decomposes ColdStart (summing to exactly the same total delay);
@@ -596,9 +610,6 @@ func (g *Gateway) Stop() {
 	if g.cold.pool != nil {
 		g.cold.pool.Stop()
 	}
-	// Drop the keep-alive connections to the (now gone) watchdogs so
-	// their transport read loops exit with the gateway.
-	g.transport.CloseIdleConnections()
 	g.wg.Wait()
 }
 
@@ -748,6 +759,18 @@ func (g *Gateway) discard(s *shard, inst *instance) {
 	}
 }
 
+// redial replaces a connection finish had to close, so the instance can
+// re-enter the idle list; false means the watchdog is unreachable and
+// the instance must be discarded.
+func (g *Gateway) redial(inst *instance) bool {
+	conn, err := g.dialHop(inst.wd.Addr())
+	if err != nil {
+		return false
+	}
+	inst.hop = conn
+	return true
+}
+
 func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/function/")
 	start := time.Now()
@@ -870,26 +893,17 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 		g.traceEvent(&rt, "boot", "full-cold")
 	}
 
-	// Forward to the watchdog over a real socket, streaming the request
-	// body straight through and carrying the trace context so the
-	// watchdog returns its span timestamps. A transport failure makes
-	// the instance suspect: tear it down rather than re-pool it —
-	// unless the failure was the client's own doing (an oversized body
-	// tripping MaxBytesReader, a disconnect, an expired deadline),
-	// which must not feed the breaker.
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+inst.addr+"/", r.Body)
-	if err != nil {
-		g.discard(s, inst)
-		s.observe("error", start)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		g.finishRequest(s, &rt, http.StatusInternalServerError, err.Error())
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	// Forward to the watchdog over the instance's own connection,
+	// carrying the trace context so the watchdog returns its span
+	// timestamps. A failed hop makes the instance suspect: tear it down
+	// rather than re-pool it — unless the failure was the client's own
+	// doing (an oversized body tripping MaxBytesReader, a disconnect, an
+	// expired deadline), which must not feed the breaker.
+	var traceparent string
 	if rt.active {
-		req.Header.Set(TraceparentHeader, rt.tc.Traceparent())
+		traceparent = rt.tc.Traceparent()
 	}
-	resp, err := g.client.Do(req)
+	resp, err := inst.hop.roundTrip(ctx, r.Body, r.ContentLength, traceparent)
 	if err != nil {
 		g.discard(s, inst)
 		if isMaxBytesErr(err) {
@@ -954,7 +968,7 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 		// draining and tear it down. When the read died because the
 		// request context did (client disconnect / deadline), the
 		// watchdog is blameless: same teardown, no breaker.
-		resp.Body.Close()
+		inst.hop.abort()
 		g.discard(s, inst)
 		if ctx.Err() != nil {
 			status := g.cancelUpstream(w, r, s, &rt, true, start)
@@ -969,15 +983,22 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	// The round-trip worked (a handler-level error status is the
 	// function's business, not a runtime fault) — or only the client's
 	// write side failed, which the watchdog cannot be blamed for.
-	// Drain whatever the client refused so the keep-alive connection
-	// returns to the idle pool clean, then re-pool the instance. A
-	// chunked (streaming) reply carries moments (4) and (5) as
-	// trailers, readable only now that the body is fully drained.
+	// Drain whatever the client refused so the instance keeps its
+	// connection, then re-pool it. A chunked (streaming) reply carries
+	// moments (4) and (5) as trailers, readable only now that the body
+	// is fully drained. An instance whose connection could not be kept
+	// (too much left to drain, Connection: close, a body the watchdog
+	// answered without reading) re-dials before it goes back: a pooled
+	// instance always holds a usable connection.
 	drainClose(resp.Body)
 	if tr != nil {
 		tr.noteWatchdog(resp.Trailer, &rt)
 	}
-	g.release(s, inst)
+	if inst.hop.finish() || g.redial(inst) {
+		g.release(s, inst)
+	} else {
+		g.discard(s, inst)
+	}
 	g.breakerSuccess(s)
 	outcome := "ok"
 	if resp.StatusCode >= 400 {

@@ -336,7 +336,7 @@ func TestStopShutsPinnedInstancesConcurrently(t *testing.T) {
 	s.mu.Lock()
 	addrs := make([]string, 0, 3)
 	for _, inst := range s.idle {
-		addrs = append(addrs, inst.addr)
+		addrs = append(addrs, inst.wd.Addr())
 	}
 	s.mu.Unlock()
 	for _, addr := range addrs {

@@ -1,9 +1,7 @@
 package live
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -15,30 +13,36 @@ import (
 	"hotc/internal/predictor"
 )
 
-// countDials wraps the gateway's transport dialer so tests can assert
-// how many TCP connections the proxy path actually opens.
-func countDials(g *Gateway) *atomic.Int64 {
-	var dials atomic.Int64
-	base := g.transport.DialContext
-	if base == nil {
-		d := &net.Dialer{}
-		base = d.DialContext
+// hammer drives workers x perWorker single-byte requests at f through
+// the handler and returns how many did not answer want.
+func hammer(g *Gateway, workers, perWorker, want int) int64 {
+	var wg sync.WaitGroup
+	var wrong atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				req := httptest.NewRequest("POST", "/function/f", strings.NewReader("x"))
+				rec := httptest.NewRecorder()
+				g.handle(rec, req)
+				if rec.Code != want {
+					wrong.Add(1)
+				}
+			}
+		}()
 	}
-	g.transport.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		return base(ctx, network, addr)
-	}
-	return &dials
+	wg.Wait()
+	return wrong.Load()
 }
 
-// The gateway's dedicated transport must keep one connection per warm
-// watchdog alive across requests. Under parallel load on one function,
-// the dial count stays in the order of the instances booted — not the
-// requests served — which is exactly what the default transport's
-// 2-per-host / 100-total idle caps break once the pool grows.
-func TestTransportReusesWatchdogConnections(t *testing.T) {
+// An instance owns its watchdog connection: it is dialed with the boot
+// and every warm hit rides it. Under parallel load on one function the
+// dial count is exactly the number of instances booted, whatever the
+// number of requests served.
+func TestHopDialsOncePerInstance(t *testing.T) {
 	g := NewGateway(true)
-	dials := countDials(g)
+	conns := trackConns(g)
 	if err := g.Register(Function{
 		Name:    "f",
 		Handler: func(b []byte) ([]byte, error) { return b, nil },
@@ -48,48 +52,26 @@ func TestTransportReusesWatchdogConnections(t *testing.T) {
 	defer g.Stop()
 
 	const workers, perWorker = 8, 25
-	var wg sync.WaitGroup
-	var fail atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				req := httptest.NewRequest("POST", "/function/f", strings.NewReader("x"))
-				rec := httptest.NewRecorder()
-				g.handle(rec, req)
-				if rec.Code != 200 {
-					fail.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := fail.Load(); n > 0 {
+	if n := hammer(g, workers, perWorker, 200); n > 0 {
 		t.Fatalf("%d requests failed", n)
 	}
-
 	st := g.Stats()
 	if st.Requests != workers*perWorker {
 		t.Fatalf("Requests = %d, want %d", st.Requests, workers*perWorker)
 	}
-	// Every cold boot needs a first dial; after that, keep-alive must
-	// carry the load. Allow slack for requests racing a connection's
-	// return to the idle pool.
-	limit := int64(st.ColdStarts + 2*workers)
-	if got := dials.Load(); got > limit {
-		t.Fatalf("transport dialed %d times for %d requests over %d instances (limit %d): keep-alive reuse is broken",
-			got, st.Requests, st.ColdStarts, limit)
+	if got := conns.dials.Load(); got != int64(st.ColdStarts) {
+		t.Fatalf("hop dialed %d times for %d requests over %d instances: a warm hit must never dial",
+			got, st.Requests, st.ColdStarts)
 	}
 }
 
-// Connection reuse must survive the error path too: a handler that
-// always fails produces watchdog 500s, and the gateway must fully
-// drain each error body before releasing the connection — otherwise
-// the transport abandons it and every failed request dials anew.
-func TestTransportReusesConnectionsOnErrorPath(t *testing.T) {
+// Connection ownership must survive the error path too: a handler that
+// always fails produces watchdog 500s, the gateway drains each error
+// body to EOF, and the instance goes back to the pool with the same
+// connection — zero dials beyond the boots.
+func TestHopKeepsConnectionOnErrorStatus(t *testing.T) {
 	g := NewGateway(true)
-	dials := countDials(g)
+	conns := trackConns(g)
 	if err := g.Register(Function{
 		Name:    "f",
 		Handler: func(b []byte) ([]byte, error) { return nil, fmt.Errorf("boom") },
@@ -99,27 +81,9 @@ func TestTransportReusesConnectionsOnErrorPath(t *testing.T) {
 	defer g.Stop()
 
 	const workers, perWorker = 8, 25
-	var wg sync.WaitGroup
-	var wrongStatus atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				req := httptest.NewRequest("POST", "/function/f", strings.NewReader("x"))
-				rec := httptest.NewRecorder()
-				g.handle(rec, req)
-				if rec.Code != 500 {
-					wrongStatus.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := wrongStatus.Load(); n > 0 {
+	if n := hammer(g, workers, perWorker, 500); n > 0 {
 		t.Fatalf("%d requests did not surface the handler's 500", n)
 	}
-
 	st := g.Stats()
 	if st.Requests != workers*perWorker {
 		t.Fatalf("Requests = %d, want %d", st.Requests, workers*perWorker)
@@ -129,10 +93,9 @@ func TestTransportReusesConnectionsOnErrorPath(t *testing.T) {
 	if st.Reused == 0 {
 		t.Fatal("no instance reuse across handler errors: error responses must release, not discard")
 	}
-	limit := int64(st.ColdStarts + 2*workers)
-	if got := dials.Load(); got > limit {
-		t.Fatalf("transport dialed %d times for %d failing requests over %d instances (limit %d): error bodies are not drained before release",
-			got, st.Requests, st.ColdStarts, limit)
+	if got := conns.dials.Load(); got != int64(st.ColdStarts) {
+		t.Fatalf("hop dialed %d times for %d failing requests over %d instances: error bodies are not drained before release",
+			got, st.Requests, st.ColdStarts)
 	}
 }
 

@@ -201,7 +201,11 @@ scan:
 		ins.shareLeaseGranted.Inc()
 	}
 	g.observeBoot(info)
-	return &instance{fn: fn, wd: wd, addr: wd.Addr()}, info, true
+	// The connection moves with the watchdog: the tainted struct keeps
+	// nothing the renter's requests will touch.
+	inst, _ := g.newInstance(fn, wd, lend.hop) // no dial, no error
+	lend.hop = nil
+	return inst, info, true
 }
 
 // shareRoleTransition updates the lender/renter population counters

@@ -21,9 +21,7 @@ func testSharing() SharingConfig {
 // postRec drives one request through the gateway handler directly.
 func postRec(t *testing.T, g *Gateway, name, body string) *httptest.ResponseRecorder {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	g.handle(rec, httptest.NewRequest("POST", "/function/"+name, strings.NewReader(body)))
-	return rec
+	return postHeader(g, name, strings.NewReader(body), nil)
 }
 
 // The headline behaviour: a fresh function's very first request is

@@ -18,11 +18,20 @@ echo "== contention bench smoke (1 iteration)"
 go test -run '^$' -bench 'GatewayParallel|ObsHotPath' -benchtime=1x ./internal/faas/live/ ./internal/obs/
 echo "== data-path bench smoke (1 iteration)"
 go test -run '^$' -bench 'GatewayThroughput' -benchtime=1x ./internal/faas/live/
-echo "== zero-alloc regression guard (non-race: AllocsPerRun)"
+echo "== alloc regression guard (non-race: AllocsPerRun)"
 # The race run above skips these: the detector's instrumentation
 # perturbs allocation counts. This non-race pass asserts the pooled
-# copy and the []byte shim stay at zero heap allocations per request.
-go test -run 'ZeroAlloc' -count=1 ./internal/faas/live/ ./internal/obs/
+# copy and the []byte shim stay at zero heap allocations per request,
+# and one warm watchdog-hop round trip stays inside its budget.
+go test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/faas/live/ ./internal/obs/
+echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
+# The harness is its own module, so the root ./... above never reaches
+# it. The smoke run exits non-zero when an echo fails verification or
+# requests != reused + cold: a hop change that breaks either is caught
+# here, before a pipeline run.
+go vet -C benchmark ./...
+go test -C benchmark ./...
+go run -C benchmark . -smoke -only warm_small >/dev/null
 echo "== load-generator smoke (2s self-hosted run)"
 # hotc-load boots an in-process daemon on a loopback socket and drives
 # it open-loop for 2s at a non-saturating rate: the run must complete
