@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"hotc/internal/faas/live"
-	"hotc/internal/predictor"
 )
 
 type tenantShare struct {
@@ -164,14 +163,11 @@ func main() {
 	base := *target
 	var daemon *live.Daemon
 	if base == "" {
-		var newPred func() predictor.Predictor
-		if *predName != "" {
-			newPred, err = live.PredictorFactory(*predName)
-			if err != nil {
-				fatal(err)
-			}
+		newPred, err := live.PredictorFactory(*predName) // "" = controller off
+		if err != nil {
+			fatal(err)
 		}
-		daemon = live.NewDaemon(live.PoolConfig{
+		cfg := live.PoolConfig{
 			MaxInFlight:       *maxInFl,
 			QueueDepth:        *queueLen,
 			DefaultDeadline:   *defDeadl,
@@ -190,7 +186,11 @@ func main() {
 			NewPredictor:      newPred,
 			Headroom:          *headroom,
 			ControlInterval:   *ctlEvery,
-		})
+		}
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
+		daemon = live.NewDaemon(cfg)
 		base, err = daemon.StartOn("127.0.0.1:0")
 		if err != nil {
 			fatal(err)

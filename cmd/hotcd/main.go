@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"hotc/internal/faas/live"
-	"hotc/internal/sharing"
 )
 
 func main() {
@@ -76,17 +75,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hotcd:", err)
 		os.Exit(2)
 	}
-	if _, err := sharing.ParseMode(*sharePol); err != nil {
-		fmt.Fprintln(os.Stderr, "hotcd:", err)
-		os.Exit(2)
-	}
 	pullFrac, rtFrac, appFrac, err := parseBootSplit(*bootSplit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hotcd:", err)
 		os.Exit(2)
 	}
 
-	d := live.NewDaemon(live.PoolConfig{
+	cfg := live.PoolConfig{
 		IdleTTL:            *keepalive,
 		MaxIdlePerFunction: *maxWarm,
 		ReapInterval:       *reap,
@@ -119,7 +114,12 @@ func main() {
 		SharePolicy:        *sharePol,
 		ShareWipe:          time.Duration(*shareWp) * time.Millisecond,
 		ShareIdleGrace:     *shareGr,
-	})
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "hotcd:", err)
+		os.Exit(2)
+	}
+	d := live.NewDaemon(cfg)
 	if *preload {
 		for _, h := range live.Builtins() {
 			if err := d.Deploy(live.DeploySpec{Name: h, Handler: h, ColdStartMs: 400}); err != nil {

@@ -40,8 +40,8 @@ type Env struct {
 	Registry *image.Registry
 	Gateway  *faas.Gateway
 	Host     *host.Host
-	HotC     *core.HotC        // non-nil only for PolicyHotC
-	Faults   *faults.Injector  // non-nil only when EnvOptions.Faults is set
+	HotC     *core.HotC       // non-nil only for PolicyHotC
+	Faults   *faults.Injector // non-nil only when EnvOptions.Faults is set
 	Provider faas.Provider
 }
 

@@ -33,80 +33,18 @@ const (
 	DrainingHeader = "X-Hotc-Draining"
 )
 
-// defaultInstanceMemBytes is the per-warm-instance memory estimate the
-// budget reclaim uses when the caller does not supply one: 64 MiB, the
-// order of a small language runtime's RSS.
-const defaultInstanceMemBytes = 64 << 20
-
-// AdmissionConfig arms the gateway's overload-control tier (see
-// internal/admission): bounded per-tenant queues in front of the warm
-// pool, deadline-aware shedding, weighted fair dispatch, and a warm-
-// memory budget the janitor enforces by reclaiming from the biggest
-// consumers first.
-type AdmissionConfig struct {
-	// MaxInFlight caps concurrently executing requests per function.
-	// <= 0 disables admission control entirely: no queue, no caps
-	// (deadline propagation still applies).
-	MaxInFlight int
-	// QueueDepth caps waiting requests per tenant per function; past
-	// it arrivals are rejected with 429 + Retry-After. <= 0 with a
-	// finite MaxInFlight rejects everything beyond the in-flight cap.
-	QueueDepth int
-	// DefaultDeadline is applied to requests that do not carry
-	// DeadlineHeader (0 = none). The deadline sheds queued requests
-	// whose time has passed and cancels in-flight backend work.
-	DefaultDeadline time.Duration
-	// TenantWeights sets fair-dispatch quanta per tenant name;
-	// unlisted tenants weigh 1.
-	TenantWeights map[string]int
-	// MemoryBudget bounds the estimated memory of all warm instances
-	// across functions, in bytes (0 = unlimited). When exceeded the
-	// janitor reclaims warm capacity from the most over-quota
-	// functions first, oldest instances first.
-	MemoryBudget int64
-	// InstanceMemBytes is the per-instance memory estimate backing the
-	// budget (default 64 MiB).
-	InstanceMemBytes int64
-}
-
-// EnableAdmission configures overload control. Call before Start, like
-// EnableBreaker; functions registered before or after all get their
-// admission queue.
-func (g *Gateway) EnableAdmission(cfg AdmissionConfig) {
-	if cfg.MemoryBudget > 0 && cfg.InstanceMemBytes <= 0 {
-		cfg.InstanceMemBytes = defaultInstanceMemBytes
-	}
-	g.smu.Lock()
-	defer g.smu.Unlock()
-	g.adm = cfg
-	if cfg.MaxInFlight > 0 {
-		for _, s := range g.shards {
-			if s.adm == nil {
-				s.adm = g.newAdmissionQueueLocked(s)
-			}
-		}
-	}
-}
-
-// newAdmissionQueueLocked builds one shard's admission queue, wiring
-// its occupancy hooks to the shard's (swap-on-Instrument) gauges.
-// Caller holds smu.
-func (g *Gateway) newAdmissionQueueLocked(s *shard) *admission.Queue {
+// newAdmissionQueue builds one shard's admission queue (see
+// internal/admission: bounded per-tenant queues in front of the warm
+// pool, deadline-aware shedding, weighted fair dispatch), wiring its
+// occupancy hooks to the shard's gauges.
+func (g *Gateway) newAdmissionQueue(s *shard) *admission.Queue {
 	return admission.New(admission.Config{
-		MaxInFlight: g.adm.MaxInFlight,
-		QueueDepth:  g.adm.QueueDepth,
-		Weights:     g.adm.TenantWeights,
-		Now:         func() time.Time { return g.nowFn() },
-		OnQueueDepth: func(n int) {
-			if m := s.m.Load(); m != nil {
-				m.admDepth.Set(float64(n))
-			}
-		},
-		OnInFlight: func(n int) {
-			if m := s.m.Load(); m != nil {
-				m.admInFlight.Set(float64(n))
-			}
-		},
+		MaxInFlight:  g.cfg.MaxInFlight,
+		QueueDepth:   g.cfg.QueueDepth,
+		Weights:      g.cfg.TenantWeights,
+		Now:          func() time.Time { return g.nowFn() },
+		OnQueueDepth: func(n int) { s.m.admDepth.Set(float64(n)) },
+		OnInFlight:   func(n int) { s.m.admInFlight.Set(float64(n)) },
 	})
 }
 
@@ -114,7 +52,7 @@ func (g *Gateway) newAdmissionQueueLocked(s *shard) *admission.Queue {
 // DeadlineHeader override when present, else the configured default;
 // zero time means none.
 func (g *Gateway) requestDeadline(r *http.Request, start time.Time) (time.Time, error) {
-	d := g.adm.DefaultDeadline
+	d := g.cfg.DefaultDeadline
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || ms < 0 {
@@ -140,14 +78,10 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, s *shard, rt *re
 	}
 	ticket, rej := s.adm.Acquire(r.Context(), tenant, deadline)
 	if rej == nil {
-		if m := s.m.Load(); m != nil {
-			m.admWait.ObserveDuration(ticket.Waited())
-		}
+		s.m.admWait.ObserveDuration(ticket.Waited())
 		return ticket, 0
 	}
-	if ins := g.obs.Load(); ins != nil {
-		ins.admRejected.With(s.name, string(rej.Reason)).Inc()
-	}
+	g.obs.admRejected.With(s.name, string(rej.Reason)).Inc()
 	if rej.Reason == admission.ReasonCanceled {
 		// The client hung up while queued; nobody is listening for a
 		// status line.
@@ -205,7 +139,7 @@ type WarmMemoryStats struct {
 // pre-forked watchdogs count against the budget like any other warm
 // instance.
 func (g *Gateway) WarmMemory() WarmMemoryStats {
-	if g.adm.MemoryBudget <= 0 {
+	if g.cfg.MemoryBudget <= 0 {
 		return WarmMemoryStats{}
 	}
 	total := 0
@@ -218,8 +152,8 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 		total += g.cold.pool.Idle()
 	}
 	return WarmMemoryStats{
-		BudgetBytes: g.adm.MemoryBudget,
-		WarmBytes:   int64(total) * g.adm.InstanceMemBytes,
+		BudgetBytes: g.cfg.MemoryBudget,
+		WarmBytes:   int64(total) * g.cfg.InstanceMemBytes,
 		Reclaimed:   int(g.memReclaimed.Load()),
 	}
 }
@@ -232,8 +166,8 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 // before any shard below L loses an instance. Runs from the janitor;
 // tests call it directly. Returns the number of instances reclaimed.
 func (g *Gateway) reclaimMemoryOnce() int {
-	budget, est := g.adm.MemoryBudget, g.adm.InstanceMemBytes
-	if budget <= 0 || est <= 0 || g.stopped.Load() {
+	budget, est := g.cfg.MemoryBudget, g.cfg.InstanceMemBytes
+	if budget <= 0 || g.stopped.Load() {
 		return 0
 	}
 	budgetInst := int(budget / est)
@@ -252,10 +186,8 @@ func (g *Gateway) reclaimMemoryOnce() int {
 		generics = g.cold.pool.Idle()
 		total += generics
 	}
-	ins := g.obs.Load()
-	if ins != nil {
-		ins.admMemBytes.Set(float64(total) * float64(est))
-	}
+	ins := g.obs
+	ins.admMemBytes.Set(float64(total) * float64(est))
 	if total <= budgetInst {
 		return 0
 	}
@@ -272,16 +204,12 @@ func (g *Gateway) reclaimMemoryOnce() int {
 		}
 		reapedGen = g.cold.pool.Reap(want)
 		g.cold.genericReaped.Add(uint64(reapedGen))
-		if ins != nil && reapedGen > 0 {
-			ins.coldReaped.Add(float64(reapedGen))
-		}
+		ins.coldReaped.Add(float64(reapedGen))
 		total -= reapedGen
 		if total <= budgetInst {
 			g.memReclaimed.Add(uint64(reapedGen))
-			if ins != nil {
-				ins.admMemReclaimed.Add(float64(reapedGen))
-				ins.admMemBytes.Set(float64(total) * float64(est))
-			}
+			ins.admMemReclaimed.Add(float64(reapedGen))
+			ins.admMemBytes.Set(float64(total) * float64(est))
 			return reapedGen
 		}
 	}
@@ -315,15 +243,11 @@ func (g *Gateway) reclaimMemoryOnce() int {
 	reclaimed := reapedGen + len(doomed)
 	if reclaimed > 0 {
 		g.memReclaimed.Add(uint64(reclaimed))
-		if ins != nil {
-			ins.admMemReclaimed.Add(float64(reclaimed))
-			ins.admMemBytes.Set(float64(total-len(doomed)) * float64(est))
-		}
+		ins.admMemReclaimed.Add(float64(reclaimed))
+		ins.admMemBytes.Set(float64(total-len(doomed)) * float64(est))
 	}
 	if len(doomed) > 0 {
-		if ins != nil {
-			ins.poolRetired.Add(float64(len(doomed)))
-		}
+		ins.poolRetired.Add(float64(len(doomed)))
 		stopAll(doomed)
 	}
 	return reclaimed
@@ -384,9 +308,7 @@ const statusClientClosedRequest = 499
 // listening.
 func (g *Gateway) cancelUpstream(w http.ResponseWriter, r *http.Request, s *shard, rt *reqTrace, committed bool, start time.Time) int {
 	s.countCanceled()
-	if ins := g.obs.Load(); ins != nil {
-		ins.admCanceled.Inc()
-	}
+	g.obs.admCanceled.Inc()
 	if r.Context().Err() != nil || committed {
 		// Client disconnect (or the status line already went out):
 		// there is nobody/no way to tell.

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"hotc/internal/admission"
-	"hotc/internal/obs"
 	"hotc/internal/predictor"
 )
 
@@ -68,9 +67,7 @@ func TestAdmissionQueueFullIsPerTenant(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	releaseAll := sync.OnceFunc(func() { close(release) })
-	g := NewGateway(true)
-	g.Instrument(obs.New())
-	g.EnableAdmission(AdmissionConfig{MaxInFlight: 1, QueueDepth: 1})
+	g := New(PoolConfig{MaxInFlight: 1, QueueDepth: 1})
 	if err := g.Register(blockingFn("f", entered, release)); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +145,7 @@ func TestAdmissionQueueFullIsPerTenant(t *testing.T) {
 func TestAdmissionShedsExpiredQueuedRequest(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	g := NewGateway(true)
-	g.EnableAdmission(AdmissionConfig{MaxInFlight: 1, QueueDepth: 4})
+	g := New(PoolConfig{MaxInFlight: 1, QueueDepth: 4})
 	if err := g.Register(blockingFn("f", entered, release)); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +202,7 @@ func TestAdmissionShedsExpiredQueuedRequest(t *testing.T) {
 // mid-flight), and the breaker is NOT fed — the backend did nothing
 // wrong.
 func TestDeadlineCancelsInFlightBackend(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableBreaker(1, time.Hour) // hair trigger: one blamed failure opens it
+	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour}) // hair trigger: one blamed failure opens it
 	if err := g.Register(Function{
 		Name: "slow",
 		Handler: func(b []byte) ([]byte, error) {
@@ -258,9 +253,7 @@ func TestClientDisconnectCancelsBackend(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	defer close(release)
-	g := NewGateway(true)
-	g.EnableBreaker(1, time.Hour)
-	g.EnableAdmission(AdmissionConfig{MaxInFlight: 4, QueueDepth: 4})
+	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour, MaxInFlight: 4, QueueDepth: 4})
 	if err := g.Register(blockingFn("f", entered, release)); err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +306,7 @@ func TestStopDrainsQueuedAdmissionWaiters(t *testing.T) {
 	before := runtime.NumGoroutine()
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	g := NewGateway(true)
-	g.EnableAdmission(AdmissionConfig{MaxInFlight: 1, QueueDepth: 8})
+	g := New(PoolConfig{MaxInFlight: 1, QueueDepth: 8})
 	if err := g.Register(blockingFn("f", entered, release)); err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +366,7 @@ func TestStopDrainsQueuedAdmissionWaiters(t *testing.T) {
 // holders first (water-filling): the function hoarding 4 instances is
 // cut before the one holding 2 loses anything.
 func TestMemoryBudgetReclaimsLargestHoldersFirst(t *testing.T) {
-	g := NewGateway(true)
-	g.Instrument(obs.New())
-	g.EnableAdmission(AdmissionConfig{
+	g := New(PoolConfig{
 		MemoryBudget:     4 << 20,
 		InstanceMemBytes: 1 << 20, // budget = 4 instances
 	})
@@ -453,11 +443,8 @@ func (r *gatedReader) Read(p []byte) (int, error) {
 // assertions are occupancy book-balance; the race detector does the
 // rest.
 func TestAdmissionChurnWithControlLoops(t *testing.T) {
-	g, clk, base := startControlled(t,
-		ControlConfig{NewPredictor: func() predictor.Predictor { return predictor.Default() }, KeepAlive: time.Minute, MaxWarm: 4},
-	)
-	g.Instrument(obs.New())
-	g.EnableAdmission(AdmissionConfig{
+	g, clk, base := startControlled(t, PoolConfig{
+		NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: time.Minute, MaxIdlePerFunction: 4,
 		MaxInFlight: 2, QueueDepth: 4,
 		TenantWeights:    map[string]int{"gold": 2},
 		MemoryBudget:     3 << 20,

@@ -15,61 +15,21 @@ import (
 // hot path stays header- and allocation-free.
 const BootHeader = "X-Hotc-Boot"
 
-// The default ColdStart phase split when a function does not declare
-// explicit phases, following §III.B's finding that image pull/unpack
-// dominates container start time.
-const (
-	defaultPullFrac    = 0.55
-	defaultRuntimeFrac = 0.30
-	defaultAppFrac     = 0.15
-)
-
-// defaultPreforkSize is the generic-pool target when prefork is armed
-// without an explicit size.
-const defaultPreforkSize = 4
-
-// ColdPathConfig arms the gateway's fast cold path: the ColdStart
-// phase split, the content-addressed layer cache that lets functions
-// sharing base layers skip the pull/unpack phase, and the pre-forked
-// generic watchdog pool that pre-pays the function-agnostic share of
-// boot. Call EnableColdPath before Start, like the other Enables.
-type ColdPathConfig struct {
-	// Registry resolves Function.Image references (nil = image
-	// modelling off; the pull phase is always paid in full).
-	Registry *image.Registry
-	// Cache is the host-local layer store. A cold boot admits its
+// coldPath is the gateway's fast-cold-path state: the image catalog
+// and content-addressed layer cache that let functions sharing base
+// layers skip the pull/unpack phase, and the pre-forked generic
+// watchdog pool that pre-pays the function-agnostic share of boot. New
+// fills the first three; the counters are atomics fed from boot paths.
+type coldPath struct {
+	// registry resolves Function.Image references.
+	registry *image.Registry
+	// cache is the host-local layer store. A cold boot admits its
 	// image's layers and pays the pull phase only for the megabytes
 	// that were actually missing — the admit is one atomic
 	// check-and-admit, so concurrent boots of overlapping images each
-	// pull only the layers they were first to admit. nil = no cache.
-	Cache *image.Cache
-	// PullFrac, RuntimeFrac and AppFrac split ColdStart into the
-	// §III.B phases for functions that do not declare explicit ones.
-	// All zero = the 0.55/0.30/0.15 defaults; otherwise normalized to
-	// sum to 1.
-	PullFrac, RuntimeFrac, AppFrac float64
-	// Prefork arms the generic pre-forked watchdog pool: cold starts
-	// are served by specializing an already-running generic instance,
-	// paying only the pull (cache-scaled) and app-init shares.
-	Prefork bool
-	// PreforkSize is the target number of idle generics (default 4).
-	PreforkSize int
-	// PreforkBoot is the delay one generic boot pays (the pre-baked
-	// generic image's create + runtime init). It is only ever paid on
-	// pool refill goroutines, never on the request path.
-	PreforkBoot time.Duration
-}
-
-// coldPath is the gateway's resolved cold-path state. The config
-// fields are written by EnableColdPath before Start and read-only
-// afterwards; the counters are atomics fed from boot paths.
-type coldPath struct {
-	registry *image.Registry
-	cache    *image.Cache
-	// Normalized phase fractions (always valid: NewGateway seeds the
-	// defaults so an un-configured gateway still decomposes ColdStart
-	// into the same total).
-	pullFrac, runtimeFrac, appFrac float64
+	// pull only the layers they were first to admit. nil = no cache
+	// (PoolConfig.DisableLayerCache).
+	cache *image.Cache
 	// pool is the generic watchdog pool; nil = prefork off.
 	pool *prefork.Pool
 
@@ -80,55 +40,18 @@ type coldPath struct {
 	bootErrs      atomic.Uint64 // failed watchdog boots (generic refills)
 }
 
-// EnableColdPath configures the fast cold path. Call before Start.
-func (g *Gateway) EnableColdPath(cfg ColdPathConfig) {
-	p, r, a := cfg.PullFrac, cfg.RuntimeFrac, cfg.AppFrac
-	if p <= 0 && r <= 0 && a <= 0 {
-		p, r, a = defaultPullFrac, defaultRuntimeFrac, defaultAppFrac
+// bootGeneric boots one generic watchdog for the pool, paying the
+// generic share of cold start (pre-baked image create + runtime init)
+// here — on a refill goroutine — instead of on some future request.
+func (g *Gateway) bootGeneric() (*prefork.Watchdog, error) {
+	wd, err := prefork.Start(g.watchdogServeError)
+	if err != nil {
+		return nil, err
 	}
-	sum := p + r + a
-	g.cold.pullFrac, g.cold.runtimeFrac, g.cold.appFrac = p/sum, r/sum, a/sum
-	g.cold.registry = cfg.Registry
-	g.cold.cache = cfg.Cache
-	if !cfg.Prefork {
-		return
+	if g.cfg.PreforkBoot > 0 {
+		time.Sleep(g.cfg.PreforkBoot)
 	}
-	size := cfg.PreforkSize
-	if size <= 0 {
-		size = defaultPreforkSize
-	}
-	genericBoot := cfg.PreforkBoot
-	g.cold.pool = prefork.NewPool(prefork.Config{
-		Size: size,
-		Boot: func() (*prefork.Watchdog, error) {
-			wd, err := prefork.Start(g.watchdogServeError)
-			if err != nil {
-				return nil, err
-			}
-			// The generic share of cold start (pre-baked image create +
-			// runtime init), paid here — on a refill goroutine — instead
-			// of on some future request.
-			if genericBoot > 0 {
-				time.Sleep(genericBoot)
-			}
-			return wd, nil
-		},
-		OnBoot: func() {
-			g.cold.refillBoots.Add(1)
-			if ins := g.obs.Load(); ins != nil {
-				ins.coldRefills.Inc()
-			}
-		},
-		OnBootError: func(err error) {
-			g.cold.bootErrs.Add(1)
-			g.event("prefork-boot-failure")
-		},
-		OnIdle: func(n int) {
-			if ins := g.obs.Load(); ins != nil {
-				ins.coldGenericIdle.Set(float64(n))
-			}
-		},
-	})
+	return wd, nil
 }
 
 // bootMode classifies how a request's instance came to exist.
@@ -194,11 +117,11 @@ func (g *Gateway) phasesFor(fn Function) bootPhases {
 		ph.pull, ph.runtime, ph.app = fn.Pull, fn.RuntimeInit, fn.AppInit
 	} else {
 		cs := fn.ColdStart
-		ph.pull = time.Duration(g.cold.pullFrac * float64(cs))
-		ph.runtime = time.Duration(g.cold.runtimeFrac * float64(cs))
+		ph.pull = time.Duration(g.cfg.BootPullFrac * float64(cs))
+		ph.runtime = time.Duration(g.cfg.BootRuntimeFrac * float64(cs))
 		ph.app = cs - ph.pull - ph.runtime
 	}
-	if fn.Image != "" && g.cold.registry != nil {
+	if fn.Image != "" {
 		if im, err := g.cold.registry.Lookup(fn.Image); err == nil {
 			ph.im, ph.hasImage = im, true
 		}
@@ -248,7 +171,7 @@ func (g *Gateway) bootInstance(fn Function) (*instance, bootInfo, error) {
 // runtime share was pre-paid when the watchdog booted.
 func (g *Gateway) specialize(wd *prefork.Watchdog, fn Function) (*instance, bootInfo, error) {
 	ph := g.phasesFor(fn)
-	wd.Specialize(watchdogHandler(fn, g.maxBody))
+	wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
 	var pull time.Duration
 	var skipped float64
 	if ph.hasImage {
@@ -271,7 +194,7 @@ func (g *Gateway) startInstance(fn Function) (*instance, bootInfo, error) {
 	if err != nil {
 		return nil, bootInfo{}, err
 	}
-	wd.Specialize(watchdogHandler(fn, g.maxBody))
+	wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
 	pull, skipped := g.pullCost(ph)
 	if d := pull + ph.runtime + ph.app; d > 0 {
 		time.Sleep(d)
@@ -285,12 +208,10 @@ func (g *Gateway) startInstance(fn Function) (*instance, bootInfo, error) {
 // observeBoot feeds one boot's phase accounting into the
 // hotc_coldpath_* families and the gateway's own counters.
 func (g *Gateway) observeBoot(info bootInfo) {
+	ins := g.obs
 	if info.skippedMB > 0 {
 		g.cold.pullSkippedKB.Add(uint64(info.skippedMB * 1024))
-	}
-	ins := g.obs.Load()
-	if ins == nil {
-		return
+		ins.coldSkippedMB.Add(info.skippedMB)
 	}
 	switch info.mode {
 	case bootRented:
@@ -300,9 +221,6 @@ func (g *Gateway) observeBoot(info bootInfo) {
 		ins.sharePhaseWipe.ObserveDuration(info.wipe)
 		ins.sharePhasePull.ObserveDuration(info.pull)
 		ins.sharePhaseApp.ObserveDuration(info.app)
-		if info.skippedMB > 0 {
-			ins.coldSkippedMB.Add(info.skippedMB)
-		}
 		return
 	case bootGeneric:
 		ins.coldBootsGeneric.Inc()
@@ -314,9 +232,6 @@ func (g *Gateway) observeBoot(info bootInfo) {
 	// exact signal the phase histogram exists to show.
 	ins.coldPhasePull.ObserveDuration(info.pull)
 	ins.coldPhaseApp.ObserveDuration(info.app)
-	if info.skippedMB > 0 {
-		ins.coldSkippedMB.Add(info.skippedMB)
-	}
 }
 
 // watchdogServeError records a watchdog accept loop dying with an
@@ -356,8 +271,7 @@ type ColdPathStats struct {
 	CacheMB       float64 `json:"cacheMB"`
 }
 
-// ColdPathStats reports the cold-path accounting (zero value when the
-// cold path was never configured).
+// ColdPathStats reports the cold-path accounting.
 func (g *Gateway) ColdPathStats() ColdPathStats {
 	st := ColdPathStats{
 		RefillBoots:   g.cold.refillBoots.Load(),

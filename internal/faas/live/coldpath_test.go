@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"hotc/internal/image"
 )
 
 // waitIdleGenerics blocks until the generic pool holds exactly want
@@ -61,8 +59,7 @@ func TestPhaseSplitExplicitPhasesWin(t *testing.T) {
 // The response carries X-Hotc-Reused: false (it IS a cold start from
 // the client's perspective) plus X-Hotc-Boot: generic.
 func TestGenericHandoffFasterThanFullCold(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 1})
+	g := New(PoolConfig{Prefork: true, PreforkSize: 1})
 	if err := g.Register(echoFn("f", 300*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +105,7 @@ func TestGenericHandoffFasterThanFullCold(t *testing.T) {
 // goroutines only. A 40ms function in front of a 250ms generic boot
 // must answer long before 250ms, and the pool still fills afterwards.
 func TestEmptyPoolFullColdNeverWaitsForRefill(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 1, PreforkBoot: 250 * time.Millisecond})
+	g := New(PoolConfig{Prefork: true, PreforkSize: 1, PreforkBoot: 250 * time.Millisecond})
 	if err := g.Register(echoFn("f", 40*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +135,7 @@ func TestEmptyPoolFullColdNeverWaitsForRefill(t *testing.T) {
 // phase. python:3.8 and node:10 share the 101MB debian base; a second
 // python boot skips everything.
 func TestLayerCacheScalesPullPhase(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableColdPath(ColdPathConfig{Registry: image.StandardCatalog(), Cache: image.NewCache()})
+	g := NewGateway(true) // standard catalog and an unbounded layer cache are the defaults
 	defer g.Stop()
 
 	pyFn := echoFn("py", 0)
@@ -197,10 +192,8 @@ func TestLayerCacheScalesPullPhase(t *testing.T) {
 // before touching any function's warm pool: generics carry no function
 // state, so they are the cheapest reclaim.
 func TestReclaimMemoryReapsGenericsFirst(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 2})
 	const mib = int64(1 << 20)
-	g.EnableAdmission(AdmissionConfig{MemoryBudget: 1 * mib, InstanceMemBytes: mib})
+	g := New(PoolConfig{Prefork: true, PreforkSize: 2, MemoryBudget: 1 * mib, InstanceMemBytes: mib})
 	if err := g.Register(echoFn("f", time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +228,8 @@ func TestReclaimMemoryReapsGenericsFirst(t *testing.T) {
 // When the generics alone do not cover the excess, the remainder still
 // comes out of the warm shards.
 func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 1})
 	const mib = int64(1 << 20)
-	g.EnableAdmission(AdmissionConfig{MemoryBudget: 1 * mib, InstanceMemBytes: mib})
+	g := New(PoolConfig{Prefork: true, PreforkSize: 1, MemoryBudget: 1 * mib, InstanceMemBytes: mib})
 	if err := g.Register(echoFn("f", time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +269,7 @@ func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
 // is just a boot nobody is waiting on, and it should be as cheap as
 // any other.
 func TestPrewarmUsesGenericPool(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 1})
+	g := New(PoolConfig{Prefork: true, PreforkSize: 1})
 	if err := g.Register(echoFn("f", 50*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -357,14 +347,11 @@ func TestDaemonDeployWithImage(t *testing.T) {
 // requests over several functions, pool refills, reclaims and stats
 // snapshots.
 func TestColdPathConcurrentChurn(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableColdPath(ColdPathConfig{
-		Registry: image.StandardCatalog(),
-		Cache:    image.NewCache(),
-		Prefork:  true, PreforkSize: 2, PreforkBoot: time.Millisecond,
-	})
 	const mib = int64(1 << 20)
-	g.EnableAdmission(AdmissionConfig{MemoryBudget: 4 * mib, InstanceMemBytes: mib})
+	g := New(PoolConfig{
+		Prefork: true, PreforkSize: 2, PreforkBoot: time.Millisecond,
+		MemoryBudget: 4 * mib, InstanceMemBytes: mib,
+	})
 	names := []string{"a", "b", "c"}
 	images := []string{"python:3.8", "node:10", ""}
 	for i, n := range names {

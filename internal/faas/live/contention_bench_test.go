@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hotc/internal/obs"
 )
 
 // benchGateway drives the gateway hot path (handle → acquire → watchdog
@@ -20,7 +18,6 @@ import (
 func benchGateway(b *testing.B, workers, fns int) {
 	b.Helper()
 	g := NewGateway(true)
-	g.Instrument(obs.New())
 	names := make([]string, fns)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
@@ -84,7 +81,6 @@ func benchGateway(b *testing.B, workers, fns int) {
 func benchGatewayHotPath(b *testing.B, workers, fns int) {
 	b.Helper()
 	g := NewGateway(true)
-	g.Instrument(obs.New())
 	shards := make([]*shard, fns)
 	for i := range shards {
 		name := fmt.Sprintf("f%d", i)
@@ -124,12 +120,10 @@ func benchGatewayHotPath(b *testing.B, workers, fns int) {
 				}
 				g.release(s, inst)
 				g.breakerSuccess(s)
-				if ins := g.obs.Load(); ins != nil {
-					if boot.mode == bootWarm {
-						ins.startsWarm.Inc()
-					} else {
-						ins.startsCold.Inc()
-					}
+				if boot.mode == bootWarm {
+					g.obs.startsWarm.Inc()
+				} else {
+					g.obs.startsCold.Inc()
 				}
 				s.observe("ok", start)
 			}

@@ -9,34 +9,6 @@ import (
 	"hotc/internal/sharing"
 )
 
-// ControlConfig arms the live gateway's adaptive container control
-// (Algorithm 3) and warm-pool lifecycle discipline, mirroring the
-// simulated substrate's knobs on real sockets.
-type ControlConfig struct {
-	// Interval is the control-loop period: each tick observes the
-	// interval's peak concurrent demand, forecasts the next interval
-	// and resizes the warm pool towards it. Default 2s.
-	Interval time.Duration
-	// NewPredictor constructs the per-function demand predictor. nil
-	// disables prediction (no controller goroutines run); the janitor
-	// and warm cap stay active. Use PredictorFactory to resolve the
-	// hotcd flag names.
-	NewPredictor func() predictor.Predictor
-	// Headroom is added to every forecast before provisioning, as a
-	// fraction (0.1 = +10%). Default 0.
-	Headroom float64
-	// KeepAlive stops instances idle longer than this (0 = keep
-	// forever). Enforced by the janitor.
-	KeepAlive time.Duration
-	// MaxWarm caps idle warm instances per function (0 = no cap),
-	// enforced continuously: at release time, at prewarm time and by
-	// the janitor, always evicting oldest first.
-	MaxWarm int
-	// JanitorInterval is how often the janitor scans for expired
-	// instances. Default 1s.
-	JanitorInterval time.Duration
-}
-
 // liveScaleDownFrac caps how much of a function's live set the
 // controller retires per tick (hysteresis, matching the simulated
 // controller): a recurring burst finds most of the previous burst's
@@ -88,30 +60,6 @@ type fnControl struct {
 	share sharing.Classifier
 }
 
-// EnableControl configures adaptive control. Call before Start; the
-// control loops launch when the gateway starts listening. Functions
-// already registered gain predictors here.
-func (g *Gateway) EnableControl(cfg ControlConfig) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
-	if cfg.JanitorInterval <= 0 {
-		cfg.JanitorInterval = time.Second
-	}
-	g.smu.Lock()
-	defer g.smu.Unlock()
-	g.ctl = cfg
-	if cfg.NewPredictor != nil {
-		for _, s := range g.shards {
-			s.mu.Lock()
-			if s.ctl.pred == nil {
-				s.ctl.pred = cfg.NewPredictor()
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
 // startControlLoops launches the janitor and one controller goroutine
 // per registered function. Functions registered later spawn theirs in
 // Register.
@@ -124,9 +72,9 @@ func (g *Gateway) startControlLoops() {
 	g.ctlRunning = true
 	// The janitor owns keep-alive expiry AND memory-budget reclaim, so
 	// it runs when either policy is armed.
-	runJanitor := g.ctl.KeepAlive > 0 || g.adm.MemoryBudget > 0
+	runJanitor := g.cfg.IdleTTL > 0 || g.cfg.MemoryBudget > 0
 	var names []string
-	if g.ctl.NewPredictor != nil {
+	if g.cfg.NewPredictor != nil {
 		for name := range g.shards {
 			names = append(names, name)
 		}
@@ -151,7 +99,7 @@ func (g *Gateway) startControlLoops() {
 // runController is the per-function background control loop.
 func (g *Gateway) runController(name string) {
 	defer g.wg.Done()
-	ticker := time.NewTicker(g.ctl.Interval)
+	ticker := time.NewTicker(g.cfg.ControlInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -183,7 +131,6 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 		g.smu.RUnlock()
 		return
 	}
-	ins := g.obs.Load()
 
 	s.mu.Lock()
 	st := &s.ctl
@@ -203,10 +150,10 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	// this interval — before it is overwritten below — against what
 	// the interval actually brought, plus the idle surplus standing
 	// around right now.
-	if g.share.enabled {
+	if g.cfg.Share {
 		prevRole := st.share.Role()
 		if role := st.share.Observe(st.forecast, demand, float64(len(s.idle))); role != prevRole {
-			g.shareRoleTransition(prevRole, role, ins)
+			g.shareRoleTransition(prevRole, role)
 		}
 	}
 	st.pred.Observe(demand)
@@ -215,12 +162,13 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	st.ticks++
 	st.peak = st.inFlight // restart the interval's peak tracking
 
-	target := int(math.Ceil(raw * (1 + g.ctl.Headroom)))
+	maxWarm := g.cfg.MaxIdlePerFunction
+	target := int(math.Ceil(raw * (1 + g.cfg.Headroom)))
 	if target < st.inFlight {
 		target = st.inFlight // never scale below what is executing
 	}
-	if g.ctl.MaxWarm > 0 && target > st.inFlight+g.ctl.MaxWarm {
-		target = st.inFlight + g.ctl.MaxWarm // idle share stays under the cap
+	if maxWarm > 0 && target > st.inFlight+maxWarm {
+		target = st.inFlight + maxWarm // idle share stays under the cap
 	}
 	live := st.inFlight + st.booting + len(s.idle)
 
@@ -229,8 +177,8 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	switch {
 	case target > live:
 		boot = target - live
-		if g.ctl.MaxWarm > 0 {
-			if room := g.ctl.MaxWarm - len(s.idle) - st.booting; boot > room {
+		if maxWarm > 0 {
+			if room := maxWarm - len(s.idle) - st.booting; boot > room {
 				boot = room
 			}
 		}
@@ -255,17 +203,13 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 			s.syncWarmLocked()
 		}
 	}
-	if ins != nil {
-		ins.ctlTicks.Inc()
-		if m := s.m.Load(); m != nil {
-			m.ctlDemand.Set(demand)
-			m.ctlForecast.Set(raw)
-			m.ctlTarget.Set(float64(target))
-		}
-		if len(retire) > 0 {
-			ins.ctlRetire.Add(float64(len(retire)))
-			ins.poolRetired.Add(float64(len(retire)))
-		}
+	g.obs.ctlTicks.Inc()
+	s.m.ctlDemand.Set(demand)
+	s.m.ctlForecast.Set(raw)
+	s.m.ctlTarget.Set(float64(target))
+	if len(retire) > 0 {
+		g.obs.ctlRetire.Add(float64(len(retire)))
+		g.obs.poolRetired.Add(float64(len(retire)))
 	}
 	g.wg.Add(boot)
 	s.mu.Unlock()
@@ -297,7 +241,7 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 		s.mu.Unlock()
 		return
 	}
-	overCap := g.ctl.MaxWarm > 0 && len(s.idle) >= g.ctl.MaxWarm
+	overCap := g.cfg.MaxIdlePerFunction > 0 && len(s.idle) >= g.cfg.MaxIdlePerFunction
 	if g.stopped.Load() || overCap {
 		s.mu.Unlock()
 		inst.stop()
@@ -306,23 +250,16 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	inst.idleSince = g.nowFn()
 	s.idle = append(s.idle, inst)
 	s.stats.Prewarmed++
-	if ins := g.obs.Load(); ins != nil {
-		ins.ctlPrewarm.Inc()
-	}
+	g.obs.ctlPrewarm.Inc()
 	s.syncWarmLocked()
 	s.mu.Unlock()
 }
 
-// runJanitor periodically expires idle instances past the keep-alive.
+// runJanitor periodically expires idle instances past the keep-alive
+// and enforces the memory budget.
 func (g *Gateway) runJanitor() {
 	defer g.wg.Done()
-	interval := g.ctl.JanitorInterval
-	if interval <= 0 {
-		// A memory budget arms the janitor without EnableControl (which
-		// is where the interval is normally defaulted).
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(g.cfg.ReapInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -355,7 +292,7 @@ func (g *Gateway) janitorOnce(now time.Time) {
 		keep := make([]*instance, 0, len(s.idle))
 		expired := 0
 		for _, inst := range s.idle {
-			if g.ctl.KeepAlive > 0 && now.Sub(inst.idleSince) >= g.ctl.KeepAlive {
+			if g.cfg.IdleTTL > 0 && now.Sub(inst.idleSince) >= g.cfg.IdleTTL {
 				doomed = append(doomed, inst)
 				expired++
 				continue
@@ -365,8 +302,8 @@ func (g *Gateway) janitorOnce(now time.Time) {
 		s.stats.Expired += expired
 		// Cap backstop (release-time eviction normally keeps this
 		// invariant): drop the oldest beyond the limit.
-		if g.ctl.MaxWarm > 0 && len(keep) > g.ctl.MaxWarm {
-			drop := len(keep) - g.ctl.MaxWarm
+		if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(keep) > limit {
+			drop := len(keep) - limit
 			doomed = append(doomed, keep[:drop]...)
 			keep = keep[drop:]
 			s.stats.Retired += drop
@@ -376,9 +313,7 @@ func (g *Gateway) janitorOnce(now time.Time) {
 		s.mu.Unlock()
 	}
 	if len(doomed) > 0 {
-		if ins := g.obs.Load(); ins != nil {
-			ins.poolRetired.Add(float64(len(doomed)))
-		}
+		g.obs.poolRetired.Add(float64(len(doomed)))
 		stopAll(doomed)
 	}
 	// With a memory budget armed, the same scan enforces it: reclaim
@@ -419,7 +354,7 @@ func (g *Gateway) PredictionTraces() map[string]PredictionTrace {
 				Observed:  append([]float64(nil), s.ctl.observed...),
 				Predicted: append([]float64(nil), s.ctl.predicted...),
 			}
-			if g.share.enabled {
+			if g.cfg.Share {
 				tr.Role = s.ctl.share.Role().String()
 				tr.ForecastError = s.ctl.share.ForecastError()
 			}

@@ -36,18 +36,17 @@ func (f *fakeClock) Advance(d time.Duration) time.Time {
 // startControlled builds a started gateway with adaptive control armed
 // and background loops effectively idle (hour-long periods), so tests
 // drive controlOnce/janitorOnce by hand with the fake clock.
-func startControlled(t *testing.T, cfg ControlConfig, fns ...Function) (*Gateway, *fakeClock, string) {
+func startControlled(t *testing.T, cfg PoolConfig, fns ...Function) (*Gateway, *fakeClock, string) {
 	t.Helper()
-	if cfg.Interval == 0 {
-		cfg.Interval = time.Hour
+	if cfg.ControlInterval == 0 {
+		cfg.ControlInterval = time.Hour
 	}
-	if cfg.JanitorInterval == 0 {
-		cfg.JanitorInterval = time.Hour
+	if cfg.ReapInterval == 0 {
+		cfg.ReapInterval = time.Hour
 	}
-	g := NewGateway(true)
+	g := New(cfg)
 	clk := newFakeClock()
 	g.nowFn = clk.Now
-	g.EnableControl(cfg)
 	for _, fn := range fns {
 		if err := g.Register(fn); err != nil {
 			t.Fatal(err)
@@ -80,7 +79,7 @@ func naiveFactory() predictor.Predictor { return predictor.NewNaive() }
 // ahead of demand.
 func TestControllerPrewarmsForecastDemand(t *testing.T) {
 	g, clk, base := startControlled(t,
-		ControlConfig{NewPredictor: naiveFactory, KeepAlive: time.Minute},
+		PoolConfig{NewPredictor: naiveFactory, IdleTTL: time.Minute},
 		Function{Name: "f", Handler: func(b []byte) ([]byte, error) {
 			time.Sleep(50 * time.Millisecond)
 			return b, nil
@@ -124,7 +123,7 @@ func TestControllerPrewarmsForecastDemand(t *testing.T) {
 // quarter of the live set per tick) until nothing is left.
 func TestControllerRetiresOnFallingDemand(t *testing.T) {
 	g, clk, base := startControlled(t,
-		ControlConfig{NewPredictor: naiveFactory},
+		PoolConfig{NewPredictor: naiveFactory},
 		echoFn("f", 0))
 
 	var wg sync.WaitGroup
@@ -173,7 +172,7 @@ func TestControllerRetiresOnFallingDemand(t *testing.T) {
 // Prewarming never pushes the idle pool past MaxWarm.
 func TestControllerPrewarmRespectsMaxWarm(t *testing.T) {
 	g, clk, _ := startControlled(t,
-		ControlConfig{NewPredictor: naiveFactory, MaxWarm: 2},
+		PoolConfig{NewPredictor: naiveFactory, MaxIdlePerFunction: 2},
 		echoFn("f", 0))
 
 	// Simulate a burst of 5 observed in the closing interval.
@@ -198,7 +197,7 @@ func TestControllerPrewarmRespectsMaxWarm(t *testing.T) {
 // release-after-Stop race.
 func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
 	g, clk, _ := startControlled(t,
-		ControlConfig{NewPredictor: naiveFactory},
+		PoolConfig{NewPredictor: naiveFactory},
 		echoFn("f", 150*time.Millisecond))
 
 	s := g.shard("f")
@@ -220,7 +219,7 @@ func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
 // keeps the instance, the exact TTL expires it.
 func TestJanitorExpiryWithInjectedClock(t *testing.T) {
 	g, clk, base := startControlled(t,
-		ControlConfig{KeepAlive: time.Minute},
+		PoolConfig{IdleTTL: time.Minute},
 		echoFn("f", 0))
 
 	post(t, base+"/function/f", "x")
@@ -243,7 +242,7 @@ func TestJanitorExpiryWithInjectedClock(t *testing.T) {
 // The janitor must not touch a stopped gateway: Stop owns teardown.
 func TestJanitorNoopAfterStop(t *testing.T) {
 	g, clk, base := startControlled(t,
-		ControlConfig{KeepAlive: time.Minute},
+		PoolConfig{IdleTTL: time.Minute},
 		echoFn("f", 0))
 	post(t, base+"/function/f", "x")
 	g.Stop()
@@ -257,8 +256,8 @@ func TestJanitorNoopAfterStop(t *testing.T) {
 // scans and stats reads all interleave. Run under -race.
 func TestConcurrentAcquireReleaseControllerTicks(t *testing.T) {
 	g, clk, base := startControlled(t,
-		ControlConfig{NewPredictor: func() predictor.Predictor { return predictor.Default() },
-			KeepAlive: 50 * time.Millisecond, MaxWarm: 3},
+		PoolConfig{NewPredictor: func() predictor.Predictor { return predictor.Default() },
+			IdleTTL: 50 * time.Millisecond, MaxIdlePerFunction: 3},
 		echoFn("f", 2*time.Millisecond))
 
 	var wg sync.WaitGroup

@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,126 +17,8 @@ import (
 	"unicode/utf8"
 
 	"hotc/internal/admission"
-	"hotc/internal/image"
 	"hotc/internal/obs"
-	"hotc/internal/predictor"
-	"hotc/internal/sharing"
 )
-
-// PoolConfig tunes the daemon gateway's warm-instance management,
-// mirroring the simulated pool's knobs on the real-socket path.
-type PoolConfig struct {
-	// IdleTTL stops instances idle longer than this (0 = keep forever)
-	// — the keep-alive enforced by the gateway's janitor.
-	IdleTTL time.Duration
-	// MaxIdlePerFunction caps warm instances per function (0 = no
-	// cap), enforced continuously with oldest-first eviction.
-	MaxIdlePerFunction int
-	// ReapInterval is how often the janitor scans (default 1s).
-	ReapInterval time.Duration
-	// ControlInterval is the adaptive controller's period (default 2s
-	// when a predictor is set).
-	ControlInterval time.Duration
-	// NewPredictor arms adaptive live-container control: each function
-	// gets its own demand predictor and a controller goroutine that
-	// prewarms or retires warm instances towards the forecast. nil
-	// disables prediction. Use PredictorFactory to resolve names.
-	NewPredictor func() predictor.Predictor
-	// Headroom is added to every forecast before provisioning, as a
-	// fraction (0.1 = +10%). Default 0.
-	Headroom float64
-	// BreakerThreshold arms the per-function circuit breaker: after
-	// this many consecutive boot/proxy failures requests fast-fail with
-	// 503 until the open window elapses. 0 disables breaking.
-	BreakerThreshold int
-	// BreakerOpenFor is the open window before a half-open probe
-	// (default 30s when a threshold is set).
-	BreakerOpenFor time.Duration
-	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
-	// daemon mux. Off by default: profiling endpoints expose internals
-	// and should be opted into.
-	EnablePprof bool
-	// MaxBodyBytes bounds request bodies at the gateway and every
-	// watchdog (0 = unlimited): oversized requests get HTTP 413
-	// instead of ballooning a watchdog's memory.
-	MaxBodyBytes int64
-	// MaxInFlight caps concurrently executing requests per function;
-	// past it arrivals wait in the admission queue. 0 disables
-	// admission control (the pre-overload-tier behaviour).
-	MaxInFlight int
-	// QueueDepth caps waiting requests per tenant per function; past
-	// it arrivals get 429 + Retry-After.
-	QueueDepth int
-	// DefaultDeadline is applied to requests without an explicit
-	// X-Hotc-Deadline-Ms header (0 = none): queued requests past their
-	// deadline are shed, in-flight backend work is canceled at it.
-	DefaultDeadline time.Duration
-	// TenantWeights sets admission fair-dispatch quanta per tenant
-	// (unlisted tenants weigh 1).
-	TenantWeights map[string]int
-	// MemoryBudget bounds estimated warm-instance memory across all
-	// functions, in bytes (0 = unlimited); the janitor reclaims from
-	// the biggest holders first when exceeded.
-	MemoryBudget int64
-	// InstanceMemBytes overrides the per-instance estimate backing the
-	// budget (default 64 MiB).
-	InstanceMemBytes int64
-	// DisableTracing turns live request tracing off. Tracing is on by
-	// default: its sampled-out path costs a handful of atomics per
-	// request and nothing on the pool hot path.
-	DisableTracing bool
-	// TraceCapacity sizes the span ring behind /system/trace (default
-	// 2048).
-	TraceCapacity int
-	// TraceSampleRate is the probabilistic keep rate for unremarkable
-	// successful spans (0 = the 1% default; negative = keep only
-	// errors, sheds, cold starts and slow requests).
-	TraceSampleRate float64
-	// TraceSlowThreshold always keeps spans at or above this latency
-	// (0 = the 500ms default; negative disables the slow rule).
-	TraceSlowThreshold time.Duration
-	// SLOLatency arms the latency objective: a 2xx request slower than
-	// this is a bad event against a p99 target (0 = objective off).
-	SLOLatency time.Duration
-	// SLOColdStartPct arms the cold-start objective: at most this
-	// percentage of served requests may pay a cold start (0 = off).
-	SLOColdStartPct float64
-	// Prefork arms the generic pre-forked watchdog pool: cold starts
-	// specialize an already-running generic instance and pay only the
-	// function-specific share of boot.
-	Prefork bool
-	// PreforkSize is the generic pool's target (default 4 when Prefork
-	// is set).
-	PreforkSize int
-	// PreforkBoot is the delay one generic boot pays, always off the
-	// request path (0 = instant).
-	PreforkBoot time.Duration
-	// DisableLayerCache turns the host layer cache off: every boot
-	// with an Image pays its full pull phase. The cache is on by
-	// default — sharing base layers is the point of image modelling.
-	DisableLayerCache bool
-	// LayerCacheCapMB bounds the layer cache with LRU eviction (0 =
-	// unbounded).
-	LayerCacheCapMB float64
-	// BootPullFrac, BootRuntimeFrac and BootAppFrac split ColdStart
-	// into the §III.B phases for functions without explicit ones. All
-	// zero = the 55/30/15 defaults.
-	BootPullFrac, BootRuntimeFrac, BootAppFrac float64
-	// Share arms inter-function sharing: on a warm miss the gateway
-	// leases an idle instance from another function before paying any
-	// boot.
-	Share bool
-	// SharePolicy selects the compatibility rule ("same-image", the
-	// default, or "any"); see sharing.ParseMode. Unknown values fall
-	// back to same-image — the CLIs validate before they get here.
-	SharePolicy string
-	// ShareWipe is the volume-cleanup cost each lease pays (default
-	// 5ms).
-	ShareWipe time.Duration
-	// ShareIdleGrace is the minimum idle age before an instance may be
-	// lent (default 250ms; negative = none).
-	ShareIdleGrace time.Duration
-}
 
 // Daemon is the long-running HotC gateway server: the live gateway
 // plus adaptive control, idle-instance expiry and an HTTP management
@@ -153,20 +35,14 @@ type PoolConfig struct {
 // Handlers are chosen from a built-in registry by name (this is a
 // demonstration daemon; it does not execute arbitrary code).
 type Daemon struct {
-	gw  *Gateway
-	cfg PoolConfig
-	reg *obs.Registry
-	// images resolves DeploySpec.Image references (the standard
-	// catalog); the gateway shares it for boot-time layer admission.
-	images *image.Registry
-
-	// slo is the burn-rate monitor behind /system/slo and hotc_slo_*;
-	// nil when no objective is armed.
-	slo *obs.SLOMonitor
+	gw *Gateway
 	// started anchors hotc_uptime_seconds, refreshed on each scrape.
 	started time.Time
 	uptime  *obs.Gauge
 
+	// deployed lists each deployed function once, sorted; a redeploy
+	// replaces the function in place (Gateway.Register) and leaves the
+	// list alone.
 	mu       sync.Mutex
 	deployed []string
 }
@@ -341,93 +217,20 @@ func wordcountStream(r io.Reader, w io.Writer) error {
 	return err
 }
 
-// NewDaemon wraps a reusing gateway with adaptive control, pool
-// management, a metrics registry and (optionally) a circuit breaker.
+// NewDaemon is New(cfg) plus the management API and the daemon-level
+// build-info and uptime metrics.
 func NewDaemon(cfg PoolConfig) *Daemon {
-	d := &Daemon{
-		gw:      NewGateway(true),
-		cfg:     cfg,
-		reg:     obs.New(),
-		images:  image.StandardCatalog(),
-		started: time.Now(),
-	}
-	d.gw.Instrument(d.reg)
-	d.gw.SetMaxBodyBytes(cfg.MaxBodyBytes)
-	var cache *image.Cache
-	if !cfg.DisableLayerCache {
-		if cfg.LayerCacheCapMB > 0 {
-			cache = image.NewCacheWithCap(cfg.LayerCacheCapMB)
-		} else {
-			cache = image.NewCache()
-		}
-	}
-	d.gw.EnableColdPath(ColdPathConfig{
-		Registry:    d.images,
-		Cache:       cache,
-		PullFrac:    cfg.BootPullFrac,
-		RuntimeFrac: cfg.BootRuntimeFrac,
-		AppFrac:     cfg.BootAppFrac,
-		Prefork:     cfg.Prefork,
-		PreforkSize: cfg.PreforkSize,
-		PreforkBoot: cfg.PreforkBoot,
-	})
-	d.reg.GaugeVec("hotc_build_info",
+	d := &Daemon{gw: New(cfg), started: time.Now()}
+	d.gw.reg.GaugeVec("hotc_build_info",
 		"Build metadata: constant 1, labeled by gateway version and Go runtime version.",
 		"version", "go_version").With(Version, runtime.Version()).Set(1)
-	d.uptime = d.reg.Gauge("hotc_uptime_seconds",
+	d.uptime = d.gw.reg.Gauge("hotc_uptime_seconds",
 		"Seconds since the daemon started, refreshed on scrape.")
-	if !cfg.DisableTracing {
-		d.gw.EnableTracing(TracingConfig{
-			Capacity:      cfg.TraceCapacity,
-			SampleRate:    cfg.TraceSampleRate,
-			SlowThreshold: cfg.TraceSlowThreshold,
-		})
-	}
-	if cfg.SLOLatency > 0 || cfg.SLOColdStartPct > 0 {
-		d.slo = obs.NewSLOMonitor(obs.SLOConfig{
-			LatencyThreshold: cfg.SLOLatency,
-			ColdStartBudget:  cfg.SLOColdStartPct / 100,
-		})
-		d.slo.Instrument(d.reg)
-		d.gw.SetSLO(d.slo)
-	}
-	if cfg.Share {
-		mode, err := sharing.ParseMode(cfg.SharePolicy)
-		if err != nil {
-			mode = sharing.ModeSameImage
-		}
-		d.gw.EnableSharing(SharingConfig{
-			Policy:    sharing.Policy{Mode: mode},
-			Wipe:      cfg.ShareWipe,
-			IdleGrace: cfg.ShareIdleGrace,
-		})
-	}
-	d.gw.EnableControl(ControlConfig{
-		Interval:        cfg.ControlInterval,
-		NewPredictor:    cfg.NewPredictor,
-		Headroom:        cfg.Headroom,
-		KeepAlive:       cfg.IdleTTL,
-		MaxWarm:         cfg.MaxIdlePerFunction,
-		JanitorInterval: cfg.ReapInterval,
-	})
-	if cfg.BreakerThreshold > 0 {
-		d.gw.EnableBreaker(cfg.BreakerThreshold, cfg.BreakerOpenFor)
-	}
-	if cfg.MaxInFlight > 0 || cfg.DefaultDeadline > 0 || cfg.MemoryBudget > 0 {
-		d.gw.EnableAdmission(AdmissionConfig{
-			MaxInFlight:      cfg.MaxInFlight,
-			QueueDepth:       cfg.QueueDepth,
-			DefaultDeadline:  cfg.DefaultDeadline,
-			TenantWeights:    cfg.TenantWeights,
-			MemoryBudget:     cfg.MemoryBudget,
-			InstanceMemBytes: cfg.InstanceMemBytes,
-		})
-	}
 	return d
 }
 
 // Registry exposes the daemon's metrics registry (served at /metrics).
-func (d *Daemon) Registry() *obs.Registry { return d.reg }
+func (d *Daemon) Registry() *obs.Registry { return d.gw.reg }
 
 // DeploySpec is the management-API deployment payload.
 type DeploySpec struct {
@@ -472,7 +275,7 @@ func (d *Daemon) Deploy(spec DeploySpec) error {
 	if spec.Image != "" {
 		// An unknown image would silently degrade to no-image boots
 		// (full pull every time); refuse it up front instead.
-		if _, err := d.images.Lookup(spec.Image); err != nil {
+		if _, err := d.gw.cold.registry.Lookup(spec.Image); err != nil {
 			return err
 		}
 	}
@@ -491,8 +294,9 @@ func (d *Daemon) Deploy(spec DeploySpec) error {
 		return err
 	}
 	d.mu.Lock()
-	d.deployed = append(d.deployed, spec.Name)
-	sort.Strings(d.deployed)
+	if i, found := slices.BinarySearch(d.deployed, spec.Name); !found {
+		d.deployed = slices.Insert(d.deployed, i, spec.Name)
+	}
 	d.mu.Unlock()
 	return nil
 }
@@ -616,13 +420,13 @@ func (d *Daemon) routes() *http.ServeMux {
 		}{d.gw.TraceStats(), spans})
 	})
 	mux.HandleFunc("/system/slo", func(w http.ResponseWriter, r *http.Request) {
-		if d.slo == nil {
+		if d.gw.slo == nil {
 			writeJSON(w, obs.SLOReport{})
 			return
 		}
 		// Sync refreshes the hotc_slo_* gauges from the same pass that
 		// builds the JSON, so the two views never disagree.
-		writeJSON(w, d.slo.Sync())
+		writeJSON(w, d.gw.slo.Sync())
 	})
 	mux.HandleFunc("/system/predictions", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, d.gw.PredictionTraces())
@@ -631,13 +435,13 @@ func (d *Daemon) routes() *http.ServeMux {
 		// Scrape-time refresh: uptime and the SLO burn-rate gauges are
 		// computed views, made exactly as fresh as the scrape.
 		d.uptime.Set(time.Since(d.started).Seconds())
-		if d.slo != nil {
-			d.slo.Sync()
+		if d.gw.slo != nil {
+			d.gw.slo.Sync()
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		d.reg.WritePrometheus(w)
+		d.gw.reg.WritePrometheus(w)
 	})
-	if d.cfg.EnablePprof {
+	if d.gw.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -652,11 +456,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// reapOnce applies the keep-alive and cap policy once; tests call it
-// with deterministic now values. The periodic scan is the gateway's
-// janitor goroutine.
-func (d *Daemon) reapOnce(now time.Time) {
-	d.gw.janitorOnce(now)
 }

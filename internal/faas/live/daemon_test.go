@@ -61,6 +61,37 @@ func TestDaemonDeployAndInvokeOverHTTP(t *testing.T) {
 	}
 }
 
+// A redeploy replaces the function in place: the listing (and the
+// /system/stats walk over it) names it once, sorted with the rest.
+func TestRedeployListsFunctionOnce(t *testing.T) {
+	d, base := startDaemon(t, PoolConfig{})
+	for _, spec := range []DeploySpec{
+		{Name: "e", Handler: "upper"},
+		{Name: "a", Handler: "echo"},
+		{Name: "e", Handler: "echo"},
+	} {
+		if err := d.Deploy(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lst, err := http.Get(base + "/system/functions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lst.Body.Close()
+	var names []string
+	if err := json.NewDecoder(lst.Body).Decode(&names); err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 2 || names[0] != "a" || names[1] != "e" {
+		t.Fatalf("functions = %v, want [a e]", names)
+	}
+	inv := postJSON(t, base+"/function/e", "x")
+	if body, _ := io.ReadAll(inv.Body); string(body) != "x" {
+		t.Fatalf("redeployed e answered %q, want the echo handler's \"x\"", body)
+	}
+}
+
 func TestDaemonStatsEndpoint(t *testing.T) {
 	d, base := startDaemon(t, PoolConfig{})
 	if err := d.Deploy(DeploySpec{Name: "echo", Handler: "echo"}); err != nil {
@@ -136,12 +167,12 @@ func TestReaperTTLExpiry(t *testing.T) {
 		t.Fatalf("warm = %d", d.WarmInstances("echo"))
 	}
 	// Within TTL: kept.
-	d.reapOnce(time.Now().Add(30 * time.Minute))
+	d.gw.janitorOnce(time.Now().Add(30 * time.Minute))
 	if d.WarmInstances("echo") != 1 {
 		t.Fatal("instance reaped before TTL")
 	}
 	// Past TTL: reaped.
-	d.reapOnce(time.Now().Add(2 * time.Hour))
+	d.gw.janitorOnce(time.Now().Add(2 * time.Hour))
 	if d.WarmInstances("echo") != 0 {
 		t.Fatal("instance survived TTL")
 	}
@@ -199,7 +230,7 @@ func TestWarmCapEnforcedContinuously(t *testing.T) {
 		t.Fatalf("Retired = %d, want 2 oldest-first cap evictions", st.Retired)
 	}
 	// The janitor's cap backstop finds nothing left to do.
-	d.reapOnce(time.Now())
+	d.gw.janitorOnce(time.Now())
 	if got := d.WarmInstances("s"); got != 2 {
 		t.Fatalf("warm after reap = %d, want 2", got)
 	}

@@ -125,8 +125,7 @@ func TestBytesLargePayloadForwardsLength(t *testing.T) {
 // retract a sent status line — so the chunked case pins the buffered
 // kind, where the 413 is deterministic.)
 func TestMaxBodySizeRejectsOversize(t *testing.T) {
-	g := NewGateway(true)
-	g.SetMaxBodyBytes(1 << 10)
+	g := New(PoolConfig{MaxBodyBytes: 1 << 10})
 	if err := g.Register(Function{Name: "f", Stream: streamEcho}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +321,7 @@ func TestBytesShimZeroAlloc(t *testing.T) {
 // does the heavy lifting; the assertions check integrity under churn.
 func TestConcurrentLargeStreamsDuringControl(t *testing.T) {
 	g, clk, _ := startControlled(t,
-		ControlConfig{NewPredictor: naiveFactory, KeepAlive: time.Minute, MaxWarm: 2},
+		PoolConfig{NewPredictor: naiveFactory, IdleTTL: time.Minute, MaxIdlePerFunction: 2},
 		Function{Name: "big", Stream: streamEcho})
 
 	const size = 1 << 20

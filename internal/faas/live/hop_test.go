@@ -262,9 +262,8 @@ func TestHopLargeFullDuplexBuiltins(t *testing.T) {
 // the renter's first warm hit dial nothing, and the lender's tainted
 // struct is left holding no connection.
 func TestLeaseMovesConnection(t *testing.T) {
-	g := NewGateway(true)
+	g := New(testSharing())
 	conns := trackConns(g)
-	g.EnableSharing(testSharing())
 	for _, n := range []string{"lender", "renter"} {
 		if err := g.Register(echoFn(n, 0)); err != nil {
 			t.Fatal(err)
@@ -293,10 +292,10 @@ func TestLeaseMovesConnection(t *testing.T) {
 // goroutine.
 func TestStopClosesEveryHopConnection(t *testing.T) {
 	before := runtime.NumGoroutine()
-	g := NewGateway(true)
+	cfg := testSharing()
+	cfg.Prefork, cfg.PreforkSize = true, 2
+	g := New(cfg)
 	conns := trackConns(g)
-	g.EnableSharing(testSharing())
-	g.EnableColdPath(ColdPathConfig{Prefork: true, PreforkSize: 2})
 	for _, n := range []string{"lender", "renter", "solo1", "solo2"} {
 		fn := echoFn(n, 0)
 		fn.NoShare = n[0] == 's' // the solos boot their own instances
@@ -382,9 +381,8 @@ func TestWatchdogDeathBetweenRequests(t *testing.T) {
 func TestNoHiddenCallTimeout(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
-	g := NewGateway(true)
+	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour})
 	conns := trackConns(g)
-	g.EnableBreaker(1, time.Hour)
 	if err := g.Register(blockingFn("f", entered, release)); err != nil {
 		t.Fatal(err)
 	}
@@ -426,9 +424,8 @@ func TestNoHiddenCallTimeout(t *testing.T) {
 // the request still answers 504 (once the discarded watchdog's handler
 // has returned) with the writer gone and the instance discarded.
 func TestDeadlineAbortsBlockedBodyWriter(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour})
 	conns := trackConns(g)
-	g.EnableBreaker(1, time.Hour)
 	if err := g.Register(Function{Name: "deaf", Stream: func(io.Reader, io.Writer) error {
 		time.Sleep(100 * time.Millisecond) // well past the deadline
 		return nil

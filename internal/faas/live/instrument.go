@@ -10,7 +10,7 @@ import (
 
 // instruments bundles the live gateway's metric families plus the
 // pre-resolved handles for the unlabeled (or fixed-label) families the
-// hot path bumps. nil (the default) means uninstrumented.
+// hot path bumps. Every gateway has one, on its own registry.
 type instruments struct {
 	requests     *obs.CounterVec   // hotc_requests_total{function, outcome}
 	starts       *obs.CounterVec   // hotc_starts_total{mode}
@@ -129,19 +129,10 @@ func (ins *instruments) forFunction(name string) *shardMetrics {
 	}
 }
 
-// Instrument registers the gateway's metric families on the registry
-// and resolves each existing shard's handle set. The families reuse
-// the simulated pipeline's names, so dashboards built against a sim
-// dump read hotcd's /metrics unchanged. Calling with nil turns
-// instrumentation off.
-func (g *Gateway) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		g.obs.Store(nil)
-		for _, s := range g.snapshotShards() {
-			s.m.Store(nil)
-		}
-		return
-	}
+// newInstruments registers the gateway's metric families on its
+// registry. The families reuse the simulated pipeline's names, so
+// dashboards built against a sim dump read hotcd's /metrics unchanged.
+func newInstruments(reg *obs.Registry) *instruments {
 	ins := &instruments{
 		requests: reg.CounterVec("hotc_requests_total",
 			"Requests handled by the gateway, by function and outcome (ok|error|rejected|canceled).",
@@ -252,24 +243,13 @@ func (g *Gateway) Instrument(reg *obs.Registry) {
 	ins.sharePhaseWipe = ins.sharePhase.With("wipe")
 	ins.sharePhasePull = ins.sharePhase.With("pull")
 	ins.sharePhaseApp = ins.sharePhase.With("app_init")
-	g.obs.Store(ins)
-	// Seed the generic-idle gauge: the pool may have filled before
-	// Instrument armed the OnIdle hook's sink.
-	if g.cold.pool != nil {
-		ins.coldGenericIdle.Set(float64(g.cold.pool.Idle()))
-	}
-	for _, s := range g.snapshotShards() {
-		s.m.Store(ins.forFunction(s.name))
-	}
+	return ins
 }
 
 // observe emits the per-request latency and outcome counters through
 // the shard's cached handles: no locks, no label resolution.
 func (s *shard) observe(outcome string, start time.Time) {
-	m := s.m.Load()
-	if m == nil {
-		return
-	}
+	m := s.m
 	switch outcome {
 	case "ok":
 		m.reqOK.Inc()
@@ -286,23 +266,8 @@ func (s *shard) observe(outcome string, start time.Time) {
 // observeUnknown records a request for a name with no shard (404s).
 // Off the hot path, so the Vec lookup cost is fine.
 func (g *Gateway) observeUnknown(name string, start time.Time) {
-	ins := g.obs.Load()
-	if ins == nil {
-		return
-	}
-	ins.requests.With(name, "error").Inc()
-	ins.latency.With(name).ObserveDuration(time.Since(start))
-}
-
-// EnableBreaker arms a per-function circuit breaker: after threshold
-// consecutive boot/proxy failures the function fast-fails with 503
-// until openFor elapses and a probe succeeds. Call before traffic;
-// threshold <= 0 disables breaking (the default).
-func (g *Gateway) EnableBreaker(threshold int, openFor time.Duration) {
-	g.smu.Lock()
-	defer g.smu.Unlock()
-	g.breakerThreshold = threshold
-	g.breakerOpenFor = openFor
+	g.obs.requests.With(name, "error").Inc()
+	g.obs.latency.With(name).ObserveDuration(time.Since(start))
 }
 
 // since is the gateway's monotonic clock for the breaker: offsets from
@@ -311,13 +276,13 @@ func (g *Gateway) EnableBreaker(threshold int, openFor time.Duration) {
 func (g *Gateway) since() time.Duration { return time.Since(g.epoch) }
 
 // breakerLocked lazily builds the shard's breaker; nil when breaking
-// is disabled. Caller holds s.mu.
+// is disabled (PoolConfig.BreakerThreshold 0). Caller holds s.mu.
 func (g *Gateway) breakerLocked(s *shard) *faas.Breaker {
-	if g.breakerThreshold <= 0 {
+	if g.cfg.BreakerThreshold <= 0 {
 		return nil
 	}
 	if s.breaker == nil {
-		s.breaker = faas.NewBreaker(g.breakerThreshold, g.breakerOpenFor)
+		s.breaker = faas.NewBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerOpenFor)
 	}
 	return s.breaker
 }
@@ -328,7 +293,7 @@ func (g *Gateway) breakerLocked(s *shard) *faas.Breaker {
 // Retry-After. With breaking disabled (the default) this is one branch
 // on an immutable field.
 func (g *Gateway) breakerAllow(s *shard) (bool, time.Duration) {
-	if g.breakerThreshold <= 0 {
+	if g.cfg.BreakerThreshold <= 0 {
 		return true, 0
 	}
 	s.mu.Lock()
@@ -366,7 +331,7 @@ func (g *Gateway) breakerFailure(s *shard, counter string) {
 
 // breakerSuccess records a successful proxy round-trip.
 func (g *Gateway) breakerSuccess(s *shard) {
-	if g.breakerThreshold <= 0 {
+	if g.cfg.BreakerThreshold <= 0 {
 		return
 	}
 	s.mu.Lock()
@@ -381,18 +346,12 @@ func (g *Gateway) breakerSuccess(s *shard) {
 }
 
 // event bumps the resilience-event metric (failure paths only).
-func (g *Gateway) event(kind string) {
-	if ins := g.obs.Load(); ins != nil {
-		ins.events.With(kind).Inc()
-	}
-}
+func (g *Gateway) event(kind string) { g.obs.events.With(kind).Inc() }
 
 // syncBreakerGaugeLocked refreshes the breaker-state gauge. Caller
 // holds s.mu.
 func (s *shard) syncBreakerGaugeLocked(b *faas.Breaker, at time.Duration) {
-	if m := s.m.Load(); m != nil && b != nil {
-		m.breakerSt.Set(float64(b.State(at)))
-	}
+	s.m.breakerSt.Set(float64(b.State(at)))
 }
 
 // ResilienceCounters sums the per-shard failure/breaker counters

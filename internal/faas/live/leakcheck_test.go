@@ -32,11 +32,10 @@ func TestMain(m *testing.M) {
 // instead of surfacing as an end-of-run failure.
 func TestShardTeardownLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	g := NewGateway(true)
-	g.EnableControl(ControlConfig{
-		NewPredictor: naiveFactory,
-		Interval:     time.Hour, JanitorInterval: time.Hour,
-		KeepAlive: time.Minute,
+	g := New(PoolConfig{
+		NewPredictor:    naiveFactory,
+		ControlInterval: time.Hour, ReapInterval: time.Hour,
+		IdleTTL: time.Minute,
 	})
 	for i := 0; i < 8; i++ {
 		if err := g.Register(echoFn(fmt.Sprintf("f%d", i), 0)); err != nil {

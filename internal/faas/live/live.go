@@ -10,11 +10,21 @@
 // application init); with reuse enabled the gateway keeps finished
 // instances warm in a pool, HotC-style, and skips that delay.
 //
-// With EnableControl the gateway also runs the paper's adaptive
-// live-container control (Algorithm 3) against the real pool: a
-// per-function controller samples demand each interval, forecasts the
-// next one with the ES+Markov predictor, and prewarms or retires warm
-// instances to meet it — see controller.go.
+// # Configuration
+//
+// A gateway is configured once: New(PoolConfig) resolves every default
+// in one function, builds the metrics registry, tracer, SLO monitor,
+// layer cache and generic pool, and keeps the resolved config for the
+// gateway's whole life — nothing is settable afterwards, and a
+// function registered before Start is set up exactly like one
+// registered after. NewDaemon is New plus the management routes;
+// NewGateway is New(PoolConfig{}).
+//
+// With PoolConfig.NewPredictor the gateway also runs the paper's
+// adaptive live-container control (Algorithm 3) against the real pool:
+// a per-function controller samples demand each interval, forecasts
+// the next one with the ES+Markov predictor, and prewarms or retires
+// warm instances to meet it — see controller.go.
 //
 // # Hot-path concurrency
 //
@@ -79,7 +89,7 @@ type Function struct {
 	// ColdStart is the artificial boot delay a fresh instance pays
 	// (container create + runtime init + app init). When the explicit
 	// phase fields below are zero, ColdStart is decomposed by the
-	// gateway's configured phase split (see EnableColdPath).
+	// gateway's configured phase split (PoolConfig.Boot*Frac).
 	ColdStart time.Duration
 
 	// Image, when set, names this function's container image
@@ -335,18 +345,13 @@ type shard struct {
 	// s.mu (queueing must not serialize with pool bookkeeping).
 	adm *admission.Queue
 
-	// m holds the pre-resolved per-function metric handles; nil when
-	// the gateway is uninstrumented. Swapped wholesale by Instrument,
-	// read lock-free on the request path.
-	m atomic.Pointer[shardMetrics]
+	// m holds the pre-resolved per-function metric handles, fixed when
+	// the shard is created; updates are lock-free atomics.
+	m *shardMetrics
 }
 
 // syncWarmLocked refreshes the warm-pool gauge. Caller holds s.mu.
-func (s *shard) syncWarmLocked() {
-	if m := s.m.Load(); m != nil {
-		m.warm.Set(float64(len(s.idle)))
-	}
-}
+func (s *shard) syncWarmLocked() { s.m.warm.Set(float64(len(s.idle))) }
 
 // resLocked bumps a resilience counter. Caller holds s.mu.
 func (s *shard) resLocked(kind string) {
@@ -358,6 +363,11 @@ func (s *shard) resLocked(kind string) {
 
 // Gateway proxies /function/<name> requests to watchdog instances.
 type Gateway struct {
+	// cfg is the gateway's one configuration, defaults resolved by New
+	// and never written again: every policy below reads it directly.
+	cfg PoolConfig
+	// reuse is false only for NewGateway(false), the boot-per-request
+	// baseline.
 	reuse bool
 	// epoch anchors the breaker's monotonic clock.
 	epoch time.Time
@@ -381,10 +391,8 @@ type Gateway struct {
 	// half of a routed cluster's drain. Reversible, read lock-free.
 	draining atomic.Bool
 
-	// ctl configures adaptive control (see EnableControl). It is
-	// written before Start and read-only afterwards; ctlRunning (under
-	// smu) reports that background loops were launched.
-	ctl        ControlConfig
+	// ctlRunning (under smu) reports that the background loops were
+	// launched; closing ctlStop ends them.
 	ctlRunning bool
 	ctlStop    chan struct{}
 	// wg tracks every background goroutine the gateway owns:
@@ -393,76 +401,35 @@ type Gateway struct {
 	// check, so they cannot race Stop's Wait.
 	wg sync.WaitGroup
 
-	// breakerThreshold/breakerOpenFor arm the per-function circuit
-	// breaker (see EnableBreaker). Written before traffic, read-only
-	// afterwards.
-	breakerThreshold int
-	breakerOpenFor   time.Duration
-
-	// adm configures overload control (see EnableAdmission). Written
-	// before traffic, read-only afterwards; memReclaimed counts warm
-	// instances evicted by memory-budget pressure.
-	adm          AdmissionConfig
+	// memReclaimed counts warm instances evicted by memory-budget
+	// pressure.
 	memReclaimed atomic.Uint64
 
-	// maxBody bounds request bodies at the gateway and every watchdog
-	// it boots (see SetMaxBodyBytes). Written before traffic, read-only
-	// afterwards; 0 = unlimited.
-	maxBody int64
-
-	// cold is the fast-cold-path state (see EnableColdPath): phase
-	// split, layer cache, generic pre-forked pool. Config fields are
-	// written before Start and read-only afterwards; counters are
-	// atomics.
+	// cold is the fast-cold-path state: image catalog, layer cache,
+	// generic pre-forked pool and their counters (see coldpath.go).
 	cold coldPath
 
-	// share is the inter-function sharing state (see EnableSharing):
-	// policy, lease costs, classifier tuning and outcome counters.
-	// Config fields are written before Start and read-only afterwards;
-	// counters are atomics.
+	// share is the inter-function sharing state: parsed policy and
+	// lease-outcome counters (see sharing.go).
 	share shareState
 
-	// obs is the optional metric hookup (see Instrument), read
-	// lock-free on the request path.
-	obs atomic.Pointer[instruments]
+	// reg is the gateway's own metrics registry; obs holds the families
+	// registered on it plus the pre-resolved hot-path handles.
+	reg *obs.Registry
+	obs *instruments
 
-	// trace is the optional live-tracing hookup (see EnableTracing):
-	// span ring, tail sampler and ID generator, read lock-free on the
-	// request path. nil = tracing off.
-	trace atomic.Pointer[tracing]
-	// slo is the optional SLO monitor (see SetSLO) fed by every
-	// completed request. nil = no objectives tracked.
-	slo atomic.Pointer[obs.SLOMonitor]
+	// trace is the live-tracing state: span ring, tail sampler and ID
+	// generator. nil = tracing off (PoolConfig.DisableTracing).
+	trace *tracing
+	// slo is the SLO monitor fed by every completed request. nil = no
+	// objective armed.
+	slo *obs.SLOMonitor
 
 	server *http.Server
 	lis    net.Listener
 	// dial opens an instance's connection to its watchdog; tests wrap it
 	// to count dials.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
-}
-
-// NewGateway creates a gateway. With reuse enabled, finished instances
-// return to a warm pool (the HotC behaviour); without it every request
-// boots and tears down an instance (the default cold behaviour).
-func NewGateway(reuse bool) *Gateway {
-	var dialer net.Dialer
-	g := &Gateway{
-		reuse:   reuse,
-		epoch:   time.Now(),
-		nowFn:   time.Now,
-		shards:  make(map[string]*shard),
-		ctlStop: make(chan struct{}),
-		dial: func(ctx context.Context, addr string) (net.Conn, error) {
-			return dialer.DialContext(ctx, "tcp", addr)
-		},
-	}
-	// Seed the default phase split so an un-configured gateway still
-	// decomposes ColdStart (summing to exactly the same total delay);
-	// EnableColdPath overrides.
-	g.cold.pullFrac = defaultPullFrac
-	g.cold.runtimeFrac = defaultRuntimeFrac
-	g.cold.appFrac = defaultAppFrac
-	return g
 }
 
 // shard returns the function's shard, or nil if it was never
@@ -487,21 +454,19 @@ func (g *Gateway) snapshotShards() []*shard {
 	return out
 }
 
-// newShardLocked creates a shard with its predictor and metric handles
-// resolved. Caller holds smu (write side).
-func (g *Gateway) newShardLocked(name string) *shard {
-	s := &shard{name: name}
-	if g.ctl.NewPredictor != nil {
-		s.ctl.pred = g.ctl.NewPredictor()
+// newShard creates a function's shard with everything the config gives
+// it — predictor, sharing classifier, admission queue, metric handles —
+// so a function is set up the same whenever it registers.
+func (g *Gateway) newShard(name string) *shard {
+	s := &shard{name: name, m: g.obs.forFunction(name)}
+	if g.cfg.NewPredictor != nil {
+		s.ctl.pred = g.cfg.NewPredictor()
 	}
-	if g.share.enabled {
-		s.ctl.share = *sharing.NewClassifier(g.share.clsCfg)
+	if g.cfg.Share {
+		s.ctl.share = *sharing.NewClassifier(g.share.classifier)
 	}
-	if ins := g.obs.Load(); ins != nil {
-		s.m.Store(ins.forFunction(name))
-	}
-	if g.adm.MaxInFlight > 0 {
-		s.adm = g.newAdmissionQueueLocked(s)
+	if g.cfg.MaxInFlight > 0 {
+		s.adm = g.newAdmissionQueue(s)
 	}
 	return s
 }
@@ -516,10 +481,10 @@ func (g *Gateway) Register(fn Function) error {
 	g.smu.Lock()
 	s, existed := g.shards[fn.Name]
 	if !existed {
-		s = g.newShardLocked(fn.Name)
+		s = g.newShard(fn.Name)
 		g.shards[fn.Name] = s
 	}
-	spawn := !existed && g.ctlRunning && g.ctl.NewPredictor != nil && !g.stopped.Load()
+	spawn := !existed && g.ctlRunning && g.cfg.NewPredictor != nil && !g.stopped.Load()
 	if spawn {
 		g.wg.Add(1)
 	}
@@ -546,8 +511,8 @@ func (g *Gateway) startWith(mux *http.ServeMux) (string, error) {
 	return g.startOn("127.0.0.1:0", mux)
 }
 
-// startOn binds to an explicit address and launches the control-loop
-// goroutines configured by EnableControl.
+// startOn binds to an explicit address and launches the control
+// loops.
 func (g *Gateway) startOn(addr string, mux *http.ServeMux) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -679,7 +644,7 @@ func (g *Gateway) acquire(s *shard) (*instance, bootInfo, error) {
 	// init) — strictly cheaper than a generic handoff when the
 	// runtimes match, because the runtime AND pull shares are already
 	// in place.
-	if g.share.enabled {
+	if g.cfg.Share {
 		if inst, info, ok := g.leaseInstance(s, fn); ok {
 			s.mu.Lock()
 			s.stats.RentedBoots++
@@ -700,12 +665,6 @@ func (g *Gateway) acquire(s *shard) (*instance, bootInfo, error) {
 	}
 	return inst, info, nil
 }
-
-// SetMaxBodyBytes bounds request bodies at the gateway and every
-// watchdog booted afterwards: oversized requests get HTTP 413 instead
-// of ballooning a watchdog. Call before Start; 0 (the default) leaves
-// bodies unbounded.
-func (g *Gateway) SetMaxBodyBytes(n int64) { g.maxBody = n }
 
 // decInFlight ends a request's demand accounting.
 func (g *Gateway) decInFlight(s *shard) {
@@ -731,14 +690,12 @@ func (g *Gateway) release(s *shard, inst *instance) {
 		return
 	}
 	var evict *instance
-	if g.ctl.MaxWarm > 0 && len(s.idle) >= g.ctl.MaxWarm {
+	if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(s.idle) >= limit {
 		// The gateway reuses from the tail, so the head is oldest.
 		evict = s.idle[0]
 		s.idle = append(s.idle[:0:0], s.idle[1:]...)
 		s.stats.Retired++
-		if ins := g.obs.Load(); ins != nil {
-			ins.poolRetired.Inc()
-		}
+		g.obs.poolRetired.Inc()
 	}
 	inst.idleSince = g.nowFn()
 	s.idle = append(s.idle, inst)
@@ -791,7 +748,7 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	// the span.
 	var rt reqTrace
 	rt.name, rt.start = name, start
-	tr := g.trace.Load()
+	tr := g.trace
 	if tr != nil {
 		tr.begin(&rt, r, start)
 		w.Header().Set(TraceIDHeader, rt.tc.TraceIDString())
@@ -828,14 +785,14 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	// Bound the request body before any instance is committed: a
 	// declared-oversize body is rejected for free here; an undeclared
 	// (chunked) one is caught by MaxBytesReader mid-proxy below.
-	if g.maxBody > 0 {
-		if r.ContentLength > g.maxBody {
+	if limit := g.cfg.MaxBodyBytes; limit > 0 {
+		if r.ContentLength > limit {
 			s.observe("rejected", start)
 			http.Error(w, "live: request body too large", http.StatusRequestEntityTooLarge)
 			g.finishRequest(s, &rt, http.StatusRequestEntityTooLarge, "request body too large")
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, g.maxBody)
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
 
 	// While the breaker is open, fast-fail instead of piling boots onto
@@ -1004,18 +961,16 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	if resp.StatusCode >= 400 {
 		outcome = "error"
 	}
-	if ins := g.obs.Load(); ins != nil {
-		if reused {
-			ins.startsWarm.Inc()
-		} else {
-			ins.startsCold.Inc()
-		}
-		ins.bodyBytes.Observe(float64(n))
-		if outcome == "ok" {
-			// Per-tenant goodput: completed useful work, the number
-			// the saturation curves are drawn from.
-			ins.admGoodput.With(tenant).Inc()
-		}
+	if reused {
+		g.obs.startsWarm.Inc()
+	} else {
+		g.obs.startsCold.Inc()
+	}
+	g.obs.bodyBytes.Observe(float64(n))
+	if outcome == "ok" {
+		// Per-tenant goodput: completed useful work, the number the
+		// saturation curves are drawn from.
+		g.obs.admGoodput.With(tenant).Inc()
 	}
 	s.observe(outcome, start)
 	g.finishRequest(s, &rt, resp.StatusCode, "")

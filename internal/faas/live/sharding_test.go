@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"hotc/internal/obs"
 	"hotc/internal/predictor"
 )
 
@@ -105,13 +104,11 @@ func TestHopKeepsConnectionOnErrorStatus(t *testing.T) {
 // about liveness and internal consistency, the race detector does the
 // rest.
 func TestSnapshotsDuringTraffic(t *testing.T) {
-	g := NewGateway(true)
-	g.Instrument(obs.New())
-	g.EnableBreaker(3, time.Second)
-	g.EnableControl(ControlConfig{
-		NewPredictor: func() predictor.Predictor { return predictor.Default() },
-		Interval:     time.Hour, JanitorInterval: time.Hour,
-		KeepAlive: time.Minute, MaxWarm: 4,
+	g := New(PoolConfig{
+		BreakerThreshold: 3, BreakerOpenFor: time.Second,
+		NewPredictor:    func() predictor.Predictor { return predictor.Default() },
+		ControlInterval: time.Hour, ReapInterval: time.Hour,
+		IdleTTL: time.Minute, MaxIdlePerFunction: 4,
 	})
 	names := make([]string, 3)
 	for i := range names {
@@ -177,7 +174,7 @@ func TestSnapshotsDuringTraffic(t *testing.T) {
 // race Stop. Run under -race.
 func TestConcurrentRegisterDuringTraffic(t *testing.T) {
 	g, clk, _ := startControlled(t,
-		ControlConfig{NewPredictor: naiveFactory, KeepAlive: time.Minute, MaxWarm: 2},
+		PoolConfig{NewPredictor: naiveFactory, IdleTTL: time.Minute, MaxIdlePerFunction: 2},
 		echoFn("f0", 0))
 
 	stop := make(chan struct{})

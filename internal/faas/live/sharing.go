@@ -8,76 +8,22 @@ import (
 	"hotc/internal/sharing"
 )
 
-// Default lease costs: the volume wipe is §IV.B's cleanup (small, paid
-// on the renter's first request), and the idle grace keeps just-parked
-// instances out of the lending pool so a lender's own next request
-// still finds them warm.
-const (
-	defaultShareWipe      = 5 * time.Millisecond
-	defaultShareIdleGrace = 250 * time.Millisecond
-)
-
-// SharingConfig arms Pagurus-style inter-function sharing: on a warm
-// miss, before any boot is paid, the gateway tries to lease an idle
-// instance from another function — wipe its volume, atomically swap
-// the watchdog handler to the renter's, and pay only app init plus any
-// image-layer delta. Call EnableSharing before Start, like the other
-// Enables.
-type SharingConfig struct {
-	// Policy gates which function pairs may share (same-image by
-	// default; see sharing.ParseMode for the flag values).
-	Policy sharing.Policy
-	// Wipe is the volume-cleanup delay every lease pays before
-	// re-specialization (default 5ms).
-	Wipe time.Duration
-	// IdleGrace is the minimum idle age before an instance may be lent
-	// (default 250ms). Lower it in tests for determinism.
-	IdleGrace time.Duration
-	// Classifier tunes the lender/renter classifier fed by the control
-	// loop (zero value = defaults).
-	Classifier sharing.ClassifierConfig
-}
-
-// shareState is the gateway's resolved sharing state. Config fields
-// are written by EnableSharing before Start and read-only afterwards;
-// the counters are atomics fed from the lease path and the controller.
+// shareState is the gateway's inter-function sharing state
+// (Pagurus-style: on a warm miss, before any boot is paid, lease an idle
+// instance from another function). policy is PoolConfig.SharePolicy
+// parsed once by New; classifier tunes the lender/renter classifier of
+// shards created afterwards (zero value = defaults; only in-package
+// tests set it, before registering functions); the counters are atomics
+// fed from the lease path and the controller.
 type shareState struct {
-	enabled   bool
-	policy    sharing.Policy
-	wipe      time.Duration
-	idleGrace time.Duration
-	clsCfg    sharing.ClassifierConfig
+	policy     sharing.Policy
+	classifier sharing.ClassifierConfig
 
 	lenders     atomic.Int64  // functions currently classified lenders
 	renters     atomic.Int64  // functions currently classified renters
 	granted     atomic.Uint64 // leases that produced a rented boot
 	noCandidate atomic.Uint64 // lease attempts with no eligible lender
 	denied      atomic.Uint64 // lease attempts blocked by policy/opt-out
-}
-
-// EnableSharing configures inter-function sharing. Call before Start.
-func (g *Gateway) EnableSharing(cfg SharingConfig) {
-	if cfg.Wipe <= 0 {
-		cfg.Wipe = defaultShareWipe
-	}
-	switch {
-	case cfg.IdleGrace == 0:
-		cfg.IdleGrace = defaultShareIdleGrace
-	case cfg.IdleGrace < 0:
-		cfg.IdleGrace = 0
-	}
-	g.share.enabled = true
-	g.share.policy = cfg.Policy
-	g.share.wipe = cfg.Wipe
-	g.share.idleGrace = cfg.IdleGrace
-	g.share.clsCfg = cfg.Classifier
-	// Shards registered before EnableSharing get their classifiers
-	// seeded with the configured tuning.
-	for _, s := range g.snapshotShards() {
-		s.mu.Lock()
-		s.ctl.share = *sharing.NewClassifier(cfg.Classifier)
-		s.mu.Unlock()
-	}
 }
 
 // candidateOf builds the policy slice of a deployed function.
@@ -103,12 +49,9 @@ func candidateOf(fn Function) sharing.Candidate {
 // instance around the same watchdog.
 func (g *Gateway) leaseInstance(renter *shard, fn Function) (*instance, bootInfo, bool) {
 	rc := candidateOf(fn)
-	ins := g.obs.Load()
 	if !rc.Shareable {
 		g.share.denied.Add(1)
-		if ins != nil {
-			ins.shareLeaseDenied.Inc()
-		}
+		g.obs.shareLeaseDenied.Inc()
 		return nil, bootInfo{}, false
 	}
 	now := g.nowFn()
@@ -147,7 +90,7 @@ scan:
 				continue
 			}
 			inst := s.idle[0] // oldest: reuse pops from the tail
-			if inst.tainted.Load() || now.Sub(inst.idleSince) < g.share.idleGrace {
+			if inst.tainted.Load() || now.Sub(inst.idleSince) < g.cfg.ShareIdleGrace {
 				s.mu.Unlock()
 				continue
 			}
@@ -162,14 +105,10 @@ scan:
 	if lend == nil {
 		if sawDenial {
 			g.share.denied.Add(1)
-			if ins != nil {
-				ins.shareLeaseDenied.Inc()
-			}
+			g.obs.shareLeaseDenied.Inc()
 		} else {
 			g.share.noCandidate.Add(1)
-			if ins != nil {
-				ins.shareLeaseNoCandidate.Inc()
-			}
+			g.obs.shareLeaseNoCandidate.Inc()
 		}
 		return nil, bootInfo{}, false
 	}
@@ -178,11 +117,9 @@ scan:
 	// share. Tainting first guarantees the old instance can never be
 	// re-rented or re-pooled while (or after) it is being wiped.
 	lend.tainted.Store(true)
-	if g.share.wipe > 0 {
-		time.Sleep(g.share.wipe)
-	}
+	time.Sleep(g.cfg.ShareWipe)
 	wd := lend.wd
-	wd.Specialize(watchdogHandler(fn, g.maxBody))
+	wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
 	ph := g.phasesFor(fn)
 	var pull time.Duration
 	var skipped float64
@@ -195,11 +132,9 @@ scan:
 	if d := pull + ph.app; d > 0 {
 		time.Sleep(d)
 	}
-	info := bootInfo{mode: bootRented, wipe: g.share.wipe, pull: pull, app: ph.app, skippedMB: skipped}
+	info := bootInfo{mode: bootRented, wipe: g.cfg.ShareWipe, pull: pull, app: ph.app, skippedMB: skipped}
 	g.share.granted.Add(1)
-	if ins != nil {
-		ins.shareLeaseGranted.Inc()
-	}
+	g.obs.shareLeaseGranted.Inc()
 	g.observeBoot(info)
 	// The connection moves with the watchdog: the tainted struct keeps
 	// nothing the renter's requests will touch.
@@ -210,7 +145,7 @@ scan:
 
 // shareRoleTransition updates the lender/renter population counters
 // and gauges when a function's classification changes.
-func (g *Gateway) shareRoleTransition(prev, next sharing.Role, ins *instruments) {
+func (g *Gateway) shareRoleTransition(prev, next sharing.Role) {
 	adj := func(r sharing.Role, d int64) {
 		switch r {
 		case sharing.RoleLender:
@@ -221,15 +156,13 @@ func (g *Gateway) shareRoleTransition(prev, next sharing.Role, ins *instruments)
 	}
 	adj(prev, -1)
 	adj(next, 1)
-	if ins != nil {
-		ins.shareLenders.Set(float64(g.share.lenders.Load()))
-		ins.shareRenters.Set(float64(g.share.renters.Load()))
-	}
+	g.obs.shareLenders.Set(float64(g.share.lenders.Load()))
+	g.obs.shareRenters.Set(float64(g.share.renters.Load()))
 }
 
 // SharingStats snapshots the sharing layer for /system/stats.
 type SharingStats struct {
-	// Enabled reports whether EnableSharing was called.
+	// Enabled reports whether sharing is armed (PoolConfig.Share).
 	Enabled bool `json:"enabled"`
 	// Policy is the compatibility mode ("same-image" or "any").
 	Policy string `json:"policy"`
@@ -249,17 +182,17 @@ type SharingStats struct {
 	Roles map[string]string `json:"roles,omitempty"`
 }
 
-// SharingStats reports the sharing layer's accounting (zero value with
-// Enabled=false when sharing was never configured).
+// SharingStats reports the sharing layer's accounting (only Enabled
+// and Policy are set when sharing is off).
 func (g *Gateway) SharingStats() SharingStats {
 	st := SharingStats{
-		Enabled: g.share.enabled,
+		Enabled: g.cfg.Share,
 		Policy:  g.share.policy.Mode.String(),
 	}
-	if !g.share.enabled {
+	if !g.cfg.Share {
 		return st
 	}
-	st.WipeMS = float64(g.share.wipe) / float64(time.Millisecond)
+	st.WipeMS = float64(g.cfg.ShareWipe) / float64(time.Millisecond)
 	st.Lenders = int(g.share.lenders.Load())
 	st.Renters = int(g.share.renters.Load())
 	st.LeasesGranted = g.share.granted.Load()

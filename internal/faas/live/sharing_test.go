@@ -14,8 +14,8 @@ import (
 // testSharing is the deterministic test tuning: a measurable but tiny
 // wipe, and no idle grace so a just-released instance is immediately
 // lendable.
-func testSharing() SharingConfig {
-	return SharingConfig{Wipe: time.Millisecond, IdleGrace: -1}
+func testSharing() PoolConfig {
+	return PoolConfig{Share: true, ShareWipe: time.Millisecond, ShareIdleGrace: -1}
 }
 
 // postRec drives one request through the gateway handler directly.
@@ -29,8 +29,7 @@ func postRec(t *testing.T, g *Gateway, name, body string) *httptest.ResponseReco
 // rented, X-Hotc-Reused: false — and beats the full cold start by
 // roughly the pull+runtime share.
 func TestFirstRequestRentsIdleInstance(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableSharing(testSharing())
+	g := New(testSharing())
 	cold := 300 * time.Millisecond
 	for _, n := range []string{"lender", "renter"} {
 		if err := g.Register(echoFn(n, cold)); err != nil {
@@ -84,8 +83,7 @@ func TestFirstRequestRentsIdleInstance(t *testing.T) {
 // must not find it (it cold-starts again), and the abandoned
 // lender-side struct is tainted so it can never be lent again.
 func TestLeaseRemovesInstanceFromLender(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableSharing(testSharing())
+	g := New(testSharing())
 	for _, n := range []string{"lender", "renter"} {
 		if err := g.Register(echoFn(n, 20*time.Millisecond)); err != nil {
 			t.Fatal(err)
@@ -120,8 +118,7 @@ func TestLeaseRemovesInstanceFromLender(t *testing.T) {
 // A tainted instance sitting in an idle list (defense in depth: the
 // lease path never re-pools one) is skipped by the lender scan.
 func TestTaintedIdleInstanceNeverLent(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableSharing(testSharing())
+	g := New(testSharing())
 	for _, n := range []string{"lender", "renter"} {
 		if err := g.Register(echoFn(n, 20*time.Millisecond)); err != nil {
 			t.Fatal(err)
@@ -148,8 +145,7 @@ func TestTaintedIdleInstanceNeverLent(t *testing.T) {
 func TestNoShareOptOut(t *testing.T) {
 	for _, side := range []string{"lender", "renter"} {
 		t.Run(side+" opted out", func(t *testing.T) {
-			g := NewGateway(true)
-			g.EnableSharing(testSharing())
+			g := New(testSharing())
 			lf, rf := echoFn("lender", 20*time.Millisecond), echoFn("renter", 20*time.Millisecond)
 			if side == "lender" {
 				lf.NoShare = true
@@ -178,10 +174,9 @@ func TestNoShareOptOut(t *testing.T) {
 // The same-image default refuses cross-image leases; ModeAny bridges
 // them. Memory classes gate both ways.
 func TestSharingPolicyGates(t *testing.T) {
-	boot := func(t *testing.T, cfg SharingConfig, lender, renter Function) string {
+	boot := func(t *testing.T, cfg PoolConfig, lender, renter Function) string {
 		t.Helper()
-		g := NewGateway(true)
-		g.EnableSharing(cfg)
+		g := New(cfg)
 		for _, fn := range []Function{lender, renter} {
 			if err := g.Register(fn); err != nil {
 				t.Fatal(err)
@@ -200,7 +195,7 @@ func TestSharingPolicyGates(t *testing.T) {
 	node.Image = "node:10"
 
 	anyMode := testSharing()
-	anyMode.Policy = sharing.Policy{Mode: sharing.ModeAny}
+	anyMode.SharePolicy = "any"
 
 	if got := boot(t, testSharing(), py("lender", 0), node); got != "cold" {
 		t.Fatalf("cross-image under same-image policy: boot = %q, want cold", got)
@@ -219,8 +214,7 @@ func TestSharingPolicyGates(t *testing.T) {
 // A neutral shard lends only surplus above its own forecast; a shard
 // classified renter never lends at all.
 func TestLenderReservesAndRenterNeverLends(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableSharing(testSharing())
+	g := New(testSharing())
 	// One lender and a fresh probe function per step: a probe's own
 	// cold boot would otherwise become a lendable instance (or a warm
 	// hit) and contaminate the next step.
@@ -291,10 +285,9 @@ func TestLenderReservesAndRenterNeverLends(t *testing.T) {
 
 // The idle grace keeps just-parked instances out of the lending pool.
 func TestIdleGraceBlocksFreshInstances(t *testing.T) {
-	g := NewGateway(true)
 	cfg := testSharing()
-	cfg.IdleGrace = time.Hour
-	g.EnableSharing(cfg)
+	cfg.ShareIdleGrace = time.Hour
+	g := New(cfg)
 	for _, n := range []string{"lender", "renter"} {
 		if err := g.Register(echoFn(n, 20*time.Millisecond)); err != nil {
 			t.Fatal(err)
@@ -312,18 +305,17 @@ func TestIdleGraceBlocksFreshInstances(t *testing.T) {
 // roles in the prediction traces, the stats block and the population
 // gauges.
 func TestClassifierDrivenByControlLoop(t *testing.T) {
-	g := NewGateway(true)
-	cfg := testSharing()
-	// The ES forecast decays toward zero alongside the vanished demand,
-	// so the steady-state over-forecast error is modest; lower the lend
-	// threshold so the classification flips within a few ticks.
-	cfg.Classifier = sharing.ClassifierConfig{LendThreshold: 0.4}
-	g.EnableSharing(cfg)
 	pf, err := PredictorFactory("es")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableControl(ControlConfig{Interval: time.Hour, NewPredictor: pf, MaxWarm: 1})
+	cfg := testSharing()
+	cfg.ControlInterval, cfg.NewPredictor, cfg.MaxIdlePerFunction = time.Hour, pf, 1
+	g := New(cfg)
+	// The ES forecast decays toward zero alongside the vanished demand,
+	// so the steady-state over-forecast error is modest; lower the lend
+	// threshold so the classification flips within a few ticks.
+	g.share.classifier = sharing.ClassifierConfig{LendThreshold: 0.4}
 	if err := g.Register(echoFn("f", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +355,7 @@ func TestClassifierDrivenByControlLoop(t *testing.T) {
 // Concurrent renters and lenders churning across functions must stay
 // race-free (run under -race) and account every request exactly once.
 func TestSharingChurnRace(t *testing.T) {
-	g := NewGateway(true)
-	g.EnableSharing(testSharing())
+	g := New(testSharing())
 	const fns = 3
 	for i := 0; i < fns; i++ {
 		if err := g.Register(echoFn(fmt.Sprintf("f%d", i), 2*time.Millisecond)); err != nil {

@@ -50,25 +50,8 @@ const (
 	spanHeaderPrefix = "X-Hotc-Span-"
 )
 
-// TracingConfig arms the gateway's live request tracing.
-type TracingConfig struct {
-	// Capacity is the span ring size (default 2048).
-	Capacity int
-	// SampleRate is the probabilistic keep rate for unremarkable
-	// successes, in [0,1]; errors, sheds, cold starts and slow requests
-	// are always kept. 0 means the 1% default; negative means keep
-	// only the always-keep classes.
-	SampleRate float64
-	// SlowThreshold always keeps spans at or above this end-to-end
-	// latency (default 500ms; negative disables the slow rule).
-	SlowThreshold time.Duration
-	// Seed fixes the ID and sampling streams for tests (0 = random).
-	Seed uint64
-}
-
-// tracing is the gateway's live-tracing state, swapped in whole
-// through an atomic pointer (nil = tracing off, the request path pays
-// one pointer load).
+// tracing is the gateway's live-tracing state (nil = tracing off, the
+// request path pays one pointer test).
 type tracing struct {
 	ring    *obs.TraceRing
 	sampler *obs.TailSampler
@@ -84,46 +67,27 @@ type tracing struct {
 	sampledOut atomic.Uint64
 }
 
-// EnableTracing switches live request tracing on. Call before Start,
-// like EnableBreaker.
-func (g *Gateway) EnableTracing(cfg TracingConfig) {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 2048
-	}
-	rate := cfg.SampleRate
-	switch {
-	case rate == 0:
-		rate = 0.01
-	case rate < 0:
-		rate = 0
-	}
-	slow := cfg.SlowThreshold
-	switch {
-	case slow == 0:
-		slow = 500 * time.Millisecond
-	case slow < 0:
-		slow = 0
-	}
-	g.trace.Store(&tracing{
-		ring:      obs.NewTraceRing(cfg.Capacity),
-		sampler:   obs.NewTailSampler(obs.SamplerConfig{SlowThreshold: slow, SampleRate: rate, Seed: cfg.Seed}),
-		ids:       obs.NewIDGen(cfg.Seed),
+// newTracing builds the tracer from the resolved config: errors, sheds,
+// cold starts and requests at or above TraceSlowThreshold are always
+// kept, other successes at TraceSampleRate.
+func (g *Gateway) newTracing() *tracing {
+	return &tracing{
+		ring: obs.NewTraceRing(g.cfg.TraceCapacity),
+		sampler: obs.NewTailSampler(obs.SamplerConfig{
+			SlowThreshold: g.cfg.TraceSlowThreshold,
+			SampleRate:    g.cfg.TraceSampleRate,
+		}),
+		ids:       obs.NewIDGen(0),
 		epochNano: g.epoch.UnixNano(),
-	})
+	}
 }
-
-// SetSLO attaches an SLO monitor: every completed request feeds its
-// status, cold/warm mode and latency into the monitor's burn-rate
-// windows. nil detaches.
-func (g *Gateway) SetSLO(m *obs.SLOMonitor) { g.slo.Store(m) }
 
 // TraceSpans snapshots the span ring, newest first.
 func (g *Gateway) TraceSpans() []obs.Span {
-	tr := g.trace.Load()
-	if tr == nil {
+	if g.trace == nil {
 		return nil
 	}
-	return tr.ring.Snapshot()
+	return g.trace.ring.Snapshot()
 }
 
 // TraceStats summarizes the tracing subsystem's accounting.
@@ -146,7 +110,7 @@ type TraceStats struct {
 // TraceStats reports the tracing subsystem's accounting (zero value
 // when tracing is off).
 func (g *Gateway) TraceStats() TraceStats {
-	tr := g.trace.Load()
+	tr := g.trace
 	if tr == nil {
 		return TraceStats{}
 	}
@@ -212,11 +176,10 @@ func (rt *reqTrace) addEvent(at time.Duration, kind, detail string) {
 // traceEvent records a resilience event on the request's span (no-op
 // when tracing is off).
 func (g *Gateway) traceEvent(rt *reqTrace, kind, detail string) {
-	tr := g.trace.Load()
-	if tr == nil || !rt.active {
+	if !rt.active { // only tr.begin sets it
 		return
 	}
-	rt.addEvent(time.Duration(time.Now().UnixNano()-tr.epochNano), kind, detail)
+	rt.addEvent(time.Duration(time.Now().UnixNano()-g.trace.epochNano), kind, detail)
 }
 
 // noteWatchdog parses the watchdog's span-timestamp headers (or
@@ -265,13 +228,13 @@ func internalRespHeader(k string) bool {
 // touches only stack state and a handful of atomics — no locks, no
 // allocation.
 func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg string) {
-	if m := g.slo.Load(); m != nil {
-		m.Record(status, rt.served, rt.served && !rt.reused, time.Since(rt.start))
+	if g.slo != nil {
+		g.slo.Record(status, rt.served, rt.served && !rt.reused, time.Since(rt.start))
 	}
-	tr := g.trace.Load()
-	if tr == nil || !rt.active {
+	if !rt.active { // only tr.begin sets it
 		return
 	}
+	tr := g.trace
 	clientOut := time.Duration(time.Now().UnixNano() - tr.epochNano)
 	sp := obs.Span{
 		Function:    rt.name,
@@ -288,12 +251,9 @@ func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg strin
 		ClientOut:   clientOut,
 	}
 	reason, keep := tr.sampler.Decide(&sp)
-	ins := g.obs.Load()
 	if !keep {
 		tr.sampledOut.Add(1)
-		if ins != nil {
-			ins.traceSampledOut.Inc()
-		}
+		g.obs.traceSampledOut.Inc()
 		return
 	}
 	// The span is a keeper: only now do the trace IDs materialize as
@@ -303,20 +263,14 @@ func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg strin
 	sp.TraceID = rt.tc.TraceIDString()
 	sp.SpanID = rt.tc.SpanIDString()
 	stored := tr.ring.Put(&sp, rt.events[:rt.nEvents])
-	if ins != nil {
-		if c := ins.traceKept[reason]; c != nil {
-			c.Inc()
-		}
-		if !stored {
-			ins.traceRingFull.Inc()
-		}
+	if c := g.obs.traceKept[reason]; c != nil {
+		c.Inc()
 	}
-	if s != nil {
-		if m := s.m.Load(); m != nil {
-			// The latency histogram's bucket exemplar: this trace ID is
-			// the "show me one" answer for its latency bucket.
-			m.latency.SetExemplar(float64(sp.Total())/float64(time.Millisecond),
-				sp.TraceID, rt.start.Add(sp.Total()))
-		}
+	if !stored {
+		g.obs.traceRingFull.Inc()
 	}
+	// The latency histogram's bucket exemplar: this trace ID is the
+	// "show me one" answer for its latency bucket.
+	s.m.latency.SetExemplar(float64(sp.Total())/float64(time.Millisecond),
+		sp.TraceID, rt.start.Add(sp.Total()))
 }

@@ -535,11 +535,10 @@ func TestFinishRequestSampledOutZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed under -race")
 	}
-	g := NewGateway(true)
+	g := New(PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1})
 	if err := g.Register(Function{Name: "f", Handler: func(b []byte) ([]byte, error) { return b, nil }}); err != nil {
 		t.Fatal(err)
 	}
-	g.EnableTracing(TracingConfig{SampleRate: -1, SlowThreshold: -1, Seed: 1})
 	s := g.shard("f")
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement plumbing shared by every
 // experiment in the repository: latency sample series with percentile
-// and CDF extraction, bucketed histograms, timestamped time series, and
-// streaming mean/variance accumulators.
+// and CDF extraction, timestamped time series, and prediction-error
+// scores. (Bucketed histograms live in internal/obs.)
 //
 // All of the paper's figures are ultimately rendered from these types:
 // latency-versus-request plots are Series, the Fig. 1(b) long-tail plot
@@ -217,67 +217,6 @@ func (m Summary) String() string {
 		m.Count, m.Min, m.Mean, m.P50, m.P90, m.P99, m.Max)
 }
 
-// Histogram buckets samples into fixed-width bins over [lo, hi); values
-// outside the range land in saturating under/overflow bins.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int
-	under   int
-	over    int
-	count   int
-}
-
-// NewHistogram creates a histogram with n equal-width buckets covering
-// [lo, hi). It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("metrics: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("metrics: invalid histogram range [%v, %v)", lo, hi))
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		i := int((v - h.lo) / h.width)
-		if i >= len(h.buckets) { // guard float rounding at the top edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count reports the total number of samples recorded.
-func (h *Histogram) Count() int { return h.count }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets reports the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Underflow and Overflow report the saturating bin counts.
-func (h *Histogram) Underflow() int { return h.under }
-
-// Overflow reports the number of samples >= the histogram upper bound.
-func (h *Histogram) Overflow() int { return h.over }
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	lo = h.lo + float64(i)*h.width
-	return lo, lo + h.width
-}
-
 // TimePoint is a (virtual time, value) pair.
 type TimePoint struct {
 	T time.Duration
@@ -339,39 +278,6 @@ func (ts *TimeSeries) MeanValue() float64 {
 	return sum / float64(len(ts.points))
 }
 
-// Welford is a streaming mean/variance accumulator (Welford's online
-// algorithm), used where storing every sample would be wasteful.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add records one value.
-func (w *Welford) Add(v float64) {
-	w.n++
-	delta := v - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (v - w.mean)
-}
-
-// Count reports the number of values recorded.
-func (w *Welford) Count() int { return w.n }
-
-// Mean reports the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance reports the running population variance (0 when n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Stddev reports the running population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
 // AutoCorrelation estimates the lag-k autocorrelation of a series: the
 // correlation between x[t] and x[t+k] over the available pairs. It
 // returns 0 for degenerate inputs (fewer than k+2 points or zero
@@ -399,19 +305,6 @@ func AutoCorrelation(xs []float64, k int) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// Diff returns the first differences x[t+1]-x[t] of a series (length
-// n-1), used for trend diagnostics.
-func Diff(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		out[i-1] = xs[i] - xs[i-1]
-	}
-	return out
 }
 
 // MeanAbsError returns the mean absolute error between two equal-length

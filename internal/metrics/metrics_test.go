@@ -130,48 +130,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.9, 10, 100} {
-		h.Add(v)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Fatalf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Fatalf("bucket0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 2
-		t.Fatalf("bucket1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(4) != 1 { // 9.9
-		t.Fatalf("bucket4 = %d", h.Bucket(4))
-	}
-	lo, hi := h.BucketBounds(1)
-	if !almost(lo, 2) || !almost(hi, 4) {
-		t.Fatalf("bounds = [%v, %v)", lo, hi)
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 0, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid histogram did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	var ts TimeSeries
 	ts.Add(0, 1)
@@ -209,34 +167,6 @@ func TestTimeSeriesEmpty(t *testing.T) {
 	var ts TimeSeries
 	if ts.MaxValue() != 0 || ts.MeanValue() != 0 {
 		t.Fatal("empty time series should report zeros")
-	}
-}
-
-func TestWelfordMatchesSeries(t *testing.T) {
-	s := seriesOf(2, 4, 4, 4, 5, 5, 7, 9)
-	var w Welford
-	for _, v := range s.Values() {
-		w.Add(v)
-	}
-	if !almost(w.Mean(), s.Mean()) {
-		t.Fatalf("welford mean %v != series mean %v", w.Mean(), s.Mean())
-	}
-	if !almost(w.Stddev(), s.Stddev()) {
-		t.Fatalf("welford stddev %v != series stddev %v", w.Stddev(), s.Stddev())
-	}
-	if w.Count() != s.Len() {
-		t.Fatal("count mismatch")
-	}
-}
-
-func TestWelfordSmall(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 {
-		t.Fatal("empty variance != 0")
-	}
-	w.Add(5)
-	if w.Variance() != 0 || w.Mean() != 5 {
-		t.Fatal("single-sample welford wrong")
 	}
 }
 
@@ -293,22 +223,6 @@ func TestAutoCorrelation(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	got := Diff([]float64{1, 4, 9, 16})
-	want := []float64{3, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("Diff = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Diff = %v, want %v", got, want)
-		}
-	}
-	if Diff([]float64{1}) != nil || Diff(nil) != nil {
-		t.Fatal("short Diff should be nil")
-	}
-}
-
 // Property: percentiles are monotone in p and bounded by [min, max].
 func TestPropertyPercentileMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -361,29 +275,6 @@ func TestPropertyCDFMonotone(t *testing.T) {
 			}
 		}
 		return almost(pts[len(pts)-1].Fraction, 1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram conserves samples: buckets + under + over = count.
-func TestPropertyHistogramConservation(t *testing.T) {
-	f := func(raw []float64) bool {
-		h := NewHistogram(-100, 100, 13)
-		n := 0
-		for _, v := range raw {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-			n++
-		}
-		total := h.Underflow() + h.Overflow()
-		for i := 0; i < h.NumBuckets(); i++ {
-			total += h.Bucket(i)
-		}
-		return total == n && h.Count() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -279,6 +279,28 @@ func (rt *Router) finish(w http.ResponseWriter, outcome string, start time.Time,
 	body.Close()
 }
 
+// recordDeploy keeps an accepted deployment for replay to late joiners,
+// keyed by function name: a redeploy replaces the earlier body in place
+// (last body wins, first-deploy order kept), so the log is bounded by
+// the number of functions, not the number of deploys.
+func (rt *Router) recordDeploy(body []byte) {
+	// Decoded the way the nodes decode it: at least one of them just
+	// accepted this body, so a name is there to be read.
+	var spec struct {
+		Name string `json:"name"`
+	}
+	json.NewDecoder(bytes.NewReader(body)).Decode(&spec)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for i := range rt.deploys {
+		if rt.deploys[i].name == spec.Name {
+			rt.deploys[i].body = body
+			return
+		}
+	}
+	rt.deploys = append(rt.deploys, deploy{spec.Name, body})
+}
+
 // handleFunctions fans a deployment out to every member (so any node
 // can serve any key) and records it for replay to late joiners; GET
 // proxies the listing from the first healthy node.
@@ -319,9 +341,7 @@ func (rt *Router) handleFunctions(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "router: deploy failed on every node: "+firstErr, http.StatusBadGateway)
 			return
 		}
-		rt.mu.Lock()
-		rt.deploys = append(rt.deploys, body)
-		rt.mu.Unlock()
+		rt.recordDeploy(body)
 		writeJSON(w, http.StatusAccepted, struct {
 			Deployed int    `json:"deployedNodes"`
 			Total    int    `json:"totalNodes"`

@@ -61,6 +61,12 @@ type Config struct {
 	TraceSeed uint64
 }
 
+// deploy is one function's latest accepted deployment body.
+type deploy struct {
+	name string
+	body []byte
+}
+
 // node is the router's view of one hotcd.
 type node struct {
 	// url is the normalized base URL ("http://host:port").
@@ -119,8 +125,9 @@ type Router struct {
 	ring  *Ring
 	nodes map[string]*node
 	// deploys replays through-the-router deployments to late joiners,
-	// so a node added mid-run serves the same functions.
-	deploys [][]byte
+	// so a node added mid-run serves the same functions: one entry per
+	// function name (see recordDeploy).
+	deploys []deploy
 
 	rr atomic.Uint64
 
@@ -253,7 +260,7 @@ func (rt *Router) Join(rawURL string) (string, error) {
 	n := &node{url: u, name: nodeName(u), healthy: true, warm: map[string]int{}}
 	rt.nodes[u] = n
 	rt.ring.Add(u)
-	replay := make([][]byte, len(rt.deploys))
+	replay := make([]deploy, len(rt.deploys))
 	copy(replay, rt.deploys)
 	size := len(rt.nodes)
 	rt.mu.Unlock()
@@ -261,8 +268,8 @@ func (rt *Router) Join(rawURL string) (string, error) {
 	rt.mNodes.Set(float64(size))
 	rt.mHealthy.With(n.name).Set(1)
 	rt.mMembershp.With("join").Inc()
-	for _, body := range replay {
-		resp, err := rt.client.Post(u+"/system/functions", "application/json", bytes.NewReader(body))
+	for _, dep := range replay {
+		resp, err := rt.client.Post(u+"/system/functions", "application/json", bytes.NewReader(dep.body))
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()

@@ -472,6 +472,26 @@ func TestJoinReplaysDeploysAndLeaveReroutes(t *testing.T) {
 	}
 }
 
+// A redeploy replaces the function's replay entry instead of growing
+// the log: three deploys over two names leave two entries in
+// first-deploy order, the last body winning.
+func TestRedeployKeepsOneReplayEntryPerFunction(t *testing.T) {
+	_, n1 := startNode(t, live.PoolConfig{})
+	rt, base := startRouter(t, Config{Nodes: []string{n1}})
+	deployVia(t, base, "a", "sleep", 1)
+	deployVia(t, base, "b", "sleep", 2)
+	deployVia(t, base, "a", "echo", 3)
+
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	if len(rt.deploys) != 2 || rt.deploys[0].name != "a" || rt.deploys[1].name != "b" {
+		t.Fatalf("replay log = %d entries %+v, want [a b]", len(rt.deploys), rt.deploys)
+	}
+	if got := string(rt.deploys[0].body); !strings.Contains(got, `"coldStartMs":3`) {
+		t.Fatalf("replay body for a = %s, want the last deploy (coldStartMs 3)", got)
+	}
+}
+
 // One trace must cross router -> node -> watchdog: the caller's trace
 // ID survives to the response header and to the serving node's span
 // ring (cold-start spans are always kept by the tail sampler).

@@ -7,6 +7,13 @@ echo "== go build"
 go build ./...
 echo "== go vet"
 go vet ./...
+echo "== gofmt"
+UNFORMATTED="$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)"
+if [ -n "$UNFORMATTED" ]; then
+	echo "verify: gofmt -l is not clean:" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
 echo "== go test -race"
 go test -race ./...
 echo "== goroutine-leak check (live gateway)"
