@@ -303,3 +303,53 @@ func TestIntegrationChaosZeroClientErrors(t *testing.T) {
 		t.Fatalf("gateway recorded failed requests: %v", counters)
 	}
 }
+
+// A jittered simulation is a function of its seed: fresh replays of the
+// same multi-key workload must agree to the last bit, request by
+// request. Every control tick draws boot-time jitter for each key it
+// prewarms, so this holds only while ticks visit the keys in a fixed
+// order (they walk the sorted key list, not the Go map).
+func TestSimDeterminismUnderJitter(t *testing.T) {
+	app, err := hotc.AppQR("python")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() []hotc.RequestResult {
+		sim, err := hotc.NewSimulation(hotc.Config{Seed: 42, LocalImages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		for i := 0; i < 4; i++ {
+			if err := sim.Deploy(hotc.FunctionSpec{
+				Name:    fmt.Sprintf("fn%d", i),
+				Runtime: hotc.Runtime{Image: "python:3.8", Env: []string{fmt.Sprintf("TENANT=%d", i)}},
+				App:     app,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		results, err := sim.Replay(hotc.CampusWorkload(7, 1.0, 240, 4),
+			func(class int) string { return fmt.Sprintf("fn%d", class%4) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	want := replay()
+	wantStats := hotc.Summarize(want)
+	if wantStats.Requests == 0 || wantStats.ColdStarts == 0 || wantStats.Reused == 0 {
+		t.Fatalf("replay exercises nothing: %+v", wantStats)
+	}
+	for run := 1; run < 4; run++ {
+		got := replay()
+		if st := hotc.Summarize(got); st != wantStats {
+			t.Fatalf("replay %d summary %+v differs from the first %+v", run, st, wantStats)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("replay %d request %d = %+v, first replay %+v", run, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
 	"hotc/internal/config"
@@ -68,7 +68,7 @@ func (o Options) withDefaults() Options {
 		o.RetainIdle = 30 * time.Minute
 	}
 	if o.ScaleDownFrac <= 0 || o.ScaleDownFrac > 1 {
-		o.ScaleDownFrac = 0.25
+		o.ScaleDownFrac = DefaultScaleDownFrac
 	}
 	return o
 }
@@ -77,20 +77,15 @@ func (o Options) withDefaults() Options {
 type keyState struct {
 	spec container.Spec
 	app  workload.App
-	pred predictor.Predictor
-
-	inUse int // currently executing or reserved requests
-	peak  int // max concurrent demand in the current interval
+	Demand
 
 	everUsed    bool
 	lastArrival simclock.Time
 
 	// observed and predicted are the Fig. 10 evaluation series: per
-	// control interval, the real demand and the forecast that HotC had
-	// made for it.
+	// interval, the real demand and the forecast HotC had made for it.
 	observed  metrics.TimeSeries
 	predicted metrics.TimeSeries
-	forecast  float64 // prediction made at the previous tick
 }
 
 // HotC is the runtime-reusing middleware.
@@ -99,7 +94,10 @@ type HotC struct {
 	sched *simclock.Scheduler
 	opts  Options
 
-	keys    map[config.Key]*keyState
+	keys map[config.Key]*keyState
+	// order is the keys sorted: ticks walk it, not the map, so jittered
+	// replays draw their random numbers in the same order every run.
+	order   []config.Key
 	stopCtl func()
 
 	// obs is the optional metric hookup (see Instrument); nil keeps the
@@ -133,38 +131,34 @@ func (h *HotC) Register(spec container.Spec, app workload.App) error {
 	if err := app.Validate(); err != nil {
 		return fmt.Errorf("core: registering %q: %w", app.Name, err)
 	}
-	key := spec.Key()
-	if _, ok := h.keys[key]; ok {
-		return nil
-	}
-	h.keys[key] = &keyState{spec: spec, app: app, pred: h.opts.NewPredictor()}
+	h.state(spec, app)
 	return nil
 }
 
-// state returns (creating if needed) the per-key state. Unregistered
-// keys get tracked too, but cannot be pre-warmed until an app is known.
-func (h *HotC) state(spec container.Spec) *keyState {
+// state returns (creating if needed) the per-key state; the app of an
+// existing key is left alone. Unregistered keys (Acquire passes a zero
+// app) get tracked too, but cannot be pre-warmed until an app is known.
+func (h *HotC) state(spec container.Spec, app workload.App) *keyState {
 	key := spec.Key()
 	st, ok := h.keys[key]
 	if !ok {
-		st = &keyState{spec: spec, pred: h.opts.NewPredictor()}
+		st = &keyState{spec: spec, app: app, Demand: Demand{Pred: h.opts.NewPredictor()}}
 		h.keys[key] = st
+		i, _ := slices.BinarySearch(h.order, key)
+		h.order = slices.Insert(h.order, i, key)
 	}
 	return st
 }
 
 // Acquire implements faas.Provider via Algorithm 1.
 func (h *HotC) Acquire(spec container.Spec, done func(*container.Container, bool, config.Delta, error)) {
-	st := h.state(spec)
-	st.inUse++
-	if st.inUse > st.peak {
-		st.peak = st.inUse
-	}
+	st := h.state(spec, workload.App{})
+	st.Begin()
 	st.everUsed = true
 	st.lastArrival = h.sched.Now()
 	h.pool.Acquire(spec, func(c *container.Container, reused bool, delta config.Delta, err error) {
 		if err != nil {
-			st.inUse--
+			st.End()
 			done(nil, false, config.Delta{}, err)
 			return
 		}
@@ -175,8 +169,8 @@ func (h *HotC) Acquire(spec container.Spec, done func(*container.Container, bool
 // Complete implements faas.Provider via Algorithm 2: clean the used
 // container and return it to the pool.
 func (h *HotC) Complete(c *container.Container, spec container.Spec) {
-	if st, ok := h.keys[spec.Key()]; ok && st.inUse > 0 {
-		st.inUse--
+	if st, ok := h.keys[spec.Key()]; ok {
+		st.End()
 	}
 	h.pool.Release(c, nil)
 }
@@ -186,8 +180,8 @@ func (h *HotC) Complete(c *container.Container, spec container.Spec) {
 // instead of being cleaned and reused (Algorithm 2 assumes the runtime
 // is still trustworthy; a crashed one is not).
 func (h *HotC) Discard(c *container.Container, spec container.Spec) {
-	if st, ok := h.keys[spec.Key()]; ok && st.inUse > 0 {
-		st.inUse--
+	if st, ok := h.keys[spec.Key()]; ok {
+		st.End()
 	}
 	h.pool.Quarantine(c)
 }
@@ -209,67 +203,40 @@ func (h *HotC) Stop() {
 	}
 }
 
-// tick is one control interval: per runtime type, observe the
-// interval's demand, forecast the next interval, and resize the pool
-// towards the forecast.
+// tick is one control interval: per runtime type, observe the demand,
+// forecast the next interval, and resize the pool as Plan decides.
 func (h *HotC) tick() {
 	now := h.sched.Now()
 	if h.obs != nil {
 		h.obs.ticks.Inc()
 	}
-	for key, st := range h.keys {
-		demand := float64(st.peak)
+	for _, key := range h.order {
+		st := h.keys[key]
+		demand, predicted := st.Tick()
 		st.observed.Add(now, demand)
-		st.predicted.Add(now, st.forecast)
+		st.predicted.Add(now, predicted)
 
-		st.pred.Observe(demand)
-		raw := st.pred.Predict()
-		st.forecast = raw
-
-		target := int(math.Ceil(raw * (1 + h.opts.Headroom)))
-		if target < h.opts.MinWarm {
-			target = h.opts.MinWarm
+		target, boot, retire := Plan(PlanInput{
+			Forecast: st.Forecast, Headroom: h.opts.Headroom,
+			InFlight: st.InFlight, Live: h.pool.NumLive(key), Idle: h.pool.NumAvail(key),
+			MinWarm:       h.opts.MinWarm,
+			Retain:        st.everUsed && now-st.lastArrival <= h.opts.RetainIdle,
+			ScaleDownFrac: h.opts.ScaleDownFrac,
+		})
+		if st.app.Name == "" {
+			boot = 0 // nothing known to pre-warm the runtime with
 		}
-		if target < st.inUse {
-			target = st.inUse // never scale below what is executing
-		}
-		// Recently used runtime types keep one warm container even when
-		// the forecast rounds to zero, so low-rate traffic (one request
-		// per tens of seconds) still reuses — the paper's Fig. 12(a)
-		// behaviour. The cap and memory threshold remain the backstop.
-		if target == 0 && st.everUsed && now-st.lastArrival <= h.opts.RetainIdle {
-			target = 1
-		}
+		h.pool.Prewarm(st.spec, st.app, boot, nil)
+		retired := h.pool.Retire(key, retire)
 
 		if h.obs != nil {
 			k := string(key)
 			h.obs.demand.With(k).Set(demand)
-			h.obs.forecast.With(k).Set(raw)
+			h.obs.forecast.With(k).Set(st.Forecast)
 			h.obs.target.With(k).Set(float64(target))
+			h.obs.prewarm.Add(float64(boot))
+			h.obs.retire.Add(float64(retired))
 		}
-
-		live := h.pool.NumLive(key)
-		switch {
-		case target > live && st.app.Name != "":
-			h.pool.Prewarm(st.spec, st.app, target-live, nil)
-			if h.obs != nil {
-				h.obs.prewarm.Add(float64(target - live))
-			}
-		case target < live:
-			// Hysteresis: retire at most ScaleDownFrac of the live set
-			// per tick (but always at least one), so a recurring burst
-			// finds most of the previous burst's runtimes warm.
-			excess := live - target
-			cap := int(math.Ceil(float64(live) * h.opts.ScaleDownFrac))
-			if excess > cap {
-				excess = cap
-			}
-			retired := h.pool.Retire(key, excess)
-			if h.obs != nil {
-				h.obs.retire.Add(float64(retired))
-			}
-		}
-		st.peak = st.inUse // restart the interval's peak tracking
 	}
 }
 
@@ -287,7 +254,7 @@ func (h *HotC) PredictionTrace(key config.Key) (observed, predicted *metrics.Tim
 // LiveByKey reports the current number of live containers per key.
 func (h *HotC) LiveByKey() map[config.Key]int {
 	out := make(map[config.Key]int, len(h.keys))
-	for key := range h.keys {
+	for _, key := range h.order {
 		if n := h.pool.NumLive(key); n > 0 {
 			out[key] = n
 		}

@@ -140,7 +140,7 @@ func TestRegisterBeforeAndAfterStartAlike(t *testing.T) {
 	for _, name := range []string{"before", "after"} {
 		s := g.shard(name)
 		s.mu.Lock()
-		pred, cls := s.ctl.pred, s.ctl.share
+		pred, cls := s.ctl.Pred, s.ctl.share
 		s.mu.Unlock()
 		if pred == nil || pred.Name() != naiveFactory().Name() {
 			t.Errorf("%s: predictor = %v, want %s", name, pred, naiveFactory().Name())

@@ -2,18 +2,12 @@ package live
 
 import (
 	"fmt"
-	"math"
 	"time"
 
+	"hotc/internal/core"
 	"hotc/internal/predictor"
 	"hotc/internal/sharing"
 )
-
-// liveScaleDownFrac caps how much of a function's live set the
-// controller retires per tick (hysteresis, matching the simulated
-// controller): a recurring burst finds most of the previous burst's
-// instances still warm.
-const liveScaleDownFrac = 0.25
 
 // ctlTraceCap bounds the per-function observed/predicted series kept
 // for the prediction-trace endpoint.
@@ -38,17 +32,15 @@ func PredictorFactory(name string) (func() predictor.Predictor, error) {
 }
 
 // fnControl is the per-function controller state, embedded in the
-// function's shard and guarded by the shard mutex: live demand
-// accounting plus the predictor and its one-step-ahead evaluation
-// series (the live substrate's Fig. 10 trace).
+// function's shard and guarded by the shard mutex: the demand
+// accounting the simulated controller also uses (Pred nil = no
+// prediction) plus the live substrate's Fig. 10 evaluation series.
 type fnControl struct {
-	pred predictor.Predictor
+	core.Demand
 
-	inFlight int // requests currently executing
-	peak     int // max concurrent demand in the current interval
-	booting  int // prewarm boots in flight (counted as live)
+	booting  int       // prewarm boots in flight (counted as live)
+	lastDone time.Time // when release last pooled an instance; zero = never
 
-	forecast  float64 // prediction made at the previous tick
 	ticks     int
 	observed  []float64
 	predicted []float64
@@ -113,7 +105,7 @@ func (g *Gateway) runController(name string) {
 
 // controlOnce runs one control interval for a function: observe the
 // interval's peak concurrent demand, forecast the next interval, and
-// prewarm or retire warm instances towards the forecast. Tests call it
+// prewarm or retire warm instances as core.Plan decides. Tests call it
 // directly with deterministic clocks.
 //
 // The registry read-lock is held across the tick so the stopped check
@@ -122,95 +114,52 @@ func (g *Gateway) runController(name string) {
 // shard mutex is taken, so ticks never stall other functions.
 func (g *Gateway) controlOnce(name string, now time.Time) {
 	g.smu.RLock()
-	if g.stopped.Load() {
-		g.smu.RUnlock()
-		return
-	}
 	s := g.shards[name]
-	if s == nil {
+	// Pred is set when the shard is created and never again.
+	if g.stopped.Load() || s == nil || s.ctl.Pred == nil {
 		g.smu.RUnlock()
 		return
 	}
-
 	s.mu.Lock()
-	st := &s.ctl
-	if st.pred == nil {
-		s.mu.Unlock()
-		g.smu.RUnlock()
-		return
-	}
-	fn := s.fn
+	st, fn := &s.ctl, s.fn
 
-	demand := float64(st.peak)
-	// One-step-ahead evaluation series: the forecast recorded against
-	// an interval is the one made *before* observing it.
+	// One-step-ahead evaluation: predicted is the forecast that had
+	// been made for the interval demand was just observed in. The
+	// sharing classifier judges that pair, plus the idle surplus.
+	demand, predicted := st.Tick()
 	st.observed = appendBounded(st.observed, demand)
-	st.predicted = appendBounded(st.predicted, st.forecast)
-	// The sharing classifier judges the forecast that was made for
-	// this interval — before it is overwritten below — against what
-	// the interval actually brought, plus the idle surplus standing
-	// around right now.
+	st.predicted = appendBounded(st.predicted, predicted)
+	st.ticks++
 	if g.cfg.Share {
 		prevRole := st.share.Role()
-		if role := st.share.Observe(st.forecast, demand, float64(len(s.idle))); role != prevRole {
+		if role := st.share.Observe(predicted, demand, float64(len(s.idle))); role != prevRole {
 			g.shareRoleTransition(prevRole, role)
 		}
 	}
-	st.pred.Observe(demand)
-	raw := st.pred.Predict()
-	st.forecast = raw
-	st.ticks++
-	st.peak = st.inFlight // restart the interval's peak tracking
 
-	maxWarm := g.cfg.MaxIdlePerFunction
-	target := int(math.Ceil(raw * (1 + g.cfg.Headroom)))
-	if target < st.inFlight {
-		target = st.inFlight // never scale below what is executing
-	}
-	if maxWarm > 0 && target > st.inFlight+maxWarm {
-		target = st.inFlight + maxWarm // idle share stays under the cap
-	}
-	live := st.inFlight + st.booting + len(s.idle)
-
-	boot := 0
-	var retire []*instance
-	switch {
-	case target > live:
-		boot = target - live
-		if maxWarm > 0 {
-			if room := maxWarm - len(s.idle) - st.booting; boot > room {
-				boot = room
-			}
-		}
-		if boot < 0 {
-			boot = 0
-		}
-		st.booting += boot
-	case target < live:
-		// Hysteresis: retire at most liveScaleDownFrac of the live set
-		// per tick (but always at least one), oldest first.
-		excess := live - target
-		if cap := int(math.Ceil(float64(live) * liveScaleDownFrac)); excess > cap {
-			excess = cap
-		}
-		if excess > len(s.idle) {
-			excess = len(s.idle)
-		}
-		if excess > 0 {
-			retire = append(retire, s.idle[:excess]...)
-			s.idle = append(s.idle[:0:0], s.idle[excess:]...)
-			s.stats.Retired += excess
-			s.syncWarmLocked()
-		}
+	// The keep-alive, not the forecast, takes a used function's last
+	// warm instance: retain one until the janitor would expire it.
+	ttl := g.cfg.IdleTTL
+	target, boot, excess := core.Plan(core.PlanInput{
+		Forecast: st.Forecast, Headroom: g.cfg.Headroom,
+		InFlight: st.InFlight, Live: st.InFlight + st.booting + len(s.idle), Idle: len(s.idle),
+		Retain:        !st.lastDone.IsZero() && (ttl == 0 || now.Sub(st.lastDone) < ttl),
+		MaxWarm:       g.cfg.MaxIdlePerFunction,
+		ScaleDownFrac: core.DefaultScaleDownFrac,
+	})
+	st.booting += boot
+	retire := s.idle[:excess] // oldest first; s.idle moves to a fresh array
+	if excess > 0 {
+		s.idle = append(s.idle[:0:0], s.idle[excess:]...)
+		s.stats.Retired += excess
+		s.syncWarmLocked()
+		g.obs.ctlRetire.Add(float64(excess))
+		g.obs.poolRetired.Add(float64(excess))
 	}
 	g.obs.ctlTicks.Inc()
 	s.m.ctlDemand.Set(demand)
-	s.m.ctlForecast.Set(raw)
+	s.m.ctlForecast.Set(st.Forecast)
 	s.m.ctlTarget.Set(float64(target))
-	if len(retire) > 0 {
-		g.obs.ctlRetire.Add(float64(len(retire)))
-		g.obs.poolRetired.Add(float64(len(retire)))
-	}
 	g.wg.Add(boot)
 	s.mu.Unlock()
 	g.smu.RUnlock()
@@ -346,10 +295,10 @@ func (g *Gateway) PredictionTraces() map[string]PredictionTrace {
 	out := make(map[string]PredictionTrace)
 	for _, s := range g.snapshotShards() {
 		s.mu.Lock()
-		if s.ctl.pred != nil {
+		if s.ctl.Pred != nil {
 			tr := PredictionTrace{
-				Predictor: s.ctl.pred.Name(),
-				Forecast:  s.ctl.forecast,
+				Predictor: s.ctl.Pred.Name(),
+				Forecast:  s.ctl.Forecast,
 				Ticks:     s.ctl.ticks,
 				Observed:  append([]float64(nil), s.ctl.observed...),
 				Predicted: append([]float64(nil), s.ctl.predicted...),
@@ -370,8 +319,8 @@ func (g *Gateway) Forecasts() map[string]float64 {
 	out := make(map[string]float64)
 	for _, s := range g.snapshotShards() {
 		s.mu.Lock()
-		if s.ctl.pred != nil {
-			out[s.name] = s.ctl.forecast
+		if s.ctl.Pred != nil {
+			out[s.name] = s.ctl.Forecast
 		}
 		s.mu.Unlock()
 	}

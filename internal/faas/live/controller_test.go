@@ -123,7 +123,7 @@ func TestControllerPrewarmsForecastDemand(t *testing.T) {
 // quarter of the live set per tick) until nothing is left.
 func TestControllerRetiresOnFallingDemand(t *testing.T) {
 	g, clk, base := startControlled(t,
-		PoolConfig{NewPredictor: naiveFactory},
+		PoolConfig{NewPredictor: naiveFactory, IdleTTL: time.Second},
 		echoFn("f", 0))
 
 	var wg sync.WaitGroup
@@ -169,6 +169,41 @@ func TestControllerRetiresOnFallingDemand(t *testing.T) {
 	}
 }
 
+// The keep-alive, not the forecast, decides when a low-rate function
+// loses its only warm instance: after one request the forecast decays
+// to zero within seconds, but hotcd's defaults (es+markov, 2 s ticks,
+// 5 min keep-alive) must keep the instance — neither retired nor
+// retired-and-prewarmed-back — until the janitor expires it.
+func TestControllerKeepsLastInstanceForKeepAlive(t *testing.T) {
+	const tick, ttl = 2 * time.Second, 5 * time.Minute
+	g, clk, base := startControlled(t,
+		PoolConfig{NewPredictor: func() predictor.Predictor { return predictor.Default() },
+			IdleTTL: ttl, MaxIdlePerFunction: 8},
+		echoFn("f", 0))
+
+	post(t, base+"/function/f", "x")
+	waitWarm(t, g, "f", 1)
+	for at := tick; at < ttl; at += tick {
+		now := clk.Advance(tick)
+		g.controlOnce("f", now)
+		g.janitorOnce(now)
+		if warm, st := g.WarmInstances("f"), g.Stats(); warm != 1 || st.Retired != 0 || st.Prewarmed != 0 {
+			t.Fatalf("t+%v: warm %d, Retired %d, Prewarmed %d; want the one instance left alone",
+				at, warm, st.Retired, st.Prewarmed)
+		}
+	}
+	now := clk.Advance(tick)
+	g.janitorOnce(now)
+	g.controlOnce("f", now)
+	s := g.shard("f")
+	s.mu.Lock()
+	booting := s.ctl.booting // a wrong prewarm is counted here before it boots
+	s.mu.Unlock()
+	if warm, st := g.WarmInstances("f"), g.Stats(); warm != 0 || booting != 0 || st.Expired != 1 || st.Retired != 0 || st.Prewarmed != 0 {
+		t.Fatalf("after the keep-alive: warm %d, booting %d, stats %+v; want it expired and not booted back", warm, booting, st)
+	}
+}
+
 // Prewarming never pushes the idle pool past MaxWarm.
 func TestControllerPrewarmRespectsMaxWarm(t *testing.T) {
 	g, clk, _ := startControlled(t,
@@ -178,7 +213,7 @@ func TestControllerPrewarmRespectsMaxWarm(t *testing.T) {
 	// Simulate a burst of 5 observed in the closing interval.
 	s := g.shard("f")
 	s.mu.Lock()
-	s.ctl.peak = 5
+	s.ctl.Peak = 5
 	s.mu.Unlock()
 
 	g.controlOnce("f", clk.Now())
@@ -202,7 +237,7 @@ func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
 
 	s := g.shard("f")
 	s.mu.Lock()
-	s.ctl.peak = 2
+	s.ctl.Peak = 2
 	s.mu.Unlock()
 	g.controlOnce("f", clk.Now()) // schedules 2 boots of 150ms each
 

@@ -460,7 +460,7 @@ func (g *Gateway) snapshotShards() []*shard {
 func (g *Gateway) newShard(name string) *shard {
 	s := &shard{name: name, m: g.obs.forFunction(name)}
 	if g.cfg.NewPredictor != nil {
-		s.ctl.pred = g.cfg.NewPredictor()
+		s.ctl.Pred = g.cfg.NewPredictor()
 	}
 	if g.cfg.Share {
 		s.ctl.share = *sharing.NewClassifier(g.share.classifier)
@@ -622,10 +622,7 @@ func (g *Gateway) WarmInstances(name string) int {
 func (g *Gateway) acquire(s *shard) (*instance, bootInfo, error) {
 	s.mu.Lock()
 	fn := s.fn
-	s.ctl.inFlight++
-	if s.ctl.inFlight > s.ctl.peak {
-		s.ctl.peak = s.ctl.inFlight
-	}
+	s.ctl.Begin()
 	if n := len(s.idle); n > 0 {
 		inst := s.idle[n-1]
 		s.idle = s.idle[:n-1]
@@ -669,9 +666,7 @@ func (g *Gateway) acquire(s *shard) (*instance, bootInfo, error) {
 // decInFlight ends a request's demand accounting.
 func (g *Gateway) decInFlight(s *shard) {
 	s.mu.Lock()
-	if s.ctl.inFlight > 0 {
-		s.ctl.inFlight--
-	}
+	s.ctl.End()
 	s.mu.Unlock()
 }
 
@@ -681,9 +676,7 @@ func (g *Gateway) decInFlight(s *shard) {
 // Stop must not leak its watchdog into a dead pool).
 func (g *Gateway) release(s *shard, inst *instance) {
 	s.mu.Lock()
-	if s.ctl.inFlight > 0 {
-		s.ctl.inFlight--
-	}
+	s.ctl.End()
 	if !g.reuse || g.stopped.Load() {
 		s.mu.Unlock()
 		inst.stop()
@@ -698,6 +691,7 @@ func (g *Gateway) release(s *shard, inst *instance) {
 		g.obs.poolRetired.Inc()
 	}
 	inst.idleSince = g.nowFn()
+	s.ctl.lastDone = inst.idleSince
 	s.idle = append(s.idle, inst)
 	s.syncWarmLocked()
 	s.mu.Unlock()

@@ -32,7 +32,7 @@ func candidateOf(fn Function) sharing.Candidate {
 }
 
 // leaseInstance tries to rent an idle instance from another function's
-// warm pool: the third acquisition tier, between the relaxed warm pool
+// warm pool: the acquisition tier between the function's own warm pool
 // and the generic prefork handoff. It scans classified lenders first
 // (they reserve nothing), then neutral shards (which lend only surplus
 // above their own forecast — a fresh function with no classification
@@ -83,7 +83,7 @@ scan:
 			// it needs and reserves nothing.
 			reserve := 0
 			if role != sharing.RoleLender {
-				reserve = int(math.Ceil(s.ctl.forecast))
+				reserve = int(math.Ceil(s.ctl.Forecast))
 			}
 			if len(s.idle) <= reserve {
 				s.mu.Unlock()

@@ -240,7 +240,7 @@ func TestLenderReservesAndRenterNeverLends(t *testing.T) {
 
 	// Forecast says the lender needs its one idle instance: reserved.
 	ls.mu.Lock()
-	ls.ctl.forecast = 1
+	ls.ctl.Forecast = 1
 	ls.mu.Unlock()
 	if rec := postRec(t, g, "p1", "b"); rec.Header().Get(BootHeader) != "cold" {
 		t.Fatalf("boot = %q, want cold (neutral lender reserves its forecast)", rec.Header().Get(BootHeader))
@@ -250,7 +250,7 @@ func TestLenderReservesAndRenterNeverLends(t *testing.T) {
 	// Forecast drops to zero but the function is classified a renter:
 	// still untouchable.
 	ls.mu.Lock()
-	ls.ctl.forecast = 0
+	ls.ctl.Forecast = 0
 	for i := 0; i < 6; i++ {
 		ls.ctl.share.Observe(0, 5, 0) // persistently under-forecasted
 	}
@@ -276,7 +276,7 @@ func TestLenderReservesAndRenterNeverLends(t *testing.T) {
 		ls.mu.Unlock()
 		t.Fatal("setup: expected lender classification")
 	}
-	ls.ctl.forecast = 1
+	ls.ctl.Forecast = 1
 	ls.mu.Unlock()
 	if rec := postRec(t, g, "p3", "d"); rec.Header().Get(BootHeader) != "rented" {
 		t.Fatalf("boot = %q, want rented (classified lenders reserve nothing)", rec.Header().Get(BootHeader))
@@ -324,7 +324,7 @@ func TestClassifierDrivenByControlLoop(t *testing.T) {
 	s := g.shard("f")
 	tick := func(peak int) {
 		s.mu.Lock()
-		s.ctl.peak = peak
+		s.ctl.Peak = peak
 		s.mu.Unlock()
 		g.controlOnce("f", g.nowFn())
 	}

@@ -286,25 +286,13 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 // order — the container most likely to expire unused is rented first,
 // and a busy function's freshly-released containers are left alone.
 // The (LastUsedAt, CreatedAt, ID) order is total, so the choice is
-// deterministic under Go's randomized map iteration. Containers idle
-// for less than ShareIdleGrace are never offered. Candidates are
-// health-checked like any other hand-out.
+// deterministic under Go's randomized map iteration (see older).
+// Containers idle for less than ShareIdleGrace are never offered.
+// Candidates are health-checked like any other hand-out.
 func (p *Pool) shareCandidate(spec container.Spec) *container.Container {
 	key := spec.Key()
 	now := p.eng.Scheduler().Now()
 	var best *container.Container
-	better := func(c, b *container.Container) bool {
-		if b == nil {
-			return true
-		}
-		if c.LastUsedAt != b.LastUsedAt {
-			return c.LastUsedAt < b.LastUsedAt
-		}
-		if c.CreatedAt != b.CreatedAt {
-			return c.CreatedAt < b.CreatedAt
-		}
-		return c.ID < b.ID
-	}
 	for k, list := range p.byKey {
 		if k == key {
 			continue
@@ -316,7 +304,7 @@ func (p *Pool) shareCandidate(spec container.Spec) *container.Container {
 			if now-c.LastUsedAt < p.opts.ShareIdleGrace {
 				continue // still in its owner's working set
 			}
-			if better(c, best) {
+			if best == nil || older(c, best, true) {
 				best = c
 			}
 		}
@@ -492,22 +480,18 @@ func (p *Pool) Available(key config.Key) []*container.Container {
 // EvictOldest force-stops one available container chosen by the pool's
 // eviction policy — by default the oldest (§IV.B: "the oldest live
 // container is forcibly terminated and releases the resources"), or
-// the least recently used under EvictLRU. It reports whether a
-// container was evicted.
+// the least recently used under EvictLRU; containers created (or last
+// used) at the same instant fall back to ID order. It reports whether
+// a container was evicted.
 func (p *Pool) EvictOldest() bool {
 	var victim *container.Container
-	older := func(c, than *container.Container) bool {
-		if p.opts.Eviction == EvictLRU {
-			return c.LastUsedAt < than.LastUsedAt
-		}
-		return c.CreatedAt < than.CreatedAt
-	}
+	lru := p.opts.Eviction == EvictLRU
 	for _, list := range p.byKey {
 		for _, c := range list {
 			if c.State() != container.Available {
 				continue
 			}
-			if victim == nil || older(c, victim) {
+			if victim == nil || older(c, victim, lru) {
 				victim = c
 			}
 		}
@@ -522,6 +506,19 @@ func (p *Pool) EvictOldest() bool {
 	}
 	p.eng.Stop(victim, nil)
 	return true
+}
+
+// older is the pool's age order over containers: last use first when
+// lru is set, then creation time, then ID. It is total, so a victim or
+// lender picked by it does not depend on map iteration order.
+func older(c, than *container.Container, lru bool) bool {
+	if lru && c.LastUsedAt != than.LastUsedAt {
+		return c.LastUsedAt < than.LastUsedAt
+	}
+	if c.CreatedAt != than.CreatedAt {
+		return c.CreatedAt < than.CreatedAt
+	}
+	return c.ID < than.ID
 }
 
 // memoryPressure reports whether host memory usage exceeds the

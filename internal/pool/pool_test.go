@@ -466,6 +466,45 @@ func TestEvictionPolicyLRU(t *testing.T) {
 	}
 }
 
+// Containers prewarmed in one control tick share a virtual timestamp;
+// the victim among them must not depend on the order Go ranges over the
+// pool's per-key map. Two keys, four same-instant containers, 50 fresh
+// pools per policy: the same ID goes every time.
+func TestEvictOldestDeterministicOnTies(t *testing.T) {
+	app := workload.QRApp(workload.Python)
+	for _, ev := range []EvictionPolicy{EvictOldest, EvictLRU} {
+		for i := 0; i < 50; i++ {
+			f := newFixture(t, Options{Eviction: ev})
+			var all []*container.Container
+			for _, tenant := range []string{"TENANT=a", "TENANT=b"} {
+				f.pool.Prewarm(f.spec(t, config.Runtime{Image: "python:3.8", Env: []string{tenant}}), app, 2, nil)
+			}
+			if err := f.sched.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range f.pool.Keys() {
+				all = append(all, f.pool.Available(key)...)
+			}
+			if len(all) != 4 {
+				t.Fatalf("prewarmed %d containers over %d keys, want 4 over 2", len(all), len(f.pool.Keys()))
+			}
+			for _, c := range all {
+				if c.CreatedAt != all[0].CreatedAt || c.LastUsedAt != all[0].LastUsedAt {
+					t.Fatalf("%s is not a tie: created %v, used %v", c.ID, c.CreatedAt, c.LastUsedAt)
+				}
+			}
+			if !f.pool.EvictOldest() {
+				t.Fatal("nothing evicted")
+			}
+			for _, c := range all {
+				if c.State() != container.Available && c.ID != "ctr-000001" {
+					t.Fatalf("%v, pool %d: evicted %s, want the lowest ID ctr-000001", ev, i, c.ID)
+				}
+			}
+		}
+	}
+}
+
 func TestEvictionPolicyNames(t *testing.T) {
 	if EvictOldest.String() != "oldest-first" || EvictLRU.String() != "lru" {
 		t.Fatal("eviction policy names wrong")

@@ -3,10 +3,13 @@
 // functions are lenders or renters from the controller's demand
 // history, and which pairs of functions may share a container at all.
 //
-// The package is mechanism-free on purpose. The live gateway and the
-// simulated pool both consult it; neither the lease path (wipe,
-// re-specialize, re-key) nor any locking lives here, so the same
-// classifier and compatibility rules apply to both substrates.
+// The package is mechanism-free on purpose: neither the lease path
+// (wipe, re-specialize, re-key) nor any locking lives here. Only the
+// live gateway consults it today. The simulated pool does not — it
+// picks its lender with a rule of its own (pool.shareCandidate: the
+// least recently used container of any other key, no roles, no
+// compatibility policy); putting both substrates behind this package's
+// rules is the second half of ROADMAP item 3.
 package sharing
 
 import (

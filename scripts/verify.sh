@@ -16,6 +16,11 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 echo "== go test -race"
 go test -race ./...
+echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
+# Map-order bugs pass most single runs: the jittered four-key replay
+# and the eviction tie-break diverge roughly one run in three without
+# the fixed iteration order, so these run three times.
+go test -race -count=3 -run 'Determinis|Parity|Plan' . ./internal/core/ ./internal/pool/ ./internal/faas/live/
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
 echo "== contention bench smoke (1 iteration)"
