@@ -6,16 +6,14 @@
 // A Cluster is a set of nodes, each a full single-host HotC stack
 // (engine, pool, adaptive controller, gateway) sharing one virtual
 // clock. A router places each request on a node; the reuse-affinity
-// policy consults a replicated key-value directory (kvstore) that
+// policy consults a directory (a map shared by the simulated nodes) that
 // tracks which nodes hold warm runtimes for which keys, falling back
 // to least-loaded placement — reuse when possible, balance otherwise.
 package cluster
 
 import (
 	"fmt"
-	"strconv"
 
-	"hotc/internal/cluster/kvstore"
 	"hotc/internal/config"
 	"hotc/internal/container"
 	"hotc/internal/core"
@@ -95,9 +93,6 @@ type Options struct {
 	Core core.Options
 	// PrePull warms each node's layer cache.
 	PrePull bool
-	// DirectoryReplicas/DirectoryR/DirectoryW configure the replicated
-	// pool directory (defaults 3/2/2).
-	DirectoryReplicas, DirectoryR, DirectoryW int
 }
 
 func (o Options) withDefaults() Options {
@@ -107,9 +102,6 @@ func (o Options) withDefaults() Options {
 	if o.Profile.Name == "" {
 		o.Profile = costmodel.Server()
 	}
-	if o.DirectoryReplicas <= 0 {
-		o.DirectoryReplicas, o.DirectoryR, o.DirectoryW = 3, 2, 2
-	}
 	return o
 }
 
@@ -118,7 +110,7 @@ type Cluster struct {
 	sched *simclock.Scheduler
 	opts  Options
 	nodes []*Node
-	dir   *kvstore.Store
+	dir   map[string]int // dirKey(key, node) → advertised live runtimes
 	reg   *image.Registry
 
 	apps   map[string]workload.App
@@ -134,7 +126,7 @@ func New(opts Options) *Cluster {
 	c := &Cluster{
 		sched: sched,
 		opts:  o,
-		dir:   kvstore.New(o.DirectoryReplicas, o.DirectoryR, o.DirectoryW),
+		dir:   make(map[string]int),
 		reg:   reg,
 		apps:  make(map[string]workload.App),
 		specs: make(map[string]container.Spec),
@@ -188,8 +180,8 @@ func (c *Cluster) FailNode(i int) bool {
 	}
 	c.nodes[i].failed = true
 	for _, spec := range c.specs {
-		// Best-effort: a failed node cannot serve, so advertise zero.
-		_ = c.dir.Delete(dirKey(spec.Key(), c.nodes[i].Name))
+		// A failed node cannot serve, so advertise zero.
+		delete(c.dir, dirKey(spec.Key(), c.nodes[i].Name))
 	}
 	return true
 }
@@ -240,22 +232,12 @@ func dirKey(key config.Key, node string) string {
 // will be reusable momentarily, and the router's in-flight check
 // prevents queueing onto saturated nodes.
 func (c *Cluster) publish(node *Node, key config.Key) {
-	live := node.HotC.Pool().NumLive(key)
-	// Quorum loss just degrades routing to load-only; ignore errors.
-	_ = c.dir.Put(dirKey(key, node.Name), strconv.Itoa(live))
+	c.dir[dirKey(key, node.Name)] = node.HotC.Pool().NumLive(key)
 }
 
 // warmOn reads the directory for a node's advertised availability.
 func (c *Cluster) warmOn(node *Node, key config.Key) int {
-	v, ok, err := c.dir.Get(dirKey(key, node.Name))
-	if err != nil || !ok {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0
-	}
-	return n
+	return c.dir[dirKey(key, node.Name)]
 }
 
 // route picks the node for a request targeting the named function.

@@ -206,12 +206,6 @@ func (g *Gateway) reclaimMemoryOnce() int {
 		g.cold.genericReaped.Add(uint64(reapedGen))
 		ins.coldReaped.Add(float64(reapedGen))
 		total -= reapedGen
-		if total <= budgetInst {
-			g.memReclaimed.Add(uint64(reapedGen))
-			ins.admMemReclaimed.Add(float64(reapedGen))
-			ins.admMemBytes.Set(float64(total) * float64(est))
-			return reapedGen
-		}
 	}
 
 	// Water-filling over the warm shards for the remainder: find the
@@ -219,7 +213,8 @@ func (g *Gateway) reclaimMemoryOnce() int {
 	// each shard's quota is what it holds past L (spread one-by-one
 	// across the largest when L is fractional). The remaining generics
 	// (all reaped by now unless the pool emptied mid-scan) stay counted
-	// against the shard budget.
+	// against the shard budget; the quota is all zero when reaping
+	// generics already fit it.
 	quota := overQuota(counts, budgetInst-(generics-reapedGen))
 
 	var doomed []*instance
@@ -228,16 +223,7 @@ func (g *Gateway) reclaimMemoryOnce() int {
 			continue
 		}
 		s.mu.Lock()
-		n := quota[i]
-		if n > len(s.idle) {
-			n = len(s.idle)
-		}
-		if n > 0 {
-			doomed = append(doomed, s.idle[:n]...)
-			s.idle = append(s.idle[:0:0], s.idle[n:]...)
-			s.stats.Retired += n
-			s.syncWarmLocked()
-		}
+		doomed = append(doomed, s.takeOldestLocked(quota[i], &s.stats.Retired)...)
 		s.mu.Unlock()
 	}
 	reclaimed := reapedGen + len(doomed)
@@ -246,10 +232,7 @@ func (g *Gateway) reclaimMemoryOnce() int {
 		ins.admMemReclaimed.Add(float64(reclaimed))
 		ins.admMemBytes.Set(float64(total-len(doomed)) * float64(est))
 	}
-	if len(doomed) > 0 {
-		ins.poolRetired.Add(float64(len(doomed)))
-		stopAll(doomed)
-	}
+	stopAll(doomed)
 	return reclaimed
 }
 
@@ -299,28 +282,24 @@ func overQuota(counts []int, budget int) []int {
 // convention) — not a wire status, only trace/SLO bookkeeping.
 const statusClientClosedRequest = 499
 
-// cancelUpstream writes the client-side conclusion of a request whose
-// context died mid-flight: nothing for a vanished client, 504 for a
-// deadline that expired while the backend worked. The backend is
-// blameless either way — the caller already discarded the instance
-// without feeding the breaker. Returns the status the span records:
-// 504 when the deadline refusal went out, 499 when nobody was
-// listening.
-func (g *Gateway) cancelUpstream(w http.ResponseWriter, r *http.Request, s *shard, rt *reqTrace, committed bool, start time.Time) int {
+// cancelUpstream concludes a request whose context died mid-boot or
+// mid-flight: nothing goes out for a vanished client (the span records
+// 499), 504 for a deadline that expired while the backend worked. The
+// backend is blameless either way — the caller already tore the instance
+// down without feeding the breaker.
+func (g *Gateway) cancelUpstream(w http.ResponseWriter, r *http.Request, s *shard, rt *reqTrace, committed bool, start time.Time) {
 	s.countCanceled()
 	g.obs.admCanceled.Inc()
-	if r.Context().Err() != nil || committed {
-		// Client disconnect (or the status line already went out):
-		// there is nobody/no way to tell.
-		g.traceEvent(rt, "canceled", "client disconnect mid-flight")
-		s.observe("canceled", start)
-		return statusClientClosedRequest
+	status, why := statusClientClosedRequest, "client disconnect mid-flight"
+	if r.Context().Err() == nil && !committed {
+		// The client is still listening and no status line went out yet.
+		status, why = http.StatusGatewayTimeout, "deadline exceeded mid-flight"
+		w.Header().Set(RejectedHeader, string(admission.ReasonDeadline))
+		http.Error(w, "live: deadline exceeded", status)
 	}
-	w.Header().Set(RejectedHeader, string(admission.ReasonDeadline))
-	http.Error(w, "live: deadline exceeded", http.StatusGatewayTimeout)
-	g.traceEvent(rt, "canceled", "deadline exceeded mid-flight")
+	g.traceEvent(rt, "canceled", why)
 	s.observe("canceled", start)
-	return http.StatusGatewayTimeout
+	g.finishRequest(s, rt, status, "")
 }
 
 // countCanceled bumps the shard's abandoned-request counter (Stats

@@ -508,6 +508,7 @@ func TestAdmissionChurnWithControlLoops(t *testing.T) {
 			t.Errorf("%s: nothing admitted during churn", name)
 		}
 	}
+	checkPool(t, g)
 }
 
 // A malformed deadline header is the client's error: 400, nothing

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
@@ -40,16 +41,35 @@ type coldPath struct {
 	bootErrs      atomic.Uint64 // failed watchdog boots (generic refills)
 }
 
+// pay is every gateway's sleep, the context-aware stand-in for
+// time.Sleep: nil once d has passed, ctx's error as soon as ctx is done
+// (at once when it already is, so an abandoned request starts no boot).
+func pay(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // bootGeneric boots one generic watchdog for the pool, paying the
 // generic share of cold start (pre-baked image create + runtime init)
-// here — on a refill goroutine — instead of on some future request.
+// here — on a refill goroutine, under the gateway's lifetime — instead
+// of on some future request.
 func (g *Gateway) bootGeneric() (*prefork.Watchdog, error) {
 	wd, err := prefork.Start(g.watchdogServeError)
 	if err != nil {
 		return nil, err
 	}
-	if g.cfg.PreforkBoot > 0 {
-		time.Sleep(g.cfg.PreforkBoot)
+	if err := g.sleep(g.life, g.cfg.PreforkBoot); err != nil {
+		wd.Stop()
+		return nil, err
 	}
 	return wd, nil
 }
@@ -149,59 +169,75 @@ func (g *Gateway) pullCost(ph bootPhases) (time.Duration, float64) {
 	return time.Duration(float64(ph.pull) * added / total), skipped
 }
 
-// bootInstance is the shared cold-boot path for requests and
+// bootInstance is the cold ladder below renting, shared by requests and
 // controller prewarms: a generic handoff when the pre-forked pool has
 // an instance ready, else a full cold boot. Either way the pool is
 // asked to refill — a mutex and goroutine spawns only, never a boot on
 // this goroutine.
-func (g *Gateway) bootInstance(fn Function) (*instance, bootInfo, error) {
+func (g *Gateway) bootInstance(ctx context.Context, fn Function) (*instance, bootInfo, error) {
+	var from bootSource
 	if pool := g.cold.pool; pool != nil {
-		if wd := pool.TryAcquire(); wd != nil {
-			pool.Refill()
-			return g.specialize(wd, fn)
-		}
+		from.generic = pool.TryAcquire()
 		pool.Refill()
 	}
-	return g.startInstance(fn)
+	return g.boot(ctx, fn, from)
 }
 
-// specialize turns a generic watchdog into fn's instance: swap the
-// handler in and pay only the function-specific share of boot — the
-// cache-scaled pull of fn's own layers plus app init. The generic
-// runtime share was pre-paid when the watchdog booted.
-func (g *Gateway) specialize(wd *prefork.Watchdog, fn Function) (*instance, bootInfo, error) {
-	ph := g.phasesFor(fn)
-	wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
-	var pull time.Duration
-	var skipped float64
-	if ph.hasImage {
-		pull, skipped = g.pullCost(ph)
-	}
-	if d := pull + ph.app; d > 0 {
-		time.Sleep(d)
-	}
-	info := bootInfo{mode: bootGeneric, pull: pull, app: ph.app, skippedMB: skipped}
-	g.observeBoot(info)
-	inst, err := g.newInstance(fn, wd, nil)
-	return inst, info, err
+// bootSource is what a boot starts from: nothing (a full cold boot), a
+// generic pre-forked watchdog, or another function's idle instance.
+type bootSource struct {
+	generic *prefork.Watchdog
+	lent    *instance
 }
 
-// startInstance pays the full cold boot: listener + server up, then
-// pull (cache-scaled), runtime init and app init.
-func (g *Gateway) startInstance(fn Function) (*instance, bootInfo, error) {
+// boot is the one way an instance comes to exist. The phase table:
+//
+//	full cold  pull                         + runtime init + app init
+//	generic    pull, when fn has an image                  + app init
+//	rented     wipe, pull when the lender's image differs  + app init
+//
+// Pull is cache-scaled (pullCost); a generic pre-paid its runtime share,
+// a lent container has runtime and layers in place. Every phase is paid
+// through g.sleep under ctx: a boot abandoned mid-flight returns ctx's
+// error with its watchdog stopped — a lent container included, half-wiped
+// or wiped. It was tainted when taken, so it is destroyed, never handed
+// back.
+func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*instance, bootInfo, error) {
 	ph := g.phasesFor(fn)
-	wd, err := prefork.Start(g.watchdogServeError)
+	info := bootInfo{mode: bootCold, runtime: ph.runtime, app: ph.app}
+	wd, conn, pull := from.generic, (*hop)(nil), true
+	switch {
+	case from.lent != nil:
+		info.mode, info.runtime, info.wipe = bootRented, 0, g.cfg.ShareWipe
+		wd, conn, pull = from.lent.wd, from.lent.hop, fn.Image != from.lent.fn.Image
+		from.lent.hop = nil // the connection moves with the watchdog
+	case wd != nil:
+		info.mode, info.runtime, pull = bootGeneric, 0, ph.hasImage
+	default:
+		var err error
+		if wd, err = prefork.Start(g.watchdogServeError); err != nil {
+			return nil, bootInfo{}, err
+		}
+	}
+	err := g.sleep(ctx, info.wipe)
+	if err == nil {
+		wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
+		if pull {
+			info.pull, info.skippedMB = g.pullCost(ph)
+		}
+		err = g.sleep(ctx, info.pull+info.runtime+info.app)
+	}
+	var inst *instance
+	if err == nil {
+		g.observeBoot(info)
+		inst, err = g.newInstance(ctx, fn, wd, conn)
+	}
 	if err != nil {
-		return nil, bootInfo{}, err
+		if conn != nil {
+			conn.close() // before the watchdog: its shutdown waits on idle connections
+		}
+		wd.Stop()
 	}
-	wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
-	pull, skipped := g.pullCost(ph)
-	if d := pull + ph.runtime + ph.app; d > 0 {
-		time.Sleep(d)
-	}
-	info := bootInfo{mode: bootCold, pull: pull, runtime: ph.runtime, app: ph.app, skippedMB: skipped}
-	g.observeBoot(info)
-	inst, err := g.newInstance(fn, wd, nil)
 	return inst, info, err
 }
 

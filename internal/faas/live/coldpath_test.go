@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -142,7 +143,7 @@ func TestLayerCacheScalesPullPhase(t *testing.T) {
 	pyFn.Image = "python:3.8"
 	pyFn.Pull, pyFn.AppInit = 100*time.Millisecond, time.Millisecond
 
-	inst, info, err := g.bootInstance(pyFn)
+	inst, info, err := g.bootInstance(context.Background(), pyFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestLayerCacheScalesPullPhase(t *testing.T) {
 	// Second boot of the same image: every layer is cached.
 	py2 := pyFn
 	py2.Name = "py2"
-	inst, info, err = g.bootInstance(py2)
+	inst, info, err = g.bootInstance(context.Background(), py2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestLayerCacheScalesPullPhase(t *testing.T) {
 	nodeFn := echoFn("node", 0)
 	nodeFn.Image = "node:10"
 	nodeFn.Pull, nodeFn.AppInit = 100*time.Millisecond, time.Millisecond
-	inst, info, err = g.bootInstance(nodeFn)
+	inst, info, err = g.bootInstance(context.Background(), nodeFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +208,7 @@ func TestReclaimMemoryReapsGenericsFirst(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("prime: status %d", rec.Code)
 	}
+	waitIdleGenerics(t, g, 2) // the prime took one; its refill is asynchronous
 
 	if n := g.reclaimMemoryOnce(); n != 2 {
 		t.Fatalf("reclaimMemoryOnce = %d, want exactly the 2 generics", n)
@@ -251,6 +253,7 @@ func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
 	if got := g.WarmInstances("f"); got != 2 {
 		t.Skipf("warm instances = %d, want 2 (requests did not overlap)", got)
 	}
+	waitIdleGenerics(t, g, 1) // one request took the generic; its refill is asynchronous
 
 	// total = 2 warm + 1 generic = 3, budget 1: the generic goes, then
 	// one warm instance.

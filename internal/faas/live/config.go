@@ -239,17 +239,18 @@ func New(cfg PoolConfig) *Gateway {
 	cfg = cfg.withDefaults()
 	var dialer net.Dialer
 	g := &Gateway{
-		cfg:     cfg,
-		reuse:   true,
-		epoch:   time.Now(),
-		nowFn:   time.Now,
-		shards:  make(map[string]*shard),
-		ctlStop: make(chan struct{}),
+		cfg:    cfg,
+		reuse:  true,
+		epoch:  time.Now(),
+		nowFn:  time.Now,
+		sleep:  pay,
+		shards: make(map[string]*shard),
 		dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			return dialer.DialContext(ctx, "tcp", addr)
 		},
 		reg: obs.New(),
 	}
+	g.life, g.endLife = context.WithCancel(context.Background())
 	g.obs = newInstruments(g.reg)
 	// Unknown = same-image, the documented fallback.
 	mode, _ := sharing.ParseMode(cfg.SharePolicy)
@@ -280,6 +281,9 @@ func New(cfg PoolConfig) *Gateway {
 				g.obs.coldRefills.Inc()
 			},
 			OnBootError: func(error) {
+				if g.life.Err() != nil {
+					return // a refill Stop abandoned, not a failure
+				}
 				g.cold.bootErrs.Add(1)
 				g.event("prefork-boot-failure")
 			},

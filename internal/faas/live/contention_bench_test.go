@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -113,12 +114,12 @@ func benchGatewayHotPath(b *testing.B, workers, fns int) {
 					b.Error("breaker open")
 					return
 				}
-				inst, boot, err := g.acquire(s)
+				inst, boot, err := g.acquire(context.Background(), s)
 				if err != nil {
 					b.Error(err)
 					return
 				}
-				g.release(s, inst)
+				g.release(s, inst, true)
 				g.breakerSuccess(s)
 				if boot.mode == bootWarm {
 					g.obs.startsWarm.Inc()

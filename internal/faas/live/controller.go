@@ -78,7 +78,7 @@ func (g *Gateway) startControlLoops() {
 	g.smu.Unlock()
 
 	if runJanitor {
-		go g.runJanitor()
+		go g.every(g.cfg.ReapInterval, g.janitorOnce)
 	}
 	for _, name := range names {
 		go g.runController(name)
@@ -88,19 +88,25 @@ func (g *Gateway) startControlLoops() {
 	g.refillPrefork()
 }
 
-// runController is the per-function background control loop.
-func (g *Gateway) runController(name string) {
+// every runs tick each interval until the gateway's lifetime ends: the
+// janitor and the per-function control loops.
+func (g *Gateway) every(interval time.Duration, tick func(now time.Time)) {
 	defer g.wg.Done()
-	ticker := time.NewTicker(g.cfg.ControlInterval)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-g.ctlStop:
+		case <-g.life.Done():
 			return
 		case <-ticker.C:
-			g.controlOnce(name, g.nowFn())
+			tick(g.nowFn())
 		}
 	}
+}
+
+// runController is the per-function background control loop.
+func (g *Gateway) runController(name string) {
+	g.every(g.cfg.ControlInterval, func(now time.Time) { g.controlOnce(name, now) })
 }
 
 // controlOnce runs one control interval for a function: observe the
@@ -148,14 +154,8 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 		ScaleDownFrac: core.DefaultScaleDownFrac,
 	})
 	st.booting += boot
-	retire := s.idle[:excess] // oldest first; s.idle moves to a fresh array
-	if excess > 0 {
-		s.idle = append(s.idle[:0:0], s.idle[excess:]...)
-		s.stats.Retired += excess
-		s.syncWarmLocked()
-		g.obs.ctlRetire.Add(float64(excess))
-		g.obs.poolRetired.Add(float64(excess))
-	}
+	retire := s.takeOldestLocked(excess, &s.stats.Retired)
+	g.obs.ctlRetire.Add(float64(len(retire)))
 	g.obs.ctlTicks.Inc()
 	s.m.ctlDemand.Set(demand)
 	s.m.ctlForecast.Set(st.Forecast)
@@ -175,48 +175,32 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 }
 
 // prewarmOne boots one instance ahead of demand and pools it — unless
-// the gateway stopped or the warm cap filled while it was booting. It
-// rides the same fast cold path as requests: a generic pre-forked
-// watchdog is specialized when one is ready (the pool refills itself
-// in the background), else a full boot.
+// the gateway stopped, the function was redeployed or the warm cap
+// filled while it was booting. It rides the same ladder as requests
+// below renting, under the gateway's lifetime, so Stop abandons it
+// mid-boot. Any other boot failure is a prewarm.failures count: no
+// request saw it, so boot.failures and the breaker do not move.
 func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	defer g.wg.Done()
-	inst, _, err := g.bootInstance(fn)
+	inst, _, err := g.bootInstance(g.life, fn)
 	s.mu.Lock()
 	if s.ctl.booting > 0 {
 		s.ctl.booting--
 	}
-	if err != nil {
-		s.mu.Unlock()
-		return
-	}
 	overCap := g.cfg.MaxIdlePerFunction > 0 && len(s.idle) >= g.cfg.MaxIdlePerFunction
-	if g.stopped.Load() || overCap {
-		s.mu.Unlock()
-		inst.stop()
-		return
+	switch {
+	case err == nil && g.keepLocked(s, inst) && !overCap:
+		s.pushLocked(inst, g.nowFn())
+		s.stats.Prewarmed++
+		g.obs.ctlPrewarm.Inc()
+		inst = nil
+	case err != nil && g.life.Err() == nil:
+		s.resLocked("prewarm.failures")
+		g.event("prewarm-boot-failure")
 	}
-	inst.idleSince = g.nowFn()
-	s.idle = append(s.idle, inst)
-	s.stats.Prewarmed++
-	g.obs.ctlPrewarm.Inc()
-	s.syncWarmLocked()
 	s.mu.Unlock()
-}
-
-// runJanitor periodically expires idle instances past the keep-alive
-// and enforces the memory budget.
-func (g *Gateway) runJanitor() {
-	defer g.wg.Done()
-	ticker := time.NewTicker(g.cfg.ReapInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.ctlStop:
-			return
-		case <-ticker.C:
-			g.janitorOnce(g.nowFn())
-		}
+	if inst != nil {
+		inst.stop()
 	}
 }
 
@@ -238,33 +222,20 @@ func (g *Gateway) janitorOnce(now time.Time) {
 			s.mu.Unlock()
 			break
 		}
-		keep := make([]*instance, 0, len(s.idle))
+		// The list is in parking order, so the expired are a prefix.
 		expired := 0
-		for _, inst := range s.idle {
-			if g.cfg.IdleTTL > 0 && now.Sub(inst.idleSince) >= g.cfg.IdleTTL {
-				doomed = append(doomed, inst)
-				expired++
-				continue
-			}
-			keep = append(keep, inst)
+		for g.cfg.IdleTTL > 0 && expired < len(s.idle) && now.Sub(s.idle[expired].idleSince) >= g.cfg.IdleTTL {
+			expired++
 		}
-		s.stats.Expired += expired
+		doomed = append(doomed, s.takeOldestLocked(expired, &s.stats.Expired)...)
 		// Cap backstop (release-time eviction normally keeps this
 		// invariant): drop the oldest beyond the limit.
-		if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(keep) > limit {
-			drop := len(keep) - limit
-			doomed = append(doomed, keep[:drop]...)
-			keep = keep[drop:]
-			s.stats.Retired += drop
+		if limit := g.cfg.MaxIdlePerFunction; limit > 0 {
+			doomed = append(doomed, s.takeOldestLocked(len(s.idle)-limit, &s.stats.Retired)...)
 		}
-		s.idle = keep
-		s.syncWarmLocked()
 		s.mu.Unlock()
 	}
-	if len(doomed) > 0 {
-		g.obs.poolRetired.Add(float64(len(doomed)))
-		stopAll(doomed)
-	}
+	stopAll(doomed)
 	// With a memory budget armed, the same scan enforces it: reclaim
 	// warm capacity from the biggest holders once the summed estimates
 	// exceed the budget.

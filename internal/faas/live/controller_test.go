@@ -241,13 +241,14 @@ func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
 	s.mu.Unlock()
 	g.controlOnce("f", clk.Now()) // schedules 2 boots of 150ms each
 
-	g.Stop() // waits for the boots; they must self-destruct
+	g.Stop() // abandons the boots; they must self-destruct
 	if got := g.WarmInstances("f"); got != 0 {
 		t.Fatalf("prewarm leaked %d instances into a stopped gateway", got)
 	}
 	if st := g.Stats(); st.Prewarmed != 0 {
 		t.Fatalf("Prewarmed = %d, want 0 after stop", st.Prewarmed)
 	}
+	checkPool(t, g)
 }
 
 // Keep-alive expiry against the injected clock: one nanosecond short

@@ -73,6 +73,14 @@ func TestRedeployListsFunctionOnce(t *testing.T) {
 		if err := d.Deploy(spec); err != nil {
 			t.Fatal(err)
 		}
+		if spec.Handler == "upper" {
+			// Leave the first version a warm instance for the redeploy
+			// to find.
+			inv := postJSON(t, base+"/function/e", "x")
+			if body, _ := io.ReadAll(inv.Body); string(body) != "X" {
+				t.Fatalf("e answered %q, want the upper handler's \"X\"", body)
+			}
+		}
 	}
 	lst, err := http.Get(base + "/system/functions")
 	if err != nil {
@@ -87,8 +95,9 @@ func TestRedeployListsFunctionOnce(t *testing.T) {
 		t.Fatalf("functions = %v, want [a e]", names)
 	}
 	inv := postJSON(t, base+"/function/e", "x")
-	if body, _ := io.ReadAll(inv.Body); string(body) != "x" {
-		t.Fatalf("redeployed e answered %q, want the echo handler's \"x\"", body)
+	if body, _ := io.ReadAll(inv.Body); string(body) != "x" || inv.Header.Get("X-Hotc-Reused") != "false" {
+		t.Fatalf("redeployed e answered %q (reused=%s), want the echo handler's \"x\" from a fresh instance",
+			body, inv.Header.Get("X-Hotc-Reused"))
 	}
 }
 

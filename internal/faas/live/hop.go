@@ -81,10 +81,9 @@ func (b *hopBody) Read(p []byte) (int, error) {
 
 func (b *hopBody) Close() error { return nil }
 
-// dialHop opens an instance's connection to the watchdog at addr. The
-// boot paths have no request context to hand down.
-func (g *Gateway) dialHop(addr string) (*hop, error) {
-	conn, err := g.dial(context.TODO(), addr)
+// dialHop opens an instance's connection to the watchdog at addr.
+func (g *Gateway) dialHop(ctx context.Context, addr string) (*hop, error) {
+	conn, err := g.dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -123,7 +123,7 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 		}
 	}()
 
-	c, err := NewGateway(true).dialHop(addr)
+	c, err := NewGateway(true).dialHop(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func BenchmarkHopRoundTrip(b *testing.B) {
 	echo := Function{Name: "f", Handler: func(p []byte) ([]byte, error) { return p, nil }}
 	for _, size := range []int{64, 64 << 10} {
 		b.Run(strconv.Itoa(size), func(b *testing.B) {
-			inst, _, err := NewGateway(true).bootInstance(echo)
+			inst, _, err := NewGateway(true).bootInstance(context.Background(), echo)
 			if err != nil {
 				b.Fatal(err)
 			}

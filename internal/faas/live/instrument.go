@@ -101,6 +101,7 @@ type shardMetrics struct {
 	reqCanceled *obs.Counter
 	latency     *obs.Histogram
 	warm        *obs.Gauge
+	poolRetired *obs.Counter // the gateway-wide hotc_pool_retired_total
 	breakerSt   *obs.Gauge
 	ctlDemand   *obs.Gauge
 	ctlForecast *obs.Gauge
@@ -119,6 +120,7 @@ func (ins *instruments) forFunction(name string) *shardMetrics {
 		reqCanceled: ins.requests.With(name, "canceled"),
 		latency:     ins.latency.With(name),
 		warm:        ins.warm.With(name),
+		poolRetired: ins.poolRetired,
 		breakerSt:   ins.breakerState.With(name),
 		ctlDemand:   ins.ctlDemand.With(name),
 		ctlForecast: ins.ctlForecast.With(name),

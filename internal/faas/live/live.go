@@ -112,6 +112,10 @@ type Function struct {
 	// sides: it never lends its idle instances and never rents. The
 	// zero value keeps sharing on, so existing deploys participate.
 	NoShare bool
+
+	// gen is the deployment generation, stamped by Register (see
+	// Gateway.keepLocked).
+	gen uint64
 }
 
 // instance is one live watchdog bound to a loopback port, running the
@@ -242,16 +246,14 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody 
 	putBodyBuf(buf)
 }
 
-// newInstance wraps a specialized watchdog as fn's instance. Every boot
-// path ends here, so this is where the hop connection is dialed — once
-// per watchdog, as part of the boot. A sharing lease passes the
+// newInstance wraps a specialized watchdog as fn's instance; only boot
+// calls it. This is where the hop connection is dialed — once per
+// watchdog, as the last step of the boot. A rented boot passes the
 // lender's connection along instead: same watchdog, nothing to dial.
-// On a dial failure the watchdog is stopped.
-func (g *Gateway) newInstance(fn Function, wd *prefork.Watchdog, conn *hop) (*instance, error) {
+func (g *Gateway) newInstance(ctx context.Context, fn Function, wd *prefork.Watchdog, conn *hop) (*instance, error) {
 	if conn == nil {
 		var err error
-		if conn, err = g.dialHop(wd.Addr()); err != nil {
-			wd.Stop()
+		if conn, err = g.dialHop(ctx, wd.Addr()); err != nil {
 			return nil, fmt.Errorf("live: dial watchdog: %w", err)
 		}
 	}
@@ -328,7 +330,8 @@ type shard struct {
 	mu sync.Mutex
 	// fn is the deployed function (Register may replace it in place).
 	fn Function
-	// idle is the warm pool, oldest first; reuse pops from the tail.
+	// idle is the warm pool, oldest first; written only by the list
+	// methods in warmlist.go.
 	idle []*instance
 	// stats are this function's deltas; Gateway.Stats sums shards.
 	stats Stats
@@ -349,9 +352,6 @@ type shard struct {
 	// the shard is created; updates are lock-free atomics.
 	m *shardMetrics
 }
-
-// syncWarmLocked refreshes the warm-pool gauge. Caller holds s.mu.
-func (s *shard) syncWarmLocked() { s.m.warm.Set(float64(len(s.idle))) }
 
 // resLocked bumps a resilience counter. Caller holds s.mu.
 func (s *shard) resLocked(kind string) {
@@ -374,6 +374,9 @@ type Gateway struct {
 	// nowFn is the wall clock; tests inject a fake for deterministic
 	// keep-alive and controller timing.
 	nowFn func() time.Time
+	// sleep is pay, which every modelled delay (boot phase, wipe, generic
+	// boot) goes through; tests swap it to read what a boot pays.
+	sleep func(ctx context.Context, d time.Duration) error
 
 	// smu guards the shard registry and the gateway lifecycle
 	// transitions (start/stop/register). The request path only ever
@@ -392,9 +395,12 @@ type Gateway struct {
 	draining atomic.Bool
 
 	// ctlRunning (under smu) reports that the background loops were
-	// launched; closing ctlStop ends them.
+	// launched.
 	ctlRunning bool
-	ctlStop    chan struct{}
+	// life is the gateway's own lifetime, ended by Stop: the background
+	// loops and every boot no request waits on run under it.
+	life    context.Context
+	endLife context.CancelFunc
 	// wg tracks every background goroutine the gateway owns:
 	// controllers, the janitor, prewarm boots and retire teardowns.
 	// Adds happen under smu (read or write side) after a stopped
@@ -472,8 +478,10 @@ func (g *Gateway) newShard(name string) *shard {
 }
 
 // Register deploys a function. Functions registered after Start join
-// the adaptive control loop immediately; re-registering a name swaps
-// the handler in place.
+// the adaptive control loop immediately. Re-registering a name swaps the
+// function in place and starts a new deployment generation: the old
+// version's warm instances are drained here, and one in flight across
+// the redeploy is stopped when it comes back (keepLocked).
 func (g *Gateway) Register(fn Function) error {
 	if fn.Name == "" || (fn.Handler == nil && fn.Stream == nil) {
 		return fmt.Errorf("live: function needs a name and a handler")
@@ -490,8 +498,11 @@ func (g *Gateway) Register(fn Function) error {
 	}
 	g.smu.Unlock()
 	s.mu.Lock()
+	fn.gen = s.fn.gen + 1
 	s.fn = fn
+	old := s.takeOldestLocked(len(s.idle), &s.stats.Retired)
 	s.mu.Unlock()
+	stopAll(old)
 	if spawn {
 		go g.runController(fn.Name)
 	}
@@ -502,12 +513,6 @@ func (g *Gateway) Register(fn Function) error {
 func (g *Gateway) Start() (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/function/", g.handle)
-	return g.startWith(mux)
-}
-
-// startWith binds the gateway with a custom route table (the daemon
-// adds management endpoints).
-func (g *Gateway) startWith(mux *http.ServeMux) (string, error) {
 	return g.startOn("127.0.0.1:0", mux)
 }
 
@@ -541,11 +546,8 @@ func (g *Gateway) Stop() {
 	// the pool, so an in-flight request finishing after Stop cannot
 	// resurrect an instance into a drained shard.
 	g.stopped.Store(true)
-	shards := make([]*shard, 0, len(g.shards))
-	for _, s := range g.shards {
-		shards = append(shards, s)
-	}
 	g.smu.Unlock()
+	shards := g.snapshotShards()
 
 	// Wake every queued request with a "stopped" refusal before the
 	// server drains: a waiter blocked in its admission queue is an
@@ -555,7 +557,7 @@ func (g *Gateway) Stop() {
 			s.adm.Stop()
 		}
 	}
-	close(g.ctlStop)
+	g.endLife()
 	if g.server != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		g.server.Shutdown(ctx)
@@ -564,9 +566,7 @@ func (g *Gateway) Stop() {
 	var insts []*instance
 	for _, s := range shards {
 		s.mu.Lock()
-		insts = append(insts, s.idle...)
-		s.idle = nil
-		s.syncWarmLocked()
+		insts = append(insts, s.takeOldestLocked(len(s.idle), nil)...)
 		s.mu.Unlock()
 	}
 	stopAll(insts)
@@ -616,105 +616,78 @@ func (g *Gateway) WarmInstances(name string) int {
 	return len(s.idle)
 }
 
-// acquire returns a warm instance or boots a new one (via the generic
-// pre-forked pool when armed), tracking in-flight demand for the
-// controller.
-func (g *Gateway) acquire(s *shard) (*instance, bootInfo, error) {
+// acquire is Algorithm 1: take the function's newest warm instance, or
+// climb the cold ladder under the request's context — rent (cheapest:
+// runtime AND layers are in place), else specialize a generic, else boot
+// in full — tracking in-flight demand for the controller. An error (ctx's
+// when the request was abandoned mid-boot) leaves the accounting closed
+// and nothing running.
+func (g *Gateway) acquire(ctx context.Context, s *shard) (*instance, bootInfo, error) {
 	s.mu.Lock()
 	fn := s.fn
 	s.ctl.Begin()
-	if n := len(s.idle); n > 0 {
-		inst := s.idle[n-1]
-		s.idle = s.idle[:n-1]
+	s.stats.Requests++
+	if inst := s.popNewestLocked(); inst != nil {
 		s.stats.Reused++
-		s.stats.Requests++
-		s.syncWarmLocked()
 		s.mu.Unlock()
 		return inst, bootInfo{mode: bootWarm}, nil
 	}
 	s.stats.ColdStarts++
-	s.stats.Requests++
 	s.mu.Unlock()
 
-	// Sharing tier: before paying any boot, try renting an idle
-	// instance from another function (wipe + re-specialize + app
-	// init) — strictly cheaper than a generic handoff when the
-	// runtimes match, because the runtime AND pull shares are already
-	// in place.
-	if g.cfg.Share {
-		if inst, info, ok := g.leaseInstance(s, fn); ok {
-			s.mu.Lock()
-			s.stats.RentedBoots++
-			s.mu.Unlock()
-			return inst, info, nil
-		}
+	inst, info, err := g.leaseInstance(ctx, s, fn) // boots run outside the lock
+	if inst == nil && err == nil {
+		inst, info, err = g.bootInstance(ctx, fn)
 	}
-
-	inst, info, err := g.bootInstance(fn) // cold boot outside the lock
-	if err != nil {
-		g.decInFlight(s)
-		return nil, info, err
-	}
-	if info.mode == bootGeneric {
-		s.mu.Lock()
+	s.mu.Lock()
+	switch {
+	case err != nil:
+		s.ctl.End()
+	case info.mode == bootRented:
+		s.stats.RentedBoots++
+	case info.mode == bootGeneric:
 		s.stats.GenericHandoffs++
-		s.mu.Unlock()
 	}
-	return inst, info, nil
+	s.mu.Unlock()
+	return inst, info, err
 }
 
-// decInFlight ends a request's demand accounting.
-func (g *Gateway) decInFlight(s *shard) {
+// keepLocked reports whether inst may enter s's warm list: not once the
+// gateway stopped (a request or prewarm that outlives Stop must not leak
+// its watchdog into a drained pool), and not when the function was
+// redeployed since inst booted. Caller holds s.mu.
+func (g *Gateway) keepLocked(s *shard, inst *instance) bool {
+	return !g.stopped.Load() && inst.fn.gen == s.fn.gen
+}
+
+// release is Algorithm 2, the one way an instance leaves its request:
+// back as the newest warm instance, the warm cap evicting the oldest —
+// or torn down, when it is suspect after a transport failure (!healthy),
+// reuse is off or keepLocked refuses it.
+func (g *Gateway) release(s *shard, inst *instance, healthy bool) {
 	s.mu.Lock()
 	s.ctl.End()
+	doomed := inst
+	if healthy && g.reuse && g.keepLocked(s, inst) {
+		doomed = nil
+		if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(s.idle) >= limit {
+			doomed = s.takeOldestLocked(1, &s.stats.Retired)[0]
+		}
+		s.ctl.lastDone = g.nowFn()
+		s.pushLocked(inst, s.ctl.lastDone)
+	}
 	s.mu.Unlock()
-}
-
-// release returns the instance to the warm pool, enforcing the warm
-// cap with oldest-first eviction — or tears it down when reuse is off
-// or the gateway already stopped (an in-flight request that outlives
-// Stop must not leak its watchdog into a dead pool).
-func (g *Gateway) release(s *shard, inst *instance) {
-	s.mu.Lock()
-	s.ctl.End()
-	if !g.reuse || g.stopped.Load() {
-		s.mu.Unlock()
-		inst.stop()
-		return
-	}
-	var evict *instance
-	if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(s.idle) >= limit {
-		// The gateway reuses from the tail, so the head is oldest.
-		evict = s.idle[0]
-		s.idle = append(s.idle[:0:0], s.idle[1:]...)
-		s.stats.Retired++
-		g.obs.poolRetired.Inc()
-	}
-	inst.idleSince = g.nowFn()
-	s.ctl.lastDone = inst.idleSince
-	s.idle = append(s.idle, inst)
-	s.syncWarmLocked()
-	s.mu.Unlock()
-	if evict != nil {
-		evict.stop()
-	}
-}
-
-// discard ends a request whose instance is suspect (boot or transport
-// failure): demand accounting is closed and the instance, if any, is
-// torn down rather than re-pooled.
-func (g *Gateway) discard(s *shard, inst *instance) {
-	g.decInFlight(s)
-	if inst != nil {
-		inst.stop()
+	if doomed != nil {
+		doomed.stop()
 	}
 }
 
 // redial replaces a connection finish had to close, so the instance can
-// re-enter the idle list; false means the watchdog is unreachable and
-// the instance must be discarded.
+// re-enter the idle list; false means the watchdog is unreachable. The
+// request may be over by now, so the dial runs under the gateway's
+// lifetime, not the request's.
 func (g *Gateway) redial(inst *instance) bool {
-	conn, err := g.dialHop(inst.wd.Addr())
+	conn, err := g.dialHop(g.life, inst.wd.Addr())
 	if err != nil {
 		return false
 	}
@@ -823,10 +796,16 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	ctx, cancelCtx := withDeadline(r, deadline)
 	defer cancelCtx()
 
-	inst, boot, err := g.acquire(s)
+	inst, boot, err := g.acquire(ctx, s)
 	reused := boot.mode == bootWarm
 	rt.reused = reused
 	if err != nil {
+		if ctx.Err() != nil {
+			// Abandoned mid-boot: the boot stopped what it had started,
+			// and the backend is blameless — no breaker, no boot.failures.
+			g.cancelUpstream(w, r, s, &rt, false, start)
+			return
+		}
 		g.breakerFailure(s, "boot.failures")
 		s.observe("error", start)
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -856,7 +835,7 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := inst.hop.roundTrip(ctx, r.Body, r.ContentLength, traceparent)
 	if err != nil {
-		g.discard(s, inst)
+		g.release(s, inst, false)
 		if isMaxBytesErr(err) {
 			s.observe("rejected", start)
 			http.Error(w, "live: request body too large", http.StatusRequestEntityTooLarge)
@@ -864,8 +843,7 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ctx.Err() != nil {
-			status := g.cancelUpstream(w, r, s, &rt, false, start)
-			g.finishRequest(s, &rt, status, "")
+			g.cancelUpstream(w, r, s, &rt, false, start)
 			return
 		}
 		g.breakerFailure(s, "proxy.failures")
@@ -920,10 +898,9 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 		// request context did (client disconnect / deadline), the
 		// watchdog is blameless: same teardown, no breaker.
 		inst.hop.abort()
-		g.discard(s, inst)
+		g.release(s, inst, false)
 		if ctx.Err() != nil {
-			status := g.cancelUpstream(w, r, s, &rt, true, start)
-			g.finishRequest(s, &rt, status, "")
+			g.cancelUpstream(w, r, s, &rt, true, start)
 			return
 		}
 		g.breakerFailure(s, "proxy.failures")
@@ -945,11 +922,7 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		tr.noteWatchdog(resp.Trailer, &rt)
 	}
-	if inst.hop.finish() || g.redial(inst) {
-		g.release(s, inst)
-	} else {
-		g.discard(s, inst)
-	}
+	g.release(s, inst, inst.hop.finish() || g.redial(inst))
 	g.breakerSuccess(s)
 	outcome := "ok"
 	if resp.StatusCode >= 400 {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -85,14 +86,14 @@ func liveTicks(t *testing.T, tick, keepAlive time.Duration, demands []int) []ctl
 		warm := g.WarmInstances("f")
 		held := make([]*instance, d)
 		for j := range held {
-			inst, _, err := g.acquire(s)
+			inst, _, err := g.acquire(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			held[j] = inst
 		}
 		for _, inst := range held {
-			g.release(s, inst)
+			g.release(s, inst, true)
 		}
 		g.controlOnce("f", clk.Advance(tick/2))
 		out = append(out, readTick(g.reg, "f", warm))

@@ -166,6 +166,7 @@ func TestSnapshotsDuringTraffic(t *testing.T) {
 	if snapshots == 0 {
 		t.Fatal("no snapshots completed while traffic flowed: Stats blocked on the request path")
 	}
+	checkPool(t, g)
 }
 
 // Register must be safe while requests, controller ticks and other

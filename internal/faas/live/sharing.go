@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"time"
@@ -39,67 +40,36 @@ func candidateOf(fn Function) sharing.Candidate {
 // history can still rent, which is what makes the very first cold
 // start of a new deploy avoidable); renter shards never lend. The
 // chosen instance is the lender's oldest — the one its keep-alive
-// would reclaim first anyway.
+// would reclaim first anyway (lendOldest).
 //
-// The lease itself runs outside every lock: taint the instance, pay
-// the volume wipe, swap the watchdog handler atomically, pay the
-// image-layer delta (zero on a same-image lease) plus the renter's app
-// init. The tainted lender-side instance struct is abandoned — it can
-// never re-enter any idle list — and the renter gets a fresh clean
-// instance around the same watchdog.
-func (g *Gateway) leaseInstance(renter *shard, fn Function) (*instance, bootInfo, bool) {
+// The lease itself is boot's rented row, outside every lock. No
+// eligible lender returns (nil, _, nil) and the caller boots instead; an
+// error is ctx's — the lease was abandoned mid-wipe or mid-init and the
+// lender's container destroyed with it.
+func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function) (*instance, bootInfo, error) {
+	if !g.cfg.Share {
+		return nil, bootInfo{}, nil
+	}
 	rc := candidateOf(fn)
 	if !rc.Shareable {
 		g.share.denied.Add(1)
 		g.obs.shareLeaseDenied.Inc()
-		return nil, bootInfo{}, false
+		return nil, bootInfo{}, nil
 	}
 	now := g.nowFn()
 	var lend *instance
-	var lenderFn Function
 	sawDenial := false
 	shards := g.snapshotShards()
-scan:
-	for pass := 0; pass < 2; pass++ {
+	for pass := 0; pass < 2 && lend == nil; pass++ {
 		for _, s := range shards {
 			if s == renter {
 				continue
 			}
-			s.mu.Lock()
-			role := s.ctl.share.Role()
-			if role == sharing.RoleRenter ||
-				(pass == 0) != (role == sharing.RoleLender) {
-				s.mu.Unlock()
-				continue
+			var denied bool
+			if lend, denied = g.lendOldest(s, rc, pass == 0, now); lend != nil {
+				break
 			}
-			ok, _ := g.share.policy.Compatible(rc, candidateOf(s.fn))
-			if !ok {
-				sawDenial = true
-				s.mu.Unlock()
-				continue
-			}
-			// A neutral shard keeps its own forecast's worth of warm
-			// instances; a classified lender has demonstrably more than
-			// it needs and reserves nothing.
-			reserve := 0
-			if role != sharing.RoleLender {
-				reserve = int(math.Ceil(s.ctl.Forecast))
-			}
-			if len(s.idle) <= reserve {
-				s.mu.Unlock()
-				continue
-			}
-			inst := s.idle[0] // oldest: reuse pops from the tail
-			if inst.tainted.Load() || now.Sub(inst.idleSince) < g.cfg.ShareIdleGrace {
-				s.mu.Unlock()
-				continue
-			}
-			s.idle = append(s.idle[:0:0], s.idle[1:]...)
-			s.syncWarmLocked()
-			lenderFn = s.fn
-			lend = inst
-			s.mu.Unlock()
-			break scan
+			sawDenial = sawDenial || denied
 		}
 	}
 	if lend == nil {
@@ -110,37 +80,43 @@ scan:
 			g.share.noCandidate.Add(1)
 			g.obs.shareLeaseNoCandidate.Inc()
 		}
-		return nil, bootInfo{}, false
+		return nil, bootInfo{}, nil
 	}
+	inst, info, err := g.boot(ctx, fn, bootSource{lent: lend})
+	if err == nil {
+		g.share.granted.Add(1)
+		g.obs.shareLeaseGranted.Inc()
+	}
+	return inst, info, err
+}
 
-	// The lease: wipe, re-specialize, pay the renter-specific boot
-	// share. Tainting first guarantees the old instance can never be
-	// re-rented or re-pooled while (or after) it is being wiped.
-	lend.tainted.Store(true)
-	time.Sleep(g.cfg.ShareWipe)
-	wd := lend.wd
-	wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
-	ph := g.phasesFor(fn)
-	var pull time.Duration
-	var skipped float64
-	if fn.Image != lenderFn.Image {
-		// Cross-image lease (ModeAny): the renter pays the layer delta
-		// its own boot would have, cache-scaled. Same image = the
-		// layers are already in place, nothing to pull.
-		pull, skipped = g.pullCost(ph)
+// lendOldest takes s's oldest warm instance for a lease when s may lend
+// to rc on this pass (classified lenders only, then neutral shards), or
+// reports that only the policy stood in the way. The instance is tainted
+// under s.mu as it leaves the list: from then on it belongs to no pool.
+func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, lendersOnly bool, now time.Time) (lent *instance, denied bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	role := s.ctl.share.Role()
+	if role == sharing.RoleRenter || lendersOnly != (role == sharing.RoleLender) {
+		return nil, false
 	}
-	if d := pull + ph.app; d > 0 {
-		time.Sleep(d)
+	if ok, _ := g.share.policy.Compatible(rc, candidateOf(s.fn)); !ok {
+		return nil, true
 	}
-	info := bootInfo{mode: bootRented, wipe: g.cfg.ShareWipe, pull: pull, app: ph.app, skippedMB: skipped}
-	g.share.granted.Add(1)
-	g.obs.shareLeaseGranted.Inc()
-	g.observeBoot(info)
-	// The connection moves with the watchdog: the tainted struct keeps
-	// nothing the renter's requests will touch.
-	inst, _ := g.newInstance(fn, wd, lend.hop) // no dial, no error
-	lend.hop = nil
-	return inst, info, true
+	// A neutral shard keeps its own forecast's worth of warm instances; a
+	// classified lender has demonstrably more than it needs and reserves
+	// nothing.
+	reserve := 0
+	if role != sharing.RoleLender {
+		reserve = int(math.Ceil(s.ctl.Forecast))
+	}
+	if len(s.idle) <= reserve || s.idle[0].tainted.Load() || now.Sub(s.idle[0].idleSince) < g.cfg.ShareIdleGrace {
+		return nil, false
+	}
+	lent = s.takeOldestLocked(1, nil)[0]
+	lent.tainted.Store(true)
+	return lent, false
 }
 
 // shareRoleTransition updates the lender/renter population counters

@@ -397,4 +397,5 @@ func TestSharingChurnRace(t *testing.T) {
 	if int(sh.LeasesGranted) != st.RentedBoots {
 		t.Fatalf("LeasesGranted(%d) != RentedBoots(%d)", sh.LeasesGranted, st.RentedBoots)
 	}
+	checkPool(t, g)
 }

@@ -14,6 +14,28 @@ if [ -n "$UNFORMATTED" ]; then
 	echo "$UNFORMATTED" >&2
 	exit 1
 fi
+echo "== one way in, one way out (live: delays only via pay, warm lists only via warmlist.go)"
+# The live gateway builds an instance in one boot() whose every modelled
+# delay goes through pay(ctx, d), and only the shard list methods in
+# warmlist.go write a warm list. Duplicates of either grew back unnoticed
+# before, so non-test live code may name time.Sleep only at pay
+# (coldpath.go) and in the sleep builtin (daemon.go), once each, and may
+# assign or append to an .idle list nowhere else.
+LIVE=internal/faas/live
+for f in "$LIVE"/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	n="$(grep -c 'time\.Sleep' "$f" || true)"
+	case "$f" in "$LIVE/coldpath.go" | "$LIVE/daemon.go") max=1 ;; *) max=0 ;; esac
+	if [ "$n" -gt "$max" ]; then
+		echo "verify: $f names time.Sleep $n times (allowed $max): pay modelled delays through g.sleep" >&2
+		exit 1
+	fi
+	if [ "$f" != "$LIVE/warmlist.go" ] &&
+		grep -nE '\.idle(\[[^]]*\])? *(=[^=]|:=)|append\([A-Za-z.]*\.idle\b' "$f" >&2; then
+		echo "verify: $f writes a warm list directly: use the shard list methods in warmlist.go" >&2
+		exit 1
+	fi
+done
 echo "== go test -race"
 go test -race ./...
 echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
