@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-contention bench-datapath bench-saturation bench-cluster bench-coldpath bench-sharing lint-metrics
+.PHONY: build test verify bench benchmark lint-metrics
 
 build:
 	$(GO) build ./...
@@ -18,33 +18,8 @@ lint-metrics:
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 
-# Hot-path contention suite: gateway sharding + obs fast path, results
-# written to BENCH_contention.json.
-bench-contention:
-	./scripts/bench-contention.sh
-
-# Data-path throughput suite: streaming vs []byte handlers, 1 KiB to
-# 4 MiB payloads, results written to BENCH_datapath.json.
-bench-datapath:
-	./scripts/bench-datapath.sh
-
-# Overload suite: open-loop saturation sweep (hotc-load) with and
-# without admission control, results written to BENCH_saturation.json.
-bench-saturation:
-	./scripts/bench-saturation.sh
-
-# Multi-node routing suite: hotc-router over 3 hotcd nodes, warm-aware
-# placement vs round-robin, results written to BENCH_cluster.json.
-bench-cluster:
-	./scripts/bench-cluster.sh
-
-# Cold-path suite: full cold boots vs layer cache vs the pre-forked
-# generic pool, cold/warm latency split written to BENCH_coldpath.json.
-bench-coldpath:
-	./scripts/bench-coldpath.sh
-
-# Inter-function sharing suite: keep-alive only vs prefork vs
-# prefork+sharing under a skewed multi-function load, per-boot-mode
-# latency split written to BENCH_sharing.json.
-bench-sharing:
-	./scripts/bench-sharing.sh
+# The one measurement harness (its own module): every workload in
+# BENCHMARK.json, report on stdout. Compare two reports with
+# `go run -C benchmark . -compare old.json new.json`.
+benchmark:
+	bash benchmark/run.sh

@@ -1,17 +1,13 @@
-// Command hotc-load is an open-loop load generator for the HotC live
-// gateway: it fires requests at a fixed arrival rate regardless of how
-// fast responses come back (the arrival process does not slow down
-// when the server does, which is what makes saturation visible), and
-// reports goodput, rejection mix and latency percentiles as JSON.
+// Command hotc-load is an open-loop HTTP load generator for a running
+// hotcd or hotc-router: it fires requests at a fixed arrival rate
+// regardless of how fast responses come back (the arrival process does
+// not slow down when the server does, which is what makes saturation
+// visible), and reports goodput, rejection mix and latency percentiles
+// as JSON. It is only a client — the daemon under test is configured by
+// hotcd's own flags:
 //
-// Against a running daemon:
-//
+//	hotcd -addr 127.0.0.1:8080 -max-inflight 8 -queue-depth 16 &
 //	hotc-load -target http://127.0.0.1:8080 -function sleep -rate 400 -duration 10s
-//
-// Self-hosted (boots an in-process daemon on a loopback socket — the
-// data path is still real TCP):
-//
-//	hotc-load -rate 800 -duration 5s -max-inflight 8 -queue-depth 16
 //
 // Tenants split the arrival stream by share, e.g. an abusive tenant
 // and a steady one:
@@ -35,8 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hotc/internal/faas/live"
 )
 
 type tenantShare struct {
@@ -61,9 +55,7 @@ type result struct {
 	RetryAfter   int64            `json:"retry_after_present"`
 	// ColdStarts/WarmHits classify served (2xx) responses by the
 	// X-Hotc-Reused header the gateway stamps on every proxied reply;
-	// ColdFraction is ColdStarts over the classified total. Benches
-	// read the cold rate here instead of scraping /system/stats
-	// mid-run.
+	// ColdFraction is ColdStarts over the classified total.
 	ColdStarts   int64   `json:"cold_starts"`
 	WarmHits     int64   `json:"warm_hits"`
 	ColdFraction float64 `json:"cold_fraction"`
@@ -71,14 +63,13 @@ type result struct {
 	// acquired, from the X-Hotc-Boot header: "warm" (reused), "rented"
 	// (leased from another function), "generic" (prefork handoff),
 	// "cold" (full boot). ModeFractions are of the classified total and
-	// LatencyByModeMS carries per-mode percentiles — the sharing bench's
-	// primary read-out.
+	// LatencyByModeMS carries per-mode percentiles.
 	BootModes       map[string]int64              `json:"boot_modes,omitempty"`
 	ModeFractions   map[string]float64            `json:"mode_fractions,omitempty"`
 	LatencyByModeMS map[string]map[string]float64 `json:"latency_ms_by_mode,omitempty"`
 	LatencyMS       map[string]float64            `json:"latency_ms"`
 	// LatencyColdMS/LatencyWarmMS split the 2xx percentiles by cold vs
-	// warm — the cold-path bench's primary read-out.
+	// warm.
 	LatencyColdMS map[string]float64 `json:"latency_ms_cold,omitempty"`
 	LatencyWarmMS map[string]float64 `json:"latency_ms_warm,omitempty"`
 	Tenants       map[string]*tstats `json:"tenants,omitempty"`
@@ -89,7 +80,6 @@ type result struct {
 	// to see that exact request's span.
 	SlowestTraces []traceRef `json:"slowest_traces,omitempty"`
 	FailedTraces  []traceRef `json:"failed_traces,omitempty"`
-	WarmAtEnd     int        `json:"warm_instances_at_end,omitempty"`
 }
 
 type tstats struct {
@@ -112,7 +102,7 @@ type traceRef struct {
 
 func main() {
 	var (
-		target     = flag.String("target", "", "base URL of a running hotcd; empty self-hosts a daemon on a loopback socket")
+		target     = flag.String("target", "http://127.0.0.1:8080", "base URL of a running hotcd or hotc-router")
 		function   = flag.String("function", "sleep", "function to invoke (with -functions > 1: the name prefix)")
 		numFns     = flag.Int("functions", 1, "number of function copies to deploy and round-robin over (<name>-0..<name>-N-1); > 1 spreads arrivals so cold starts recur")
 		handler    = flag.String("deploy-handler", "sleep", "builtin handler to deploy as -function before the run (empty = skip deploy)")
@@ -125,33 +115,10 @@ func main() {
 		deadlineMs = flag.Int("deadline-ms", 0, "X-Hotc-Deadline-Ms header on every request (0 = none)")
 		outFile    = flag.String("out", "", "write the JSON report here instead of stdout")
 		maxOut     = flag.Int("max-outstanding", 4096, "client-side cap on concurrent requests; arrivals past it are dropped and counted")
-		// Self-hosted daemon knobs (ignored with -target).
-		maxInFl   = flag.Int("max-inflight", 8, "self-hosted: per-function in-flight cap (0 = admission off)")
-		queueLen  = flag.Int("queue-depth", 16, "self-hosted: per-tenant queue depth")
-		defDeadl  = flag.Duration("default-deadline", 0, "self-hosted: default request deadline")
-		memBudget = flag.Int64("memory-budget", 0, "self-hosted: warm-memory budget in bytes")
-		keepalive = flag.Duration("keepalive", 0, "self-hosted: stop instances idle longer than this (0 = keep forever); a short keep-alive forces recurring cold starts for cold-path benches")
-		reapEvery = flag.Duration("reap-interval", 0, "self-hosted: janitor scan interval (default 1s when -keepalive is set)")
-		prefork   = flag.Bool("prefork", false, "self-hosted: arm the generic pre-forked watchdog pool")
-		preforkN  = flag.Int("prefork-size", 4, "self-hosted: generic pool target size")
-		preforkMs = flag.Int("prefork-boot-ms", 0, "self-hosted: generic watchdog boot delay in ms (off the request path)")
-		layerCch  = flag.Bool("layer-cache", true, "self-hosted: cache image layers on the host (false models a node whose pulls always go to the registry)")
-		layerCap  = flag.Float64("layer-cache-cap", 0, "self-hosted: layer cache capacity in MB with LRU eviction (0 = unbounded)")
-		share     = flag.Bool("share", false, "self-hosted: arm inter-function sharing (cold starts may rent idle instances across functions)")
-		sharePol  = flag.String("share-policy", "same-image", "self-hosted: sharing compatibility mode, same-image|any")
-		shareWp   = flag.Int("share-wipe-ms", 5, "self-hosted: volume-wipe milliseconds paid per lease")
-		shareGr   = flag.Duration("share-idle-grace", 0, "self-hosted: minimum idle age before lending (0 = daemon default; negative = none)")
-		predName  = flag.String("predictor", "", "self-hosted: demand predictor for the adaptive controller, es|markov|es+markov|off (empty = controller off)")
-		headroom  = flag.Float64("headroom", 0, "self-hosted: forecast headroom fraction")
-		ctlEvery  = flag.Duration("control-interval", 0, "self-hosted: controller period (0 = daemon default when -predictor is set)")
-		fnWeights = flag.String("fn-weights", "", "comma-separated integer weights skewing arrivals across the -functions copies, e.g. 8,1,1,1 (empty = uniform round-robin)")
+		fnWeights  = flag.String("fn-weights", "", "comma-separated integer weights skewing arrivals across the -functions copies, e.g. 8,1,1,1 (empty = uniform round-robin)")
 		// CI assertions.
-		assertMinOK    = flag.Float64("assert-min-ok", -1, "exit 1 if ok_fraction falls below this (-1 = off)")
-		assertMax5xx   = flag.Float64("assert-max-5xx", -1, "exit 1 if fivexx_fraction exceeds this (-1 = off)")
-		assertMaxCold  = flag.Float64("assert-max-cold", -1, "exit 1 if cold_fraction (from X-Hotc-Reused) exceeds this (-1 = off)")
-		assertMaxGen   = flag.Float64("assert-max-generic", -1, "exit 1 if the generic-handoff mode fraction exceeds this (-1 = off)")
-		assertMaxRent  = flag.Float64("assert-max-rented", -1, "exit 1 if the rented-boot mode fraction exceeds this (-1 = off)")
-		assertMaxFCold = flag.Float64("assert-max-fullcold", -1, "exit 1 if the full-cold mode fraction exceeds this (-1 = off)")
+		assertMinOK  = flag.Float64("assert-min-ok", -1, "exit 1 if ok_fraction falls below this (-1 = off)")
+		assertMax5xx = flag.Float64("assert-max-5xx", -1, "exit 1 if fivexx_fraction exceeds this (-1 = off)")
 	)
 	flag.Parse()
 
@@ -160,43 +127,6 @@ func main() {
 		fatal(err)
 	}
 
-	base := *target
-	var daemon *live.Daemon
-	if base == "" {
-		newPred, err := live.PredictorFactory(*predName) // "" = controller off
-		if err != nil {
-			fatal(err)
-		}
-		cfg := live.PoolConfig{
-			MaxInFlight:       *maxInFl,
-			QueueDepth:        *queueLen,
-			DefaultDeadline:   *defDeadl,
-			MemoryBudget:      *memBudget,
-			IdleTTL:           *keepalive,
-			ReapInterval:      *reapEvery,
-			Prefork:           *prefork,
-			PreforkSize:       *preforkN,
-			PreforkBoot:       time.Duration(*preforkMs) * time.Millisecond,
-			DisableLayerCache: !*layerCch,
-			LayerCacheCapMB:   *layerCap,
-			Share:             *share,
-			SharePolicy:       *sharePol,
-			ShareWipe:         time.Duration(*shareWp) * time.Millisecond,
-			ShareIdleGrace:    *shareGr,
-			NewPredictor:      newPred,
-			Headroom:          *headroom,
-			ControlInterval:   *ctlEvery,
-		}
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
-		}
-		daemon = live.NewDaemon(cfg)
-		base, err = daemon.StartOn("127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		defer daemon.Stop()
-	}
 	names := []string{*function}
 	if *numFns > 1 {
 		names = make([]string, *numFns)
@@ -206,7 +136,7 @@ func main() {
 	}
 	if *handler != "" {
 		for _, n := range names {
-			deploy(base, n, *handler, *coldMs, *imageRef)
+			deploy(*target, n, *handler, *coldMs, *imageRef)
 		}
 	}
 
@@ -215,16 +145,7 @@ func main() {
 		fatal(err)
 	}
 
-	res := run(base, names, weights, *body, tenants, *rate, *duration, *deadlineMs, *maxOut)
-	if daemon != nil {
-		warm := 0
-		for _, n := range names {
-			warm += daemon.WarmInstances(n)
-		}
-		res.WarmAtEnd = warm
-		res.Target = "self-hosted " + base
-	}
-
+	res := run(*target, names, weights, *body, tenants, *rate, *duration, *deadlineMs, *maxOut)
 	enc, _ := json.MarshalIndent(res, "", "  ")
 	enc = append(enc, '\n')
 	if *outFile != "" {
@@ -243,17 +164,6 @@ func main() {
 	if *assertMax5xx >= 0 && res.FivexxFrac > *assertMax5xx {
 		fatal(fmt.Errorf("fivexx_fraction %.3f above asserted maximum %.3f", res.FivexxFrac, *assertMax5xx))
 	}
-	if *assertMaxCold >= 0 && res.ColdFraction > *assertMaxCold {
-		fatal(fmt.Errorf("cold_fraction %.3f above asserted maximum %.3f", res.ColdFraction, *assertMaxCold))
-	}
-	assertMode := func(mode string, max float64) {
-		if max >= 0 && res.ModeFractions[mode] > max {
-			fatal(fmt.Errorf("%s mode fraction %.3f above asserted maximum %.3f", mode, res.ModeFractions[mode], max))
-		}
-	}
-	assertMode("generic", *assertMaxGen)
-	assertMode("rented", *assertMaxRent)
-	assertMode("cold", *assertMaxFCold)
 }
 
 // parseWeights parses -fn-weights into one positive integer per
@@ -429,7 +339,7 @@ func run(base string, functions []string, weights []int, body string, tenants []
 				latencies = append(latencies, latMs)
 				// The gateway stamps X-Hotc-Reused on every proxied
 				// reply: classify served requests cold vs warm here, so
-				// benches never scrape /system/stats mid-run. The finer
+				// nobody scrapes /system/stats mid-run. The finer
 				// X-Hotc-Boot header splits non-reused boots into
 				// rented / generic / full-cold modes.
 				switch reusedHdr {

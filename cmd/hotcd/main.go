@@ -66,7 +66,7 @@ func main() {
 		share     = flag.Bool("share", false, "inter-function sharing: cold starts may rent an idle instance from another function, paying only volume wipe + app init (+ image-layer delta) instead of a full boot")
 		sharePol  = flag.String("share-policy", "same-image", "which function pairs may share: same-image|any")
 		shareWp   = flag.Int("share-wipe-ms", 5, "milliseconds one lease pays to wipe the lender's volume before re-specialization")
-		shareGr   = flag.Duration("share-idle-grace", 250*time.Millisecond, "minimum idle age before an instance may be lent to another function")
+		shareGr   = flag.Duration("share-idle-grace", 250*time.Millisecond, "minimum idle age before an instance may be lent to another function (0 = the 250ms default; negative = none)")
 	)
 	flag.Parse()
 
@@ -138,54 +138,58 @@ func main() {
 	if *preload {
 		fmt.Printf("preloaded functions: %v (cold start 400ms each)\n", live.Builtins())
 	}
-	if newPred != nil {
-		fmt.Printf("adaptive control: predictor=%s interval=%v keepalive=%v max-warm=%d\n",
-			*predName, *ctlEvery, *keepalive, *maxWarm)
+	// Everything below reports the configuration the gateway resolved,
+	// not the flags: a 0 that means "the default" prints as the default.
+	rc := d.Config()
+	if rc.NewPredictor != nil {
+		fmt.Printf("adaptive control: predictor=%s interval=%v keepalive=%v reap-interval=%v max-warm=%d\n",
+			*predName, rc.ControlInterval, rc.IdleTTL, rc.ReapInterval, rc.MaxIdlePerFunction)
 	} else {
-		fmt.Printf("adaptive control: off (keepalive=%v max-warm=%d still enforced)\n", *keepalive, *maxWarm)
+		fmt.Printf("adaptive control: off (keepalive=%v reap-interval=%v max-warm=%d still enforced)\n",
+			rc.IdleTTL, rc.ReapInterval, rc.MaxIdlePerFunction)
 	}
-	if *maxBody > 0 {
-		fmt.Printf("request bodies: capped at %d bytes (413 past that)\n", *maxBody)
+	if rc.MaxBodyBytes > 0 {
+		fmt.Printf("request bodies: capped at %d bytes (413 past that)\n", rc.MaxBodyBytes)
 	}
-	if *maxInFl > 0 {
+	if rc.MaxInFlight > 0 {
 		fmt.Printf("admission: max-inflight=%d queue-depth=%d default-deadline=%v (tenant via X-Hotc-Tenant, deadline via X-Hotc-Deadline-Ms)\n",
-			*maxInFl, *queueLen, *deadline)
+			rc.MaxInFlight, rc.QueueDepth, rc.DefaultDeadline)
 	} else {
 		fmt.Println("admission: off (-max-inflight 0)")
 	}
-	if *memBudget > 0 {
-		fmt.Printf("warm memory budget: %d bytes (janitor reclaims biggest holders past it, generic watchdogs first)\n", *memBudget)
+	if rc.MemoryBudget > 0 {
+		fmt.Printf("warm memory budget: %d bytes (janitor reclaims biggest holders past it, generic watchdogs first)\n", rc.MemoryBudget)
 	}
-	if *prefork {
-		fmt.Printf("cold path: prefork pool size=%d generic-boot=%dms; cold starts pay pull+app-init only (X-Hotc-Boot: generic|cold)\n",
-			*preforkN, *preforkMs)
+	if rc.Prefork {
+		fmt.Printf("cold path: prefork pool size=%d generic-boot=%v; cold starts pay pull+app-init only (X-Hotc-Boot: generic|cold)\n",
+			rc.PreforkSize, rc.PreforkBoot)
 	}
-	if *share {
-		fmt.Printf("sharing: on policy=%s wipe=%dms idle-grace=%v; cold starts may rent idle instances across functions (X-Hotc-Boot: rented, opt out per deploy with \"shareable\": false)\n",
-			*sharePol, *shareWp, *shareGr)
+	if rc.Share {
+		fmt.Printf("sharing: on policy=%s wipe=%v idle-grace=%s; cold starts may rent idle instances across functions (X-Hotc-Boot: rented, opt out per deploy with \"shareable\": false)\n",
+			rc.SharePolicy, rc.ShareWipe, orNone(rc.ShareIdleGrace))
 	}
-	if *layerCch {
+	if !rc.DisableLayerCache {
 		capNote := "unbounded"
-		if *layerCap > 0 {
-			capNote = fmt.Sprintf("%.0f MB, LRU", *layerCap)
+		if rc.LayerCacheCapMB > 0 {
+			capNote = fmt.Sprintf("%.0f MB, LRU", rc.LayerCacheCapMB)
 		}
 		fmt.Printf("layer cache: on (%s); deploys with \"image\" skip the pull share of cached layers\n", capNote)
 	} else {
 		fmt.Println("layer cache: off (-layer-cache=false)")
 	}
-	if *noTrace {
+	if rc.DisableTracing {
 		fmt.Println("tracing: off (-no-trace)")
 	} else {
-		fmt.Printf("tracing: ring=%d sample=%.4g slow=%dms (GET /system/trace, traceparent accepted, X-Hotc-Trace-Id echoed)\n",
-			*trCap, *trSample, *trSlowMs)
+		fmt.Printf("tracing: ring=%d sample=%.4g slow=%s (GET /system/trace, traceparent accepted, X-Hotc-Trace-Id echoed)\n",
+			rc.TraceCapacity, rc.TraceSampleRate, orNone(rc.TraceSlowThreshold))
 	}
-	if *sloLatMs > 0 || *sloColdPc > 0 {
-		fmt.Printf("slo: latency p99<%dms coldstart<%.4g%% (GET /system/slo, hotc_slo_* burn rates)\n",
-			*sloLatMs, *sloColdPc)
+	if rc.SLOLatency > 0 || rc.SLOColdStartPct > 0 {
+		fmt.Printf("slo: latency p99<%v coldstart<%.4g%% (GET /system/slo, hotc_slo_* burn rates)\n",
+			rc.SLOLatency, rc.SLOColdStartPct)
 	}
 	fmt.Println("management: GET/POST /system/functions, GET /system/stats, GET /system/predictions; invoke: POST /function/<name>")
 	fmt.Println("metrics: GET /metrics (Prometheus text exposition with trace exemplars)")
-	if *pprofOn {
+	if rc.EnablePprof {
 		fmt.Println("profiling: GET /debug/pprof/")
 	}
 
@@ -193,6 +197,14 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("\nhotcd: shutting down")
+}
+
+// orNone prints a resolved "0 = none" duration (see live.Daemon.Config).
+func orNone(d time.Duration) string {
+	if d == 0 {
+		return "none"
+	}
+	return d.String()
 }
 
 // parseBootSplit parses a "pull:runtime:app" percentage triple, e.g.

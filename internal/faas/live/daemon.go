@@ -229,6 +229,12 @@ func NewDaemon(cfg PoolConfig) *Daemon {
 	return d
 }
 
+// Config returns the configuration the gateway runs with: the
+// PoolConfig given to NewDaemon after New resolved its defaults, so a
+// zero TraceSampleRate, TraceSlowThreshold or ShareIdleGrace here means
+// "none", not "default".
+func (d *Daemon) Config() PoolConfig { return d.gw.cfg }
+
 // Registry exposes the daemon's metrics registry (served at /metrics).
 func (d *Daemon) Registry() *obs.Registry { return d.gw.reg }
 

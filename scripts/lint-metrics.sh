@@ -1,7 +1,10 @@
 #!/bin/sh
-# Lint: every metric name registered in non-test Go source must match
-# hotc_[a-z_]+ — the same rule obs.Registry enforces at runtime, caught
-# here before anything runs.
+# Lint, three rules. (1) Every metric name registered in non-test Go
+# source must match hotc_[a-z_]+ — the same rule obs.Registry enforces
+# at runtime, caught here before anything runs. (2) benchmark/ is the
+# only measurement: nothing may name one of the per-topic bench scripts,
+# result files or make targets it replaced. (3) A harness metric cited
+# in README/DESIGN must exist in BENCHMARK.json.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,4 +41,35 @@ for fam in hotc_trace_kept_total hotc_trace_sampled_out_total \
         exit 1
     fi
 done
+
+# The per-topic bench scripts, their hand-shaped result files and their
+# make targets were deleted in favour of benchmark/; a mention of one is
+# either a stale claim or the estate growing back. (This file holds the
+# patterns, so it is the one file not searched.)
+stale=$(grep -rnE --exclude=lint-metrics.sh \
+        'BENCH_[a-z]+\.json|bench-[a-z]+\.sh|make bench-' \
+        README.md DESIGN.md EXPERIMENTS.md Makefile scripts cmd internal || true)
+if [ -n "$stale" ]; then
+    echo "lint-metrics: benchmark/ is the only bench estate (make benchmark); remove:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
+# A back-ticked `layer.snake_case` token in README/DESIGN whose layer is
+# one of BENCHMARK.json's per-layer prefixes is a metric citation and
+# must be a "name" there. The underscore after the dot keeps Go
+# identifiers (live.PoolConfig, core.tick) out; a /system/stats key that
+# shares a prefix is written with its JSON quotes.
+names=$(sed -n 's/.*"name": *"\([a-z]*\.[a-z0-9_]*\)".*/\1/p' BENCHMARK.json)
+layers=$(echo "$names" | sed 's/\..*//' | sort -u | paste -sd'|' -)
+unknown=$(grep -noE '`('"$layers"')\.[a-z0-9]+_[a-z0-9_]+`' README.md DESIGN.md |
+          tr -d '`' |
+          while IFS=: read -r file line token; do
+              echo "$names" | grep -qxF "$token" || echo "$file:$line: $token"
+          done)
+if [ -n "$unknown" ]; then
+    echo "lint-metrics: cited metrics that BENCHMARK.json does not declare:" >&2
+    echo "$unknown" >&2
+    exit 1
+fi
 echo "lint-metrics: OK"
