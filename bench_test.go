@@ -7,6 +7,7 @@ package hotc
 // reproduction harness (cmd/hotc-bench prints the full tables).
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -155,6 +156,28 @@ func BenchmarkGatewayThroughputWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCampusReplay is the harness's sim_campus workload as a
+// testing.B: one op replays a day of the campus trace through a fresh
+// four-key HotC simulation. The per-request units are the simulator's
+// budget (CHANGES.md carries the itemised before/after).
+func BenchmarkCampusReplay(b *testing.B) {
+	w := CampusWorkload(1, 1.0, 0, 4)
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		if _, err := newCampusSim(b, 0).Replay(w, campusClassFn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	reqs := float64(b.N * len(w))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/req")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/reqs, "B/req")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reqs, "allocs/req")
 }
 
 func BenchmarkCampusTraceGeneration(b *testing.B) {

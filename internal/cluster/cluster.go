@@ -336,24 +336,13 @@ func (c *Cluster) Handle(name string, req trace.Request, done func(Result)) {
 }
 
 // Run replays a schedule against the cluster, stepping the shared
-// clock until all responses arrive. Results are in arrival order.
+// clock until all responses arrive. Results are in schedule order.
 func (c *Cluster) Run(schedule []trace.Request, classFn func(int) string) ([]Result, error) {
-	results := make([]Result, len(schedule))
-	remaining := len(schedule)
-	base := c.sched.Now()
-	for i, req := range schedule {
-		i, req := i, req
-		c.sched.At(base+req.At, func() {
-			c.Handle(classFn(req.Class), req, func(r Result) {
-				results[i] = r
-				remaining--
-			})
-		})
-	}
-	for remaining > 0 {
-		if !c.sched.Step() {
-			return nil, fmt.Errorf("cluster: scheduler drained with %d outstanding", remaining)
-		}
+	results, err := faas.Replay(c.sched, schedule, func(req trace.Request, done func(Result)) {
+		c.Handle(classFn(req.Class), req, done)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	return results, nil
 }

@@ -102,10 +102,23 @@ type Spec struct {
 	Runtime config.Runtime
 	Image   image.Image
 	Net     network.Mode
+
+	// key is Runtime.Key(), derived once by ResolveSpec: the pool, the
+	// controller and the gateway each ask for it several times per
+	// request. A Spec is passed and replaced as a whole value
+	// (Engine.Repurpose swaps the container's entire Spec), so the copy
+	// cannot outlive the Runtime it was derived from; a Spec built as a
+	// literal has none and derives it on demand.
+	key config.Key
 }
 
 // Key returns the runtime pool key for this spec.
-func (s Spec) Key() config.Key { return s.Runtime.Key() }
+func (s Spec) Key() config.Key {
+	if s.key != "" {
+		return s.key
+	}
+	return s.Runtime.Key()
+}
 
 // ResolveSpec looks up the runtime's image in the registry and parses
 // its network mode.
@@ -122,7 +135,7 @@ func ResolveSpec(rt config.Runtime, reg *image.Registry) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	return Spec{Runtime: n, Image: im, Net: mode}, nil
+	return Spec{Runtime: n, Image: im, Net: mode, key: n.Key()}, nil
 }
 
 // Volume is the per-container scratch volume HotC assigns (§IV.B):

@@ -2,6 +2,7 @@ package container
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -532,5 +533,61 @@ func TestPropertyVolumeGenerations(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ResolveSpec caches the pool key on the spec; the cache must be the
+// key the runtime itself derives, for anything ResolveSpec accepts.
+func TestPropertyResolvedSpecKeyMatchesRuntime(t *testing.T) {
+	reg := image.StandardCatalog()
+	refs := reg.Refs()
+	networks := []string{"", "bridge", " NAT ", "none", "host", "overlay", "routing", "container:peer"}
+	pick := func(n uint8, from []string) []string { return from[:int(n)%(len(from)+1)] }
+	prop := func(img, net, env, vol, ep, cmd, lbl uint8, mem, cpu uint16) bool {
+		rt := config.Runtime{
+			Image:      refs[int(img)%len(refs)],
+			Network:    networks[int(net)%len(networks)],
+			Env:        pick(env, []string{"B=2", " A=1 ", "A=1", "C="}),
+			Volumes:    pick(vol, []string{"/data:/data", "/tmp:/scratch:ro"}),
+			MemoryMB:   int(mem),
+			CPUShares:  int(cpu),
+			Entrypoint: pick(ep, []string{"python", "-u"}),
+			Cmd:        pick(cmd, []string{"app.py", "--port", "8080"}),
+		}
+		if lbl%2 == 1 {
+			rt.Labels = map[string]string{"tier": "web", "owner": fmt.Sprint(lbl)}
+		}
+		spec, err := ResolveSpec(rt, reg)
+		if err != nil {
+			t.Logf("ResolveSpec(%+v): %v", rt, err)
+			return false
+		}
+		literal := Spec{Runtime: spec.Runtime, Image: spec.Image, Net: spec.Net}
+		return spec.Key() == rt.Key() && literal.Key() == rt.Key()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Repurpose swaps the container's whole spec, cached key included.
+func TestRepurposedContainerReportsNewKey(t *testing.T) {
+	f := newFixture(t)
+	from := f.mustSpec(t, config.Runtime{Image: "python:3.8", Env: []string{"FN=0"}})
+	to := f.mustSpec(t, config.Runtime{Image: "node:10", Env: []string{"FN=1"}})
+	c := f.mustCreate(t, from)
+	if c.Key() != from.Runtime.Key() {
+		t.Fatalf("created under key %q, want %q", c.Key(), from.Runtime.Key())
+	}
+	var err error = errors.New("repurpose callback never ran")
+	f.engine.Repurpose(c, to, func(e error) { err = e })
+	if e := f.sched.Run(); e != nil {
+		t.Fatal(e)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Key() != to.Runtime.Key() || c.Key() == from.Runtime.Key() {
+		t.Fatalf("repurposed container reports key %q, want %q", c.Key(), to.Runtime.Key())
 	}
 }

@@ -73,26 +73,15 @@ func (g *Gateway) HandleChain(stages []string, req trace.Request, done func(Chai
 }
 
 // RunChain replays a schedule where every request traverses the whole
-// chain. Results are in arrival order.
+// chain. Results are in schedule order.
 func RunChain(g *Gateway, schedule []trace.Request, stages []string) ([]ChainResult, error) {
-	results := make([]ChainResult, len(schedule))
-	remaining := len(schedule)
-	base := g.sched.Now()
-	for i, req := range schedule {
-		i, req := i, req
-		g.sched.At(base+req.At, func() {
-			g.HandleChain(stages, req, func(cr ChainResult) {
-				results[i] = cr
-				remaining--
-			})
-		})
+	results, err := Replay(g.sched, schedule, func(req trace.Request, done func(ChainResult)) {
+		g.HandleChain(stages, req, done)
+	})
+	if err == nil {
+		err = g.settle()
 	}
-	for remaining > 0 {
-		if !g.sched.Step() {
-			return nil, fmt.Errorf("faas: scheduler drained with %d chain requests outstanding", remaining)
-		}
-	}
-	if err := g.sched.RunUntil(g.sched.Now() + settleWindow); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return results, nil

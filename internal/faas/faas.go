@@ -129,7 +129,7 @@ type Gateway struct {
 	specs     map[string]container.Spec
 
 	inFlight map[string]int
-	waiting  map[string][]func()
+	waiting  map[string][]*request
 	// QueuedPeak tracks the maximum queue depth seen per function.
 	queuedPeak map[string]int
 
@@ -213,7 +213,7 @@ func NewGateway(eng *container.Engine, provider Provider) *Gateway {
 		functions:         make(map[string]Function),
 		specs:             make(map[string]container.Spec),
 		inFlight:          make(map[string]int),
-		waiting:           make(map[string][]func()),
+		waiting:           make(map[string][]*request),
 		queuedPeak:        make(map[string]int),
 		breakers:          make(map[string]*Breaker),
 		MaxAcquireRetries: 1,
@@ -267,17 +267,18 @@ func (g *Gateway) discard(c *container.Container, spec container.Spec) {
 // concurrency-limited function.
 func (g *Gateway) QueuedPeak(name string) int { return g.queuedPeak[name] }
 
-// admit runs start immediately if the function has a free concurrency
-// slot, otherwise enqueues it.
-func (g *Gateway) admit(fn Function, start func()) {
-	if fn.MaxConcurrency <= 0 || g.inFlight[fn.Name] < fn.MaxConcurrency {
-		g.inFlight[fn.Name]++
-		start()
+// admit starts the request immediately if its function has a free
+// concurrency slot, otherwise enqueues it.
+func (g *Gateway) admit(r *request) {
+	name := r.fn.Name
+	if r.fn.MaxConcurrency <= 0 || g.inFlight[name] < r.fn.MaxConcurrency {
+		g.inFlight[name]++
+		r.start()
 		return
 	}
-	g.waiting[fn.Name] = append(g.waiting[fn.Name], start)
-	if depth := len(g.waiting[fn.Name]); depth > g.queuedPeak[fn.Name] {
-		g.queuedPeak[fn.Name] = depth
+	g.waiting[name] = append(g.waiting[name], r)
+	if depth := len(g.waiting[name]); depth > g.queuedPeak[name] {
+		g.queuedPeak[name] = depth
 	}
 }
 
@@ -289,7 +290,7 @@ func (g *Gateway) releaseSlot(name string) {
 		next := q[0]
 		g.waiting[name] = q[1:]
 		g.inFlight[name]++
-		next()
+		next.start()
 	}
 }
 
@@ -355,229 +356,331 @@ func (g *Gateway) Handle(name string, req trace.Request, done func(Result)) {
 		done(Result{Request: req, Function: name, Err: fmt.Errorf("faas: unknown function %q", name)})
 		return
 	}
-
-	var ts Timestamps
-	ts.GatewayIn = g.sched.Now() // queue time counts into the latency
-	finish := func(r Result) {
-		g.releaseSlot(name)
-		done(r)
-	}
-
-	g.admit(fn, func() {
-		g.handleAdmitted(fn, req, ts, finish)
-	})
+	r := &request{g: g, fn: fn, req: req, done: done}
+	r.ts.GatewayIn = g.sched.Now() // queue time counts into the latency
+	g.admit(r)
 }
 
-// handleAdmitted drives an admitted request through the pipeline.
+// request is one request's trip through the pipeline: everything the
+// steps below share, allocated once in Handle. Exactly one step is
+// pending at any moment — an event on the scheduler or a callback held
+// by the provider or the engine — so the fields describing the current
+// attempt need no more than one copy.
 //
-// The happy path is unchanged from the seed: acquire a runtime from
-// the provider, exec, forward the response. Around it sits the
+// The happy path is start -> acquire -> acquired -> run -> exec ->
+// execDone -> watchdogOut -> respond: acquire a runtime from the
+// provider, exec, forward the response. Around it sits the
 // resilience machinery: acquire failures retry on an exponential
 // backoff and feed the per-key circuit breaker; while the breaker is
 // open, requests degrade to dedicated cold starts that bypass the
 // provider; exec failures discard the suspect container and fall back
 // to a fresh acquisition up to ExecRetries times.
-func (g *Gateway) handleAdmitted(fn Function, req trace.Request, ts Timestamps, finish func(Result)) {
-	name := fn.Name
-	spec := g.specs[name]
-	key := string(spec.Key())
-	brk := g.breakerFor(key)
-	backoff := g.backoff()
+type request struct {
+	g    *Gateway
+	fn   Function
+	req  trace.Request
+	done func(Result)
 
+	spec container.Spec
+	key  string
+	brk  *Breaker // nil when breaking is disabled
+
+	ts Timestamps
 	// admitAt is when the request cleared the concurrency queue; the
 	// gap back to ts.GatewayIn is pure queue wait.
-	admitAt := g.sched.Now()
-	if g.obs != nil {
-		g.obs.forFunction(name).queueWait.ObserveDuration(admitAt - ts.GatewayIn)
-	}
+	admitAt simclock.Time
+	faults  []trace.FaultEvent
 
-	var faults []trace.FaultEvent
-	annotate := func(kind, detail string) {
-		faults = append(faults, trace.FaultEvent{At: g.sched.Now(), Kind: kind, Detail: detail})
-		if g.obs != nil {
-			g.obs.events.With(kind).Inc()
-		}
-	}
+	// attempt counts acquire retries since the last (re)start of the
+	// acquire loop, execAttempt the exec fallbacks so far.
+	attempt, execAttempt int
 
-	// Error contract: a failed request still completes — done fires
-	// exactly once with Err set and the error timestamp (ClientOut)
-	// stamped, and finish releases the concurrency slot. Acquire or
-	// exec failures must never strand the gateway queue.
-	fail := func(err error) {
-		ts.ClientOut = g.sched.Now()
-		g.counters.Inc(CounterRequestsFailed)
-		g.record(req, name, key, ts, false, err, faults, admitAt)
-		finish(Result{Request: req, Function: name, Timestamps: ts, Err: err, Faults: faults})
-	}
-
-	var acquire func(attempt, execAttempt int)
-
-	// runExec drives (2)->(6) on an acquired runtime. owned marks a
+	// The runtime the current attempt runs on. owned marks a
 	// degraded-path container the gateway created itself: it never
 	// touches the provider and is stopped after the response.
-	runExec := func(c *container.Container, reused bool, delta config.Delta, owned bool, execAttempt int) {
-		// Relaxed matches apply their exec-time delta first.
-		adjust := time.Duration(0)
-		if !delta.Empty() {
-			adjust = g.eng.Model().DeltaApplyCost()
-		}
-		g.sched.After(adjust, func() {
-			if ts.WatchdogIn == 0 {
-				// Stamped once: an exec fallback re-enters here, and the
-				// recovery time belongs to this request's initiation.
-				ts.WatchdogIn = g.sched.Now()
-			}
-			initPhase, execPhase := g.eng.ExecPhases(c, fn.App)
-			g.eng.Exec(c, fn.App, func(actual time.Duration, err error) {
-				if err != nil {
-					if execAttempt < g.ExecRetries {
-						// Graceful degradation: the runtime is suspect, so
-						// quarantine it and transparently fall back to a
-						// fresh acquisition (typically a cold start).
-						g.counters.Inc(CounterExecFallbacks)
-						annotate("exec-fallback", err.Error())
-						if owned {
-							g.eng.Stop(c, nil)
-						} else {
-							g.counters.Inc(CounterQuarantines)
-							annotate("quarantine", c.ID)
-							g.discard(c, spec)
-						}
-						g.sched.After(backoff.Delay(execAttempt), func() { acquire(0, execAttempt+1) })
-						return
-					}
-					if owned {
-						g.eng.Stop(c, nil)
-					} else {
-						g.provider.Complete(c, spec)
-					}
-					fail(err)
-					return
-				}
-				// Apportion the (possibly jittered) actual duration
-				// over the nominal phases to place (3) and (4).
-				ts.FuncStop = g.sched.Now()
-				nominal := initPhase + execPhase
-				execShare := execPhase
-				if nominal > 0 {
-					execShare = time.Duration(float64(actual) * float64(execPhase) / float64(nominal))
-				}
-				ts.FuncStart = ts.FuncStop - execShare
-				// (4) -> (5): watchdog copies the response out.
-				g.sched.After(g.eng.Model().WatchdogShimCost(), func() {
-					ts.WatchdogOut = g.sched.Now()
-					// (5) -> (6): gateway returns to the client.
-					g.sched.After(g.eng.Model().GatewayForwardCost(), func() {
-						ts.ClientOut = g.sched.Now()
-						if owned {
-							g.eng.Stop(c, nil)
-						} else {
-							g.provider.Complete(c, spec)
-						}
-						g.record(req, name, key, ts, reused, nil, faults, admitAt)
-						finish(Result{
-							Request:    req,
-							Function:   name,
-							Timestamps: ts,
-							Reused:     reused,
-							Faults:     faults,
-						})
-					})
-				})
-			})
-		})
-	}
+	c      *container.Container
+	reused bool
+	owned  bool
+	// Nominal phases of the exec in flight (see execDone).
+	initPhase, execPhase time.Duration
+}
 
-	// retryOrFail reschedules the acquire loop after a failure, or
-	// surfaces the error once the retry budget is spent.
-	retryOrFail := func(attempt, execAttempt int, err error) {
-		if attempt < g.MaxAcquireRetries {
-			g.retries++
-			g.counters.Inc(CounterAcquireRetries)
-			annotate("acquire-retry", err.Error())
-			g.sched.After(backoff.Delay(attempt), func() { acquire(attempt+1, execAttempt) })
-			return
-		}
-		fail(err)
+// start drives an admitted request into the pipeline.
+func (r *request) start() {
+	g := r.g
+	r.spec = g.specs[r.fn.Name]
+	r.key = string(r.spec.Key())
+	r.brk = g.breakerFor(r.key)
+	r.admitAt = g.sched.Now()
+	if g.obs != nil {
+		g.obs.forFunction(r.fn.Name).queueWait.ObserveDuration(r.admitAt - r.ts.GatewayIn)
 	}
-
 	// (1) -> gateway proxies the request towards the backend. The
 	// provider hands over a runtime; for a cold start the boot happens
 	// inside Acquire, i.e. between (1) and (2) the request is waiting
 	// for the backend to scale from zero.
-	acquire = func(attempt, execAttempt int) {
-		g.setBreakerGauge(key, brk)
-		if brk != nil && !brk.Allow(g.sched.Now()) {
-			// Breaker open: degrade to a dedicated cold start that
-			// bypasses the provider entirely. The request completes at
-			// cold-start-always latency instead of erroring.
-			g.counters.Inc(CounterDegradedRequests)
-			annotate("degraded-cold", key)
-			g.eng.Create(spec, func(c *container.Container, err error) {
-				if err != nil {
-					retryOrFail(attempt, execAttempt, err)
-					return
-				}
-				runExec(c, false, config.Delta{}, true, execAttempt)
-			})
-			return
-		}
-		g.provider.Acquire(spec, func(c *container.Container, reused bool, delta config.Delta, err error) {
-			if err != nil {
-				if brk != nil && brk.OnFailure(g.sched.Now()) {
-					g.counters.Inc(CounterBreakerTrips)
-					annotate("breaker-open", key)
-				}
-				g.setBreakerGauge(key, brk)
-				retryOrFail(attempt, execAttempt, err)
-				return
-			}
-			if brk != nil {
-				if was := brk.State(g.sched.Now()); was != BreakerClosed {
-					g.counters.Inc(CounterBreakerCloses)
-					annotate("breaker-close", key)
-				}
-				brk.OnSuccess()
-				g.setBreakerGauge(key, brk)
-			}
-			runExec(c, reused, delta, false, execAttempt)
-		})
-	}
-	g.sched.After(g.eng.Model().GatewayForwardCost(), func() { acquire(0, 0) })
+	g.sched.After(g.eng.Model().GatewayForwardCost(), r.acquire)
 }
 
-// Run replays a request schedule against the gateway: request classes
-// are mapped to function names by classFn, all arrivals are scheduled,
-// and the simulation is stepped until every response has been
-// delivered. Stepping (rather than draining the queue) lets periodic
-// provider machinery — control loops, warm-up pingers — keep running
-// without deadlocking the replay. Results are returned in arrival
-// order.
-func Run(g *Gateway, schedule []trace.Request, classFn func(class int) string) ([]Result, error) {
-	results := make([]Result, len(schedule))
-	remaining := len(schedule)
-	base := g.sched.Now()
-	for i, req := range schedule {
-		i, req := i, req
-		g.sched.At(base+req.At, func() {
-			g.Handle(classFn(req.Class), req, func(r Result) {
-				results[i] = r
-				remaining--
-			})
-		})
+func (r *request) annotate(kind, detail string) {
+	r.faults = append(r.faults, trace.FaultEvent{At: r.g.sched.Now(), Kind: kind, Detail: detail})
+	if r.g.obs != nil {
+		r.g.obs.events.With(kind).Inc()
 	}
+}
+
+// finish records the outcome, frees the concurrency slot and hands the
+// result to the caller.
+func (r *request) finish(reused bool, err error) {
+	r.ts.ClientOut = r.g.sched.Now()
+	r.g.record(r, reused, err)
+	r.g.releaseSlot(r.fn.Name)
+	r.done(Result{
+		Request:    r.req,
+		Function:   r.fn.Name,
+		Timestamps: r.ts,
+		Reused:     reused,
+		Err:        err,
+		Faults:     r.faults,
+	})
+}
+
+// fail is the error contract: a failed request still completes — done
+// fires exactly once with Err set and the error timestamp (ClientOut)
+// stamped, and the concurrency slot is released. Acquire or exec
+// failures must never strand the gateway queue.
+func (r *request) fail(err error) {
+	r.g.counters.Inc(CounterRequestsFailed)
+	r.finish(false, err)
+}
+
+// acquire asks for a runtime: from the provider, or — while the key's
+// breaker is open — by a dedicated cold start that bypasses the
+// provider entirely, so the request completes at cold-start-always
+// latency instead of erroring.
+func (r *request) acquire() {
+	g := r.g
+	g.setBreakerGauge(r.key, r.brk)
+	if r.brk != nil && !r.brk.Allow(g.sched.Now()) {
+		g.counters.Inc(CounterDegradedRequests)
+		r.annotate("degraded-cold", r.key)
+		g.eng.Create(r.spec, r.created)
+		return
+	}
+	g.provider.Acquire(r.spec, r.acquired)
+}
+
+// created continues a degraded cold start.
+func (r *request) created(c *container.Container, err error) {
+	if err != nil {
+		r.retryOrFail(err)
+		return
+	}
+	r.run(c, false, config.Delta{}, true)
+}
+
+// acquired continues with the provider's answer.
+func (r *request) acquired(c *container.Container, reused bool, delta config.Delta, err error) {
+	g := r.g
+	if err != nil {
+		if r.brk != nil && r.brk.OnFailure(g.sched.Now()) {
+			g.counters.Inc(CounterBreakerTrips)
+			r.annotate("breaker-open", r.key)
+		}
+		g.setBreakerGauge(r.key, r.brk)
+		r.retryOrFail(err)
+		return
+	}
+	if r.brk != nil {
+		if was := r.brk.State(g.sched.Now()); was != BreakerClosed {
+			g.counters.Inc(CounterBreakerCloses)
+			r.annotate("breaker-close", r.key)
+		}
+		r.brk.OnSuccess()
+		g.setBreakerGauge(r.key, r.brk)
+	}
+	r.run(c, reused, delta, false)
+}
+
+// retryOrFail reschedules the acquire loop after a failure, or surfaces
+// the error once the retry budget is spent.
+func (r *request) retryOrFail(err error) {
+	g := r.g
+	if r.attempt < g.MaxAcquireRetries {
+		g.retries++
+		g.counters.Inc(CounterAcquireRetries)
+		r.annotate("acquire-retry", err.Error())
+		delay := g.backoff().Delay(r.attempt)
+		r.attempt++
+		g.sched.After(delay, r.acquire)
+		return
+	}
+	r.fail(err)
+}
+
+// run drives (2)->(6) on an acquired runtime.
+func (r *request) run(c *container.Container, reused bool, delta config.Delta, owned bool) {
+	r.c, r.reused, r.owned = c, reused, owned
+	// Relaxed matches apply their exec-time delta first.
+	adjust := time.Duration(0)
+	if !delta.Empty() {
+		adjust = r.g.eng.Model().DeltaApplyCost()
+	}
+	r.g.sched.After(adjust, r.exec)
+}
+
+func (r *request) exec() {
+	g := r.g
+	if r.ts.WatchdogIn == 0 {
+		// Stamped once: an exec fallback re-enters here, and the
+		// recovery time belongs to this request's initiation.
+		r.ts.WatchdogIn = g.sched.Now()
+	}
+	r.initPhase, r.execPhase = g.eng.ExecPhases(r.c, r.fn.App)
+	g.eng.Exec(r.c, r.fn.App, r.execDone)
+}
+
+// giveBack returns the runtime after the last use of it by this
+// request.
+func (r *request) giveBack() {
+	if r.owned {
+		r.g.eng.Stop(r.c, nil)
+	} else {
+		r.g.provider.Complete(r.c, r.spec)
+	}
+}
+
+func (r *request) execDone(actual time.Duration, err error) {
+	g := r.g
+	if err != nil {
+		if r.execAttempt < g.ExecRetries {
+			// Graceful degradation: the runtime is suspect, so
+			// quarantine it and transparently fall back to a
+			// fresh acquisition (typically a cold start).
+			g.counters.Inc(CounterExecFallbacks)
+			r.annotate("exec-fallback", err.Error())
+			if r.owned {
+				g.eng.Stop(r.c, nil)
+			} else {
+				g.counters.Inc(CounterQuarantines)
+				r.annotate("quarantine", r.c.ID)
+				g.discard(r.c, r.spec)
+			}
+			delay := g.backoff().Delay(r.execAttempt)
+			r.attempt, r.execAttempt = 0, r.execAttempt+1
+			g.sched.After(delay, r.acquire)
+			return
+		}
+		r.giveBack()
+		r.fail(err)
+		return
+	}
+	// Apportion the (possibly jittered) actual duration over the
+	// nominal phases to place (3) and (4).
+	r.ts.FuncStop = g.sched.Now()
+	nominal := r.initPhase + r.execPhase
+	execShare := r.execPhase
+	if nominal > 0 {
+		execShare = time.Duration(float64(actual) * float64(r.execPhase) / float64(nominal))
+	}
+	r.ts.FuncStart = r.ts.FuncStop - execShare
+	// (4) -> (5): watchdog copies the response out.
+	g.sched.After(g.eng.Model().WatchdogShimCost(), r.watchdogOut)
+}
+
+func (r *request) watchdogOut() {
+	r.ts.WatchdogOut = r.g.sched.Now()
+	// (5) -> (6): gateway returns to the client.
+	r.g.sched.After(r.g.eng.Model().GatewayForwardCost(), r.respond)
+}
+
+func (r *request) respond() {
+	r.giveBack()
+	r.finish(r.reused, nil)
+}
+
+// Replay feeds a request schedule to handle and steps the scheduler
+// until every request has called done. Arrivals are one stream on the
+// scheduler (simclock.AtEach), each firing at the current instant plus
+// its At, so the event queue holds the work in flight rather than the
+// whole trace; requests sharing an instant arrive in schedule order. A
+// schedule that is not sorted by arrival time is walked through a
+// stable index sort, which is the order scheduling every arrival as an
+// event of its own fires them in. Stepping (rather than draining the
+// queue) lets periodic provider machinery — control loops, warm-up
+// pingers — keep running without deadlocking the replay. Results are
+// returned in schedule order.
+func Replay[R any](sched *simclock.Scheduler, schedule []trace.Request, handle func(req trace.Request, done func(R))) ([]R, error) {
+	results := make([]R, len(schedule))
+	remaining := len(schedule)
+	order := arrivalOrder(schedule)
+	base := sched.Now()
+	whens := make([]simclock.Time, len(schedule))
+	for k := range whens {
+		whens[k] = base + schedule[order.at(k)].At
+	}
+	sched.AtEach(whens, func(k int) {
+		i := order.at(k)
+		handle(schedule[i], func(r R) {
+			results[i] = r
+			remaining--
+		})
+	})
 	for remaining > 0 {
-		if !g.sched.Step() {
+		if !sched.Step() {
 			return nil, fmt.Errorf("faas: scheduler drained with %d requests outstanding", remaining)
 		}
 	}
-	// Settle: let post-response housekeeping (container teardown,
-	// volume cleanup) that the provider scheduled finish before
-	// returning, so callers observe a quiescent engine.
-	if err := g.sched.RunUntil(g.sched.Now() + settleWindow); err != nil {
+	return results, nil
+}
+
+// arrivals lists schedule indices by arrival time, ties in schedule
+// order; nil stands for a schedule that is already in that order.
+type arrivals []int
+
+func arrivalOrder(schedule []trace.Request) arrivals {
+	byTime := func(i, j int) bool { return schedule[i].At < schedule[j].At }
+	if sort.SliceIsSorted(schedule, byTime) {
+		return nil
+	}
+	order := make(arrivals, len(schedule))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return byTime(order[a], order[b]) })
+	return order
+}
+
+// at is the schedule index of the k-th arrival.
+func (o arrivals) at(k int) int {
+	if o == nil {
+		return k
+	}
+	return o[k]
+}
+
+// Run replays a request schedule against the gateway: request classes
+// are mapped to function names by classFn and the simulation is stepped
+// until every response has been delivered (see Replay). Results are
+// returned in schedule order.
+func Run(g *Gateway, schedule []trace.Request, classFn func(class int) string) ([]Result, error) {
+	results, err := Replay(g.sched, schedule, func(req trace.Request, done func(Result)) {
+		g.Handle(classFn(req.Class), req, done)
+	})
+	if err == nil {
+		err = g.settle()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// settle lets post-response housekeeping (container teardown, volume
+// cleanup) that the provider scheduled finish before a replay returns,
+// so callers observe a quiescent engine.
+func (g *Gateway) settle() error {
+	return g.sched.RunUntil(g.sched.Now() + settleWindow)
 }
 
 // settleWindow bounds the post-replay housekeeping time; it is far

@@ -2,6 +2,8 @@ package faas
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -196,6 +198,56 @@ func TestRunPreservesArrivalOrder(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
 		}
+	}
+}
+
+// A schedule need not be sorted: Run walks it in arrival order, ties in
+// schedule order, and files each result under its request's index — so
+// a shuffled schedule gives, request for request, what its stable sort
+// by arrival time gives.
+func TestRunShuffledScheduleMatchesSorted(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	shuffled := make([]trace.Request, 120)
+	for i := range shuffled {
+		// A coarse grid, so that many requests share an instant.
+		shuffled[i] = trace.Request{At: time.Duration(rnd.Intn(40)) * 500 * time.Millisecond, Round: i, Class: rnd.Intn(2)}
+	}
+	if sort.SliceIsSorted(shuffled, func(i, j int) bool { return shuffled[i].At < shuffled[j].At }) {
+		t.Fatal("the schedule is already sorted: the test exercises nothing")
+	}
+	sorted := append([]trace.Request(nil), shuffled...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+
+	run := func(schedule []trace.Request) map[int]Result {
+		f := newFixture(t, keepAliveProvider)
+		f.deployQR(t, "qr0", workload.Python)
+		f.deployQR(t, "qr1", workload.Python)
+		results, err := Run(f.gw, schedule, func(class int) string { return fmt.Sprint("qr", class) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRound := make(map[int]Result, len(results))
+		for i, r := range results {
+			if r.Request != schedule[i] {
+				t.Fatalf("result %d belongs to request %+v, not %+v", i, r.Request, schedule[i])
+			}
+			byRound[r.Request.Round] = r
+		}
+		return byRound
+	}
+	got, want := run(shuffled), run(sorted)
+	reused := 0
+	for round, w := range want {
+		g := got[round]
+		if g.Timestamps != w.Timestamps || g.Reused != w.Reused || g.Function != w.Function || g.Err != nil || w.Err != nil {
+			t.Fatalf("request %d: shuffled schedule gave %+v, sorted gave %+v", round, g, w)
+		}
+		if w.Reused {
+			reused++
+		}
+	}
+	if reused == 0 || reused == len(want) {
+		t.Fatalf("%d of %d requests reused a runtime: the replay cannot tell orders apart", reused, len(want))
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"hotc/internal/obs"
-	"hotc/internal/simclock"
-	"hotc/internal/trace"
 )
 
 // fnHandles holds the pre-resolved per-function series so the request
@@ -141,10 +139,9 @@ func (g *Gateway) setBreakerGauge(key string, brk *Breaker) {
 }
 
 // record emits the per-request metrics and span once the outcome is
-// known. admitAt is when the request cleared the concurrency queue;
-// arrival is ts.GatewayIn (stamped at Handle).
-func (g *Gateway) record(req trace.Request, name, key string, ts Timestamps,
-	reused bool, err error, faults []trace.FaultEvent, admitAt simclock.Time) {
+// known. Arrival is r.ts.GatewayIn (stamped at Handle).
+func (g *Gateway) record(r *request, reused bool, err error) {
+	name, ts := r.fn.Name, r.ts
 	if g.obs != nil {
 		h := g.obs.forFunction(name)
 		if err != nil {
@@ -158,7 +155,7 @@ func (g *Gateway) record(req trace.Request, name, key string, ts Timestamps,
 			}
 			h.latency.ObserveDuration(ts.Total())
 			if ts.WatchdogIn > 0 {
-				g.obs.forKey(key).acquire.ObserveDuration(ts.WatchdogIn - admitAt)
+				g.obs.forKey(r.key).acquire.ObserveDuration(ts.WatchdogIn - r.admitAt)
 			}
 		}
 	}
@@ -166,11 +163,11 @@ func (g *Gateway) record(req trace.Request, name, key string, ts Timestamps,
 		s := obs.Span{
 			ID:          g.tracer.NextID(),
 			Function:    name,
-			Key:         key,
-			Round:       req.Round,
+			Key:         r.key,
+			Round:       r.req.Round,
 			Reused:      reused,
 			ClientIn:    time.Duration(ts.GatewayIn),
-			GatewayIn:   time.Duration(admitAt),
+			GatewayIn:   time.Duration(r.admitAt),
 			WatchdogIn:  time.Duration(ts.WatchdogIn),
 			FuncStart:   time.Duration(ts.FuncStart),
 			FuncDone:    time.Duration(ts.FuncStop),
@@ -180,7 +177,7 @@ func (g *Gateway) record(req trace.Request, name, key string, ts Timestamps,
 		if err != nil {
 			s.Err = err.Error()
 		}
-		for _, f := range faults {
+		for _, f := range r.faults {
 			s.Events = append(s.Events, obs.SpanEvent{At: f.At, Kind: f.Kind, Detail: f.Detail})
 		}
 		g.tracer.Record(s)

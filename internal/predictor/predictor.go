@@ -102,10 +102,17 @@ type Markov struct {
 	// States is the number of region states n.
 	States int
 
-	obs []float64
-	min float64
+	obs []float64 // the newest observations, at most markovWindow
+	min float64   // running over everything ever observed
 	max float64
+	row []float64 // scratch for transitionRow
 }
+
+// markovWindow bounds the observation history: a predictor ticking
+// every control interval would otherwise grow, and pay for, its whole
+// lifetime. Past it the newest half is kept, the way Combined bounds
+// its error window.
+const markovWindow = 1024
 
 // DefaultStates is the region-state count used when the caller does
 // not specify one.
@@ -136,6 +143,9 @@ func (m *Markov) Observe(v float64) {
 		}
 	}
 	m.obs = append(m.obs, v)
+	if len(m.obs) > markovWindow {
+		m.obs = m.obs[:copy(m.obs, m.obs[len(m.obs)-markovWindow/2:])]
+	}
 }
 
 // stateOf maps a value to its region state index in [0, States).
@@ -172,46 +182,44 @@ func (m *Markov) TransitionMatrix(k int) [][]float64 {
 	if k < 1 {
 		panic(fmt.Sprintf("predictor: transition step k=%d must be >= 1", k))
 	}
-	counts := make([][]float64, m.States)
-	totals := make([]float64, m.States)
-	for i := range counts {
-		counts[i] = make([]float64, m.States)
+	p := make([][]float64, m.States)
+	for i := range p {
+		p[i] = append([]float64(nil), m.transitionRow(i, k)...)
 	}
+	return p
+}
+
+// transitionRow estimates row cur of P(k) — the only row a forecast
+// reads — into a scratch slice that the next call overwrites.
+func (m *Markov) transitionRow(cur, k int) []float64 {
+	if cap(m.row) < m.States {
+		m.row = make([]float64, m.States)
+	}
+	row := m.row[:m.States]
+	for j := range row {
+		row[j] = 0
+	}
+	total := 0.0
 	for t := 0; t+k < len(m.obs); t++ {
-		i := m.stateOf(m.obs[t])
-		j := m.stateOf(m.obs[t+k])
-		counts[i][j]++
-		totals[i]++
-	}
-	for i := range counts {
-		if totals[i] == 0 {
-			for j := range counts[i] {
-				counts[i][j] = 1 / float64(m.States)
-			}
-			continue
-		}
-		for j := range counts[i] {
-			counts[i][j] /= totals[i]
+		if m.stateOf(m.obs[t]) == cur {
+			row[m.stateOf(m.obs[t+k])]++
+			total++
 		}
 	}
-	return counts
+	for j := range row {
+		if total == 0 {
+			row[j] = 1 / float64(m.States)
+		} else {
+			row[j] /= total
+		}
+	}
+	return row
 }
 
 // Predict implements Predictor: from the current state (of the latest
 // observation), the forecast is the midpoint of the most likely next
 // state under the 1-step transition matrix.
-func (m *Markov) Predict() float64 {
-	n := len(m.obs)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 || m.max <= m.min {
-		return m.obs[n-1]
-	}
-	p := m.TransitionMatrix(1)
-	cur := m.stateOf(m.obs[n-1])
-	return m.midpoint(argmaxFrom(p[cur], cur))
-}
+func (m *Markov) Predict() float64 { return m.PredictK(1) }
 
 // PredictK forecasts k steps ahead using the k-step transition matrix
 // P(k) of Eq. 2: the forecast is the midpoint of the most likely state
@@ -224,9 +232,8 @@ func (m *Markov) PredictK(k int) float64 {
 	if n <= k || m.max <= m.min {
 		return m.obs[n-1]
 	}
-	p := m.TransitionMatrix(k)
 	cur := m.stateOf(m.obs[n-1])
-	return m.midpoint(argmaxFrom(p[cur], cur))
+	return m.midpoint(argmaxFrom(m.transitionRow(cur, k), cur))
 }
 
 // argmaxFrom returns the index of the largest element of row, breaking
@@ -256,10 +263,8 @@ func (m *Markov) PredictExpected() float64 {
 	if n == 1 || m.max <= m.min {
 		return m.obs[n-1]
 	}
-	p := m.TransitionMatrix(1)
-	cur := m.stateOf(m.obs[n-1])
 	sum := 0.0
-	for j, pj := range p[cur] {
+	for j, pj := range m.transitionRow(m.stateOf(m.obs[n-1]), 1) {
 		sum += pj * m.midpoint(j)
 	}
 	return sum
@@ -291,14 +296,24 @@ type Combined struct {
 	warmup int // observations before corrections kick in
 	seen   int
 
-	errs []float64 // relative-error history of the ES forecast
+	errs   []float64 // relative-error history of the ES forecast, oldest first
+	sorted []float64 // the same values in ascending order, kept so by Observe
+	bins   []uint8   // scratch for nextErr: the region state of each error
 }
+
+// The error window: past errWindowMax relative errors the newest
+// errWindowKeep are kept, so state estimation stays cheap and adapts to
+// workload drift.
+const (
+	errWindowMax  = 512
+	errWindowKeep = 256
+)
 
 // NewCombined returns the ES+Markov predictor with the given α and
 // number of error region states.
 func NewCombined(alpha float64, states int) *Combined {
-	if states < 2 {
-		panic(fmt.Sprintf("predictor: combined needs >= 2 error states, got %d", states))
+	if states < 2 || states > math.MaxUint8+1 {
+		panic(fmt.Sprintf("predictor: combined needs 2..%d error states, got %d", math.MaxUint8+1, states))
 	}
 	return &Combined{
 		es:     NewES(alpha),
@@ -323,15 +338,28 @@ func (c *Combined) Observe(v float64) {
 		if den < 1 {
 			den = 1 // relative error of a near-zero forecast: use absolute scale
 		}
-		c.errs = append(c.errs, (v-base)/den)
-		// Bound the history so state estimation stays O(n log n) with
-		// a small constant and adapts to workload drift.
-		if len(c.errs) > 512 {
-			c.errs = c.errs[len(c.errs)-256:]
-		}
+		c.recordErr((v - base) / den)
 	}
 	c.es.Observe(v)
 	c.seen++
+}
+
+// recordErr appends e to the error window and files it into the sorted
+// copy by binary search, so nextErr reads its two order statistics
+// without sorting; only the truncation re-sorts, once per
+// errWindowMax-errWindowKeep observations.
+func (c *Combined) recordErr(e float64) {
+	c.errs = append(c.errs, e)
+	if len(c.errs) > errWindowMax {
+		c.errs = c.errs[:copy(c.errs, c.errs[len(c.errs)-errWindowKeep:])]
+		c.sorted = append(c.sorted[:0], c.errs...)
+		sort.Float64s(c.sorted)
+		return
+	}
+	i := sort.SearchFloat64s(c.sorted, e)
+	c.sorted = append(c.sorted, 0)
+	copy(c.sorted[i+1:], c.sorted[i:])
+	c.sorted[i] = e
 }
 
 // nextErr is the Markov correction: the conditional expectation of the
@@ -347,36 +375,40 @@ func (c *Combined) nextErr() float64 {
 	if n < 2 {
 		return 0
 	}
-	sorted := append([]float64(nil), c.errs...)
-	sort.Float64s(sorted)
-	lo := sorted[n*5/100]
-	hi := sorted[n-1-n*5/100]
+	lo := c.sorted[n*5/100]
+	hi := c.sorted[n-1-n*5/100]
 	if hi <= lo {
 		return 0 // errors essentially constant: nothing to learn
 	}
 	width := (hi - lo) / float64(c.states)
-	state := func(e float64) int {
+	if cap(c.bins) < n {
+		c.bins = make([]uint8, errWindowMax)
+	}
+	bins := c.bins[:n]
+	for t, e := range c.errs {
 		s := int((e - lo) / width)
 		if s < 0 {
-			return 0
+			s = 0
+		} else if s >= c.states {
+			s = c.states - 1
 		}
-		if s >= c.states {
-			return c.states - 1
-		}
-		return s
+		bins[t] = uint8(s)
 	}
-	// Second-order conditioning: the pair (previous state, current
-	// state) disambiguates a sustained ramp (lag, lag) from alternating
-	// plateau noise (over, under), which share single-state bins.
-	// Sparse pairs fall back to first-order conditioning.
-	predictFrom := func(match func(t int) bool) (float64, float64, int) {
+	// successors summarises the errors that followed an error in state
+	// cur — and, when prev >= 0, preceded by one in state prev.
+	successors := func(cur uint8, prev int) (float64, float64, int) {
 		sum, sum2, count := 0.0, 0.0, 0
-		for t := 0; t+1 < n; t++ {
-			if match(t) {
-				sum += c.errs[t+1]
-				sum2 += c.errs[t+1] * c.errs[t+1]
-				count++
+		start := 0
+		if prev >= 0 {
+			start = 1
+		}
+		for t := start; t+1 < n; t++ {
+			if bins[t] != cur || (prev >= 0 && int(bins[t-1]) != prev) {
+				continue
 			}
+			sum += c.errs[t+1]
+			sum2 += c.errs[t+1] * c.errs[t+1]
+			count++
 		}
 		if count == 0 {
 			return 0, 0, 0
@@ -388,19 +420,18 @@ func (c *Combined) nextErr() float64 {
 		}
 		return mean, variance, count
 	}
-	cur := state(c.errs[n-1])
+	// Second-order conditioning: the pair (previous state, current
+	// state) disambiguates a sustained ramp (lag, lag) from alternating
+	// plateau noise (over, under), which share single-state bins.
+	// Sparse pairs fall back to first-order conditioning.
+	cur := bins[n-1]
 	var mean, variance float64
 	var count int
 	if n >= 3 {
-		prev := state(c.errs[n-2])
-		mean, variance, count = predictFrom(func(t int) bool {
-			return t >= 1 && state(c.errs[t]) == cur && state(c.errs[t-1]) == prev
-		})
+		mean, variance, count = successors(cur, int(bins[n-2]))
 	}
 	if count < 4 {
-		mean, variance, count = predictFrom(func(t int) bool {
-			return state(c.errs[t]) == cur
-		})
+		mean, variance, count = successors(cur, -1)
 	}
 	if count == 0 {
 		return 0

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -503,5 +504,182 @@ func TestNames(t *testing.T) {
 		if p.Name() == "" {
 			t.Fatal("empty predictor name")
 		}
+	}
+}
+
+// referenceNextErr is Combined.nextErr as it was before the error
+// window was kept sorted (PR 20): copy the window, sort it, read the
+// two order statistics, and re-derive every error's region state inside
+// two closure passes. The incremental form must return the same bits.
+func referenceNextErr(errs []float64, states int) float64 {
+	n := len(errs)
+	if n < 2 {
+		return 0
+	}
+	sorted := append([]float64(nil), errs...)
+	sort.Float64s(sorted)
+	lo := sorted[n*5/100]
+	hi := sorted[n-1-n*5/100]
+	if hi <= lo {
+		return 0
+	}
+	width := (hi - lo) / float64(states)
+	state := func(e float64) int {
+		s := int((e - lo) / width)
+		if s < 0 {
+			return 0
+		}
+		if s >= states {
+			return states - 1
+		}
+		return s
+	}
+	predictFrom := func(match func(t int) bool) (float64, float64, int) {
+		sum, sum2, count := 0.0, 0.0, 0
+		for t := 0; t+1 < n; t++ {
+			if match(t) {
+				sum += errs[t+1]
+				sum2 += errs[t+1] * errs[t+1]
+				count++
+			}
+		}
+		if count == 0 {
+			return 0, 0, 0
+		}
+		mean := sum / float64(count)
+		variance := sum2/float64(count) - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		return mean, variance, count
+	}
+	cur := state(errs[n-1])
+	var mean, variance float64
+	var count int
+	if n >= 3 {
+		prev := state(errs[n-2])
+		mean, variance, count = predictFrom(func(t int) bool {
+			return t >= 1 && state(errs[t]) == cur && state(errs[t-1]) == prev
+		})
+	}
+	if count < 4 {
+		mean, variance, count = predictFrom(func(t int) bool {
+			return state(errs[t]) == cur
+		})
+	}
+	if count == 0 {
+		return 0
+	}
+	stderr := math.Sqrt(variance / float64(count))
+	mag := math.Abs(mean) - stderr
+	if mag <= 0 {
+		return 0
+	}
+	if mean < 0 {
+		return -mag
+	}
+	return mag
+}
+
+func TestCombinedIncrementalWindowMatchesSort(t *testing.T) {
+	const observations = 2500
+	series := map[string]func(src *rng.Source, i int) float64{
+		// Small integers: many duplicate errors.
+		"duplicates": func(src *rng.Source, i int) float64 { return float64(src.Intn(6)) },
+		// Long runs of one value, then a jump.
+		"runs": func(src *rng.Source, i int) float64 { return float64(10 * ((i / 40) % 5)) },
+		// Over, under, over: the error changes sign every step.
+		"sign flips": func(src *rng.Source, i int) float64 {
+			if i%2 == 0 {
+				return 30 + src.Float64()
+			}
+			return 3 * src.Float64()
+		},
+		"diurnal noise": func(src *rng.Source, i int) float64 {
+			return math.Max(0, 20+15*math.Sin(float64(i)/50)+src.Norm(0, 4))
+		},
+	}
+	for name, next := range series {
+		for _, states := range []int{4, DefaultStates} {
+			src := rng.New(int64(len(name)))
+			c := NewCombined(DefaultAlpha, states)
+			var ref []float64 // the window, bounded the way Observe used to
+			truncations := 0
+			for i := 0; i < observations; i++ {
+				v := next(src, i)
+				if c.seen > 0 {
+					base := c.es.Predict()
+					ref = append(ref, (v-base)/math.Max(math.Abs(base), 1))
+					if len(ref) > 512 {
+						ref = ref[len(ref)-256:]
+						truncations++
+					}
+				}
+				c.Observe(v)
+
+				if len(c.errs) != len(ref) || len(c.sorted) != len(ref) {
+					t.Fatalf("%s: step %d: window holds %d errors (%d sorted), reference %d", name, i, len(c.errs), len(c.sorted), len(ref))
+				}
+				for j := range ref {
+					if math.Float64bits(c.errs[j]) != math.Float64bits(ref[j]) {
+						t.Fatalf("%s: step %d: error %d is %v, reference %v", name, i, j, c.errs[j], ref[j])
+					}
+				}
+				if !sort.Float64sAreSorted(c.sorted) {
+					t.Fatalf("%s: step %d: sorted window is out of order", name, i)
+				}
+				base := c.es.Predict()
+				want := clampNonNegative(base)
+				if c.seen > c.warmup {
+					want = clampNonNegative(base + referenceNextErr(ref, states)*math.Max(math.Abs(base), 1))
+				}
+				if got := c.Predict(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s (%d states): step %d: Predict() = %v (%#x), sort-based reference %v (%#x)",
+						name, states, i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			if truncations < 6 {
+				t.Fatalf("%s: window truncated %d times, want >= 6", name, truncations)
+			}
+		}
+	}
+}
+
+func TestCombinedRejectsUnrepresentableStateCounts(t *testing.T) {
+	for _, states := range []int{1, 257} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewCombined(0.8, %d) did not panic", states)
+				}
+			}()
+			NewCombined(0.8, states)
+		}()
+	}
+	NewCombined(0.8, 256)
+}
+
+// A bare Markov predictor ticking every control interval used to keep,
+// and re-count, every observation of its lifetime.
+func TestMarkovHistoryBounded(t *testing.T) {
+	src := rng.New(5)
+	m := NewMarkov(DefaultStates)
+	for i := 0; i < 5000; i++ {
+		m.Observe(float64(src.Intn(50)))
+		if len(m.obs) > markovWindow {
+			t.Fatalf("history holds %d observations after %d, window is %d", len(m.obs), i+1, markovWindow)
+		}
+	}
+	if len(m.obs) < markovWindow/2 {
+		t.Fatalf("history holds %d observations, want at least the newest %d", len(m.obs), markovWindow/2)
+	}
+	if m.min != 0 || m.max != 49 {
+		t.Fatalf("running range [%v, %v], want [0, 49]", m.min, m.max)
+	}
+	if got := m.Predict(); got < 0 || got > 49 {
+		t.Fatalf("Predict() = %v outside the observed range", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = m.Predict(); _ = m.PredictExpected() }); allocs != 0 {
+		t.Fatalf("Predict + PredictExpected allocate %v times, want 0", allocs)
 	}
 }

@@ -10,7 +10,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -28,7 +27,7 @@ type Event struct {
 	seq      uint64
 	fn       func()
 	canceled bool
-	index    int // heap index, -1 once popped or canceled
+	pending  bool // in the queue: false once popped
 }
 
 // When reports the virtual deadline the event was scheduled for.
@@ -38,44 +37,71 @@ func (e *Event) When() Time { return e.when }
 // already fired (or was already canceled) is a no-op. Cancel reports
 // whether the event was still pending.
 func (e *Event) Cancel() bool {
-	if e.canceled || e.index < 0 {
+	if e.canceled || !e.pending {
 		return false
 	}
 	e.canceled = true
 	return true
 }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// before is the queue's total order: deadline first, then the sequence
+// number handed out at scheduling time. No two events share a sequence
+// number, so the order in which a heap releases them does not depend on
+// the order they were pushed in.
+func (e *Event) before(o *Event) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// push adds ev to the binary min-heap s.queue.
+func (s *Scheduler) push(ev *Event) {
+	ev.pending = true
+	q := append(s.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	s.queue = q
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (s *Scheduler) pop() *Event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if child+1 < n && q[child+1].before(q[child]) {
+				child++
+			}
+			if !q[child].before(last) {
+				break
+			}
+			q[i] = q[child]
+			i = child
+		}
+		q[i] = last
+	}
+	s.queue = q
+	top.pending = false
+	return top
 }
 
 // Scheduler is a deterministic discrete-event simulator. The zero value
@@ -83,7 +109,7 @@ func (q *eventQueue) Pop() any {
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	queue   []*Event // binary min-heap ordered by Event.before
 	running bool
 	fired   uint64
 	limit   uint64 // safety valve against runaway event loops; 0 = none
@@ -120,9 +146,51 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("simclock: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
 	s.seq++
-	ev := &Event{when: t, seq: s.seq, fn: fn, index: -1}
-	heap.Push(&s.queue, ev)
+	ev := &Event{when: t, seq: s.seq, fn: fn}
+	s.push(ev)
 	return ev
+}
+
+// AtEach schedules fn(i) at whens[i] for every i, as len(whens) calls
+// of At in index order would, while keeping a single entry in the
+// queue. whens must be non-decreasing and must not start in the past.
+//
+// The whole block of sequence numbers is reserved up front and the one
+// entry re-arms itself with the next (whens[i], reserved seq) each time
+// it fires, so the (when, seq) order against every other event — those
+// scheduled before the call and those scheduled while the stream runs —
+// is exactly what scheduling all of them at once gives. Replaying a
+// trace of N arrivals therefore costs a queue as deep as the work in
+// flight, not N.
+func (s *Scheduler) AtEach(whens []Time, fn func(i int)) {
+	if fn == nil {
+		panic("simclock: AtEach with nil callback")
+	}
+	if len(whens) == 0 {
+		return
+	}
+	if whens[0] < s.now {
+		panic(fmt.Sprintf("simclock: scheduling into the past (now=%v, at=%v)", s.now, whens[0]))
+	}
+	for i := 1; i < len(whens); i++ {
+		if whens[i] < whens[i-1] {
+			panic(fmt.Sprintf("simclock: AtEach deadlines decrease at index %d (%v after %v)", i, whens[i], whens[i-1]))
+		}
+	}
+	first := s.seq + 1
+	s.seq += uint64(len(whens))
+	next := 0
+	ev := &Event{when: whens[0], seq: first}
+	ev.fn = func() {
+		i := next
+		next++
+		if next < len(whens) {
+			ev.when, ev.seq = whens[next], first+uint64(next)
+			s.push(ev)
+		}
+		fn(i)
+	}
+	s.push(ev)
 }
 
 // After schedules fn to run d from now. Negative d panics, zero d runs
@@ -171,7 +239,7 @@ func (s *Scheduler) Pending() int { return len(s.queue) }
 // queue is empty).
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
+		ev := s.pop()
 		if ev.canceled {
 			continue
 		}
@@ -228,7 +296,7 @@ func (s *Scheduler) RunUntil(t Time) error {
 func (s *Scheduler) peek() *Event {
 	for len(s.queue) > 0 {
 		if s.queue[0].canceled {
-			heap.Pop(&s.queue)
+			s.pop()
 			continue
 		}
 		return s.queue[0]

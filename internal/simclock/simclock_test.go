@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -282,4 +283,174 @@ func TestPropertyStepRunUntilEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// firing is one line of a scheduler's observable history.
+type firing struct {
+	at    Time
+	label string
+}
+
+// driveArrivals runs one seeded scenario and returns everything that
+// fired, in order. The arrivals are scheduled either as one AtEach
+// stream or as the loop of At calls it replaces; the rest of the
+// scenario is the same: the scheduler has already run for a while, a
+// ticker and a handful of one-shot events that land on arrival instants
+// exist before the arrivals do, more one-shots are scheduled after
+// them, and each arrival's callback schedules zero-delay and
+// same-instant follow-ups and cancels earlier ones.
+func driveArrivals(seed int64, stream bool) ([]firing, uint64) {
+	rnd := rand.New(rand.NewSource(seed))
+	const quantum = 5 * time.Millisecond
+	s := New()
+	var log []firing
+	note := func(label string) { log = append(log, firing{s.Now(), label}) }
+
+	// Start from a used scheduler: time has passed and sequence numbers
+	// have been handed out.
+	s.After(quantum, func() { note("warmup") })
+	if err := s.RunUntil(time.Second); err != nil {
+		panic(err)
+	}
+	base := s.Now()
+
+	// Non-decreasing arrival times on the ticker's grid, with ties.
+	whens := make([]Time, 300)
+	at := base
+	for i := range whens {
+		if rnd.Intn(3) > 0 {
+			at += Time(rnd.Intn(4)) * quantum
+		}
+		whens[i] = at
+	}
+	last := whens[len(whens)-1]
+
+	var stopTicker func()
+	stopTicker = s.Every(2*quantum, func() {
+		note("tick")
+		if s.Now() > last+20*quantum {
+			stopTicker()
+		}
+	})
+	for j := 0; j < 20; j++ {
+		j := j
+		s.At(whens[rnd.Intn(len(whens))], func() { note(fmt.Sprint("before ", j)) })
+	}
+
+	// What each arrival does is fixed per index, so both schedulers are
+	// asked to do the same things.
+	kinds := make([]int, len(whens))
+	delays := make([]time.Duration, len(whens))
+	for i := range kinds {
+		kinds[i] = rnd.Intn(4)
+		delays[i] = Time(rnd.Intn(3)) * quantum
+	}
+	var cancelable []*Event
+	arrive := func(i int) {
+		note(fmt.Sprint("arrive ", i))
+		switch kinds[i] {
+		case 1:
+			s.After(0, func() { note(fmt.Sprint("zero ", i)) })
+		case 2:
+			cancelable = append(cancelable, s.After(delays[i], func() { note(fmt.Sprint("later ", i)) }))
+		case 3:
+			if n := len(cancelable); n > 0 {
+				cancelable[n-1].Cancel()
+				cancelable = cancelable[:n-1]
+			}
+			s.After(0, func() { note(fmt.Sprint("canceled by ", i)) })
+		}
+	}
+	if stream {
+		s.AtEach(whens, arrive)
+	} else {
+		for i, when := range whens {
+			i := i
+			s.At(when, func() { arrive(i) })
+		}
+	}
+	for j := 0; j < 20; j++ {
+		j := j
+		s.At(whens[rnd.Intn(len(whens))], func() { note(fmt.Sprint("after ", j)) })
+	}
+	if err := s.Run(); err != nil {
+		panic(err)
+	}
+	return log, s.Fired()
+}
+
+// An arrival stream is indistinguishable from scheduling every arrival
+// as its own event: the same callbacks fire at the same instants in the
+// same order, ties against older and younger events included.
+func TestAtEachMatchesUpfrontScheduling(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		got, gotFired := driveArrivals(seed, true)
+		want, wantFired := driveArrivals(seed, false)
+		if gotFired != wantFired {
+			t.Fatalf("seed %d: stream fired %d events, upfront scheduling %d", seed, gotFired, wantFired)
+		}
+		if len(got) != len(want) || len(got) < 300 {
+			t.Fatalf("seed %d: stream logged %d firings, upfront scheduling %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is %v, upfront scheduling gives %v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// The stream keeps one entry queued however long the trace is.
+func TestAtEachQueueDepth(t *testing.T) {
+	s := New()
+	whens := make([]Time, 1000)
+	for i := range whens {
+		whens[i] = Time(i) * time.Millisecond
+	}
+	fired := 0
+	s.AtEach(whens, func(int) {
+		fired++
+		if s.Pending() > 1 {
+			t.Fatalf("%d events pending behind arrival %d", s.Pending(), fired)
+		}
+	})
+	if s.Pending() != 1 {
+		t.Fatalf("Pending() = %d after AtEach, want 1", s.Pending())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != len(whens) || s.Fired() != uint64(len(whens)) {
+		t.Fatalf("fired %d callbacks, Fired() = %d, want %d", fired, s.Fired(), len(whens))
+	}
+	s.AtEach(nil, func(int) { t.Fatal("empty stream fired") })
+	if s.Pending() != 0 {
+		t.Fatalf("empty stream left %d events", s.Pending())
+	}
+}
+
+func TestAtEachRejectsBadStreams(t *testing.T) {
+	mustPanic := func(name string, f func(s *Scheduler)) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		s := New()
+		s.After(time.Second, func() {})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		f(s)
+	}
+	mustPanic("first arrival in the past", func(s *Scheduler) {
+		s.AtEach([]Time{s.Now() - 1, s.Now()}, func(int) {})
+	})
+	mustPanic("decreasing deadlines", func(s *Scheduler) {
+		s.AtEach([]Time{s.Now() + 2, s.Now() + 1}, func(int) {})
+	})
+	mustPanic("nil callback", func(s *Scheduler) {
+		s.AtEach([]Time{s.Now()}, nil)
+	})
 }

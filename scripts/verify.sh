@@ -53,8 +53,9 @@ echo "== alloc regression guard (non-race: AllocsPerRun)"
 # The race run above skips these: the detector's instrumentation
 # perturbs allocation counts. This non-race pass asserts the pooled
 # copy and the []byte shim stay at zero heap allocations per request,
-# and one warm watchdog-hop round trip stays inside its budget.
-go test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/faas/live/ ./internal/obs/
+# one warm watchdog-hop round trip stays inside its budget, and a warm
+# simulator replay stays inside its allocations per simulated request.
+go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/faas/live/ ./internal/obs/
 echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
 # The harness is its own module, so the root ./... above never reaches
 # it. The smoke run exits non-zero when an echo fails verification or
