@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hotc/internal/metrics"
 )
 
 type tenantShare struct {
@@ -453,20 +455,23 @@ func pickTraces(traced []traceRef, n int) (slowest, failed []traceRef) {
 	return slowest, failed
 }
 
+// percentiles reports p50/p90/p99/max of ms, cut to two decimals, from
+// the repo's one order-statistics implementation (metrics.Series: linear
+// interpolation between closest ranks).
 func percentiles(ms []float64) map[string]float64 {
 	if len(ms) == 0 {
 		return map[string]float64{}
 	}
-	sort.Float64s(ms)
-	at := func(p float64) float64 {
-		i := int(p * float64(len(ms)-1))
-		return ms[i]
+	var s metrics.Series
+	for _, v := range ms {
+		s.Add(v)
 	}
+	q := s.Quantiles(50, 90, 99)
 	round := func(v float64) float64 { return float64(int(v*100)) / 100 }
 	return map[string]float64{
-		"p50": round(at(0.50)),
-		"p90": round(at(0.90)),
-		"p99": round(at(0.99)),
-		"max": round(ms[len(ms)-1]),
+		"p50": round(q[0]),
+		"p90": round(q[1]),
+		"p99": round(q[2]),
+		"max": round(s.Max()),
 	}
 }

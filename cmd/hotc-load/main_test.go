@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -70,6 +71,22 @@ func TestRunReportIsConsistent(t *testing.T) {
 		if ts == nil || ts.Sent != n || ts.OK != n {
 			t.Errorf("tenant %s: %+v, want sent = ok = %d", name, ts, n)
 		}
+	}
+}
+
+// The report's percentiles are metrics.Series's: interpolated between
+// the closest ranks, not the nearest rank below, which on a short run
+// reads a whole sample low.
+func TestPercentilesInterpolate(t *testing.T) {
+	got := percentiles([]float64{4, 1, 3, 2})
+	want := map[string]float64{"p50": 2.5, "p90": 3.7, "p99": 3.97, "max": 4}
+	for k, w := range want {
+		if math.Abs(got[k]-w) > 0.011 { // the report cuts to two decimals
+			t.Errorf("%s = %v, want %v", k, got[k], w)
+		}
+	}
+	if got := percentiles(nil); len(got) != 0 {
+		t.Errorf("percentiles of nothing = %v, want no keys", got)
 	}
 }
 

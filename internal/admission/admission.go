@@ -190,6 +190,11 @@ type Ticket struct {
 // for immediate admission).
 func (t *Ticket) Waited() time.Duration { return t.waited }
 
+// Tenant reports the tenant the queue billed the request to: the name
+// Acquire was given, or the shared overflow tenant once the queue tracks maxTenants
+// others — a bounded set, safe to use as a metric label.
+func (t *Ticket) Tenant() string { return t.tq.name }
+
 // Done releases the slot and dispatches the next eligible waiter. Safe
 // to call more than once; only the first call has effect.
 func (t *Ticket) Done() {
@@ -344,17 +349,34 @@ func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket
 	}
 }
 
-// tenantLocked resolves (lazily creating) a tenant's queue.
+// maxTenants bounds the distinct tenants one queue tracks. The name is
+// client-controlled (the X-Hotc-Tenant header) and a tenantQ lives as
+// long as its queue, so without a bound a scan of random names grows
+// the map — and every label keyed off it — forever.
+const maxTenants = 1024
+
+// overflowTenant is the one queue shared by every tenant that arrives
+// after maxTenants others: together they get one tenant's depth and one
+// tenant's share of dispatch.
+const overflowTenant = "~overflow"
+
+// tenantLocked resolves (lazily creating) a tenant's queue. Tenants
+// listed in Config.Weights always get their own; any other name past
+// the bound shares overflowTenant's.
 func (q *Queue) tenantLocked(name string) *tenantQ {
-	tq := q.tenants[name]
-	if tq == nil {
-		weight := 1
-		if w, ok := q.cfg.Weights[name]; ok && w > 0 {
+	if tq := q.tenants[name]; tq != nil {
+		return tq
+	}
+	weight := 1
+	if w, listed := q.cfg.Weights[name]; listed {
+		if w > 0 {
 			weight = w
 		}
-		tq = &tenantQ{name: name, weight: weight}
-		q.tenants[name] = tq
+	} else if len(q.tenants) >= maxTenants && name != overflowTenant {
+		return q.tenantLocked(overflowTenant)
 	}
+	tq := &tenantQ{name: name, weight: weight}
+	q.tenants[name] = tq
 	return tq
 }
 

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,11 +156,24 @@ func TestContextCancelWithdrawsWaiter(t *testing.T) {
 // both, dispatch order grants a two slots for every one of b's — one
 // hot tenant cannot starve the other.
 func TestWeightedFairDispatch(t *testing.T) {
-	q := New(Config{
+	checkWeightedDispatch(t, New(weightedConfig()))
+}
+
+// weightedConfig is one slot, room to queue, and tenant a weighing twice
+// tenant b.
+func weightedConfig() Config {
+	return Config{
 		MaxInFlight: 1,
 		QueueDepth:  16,
 		Weights:     map[string]int{"a": 2, "b": 1},
-	})
+	}
+}
+
+// checkWeightedDispatch queues six requests of a and three of b behind
+// a held slot of q (built from weightedConfig) and checks the grants
+// come out 2:1 throughout.
+func checkWeightedDispatch(t *testing.T, q *Queue) {
+	t.Helper()
 	gate, rej := q.Acquire(context.Background(), "seed", time.Time{})
 	if rej != nil {
 		t.Fatal(rej)
@@ -216,6 +230,41 @@ func TestWeightedFairDispatch(t *testing.T) {
 	}
 	if counts["a"] != 6 || counts["b"] != 3 {
 		t.Fatalf("lost grants: %v", counts)
+	}
+}
+
+// A flood of distinct tenant names — the name is a client-controlled
+// header — leaves the queue tracking a bounded set: maxTenants of them
+// keep their own queue, the rest share the overflow tenant's, and the
+// tenants Config.Weights lists still get their own queue and their
+// weighted share however late they arrive.
+func TestTenantCardinalityBounded(t *testing.T) {
+	cfg := weightedConfig()
+	q := New(cfg)
+	const flood = 10_000
+	for i := 0; i < flood; i++ {
+		tk, rej := q.Acquire(context.Background(), fmt.Sprintf("scan-%d", i), time.Time{})
+		if rej != nil {
+			t.Fatalf("tenant %d rejected: %v", i, rej)
+		}
+		if want := fmt.Sprintf("scan-%d", i); i < maxTenants && tk.Tenant() != want {
+			t.Fatalf("ticket %d bills %q, want %q", i, tk.Tenant(), want)
+		} else if i >= maxTenants && tk.Tenant() != overflowTenant {
+			t.Fatalf("ticket %d bills %q, want the overflow tenant", i, tk.Tenant())
+		}
+		tk.Done()
+	}
+	st := q.Snapshot()
+	if got := len(st.Tenants); got != maxTenants+1 {
+		t.Fatalf("%d tenants tracked after %d distinct names, want %d and the overflow tenant", got, flood, maxTenants)
+	}
+	if got := st.Tenants[overflowTenant].Admitted; got != flood-maxTenants {
+		t.Fatalf("overflow tenant admitted %d, want %d", got, flood-maxTenants)
+	}
+
+	checkWeightedDispatch(t, q)
+	if got, bound := len(q.Snapshot().Tenants), maxTenants+1+len(cfg.Weights); got > bound {
+		t.Fatalf("%d tenants tracked, bound %d", got, bound)
 	}
 }
 

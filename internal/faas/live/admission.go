@@ -1,9 +1,7 @@
 package live
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -66,52 +64,37 @@ func (g *Gateway) requestDeadline(r *http.Request, start time.Time) (time.Time, 
 	return start.Add(d), nil
 }
 
-// admit runs the request through the shard's admission queue (a no-op
-// pass when admission is off). It either returns a ticket — whose Done
-// the caller must arrange — or writes the refusal response itself and
-// returns a nil ticket with the refusal's HTTP status (the caller
-// feeds it to the request's span; a queue-canceled request reports 499
-// even though no status line went out).
-func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, s *shard, rt *reqTrace, tenant string, deadline time.Time, start time.Time) (*admission.Ticket, int) {
+// admit is the admission stage: pass the bounded, deadline-shedding,
+// tenant-fair queue before touching the warm pool (a no-op pass when
+// admission is off). Admitted, the request holds a ticket until handle
+// is done with it; refused, the ending carries the 429/503 and its
+// Retry-After — or 499 and no refusal when the client hung up while
+// queued and nobody is listening for a status line.
+func (g *Gateway) admit(req *request) ending {
+	s := req.s
 	if s.adm == nil {
-		return nil, 0
+		return ending{}
 	}
-	ticket, rej := s.adm.Acquire(r.Context(), tenant, deadline)
+	ticket, rej := s.adm.Acquire(req.r.Context(), req.rt.tenant, req.deadline)
 	if rej == nil {
+		req.ticket = ticket
+		req.rt.queueWait = ticket.Waited()
 		s.m.admWait.ObserveDuration(ticket.Waited())
-		return ticket, 0
+		return ending{}
 	}
 	g.obs.admRejected.With(s.name, string(rej.Reason)).Inc()
 	if rej.Reason == admission.ReasonCanceled {
-		// The client hung up while queued; nobody is listening for a
-		// status line.
-		s.countCanceled()
-		s.observe("canceled", start)
-		g.traceEvent(rt, "canceled", "client disconnect while queued")
-		return nil, statusClientClosedRequest
+		return ending{outcome: "canceled", status: statusClientClosedRequest,
+			event: "canceled", detail: "client disconnect while queued"}
 	}
 	status := http.StatusTooManyRequests
 	if rej.Reason == admission.ReasonStopped {
 		status = http.StatusServiceUnavailable
 	}
-	if rej.RetryAfter > 0 {
-		setRetryAfter(w, rej.RetryAfter)
-	}
-	w.Header().Set(RejectedHeader, string(rej.Reason))
-	http.Error(w, fmt.Sprintf("live: overloaded (%s) for %q", rej.Reason, s.name), status)
-	s.observe("rejected", start)
-	g.traceEvent(rt, "admission-rejected", string(rej.Reason))
-	return nil, status
-}
-
-// setRetryAfter writes a whole-seconds Retry-After header, always at
-// least 1 so the hint is actionable.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	return ending{outcome: "rejected", status: status,
+		refusal:    fmt.Sprintf("live: overloaded (%s) for %q", rej.Reason, s.name),
+		retryAfter: rej.RetryAfter, rejected: rej.Reason,
+		event: "admission-rejected", detail: string(rej.Reason)}
 }
 
 // AdmissionStats snapshots every function's admission queue (empty map
@@ -154,7 +137,7 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 	return WarmMemoryStats{
 		BudgetBytes: g.cfg.MemoryBudget,
 		WarmBytes:   int64(total) * g.cfg.InstanceMemBytes,
-		Reclaimed:   int(g.memReclaimed.Load()),
+		Reclaimed:   int(g.obs.admMemReclaimed.Value()),
 	}
 }
 
@@ -203,7 +186,6 @@ func (g *Gateway) reclaimMemoryOnce() int {
 			want = generics
 		}
 		reapedGen = g.cold.pool.Reap(want)
-		g.cold.genericReaped.Add(uint64(reapedGen))
 		ins.coldReaped.Add(float64(reapedGen))
 		total -= reapedGen
 	}
@@ -228,7 +210,6 @@ func (g *Gateway) reclaimMemoryOnce() int {
 	}
 	reclaimed := reapedGen + len(doomed)
 	if reclaimed > 0 {
-		g.memReclaimed.Add(uint64(reclaimed))
 		ins.admMemReclaimed.Add(float64(reclaimed))
 		ins.admMemBytes.Set(float64(total-len(doomed)) * float64(est))
 	}
@@ -281,41 +262,3 @@ func overQuota(counts []int, budget int) []int {
 // by their client before any status line went out (nginx's 499
 // convention) — not a wire status, only trace/SLO bookkeeping.
 const statusClientClosedRequest = 499
-
-// cancelUpstream concludes a request whose context died mid-boot or
-// mid-flight: nothing goes out for a vanished client (the span records
-// 499), 504 for a deadline that expired while the backend worked. The
-// backend is blameless either way — the caller already tore the instance
-// down without feeding the breaker.
-func (g *Gateway) cancelUpstream(w http.ResponseWriter, r *http.Request, s *shard, rt *reqTrace, committed bool, start time.Time) {
-	s.countCanceled()
-	g.obs.admCanceled.Inc()
-	status, why := statusClientClosedRequest, "client disconnect mid-flight"
-	if r.Context().Err() == nil && !committed {
-		// The client is still listening and no status line went out yet.
-		status, why = http.StatusGatewayTimeout, "deadline exceeded mid-flight"
-		w.Header().Set(RejectedHeader, string(admission.ReasonDeadline))
-		http.Error(w, "live: deadline exceeded", status)
-	}
-	g.traceEvent(rt, "canceled", why)
-	s.observe("canceled", start)
-	g.finishRequest(s, rt, status, "")
-}
-
-// countCanceled bumps the shard's abandoned-request counter (Stats
-// aggregation; the metrics side goes through observe/admCanceled).
-func (s *shard) countCanceled() {
-	s.mu.Lock()
-	s.stats.Canceled++
-	s.mu.Unlock()
-}
-
-// withDeadline derives the request context the backend call runs
-// under: the client's own context (so disconnects cancel backend
-// work), bounded by the admission deadline when one is set.
-func withDeadline(r *http.Request, deadline time.Time) (context.Context, context.CancelFunc) {
-	if deadline.IsZero() {
-		return r.Context(), func() {}
-	}
-	return context.WithDeadline(r.Context(), deadline)
-}

@@ -2,7 +2,6 @@ package live
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"hotc/internal/image"
@@ -20,7 +19,8 @@ const BootHeader = "X-Hotc-Boot"
 // and content-addressed layer cache that let functions sharing base
 // layers skip the pull/unpack phase, and the pre-forked generic
 // watchdog pool that pre-pays the function-agnostic share of boot. New
-// fills the first three; the counters are atomics fed from boot paths.
+// fills all three; what the boot paths count lives in the
+// hotc_coldpath_* families, which ColdPathStats reads back.
 type coldPath struct {
 	// registry resolves Function.Image references.
 	registry *image.Registry
@@ -33,12 +33,6 @@ type coldPath struct {
 	cache *image.Cache
 	// pool is the generic watchdog pool; nil = prefork off.
 	pool *prefork.Pool
-
-	refillBoots   atomic.Uint64 // completed generic boots
-	genericReaped atomic.Uint64 // generics stopped by budget pressure
-	pullSkippedKB atomic.Uint64 // pull megabytes skipped via cache, in KB
-	serveErrs     atomic.Uint64 // watchdog accept loops that died with an error
-	bootErrs      atomic.Uint64 // failed watchdog boots (generic refills)
 }
 
 // pay is every gateway's sleep, the context-aware stand-in for
@@ -242,11 +236,10 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 }
 
 // observeBoot feeds one boot's phase accounting into the
-// hotc_coldpath_* families and the gateway's own counters.
+// hotc_coldpath_* and hotc_share_boot_phase_ms families.
 func (g *Gateway) observeBoot(info bootInfo) {
 	ins := g.obs
 	if info.skippedMB > 0 {
-		g.cold.pullSkippedKB.Add(uint64(info.skippedMB * 1024))
 		ins.coldSkippedMB.Add(info.skippedMB)
 	}
 	switch info.mode {
@@ -271,11 +264,9 @@ func (g *Gateway) observeBoot(info bootInfo) {
 }
 
 // watchdogServeError records a watchdog accept loop dying with an
-// unexpected error — previously discarded inside the Serve goroutine,
-// now a resilience event (watchdog-serve-error) and a counter the
-// stats surface reports.
+// unexpected error as a resilience event (watchdog-serve-error), which
+// the stats surface reports as watchdog.serve_errors.
 func (g *Gateway) watchdogServeError(err error) {
-	g.cold.serveErrs.Add(1)
 	g.event("watchdog-serve-error")
 }
 
@@ -310,9 +301,9 @@ type ColdPathStats struct {
 // ColdPathStats reports the cold-path accounting.
 func (g *Gateway) ColdPathStats() ColdPathStats {
 	st := ColdPathStats{
-		RefillBoots:   g.cold.refillBoots.Load(),
-		GenericReaped: g.cold.genericReaped.Load(),
-		PullSkippedMB: float64(g.cold.pullSkippedKB.Load()) / 1024,
+		RefillBoots:   uint64(g.obs.coldRefills.Value()),
+		GenericReaped: uint64(g.obs.coldReaped.Value()),
+		PullSkippedMB: g.obs.coldSkippedMB.Value(),
 	}
 	if g.cold.pool != nil {
 		st.Prefork = true

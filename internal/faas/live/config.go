@@ -274,17 +274,13 @@ func New(cfg PoolConfig) *Gateway {
 	}
 	if cfg.Prefork {
 		g.cold.pool = prefork.NewPool(prefork.Config{
-			Size: cfg.PreforkSize,
-			Boot: g.bootGeneric,
-			OnBoot: func() {
-				g.cold.refillBoots.Add(1)
-				g.obs.coldRefills.Inc()
-			},
+			Size:   cfg.PreforkSize,
+			Boot:   g.bootGeneric,
+			OnBoot: g.obs.coldRefills.Inc,
 			OnBootError: func(error) {
 				if g.life.Err() != nil {
 					return // a refill Stop abandoned, not a failure
 				}
-				g.cold.bootErrs.Add(1)
 				g.event("prefork-boot-failure")
 			},
 			OnIdle: func(n int) { g.obs.coldGenericIdle.Set(float64(n)) },

@@ -195,7 +195,6 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 		g.obs.ctlPrewarm.Inc()
 		inst = nil
 	case err != nil && g.life.Err() == nil:
-		s.resLocked("prewarm.failures")
 		g.event("prewarm-boot-failure")
 	}
 	s.mu.Unlock()

@@ -12,12 +12,11 @@ import (
 // pre-resolved handles for the unlabeled (or fixed-label) families the
 // hot path bumps. Every gateway has one, on its own registry.
 type instruments struct {
-	requests     *obs.CounterVec   // hotc_requests_total{function, outcome}
-	starts       *obs.CounterVec   // hotc_starts_total{mode}
-	latency      *obs.HistogramVec // hotc_request_latency_ms{function}
-	warm         *obs.GaugeVec     // hotc_live_warm_instances{function}
-	events       *obs.CounterVec   // hotc_resilience_events_total{kind}
-	breakerState *obs.GaugeVec     // hotc_breaker_state{key}
+	requests     *obs.CounterVec         // hotc_requests_total{function, outcome}
+	latency      *obs.HistogramVec       // hotc_request_latency_ms{function}
+	warm         *obs.GaugeVec           // hotc_live_warm_instances{function}
+	events       map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
+	breakerState *obs.GaugeVec           // hotc_breaker_state{key}
 
 	// Controller families share the simulated control loop's names
 	// (core.HotC.Instrument), so dashboards read either substrate.
@@ -56,23 +55,19 @@ type instruments struct {
 	// paid — generic handoff vs full boot, per-phase delays, generic
 	// pool occupancy/refills/reaps, and pull megabytes the layer cache
 	// saved.
-	coldBoots       *obs.CounterVec   // hotc_coldpath_boots_total{mode}
-	coldPhase       *obs.HistogramVec // hotc_coldpath_phase_ms{phase}
-	coldGenericIdle *obs.Gauge        // hotc_coldpath_generic_idle
-	coldRefills     *obs.Counter      // hotc_coldpath_refills_total
-	coldReaped      *obs.Counter      // hotc_coldpath_generic_reaped_total
-	coldSkippedMB   *obs.Counter      // hotc_coldpath_pull_skipped_mb_total
+	coldGenericIdle *obs.Gauge   // hotc_coldpath_generic_idle
+	coldRefills     *obs.Counter // hotc_coldpath_refills_total
+	coldReaped      *obs.Counter // hotc_coldpath_generic_reaped_total
+	coldSkippedMB   *obs.Counter // hotc_coldpath_pull_skipped_mb_total
 
 	// Sharing families (hotc_share_*): inter-function lease outcomes,
 	// the lender/renter population, and the rented-boot phase split.
-	shareLeases  *obs.CounterVec   // hotc_share_leases_total{outcome}
-	shareLenders *obs.Gauge        // hotc_share_lenders
-	shareRenters *obs.Gauge        // hotc_share_renters
-	sharePhase   *obs.HistogramVec // hotc_share_boot_phase_ms{phase}
+	shareLenders *obs.Gauge // hotc_share_lenders
+	shareRenters *obs.Gauge // hotc_share_renters
 
-	// startsWarm/startsCold are the two children of starts, resolved
-	// once so the request path pays a single atomic add; the coldBoots
-	// and coldPhase children likewise.
+	// startsWarm/startsCold are the two children of hotc_starts_total{mode},
+	// resolved once so the request path pays a single atomic add; likewise
+	// hotc_coldpath_boots_total{mode} and hotc_coldpath_phase_ms{phase}.
 	startsWarm       *obs.Counter
 	startsCold       *obs.Counter
 	coldBootsGeneric *obs.Counter
@@ -135,22 +130,31 @@ func (ins *instruments) forFunction(name string) *shardMetrics {
 // registry. The families reuse the simulated pipeline's names, so
 // dashboards built against a sim dump read hotcd's /metrics unchanged.
 func newInstruments(reg *obs.Registry) *instruments {
+	starts := reg.CounterVec("hotc_starts_total",
+		"Watchdog instance starts behind served requests, by mode (warm = reused, cold = fresh boot).",
+		"mode")
+	coldBoots := reg.CounterVec("hotc_coldpath_boots_total",
+		"Cold boots by mode (generic = specialized from the pre-forked pool, cold = full boot).",
+		"mode")
+	coldPhase := reg.HistogramVec("hotc_coldpath_phase_ms",
+		"Cold-boot phase delays actually paid, in milliseconds, by phase (pull|runtime_init|app_init); a zero pull is a layer-cache hit.",
+		obs.DefaultLatencyBucketsMS(), "phase")
+	shareLeases := reg.CounterVec("hotc_share_leases_total",
+		"Inter-function lease attempts by outcome (granted|no_candidate|denied_policy).",
+		"outcome")
+	sharePhase := reg.HistogramVec("hotc_share_boot_phase_ms",
+		"Rented-boot phase delays actually paid, in milliseconds, by phase (wipe|pull|app_init); a zero pull is a same-image lease.",
+		obs.DefaultLatencyBucketsMS(), "phase")
 	ins := &instruments{
 		requests: reg.CounterVec("hotc_requests_total",
 			"Requests handled by the gateway, by function and outcome (ok|error|rejected|canceled).",
 			"function", "outcome"),
-		starts: reg.CounterVec("hotc_starts_total",
-			"Watchdog instance starts behind served requests, by mode (warm = reused, cold = fresh boot).",
-			"mode"),
 		latency: reg.HistogramVec("hotc_request_latency_ms",
 			"End-to-end request latency at the gateway, in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "function"),
 		warm: reg.GaugeVec("hotc_live_warm_instances",
 			"Idle warm watchdog instances per function.",
 			"function"),
-		events: reg.CounterVec("hotc_resilience_events_total",
-			"Resilience events on the request path, by kind.",
-			"kind"),
 		breakerState: reg.GaugeVec("hotc_breaker_state",
 			"Per-function circuit breaker state (0 closed, 1 open, 2 half-open).",
 			"key"),
@@ -195,12 +199,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"Estimated memory held by warm instances across all functions."),
 		admMemReclaimed: reg.Counter("hotc_adm_mem_reclaimed_total",
 			"Warm instances reclaimed by memory-budget pressure."),
-		coldBoots: reg.CounterVec("hotc_coldpath_boots_total",
-			"Cold boots by mode (generic = specialized from the pre-forked pool, cold = full boot).",
-			"mode"),
-		coldPhase: reg.HistogramVec("hotc_coldpath_phase_ms",
-			"Cold-boot phase delays actually paid, in milliseconds, by phase (pull|runtime_init|app_init); a zero pull is a layer-cache hit.",
-			obs.DefaultLatencyBucketsMS(), "phase"),
 		coldGenericIdle: reg.Gauge("hotc_coldpath_generic_idle",
 			"Idle generic pre-forked watchdogs ready for specialization."),
 		coldRefills: reg.Counter("hotc_coldpath_refills_total",
@@ -209,16 +207,17 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"Generic pre-forked watchdogs stopped by memory-budget pressure."),
 		coldSkippedMB: reg.Counter("hotc_coldpath_pull_skipped_mb_total",
 			"Image megabytes not pulled thanks to layer-cache hits."),
-		shareLeases: reg.CounterVec("hotc_share_leases_total",
-			"Inter-function lease attempts by outcome (granted|no_candidate|denied_policy).",
-			"outcome"),
 		shareLenders: reg.Gauge("hotc_share_lenders",
 			"Functions currently classified as lenders (persistently over-forecasted or idle-heavy)."),
 		shareRenters: reg.Gauge("hotc_share_renters",
 			"Functions currently classified as renters (persistently under-forecasted)."),
-		sharePhase: reg.HistogramVec("hotc_share_boot_phase_ms",
-			"Rented-boot phase delays actually paid, in milliseconds, by phase (wipe|pull|app_init); a zero pull is a same-image lease.",
-			obs.DefaultLatencyBucketsMS(), "phase"),
+	}
+	events := reg.CounterVec("hotc_resilience_events_total",
+		"Resilience events on the request path, by kind.",
+		"kind")
+	ins.events = make(map[string]*obs.Counter, len(resilienceKinds))
+	for _, k := range resilienceKinds {
+		ins.events[k.kind] = events.With(k.kind)
 	}
 	traceKept := reg.CounterVec("hotc_trace_kept_total",
 		"Spans retained by the tail sampler, by keep reason (error|shed|cold|slow|sampled).",
@@ -231,20 +230,20 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Completed requests whose spans the tail sampler dropped.")
 	ins.traceRingFull = reg.Counter("hotc_trace_ring_dropped_total",
 		"Kept spans dropped because their trace-ring slot was busy.")
-	ins.startsWarm = ins.starts.With("warm")
-	ins.startsCold = ins.starts.With("cold")
-	ins.coldBootsGeneric = ins.coldBoots.With("generic")
-	ins.coldBootsFull = ins.coldBoots.With("cold")
-	ins.coldBootsRented = ins.coldBoots.With("rented")
-	ins.coldPhasePull = ins.coldPhase.With("pull")
-	ins.coldPhaseRuntime = ins.coldPhase.With("runtime_init")
-	ins.coldPhaseApp = ins.coldPhase.With("app_init")
-	ins.shareLeaseGranted = ins.shareLeases.With("granted")
-	ins.shareLeaseNoCandidate = ins.shareLeases.With("no_candidate")
-	ins.shareLeaseDenied = ins.shareLeases.With("denied_policy")
-	ins.sharePhaseWipe = ins.sharePhase.With("wipe")
-	ins.sharePhasePull = ins.sharePhase.With("pull")
-	ins.sharePhaseApp = ins.sharePhase.With("app_init")
+	ins.startsWarm = starts.With("warm")
+	ins.startsCold = starts.With("cold")
+	ins.coldBootsGeneric = coldBoots.With("generic")
+	ins.coldBootsFull = coldBoots.With("cold")
+	ins.coldBootsRented = coldBoots.With("rented")
+	ins.coldPhasePull = coldPhase.With("pull")
+	ins.coldPhaseRuntime = coldPhase.With("runtime_init")
+	ins.coldPhaseApp = coldPhase.With("app_init")
+	ins.shareLeaseGranted = shareLeases.With("granted")
+	ins.shareLeaseNoCandidate = shareLeases.With("no_candidate")
+	ins.shareLeaseDenied = shareLeases.With("denied_policy")
+	ins.sharePhaseWipe = sharePhase.With("wipe")
+	ins.sharePhasePull = sharePhase.With("pull")
+	ins.sharePhaseApp = sharePhase.With("app_init")
 	return ins
 }
 
@@ -265,115 +264,94 @@ func (s *shard) observe(outcome string, start time.Time) {
 	m.latency.ObserveDuration(time.Since(start))
 }
 
-// observeUnknown records a request for a name with no shard (404s).
-// Off the hot path, so the Vec lookup cost is fine.
-func (g *Gateway) observeUnknown(name string, start time.Time) {
-	g.obs.requests.With(name, "error").Inc()
-	g.obs.latency.With(name).ObserveDuration(time.Since(start))
-}
-
 // since is the gateway's monotonic clock for the breaker: offsets from
 // the gateway's construction, matching the simulated breaker's virtual
 // time contract.
 func (g *Gateway) since() time.Duration { return time.Since(g.epoch) }
 
-// breakerLocked lazily builds the shard's breaker; nil when breaking
-// is disabled (PoolConfig.BreakerThreshold 0). Caller holds s.mu.
-func (g *Gateway) breakerLocked(s *shard) *faas.Breaker {
-	if g.cfg.BreakerThreshold <= 0 {
-		return nil
-	}
-	if s.breaker == nil {
-		s.breaker = faas.NewBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerOpenFor)
-	}
-	return s.breaker
-}
-
 // breakerAllow reports whether a request for the function may proceed,
-// counting and fast-fail accounting when it may not; a refusal comes
-// with the remainder of the breaker's open window, the honest
-// Retry-After. With breaking disabled (the default) this is one branch
-// on an immutable field.
+// counting the fast-fail when it may not; a refusal comes with the
+// remainder of the breaker's open window, the honest Retry-After. With
+// breaking disabled (the default) the shard has no breaker and this is
+// one nil test.
 func (g *Gateway) breakerAllow(s *shard) (bool, time.Duration) {
-	if g.cfg.BreakerThreshold <= 0 {
+	if s.breaker == nil {
 		return true, 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := g.breakerLocked(s)
 	now := g.since()
-	ok := b.Allow(now)
+	ok := s.breaker.Allow(now)
 	var retryAfter time.Duration
 	if !ok {
-		retryAfter = b.RemainingOpen(now)
-		s.resLocked("breaker.rejected")
+		retryAfter = s.breaker.RemainingOpen(now)
 		g.event("breaker-rejected")
 	}
-	s.syncBreakerGaugeLocked(b, g.since())
+	g.syncBreakerGaugeLocked(s)
 	return ok, retryAfter
 }
 
-// breakerFailure feeds a backend failure (boot or proxy) into the
-// function's breaker and bumps the named resilience counter.
-func (g *Gateway) breakerFailure(s *shard, counter string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resLocked(counter)
-	g.event(counter)
-	b := g.breakerLocked(s)
-	if b == nil {
+// breakerFailure counts a backend failure (boot or proxy) under the
+// named resilience kind and feeds it into the function's breaker.
+func (g *Gateway) breakerFailure(s *shard, kind string) {
+	g.event(kind)
+	if s.breaker == nil {
 		return
 	}
-	if b.OnFailure(g.since()) {
-		s.resLocked("breaker.trips")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.breaker.OnFailure(g.since()) {
 		g.event("breaker-open")
 	}
-	s.syncBreakerGaugeLocked(b, g.since())
+	g.syncBreakerGaugeLocked(s)
 }
 
 // breakerSuccess records a successful proxy round-trip.
 func (g *Gateway) breakerSuccess(s *shard) {
-	if g.cfg.BreakerThreshold <= 0 {
+	if s.breaker == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := g.breakerLocked(s)
-	if b.State(g.since()) != faas.BreakerClosed {
-		s.resLocked("breaker.closes")
+	if s.breaker.State(g.since()) != faas.BreakerClosed {
 		g.event("breaker-close")
 	}
-	b.OnSuccess()
-	s.syncBreakerGaugeLocked(b, g.since())
+	s.breaker.OnSuccess()
+	g.syncBreakerGaugeLocked(s)
 }
 
-// event bumps the resilience-event metric (failure paths only).
-func (g *Gateway) event(kind string) { g.obs.events.With(kind).Inc() }
+// resilienceKinds is the one table of resilience events: each
+// hotc_resilience_events_total{kind} and the /system/stats "resilience"
+// key that reports the same count.
+var resilienceKinds = [...]struct{ kind, key string }{
+	{"boot.failures", "boot.failures"},
+	{"proxy.failures", "proxy.failures"},
+	{"breaker-open", "breaker.trips"},
+	{"breaker-close", "breaker.closes"},
+	{"breaker-rejected", "breaker.rejected"},
+	{"prewarm-boot-failure", "prewarm.failures"},
+	{"watchdog-serve-error", "watchdog.serve_errors"},
+	{"prefork-boot-failure", "prefork.boot_failures"},
+}
+
+// event counts one resilience event; kind is a row of resilienceKinds.
+func (g *Gateway) event(kind string) { g.obs.events[kind].Inc() }
 
 // syncBreakerGaugeLocked refreshes the breaker-state gauge. Caller
 // holds s.mu.
-func (s *shard) syncBreakerGaugeLocked(b *faas.Breaker, at time.Duration) {
-	s.m.breakerSt.Set(float64(b.State(at)))
+func (g *Gateway) syncBreakerGaugeLocked(s *shard) {
+	s.m.breakerSt.Set(float64(s.breaker.State(g.since())))
 }
 
-// ResilienceCounters sums the per-shard failure/breaker counters
-// (boot.failures, proxy.failures, breaker.trips, breaker.closes,
-// breaker.rejected) plus the gateway-wide watchdog accept-loop and
-// generic-boot failures. Counters with zero value are absent.
+// ResilienceCounters reads hotc_resilience_events_total back under the
+// /system/stats keys of resilienceKinds. Counters with zero value are
+// absent.
 func (g *Gateway) ResilienceCounters() map[string]int {
 	out := make(map[string]int)
-	for _, s := range g.snapshotShards() {
-		s.mu.Lock()
-		for k, v := range s.res {
-			out[k] += v
+	for _, k := range resilienceKinds {
+		if n := int(g.obs.events[k.kind].Value()); n > 0 {
+			out[k.key] = n
 		}
-		s.mu.Unlock()
-	}
-	if n := g.cold.serveErrs.Load(); n > 0 {
-		out["watchdog.serve_errors"] += int(n)
-	}
-	if n := g.cold.bootErrs.Load(); n > 0 {
-		out["prefork.boot_failures"] += int(n)
 	}
 	return out
 }

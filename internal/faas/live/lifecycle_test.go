@@ -233,7 +233,7 @@ func TestPrewarmBootFailureIsCounted(t *testing.T) {
 	if res["prewarm.failures"] != 1 || res["boot.failures"] != 0 {
 		t.Errorf("resilience = %v, want prewarm.failures 1 and no boot.failures", res)
 	}
-	if got := g.obs.events.With("prewarm-boot-failure").Value(); got != 1 {
+	if got := g.obs.events["prewarm-boot-failure"].Value(); got != 1 {
 		t.Errorf("prewarm-boot-failure events = %v, want 1", got)
 	}
 	if st := g.Stats(); st.Prewarmed != 0 || g.WarmInstances("f") != 0 {

@@ -26,19 +26,36 @@
 // the next one with the ES+Markov predictor, and prewarms or retires
 // warm instances to meet it — see controller.go.
 //
+// # Request lifecycle
+//
+// handle serves /function/<name> as a pipeline over one request value
+// on its stack frame: drain check → deadline → declared-body cap →
+// breaker → admission → acquire → hop round trip → response copy. Each
+// stage passes the request on or returns an ending (outcome, status,
+// refusal, headers owed, span event, backend blame), and one function,
+// conclude, turns the ending into effects, each exactly once. A stage
+// holding an instance releases it before returning, so no instance is
+// held across the accounting. DESIGN's "Request lifecycle" table lists
+// every ending; TestEveryExitCountsOnce pins it.
+//
+// Every event is counted at one site, in the metrics registry, and the
+// JSON views (/system/stats, the *Stats methods) read the registry
+// back. Only the warm path's integers (Stats.Requests, Reused,
+// ColdStarts, the eviction counts) stay under the shard lock they are
+// already bumped under.
+//
 // # Hot-path concurrency
 //
 // All mutable per-function state — the idle warm list, the circuit
-// breaker, resilience counters, controller demand accounting and the
-// stats deltas — lives in a per-function shard guarded by its own
-// small mutex. Shards are resolved through a read-mostly RWMutex
-// registry, so requests for two different functions never contend on a
-// lock, and requests for the same function only serialize for the few
-// instructions of pool bookkeeping. Aggregate views (Stats,
-// ResilienceCounters, /system/stats) sum across shards on demand,
-// locking one shard at a time: there is no global pause. Metric
-// observations go through per-shard pre-resolved obs handles whose
-// updates are lock-free atomics.
+// breaker, controller demand accounting and the stats deltas — lives in
+// a per-function shard guarded by its own small mutex. Shards are
+// resolved through a read-mostly RWMutex registry, so requests for two
+// different functions never contend on a lock, and requests for the
+// same function only serialize for the few instructions of pool
+// bookkeeping. Aggregate views (Stats, /system/stats) sum across shards
+// on demand, locking one shard at a time: there is no global pause.
+// Metric observations go through per-shard pre-resolved obs handles
+// whose updates are lock-free atomics.
 //
 // This package exists so the examples and the hotcd daemon can
 // demonstrate the middleware against a real network stack; the figure
@@ -50,6 +67,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -141,111 +159,6 @@ type instance struct {
 	tainted atomic.Bool
 }
 
-// watchdogHandler builds the watchdog-side request handler for fn —
-// what specialization installs into a generic or freshly-booted
-// watchdog.
-func watchdogHandler(fn Function, maxBody int64) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveFunction(w, r, fn, maxBody)
-	})
-}
-
-// serveFunction is the watchdog request handler. Streaming bodies run
-// directly against the socket; []byte handlers go through the pooled
-// compat shim, which replaces the old per-request io.ReadAll with a
-// recycled whole-body buffer. maxBody > 0 bounds the request body
-// (HTTP 413 on overflow) so one request can never balloon the
-// watchdog's memory.
-//
-// A request carrying a traceparent gets the watchdog's §III.A moments
-// (2)..(5) back as X-Hotc-Span-* unix-nano headers. On the streaming
-// path moments (4) and (5) are unknowable before the response body
-// starts, so they return as HTTP trailers on the chunked reply; the
-// gateway reads them after draining the body.
-func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody int64) {
-	traced := r.Header.Get(TraceparentHeader) != ""
-	var watchdogIn int64
-	if traced {
-		watchdogIn = time.Now().UnixNano() // moment (2)
-	}
-	body := r.Body
-	if maxBody > 0 {
-		body = http.MaxBytesReader(w, body, maxBody)
-	}
-	if fn.Stream != nil {
-		// A streaming handler reads the request while writing the
-		// response; without full duplex the HTTP/1.1 server aborts
-		// body reads at the first response write. Writers that don't
-		// support it (tests' fakes) just stay half-duplex.
-		http.NewResponseController(w).EnableFullDuplex()
-		if traced {
-			h := w.Header()
-			h.Set("Trailer", SpanFuncDoneHeader+", "+SpanWatchdogOutHeader)
-			h.Set(SpanWatchdogInHeader, strconv.FormatInt(watchdogIn, 10))
-			h.Set(SpanFuncStartHeader, strconv.FormatInt(time.Now().UnixNano(), 10))
-		}
-		tw := &trackWriter{w: w}
-		err := fn.Stream(body, tw)
-		if traced {
-			// Moments (4) and (5) coincide for a stream: the handler's
-			// last write is the response leaving the watchdog. Written
-			// into the declared trailers when the reply is chunked.
-			now := strconv.FormatInt(time.Now().UnixNano(), 10)
-			w.Header().Set(SpanFuncDoneHeader, now)
-			w.Header().Set(SpanWatchdogOutHeader, now)
-		}
-		if err != nil && tw.n == 0 {
-			// Nothing committed yet: a real status line is still
-			// possible. After first byte, all we can do is truncate.
-			if isMaxBytesErr(err) {
-				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			} else {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		}
-		return
-	}
-	buf := getBodyBuf()
-	if _, err := buf.ReadFrom(body); err != nil {
-		putBodyBuf(buf)
-		if isMaxBytesErr(err) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
-		return
-	}
-	var funcStart int64
-	if traced {
-		funcStart = time.Now().UnixNano() // moment (3)
-	}
-	out, err := fn.Handler(buf.Bytes())
-	if traced {
-		h := w.Header()
-		h.Set(SpanWatchdogInHeader, strconv.FormatInt(watchdogIn, 10))
-		h.Set(SpanFuncStartHeader, strconv.FormatInt(funcStart, 10))
-		h.Set(SpanFuncDoneHeader, strconv.FormatInt(time.Now().UnixNano(), 10)) // moment (4)
-	}
-	if err != nil {
-		putBodyBuf(buf)
-		if traced {
-			w.Header().Set(SpanWatchdogOutHeader, strconv.FormatInt(time.Now().UnixNano(), 10))
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// Declare the length so the gateway can forward it instead of
-	// chunking. The buffer recycles only after the write: echo-style
-	// handlers return slices aliasing it.
-	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-	if traced {
-		w.Header().Set(SpanWatchdogOutHeader, strconv.FormatInt(time.Now().UnixNano(), 10)) // moment (5)
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
-	putBodyBuf(buf)
-}
-
 // newInstance wraps a specialized watchdog as fn's instance; only boot
 // calls it. This is where the hop connection is dialed — once per
 // watchdog, as the last step of the boot. A rented boot passes the
@@ -303,11 +216,13 @@ type Stats struct {
 	// Expired counts instances stopped by keep-alive (idle TTL) expiry.
 	Expired int
 	// Canceled counts requests abandoned mid-flight or mid-queue by
-	// client disconnect or deadline expiry.
+	// client disconnect or deadline expiry: the sum of
+	// hotc_requests_total{outcome="canceled"}, read back by Gateway.Stats.
 	Canceled int
 }
 
-// add accumulates another shard's deltas.
+// add accumulates another shard's under-lock deltas (Canceled is not
+// one: Gateway.Stats reads it from the registry).
 func (s *Stats) add(o Stats) {
 	s.Requests += o.Requests
 	s.ColdStarts += o.ColdStarts
@@ -317,13 +232,12 @@ func (s *Stats) add(o Stats) {
 	s.Prewarmed += o.Prewarmed
 	s.Retired += o.Retired
 	s.Expired += o.Expired
-	s.Canceled += o.Canceled
 }
 
 // shard is one function's slice of the gateway: everything a request
 // for that function mutates lives here, behind the shard's own mutex,
 // so functions never contend with each other and aggregate reads
-// (Stats, ResilienceCounters) never pause the request path globally.
+// (Stats) never pause the request path globally.
 type shard struct {
 	name string
 
@@ -335,10 +249,9 @@ type shard struct {
 	idle []*instance
 	// stats are this function's deltas; Gateway.Stats sums shards.
 	stats Stats
-	// breaker guards the function when breaking is armed (lazy).
+	// breaker guards the function; nil when breaking is off
+	// (PoolConfig.BreakerThreshold 0). Set by newShard, used under mu.
 	breaker *faas.Breaker
-	// res counts resilience events by kind (lazy map).
-	res map[string]int
 	// ctl is the adaptive-control state: in-flight demand accounting,
 	// the predictor and its evaluation series.
 	ctl fnControl
@@ -351,14 +264,6 @@ type shard struct {
 	// m holds the pre-resolved per-function metric handles, fixed when
 	// the shard is created; updates are lock-free atomics.
 	m *shardMetrics
-}
-
-// resLocked bumps a resilience counter. Caller holds s.mu.
-func (s *shard) resLocked(kind string) {
-	if s.res == nil {
-		s.res = make(map[string]int)
-	}
-	s.res[kind]++
 }
 
 // Gateway proxies /function/<name> requests to watchdog instances.
@@ -406,10 +311,6 @@ type Gateway struct {
 	// Adds happen under smu (read or write side) after a stopped
 	// check, so they cannot race Stop's Wait.
 	wg sync.WaitGroup
-
-	// memReclaimed counts warm instances evicted by memory-budget
-	// pressure.
-	memReclaimed atomic.Uint64
 
 	// cold is the fast-cold-path state: image catalog, layer cache,
 	// generic pre-forked pool and their counters (see coldpath.go).
@@ -461,8 +362,8 @@ func (g *Gateway) snapshotShards() []*shard {
 }
 
 // newShard creates a function's shard with everything the config gives
-// it — predictor, sharing classifier, admission queue, metric handles —
-// so a function is set up the same whenever it registers.
+// it — predictor, sharing classifier, admission queue, breaker, metric
+// handles — so a function is set up the same whenever it registers.
 func (g *Gateway) newShard(name string) *shard {
 	s := &shard{name: name, m: g.obs.forFunction(name)}
 	if g.cfg.NewPredictor != nil {
@@ -473,6 +374,9 @@ func (g *Gateway) newShard(name string) *shard {
 	}
 	if g.cfg.MaxInFlight > 0 {
 		s.adm = g.newAdmissionQueue(s)
+	}
+	if g.cfg.BreakerThreshold > 0 {
+		s.breaker = faas.NewBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerOpenFor)
 	}
 	return s
 }
@@ -600,6 +504,7 @@ func (g *Gateway) Stats() Stats {
 		s.mu.Lock()
 		total.add(s.stats)
 		s.mu.Unlock()
+		total.Canceled += int(s.m.reqCanceled.Value())
 	}
 	return total
 }
@@ -695,134 +600,197 @@ func (g *Gateway) redial(inst *instance) bool {
 	return true
 }
 
+// request is one /function/ request on its way through the pipeline.
+// It lives on handle's stack frame and is only ever lent down the call
+// chain, so the warm path allocates nothing for it.
+type request struct {
+	s *shard
+	w http.ResponseWriter
+	r *http.Request
+	// deadline bounds the queue wait and the backend call; zero = none.
+	deadline time.Time
+	// ticket is the admission slot, nil with admission off; handle gives
+	// it back after the accounting.
+	ticket *admission.Ticket
+	// rt carries the start time and the tenant along with the trace.
+	rt reqTrace
+}
+
+// ending is how a request leaves the pipeline. A stage returns the zero
+// ending (no outcome) to pass the request on, or fills one in and the
+// request is over: conclude turns it into every effect the gateway owes.
+type ending struct {
+	// outcome is the hotc_requests_total label: ok|error|rejected|canceled.
+	outcome string
+	// status is the span's and the SLO record's status: the status line,
+	// or 499 when the client left before one could go out.
+	status int
+	// refusal is the body conclude writes under status. Empty when the
+	// status line is already committed or nobody is listening.
+	refusal string
+	// The refusal's Retry-After, X-Hotc-Rejected and X-Hotc-Draining.
+	retryAfter time.Duration
+	rejected   admission.Reason
+	draining   bool
+	// event and detail are the span event; errMsg is the span's Err.
+	event, detail, errMsg string
+	// blame is the resilience counter a backend failure is booked under
+	// (boot.failures|proxy.failures) and feeds the breaker a failure;
+	// healthy feeds it a success. Neither: the backend was not judged.
+	blame   string
+	healthy bool
+}
+
+// handle serves /function/<name>: open the request's trace, run it
+// through the stages, and conclude whatever ending they reach.
 func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/function/")
 	start := time.Now()
 
 	// Unknown functions are a client error and must not feed the
 	// breaker: a typo cannot open the circuit for a healthy function.
+	// There is no shard to account under, so the 404 stays outside the
+	// pipeline: one fixed series, no trace ID and no span — a scan of
+	// random paths must not grow the registry or flush the span ring.
 	s := g.shard(name)
 	if s == nil {
-		g.observeUnknown(name, start)
+		g.obs.requests.With("", "error").Inc() // function="" is undeployable: one series for them all
+		g.obs.latency.With("").ObserveDuration(time.Since(start))
 		http.Error(w, fmt.Sprintf("live: unknown function %q", name), http.StatusNotFound)
 		return
 	}
 
-	// Open the request's trace: join or mint a W3C trace context and
-	// echo the trace ID on every response, refusals included, so any
-	// client can look its request up in /system/trace. rt lives on
-	// this frame; it only reaches the heap if the tail sampler keeps
-	// the span.
-	var rt reqTrace
-	rt.name, rt.start = name, start
-	tr := g.trace
-	if tr != nil {
-		tr.begin(&rt, r, start)
-		w.Header().Set(TraceIDHeader, rt.tc.TraceIDString())
+	// Join or mint a W3C trace context and echo the trace ID on every
+	// response of a deployed function, refusals included, so any client
+	// can look its request up in /system/trace. req.rt only reaches the
+	// heap if the tail sampler keeps the span.
+	req := request{s: s, w: w, r: r}
+	req.rt.name, req.rt.start = name, start
+	if g.trace != nil {
+		g.trace.begin(&req.rt, r, start)
+		w.Header().Set(TraceIDHeader, req.rt.tc.TraceIDString())
 	}
+	defer req.done()
+	g.conclude(&req, g.serve(&req))
+}
 
+// done frees the admission slot, once the accounting is closed: a
+// drained queue means every request it admitted is in the books.
+func (req *request) done() {
+	if req.ticket != nil {
+		req.ticket.Done()
+	}
+}
+
+// serve runs the stages in order — drain check, deadline, declared-body
+// cap, breaker, admission, acquire, then proxy's hop round trip and
+// response copy — up to the first ending. Nothing before admit spends
+// anything on the request.
+func (g *Gateway) serve(req *request) ending {
+	name := req.s.name
 	// A draining node refuses every new placement before spending
 	// anything on it — in-flight requests (already past this check)
 	// run to completion, which is what makes drain lossless.
 	if g.draining.Load() {
-		w.Header().Set(DrainingHeader, "true")
-		s.observe("rejected", start)
-		http.Error(w, fmt.Sprintf("live: draining, not accepting %q", name), http.StatusServiceUnavailable)
-		g.traceEvent(&rt, "drain-rejected", "node draining")
-		g.finishRequest(s, &rt, http.StatusServiceUnavailable, "")
-		return
+		return ending{outcome: "rejected", status: http.StatusServiceUnavailable,
+			refusal:  fmt.Sprintf("live: draining, not accepting %q", name),
+			draining: true, event: "drain-rejected", detail: "node draining"}
 	}
 
 	// Resolve the request's deadline (header override, else the
 	// configured default) before committing anything: it bounds both
 	// the queue wait and the backend call.
-	deadline, err := g.requestDeadline(r, start)
-	if err != nil {
-		s.observe("rejected", start)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		g.finishRequest(s, &rt, http.StatusBadRequest, "bad deadline header")
-		return
+	var err error
+	if req.deadline, err = g.requestDeadline(req.r, req.rt.start); err != nil {
+		return ending{outcome: "rejected", status: http.StatusBadRequest,
+			refusal: err.Error(), errMsg: "bad deadline header"}
 	}
-	tenant := r.Header.Get(TenantHeader)
-	if tenant == "" {
-		tenant = name
+	if req.rt.tenant = req.r.Header.Get(TenantHeader); req.rt.tenant == "" {
+		req.rt.tenant = name // untagged requests bill to the function
 	}
-	rt.tenant = tenant
 
 	// Bound the request body before any instance is committed: a
 	// declared-oversize body is rejected for free here; an undeclared
-	// (chunked) one is caught by MaxBytesReader mid-proxy below.
+	// (chunked) one is caught by MaxBytesReader mid-proxy.
 	if limit := g.cfg.MaxBodyBytes; limit > 0 {
-		if r.ContentLength > limit {
-			s.observe("rejected", start)
-			http.Error(w, "live: request body too large", http.StatusRequestEntityTooLarge)
-			g.finishRequest(s, &rt, http.StatusRequestEntityTooLarge, "request body too large")
-			return
+		if req.r.ContentLength > limit {
+			return bodyTooLarge()
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		req.r.Body = http.MaxBytesReader(req.w, req.r.Body, limit)
 	}
 
 	// While the breaker is open, fast-fail instead of piling boots onto
 	// a failing backend — with the honest retry hint: the remainder of
 	// the breaker's open window.
-	if ok, retryAfter := g.breakerAllow(s); !ok {
-		if retryAfter > 0 {
-			setRetryAfter(w, retryAfter)
-		}
-		s.observe("rejected", start)
-		http.Error(w, fmt.Sprintf("live: circuit breaker open for %q", name), http.StatusServiceUnavailable)
-		g.traceEvent(&rt, "breaker-rejected", "circuit open")
-		g.finishRequest(s, &rt, http.StatusServiceUnavailable, "")
-		return
+	if ok, retryAfter := g.breakerAllow(req.s); !ok {
+		return ending{outcome: "rejected", status: http.StatusServiceUnavailable,
+			refusal:    fmt.Sprintf("live: circuit breaker open for %q", name),
+			retryAfter: retryAfter, event: "breaker-rejected", detail: "circuit open"}
 	}
 
-	// Admission: pass the bounded, deadline-shedding, tenant-fair
-	// queue before touching the warm pool. A refusal (429/503 +
-	// Retry-After) was already written by admit; the span records it
-	// with its shed status and reason event.
-	if s.adm != nil {
-		ticket, refusal := g.admit(w, r, s, &rt, tenant, deadline, start)
-		if ticket == nil {
-			g.finishRequest(s, &rt, refusal, "")
-			return
-		}
-		rt.queueWait = ticket.Waited()
-		defer ticket.Done()
+	if e := g.admit(req); e.outcome != "" {
+		return e
 	}
-
 	// The backend call runs under the client's context bounded by the
 	// deadline: a disconnect or an expired deadline cancels in-flight
 	// backend work instead of letting it run to waste.
-	ctx, cancelCtx := withDeadline(r, deadline)
-	defer cancelCtx()
-
-	inst, boot, err := g.acquire(ctx, s)
-	reused := boot.mode == bootWarm
-	rt.reused = reused
+	ctx := req.r.Context()
+	if !req.deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, req.deadline)
+		defer cancel()
+	}
+	inst, boot, err := g.acquire(ctx, req.s)
+	req.rt.reused = boot.mode == bootWarm
 	if err != nil {
 		if ctx.Err() != nil {
 			// Abandoned mid-boot: the boot stopped what it had started,
 			// and the backend is blameless — no breaker, no boot.failures.
-			g.cancelUpstream(w, r, s, &rt, false, start)
-			return
+			return g.abandoned(req, false)
 		}
-		g.breakerFailure(s, "boot.failures")
-		s.observe("error", start)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		g.finishRequest(s, &rt, http.StatusBadGateway, err.Error())
-		return
+		return ending{outcome: "error", status: http.StatusBadGateway,
+			refusal: err.Error(), errMsg: err.Error(), blame: "boot.failures"}
 	}
 	// Annotate how the cold path was paid — generic handoff vs a full
 	// boot. Warm reuse stays out: the hot path adds no span events.
 	switch boot.mode {
 	case bootRented:
-		g.traceEvent(&rt, "boot", "rented-zygote")
+		g.traceEvent(&req.rt, "boot", "rented-zygote")
 	case bootGeneric:
-		g.traceEvent(&rt, "boot", "generic-handoff")
+		g.traceEvent(&req.rt, "boot", "generic-handoff")
 	case bootCold:
-		g.traceEvent(&rt, "boot", "full-cold")
+		g.traceEvent(&req.rt, "boot", "full-cold")
 	}
+	return g.proxy(ctx, req, inst, boot.mode)
+}
 
+// bodyTooLarge ends a request whose body exceeds MaxBodyBytes, declared
+// up front or discovered mid-proxy: the client's doing, so no breaker.
+func bodyTooLarge() ending {
+	return ending{outcome: "rejected", status: http.StatusRequestEntityTooLarge,
+		refusal: "live: request body too large", errMsg: "request body too large"}
+}
+
+// abandoned ends a request whose context died mid-boot or mid-flight:
+// 504 for a deadline that expired with no status line committed yet,
+// nothing for a vanished client (the span records 499). The backend is
+// blameless either way — the stage already tore the instance down.
+func (g *Gateway) abandoned(req *request, committed bool) ending {
+	g.obs.admCanceled.Inc()
+	if req.r.Context().Err() == nil && !committed {
+		return ending{outcome: "canceled", status: http.StatusGatewayTimeout,
+			refusal: "live: deadline exceeded", rejected: admission.ReasonDeadline,
+			event: "canceled", detail: "deadline exceeded mid-flight"}
+	}
+	return ending{outcome: "canceled", status: statusClientClosedRequest,
+		event: "canceled", detail: "client disconnect mid-flight"}
+}
+
+// proxy is the hop round trip and the response copy. It owns inst: every
+// path releases it — torn down when the hop made it suspect — before
+// returning, so no instance is held across the accounting.
+func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode bootMode) ending {
+	s, w, r, rt := req.s, req.w, req.r, &req.rt
 	// Forward to the watchdog over the instance's own connection,
 	// carrying the trace context so the watchdog returns its span
 	// timestamps. A failed hop makes the instance suspect: tear it down
@@ -836,25 +804,18 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	resp, err := inst.hop.roundTrip(ctx, r.Body, r.ContentLength, traceparent)
 	if err != nil {
 		g.release(s, inst, false)
-		if isMaxBytesErr(err) {
-			s.observe("rejected", start)
-			http.Error(w, "live: request body too large", http.StatusRequestEntityTooLarge)
-			g.finishRequest(s, &rt, http.StatusRequestEntityTooLarge, "request body too large")
-			return
+		switch {
+		case isMaxBytesErr(err):
+			return bodyTooLarge()
+		case ctx.Err() != nil:
+			return g.abandoned(req, false)
 		}
-		if ctx.Err() != nil {
-			g.cancelUpstream(w, r, s, &rt, false, start)
-			return
-		}
-		g.breakerFailure(s, "proxy.failures")
-		s.observe("error", start)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		g.finishRequest(s, &rt, http.StatusBadGateway, err.Error())
-		return
+		return ending{outcome: "error", status: http.StatusBadGateway,
+			refusal: err.Error(), errMsg: err.Error(), blame: "proxy.failures"}
 	}
 	rt.served = true
-	if tr != nil {
-		tr.noteWatchdog(resp.Header, &rt)
+	if g.trace != nil {
+		g.trace.noteWatchdog(resp.Header, rt)
 	}
 
 	// Forward the watchdog's response headers (Content-Type etc.) and
@@ -878,11 +839,11 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 			hdr.Add(k, v)
 		}
 	}
-	hdr.Set("X-Hotc-Reused", strconv.FormatBool(reused))
-	if !reused {
+	hdr.Set("X-Hotc-Reused", strconv.FormatBool(rt.reused))
+	if !rt.reused {
 		// Cold responses also say which cold path served them; warm
 		// responses skip the extra header (zero-alloc hot path).
-		hdr.Set(BootHeader, boot.mode.String())
+		hdr.Set(BootHeader, mode.String())
 	}
 	if resp.ContentLength >= 0 {
 		hdr.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
@@ -900,13 +861,10 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 		inst.hop.abort()
 		g.release(s, inst, false)
 		if ctx.Err() != nil {
-			g.cancelUpstream(w, r, s, &rt, true, start)
-			return
+			return g.abandoned(req, true)
 		}
-		g.breakerFailure(s, "proxy.failures")
-		s.observe("error", start)
-		g.finishRequest(s, &rt, resp.StatusCode, "backend read failed mid-stream")
-		return
+		return ending{outcome: "error", status: resp.StatusCode,
+			errMsg: "backend read failed mid-stream", blame: "proxy.failures"}
 	}
 	// The round-trip worked (a handler-level error status is the
 	// function's business, not a runtime fault) — or only the client's
@@ -919,26 +877,58 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	// answered without reading) re-dials before it goes back: a pooled
 	// instance always holds a usable connection.
 	drainClose(resp.Body)
-	if tr != nil {
-		tr.noteWatchdog(resp.Trailer, &rt)
+	if g.trace != nil {
+		g.trace.noteWatchdog(resp.Trailer, rt)
 	}
 	g.release(s, inst, inst.hop.finish() || g.redial(inst))
-	g.breakerSuccess(s)
-	outcome := "ok"
-	if resp.StatusCode >= 400 {
-		outcome = "error"
-	}
-	if reused {
+	if rt.reused {
 		g.obs.startsWarm.Inc()
 	} else {
 		g.obs.startsCold.Inc()
 	}
 	g.obs.bodyBytes.Observe(float64(n))
-	if outcome == "ok" {
-		// Per-tenant goodput: completed useful work, the number the
-		// saturation curves are drawn from.
-		g.obs.admGoodput.With(tenant).Inc()
+	if resp.StatusCode >= 400 {
+		return ending{outcome: "error", status: resp.StatusCode, healthy: true}
 	}
-	s.observe(outcome, start)
-	g.finishRequest(s, &rt, resp.StatusCode, "")
+	// Per-tenant goodput: completed useful work, the number the
+	// saturation curves are drawn from. It bills the tenant the queue
+	// resolved (a bounded set); with admission off, the function.
+	tenant := s.name
+	if req.ticket != nil {
+		tenant = req.ticket.Tenant()
+	}
+	g.obs.admGoodput.With(tenant).Inc()
+	return ending{outcome: "ok", status: resp.StatusCode, healthy: true}
+}
+
+// conclude is the one way out of handle: it turns an ending into every
+// effect the gateway owes for the request, each exactly once — the
+// breaker's verdict, the refusal (when no status line went out yet), the
+// outcome and latency, the span event, the SLO record and the span.
+func (g *Gateway) conclude(req *request, e ending) {
+	switch {
+	case e.blame != "":
+		g.breakerFailure(req.s, e.blame)
+	case e.healthy:
+		g.breakerSuccess(req.s)
+	}
+	if e.refusal != "" {
+		h := req.w.Header()
+		if e.retryAfter > 0 {
+			// Whole seconds, at least 1 so the hint is actionable.
+			h.Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(e.retryAfter.Seconds())))))
+		}
+		if e.rejected != "" {
+			h.Set(RejectedHeader, string(e.rejected))
+		}
+		if e.draining {
+			h.Set(DrainingHeader, "true")
+		}
+		http.Error(req.w, e.refusal, e.status)
+	}
+	req.s.observe(e.outcome, req.rt.start)
+	if e.event != "" {
+		g.traceEvent(&req.rt, e.event, e.detail)
+	}
+	g.finishRequest(req.s, &req.rt, e.status, e.errMsg)
 }

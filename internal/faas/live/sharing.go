@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"hotc/internal/sharing"
@@ -14,17 +13,12 @@ import (
 // instance from another function). policy is PoolConfig.SharePolicy
 // parsed once by New; classifier tunes the lender/renter classifier of
 // shards created afterwards (zero value = defaults; only in-package
-// tests set it, before registering functions); the counters are atomics
-// fed from the lease path and the controller.
+// tests set it, before registering functions). Lease outcomes and the
+// lender/renter population are counted in the hotc_share_* families,
+// which SharingStats reads back.
 type shareState struct {
 	policy     sharing.Policy
 	classifier sharing.ClassifierConfig
-
-	lenders     atomic.Int64  // functions currently classified lenders
-	renters     atomic.Int64  // functions currently classified renters
-	granted     atomic.Uint64 // leases that produced a rented boot
-	noCandidate atomic.Uint64 // lease attempts with no eligible lender
-	denied      atomic.Uint64 // lease attempts blocked by policy/opt-out
 }
 
 // candidateOf builds the policy slice of a deployed function.
@@ -52,7 +46,6 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 	}
 	rc := candidateOf(fn)
 	if !rc.Shareable {
-		g.share.denied.Add(1)
 		g.obs.shareLeaseDenied.Inc()
 		return nil, bootInfo{}, nil
 	}
@@ -74,17 +67,14 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 	}
 	if lend == nil {
 		if sawDenial {
-			g.share.denied.Add(1)
 			g.obs.shareLeaseDenied.Inc()
 		} else {
-			g.share.noCandidate.Add(1)
 			g.obs.shareLeaseNoCandidate.Inc()
 		}
 		return nil, bootInfo{}, nil
 	}
 	inst, info, err := g.boot(ctx, fn, bootSource{lent: lend})
 	if err == nil {
-		g.share.granted.Add(1)
 		g.obs.shareLeaseGranted.Inc()
 	}
 	return inst, info, err
@@ -119,21 +109,19 @@ func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, lendersOnly bool, n
 	return lent, false
 }
 
-// shareRoleTransition updates the lender/renter population counters
-// and gauges when a function's classification changes.
+// shareRoleTransition moves the lender/renter population gauges when a
+// function's classification changes.
 func (g *Gateway) shareRoleTransition(prev, next sharing.Role) {
-	adj := func(r sharing.Role, d int64) {
+	adj := func(r sharing.Role, d float64) {
 		switch r {
 		case sharing.RoleLender:
-			g.share.lenders.Add(d)
+			g.obs.shareLenders.Add(d)
 		case sharing.RoleRenter:
-			g.share.renters.Add(d)
+			g.obs.shareRenters.Add(d)
 		}
 	}
 	adj(prev, -1)
 	adj(next, 1)
-	g.obs.shareLenders.Set(float64(g.share.lenders.Load()))
-	g.obs.shareRenters.Set(float64(g.share.renters.Load()))
 }
 
 // SharingStats snapshots the sharing layer for /system/stats.
@@ -169,11 +157,11 @@ func (g *Gateway) SharingStats() SharingStats {
 		return st
 	}
 	st.WipeMS = float64(g.cfg.ShareWipe) / float64(time.Millisecond)
-	st.Lenders = int(g.share.lenders.Load())
-	st.Renters = int(g.share.renters.Load())
-	st.LeasesGranted = g.share.granted.Load()
-	st.LeasesNoCandidate = g.share.noCandidate.Load()
-	st.LeasesDenied = g.share.denied.Load()
+	st.Lenders = int(g.obs.shareLenders.Value())
+	st.Renters = int(g.obs.shareRenters.Value())
+	st.LeasesGranted = uint64(g.obs.shareLeaseGranted.Value())
+	st.LeasesNoCandidate = uint64(g.obs.shareLeaseNoCandidate.Value())
+	st.LeasesDenied = uint64(g.obs.shareLeaseDenied.Value())
 	st.Roles = make(map[string]string)
 	for _, s := range g.snapshotShards() {
 		s.mu.Lock()

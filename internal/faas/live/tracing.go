@@ -23,9 +23,10 @@ const (
 	// with its own span ID as parent-id.
 	TraceparentHeader = "Traceparent"
 	// TraceIDHeader echoes the request's 32-hex trace ID on every
-	// gateway response (including refusals), so clients and load
-	// generators can correlate a response with its span in
-	// /system/trace without parsing traceparent.
+	// response for a deployed function (including refusals), so clients
+	// and load generators can correlate a response with its span in
+	// /system/trace without parsing traceparent. The unknown-function
+	// 404 keeps no span and echoes none.
 	TraceIDHeader = "X-Hotc-Trace-Id"
 
 	// The watchdog's span-timestamp response headers: §III.A moments
@@ -62,9 +63,6 @@ type tracing struct {
 	epochNano int64
 	// nextID orders kept spans for human readers.
 	nextID atomic.Uint64
-	// sampledOut counts completed requests whose spans were dropped by
-	// the probabilistic baseline.
-	sampledOut atomic.Uint64
 }
 
 // newTracing builds the tracer from the resolved config: errors, sheds,
@@ -118,7 +116,7 @@ func (g *Gateway) TraceStats() TraceStats {
 		Enabled:     true,
 		Capacity:    tr.ring.Capacity(),
 		Kept:        tr.ring.Written() + tr.ring.Contended(),
-		SampledOut:  tr.sampledOut.Load(),
+		SampledOut:  uint64(g.obs.traceSampledOut.Value()),
 		RingDropped: tr.ring.Contended(),
 	}
 }
@@ -224,9 +222,9 @@ func internalRespHeader(k string) bool {
 // finishRequest concludes a request's observability: feed the SLO
 // monitor, assemble the span, let the tail sampler judge it, and (for
 // keepers) commit it to the ring with its trace IDs and a latency
-// exemplar. This runs on every handle exit; on the sampled-out path it
-// touches only stack state and a handful of atomics — no locks, no
-// allocation.
+// exemplar. conclude calls it for every request; on the sampled-out
+// path it touches only stack state and a handful of atomics — no locks,
+// no allocation.
 func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg string) {
 	if g.slo != nil {
 		g.slo.Record(status, rt.served, rt.served && !rt.reused, time.Since(rt.start))
@@ -252,7 +250,6 @@ func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg strin
 	}
 	reason, keep := tr.sampler.Decide(&sp)
 	if !keep {
-		tr.sampledOut.Add(1)
 		g.obs.traceSampledOut.Inc()
 		return
 	}

@@ -14,7 +14,7 @@ if [ -n "$UNFORMATTED" ]; then
 	echo "$UNFORMATTED" >&2
 	exit 1
 fi
-echo "== one way in, one way out (live: delays only via pay, warm lists only via warmlist.go)"
+echo "== one way in, one way out (live: delays only via pay, warm lists only via warmlist.go, requests only via conclude, counts only in the registry)"
 # The live gateway builds an instance in one boot() whose every modelled
 # delay goes through pay(ctx, d), and only the shard list methods in
 # warmlist.go write a warm list. Duplicates of either grew back unnoticed
@@ -33,6 +33,39 @@ for f in "$LIVE"/*.go; do
 	if [ "$f" != "$LIVE/warmlist.go" ] &&
 		grep -nE '\.idle(\[[^]]*\])? *(=[^=]|:=)|append\([A-Za-z.]*\.idle\b' "$f" >&2; then
 		echo "verify: $f writes a warm list directly: use the shard list methods in warmlist.go" >&2
+		exit 1
+	fi
+done
+# The request's half: every /function/ request leaves handle through
+# conclude (live.go), which alone writes a gateway refusal, counts the
+# outcome and latency and finishes the span, and every event is booked
+# once, in the metrics registry, which the JSON views read back. So
+# non-test live code calls finishRequest and observe once each, names
+# http.Error twice in live.go (conclude and the unknown-function 404)
+# and otherwise only in watchdog.go (the function's replies) and
+# daemon.go (the management API), and keeps no atomic counter beside a
+# metric that counts the same thing.
+for fn in finishRequest observe; do
+	n="$(ls "$LIVE"/*.go | grep -v '_test\.go$' | xargs grep -h "\.$fn(" | grep -vc '^[[:space:]]*//' || true)"
+	if [ "$n" -ne 1 ]; then
+		echo "verify: $fn is called at $n sites in $LIVE (want 1): return an ending and let conclude account for it" >&2
+		exit 1
+	fi
+done
+for f in "$LIVE"/*.go; do
+	case "$f" in *_test.go | "$LIVE/watchdog.go" | "$LIVE/daemon.go") continue ;; esac
+	n="$(grep -c 'http\.Error(' "$f" || true)"
+	case "$f" in "$LIVE/live.go") max=2 ;; *) max=0 ;; esac
+	if [ "$n" -gt "$max" ]; then
+		echo "verify: $f names http.Error $n times (allowed $max): a stage returns an ending with a refusal, conclude writes it" >&2
+		exit 1
+	fi
+	case "$f" in
+	"$LIVE/sharing.go" | "$LIVE/coldpath.go") shadow='atomic\.(Uint64|Int64)' ;;
+	*) shadow='(memReclaimed|sampledOut)[[:space:]]+atomic\.' ;;
+	esac
+	if grep -nE "$shadow" "$f" >&2; then
+		echo "verify: $f keeps an atomic counter beside its metric: count once in the registry (g.obs) and read it back with Counter.Value()/Gauge.Value()" >&2
 		exit 1
 	fi
 done
