@@ -6,7 +6,6 @@ import (
 
 	"hotc/internal/cluster"
 	"hotc/internal/core"
-	"hotc/internal/costmodel"
 	"hotc/internal/trace"
 )
 
@@ -21,8 +20,8 @@ const (
 	// requests.
 	RoutingLeastLoaded Routing = "least-loaded"
 	// RoutingReuseAffinity prefers nodes holding warm runtimes for the
-	// request's configuration (via the replicated pool directory),
-	// balancing by load otherwise — the paper's §VII direction.
+	// request's configuration (per a directory map the simulated nodes
+	// share), balancing by load otherwise — the paper's §VII direction.
 	RoutingReuseAffinity Routing = "reuse-affinity"
 )
 
@@ -50,14 +49,9 @@ type ClusterSimulation struct {
 
 // NewClusterSimulation wires a cluster from the config.
 func NewClusterSimulation(cfg ClusterConfig) (*ClusterSimulation, error) {
-	var prof costmodel.Profile
-	switch cfg.Profile {
-	case "", ProfileServer:
-		prof = costmodel.Server()
-	case ProfileEdgePi:
-		prof = costmodel.EdgePi()
-	default:
-		return nil, fmt.Errorf("hotc: unknown profile %q", cfg.Profile)
+	prof, err := cfg.Profile.lower()
+	if err != nil {
+		return nil, err
 	}
 	var routing cluster.Routing
 	switch cfg.Routing {

@@ -22,93 +22,151 @@ import (
 	"hotc/internal/scenario"
 )
 
+var (
+	policyFlag  = flag.String("policy", "hotc", "policy: hotc|cold|keepalive|warmup|histogram")
+	profileFlag = flag.String("profile", "server", "profile: server|edge-pi")
+	patternFlag = flag.String("pattern", "serial", "pattern: serial|parallel|linear-inc|linear-dec|exp|exp-dec|burst|campus")
+	appFlag     = flag.String("app", "qr", "application: qr|random|v3|tfapi|cassandra")
+	langFlag    = flag.String("lang", "python", "language for qr/random apps: go|python|node|java")
+	network     = flag.String("network", "bridge", "container network mode")
+	count       = flag.Int("count", 20, "requests (serial)")
+	rounds      = flag.Int("rounds", 10, "rounds (parallel/linear/exp/burst)")
+	threads     = flag.Int("threads", 10, "client threads (parallel)")
+	minutes     = flag.Int("minutes", 60, "trace minutes (campus)")
+	interval    = flag.Duration("interval", 30*time.Second, "round interval")
+	keepalive   = flag.Duration("keepalive", 15*time.Minute, "keep-alive window")
+	seed        = flag.Int64("seed", 42, "jitter seed (0 = noiseless)")
+	traceFile   = flag.String("trace", "", "replay this CSV schedule instead of a generated pattern")
+	specFile    = flag.String("spec", "", "run a declarative JSON scenario spec instead of the scenario flags")
+	verbose     = flag.Bool("v", false, "print every request")
+	spanLog     = flag.String("span-log", "", "write per-request spans to this JSONL file")
+	metricsDump = flag.String("metrics-dump", "", "write the metrics registry to this JSONL file")
+	report      = flag.Bool("report", false, "print the per-phase latency breakdown from recorded spans")
+)
+
+// Flags and specs are one path: the scenario flags lower to a
+// scenario.Spec, and either way the spec's Run is what executes.
 func main() {
-	var (
-		policyFlag  = flag.String("policy", "hotc", "policy: hotc|cold|keepalive|warmup|histogram")
-		profileFlag = flag.String("profile", "server", "profile: server|edge-pi")
-		patternFlag = flag.String("pattern", "serial", "pattern: serial|parallel|linear-inc|linear-dec|exp|burst|campus")
-		appFlag     = flag.String("app", "qr", "application: qr|random|v3|tfapi|cassandra")
-		langFlag    = flag.String("lang", "python", "language for qr/random apps: go|python|node|java")
-		network     = flag.String("network", "bridge", "container network mode")
-		count       = flag.Int("count", 20, "requests (serial)")
-		rounds      = flag.Int("rounds", 10, "rounds (parallel/linear/exp/burst)")
-		threads     = flag.Int("threads", 10, "client threads (parallel)")
-		minutes     = flag.Int("minutes", 60, "trace minutes (campus)")
-		interval    = flag.Duration("interval", 30*time.Second, "round interval")
-		keepalive   = flag.Duration("keepalive", 15*time.Minute, "keep-alive window")
-		seed        = flag.Int64("seed", 42, "jitter seed (0 = noiseless)")
-		traceFile   = flag.String("trace", "", "replay this CSV schedule instead of a generated pattern")
-		specFile    = flag.String("spec", "", "run a declarative JSON scenario spec and exit")
-		verbose     = flag.Bool("v", false, "print every request")
-		spanLog     = flag.String("span-log", "", "write per-request spans to this JSONL file")
-		metricsDump = flag.String("metrics-dump", "", "write the metrics registry to this JSONL file")
-		report      = flag.Bool("report", false, "print the per-phase latency breakdown from recorded spans")
-	)
 	flag.Parse()
-
+	lower := specFromFlags
 	if *specFile != "" {
-		runSpec(*specFile)
-		return
+		lower = loadSpec
 	}
-
-	sim, err := hotc.NewSimulation(hotc.Config{
-		Profile:         hotc.Profile(*profileFlag),
-		Policy:          hotc.Policy(*policyFlag),
-		Seed:            *seed,
-		KeepAliveWindow: *keepalive,
-		LocalImages:     true,
-		RecordSpans:     *spanLog != "" || *report,
-	})
+	spec, err := lower()
 	if err != nil {
 		fatal(err)
 	}
-	defer sim.Close()
-
-	app, image, err := pickApp(*appFlag, *langFlag)
+	run := spec.Run
+	if *spanLog != "" || *report {
+		run = spec.RunTraced
+	}
+	out, err := run()
 	if err != nil {
 		fatal(err)
+	}
+	if *specFile != "" {
+		printScenario(out)
+	} else {
+		printPattern(out)
+	}
+	if *report {
+		fmt.Printf("\nlatency breakdown (spans):\n%s", obs.Summarize(out.Spans).Render())
+	}
+	if *spanLog != "" {
+		writeFile(*spanLog, func(f *os.File) error { return obs.WriteSpans(f, out.Spans) })
+		fmt.Printf("spans: %d written to %s\n", len(out.Spans), *spanLog)
+	}
+	if *metricsDump != "" {
+		writeFile(*metricsDump, func(f *os.File) error { return out.Metrics.WriteJSONL(f) })
+		fmt.Printf("metrics dumped to %s\n", *metricsDump)
+	}
+}
+
+// specFromFlags lowers the scenario flags to the spec they describe.
+func specFromFlags() (*scenario.Spec, error) {
+	app := *appFlag
+	if app == "qr" || app == "random" {
+		app += "-" + *langFlag
+	}
+	w := scenario.WorkloadSpec{
+		IntervalSec: interval.Seconds(),
+		Count:       *count,
+		Rounds:      *rounds,
+		Threads:     *threads,
+		Minutes:     *minutes,
+	}
+	switch p := *patternFlag; {
+	case *traceFile != "":
+		w = scenario.WorkloadSpec{Kind: "csv", File: *traceFile}
+		*patternFlag = "trace:" + *traceFile
+	case p == "serial" || p == "parallel" || p == "exp" || p == "burst" || p == "campus":
+		w.Kind = p
+	case p == "exp-dec":
+		w.Kind, w.Decreasing = "exp", true
+	case p == "linear-inc":
+		w.Kind, w.Start, w.Step = "linear", 2, 2
+	case p == "linear-dec":
+		w.Kind, w.Start, w.Step = "linear", 2**rounds, -2
+	default:
+		return nil, fmt.Errorf("unknown pattern %q", p)
 	}
 	// For parallel patterns every thread gets its own configuration
 	// (per the paper's Fig. 12b); otherwise one function serves all.
 	nClasses := 1
-	if *patternFlag == "parallel" {
+	if w.Kind == "parallel" {
 		nClasses = *threads
 	}
-	names := make([]string, nClasses)
-	for i := range names {
-		names[i] = fmt.Sprintf("fn-%d", i)
-		rt := hotc.Runtime{Image: image, Network: *network}
+	fns := make([]scenario.FunctionSpec, nClasses)
+	for i := range fns {
+		fns[i] = scenario.FunctionSpec{Name: fmt.Sprintf("fn-%d", i), App: app, Network: *network}
 		if nClasses > 1 {
-			rt.Env = []string{fmt.Sprintf("THREAD=%d", i)}
-		}
-		if err := sim.Deploy(hotc.FunctionSpec{Name: names[i], Runtime: rt, App: app}); err != nil {
-			fatal(err)
+			fns[i].Env = []string{fmt.Sprintf("THREAD=%d", i)}
 		}
 	}
+	return &scenario.Spec{
+		Profile:      *profileFlag,
+		Policy:       *policyFlag,
+		Seed:         *seed,
+		KeepAliveSec: keepalive.Seconds(),
+		Functions:    fns,
+		Workload:     w,
+	}, nil
+}
 
-	var w hotc.Workload
-	switch {
-	case *traceFile != "":
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		w, err = hotc.ReadWorkloadCSV(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		*patternFlag = "trace:" + *traceFile
-	default:
-		w = buildPattern(*patternFlag, *interval, *count, *rounds, *threads, *minutes, *seed, nClasses)
-	}
-	results, err := sim.Replay(w, func(c int) string { return names[c%len(names)] })
+// loadSpec parses a spec file. Beside -spec only the flags that shape
+// the output are accepted: a scenario flag would be silently outvoted by
+// the file, and a cluster run has neither spans nor a metrics registry
+// to write.
+func loadSpec() (*scenario.Spec, error) {
+	data, err := os.ReadFile(*specFile)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
+	spec, err := scenario.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "spec":
+		case "span-log", "metrics-dump", "report":
+			if spec.Cluster != nil && err == nil {
+				err = fmt.Errorf("-%s needs a single-host spec: a \"cluster\" run records no spans and has no metrics registry", f.Name)
+			}
+		default:
+			if err == nil {
+				err = fmt.Errorf("-%s cannot be combined with -spec: the spec file describes the whole scenario", f.Name)
+			}
+		}
+	})
+	return spec, err
+}
 
+// printPattern is the flag invocation's output: the per-round (or, with
+// -v, per-request) table and a summary.
+func printPattern(out *scenario.Outcome) {
 	if *verbose {
-		for i, r := range results {
+		for i, r := range out.Results {
 			status := "warm"
 			if !r.Reused {
 				status = "COLD"
@@ -122,27 +180,14 @@ func main() {
 				float64(r.Initiation)/float64(time.Millisecond), status)
 		}
 	} else {
-		printRounds(results)
+		printRounds(out.Results)
 	}
-
-	st := hotc.Summarize(results)
-	fmt.Printf("\npolicy=%s profile=%s pattern=%s\n", sim.PolicyName(), *profileFlag, *patternFlag)
+	st := out.Stats
+	fmt.Printf("\npolicy=%s profile=%s pattern=%s\n", out.Policy, *profileFlag, *patternFlag)
 	fmt.Printf("requests=%d cold=%d reused=%d mean=%.2fms p99=%.2fms max=%.2fms\n",
 		st.Requests, st.ColdStarts, st.Reused, st.MeanMS, st.P99MS, st.MaxMS)
 	fmt.Printf("live containers at end: %d; host cpu=%.1f%% mem=%.0fMB\n",
-		sim.LiveContainers(), sim.HostCPUPct(), sim.HostMemMB())
-
-	if *report {
-		fmt.Printf("\nlatency breakdown (spans):\n%s", obs.Summarize(sim.Spans()).Render())
-	}
-	if *spanLog != "" {
-		writeFile(*spanLog, func(f *os.File) error { return obs.WriteSpans(f, sim.Spans()) })
-		fmt.Printf("spans: %d written to %s\n", len(sim.Spans()), *spanLog)
-	}
-	if *metricsDump != "" {
-		writeFile(*metricsDump, func(f *os.File) error { return sim.Metrics().WriteJSONL(f) })
-		fmt.Printf("metrics dumped to %s\n", *metricsDump)
-	}
+		out.LiveContainers, out.HostCPUPct, out.HostMemMB)
 }
 
 // writeFile creates path and runs the writer against it, dying on any
@@ -161,19 +206,8 @@ func writeFile(path string, write func(*os.File) error) {
 	}
 }
 
-func runSpec(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	spec, err := scenario.Parse(data)
-	if err != nil {
-		fatal(err)
-	}
-	out, err := spec.Run()
-	if err != nil {
-		fatal(err)
-	}
+// printScenario is the -spec invocation's output.
+func printScenario(out *scenario.Outcome) {
 	fmt.Printf("scenario %q (policy %s)\n", out.Name, out.Policy)
 	fmt.Printf("requests=%d errors=%d cold=%d reused=%d mean=%.2fms p99=%.2fms max=%.2fms live=%d\n",
 		out.Stats.Requests, out.Stats.Errors, out.Stats.ColdStarts, out.Stats.Reused,
@@ -206,52 +240,6 @@ func runSpec(path string) {
 		fo := out.PerFunction[name]
 		fmt.Printf("  %-20s requests=%-5d cold=%-4d mean=%.2fms\n",
 			name, fo.Requests, fo.ColdStarts, fo.MeanMS)
-	}
-}
-
-func buildPattern(kind string, interval time.Duration, count, rounds, threads, minutes int, seed int64, nClasses int) hotc.Workload {
-	switch kind {
-	case "serial":
-		return hotc.SerialWorkload(interval, count)
-	case "parallel":
-		return hotc.ParallelWorkload(threads, rounds, interval)
-	case "linear-inc":
-		return hotc.LinearWorkload(2, 2, rounds, interval)
-	case "linear-dec":
-		return hotc.LinearWorkload(2*rounds, -2, rounds, interval)
-	case "exp":
-		return hotc.ExponentialWorkload(rounds, interval, false)
-	case "exp-dec":
-		return hotc.ExponentialWorkload(rounds, interval, true)
-	case "burst":
-		return hotc.BurstWorkload(8, 10, []int{4, 8, 12, 16}, rounds, interval)
-	case "campus":
-		return hotc.CampusWorkload(seed, 20, minutes, nClasses)
-	default:
-		fatal(fmt.Errorf("unknown pattern %q", kind))
-		return nil
-	}
-}
-
-func pickApp(name, lang string) (hotc.App, string, error) {
-	switch name {
-	case "qr":
-		app, err := hotc.AppQR(lang)
-		return app, app.Image, err
-	case "random":
-		app, err := hotc.AppRandomNumber(lang)
-		return app, app.Image, err
-	case "v3":
-		app := hotc.AppV3()
-		return app, app.Image, nil
-	case "tfapi":
-		app := hotc.AppTFAPI()
-		return app, app.Image, nil
-	case "cassandra":
-		app := hotc.AppCassandra()
-		return app, app.Image, nil
-	default:
-		return hotc.App{}, "", fmt.Errorf("unknown app %q", name)
 	}
 }
 

@@ -27,20 +27,16 @@ import (
 	"time"
 
 	"hotc/internal/config"
-	"hotc/internal/container"
 	"hotc/internal/core"
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
 	"hotc/internal/faults"
-	"hotc/internal/host"
-	"hotc/internal/image"
 	"hotc/internal/metrics"
 	"hotc/internal/obs"
-	"hotc/internal/policy"
 	"hotc/internal/pool"
 	"hotc/internal/predictor"
 	"hotc/internal/rng"
-	"hotc/internal/simclock"
+	"hotc/internal/stack"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
 )
@@ -290,112 +286,73 @@ type RequestResult struct {
 // Simulation is a deterministic serverless deployment: engine,
 // gateway, policy and host monitor over a virtual clock.
 type Simulation struct {
-	cfg      Config
-	sched    *simclock.Scheduler
-	engine   *container.Engine
-	registry *image.Registry
-	gateway  *faas.Gateway
-	hostM    *host.Host
-	hotc     *core.HotC
-	provider faas.Provider
-	injector *faults.Injector
-	obsReg   *obs.Registry
-	tracer   *obs.Tracer
+	st     *stack.Stack
+	obsReg *obs.Registry
+	tracer *obs.Tracer
+}
+
+// lower maps the public profile name onto the cost model's profile.
+func (p Profile) lower() (costmodel.Profile, error) {
+	switch p {
+	case "", ProfileServer:
+		return costmodel.Server(), nil
+	case ProfileEdgePi:
+		return costmodel.EdgePi(), nil
+	default:
+		return costmodel.Profile{}, fmt.Errorf("hotc: unknown profile %q", p)
+	}
 }
 
 // NewSimulation wires a Simulation from the Config.
 func NewSimulation(cfg Config) (*Simulation, error) {
-	var prof costmodel.Profile
-	switch cfg.Profile {
-	case "", ProfileServer:
-		prof = costmodel.Server()
-	case ProfileEdgePi:
-		prof = costmodel.EdgePi()
-	default:
-		return nil, fmt.Errorf("hotc: unknown profile %q", cfg.Profile)
-	}
-	sched := simclock.New()
-	reg := image.StandardCatalog()
-	cache := image.NewCache()
-	var jit *rng.Source
-	if cfg.Seed != 0 {
-		jit = rng.New(cfg.Seed)
-	}
-	eng := container.NewEngine(sched, costmodel.New(prof), reg, cache, jit)
-	if cfg.LocalImages {
-		for _, ref := range reg.Refs() {
-			if im, err := reg.Lookup(ref); err == nil {
-				cache.Admit(im)
-			}
-		}
-	}
-	s := &Simulation{cfg: cfg, sched: sched, engine: eng, registry: reg, hostM: host.New(eng)}
-
-	poolOpts := pool.Options{
-		MaxLive:         cfg.MaxLiveContainers,
-		MemThresholdPct: cfg.MemoryThresholdPct,
-		MemUsedPct:      s.hostM.UsedMemPct,
-		EnableRelaxed:   cfg.EnableRelaxedMatching,
-		EnableSharing:   cfg.EnableSharing,
-		ShareIdleGrace:  cfg.ShareIdleGrace,
-	}
-	if cfg.Faults != nil {
-		inj, err := faults.New(*cfg.Faults, sched.Now)
-		if err != nil {
-			return nil, err
-		}
-		inj.Attach(eng)
-		s.injector = inj
-		// Corrupted containers are caught at the pool boundary: the
-		// health check fails them on acquire and they are quarantined.
-		poolOpts.HealthCheck = inj.HealthCheck
+	prof, err := cfg.Profile.lower()
+	if err != nil {
+		return nil, err
 	}
 	// The registry is always on: metrics are cheap (a few map lookups
 	// per request) and every run can dump them for offline analysis.
-	s.obsReg = obs.New()
-	newPool := func() *pool.Pool {
-		p := pool.New(eng, poolOpts)
-		p.Instrument(s.obsReg)
-		return p
-	}
-	switch cfg.Policy {
-	case "", PolicyHotC:
-		h := core.New(eng, core.Options{Pool: poolOpts, Interval: cfg.ControlInterval})
-		h.Instrument(s.obsReg)
-		h.Start()
-		s.hotc = h
-		s.provider = h
-	case PolicyCold:
-		s.provider = policy.NewNoReuse(eng)
-	case PolicyKeepAlive:
-		s.provider = policy.NewFixedKeepAlive(newPool(), cfg.KeepAliveWindow)
-	case PolicyWarmup:
-		s.provider = policy.NewPeriodicWarmup(newPool(), 5*time.Minute, cfg.KeepAliveWindow)
-	case PolicyHistogram:
-		s.provider = policy.NewHistogram(newPool())
-	default:
-		return nil, fmt.Errorf("hotc: unknown policy %q", cfg.Policy)
-	}
-	s.gateway = faas.NewGateway(eng, s.provider)
-	s.gateway.Instrument(s.obsReg)
+	s := &Simulation{obsReg: obs.New()}
 	if cfg.RecordSpans {
 		s.tracer = obs.NewTracer()
-		s.gateway.Trace(s.tracer)
+	}
+	s.st, err = stack.New(stack.Options{
+		Profile:         prof,
+		Seed:            cfg.Seed,
+		PrePull:         cfg.LocalImages,
+		Policy:          stack.Policy(cfg.Policy),
+		KeepAliveWindow: cfg.KeepAliveWindow,
+		Core: core.Options{
+			Interval: cfg.ControlInterval,
+			Pool: pool.Options{
+				MaxLive:         cfg.MaxLiveContainers,
+				MemThresholdPct: cfg.MemoryThresholdPct,
+				EnableRelaxed:   cfg.EnableRelaxedMatching,
+				EnableSharing:   cfg.EnableSharing,
+				ShareIdleGrace:  cfg.ShareIdleGrace,
+			},
+		},
+		Faults:  cfg.Faults,
+		Metrics: s.obsReg,
+		Tracer:  s.tracer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("hotc: %w", err)
 	}
 	if r := cfg.Resilience; r != nil {
-		s.gateway.MaxAcquireRetries = r.MaxAcquireRetries
+		gw := s.st.Gateway
+		gw.MaxAcquireRetries = r.MaxAcquireRetries
 		if r.RetryBackoff > 0 {
-			s.gateway.RetryBackoff = r.RetryBackoff
+			gw.RetryBackoff = r.RetryBackoff
 		}
-		s.gateway.BackoffFactor = r.BackoffFactor
-		s.gateway.BackoffMax = r.BackoffMax
-		s.gateway.BackoffJitter = r.BackoffJitter
+		gw.BackoffFactor = r.BackoffFactor
+		gw.BackoffMax = r.BackoffMax
+		gw.BackoffJitter = r.BackoffJitter
 		if r.BackoffJitter > 0 {
-			s.gateway.BackoffRng = rng.New(cfg.Seed).Split("gateway-backoff")
+			gw.BackoffRng = rng.New(cfg.Seed).Split("gateway-backoff")
 		}
-		s.gateway.ExecRetries = r.ExecRetries
-		s.gateway.BreakerThreshold = r.BreakerThreshold
-		s.gateway.BreakerOpenFor = r.BreakerOpenFor
+		gw.ExecRetries = r.ExecRetries
+		gw.BreakerThreshold = r.BreakerThreshold
+		gw.BreakerOpenFor = r.BreakerOpenFor
 	}
 	return s, nil
 }
@@ -403,23 +360,10 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 // Deploy registers a function with the gateway (and with HotC's
 // adaptive controller when running PolicyHotC).
 func (s *Simulation) Deploy(fn FunctionSpec) error {
-	if err := s.gateway.Deploy(faas.Function{
+	return s.st.Deploy(faas.Function{
 		Name: fn.Name, Runtime: fn.Runtime, App: fn.App,
 		MaxConcurrency: fn.MaxConcurrency,
-	},
-		faas.ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
-			return container.ResolveSpec(rt, s.registry)
-		})); err != nil {
-		return err
-	}
-	spec, _ := s.gateway.Spec(fn.Name)
-	if s.hotc != nil {
-		return s.hotc.Register(spec, fn.App)
-	}
-	if w, ok := s.provider.(*policy.PeriodicWarmup); ok {
-		w.StartPinger(spec, fn.App)
-	}
-	return nil
+	})
 }
 
 // Workload is a request schedule; build one with the pattern
@@ -472,13 +416,13 @@ func CampusWorkload(seed int64, scale float64, minutes, classes int) Workload {
 // function serves everything (the first deployed name is used).
 func (s *Simulation) Replay(w Workload, classFn func(class int) string) ([]RequestResult, error) {
 	if classFn == nil {
-		names := s.gateway.Functions()
+		names := s.st.Gateway.Functions()
 		if len(names) == 0 {
 			return nil, fmt.Errorf("hotc: no functions deployed")
 		}
 		classFn = func(int) string { return names[0] }
 	}
-	raw, err := faas.Run(s.gateway, w, classFn)
+	raw, err := faas.Run(s.st.Gateway, w, classFn)
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +459,7 @@ type ChainResult struct {
 // ReplayChain runs the workload where every request traverses the
 // named functions in order, each stage's output triggering the next.
 func (s *Simulation) ReplayChain(w Workload, stages []string) ([]ChainResult, error) {
-	raw, err := faas.RunChain(s.gateway, w, stages)
+	raw, err := faas.RunChain(s.st.Gateway, w, stages)
 	if err != nil {
 		return nil, err
 	}
@@ -533,31 +477,31 @@ func (s *Simulation) ReplayChain(w Workload, stages []string) ([]ChainResult, er
 }
 
 // Now returns the current virtual time.
-func (s *Simulation) Now() time.Duration { return s.sched.Now() }
+func (s *Simulation) Now() time.Duration { return s.st.Sched.Now() }
 
 // AdvanceTime runs the simulation forward by d with no new requests
 // (background control loops keep running).
-func (s *Simulation) AdvanceTime(d time.Duration) { s.sched.Sleep(d) }
+func (s *Simulation) AdvanceTime(d time.Duration) { s.st.Sched.Sleep(d) }
 
 // LiveContainers reports the number of live containers.
-func (s *Simulation) LiveContainers() int { return s.engine.Live() }
+func (s *Simulation) LiveContainers() int { return s.st.Engine.Live() }
 
 // HostCPUPct and HostMemMB report current host resource usage.
-func (s *Simulation) HostCPUPct() float64 { return s.hostM.UsedCPUPct() }
+func (s *Simulation) HostCPUPct() float64 { return s.st.Host.UsedCPUPct() }
 
 // HostMemMB reports current host memory usage in MB.
-func (s *Simulation) HostMemMB() float64 { return s.hostM.UsedMemMB() }
+func (s *Simulation) HostMemMB() float64 { return s.st.Host.UsedMemMB() }
 
 // PolicyName reports the active policy's display name.
-func (s *Simulation) PolicyName() string { return s.provider.Name() }
+func (s *Simulation) PolicyName() string { return s.st.Provider.Name() }
 
 // FaultStats reports the injected-fault counters; zero when the
 // simulation runs without a fault config.
 func (s *Simulation) FaultStats() FaultStats {
-	if s.injector == nil {
+	if s.st.Faults == nil {
 		return FaultStats{}
 	}
-	return s.injector.Stats()
+	return s.st.Faults.Stats()
 }
 
 // Metrics exposes the simulation's metrics registry: request
@@ -578,19 +522,12 @@ func (s *Simulation) Spans() []obs.Span {
 // acquire retries, exec fallbacks, quarantines, breaker trips/closes,
 // degraded requests and failed requests, keyed by counter name.
 func (s *Simulation) ResilienceCounters() map[string]int {
-	return s.gateway.ResilienceCounters().Snapshot()
+	return s.st.Gateway.ResilienceCounters().Snapshot()
 }
 
 // Close stops background machinery (HotC's control loop, warm-up
 // pingers).
-func (s *Simulation) Close() {
-	if s.hotc != nil {
-		s.hotc.Stop()
-	}
-	if w, ok := s.provider.(*policy.PeriodicWarmup); ok {
-		w.StopPingers()
-	}
-}
+func (s *Simulation) Close() { s.st.Close() }
 
 // Stats summarises a replay. Requests counts successful requests
 // only; failed ones are tallied in Errors.

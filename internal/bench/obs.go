@@ -1,14 +1,11 @@
 package bench
 
-import (
-	"hotc/internal/obs"
-	"hotc/internal/pool"
-)
+import "hotc/internal/obs"
 
 // Package-level observability hookup. The figure experiments build
 // their environments internally, so hotc-bench cannot thread a
 // registry through each call; instead it arms these before running and
-// every Env built afterwards instruments itself into them.
+// every Env built afterwards hands them to the stack builder.
 var (
 	obsReg    *obs.Registry
 	obsTracer *obs.Tracer
@@ -25,21 +22,4 @@ var (
 func EnableObservability(reg *obs.Registry, tracer *obs.Tracer) {
 	obsReg = reg
 	obsTracer = tracer
-}
-
-// instrument wires an assembled environment into the armed registry
-// and tracer, covering the gateway plus whichever pool the policy
-// branch created.
-func (e *Env) instrument(p *pool.Pool) {
-	if obsReg != nil {
-		e.Gateway.Instrument(obsReg)
-		if e.HotC != nil {
-			e.HotC.Instrument(obsReg)
-		} else if p != nil {
-			p.Instrument(obsReg)
-		}
-	}
-	if obsTracer != nil {
-		e.Gateway.Trace(obsTracer)
-	}
 }

@@ -19,10 +19,8 @@ import (
 	"hotc/internal/core"
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
-	"hotc/internal/host"
-	"hotc/internal/image"
-	"hotc/internal/rng"
 	"hotc/internal/simclock"
+	"hotc/internal/stack"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
 )
@@ -54,15 +52,12 @@ func (r Routing) String() string {
 	}
 }
 
-// Node is one backend host: a complete single-host HotC deployment.
+// Node is one backend host: a complete single-host HotC deployment on
+// the cluster's clock.
 type Node struct {
 	// Name identifies the node.
 	Name string
-	// Engine, Host, HotC and Gateway form the per-node stack.
-	Engine  *container.Engine
-	Host    *host.Host
-	HotC    *core.HotC
-	Gateway *faas.Gateway
+	*stack.Stack
 
 	inFlight  int
 	served    int
@@ -111,7 +106,6 @@ type Cluster struct {
 	opts  Options
 	nodes []*Node
 	dir   map[string]int // dirKey(key, node) → advertised live runtimes
-	reg   *image.Registry
 
 	apps   map[string]workload.App
 	specs  map[string]container.Spec
@@ -121,40 +115,30 @@ type Cluster struct {
 // New builds a cluster.
 func New(opts Options) *Cluster {
 	o := opts.withDefaults()
-	sched := simclock.New()
-	reg := image.StandardCatalog()
 	c := &Cluster{
-		sched: sched,
+		sched: simclock.New(),
 		opts:  o,
 		dir:   make(map[string]int),
-		reg:   reg,
 		apps:  make(map[string]workload.App),
 		specs: make(map[string]container.Spec),
 	}
 	for i := 0; i < o.Nodes; i++ {
-		cache := image.NewCache()
-		if o.PrePull {
-			for _, ref := range reg.Refs() {
-				if im, err := reg.Lookup(ref); err == nil {
-					cache.Admit(im)
-				}
-			}
+		seed := o.Seed
+		if seed != 0 {
+			seed += int64(i)
 		}
-		var jit *rng.Source
-		if o.Seed != 0 {
-			jit = rng.New(o.Seed + int64(i))
+		st, err := stack.New(stack.Options{
+			Sched:   c.sched,
+			Profile: o.Profile,
+			Seed:    seed,
+			PrePull: o.PrePull,
+			Policy:  stack.HotC,
+			Core:    o.Core,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("cluster: %v", err)) // unreachable: HotC is a known policy and no faults are configured
 		}
-		eng := container.NewEngine(sched, costmodel.New(o.Profile), reg, cache, jit)
-		h := core.New(eng, o.Core)
-		h.Start()
-		node := &Node{
-			Name:    fmt.Sprintf("node-%d", i),
-			Engine:  eng,
-			Host:    host.New(eng),
-			HotC:    h,
-			Gateway: faas.NewGateway(eng, h),
-		}
-		c.nodes = append(c.nodes, node)
+		c.nodes = append(c.nodes, &Node{Name: fmt.Sprintf("node-%d", i), Stack: st})
 	}
 	return c
 }
@@ -168,7 +152,7 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // Close stops every node's controller.
 func (c *Cluster) Close() {
 	for _, n := range c.nodes {
-		n.HotC.Stop()
+		n.Close()
 	}
 }
 
@@ -205,18 +189,11 @@ func (c *Cluster) RecoverNode(i int) bool {
 
 // Deploy registers the function on every node.
 func (c *Cluster) Deploy(name string, rt config.Runtime, app workload.App) error {
-	resolver := faas.ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
-		return container.ResolveSpec(rt, c.reg)
-	})
 	for _, n := range c.nodes {
-		if err := n.Gateway.Deploy(faas.Function{Name: name, Runtime: rt, App: app}, resolver); err != nil {
+		if err := n.Stack.Deploy(faas.Function{Name: name, Runtime: rt, App: app}); err != nil {
 			return fmt.Errorf("cluster: deploying on %s: %w", n.Name, err)
 		}
-		spec, _ := n.Gateway.Spec(name)
-		if err := n.HotC.Register(spec, app); err != nil {
-			return err
-		}
-		c.specs[name] = spec
+		c.specs[name], _ = n.Gateway.Spec(name)
 	}
 	c.apps[name] = app
 	return nil

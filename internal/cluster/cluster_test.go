@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"hotc/internal/config"
+	"hotc/internal/core"
+	"hotc/internal/costmodel"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
 )
@@ -298,5 +301,52 @@ func TestMultipleFunctionsIndependentAffinity(t *testing.T) {
 	// Each function should reuse after its own first request.
 	if ReuseRate(results) < 10.0/12 {
 		t.Fatalf("reuse rate = %v", ReuseRate(results))
+	}
+}
+
+// Regression: a node's pool was built without the host's memory signal,
+// so §IV.B's "80 % of host memory" eviction never fired on a multi-host
+// run and idle runtimes piled up past it.
+func TestClusterNodeHonoursMemoryThreshold(t *testing.T) {
+	// A host whose idle OS already sits just under the threshold: 8 MB
+	// of headroom, i.e. eleven idle runtimes at 0.7 MB each.
+	small := costmodel.Server()
+	small.TotalMemoryMB = (small.BaseMemMB + 8) / 0.80
+	// The controller's first tick is after the run, so the threshold is
+	// the only thing bounding what the requests leave behind.
+	c := New(Options{Nodes: 1, Profile: small, PrePull: true, Core: core.Options{Interval: time.Hour}})
+	t.Cleanup(c.Close)
+	const fns = 30
+	names := make([]string, fns)
+	for i := range names {
+		names[i] = fmt.Sprintf("fn-%d", i)
+		rt := config.Runtime{Image: "python:3.8", Env: []string{fmt.Sprintf("F=%d", i)}}
+		if err := c.Deploy(names[i], rt, workload.QRApp(workload.Python)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One request per function, each leaving an idle runtime behind.
+	var schedule []trace.Request
+	for i := 0; i < fns; i++ {
+		schedule = append(schedule, trace.Request{At: time.Duration(i) * 10 * time.Second, Class: i, Round: i})
+	}
+	results, err := c.Run(schedule, func(cl int) string { return names[cl] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	n := c.Nodes()[0]
+	if ev := n.Pool.Stats().Evictions; ev == 0 {
+		t.Fatalf("no evictions with %d idle runtimes on a host with room for 11", n.Engine.Live())
+	}
+	// The pool makes room before it grows, so usage may sit at most the
+	// one newest runtime past the threshold.
+	oneRuntimePct := 100 * 0.7 / small.TotalMemoryMB
+	if pct := n.Host.UsedMemPct(); pct >= 80+oneRuntimePct {
+		t.Fatalf("host memory at %.2f%% with %d live runtimes, threshold is 80%%", pct, n.Engine.Live())
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"hotc"
+	"hotc/internal/obs"
 	"hotc/internal/workload"
 )
 
@@ -59,7 +60,7 @@ type Spec struct {
 	Resilience *ResilienceSpec `json:"resilience,omitempty"`
 	// Sharing turns on inter-function container sharing: on a pool
 	// miss an idle container of another function is re-keyed as a
-	// zygote instead of paying a full cold start.
+	// zygote instead of paying a full cold start. Single-host runs only.
 	Sharing bool `json:"sharing,omitempty"`
 	// SharingIdleGraceSec keeps containers off the lending market until
 	// they have been idle this many virtual seconds, so renters take
@@ -150,6 +151,7 @@ type FunctionSpec struct {
 	// with App.
 	Profile *workload.Profile `json:"appProfile,omitempty"`
 	// MaxConcurrency caps simultaneous executions (0 = unlimited).
+	// Single-host runs only.
 	MaxConcurrency int `json:"maxConcurrency,omitempty"`
 }
 
@@ -233,8 +235,22 @@ func (s *Spec) validate() error {
 	if s.Workload.Kind == "" {
 		return fmt.Errorf("scenario: workload kind is required")
 	}
-	if s.Cluster != nil && (s.Faults != nil || s.Resilience != nil) {
-		return fmt.Errorf("scenario: faults and resilience are single-host only")
+	if s.Cluster != nil {
+		// Nothing in a cluster run reads these; a spec that sets one
+		// would quietly measure something else.
+		switch {
+		case s.Faults != nil || s.Resilience != nil:
+			return fmt.Errorf("scenario: faults and resilience are single-host only")
+		case s.Sharing:
+			return fmt.Errorf("scenario: \"sharing\" is single-host only")
+		case s.SharingIdleGraceSec != 0:
+			return fmt.Errorf("scenario: \"sharingIdleGraceSec\" is single-host only")
+		}
+		for _, fn := range s.Functions {
+			if fn.MaxConcurrency != 0 {
+				return fmt.Errorf("scenario: function %q: \"maxConcurrency\" is single-host only", fn.Name)
+			}
+		}
 	}
 	if s.Faults != nil {
 		if err := s.Faults.Validate(); err != nil {
@@ -347,20 +363,32 @@ type Outcome struct {
 	Name string
 	// Policy is the display name of the policy that ran.
 	Policy string
+	// Results are the per-request outcomes in schedule order (a cluster
+	// run reports no Initiation or Faults).
+	Results []hotc.RequestResult
 	// Stats summarises the replay.
 	Stats hotc.Stats
 	// PerFunction breaks cold starts down by function.
 	PerFunction map[string]FunctionOutcome
-	// LiveContainers is the pool size at the end of the run
-	// (single-host runs only).
-	LiveContainers int
 	// ServedByNode reports per-node request counts (cluster runs only).
 	ServedByNode map[string]int
+
+	// The rest is read off the single host at the end of the run; a
+	// cluster run leaves it zero.
+
+	// LiveContainers is the pool size.
+	LiveContainers int
+	// HostCPUPct and HostMemMB are the host monitor's readings.
+	HostCPUPct, HostMemMB float64
 	// Faults counts the injected faults (zero when the spec has none).
 	Faults hotc.FaultStats
 	// Resilience snapshots the gateway's retry/breaker/fallback
 	// counters by name (empty when nothing fired).
 	Resilience map[string]int
+	// Metrics is the run's metrics registry.
+	Metrics *obs.Registry
+	// Spans holds one span per request (RunTraced only).
+	Spans []obs.Span
 }
 
 // FunctionOutcome is the per-function breakdown.
@@ -370,21 +398,78 @@ type FunctionOutcome struct {
 	MeanMS     float64
 }
 
-// Run executes the spec.
-func (s *Spec) Run() (*Outcome, error) {
+// deployment is what a spec runs on: one host or a cluster of them.
+type deployment interface {
+	Deploy(hotc.FunctionSpec) error
+	Replay(hotc.Workload, func(class int) string) ([]hotc.RequestResult, error)
+	Close()
+	// report fills the outcome fields only this kind of deployment has.
+	report(*Outcome)
+}
+
+type singleHost struct{ *hotc.Simulation }
+
+func (d singleHost) report(out *Outcome) {
+	out.Policy = d.PolicyName()
+	out.LiveContainers = d.LiveContainers()
+	out.HostCPUPct, out.HostMemMB = d.HostCPUPct(), d.HostMemMB()
+	out.Faults = d.FaultStats()
+	out.Resilience = d.ResilienceCounters()
+	out.Metrics = d.Metrics()
+	out.Spans = d.Spans()
+}
+
+type multiHost struct{ *hotc.ClusterSimulation }
+
+func (d multiHost) Replay(w hotc.Workload, classFn func(int) string) ([]hotc.RequestResult, error) {
+	routed, err := d.ClusterSimulation.Replay(w, classFn)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]hotc.RequestResult, len(routed))
+	for i, r := range routed {
+		results[i] = hotc.RequestResult{
+			Function: r.Function, Latency: r.Latency, Reused: r.Reused, Round: r.Round, Err: r.Err,
+		}
+	}
+	return results, nil
+}
+
+func (d multiHost) report(out *Outcome) {
+	out.Policy = fmt.Sprintf("hotc-cluster(%d nodes)", len(d.NodeNames()))
+	out.ServedByNode = d.ServedByNode()
+}
+
+// deploy builds the deployment the spec names: a cluster when
+// "cluster" is present (every node runs HotC), else a single host.
+func (s *Spec) deploy(recordSpans bool) (deployment, error) {
+	profile := hotc.Profile(s.Profile) // "" is the default, like every name below
+	interval := time.Duration(s.ControlIntervalSec * float64(time.Second))
 	if s.Cluster != nil {
-		return s.runCluster()
+		cs, err := hotc.NewClusterSimulation(hotc.ClusterConfig{
+			Nodes:           s.Cluster.Nodes,
+			Profile:         profile,
+			Routing:         hotc.Routing(s.Cluster.Routing),
+			Seed:            s.Seed,
+			ControlInterval: interval,
+			LocalImages:     true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return multiHost{cs}, nil
 	}
 	cfg := hotc.Config{
-		Profile:         hotc.Profile(orString(s.Profile, string(hotc.ProfileServer))),
-		Policy:          hotc.Policy(orString(s.Policy, string(hotc.PolicyHotC))),
+		Profile:         profile,
+		Policy:          hotc.Policy(s.Policy),
 		Seed:            s.Seed,
 		KeepAliveWindow: time.Duration(s.KeepAliveSec * float64(time.Second)),
-		ControlInterval: time.Duration(s.ControlIntervalSec * float64(time.Second)),
+		ControlInterval: interval,
 		LocalImages:     true,
 		Faults:          s.Faults,
 		EnableSharing:   s.Sharing,
 		ShareIdleGrace:  time.Duration(s.SharingIdleGraceSec * float64(time.Second)),
+		RecordSpans:     recordSpans,
 	}
 	if s.Resilience != nil {
 		rc := s.Resilience.config()
@@ -394,7 +479,23 @@ func (s *Spec) Run() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sim.Close()
+	return singleHost{sim}, nil
+}
+
+// Run executes the spec.
+func (s *Spec) Run() (*Outcome, error) { return s.run(false) }
+
+// RunTraced is Run with every request also recorded as a span
+// (single-host runs only; spans cost memory proportional to the
+// workload).
+func (s *Spec) RunTraced() (*Outcome, error) { return s.run(true) }
+
+func (s *Spec) run(recordSpans bool) (*Outcome, error) {
+	d, err := s.deploy(recordSpans)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
 
 	names := make([]string, len(s.Functions))
 	for i, fn := range s.Functions {
@@ -411,13 +512,9 @@ func (s *Spec) Run() (*Outcome, error) {
 		if image == "" {
 			image = app.Image
 		}
-		err = sim.Deploy(hotc.FunctionSpec{
-			Name: fn.Name,
-			Runtime: hotc.Runtime{
-				Image:   image,
-				Network: fn.Network,
-				Env:     fn.Env,
-			},
+		err = d.Deploy(hotc.FunctionSpec{
+			Name:           fn.Name,
+			Runtime:        hotc.Runtime{Image: image, Network: fn.Network, Env: fn.Env},
 			App:            app,
 			MaxConcurrency: fn.MaxConcurrency,
 		})
@@ -431,21 +528,18 @@ func (s *Spec) Run() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := sim.Replay(w, func(c int) string { return names[c%len(names)] })
+	results, err := d.Replay(w, func(c int) string { return names[c%len(names)] })
 	if err != nil {
 		return nil, err
 	}
 
 	out := &Outcome{
-		Name:           s.Name,
-		Policy:         sim.PolicyName(),
-		Stats:          hotc.Summarize(results),
-		PerFunction:    make(map[string]FunctionOutcome),
-		LiveContainers: sim.LiveContainers(),
-		Faults:         sim.FaultStats(),
-		Resilience:     sim.ResilienceCounters(),
+		Name:        s.Name,
+		Results:     results,
+		Stats:       hotc.Summarize(results),
+		PerFunction: make(map[string]FunctionOutcome),
 	}
-	sums := map[string]float64{}
+	d.report(out)
 	for _, r := range results {
 		if r.Err != nil {
 			continue
@@ -455,100 +549,12 @@ func (s *Spec) Run() (*Outcome, error) {
 		if !r.Reused {
 			fo.ColdStarts++
 		}
-		sums[r.Function] += float64(r.Latency) / float64(time.Millisecond)
+		fo.MeanMS += float64(r.Latency) / float64(time.Millisecond) // the sum, until divided below
 		out.PerFunction[r.Function] = fo
 	}
 	for name, fo := range out.PerFunction {
-		if fo.Requests > 0 {
-			fo.MeanMS = sums[name] / float64(fo.Requests)
-			out.PerFunction[name] = fo
-		}
+		fo.MeanMS /= float64(fo.Requests)
+		out.PerFunction[name] = fo
 	}
 	return out, nil
-}
-
-// runCluster executes the spec on a multi-host cluster.
-func (s *Spec) runCluster() (*Outcome, error) {
-	cs, err := hotc.NewClusterSimulation(hotc.ClusterConfig{
-		Nodes:           s.Cluster.Nodes,
-		Profile:         hotc.Profile(orString(s.Profile, string(hotc.ProfileServer))),
-		Routing:         hotc.Routing(orString(s.Cluster.Routing, string(hotc.RoutingReuseAffinity))),
-		Seed:            s.Seed,
-		ControlInterval: time.Duration(s.ControlIntervalSec * float64(time.Second)),
-		LocalImages:     true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cs.Close()
-
-	names := make([]string, len(s.Functions))
-	for i, fn := range s.Functions {
-		var app hotc.App
-		if fn.Profile != nil {
-			app, err = fn.Profile.App()
-		} else {
-			app, err = resolveApp(fn.App)
-		}
-		if err != nil {
-			return nil, err
-		}
-		image := fn.Image
-		if image == "" {
-			image = app.Image
-		}
-		err = cs.Deploy(hotc.FunctionSpec{
-			Name:    fn.Name,
-			Runtime: hotc.Runtime{Image: image, Network: fn.Network, Env: fn.Env},
-			App:     app,
-		})
-		if err != nil {
-			return nil, err
-		}
-		names[i] = fn.Name
-	}
-
-	w, err := s.Workload.build(len(names), s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	results, err := cs.Replay(w, func(c int) string { return names[c%len(names)] })
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Outcome{
-		Name:         s.Name,
-		Policy:       fmt.Sprintf("hotc-cluster(%d nodes)", len(cs.NodeNames())),
-		Stats:        hotc.SummarizeCluster(results),
-		PerFunction:  make(map[string]FunctionOutcome),
-		ServedByNode: cs.ServedByNode(),
-	}
-	sums := map[string]float64{}
-	for _, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		fo := out.PerFunction[r.Function]
-		fo.Requests++
-		if !r.Reused {
-			fo.ColdStarts++
-		}
-		sums[r.Function] += float64(r.Latency) / float64(time.Millisecond)
-		out.PerFunction[r.Function] = fo
-	}
-	for name, fo := range out.PerFunction {
-		if fo.Requests > 0 {
-			fo.MeanMS = sums[name] / float64(fo.Requests)
-			out.PerFunction[name] = fo
-		}
-	}
-	return out, nil
-}
-
-func orString(v, d string) string {
-	if v == "" {
-		return d
-	}
-	return v
 }

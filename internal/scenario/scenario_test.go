@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,5 +237,26 @@ func TestFaultSpecValidation(t *testing.T) {
 		"faults":{"rules":[{"createFailRate":1.5}]}}`
 	if _, err := Parse([]byte(bad)); err == nil {
 		t.Error("out-of-range fault rate accepted")
+	}
+}
+
+// A cluster run reads none of these, so a spec that sets one is refused
+// by name instead of quietly measuring something else.
+func TestClusterSpecRefusesSingleHostFields(t *testing.T) {
+	for _, tc := range []struct{ field, top, fn string }{
+		{field: "sharing", top: `"sharing":true,`},
+		{field: "sharingIdleGraceSec", top: `"sharingIdleGraceSec":5,`},
+		{field: "maxConcurrency", fn: `,"maxConcurrency":2`},
+	} {
+		spec := `{"cluster":{"nodes":2},` + tc.top +
+			`"functions":[{"name":"x","app":"qr-go"` + tc.fn + `}],"workload":{"kind":"serial"}}`
+		_, err := Parse([]byte(spec))
+		if err == nil {
+			t.Errorf("%s: accepted beside \"cluster\"", tc.field)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"`+tc.field+`"`) || !strings.Contains(msg, "single-host only") {
+			t.Errorf("%s: error %q does not name the field as single-host only", tc.field, msg)
+		}
 	}
 }

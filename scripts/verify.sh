@@ -69,6 +69,20 @@ for f in "$LIVE"/*.go; do
 		exit 1
 	fi
 done
+echo "== wired once (sim: engine, host monitor, gateway and pre-pull only in internal/stack)"
+# The simulator's half: hotc.NewSimulation, bench.NewEnv and every
+# cluster node are one stack.New. Three hand-wired copies drifted before
+# (cluster nodes never armed the memory threshold), so outside tests and
+# the harness (which times the constructors themselves) each of these is
+# named in the builder and nowhere else.
+for pat in 'container\.NewEngine(' '\bhost\.New(' 'faas\.NewGateway(' '\.Refs()'; do
+	files="$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build -e "$pat" . || true)"
+	if [ "$files" != "./internal/stack/stack.go" ]; then
+		echo "verify: $pat is named outside internal/stack/stack.go:" $files >&2
+		echo "verify: build the deployment with stack.New(stack.Options{...}) and use its Deploy/Close" >&2
+		exit 1
+	fi
+done
 echo "== go test -race"
 go test -race ./...
 echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
