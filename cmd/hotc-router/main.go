@@ -49,6 +49,20 @@ func main() {
 	)
 	flag.Parse()
 
+	// 0 selects a flag's default; a negative value means nothing.
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{
+		{"vnodes", int64(*vnodes)}, {"poll-interval", int64(*poll)}, {"probe-failures", int64(*misses)},
+		{"max-attempts", int64(*attempts)}, {"spill-max-body", *spillBody},
+	} {
+		if f.value < 0 {
+			fmt.Fprintf(os.Stderr, "hotc-router: -%s must not be negative (0 selects the default)\n", f.name)
+			os.Exit(2)
+		}
+	}
+
 	var urls []string
 	for _, u := range strings.Split(*nodes, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -81,8 +95,10 @@ func main() {
 	defer rt.Stop()
 
 	fmt.Printf("hotc-router listening on %s\n", base)
-	fmt.Printf("policy: %s (vnodes=%d max-attempts=%d)\n", *policy, *vnodes, *attempts)
-	fmt.Printf("members: %d (poll=%v unhealthy after %d misses)\n", len(urls), *poll, *misses)
+	// The banner reports the resolved configuration, not the raw flags.
+	cfg := rt.Config()
+	fmt.Printf("policy: %s (vnodes=%d max-attempts=%d)\n", cfg.Policy, cfg.VNodes, cfg.MaxAttempts)
+	fmt.Printf("members: %d (poll=%v unhealthy after %d misses)\n", len(urls), cfg.PollInterval, cfg.ProbeFailures)
 	for _, st := range rt.Nodes() {
 		state := "healthy"
 		if !st.Healthy {

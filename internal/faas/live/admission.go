@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -219,8 +218,9 @@ func (g *Gateway) reclaimMemoryOnce() int {
 
 // overQuota distributes the eviction burden of fitting counts into
 // budget: shards are cut down toward a common water level, largest
-// holders first, and nobody below the level is touched. Returns the
-// per-shard eviction quota.
+// holders first, and nobody below the level is touched. Equal holders
+// give in index order — name order, counts being in registry order.
+// Returns the per-shard eviction quota.
 func overQuota(counts []int, budget int) []int {
 	quota := make([]int, len(counts))
 	total := 0
@@ -228,28 +228,21 @@ func overQuota(counts []int, budget int) []int {
 		total += c
 	}
 	excess := total - budget
-	if excess <= 0 {
+	if excess <= 0 || len(counts) == 0 {
 		return quota
 	}
-	// Shard indexes sorted by holding, largest first (stable on index
-	// for determinism).
-	order := make([]int, len(counts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
 	// Peel one instance at a time from the current largest holder:
 	// O(excess * n) with tiny constants, and exactly the water-filling
 	// result without fractional-level bookkeeping.
 	remaining := append([]int(nil), counts...)
 	for evicted := 0; evicted < excess; evicted++ {
-		best := -1
-		for _, i := range order {
-			if best == -1 || remaining[i] > remaining[best] {
+		best := 0
+		for i := range remaining {
+			if remaining[i] > remaining[best] {
 				best = i
 			}
 		}
-		if best == -1 || remaining[best] == 0 {
+		if remaining[best] == 0 {
 			break
 		}
 		remaining[best]--

@@ -34,8 +34,8 @@ type PoolConfig struct {
 	// forecasts the next interval and resizes the warm pool towards it.
 	ControlInterval time.Duration
 	// NewPredictor arms adaptive live-container control: each function
-	// gets its own demand predictor and a controller goroutine that
-	// prewarms or retires warm instances towards the forecast. nil
+	// gets its own demand predictor, and the control cycle prewarms or
+	// retires its warm instances towards the forecast every tick. nil
 	// disables prediction; the janitor and warm cap stay active. Use
 	// PredictorFactory to resolve names.
 	NewPredictor func() predictor.Predictor

@@ -52,64 +52,73 @@ type fnControl struct {
 	share sharing.Classifier
 }
 
-// startControlLoops launches the janitor and one controller goroutine
-// per registered function. Functions registered later spawn theirs in
-// Register.
-func (g *Gateway) startControlLoops() {
+// startCycle launches the control cycle, the gateway's one background
+// goroutine, when the config arms a stage of it: the controller with a
+// predictor, the janitor — which owns keep-alive expiry AND
+// memory-budget reclaim — with either policy.
+func (g *Gateway) startCycle() {
+	control := g.cfg.NewPredictor != nil
+	janitor := g.cfg.IdleTTL > 0 || g.cfg.MemoryBudget > 0
 	g.smu.Lock()
-	if g.ctlRunning || g.stopped.Load() {
-		g.smu.Unlock()
-		return
-	}
-	g.ctlRunning = true
-	// The janitor owns keep-alive expiry AND memory-budget reclaim, so
-	// it runs when either policy is armed.
-	runJanitor := g.cfg.IdleTTL > 0 || g.cfg.MemoryBudget > 0
-	var names []string
-	if g.cfg.NewPredictor != nil {
-		for name := range g.shards {
-			names = append(names, name)
-		}
-	}
-	g.wg.Add(len(names))
-	if runJanitor {
+	run := (control || janitor) && !g.stopped.Load()
+	if run {
 		g.wg.Add(1)
 	}
 	g.smu.Unlock()
-
-	if runJanitor {
-		go g.every(g.cfg.ReapInterval, g.janitorOnce)
-	}
-	for _, name := range names {
-		go g.runController(name)
+	if run {
+		go g.cycle(control, janitor)
 	}
 	// Prefill the generic pre-forked pool so the first cold start
 	// already finds a ready watchdog (boots run on pool goroutines).
 	g.refillPrefork()
 }
 
-// every runs tick each interval until the gateway's lifetime ends: the
-// janitor and the per-function control loops.
-func (g *Gateway) every(interval time.Duration, tick func(now time.Time)) {
+// cycle is Algorithm 3's loop against the real pool, for as long as the
+// gateway lives: every ControlInterval one controlTick, every
+// ReapInterval one janitorOnce, one stage at a time. Nothing is started
+// per function: a function is controlled, expired and budgeted because
+// it is in the registry, whenever it was deployed. An unarmed stage's
+// channel stays nil and never fires.
+func (g *Gateway) cycle(control, janitor bool) {
 	defer g.wg.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+	var controlC, reapC <-chan time.Time
+	if control {
+		t := time.NewTicker(g.cfg.ControlInterval)
+		defer t.Stop()
+		controlC = t.C
+	}
+	if janitor {
+		t := time.NewTicker(g.cfg.ReapInterval)
+		defer t.Stop()
+		reapC = t.C
+	}
 	for {
 		select {
 		case <-g.life.Done():
 			return
-		case <-ticker.C:
-			tick(g.nowFn())
+		case <-controlC:
+			g.controlTick(g.nowFn())
+		case <-reapC:
+			g.janitorOnce(g.nowFn())
 		}
 	}
 }
 
-// runController is the per-function background control loop.
-func (g *Gateway) runController(name string) {
-	g.every(g.cfg.ControlInterval, func(now time.Time) { g.controlOnce(name, now) })
+// controlTick is one control interval: every function in the registry,
+// in name order, is observed, forecast and resized at the same instant
+// — what core.HotC.tick does on virtual time — and counted as one tick.
+func (g *Gateway) controlTick(now time.Time) {
+	for _, s := range g.snapshotShards() {
+		g.controlOnce(s.name, now)
+	}
+	g.obs.ctlTicks.Inc()
+	// Keep the generic pre-forked pool topped up even when no request
+	// has drained it recently (boot errors or reaps may have left a
+	// deficit); the refill itself runs on pool-owned goroutines.
+	g.refillPrefork()
 }
 
-// controlOnce runs one control interval for a function: observe the
+// controlOnce is controlTick's per-function stage: observe the
 // interval's peak concurrent demand, forecast the next interval, and
 // prewarm or retire warm instances as core.Plan decides. Tests call it
 // directly with deterministic clocks.
@@ -117,7 +126,8 @@ func (g *Gateway) runController(name string) {
 // The registry read-lock is held across the tick so the stopped check
 // and the wg.Add for prewarm boots are atomic against Stop (which sets
 // stopped under the write lock before waiting); only this function's
-// shard mutex is taken, so ticks never stall other functions.
+// shard mutex is taken, so a tick never stalls another function's
+// requests.
 func (g *Gateway) controlOnce(name string, now time.Time) {
 	g.smu.RLock()
 	s := g.shards[name]
@@ -156,7 +166,6 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	st.booting += boot
 	retire := s.takeOldestLocked(excess, &s.stats.Retired)
 	g.obs.ctlRetire.Add(float64(len(retire)))
-	g.obs.ctlTicks.Inc()
 	s.m.ctlDemand.Set(demand)
 	s.m.ctlForecast.Set(st.Forecast)
 	s.m.ctlTarget.Set(float64(target))
@@ -168,10 +177,6 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 		go g.prewarmOne(s, fn)
 	}
 	stopAll(retire)
-	// Keep the generic pre-forked pool topped up even when no request
-	// has drained it recently (boot errors or reaps may have left a
-	// deficit); the refill itself runs on pool-owned goroutines.
-	g.refillPrefork()
 }
 
 // prewarmOne boots one instance ahead of demand and pools it — unless

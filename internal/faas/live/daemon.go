@@ -9,10 +9,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -39,12 +37,6 @@ type Daemon struct {
 	// started anchors hotc_uptime_seconds, refreshed on each scrape.
 	started time.Time
 	uptime  *obs.Gauge
-
-	// deployed lists each deployed function once, sorted; a redeploy
-	// replaces the function in place (Gateway.Register) and leaves the
-	// list alone.
-	mu       sync.Mutex
-	deployed []string
 }
 
 // Version labels hotc_build_info; release builds override it via
@@ -296,30 +288,22 @@ func (d *Daemon) Deploy(spec DeploySpec) error {
 		return fmt.Errorf("live: negative memoryMB")
 	}
 	fn.MemoryMB = spec.MemoryMB
-	if err := d.gw.Register(fn); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	if i, found := slices.BinarySearch(d.deployed, spec.Name); !found {
-		d.deployed = slices.Insert(d.deployed, i, spec.Name)
-	}
-	d.mu.Unlock()
-	return nil
+	return d.gw.Register(fn)
 }
 
 // Start binds the daemon to a random loopback port and begins the
-// control loops. It returns the base URL.
+// control cycle. It returns the base URL.
 func (d *Daemon) Start() (string, error) {
 	return d.StartOn("127.0.0.1:0")
 }
 
 // StartOn binds the daemon to an explicit address. The gateway's
-// janitor and per-function controllers launch with it.
+// control cycle launches with it.
 func (d *Daemon) StartOn(addr string) (string, error) {
 	return d.gw.startOn(addr, d.routes())
 }
 
-// Stop shuts down the HTTP server, the control loops and all warm
+// Stop shuts down the HTTP server, the control cycle and all warm
 // instances.
 func (d *Daemon) Stop() {
 	d.gw.Stop()
@@ -337,9 +321,12 @@ func (d *Daemon) routes() *http.ServeMux {
 	mux.HandleFunc("/system/functions", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
-			d.mu.Lock()
-			names := append([]string(nil), d.deployed...)
-			d.mu.Unlock()
+			// The registry lists each function once, sorted; a redeploy
+			// replaces it in place (Gateway.Register).
+			var names []string
+			for _, s := range d.gw.snapshotShards() {
+				names = append(names, s.name)
+			}
 			writeJSON(w, names)
 		case http.MethodPost:
 			var spec DeploySpec
@@ -357,12 +344,9 @@ func (d *Daemon) routes() *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/system/stats", func(w http.ResponseWriter, r *http.Request) {
-		d.mu.Lock()
-		names := append([]string(nil), d.deployed...)
-		d.mu.Unlock()
 		warm := map[string]int{}
-		for _, n := range names {
-			warm[n] = d.gw.WarmInstances(n)
+		for _, s := range d.gw.snapshotShards() {
+			warm[s.name] = d.gw.WarmInstances(s.name)
 		}
 		// resilience, warmAges, forecast and admission share their
 		// source of truth with the /metrics endpoint (the same gateway

@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 }
 
 // Shard teardown must not strand goroutines: a gateway with many
-// populated shards (warm instances, per-function controllers, breaker
+// populated shards (warm instances, controller state, breaker
 // state) is stopped and the goroutine count must fall back to its
 // pre-gateway level. This checks locally what the TestMain pass checks
 // package-wide, so a shard-lifecycle leak is pinned to this test

@@ -39,18 +39,22 @@ func checkPool(t *testing.T, g *Gateway) {
 	}
 }
 
-// liveWatchdogs counts running watchdog accept loops in this process. A
-// stopped watchdog's loop has exited when Stop returns, so a boot that
-// abandons its watchdog without stopping it shows up here exactly.
-func liveWatchdogs() int {
+// stackCount counts occurrences of frame in a dump of every goroutine's
+// stack.
+func stackCount(frame string) int {
 	buf := make([]byte, 1<<20)
 	for {
 		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), "hotc/internal/prefork.Start.func1")
+			return strings.Count(string(buf[:n]), frame)
 		}
 		buf = make([]byte, 2*len(buf))
 	}
 }
+
+// liveWatchdogs counts running watchdog accept loops in this process. A
+// stopped watchdog's loop has exited when Stop returns, so a boot that
+// abandons its watchdog without stopping it shows up here exactly.
+func liveWatchdogs() int { return stackCount("hotc/internal/prefork.Start.func1") }
 
 // The phase table, row by row, read off the delays a boot hands to
 // g.sleep: which of wipe, pull, runtime init and app init each mode

@@ -22,9 +22,9 @@
 //
 // With PoolConfig.NewPredictor the gateway also runs the paper's
 // adaptive live-container control (Algorithm 3) against the real pool:
-// a per-function controller samples demand each interval, forecasts
-// the next one with the ES+Markov predictor, and prewarms or retires
-// warm instances to meet it — see controller.go.
+// one control cycle samples every function's demand each interval,
+// forecasts the next one with the ES+Markov predictor, and prewarms or
+// retires warm instances to meet it — see controller.go.
 //
 // # Request lifecycle
 //
@@ -70,6 +70,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -288,26 +289,28 @@ type Gateway struct {
 	// takes the read side, for the map lookup.
 	smu    sync.RWMutex
 	shards map[string]*shard
+	// ordered is the registry every walk over the functions reads: the
+	// same shards sorted by name, so the control cycle, the lender pick
+	// and the budget's ties see one order. Register replaces the slice,
+	// never mutates it, so it is iterated outside smu.
+	ordered []*shard
 
 	// stopped flips once in Stop (under smu); the request path and the
-	// background loops read it lock-free.
+	// control cycle read it lock-free.
 	stopped atomic.Bool
 
 	// draining, while set, refuses new /function/ placements with 503 +
 	// X-Hotc-Draining while in-flight work (and the warm pool, the
-	// control loops, the management API) keeps running — the node-level
+	// control cycle, the management API) keeps running — the node-level
 	// half of a routed cluster's drain. Reversible, read lock-free.
 	draining atomic.Bool
 
-	// ctlRunning (under smu) reports that the background loops were
-	// launched.
-	ctlRunning bool
-	// life is the gateway's own lifetime, ended by Stop: the background
-	// loops and every boot no request waits on run under it.
+	// life is the gateway's own lifetime, ended by Stop: the control
+	// cycle and every boot no request waits on run under it.
 	life    context.Context
 	endLife context.CancelFunc
-	// wg tracks every background goroutine the gateway owns:
-	// controllers, the janitor, prewarm boots and retire teardowns.
+	// wg tracks every background goroutine the gateway owns: the
+	// control cycle and prewarm boots.
 	// Adds happen under smu (read or write side) after a stopped
 	// check, so they cannot race Stop's Wait.
 	wg sync.WaitGroup
@@ -349,16 +352,12 @@ func (g *Gateway) shard(name string) *shard {
 	return s
 }
 
-// snapshotShards copies the shard list for iteration outside the
-// registry lock.
+// snapshotShards returns the registry, in name order, for iteration
+// outside the registry lock.
 func (g *Gateway) snapshotShards() []*shard {
 	g.smu.RLock()
-	out := make([]*shard, 0, len(g.shards))
-	for _, s := range g.shards {
-		out = append(out, s)
-	}
-	g.smu.RUnlock()
-	return out
+	defer g.smu.RUnlock()
+	return g.ordered
 }
 
 // newShard creates a function's shard with everything the config gives
@@ -381,11 +380,12 @@ func (g *Gateway) newShard(name string) *shard {
 	return s
 }
 
-// Register deploys a function. Functions registered after Start join
-// the adaptive control loop immediately. Re-registering a name swaps the
-// function in place and starts a new deployment generation: the old
-// version's warm instances are drained here, and one in flight across
-// the redeploy is stopped when it comes back (keepLocked).
+// Register deploys a function. One registered after Start is in the
+// registry like any other, so the control cycle's next tick reaches it.
+// Re-registering a name swaps the function in place and starts a new
+// deployment generation: the old version's warm instances are drained
+// here, and one in flight across the redeploy is stopped when it comes
+// back (keepLocked).
 func (g *Gateway) Register(fn Function) error {
 	if fn.Name == "" || (fn.Handler == nil && fn.Stream == nil) {
 		return fmt.Errorf("live: function needs a name and a handler")
@@ -395,10 +395,12 @@ func (g *Gateway) Register(fn Function) error {
 	if !existed {
 		s = g.newShard(fn.Name)
 		g.shards[fn.Name] = s
-	}
-	spawn := !existed && g.ctlRunning && g.cfg.NewPredictor != nil && !g.stopped.Load()
-	if spawn {
-		g.wg.Add(1)
+		ordered := make([]*shard, 0, len(g.shards))
+		for _, sh := range g.shards {
+			ordered = append(ordered, sh)
+		}
+		slices.SortFunc(ordered, func(a, b *shard) int { return strings.Compare(a.name, b.name) })
+		g.ordered = ordered
 	}
 	g.smu.Unlock()
 	s.mu.Lock()
@@ -407,9 +409,6 @@ func (g *Gateway) Register(fn Function) error {
 	old := s.takeOldestLocked(len(s.idle), &s.stats.Retired)
 	s.mu.Unlock()
 	stopAll(old)
-	if spawn {
-		go g.runController(fn.Name)
-	}
 	return nil
 }
 
@@ -421,7 +420,7 @@ func (g *Gateway) Start() (string, error) {
 }
 
 // startOn binds to an explicit address and launches the control
-// loops.
+// cycle.
 func (g *Gateway) startOn(addr string, mux *http.ServeMux) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -430,11 +429,11 @@ func (g *Gateway) startOn(addr string, mux *http.ServeMux) (string, error) {
 	g.lis = lis
 	g.server = &http.Server{Handler: mux}
 	go g.server.Serve(lis)
-	g.startControlLoops()
+	g.startCycle()
 	return "http://" + lis.Addr().String(), nil
 }
 
-// Stop shuts the gateway, the control loops and all warm instances
+// Stop shuts the gateway, the control cycle and all warm instances
 // down. It is idempotent. Instances are collected shard by shard but
 // stopped outside the locks, concurrently: holding any lock across N
 // serial 1s-timeout shutdowns would block gateway methods for up to N

@@ -171,8 +171,8 @@ func TestSnapshotsDuringTraffic(t *testing.T) {
 
 // Register must be safe while requests, controller ticks and other
 // Registers run: new functions join live, re-registering swaps the
-// handler in place, and the per-function controller spawn does not
-// race Stop. Run under -race.
+// handler in place, and a late function joining the control cycle's
+// registry does not race Stop. Run under -race.
 func TestConcurrentRegisterDuringTraffic(t *testing.T) {
 	g, clk, _ := startControlled(t,
 		PoolConfig{NewPredictor: naiveFactory, IdleTTL: time.Minute, MaxIdlePerFunction: 2},

@@ -28,13 +28,15 @@ func candidateOf(fn Function) sharing.Candidate {
 
 // leaseInstance tries to rent an idle instance from another function's
 // warm pool: the acquisition tier between the function's own warm pool
-// and the generic prefork handoff. It scans classified lenders first
+// and the generic prefork handoff. Classified lenders are asked first
 // (they reserve nothing), then neutral shards (which lend only surplus
 // above their own forecast — a fresh function with no classification
 // history can still rent, which is what makes the very first cold
-// start of a new deploy avoidable); renter shards never lend. The
-// chosen instance is the lender's oldest — the one its keep-alive
-// would reclaim first anyway (lendOldest).
+// start of a new deploy avoidable); renter shards never lend. Within a
+// pass the lender is chosen by rule, not by iteration order: the shard
+// whose oldest instance has been idle longest — the container most
+// likely to expire unused, pool.shareCandidate's rule — ties to the
+// first name.
 //
 // The lease itself is boot's rented row, outside every lock. No
 // eligible lender returns (nil, _, nil) and the caller boots instead; an
@@ -54,15 +56,29 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 	sawDenial := false
 	shards := g.snapshotShards()
 	for pass := 0; pass < 2 && lend == nil; pass++ {
-		for _, s := range shards {
-			if s == renter {
-				continue
+		for {
+			var best *shard
+			var bestSince time.Time
+			for _, s := range shards {
+				if s == renter {
+					continue
+				}
+				s.mu.Lock()
+				since, ok, denied := g.lendableLocked(s, rc, pass == 0, now)
+				s.mu.Unlock()
+				sawDenial = sawDenial || denied
+				if ok && (best == nil || since.Before(bestSince)) {
+					best, bestSince = s, since
+				}
 			}
-			var denied bool
-			if lend, denied = g.lendOldest(s, rc, pass == 0, now); lend != nil {
+			if best == nil {
 				break
 			}
-			sawDenial = sawDenial || denied
+			// Nil only when another renter emptied best since the scan:
+			// choose again from what is left.
+			if lend = g.lendOldest(best, rc, pass == 0, now); lend != nil {
+				break
+			}
 		}
 	}
 	if lend == nil {
@@ -80,19 +96,18 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 	return inst, info, err
 }
 
-// lendOldest takes s's oldest warm instance for a lease when s may lend
-// to rc on this pass (classified lenders only, then neutral shards), or
-// reports that only the policy stood in the way. The instance is tainted
-// under s.mu as it leaves the list: from then on it belongs to no pool.
-func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, lendersOnly bool, now time.Time) (lent *instance, denied bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// lendableLocked reports whether s may lend its oldest warm instance to
+// rc on this pass (classified lenders only, then neutral shards) and
+// since when that instance has been idle, or that only the policy stood
+// in the way. Caller holds s.mu.
+func (g *Gateway) lendableLocked(s *shard, rc sharing.Candidate, lendersOnly bool, now time.Time) (since time.Time, ok, denied bool) {
 	role := s.ctl.share.Role()
 	if role == sharing.RoleRenter || lendersOnly != (role == sharing.RoleLender) {
-		return nil, false
+		return
 	}
-	if ok, _ := g.share.policy.Compatible(rc, candidateOf(s.fn)); !ok {
-		return nil, true
+	if compatible, _ := g.share.policy.Compatible(rc, candidateOf(s.fn)); !compatible {
+		denied = true
+		return
 	}
 	// A neutral shard keeps its own forecast's worth of warm instances; a
 	// classified lender has demonstrably more than it needs and reserves
@@ -102,11 +117,23 @@ func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, lendersOnly bool, n
 		reserve = int(math.Ceil(s.ctl.Forecast))
 	}
 	if len(s.idle) <= reserve || s.idle[0].tainted.Load() || now.Sub(s.idle[0].idleSince) < g.cfg.ShareIdleGrace {
-		return nil, false
+		return
 	}
-	lent = s.takeOldestLocked(1, nil)[0]
+	return s.idle[0].idleSince, true, false
+}
+
+// lendOldest takes s's oldest warm instance for a lease if s may still
+// lend it. The instance is tainted under s.mu as it leaves the list:
+// from then on it belongs to no pool.
+func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, lendersOnly bool, now time.Time) *instance {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok, _ := g.lendableLocked(s, rc, lendersOnly, now); !ok {
+		return nil
+	}
+	lent := s.takeOldestLocked(1, nil)[0]
 	lent.tainted.Store(true)
-	return lent, false
+	return lent
 }
 
 // shareRoleTransition moves the lender/renter population gauges when a

@@ -157,6 +157,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Policy != PolicyWarmAware && cfg.Policy != PolicyRoundRobin {
 		return nil, fmt.Errorf("router: unknown policy %q", cfg.Policy)
 	}
+	if cfg.VNodes <= 0 {
+		cfg.VNodes = DefaultVNodes
+	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
 	}
@@ -223,6 +226,10 @@ func New(cfg Config) (*Router, error) {
 
 // Registry exposes the router's metrics registry (served at /metrics).
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
+
+// Config returns the configuration the router runs with: the Config
+// given to New after its defaults were resolved.
+func (rt *Router) Config() Config { return rt.cfg }
 
 // normalizeURL defaults the scheme and strips a trailing slash.
 func normalizeURL(u string) (string, error) {

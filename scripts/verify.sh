@@ -14,7 +14,7 @@ if [ -n "$UNFORMATTED" ]; then
 	echo "$UNFORMATTED" >&2
 	exit 1
 fi
-echo "== one way in, one way out (live: delays only via pay, warm lists only via warmlist.go, requests only via conclude, counts only in the registry)"
+echo "== one way in, one way out (live: delays only via pay, warm lists only via warmlist.go, requests only via conclude, counts only in the registry, background only via the control cycle)"
 # The live gateway builds an instance in one boot() whose every modelled
 # delay goes through pay(ctx, d), and only the shard list methods in
 # warmlist.go write a warm list. Duplicates of either grew back unnoticed
@@ -66,6 +66,37 @@ for f in "$LIVE"/*.go; do
 	esac
 	if grep -nE "$shadow" "$f" >&2; then
 		echo "verify: $f keeps an atomic counter beside its metric: count once in the registry (g.obs) and read it back with Counter.Value()/Gauge.Value()" >&2
+		exit 1
+	fi
+done
+# The background's half: one goroutine, the control cycle (controller.go),
+# runs every periodic decision as a stage — controlTick walks the
+# registry in name order, janitorOnce expires, caps and budgets — and
+# every walk over the functions reads that registry. N + 1 free-running
+# tickers and a fresh map iteration per walk made decisions depend on
+# map order before, so non-test live code names time.NewTicker only
+# inside cycle, ranges over g.shards only where Register rebuilds the
+# ordered slice, and starts a goroutine only for the cycle, a prewarm
+# boot, stopAll's teardowns, the hop's body writer and the accept loop.
+for f in "$LIVE"/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	bad="$(grep -nE '^[[:space:]]*go ' "$f" |
+		grep -vE 'go (g\.cycle\(|g\.prewarmOne\(|g\.server\.Serve\(|func\(i \*instance\) \{|func\(\) \{ c\.wdone <- c\.sendBody\()' || true)"
+	if [ -n "$bad" ]; then
+		echo "$f:$bad" >&2
+		echo "verify: $f starts a goroutine of its own: periodic work is a stage of the control cycle, a boot nobody waits on goes through prewarmOne under g.wg, teardowns through stopAll" >&2
+		exit 1
+	fi
+	bad="$(awk '/^func /{fn=$0} /^[[:space:]]*\/\//{next} /time\.NewTicker/ && fn !~ /^func \(g \*Gateway\) cycle\(/{print FILENAME":"FNR": "$0}' "$f")"
+	if [ -n "$bad" ]; then
+		echo "$bad" >&2
+		echo "verify: time.NewTicker outside the control cycle: make the periodic work a stage of cycle (controlTick or janitorOnce), not a loop of its own" >&2
+		exit 1
+	fi
+	n="$(grep -c 'range g\.shards' "$f" || true)"
+	case "$f" in "$LIVE/live.go") max=1 ;; *) max=0 ;; esac
+	if [ "$n" -gt "$max" ]; then
+		echo "verify: $f ranges over g.shards $n times (allowed $max): iterate g.snapshotShards(), the registry in name order" >&2
 		exit 1
 	fi
 done
