@@ -287,7 +287,6 @@ type RequestResult struct {
 // gateway, policy and host monitor over a virtual clock.
 type Simulation struct {
 	st     *stack.Stack
-	obsReg *obs.Registry
 	tracer *obs.Tracer
 }
 
@@ -309,9 +308,10 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The registry is always on: metrics are cheap (a few map lookups
-	// per request) and every run can dump them for offline analysis.
-	s := &Simulation{obsReg: obs.New()}
+	// The registry is always on, as in every stack: it is where the
+	// gateway, the pool and the controller keep their counts (a few map
+	// lookups and atomic adds per request), and every run can dump it.
+	s := &Simulation{}
 	if cfg.RecordSpans {
 		s.tracer = obs.NewTracer()
 	}
@@ -331,9 +331,8 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 				ShareIdleGrace:  cfg.ShareIdleGrace,
 			},
 		},
-		Faults:  cfg.Faults,
-		Metrics: s.obsReg,
-		Tracer:  s.tracer,
+		Faults: cfg.Faults,
+		Tracer: s.tracer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hotc: %w", err)
@@ -341,14 +340,19 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if r := cfg.Resilience; r != nil {
 		gw := s.st.Gateway
 		gw.MaxAcquireRetries = r.MaxAcquireRetries
+		// Only positive values override faas.DefaultBackoff().
 		if r.RetryBackoff > 0 {
-			gw.RetryBackoff = r.RetryBackoff
+			gw.Backoff.Base = r.RetryBackoff
 		}
-		gw.BackoffFactor = r.BackoffFactor
-		gw.BackoffMax = r.BackoffMax
-		gw.BackoffJitter = r.BackoffJitter
+		if r.BackoffFactor > 0 {
+			gw.Backoff.Factor = r.BackoffFactor
+		}
+		if r.BackoffMax > 0 {
+			gw.Backoff.Max = r.BackoffMax
+		}
 		if r.BackoffJitter > 0 {
-			gw.BackoffRng = rng.New(cfg.Seed).Split("gateway-backoff")
+			gw.Backoff.JitterFrac = r.BackoffJitter
+			gw.Backoff.Rng = rng.New(cfg.Seed).Split("gateway-backoff")
 		}
 		gw.ExecRetries = r.ExecRetries
 		gw.BreakerThreshold = r.BreakerThreshold
@@ -507,7 +511,7 @@ func (s *Simulation) FaultStats() FaultStats {
 // Metrics exposes the simulation's metrics registry: request
 // latency/queue/acquire histograms, pool occupancy gauges, controller
 // series. Dump it with WritePrometheus or WriteJSONL.
-func (s *Simulation) Metrics() *obs.Registry { return s.obsReg }
+func (s *Simulation) Metrics() *obs.Registry { return s.st.Metrics }
 
 // Spans returns the recorded request spans (empty unless
 // Config.RecordSpans was set).
@@ -518,11 +522,12 @@ func (s *Simulation) Spans() []obs.Span {
 	return s.tracer.Spans()
 }
 
-// ResilienceCounters snapshots the gateway's resilience accounting:
-// acquire retries, exec fallbacks, quarantines, breaker trips/closes,
-// degraded requests and failed requests, keyed by counter name.
+// ResilienceCounters reads the gateway's resilience accounting back
+// from the metrics registry: acquire retries, exec fallbacks,
+// quarantines, breaker trips/closes, degraded requests and failed
+// requests, keyed by counter name (zero counts absent).
 func (s *Simulation) ResilienceCounters() map[string]int {
-	return s.st.Gateway.ResilienceCounters().Snapshot()
+	return s.st.Gateway.ResilienceCounters()
 }
 
 // Close stops background machinery (HotC's control loop, warm-up

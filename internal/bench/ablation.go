@@ -83,7 +83,7 @@ func ablateEviction(r *Report) {
 		}
 		hotMean := meanTotalMS(results, func(res faas.Result) bool { return res.Function == "hot" })
 		t.AddRow(ev.String(), fmt.Sprintf("%d", hotCold), msF(hotMean),
-			fmt.Sprintf("%d", env.HotC.Pool().Stats().Evictions))
+			fmt.Sprintf("%d", env.PoolStats().Evictions))
 		env.Close()
 	}
 	r.Notef("oldest-first keeps re-evicting the hot function's long-lived runtime; LRU spares what is actually being reused")
@@ -265,7 +265,7 @@ func ablatePoolCap(r *Report) {
 		}
 		t.AddRow(fmt.Sprintf("%d", maxLive), msF(meanTotalMS(results, nil)),
 			pct(float64(cold)/float64(n)),
-			fmt.Sprintf("%d", env.HotC.Pool().Stats().Evictions))
+			fmt.Sprintf("%d", env.PoolStats().Evictions))
 		env.Close()
 	}
 	r.Notef("a cap below the concurrency level forces evict-and-recreate churn; at or above it, reuse is clean")
@@ -304,7 +304,7 @@ func ablateRelaxed(r *Report) {
 		if err != nil {
 			panic(err)
 		}
-		st := env.HotC.Pool().Stats()
+		st := env.PoolStats()
 		hitRate := 0.0
 		if st.Hits+st.Misses > 0 {
 			hitRate = float64(st.Hits) / float64(st.Hits+st.Misses)

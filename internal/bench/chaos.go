@@ -42,9 +42,7 @@ func chaosRun(kind PolicyKind, cfg faults.Config, schedule []trace.Request) chao
 
 	gw := env.Gateway
 	gw.MaxAcquireRetries = 4
-	gw.RetryBackoff = 50 * time.Millisecond
-	gw.BackoffFactor = 2
-	gw.BackoffMax = 2 * time.Second
+	gw.Backoff = faas.Backoff{Base: 50 * time.Millisecond, Factor: 2, Max: 2 * time.Second}
 	gw.ExecRetries = 2
 	gw.BreakerThreshold = 5
 	gw.BreakerOpenFor = 30 * time.Second
@@ -71,17 +69,17 @@ func chaosRun(kind PolicyKind, cfg faults.Config, schedule []trace.Request) chao
 	out.meanMS = lat.Mean()
 	out.p99MS = lat.P99()
 
-	c := gw.ResilienceCounters()
-	out.retries = gw.Retries()
-	out.fallbacks = c.Get(faas.CounterExecFallbacks)
-	out.trips = c.Get(faas.CounterBreakerTrips)
-	out.closes = c.Get(faas.CounterBreakerCloses)
-	out.degraded = c.Get(faas.CounterDegradedRequests)
-	out.quarantined = c.Get(faas.CounterQuarantines)
+	c := env.ResilienceCounters()
+	out.retries = c[faas.CounterAcquireRetries]
+	out.fallbacks = c[faas.CounterExecFallbacks]
+	out.trips = c[faas.CounterBreakerTrips]
+	out.closes = c[faas.CounterBreakerCloses]
+	out.degraded = c[faas.CounterDegradedRequests]
+	out.quarantined = c[faas.CounterQuarantines]
 	if env.HotC != nil {
 		// For a pooled policy the authoritative count is the pool's:
 		// it covers both gateway discards and health-check catches.
-		out.quarantined = env.HotC.Pool().Stats().Quarantined
+		out.quarantined = env.PoolStats().Quarantined
 	}
 	out.injected = env.Faults.Stats()
 	return out

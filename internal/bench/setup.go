@@ -6,6 +6,7 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/faas"
+	"hotc/internal/pool"
 	"hotc/internal/stack"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
@@ -35,7 +36,15 @@ var stackPolicy = map[PolicyKind]stack.Policy{
 
 // Env is a fully wired simulation environment: scheduler, engine,
 // gateway, provider and host monitor on one hardware profile.
-type Env struct{ *stack.Stack }
+type Env struct {
+	*stack.Stack
+	// bookedPool and bookedRes are the books as they stood when the
+	// environment was built. EnableObservability hands every environment
+	// one registry, whose counts include the environments before this
+	// one; PoolStats and ResilienceCounters subtract them.
+	bookedPool pool.Stats
+	bookedRes  map[string]int
+}
 
 // EnvOptions tune environment construction: the builder's own options,
 // of which NewEnv fills in the policy and the armed observability.
@@ -53,7 +62,35 @@ func NewEnv(kind PolicyKind, opts EnvOptions) *Env {
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	return &Env{st}
+	e := &Env{Stack: st, bookedRes: st.Gateway.ResilienceCounters()}
+	if st.Pool != nil {
+		e.bookedPool = st.Pool.Stats()
+	}
+	return e
+}
+
+// PoolStats is what the environment's own pool booked.
+func (e *Env) PoolStats() pool.Stats {
+	now, was := e.Pool.Stats(), e.bookedPool
+	return pool.Stats{
+		Hits:        now.Hits - was.Hits,
+		RelaxedHits: now.RelaxedHits - was.RelaxedHits,
+		Misses:      now.Misses - was.Misses,
+		Evictions:   now.Evictions - was.Evictions,
+		Prewarmed:   now.Prewarmed - was.Prewarmed,
+		Retired:     now.Retired - was.Retired,
+		Quarantined: now.Quarantined - was.Quarantined,
+		Leases:      now.Leases - was.Leases,
+	}
+}
+
+// ResilienceCounters is what the environment's own gateway booked.
+func (e *Env) ResilienceCounters() map[string]int {
+	out := e.Gateway.ResilienceCounters()
+	for k, n := range e.bookedRes {
+		out[k] -= n
+	}
+	return out
 }
 
 // Deploy registers a function at the gateway (and with HotC's

@@ -18,6 +18,7 @@ import (
 	"hotc/internal/config"
 	"hotc/internal/container"
 	"hotc/internal/metrics"
+	"hotc/internal/obs"
 	"hotc/internal/pool"
 	"hotc/internal/predictor"
 	"hotc/internal/simclock"
@@ -27,7 +28,8 @@ import (
 // Options configure the HotC middleware.
 type Options struct {
 	// Pool configures the runtime pool (caps, memory threshold,
-	// relaxed matching).
+	// relaxed matching). Its Metrics registry holds the controller's
+	// books too; nil gives HotC a registry of its own.
 	Pool pool.Options
 	// Interval is the control-loop period; each tick observes demand
 	// and adjusts the pool. Default 10s.
@@ -70,6 +72,9 @@ func (o Options) withDefaults() Options {
 	if o.ScaleDownFrac <= 0 || o.ScaleDownFrac > 1 {
 		o.ScaleDownFrac = DefaultScaleDownFrac
 	}
+	if o.Pool.Metrics == nil {
+		o.Pool.Metrics = obs.New()
+	}
 	return o
 }
 
@@ -100,8 +105,7 @@ type HotC struct {
 	order   []config.Key
 	stopCtl func()
 
-	// obs is the optional metric hookup (see Instrument); nil keeps the
-	// seed behaviour.
+	// obs holds the controller's books, on the pool's registry.
 	obs *instruments
 }
 
@@ -116,6 +120,7 @@ func New(eng *container.Engine, opts Options) *HotC {
 		sched: eng.Scheduler(),
 		opts:  o,
 		keys:  make(map[config.Key]*keyState),
+		obs:   newInstruments(o.Pool.Metrics),
 	}
 }
 
@@ -175,7 +180,7 @@ func (h *HotC) Complete(c *container.Container, spec container.Spec) {
 	h.pool.Release(c, nil)
 }
 
-// Discard implements faas.Discarder: a container whose execution
+// Discard implements faas.Provider: a container whose execution
 // failed is quarantined — stopped and never re-admitted to the pool —
 // instead of being cleaned and reused (Algorithm 2 assumes the runtime
 // is still trustworthy; a crashed one is not).
@@ -207,9 +212,7 @@ func (h *HotC) Stop() {
 // forecast the next interval, and resize the pool as Plan decides.
 func (h *HotC) tick() {
 	now := h.sched.Now()
-	if h.obs != nil {
-		h.obs.ticks.Inc()
-	}
+	h.obs.ticks.Inc()
 	for _, key := range h.order {
 		st := h.keys[key]
 		demand, predicted := st.Tick()
@@ -229,14 +232,12 @@ func (h *HotC) tick() {
 		h.pool.Prewarm(st.spec, st.app, boot, nil)
 		retired := h.pool.Retire(key, retire)
 
-		if h.obs != nil {
-			k := string(key)
-			h.obs.demand.With(k).Set(demand)
-			h.obs.forecast.With(k).Set(st.Forecast)
-			h.obs.target.With(k).Set(float64(target))
-			h.obs.prewarm.Add(float64(boot))
-			h.obs.retire.Add(float64(retired))
-		}
+		k := string(key)
+		h.obs.demand.With(k).Set(demand)
+		h.obs.forecast.With(k).Set(st.Forecast)
+		h.obs.target.With(k).Set(float64(target))
+		h.obs.prewarm.Add(float64(boot))
+		h.obs.retire.Add(float64(retired))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
 	"hotc/internal/image"
+	"hotc/internal/obs"
 	"hotc/internal/pool"
 	"hotc/internal/predictor"
 	"hotc/internal/simclock"
@@ -30,7 +31,7 @@ func newFixture(t *testing.T, opts Options) *fixture {
 	reg := image.StandardCatalog()
 	eng := container.NewEngine(sched, costmodel.New(costmodel.Server()), reg, image.NewCache(), nil)
 	h := New(eng, opts)
-	return &fixture{sched: sched, eng: eng, reg: reg, hotc: h, gw: faas.NewGateway(eng, h)}
+	return &fixture{sched: sched, eng: eng, reg: reg, hotc: h, gw: faas.NewGateway(eng, h, obs.New())}
 }
 
 func (f *fixture) deploy(t *testing.T, name, img string, app workload.App) container.Spec {

@@ -4,8 +4,8 @@ import (
 	"hotc/internal/obs"
 )
 
-// instruments bundles the control loop's metric families. nil (the
-// default) means uninstrumented.
+// instruments bundles the control loop's metric families, registered
+// on the pool's registry so one registry holds the whole provider.
 type instruments struct {
 	demand   *obs.GaugeVec // hotc_ctl_demand{key}
 	forecast *obs.GaugeVec // hotc_ctl_forecast{key}
@@ -15,17 +15,9 @@ type instruments struct {
 	ticks    *obs.Counter  // hotc_ctl_ticks_total
 }
 
-// Instrument registers the controller's metric families on the
-// registry and instruments the underlying pool too, so one call wires
-// the whole provider. Calling with nil turns instrumentation off (the
-// pool keeps its registration).
-func (h *HotC) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		h.obs = nil
-		return
-	}
-	h.pool.Instrument(reg)
-	h.obs = &instruments{
+// newInstruments registers the controller's metric families.
+func newInstruments(reg *obs.Registry) *instruments {
+	return &instruments{
 		demand: reg.GaugeVec("hotc_ctl_demand",
 			"Observed peak concurrent demand per runtime key in the last control interval.",
 			"key"),

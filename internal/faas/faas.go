@@ -27,9 +27,7 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/container"
-	"hotc/internal/metrics"
 	"hotc/internal/obs"
-	"hotc/internal/rng"
 	"hotc/internal/simclock"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
@@ -63,14 +61,10 @@ type Provider interface {
 	// Complete is invoked after the response is sent; the provider
 	// decides whether to clean and keep the container or stop it.
 	Complete(c *container.Container, spec container.Spec)
-}
-
-// Discarder is an optional Provider extension: taking back a suspect
-// container without re-pooling it (quarantine or stop instead of
-// clean-and-keep). The gateway uses it when an execution fails and the
-// runtime can no longer be trusted. Providers that do not implement it
-// get the container back through Complete.
-type Discarder interface {
+	// Discard takes back a suspect container without re-pooling it
+	// (quarantine or stop instead of clean-and-keep). The gateway calls
+	// it when an execution fails and the runtime can no longer be
+	// trusted.
 	Discard(c *container.Container, spec container.Spec)
 }
 
@@ -138,24 +132,15 @@ type Gateway struct {
 	// momentary resource exhaustion, registry hiccups — usually clear
 	// within a backoff). Default 1.
 	MaxAcquireRetries int
-	// RetryBackoff is the delay before the first retry and the base of
-	// the exponential schedule. Default 100ms.
-	RetryBackoff time.Duration
-	// BackoffFactor grows the delay per attempt (default 2).
-	BackoffFactor float64
-	// BackoffMax caps the retry delay (default 5s).
-	BackoffMax time.Duration
-	// BackoffJitter spreads each delay by the given fraction to avoid
-	// retry lockstep; requires BackoffRng. Default 0 (deterministic
-	// schedule).
-	BackoffJitter float64
-	// BackoffRng supplies jitter draws.
-	BackoffRng *rng.Source
+	// Backoff is the delay schedule of acquire retries and exec
+	// fallbacks. Default DefaultBackoff().
+	Backoff Backoff
 
 	// ExecRetries is how many times a failed execution falls back to a
 	// fresh acquisition: the suspect container is discarded (see
-	// Discarder) and the acquire loop restarts. Default 0 — an exec
-	// failure is returned to the client, the pre-resilience behaviour.
+	// Provider.Discard) and the acquire loop restarts. Default 0 — an
+	// exec failure is returned to the client, the pre-resilience
+	// behaviour.
 	ExecRetries int
 
 	// BreakerThreshold arms a per-runtime-key circuit breaker: after
@@ -169,19 +154,14 @@ type Gateway struct {
 	BreakerOpenFor time.Duration
 
 	breakers map[string]*Breaker
-	counters metrics.Counters
-	retries  int
 
-	// obs and tracer are the optional observability hooks (see
-	// Instrument and Trace); nil keeps the seed behaviour.
+	// obs holds the gateway's books, on the registry NewGateway was
+	// given; tracer is the optional span hook (see Trace).
 	obs    *instruments
 	tracer *obs.Tracer
 }
 
-// Retries reports how many acquire retries the gateway has performed.
-func (g *Gateway) Retries() int { return g.retries }
-
-// Counter names recorded by the gateway's resilience machinery.
+// Keys of ResilienceCounters.
 const (
 	CounterAcquireRetries   = "acquire.retries"
 	CounterRequestsFailed   = "requests.failed"
@@ -192,19 +172,15 @@ const (
 	CounterDegradedRequests = "degraded.requests"
 )
 
-// ResilienceCounters exposes the gateway's fault/retry/breaker/
-// degradation counters.
-func (g *Gateway) ResilienceCounters() *metrics.Counters { return &g.counters }
-
 // BreakerFor returns the circuit breaker guarding the runtime key, or
 // nil when breaking is disabled or the key has seen no traffic yet.
 func (g *Gateway) BreakerFor(key string) *Breaker { return g.breakers[key] }
 
 // NewGateway builds a gateway over the engine with the given runtime
-// provider.
-func NewGateway(eng *container.Engine, provider Provider) *Gateway {
-	if eng == nil || provider == nil {
-		panic("faas: NewGateway requires engine and provider")
+// provider, counting into reg.
+func NewGateway(eng *container.Engine, provider Provider, reg *obs.Registry) *Gateway {
+	if eng == nil || provider == nil || reg == nil {
+		panic("faas: NewGateway requires engine, provider and registry")
 	}
 	return &Gateway{
 		sched:             eng.Scheduler(),
@@ -217,26 +193,9 @@ func NewGateway(eng *container.Engine, provider Provider) *Gateway {
 		queuedPeak:        make(map[string]int),
 		breakers:          make(map[string]*Breaker),
 		MaxAcquireRetries: 1,
-		RetryBackoff:      100 * time.Millisecond,
+		Backoff:           DefaultBackoff(),
+		obs:               newInstruments(reg),
 	}
-}
-
-// backoff assembles the retry schedule from the gateway knobs.
-func (g *Gateway) backoff() Backoff {
-	b := Backoff{
-		Base:       g.RetryBackoff,
-		Factor:     g.BackoffFactor,
-		Max:        g.BackoffMax,
-		JitterFrac: g.BackoffJitter,
-		Rng:        g.BackoffRng,
-	}
-	if b.Base <= 0 {
-		b.Base = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	return b
 }
 
 // breakerFor lazily builds the breaker guarding a runtime key; nil when
@@ -251,16 +210,6 @@ func (g *Gateway) breakerFor(key string) *Breaker {
 		g.breakers[key] = b
 	}
 	return b
-}
-
-// discard hands a suspect container back to the provider via Discard
-// when supported, falling back to Complete.
-func (g *Gateway) discard(c *container.Container, spec container.Spec) {
-	if d, ok := g.provider.(Discarder); ok {
-		d.Discard(c, spec)
-		return
-	}
-	g.provider.Complete(c, spec)
 }
 
 // QueuedPeak reports the maximum gateway queue depth observed for a
@@ -412,9 +361,7 @@ func (r *request) start() {
 	r.key = string(r.spec.Key())
 	r.brk = g.breakerFor(r.key)
 	r.admitAt = g.sched.Now()
-	if g.obs != nil {
-		g.obs.forFunction(r.fn.Name).queueWait.ObserveDuration(r.admitAt - r.ts.GatewayIn)
-	}
+	g.obs.forFunction(r.fn.Name).queueWait.ObserveDuration(r.admitAt - r.ts.GatewayIn)
 	// (1) -> gateway proxies the request towards the backend. The
 	// provider hands over a runtime; for a cold start the boot happens
 	// inside Acquire, i.e. between (1) and (2) the request is waiting
@@ -422,11 +369,12 @@ func (r *request) start() {
 	g.sched.After(g.eng.Model().GatewayForwardCost(), r.acquire)
 }
 
+// annotate books one resilience event: on the request's Faults and,
+// once, in hotc_resilience_events_total. kind is a row of
+// resilienceKinds.
 func (r *request) annotate(kind, detail string) {
 	r.faults = append(r.faults, trace.FaultEvent{At: r.g.sched.Now(), Kind: kind, Detail: detail})
-	if r.g.obs != nil {
-		r.g.obs.events.With(kind).Inc()
-	}
+	r.g.obs.events[kind].Inc()
 }
 
 // finish records the outcome, frees the concurrency slot and hands the
@@ -450,7 +398,6 @@ func (r *request) finish(reused bool, err error) {
 // stamped, and the concurrency slot is released. Acquire or exec
 // failures must never strand the gateway queue.
 func (r *request) fail(err error) {
-	r.g.counters.Inc(CounterRequestsFailed)
 	r.finish(false, err)
 }
 
@@ -462,7 +409,6 @@ func (r *request) acquire() {
 	g := r.g
 	g.setBreakerGauge(r.key, r.brk)
 	if r.brk != nil && !r.brk.Allow(g.sched.Now()) {
-		g.counters.Inc(CounterDegradedRequests)
 		r.annotate("degraded-cold", r.key)
 		g.eng.Create(r.spec, r.created)
 		return
@@ -484,7 +430,6 @@ func (r *request) acquired(c *container.Container, reused bool, delta config.Del
 	g := r.g
 	if err != nil {
 		if r.brk != nil && r.brk.OnFailure(g.sched.Now()) {
-			g.counters.Inc(CounterBreakerTrips)
 			r.annotate("breaker-open", r.key)
 		}
 		g.setBreakerGauge(r.key, r.brk)
@@ -493,7 +438,6 @@ func (r *request) acquired(c *container.Container, reused bool, delta config.Del
 	}
 	if r.brk != nil {
 		if was := r.brk.State(g.sched.Now()); was != BreakerClosed {
-			g.counters.Inc(CounterBreakerCloses)
 			r.annotate("breaker-close", r.key)
 		}
 		r.brk.OnSuccess()
@@ -507,10 +451,8 @@ func (r *request) acquired(c *container.Container, reused bool, delta config.Del
 func (r *request) retryOrFail(err error) {
 	g := r.g
 	if r.attempt < g.MaxAcquireRetries {
-		g.retries++
-		g.counters.Inc(CounterAcquireRetries)
 		r.annotate("acquire-retry", err.Error())
-		delay := g.backoff().Delay(r.attempt)
+		delay := g.Backoff.Delay(r.attempt)
 		r.attempt++
 		g.sched.After(delay, r.acquire)
 		return
@@ -557,16 +499,14 @@ func (r *request) execDone(actual time.Duration, err error) {
 			// Graceful degradation: the runtime is suspect, so
 			// quarantine it and transparently fall back to a
 			// fresh acquisition (typically a cold start).
-			g.counters.Inc(CounterExecFallbacks)
 			r.annotate("exec-fallback", err.Error())
 			if r.owned {
 				g.eng.Stop(r.c, nil)
 			} else {
-				g.counters.Inc(CounterQuarantines)
 				r.annotate("quarantine", r.c.ID)
-				g.discard(r.c, r.spec)
+				g.provider.Discard(r.c, r.spec)
 			}
-			delay := g.backoff().Delay(r.execAttempt)
+			delay := g.Backoff.Delay(r.execAttempt)
 			r.attempt, r.execAttempt = 0, r.execAttempt+1
 			g.sched.After(delay, r.acquire)
 			return

@@ -13,6 +13,7 @@ import (
 	"hotc/internal/container"
 	"hotc/internal/costmodel"
 	"hotc/internal/image"
+	"hotc/internal/obs"
 	"hotc/internal/policy"
 	"hotc/internal/pool"
 	"hotc/internal/simclock"
@@ -32,7 +33,7 @@ func newFixture(t *testing.T, mk func(eng *container.Engine) Provider) *fixture 
 	sched := simclock.New()
 	reg := image.StandardCatalog()
 	eng := container.NewEngine(sched, costmodel.New(costmodel.Server()), reg, image.NewCache(), nil)
-	gw := NewGateway(eng, mk(eng))
+	gw := NewGateway(eng, mk(eng), obs.New())
 	return &fixture{sched: sched, eng: eng, reg: reg, gw: gw}
 }
 
@@ -406,11 +407,11 @@ func TestAcquireRetryRecoversTransientFailure(t *testing.T) {
 	if results[0].Err != nil {
 		t.Fatalf("request failed despite retry: %v", results[0].Err)
 	}
-	if f.gw.Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", f.gw.Retries())
+	if got := f.gw.ResilienceCounters()[CounterAcquireRetries]; got != 1 {
+		t.Fatalf("retries = %d, want 1", got)
 	}
 	// The retry backoff shows up in the latency.
-	if results[0].Timestamps.Total() < f.gw.RetryBackoff {
+	if results[0].Timestamps.Total() < f.gw.Backoff.Base {
 		t.Fatal("retry backoff not reflected in latency")
 	}
 }
@@ -427,8 +428,8 @@ func TestAcquireRetryExhausted(t *testing.T) {
 	if results[0].Err == nil {
 		t.Fatal("request succeeded with a permanently failing engine")
 	}
-	if f.gw.Retries() != 2 {
-		t.Fatalf("retries = %d, want 2", f.gw.Retries())
+	if got := f.gw.ResilienceCounters()[CounterAcquireRetries]; got != 2 {
+		t.Fatalf("retries = %d, want 2", got)
 	}
 }
 
@@ -441,8 +442,8 @@ func TestAcquireRetryDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == nil || f.gw.Retries() != 0 {
-		t.Fatalf("err=%v retries=%d", results[0].Err, f.gw.Retries())
+	if retries := f.gw.ResilienceCounters()[CounterAcquireRetries]; results[0].Err == nil || retries != 0 {
+		t.Fatalf("err=%v retries=%d", results[0].Err, retries)
 	}
 }
 

@@ -22,18 +22,19 @@ type keyHandles struct {
 	breakerState *obs.Gauge
 }
 
-// instruments bundles the gateway's metric families. nil (the default)
-// means uninstrumented — the hot path pays only a nil check. Handles
-// for label combinations seen in traffic are resolved once and cached,
-// so steady-state recording is vec-lookup free.
+// instruments are the gateway's books: every request outcome and every
+// resilience event is counted here, once, and ResilienceCounters reads
+// them back. Handles for label combinations seen in traffic are
+// resolved once and cached, so steady-state recording is vec-lookup
+// free.
 type instruments struct {
-	requests     *obs.CounterVec   // hotc_requests_total{function, outcome}
-	starts       *obs.CounterVec   // hotc_starts_total{mode}
-	latency      *obs.HistogramVec // hotc_request_latency_ms{function}
-	queueWait    *obs.HistogramVec // hotc_gateway_queue_wait_ms{function}
-	acquire      *obs.HistogramVec // hotc_acquire_latency_ms{key}
-	events       *obs.CounterVec   // hotc_resilience_events_total{kind}
-	breakerState *obs.GaugeVec     // hotc_breaker_state{key}
+	reg          *obs.Registry
+	requests     *obs.CounterVec         // hotc_requests_total{function, outcome}
+	latency      *obs.HistogramVec       // hotc_request_latency_ms{function}
+	queueWait    *obs.HistogramVec       // hotc_gateway_queue_wait_ms{function}
+	acquire      *obs.HistogramVec       // hotc_acquire_latency_ms{key}
+	events       map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
+	breakerState *obs.GaugeVec           // hotc_breaker_state{key}
 
 	startsWarm *obs.Counter // hotc_starts_total{mode="warm"}
 	startsCold *obs.Counter // hotc_starts_total{mode="cold"}
@@ -88,21 +89,14 @@ func (ins *instruments) forKey(key string) *keyHandles {
 	return h
 }
 
-// Instrument registers the gateway's metric families on the registry
-// and turns on recording. Safe to call before any traffic; calling with
-// nil turns instrumentation off.
-func (g *Gateway) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		g.obs = nil
-		return
-	}
+// newInstruments registers the gateway's metric families on the
+// registry.
+func newInstruments(reg *obs.Registry) *instruments {
 	ins := &instruments{
+		reg: reg,
 		requests: reg.CounterVec("hotc_requests_total",
 			"Requests handled by the gateway, by function and outcome (ok|error).",
 			"function", "outcome"),
-		starts: reg.CounterVec("hotc_starts_total",
-			"Container starts behind served requests, by mode (warm = live runtime reused, cold = fresh boot).",
-			"mode"),
 		latency: reg.HistogramVec("hotc_request_latency_ms",
 			"End-to-end request latency (client in to client out), in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "function"),
@@ -112,18 +106,66 @@ func (g *Gateway) Instrument(reg *obs.Registry) {
 		acquire: reg.HistogramVec("hotc_acquire_latency_ms",
 			"Gateway-to-watchdog time: forwarding plus runtime acquisition with retries, in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "key"),
-		events: reg.CounterVec("hotc_resilience_events_total",
-			"Resilience events on the request path, by kind.",
-			"kind"),
 		breakerState: reg.GaugeVec("hotc_breaker_state",
 			"Per-runtime-key circuit breaker state (0 closed, 1 open, 2 half-open).",
 			"key"),
-		fns:  make(map[string]*fnHandles),
-		keys: make(map[string]*keyHandles),
+		events: make(map[string]*obs.Counter, len(resilienceKinds)),
+		fns:    make(map[string]*fnHandles),
+		keys:   make(map[string]*keyHandles),
 	}
-	ins.startsWarm = ins.starts.With("warm")
-	ins.startsCold = ins.starts.With("cold")
-	g.obs = ins
+	starts := reg.CounterVec("hotc_starts_total",
+		"Container starts behind served requests, by mode (warm = live runtime reused, cold = fresh boot).",
+		"mode")
+	ins.startsWarm = starts.With("warm")
+	ins.startsCold = starts.With("cold")
+	events := reg.CounterVec("hotc_resilience_events_total",
+		"Resilience events on the request path, by kind.",
+		"kind")
+	for _, k := range resilienceKinds {
+		ins.events[k.kind] = events.With(k.kind)
+	}
+	return ins
+}
+
+// resilienceKinds is the one table of resilience events: each
+// hotc_resilience_events_total{kind} and the ResilienceCounters key that
+// reports the same count.
+var resilienceKinds = [...]struct{ kind, key string }{
+	{"acquire-retry", CounterAcquireRetries},
+	{"exec-fallback", CounterExecFallbacks},
+	{"quarantine", CounterQuarantines},
+	{"breaker-open", CounterBreakerTrips},
+	{"breaker-close", CounterBreakerCloses},
+	{"degraded-cold", CounterDegradedRequests},
+}
+
+// ResilienceCounters reads the gateway's resilience books back from its
+// registry: hotc_resilience_events_total under the keys of
+// resilienceKinds, and CounterRequestsFailed, which is
+// Σ hotc_requests_total{outcome="error"}. Counters with zero value are
+// absent.
+func (g *Gateway) ResilienceCounters() map[string]int {
+	out := make(map[string]int)
+	for _, k := range resilienceKinds {
+		if n := int(g.obs.events[k.kind].Value()); n > 0 {
+			out[k.key] = n
+		}
+	}
+	failed := 0.0
+	for _, f := range g.obs.reg.Snapshot() {
+		if f.Name != "hotc_requests_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.LabelValues[1] == "error" {
+				failed += s.Value
+			}
+		}
+	}
+	if failed > 0 {
+		out[CounterRequestsFailed] = int(failed)
+	}
+	return out
 }
 
 // Trace attaches a span tracer: every completed request (success or
@@ -132,7 +174,7 @@ func (g *Gateway) Trace(t *obs.Tracer) { g.tracer = t }
 
 // setBreakerGauge reflects a breaker transition into the state gauge.
 func (g *Gateway) setBreakerGauge(key string, brk *Breaker) {
-	if g.obs == nil || brk == nil {
+	if brk == nil {
 		return
 	}
 	g.obs.forKey(key).breakerState.Set(float64(brk.State(g.sched.Now())))
@@ -142,21 +184,19 @@ func (g *Gateway) setBreakerGauge(key string, brk *Breaker) {
 // known. Arrival is r.ts.GatewayIn (stamped at Handle).
 func (g *Gateway) record(r *request, reused bool, err error) {
 	name, ts := r.fn.Name, r.ts
-	if g.obs != nil {
-		h := g.obs.forFunction(name)
-		if err != nil {
-			h.reqErr.Inc()
+	h := g.obs.forFunction(name)
+	if err != nil {
+		h.reqErr.Inc()
+	} else {
+		h.reqOK.Inc()
+		if reused {
+			g.obs.startsWarm.Inc()
 		} else {
-			h.reqOK.Inc()
-			if reused {
-				g.obs.startsWarm.Inc()
-			} else {
-				g.obs.startsCold.Inc()
-			}
-			h.latency.ObserveDuration(ts.Total())
-			if ts.WatchdogIn > 0 {
-				g.obs.forKey(r.key).acquire.ObserveDuration(ts.WatchdogIn - r.admitAt)
-			}
+			g.obs.startsCold.Inc()
+		}
+		h.latency.ObserveDuration(ts.Total())
+		if ts.WatchdogIn > 0 {
+			g.obs.forKey(r.key).acquire.ObserveDuration(ts.WatchdogIn - r.admitAt)
 		}
 	}
 	if g.tracer != nil {

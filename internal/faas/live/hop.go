@@ -207,10 +207,12 @@ func (c *hop) sendBody(body io.Reader, length int64) error {
 
 // finish ends an exchange whose response the caller is done with and
 // reports whether the connection can carry another request: only if
-// the response was read to EOF without Connection: close, the body
-// writer succeeded and ctx never fired. Otherwise it is closed.
+// the response was read to EOF without Connection: close, nothing the
+// watchdog wrote past it sits in the read buffer (the next exchange
+// would read it as its response), the body writer succeeded and ctx
+// never fired. Otherwise it is closed.
 func (c *hop) finish() bool {
-	ok := c.body.eof && !c.closing
+	ok := c.body.eof && !c.closing && c.br.Buffered() == 0
 	if ok && c.streaming {
 		// A complete response normally means the watchdog consumed the
 		// whole request and the writer's last write is just returning.

@@ -25,7 +25,11 @@ const (
 	hopFuzzDeaf                // the watchdog replies without reading the request, then reads nothing more
 	hopFuzzHangUp              // the watchdog closes once its reply is written
 	hopFuzzShort               // the request body ends at half its declared length
+	hopFuzzSurplus             // the watchdog writes hopFuzzExtra past its first reply, in the same write
 )
+
+// hopFuzzExtra is what a hopFuzzSurplus watchdog writes past its reply.
+const hopFuzzExtra = "surplus:16 bytes"
 
 // hopFuzzOK is a well-formed reply; the scripted watchdog also answers
 // every request after the first with it.
@@ -36,6 +40,9 @@ const hopFuzzOK = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
 // that does not hang up holds the connection until release.
 func scriptedWatchdog(conn net.Conn, reply []byte, flags uint8, release <-chan struct{}) {
 	defer conn.Close()
+	if flags&hopFuzzSurplus != 0 {
+		reply = append(reply[:len(reply):len(reply)], hopFuzzExtra...)
+	}
 	br := bufio.NewReader(conn)
 	for first := true; ; first = false {
 		req, err := http.ReadRequest(br)
@@ -68,7 +75,11 @@ func scriptedWatchdog(conn net.Conn, reply []byte, flags uint8, release <-chan s
 // exchange returns within its deadline; once it has ended no body writer
 // runs and the request's context no longer reaches the connection; a
 // connection that is not reusable is closed, and one that is — what a
-// re-pooled instance would hold — is open with no deadline armed on it.
+// re-pooled instance would hold — is open with no deadline armed on it,
+// and hands the next exchange its own response. (Bytes that reach the
+// hop after finish has looked are its known blind spot, so the last
+// holds where the first reply arrives whole: it fits the read buffer and
+// the watchdog keeps serving.)
 func FuzzHopExchange(f *testing.F) {
 	for _, seed := range []struct {
 		reply  string
@@ -86,6 +97,8 @@ func FuzzHopExchange(f *testing.F) {
 		{"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", 0, hopFuzzHangUp},                              // mid-chunk close
 		{"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\nX-Hotc-Span-Func-Done: 7\r\n\r\n", 0, 0}, // undeclared trailer
 		{"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", 0, 0},
+		{hopFuzzOK, 0, hopFuzzSurplus},                   // writes past its response
+		{hopFuzzOK, 64, hopFuzzSurplus | hopFuzzChunked}, // the same after a streamed request
 	} {
 		f.Add([]byte(seed.reply), seed.bodyKB, seed.flags)
 	}
@@ -178,6 +191,10 @@ func FuzzHopExchange(f *testing.F) {
 			again, got := exchange(bytes.NewReader([]byte("x")), 1)
 			if plain && (!again || string(got) != "ok") {
 				t.Fatalf("the exchange after a clean one: reusable=%v, body %q", again, got)
+			}
+			whole := len(reply)+len(hopFuzzExtra) <= hopReadBuf && flags&(hopFuzzDeaf|hopFuzzHangUp) == 0
+			if whole && string(got) != "ok" {
+				t.Fatalf("reusable after reply %q (flags %05b), yet the next exchange read %q, not its own response", reply, flags, got)
 			}
 		}
 	})

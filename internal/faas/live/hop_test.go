@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"io"
@@ -487,6 +488,80 @@ func TestEarlyResponseRedials(t *testing.T) {
 	}
 	if got := g.ResilienceCounters()["proxy.failures"]; got != 0 {
 		t.Fatalf("proxy.failures = %d for a function that merely ignored its input", got)
+	}
+}
+
+// A watchdog that writes past its response — a numbered answer and 16
+// more bytes, in one write — leaves the surplus buffered on the hop.
+// Re-pooling that connection would hand the surplus to the next
+// exchange as its response (net/http closes such a connection), so
+// finish refuses it and, as proxy does, the instance re-dials: the
+// second exchange reads its own numbered answer.
+func TestHopRefusesReuseAfterSurplus(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		answered atomic.Int64 // numbers the answers across connections
+		serving  sync.WaitGroup
+	)
+	serving.Add(1)
+	go func() {
+		defer serving.Done()
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			serving.Add(1)
+			go func() {
+				defer serving.Done()
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, req.Body)
+					n := strconv.FormatInt(answered.Add(1), 10)
+					reply := "HTTP/1.1 200 OK\r\nContent-Length: " + strconv.Itoa(len(n)) + "\r\n\r\n" + n
+					if n == "1" {
+						reply += "surplus:16 bytes"
+					}
+					if _, err := io.WriteString(conn, reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	g := NewGateway(true)
+	c, err := g.dialHop(context.Background(), lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		c.close()
+		lis.Close()
+		serving.Wait()
+	}()
+
+	for _, want := range []string{"1", "2"} {
+		resp, err := c.roundTrip(context.Background(), bytes.NewReader([]byte("x")), 1, "")
+		if err != nil {
+			t.Fatalf("exchange %s: %v (the surplus was read as its response)", want, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || string(got) != want {
+			t.Fatalf("exchange %s: body %q, err %v; want its own answer", want, got, err)
+		}
+		if !c.finish() {
+			if c, err = g.dialHop(context.Background(), lis.Addr().String()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

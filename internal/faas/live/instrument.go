@@ -19,7 +19,7 @@ type instruments struct {
 	breakerState *obs.GaugeVec           // hotc_breaker_state{key}
 
 	// Controller families share the simulated control loop's names
-	// (core.HotC.Instrument), so dashboards read either substrate.
+	// (core.newInstruments), so dashboards read either substrate.
 	ctlDemand   *obs.GaugeVec // hotc_ctl_demand{key}
 	ctlForecast *obs.GaugeVec // hotc_ctl_forecast{key}
 	ctlTarget   *obs.GaugeVec // hotc_ctl_target{key}

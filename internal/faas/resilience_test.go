@@ -212,7 +212,7 @@ func TestAcquireErrorContract(t *testing.T) {
 	if second.Err != nil {
 		t.Fatalf("second request blocked or failed after the first errored: %v", second.Err)
 	}
-	if got := f.gw.ResilienceCounters().Get(CounterRequestsFailed); got != 1 {
+	if got := f.gw.ResilienceCounters()[CounterRequestsFailed]; got != 1 {
 		t.Fatalf("%s = %d, want 1", CounterRequestsFailed, got)
 	}
 }
@@ -247,8 +247,8 @@ func TestExecFallbackRecoversOnFreshContainer(t *testing.T) {
 		t.Fatalf("fault annotations = %v, want one exec-fallback and one quarantine", kinds)
 	}
 	c := f.gw.ResilienceCounters()
-	if c.Get(CounterExecFallbacks) != 1 || c.Get(CounterQuarantines) != 1 {
-		t.Fatalf("counters = %v", c.Snapshot())
+	if c[CounterExecFallbacks] != 1 || c[CounterQuarantines] != 1 {
+		t.Fatalf("counters = %v", c)
 	}
 	// Two containers were created: the crashed one (discarded) and its
 	// replacement.
@@ -270,8 +270,8 @@ func TestExecRetriesExhausted(t *testing.T) {
 		t.Fatal("request succeeded with a permanently crashing exec")
 	}
 	c := f.gw.ResilienceCounters()
-	if c.Get(CounterExecFallbacks) != 1 {
-		t.Fatalf("%s = %d, want 1 (one fallback, then give up)", CounterExecFallbacks, c.Get(CounterExecFallbacks))
+	if c[CounterExecFallbacks] != 1 {
+		t.Fatalf("%s = %d, want 1 (one fallback, then give up)", CounterExecFallbacks, c[CounterExecFallbacks])
 	}
 }
 
@@ -308,6 +308,10 @@ func (p *failingProvider) Acquire(spec container.Spec, done func(*container.Cont
 
 func (p *failingProvider) Complete(c *container.Container, _ container.Spec) {
 	p.eng.Stop(c, nil)
+}
+
+func (p *failingProvider) Discard(c *container.Container, spec container.Spec) {
+	p.Complete(c, spec)
 }
 
 func TestBreakerDegradesAndRecovers(t *testing.T) {
@@ -358,7 +362,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	if fp.calls != providerCalls {
 		t.Fatal("degraded request touched the broken provider")
 	}
-	if got := f.gw.ResilienceCounters().Get(CounterDegradedRequests); got != 1 {
+	if got := f.gw.ResilienceCounters()[CounterDegradedRequests]; got != 1 {
 		t.Fatalf("%s = %d, want 1", CounterDegradedRequests, got)
 	}
 	degraded := false
@@ -382,7 +386,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	if brk.State(f.sched.Now()) != BreakerClosed {
 		t.Fatalf("breaker = %v after good probe, want closed", brk.State(f.sched.Now()))
 	}
-	if got := f.gw.ResilienceCounters().Get(CounterBreakerCloses); got != 1 {
+	if got := f.gw.ResilienceCounters()[CounterBreakerCloses]; got != 1 {
 		t.Fatalf("%s = %d, want 1", CounterBreakerCloses, got)
 	}
 	// Degraded-path containers are dedicated: nothing may linger.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -361,5 +362,34 @@ func TestCDFSingleAndDuplicates(t *testing.T) {
 	pts := seriesOf(2, 2, 2).CDF()
 	if len(pts) != 1 || pts[0].Value != 2 || !almost(pts[0].Fraction, 1) {
 		t.Fatalf("all-duplicates CDF = %v", pts)
+	}
+}
+
+func TestP99MatchesPercentile(t *testing.T) {
+	var s Series
+	for i := 1; i <= 1000; i++ {
+		s.Add(float64(i))
+	}
+	if s.P99() != s.Percentile(99) {
+		t.Fatalf("P99 = %v, Percentile(99) = %v", s.P99(), s.Percentile(99))
+	}
+	// With 1..1000 the 99th percentile interpolates near 990.
+	if s.P99() < 989 || s.P99() > 991 {
+		t.Fatalf("P99 = %v, want ~990", s.P99())
+	}
+}
+
+func TestQuantilesMatchPercentiles(t *testing.T) {
+	var s Series
+	for _, v := range []float64{5, 1, 4, 2, 3} {
+		s.Add(v)
+	}
+	got := s.Quantiles(0, 50, 99, 100)
+	want := []float64{s.Percentile(0), s.Percentile(50), s.Percentile(99), s.Percentile(100)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Quantiles = %v, want %v", got, want)
+	}
+	if len(s.Quantiles()) != 0 {
+		t.Fatal("Quantiles() with no args should be empty")
 	}
 }

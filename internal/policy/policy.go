@@ -64,7 +64,7 @@ func (n *NoReuse) Complete(c *container.Container, _ container.Spec) {
 	n.eng.Stop(c, nil)
 }
 
-// Discard implements faas.Discarder. A cold-start policy tears every
+// Discard implements faas.Provider. A cold-start policy tears every
 // container down anyway, suspect or not.
 func (n *NoReuse) Discard(c *container.Container, spec container.Spec) {
 	n.Complete(c, spec)
@@ -162,7 +162,7 @@ func (f *FixedKeepAlive) Complete(c *container.Container, spec container.Spec) {
 	f.complete(c, spec)
 }
 
-// Discard implements faas.Discarder: the suspect container is
+// Discard implements faas.Provider: the suspect container is
 // quarantined, never re-entering the pool.
 func (f *FixedKeepAlive) Discard(c *container.Container, _ container.Spec) {
 	f.discard(c)
@@ -306,7 +306,7 @@ func (h *Histogram) Complete(c *container.Container, spec container.Spec) {
 	h.complete(c, spec)
 }
 
-// Discard implements faas.Discarder: the suspect container is
+// Discard implements faas.Provider: the suspect container is
 // quarantined, never re-entering the pool.
 func (h *Histogram) Discard(c *container.Container, _ container.Spec) {
 	h.discard(c)

@@ -15,19 +15,18 @@ type keyGauges struct {
 	avail *obs.Gauge
 }
 
-// instruments bundles the pool's metric families. nil (the default)
-// means uninstrumented. The hit counters and per-key gauges are
-// resolved once and cached.
+// instruments are the pool's books: every pool event is counted here,
+// once, and Stats reads the counters back. The hit counters and per-key
+// gauges are resolved once and cached.
 type instruments struct {
-	hits        *obs.CounterVec // hotc_pool_hits_total{kind}
-	misses      *obs.Counter    // hotc_pool_misses_total
-	evictions   *obs.Counter    // hotc_pool_evictions_total
-	prewarmed   *obs.Counter    // hotc_pool_prewarmed_total
-	retired     *obs.Counter    // hotc_pool_retired_total
-	quarantined *obs.Counter    // hotc_pool_quarantined_total
-	leases      *obs.Counter    // hotc_pool_leases_total
-	live        *obs.GaugeVec   // hotc_pool_live{key}
-	avail       *obs.GaugeVec   // hotc_pool_available{key}
+	misses      *obs.Counter  // hotc_pool_misses_total
+	evictions   *obs.Counter  // hotc_pool_evictions_total
+	prewarmed   *obs.Counter  // hotc_pool_prewarmed_total
+	retired     *obs.Counter  // hotc_pool_retired_total
+	quarantined *obs.Counter  // hotc_pool_quarantined_total
+	leases      *obs.Counter  // hotc_pool_leases_total
+	live        *obs.GaugeVec // hotc_pool_live{key}
+	avail       *obs.GaugeVec // hotc_pool_available{key}
 
 	hitsExact   *obs.Counter // hotc_pool_hits_total{kind="exact"}
 	hitsRelaxed *obs.Counter // hotc_pool_hits_total{kind="relaxed"}
@@ -56,18 +55,12 @@ func (ins *instruments) forKey(key config.Key) *keyGauges {
 	return g
 }
 
-// Instrument registers the pool's metric families on the registry and
-// keeps per-runtime-key occupancy gauges in sync from here on. Calling
-// with nil turns instrumentation off.
-func (p *Pool) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		p.obs = nil
-		return
-	}
-	ins := &instruments{
-		hits: reg.CounterVec("hotc_pool_hits_total",
-			"Acquire calls served by a live runtime, by match kind (exact|relaxed).",
-			"kind"),
+// newInstruments registers the pool's metric families on the registry.
+func newInstruments(reg *obs.Registry) *instruments {
+	hits := reg.CounterVec("hotc_pool_hits_total",
+		"Acquire calls served by a live runtime, by match kind (exact|relaxed).",
+		"kind")
+	return &instruments{
 		misses: reg.Counter("hotc_pool_misses_total",
 			"Acquire calls that had to cold-start a new container."),
 		evictions: reg.Counter("hotc_pool_evictions_total",
@@ -86,18 +79,30 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 		avail: reg.GaugeVec("hotc_pool_available",
 			"Pool containers available for immediate reuse per runtime key.",
 			"key"),
-		keys: make(map[config.Key]*keyGauges),
+		hitsExact:   hits.With("exact"),
+		hitsRelaxed: hits.With("relaxed"),
+		keys:        make(map[config.Key]*keyGauges),
 	}
-	ins.hitsExact = ins.hits.With("exact")
-	ins.hitsRelaxed = ins.hits.With("relaxed")
-	p.obs = ins
+}
+
+// Stats reads the pool's counters back from its registry.
+func (p *Pool) Stats() Stats {
+	o := p.obs
+	relaxed := int(o.hitsRelaxed.Value())
+	return Stats{
+		Hits:        int(o.hitsExact.Value()) + relaxed,
+		RelaxedHits: relaxed,
+		Misses:      int(o.misses.Value()),
+		Evictions:   int(o.evictions.Value()),
+		Prewarmed:   int(o.prewarmed.Value()),
+		Retired:     int(o.retired.Value()),
+		Quarantined: int(o.quarantined.Value()),
+		Leases:      int(o.leases.Value()),
+	}
 }
 
 // syncKeyGauges refreshes the occupancy gauges for one runtime key.
 func (p *Pool) syncKeyGauges(key config.Key) {
-	if p.obs == nil {
-		return
-	}
 	g := p.obs.forKey(key)
 	g.live.Set(float64(p.NumLive(key)))
 	g.avail.Set(float64(p.NumAvail(key)))

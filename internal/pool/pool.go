@@ -13,6 +13,7 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/container"
+	"hotc/internal/obs"
 	"hotc/internal/workload"
 )
 
@@ -59,6 +60,10 @@ type Options struct {
 	// stopped and removed from the indexes, never to re-enter the pool —
 	// and Acquire moves on to the next candidate (or a cold start).
 	HealthCheck func(*container.Container) error
+	// Metrics is the registry the pool books every event into — the
+	// hotc_pool_* families Stats reads back. nil gives the pool a
+	// registry of its own.
+	Metrics *obs.Registry
 }
 
 // EvictionPolicy orders forced-eviction victims.
@@ -92,10 +97,14 @@ func (o Options) withDefaults() Options {
 	if o.MemThresholdPct <= 0 {
 		o.MemThresholdPct = DefaultMemThresholdPct
 	}
+	if o.Metrics == nil {
+		o.Metrics = obs.New()
+	}
 	return o
 }
 
-// Stats counts pool activity for reports and tests.
+// Stats counts pool activity for reports and tests: a view of the
+// pool's hotc_pool_* counters (see Pool.Stats).
 type Stats struct {
 	// Hits are Acquire calls served by an existing available runtime.
 	Hits int
@@ -136,10 +145,7 @@ type Pool struct {
 	// Quarantine call cannot double-count or double-stop them.
 	quarantining map[*container.Container]bool
 
-	stats Stats
-
-	// obs is the optional metric hookup (see Instrument); nil keeps the
-	// seed behaviour.
+	// obs holds the pool's books, on Options.Metrics.
 	obs *instruments
 }
 
@@ -148,18 +154,17 @@ func New(eng *container.Engine, opts Options) *Pool {
 	if eng == nil {
 		panic("pool: nil engine")
 	}
+	opts = opts.withDefaults()
 	return &Pool{
 		eng:          eng,
-		opts:         opts.withDefaults(),
+		opts:         opts,
 		byKey:        make(map[config.Key][]*container.Container),
 		byRelaxed:    make(map[config.RelaxedKey][]*container.Container),
 		specs:        make(map[config.Key]container.Spec),
 		quarantining: make(map[*container.Container]bool),
+		obs:          newInstruments(opts.Metrics),
 	}
 }
-
-// Stats returns a snapshot of the counters.
-func (p *Pool) Stats() Stats { return p.stats }
 
 // Engine returns the underlying engine.
 func (p *Pool) Engine() *container.Engine { return p.eng }
@@ -219,10 +224,7 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 			done(nil, false, config.Delta{}, fmt.Errorf("pool: reserving hit: %w", err))
 			return
 		}
-		p.stats.Hits++
-		if p.obs != nil {
-			p.obs.hitsExact.Inc()
-		}
+		p.obs.hitsExact.Inc()
 		p.syncKeyGauges(key)
 		done(c, true, config.Delta{}, nil)
 		return
@@ -233,11 +235,7 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 	if p.opts.EnableRelaxed {
 		if c := p.firstHealthy(p.byRelaxed[spec.Runtime.Relaxed()]); c != nil {
 			if err := p.eng.Reserve(c); err == nil {
-				p.stats.Hits++
-				p.stats.RelaxedHits++
-				if p.obs != nil {
-					p.obs.hitsRelaxed.Inc()
-				}
+				p.obs.hitsRelaxed.Inc()
 				p.syncKeyGauges(c.Key())
 				delta := spec.Runtime.DeltaFrom(c.Spec.Runtime)
 				done(c, true, delta, nil)
@@ -248,10 +246,7 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 
 	// Cold path: before paying for a new container, try renting an
 	// idle one from another runtime key (inter-function sharing).
-	p.stats.Misses++
-	if p.obs != nil {
-		p.obs.misses.Inc()
-	}
+	p.obs.misses.Inc()
 	if p.opts.EnableSharing {
 		if c := p.shareCandidate(spec); c != nil {
 			p.Lease(c, spec, func(err error) {
@@ -342,10 +337,7 @@ func (p *Pool) Lease(c *container.Container, spec container.Spec, done func(erro
 			done(fmt.Errorf("pool: reserving leased container: %w", rerr))
 			return
 		}
-		p.stats.Leases++
-		if p.obs != nil {
-			p.obs.leases.Inc()
-		}
+		p.obs.leases.Inc()
 		p.syncKeyGauges(oldKey)
 		p.syncKeyGauges(spec.Key())
 		done(nil)
@@ -414,10 +406,7 @@ func (p *Pool) Prewarm(spec container.Spec, app workload.App, n int, done func(e
 				return
 			}
 			p.admit(c)
-			p.stats.Prewarmed++
-			if p.obs != nil {
-				p.obs.prewarmed.Inc()
-			}
+			p.obs.prewarmed.Inc()
 			p.eng.Warmup(c, app, func(err error) {
 				p.syncKeyGauges(c.Key())
 				done(err)
@@ -439,10 +428,7 @@ func (p *Pool) Retire(key config.Key, n int) int {
 			continue
 		}
 		p.remove(c)
-		p.stats.Retired++
-		if p.obs != nil {
-			p.obs.retired.Inc()
-		}
+		p.obs.retired.Inc()
 		stopped++
 		p.eng.Stop(c, nil)
 	}
@@ -457,10 +443,7 @@ func (p *Pool) Stop(c *container.Container) bool {
 		return false
 	}
 	p.remove(c)
-	p.stats.Retired++
-	if p.obs != nil {
-		p.obs.retired.Inc()
-	}
+	p.obs.retired.Inc()
 	p.eng.Stop(c, nil)
 	return true
 }
@@ -500,10 +483,7 @@ func (p *Pool) EvictOldest() bool {
 		return false
 	}
 	p.remove(victim)
-	p.stats.Evictions++
-	if p.obs != nil {
-		p.obs.evictions.Inc()
-	}
+	p.obs.evictions.Inc()
 	p.eng.Stop(victim, nil)
 	return true
 }
@@ -606,10 +586,7 @@ func (p *Pool) Quarantine(c *container.Container) {
 	}
 	p.quarantining[c] = true
 	p.remove(c)
-	p.stats.Quarantined++
-	if p.obs != nil {
-		p.obs.quarantined.Inc()
-	}
+	p.obs.quarantined.Inc()
 	p.eng.Unreserve(c) // a reserved holder abandoning a bad container
 	p.eng.Stop(c, func() { delete(p.quarantining, c) })
 }

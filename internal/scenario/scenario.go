@@ -496,7 +496,12 @@ func (s *Spec) run(recordSpans bool) (*Outcome, error) {
 		return nil, err
 	}
 	defer d.Close()
+	return s.play(d)
+}
 
+// play deploys the spec's functions on d and replays its workload.
+func (s *Spec) play(d deployment) (*Outcome, error) {
+	var err error
 	names := make([]string, len(s.Functions))
 	for i, fn := range s.Functions {
 		var app hotc.App

@@ -4,8 +4,11 @@
 // OpenFaaS-style gateway — exactly once. The public Simulation, the
 // figure environments of internal/bench and every node of
 // internal/cluster are this stack, so a signal wired here (the memory
-// threshold, the health check, the instruments) is wired for all of
-// them.
+// threshold, the health check, the registry) is wired for all of them.
+// Every stack books into one metrics registry from construction: the
+// gateway's, the pool's and the controller's counts live there and
+// nowhere else, and Pool.Stats and Gateway.ResilienceCounters read it
+// back.
 package stack
 
 import (
@@ -61,16 +64,19 @@ type Options struct {
 	// WarmupPeriod the Warmup ping interval (default 5m).
 	KeepAliveWindow, WarmupPeriod time.Duration
 	// Core configures the HotC controller; Core.Pool configures the pool
-	// of whichever policy runs. Pool.MemUsedPct and Pool.HealthCheck are
-	// set here, from the stack's own host and injector.
+	// of whichever policy runs. Pool.MemUsedPct, Pool.HealthCheck and
+	// Pool.Metrics are set here, from the stack's own host, injector and
+	// registry.
 	Core core.Options
 	// Faults, when non-nil, attaches a deterministic fault injector to
 	// the engine and its health check to the pool.
 	Faults *faults.Config
-	// Metrics and Tracer, when non-nil, instrument the gateway and the
-	// pool (and the controller under HotC).
+	// Metrics is the registry the gateway, the pool and the controller
+	// count into; nil gives the stack a registry of its own. Stacks
+	// handed one registry share their books.
 	Metrics *obs.Registry
-	Tracer  *obs.Tracer
+	// Tracer, when non-nil, records a span per request.
+	Tracer *obs.Tracer
 }
 
 // Stack is one wired deployment.
@@ -84,16 +90,19 @@ type Stack struct {
 	HotC     *core.HotC       // non-nil only under HotC
 	Provider faas.Provider
 	Gateway  *faas.Gateway
+	Metrics  *obs.Registry // Options.Metrics, or the stack's own
 }
 
 // New wires a stack. The order is load-bearing: the host before the
 // pool so the memory signal exists, the injector before the pool so the
-// health check exists, the instruments last so they cover whatever the
-// policy built.
+// health check exists.
 func New(o Options) (*Stack, error) {
-	s := &Stack{Sched: o.Sched, Registry: image.StandardCatalog()}
+	s := &Stack{Sched: o.Sched, Registry: image.StandardCatalog(), Metrics: o.Metrics}
 	if s.Sched == nil {
 		s.Sched = simclock.New()
+	}
+	if s.Metrics == nil {
+		s.Metrics = obs.New()
 	}
 	prof := o.Profile
 	if prof.Name == "" {
@@ -120,6 +129,7 @@ func New(o Options) (*Stack, error) {
 
 	// The paper's 80 % memory threshold (§IV.B) reads this host.
 	o.Core.Pool.MemUsedPct = s.Host.UsedMemPct
+	o.Core.Pool.Metrics = s.Metrics
 	if o.Faults != nil {
 		inj, err := faults.New(*o.Faults, s.Sched.Now)
 		if err != nil {
@@ -151,16 +161,7 @@ func New(o Options) (*Stack, error) {
 	default:
 		return nil, fmt.Errorf("unknown policy %q", o.Policy)
 	}
-	s.Gateway = faas.NewGateway(s.Engine, s.Provider)
-
-	if o.Metrics != nil {
-		s.Gateway.Instrument(o.Metrics)
-		if s.HotC != nil {
-			s.HotC.Instrument(o.Metrics) // covers its pool
-		} else if s.Pool != nil {
-			s.Pool.Instrument(o.Metrics)
-		}
-	}
+	s.Gateway = faas.NewGateway(s.Engine, s.Provider, s.Metrics)
 	if o.Tracer != nil {
 		s.Gateway.Trace(o.Tracer)
 	}

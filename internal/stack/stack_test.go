@@ -1,10 +1,13 @@
 package stack
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"hotc/internal/config"
+	"hotc/internal/core"
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
 	"hotc/internal/faults"
@@ -114,5 +117,104 @@ func TestColdAndRefusals(t *testing.T) {
 	}
 	if _, err := New(Options{Faults: &faults.Config{Rules: []faults.Rule{{CreateFailRate: 2}}}}); err == nil {
 		t.Fatal("out-of-range fault rate accepted")
+	}
+}
+
+// counted sums a family's series in the registry's own snapshot, over
+// the series whose label values satisfy keep (nil keeps all).
+func counted(reg *obs.Registry, name string, keep func(labels []string) bool) int {
+	total := 0.0
+	for _, f := range reg.Snapshot() {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Series {
+			if keep == nil || keep(s.LabelValues) {
+				total += s.Value
+			}
+		}
+	}
+	return int(total)
+}
+
+// Pool.Stats and Gateway.ResilienceCounters are views, not books of
+// their own: what they report is what the registry's own snapshot holds,
+// on a stack handed a registry and on one that built its own.
+func TestSimStatsViewsReadTheRegistry(t *testing.T) {
+	for _, given := range []bool{false, true} {
+		for _, pol := range []Policy{HotC, KeepAlive, Warmup, Histogram} {
+			t.Run(fmt.Sprintf("%s/given=%v", pol, given), func(t *testing.T) {
+				o := Options{
+					Seed: 5, PrePull: true, Policy: pol, KeepAliveWindow: time.Minute,
+					Core: core.Options{Interval: 10 * time.Second, Pool: pool.Options{
+						MaxLive: 4, EnableRelaxed: true, EnableSharing: true,
+					}},
+					Faults: &faults.Config{Seed: 5, Rules: []faults.Rule{{
+						CreateFailRate: 0.1, ExecCrashRate: 0.05, CorruptRate: 0.05,
+					}}},
+				}
+				if given {
+					o.Metrics = obs.New()
+				}
+				s, err := New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if s.Metrics == nil || (given && s.Metrics != o.Metrics) {
+					t.Fatalf("stack registry %p, given %p", s.Metrics, o.Metrics)
+				}
+				s.Gateway.MaxAcquireRetries, s.Gateway.ExecRetries, s.Gateway.BreakerThreshold = 2, 1, 2
+				names := []string{"py-a", "py-b", "node"}
+				for i, n := range names {
+					rt := config.Runtime{Image: "python:3.8", Env: []string{"FN=" + n}}
+					if i == 2 {
+						rt.Image = "node:10"
+					}
+					if err := s.Deploy(faas.Function{Name: n, Runtime: rt, App: workload.QRApp(workload.Python)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				schedule := trace.Burst{Base: 3, Factor: 4, BurstRounds: []int{2, 5}, Rounds: 8, Interval: 30 * time.Second}.Generate()
+				for i := range schedule {
+					schedule[i].Class = i
+				}
+				if _, err := faas.Run(s.Gateway, schedule, func(c int) string { return names[c%len(names)] }); err != nil {
+					t.Fatal(err)
+				}
+
+				reg := s.Metrics
+				hits := counted(reg, "hotc_pool_hits_total", nil)
+				want := pool.Stats{
+					Hits:        hits,
+					RelaxedHits: counted(reg, "hotc_pool_hits_total", func(l []string) bool { return l[0] == "relaxed" }),
+					Misses:      counted(reg, "hotc_pool_misses_total", nil),
+					Evictions:   counted(reg, "hotc_pool_evictions_total", nil),
+					Prewarmed:   counted(reg, "hotc_pool_prewarmed_total", nil),
+					Retired:     counted(reg, "hotc_pool_retired_total", nil),
+					Quarantined: counted(reg, "hotc_pool_quarantined_total", nil),
+					Leases:      counted(reg, "hotc_pool_leases_total", nil),
+				}
+				if got := s.Pool.Stats(); got != want || hits == 0 {
+					t.Errorf("Pool.Stats() = %+v, the registry says %+v", got, want)
+				}
+				wantRes := map[string]int{}
+				for kind, key := range map[string]string{
+					"acquire-retry": faas.CounterAcquireRetries, "exec-fallback": faas.CounterExecFallbacks,
+					"quarantine": faas.CounterQuarantines, "breaker-open": faas.CounterBreakerTrips,
+					"breaker-close": faas.CounterBreakerCloses, "degraded-cold": faas.CounterDegradedRequests,
+				} {
+					if n := counted(reg, "hotc_resilience_events_total", func(l []string) bool { return l[0] == kind }); n > 0 {
+						wantRes[key] = n
+					}
+				}
+				if n := counted(reg, "hotc_requests_total", func(l []string) bool { return l[1] == "error" }); n > 0 {
+					wantRes[faas.CounterRequestsFailed] = n
+				}
+				if got := s.Gateway.ResilienceCounters(); !reflect.DeepEqual(got, wantRes) || len(got) == 0 {
+					t.Errorf("ResilienceCounters() = %v, the registry says %v", got, wantRes)
+				}
+			})
+		}
 	}
 }

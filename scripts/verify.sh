@@ -114,6 +114,34 @@ for pat in 'container\.NewEngine(' '\bhost\.New(' 'faas\.NewGateway(' '\.Refs()'
 		exit 1
 	fi
 done
+echo "== one book (sim: every pool and gateway event counted once, in the registry every stack has)"
+# The simulator's half of "counts only in the registry": the gateway, the
+# pool and the controller count into the registry stack.New always hands
+# them, and Pool.Stats and Gateway.ResilienceCounters read it back.
+# Hand-kept twins (p.stats, g.retries, metrics.Counters) and the
+# obs != nil branches that chose which book was kept drifted apart
+# before, so non-test internal/faas (top level), internal/pool and
+# internal/core test obs for nil nowhere, name metrics.Counters nowhere,
+# increment no stats field in internal/pool, and bump
+# hotc_resilience_events_total at one site, request.annotate.
+SIM="$(ls internal/faas/*.go internal/pool/*.go internal/core/*.go | grep -v '_test\.go$')"
+if grep -nE 'obs [!=]= nil' $SIM >&2; then
+	echo "verify: a nil test on obs: every stack has its books, so count into g.obs/p.obs/h.obs unconditionally" >&2
+	exit 1
+fi
+if grep -n 'metrics\.Counters' $SIM >&2; then
+	echo "verify: metrics.Counters is a second book: count into the registry and read it back with Counter.Value()" >&2
+	exit 1
+fi
+if grep -nE 'stats\.[A-Za-z]+ *(\+\+|\+=)' $(echo "$SIM" | grep '^internal/pool/') >&2; then
+	echo "verify: the pool keeps a hand-counted stat: increment its hotc_pool_* counter (p.obs) and let Pool.Stats read it back" >&2
+	exit 1
+fi
+n="$(echo "$SIM" | xargs grep -hE 'events(\[[^]]*\]|\.With\([^)]*\))\.(Inc|Add)\(' | grep -vc '^[[:space:]]*//' || true)"
+if [ "$n" -ne 1 ]; then
+	echo "verify: hotc_resilience_events_total is incremented at $n sites in the sim (want 1): book a resilience event with request.annotate" >&2
+	exit 1
+fi
 echo "== go test -race"
 go test -race ./...
 echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
