@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,7 +60,6 @@ func main() {
 		preforkMs = flag.Int("prefork-boot", 120, "milliseconds one generic watchdog boot pays, always off the request path")
 		layerCch  = flag.Bool("layer-cache", true, "cache image layers on the host so functions sharing base layers skip most of the pull phase")
 		layerCap  = flag.Float64("layer-cache-cap", 0, "layer cache capacity in MB with LRU eviction (0 = unbounded)")
-		bootSplit = flag.String("boot-split", "", "pull:runtime:app percentage split of coldStartMs for functions without explicit phases, e.g. 55:30:15 (empty = default)")
 		share     = flag.Bool("share", false, "inter-function sharing: cold starts may rent an idle instance from another function, paying only volume wipe + app init (+ image-layer delta) instead of a full boot")
 		sharePol  = flag.String("share-policy", "same-image", "which function pairs may share: same-image|any")
 		shareWp   = flag.Int("share-wipe-ms", 5, "milliseconds one lease pays to wipe the lender's volume before re-specialization")
@@ -71,11 +68,6 @@ func main() {
 	flag.Parse()
 
 	newPred, err := live.PredictorFactory(*predName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hotcd:", err)
-		os.Exit(2)
-	}
-	pullFrac, rtFrac, appFrac, err := parseBootSplit(*bootSplit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hotcd:", err)
 		os.Exit(2)
@@ -107,9 +99,6 @@ func main() {
 		PreforkBoot:        time.Duration(*preforkMs) * time.Millisecond,
 		DisableLayerCache:  !*layerCch,
 		LayerCacheCapMB:    *layerCap,
-		BootPullFrac:       pullFrac,
-		BootRuntimeFrac:    rtFrac,
-		BootAppFrac:        appFrac,
 		Share:              *share,
 		SharePolicy:        *sharePol,
 		ShareWipe:          time.Duration(*shareWp) * time.Millisecond,
@@ -205,32 +194,4 @@ func orNone(d time.Duration) string {
 		return "none"
 	}
 	return d.String()
-}
-
-// parseBootSplit parses a "pull:runtime:app" percentage triple, e.g.
-// "55:30:15". Empty means use the built-in default split; the parts
-// need not sum to 100 (the gateway normalizes) but must be positive
-// overall and non-negative individually.
-func parseBootSplit(s string) (pull, rt, app float64, err error) {
-	if s == "" {
-		return 0, 0, 0, nil
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("bad -boot-split %q (want pull:runtime:app, e.g. 55:30:15)", s)
-	}
-	vals := make([]float64, 3)
-	sum := 0.0
-	for i, p := range parts {
-		v, perr := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if perr != nil || v < 0 {
-			return 0, 0, 0, fmt.Errorf("bad -boot-split part %q (want a non-negative number)", p)
-		}
-		vals[i] = v
-		sum += v
-	}
-	if sum <= 0 {
-		return 0, 0, 0, fmt.Errorf("bad -boot-split %q (parts sum to zero)", s)
-	}
-	return vals[0], vals[1], vals[2], nil
 }

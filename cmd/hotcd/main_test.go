@@ -36,7 +36,6 @@ func TestBadConfigRefused(t *testing.T) {
 	}{
 		{[]string{"-share", "-share-policy", "bogus"}, "PoolConfig.SharePolicy"},
 		{[]string{"-queue-depth", "-1"}, "PoolConfig.QueueDepth"},
-		{[]string{"-boot-split", "1:2"}, "-boot-split"},
 		{[]string{"-predictor", "bogus"}, "bogus"},
 	} {
 		out, err := hotcd(append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()

@@ -17,7 +17,6 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/container"
-	"hotc/internal/metrics"
 	"hotc/internal/obs"
 	"hotc/internal/pool"
 	"hotc/internal/predictor"
@@ -86,11 +85,6 @@ type keyState struct {
 
 	everUsed    bool
 	lastArrival simclock.Time
-
-	// observed and predicted are the Fig. 10 evaluation series: per
-	// interval, the real demand and the forecast HotC had made for it.
-	observed  metrics.TimeSeries
-	predicted metrics.TimeSeries
 }
 
 // HotC is the runtime-reusing middleware.
@@ -105,8 +99,8 @@ type HotC struct {
 	order   []config.Key
 	stopCtl func()
 
-	// obs holds the controller's books, on the pool's registry.
-	obs *instruments
+	// books are the controller's, on the pool's registry.
+	books *Books
 }
 
 // New builds HotC over a container engine.
@@ -120,7 +114,7 @@ func New(eng *container.Engine, opts Options) *HotC {
 		sched: eng.Scheduler(),
 		opts:  o,
 		keys:  make(map[config.Key]*keyState),
-		obs:   newInstruments(o.Pool.Metrics),
+		books: NewBooks(o.Pool.Metrics),
 	}
 }
 
@@ -208,48 +202,38 @@ func (h *HotC) Stop() {
 	}
 }
 
-// tick is one control interval: per runtime type, observe the demand,
-// forecast the next interval, and resize the pool as Plan decides.
+// tick is one control interval: per runtime type, Step observes the
+// demand, forecasts the next interval and plans; tick applies the plan
+// to the pool and books it.
 func (h *HotC) tick() {
 	now := h.sched.Now()
-	h.obs.ticks.Inc()
+	h.books.Cycle()
 	for _, key := range h.order {
 		st := h.keys[key]
-		demand, predicted := st.Tick()
-		st.observed.Add(now, demand)
-		st.predicted.Add(now, predicted)
-
-		target, boot, retire := Plan(PlanInput{
-			Forecast: st.Forecast, Headroom: h.opts.Headroom,
+		d := st.Step(PlanInput{
+			Headroom: h.opts.Headroom,
 			InFlight: st.InFlight, Live: h.pool.NumLive(key), Idle: h.pool.NumAvail(key),
 			MinWarm:       h.opts.MinWarm,
 			Retain:        st.everUsed && now-st.lastArrival <= h.opts.RetainIdle,
 			ScaleDownFrac: h.opts.ScaleDownFrac,
 		})
-		if st.app.Name == "" {
-			boot = 0 // nothing known to pre-warm the runtime with
+		if st.app.Name != "" { // else nothing is known to pre-warm the runtime with
+			h.pool.Prewarm(st.spec, st.app, d.Boot, nil)
 		}
-		h.pool.Prewarm(st.spec, st.app, boot, nil)
-		retired := h.pool.Retire(key, retire)
-
-		k := string(key)
-		h.obs.demand.With(k).Set(demand)
-		h.obs.forecast.With(k).Set(st.Forecast)
-		h.obs.target.With(k).Set(float64(target))
-		h.obs.prewarm.Add(float64(boot))
-		h.obs.retire.Add(float64(retired))
+		h.pool.Retire(key, d.Retire)
+		h.books.Record(string(key), d)
 	}
 }
 
-// PredictionTrace returns the observed and predicted demand series for
-// a runtime type (Fig. 10). The boolean reports whether the key is
-// known.
-func (h *HotC) PredictionTrace(key config.Key) (observed, predicted *metrics.TimeSeries, ok bool) {
-	st, found := h.keys[key]
-	if !found {
-		return nil, nil, false
+// Trail returns a runtime type's last decisions, oldest first (Fig. 10's
+// observed and predicted demand among them). The boolean reports
+// whether the key is known.
+func (h *HotC) Trail(key config.Key) ([]Decision, bool) {
+	st, ok := h.keys[key]
+	if !ok {
+		return nil, false
 	}
-	return &st.observed, &st.predicted, true
+	return st.Trail(), true
 }
 
 // LiveByKey reports the current number of live containers per key.

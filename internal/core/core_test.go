@@ -174,14 +174,14 @@ func TestPredictionTraceRecorded(t *testing.T) {
 	if _, err := faas.Run(f.gw, sched, func(int) string { return "qr" }); err != nil {
 		t.Fatal(err)
 	}
-	obs, pred, ok := f.hotc.PredictionTrace(spec.Key())
+	trail, ok := f.hotc.Trail(spec.Key())
 	if !ok {
 		t.Fatal("no prediction trace for registered key")
 	}
-	if obs.Len() == 0 || obs.Len() != pred.Len() {
-		t.Fatalf("trace lengths: obs=%d pred=%d", obs.Len(), pred.Len())
+	if len(trail) == 0 {
+		t.Fatalf("trace length: %d", len(trail))
 	}
-	if _, _, ok := f.hotc.PredictionTrace(config.Key("ghost")); ok {
+	if _, ok := f.hotc.Trail(config.Key("ghost")); ok {
 		t.Fatal("phantom prediction trace")
 	}
 }
@@ -210,7 +210,7 @@ func TestAblationPredictorSwap(t *testing.T) {
 	if _, err := faas.Run(f.gw, sched, func(int) string { return "qr" }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := f.hotc.PredictionTrace(spec.Key()); !ok {
+	if _, ok := f.hotc.Trail(spec.Key()); !ok {
 		t.Fatal("swapped predictor lost the trace")
 	}
 }

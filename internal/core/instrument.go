@@ -4,9 +4,10 @@ import (
 	"hotc/internal/obs"
 )
 
-// instruments bundles the control loop's metric families, registered
-// on the pool's registry so one registry holds the whole provider.
-type instruments struct {
+// Books are the control loop's metric families, declared here and
+// nowhere else: the simulated controller and the live gateway both
+// count into them, so dashboards read either substrate.
+type Books struct {
 	demand   *obs.GaugeVec // hotc_ctl_demand{key}
 	forecast *obs.GaugeVec // hotc_ctl_forecast{key}
 	target   *obs.GaugeVec // hotc_ctl_target{key}
@@ -15,9 +16,9 @@ type instruments struct {
 	ticks    *obs.Counter  // hotc_ctl_ticks_total
 }
 
-// newInstruments registers the controller's metric families.
-func newInstruments(reg *obs.Registry) *instruments {
-	return &instruments{
+// NewBooks registers the control loop's metric families on reg.
+func NewBooks(reg *obs.Registry) *Books {
+	return &Books{
 		demand: reg.GaugeVec("hotc_ctl_demand",
 			"Observed peak concurrent demand per runtime key in the last control interval.",
 			"key"),
@@ -35,3 +36,16 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"Control loop ticks executed."),
 	}
 }
+
+// Record books one key's decision: the three gauges, and the boots and
+// retirements it asked for.
+func (b *Books) Record(key string, d Decision) {
+	b.demand.With(key).Set(d.Observed)
+	b.forecast.With(key).Set(d.Input.Forecast)
+	b.target.With(key).Set(float64(d.Target))
+	b.prewarm.Add(float64(d.Boot))
+	b.retire.Add(float64(d.Retire))
+}
+
+// Cycle counts one control cycle, however many keys it stepped.
+func (b *Books) Cycle() { b.ticks.Inc() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"hotc/internal/predictor"
 )
@@ -10,14 +11,60 @@ import (
 // loop retires per tick at most (see Options.ScaleDownFrac).
 const DefaultScaleDownFrac = 0.25
 
+// TrailCap bounds each key's decision trail: the last TrailCap control
+// intervals are kept, older ones dropped.
+const TrailCap = 128
+
 // Demand is one key's demand accounting: what Algorithm 3 observes (the
-// interval's peak concurrent demand) and the forecast it made for it.
-// The simulated middleware and the live gateway both embed it.
+// interval's peak concurrent demand), the forecast it made for it, and
+// the trail of decisions Step took. The simulated middleware and the
+// live gateway both embed it.
 type Demand struct {
 	Pred     predictor.Predictor
 	InFlight int     // requests executing or reserved right now
 	Peak     int     // max concurrent demand in the current interval
 	Forecast float64 // prediction for the current interval, made at the last tick
+	Steps    int     // control intervals closed so far
+
+	// trail holds the last TrailCap decisions as a ring: once full, the
+	// oldest sits at Steps % TrailCap.
+	trail []Decision
+}
+
+// Decision is one closed control interval, Fig. 10's evaluation pair
+// plus everything Algorithm 3 decided from and decided. The substrate
+// applies Boot and Retire; nothing else acts on it.
+type Decision struct {
+	Observed  float64   // the interval's peak concurrent demand
+	Predicted float64   // the forecast made for the interval a step earlier
+	Input     PlanInput // what Plan decided from; Input.Forecast is the next interval's forecast
+	Target    int       // the size the key's live set should have
+	Boot      int       // runtimes to boot now
+	Retire    int       // idle runtimes to retire now
+}
+
+// Step closes the interval, the only way either substrate does: it
+// ticks the demand accounting, puts the fresh forecast into in, plans,
+// and appends the decision to the key's trail. in carries everything
+// but the forecast.
+func (d *Demand) Step(in PlanInput) Decision {
+	observed, predicted := d.Tick()
+	in.Forecast = d.Forecast
+	dec := Decision{Observed: observed, Predicted: predicted, Input: in}
+	dec.Target, dec.Boot, dec.Retire = Plan(in)
+	if len(d.trail) < TrailCap {
+		d.trail = append(d.trail, dec)
+	} else {
+		d.trail[d.Steps%TrailCap] = dec
+	}
+	d.Steps++
+	return dec
+}
+
+// Trail returns the key's last TrailCap decisions, oldest first.
+func (d *Demand) Trail() []Decision {
+	oldest := d.Steps % TrailCap // len(d.trail) while the ring fills: nothing wraps
+	return append(slices.Clone(d.trail[oldest:]), d.trail[:oldest]...)
 }
 
 // Begin counts a request in.
@@ -47,6 +94,7 @@ func (d *Demand) Tick() (observed, predicted float64) {
 }
 
 // PlanInput is what Algorithm 3 decides from, for one key at one tick.
+// Step fills in Forecast; the substrate fills in the rest.
 type PlanInput struct {
 	Forecast      float64 // raw predictor output for the next interval
 	Headroom      float64 // fraction added on top of the forecast (0.1 = +10%)

@@ -96,3 +96,40 @@ func TestPlanDemandTick(t *testing.T) {
 		t.Fatalf("third tick = (%v, %v), forecast %v", obs, pred, d.Forecast)
 	}
 }
+
+// Step is one closed interval: the Tick pair, the fresh forecast put
+// into the input, Plan's answer, all in one record. The trail keeps the
+// last TrailCap of them, oldest first, and Steps counts them all.
+func TestPlanStepTrail(t *testing.T) {
+	d := Demand{Pred: predictor.NewNaive()}
+	d.Begin()
+	d.Begin()
+	first := d.Step(PlanInput{Headroom: 0.5, InFlight: 2, Live: 2, ScaleDownFrac: 0.25})
+	want := Decision{
+		Observed: 2, Predicted: 0,
+		Input:  PlanInput{Forecast: 2, Headroom: 0.5, InFlight: 2, Live: 2, ScaleDownFrac: 0.25},
+		Target: 3, Boot: 1,
+	}
+	if first != want {
+		t.Fatalf("first step = %+v, want %+v", first, want)
+	}
+	for i := 1; i < TrailCap+5; i++ {
+		d.Peak = i % 5
+		d.Step(PlanInput{InFlight: 2, Live: 2, ScaleDownFrac: 0.25})
+	}
+	trail := d.Trail()
+	if d.Steps != TrailCap+5 || len(trail) != TrailCap {
+		t.Fatalf("steps %d, trail %d; want %d and %d", d.Steps, len(trail), TrailCap+5, TrailCap)
+	}
+	for j, dec := range trail {
+		if step := d.Steps - TrailCap + j; dec.Observed != float64(step%5) {
+			t.Fatalf("trail[%d] observed %v, want step %d's peak %d: not oldest first", j, dec.Observed, step, step%5)
+		}
+		if j > 0 && dec.Predicted != trail[j-1].Input.Forecast {
+			t.Fatalf("trail[%d] predicted %v, the step before forecast %v", j, dec.Predicted, trail[j-1].Input.Forecast)
+		}
+	}
+	if trail[len(trail)-1].Input.Forecast != d.Forecast {
+		t.Fatalf("newest decision forecast %v, demand forecast %v", trail[len(trail)-1].Input.Forecast, d.Forecast)
+	}
+}

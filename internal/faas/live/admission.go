@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -45,15 +46,20 @@ func (g *Gateway) newAdmissionQueue(s *shard) *admission.Queue {
 	})
 }
 
+// maxDeadlineMs is the largest DeadlineHeader value a time.Duration
+// holds; a larger one would wrap around.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // requestDeadline resolves a request's absolute deadline: the
 // DeadlineHeader override when present, else the configured default;
-// zero time means none.
+// zero time means none. A header that does not parse, or lies outside
+// [0, maxDeadlineMs], is refused.
 func (g *Gateway) requestDeadline(r *http.Request, start time.Time) (time.Time, error) {
 	d := g.cfg.DefaultDeadline
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms < 0 {
-			return time.Time{}, fmt.Errorf("live: bad %s %q (want non-negative milliseconds)", DeadlineHeader, h)
+		if err != nil || ms < 0 || ms > maxDeadlineMs {
+			return time.Time{}, fmt.Errorf("live: bad %s %q (want milliseconds in [0, %d])", DeadlineHeader, h, maxDeadlineMs)
 		}
 		d = time.Duration(ms) * time.Millisecond
 	}

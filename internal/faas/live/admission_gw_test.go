@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -511,8 +512,8 @@ func TestAdmissionChurnWithControlLoops(t *testing.T) {
 	checkPool(t, g)
 }
 
-// A malformed deadline header is the client's error: 400, nothing
-// admitted, nothing fed to the breaker.
+// A malformed or out-of-range deadline header is the client's error:
+// 400, nothing admitted, nothing fed to the breaker.
 func TestBadDeadlineHeaderRejected(t *testing.T) {
 	g := NewGateway(true)
 	if err := g.Register(echoFn("f", 0)); err != nil {
@@ -524,7 +525,7 @@ func TestBadDeadlineHeaderRejected(t *testing.T) {
 	}
 	defer g.Stop()
 
-	for _, bad := range []string{"soon", "-5", "1.5"} {
+	for _, bad := range []string{"soon", "-5", "1.5", "9223372036855", "18446744073710"} {
 		resp, err := postTenant(base, "f", "", "x", map[string]string{DeadlineHeader: bad})
 		if err != nil {
 			t.Fatal(err)
@@ -535,4 +536,38 @@ func TestBadDeadlineHeaderRejected(t *testing.T) {
 			t.Fatalf("deadline %q: status = %d, want 400", bad, resp.StatusCode)
 		}
 	}
+}
+
+// X-Hotc-Deadline-Ms is refused exactly when it is not a base-10
+// integer in [0, the largest millisecond count a time.Duration holds];
+// accepted, 0 means no deadline and any other value lands exactly that
+// many milliseconds after arrival. An empty value is no header at all:
+// the default, none here, applies. The seed corpus runs with the suite.
+func FuzzDeadlineHeader(f *testing.F) {
+	for _, seed := range []string{"", "-1", "1e3", "0", "1000", "9223372036854", "9223372036855", "18446744073710"} {
+		f.Add(seed)
+	}
+	g := New(PoolConfig{})
+	f.Cleanup(g.Stop)
+	start := time.Unix(1_700_000_000, 0)
+	f.Fuzz(func(t *testing.T, h string) {
+		r := httptest.NewRequest(http.MethodPost, "/function/f", nil)
+		r.Header.Set(DeadlineHeader, h)
+		got, err := g.requestDeadline(r, start)
+		ms, perr := strconv.ParseInt(h, 10, 64)
+		switch {
+		case h == "" || (perr == nil && ms == 0):
+			if err != nil || !got.IsZero() {
+				t.Fatalf("%q: deadline %v, err %v; want none", h, got, err)
+			}
+		case perr != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond):
+			if err == nil {
+				t.Fatalf("%q accepted as a deadline at %v", h, got)
+			}
+		case err != nil:
+			t.Fatalf("%q refused: %v", h, err)
+		case got.UnixMilli()-start.UnixMilli() != ms || got.Nanosecond()%1e6 != 0:
+			t.Fatalf("%q: deadline %v is not %d ms after %v", h, got, ms, start)
+		}
+	})
 }

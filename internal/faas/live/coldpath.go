@@ -120,19 +120,23 @@ type bootPhases struct {
 	hasImage           bool
 }
 
+// The §III.B anatomy of a boot without explicit phases: image
+// pull/unpack dominates container start time, runtime init follows, and
+// app init takes the rest.
+const bootPullFrac, bootRuntimeFrac = 0.55, 0.30
+
 // phasesFor resolves a function's boot phases: explicit fields win;
-// otherwise ColdStart is split by the configured fractions, with the
+// otherwise ColdStart is split by the §III.B fractions, with the
 // remainder assigned to app init so the three phases always sum to
-// exactly ColdStart (an unconfigured gateway boots in the same total
-// time as the old monolithic sleep).
+// exactly ColdStart.
 func (g *Gateway) phasesFor(fn Function) bootPhases {
 	var ph bootPhases
 	if fn.Pull > 0 || fn.RuntimeInit > 0 || fn.AppInit > 0 {
 		ph.pull, ph.runtime, ph.app = fn.Pull, fn.RuntimeInit, fn.AppInit
 	} else {
 		cs := fn.ColdStart
-		ph.pull = time.Duration(g.cfg.BootPullFrac * float64(cs))
-		ph.runtime = time.Duration(g.cfg.BootRuntimeFrac * float64(cs))
+		ph.pull = time.Duration(bootPullFrac * float64(cs))
+		ph.runtime = time.Duration(bootRuntimeFrac * float64(cs))
 		ph.app = cs - ph.pull - ph.runtime
 	}
 	if fn.Image != "" {

@@ -116,10 +116,6 @@ type PoolConfig struct {
 	// LayerCacheCapMB bounds the layer cache with LRU eviction (0 =
 	// unbounded).
 	LayerCacheCapMB float64
-	// BootPullFrac, BootRuntimeFrac and BootAppFrac split ColdStart
-	// into the §III.B phases for functions without explicit ones. All
-	// zero = the 55/30/15 defaults; otherwise normalized to sum to 1.
-	BootPullFrac, BootRuntimeFrac, BootAppFrac float64
 	// Share arms inter-function sharing: on a warm miss the gateway
 	// leases an idle instance from another function — wipe its volume,
 	// swap the watchdog handler, pay app init plus any image-layer
@@ -162,13 +158,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.PreforkSize <= 0 {
 		c.PreforkSize = 4
 	}
-	// §III.B: image pull/unpack dominates container start time.
-	p, r, a := c.BootPullFrac, c.BootRuntimeFrac, c.BootAppFrac
-	if p <= 0 && r <= 0 && a <= 0 {
-		p, r, a = 0.55, 0.30, 0.15
-	}
-	sum := p + r + a
-	c.BootPullFrac, c.BootRuntimeFrac, c.BootAppFrac = p/sum, r/sum, a/sum
 	if c.ShareWipe <= 0 {
 		c.ShareWipe = 5 * time.Millisecond
 	}
@@ -188,10 +177,10 @@ func zeroDefault[T ~int64 | ~float64](v, def T) T {
 }
 
 // Validate reports the first field New would have to guess about: an
-// unknown share policy, or a negative size, count, duration or
-// boot-split part. The error names the field. The CLIs call it before
-// NewDaemon; TraceSampleRate, TraceSlowThreshold and ShareIdleGrace
-// are not checked, negative being their "none".
+// unknown share policy, or a negative size, count or duration. The
+// error names the field. The CLIs call it before NewDaemon;
+// TraceSampleRate, TraceSlowThreshold and ShareIdleGrace are not
+// checked, negative being their "none".
 func (c PoolConfig) Validate() error {
 	if _, err := sharing.ParseMode(c.SharePolicy); err != nil {
 		return fmt.Errorf("live: PoolConfig.SharePolicy: %w", err)
@@ -219,9 +208,6 @@ func (c PoolConfig) Validate() error {
 		{"PreforkSize", float64(c.PreforkSize)},
 		{"PreforkBoot", float64(c.PreforkBoot)},
 		{"LayerCacheCapMB", c.LayerCacheCapMB},
-		{"BootPullFrac", c.BootPullFrac},
-		{"BootRuntimeFrac", c.BootRuntimeFrac},
-		{"BootAppFrac", c.BootAppFrac},
 		{"ShareWipe", float64(c.ShareWipe)},
 	} {
 		if !(f.v >= 0) { // also catches NaN

@@ -20,9 +20,6 @@ func TestPoolConfigDefaults(t *testing.T) {
 		TraceSampleRate:    0.01,
 		TraceSlowThreshold: 500 * time.Millisecond,
 		PreforkSize:        4,
-		BootPullFrac:       0.55,
-		BootRuntimeFrac:    0.30,
-		BootAppFrac:        0.15,
 		ShareWipe:          5 * time.Millisecond,
 		ShareIdleGrace:     250 * time.Millisecond,
 	}
@@ -38,15 +35,9 @@ func TestPoolConfigDefaults(t *testing.T) {
 		TraceSampleRate:    0.5,
 		TraceSlowThreshold: time.Second,
 		PreforkSize:        2,
-		BootPullFrac:       0.5,
-		BootRuntimeFrac:    0.25,
-		BootAppFrac:        0.25,
 		ShareWipe:          time.Millisecond,
 		ShareIdleGrace:     time.Second,
 	}
-	percent := explicit
-	percent.BootPullFrac, percent.BootRuntimeFrac, percent.BootAppFrac = 50, 25, 25
-
 	for _, tc := range []struct {
 		name     string
 		in, want PoolConfig
@@ -54,7 +45,6 @@ func TestPoolConfigDefaults(t *testing.T) {
 		{"zero value", PoolConfig{}, defaults},
 		{"negative means none", PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1, ShareIdleGrace: -1}, none},
 		{"explicit values kept", explicit, explicit},
-		{"boot split normalized", percent, explicit},
 	} {
 		if got := tc.in.withDefaults(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
@@ -93,9 +83,6 @@ func TestPoolConfigValidate(t *testing.T) {
 		"PreforkSize":        {PreforkSize: -1},
 		"PreforkBoot":        {PreforkBoot: -time.Second},
 		"LayerCacheCapMB":    {LayerCacheCapMB: -1},
-		"BootPullFrac":       {BootPullFrac: -1, BootRuntimeFrac: 1, BootAppFrac: 1},
-		"BootRuntimeFrac":    {BootPullFrac: 1, BootRuntimeFrac: -1, BootAppFrac: 1},
-		"BootAppFrac":        {BootPullFrac: 1, BootRuntimeFrac: 1, BootAppFrac: -1},
 		"ShareWipe":          {ShareWipe: -time.Millisecond},
 	} {
 		err := bad.Validate()

@@ -9,10 +9,6 @@ import (
 	"hotc/internal/sharing"
 )
 
-// ctlTraceCap bounds the per-function observed/predicted series kept
-// for the prediction-trace endpoint.
-const ctlTraceCap = 128
-
 // PredictorFactory resolves a predictor name — the hotcd -predictor
 // flag values — to a constructor: "es", "markov", "es+markov" (the
 // paper's combined predictor), or "off"/"" for no prediction.
@@ -33,17 +29,13 @@ func PredictorFactory(name string) (func() predictor.Predictor, error) {
 
 // fnControl is the per-function controller state, embedded in the
 // function's shard and guarded by the shard mutex: the demand
-// accounting the simulated controller also uses (Pred nil = no
-// prediction) plus the live substrate's Fig. 10 evaluation series.
+// accounting and decision trail the simulated controller also uses
+// (Pred nil = no prediction) plus what only the live substrate tracks.
 type fnControl struct {
 	core.Demand
 
 	booting  int       // prewarm boots in flight (counted as live)
 	lastDone time.Time // when release last pooled an instance; zero = never
-
-	ticks     int
-	observed  []float64
-	predicted []float64
 
 	// share classifies the function as lender/renter/neutral from the
 	// same demand history (see sharing.Classifier); only fed when the
@@ -111,17 +103,18 @@ func (g *Gateway) controlTick(now time.Time) {
 	for _, s := range g.snapshotShards() {
 		g.controlOnce(s.name, now)
 	}
-	g.obs.ctlTicks.Inc()
+	g.obs.ctl.Cycle()
 	// Keep the generic pre-forked pool topped up even when no request
 	// has drained it recently (boot errors or reaps may have left a
 	// deficit); the refill itself runs on pool-owned goroutines.
 	g.refillPrefork()
 }
 
-// controlOnce is controlTick's per-function stage: observe the
-// interval's peak concurrent demand, forecast the next interval, and
-// prewarm or retire warm instances as core.Plan decides. Tests call it
-// directly with deterministic clocks.
+// controlOnce is controlTick's per-function stage: core.Demand.Step
+// observes the interval's peak concurrent demand, forecasts the next
+// interval and plans; controlOnce prewarms or retires warm instances as
+// the decision says and books it. Tests call it directly with
+// deterministic clocks.
 //
 // The registry read-lock is held across the tick so the stopped check
 // and the wg.Add for prewarm boots are atomic against Stop (which sets
@@ -139,41 +132,33 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	s.mu.Lock()
 	st, fn := &s.ctl, s.fn
 
-	// One-step-ahead evaluation: predicted is the forecast that had
-	// been made for the interval demand was just observed in. The
-	// sharing classifier judges that pair, plus the idle surplus.
-	demand, predicted := st.Tick()
-	st.observed = appendBounded(st.observed, demand)
-	st.predicted = appendBounded(st.predicted, predicted)
-	st.ticks++
-	if g.cfg.Share {
-		prevRole := st.share.Role()
-		if role := st.share.Observe(predicted, demand, float64(len(s.idle))); role != prevRole {
-			g.shareRoleTransition(prevRole, role)
-		}
-	}
-
 	// The keep-alive, not the forecast, takes a used function's last
 	// warm instance: retain one until the janitor would expire it.
 	ttl := g.cfg.IdleTTL
-	target, boot, excess := core.Plan(core.PlanInput{
-		Forecast: st.Forecast, Headroom: g.cfg.Headroom,
+	d := st.Step(core.PlanInput{
+		Headroom: g.cfg.Headroom,
 		InFlight: st.InFlight, Live: st.InFlight + st.booting + len(s.idle), Idle: len(s.idle),
 		Retain:        !st.lastDone.IsZero() && (ttl == 0 || now.Sub(st.lastDone) < ttl),
 		MaxWarm:       g.cfg.MaxIdlePerFunction,
 		ScaleDownFrac: core.DefaultScaleDownFrac,
 	})
-	st.booting += boot
-	retire := s.takeOldestLocked(excess, &s.stats.Retired)
-	g.obs.ctlRetire.Add(float64(len(retire)))
-	s.m.ctlDemand.Set(demand)
-	s.m.ctlForecast.Set(st.Forecast)
-	s.m.ctlTarget.Set(float64(target))
-	g.wg.Add(boot)
+	// The sharing classifier judges the one-step-ahead pair — the
+	// forecast that had been made for the interval just observed — plus
+	// the idle surplus.
+	if g.cfg.Share {
+		prevRole := st.share.Role()
+		if role := st.share.Observe(d.Predicted, d.Observed, float64(len(s.idle))); role != prevRole {
+			g.shareRoleTransition(prevRole, role)
+		}
+	}
+	st.booting += d.Boot
+	retire := s.takeOldestLocked(d.Retire, &s.stats.Retired)
+	g.obs.ctl.Record(name, d)
+	g.wg.Add(d.Boot)
 	s.mu.Unlock()
 	g.smu.RUnlock()
 
-	for i := 0; i < boot; i++ {
+	for i := 0; i < d.Boot; i++ {
 		go g.prewarmOne(s, fn)
 	}
 	stopAll(retire)
@@ -197,7 +182,6 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	case err == nil && g.keepLocked(s, inst) && !overCap:
 		s.pushLocked(inst, g.nowFn())
 		s.stats.Prewarmed++
-		g.obs.ctlPrewarm.Inc()
 		inst = nil
 	case err != nil && g.life.Err() == nil:
 		g.event("prewarm-boot-failure")
@@ -247,9 +231,9 @@ func (g *Gateway) janitorOnce(now time.Time) {
 }
 
 // PredictionTrace is one function's live controller trace: the
-// predictor identity, its latest forecast, and the bounded
-// one-step-ahead evaluation series (observed demand vs the forecast
-// made for that interval).
+// predictor identity, its latest forecast, and the one-step-ahead
+// evaluation series read off the decision trail (observed demand vs the
+// forecast made for that interval, the last core.TrailCap intervals).
 type PredictionTrace struct {
 	Predictor string    `json:"predictor"`
 	Forecast  float64   `json:"forecast"`
@@ -274,9 +258,11 @@ func (g *Gateway) PredictionTraces() map[string]PredictionTrace {
 			tr := PredictionTrace{
 				Predictor: s.ctl.Pred.Name(),
 				Forecast:  s.ctl.Forecast,
-				Ticks:     s.ctl.ticks,
-				Observed:  append([]float64(nil), s.ctl.observed...),
-				Predicted: append([]float64(nil), s.ctl.predicted...),
+				Ticks:     s.ctl.Steps,
+			}
+			for _, d := range s.ctl.Trail() {
+				tr.Observed = append(tr.Observed, d.Observed)
+				tr.Predicted = append(tr.Predicted, d.Predicted)
 			}
 			if g.cfg.Share {
 				tr.Role = s.ctl.share.Role().String()
@@ -300,13 +286,4 @@ func (g *Gateway) Forecasts() map[string]float64 {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// appendBounded appends keeping at most ctlTraceCap trailing elements.
-func appendBounded(s []float64, v float64) []float64 {
-	s = append(s, v)
-	if len(s) > ctlTraceCap {
-		s = append(s[:0:0], s[len(s)-ctlTraceCap:]...)
-	}
-	return s
 }

@@ -251,6 +251,35 @@ func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
 	checkPool(t, g)
 }
 
+// hotc_ctl_prewarm_total counts the boots the control loop asked for,
+// as in the simulator and its HELP string, even when none lands; how
+// many landed is Stats.Prewarmed.
+func TestCtlPrewarmCountsWhatWasAsked(t *testing.T) {
+	g, clk, _ := startControlled(t,
+		PoolConfig{NewPredictor: naiveFactory},
+		echoFn("f", 150*time.Millisecond))
+
+	s := g.shard("f")
+	s.mu.Lock()
+	s.ctl.Peak = 2
+	s.mu.Unlock()
+	g.controlOnce("f", clk.Now())
+	s.mu.Lock()
+	asked := s.ctl.booting // the 150ms boots are still in flight
+	s.mu.Unlock()
+	if asked == 0 {
+		t.Fatal("the tick planned no boot")
+	}
+
+	g.Stop() // abandons the boots: none lands
+	if got := g.reg.Counter("hotc_ctl_prewarm_total", "").Value(); got != float64(asked) {
+		t.Fatalf("hotc_ctl_prewarm_total = %v, want the %d boots the tick asked for", got, asked)
+	}
+	if st := g.Stats(); st.Prewarmed != 0 {
+		t.Fatalf("Prewarmed = %d, want 0: no prewarm landed", st.Prewarmed)
+	}
+}
+
 // Keep-alive expiry against the injected clock: one nanosecond short
 // keeps the instance, the exact TTL expires it.
 func TestJanitorExpiryWithInjectedClock(t *testing.T) {

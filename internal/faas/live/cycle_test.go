@@ -218,7 +218,7 @@ func runDemandScript(t *testing.T) []string {
 		settle(t, g)
 		for _, s := range shards {
 			s.mu.Lock()
-			target, st := s.m.ctlTarget.Value(), s.stats
+			target, st := g.reg.GaugeVec("hotc_ctl_target", "", "key").With(s.name).Value(), s.stats
 			s.mu.Unlock()
 			log = append(log, fmt.Sprintf("t%d %s target=%v prewarmed=%d retired=%d", i, s.name, target, st.Prewarmed, st.Retired))
 		}

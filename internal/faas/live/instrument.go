@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"hotc/internal/core"
 	"hotc/internal/faas"
 	"hotc/internal/obs"
 )
@@ -18,15 +19,10 @@ type instruments struct {
 	events       map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
 	breakerState *obs.GaugeVec           // hotc_breaker_state{key}
 
-	// Controller families share the simulated control loop's names
-	// (core.newInstruments), so dashboards read either substrate.
-	ctlDemand   *obs.GaugeVec // hotc_ctl_demand{key}
-	ctlForecast *obs.GaugeVec // hotc_ctl_forecast{key}
-	ctlTarget   *obs.GaugeVec // hotc_ctl_target{key}
-	ctlPrewarm  *obs.Counter  // hotc_ctl_prewarm_total
-	ctlRetire   *obs.Counter  // hotc_ctl_retire_total
-	ctlTicks    *obs.Counter  // hotc_ctl_ticks_total
-	poolRetired *obs.Counter  // hotc_pool_retired_total
+	// ctl are the control loop's books, the simulated controller's own
+	// families (hotc_ctl_*), declared once in core.
+	ctl         *core.Books
+	poolRetired *obs.Counter // hotc_pool_retired_total
 
 	// bodyBytes tracks response bytes streamed to clients, recorded
 	// from the copy loop's running count — the gateway never buffers a
@@ -98,9 +94,6 @@ type shardMetrics struct {
 	warm        *obs.Gauge
 	poolRetired *obs.Counter // the gateway-wide hotc_pool_retired_total
 	breakerSt   *obs.Gauge
-	ctlDemand   *obs.Gauge
-	ctlForecast *obs.Gauge
-	ctlTarget   *obs.Gauge
 	admDepth    *obs.Gauge
 	admInFlight *obs.Gauge
 	admWait     *obs.Histogram
@@ -117,9 +110,6 @@ func (ins *instruments) forFunction(name string) *shardMetrics {
 		warm:        ins.warm.With(name),
 		poolRetired: ins.poolRetired,
 		breakerSt:   ins.breakerState.With(name),
-		ctlDemand:   ins.ctlDemand.With(name),
-		ctlForecast: ins.ctlForecast.With(name),
-		ctlTarget:   ins.ctlTarget.With(name),
 		admDepth:    ins.admDepth.With(name),
 		admInFlight: ins.admInFlight.With(name),
 		admWait:     ins.admWait.With(name),
@@ -158,21 +148,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 		breakerState: reg.GaugeVec("hotc_breaker_state",
 			"Per-function circuit breaker state (0 closed, 1 open, 2 half-open).",
 			"key"),
-		ctlDemand: reg.GaugeVec("hotc_ctl_demand",
-			"Observed peak concurrent demand per runtime key in the last control interval.",
-			"key"),
-		ctlForecast: reg.GaugeVec("hotc_ctl_forecast",
-			"Demand forecast per runtime key for the next control interval.",
-			"key"),
-		ctlTarget: reg.GaugeVec("hotc_ctl_target",
-			"Pool size target per runtime key after headroom, floors and hysteresis.",
-			"key"),
-		ctlPrewarm: reg.Counter("hotc_ctl_prewarm_total",
-			"Containers the control loop asked the pool to pre-warm."),
-		ctlRetire: reg.Counter("hotc_ctl_retire_total",
-			"Containers the control loop retired on scale-down."),
-		ctlTicks: reg.Counter("hotc_ctl_ticks_total",
-			"Control loop ticks executed."),
+		ctl: core.NewBooks(reg),
 		poolRetired: reg.Counter("hotc_pool_retired_total",
 			"Containers stopped by scale-down, cap eviction or keep-alive expiry."),
 		bodyBytes: reg.Histogram("hotc_gateway_body_bytes",

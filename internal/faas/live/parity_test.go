@@ -5,71 +5,60 @@ import (
 	"testing"
 	"time"
 
-	"hotc"
-	"hotc/internal/obs"
+	"hotc/internal/config"
+	"hotc/internal/core"
+	"hotc/internal/faas"
 	"hotc/internal/predictor"
+	"hotc/internal/stack"
+	"hotc/internal/trace"
+	"hotc/internal/workload"
 )
 
-// ctlTick is what one control interval looked like from outside: the
-// pool size the interval's demand found, and the three gauges both
-// stacks publish under the same names after the tick that closed it.
-type ctlTick struct {
-	warm                       int
-	observed, forecast, target float64
-}
-
-func readTick(reg *obs.Registry, key string, warm int) ctlTick {
-	gauge := func(name string) float64 { return reg.GaugeVec(name, "", "key").With(key).Value() }
-	return ctlTick{warm, gauge("hotc_ctl_demand"), gauge("hotc_ctl_forecast"), gauge("hotc_ctl_target")}
-}
-
-// simTicks replays the per-interval peak demands through the
+// simTrail replays the per-interval peak demands through the
 // simulation: each interval's requests arrive together at its middle,
-// on virtual time, and the control loop ticks at its end.
-func simTicks(t *testing.T, tick time.Duration, demands []int) []ctlTick {
+// on virtual time, and the control loop ticks at its end. It returns
+// the controller's decision trail and the pool size each interval's
+// demand found.
+func simTrail(t *testing.T, tick time.Duration, demands []int) ([]core.Decision, []int) {
 	t.Helper()
-	sim, err := hotc.NewSimulation(hotc.Config{ControlInterval: tick, LocalImages: true})
+	st, err := stack.New(stack.Options{PrePull: true, Core: core.Options{Interval: tick}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
-	app, err := hotc.AppQR("python")
-	if err != nil {
+	defer st.Close()
+	fn := faas.Function{Name: "f", Runtime: config.Runtime{Image: "python:3.8"}, App: workload.QRApp(workload.Python)}
+	if err := st.Deploy(fn); err != nil {
 		t.Fatal(err)
 	}
-	rt := hotc.Runtime{Image: "python:3.8"}
-	if err := sim.Deploy(hotc.FunctionSpec{Name: "f", Runtime: rt, App: app}); err != nil {
-		t.Fatal(err)
-	}
-	var out []ctlTick
+	var warm []int
 	for i, d := range demands {
 		end := time.Duration(i+1) * tick
-		sim.AdvanceTime(end - tick/2 - sim.Now())
-		warm := sim.LiveContainers()
+		st.Sched.Sleep(end - tick/2 - st.Sched.Now())
+		warm = append(warm, st.Engine.Live())
 		if d > 0 {
-			if _, err := sim.Replay(make(hotc.Workload, d), nil); err != nil {
+			if _, err := faas.Run(st.Gateway, make([]trace.Request, d), func(int) string { return "f" }); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if sim.Now() >= end {
-			t.Fatalf("interval %d: requests ran into the tick (now %v)", i, sim.Now())
+		if st.Sched.Now() >= end {
+			t.Fatalf("interval %d: requests ran into the tick (now %v)", i, st.Sched.Now())
 		}
-		sim.AdvanceTime(end - sim.Now())
-		out = append(out, readTick(sim.Metrics(), string(rt.Key()), warm))
+		st.Sched.Sleep(end - st.Sched.Now())
 	}
-	return out
+	trail, _ := st.HotC.Trail(fn.Runtime.Key())
+	return trail, warm
 }
 
-// liveTicks drives the same demands through a live gateway: real
+// liveTrail drives the same demands through a live gateway: real
 // watchdogs with zero-cost boots, the fake clock for time, acquire and
 // release called directly so an interval's requests overlap exactly.
-func liveTicks(t *testing.T, tick, keepAlive time.Duration, demands []int) []ctlTick {
+func liveTrail(t *testing.T, tick, keepAlive time.Duration, demands []int) ([]core.Decision, []int) {
 	t.Helper()
 	g, clk, _ := startControlled(t,
 		PoolConfig{NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: keepAlive},
 		echoFn("f", 0))
 	s := g.shard("f")
-	var out []ctlTick
+	var warm []int
 	for i, d := range demands {
 		clk.Advance(tick / 2)
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -83,7 +72,7 @@ func liveTicks(t *testing.T, tick, keepAlive time.Duration, demands []int) []ctl
 				t.Fatalf("interval %d: %d prewarm boots never landed", i, booting)
 			}
 		}
-		warm := g.WarmInstances("f")
+		warm = append(warm, g.WarmInstances("f"))
 		held := make([]*instance, d)
 		for j := range held {
 			inst, _, err := g.acquire(context.Background(), s)
@@ -96,18 +85,19 @@ func liveTicks(t *testing.T, tick, keepAlive time.Duration, demands []int) []ctl
 			g.release(s, inst, true)
 		}
 		g.controlOnce("f", clk.Advance(tick/2))
-		out = append(out, readTick(g.reg, "f", warm))
 	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctl.Trail(), warm
 }
 
 // The simulator referees the live stack: the same per-interval demand
-// through hotc.Simulation (core.HotC on virtual time) and through a
-// live gateway (controlOnce on the fake clock) must produce the same
-// observation, the same forecast, the same target and the same pool,
-// tick by tick — one control law, two substrates. The simulation
-// retains a used runtime for 30 minutes; the live side gets the same
-// window as its keep-alive.
+// through the simulation (core.HotC on virtual time) and through a live
+// gateway (controlOnce on the fake clock) must leave the same decision
+// trail — observation, forecasts, every PlanInput field, target, boot
+// and retire — and the same pool, tick by tick: one control step, two
+// substrates. The simulation retains a used runtime for 30 minutes; the
+// live side gets the same window as its keep-alive.
 func TestSimLiveControlParity(t *testing.T) {
 	const tick, retain = time.Minute, 30 * time.Minute
 	silence := make([]int, 36) // runs past the retain window
@@ -118,11 +108,15 @@ func TestSimLiveControlParity(t *testing.T) {
 		"one request then silence": silence,
 	} {
 		t.Run(name, func(t *testing.T) {
-			want := simTicks(t, tick, demands)
-			got := liveTicks(t, tick, retain, demands)
+			want, wantWarm := simTrail(t, tick, demands)
+			got, gotWarm := liveTrail(t, tick, retain, demands)
+			if len(got) != len(demands) || len(want) != len(demands) {
+				t.Fatalf("trails of %d (live) and %d (simulation) decisions, want %d", len(got), len(want), len(demands))
+			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("interval %d (demand %d): live %+v, simulation %+v", i, demands[i], got[i], want[i])
+				if got[i] != want[i] || gotWarm[i] != wantWarm[i] {
+					t.Errorf("interval %d (demand %d):\n live       %d warm, %+v\n simulation %d warm, %+v",
+						i, demands[i], gotWarm[i], got[i], wantWarm[i], want[i])
 				}
 			}
 		})

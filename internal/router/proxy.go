@@ -187,6 +187,12 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 			body = bytes.NewReader(buf)
 		}
 		resp, err := rt.forward(r, c.n, name, body, traceparent)
+		if err != nil && r.Context().Err() != nil {
+			// The client gave up: no node failed, and nobody waits for
+			// another attempt.
+			rt.finish(w, "canceled", start, tc, attempts, c.n, nil)
+			return
+		}
 		if err != nil {
 			// Transport failure: the node is likely gone. Count it
 			// towards the probe threshold and spill.
@@ -268,8 +274,12 @@ func (rt *Router) finish(w http.ResponseWriter, outcome string, start time.Time,
 	if resp == nil {
 		h.Set("Retry-After", "1")
 		msg := "router: no node accepted the request"
-		if outcome == "no_node" {
+		switch outcome {
+		case "no_node":
 			msg = "router: no healthy node available"
+		case "canceled":
+			// Nobody reads it; 499 is what the gateway answers a hang-up.
+			status, msg = 499, "router: client closed request"
 		}
 		http.Error(w, msg, status)
 		return

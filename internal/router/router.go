@@ -193,7 +193,7 @@ func New(cfg Config) (*Router, error) {
 		stopCh: make(chan struct{}),
 	}
 	rt.mRequests = reg.CounterVec("hotc_router_requests_total",
-		"Routed invocations by placement outcome: warm (warm-affinity hit), hash (ring owner), spill (ring successor after saturation), rr (round-robin policy), no_node (no healthy target), error (every attempt failed).",
+		"Routed invocations by placement outcome: warm (warm-affinity hit), hash (ring owner), spill (ring successor after saturation), rr (round-robin policy), no_node (no healthy target), error (every attempt failed), canceled (the client gave up).",
 		"outcome")
 	rt.mLatency = reg.HistogramVec("hotc_router_request_duration_ms",
 		"End-to-end routed request latency in milliseconds, labeled by placement outcome.",

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -356,6 +357,57 @@ func TestSpillOnSaturationSignal(t *testing.T) {
 	}
 	if rt.mSpills.Value() < 1 || rt.mDrains.Value() < 1 {
 		t.Fatalf("spill/drain counters = %v/%v, want both >= 1", rt.mSpills.Value(), rt.mDrains.Value())
+	}
+}
+
+// A client that gives up is not a node failure: its abandoned request
+// books no probe miss, spills nowhere and is counted canceled, so three
+// of them (ProbeFailures) leave both nodes in rotation.
+func TestClientDisconnectIsNotANodeFailure(t *testing.T) {
+	_, n1 := startNode(t, live.PoolConfig{})
+	_, n2 := startNode(t, live.PoolConfig{})
+	rt, base := startRouter(t, Config{Nodes: []string{n1, n2}})
+	deployVia(t, base, "fn", "sleep", 0)
+
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, base+"/function/fn", strings.NewReader("500"))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("request %d answered %d before the client gave up", i, resp.StatusCode)
+		}
+		cancel()
+	}
+	// The router notices each hang-up on its own time: wait until it has
+	// concluded all three, whatever it booked them as.
+	concluded := func() float64 {
+		n := 0.0
+		for _, o := range []string{"warm", "hash", "spill", "rr", "no_node", "error", "canceled"} {
+			n += rt.mRequests.With(o).Value()
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); concluded() < 3; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("router concluded %v of 3 abandoned requests", concluded())
+		}
+	}
+
+	for _, st := range rt.Nodes() {
+		if !st.Healthy || st.Misses != 0 {
+			t.Errorf("node %s: healthy=%v probeMisses=%d, want healthy with 0 misses", st.Name, st.Healthy, st.Misses)
+		}
+	}
+	if got := rt.mSpills.Value(); got != 0 {
+		t.Errorf("hotc_router_spill_attempts_total = %v, want 0", got)
+	}
+	if got := rt.mRequests.With("canceled").Value(); got != 3 {
+		t.Errorf(`hotc_router_requests_total{outcome="canceled"} = %v, want 3`, got)
+	}
+	next := invoke(t, base, "fn", "1")
+	io.Copy(io.Discard, next.Body)
+	if next.StatusCode != http.StatusOK {
+		t.Fatalf("next request = %d, want 200", next.StatusCode)
 	}
 }
 

@@ -126,7 +126,7 @@ echo "== one book (sim: every pool and gateway event counted once, in the regist
 # hotc_resilience_events_total at one site, request.annotate.
 SIM="$(ls internal/faas/*.go internal/pool/*.go internal/core/*.go | grep -v '_test\.go$')"
 if grep -nE 'obs [!=]= nil' $SIM >&2; then
-	echo "verify: a nil test on obs: every stack has its books, so count into g.obs/p.obs/h.obs unconditionally" >&2
+	echo "verify: a nil test on obs: every stack has its books, so count into g.obs/p.obs/h.books unconditionally" >&2
 	exit 1
 fi
 if grep -n 'metrics\.Counters' $SIM >&2; then
@@ -142,6 +142,31 @@ if [ "$n" -ne 1 ]; then
 	echo "verify: hotc_resilience_events_total is incremented at $n sites in the sim (want 1): book a resilience event with request.annotate" >&2
 	exit 1
 fi
+echo "== one control step (both substrates close an interval with core.Demand.Step and book it in core's control books)"
+# Algorithm 3's interval close — tick the demand accounting, forecast,
+# plan, book the decision — was written twice, in core.HotC.tick and
+# live.controlOnce, each with its own prediction trail and its own
+# declaration of the hotc_ctl_* families, and the copies drifted (live's
+# hotc_ctl_prewarm_total counted landings under a HELP that says asked).
+# So non-test Go outside internal/core calls neither core.Plan nor a
+# Demand's Tick and names no hotc_ctl_ family, and inside internal/core
+# Plan and Tick are each called once, in Step.
+bad="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build \
+	-E 'core\.Plan\(|\.Tick\(\)|"hotc_ctl_' . | grep -v '^\./internal/core/' || true)"
+if [ -n "$bad" ]; then
+	echo "$bad" >&2
+	echo "verify: a control interval closed or booked outside core: call core.Demand.Step and apply its Boot/Retire, book the decision with core's control books (core.Books.Record)" >&2
+	exit 1
+fi
+CORE="$(ls internal/core/*.go | grep -v '_test\.go$')"
+for call in '(^|[^A-Za-z_])Plan[(]' '[.]Tick[(][)]'; do
+	sites="$(awk -v pat="$call" '/^func /{fn=$0} /^[[:space:]]*\/\//{next} $0 ~ pat && !/^func Plan[(]/ {print FILENAME":"FNR": in "fn}' $CORE)"
+	if [ "$(echo "$sites" | grep -c 'func (d \*Demand) Step(')" -ne 1 ] || [ "$(echo "$sites" | grep -c .)" -ne 1 ]; then
+		echo "$sites" >&2
+		echo "verify: internal/core must call $call exactly once, in core.Demand.Step: every interval closes there" >&2
+		exit 1
+	fi
+done
 echo "== go test -race"
 go test -race ./...
 echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
