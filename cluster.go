@@ -96,29 +96,18 @@ type ClusterRequestResult struct {
 }
 
 // Replay routes the workload across the cluster. classFn maps request
-// classes to function names (nil = first deployed function).
+// classes to function names; nil is allowed only when a single function
+// is deployed, which then serves everything.
 func (cs *ClusterSimulation) Replay(w Workload, classFn func(class int) string) ([]ClusterRequestResult, error) {
 	if classFn == nil {
-		name := ""
-		for _, n := range cs.c.Nodes() {
-			fns := n.Gateway.Functions()
-			if len(fns) > 0 {
-				name = fns[0]
-			}
-			break
-		}
-		if name == "" {
-			return nil, fmt.Errorf("hotc: no functions deployed")
+		name, err := soleFunction(cs.c.Functions())
+		if err != nil {
+			return nil, err
 		}
 		classFn = func(int) string { return name }
 	}
-	raw, err := cs.c.Run([]trace.Request(w), classFn)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ClusterRequestResult, len(raw))
-	for i, r := range raw {
-		out[i] = ClusterRequestResult{
+	return cluster.RunAs(cs.c, []trace.Request(w), classFn, func(r cluster.Result) ClusterRequestResult {
+		return ClusterRequestResult{
 			Function: r.Function,
 			Node:     r.Node,
 			Latency:  r.Timestamps.Total(),
@@ -126,8 +115,7 @@ func (cs *ClusterSimulation) Replay(w Workload, classFn func(class int) string) 
 			Round:    r.Request.Round,
 			Err:      r.Err,
 		}
-	}
-	return out, nil
+	})
 }
 
 // FailNode takes node i out of rotation; RecoverNode brings it back.

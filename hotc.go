@@ -24,6 +24,7 @@ package hotc
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"hotc/internal/config"
@@ -416,23 +417,20 @@ func CampusWorkload(seed int64, scale float64, minutes, classes int) Workload {
 }
 
 // Replay runs the workload against the deployment. classFn maps a
-// request class to a deployed function name; pass nil when a single
-// function serves everything (the first deployed name is used).
+// request class to a deployed function name; it must be a pure mapping,
+// and is consulted once per distinct class. Pass nil when a single
+// function is deployed to have it serve everything; with more than one
+// deployed, nil is an error.
 func (s *Simulation) Replay(w Workload, classFn func(class int) string) ([]RequestResult, error) {
 	if classFn == nil {
-		names := s.st.Gateway.Functions()
-		if len(names) == 0 {
-			return nil, fmt.Errorf("hotc: no functions deployed")
+		name, err := soleFunction(s.st.Gateway.Functions())
+		if err != nil {
+			return nil, err
 		}
-		classFn = func(int) string { return names[0] }
+		classFn = func(int) string { return name }
 	}
-	raw, err := faas.Run(s.st.Gateway, w, classFn)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RequestResult, len(raw))
-	for i, r := range raw {
-		out[i] = RequestResult{
+	return faas.RunAs(s.st.Gateway, w, classFn, func(r faas.Result) RequestResult {
+		return RequestResult{
 			Function:   r.Function,
 			Latency:    r.Timestamps.Total(),
 			Initiation: r.Timestamps.Initiation(),
@@ -441,8 +439,20 @@ func (s *Simulation) Replay(w Workload, classFn func(class int) string) ([]Reque
 			Err:        r.Err,
 			Faults:     len(r.Faults),
 		}
+	})
+}
+
+// soleFunction is the function a nil classFn stands for: the one
+// deployed, when there is exactly one.
+func soleFunction(names []string) (string, error) {
+	switch len(names) {
+	case 0:
+		return "", fmt.Errorf("hotc: no functions deployed")
+	case 1:
+		return names[0], nil
+	default:
+		return "", fmt.Errorf("hotc: a nil classFn is ambiguous with %d functions deployed (%s): pass one", len(names), strings.Join(names, ", "))
 	}
-	return out, nil
 }
 
 // ChainResult is the outcome of one request through a function chain

@@ -1,6 +1,7 @@
 package hotc
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -96,6 +97,79 @@ func TestReplayWithoutDeployFails(t *testing.T) {
 	sim := newSim(t, Config{Policy: PolicyCold})
 	if _, err := sim.Replay(SerialWorkload(time.Second, 1), nil); err == nil {
 		t.Fatal("replay with no functions should fail")
+	}
+}
+
+// A nil classFn serves everything with the one deployed function. With
+// two deployed it used to pick the alphabetically first name (alpha,
+// though zeta was deployed first), on the cluster from node 0's list:
+// now both facades refuse, naming the candidates.
+func TestReplayNilClassFnIsUnambiguous(t *testing.T) {
+	sim := newSim(t, Config{Policy: PolicyHotC})
+	cs, err := NewClusterSimulation(ClusterConfig{LocalImages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cs.Close)
+	facades := []struct {
+		name   string
+		deploy func(FunctionSpec) error
+		replay func() (int, error)
+	}{
+		{"simulation", sim.Deploy, func() (int, error) {
+			rs, err := sim.Replay(SerialWorkload(time.Second, 2), nil)
+			return len(rs), err
+		}},
+		{"cluster", cs.Deploy, func() (int, error) {
+			rs, err := cs.Replay(SerialWorkload(time.Second, 2), nil)
+			return len(rs), err
+		}},
+	}
+	for _, f := range facades {
+		if _, err := f.replay(); err == nil || !strings.Contains(err.Error(), "no functions deployed") {
+			t.Fatalf("%s: replay with nothing deployed: %v", f.name, err)
+		}
+		if err := f.deploy(FunctionSpec{Name: "zeta", Runtime: Runtime{Image: "python:3.8"}, App: mustQR(t)}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.replay(); err != nil || n != 2 {
+			t.Fatalf("%s: one function deployed: %d results, %v", f.name, n, err)
+		}
+		if err := f.deploy(FunctionSpec{Name: "alpha", Runtime: Runtime{Image: "node:10"}, App: mustQR(t)}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := f.replay()
+		if err == nil || !strings.Contains(err.Error(), "alpha") || !strings.Contains(err.Error(), "zeta") {
+			t.Fatalf("%s: a nil classFn over alpha and zeta gave %v, want an error naming both", f.name, err)
+		}
+	}
+}
+
+// classFn is a pure mapping: a replay asks it once per distinct class,
+// however many requests the class has.
+func TestClassFnConsultedOncePerClass(t *testing.T) {
+	s := newCampusSim(t, 0)
+	w := CampusWorkload(1, 1.0, 120, 4)
+	calls := map[int]int{}
+	results, err := s.Replay(w, func(class int) string {
+		calls[class]++
+		return campusClassFn(class)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 4 {
+		t.Fatalf("classFn saw classes %v, want the four of the trace", calls)
+	}
+	for class, n := range calls {
+		if n != 1 {
+			t.Fatalf("classFn consulted %d times for class %d over %d requests, want once", n, class, len(w))
+		}
+	}
+	for i, r := range results {
+		if want := campusClassFn(w[i].Class); r.Function != want {
+			t.Fatalf("request %d (class %d) served by %q, want %q", i, w[i].Class, r.Function, want)
+		}
 	}
 }
 

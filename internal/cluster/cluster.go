@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 
 	"hotc/internal/config"
 	"hotc/internal/container"
@@ -199,6 +200,16 @@ func (c *Cluster) Deploy(name string, rt config.Runtime, app workload.App) error
 	return nil
 }
 
+// Functions returns the names deployed on every node, sorted.
+func (c *Cluster) Functions() []string {
+	names := make([]string, 0, len(c.apps))
+	for name := range c.apps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func dirKey(key config.Key, node string) string {
 	return string(key) + "|" + node
 }
@@ -315,13 +326,24 @@ func (c *Cluster) Handle(name string, req trace.Request, done func(Result)) {
 // Run replays a schedule against the cluster, stepping the shared
 // clock until all responses arrive. Results are in schedule order.
 func (c *Cluster) Run(schedule []trace.Request, classFn func(int) string) ([]Result, error) {
-	results, err := faas.Replay(c.sched, schedule, func(req trace.Request, done func(Result)) {
-		c.Handle(classFn(req.Class), req, done)
+	return RunAs(c, schedule, classFn, func(r Result) Result { return r })
+}
+
+// RunAs is Run for a caller that keeps its own record of a request: as
+// maps each result into it when the request finishes.
+func RunAs[R any](c *Cluster, schedule []trace.Request, classFn func(int) string, as func(Result) R) ([]R, error) {
+	out := make([]R, len(schedule))
+	pending := len(schedule)
+	err := faas.Replay(c.sched, schedule, &pending, func(i int, req trace.Request) {
+		c.Handle(classFn(req.Class), req, func(r Result) {
+			out[i] = as(r)
+			pending--
+		})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return results, nil
+	return out, nil
 }
 
 // ReuseRate reports the fraction of successful requests that reused a

@@ -175,6 +175,27 @@ type Container struct {
 	// container; a warm app skips runtime+app init and runs at full
 	// cache speed (§IV.A: hot cache, fewer TLB flushes).
 	warm map[string]bool
+
+	// The exec and the volume cleanup in flight, and the callbacks the
+	// engine bound to the container at creation to finish them. There
+	// is at most one of each: Exec takes a container only Available or
+	// reserved and leaves it neither, and CleanVolume refuses one it is
+	// already cleaning.
+	exec              pendingExec
+	clean             pendingClean
+	execEnd, cleanEnd func()
+}
+
+type pendingExec struct {
+	app  workload.App
+	cost time.Duration
+	warm bool // the app was warm when the exec began
+	done func(time.Duration, error)
+}
+
+type pendingClean struct {
+	prev State // restored when the cleanup ends
+	done func(error)
 }
 
 // State returns the current lifecycle state.
@@ -219,6 +240,9 @@ type Engine struct {
 	nextID     int
 	containers map[string]*Container
 	stats      Stats
+	// available counts the containers in the Available state: every
+	// state change goes through setState, which keeps it.
+	available int
 
 	// activeCPUPct and activeMemMB account the resources of currently
 	// executing workloads, for the Fig. 15 host-resource monitoring.
@@ -294,14 +318,32 @@ func (e *Engine) LiveContainers() []*Container {
 
 // IdleOverheadMemMB is the memory cost of all live idle containers:
 // the Fig. 15(a) quantity (~0.7 MB per live container).
-func (e *Engine) IdleOverheadMemMB() float64 {
+func (e *Engine) IdleOverheadMemMB() float64 { return e.perAvailable(e.cm.C.IdleContainerMemMB) }
+
+// perAvailable adds cost once per Available container, the additions a
+// walk over the containers would make, so the sum has the same bits.
+func (e *Engine) perAvailable(cost float64) float64 {
 	n := 0.0
-	for _, c := range e.containers {
-		if c.state == Available {
-			n += e.cm.C.IdleContainerMemMB
-		}
+	for i := 0; i < e.available; i++ {
+		n += cost
 	}
 	return n
+}
+
+// setState moves c to state s, keeping the Available count. Stopped is
+// terminal: a completion that lands after the container stopped (and
+// left the engine) does not bring it back.
+func (e *Engine) setState(c *Container, s State) {
+	switch c.state {
+	case Stopped:
+		return
+	case Available:
+		e.available--
+	}
+	if s == Available {
+		e.available++
+	}
+	c.state = s
 }
 
 // ActiveCPUPct is the CPU usage of all currently executing workloads.
@@ -312,15 +354,7 @@ func (e *Engine) ActiveCPUPct() float64 { return e.activeCPUPct }
 func (e *Engine) ActiveMemMB() float64 { return e.activeMemMB }
 
 // IdleOverheadCPUPct is the CPU cost of all live idle containers.
-func (e *Engine) IdleOverheadCPUPct() float64 {
-	n := 0.0
-	for _, c := range e.containers {
-		if c.state == Available {
-			n += e.cm.C.IdleContainerCPUPct
-		}
-	}
-	return n
-}
+func (e *Engine) IdleOverheadCPUPct() float64 { return e.perAvailable(e.cm.C.IdleContainerCPUPct) }
 
 func (e *Engine) jitter(d time.Duration) time.Duration {
 	if e.jit == nil {
@@ -392,10 +426,12 @@ func (e *Engine) Create(spec Spec, done func(*Container, error)) {
 			Spec:       spec,
 			CreatedAt:  e.sched.Now(),
 			LastUsedAt: e.sched.Now(),
-			state:      Available,
 			warm:       make(map[string]bool),
 			Volume:     Volume{Generation: 1},
 		}
+		c.execEnd = func() { e.endExec(c) }
+		c.cleanEnd = func() { e.endClean(c) }
+		e.setState(c, Available)
 		e.containers[c.ID] = c
 		e.stats.Created++
 		done(c, nil)
@@ -410,7 +446,7 @@ func (e *Engine) Reserve(c *Container) error {
 	if c.state != Available {
 		return fmt.Errorf("container: reserve on %s in state %v", c.ID, c.state)
 	}
-	c.state = NotAvailable
+	e.setState(c, NotAvailable)
 	c.reserved = true
 	return nil
 }
@@ -420,7 +456,7 @@ func (e *Engine) Unreserve(c *Container) {
 	if c.reserved {
 		c.reserved = false
 		if c.state == NotAvailable {
-			c.state = Available
+			e.setState(c, Available)
 		}
 	}
 }
@@ -479,14 +515,14 @@ func (e *Engine) Exec(c *Container, app workload.App, done func(time.Duration, e
 			// any active CPU/mem accounting, so a failed exec — even
 			// repeated on the same container — leaves activeCPUPct and
 			// activeMemMB untouched and the container Available.
-			c.state = Available
+			e.setState(c, Available)
 			done(0, fmt.Errorf("container: exec failed: %w", err))
 			return
 		}
 	}
 	wasWarm := c.WarmFor(app)
 	cost := e.jitter(e.ExecCost(c, app))
-	c.state = NotAvailable
+	e.setState(c, NotAvailable)
 	e.activeCPUPct += app.CPUPct
 	e.activeMemMB += app.MemMB
 	// Resource contention (opt-in): when aggregate demand exceeds the
@@ -498,22 +534,28 @@ func (e *Engine) Exec(c *Container, app workload.App, done func(time.Duration, e
 	if knee := e.cm.C.ContentionKneePct; knee > 0 && e.activeCPUPct > knee {
 		cost = time.Duration(float64(cost) * e.activeCPUPct / knee)
 	}
-	e.sched.After(cost, func() {
-		e.activeCPUPct -= app.CPUPct
-		e.activeMemMB -= app.MemMB
-		c.state = Available
-		c.warm[app.Name] = true
-		c.Execs++
-		c.Volume.Dirty = true
-		c.LastUsedAt = e.sched.Now()
-		if wasWarm {
-			e.stats.WarmStarts++
-			e.stats.Reused++
-		} else {
-			e.stats.ColdStarts++
-		}
-		done(cost, nil)
-	})
+	c.exec = pendingExec{app: app, cost: cost, warm: wasWarm, done: done}
+	e.sched.After(cost, c.execEnd)
+}
+
+// endExec finishes c's exec in flight.
+func (e *Engine) endExec(c *Container) {
+	x := c.exec
+	c.exec = pendingExec{}
+	e.activeCPUPct -= x.app.CPUPct
+	e.activeMemMB -= x.app.MemMB
+	e.setState(c, Available)
+	c.warm[x.app.Name] = true
+	c.Execs++
+	c.Volume.Dirty = true
+	c.LastUsedAt = e.sched.Now()
+	if x.warm {
+		e.stats.WarmStarts++
+		e.stats.Reused++
+	} else {
+		e.stats.ColdStarts++
+	}
+	x.done(x.cost, nil)
 }
 
 // Warmup asynchronously pre-initialises app inside c (used by the
@@ -532,9 +574,9 @@ func (e *Engine) Warmup(c *Container, app workload.App, done func(error)) {
 		return
 	}
 	cost := e.jitter(e.initCost(app))
-	c.state = NotAvailable
+	e.setState(c, NotAvailable)
 	e.sched.After(cost, func() {
-		c.state = Available
+		e.setState(c, Available)
 		c.warm[app.Name] = true
 		done(nil)
 	})
@@ -555,16 +597,25 @@ func (e *Engine) CleanVolume(c *Container, done func(error)) {
 		done(nil)
 		return
 	}
+	if c.clean.done != nil {
+		done(fmt.Errorf("container: cleaning volume of %s twice at once", c.ID))
+		return
+	}
 	cost := e.jitter(e.cm.VolumeCleanupCost() + e.cm.VolumeSetupCost())
-	prev := c.state
-	c.state = NotAvailable
-	e.sched.After(cost, func() {
-		c.state = prev
-		c.Volume.Generation++
-		c.Volume.Dirty = false
-		e.stats.CleanedVols++
-		done(nil)
-	})
+	c.clean = pendingClean{prev: c.state, done: done}
+	e.setState(c, NotAvailable)
+	e.sched.After(cost, c.cleanEnd)
+}
+
+// endClean finishes c's volume cleanup in flight.
+func (e *Engine) endClean(c *Container) {
+	x := c.clean
+	c.clean = pendingClean{}
+	e.setState(c, x.prev)
+	c.Volume.Generation++
+	c.Volume.Dirty = false
+	e.stats.CleanedVols++
+	x.done(nil)
 }
 
 // Repurpose asynchronously re-keys an idle container as a zygote for a
@@ -588,7 +639,7 @@ func (e *Engine) Repurpose(c *Container, spec Spec, done func(error)) {
 	missing := e.cache.MissingMB(spec.Image)
 	cost := e.jitter(e.cm.VolumeCleanupCost() + e.cm.VolumeSetupCost() +
 		e.cm.PullCost(missing) + e.cm.UnpackCost(missing))
-	c.state = NotAvailable
+	e.setState(c, NotAvailable)
 	e.sched.After(cost, func() {
 		e.cache.Admit(spec.Image)
 		e.stats.PulledMB += missing
@@ -598,7 +649,7 @@ func (e *Engine) Repurpose(c *Container, spec Spec, done func(error)) {
 		}
 		c.Volume.Generation++
 		c.Volume.Dirty = false
-		c.state = Available
+		e.setState(c, Available)
 		e.stats.CleanedVols++
 		e.stats.Repurposed++
 		done(nil)
@@ -617,9 +668,9 @@ func (e *Engine) Stop(c *Container, done func()) {
 		return
 	}
 	cost := e.jitter(e.cm.EngineTeardownCost() + c.Spec.Net.TeardownCost(e.cm))
-	c.state = NotAvailable
+	e.setState(c, NotAvailable)
 	e.sched.After(cost, func() {
-		c.state = Stopped
+		e.setState(c, Stopped)
 		c.Volume.Deleted = true
 		e.stats.Stopped++
 		delete(e.containers, c.ID)

@@ -75,8 +75,13 @@ func (g *Gateway) HandleChain(stages []string, req trace.Request, done func(Chai
 // RunChain replays a schedule where every request traverses the whole
 // chain. Results are in schedule order.
 func RunChain(g *Gateway, schedule []trace.Request, stages []string) ([]ChainResult, error) {
-	results, err := Replay(g.sched, schedule, func(req trace.Request, done func(ChainResult)) {
-		g.HandleChain(stages, req, done)
+	out := make([]ChainResult, len(schedule))
+	pending := len(schedule)
+	err := Replay(g.sched, schedule, &pending, func(i int, req trace.Request) {
+		g.HandleChain(stages, req, func(cr ChainResult) {
+			out[i] = cr
+			pending--
+		})
 	})
 	if err == nil {
 		err = g.settle()
@@ -84,5 +89,5 @@ func RunChain(g *Gateway, schedule []trace.Request, stages []string) ([]ChainRes
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	return out, nil
 }

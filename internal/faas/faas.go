@@ -119,13 +119,10 @@ type Gateway struct {
 	eng      *container.Engine
 	provider Provider
 
-	functions map[string]Function
-	specs     map[string]container.Spec
-
-	inFlight map[string]int
-	waiting  map[string][]*request
-	// QueuedPeak tracks the maximum queue depth seen per function.
-	queuedPeak map[string]int
+	// deployments holds one record per deployed function name, and keys
+	// one per runtime key those functions run on.
+	deployments map[string]*deployment
+	keys        map[string]*runtimeKey
 
 	// MaxAcquireRetries is how many times a failed runtime acquisition
 	// is retried before the request fails (transient engine errors —
@@ -153,12 +150,39 @@ type Gateway struct {
 	// allowed through to the provider again. Default 30s.
 	BreakerOpenFor time.Duration
 
-	breakers map[string]*Breaker
+	// spare holds finished requests for the next ones to reuse.
+	spare []*request
 
 	// obs holds the gateway's books, on the registry NewGateway was
 	// given; tracer is the optional span hook (see Trace).
 	obs    *instruments
 	tracer *obs.Tracer
+}
+
+// deployment is one deployed function's record: what a request for it
+// reads, resolved once. Deploy sets the function and its spec (a
+// redeploy replaces both, and an admitted request keeps the function it
+// was admitted with); the metric series are resolved at the first
+// request, when they appear in the registry. The concurrency slots and
+// the queue behind them belong to the name and survive a redeploy.
+type deployment struct {
+	fn      *Function
+	spec    *container.Spec
+	key     *runtimeKey
+	metrics *fnHandles // nil until the first request starts
+
+	inFlight   int
+	waiting    []*request
+	queuedPeak int
+}
+
+// runtimeKey is one runtime key's record, shared by every function
+// deployed on the key: its circuit breaker (nil until breaking is armed
+// and the key sees traffic) and its metric series (nil until first set).
+type runtimeKey struct {
+	key     string
+	brk     *Breaker
+	metrics *keyHandles
 }
 
 // Keys of ResilienceCounters.
@@ -174,7 +198,12 @@ const (
 
 // BreakerFor returns the circuit breaker guarding the runtime key, or
 // nil when breaking is disabled or the key has seen no traffic yet.
-func (g *Gateway) BreakerFor(key string) *Breaker { return g.breakers[key] }
+func (g *Gateway) BreakerFor(key string) *Breaker {
+	if k := g.keys[key]; k != nil {
+		return k.brk
+	}
+	return nil
+}
 
 // NewGateway builds a gateway over the engine with the given runtime
 // provider, counting into reg.
@@ -186,12 +215,8 @@ func NewGateway(eng *container.Engine, provider Provider, reg *obs.Registry) *Ga
 		sched:             eng.Scheduler(),
 		eng:               eng,
 		provider:          provider,
-		functions:         make(map[string]Function),
-		specs:             make(map[string]container.Spec),
-		inFlight:          make(map[string]int),
-		waiting:           make(map[string][]*request),
-		queuedPeak:        make(map[string]int),
-		breakers:          make(map[string]*Breaker),
+		deployments:       make(map[string]*deployment),
+		keys:              make(map[string]*runtimeKey),
 		MaxAcquireRetries: 1,
 		Backoff:           DefaultBackoff(),
 		obs:               newInstruments(reg),
@@ -200,45 +225,46 @@ func NewGateway(eng *container.Engine, provider Provider, reg *obs.Registry) *Ga
 
 // breakerFor lazily builds the breaker guarding a runtime key; nil when
 // breaking is disabled.
-func (g *Gateway) breakerFor(key string) *Breaker {
+func (g *Gateway) breakerFor(k *runtimeKey) *Breaker {
 	if g.BreakerThreshold <= 0 {
 		return nil
 	}
-	b := g.breakers[key]
-	if b == nil {
-		b = NewBreaker(g.BreakerThreshold, g.BreakerOpenFor)
-		g.breakers[key] = b
+	if k.brk == nil {
+		k.brk = NewBreaker(g.BreakerThreshold, g.BreakerOpenFor)
 	}
-	return b
+	return k.brk
 }
 
 // QueuedPeak reports the maximum gateway queue depth observed for a
 // concurrency-limited function.
-func (g *Gateway) QueuedPeak(name string) int { return g.queuedPeak[name] }
+func (g *Gateway) QueuedPeak(name string) int {
+	if d := g.deployments[name]; d != nil {
+		return d.queuedPeak
+	}
+	return 0
+}
 
 // admit starts the request immediately if its function has a free
 // concurrency slot, otherwise enqueues it.
 func (g *Gateway) admit(r *request) {
-	name := r.fn.Name
-	if r.fn.MaxConcurrency <= 0 || g.inFlight[name] < r.fn.MaxConcurrency {
-		g.inFlight[name]++
+	d := r.d
+	if r.fn.MaxConcurrency <= 0 || d.inFlight < r.fn.MaxConcurrency {
+		d.inFlight++
 		r.start()
 		return
 	}
-	g.waiting[name] = append(g.waiting[name], r)
-	if depth := len(g.waiting[name]); depth > g.queuedPeak[name] {
-		g.queuedPeak[name] = depth
-	}
+	d.waiting = append(d.waiting, r)
+	d.queuedPeak = max(d.queuedPeak, len(d.waiting))
 }
 
 // releaseSlot frees a concurrency slot and starts the next queued
 // request, if any.
-func (g *Gateway) releaseSlot(name string) {
-	g.inFlight[name]--
-	if q := g.waiting[name]; len(q) > 0 {
+func (g *Gateway) releaseSlot(d *deployment) {
+	d.inFlight--
+	if q := d.waiting; len(q) > 0 {
 		next := q[0]
-		g.waiting[name] = q[1:]
-		g.inFlight[name]++
+		d.waiting = q[1:]
+		d.inFlight++
 		next.start()
 	}
 }
@@ -259,8 +285,18 @@ func (g *Gateway) Deploy(fn Function, reg SpecResolver) error {
 	if err != nil {
 		return fmt.Errorf("faas: deploying %q: %w", fn.Name, err)
 	}
-	g.functions[fn.Name] = fn
-	g.specs[fn.Name] = spec
+	key := string(spec.Key())
+	k := g.keys[key]
+	if k == nil {
+		k = &runtimeKey{key: key}
+		g.keys[key] = k
+	}
+	d := g.deployments[fn.Name]
+	if d == nil {
+		d = &deployment{}
+		g.deployments[fn.Name] = d
+	}
+	d.fn, d.spec, d.key = &fn, &spec, k
 	return nil
 }
 
@@ -278,8 +314,8 @@ func (f ResolverFunc) Resolve(rt config.Runtime) (container.Spec, error) { retur
 
 // Functions returns the deployed function names, sorted.
 func (g *Gateway) Functions() []string {
-	names := make([]string, 0, len(g.functions))
-	for n := range g.functions {
+	names := make([]string, 0, len(g.deployments))
+	for n := range g.deployments {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -288,8 +324,10 @@ func (g *Gateway) Functions() []string {
 
 // Spec returns the resolved spec of a deployed function.
 func (g *Gateway) Spec(name string) (container.Spec, bool) {
-	s, ok := g.specs[name]
-	return s, ok
+	if d := g.deployments[name]; d != nil {
+		return *d.spec, true
+	}
+	return container.Spec{}, false
 }
 
 // Handle processes one request for the named function, invoking done
@@ -300,21 +338,34 @@ func (g *Gateway) Handle(name string, req trace.Request, done func(Result)) {
 	if done == nil {
 		panic("faas: Handle requires a completion callback")
 	}
-	fn, ok := g.functions[name]
-	if !ok {
-		done(Result{Request: req, Function: name, Err: fmt.Errorf("faas: unknown function %q", name)})
+	g.handle(target{name: name, d: g.deployments[name]}, req, 0, func(_ int, r Result) { done(r) })
+}
+
+// target is what a request names: a function, and its deployment (nil
+// while the name is not deployed).
+type target struct {
+	name string
+	d    *deployment
+}
+
+// handle is Handle for a resolved target: done is called with slot
+// and the result, so one callback can serve a whole replay.
+func (g *Gateway) handle(t target, req trace.Request, slot int, done func(int, Result)) {
+	if t.d == nil {
+		done(slot, Result{Request: req, Function: t.name, Err: fmt.Errorf("faas: unknown function %q", t.name)})
 		return
 	}
-	r := &request{g: g, fn: fn, req: req, done: done}
+	r := g.newRequest()
+	r.d, r.fn, r.req, r.slot, r.done = t.d, t.d.fn, req, slot, done
 	r.ts.GatewayIn = g.sched.Now() // queue time counts into the latency
 	g.admit(r)
 }
 
 // request is one request's trip through the pipeline: everything the
-// steps below share, allocated once in Handle. Exactly one step is
-// pending at any moment — an event on the scheduler or a callback held
-// by the provider or the engine — so the fields describing the current
-// attempt need no more than one copy.
+// steps below share. Exactly one step is pending at any moment — an
+// event on the scheduler or a callback held by the provider or the
+// engine — so the fields describing the current attempt need no more
+// than one copy.
 //
 // The happy path is start -> acquire -> acquired -> run -> exec ->
 // execDone -> watchdogOut -> respond: acquire a runtime from the
@@ -326,12 +377,15 @@ func (g *Gateway) Handle(name string, req trace.Request, done func(Result)) {
 // to a fresh acquisition up to ExecRetries times.
 type request struct {
 	g    *Gateway
-	fn   Function
+	d    *deployment
+	fn   *Function // as admitted
 	req  trace.Request
-	done func(Result)
+	slot int
+	done func(int, Result)
 
-	spec container.Spec
-	key  string
+	// Read from the deployment at start.
+	spec *container.Spec
+	key  *runtimeKey
 	brk  *Breaker // nil when breaking is disabled
 
 	ts Timestamps
@@ -352,21 +406,55 @@ type request struct {
 	owned  bool
 	// Nominal phases of the exec in flight (see execDone).
 	initPhase, execPhase time.Duration
+
+	// then is the step the pending scheduler event runs.
+	then func(*request)
+	// on holds the callbacks handed to the scheduler, the provider and
+	// the engine. They are bound to the struct when it is first made
+	// and kept when a finished request is reused (Gateway.spare), so a
+	// request allocates nothing once the gateway has as many structs as
+	// it has requests in flight.
+	on callbacks
+}
+
+type callbacks struct {
+	step     func()
+	acquired func(*container.Container, bool, config.Delta, error)
+	created  func(*container.Container, error)
+	execDone func(time.Duration, error)
+}
+
+// newRequest returns a spare request, or a new one with its callbacks
+// bound.
+func (g *Gateway) newRequest() *request {
+	if n := len(g.spare); n > 0 {
+		r := g.spare[n-1]
+		g.spare = g.spare[:n-1]
+		return r
+	}
+	r := &request{g: g}
+	r.on = callbacks{step: func() { r.then(r) }, acquired: r.acquired, created: r.created, execDone: r.execDone}
+	return r
+}
+
+// after runs then d from now.
+func (r *request) after(d time.Duration, then func(*request)) {
+	r.then = then
+	r.g.sched.After(d, r.on.step)
 }
 
 // start drives an admitted request into the pipeline.
 func (r *request) start() {
-	g := r.g
-	r.spec = g.specs[r.fn.Name]
-	r.key = string(r.spec.Key())
+	g, d := r.g, r.d
+	r.spec, r.key = d.spec, d.key
 	r.brk = g.breakerFor(r.key)
 	r.admitAt = g.sched.Now()
-	g.obs.forFunction(r.fn.Name).queueWait.ObserveDuration(r.admitAt - r.ts.GatewayIn)
+	g.fnMetrics(d).queueWait.ObserveDuration(r.admitAt - r.ts.GatewayIn)
 	// (1) -> gateway proxies the request towards the backend. The
 	// provider hands over a runtime; for a cold start the boot happens
 	// inside Acquire, i.e. between (1) and (2) the request is waiting
 	// for the backend to scale from zero.
-	g.sched.After(g.eng.Model().GatewayForwardCost(), r.acquire)
+	r.after(g.eng.Model().GatewayForwardCost(), (*request).acquire)
 }
 
 // annotate books one resilience event: on the request's Faults and,
@@ -378,19 +466,24 @@ func (r *request) annotate(kind, detail string) {
 }
 
 // finish records the outcome, frees the concurrency slot and hands the
-// result to the caller.
+// result to the caller. The struct is spare from then on.
 func (r *request) finish(reused bool, err error) {
-	r.ts.ClientOut = r.g.sched.Now()
-	r.g.record(r, reused, err)
-	r.g.releaseSlot(r.fn.Name)
-	r.done(Result{
+	g := r.g
+	r.ts.ClientOut = g.sched.Now()
+	g.record(r, reused, err)
+	g.releaseSlot(r.d)
+	res := Result{
 		Request:    r.req,
 		Function:   r.fn.Name,
 		Timestamps: r.ts,
 		Reused:     reused,
 		Err:        err,
 		Faults:     r.faults,
-	})
+	}
+	done, slot := r.done, r.slot
+	*r = request{g: g, on: r.on}
+	g.spare = append(g.spare, r)
+	done(slot, res)
 }
 
 // fail is the error contract: a failed request still completes — done
@@ -409,11 +502,11 @@ func (r *request) acquire() {
 	g := r.g
 	g.setBreakerGauge(r.key, r.brk)
 	if r.brk != nil && !r.brk.Allow(g.sched.Now()) {
-		r.annotate("degraded-cold", r.key)
-		g.eng.Create(r.spec, r.created)
+		r.annotate("degraded-cold", r.key.key)
+		g.eng.Create(*r.spec, r.on.created)
 		return
 	}
-	g.provider.Acquire(r.spec, r.acquired)
+	g.provider.Acquire(*r.spec, r.on.acquired)
 }
 
 // created continues a degraded cold start.
@@ -430,7 +523,7 @@ func (r *request) acquired(c *container.Container, reused bool, delta config.Del
 	g := r.g
 	if err != nil {
 		if r.brk != nil && r.brk.OnFailure(g.sched.Now()) {
-			r.annotate("breaker-open", r.key)
+			r.annotate("breaker-open", r.key.key)
 		}
 		g.setBreakerGauge(r.key, r.brk)
 		r.retryOrFail(err)
@@ -438,7 +531,7 @@ func (r *request) acquired(c *container.Container, reused bool, delta config.Del
 	}
 	if r.brk != nil {
 		if was := r.brk.State(g.sched.Now()); was != BreakerClosed {
-			r.annotate("breaker-close", r.key)
+			r.annotate("breaker-close", r.key.key)
 		}
 		r.brk.OnSuccess()
 		g.setBreakerGauge(r.key, r.brk)
@@ -454,7 +547,7 @@ func (r *request) retryOrFail(err error) {
 		r.annotate("acquire-retry", err.Error())
 		delay := g.Backoff.Delay(r.attempt)
 		r.attempt++
-		g.sched.After(delay, r.acquire)
+		r.after(delay, (*request).acquire)
 		return
 	}
 	r.fail(err)
@@ -468,7 +561,7 @@ func (r *request) run(c *container.Container, reused bool, delta config.Delta, o
 	if !delta.Empty() {
 		adjust = r.g.eng.Model().DeltaApplyCost()
 	}
-	r.g.sched.After(adjust, r.exec)
+	r.after(adjust, (*request).exec)
 }
 
 func (r *request) exec() {
@@ -479,7 +572,7 @@ func (r *request) exec() {
 		r.ts.WatchdogIn = g.sched.Now()
 	}
 	r.initPhase, r.execPhase = g.eng.ExecPhases(r.c, r.fn.App)
-	g.eng.Exec(r.c, r.fn.App, r.execDone)
+	g.eng.Exec(r.c, r.fn.App, r.on.execDone)
 }
 
 // giveBack returns the runtime after the last use of it by this
@@ -488,7 +581,7 @@ func (r *request) giveBack() {
 	if r.owned {
 		r.g.eng.Stop(r.c, nil)
 	} else {
-		r.g.provider.Complete(r.c, r.spec)
+		r.g.provider.Complete(r.c, *r.spec)
 	}
 }
 
@@ -504,11 +597,11 @@ func (r *request) execDone(actual time.Duration, err error) {
 				g.eng.Stop(r.c, nil)
 			} else {
 				r.annotate("quarantine", r.c.ID)
-				g.provider.Discard(r.c, r.spec)
+				g.provider.Discard(r.c, *r.spec)
 			}
 			delay := g.Backoff.Delay(r.execAttempt)
 			r.attempt, r.execAttempt = 0, r.execAttempt+1
-			g.sched.After(delay, r.acquire)
+			r.after(delay, (*request).acquire)
 			return
 		}
 		r.giveBack()
@@ -525,13 +618,13 @@ func (r *request) execDone(actual time.Duration, err error) {
 	}
 	r.ts.FuncStart = r.ts.FuncStop - execShare
 	// (4) -> (5): watchdog copies the response out.
-	g.sched.After(g.eng.Model().WatchdogShimCost(), r.watchdogOut)
+	r.after(g.eng.Model().WatchdogShimCost(), (*request).watchdogOut)
 }
 
 func (r *request) watchdogOut() {
 	r.ts.WatchdogOut = r.g.sched.Now()
 	// (5) -> (6): gateway returns to the client.
-	r.g.sched.After(r.g.eng.Model().GatewayForwardCost(), r.respond)
+	r.after(r.g.eng.Model().GatewayForwardCost(), (*request).respond)
 }
 
 func (r *request) respond() {
@@ -539,20 +632,19 @@ func (r *request) respond() {
 	r.finish(r.reused, nil)
 }
 
-// Replay feeds a request schedule to handle and steps the scheduler
-// until every request has called done. Arrivals are one stream on the
-// scheduler (simclock.AtEach), each firing at the current instant plus
-// its At, so the event queue holds the work in flight rather than the
-// whole trace; requests sharing an instant arrive in schedule order. A
-// schedule that is not sorted by arrival time is walked through a
-// stable index sort, which is the order scheduling every arrival as an
-// event of its own fires them in. Stepping (rather than draining the
-// queue) lets periodic provider machinery — control loops, warm-up
-// pingers — keep running without deadlocking the replay. Results are
-// returned in schedule order.
-func Replay[R any](sched *simclock.Scheduler, schedule []trace.Request, handle func(req trace.Request, done func(R))) ([]R, error) {
-	results := make([]R, len(schedule))
-	remaining := len(schedule)
+// Replay feeds a request schedule to arrive and steps the scheduler
+// until every request has finished: arrive(i, req) starts schedule[i],
+// and each request decrements *pending once when it finishes. Arrivals
+// are one stream on the scheduler (simclock.AtEach), each firing at the
+// current instant plus its At, so the event queue holds the work in
+// flight rather than the whole trace; requests sharing an instant
+// arrive in schedule order. A schedule that is not sorted by arrival
+// time is walked through a stable index sort, which is the order
+// scheduling every arrival as an event of its own fires them in.
+// Stepping (rather than draining the queue) lets periodic provider
+// machinery — control loops, warm-up pingers — keep running without
+// deadlocking the replay.
+func Replay(sched *simclock.Scheduler, schedule []trace.Request, pending *int, arrive func(i int, req trace.Request)) error {
 	order := arrivalOrder(schedule)
 	base := sched.Now()
 	whens := make([]simclock.Time, len(schedule))
@@ -561,17 +653,14 @@ func Replay[R any](sched *simclock.Scheduler, schedule []trace.Request, handle f
 	}
 	sched.AtEach(whens, func(k int) {
 		i := order.at(k)
-		handle(schedule[i], func(r R) {
-			results[i] = r
-			remaining--
-		})
+		arrive(i, schedule[i])
 	})
-	for remaining > 0 {
+	for *pending > 0 {
 		if !sched.Step() {
-			return nil, fmt.Errorf("faas: scheduler drained with %d requests outstanding", remaining)
+			return fmt.Errorf("faas: scheduler drained with %d requests outstanding", *pending)
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // arrivals lists schedule indices by arrival time, ties in schedule
@@ -600,12 +689,35 @@ func (o arrivals) at(k int) int {
 }
 
 // Run replays a request schedule against the gateway: request classes
-// are mapped to function names by classFn and the simulation is stepped
-// until every response has been delivered (see Replay). Results are
-// returned in schedule order.
+// are mapped to function names by classFn (see RunAs) and the
+// simulation is stepped until every response has been delivered (see
+// Replay). Results are returned in schedule order.
 func Run(g *Gateway, schedule []trace.Request, classFn func(class int) string) ([]Result, error) {
-	results, err := Replay(g.sched, schedule, func(req trace.Request, done func(Result)) {
-		g.Handle(classFn(req.Class), req, done)
+	return RunAs(g, schedule, classFn, func(r Result) Result { return r })
+}
+
+// RunAs is Run for a caller that keeps its own record of a request: as
+// maps each result into it when the request finishes. classFn must be a
+// pure mapping: it is consulted once per distinct class, and the name
+// it gives is resolved to a deployment once.
+func RunAs[R any](g *Gateway, schedule []trace.Request, classFn func(class int) string, as func(Result) R) ([]R, error) {
+	out := make([]R, len(schedule))
+	pending := len(schedule)
+	put := func(i int, r Result) {
+		out[i] = as(r)
+		pending--
+	}
+	targets := make(map[int]*target)
+	err := Replay(g.sched, schedule, &pending, func(i int, req trace.Request) {
+		t := targets[req.Class]
+		if t == nil {
+			t = &target{name: classFn(req.Class)}
+			targets[req.Class] = t
+		}
+		if t.d == nil {
+			t.d = g.deployments[t.name] // until deployed, looked up at every request
+		}
+		g.handle(*t, req, i, put)
 	})
 	if err == nil {
 		err = g.settle()
@@ -613,7 +725,7 @@ func Run(g *Gateway, schedule []trace.Request, classFn func(class int) string) (
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	return out, nil
 }
 
 // settle lets post-response housekeeping (container teardown, volume

@@ -1,7 +1,6 @@
 package faas
 
 import (
-	"sync"
 	"time"
 
 	"hotc/internal/obs"
@@ -24,9 +23,9 @@ type keyHandles struct {
 
 // instruments are the gateway's books: every request outcome and every
 // resilience event is counted here, once, and ResilienceCounters reads
-// them back. Handles for label combinations seen in traffic are
-// resolved once and cached, so steady-state recording is vec-lookup
-// free.
+// them back. A function's handles are resolved once, into its
+// deployment record, and a runtime key's into its key record, so
+// steady-state recording is vec-lookup free.
 type instruments struct {
 	reg          *obs.Registry
 	requests     *obs.CounterVec         // hotc_requests_total{function, outcome}
@@ -38,55 +37,32 @@ type instruments struct {
 
 	startsWarm *obs.Counter // hotc_starts_total{mode="warm"}
 	startsCold *obs.Counter // hotc_starts_total{mode="cold"}
-
-	mu   sync.RWMutex
-	fns  map[string]*fnHandles
-	keys map[string]*keyHandles
 }
 
-// forFunction returns the cached handles for one function, resolving
-// them on first sight.
-func (ins *instruments) forFunction(name string) *fnHandles {
-	ins.mu.RLock()
-	h := ins.fns[name]
-	ins.mu.RUnlock()
-	if h != nil {
-		return h
+// fnMetrics returns a deployment's handles, resolving them on first use.
+func (g *Gateway) fnMetrics(d *deployment) *fnHandles {
+	if d.metrics == nil {
+		ins, name := g.obs, d.fn.Name
+		d.metrics = &fnHandles{
+			reqOK:     ins.requests.With(name, "ok"),
+			reqErr:    ins.requests.With(name, "error"),
+			latency:   ins.latency.With(name),
+			queueWait: ins.queueWait.With(name),
+		}
 	}
-	ins.mu.Lock()
-	defer ins.mu.Unlock()
-	if h := ins.fns[name]; h != nil {
-		return h
-	}
-	h = &fnHandles{
-		reqOK:     ins.requests.With(name, "ok"),
-		reqErr:    ins.requests.With(name, "error"),
-		latency:   ins.latency.With(name),
-		queueWait: ins.queueWait.With(name),
-	}
-	ins.fns[name] = h
-	return h
+	return d.metrics
 }
 
-// forKey returns the cached handles for one runtime key.
-func (ins *instruments) forKey(key string) *keyHandles {
-	ins.mu.RLock()
-	h := ins.keys[key]
-	ins.mu.RUnlock()
-	if h != nil {
-		return h
+// keyMetrics returns a runtime key's handles, resolving them on first
+// use.
+func (g *Gateway) keyMetrics(k *runtimeKey) *keyHandles {
+	if k.metrics == nil {
+		k.metrics = &keyHandles{
+			acquire:      g.obs.acquire.With(k.key),
+			breakerState: g.obs.breakerState.With(k.key),
+		}
 	}
-	ins.mu.Lock()
-	defer ins.mu.Unlock()
-	if h := ins.keys[key]; h != nil {
-		return h
-	}
-	h = &keyHandles{
-		acquire:      ins.acquire.With(key),
-		breakerState: ins.breakerState.With(key),
-	}
-	ins.keys[key] = h
-	return h
+	return k.metrics
 }
 
 // newInstruments registers the gateway's metric families on the
@@ -110,8 +86,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"Per-runtime-key circuit breaker state (0 closed, 1 open, 2 half-open).",
 			"key"),
 		events: make(map[string]*obs.Counter, len(resilienceKinds)),
-		fns:    make(map[string]*fnHandles),
-		keys:   make(map[string]*keyHandles),
 	}
 	starts := reg.CounterVec("hotc_starts_total",
 		"Container starts behind served requests, by mode (warm = live runtime reused, cold = fresh boot).",
@@ -173,18 +147,18 @@ func (g *Gateway) ResilienceCounters() map[string]int {
 func (g *Gateway) Trace(t *obs.Tracer) { g.tracer = t }
 
 // setBreakerGauge reflects a breaker transition into the state gauge.
-func (g *Gateway) setBreakerGauge(key string, brk *Breaker) {
+func (g *Gateway) setBreakerGauge(k *runtimeKey, brk *Breaker) {
 	if brk == nil {
 		return
 	}
-	g.obs.forKey(key).breakerState.Set(float64(brk.State(g.sched.Now())))
+	g.keyMetrics(k).breakerState.Set(float64(brk.State(g.sched.Now())))
 }
 
 // record emits the per-request metrics and span once the outcome is
 // known. Arrival is r.ts.GatewayIn (stamped at Handle).
 func (g *Gateway) record(r *request, reused bool, err error) {
 	name, ts := r.fn.Name, r.ts
-	h := g.obs.forFunction(name)
+	h := g.fnMetrics(r.d)
 	if err != nil {
 		h.reqErr.Inc()
 	} else {
@@ -196,14 +170,14 @@ func (g *Gateway) record(r *request, reused bool, err error) {
 		}
 		h.latency.ObserveDuration(ts.Total())
 		if ts.WatchdogIn > 0 {
-			g.obs.forKey(r.key).acquire.ObserveDuration(ts.WatchdogIn - r.admitAt)
+			g.keyMetrics(r.key).acquire.ObserveDuration(ts.WatchdogIn - r.admitAt)
 		}
 	}
 	if g.tracer != nil {
 		s := obs.Span{
 			ID:          g.tracer.NextID(),
 			Function:    name,
-			Key:         r.key,
+			Key:         r.key.key,
 			Round:       r.req.Round,
 			Reused:      reused,
 			ClientIn:    time.Duration(ts.GatewayIn),

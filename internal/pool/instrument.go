@@ -1,14 +1,12 @@
 package pool
 
 import (
-	"sync"
-
 	"hotc/internal/config"
 	"hotc/internal/obs"
 )
 
 // keyGauges holds the pre-resolved occupancy gauges for one runtime
-// key, so syncKeyGauges avoids label joins and vec lookups on every
+// key, so sync avoids label joins and vec lookups on every
 // acquire/release.
 type keyGauges struct {
 	live  *obs.Gauge
@@ -16,8 +14,8 @@ type keyGauges struct {
 }
 
 // instruments are the pool's books: every pool event is counted here,
-// once, and Stats reads the counters back. The hit counters and per-key
-// gauges are resolved once and cached.
+// once, and Stats reads the counters back. The hit counters are
+// resolved once; each key's gauges once, into its pool entry.
 type instruments struct {
 	misses      *obs.Counter  // hotc_pool_misses_total
 	evictions   *obs.Counter  // hotc_pool_evictions_total
@@ -30,29 +28,12 @@ type instruments struct {
 
 	hitsExact   *obs.Counter // hotc_pool_hits_total{kind="exact"}
 	hitsRelaxed *obs.Counter // hotc_pool_hits_total{kind="relaxed"}
-
-	mu   sync.RWMutex
-	keys map[config.Key]*keyGauges
 }
 
-// forKey returns the cached gauges for one runtime key, resolving them
-// on first sight.
-func (ins *instruments) forKey(key config.Key) *keyGauges {
-	ins.mu.RLock()
-	g := ins.keys[key]
-	ins.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	ins.mu.Lock()
-	defer ins.mu.Unlock()
-	if g := ins.keys[key]; g != nil {
-		return g
-	}
+// gauges resolves one runtime key's occupancy gauges.
+func (ins *instruments) gauges(key config.Key) *keyGauges {
 	k := string(key)
-	g = &keyGauges{live: ins.live.With(k), avail: ins.avail.With(k)}
-	ins.keys[key] = g
-	return g
+	return &keyGauges{live: ins.live.With(k), avail: ins.avail.With(k)}
 }
 
 // newInstruments registers the pool's metric families on the registry.
@@ -81,7 +62,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"key"),
 		hitsExact:   hits.With("exact"),
 		hitsRelaxed: hits.With("relaxed"),
-		keys:        make(map[config.Key]*keyGauges),
 	}
 }
 
@@ -102,8 +82,13 @@ func (p *Pool) Stats() Stats {
 }
 
 // syncKeyGauges refreshes the occupancy gauges for one runtime key.
-func (p *Pool) syncKeyGauges(key config.Key) {
-	g := p.obs.forKey(key)
-	g.live.Set(float64(p.NumLive(key)))
-	g.avail.Set(float64(p.NumAvail(key)))
+func (p *Pool) syncKeyGauges(key config.Key) { p.sync(p.entry(key)) }
+
+// sync refreshes one entry's occupancy gauges.
+func (p *Pool) sync(k *keyed) {
+	if k.gauges == nil {
+		k.gauges = p.obs.gauges(k.key)
+	}
+	k.gauges.live.Set(float64(len(k.list)))
+	k.gauges.avail.Set(float64(k.numAvail()))
 }

@@ -132,14 +132,13 @@ type Pool struct {
 	eng  *container.Engine
 	opts Options
 
-	// byKey tracks live pool containers per canonical key, in creation
-	// order (oldest first) so forced eviction can take the oldest.
-	byKey map[config.Key][]*container.Container
+	// byKey holds each canonical key's live pool containers and gauges.
+	// An entry stays once made, so a key's gauges are resolved once.
+	byKey map[config.Key]*keyed
 	// byRelaxed indexes the same containers by relaxed key.
 	byRelaxed map[config.RelaxedKey][]*container.Container
-	// specs remembers the spec each key was created from, for
-	// delta computation on relaxed hits.
-	specs map[config.Key]container.Spec
+	// live counts the containers across byKey.
+	live int
 	// quarantining marks containers whose quarantine teardown is still
 	// in flight (Engine.Stop takes simulated time), so a repeated
 	// Quarantine call cannot double-count or double-stop them.
@@ -158,9 +157,8 @@ func New(eng *container.Engine, opts Options) *Pool {
 	return &Pool{
 		eng:          eng,
 		opts:         opts,
-		byKey:        make(map[config.Key][]*container.Container),
+		byKey:        make(map[config.Key]*keyed),
 		byRelaxed:    make(map[config.RelaxedKey][]*container.Container),
-		specs:        make(map[config.Key]container.Spec),
 		quarantining: make(map[*container.Container]bool),
 		obs:          newInstruments(opts.Metrics),
 	}
@@ -169,20 +167,19 @@ func New(eng *container.Engine, opts Options) *Pool {
 // Engine returns the underlying engine.
 func (p *Pool) Engine() *container.Engine { return p.eng }
 
-// Live reports the number of live containers tracked by the pool.
-func (p *Pool) Live() int {
-	n := 0
-	for _, list := range p.byKey {
-		n += len(list)
-	}
-	return n
+// keyed is one runtime key's share of the pool: its live containers in
+// creation order (oldest first, so forced eviction can take the oldest)
+// and its occupancy gauges, resolved when first set.
+type keyed struct {
+	key    config.Key
+	list   []*container.Container
+	gauges *keyGauges
 }
 
-// NumAvail reports how many containers of the given runtime type are
-// available for immediate reuse — the paper's num_avail[key].
-func (p *Pool) NumAvail(key config.Key) int {
+// numAvail counts the entry's Available containers.
+func (k *keyed) numAvail() int {
 	n := 0
-	for _, c := range p.byKey[key] {
+	for _, c := range k.list {
 		if c.State() == container.Available {
 			n++
 		}
@@ -190,16 +187,46 @@ func (p *Pool) NumAvail(key config.Key) int {
 	return n
 }
 
+// entry returns the key's entry, making it on first sight.
+func (p *Pool) entry(key config.Key) *keyed {
+	k := p.byKey[key]
+	if k == nil {
+		k = &keyed{key: key}
+		p.byKey[key] = k
+	}
+	return k
+}
+
+// list returns the key's live containers, nil for an unknown key.
+func (p *Pool) list(key config.Key) []*container.Container {
+	if k := p.byKey[key]; k != nil {
+		return k.list
+	}
+	return nil
+}
+
+// Live reports the number of live containers tracked by the pool.
+func (p *Pool) Live() int { return p.live }
+
+// NumAvail reports how many containers of the given runtime type are
+// available for immediate reuse — the paper's num_avail[key].
+func (p *Pool) NumAvail(key config.Key) int {
+	if k := p.byKey[key]; k != nil {
+		return k.numAvail()
+	}
+	return 0
+}
+
 // NumLive reports how many live containers (available or busy) exist
 // for the key.
-func (p *Pool) NumLive(key config.Key) int { return len(p.byKey[key]) }
+func (p *Pool) NumLive(key config.Key) int { return len(p.list(key)) }
 
 // Keys returns the runtime keys currently present in the pool.
 func (p *Pool) Keys() []config.Key {
 	keys := make([]config.Key, 0, len(p.byKey))
-	for k := range p.byKey {
-		if len(p.byKey[k]) > 0 {
-			keys = append(keys, k)
+	for key, k := range p.byKey {
+		if len(k.list) > 0 {
+			keys = append(keys, key)
 		}
 	}
 	return keys
@@ -215,17 +242,17 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 	if done == nil {
 		panic("pool: Acquire requires a completion callback")
 	}
-	key := spec.Key()
+	k := p.entry(spec.Key())
 
 	// Exact-key reuse: the first available candidate that passes the
 	// health check (unhealthy ones are quarantined as they are found).
-	if c := p.firstHealthy(p.byKey[key]); c != nil {
+	if c := p.firstHealthy(k.list); c != nil {
 		if err := p.eng.Reserve(c); err != nil {
 			done(nil, false, config.Delta{}, fmt.Errorf("pool: reserving hit: %w", err))
 			return
 		}
 		p.obs.hitsExact.Inc()
-		p.syncKeyGauges(key)
+		p.sync(k)
 		done(c, true, config.Delta{}, nil)
 		return
 	}
@@ -270,7 +297,7 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 			done(nil, false, config.Delta{}, fmt.Errorf("pool: reserving fresh container: %w", err))
 			return
 		}
-		p.syncKeyGauges(key)
+		p.sync(k)
 		done(c, false, config.Delta{}, nil)
 	})
 }
@@ -288,11 +315,11 @@ func (p *Pool) shareCandidate(spec container.Spec) *container.Container {
 	key := spec.Key()
 	now := p.eng.Scheduler().Now()
 	var best *container.Container
-	for k, list := range p.byKey {
+	for k, e := range p.byKey {
 		if k == key {
 			continue
 		}
-		for _, c := range list {
+		for _, c := range e.list {
 			if c.State() != container.Available {
 				continue
 			}
@@ -420,7 +447,7 @@ func (p *Pool) Prewarm(spec container.Spec, app workload.App, n int, done func(e
 // stops were initiated.
 func (p *Pool) Retire(key config.Key, n int) int {
 	stopped := 0
-	for _, c := range p.byKey[key] {
+	for _, c := range p.list(key) {
 		if stopped >= n {
 			break
 		}
@@ -452,7 +479,7 @@ func (p *Pool) Stop(c *container.Container) bool {
 // (used by warm-up pingers to refresh idle runtimes).
 func (p *Pool) Available(key config.Key) []*container.Container {
 	var out []*container.Container
-	for _, c := range p.byKey[key] {
+	for _, c := range p.list(key) {
 		if c.State() == container.Available {
 			out = append(out, c)
 		}
@@ -469,8 +496,8 @@ func (p *Pool) Available(key config.Key) []*container.Container {
 func (p *Pool) EvictOldest() bool {
 	var victim *container.Container
 	lru := p.opts.Eviction == EvictLRU
-	for _, list := range p.byKey {
-		for _, c := range list {
+	for _, k := range p.byKey {
+		for _, c := range k.list {
 			if c.State() != container.Available {
 				continue
 			}
@@ -517,8 +544,8 @@ func (p *Pool) roomToGrow() bool {
 }
 
 func (p *Pool) anyAvailable() bool {
-	for _, list := range p.byKey {
-		for _, c := range list {
+	for _, k := range p.byKey {
+		for _, c := range k.list {
 			if c.State() == container.Available {
 				return true
 			}
@@ -593,27 +620,26 @@ func (p *Pool) Quarantine(c *container.Container) {
 
 // admit registers a container in the pool indexes.
 func (p *Pool) admit(c *container.Container) {
-	key := c.Key()
-	p.byKey[key] = append(p.byKey[key], c)
+	k := p.entry(c.Key())
+	k.list = append(k.list, c)
+	p.live++
 	rk := c.Spec.Runtime.Relaxed()
 	p.byRelaxed[rk] = append(p.byRelaxed[rk], c)
-	p.specs[key] = c.Spec
-	p.syncKeyGauges(key)
+	p.sync(k)
 }
 
 // remove drops a container from the pool indexes.
 func (p *Pool) remove(c *container.Container) {
-	key := c.Key()
-	p.byKey[key] = removeFrom(p.byKey[key], c)
-	if len(p.byKey[key]) == 0 {
-		delete(p.byKey, key)
-	}
+	k := p.entry(c.Key())
+	n := len(k.list)
+	k.list = removeFrom(k.list, c)
+	p.live -= n - len(k.list)
 	rk := c.Spec.Runtime.Relaxed()
 	p.byRelaxed[rk] = removeFrom(p.byRelaxed[rk], c)
 	if len(p.byRelaxed[rk]) == 0 {
 		delete(p.byRelaxed, rk)
 	}
-	p.syncKeyGauges(key)
+	p.sync(k)
 }
 
 func removeFrom(list []*container.Container, c *container.Container) []*container.Container {
@@ -634,8 +660,8 @@ func (p *Pool) IdleMemMB() float64 {
 // virtual time, or zero when the pool is empty.
 func (p *Pool) OldestAge(now time.Duration) time.Duration {
 	var oldest *container.Container
-	for _, list := range p.byKey {
-		for _, c := range list {
+	for _, k := range p.byKey {
+		for _, c := range k.list {
 			if oldest == nil || c.CreatedAt < oldest.CreatedAt {
 				oldest = c
 			}

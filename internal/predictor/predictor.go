@@ -298,7 +298,26 @@ type Combined struct {
 
 	errs   []float64 // relative-error history of the ES forecast, oldest first
 	sorted []float64 // the same values in ascending order, kept so by Observe
-	bins   []uint8   // scratch for nextErr: the region state of each error
+
+	// The transition sums nextErr reads, valid for the winsorized bounds
+	// [lo, hi] they were binned under: bins holds the region state of
+	// errs[:filed], first[s] the moments of the errors that followed one
+	// in state s, and second[p*states+s] those that followed one in
+	// state s preceded by one in state p. New errors are filed in
+	// ascending order, as the loop over the window would add them, so
+	// the sums carry the same bits; a bound that moves, or a truncation
+	// of the window, files the window again from the start.
+	lo, hi float64
+	filed  int
+	bins   []uint8
+	first  []moments
+	second []moments
+}
+
+// moments summarises a set of successor errors.
+type moments struct {
+	sum, sum2 float64
+	count     int
 }
 
 // The error window: past errWindowMax relative errors the newest
@@ -354,6 +373,7 @@ func (c *Combined) recordErr(e float64) {
 		c.errs = c.errs[:copy(c.errs, c.errs[len(c.errs)-errWindowKeep:])]
 		c.sorted = append(c.sorted[:0], c.errs...)
 		sort.Float64s(c.sorted)
+		c.filed = 0
 		return
 	}
 	i := sort.SearchFloat64s(c.sorted, e)
@@ -380,68 +400,39 @@ func (c *Combined) nextErr() float64 {
 	if hi <= lo {
 		return 0 // errors essentially constant: nothing to learn
 	}
+	if lo != c.lo || hi != c.hi || c.filed == 0 {
+		c.refile(lo, hi)
+	}
 	width := (hi - lo) / float64(c.states)
-	if cap(c.bins) < n {
-		c.bins = make([]uint8, errWindowMax)
-	}
-	bins := c.bins[:n]
-	for t, e := range c.errs {
-		s := int((e - lo) / width)
-		if s < 0 {
-			s = 0
-		} else if s >= c.states {
-			s = c.states - 1
-		}
-		bins[t] = uint8(s)
-	}
-	// successors summarises the errors that followed an error in state
-	// cur — and, when prev >= 0, preceded by one in state prev.
-	successors := func(cur uint8, prev int) (float64, float64, int) {
-		sum, sum2, count := 0.0, 0.0, 0
-		start := 0
-		if prev >= 0 {
-			start = 1
-		}
-		for t := start; t+1 < n; t++ {
-			if bins[t] != cur || (prev >= 0 && int(bins[t-1]) != prev) {
-				continue
-			}
-			sum += c.errs[t+1]
-			sum2 += c.errs[t+1] * c.errs[t+1]
-			count++
-		}
-		if count == 0 {
-			return 0, 0, 0
-		}
-		mean := sum / float64(count)
-		variance := sum2/float64(count) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		return mean, variance, count
+	for ; c.filed < n; c.filed++ {
+		c.file(c.filed, width)
 	}
 	// Second-order conditioning: the pair (previous state, current
 	// state) disambiguates a sustained ramp (lag, lag) from alternating
 	// plateau noise (over, under), which share single-state bins.
 	// Sparse pairs fall back to first-order conditioning.
-	cur := bins[n-1]
-	var mean, variance float64
-	var count int
+	cur := int(c.bins[n-1])
+	var m moments
 	if n >= 3 {
-		mean, variance, count = successors(cur, int(bins[n-2]))
+		m = c.second[int(c.bins[n-2])*c.states+cur]
 	}
-	if count < 4 {
-		mean, variance, count = successors(cur, -1)
+	if m.count < 4 {
+		m = c.first[cur]
 	}
-	if count == 0 {
+	if m.count == 0 {
 		return 0
+	}
+	mean := m.sum / float64(m.count)
+	variance := m.sum2/float64(m.count) - mean*mean
+	if variance < 0 {
+		variance = 0
 	}
 	// Shrink the correction by its standard error: in states whose
 	// successor errors are pure noise the estimate is not
 	// distinguishable from zero and applying it would only add
 	// variance; on systematic-lag states (ramps) the mean dwarfs the
 	// standard error and survives almost untouched.
-	stderr := math.Sqrt(variance / float64(count))
+	stderr := math.Sqrt(variance / float64(m.count))
 	mag := math.Abs(mean) - stderr
 	if mag <= 0 {
 		return 0
@@ -450,6 +441,43 @@ func (c *Combined) nextErr() float64 {
 		return -mag
 	}
 	return mag
+}
+
+// refile empties the transition sums for re-binning the window under
+// the bounds [lo, hi].
+func (c *Combined) refile(lo, hi float64) {
+	if c.first == nil {
+		c.bins = make([]uint8, errWindowMax)
+		c.first = make([]moments, c.states)
+		c.second = make([]moments, c.states*c.states)
+	}
+	c.lo, c.hi, c.filed = lo, hi, 0
+	clear(c.first)
+	clear(c.second)
+}
+
+// file bins errs[t] and adds it to the sums of the states it followed.
+func (c *Combined) file(t int, width float64) {
+	e := c.errs[t]
+	s := int((e - c.lo) / width)
+	if s < 0 {
+		s = 0
+	} else if s >= c.states {
+		s = c.states - 1
+	}
+	c.bins[t] = uint8(s)
+	if t >= 1 {
+		c.first[c.bins[t-1]].add(e)
+	}
+	if t >= 2 {
+		c.second[int(c.bins[t-2])*c.states+int(c.bins[t-1])].add(e)
+	}
+}
+
+func (m *moments) add(e float64) {
+	m.sum += e
+	m.sum2 += e * e
+	m.count++
 }
 
 // Predict implements Predictor.

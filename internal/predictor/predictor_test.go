@@ -598,13 +598,21 @@ func TestCombinedIncrementalWindowMatchesSort(t *testing.T) {
 		"diurnal noise": func(src *rng.Source, i int) float64 {
 			return math.Max(0, 20+15*math.Sin(float64(i)/50)+src.Norm(0, 4))
 		},
+		// Periodic demand: once the smoother settles, every error
+		// repeats, so the winsorized bounds stay put across thousands of
+		// observations and the window's truncations.
+		"two-cycle":   func(src *rng.Source, i int) float64 { return float64(100 * (i % 2)) },
+		"three-cycle": func(src *rng.Source, i int) float64 { return float64([...]int{0, 50, 20}[i%3]) },
 	}
+	fixedBounds := map[string]bool{"two-cycle": true, "three-cycle": true}
 	for name, next := range series {
 		for _, states := range []int{4, DefaultStates} {
 			src := rng.New(int64(len(name)))
 			c := NewCombined(DefaultAlpha, states)
 			var ref []float64 // the window, bounded the way Observe used to
 			truncations := 0
+			var lo, hi float64
+			fixedRun, longestFixedRun := 0, 0
 			for i := 0; i < observations; i++ {
 				v := next(src, i)
 				if c.seen > 0 {
@@ -628,6 +636,14 @@ func TestCombinedIncrementalWindowMatchesSort(t *testing.T) {
 				if !sort.Float64sAreSorted(c.sorted) {
 					t.Fatalf("%s: step %d: sorted window is out of order", name, i)
 				}
+				if n := len(ref); n >= 2 {
+					if c.sorted[n*5/100] == lo && c.sorted[n-1-n*5/100] == hi {
+						fixedRun++
+						longestFixedRun = max(longestFixedRun, fixedRun)
+					} else {
+						lo, hi, fixedRun = c.sorted[n*5/100], c.sorted[n-1-n*5/100], 0
+					}
+				}
 				base := c.es.Predict()
 				want := clampNonNegative(base)
 				if c.seen > c.warmup {
@@ -640,6 +656,9 @@ func TestCombinedIncrementalWindowMatchesSort(t *testing.T) {
 			}
 			if truncations < 6 {
 				t.Fatalf("%s: window truncated %d times, want >= 6", name, truncations)
+			}
+			if fixedBounds[name] && longestFixedRun < 1000 {
+				t.Fatalf("%s: the bounds held for at most %d observations in a row, want >= 1000", name, longestFixedRun)
 			}
 		}
 	}

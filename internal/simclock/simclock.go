@@ -19,28 +19,40 @@ import (
 // scheduler was created.
 type Time = time.Duration
 
-// Event is a scheduled callback. The callback runs exactly once, at its
-// deadline, on the goroutine that calls Run/Step; there is no hidden
-// concurrency inside the scheduler.
-type Event struct {
+// event is one slot of the queue. A slot is recycled once it leaves the
+// queue, fired or reaped: gen counts its lives, so a handle from an
+// earlier life can tell it no longer owns the slot.
+type event struct {
 	when     Time
 	seq      uint64
 	fn       func()
+	gen      uint64
 	canceled bool
-	pending  bool // in the queue: false once popped
+}
+
+// Event is the handle At and After return for a scheduled callback. The
+// callback runs exactly once, at its deadline, on the goroutine that
+// calls Run/Step; there is no hidden concurrency inside the scheduler.
+// A handle is a value: it stays valid however long it is kept, and once
+// its event has fired or been reaped it acts on nothing, even after the
+// scheduler has reused the event's slot. The zero Event is inert.
+type Event struct {
+	ev   *event
+	gen  uint64
+	when Time
 }
 
 // When reports the virtual deadline the event was scheduled for.
-func (e *Event) When() Time { return e.when }
+func (e Event) When() Time { return e.when }
 
 // Cancel prevents a pending event from firing. Canceling an event that
 // already fired (or was already canceled) is a no-op. Cancel reports
 // whether the event was still pending.
-func (e *Event) Cancel() bool {
-	if e.canceled || !e.pending {
+func (e Event) Cancel() bool {
+	if e.ev == nil || e.ev.gen != e.gen || e.ev.canceled {
 		return false
 	}
-	e.canceled = true
+	e.ev.canceled = true
 	return true
 }
 
@@ -48,16 +60,36 @@ func (e *Event) Cancel() bool {
 // number handed out at scheduling time. No two events share a sequence
 // number, so the order in which a heap releases them does not depend on
 // the order they were pushed in.
-func (e *Event) before(o *Event) bool {
+func (e *event) before(o *event) bool {
 	if e.when != o.when {
 		return e.when < o.when
 	}
 	return e.seq < o.seq
 }
 
+// schedule queues fn at (when, seq) in a recycled slot.
+func (s *Scheduler) schedule(when Time, seq uint64, fn func()) *event {
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.when, ev.seq, ev.fn = when, seq, fn
+	s.push(ev)
+	return ev
+}
+
+// recycle ends a popped slot's life: handles to it go inert and the
+// callback is dropped so the free list keeps nothing alive.
+func (s *Scheduler) recycle(ev *event) {
+	ev.gen++
+	ev.fn, ev.canceled = nil, false
+	s.free = append(s.free, ev)
+}
+
 // push adds ev to the binary min-heap s.queue.
-func (s *Scheduler) push(ev *Event) {
-	ev.pending = true
+func (s *Scheduler) push(ev *event) {
 	q := append(s.queue, ev)
 	i := len(q) - 1
 	for i > 0 {
@@ -74,7 +106,7 @@ func (s *Scheduler) push(ev *Event) {
 
 // pop removes and returns the earliest event; the queue must not be
 // empty.
-func (s *Scheduler) pop() *Event {
+func (s *Scheduler) pop() *event {
 	q := s.queue
 	top := q[0]
 	n := len(q) - 1
@@ -100,7 +132,6 @@ func (s *Scheduler) pop() *Event {
 		q[i] = last
 	}
 	s.queue = q
-	top.pending = false
 	return top
 }
 
@@ -109,7 +140,8 @@ func (s *Scheduler) pop() *Event {
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	queue   []*Event // binary min-heap ordered by Event.before
+	queue   []*event // binary min-heap ordered by event.before
+	free    []*event // recycled slots
 	running bool
 	fired   uint64
 	limit   uint64 // safety valve against runaway event loops; 0 = none
@@ -138,7 +170,7 @@ var ErrEventLimit = errors.New("simclock: event limit exceeded")
 // At schedules fn to run at virtual time t. Scheduling in the past
 // (t < Now) panics: that is always a logic error in a simulation, and
 // silently clamping it would hide bugs.
-func (s *Scheduler) At(t Time, fn func()) *Event {
+func (s *Scheduler) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("simclock: At with nil callback")
 	}
@@ -146,18 +178,17 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("simclock: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
 	s.seq++
-	ev := &Event{when: t, seq: s.seq, fn: fn}
-	s.push(ev)
-	return ev
+	ev := s.schedule(t, s.seq, fn)
+	return Event{ev: ev, gen: ev.gen, when: t}
 }
 
 // AtEach schedules fn(i) at whens[i] for every i, as len(whens) calls
 // of At in index order would, while keeping a single entry in the
 // queue. whens must be non-decreasing and must not start in the past.
 //
-// The whole block of sequence numbers is reserved up front and the one
-// entry re-arms itself with the next (whens[i], reserved seq) each time
-// it fires, so the (when, seq) order against every other event — those
+// The whole block of sequence numbers is reserved up front and each
+// firing queues the next (whens[i], reserved seq) before calling fn, so
+// the (when, seq) order against every other event — those
 // scheduled before the call and those scheduled while the stream runs —
 // is exactly what scheduling all of them at once gives. Replaying a
 // trace of N arrivals therefore costs a queue as deep as the work in
@@ -180,22 +211,21 @@ func (s *Scheduler) AtEach(whens []Time, fn func(i int)) {
 	first := s.seq + 1
 	s.seq += uint64(len(whens))
 	next := 0
-	ev := &Event{when: whens[0], seq: first}
-	ev.fn = func() {
+	var arrive func()
+	arrive = func() {
 		i := next
 		next++
 		if next < len(whens) {
-			ev.when, ev.seq = whens[next], first+uint64(next)
-			s.push(ev)
+			s.schedule(whens[next], first+uint64(next), arrive)
 		}
 		fn(i)
 	}
-	s.push(ev)
+	s.schedule(whens[0], first, arrive)
 }
 
 // After schedules fn to run d from now. Negative d panics, zero d runs
 // after all events already scheduled for the current instant.
-func (s *Scheduler) After(d time.Duration, fn func()) *Event {
+func (s *Scheduler) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: After with negative duration %v", d))
 	}
@@ -211,7 +241,7 @@ func (s *Scheduler) Every(interval time.Duration, fn func()) (stop func()) {
 	}
 	stopped := false
 	var tick func()
-	var pending *Event
+	var pending Event
 	tick = func() {
 		if stopped {
 			return
@@ -224,9 +254,7 @@ func (s *Scheduler) Every(interval time.Duration, fn func()) (stop func()) {
 	pending = s.After(interval, tick)
 	return func() {
 		stopped = true
-		if pending != nil {
-			pending.Cancel()
-		}
+		pending.Cancel()
 	}
 }
 
@@ -240,12 +268,14 @@ func (s *Scheduler) Pending() int { return len(s.queue) }
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
 		ev := s.pop()
-		if ev.canceled {
+		when, fn, canceled := ev.when, ev.fn, ev.canceled
+		s.recycle(ev) // before fn runs: what fn schedules may reuse the slot
+		if canceled {
 			continue
 		}
-		s.now = ev.when
+		s.now = when
 		s.fired++
-		ev.fn()
+		fn()
 		return true
 	}
 	return false
@@ -293,10 +323,10 @@ func (s *Scheduler) RunUntil(t Time) error {
 	return nil
 }
 
-func (s *Scheduler) peek() *Event {
+func (s *Scheduler) peek() *event {
 	for len(s.queue) > 0 {
 		if s.queue[0].canceled {
-			s.pop()
+			s.recycle(s.pop())
 			continue
 		}
 		return s.queue[0]

@@ -345,7 +345,7 @@ func driveArrivals(seed int64, stream bool) ([]firing, uint64) {
 		kinds[i] = rnd.Intn(4)
 		delays[i] = Time(rnd.Intn(3)) * quantum
 	}
-	var cancelable []*Event
+	var cancelable []Event
 	arrive := func(i int) {
 		note(fmt.Sprint("arrive ", i))
 		switch kinds[i] {
@@ -453,4 +453,59 @@ func TestAtEachRejectsBadStreams(t *testing.T) {
 	mustPanic("nil callback", func(s *Scheduler) {
 		s.AtEach([]Time{s.Now()}, nil)
 	})
+}
+
+// A handle outlives its event: once the event has fired, or been
+// canceled and reaped, the scheduler reuses its slot, and the old handle
+// must neither cancel the newcomer nor forget its own deadline.
+func TestStaleEventHandleIsInert(t *testing.T) {
+	s := New()
+	for cycle := 0; cycle < 500; cycle++ {
+		fired := false
+		deadline := s.Now() + time.Millisecond
+		stale := s.After(time.Millisecond, func() {})
+		if cycle%2 == 0 {
+			s.Step() // fired
+		} else {
+			if !stale.Cancel() {
+				t.Fatalf("cycle %d: Cancel() = false on a pending event", cycle)
+			}
+			s.Step() // reaps it; the queue is otherwise empty
+		}
+		fresh := s.After(time.Millisecond, func() { fired = true })
+		if fresh.ev != stale.ev {
+			t.Fatalf("cycle %d: the scheduler did not reuse the freed slot", cycle)
+		}
+		if stale.Cancel() {
+			t.Fatalf("cycle %d: a stale handle canceled the event reusing its slot", cycle)
+		}
+		if stale.When() != deadline {
+			t.Fatalf("cycle %d: stale When() = %v, want its own deadline %v", cycle, stale.When(), deadline)
+		}
+		s.Step()
+		if !fired {
+			t.Fatalf("cycle %d: the event reusing a stale handle's slot did not fire", cycle)
+		}
+		if fresh.Cancel() || stale.Cancel() {
+			t.Fatalf("cycle %d: Cancel() = true after firing", cycle)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d, want 0", s.Pending())
+	}
+}
+
+// Scheduling and firing a callback the caller already holds allocates
+// nothing once the queue and the free list have grown.
+func TestSchedulerZeroAlloc(t *testing.T) {
+	s := New()
+	fn := func() {}
+	step := func() {
+		s.After(time.Millisecond, fn)
+		s.Step()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("After + Step allocate %v times, want 0", allocs)
+	}
 }

@@ -96,8 +96,10 @@ const (
 )
 
 // simReplayAllocBudget is the ceiling on heap allocations per simulated
-// request of a warm replay (the parent of PR 20 spent 64).
-const simReplayAllocBudget = 24
+// request of a warm replay (64 before the hot path was first rewritten,
+// 20 before the scheduler, the requests and the engine's completions
+// were recycled).
+const simReplayAllocBudget = 10
 
 func TestSimReplayAllocBudget(t *testing.T) {
 	s := newCampusSim(t, 0)

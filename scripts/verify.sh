@@ -167,6 +167,25 @@ for call in '(^|[^A-Za-z_])Plan[(]' '[.]Tick[(][)]'; do
 		exit 1
 	fi
 done
+echo "== counted, not resolved per request (sim: occupancy is counted, a request's deployment and keys are resolved once)"
+# What depends only on occupancy is counted where it changes, and what
+# depends only on the deployment is resolved once, into a record the
+# request points at. Walks over every container on each release and
+# name-keyed lookups behind an RWMutex on every request cost the
+# simulator a quarter of its time before, so non-test code ranges over
+# the engine's containers only in Engine.Live and LiveContainers, and
+# top-level internal/faas and internal/pool name no sync.RWMutex.
+bad="$(awk '/^func /{fn=$0} /^[[:space:]]*\/\//{next} /range e\.containers/ && fn !~ /^func \(e \*Engine\) (Live|LiveContainers)\(/ {print FILENAME":"FNR": in "fn}' \
+	$(ls internal/container/*.go | grep -v '_test\.go$'))"
+if [ -n "$bad" ]; then
+	echo "$bad" >&2
+	echo "verify: the engine's containers walked outside Engine.Live/LiveContainers: count the occupancy where a state changes (Engine.setState)" >&2
+	exit 1
+fi
+if grep -n 'sync\.RWMutex' $(ls internal/faas/*.go internal/pool/*.go | grep -v '_test\.go$') >&2; then
+	echo "verify: an RWMutex in the simulator's request path: resolve the handles once into the deployment, runtime-key or pool entry record" >&2
+	exit 1
+fi
 echo "== go test -race"
 go test -race ./...
 echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
@@ -176,17 +195,19 @@ echo "== one control law, reproducibly (3x: plan table/properties, sim determini
 go test -race -count=3 -run 'Determinis|Parity|Plan' . ./internal/core/ ./internal/pool/ ./internal/faas/live/
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
-echo "== one iteration of BenchmarkGatewayParallel|ObsHotPath|GatewayThroughput"
+echo "== one iteration of BenchmarkGatewayParallel|ObsHotPath|GatewayThroughput|CampusReplay"
 # Not a measurement (benchmark/ is): the testing.B benches compile and
 # run once each, so bit-rot in them is caught here.
 go test -run '^$' -bench 'GatewayParallel|ObsHotPath|GatewayThroughput' -benchtime=1x ./internal/faas/live/ ./internal/obs/
+go test -run '^$' -bench CampusReplay -benchtime=1x .
 echo "== alloc regression guard (non-race: AllocsPerRun)"
 # The race run above skips these: the detector's instrumentation
 # perturbs allocation counts. This non-race pass asserts the pooled
 # copy and the []byte shim stay at zero heap allocations per request,
 # one warm watchdog-hop round trip stays inside its budget, and a warm
-# simulator replay stays inside its allocations per simulated request.
-go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/faas/live/ ./internal/obs/
+# simulator replay stays inside its allocations per simulated request,
+# and the scheduler recycles its events.
+go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/faas/live/ ./internal/obs/ ./internal/simclock/
 echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
 # The harness is its own module, so the root ./... above never reaches
 # it. The smoke run exits non-zero when an echo fails verification or
