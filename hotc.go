@@ -429,7 +429,7 @@ func (s *Simulation) Replay(w Workload, classFn func(class int) string) ([]Reque
 		}
 		classFn = func(int) string { return name }
 	}
-	return faas.RunAs(s.st.Gateway, w, classFn, func(r faas.Result) RequestResult {
+	return faas.RunAs(s.st.Gateway, w, classFn, func(r *faas.Result) RequestResult {
 		return RequestResult{
 			Function:   r.Function,
 			Latency:    r.Timestamps.Total(),

@@ -77,7 +77,7 @@ func engineOnly(prof costmodel.Profile, prePull bool) *Env {
 	return NewEnv(PolicyCold, EnvOptions{Profile: prof, PrePull: prePull})
 }
 
-func mustSpec(env *Env, rt config.Runtime) container.Spec {
+func mustSpec(env *Env, rt config.Runtime) *container.Spec {
 	spec, err := container.ResolveSpec(rt, env.Registry)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
@@ -87,7 +87,7 @@ func mustSpec(env *Env, rt config.Runtime) container.Spec {
 
 // coldRequestTotal is the full client-observed cold latency for an app
 // under a network mode, used by several figures.
-func coldRequestTotal(env *Env, spec container.Spec, app workload.App) time.Duration {
+func coldRequestTotal(env *Env, spec *container.Spec, app workload.App) time.Duration {
 	m := env.Engine.Model()
 	return env.Engine.StartCost(spec) + m.InitCost(app.InitCost()) +
 		m.ColdExecCost(app.Exec) + m.WatchdogShimCost() + 2*m.GatewayForwardCost()

@@ -109,7 +109,7 @@ type Cluster struct {
 	dir   map[string]int // dirKey(key, node) → advertised live runtimes
 
 	apps   map[string]workload.App
-	specs  map[string]container.Spec
+	specs  map[string]*container.Spec
 	rrNext int
 }
 
@@ -121,7 +121,7 @@ func New(opts Options) *Cluster {
 		opts:  o,
 		dir:   make(map[string]int),
 		apps:  make(map[string]workload.App),
-		specs: make(map[string]container.Spec),
+		specs: make(map[string]*container.Spec),
 	}
 	for i := 0; i < o.Nodes; i++ {
 		seed := o.Seed

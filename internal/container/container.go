@@ -98,44 +98,58 @@ const snapshotFrac = 0.5
 
 // Spec is a fully resolved container specification: the normalised
 // runtime configuration plus the image and network mode it denotes.
+// Specs travel by pointer — a deployment holds one and every request,
+// pool and controller call reads it — and are not changed once resolved;
+// a container keeps a copy of the spec it was created or repurposed
+// from.
 type Spec struct {
 	Runtime config.Runtime
 	Image   image.Image
 	Net     network.Mode
 
-	// key is Runtime.Key(), derived once by ResolveSpec: the pool, the
-	// controller and the gateway each ask for it several times per
-	// request. A Spec is passed and replaced as a whole value
-	// (Engine.Repurpose swaps the container's entire Spec), so the copy
-	// cannot outlive the Runtime it was derived from; a Spec built as a
-	// literal has none and derives it on demand.
+	// key is Runtime.Key(), derived once: by ResolveSpec, or at the
+	// first Key call of a spec built as a literal.
 	key config.Key
+	// ref is the key's handle on the engine that last resolved it (see
+	// Engine.KeyOf): a field read on every later call.
+	ref keyRef
 }
 
+// keyRef is a runtime key's handle on one engine.
+type keyRef struct {
+	eng *Engine
+	id  KeyID
+}
+
+// KeyID is a runtime key's handle on an engine: a dense index, assigned
+// in the order the engine first sees each key, under which the pool,
+// the controller and the gateway keep their per-key records in slices.
+type KeyID int
+
 // Key returns the runtime pool key for this spec.
-func (s Spec) Key() config.Key {
-	if s.key != "" {
-		return s.key
+func (s *Spec) Key() config.Key {
+	if s.key == "" {
+		s.key = s.Runtime.Key()
 	}
-	return s.Runtime.Key()
+	return s.key
 }
 
 // ResolveSpec looks up the runtime's image in the registry and parses
 // its network mode.
-func ResolveSpec(rt config.Runtime, reg *image.Registry) (Spec, error) {
+func ResolveSpec(rt config.Runtime, reg *image.Registry) (*Spec, error) {
 	n := rt.Normalize()
 	if err := n.Validate(); err != nil {
-		return Spec{}, err
+		return nil, err
 	}
 	im, err := reg.Lookup(n.Image)
 	if err != nil {
-		return Spec{}, err
+		return nil, err
 	}
 	mode, _, err := network.Parse(n.Network)
 	if err != nil {
-		return Spec{}, err
+		return nil, err
 	}
-	return Spec{Runtime: n, Image: im, Net: mode, key: n.Key()}, nil
+	return &Spec{Runtime: n, Image: im, Net: mode, key: n.Key()}, nil
 }
 
 // Volume is the per-container scratch volume HotC assigns (§IV.B):
@@ -167,14 +181,19 @@ type Container struct {
 	Volume Volume
 
 	state State
+	// tally, when set, is its owner's count of the containers of one
+	// share that are Available (see Tally).
+	tally *int
 	// reserved marks a container claimed by the pool for a specific
 	// request but not yet executing; it is NotAvailable to everyone
 	// except the holder of the reservation.
 	reserved bool
-	// warm records which app names have initialised inside this
+	// warm lists the app names that have initialised inside this
 	// container; a warm app skips runtime+app init and runs at full
-	// cache speed (§IV.A: hot cache, fewer TLB flushes).
-	warm map[string]bool
+	// cache speed (§IV.A: hot cache, fewer TLB flushes). A container
+	// serves one app, or a few after relaxed reuse, so a scan beats a
+	// hash of the name.
+	warm []string
 
 	// The exec and the volume cleanup in flight, and the callbacks the
 	// engine bound to the container at creation to finish them. There
@@ -184,13 +203,17 @@ type Container struct {
 	exec              pendingExec
 	clean             pendingClean
 	execEnd, cleanEnd func()
+	// The nominal phases of the exec in flight, or of the last one (see
+	// Phases).
+	initPhase, execPhase time.Duration
 }
 
 type pendingExec struct {
-	app  workload.App
-	cost time.Duration
-	warm bool // the app was warm when the exec began
-	done func(time.Duration, error)
+	app           string // the app's name
+	cpuPct, memMB float64
+	cost          time.Duration
+	warm          bool // the app was warm when the exec began
+	done          func(time.Duration, error)
 }
 
 type pendingClean struct {
@@ -206,7 +229,45 @@ func (c *Container) Key() config.Key { return c.Spec.Key() }
 
 // WarmFor reports whether app has already initialised in this
 // container.
-func (c *Container) WarmFor(app workload.App) bool { return c.warm[app.Name] }
+func (c *Container) WarmFor(app workload.App) bool { return c.warmFor(app.Name) }
+
+func (c *Container) warmFor(name string) bool {
+	for _, w := range c.warm {
+		if w == name {
+			return true
+		}
+	}
+	return false
+}
+
+// markWarm records that the named app has initialised in c.
+func (c *Container) markWarm(name string) {
+	if !c.warmFor(name) {
+		c.warm = append(c.warm, name)
+	}
+}
+
+// Phases returns the nominal phases (see Engine.ExecPhases) of the exec
+// in flight in c, or of its last one: the split its executor apportions
+// the measured duration over.
+func (c *Container) Phases() (init, exec time.Duration) { return c.initPhase, c.execPhase }
+
+// Tally makes *n count c while it is Available: the count of idle
+// containers an owner keeps for a share of the engine's containers (the
+// pool keeps one per runtime key). Every state change keeps it from
+// then on, as the engine keeps its own; c moves out of the count it was
+// in before, and a nil n ends the counting.
+func (c *Container) Tally(n *int) {
+	if c.state == Available {
+		if c.tally != nil {
+			*c.tally--
+		}
+		if n != nil {
+			*n++
+		}
+	}
+	c.tally = n
+}
 
 // IdleMemMB is the resident memory of the container when idle.
 func (c *Container) IdleMemMB(cm *costmodel.Model) float64 {
@@ -243,6 +304,9 @@ type Engine struct {
 	// available counts the containers in the Available state: every
 	// state change goes through setState, which keeps it.
 	available int
+	// keyIDs interns the runtime keys the engine has seen: KeyID i is
+	// the i-th key resolved (see KeyOf).
+	keyIDs map[config.Key]KeyID
 
 	// activeCPUPct and activeMemMB account the resources of currently
 	// executing workloads, for the Fig. 15 host-resource monitoring.
@@ -252,14 +316,14 @@ type Engine struct {
 	// CreateHook, if set, is consulted before each create; a non-nil
 	// error fails the creation after the engine-setup delay (modelling
 	// resource exhaustion or registry failures).
-	CreateHook func(Spec) error
+	CreateHook func(*Spec) error
 	// ExecHook, if set, is consulted before each exec.
 	ExecHook func(*Container, workload.App) error
 	// StartDelayHook, if set, returns extra boot latency added to each
 	// create (modelling slow-start faults: registry throttling, disk
 	// pressure, noisy neighbours). A zero return leaves the boot cost
 	// unchanged.
-	StartDelayHook func(Spec) time.Duration
+	StartDelayHook func(*Spec) time.Duration
 
 	// Mechanism selects the cold-start mechanism for fresh containers
 	// (default Vanilla). It must be set before any containers are
@@ -281,7 +345,31 @@ func NewEngine(sched *simclock.Scheduler, cm *costmodel.Model, reg *image.Regist
 		reg:        reg,
 		jit:        jit,
 		containers: make(map[string]*Container),
+		keyIDs:     make(map[config.Key]KeyID),
 	}
+}
+
+// KeyOf returns the spec's key handle on this engine. The key is hashed
+// once per spec, at the first call; the handle is kept on the spec, so
+// every later call is a field read.
+func (e *Engine) KeyOf(s *Spec) KeyID {
+	if s.ref.eng != e {
+		key := s.Key()
+		id, ok := e.keyIDs[key]
+		if !ok {
+			id = KeyID(len(e.keyIDs))
+			e.keyIDs[key] = id
+		}
+		s.ref = keyRef{eng: e, id: id}
+	}
+	return s.ref.id
+}
+
+// LookupKey returns the handle of a key the engine has resolved, for
+// the by-key accessors reports and tests use.
+func (e *Engine) LookupKey(key config.Key) (KeyID, bool) {
+	id, ok := e.keyIDs[key]
+	return id, ok
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -330,18 +418,24 @@ func (e *Engine) perAvailable(cost float64) float64 {
 	return n
 }
 
-// setState moves c to state s, keeping the Available count. Stopped is
-// terminal: a completion that lands after the container stopped (and
-// left the engine) does not bring it back.
+// setState moves c to state s, keeping the Available counts: the
+// engine's, and the one c is tallied in. Stopped is terminal: a
+// completion that lands after the container stopped (and left the
+// engine) does not bring it back.
 func (e *Engine) setState(c *Container, s State) {
-	switch c.state {
-	case Stopped:
+	if c.state == Stopped {
 		return
-	case Available:
-		e.available--
+	}
+	d := 0
+	if c.state == Available {
+		d--
 	}
 	if s == Available {
-		e.available++
+		d++
+	}
+	e.available += d
+	if c.tally != nil {
+		*c.tally += d
 	}
 	c.state = s
 }
@@ -367,7 +461,7 @@ func (e *Engine) jitter(d time.Duration) time.Duration {
 // current layer cache: pull missing layers, unpack them, engine setup
 // scaled by the network mode, network setup, volume setup, and the
 // watchdog boot.
-func (e *Engine) StartCost(spec Spec) time.Duration {
+func (e *Engine) StartCost(spec *Spec) time.Duration {
 	missing := e.cache.MissingMB(spec.Image)
 	d := e.cm.PullCost(missing) + e.cm.UnpackCost(missing)
 	engine := float64(e.cm.EngineSetupCost()) * spec.Net.EngineFactor()
@@ -383,7 +477,7 @@ func (e *Engine) StartCost(spec Spec) time.Duration {
 
 // initCost is the first-execution initialisation a fresh runtime pays
 // under the engine's cold-start mechanism.
-func (e *Engine) initCost(app workload.App) time.Duration {
+func (e *Engine) initCost(app *workload.App) time.Duration {
 	switch e.Mechanism {
 	case Zygote:
 		// The zygote holds the language runtime; only business-logic
@@ -400,10 +494,11 @@ func (e *Engine) initCost(app workload.App) time.Duration {
 // Create asynchronously boots a new container for spec. done receives
 // the container (in Available state) or an error after the simulated
 // boot delay has elapsed.
-func (e *Engine) Create(spec Spec, done func(*Container, error)) {
+func (e *Engine) Create(spec *Spec, done func(*Container, error)) {
 	if done == nil {
 		panic("container: Create requires a completion callback")
 	}
+	e.KeyOf(spec) // the container's copy of the spec carries the handle
 	cost := e.jitter(e.StartCost(spec))
 	if e.StartDelayHook != nil {
 		if extra := e.StartDelayHook(spec); extra > 0 {
@@ -423,10 +518,9 @@ func (e *Engine) Create(spec Spec, done func(*Container, error)) {
 		e.nextID++
 		c := &Container{
 			ID:         fmt.Sprintf("ctr-%06d", e.nextID),
-			Spec:       spec,
+			Spec:       *spec,
 			CreatedAt:  e.sched.Now(),
 			LastUsedAt: e.sched.Now(),
-			warm:       make(map[string]bool),
 			Volume:     Volume{Generation: 1},
 		}
 		c.execEnd = func() { e.endExec(c) }
@@ -468,11 +562,8 @@ func (c *Container) Reserved() bool { return c.reserved }
 // container not yet warm for the app pays runtime + app init and the
 // cache-cold execution penalty; a warm one runs at full speed.
 func (e *Engine) ExecCost(c *Container, app workload.App) time.Duration {
-	shim := e.cm.WatchdogShimCost()
-	if c.WarmFor(app) {
-		return shim + e.cm.ExecCost(app.Exec)
-	}
-	return shim + e.initCost(app) + e.cm.ColdExecCost(app.Exec)
+	init, exec := e.phases(&app, c.warmFor(app.Name))
+	return init + exec
 }
 
 // ExecPhases splits ExecCost into the watchdog-visible phases used for
@@ -480,8 +571,13 @@ func (e *Engine) ExecCost(c *Container, app workload.App) time.Duration {
 // shim plus runtime/app init when cold) and the function execution
 // phase.
 func (e *Engine) ExecPhases(c *Container, app workload.App) (init, exec time.Duration) {
+	return e.phases(&app, c.warmFor(app.Name))
+}
+
+// phases is ExecPhases for an app that is, or is not, warm.
+func (e *Engine) phases(app *workload.App, warm bool) (init, exec time.Duration) {
 	init = e.cm.WatchdogShimCost()
-	if c.WarmFor(app) {
+	if warm {
 		return init, e.cm.ExecCost(app.Exec)
 	}
 	return init + e.initCost(app), e.cm.ColdExecCost(app.Exec)
@@ -490,7 +586,8 @@ func (e *Engine) ExecPhases(c *Container, app workload.App) (init, exec time.Dur
 // Exec asynchronously runs app inside c. The container must be
 // Available; it transitions to NotAvailable for the duration and back
 // to Available on completion (the caller — the pool — decides whether
-// to clean and re-admit it). done receives the execution duration.
+// to clean and re-admit it). done receives the execution duration, and
+// c.Phases the nominal split of it.
 func (e *Engine) Exec(c *Container, app workload.App, done func(time.Duration, error)) {
 	if done == nil {
 		panic("container: Exec requires a completion callback")
@@ -520,8 +617,9 @@ func (e *Engine) Exec(c *Container, app workload.App, done func(time.Duration, e
 			return
 		}
 	}
-	wasWarm := c.WarmFor(app)
-	cost := e.jitter(e.ExecCost(c, app))
+	wasWarm := c.warmFor(app.Name)
+	c.initPhase, c.execPhase = e.phases(&app, wasWarm)
+	cost := e.jitter(c.initPhase + c.execPhase)
 	e.setState(c, NotAvailable)
 	e.activeCPUPct += app.CPUPct
 	e.activeMemMB += app.MemMB
@@ -534,7 +632,7 @@ func (e *Engine) Exec(c *Container, app workload.App, done func(time.Duration, e
 	if knee := e.cm.C.ContentionKneePct; knee > 0 && e.activeCPUPct > knee {
 		cost = time.Duration(float64(cost) * e.activeCPUPct / knee)
 	}
-	c.exec = pendingExec{app: app, cost: cost, warm: wasWarm, done: done}
+	c.exec = pendingExec{app: app.Name, cpuPct: app.CPUPct, memMB: app.MemMB, cost: cost, warm: wasWarm, done: done}
 	e.sched.After(cost, c.execEnd)
 }
 
@@ -542,10 +640,10 @@ func (e *Engine) Exec(c *Container, app workload.App, done func(time.Duration, e
 func (e *Engine) endExec(c *Container) {
 	x := c.exec
 	c.exec = pendingExec{}
-	e.activeCPUPct -= x.app.CPUPct
-	e.activeMemMB -= x.app.MemMB
+	e.activeCPUPct -= x.cpuPct
+	e.activeMemMB -= x.memMB
 	e.setState(c, Available)
-	c.warm[x.app.Name] = true
+	c.markWarm(x.app)
 	c.Execs++
 	c.Volume.Dirty = true
 	c.LastUsedAt = e.sched.Now()
@@ -569,15 +667,15 @@ func (e *Engine) Warmup(c *Container, app workload.App, done func(error)) {
 		done(fmt.Errorf("container: warmup on %s in state %v", c.ID, c.state))
 		return
 	}
-	if c.WarmFor(app) {
+	if c.warmFor(app.Name) {
 		done(nil)
 		return
 	}
-	cost := e.jitter(e.initCost(app))
+	cost := e.jitter(e.initCost(&app))
 	e.setState(c, NotAvailable)
 	e.sched.After(cost, func() {
 		e.setState(c, Available)
-		c.warm[app.Name] = true
+		c.markWarm(app.Name)
 		done(nil)
 	})
 }
@@ -628,7 +726,7 @@ func (e *Engine) endClean(c *Container) {
 // setup entirely, but the next execution pays app initialisation
 // again. On completion the container is Available under its NEW spec;
 // the caller owns re-indexing it.
-func (e *Engine) Repurpose(c *Container, spec Spec, done func(error)) {
+func (e *Engine) Repurpose(c *Container, spec *Spec, done func(error)) {
 	if done == nil {
 		panic("container: Repurpose requires a completion callback")
 	}
@@ -639,14 +737,13 @@ func (e *Engine) Repurpose(c *Container, spec Spec, done func(error)) {
 	missing := e.cache.MissingMB(spec.Image)
 	cost := e.jitter(e.cm.VolumeCleanupCost() + e.cm.VolumeSetupCost() +
 		e.cm.PullCost(missing) + e.cm.UnpackCost(missing))
+	e.KeyOf(spec) // the container's copy of the spec carries the handle
 	e.setState(c, NotAvailable)
 	e.sched.After(cost, func() {
 		e.cache.Admit(spec.Image)
 		e.stats.PulledMB += missing
-		c.Spec = spec
-		for k := range c.warm {
-			delete(c.warm, k)
-		}
+		c.Spec = *spec
+		c.warm = c.warm[:0]
 		c.Volume.Generation++
 		c.Volume.Dirty = false
 		e.setState(c, Available)

@@ -30,7 +30,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{sched: sched, engine: eng, reg: reg}
 }
 
-func (f *fixture) mustSpec(t *testing.T, rt config.Runtime) Spec {
+func (f *fixture) mustSpec(t *testing.T, rt config.Runtime) *Spec {
 	t.Helper()
 	spec, err := ResolveSpec(rt, f.reg)
 	if err != nil {
@@ -39,7 +39,7 @@ func (f *fixture) mustSpec(t *testing.T, rt config.Runtime) Spec {
 	return spec
 }
 
-func (f *fixture) mustCreate(t *testing.T, spec Spec) *Container {
+func (f *fixture) mustCreate(t *testing.T, spec *Spec) *Container {
 	t.Helper()
 	var ctr *Container
 	f.engine.Create(spec, func(c *Container, err error) {
@@ -57,7 +57,7 @@ func (f *fixture) mustCreate(t *testing.T, spec Spec) *Container {
 	return ctr
 }
 
-func pySpec(t *testing.T, f *fixture) Spec {
+func pySpec(t *testing.T, f *fixture) *Spec {
 	return f.mustSpec(t, config.Runtime{Image: "python:3.8", Network: "bridge"})
 }
 
@@ -289,7 +289,7 @@ func TestStopDeletesVolume(t *testing.T) {
 func TestCreateHookFailureInjection(t *testing.T) {
 	f := newFixture(t)
 	boom := errors.New("no memory")
-	f.engine.CreateHook = func(Spec) error { return boom }
+	f.engine.CreateHook = func(*Spec) error { return boom }
 	var createErr error
 	f.engine.Create(pySpec(t, f), func(_ *Container, err error) { createErr = err })
 	if err := f.sched.Run(); err != nil {
@@ -589,5 +589,73 @@ func TestRepurposedContainerReportsNewKey(t *testing.T) {
 	}
 	if c.Key() != to.Runtime.Key() || c.Key() == from.Runtime.Key() {
 		t.Fatalf("repurposed container reports key %q, want %q", c.Key(), to.Runtime.Key())
+	}
+}
+
+// A key's handle is dense and per engine: specs of one key share it, a
+// new key takes the next one, and a spec carried to a second engine is
+// resolved there afresh rather than reading the first engine's handle.
+func TestKeyOfIsDensePerEngine(t *testing.T) {
+	f := newFixture(t)
+	a := f.mustSpec(t, config.Runtime{Image: "python:3.8", Env: []string{"FN=0"}})
+	again := f.mustSpec(t, config.Runtime{Image: "python:3.8", Env: []string{"FN=0"}})
+	b := f.mustSpec(t, config.Runtime{Image: "python:3.8", Env: []string{"FN=1"}})
+	if ida, idb := f.engine.KeyOf(a), f.engine.KeyOf(b); ida != 0 || idb != 1 {
+		t.Fatalf("first two keys got handles %d and %d, want 0 and 1", ida, idb)
+	}
+	if id := f.engine.KeyOf(again); id != 0 {
+		t.Fatalf("a second spec of the first key got handle %d, want 0", id)
+	}
+	if id, ok := f.engine.LookupKey(b.Key()); !ok || id != 1 {
+		t.Fatalf("LookupKey = %d, %v, want 1, true", id, ok)
+	}
+	other := newFixture(t)
+	if id := other.engine.KeyOf(b); id != 0 {
+		t.Fatalf("the second engine's first key got handle %d, want 0", id)
+	}
+	if id := f.engine.KeyOf(b); id != 1 {
+		t.Fatalf("back on the first engine the spec reads handle %d, want 1", id)
+	}
+	c := f.mustCreate(t, b)
+	if id := f.engine.KeyOf(&c.Spec); id != 1 {
+		t.Fatalf("the container's spec carries handle %d, want 1", id)
+	}
+}
+
+// Tally counts a container while it is Available, through every state
+// change, and moves it between counts.
+func TestTallyFollowsState(t *testing.T) {
+	f := newFixture(t)
+	app := workload.QRApp(workload.Python)
+	c := f.mustCreate(t, pySpec(t, f))
+	var first, second int
+	c.Tally(&first)
+	if first != 1 {
+		t.Fatalf("an Available container tallied %d, want 1", first)
+	}
+	if err := f.engine.Reserve(c); err != nil {
+		t.Fatal(err)
+	}
+	if first != 0 {
+		t.Fatalf("a reserved container tallied %d, want 0", first)
+	}
+	f.engine.Exec(c, app, func(time.Duration, error) {})
+	if err := f.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first != 1 {
+		t.Fatalf("after its exec the container tallied %d, want 1", first)
+	}
+	c.Tally(&second)
+	if first != 0 || second != 1 {
+		t.Fatalf("moved tally = %d, %d, want 0, 1", first, second)
+	}
+	c.Tally(nil)
+	f.engine.Stop(c, nil)
+	if err := f.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if second != 0 {
+		t.Fatalf("an untallied container still counted: %d", second)
 	}
 }

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -79,8 +80,9 @@ func (o Options) withDefaults() Options {
 
 // keyState is the per-runtime-type controller state.
 type keyState struct {
-	spec container.Spec
-	app  workload.App
+	spec  *container.Spec
+	app   workload.App
+	books *KeyBooks // nil until the first tick books the key
 	Demand
 
 	everUsed    bool
@@ -90,13 +92,16 @@ type keyState struct {
 // HotC is the runtime-reusing middleware.
 type HotC struct {
 	pool  *pool.Pool
+	eng   *container.Engine
 	sched *simclock.Scheduler
 	opts  Options
 
-	keys map[config.Key]*keyState
-	// order is the keys sorted: ticks walk it, not the map, so jittered
+	// keys holds each runtime type's state under the engine's key handle
+	// (container.KeyID); nil for a key HotC has not seen.
+	keys []*keyState
+	// order is the same states sorted by key: ticks walk it, so jittered
 	// replays draw their random numbers in the same order every run.
-	order   []config.Key
+	order   []*keyState
 	stopCtl func()
 
 	// books are the controller's, on the pool's registry.
@@ -111,9 +116,9 @@ func New(eng *container.Engine, opts Options) *HotC {
 	o := opts.withDefaults()
 	return &HotC{
 		pool:  pool.New(eng, o.Pool),
+		eng:   eng,
 		sched: eng.Scheduler(),
 		opts:  o,
-		keys:  make(map[config.Key]*keyState),
 		books: NewBooks(o.Pool.Metrics),
 	}
 }
@@ -126,36 +131,60 @@ func (h *HotC) Name() string { return "hotc" }
 
 // Register tells HotC which application runs in a runtime type, so the
 // controller can pre-warm it. The gateway calls this at deploy time.
-func (h *HotC) Register(spec container.Spec, app workload.App) error {
+func (h *HotC) Register(spec *container.Spec, app workload.App) error {
 	if err := app.Validate(); err != nil {
 		return fmt.Errorf("core: registering %q: %w", app.Name, err)
 	}
-	h.state(spec, app)
+	h.state(spec, &app)
 	return nil
 }
 
-// state returns (creating if needed) the per-key state; the app of an
-// existing key is left alone. Unregistered keys (Acquire passes a zero
-// app) get tracked too, but cannot be pre-warmed until an app is known.
-func (h *HotC) state(spec container.Spec, app workload.App) *keyState {
-	key := spec.Key()
-	st, ok := h.keys[key]
-	if !ok {
-		st = &keyState{spec: spec, app: app, Demand: Demand{Pred: h.opts.NewPredictor()}}
-		h.keys[key] = st
-		i, _ := slices.BinarySearch(h.order, key)
-		h.order = slices.Insert(h.order, i, key)
+// state returns (creating if needed) the spec's per-key state; the app
+// of an existing key is left alone. Acquire passes no app: a key it
+// sees first is tracked too, but cannot be pre-warmed.
+func (h *HotC) state(spec *container.Spec, app *workload.App) *keyState {
+	if st := h.lookup(spec); st != nil {
+		return st
 	}
+	id := h.eng.KeyOf(spec)
+	for int(id) >= len(h.keys) {
+		h.keys = append(h.keys, nil)
+	}
+	st := &keyState{spec: spec, Demand: Demand{Pred: h.opts.NewPredictor()}}
+	if app != nil {
+		st.app = *app
+	}
+	h.keys[id] = st
+	key := spec.Key()
+	i, _ := slices.BinarySearchFunc(h.order, key, func(s *keyState, k config.Key) int { return cmp.Compare(s.spec.Key(), k) })
+	h.order = slices.Insert(h.order, i, st)
 	return st
 }
 
-// Acquire implements faas.Provider via Algorithm 1.
-func (h *HotC) Acquire(spec container.Spec, done func(*container.Container, bool, config.Delta, error)) {
-	st := h.state(spec, workload.App{})
+// lookup returns the spec's per-key state, nil for a key HotC has not
+// seen.
+func (h *HotC) lookup(spec *container.Spec) *keyState {
+	if id := h.eng.KeyOf(spec); int(id) < len(h.keys) {
+		return h.keys[id]
+	}
+	return nil
+}
+
+// Acquire implements faas.Provider via Algorithm 1. A hit is served
+// synchronously, by the pool's reuse branch.
+func (h *HotC) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
+	st := h.state(spec, nil)
 	st.Begin()
 	st.everUsed = true
 	st.lastArrival = h.sched.Now()
-	h.pool.Acquire(spec, func(c *container.Container, reused bool, delta config.Delta, err error) {
+	if c, delta, err := h.pool.Reuse(spec); c != nil || err != nil {
+		if err != nil {
+			st.End()
+		}
+		done(c, c != nil, delta, err)
+		return
+	}
+	h.pool.Fresh(spec, func(c *container.Container, reused bool, delta config.Delta, err error) {
 		if err != nil {
 			st.End()
 			done(nil, false, config.Delta{}, err)
@@ -167,8 +196,8 @@ func (h *HotC) Acquire(spec container.Spec, done func(*container.Container, bool
 
 // Complete implements faas.Provider via Algorithm 2: clean the used
 // container and return it to the pool.
-func (h *HotC) Complete(c *container.Container, spec container.Spec) {
-	if st, ok := h.keys[spec.Key()]; ok {
+func (h *HotC) Complete(c *container.Container, spec *container.Spec) {
+	if st := h.lookup(spec); st != nil {
 		st.End()
 	}
 	h.pool.Release(c, nil)
@@ -178,8 +207,8 @@ func (h *HotC) Complete(c *container.Container, spec container.Spec) {
 // failed is quarantined — stopped and never re-admitted to the pool —
 // instead of being cleaned and reused (Algorithm 2 assumes the runtime
 // is still trustworthy; a crashed one is not).
-func (h *HotC) Discard(c *container.Container, spec container.Spec) {
-	if st, ok := h.keys[spec.Key()]; ok {
+func (h *HotC) Discard(c *container.Container, spec *container.Spec) {
+	if st := h.lookup(spec); st != nil {
 		st.End()
 	}
 	h.pool.Quarantine(c)
@@ -208,11 +237,11 @@ func (h *HotC) Stop() {
 func (h *HotC) tick() {
 	now := h.sched.Now()
 	h.books.Cycle()
-	for _, key := range h.order {
-		st := h.keys[key]
+	for _, st := range h.order {
+		live, idle := h.pool.Occupancy(st.spec)
 		d := st.Step(PlanInput{
 			Headroom: h.opts.Headroom,
-			InFlight: st.InFlight, Live: h.pool.NumLive(key), Idle: h.pool.NumAvail(key),
+			InFlight: st.InFlight, Live: live, Idle: idle,
 			MinWarm:       h.opts.MinWarm,
 			Retain:        st.everUsed && now-st.lastArrival <= h.opts.RetainIdle,
 			ScaleDownFrac: h.opts.ScaleDownFrac,
@@ -220,8 +249,11 @@ func (h *HotC) tick() {
 		if st.app.Name != "" { // else nothing is known to pre-warm the runtime with
 			h.pool.Prewarm(st.spec, st.app, d.Boot, nil)
 		}
-		h.pool.Retire(key, d.Retire)
-		h.books.Record(string(key), d)
+		h.pool.Retire(st.spec, d.Retire)
+		if st.books == nil {
+			st.books = h.books.For(string(st.spec.Key()))
+		}
+		st.books.Record(d)
 	}
 }
 
@@ -229,19 +261,19 @@ func (h *HotC) tick() {
 // observed and predicted demand among them). The boolean reports
 // whether the key is known.
 func (h *HotC) Trail(key config.Key) ([]Decision, bool) {
-	st, ok := h.keys[key]
-	if !ok {
+	id, ok := h.eng.LookupKey(key)
+	if !ok || int(id) >= len(h.keys) || h.keys[id] == nil {
 		return nil, false
 	}
-	return st.Trail(), true
+	return h.keys[id].Trail(), true
 }
 
 // LiveByKey reports the current number of live containers per key.
 func (h *HotC) LiveByKey() map[config.Key]int {
-	out := make(map[config.Key]int, len(h.keys))
-	for _, key := range h.order {
-		if n := h.pool.NumLive(key); n > 0 {
-			out[key] = n
+	out := make(map[config.Key]int, len(h.order))
+	for _, st := range h.order {
+		if n, _ := h.pool.Occupancy(st.spec); n > 0 {
+			out[st.spec.Key()] = n
 		}
 	}
 	return out

@@ -34,10 +34,10 @@ func newFixture(t *testing.T, opts Options) *fixture {
 	return &fixture{sched: sched, eng: eng, reg: reg, hotc: h, gw: faas.NewGateway(eng, h, obs.New())}
 }
 
-func (f *fixture) deploy(t *testing.T, name, img string, app workload.App) container.Spec {
+func (f *fixture) deploy(t *testing.T, name, img string, app workload.App) *container.Spec {
 	t.Helper()
 	fn := faas.Function{Name: name, Runtime: config.Runtime{Image: img}, App: app}
-	resolver := faas.ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := faas.ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, f.reg)
 	})
 	if err := f.gw.Deploy(fn, resolver); err != nil {
@@ -382,5 +382,50 @@ func TestLiveByKey(t *testing.T) {
 	m := f.hotc.LiveByKey()
 	if m[spec.Key()] != 1 {
 		t.Fatalf("LiveByKey = %v", m)
+	}
+}
+
+// A warm hit, its exec and its release allocate nothing: the pool's
+// reuse branch serves the hit synchronously, the engine keeps the exec
+// and the cleanup on the container, and the cleanup ends in the
+// completion the key's pool entry bound once.
+func TestWarmHitZeroAlloc(t *testing.T) {
+	f := newFixture(t, Options{})
+	app := workload.QRApp(workload.Python)
+	spec := f.deploy(t, "qr", "python:3.8", app)
+	var c *container.Container
+	var reused bool
+	acquired := func(got *container.Container, r bool, _ config.Delta, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, reused = got, r
+	}
+	executed := func(_ time.Duration, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.hotc.Complete(c, spec)
+	}
+	round := func() {
+		f.hotc.Acquire(spec, acquired)
+		if err := f.sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+		f.eng.Exec(c, app, executed)
+		if err := f.sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // boots the runtime
+	round()
+	if !reused {
+		t.Fatal("the second request did not reuse the runtime")
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a warm hit, exec and release allocate %v times, want 0", allocs)
+	}
+	if !reused || f.hotc.Pool().Stats().Misses != 1 {
+		t.Fatalf("reused = %v after %d misses, want every request after the first warm", reused, f.hotc.Pool().Stats().Misses)
 	}
 }

@@ -37,14 +37,27 @@ func NewBooks(reg *obs.Registry) *Books {
 	}
 }
 
-// Record books one key's decision: the three gauges, and the boots and
-// retirements it asked for.
-func (b *Books) Record(key string, d Decision) {
-	b.demand.With(key).Set(d.Observed)
-	b.forecast.With(key).Set(d.Input.Forecast)
-	b.target.With(key).Set(float64(d.Target))
-	b.prewarm.Add(float64(d.Boot))
-	b.retire.Add(float64(d.Retire))
+// KeyBooks are one runtime key's control gauges, resolved once (see
+// Books.For).
+type KeyBooks struct {
+	b                        *Books
+	demand, forecast, target *obs.Gauge
+}
+
+// For resolves the key's control gauges. The series appear in the
+// registry from then on.
+func (b *Books) For(key string) *KeyBooks {
+	return &KeyBooks{b: b, demand: b.demand.With(key), forecast: b.forecast.With(key), target: b.target.With(key)}
+}
+
+// Record books one decision of the key: the three gauges, and the boots
+// and retirements it asked for.
+func (k *KeyBooks) Record(d Decision) {
+	k.demand.Set(d.Observed)
+	k.forecast.Set(d.Input.Forecast)
+	k.target.Set(float64(d.Target))
+	k.b.prewarm.Add(float64(d.Boot))
+	k.b.retire.Add(float64(d.Retire))
 }
 
 // Cycle counts one control cycle, however many keys it stepped.

@@ -18,7 +18,7 @@ func (f *fixture) deployStage(t *testing.T, name, img string, lang workload.Lang
 		Runtime: config.Runtime{Image: img, Env: []string{"STAGE=" + name}},
 		App:     workload.QRApp(lang),
 	}
-	resolver := ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, f.reg)
 	})
 	if err := f.gw.Deploy(fn, resolver); err != nil {

@@ -54,18 +54,19 @@ type Function struct {
 type Provider interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Acquire obtains a runtime for the spec. reused reports whether
-	// an existing live container was handed out; delta carries
-	// exec-time adjustments for relaxed matches.
-	Acquire(spec container.Spec, done func(c *container.Container, reused bool, delta config.Delta, err error))
+	// Acquire obtains a runtime for the spec, the deployment's own
+	// pointer. reused reports whether an existing live container was
+	// handed out; delta carries exec-time adjustments for relaxed
+	// matches.
+	Acquire(spec *container.Spec, done func(c *container.Container, reused bool, delta config.Delta, err error))
 	// Complete is invoked after the response is sent; the provider
 	// decides whether to clean and keep the container or stop it.
-	Complete(c *container.Container, spec container.Spec)
+	Complete(c *container.Container, spec *container.Spec)
 	// Discard takes back a suspect container without re-pooling it
 	// (quarantine or stop instead of clean-and-keep). The gateway calls
 	// it when an execution fails and the runtime can no longer be
 	// trusted.
-	Discard(c *container.Container, spec container.Spec)
+	Discard(c *container.Container, spec *container.Spec)
 }
 
 // Timestamps are the six measured moments, as virtual times.
@@ -120,9 +121,10 @@ type Gateway struct {
 	provider Provider
 
 	// deployments holds one record per deployed function name, and keys
-	// one per runtime key those functions run on.
+	// one per runtime key those functions run on, under the engine's key
+	// handle (container.KeyID).
 	deployments map[string]*deployment
-	keys        map[string]*runtimeKey
+	keys        []*runtimeKey
 
 	// MaxAcquireRetries is how many times a failed runtime acquisition
 	// is retried before the request fails (transient engine errors —
@@ -199,8 +201,8 @@ const (
 // BreakerFor returns the circuit breaker guarding the runtime key, or
 // nil when breaking is disabled or the key has seen no traffic yet.
 func (g *Gateway) BreakerFor(key string) *Breaker {
-	if k := g.keys[key]; k != nil {
-		return k.brk
+	if id, ok := g.eng.LookupKey(config.Key(key)); ok && int(id) < len(g.keys) && g.keys[id] != nil {
+		return g.keys[id].brk
 	}
 	return nil
 }
@@ -216,7 +218,6 @@ func NewGateway(eng *container.Engine, provider Provider, reg *obs.Registry) *Ga
 		eng:               eng,
 		provider:          provider,
 		deployments:       make(map[string]*deployment),
-		keys:              make(map[string]*runtimeKey),
 		MaxAcquireRetries: 1,
 		Backoff:           DefaultBackoff(),
 		obs:               newInstruments(reg),
@@ -285,32 +286,35 @@ func (g *Gateway) Deploy(fn Function, reg SpecResolver) error {
 	if err != nil {
 		return fmt.Errorf("faas: deploying %q: %w", fn.Name, err)
 	}
-	key := string(spec.Key())
-	k := g.keys[key]
+	id := g.eng.KeyOf(spec)
+	for int(id) >= len(g.keys) {
+		g.keys = append(g.keys, nil)
+	}
+	k := g.keys[id]
 	if k == nil {
-		k = &runtimeKey{key: key}
-		g.keys[key] = k
+		k = &runtimeKey{key: string(spec.Key())}
+		g.keys[id] = k
 	}
 	d := g.deployments[fn.Name]
 	if d == nil {
 		d = &deployment{}
 		g.deployments[fn.Name] = d
 	}
-	d.fn, d.spec, d.key = &fn, &spec, k
+	d.fn, d.spec, d.key = &fn, spec, k
 	return nil
 }
 
 // SpecResolver resolves runtime configurations to specs; the image
 // registry satisfies it through ResolverFunc.
 type SpecResolver interface {
-	Resolve(rt config.Runtime) (container.Spec, error)
+	Resolve(rt config.Runtime) (*container.Spec, error)
 }
 
 // ResolverFunc adapts a function to SpecResolver.
-type ResolverFunc func(rt config.Runtime) (container.Spec, error)
+type ResolverFunc func(rt config.Runtime) (*container.Spec, error)
 
 // Resolve implements SpecResolver.
-func (f ResolverFunc) Resolve(rt config.Runtime) (container.Spec, error) { return f(rt) }
+func (f ResolverFunc) Resolve(rt config.Runtime) (*container.Spec, error) { return f(rt) }
 
 // Functions returns the deployed function names, sorted.
 func (g *Gateway) Functions() []string {
@@ -322,12 +326,13 @@ func (g *Gateway) Functions() []string {
 	return names
 }
 
-// Spec returns the resolved spec of a deployed function.
-func (g *Gateway) Spec(name string) (container.Spec, bool) {
+// Spec returns the resolved spec of a deployed function: the pointer
+// its requests hand the provider.
+func (g *Gateway) Spec(name string) (*container.Spec, bool) {
 	if d := g.deployments[name]; d != nil {
-		return *d.spec, true
+		return d.spec, true
 	}
-	return container.Spec{}, false
+	return nil, false
 }
 
 // Handle processes one request for the named function, invoking done
@@ -338,7 +343,7 @@ func (g *Gateway) Handle(name string, req trace.Request, done func(Result)) {
 	if done == nil {
 		panic("faas: Handle requires a completion callback")
 	}
-	g.handle(target{name: name, d: g.deployments[name]}, req, 0, func(_ int, r Result) { done(r) })
+	g.handle(target{name: name, d: g.deployments[name]}, req, 0, func(_ int, r *Result) { done(*r) })
 }
 
 // target is what a request names: a function, and its deployment (nil
@@ -349,15 +354,17 @@ type target struct {
 }
 
 // handle is Handle for a resolved target: done is called with slot
-// and the result, so one callback can serve a whole replay.
-func (g *Gateway) handle(t target, req trace.Request, slot int, done func(int, Result)) {
+// and the result, so one callback can serve a whole replay. The result
+// is valid only until done returns.
+func (g *Gateway) handle(t target, req trace.Request, slot int, done func(int, *Result)) {
 	if t.d == nil {
-		done(slot, Result{Request: req, Function: t.name, Err: fmt.Errorf("faas: unknown function %q", t.name)})
+		done(slot, &Result{Request: req, Function: t.name, Err: fmt.Errorf("faas: unknown function %q", t.name)})
 		return
 	}
 	r := g.newRequest()
-	r.d, r.fn, r.req, r.slot, r.done = t.d, t.d.fn, req, slot, done
-	r.ts.GatewayIn = g.sched.Now() // queue time counts into the latency
+	r.d, r.fn, r.slot, r.done = t.d, t.d.fn, slot, done
+	r.res.Request = req
+	r.res.Timestamps.GatewayIn = g.sched.Now() // queue time counts into the latency
 	g.admit(r)
 }
 
@@ -379,20 +386,21 @@ type request struct {
 	g    *Gateway
 	d    *deployment
 	fn   *Function // as admitted
-	req  trace.Request
 	slot int
-	done func(int, Result)
+	done func(int, *Result)
 
 	// Read from the deployment at start.
 	spec *container.Spec
 	key  *runtimeKey
 	brk  *Breaker // nil when breaking is disabled
 
-	ts Timestamps
+	// res is the result as it is built: the trace entry, the six
+	// timestamps as they are stamped and the resilience events as they
+	// happen; finish fills in the rest and hands it to done.
+	res Result
 	// admitAt is when the request cleared the concurrency queue; the
-	// gap back to ts.GatewayIn is pure queue wait.
+	// gap back to res.Timestamps.GatewayIn is pure queue wait.
 	admitAt simclock.Time
-	faults  []trace.FaultEvent
 
 	// attempt counts acquire retries since the last (re)start of the
 	// acquire loop, execAttempt the exec fallbacks so far.
@@ -404,8 +412,6 @@ type request struct {
 	c      *container.Container
 	reused bool
 	owned  bool
-	// Nominal phases of the exec in flight (see execDone).
-	initPhase, execPhase time.Duration
 
 	// then is the step the pending scheduler event runs.
 	then func(*request)
@@ -449,7 +455,7 @@ func (r *request) start() {
 	r.spec, r.key = d.spec, d.key
 	r.brk = g.breakerFor(r.key)
 	r.admitAt = g.sched.Now()
-	g.fnMetrics(d).queueWait.ObserveDuration(r.admitAt - r.ts.GatewayIn)
+	g.fnMetrics(d).queueWait.ObserveDuration(r.admitAt - r.res.Timestamps.GatewayIn)
 	// (1) -> gateway proxies the request towards the backend. The
 	// provider hands over a runtime; for a cold start the boot happens
 	// inside Acquire, i.e. between (1) and (2) the request is waiting
@@ -461,29 +467,23 @@ func (r *request) start() {
 // once, in hotc_resilience_events_total. kind is a row of
 // resilienceKinds.
 func (r *request) annotate(kind, detail string) {
-	r.faults = append(r.faults, trace.FaultEvent{At: r.g.sched.Now(), Kind: kind, Detail: detail})
+	r.res.Faults = append(r.res.Faults, trace.FaultEvent{At: r.g.sched.Now(), Kind: kind, Detail: detail})
 	r.g.obs.events[kind].Inc()
 }
 
 // finish records the outcome, frees the concurrency slot and hands the
-// result to the caller. The struct is spare from then on.
+// result to the caller. The struct is spare once the caller returns.
 func (r *request) finish(reused bool, err error) {
 	g := r.g
-	r.ts.ClientOut = g.sched.Now()
+	r.res.Timestamps.ClientOut = g.sched.Now()
 	g.record(r, reused, err)
 	g.releaseSlot(r.d)
-	res := Result{
-		Request:    r.req,
-		Function:   r.fn.Name,
-		Timestamps: r.ts,
-		Reused:     reused,
-		Err:        err,
-		Faults:     r.faults,
-	}
-	done, slot := r.done, r.slot
-	*r = request{g: g, on: r.on}
+	r.res.Function, r.res.Reused, r.res.Err = r.fn.Name, reused, err
+	r.done(r.slot, &r.res)
+	on := r.on
+	*r = request{}
+	r.g, r.on = g, on
 	g.spare = append(g.spare, r)
-	done(slot, res)
 }
 
 // fail is the error contract: a failed request still completes — done
@@ -503,10 +503,10 @@ func (r *request) acquire() {
 	g.setBreakerGauge(r.key, r.brk)
 	if r.brk != nil && !r.brk.Allow(g.sched.Now()) {
 		r.annotate("degraded-cold", r.key.key)
-		g.eng.Create(*r.spec, r.on.created)
+		g.eng.Create(r.spec, r.on.created)
 		return
 	}
-	g.provider.Acquire(*r.spec, r.on.acquired)
+	g.provider.Acquire(r.spec, r.on.acquired)
 }
 
 // created continues a degraded cold start.
@@ -515,7 +515,7 @@ func (r *request) created(c *container.Container, err error) {
 		r.retryOrFail(err)
 		return
 	}
-	r.run(c, false, config.Delta{}, true)
+	r.run(c, false, false, true)
 }
 
 // acquired continues with the provider's answer.
@@ -536,7 +536,7 @@ func (r *request) acquired(c *container.Container, reused bool, delta config.Del
 		r.brk.OnSuccess()
 		g.setBreakerGauge(r.key, r.brk)
 	}
-	r.run(c, reused, delta, false)
+	r.run(c, reused, !delta.Empty(), false)
 }
 
 // retryOrFail reschedules the acquire loop after a failure, or surfaces
@@ -553,12 +553,12 @@ func (r *request) retryOrFail(err error) {
 	r.fail(err)
 }
 
-// run drives (2)->(6) on an acquired runtime.
-func (r *request) run(c *container.Container, reused bool, delta config.Delta, owned bool) {
+// run drives (2)->(6) on an acquired runtime; relaxed reports a
+// relaxed match, which applies its exec-time delta first.
+func (r *request) run(c *container.Container, reused, relaxed, owned bool) {
 	r.c, r.reused, r.owned = c, reused, owned
-	// Relaxed matches apply their exec-time delta first.
 	adjust := time.Duration(0)
-	if !delta.Empty() {
+	if relaxed {
 		adjust = r.g.eng.Model().DeltaApplyCost()
 	}
 	r.after(adjust, (*request).exec)
@@ -566,12 +566,11 @@ func (r *request) run(c *container.Container, reused bool, delta config.Delta, o
 
 func (r *request) exec() {
 	g := r.g
-	if r.ts.WatchdogIn == 0 {
+	if ts := &r.res.Timestamps; ts.WatchdogIn == 0 {
 		// Stamped once: an exec fallback re-enters here, and the
 		// recovery time belongs to this request's initiation.
-		r.ts.WatchdogIn = g.sched.Now()
+		ts.WatchdogIn = g.sched.Now()
 	}
-	r.initPhase, r.execPhase = g.eng.ExecPhases(r.c, r.fn.App)
 	g.eng.Exec(r.c, r.fn.App, r.on.execDone)
 }
 
@@ -581,7 +580,7 @@ func (r *request) giveBack() {
 	if r.owned {
 		r.g.eng.Stop(r.c, nil)
 	} else {
-		r.g.provider.Complete(r.c, *r.spec)
+		r.g.provider.Complete(r.c, r.spec)
 	}
 }
 
@@ -597,7 +596,7 @@ func (r *request) execDone(actual time.Duration, err error) {
 				g.eng.Stop(r.c, nil)
 			} else {
 				r.annotate("quarantine", r.c.ID)
-				g.provider.Discard(r.c, *r.spec)
+				g.provider.Discard(r.c, r.spec)
 			}
 			delay := g.Backoff.Delay(r.execAttempt)
 			r.attempt, r.execAttempt = 0, r.execAttempt+1
@@ -610,19 +609,21 @@ func (r *request) execDone(actual time.Duration, err error) {
 	}
 	// Apportion the (possibly jittered) actual duration over the
 	// nominal phases to place (3) and (4).
-	r.ts.FuncStop = g.sched.Now()
-	nominal := r.initPhase + r.execPhase
-	execShare := r.execPhase
+	ts := &r.res.Timestamps
+	ts.FuncStop = g.sched.Now()
+	initPhase, execPhase := r.c.Phases()
+	nominal := initPhase + execPhase
+	execShare := execPhase
 	if nominal > 0 {
-		execShare = time.Duration(float64(actual) * float64(r.execPhase) / float64(nominal))
+		execShare = time.Duration(float64(actual) * float64(execPhase) / float64(nominal))
 	}
-	r.ts.FuncStart = r.ts.FuncStop - execShare
+	ts.FuncStart = ts.FuncStop - execShare
 	// (4) -> (5): watchdog copies the response out.
 	r.after(g.eng.Model().WatchdogShimCost(), (*request).watchdogOut)
 }
 
 func (r *request) watchdogOut() {
-	r.ts.WatchdogOut = r.g.sched.Now()
+	r.res.Timestamps.WatchdogOut = r.g.sched.Now()
 	// (5) -> (6): gateway returns to the client.
 	r.after(r.g.eng.Model().GatewayForwardCost(), (*request).respond)
 }
@@ -693,17 +694,18 @@ func (o arrivals) at(k int) int {
 // simulation is stepped until every response has been delivered (see
 // Replay). Results are returned in schedule order.
 func Run(g *Gateway, schedule []trace.Request, classFn func(class int) string) ([]Result, error) {
-	return RunAs(g, schedule, classFn, func(r Result) Result { return r })
+	return RunAs(g, schedule, classFn, func(r *Result) Result { return *r })
 }
 
 // RunAs is Run for a caller that keeps its own record of a request: as
-// maps each result into it when the request finishes. classFn must be a
-// pure mapping: it is consulted once per distinct class, and the name
-// it gives is resolved to a deployment once.
-func RunAs[R any](g *Gateway, schedule []trace.Request, classFn func(class int) string, as func(Result) R) ([]R, error) {
+// maps each result into it when the request finishes (the result is
+// valid only until as returns). classFn must be a pure mapping: it is
+// consulted once per distinct class, and the name it gives is resolved
+// to a deployment once.
+func RunAs[R any](g *Gateway, schedule []trace.Request, classFn func(class int) string, as func(*Result) R) ([]R, error) {
 	out := make([]R, len(schedule))
 	pending := len(schedule)
-	put := func(i int, r Result) {
+	put := func(i int, r *Result) {
 		out[i] = as(r)
 		pending--
 	}

@@ -50,7 +50,7 @@ func (f *fixture) deployQR(t *testing.T, name string, lang workload.Language) Fu
 		Runtime: config.Runtime{Image: "python:3.8"},
 		App:     workload.QRApp(lang),
 	}
-	resolver := ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, f.reg)
 	})
 	if err := f.gw.Deploy(fn, resolver); err != nil {
@@ -61,7 +61,7 @@ func (f *fixture) deployQR(t *testing.T, name string, lang workload.Language) Fu
 
 func TestDeployValidation(t *testing.T) {
 	f := newFixture(t, coldProvider)
-	resolver := ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, f.reg)
 	})
 	if err := f.gw.Deploy(Function{}, resolver); err == nil {
@@ -279,7 +279,7 @@ func TestMaxConcurrencySerializes(t *testing.T) {
 		App:            workload.QRApp(workload.Python),
 		MaxConcurrency: 1,
 	}
-	resolver := ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, f.reg)
 	})
 	if err := f.gw.Deploy(fn, resolver); err != nil {
@@ -334,7 +334,7 @@ func TestMaxConcurrencySlotFreedOnError(t *testing.T) {
 		App:            workload.QRApp(workload.Python),
 		MaxConcurrency: 1,
 	}
-	resolver := ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, f.reg)
 	})
 	if err := f.gw.Deploy(fn, resolver); err != nil {
@@ -393,7 +393,7 @@ func TestAcquireRetryRecoversTransientFailure(t *testing.T) {
 	// First create fails (momentary resource exhaustion); the retry
 	// succeeds.
 	calls := 0
-	f.eng.CreateHook = func(container.Spec) error {
+	f.eng.CreateHook = func(*container.Spec) error {
 		calls++
 		if calls == 1 {
 			return errBoom
@@ -419,7 +419,7 @@ func TestAcquireRetryRecoversTransientFailure(t *testing.T) {
 func TestAcquireRetryExhausted(t *testing.T) {
 	f := newFixture(t, coldProvider)
 	f.deployQR(t, "qr", workload.Python)
-	f.eng.CreateHook = func(container.Spec) error { return errBoom }
+	f.eng.CreateHook = func(*container.Spec) error { return errBoom }
 	f.gw.MaxAcquireRetries = 2
 	results, err := Run(f.gw, []trace.Request{{At: 0}}, func(int) string { return "qr" })
 	if err != nil {
@@ -436,7 +436,7 @@ func TestAcquireRetryExhausted(t *testing.T) {
 func TestAcquireRetryDisabled(t *testing.T) {
 	f := newFixture(t, coldProvider)
 	f.deployQR(t, "qr", workload.Python)
-	f.eng.CreateHook = func(container.Spec) error { return errBoom }
+	f.eng.CreateHook = func(*container.Spec) error { return errBoom }
 	f.gw.MaxAcquireRetries = 0
 	results, err := Run(f.gw, []trace.Request{{At: 0}}, func(int) string { return "qr" })
 	if err != nil {
@@ -475,7 +475,7 @@ func TestPropertyTimestampInvariants(t *testing.T) {
 			App:            workload.QRApp(workload.Python),
 			MaxConcurrency: int(capPick % 4), // 0 = unlimited
 		}
-		resolver := ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+		resolver := ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 			return container.ResolveSpec(rt, f.reg)
 		})
 		if err := f.gw.Deploy(fn, resolver); err != nil {

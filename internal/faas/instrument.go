@@ -155,9 +155,9 @@ func (g *Gateway) setBreakerGauge(k *runtimeKey, brk *Breaker) {
 }
 
 // record emits the per-request metrics and span once the outcome is
-// known. Arrival is r.ts.GatewayIn (stamped at Handle).
+// known. Arrival is ts.GatewayIn (stamped at Handle).
 func (g *Gateway) record(r *request, reused bool, err error) {
-	name, ts := r.fn.Name, r.ts
+	name, ts := r.fn.Name, &r.res.Timestamps
 	h := g.fnMetrics(r.d)
 	if err != nil {
 		h.reqErr.Inc()
@@ -178,7 +178,7 @@ func (g *Gateway) record(r *request, reused bool, err error) {
 			ID:          g.tracer.NextID(),
 			Function:    name,
 			Key:         r.key.key,
-			Round:       r.req.Round,
+			Round:       r.res.Request.Round,
 			Reused:      reused,
 			ClientIn:    time.Duration(ts.GatewayIn),
 			GatewayIn:   time.Duration(r.admitAt),
@@ -191,7 +191,7 @@ func (g *Gateway) record(r *request, reused bool, err error) {
 		if err != nil {
 			s.Err = err.Error()
 		}
-		for _, f := range r.faults {
+		for _, f := range r.res.Faults {
 			s.Events = append(s.Events, obs.SpanEvent{At: f.At, Kind: f.Kind, Detail: f.Detail})
 		}
 		g.tracer.Record(s)

@@ -153,7 +153,7 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	}
 	st.booting += d.Boot
 	retire := s.takeOldestLocked(d.Retire, &s.stats.Retired)
-	g.obs.ctl.Record(name, d)
+	g.obs.ctl.For(name).Record(d)
 	g.wg.Add(d.Boot)
 	s.mu.Unlock()
 	g.smu.RUnlock()

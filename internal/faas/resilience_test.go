@@ -171,7 +171,7 @@ func TestAcquireErrorContract(t *testing.T) {
 		App:            workload.QRApp(workload.Python),
 		MaxConcurrency: 1,
 	}
-	resolver := ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, f.reg)
 	})
 	if err := f.gw.Deploy(fn, resolver); err != nil {
@@ -182,7 +182,7 @@ func TestAcquireErrorContract(t *testing.T) {
 	// exhausts its retries, the second succeeds — proving the failed
 	// request released its single concurrency slot.
 	calls := 0
-	f.eng.CreateHook = func(container.Spec) error {
+	f.eng.CreateHook = func(*container.Spec) error {
 		calls++
 		if calls <= 2 {
 			return errBoom
@@ -287,7 +287,7 @@ type failingProvider struct {
 
 func (p *failingProvider) Name() string { return "failing" }
 
-func (p *failingProvider) Acquire(spec container.Spec, done func(*container.Container, bool, config.Delta, error)) {
+func (p *failingProvider) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
 	p.calls++
 	if p.broken {
 		done(nil, false, config.Delta{}, errBoom)
@@ -306,11 +306,11 @@ func (p *failingProvider) Acquire(spec container.Spec, done func(*container.Cont
 	})
 }
 
-func (p *failingProvider) Complete(c *container.Container, _ container.Spec) {
+func (p *failingProvider) Complete(c *container.Container, _ *container.Spec) {
 	p.eng.Stop(c, nil)
 }
 
-func (p *failingProvider) Discard(c *container.Container, spec container.Spec) {
+func (p *failingProvider) Discard(c *container.Container, spec *container.Spec) {
 	p.Complete(c, spec)
 }
 
@@ -398,7 +398,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 func TestBreakerDisabledByDefault(t *testing.T) {
 	f := newFixture(t, coldProvider)
 	f.deployQR(t, "qr", workload.Python)
-	f.eng.CreateHook = func(container.Spec) error { return errBoom }
+	f.eng.CreateHook = func(*container.Spec) error { return errBoom }
 	f.gw.MaxAcquireRetries = 0
 	for i := 0; i < 10; i++ {
 		var res Result

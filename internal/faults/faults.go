@@ -220,7 +220,7 @@ func (in *Injector) rate(key string, pick func(*Rule) float64) float64 {
 
 // onCreate is the engine CreateHook: fail creation at the effective
 // create-fail rate.
-func (in *Injector) onCreate(spec container.Spec) error {
+func (in *Injector) onCreate(spec *container.Spec) error {
 	if in.create.Bernoulli(in.rate(string(spec.Key()), func(r *Rule) float64 { return r.CreateFailRate })) {
 		in.stats.CreateFails++
 		return fmt.Errorf("faults: injected create failure for %s", spec.Key())
@@ -247,7 +247,7 @@ func (in *Injector) onExec(c *container.Container, _ workload.App) error {
 
 // startDelay is the engine StartDelayHook: inflate the boot cost at the
 // slow-start rate.
-func (in *Injector) startDelay(spec container.Spec) time.Duration {
+func (in *Injector) startDelay(spec *container.Spec) time.Duration {
 	key := string(spec.Key())
 	r := in.rule(key)
 	if r == nil {

@@ -33,7 +33,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	return &fixture{sched: sched, eng: eng, reg: reg, inj: inj}
 }
 
-func (f *fixture) spec(t *testing.T, image string) container.Spec {
+func (f *fixture) spec(t *testing.T, image string) *container.Spec {
 	t.Helper()
 	s, err := container.ResolveSpec(config.Runtime{Image: image}, f.reg)
 	if err != nil {
@@ -43,7 +43,7 @@ func (f *fixture) spec(t *testing.T, image string) container.Spec {
 }
 
 // create drives one engine Create to completion.
-func (f *fixture) create(t *testing.T, spec container.Spec) (*container.Container, error) {
+func (f *fixture) create(t *testing.T, spec *container.Spec) (*container.Container, error) {
 	t.Helper()
 	var ctr *container.Container
 	var cerr error

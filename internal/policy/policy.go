@@ -45,7 +45,7 @@ func NewNoReuse(eng *container.Engine) *NoReuse {
 func (n *NoReuse) Name() string { return "default(cold-start)" }
 
 // Acquire implements faas.Provider: always a fresh container.
-func (n *NoReuse) Acquire(spec container.Spec, done func(*container.Container, bool, config.Delta, error)) {
+func (n *NoReuse) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
 	n.eng.Create(spec, func(c *container.Container, err error) {
 		if err != nil {
 			done(nil, false, config.Delta{}, err)
@@ -60,13 +60,13 @@ func (n *NoReuse) Acquire(spec container.Spec, done func(*container.Container, b
 }
 
 // Complete implements faas.Provider: tear the container down.
-func (n *NoReuse) Complete(c *container.Container, _ container.Spec) {
+func (n *NoReuse) Complete(c *container.Container, _ *container.Spec) {
 	n.eng.Stop(c, nil)
 }
 
 // Discard implements faas.Provider. A cold-start policy tears every
 // container down anyway, suspect or not.
-func (n *NoReuse) Discard(c *container.Container, spec container.Spec) {
+func (n *NoReuse) Discard(c *container.Container, spec *container.Spec) {
 	n.Complete(c, spec)
 }
 
@@ -80,11 +80,11 @@ type expiring struct {
 	ttl func(key config.Key) time.Duration
 }
 
-func (e *expiring) acquire(spec container.Spec, done func(*container.Container, bool, config.Delta, error)) {
+func (e *expiring) acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
 	e.pool.Acquire(spec, done)
 }
 
-func (e *expiring) complete(c *container.Container, spec container.Spec) {
+func (e *expiring) complete(c *container.Container, spec *container.Spec) {
 	e.pool.Release(c, func(error) {
 		e.armExpiry(c, spec.Key())
 	})
@@ -153,18 +153,18 @@ func NewFixedKeepAlive(p *pool.Pool, window time.Duration) *FixedKeepAlive {
 func (f *FixedKeepAlive) Name() string { return "fixed-keepalive(" + f.window.String() + ")" }
 
 // Acquire implements faas.Provider.
-func (f *FixedKeepAlive) Acquire(spec container.Spec, done func(*container.Container, bool, config.Delta, error)) {
+func (f *FixedKeepAlive) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
 	f.acquire(spec, done)
 }
 
 // Complete implements faas.Provider.
-func (f *FixedKeepAlive) Complete(c *container.Container, spec container.Spec) {
+func (f *FixedKeepAlive) Complete(c *container.Container, spec *container.Spec) {
 	f.complete(c, spec)
 }
 
 // Discard implements faas.Provider: the suspect container is
 // quarantined, never re-entering the pool.
-func (f *FixedKeepAlive) Discard(c *container.Container, _ container.Spec) {
+func (f *FixedKeepAlive) Discard(c *container.Container, _ *container.Spec) {
 	f.discard(c)
 }
 
@@ -199,13 +199,12 @@ func (w *PeriodicWarmup) Pings() int { return w.pings }
 
 // StartPinger begins periodic warm-up for one function runtime. Call
 // StopPingers to halt all pingers.
-func (w *PeriodicWarmup) StartPinger(spec container.Spec, app workload.App) {
-	key := spec.Key()
+func (w *PeriodicWarmup) StartPinger(spec *container.Spec, app workload.App) {
 	stop := w.sched.Every(w.period, func() {
 		w.pings++
-		avail := w.pool.Available(key)
+		avail := w.pool.Available(spec)
 		if len(avail) == 0 {
-			if w.pool.NumLive(key) == 0 {
+			if live, _ := w.pool.Occupancy(spec); live == 0 {
 				w.pool.Prewarm(spec, app, 1, nil)
 			}
 			return
@@ -287,7 +286,7 @@ func (h *Histogram) windowFor(key config.Key) time.Duration {
 
 // Acquire implements faas.Provider, recording the arrival for the
 // key's inter-arrival histogram.
-func (h *Histogram) Acquire(spec container.Spec, done func(*container.Container, bool, config.Delta, error)) {
+func (h *Histogram) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
 	key := spec.Key()
 	now := h.sched.Now()
 	if last, ok := h.lastArrival[key]; ok {
@@ -302,12 +301,12 @@ func (h *Histogram) Acquire(spec container.Spec, done func(*container.Container,
 }
 
 // Complete implements faas.Provider.
-func (h *Histogram) Complete(c *container.Container, spec container.Spec) {
+func (h *Histogram) Complete(c *container.Container, spec *container.Spec) {
 	h.complete(c, spec)
 }
 
 // Discard implements faas.Provider: the suspect container is
 // quarantined, never re-entering the pool.
-func (h *Histogram) Discard(c *container.Container, _ container.Spec) {
+func (h *Histogram) Discard(c *container.Container, _ *container.Spec) {
 	h.discard(c)
 }

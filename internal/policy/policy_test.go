@@ -28,7 +28,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{sched: sched, eng: eng, reg: reg, pool: pool.New(eng, pool.Options{})}
 }
 
-func (f *fixture) spec(t *testing.T, img string) container.Spec {
+func (f *fixture) spec(t *testing.T, img string) *container.Spec {
 	t.Helper()
 	s, err := container.ResolveSpec(config.Runtime{Image: img}, f.reg)
 	if err != nil {
@@ -39,9 +39,9 @@ func (f *fixture) spec(t *testing.T, img string) container.Spec {
 
 // acquireExecComplete drives one full request through a policy.
 func acquireExecComplete(t *testing.T, f *fixture, p interface {
-	Acquire(container.Spec, func(*container.Container, bool, config.Delta, error))
-	Complete(*container.Container, container.Spec)
-}, spec container.Spec, app workload.App) (reused bool) {
+	Acquire(*container.Spec, func(*container.Container, bool, config.Delta, error))
+	Complete(*container.Container, *container.Spec)
+}, spec *container.Spec, app workload.App) (reused bool) {
 	t.Helper()
 	finished := false
 	p.Acquire(spec, func(c *container.Container, r bool, _ config.Delta, err error) {

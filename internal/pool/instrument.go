@@ -81,14 +81,11 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// syncKeyGauges refreshes the occupancy gauges for one runtime key.
-func (p *Pool) syncKeyGauges(key config.Key) { p.sync(p.entry(key)) }
-
 // sync refreshes one entry's occupancy gauges.
 func (p *Pool) sync(k *keyed) {
 	if k.gauges == nil {
 		k.gauges = p.obs.gauges(k.key)
 	}
 	k.gauges.live.Set(float64(len(k.list)))
-	k.gauges.avail.Set(float64(k.numAvail()))
+	k.gauges.avail.Set(float64(k.avail))
 }

@@ -11,11 +11,11 @@ import (
 
 // pyEnvSpec builds a python spec whose full key differs by Env but
 // whose relaxed key matches every other pyEnvSpec.
-func pyEnvSpec(t *testing.T, f *fixture, env string) container.Spec {
+func pyEnvSpec(t *testing.T, f *fixture, env string) *container.Spec {
 	return f.spec(t, config.Runtime{Image: "python:3.8", Env: []string{env}})
 }
 
-func nodeSpec(t *testing.T, f *fixture) container.Spec {
+func nodeSpec(t *testing.T, f *fixture) *container.Spec {
 	return f.spec(t, config.Runtime{Image: "node:10"})
 }
 

@@ -15,11 +15,12 @@ import (
 	"hotc/internal/workload"
 )
 
-// The engine counts its Available containers and the pool its live
-// ones instead of walking them. Under any sequence of engine and pool
-// operations — including ones callers never issue, such as stopping a
-// container mid-exec — each count must give exactly what the walk
-// gives: the idle overheads bit for bit, Pool.Live to the container.
+// The engine counts its Available containers and the pool its live ones,
+// and each key's available ones, instead of walking them. Under any
+// sequence of engine and pool operations — including ones callers never
+// issue, such as stopping a container mid-exec — each count must give
+// exactly what the walk gives: the idle overheads bit for bit, Pool.Live
+// and every key's NumAvail to the container.
 func TestEngineOccupancyMatchesScan(t *testing.T) {
 	check := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
@@ -28,7 +29,7 @@ func TestEngineOccupancyMatchesScan(t *testing.T) {
 		cm := costmodel.New(costmodel.Server())
 		eng := container.NewEngine(sched, cm, reg, image.NewCache(), nil)
 		p := New(eng, Options{MaxLive: 6, EnableSharing: true, EnableRelaxed: true})
-		var specs []container.Spec
+		var specs []*container.Spec
 		for _, rt := range []config.Runtime{{Image: "python:3.8"}, {Image: "python:3.8", Env: []string{"A=1"}}, {Image: "node:10"}} {
 			s, err := container.ResolveSpec(rt, reg)
 			if err != nil {
@@ -49,7 +50,7 @@ func TestEngineOccupancyMatchesScan(t *testing.T) {
 			}
 			return seen[rnd.Intn(len(seen))]
 		}
-		spec := func() container.Spec { return specs[rnd.Intn(len(specs))] }
+		spec := func() *container.Spec { return specs[rnd.Intn(len(specs))] }
 		ignore := func(error) {}
 
 		for op := 0; op < 300; op++ {
@@ -78,7 +79,7 @@ func TestEngineOccupancyMatchesScan(t *testing.T) {
 			case k == 10:
 				p.Prewarm(spec(), app, 1+rnd.Intn(2), nil)
 			case k == 11:
-				p.Retire(spec().Key(), 1)
+				p.Retire(spec(), 1)
 			case k == 12 && c != nil:
 				p.Quarantine(c)
 			default:
@@ -95,7 +96,20 @@ func TestEngineOccupancyMatchesScan(t *testing.T) {
 			}
 			live := 0
 			for _, k := range p.byKey {
+				if k == nil {
+					continue
+				}
 				live += len(k.list)
+				avail := 0
+				for _, c := range k.list {
+					if c.State() == container.Available {
+						avail++
+					}
+				}
+				if p.NumAvail(k.key) != avail {
+					t.Logf("seed %d, op %d: key %s counts %d available, its list holds %d", seed, op, k.key, p.NumAvail(k.key), avail)
+					return false
+				}
 			}
 			if math.Float64bits(eng.IdleOverheadMemMB()) != math.Float64bits(idleMem) ||
 				math.Float64bits(eng.IdleOverheadCPUPct()) != math.Float64bits(idleCPU) || p.Live() != live {

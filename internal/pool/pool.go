@@ -132,10 +132,13 @@ type Pool struct {
 	eng  *container.Engine
 	opts Options
 
-	// byKey holds each canonical key's live pool containers and gauges.
-	// An entry stays once made, so a key's gauges are resolved once.
-	byKey map[config.Key]*keyed
-	// byRelaxed indexes the same containers by relaxed key.
+	// byKey holds each runtime key's live pool containers and gauges,
+	// indexed by the engine's key handle (container.KeyID); nil for a key
+	// the pool has not seen. An entry stays once made, so a key's gauges
+	// are resolved once.
+	byKey []*keyed
+	// byRelaxed indexes the same containers by relaxed key, when relaxed
+	// matching is on.
 	byRelaxed map[config.RelaxedKey][]*container.Container
 	// live counts the containers across byKey.
 	live int
@@ -157,7 +160,6 @@ func New(eng *container.Engine, opts Options) *Pool {
 	return &Pool{
 		eng:          eng,
 		opts:         opts,
-		byKey:        make(map[config.Key]*keyed),
 		byRelaxed:    make(map[config.RelaxedKey][]*container.Container),
 		quarantining: make(map[*container.Container]bool),
 		obs:          newInstruments(opts.Metrics),
@@ -168,39 +170,41 @@ func New(eng *container.Engine, opts Options) *Pool {
 func (p *Pool) Engine() *container.Engine { return p.eng }
 
 // keyed is one runtime key's share of the pool: its live containers in
-// creation order (oldest first, so forced eviction can take the oldest)
-// and its occupancy gauges, resolved when first set.
+// creation order (oldest first, so forced eviction can take the oldest),
+// how many of them are Available (each is tallied here while in the
+// list, see container.Tally), the completion of their cleanups, and
+// their occupancy gauges, resolved when first set.
 type keyed struct {
-	key    config.Key
-	list   []*container.Container
-	gauges *keyGauges
+	key      config.Key
+	list     []*container.Container
+	avail    int
+	released func(error)
+	gauges   *keyGauges
 }
 
-// numAvail counts the entry's Available containers.
-func (k *keyed) numAvail() int {
-	n := 0
-	for _, c := range k.list {
-		if c.State() == container.Available {
-			n++
-		}
+// entryFor returns the entry of the spec's key, making it on first
+// sight.
+func (p *Pool) entryFor(spec *container.Spec) *keyed {
+	id := p.eng.KeyOf(spec)
+	for int(id) >= len(p.byKey) {
+		p.byKey = append(p.byKey, nil)
 	}
-	return n
-}
-
-// entry returns the key's entry, making it on first sight.
-func (p *Pool) entry(key config.Key) *keyed {
-	k := p.byKey[key]
+	k := p.byKey[id]
 	if k == nil {
-		k = &keyed{key: key}
-		p.byKey[key] = k
+		k = &keyed{key: spec.Key()}
+		k.released = func(error) { p.released(k) }
+		p.byKey[id] = k
 	}
 	return k
 }
 
-// list returns the key's live containers, nil for an unknown key.
-func (p *Pool) list(key config.Key) []*container.Container {
-	if k := p.byKey[key]; k != nil {
-		return k.list
+// entryOf returns the entry of the key c runs under.
+func (p *Pool) entryOf(c *container.Container) *keyed { return p.entryFor(&c.Spec) }
+
+// lookup returns the key's entry, nil for a key the pool has not seen.
+func (p *Pool) lookup(key config.Key) *keyed {
+	if id, ok := p.eng.LookupKey(key); ok && int(id) < len(p.byKey) {
+		return p.byKey[id]
 	}
 	return nil
 }
@@ -211,25 +215,26 @@ func (p *Pool) Live() int { return p.live }
 // NumAvail reports how many containers of the given runtime type are
 // available for immediate reuse — the paper's num_avail[key].
 func (p *Pool) NumAvail(key config.Key) int {
-	if k := p.byKey[key]; k != nil {
-		return k.numAvail()
+	if k := p.lookup(key); k != nil {
+		return k.avail
 	}
 	return 0
 }
 
 // NumLive reports how many live containers (available or busy) exist
 // for the key.
-func (p *Pool) NumLive(key config.Key) int { return len(p.list(key)) }
-
-// Keys returns the runtime keys currently present in the pool.
-func (p *Pool) Keys() []config.Key {
-	keys := make([]config.Key, 0, len(p.byKey))
-	for key, k := range p.byKey {
-		if len(k.list) > 0 {
-			keys = append(keys, key)
-		}
+func (p *Pool) NumLive(key config.Key) int {
+	if k := p.lookup(key); k != nil {
+		return len(k.list)
 	}
-	return keys
+	return 0
+}
+
+// Occupancy reports the spec's live containers and how many of them are
+// available: NumLive and NumAvail through the spec's key handle.
+func (p *Pool) Occupancy(spec *container.Spec) (live, avail int) {
+	k := p.entryFor(spec)
+	return len(k.list), k.avail
 }
 
 // Acquire implements Algorithm 1: find a container with the same
@@ -238,23 +243,34 @@ func (p *Pool) Keys() []config.Key {
 // passes); otherwise start a new container (reused=false, after the
 // cold boot delay). The delta result is non-empty only for relaxed
 // hits and must be applied by the executor.
-func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, reused bool, delta config.Delta, err error)) {
+func (p *Pool) Acquire(spec *container.Spec, done func(c *container.Container, reused bool, delta config.Delta, err error)) {
 	if done == nil {
 		panic("pool: Acquire requires a completion callback")
 	}
-	k := p.entry(spec.Key())
+	if c, delta, err := p.Reuse(spec); c != nil || err != nil {
+		done(c, c != nil, delta, err)
+		return
+	}
+	p.Fresh(spec, done)
+}
+
+// Reuse is Algorithm 1's reuse branch, which takes no simulated time: it
+// reserves and returns an available live runtime for spec — of its key,
+// or under relaxed matching of its relaxed key, with the delta the
+// executor must apply. A nil container and a nil error is a miss, for
+// Fresh to serve.
+func (p *Pool) Reuse(spec *container.Spec) (*container.Container, config.Delta, error) {
+	k := p.entryFor(spec)
 
 	// Exact-key reuse: the first available candidate that passes the
 	// health check (unhealthy ones are quarantined as they are found).
 	if c := p.firstHealthy(k.list); c != nil {
 		if err := p.eng.Reserve(c); err != nil {
-			done(nil, false, config.Delta{}, fmt.Errorf("pool: reserving hit: %w", err))
-			return
+			return nil, config.Delta{}, fmt.Errorf("pool: reserving hit: %w", err)
 		}
 		p.obs.hitsExact.Inc()
 		p.sync(k)
-		done(c, true, config.Delta{}, nil)
-		return
+		return c, config.Delta{}, nil
 	}
 
 	// Relaxed-key reuse (§VII): a container whose namespace-level
@@ -263,16 +279,19 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 		if c := p.firstHealthy(p.byRelaxed[spec.Runtime.Relaxed()]); c != nil {
 			if err := p.eng.Reserve(c); err == nil {
 				p.obs.hitsRelaxed.Inc()
-				p.syncKeyGauges(c.Key())
-				delta := spec.Runtime.DeltaFrom(c.Spec.Runtime)
-				done(c, true, delta, nil)
-				return
+				p.sync(p.entryOf(c))
+				return c, spec.Runtime.DeltaFrom(c.Spec.Runtime), nil
 			}
 		}
 	}
+	return nil, config.Delta{}, nil
+}
 
-	// Cold path: before paying for a new container, try renting an
-	// idle one from another runtime key (inter-function sharing).
+// Fresh is Algorithm 1's other branch, after Reuse missed: it counts the
+// miss and starts a new container for spec (reused=false, after the
+// cold boot delay) — or, under sharing, first tries renting an idle one
+// from another runtime key.
+func (p *Pool) Fresh(spec *container.Spec, done func(c *container.Container, reused bool, delta config.Delta, err error)) {
 	p.obs.misses.Inc()
 	if p.opts.EnableSharing {
 		if c := p.shareCandidate(spec); c != nil {
@@ -286,6 +305,7 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 			return
 		}
 	}
+	k := p.entryFor(spec)
 	p.makeRoom()
 	p.eng.Create(spec, func(c *container.Container, err error) {
 		if err != nil {
@@ -311,12 +331,12 @@ func (p *Pool) Acquire(spec container.Spec, done func(c *container.Container, re
 // deterministic under Go's randomized map iteration (see older).
 // Containers idle for less than ShareIdleGrace are never offered.
 // Candidates are health-checked like any other hand-out.
-func (p *Pool) shareCandidate(spec container.Spec) *container.Container {
-	key := spec.Key()
+func (p *Pool) shareCandidate(spec *container.Spec) *container.Container {
+	own := p.entryFor(spec)
 	now := p.eng.Scheduler().Now()
 	var best *container.Container
-	for k, e := range p.byKey {
-		if k == key {
+	for _, e := range p.byKey {
+		if e == nil || e == own {
 			continue
 		}
 		for _, c := range e.list {
@@ -347,16 +367,16 @@ func (p *Pool) shareCandidate(spec container.Spec) *container.Container {
 // container under its former key. On success the container has been
 // re-admitted under its new key and reserved; on failure it is
 // returned to the pool untouched.
-func (p *Pool) Lease(c *container.Container, spec container.Spec, done func(error)) {
+func (p *Pool) Lease(c *container.Container, spec *container.Spec, done func(error)) {
 	if done == nil {
 		done = func(error) {}
 	}
-	oldKey := c.Key()
+	old := p.entryOf(c)
 	p.remove(c)
 	p.eng.Repurpose(c, spec, func(err error) {
 		if err != nil {
 			p.admit(c) // spec unchanged on failure: back under the old key
-			done(fmt.Errorf("pool: leasing %s from %s: %w", c.ID, oldKey, err))
+			done(fmt.Errorf("pool: leasing %s from %s: %w", c.ID, old.key, err))
 			return
 		}
 		p.admit(c)
@@ -365,8 +385,8 @@ func (p *Pool) Lease(c *container.Container, spec container.Spec, done func(erro
 			return
 		}
 		p.obs.leases.Inc()
-		p.syncKeyGauges(oldKey)
-		p.syncKeyGauges(spec.Key())
+		p.sync(old)
+		p.sync(p.entryFor(spec))
 		done(nil)
 	})
 }
@@ -374,29 +394,39 @@ func (p *Pool) Lease(c *container.Container, spec container.Spec, done func(erro
 // ReleaseUnused returns a reserved-but-unused container to the pool.
 func (p *Pool) ReleaseUnused(c *container.Container) {
 	p.eng.Unreserve(c)
-	p.syncKeyGauges(c.Key())
+	p.sync(p.entryOf(c))
 }
 
 // Release implements Algorithm 2: after the request finishes, clean
 // the used container's volume and make it available again
 // (num_avail[key]++ happens implicitly when the container returns to
-// the Available state). done may be nil.
+// the Available state). done may be nil; without it the cleanup ends
+// in the completion its key's entry bound once.
 func (p *Pool) Release(c *container.Container, done func(error)) {
-	if done == nil {
-		done = func(error) {}
-	}
 	if c.State() == container.Stopped {
-		done(fmt.Errorf("pool: releasing stopped container %s", c.ID))
+		if done != nil {
+			done(fmt.Errorf("pool: releasing stopped container %s", c.ID))
+		}
+		return
+	}
+	k := p.entryOf(c)
+	if done == nil {
+		p.eng.CleanVolume(c, k.released)
 		return
 	}
 	p.eng.CleanVolume(c, func(err error) {
-		// The pool may have grown past its cap while every container
-		// was busy (requests must still be served); shrink back now
-		// that a container has become evictable.
-		p.shrinkToCap()
-		p.syncKeyGauges(c.Key())
+		k.released(err)
 		done(err)
 	})
+}
+
+// released ends a cleanup Release started on one of k's containers.
+func (p *Pool) released(k *keyed) {
+	// The pool may have grown past its cap while every container was
+	// busy (requests must still be served); shrink back now that a
+	// container has become evictable.
+	p.shrinkToCap()
+	p.sync(k)
 }
 
 // shrinkToCap evicts oldest available containers until the pool is
@@ -417,7 +447,7 @@ func (p *Pool) shrinkToCap() {
 // Prewarm creates and initialises n containers for the spec/app pair
 // ahead of demand (Algorithm 3's scale-up action). done is called once
 // per container. Prewarming respects the caps.
-func (p *Pool) Prewarm(spec container.Spec, app workload.App, n int, done func(error)) {
+func (p *Pool) Prewarm(spec *container.Spec, app workload.App, n int, done func(error)) {
 	if done == nil {
 		done = func(error) {}
 	}
@@ -427,27 +457,34 @@ func (p *Pool) Prewarm(spec container.Spec, app workload.App, n int, done func(e
 			continue
 		}
 		p.makeRoom()
-		p.eng.Create(spec, func(c *container.Container, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			p.admit(c)
-			p.obs.prewarmed.Inc()
-			p.eng.Warmup(c, app, func(err error) {
-				p.syncKeyGauges(c.Key())
-				done(err)
-			})
-		})
+		p.prewarm(spec, app, done)
 	}
 }
 
-// Retire stops up to n available containers of the given key
+// prewarm creates and initialises one container for Prewarm. Its
+// completions are made here, so a control tick that asks for no boots
+// allocates nothing.
+func (p *Pool) prewarm(spec *container.Spec, app workload.App, done func(error)) {
+	p.eng.Create(spec, func(c *container.Container, err error) {
+		if err != nil {
+			done(err)
+			return
+		}
+		p.admit(c)
+		p.obs.prewarmed.Inc()
+		p.eng.Warmup(c, app, func(err error) {
+			p.sync(p.entryOf(c))
+			done(err)
+		})
+	})
+}
+
+// Retire stops up to n available containers of the spec's key
 // (Algorithm 3's scale-down action), oldest first. It returns how many
 // stops were initiated.
-func (p *Pool) Retire(key config.Key, n int) int {
+func (p *Pool) Retire(spec *container.Spec, n int) int {
 	stopped := 0
-	for _, c := range p.list(key) {
+	for _, c := range p.entryFor(spec).list {
 		if stopped >= n {
 			break
 		}
@@ -475,11 +512,11 @@ func (p *Pool) Stop(c *container.Container) bool {
 	return true
 }
 
-// Available returns the available containers for a key, oldest first
-// (used by warm-up pingers to refresh idle runtimes).
-func (p *Pool) Available(key config.Key) []*container.Container {
+// Available returns the available containers of the spec's key, oldest
+// first (used by warm-up pingers to refresh idle runtimes).
+func (p *Pool) Available(spec *container.Spec) []*container.Container {
 	var out []*container.Container
-	for _, c := range p.list(key) {
+	for _, c := range p.entryFor(spec).list {
 		if c.State() == container.Available {
 			out = append(out, c)
 		}
@@ -497,6 +534,9 @@ func (p *Pool) EvictOldest() bool {
 	var victim *container.Container
 	lru := p.opts.Eviction == EvictLRU
 	for _, k := range p.byKey {
+		if k == nil {
+			continue
+		}
 		for _, c := range k.list {
 			if c.State() != container.Available {
 				continue
@@ -545,10 +585,8 @@ func (p *Pool) roomToGrow() bool {
 
 func (p *Pool) anyAvailable() bool {
 	for _, k := range p.byKey {
-		for _, c := range k.list {
-			if c.State() == container.Available {
-				return true
-			}
+		if k != nil && k.avail > 0 {
+			return true
 		}
 	}
 	return false
@@ -620,24 +658,32 @@ func (p *Pool) Quarantine(c *container.Container) {
 
 // admit registers a container in the pool indexes.
 func (p *Pool) admit(c *container.Container) {
-	k := p.entry(c.Key())
+	k := p.entryOf(c)
 	k.list = append(k.list, c)
+	c.Tally(&k.avail)
 	p.live++
-	rk := c.Spec.Runtime.Relaxed()
-	p.byRelaxed[rk] = append(p.byRelaxed[rk], c)
+	if p.opts.EnableRelaxed {
+		rk := c.Spec.Runtime.Relaxed()
+		p.byRelaxed[rk] = append(p.byRelaxed[rk], c)
+	}
 	p.sync(k)
 }
 
 // remove drops a container from the pool indexes.
 func (p *Pool) remove(c *container.Container) {
-	k := p.entry(c.Key())
+	k := p.entryOf(c)
 	n := len(k.list)
 	k.list = removeFrom(k.list, c)
-	p.live -= n - len(k.list)
-	rk := c.Spec.Runtime.Relaxed()
-	p.byRelaxed[rk] = removeFrom(p.byRelaxed[rk], c)
-	if len(p.byRelaxed[rk]) == 0 {
-		delete(p.byRelaxed, rk)
+	if len(k.list) < n {
+		c.Tally(nil)
+		p.live--
+	}
+	if p.opts.EnableRelaxed {
+		rk := c.Spec.Runtime.Relaxed()
+		p.byRelaxed[rk] = removeFrom(p.byRelaxed[rk], c)
+		if len(p.byRelaxed[rk]) == 0 {
+			delete(p.byRelaxed, rk)
+		}
 	}
 	p.sync(k)
 }
@@ -661,6 +707,9 @@ func (p *Pool) IdleMemMB() float64 {
 func (p *Pool) OldestAge(now time.Duration) time.Duration {
 	var oldest *container.Container
 	for _, k := range p.byKey {
+		if k == nil {
+			continue
+		}
 		for _, c := range k.list {
 			if oldest == nil || c.CreatedAt < oldest.CreatedAt {
 				oldest = c

@@ -29,7 +29,7 @@ func newFixture(t *testing.T, opts Options) *fixture {
 	return &fixture{sched: sched, eng: eng, reg: reg, pool: New(eng, opts)}
 }
 
-func (f *fixture) spec(t *testing.T, rt config.Runtime) container.Spec {
+func (f *fixture) spec(t *testing.T, rt config.Runtime) *container.Spec {
 	t.Helper()
 	s, err := container.ResolveSpec(rt, f.reg)
 	if err != nil {
@@ -38,12 +38,12 @@ func (f *fixture) spec(t *testing.T, rt config.Runtime) container.Spec {
 	return s
 }
 
-func pySpec(t *testing.T, f *fixture) container.Spec {
+func pySpec(t *testing.T, f *fixture) *container.Spec {
 	return f.spec(t, config.Runtime{Image: "python:3.8"})
 }
 
 // acquire runs a full Acquire and drains the scheduler.
-func (f *fixture) acquire(t *testing.T, spec container.Spec) (*container.Container, bool) {
+func (f *fixture) acquire(t *testing.T, spec *container.Spec) (*container.Container, bool) {
 	t.Helper()
 	var ctr *container.Container
 	var reused bool
@@ -208,7 +208,7 @@ func TestNumAvailTracksStates(t *testing.T) {
 func TestMaxLiveEvictsOldest(t *testing.T) {
 	f := newFixture(t, Options{MaxLive: 3})
 	app := workload.QRApp(workload.Python)
-	specs := []container.Spec{
+	specs := []*container.Spec{
 		f.spec(t, config.Runtime{Image: "python:3.8"}),
 		f.spec(t, config.Runtime{Image: "node:10"}),
 		f.spec(t, config.Runtime{Image: "golang:1.12"}),
@@ -304,7 +304,7 @@ func TestRetire(t *testing.T) {
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	n := f.pool.Retire(spec.Key(), 2)
+	n := f.pool.Retire(spec, 2)
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRetire(t *testing.T) {
 		t.Fatalf("Retired = %d", f.pool.Stats().Retired)
 	}
 	// Retiring more than available stops at what exists.
-	if got := f.pool.Retire(spec.Key(), 10); got != 2 {
+	if got := f.pool.Retire(spec, 10); got != 2 {
 		t.Fatalf("second Retire = %d, want 2", got)
 	}
 }
@@ -383,7 +383,7 @@ func TestReleaseStoppedFails(t *testing.T) {
 	spec := pySpec(t, f)
 	c, _ := f.acquire(t, spec)
 	f.execAndRelease(t, c, workload.QRApp(workload.Python))
-	f.pool.Retire(spec.Key(), 1)
+	f.pool.Retire(spec, 1)
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestReleaseStoppedFails(t *testing.T) {
 func TestAcquirePropagatesCreateError(t *testing.T) {
 	f := newFixture(t, Options{})
 	boom := errors.New("create broke")
-	f.eng.CreateHook = func(container.Spec) error { return boom }
+	f.eng.CreateHook = func(*container.Spec) error { return boom }
 	var gotErr error
 	f.pool.Acquire(pySpec(t, f), func(_ *container.Container, _ bool, _ config.Delta, err error) {
 		gotErr = err
@@ -475,18 +475,20 @@ func TestEvictOldestDeterministicOnTies(t *testing.T) {
 	for _, ev := range []EvictionPolicy{EvictOldest, EvictLRU} {
 		for i := 0; i < 50; i++ {
 			f := newFixture(t, Options{Eviction: ev})
-			var all []*container.Container
+			var specs []*container.Spec
 			for _, tenant := range []string{"TENANT=a", "TENANT=b"} {
-				f.pool.Prewarm(f.spec(t, config.Runtime{Image: "python:3.8", Env: []string{tenant}}), app, 2, nil)
+				specs = append(specs, f.spec(t, config.Runtime{Image: "python:3.8", Env: []string{tenant}}))
+				f.pool.Prewarm(specs[len(specs)-1], app, 2, nil)
 			}
 			if err := f.sched.Run(); err != nil {
 				t.Fatal(err)
 			}
-			for _, key := range f.pool.Keys() {
-				all = append(all, f.pool.Available(key)...)
+			var all []*container.Container
+			for _, spec := range specs {
+				all = append(all, f.pool.Available(spec)...)
 			}
 			if len(all) != 4 {
-				t.Fatalf("prewarmed %d containers over %d keys, want 4 over 2", len(all), len(f.pool.Keys()))
+				t.Fatalf("prewarmed %d containers over %d keys, want 4 over 2", len(all), len(specs))
 			}
 			for _, c := range all {
 				if c.CreatedAt != all[0].CreatedAt || c.LastUsedAt != all[0].LastUsedAt {
@@ -554,14 +556,16 @@ func TestPropertyPoolInvariants(t *testing.T) {
 			case 2: // prewarm one
 				fix.pool.Prewarm(spec, app, 1, nil)
 			case 3: // retire one
-				fix.pool.Retire(spec.Key(), 1)
+				fix.pool.Retire(spec, 1)
 			}
 			if err := fix.sched.Run(); err != nil {
 				return false
 			}
-			// Check invariants after the system settles.
+			// Check invariants after the system settles, over every key
+			// the ops can touch.
 			total := 0
-			for _, key := range fix.pool.Keys() {
+			for _, img := range images {
+				key := config.Runtime{Image: img}.Normalize().Key()
 				total += fix.pool.NumLive(key)
 				avail := 0
 				for _, c := range fix.eng.LiveContainers() {

@@ -305,8 +305,9 @@ type Combined struct {
 	// in state s, and second[p*states+s] those that followed one in
 	// state s preceded by one in state p. New errors are filed in
 	// ascending order, as the loop over the window would add them, so
-	// the sums carry the same bits; a bound that moves, or a truncation
-	// of the window, files the window again from the start.
+	// the sums carry the same bits. A truncation of the window files it
+	// again from the start, and so does a bound that moves far enough to
+	// put some error in another state; one that moves less only moves.
 	lo, hi float64
 	filed  int
 	bins   []uint8
@@ -400,9 +401,10 @@ func (c *Combined) nextErr() float64 {
 	if hi <= lo {
 		return 0 // errors essentially constant: nothing to learn
 	}
-	if lo != c.lo || hi != c.hi || c.filed == 0 {
-		c.refile(lo, hi)
+	if c.filed == 0 || (lo != c.lo || hi != c.hi) && !c.sameStates(lo, hi) {
+		c.refile()
 	}
+	c.lo, c.hi = lo, hi
 	width := (hi - lo) / float64(c.states)
 	for ; c.filed < n; c.filed++ {
 		c.file(c.filed, width)
@@ -443,28 +445,54 @@ func (c *Combined) nextErr() float64 {
 	return mag
 }
 
-// refile empties the transition sums for re-binning the window under
-// the bounds [lo, hi].
-func (c *Combined) refile(lo, hi float64) {
+// refile empties the transition sums for re-binning the window.
+func (c *Combined) refile() {
 	if c.first == nil {
 		c.bins = make([]uint8, errWindowMax)
 		c.first = make([]moments, c.states)
 		c.second = make([]moments, c.states*c.states)
 	}
-	c.lo, c.hi, c.filed = lo, hi, 0
+	c.filed = 0
 	clear(c.first)
 	clear(c.second)
+}
+
+// sameStates reports whether every error in the window lies in the same
+// region state under the bounds [lo, hi] as under the bounds it was
+// filed under, so that filing it again would give the same sums. The
+// state is monotone in the error, so the states cut the sorted window
+// into runs, and two binnings agree exactly when their runs start at
+// the same places: one binary search per state boundary and binning.
+func (c *Combined) sameStates(lo, hi float64) bool {
+	was := (c.hi - c.lo) / float64(c.states)
+	now := (hi - lo) / float64(c.states)
+	for s := 1; s < c.states; s++ {
+		i := sort.Search(len(c.sorted), func(i int) bool { return state(c.sorted[i], c.lo, was, c.states) >= s })
+		j := sort.Search(len(c.sorted), func(j int) bool { return state(c.sorted[j], lo, now, c.states) >= s })
+		if i != j {
+			return false
+		}
+	}
+	return true
+}
+
+// state is the region state of error e among n equal-width states from
+// lo, the outliers clamped into the edge states.
+func state(e, lo, width float64, n int) int {
+	s := int((e - lo) / width)
+	if s < 0 {
+		return 0
+	}
+	if s >= n {
+		return n - 1
+	}
+	return s
 }
 
 // file bins errs[t] and adds it to the sums of the states it followed.
 func (c *Combined) file(t int, width float64) {
 	e := c.errs[t]
-	s := int((e - c.lo) / width)
-	if s < 0 {
-		s = 0
-	} else if s >= c.states {
-		s = c.states - 1
-	}
+	s := state(e, c.lo, width, c.states)
 	c.bins[t] = uint8(s)
 	if t >= 1 {
 		c.first[c.bins[t-1]].add(e)

@@ -702,3 +702,74 @@ func TestMarkovHistoryBounded(t *testing.T) {
 		t.Fatalf("Predict + PredictExpected allocate %v times, want 0", allocs)
 	}
 }
+
+// When the winsorized bounds move but no error changes region state,
+// nextErr keeps its transition sums and only moves the bounds. That
+// skip must be exact: on ramps, periodic demand, noisy plateaus and
+// noise, across truncations of the window, every Predict has the bits
+// of the sort-and-re-bin reference, and sameStates agrees with a state
+// by state comparison of the whole window every time the bounds move.
+func TestCombinedRefileSkipIsExact(t *testing.T) {
+	const observations = 2000
+	series := map[string]func(src *rng.Source, i int) float64{
+		"ramp":     func(src *rng.Source, i int) float64 { return float64(i%700) / 7 },
+		"periodic": func(src *rng.Source, i int) float64 { return math.Round(20 + 15*math.Sin(float64(i)/30)) },
+		"plateau-noise": func(src *rng.Source, i int) float64 {
+			return math.Max(0, float64(10*((i/150)%4))+src.Norm(0, 1.5))
+		},
+		"random": func(src *rng.Source, i int) float64 { return float64(src.Intn(40)) },
+	}
+	for name, next := range series {
+		for _, states := range []int{4, DefaultStates} {
+			src := rng.New(int64(len(name)) + int64(states))
+			c := NewCombined(DefaultAlpha, states)
+			var ref []float64
+			truncations, skips, refiles := 0, 0, 0
+			for i := 0; i < observations; i++ {
+				v := next(src, i)
+				if c.seen > 0 {
+					base := c.es.Predict()
+					ref = append(ref, (v-base)/math.Max(math.Abs(base), 1))
+					if len(ref) > errWindowMax {
+						ref = ref[len(ref)-errWindowKeep:]
+						truncations++
+					}
+				}
+				c.Observe(v)
+
+				if n := len(c.errs); c.seen > c.warmup && n >= 2 && c.filed > 0 {
+					lo, hi := c.sorted[n*5/100], c.sorted[n-1-n*5/100]
+					if hi > lo && (lo != c.lo || hi != c.hi) {
+						was, now := (c.hi-c.lo)/float64(states), (hi-lo)/float64(states)
+						same := true
+						for _, e := range c.errs {
+							same = same && state(e, c.lo, was, states) == state(e, lo, now, states)
+						}
+						if got := c.sameStates(lo, hi); got != same {
+							t.Fatalf("%s (%d states): step %d: sameStates = %v, the window says %v", name, states, i, got, same)
+						}
+						if same {
+							skips++
+						} else {
+							refiles++
+						}
+					}
+				}
+				base := c.es.Predict()
+				want := clampNonNegative(base)
+				if c.seen > c.warmup {
+					want = clampNonNegative(base + referenceNextErr(ref, states)*math.Max(math.Abs(base), 1))
+				}
+				if got := c.Predict(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s (%d states): step %d: Predict() = %v (%#x), re-binned reference %v (%#x)",
+						name, states, i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			t.Logf("%s (%d states): %d truncations, bounds moved %d times: %d kept the sums, %d refiled",
+				name, states, truncations, skips+refiles, skips, refiles)
+			if truncations < 2 || skips == 0 {
+				t.Fatalf("%s (%d states): %d truncations and %d skipped refiles, want >= 2 and > 0", name, states, truncations, skips)
+			}
+		}
+	}
+}

@@ -171,7 +171,7 @@ func New(o Options) (*Stack, error) {
 // Deploy registers a function at the gateway, with HotC's controller
 // when it runs, and starts its pinger under Warmup.
 func (s *Stack) Deploy(fn faas.Function) error {
-	resolver := faas.ResolverFunc(func(rt config.Runtime) (container.Spec, error) {
+	resolver := faas.ResolverFunc(func(rt config.Runtime) (*container.Spec, error) {
 		return container.ResolveSpec(rt, s.Registry)
 	})
 	if err := s.Gateway.Deploy(fn, resolver); err != nil {

@@ -61,21 +61,25 @@ func replayDigest(results []RequestResult) uint64 {
 }
 
 // The harness compares a replay with a second replay of the same
-// binary; only this test compares commits. Both constants were computed
-// at the commit before the simulator's hot path was rewritten (PR 20),
-// so any change to a virtual-time output — an event that fires in a
-// different order, a float that rounds differently — fails here.
+// binary; only this test compares commits. The two-hour constants were
+// computed at the commit before the simulator's hot path was first
+// rewritten, the full day — the 160 372 requests the harness's
+// sim_campus replays — at the commit before runtime keys became
+// handles, so any change to a virtual-time output — an event that fires
+// in a different order, a float that rounds differently — fails here.
 func TestCampusReplayGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		seed int64
-		want uint64
+		name    string
+		seed    int64
+		minutes int // 0 is the whole day
+		want    uint64
 	}{
-		{"noiseless", 0, goldenNoiseless},
-		{"jitter", 42, goldenJitter},
+		{"noiseless", 0, 120, goldenNoiseless},
+		{"jitter", 42, 120, goldenJitter},
+		{"full day noiseless", 0, 0, goldenFullDay},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			results, err := newCampusSim(t, tc.seed).Replay(CampusWorkload(1, 1.0, 120, 4), campusClassFn)
+			results, err := newCampusSim(t, tc.seed).Replay(CampusWorkload(1, 1.0, tc.minutes, 4), campusClassFn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,13 +97,15 @@ func TestCampusReplayGolden(t *testing.T) {
 const (
 	goldenNoiseless uint64 = 0x7170be9555ea38a1
 	goldenJitter    uint64 = 0x22e987a136063bc9
+	goldenFullDay   uint64 = 0x331f6b569755b0e8
 )
 
 // simReplayAllocBudget is the ceiling on heap allocations per simulated
 // request of a warm replay (64 before the hot path was first rewritten,
 // 20 before the scheduler, the requests and the engine's completions
-// were recycled).
-const simReplayAllocBudget = 10
+// were recycled, 3 before a warm hit and its release stopped making
+// closures). What is left is the replay's own arrays and the cold path.
+const simReplayAllocBudget = 2
 
 func TestSimReplayAllocBudget(t *testing.T) {
 	s := newCampusSim(t, 0)

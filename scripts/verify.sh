@@ -155,7 +155,7 @@ bad="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -
 	-E 'core\.Plan\(|\.Tick\(\)|"hotc_ctl_' . | grep -v '^\./internal/core/' || true)"
 if [ -n "$bad" ]; then
 	echo "$bad" >&2
-	echo "verify: a control interval closed or booked outside core: call core.Demand.Step and apply its Boot/Retire, book the decision with core's control books (core.Books.Record)" >&2
+	echo "verify: a control interval closed or booked outside core: call core.Demand.Step and apply its Boot/Retire, book the decision with core's control books (core.KeyBooks.Record)" >&2
 	exit 1
 fi
 CORE="$(ls internal/core/*.go | grep -v '_test\.go$')"
@@ -175,6 +175,13 @@ echo "== counted, not resolved per request (sim: occupancy is counted, a request
 # simulator a quarter of its time before, so non-test code ranges over
 # the engine's containers only in Engine.Live and LiveContainers, and
 # top-level internal/faas and internal/pool name no sync.RWMutex.
+# A runtime key is resolved once, too: the engine interns it into a
+# handle (Engine.KeyOf) that the spec and the container carry, and the
+# gateway, the controller and the pool keep their per-key records in
+# slices under it. Hashing the ~100-byte key on every request and tick
+# cost the simulator a sixth of its time, so non-test internal/core,
+# internal/pool, internal/container and top-level internal/faas read no
+# map indexed with a .Key() call (a by-key report may still write one).
 bad="$(awk '/^func /{fn=$0} /^[[:space:]]*\/\//{next} /range e\.containers/ && fn !~ /^func \(e \*Engine\) (Live|LiveContainers)\(/ {print FILENAME":"FNR": in "fn}' \
 	$(ls internal/container/*.go | grep -v '_test\.go$'))"
 if [ -n "$bad" ]; then
@@ -184,6 +191,13 @@ if [ -n "$bad" ]; then
 fi
 if grep -n 'sync\.RWMutex' $(ls internal/faas/*.go internal/pool/*.go | grep -v '_test\.go$') >&2; then
 	echo "verify: an RWMutex in the simulator's request path: resolve the handles once into the deployment, runtime-key or pool entry record" >&2
+	exit 1
+fi
+bad="$(grep -nE '\[[^]]*\.Key\(\)\]' $(ls internal/core/*.go internal/pool/*.go internal/container/*.go internal/faas/*.go | grep -v '_test\.go$') |
+	grep -vE '\.Key\(\)\][[:space:]]*=[^=]' || true)"
+if [ -n "$bad" ]; then
+	echo "$bad" >&2
+	echo "verify: a map indexed with a runtime key: reach the key's record through its handle (Engine.KeyOf on the spec or the container's spec)" >&2
 	exit 1
 fi
 echo "== go test -race"
@@ -206,8 +220,9 @@ echo "== alloc regression guard (non-race: AllocsPerRun)"
 # copy and the []byte shim stay at zero heap allocations per request,
 # one warm watchdog-hop round trip stays inside its budget, and a warm
 # simulator replay stays inside its allocations per simulated request,
-# and the scheduler recycles its events.
-go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/faas/live/ ./internal/obs/ ./internal/simclock/
+# a warm hit with its exec and release allocates nothing, and the
+# scheduler recycles its events.
+go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/obs/ ./internal/simclock/
 echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
 # The harness is its own module, so the root ./... above never reaches
 # it. The smoke run exits non-zero when an echo fails verification or
