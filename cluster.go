@@ -6,23 +6,22 @@ import (
 
 	"hotc/internal/cluster"
 	"hotc/internal/core"
+	"hotc/internal/router"
 	"hotc/internal/trace"
 )
 
-// Routing selects the multi-host placement policy.
+// Routing selects the multi-host placement policy: the vocabulary of
+// hotc-router, whose placement rule the simulated cluster runs.
 type Routing string
 
 // The available routing policies for ClusterSimulation.
 const (
-	// RoutingRoundRobin cycles through nodes.
-	RoutingRoundRobin Routing = "round-robin"
-	// RoutingLeastLoaded picks the node with the fewest in-flight
-	// requests.
-	RoutingLeastLoaded Routing = "least-loaded"
-	// RoutingReuseAffinity prefers nodes holding warm runtimes for the
-	// request's configuration (per a directory map the simulated nodes
-	// share), balancing by load otherwise — the paper's §VII direction.
-	RoutingReuseAffinity Routing = "reuse-affinity"
+	// RoutingWarm places a request on the node with the most spare warm
+	// runtimes for its function, else on the function's owner on a
+	// consistent-hash ring — the paper's §VII direction.
+	RoutingWarm Routing = "warm"
+	// RoutingRoundRobin cycles through the nodes, ignoring warmth.
+	RoutingRoundRobin Routing = "rr"
 )
 
 // ClusterConfig configures a multi-host simulation.
@@ -31,7 +30,7 @@ type ClusterConfig struct {
 	Nodes int
 	// Profile is the per-node hardware profile (default ProfileServer).
 	Profile Profile
-	// Routing is the placement policy (default RoutingReuseAffinity).
+	// Routing is the placement policy (default RoutingWarm).
 	Routing Routing
 	// Seed drives latency jitter (0 = noiseless).
 	Seed int64
@@ -53,21 +52,15 @@ func NewClusterSimulation(cfg ClusterConfig) (*ClusterSimulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	var routing cluster.Routing
 	switch cfg.Routing {
-	case "", RoutingReuseAffinity:
-		routing = cluster.ReuseAffinity
-	case RoutingRoundRobin:
-		routing = cluster.RoundRobin
-	case RoutingLeastLoaded:
-		routing = cluster.LeastLoaded
+	case "", RoutingWarm, RoutingRoundRobin:
 	default:
-		return nil, fmt.Errorf("hotc: unknown routing %q", cfg.Routing)
+		return nil, fmt.Errorf("hotc: unknown routing %q (want warm or rr)", cfg.Routing)
 	}
 	c := cluster.New(cluster.Options{
 		Nodes:   cfg.Nodes,
 		Profile: prof,
-		Routing: routing,
+		Routing: router.Policy(cfg.Routing),
 		Seed:    cfg.Seed,
 		PrePull: cfg.LocalImages,
 		Core:    core.Options{Interval: cfg.ControlInterval},

@@ -33,7 +33,7 @@ func newTestCluster(t *testing.T, routing hotc.Routing) *hotc.ClusterSimulation 
 }
 
 func TestClusterFacadeBasics(t *testing.T) {
-	cs := newTestCluster(t, hotc.RoutingReuseAffinity)
+	cs := newTestCluster(t, hotc.RoutingWarm)
 	if len(cs.NodeNames()) != 3 {
 		t.Fatalf("nodes = %v", cs.NodeNames())
 	}
@@ -45,9 +45,9 @@ func TestClusterFacadeBasics(t *testing.T) {
 	if st.Requests != 12 {
 		t.Fatalf("requests = %d", st.Requests)
 	}
-	// Affinity: everything after the first request reuses.
+	// Warm placement: everything after the first request reuses.
 	if st.ColdStarts != 1 {
-		t.Fatalf("cold starts = %d, want 1 under affinity", st.ColdStarts)
+		t.Fatalf("cold starts = %d, want 1 under warm placement", st.ColdStarts)
 	}
 	for _, r := range results {
 		if r.Node == "" {
@@ -64,7 +64,7 @@ func TestClusterFacadeBasics(t *testing.T) {
 }
 
 func TestClusterFacadeFailover(t *testing.T) {
-	cs := newTestCluster(t, hotc.RoutingLeastLoaded)
+	cs := newTestCluster(t, hotc.RoutingRoundRobin)
 	if !cs.FailNode(0) || cs.FailNode(99) {
 		t.Fatal("FailNode index handling wrong")
 	}
@@ -99,5 +99,22 @@ func TestClusterFacadeValidation(t *testing.T) {
 	defer cs.Close()
 	if _, err := cs.Replay(hotc.SerialWorkload(time.Second, 1), nil); err == nil {
 		t.Fatal("replay with no functions should fail")
+	}
+}
+
+// The façade speaks hotc-router's vocabulary and no other: the names of
+// the policies the simulated cluster used to have are refused.
+func TestClusterRoutingNames(t *testing.T) {
+	for _, r := range []hotc.Routing{"", hotc.RoutingWarm, hotc.RoutingRoundRobin} {
+		cs, err := hotc.NewClusterSimulation(hotc.ClusterConfig{Routing: r})
+		if err != nil {
+			t.Fatalf("routing %q: %v", r, err)
+		}
+		cs.Close()
+	}
+	for _, r := range []hotc.Routing{"round-robin", "least-loaded", "reuse-affinity"} {
+		if _, err := hotc.NewClusterSimulation(hotc.ClusterConfig{Routing: r}); err == nil {
+			t.Fatalf("routing %q accepted", r)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Multi-host backend: the paper's §VII future work — "in a distributed
 // system ... some host machines might become overloaded and we need to
 // consider load balancing when reusing the hot runtime." A four-node
-// HotC cluster serves a popular function under three routing policies,
-// then survives a node failure mid-run.
+// HotC cluster serves a popular function under hotc-router's two
+// placement policies (rr, and warm: a node with a spare warm runtime
+// first, else the function's ring owner), then survives a node failure
+// mid-run.
 //
 // Run with:
 //
@@ -47,9 +49,7 @@ func main() {
 
 	fmt.Printf("%-16s %12s %12s %12s  %s\n",
 		"routing", "mean (ms)", "reuse", "imbalance", "served per node")
-	for _, routing := range []hotc.Routing{
-		hotc.RoutingRoundRobin, hotc.RoutingLeastLoaded, hotc.RoutingReuseAffinity,
-	} {
+	for _, routing := range []hotc.Routing{hotc.RoutingRoundRobin, hotc.RoutingWarm} {
 		cs := newCluster(routing)
 		results, err := cs.Replay(workload, nil)
 		if err != nil {
@@ -63,8 +63,8 @@ func main() {
 		cs.Close()
 	}
 
-	// Node failure under affinity routing.
-	cs := newCluster(hotc.RoutingReuseAffinity)
+	// Node failure under warm placement.
+	cs := newCluster(hotc.RoutingWarm)
 	defer cs.Close()
 	half := hotc.SerialWorkload(20*time.Second, 30)
 	results, err := cs.Replay(half, nil)
@@ -72,7 +72,11 @@ func main() {
 		log.Fatal(err)
 	}
 	servedBefore := cs.ServedByNode()
-	cs.FailNode(0)
+	for i, name := range cs.NodeNames() {
+		if servedBefore[name] > 0 {
+			cs.FailNode(i) // the node warm placement chose
+		}
+	}
 	results2, err := cs.Replay(half, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -85,5 +89,5 @@ func main() {
 	}
 	fmt.Printf("\nnode failure drill: %d errors; served before %v, after %v\n",
 		errs, servedBefore, cs.ServedByNode())
-	fmt.Println("Reuse-affinity keeps revisits on warm nodes; the failed node is routed around with a single re-warming cold start.")
+	fmt.Println("Warm placement keeps revisits on warm nodes; the failed node is routed around with a single re-warming cold start.")
 }

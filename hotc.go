@@ -238,7 +238,7 @@ var (
 // AppQR returns the Fig. 9 URL-to-QR web function in the given
 // language ("go", "python", "node", "java").
 func AppQR(language string) (App, error) {
-	l, err := parseLanguage(language)
+	l, err := workload.ParseLanguage(language)
 	if err != nil {
 		return App{}, err
 	}
@@ -247,20 +247,11 @@ func AppQR(language string) (App, error) {
 
 // AppRandomNumber returns the trivial random-number backend of Fig. 1.
 func AppRandomNumber(language string) (App, error) {
-	l, err := parseLanguage(language)
+	l, err := workload.ParseLanguage(language)
 	if err != nil {
 		return App{}, err
 	}
 	return workload.RandomNumber(l), nil
-}
-
-func parseLanguage(s string) (workload.Language, error) {
-	for _, l := range workload.Languages() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("hotc: unknown language %q (want go/python/node/java)", s)
 }
 
 // RequestResult is the outcome of one replayed request.

@@ -208,6 +208,9 @@ func TestAppConstructors(t *testing.T) {
 	if _, err := AppRandomNumber("go"); err != nil {
 		t.Fatal(err)
 	}
+	if app, err := AppQR(" Python "); err != nil || app.Lang != mustQR(t).Lang {
+		t.Fatalf("AppQR(\" Python \") = %v, %v", app.Lang, err)
+	}
 	for _, app := range []App{AppV3(), AppTFAPI(), AppCassandra()} {
 		if app.Name == "" {
 			t.Fatal("unnamed app")

@@ -8,18 +8,19 @@ import (
 	"hotc/internal/config"
 	"hotc/internal/core"
 	"hotc/internal/metrics"
+	"hotc/internal/router"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
 )
 
-// ClusterStudy evaluates the §VII multi-host extension: routing
-// policies over a 4-node cluster under (a) low-rate serial traffic
+// ClusterStudy evaluates the §VII multi-host extension: hotc-router's
+// placement policies over a 4-node cluster under (a) low-rate serial traffic
 // where reuse is everything, (b) skewed popular-function traffic where
 // both reuse and load balance matter, and (c) a node failure mid-run.
 func ClusterStudy() *Report {
 	r := NewReport("cluster", "multi-host HotC: routing policies and failure handling (§VII)")
 
-	policies := []cluster.Routing{cluster.RoundRobin, cluster.LeastLoaded, cluster.ReuseAffinity}
+	policies := []router.Policy{router.PolicyRoundRobin, router.PolicyWarmAware}
 
 	// (a) serial traffic.
 	ta := r.NewTable("Serial traffic (1 request/30s, 40 requests, 4 nodes)",
@@ -31,11 +32,11 @@ func ClusterStudy() *Report {
 		if err != nil {
 			panic(err)
 		}
-		ta.AddRow(p.String(), pct(cluster.ReuseRate(results)),
+		ta.AddRow(string(p), pct(cluster.ReuseRate(results)),
 			msF(clusterMeanMS(results)), f2(c.LoadImbalance()))
 		c.Close()
 	}
-	r.Notef("affinity routing keeps revisits on the node that holds the warm runtime; round-robin scatters them")
+	r.Notef("warm placement keeps revisits on the node that holds the warm runtime; rr scatters them")
 
 	// (b) skew: one hot function (80% of traffic) and three cold ones.
 	tb := r.NewTable("Skewed concurrent traffic (hot function ~83% of requests, 4 nodes)",
@@ -73,13 +74,13 @@ func ClusterStudy() *Report {
 		if err != nil {
 			panic(err)
 		}
-		tb.AddRow(p.String(), pct(cluster.ReuseRate(results)),
+		tb.AddRow(string(p), pct(cluster.ReuseRate(results)),
 			msF(clusterMeanMS(results)), f2(c.LoadImbalance()))
 		c.Close()
 	}
 
-	// (c) failure: kill a node mid-run under affinity routing.
-	c := newStudyCluster(cluster.ReuseAffinity)
+	// (c) failure: kill a node mid-run under warm placement.
+	c := newStudyCluster(router.PolicyWarmAware)
 	sched := trace.Serial{Interval: 10 * time.Second, Count: 30}.Generate()
 	half := len(sched) / 2
 	c.Scheduler().At(sched[half].At, func() { c.FailNode(0) })
@@ -97,7 +98,7 @@ func ClusterStudy() *Report {
 			failedServed++
 		}
 	}
-	tc := r.NewTable("Node failure mid-run (affinity routing)", "metric", "value")
+	tc := r.NewTable("Node failure mid-run (warm placement)", "metric", "value")
 	tc.AddRow("requests", fmt.Sprintf("%d", len(results)))
 	tc.AddRow("errors", fmt.Sprintf("%d", errs))
 	tc.AddRow("post-failure requests on failed node", fmt.Sprintf("%d", failedServed))
@@ -107,7 +108,7 @@ func ClusterStudy() *Report {
 	return r
 }
 
-func newStudyCluster(p cluster.Routing) *cluster.Cluster {
+func newStudyCluster(p router.Policy) *cluster.Cluster {
 	c := cluster.New(cluster.Options{
 		Nodes:   4,
 		Routing: p,

@@ -5,10 +5,9 @@
 //
 // A Cluster is a set of nodes, each a full single-host HotC stack
 // (engine, pool, adaptive controller, gateway) sharing one virtual
-// clock. A router places each request on a node; the reuse-affinity
-// policy consults a directory (a map shared by the simulated nodes) that
-// tracks which nodes hold warm runtimes for which keys, falling back
-// to least-loaded placement — reuse when possible, balance otherwise.
+// clock. Each request is placed with the placement rule hotc-router
+// ships (router.Place): a node holding a spare warm runtime for the
+// function first, else the function's owner on a consistent-hash ring.
 package cluster
 
 import (
@@ -16,42 +15,15 @@ import (
 	"sort"
 
 	"hotc/internal/config"
-	"hotc/internal/container"
 	"hotc/internal/core"
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
+	"hotc/internal/router"
 	"hotc/internal/simclock"
 	"hotc/internal/stack"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
 )
-
-// Routing selects the placement policy.
-type Routing int
-
-const (
-	// RoundRobin cycles through nodes.
-	RoundRobin Routing = iota
-	// LeastLoaded picks the node with the fewest in-flight requests.
-	LeastLoaded
-	// ReuseAffinity prefers a node holding a warm runtime for the
-	// request's key (per the directory), tie-breaking by load.
-	ReuseAffinity
-)
-
-// String returns the routing policy name.
-func (r Routing) String() string {
-	switch r {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case ReuseAffinity:
-		return "reuse-affinity"
-	default:
-		return fmt.Sprintf("cluster.Routing(%d)", int(r))
-	}
-}
 
 // Node is one backend host: a complete single-host HotC deployment on
 // the cluster's clock.
@@ -60,7 +32,8 @@ type Node struct {
 	Name string
 	*stack.Stack
 
-	inFlight  int
+	// inFlight counts the requests each runtime key has on the node.
+	inFlight  map[config.Key]int
 	served    int
 	failedReq int
 	failed    bool
@@ -75,14 +48,20 @@ func (n *Node) Served() int { return n.served }
 // error.
 func (n *Node) FailedRequests() int { return n.failedReq }
 
+// spare reports the node's live runtimes of key that no request of
+// key is using: its warmth for placement.
+func (n *Node) spare(key config.Key) int {
+	return n.HotC.Pool().NumLive(key) - n.inFlight[key]
+}
+
 // Options configure a Cluster.
 type Options struct {
 	// Nodes is the cluster size (default 3).
 	Nodes int
 	// Profile is the per-node hardware profile (default server).
 	Profile costmodel.Profile
-	// Routing is the placement policy (default ReuseAffinity).
-	Routing Routing
+	// Routing is the placement policy (default router.PolicyWarmAware).
+	Routing router.Policy
 	// Seed drives per-node latency jitter (0 = noiseless).
 	Seed int64
 	// Core configures each node's HotC controller.
@@ -98,6 +77,9 @@ func (o Options) withDefaults() Options {
 	if o.Profile.Name == "" {
 		o.Profile = costmodel.Server()
 	}
+	if o.Routing == "" {
+		o.Routing = router.PolicyWarmAware
+	}
 	return o
 }
 
@@ -106,11 +88,12 @@ type Cluster struct {
 	sched *simclock.Scheduler
 	opts  Options
 	nodes []*Node
-	dir   map[string]int // dirKey(key, node) → advertised live runtimes
+	ring  *router.Ring
+	// placed counts placements: the round-robin policy's tick.
+	placed uint64
 
-	apps   map[string]workload.App
-	specs  map[string]*container.Spec
-	rrNext int
+	// keys maps each deployed function to its runtime key.
+	keys map[string]config.Key
 }
 
 // New builds a cluster.
@@ -119,9 +102,8 @@ func New(opts Options) *Cluster {
 	c := &Cluster{
 		sched: simclock.New(),
 		opts:  o,
-		dir:   make(map[string]int),
-		apps:  make(map[string]workload.App),
-		specs: make(map[string]*container.Spec),
+		ring:  router.NewRing(0),
+		keys:  make(map[string]config.Key),
 	}
 	for i := 0; i < o.Nodes; i++ {
 		seed := o.Seed
@@ -139,7 +121,9 @@ func New(opts Options) *Cluster {
 		if err != nil {
 			panic(fmt.Sprintf("cluster: %v", err)) // unreachable: HotC is a known policy and no faults are configured
 		}
-		c.nodes = append(c.nodes, &Node{Name: fmt.Sprintf("node-%d", i), Stack: st})
+		n := &Node{Name: fmt.Sprintf("node-%d", i), Stack: st, inFlight: make(map[config.Key]int)}
+		c.nodes = append(c.nodes, n)
+		c.ring.Add(n.Name)
 	}
 	return c
 }
@@ -157,34 +141,24 @@ func (c *Cluster) Close() {
 	}
 }
 
-// FailNode marks a node as failed: the router skips it and its
-// directory entries are removed. Returns false for an invalid index.
+// FailNode marks a node as failed: placement skips it until
+// RecoverNode. Returns false for an invalid index.
 func (c *Cluster) FailNode(i int) bool {
 	if i < 0 || i >= len(c.nodes) {
 		return false
 	}
 	c.nodes[i].failed = true
-	for _, spec := range c.specs {
-		// A failed node cannot serve, so advertise zero.
-		delete(c.dir, dirKey(spec.Key(), c.nodes[i].Name))
-	}
 	return true
 }
 
-// RecoverNode brings a failed node back and republishes its warm
-// runtimes: the node's pool survived the (simulated) outage, so
-// re-advertising every registered key restores reuse-affinity traffic
-// immediately instead of waiting for the node to win a least-loaded
-// tie-break on each key.
+// RecoverNode brings a failed node back. Its pool survived the
+// (simulated) outage, so its warm runtimes draw placements again at
+// once.
 func (c *Cluster) RecoverNode(i int) bool {
 	if i < 0 || i >= len(c.nodes) {
 		return false
 	}
-	node := c.nodes[i]
-	node.failed = false
-	for _, spec := range c.specs {
-		c.publish(node, spec.Key())
-	}
+	c.nodes[i].failed = false
 	return true
 }
 
@@ -194,94 +168,44 @@ func (c *Cluster) Deploy(name string, rt config.Runtime, app workload.App) error
 		if err := n.Stack.Deploy(faas.Function{Name: name, Runtime: rt, App: app}); err != nil {
 			return fmt.Errorf("cluster: deploying on %s: %w", n.Name, err)
 		}
-		c.specs[name], _ = n.Gateway.Spec(name)
 	}
-	c.apps[name] = app
+	spec, _ := c.nodes[0].Gateway.Spec(name)
+	c.keys[name] = spec.Key()
 	return nil
 }
 
 // Functions returns the names deployed on every node, sorted.
 func (c *Cluster) Functions() []string {
-	names := make([]string, 0, len(c.apps))
-	for name := range c.apps {
+	names := make([]string, 0, len(c.keys))
+	for name := range c.keys {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-func dirKey(key config.Key, node string) string {
-	return string(key) + "|" + node
-}
-
-// publish advertises a node's live runtime count for a key in the
-// directory. Live (rather than currently-available) is the right
-// affinity signal: a runtime that is busy or in post-request cleanup
-// will be reusable momentarily, and the router's in-flight check
-// prevents queueing onto saturated nodes.
-func (c *Cluster) publish(node *Node, key config.Key) {
-	c.dir[dirKey(key, node.Name)] = node.HotC.Pool().NumLive(key)
-}
-
-// warmOn reads the directory for a node's advertised availability.
-func (c *Cluster) warmOn(node *Node, key config.Key) int {
-	return c.dir[dirKey(key, node.Name)]
-}
-
-// route picks the node for a request targeting the named function.
-func (c *Cluster) route(name string) (*Node, error) {
-	alive := make([]*Node, 0, len(c.nodes))
+// place picks the node for a request of the named function: the first
+// choice of router.Place over the nodes that have not failed, or nil
+// when every node has.
+func (c *Cluster) place(name string) *Node {
+	key := c.keys[name]
+	views := make([]router.View, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		if !n.failed {
-			alive = append(alive, n)
+			views = append(views, router.View{Name: n.Name, Warm: n.spare(key)})
 		}
 	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("cluster: no nodes available")
+	choices := router.Place(c.opts.Routing, name, c.ring, views, c.placed, 1)
+	if len(choices) == 0 {
+		return nil
 	}
-	switch c.opts.Routing {
-	case RoundRobin:
-		n := alive[c.rrNext%len(alive)]
-		c.rrNext++
-		return n, nil
-	case LeastLoaded:
-		return c.leastLoaded(alive), nil
-	case ReuseAffinity:
-		spec, ok := c.specs[name]
-		if !ok {
-			return c.leastLoaded(alive), nil
-		}
-		// Among nodes advertising spare warm runtimes, take the least
-		// loaded; otherwise balance by load.
-		var warm []*Node
-		for _, n := range alive {
-			if c.warmOn(n, spec.Key()) > n.inFlight {
-				warm = append(warm, n)
-			}
-		}
-		if len(warm) > 0 {
-			return c.leastLoaded(warm), nil
-		}
-		return c.leastLoaded(alive), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown routing %v", c.opts.Routing)
-	}
-}
-
-// leastLoaded picks the node with the fewest in-flight requests,
-// rotating the scan start so ties spread round-robin instead of
-// pinning the first node.
-func (c *Cluster) leastLoaded(nodes []*Node) *Node {
-	start := c.rrNext % len(nodes)
-	c.rrNext++
-	best := nodes[start]
-	for i := 1; i < len(nodes); i++ {
-		n := nodes[(start+i)%len(nodes)]
-		if n.inFlight < best.inFlight {
-			best = n
+	c.placed++
+	for _, n := range c.nodes {
+		if n.Name == choices[0].Name {
+			return n
 		}
 	}
-	return best
+	return nil
 }
 
 // Result is a per-request outcome, annotated with the serving node.
@@ -291,36 +215,25 @@ type Result struct {
 	Node string
 }
 
-// Handle routes and serves one request. Must run on the scheduler
+// Handle places and serves one request. Must run on the scheduler
 // goroutine at arrival time.
 func (c *Cluster) Handle(name string, req trace.Request, done func(Result)) {
-	node, err := c.route(name)
-	if err != nil {
-		done(Result{Result: faas.Result{Request: req, Function: name, Err: err}})
+	node := c.place(name)
+	if node == nil {
+		done(Result{Result: faas.Result{Request: req, Function: name, Err: fmt.Errorf("cluster: no nodes available")}})
 		return
 	}
-	node.inFlight++
+	key := c.keys[name]
+	node.inFlight[key]++
 	node.Gateway.Handle(name, req, func(r faas.Result) {
-		node.inFlight--
+		node.inFlight[key]--
 		if r.Err == nil {
 			node.served++
 		} else {
 			node.failedReq++
 		}
-		// A node that failed while this request was in flight must not
-		// republish: FailNode just deleted its directory entries, and
-		// resurrecting them would keep pulling reuse-affinity traffic
-		// onto a dead node.
-		if spec, ok := c.specs[name]; ok && !node.failed {
-			c.publish(node, spec.Key())
-		}
 		done(Result{Result: r, Node: node.Name})
 	})
-	// Advertise the post-routing state so concurrent arrivals in the
-	// same instant see the claimed runtime as taken.
-	if spec, ok := c.specs[name]; ok {
-		c.publish(node, spec.Key())
-	}
 }
 
 // Run replays a schedule against the cluster, stepping the shared

@@ -1,13 +1,20 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"hotc/internal/config"
 	"hotc/internal/core"
 	"hotc/internal/costmodel"
+	"hotc/internal/faas"
+	"hotc/internal/router"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
 )
@@ -28,7 +35,7 @@ func serialSchedule(n int, gap time.Duration) []trace.Request {
 }
 
 func TestRoundRobinSpreads(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 3, Routing: RoundRobin})
+	c := newCluster(t, Options{Nodes: 3, Routing: router.PolicyRoundRobin})
 	results, err := c.Run(serialSchedule(9, time.Minute), func(int) string { return "qr" })
 	if err != nil {
 		t.Fatal(err)
@@ -47,14 +54,14 @@ func TestRoundRobinSpreads(t *testing.T) {
 }
 
 func TestReuseAffinityBeatsRoundRobinOnReuse(t *testing.T) {
-	// Single-threaded serial traffic: affinity should route every
+	// Single-threaded serial traffic: warm placement should send every
 	// request after the first to the same warm node.
-	aff := newCluster(t, Options{Nodes: 4, Routing: ReuseAffinity})
+	aff := newCluster(t, Options{Nodes: 4, Routing: router.PolicyWarmAware})
 	affRes, err := aff.Run(serialSchedule(12, time.Minute), func(int) string { return "qr" })
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := newCluster(t, Options{Nodes: 4, Routing: RoundRobin})
+	rr := newCluster(t, Options{Nodes: 4, Routing: router.PolicyRoundRobin})
 	rrRes, err := rr.Run(serialSchedule(12, time.Minute), func(int) string { return "qr" })
 	if err != nil {
 		t.Fatal(err)
@@ -68,31 +75,25 @@ func TestReuseAffinityBeatsRoundRobinOnReuse(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedBalancesParallel(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 3, Routing: LeastLoaded})
-	// 30 simultaneous requests: load counts force an even spread.
-	var schedule []trace.Request
-	for i := 0; i < 30; i++ {
-		schedule = append(schedule, trace.Request{At: 0, Round: 0})
-	}
-	if _, err := c.Run(schedule, func(int) string { return "qr" }); err != nil {
-		t.Fatal(err)
-	}
-	if imb := c.LoadImbalance(); imb > 0.2 {
-		t.Fatalf("least-loaded imbalance = %v", imb)
-	}
-}
-
-func TestAffinityStillBalancesUnderLoad(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 3, Routing: ReuseAffinity})
-	// Heavy parallel rounds: affinity must not funnel everything to
-	// one node once it is saturated (warm count <= inFlight check).
+// Warm placement does not spread a function's load: parallel rounds all
+// land on the function's ring owner, which the first round warms, and
+// the other nodes serve nothing. hotc-router spreads a function only
+// when its node answers 429/503, which a simulated node never does.
+func TestWarmPlacementKeepsLoadOnTheWarmNode(t *testing.T) {
+	c := newCluster(t, Options{Nodes: 3})
 	sched := trace.Parallel{Threads: 12, Interval: 30 * time.Second, Rounds: 6}.Generate()
 	if _, err := c.Run(sched, func(int) string { return "qr" }); err != nil {
 		t.Fatal(err)
 	}
-	if imb := c.LoadImbalance(); imb > 1.0 {
-		t.Fatalf("affinity imbalance = %v, nodes=%v", imb, servedCounts(c))
+	owner := c.ring.Owner("qr")
+	for _, n := range c.Nodes() {
+		want := 0
+		if n.Name == owner {
+			want = len(sched)
+		}
+		if n.Served() != want {
+			t.Fatalf("%s served %d, want %d (owner %s); nodes=%v", n.Name, n.Served(), want, owner, servedCounts(c))
+		}
 	}
 }
 
@@ -105,7 +106,7 @@ func servedCounts(c *Cluster) []int {
 }
 
 func TestNodeFailureRoutesAround(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 3, Routing: ReuseAffinity})
+	c := newCluster(t, Options{Nodes: 3})
 	if !c.FailNode(0) {
 		t.Fatal("FailNode rejected valid index")
 	}
@@ -128,19 +129,17 @@ func TestNodeFailureRoutesAround(t *testing.T) {
 	if !c.RecoverNode(0) {
 		t.Fatal("RecoverNode rejected valid index")
 	}
-	c2 := newCluster(t, Options{Nodes: 1, Routing: RoundRobin})
+	c2 := newCluster(t, Options{Nodes: 1, Routing: router.PolicyRoundRobin})
 	if c2.FailNode(5) || c2.RecoverNode(-1) {
 		t.Fatal("out-of-range node indices accepted")
 	}
 }
 
-// Regression: FailNode deletes the node's directory entries, but the
-// completion callback of a request already in flight used to republish
-// them unconditionally — a failed node kept attracting reuse-affinity
-// traffic. The publish is now gated on the node's failed flag.
-func TestFailNodeWithRequestInFlightKeepsDirectoryClean(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 2, Routing: ReuseAffinity})
-	key := c.specs["qr"].Key()
+// A node that fails with a request in flight is never placed on again,
+// though the request completes there and leaves a warm runtime behind.
+func TestFailedNodeWithRequestInFlightIsNotPlaced(t *testing.T) {
+	c := newCluster(t, Options{Nodes: 2})
+	owner := c.place("qr")
 	var res Result
 	completed := false
 	c.sched.At(0, func() {
@@ -152,8 +151,10 @@ func TestFailNodeWithRequestInFlightKeepsDirectoryClean(t *testing.T) {
 	// 1ns later the cold start is still running: the node fails with
 	// the request in flight.
 	c.sched.At(1, func() {
-		if !c.FailNode(0) {
-			t.Error("FailNode rejected valid index")
+		for i, n := range c.nodes {
+			if n == owner && !c.FailNode(i) {
+				t.Error("FailNode rejected valid index")
+			}
 		}
 	})
 	for !completed && c.sched.Step() {
@@ -161,18 +162,21 @@ func TestFailNodeWithRequestInFlightKeepsDirectoryClean(t *testing.T) {
 	if !completed {
 		t.Fatal("request never completed")
 	}
-	if res.Node != "node-0" {
-		t.Fatalf("request served by %s, want node-0", res.Node)
+	if res.Node != owner.Name {
+		t.Fatalf("request served by %s, want %s", res.Node, owner.Name)
 	}
-	if got := c.warmOn(c.nodes[0], key); got != 0 {
-		t.Fatalf("failed node still advertises %d warm runtimes", got)
+	if owner.spare(c.keys["qr"]) < 1 {
+		t.Fatal("the failed node kept no warm runtime: the check below proves nothing")
+	}
+	if n := c.place("qr"); n == nil || n == owner {
+		t.Fatalf("placed on %v, want the surviving node", n)
 	}
 }
 
 // Regression: served used to count every completion, errors included,
 // so LoadImbalance and Served mistook failure churn for useful work.
 func TestServedCountsSuccessesOnly(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 2, Routing: RoundRobin})
+	c := newCluster(t, Options{Nodes: 2, Routing: router.PolicyRoundRobin})
 	if _, err := c.Run(serialSchedule(4, time.Minute), func(int) string { return "qr" }); err != nil {
 		t.Fatal(err)
 	}
@@ -203,16 +207,14 @@ func TestServedCountsSuccessesOnly(t *testing.T) {
 	}
 }
 
-// Regression: RecoverNode used to flip the failed flag without
-// republishing warm-runtime entries, so a recovered node got no
-// reuse-affinity traffic until least-loaded luck sent it a request.
+// A recovered node's warm runtimes draw the next request at once.
 func TestRecoveryRestoresAffinityWithinOneRequest(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 3, Routing: ReuseAffinity})
+	c := newCluster(t, Options{Nodes: 3})
 	first, err := c.Run(serialSchedule(4, time.Minute), func(int) string { return "qr" })
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmNode := first[len(first)-1].Node // affinity pinned the stream here
+	warmNode := first[len(first)-1].Node // warmth pinned the stream here
 	idx := -1
 	for i, n := range c.Nodes() {
 		if n.Name == warmNode {
@@ -240,7 +242,7 @@ func TestRecoveryRestoresAffinityWithinOneRequest(t *testing.T) {
 }
 
 func TestAllNodesFailed(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 2, Routing: LeastLoaded})
+	c := newCluster(t, Options{Nodes: 2})
 	c.FailNode(0)
 	c.FailNode(1)
 	results, err := c.Run(serialSchedule(1, time.Second), func(int) string { return "qr" })
@@ -260,20 +262,6 @@ func TestDeployUnknownImageFails(t *testing.T) {
 	}
 }
 
-func TestRoutingNames(t *testing.T) {
-	seen := map[string]bool{}
-	for _, r := range []Routing{RoundRobin, LeastLoaded, ReuseAffinity} {
-		if s := r.String(); s == "" || seen[s] {
-			t.Fatalf("bad routing name %q", s)
-		} else {
-			seen[s] = true
-		}
-	}
-	if Routing(42).String() == "" {
-		t.Fatal("unknown routing should render")
-	}
-}
-
 func TestReuseRateEmpty(t *testing.T) {
 	if ReuseRate(nil) != 0 {
 		t.Fatal("empty reuse rate != 0")
@@ -281,7 +269,7 @@ func TestReuseRateEmpty(t *testing.T) {
 }
 
 func TestMultipleFunctionsIndependentAffinity(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 3, Routing: ReuseAffinity})
+	c := newCluster(t, Options{Nodes: 3})
 	if err := c.Deploy("qr2", config.Runtime{Image: "node:10"}, workload.QRApp(workload.Node)); err != nil {
 		t.Fatal(err)
 	}
@@ -348,5 +336,145 @@ func TestClusterNodeHonoursMemoryThreshold(t *testing.T) {
 	oneRuntimePct := 100 * 0.7 / small.TotalMemoryMB
 	if pct := n.Host.UsedMemPct(); pct >= 80+oneRuntimePct {
 		t.Fatalf("host memory at %.2f%% with %d live runtimes, threshold is 80%%", pct, n.Engine.Live())
+	}
+}
+
+// Regression: a node's warmth was its live runtimes of the key against
+// its in-flight requests of every key, so one request of another
+// function in flight hid a spare warm runtime and sent the next request
+// to a cold node.
+func TestWarmthCountsOnlyTheKeysOwnRequests(t *testing.T) {
+	c := newCluster(t, Options{Nodes: 2})
+	qr := func(int) string { return "qr" }
+	// Warm qr on the node that does not own it: the owner is down for
+	// qr's first request.
+	owner := 0
+	if c.nodes[1].Name == c.ring.Owner("qr") {
+		owner = 1
+	}
+	warm := c.nodes[1-owner].Name
+	c.FailNode(owner)
+	if _, err := c.Run([]trace.Request{{}}, qr); err != nil {
+		t.Fatal(err)
+	}
+	c.RecoverNode(owner)
+	other := ""
+	for k := 0; other == ""; k++ {
+		if name := fmt.Sprintf("other-%d", k); c.ring.Owner(name) == warm {
+			other = name
+		}
+	}
+	if err := c.Deploy(other, config.Runtime{Image: "node:10"}, workload.QRApp(workload.Node)); err != nil {
+		t.Fatal(err)
+	}
+	// A minute later a cold start of other is in flight on the warm node
+	// when qr's second request arrives.
+	sched := []trace.Request{{At: time.Minute, Class: 1}, {At: time.Minute, Class: 0}}
+	results, err := c.Run(sched, func(cl int) string {
+		if cl == 0 {
+			return "qr"
+		}
+		return other
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil || r.Node != warm {
+			t.Fatalf("request %d on %s (err %v), want %s", i, r.Node, r.Err, warm)
+		}
+	}
+	if !results[1].Reused {
+		t.Fatal("qr's second request did not reuse the warm runtime beside other's request")
+	}
+}
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// The simulated cluster places with hotc-router's rule: given the same
+// members and the same warm counts, both put the same node first, and
+// a function warm nowhere goes to its ring owner on both.
+func TestClusterPlacesLikeRouter(t *testing.T) {
+	c := New(Options{Nodes: 3, PrePull: true, Core: core.Options{Interval: time.Hour}})
+	t.Cleanup(c.Close)
+	// The router names a member by its URL: give the sim's nodes the same
+	// names, so both rings hash the same labels.
+	c.ring = router.NewRing(0)
+	for _, n := range c.nodes {
+		n.Name = "http://" + n.Name
+		c.ring.Add(n.Name)
+	}
+	names := make([]string, 50)
+	for i := range names {
+		names[i] = fmt.Sprintf("fn-%d", i)
+		rt := config.Runtime{Image: "python:3.8", Env: []string{fmt.Sprintf("F=%d", i)}}
+		if err := c.Deploy(names[i], rt, workload.QRApp(workload.Python)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm each function on two nodes straight through their gateways,
+	// with counts that tie now and then; every fifth stays cold.
+	pending := 0
+	for i, name := range names {
+		if i%5 == 0 {
+			continue
+		}
+		for off, count := range []int{1 + i%3, (i / 3) % 3} {
+			n := c.nodes[(i+off)%len(c.nodes)]
+			for k := 0; k < count; k++ {
+				pending++
+				c.sched.At(0, func() { n.Gateway.Handle(name, trace.Request{}, func(faas.Result) { pending-- }) })
+			}
+		}
+	}
+	for pending > 0 && c.sched.Step() {
+	}
+
+	// A bare router over the same members, whose probes read the sim's
+	// counts and whose forwards all succeed.
+	byName := map[string]*Node{}
+	urls := make([]string, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		byName[n.Name] = n
+		urls = append(urls, n.Name)
+	}
+	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		body := []byte("ok")
+		if r.URL.Path == "/system/stats" {
+			warm := map[string]int{}
+			for _, name := range names {
+				warm[name] = byName["http://"+r.URL.Host].spare(c.keys[name])
+			}
+			body, _ = json.Marshal(map[string]any{"warmInstances": warm})
+		}
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(body))}, nil
+	})}
+	rt, err := router.New(router.Config{Nodes: urls, Client: client, PollInterval: time.Hour, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollOnce()
+	mux := rt.Routes()
+
+	offOwner := 0
+	for i, name := range names {
+		sim := c.place(name)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/function/"+name, nil))
+		if got := "http://" + rec.Header().Get(router.NodeHeader); got != sim.Name {
+			t.Errorf("%s: router placed on %s, the sim on %s", name, got, sim.Name)
+		}
+		if sim.Name != c.ring.Owner(name) {
+			offOwner++
+			if i%5 == 0 {
+				t.Errorf("%s is warm nowhere but was placed on %s, not its ring owner", name, sim.Name)
+			}
+		}
+	}
+	if offOwner == 0 {
+		t.Fatal("warmth never overrode the ring owner: the comparison proves nothing")
 	}
 }

@@ -2,11 +2,12 @@ package router
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -31,73 +32,82 @@ type candidate struct {
 	kind string
 }
 
-// placement builds the ordered fallback chain for a function:
-// warm-affinity first (most advertised warm instances wins), then the
-// hash ring from the key's owner, capped at MaxAttempts. Unhealthy
-// and draining nodes never appear.
-func (rt *Router) placement(fn string) []candidate {
-	rt.mu.RLock()
-	ringOrder := rt.ring.Ordered(fn)
-	byURL := make(map[string]*node, len(rt.nodes))
-	for u, n := range rt.nodes {
-		byURL[u] = n
-	}
-	rt.mu.RUnlock()
+// View is a node placement may choose: its name on the ring and how
+// many warm instances of the function it has to spare.
+type View struct {
+	Name string
+	Warm int
+}
 
-	// usable holds each placeable node's warm count for fn, read once
-	// so ordering is consistent even while the poller updates.
-	usable := make(map[string]int, len(byURL))
-	for u, n := range byURL {
-		n.mu.Lock()
-		ok := n.healthy && !n.draining
-		w := n.warm[fn]
-		n.mu.Unlock()
-		if ok {
-			usable[u] = w
-		}
-	}
-	if len(usable) == 0 {
+// Choice is one node of a fallback chain. Kind is the placement
+// outcome if it serves as the first attempt: warm, hash or rr.
+type Choice struct {
+	Name string
+	Kind string
+}
+
+// Place orders views into fn's fallback chain, capped at limit. Under
+// PolicyRoundRobin that is every node in name order, rotated by tick.
+// Otherwise it is warm affinity first (most spare warm instances wins,
+// name breaks ties), then the other nodes in ring order from fn's
+// owner. It is the one placement rule: the router calls it over its
+// healthy, non-draining members and the simulated cluster over its
+// live nodes.
+func Place(policy Policy, fn string, ring *Ring, views []View, tick uint64, limit int) []Choice {
+	if len(views) == 0 {
 		return nil
 	}
-
-	var out []candidate
-	if rt.cfg.Policy == PolicyRoundRobin {
-		urls := make([]string, 0, len(usable))
-		for u := range usable {
-			urls = append(urls, u)
-		}
-		sort.Strings(urls)
-		start := int(rt.rr.Add(1)-1) % len(urls)
-		for i := range urls {
-			out = append(out, candidate{byURL[urls[(start+i)%len(urls)]], "rr"})
+	nodes := slices.Clone(views)
+	out := make([]Choice, 0, len(nodes))
+	if policy == PolicyRoundRobin {
+		slices.SortFunc(nodes, func(a, b View) int { return strings.Compare(a.Name, b.Name) })
+		start := int(tick % uint64(len(nodes)))
+		for i := range nodes {
+			out = append(out, Choice{nodes[(start+i)%len(nodes)].Name, "rr"})
 		}
 	} else {
-		warmURLs := make([]string, 0, len(usable))
-		for u, w := range usable {
-			if w > 0 {
-				warmURLs = append(warmURLs, u)
+		slices.SortFunc(nodes, func(a, b View) int {
+			if c := cmp.Compare(b.Warm, a.Warm); c != 0 {
+				return c
 			}
-		}
-		sort.Slice(warmURLs, func(i, j int) bool {
-			if usable[warmURLs[i]] != usable[warmURLs[j]] {
-				return usable[warmURLs[i]] > usable[warmURLs[j]]
-			}
-			return warmURLs[i] < warmURLs[j]
+			return strings.Compare(a.Name, b.Name)
 		})
-		seen := make(map[string]bool, len(usable))
-		for _, u := range warmURLs {
-			seen[u] = true
-			out = append(out, candidate{byURL[u], "warm"})
+		cold := make(map[string]bool, len(nodes))
+		for _, v := range nodes {
+			if v.Warm > 0 {
+				out = append(out, Choice{v.Name, "warm"})
+			} else {
+				cold[v.Name] = true
+			}
 		}
-		for _, u := range ringOrder {
-			if _, ok := usable[u]; ok && !seen[u] {
-				seen[u] = true
-				out = append(out, candidate{byURL[u], "hash"})
+		for _, name := range ring.Ordered(fn) {
+			if cold[name] {
+				out = append(out, Choice{name, "hash"})
 			}
 		}
 	}
-	if len(out) > rt.cfg.MaxAttempts {
-		out = out[:rt.cfg.MaxAttempts]
+	return out[:min(len(out), limit)]
+}
+
+// placement builds a function's fallback chain over the healthy,
+// non-draining members, capped at MaxAttempts. Each member's warm
+// count is read once, so the order is consistent while the poller
+// updates it.
+func (rt *Router) placement(fn string) []candidate {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	views := make([]View, 0, len(rt.nodes))
+	for u, n := range rt.nodes {
+		n.mu.Lock()
+		if n.healthy && !n.draining {
+			views = append(views, View{u, n.warm[fn]})
+		}
+		n.mu.Unlock()
+	}
+	choices := Place(rt.cfg.Policy, fn, rt.ring, views, rt.rr.Add(1)-1, rt.cfg.MaxAttempts)
+	out := make([]candidate, len(choices))
+	for i, c := range choices {
+		out[i] = candidate{rt.nodes[c.Name], c.Kind}
 	}
 	return out
 }

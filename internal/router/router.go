@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -131,10 +132,12 @@ type Router struct {
 
 	rr atomic.Uint64
 
-	srv      *http.Server
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
+	srv *http.Server
+	// stopped ends with Stop: the poll loop exits and probes in flight
+	// are abandoned.
+	stopped context.Context
+	stop    context.CancelFunc
+	wg      sync.WaitGroup
 
 	mRequests  *obs.CounterVec
 	mLatency   *obs.HistogramVec
@@ -190,8 +193,8 @@ func New(cfg Config) (*Router, error) {
 		client: client,
 		ring:   NewRing(cfg.VNodes),
 		nodes:  make(map[string]*node),
-		stopCh: make(chan struct{}),
 	}
+	rt.stopped, rt.stop = context.WithCancel(context.Background())
 	rt.mRequests = reg.CounterVec("hotc_router_requests_total",
 		"Routed invocations by placement outcome: warm (warm-affinity hit), hash (ring owner), spill (ring successor after saturation), rr (round-robin policy), no_node (no healthy target), error (every attempt failed), canceled (the client gave up).",
 		"outcome")
@@ -390,8 +393,18 @@ func (rt *Router) PollOnce() {
 	wg.Wait()
 }
 
+// probe reads one node's /system/stats. It is bounded by PollInterval,
+// so a node that accepts the connection and never answers is a miss
+// by the next poll instead of freezing every node's state.
 func (rt *Router) probe(n *node) {
-	resp, err := rt.client.Get(n.url + "/system/stats")
+	ctx, cancel := context.WithTimeout(rt.stopped, rt.cfg.PollInterval)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/system/stats", nil)
+	if err != nil {
+		rt.recordMiss(n)
+		return
+	}
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		rt.recordMiss(n)
 		return
@@ -449,7 +462,7 @@ func (rt *Router) pollLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-rt.stopCh:
+		case <-rt.stopped.Done():
 			return
 		case <-t.C:
 			rt.PollOnce()
@@ -481,13 +494,12 @@ func (rt *Router) StartOn(addr string) (string, error) {
 	return "http://" + ln.Addr().String(), nil
 }
 
-// Stop shuts the listener and poll loop down.
+// Stop shuts the listener and poll loop down and abandons probes in
+// flight.
 func (rt *Router) Stop() {
-	rt.stopOnce.Do(func() {
-		close(rt.stopCh)
-		if rt.srv != nil {
-			rt.srv.Close()
-		}
-	})
+	rt.stop()
+	if rt.srv != nil {
+		rt.srv.Close()
+	}
 	rt.wg.Wait()
 }

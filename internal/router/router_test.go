@@ -6,7 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -635,13 +639,6 @@ func TestNodeKillMidLoadLosesNoRequests(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Router-vs-node-churn under the race detector: invocations race
 // joins, leaves, drains and polls. Every request must still succeed —
 // churned state only ever removes a node the spill chain can route
@@ -745,4 +742,173 @@ func TestDeployFansOutToAllNodes(t *testing.T) {
 			t.Fatalf("node %s functions = %v, want [fn]", n, fns)
 		}
 	}
+}
+
+// Regression: probes had no timeout, so one node that accepted the
+// connection and never answered /system/stats blocked PollOnce, and
+// with it every node's health and warm state (and StartOn), for good.
+// A probe now lasts at most PollInterval, and Stop abandons it.
+func TestProbeOfHungNodeIsBounded(t *testing.T) {
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	// Sized far past the few probes this test makes, so the accept loop
+	// never blocks on it.
+	accepted := make(chan struct{}, 64)
+	go func() {
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			accepted <- struct{}{}
+		}
+	}()
+	t.Cleanup(func() {
+		hung.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"warmInstances":{"fn":2}}`)
+	}))
+	t.Cleanup(healthy.Close)
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			f()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s still blocked after 2s", what)
+		}
+	}
+
+	rt, err := New(Config{Nodes: []string{hung.Addr().String(), healthy.URL}, PollInterval: 50 * time.Millisecond, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	within("PollOnce with a 50ms PollInterval", rt.PollOnce)
+	for _, st := range rt.Nodes() {
+		if st.URL == healthy.URL && (st.Warm["fn"] != 2 || st.Misses != 0) {
+			t.Errorf("healthy node: warm %v, %d misses; want fn:2 and none", st.Warm, st.Misses)
+		}
+		if st.URL != healthy.URL && st.Misses != 1 {
+			t.Errorf("hung node: %d misses, want 1", st.Misses)
+		}
+	}
+
+	// A probe that PollInterval would let run for an hour ends with Stop.
+	slow, err := New(Config{Nodes: []string{hung.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(accepted) > 0 {
+		<-accepted
+	}
+	polled := make(chan struct{})
+	go func() {
+		slow.PollOnce()
+		close(polled)
+	}()
+	select {
+	case <-accepted:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the probe never reached the hung node")
+	}
+	within("Stop", slow.Stop)
+	select {
+	case <-polled:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop left a probe blocked")
+	}
+}
+
+// fakeNodes is a client whose every node answers 200 with an empty
+// stats body: the membership API's upstream, with no sockets.
+func fakeNodes() *http.Client {
+	return &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("{}"))}, nil
+	})}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// FuzzRouterMembership drives the membership API on a bare router: a
+// POST /system/nodes body, then POST and DELETE /system/drain and
+// DELETE /system/nodes with fuzzed ?url= values. Nothing may panic, a
+// refused call (4xx) never changes membership, and the members are
+// always the accepted joins minus the accepted leaves.
+func FuzzRouterMembership(f *testing.F) {
+	f.Add([]byte(`{"url":"n2:1"}`), "n1:1", "n2:1")
+	f.Add([]byte(`{"url":"https://n2:1/"}`), "http://n1:1/", "https://n2:1")
+	f.Add([]byte(`{"url":"n1:1"}`), " n1:1 ", "n1:1")
+	f.Add([]byte(`{"url":""}`), "", "")
+	f.Add([]byte(`{"url":"ftp://n2:1"}`), "ftp://n1:1", "ghost:1")
+	f.Add([]byte(`not json`), "n2:1", "http://n1:1")
+	f.Add([]byte(`{"url":"http://a b/%zz"}`), "http://a b/%zz", "http://a b/%zz")
+	f.Fuzz(func(t *testing.T, join []byte, leave, drain string) {
+		rt, err := New(Config{Nodes: []string{"n1:1"}, Client: fakeNodes(), PollInterval: time.Hour, TraceSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := rt.Routes()
+		members := map[string]bool{"http://n1:1": true}
+		call := func(method, target string, body []byte) (int, []byte) {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+			return rec.Code, rec.Body.Bytes()
+		}
+		check := func(step string, code int) {
+			t.Helper()
+			var got, want []string
+			for _, st := range rt.Nodes() {
+				got = append(got, st.URL)
+			}
+			for u := range members {
+				want = append(want, u)
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("after %s (status %d): members %q, want %q", step, code, got, want)
+			}
+		}
+
+		code, body := call(http.MethodPost, "/system/nodes", join)
+		if code == http.StatusOK {
+			var joined struct {
+				URL string `json:"url"`
+			}
+			if err := json.Unmarshal(body, &joined); err != nil {
+				t.Fatalf("join answered 200 with %q: %v", body, err)
+			}
+			members[joined.URL] = true
+		}
+		check("join", code)
+		for _, method := range []string{http.MethodPost, http.MethodDelete} {
+			code, _ = call(method, "/system/drain?url="+url.QueryEscape(drain), nil)
+			check(method+" drain", code)
+		}
+		code, _ = call(http.MethodDelete, "/system/nodes?url="+url.QueryEscape(leave), nil)
+		if code == http.StatusOK {
+			u, _ := normalizeURL(leave)
+			delete(members, u)
+		}
+		check("leave", code)
+	})
 }

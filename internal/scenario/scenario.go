@@ -129,8 +129,8 @@ func (r ResilienceSpec) config() hotc.ResilienceConfig {
 type ClusterSpec struct {
 	// Nodes is the cluster size (default 3).
 	Nodes int `json:"nodes,omitempty"`
-	// Routing is round-robin|least-loaded|reuse-affinity (default
-	// reuse-affinity).
+	// Routing is warm|rr, hotc-router's placement policies (default
+	// warm).
 	Routing string `json:"routing,omitempty"`
 }
 

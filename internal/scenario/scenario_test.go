@@ -165,7 +165,7 @@ func TestMultiFunctionClassMapping(t *testing.T) {
 func TestClusterScenario(t *testing.T) {
 	spec, err := Parse([]byte(`{
 	  "name": "mini-cluster",
-	  "cluster": {"nodes": 3, "routing": "reuse-affinity"},
+	  "cluster": {"nodes": 3, "routing": "warm"},
 	  "functions": [{"name": "svc", "app": "qr-python"}],
 	  "workload": {"kind": "serial", "count": 9, "intervalSec": 30}
 	}`))
@@ -182,7 +182,7 @@ func TestClusterScenario(t *testing.T) {
 	if len(out.ServedByNode) != 3 {
 		t.Fatalf("served by node = %v", out.ServedByNode)
 	}
-	// Affinity routing: only the first request cold-starts.
+	// Warm placement: only the first request cold-starts.
 	if out.Stats.ColdStarts != 1 {
 		t.Fatalf("cold = %d", out.Stats.ColdStarts)
 	}

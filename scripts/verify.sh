@@ -200,6 +200,28 @@ if [ -n "$bad" ]; then
 	echo "verify: a map indexed with a runtime key: reach the key's record through its handle (Engine.KeyOf on the spec or the container's spec)" >&2
 	exit 1
 fi
+echo "== one placement (the router and the simulated cluster order nodes with router.Place)"
+# hotc-router placed with warm affinity over a ring while the simulated
+# cluster had a three-policy router of its own, so hotc-bench's cluster
+# table measured a placement no deployment ran. So non-test Go calls
+# router.Place once in internal/router (placement) and once in
+# internal/cluster (place) and nowhere else, and internal/cluster orders
+# no nodes itself: no leastLoaded, no rrNext, no comparison of in-flight
+# counts.
+sites="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build \
+	-E '(^|[^A-Za-z_.])Place\(|router\.Place\(' . | grep -v 'func Place(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)"
+if [ "$(echo "$sites" | grep -c '^\./internal/router/')" -ne 1 ] ||
+	[ "$(echo "$sites" | grep -c '^\./internal/cluster/')" -ne 1 ] ||
+	[ "$(echo "$sites" | grep -c .)" -ne 2 ]; then
+	echo "$sites" >&2
+	echo "verify: router.Place must be called once in internal/router and once in internal/cluster: both place with the one rule" >&2
+	exit 1
+fi
+if grep -nE 'leastLoaded|rrNext|inFlight(\[[^]]*\])? *[<>]|[<>]=? *[A-Za-z_.]*inFlight' \
+	$(ls internal/cluster/*.go | grep -v '_test\.go$') >&2; then
+	echo "verify: internal/cluster orders nodes itself: build router.View records and let router.Place choose" >&2
+	exit 1
+fi
 echo "== go test -race"
 go test -race ./...
 echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
