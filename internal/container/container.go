@@ -269,11 +269,6 @@ func (c *Container) Tally(n *int) {
 	c.tally = n
 }
 
-// IdleMemMB is the resident memory of the container when idle.
-func (c *Container) IdleMemMB(cm *costmodel.Model) float64 {
-	return cm.C.IdleContainerMemMB
-}
-
 // Stats aggregates engine-level counters for reports and tests.
 type Stats struct {
 	Created     int

@@ -41,9 +41,6 @@ type Options struct {
 	// Headroom is added to every prediction before provisioning, as a
 	// fraction (0.1 = +10%). Default 0.
 	Headroom float64
-	// MinWarm keeps at least this many containers per active runtime
-	// type regardless of prediction. Default 0.
-	MinWarm int
 	// RetainIdle keeps one container alive for a runtime type that has
 	// seen a request within this window, even when the prediction
 	// rounds to zero — the pool's reuse-on-request behaviour for
@@ -242,7 +239,6 @@ func (h *HotC) tick() {
 		d := st.Step(PlanInput{
 			Headroom: h.opts.Headroom,
 			InFlight: st.InFlight, Live: live, Idle: idle,
-			MinWarm:       h.opts.MinWarm,
 			Retain:        st.everUsed && now-st.lastArrival <= h.opts.RetainIdle,
 			ScaleDownFrac: h.opts.ScaleDownFrac,
 		})

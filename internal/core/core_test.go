@@ -186,18 +186,6 @@ func TestPredictionTraceRecorded(t *testing.T) {
 	}
 }
 
-func TestMinWarmFloor(t *testing.T) {
-	f := newFixture(t, Options{Interval: 5 * time.Second, MinWarm: 2})
-	spec := f.deploy(t, "qr", "python:3.8", workload.QRApp(workload.Python))
-	f.hotc.Start()
-	defer f.hotc.Stop()
-	// No traffic at all: after a tick the floor should be provisioned.
-	f.sched.Sleep(30 * time.Second)
-	if live := f.hotc.Pool().NumLive(spec.Key()); live < 2 {
-		t.Fatalf("MinWarm floor not honoured: live = %d", live)
-	}
-}
-
 func TestAblationPredictorSwap(t *testing.T) {
 	f := newFixture(t, Options{
 		Interval:     5 * time.Second,

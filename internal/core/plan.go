@@ -101,7 +101,6 @@ type PlanInput struct {
 	InFlight      int     // requests executing now
 	Live          int     // in-flight + booting + idle
 	Idle          int     // what could be retired right now
-	MinWarm       int     // floor regardless of the forecast
 	Retain        bool    // recently used: keep one even when the forecast rounds to zero (Fig. 12a)
 	MaxWarm       int     // cap on idle + booting; 0 = none
 	ScaleDownFrac float64 // share of Live that may retire per tick (hysteresis)
@@ -112,9 +111,6 @@ type PlanInput struct {
 // move towards it. At most one of boot and retire is non-zero.
 func Plan(in PlanInput) (target, boot, retire int) {
 	target = int(math.Ceil(in.Forecast * (1 + in.Headroom)))
-	if target < in.MinWarm {
-		target = in.MinWarm
-	}
 	if target < in.InFlight {
 		target = in.InFlight // never scale below what is executing
 	}

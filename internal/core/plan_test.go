@@ -17,7 +17,6 @@ func TestPlanClamps(t *testing.T) {
 		{"forecast rounds up", PlanInput{Forecast: 2.1, ScaleDownFrac: 0.25}, 3, 3, 0},
 		{"headroom rounds up", PlanInput{Forecast: 4, Headroom: 0.1, ScaleDownFrac: 0.25}, 5, 5, 0},
 		{"tiny forecast is one", PlanInput{Forecast: 0.008, ScaleDownFrac: 0.25}, 1, 1, 0},
-		{"min-warm floor", PlanInput{Forecast: 0.5, MinWarm: 3, Live: 1, Idle: 1, ScaleDownFrac: 0.25}, 3, 2, 0},
 		{"in-flight floor", PlanInput{Forecast: 1, InFlight: 4, Live: 4, ScaleDownFrac: 0.25}, 4, 0, 0},
 		{"retain keeps one", PlanInput{Retain: true, Live: 1, Idle: 1, ScaleDownFrac: 0.25}, 1, 0, 0},
 		{"retain boots one back", PlanInput{Retain: true, ScaleDownFrac: 0.25}, 1, 1, 0},
@@ -46,11 +45,11 @@ func TestPlanClamps(t *testing.T) {
 // targets below what is executing, retires only idle runtimes, and
 // with a warm cap never boots past it.
 func TestPlanProperties(t *testing.T) {
-	prop := func(forecast, headroom uint16, inFlight, booting, idle, minWarm, maxWarm, frac uint8, retain bool) bool {
+	prop := func(forecast, headroom uint16, inFlight, booting, idle, maxWarm, frac uint8, retain bool) bool {
 		in := PlanInput{
 			Forecast: float64(forecast) / 256, Headroom: float64(headroom) / 65536,
 			InFlight: int(inFlight), Live: int(inFlight) + int(booting) + int(idle), Idle: int(idle),
-			MinWarm: int(minWarm % 8), Retain: retain, MaxWarm: int(maxWarm % 16),
+			Retain: retain, MaxWarm: int(maxWarm % 16),
 			ScaleDownFrac: float64(frac%100+1) / 100,
 		}
 		target, boot, retire := Plan(in)

@@ -2,7 +2,6 @@ package live
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"hotc/internal/sharing"
@@ -28,15 +27,12 @@ func candidateOf(fn Function) sharing.Candidate {
 
 // leaseInstance tries to rent an idle instance from another function's
 // warm pool: the acquisition tier between the function's own warm pool
-// and the generic prefork handoff. Classified lenders are asked first
-// (they reserve nothing), then neutral shards (which lend only surplus
-// above their own forecast — a fresh function with no classification
-// history can still rent, which is what makes the very first cold
-// start of a new deploy avoidable); renter shards never lend. Within a
-// pass the lender is chosen by rule, not by iteration order: the shard
-// whose oldest instance has been idle longest — the container most
-// likely to expire unused, pool.shareCandidate's rule — ties to the
-// first name.
+// and the generic prefork handoff. Each other shard offers its warm
+// list, under its lock once, in name order — Pick's tie order — and
+// sharing.Pick, the rule the simulated pool follows too, chooses the
+// lender. A fresh function with no classification history can rent,
+// which is what makes the very first cold start of a new deploy
+// avoidable.
 //
 // The lease itself is boot's rented row, outside every lock. No
 // eligible lender returns (nil, _, nil) and the caller boots instead; an
@@ -47,47 +43,33 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 		return nil, bootInfo{}, nil
 	}
 	rc := candidateOf(fn)
-	if !rc.Shareable {
-		g.obs.shareLeaseDenied.Inc()
-		return nil, bootInfo{}, nil
-	}
 	now := g.nowFn()
-	var lend *instance
-	sawDenial := false
-	shards := g.snapshotShards()
-	for pass := 0; pass < 2 && lend == nil; pass++ {
-		for {
-			var best *shard
-			var bestSince time.Time
-			for _, s := range shards {
-				if s == renter {
-					continue
-				}
-				s.mu.Lock()
-				since, ok, denied := g.lendableLocked(s, rc, pass == 0, now)
-				s.mu.Unlock()
-				sawDenial = sawDenial || denied
-				if ok && (best == nil || since.Before(bestSince)) {
-					best, bestSince = s, since
-				}
-			}
-			if best == nil {
-				break
-			}
-			// Nil only when another renter emptied best since the scan:
-			// choose again from what is left.
-			if lend = g.lendOldest(best, rc, pass == 0, now); lend != nil {
-				break
-			}
+	var owners []*shard
+	var offers []sharing.Offer
+	for _, s := range g.snapshotShards() {
+		if s == renter {
+			continue
 		}
+		s.mu.Lock()
+		offers = append(offers, offerLocked(s, now))
+		s.mu.Unlock()
+		owners = append(owners, s)
 	}
-	if lend == nil {
-		if sawDenial {
-			g.obs.shareLeaseDenied.Inc()
-		} else {
-			g.obs.shareLeaseNoCandidate.Inc()
+	var lend *instance
+	for lend == nil {
+		i, denied := sharing.Pick(g.share.policy, rc, offers, g.cfg.ShareIdleGrace)
+		if i < 0 {
+			if denied {
+				g.obs.shareLeaseDenied.Inc()
+			} else {
+				g.obs.shareLeaseNoCandidate.Inc()
+			}
+			return nil, bootInfo{}, nil
 		}
-		return nil, bootInfo{}, nil
+		// Nil only when another renter emptied the shard since its offer:
+		// pick again from the rest.
+		lend = g.lendOldest(owners[i], rc, now)
+		offers[i].Idle = 0
 	}
 	inst, info, err := g.boot(ctx, fn, bootSource{lent: lend})
 	if err == nil {
@@ -96,39 +78,24 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 	return inst, info, err
 }
 
-// lendableLocked reports whether s may lend its oldest warm instance to
-// rc on this pass (classified lenders only, then neutral shards) and
-// since when that instance has been idle, or that only the policy stood
-// in the way. Caller holds s.mu.
-func (g *Gateway) lendableLocked(s *shard, rc sharing.Candidate, lendersOnly bool, now time.Time) (since time.Time, ok, denied bool) {
-	role := s.ctl.share.Role()
-	if role == sharing.RoleRenter || lendersOnly != (role == sharing.RoleLender) {
-		return
+// offerLocked is what s offers a renter at now: its warm list, oldest
+// first. A tainted oldest instance is on its way out, so s offers
+// nothing. Caller holds s.mu.
+func offerLocked(s *shard, now time.Time) sharing.Offer {
+	o := sharing.Offer{Role: s.ctl.share.Role(), Owner: candidateOf(s.fn), Forecast: s.ctl.Forecast}
+	if len(s.idle) > 0 && !s.idle[0].tainted.Load() {
+		o.Idle, o.IdleFor = len(s.idle), now.Sub(s.idle[0].idleSince)
 	}
-	if compatible, _ := g.share.policy.Compatible(rc, candidateOf(s.fn)); !compatible {
-		denied = true
-		return
-	}
-	// A neutral shard keeps its own forecast's worth of warm instances; a
-	// classified lender has demonstrably more than it needs and reserves
-	// nothing.
-	reserve := 0
-	if role != sharing.RoleLender {
-		reserve = int(math.Ceil(s.ctl.Forecast))
-	}
-	if len(s.idle) <= reserve || s.idle[0].tainted.Load() || now.Sub(s.idle[0].idleSince) < g.cfg.ShareIdleGrace {
-		return
-	}
-	return s.idle[0].idleSince, true, false
+	return o
 }
 
 // lendOldest takes s's oldest warm instance for a lease if s may still
 // lend it. The instance is tainted under s.mu as it leaves the list:
 // from then on it belongs to no pool.
-func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, lendersOnly bool, now time.Time) *instance {
+func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, now time.Time) *instance {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok, _ := g.lendableLocked(s, rc, lendersOnly, now); !ok {
+	if ok, _ := offerLocked(s, now).Lends(g.share.policy, rc, g.cfg.ShareIdleGrace); !ok {
 		return nil
 	}
 	lent := s.takeOldestLocked(1, nil)[0]
@@ -167,7 +134,8 @@ type SharingStats struct {
 	LeasesNoCandidate uint64 `json:"leasesNoCandidate"`
 	LeasesDenied      uint64 `json:"leasesDenied"`
 	// RentedBoots counts requests served by a rented zygote (the
-	// per-shard sum; equals LeasesGranted minus controller prewarms).
+	// per-shard sum). It always equals LeasesGranted: a controller
+	// prewarm boots below the renting tier, so it never rents.
 	RentedBoots int `json:"rentedBoots"`
 	// Roles maps each function to its current classification.
 	Roles map[string]string `json:"roles,omitempty"`

@@ -279,14 +279,5 @@ func (in *Injector) HealthCheck(c *container.Container) error {
 	return nil
 }
 
-// Corrupt poisons a container directly (used by tests and targeted
-// chaos experiments).
-func (in *Injector) Corrupt(c *container.Container) {
-	if !in.corrupted[c.ID] {
-		in.corrupted[c.ID] = true
-		in.stats.Corruptions++
-	}
-}
-
 // IsCorrupted reports whether a container is currently poisoned.
 func (in *Injector) IsCorrupted(c *container.Container) bool { return in.corrupted[c.ID] }

@@ -240,9 +240,6 @@ func (ts *TimeSeries) Add(t time.Duration, v float64) {
 // Len reports the number of points.
 func (ts *TimeSeries) Len() int { return len(ts.points) }
 
-// Points returns the underlying points; callers must not modify them.
-func (ts *TimeSeries) Points() []TimePoint { return ts.points }
-
 // At returns point i.
 func (ts *TimeSeries) At(i int) TimePoint { return ts.points[i] }
 

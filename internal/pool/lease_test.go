@@ -227,3 +227,41 @@ func TestLeaseRepaysAppInit(t *testing.T) {
 		t.Fatalf("second exec (%v) should be warm and cheaper than the first (%v)", second, first)
 	}
 }
+
+// TestShareCandidateTieFollowsCreationOrder pins the lender tie-break:
+// two keys whose least-recently-used containers were last used at the
+// same virtual instant lend in creation order, not in the order the
+// pool first saw their keys.
+func TestShareCandidateTieFollowsCreationOrder(t *testing.T) {
+	f := newFixture(t, Options{EnableSharing: true})
+	app := workload.QRApp(workload.Python)
+	first, second := pyEnvSpec(t, f, "A=1"), pyEnvSpec(t, f, "B=2")
+	f.pool.Occupancy(second) // the pool sees second's key first
+
+	older, _ := f.acquire(t, first)
+	younger, _ := f.acquire(t, second)
+	for _, c := range []*container.Container{older, younger} {
+		f.eng.Exec(c, app, func(_ time.Duration, err error) {
+			if err != nil {
+				t.Errorf("exec: %v", err)
+			}
+		})
+	}
+	if err := f.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*container.Container{older, younger} {
+		f.pool.Release(c, nil)
+	}
+	if err := f.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if older.LastUsedAt != younger.LastUsedAt || older.CreatedAt >= younger.CreatedAt {
+		t.Fatalf("not a tie: %s created %v used %v, %s created %v used %v",
+			older.ID, older.CreatedAt, older.LastUsedAt, younger.ID, younger.CreatedAt, younger.LastUsedAt)
+	}
+
+	if got, _ := f.acquire(t, nodeSpec(t, f)); got != older {
+		t.Fatalf("leased %s, want the older-created %s", got.ID, older.ID)
+	}
+}

@@ -8,12 +8,16 @@
 package pool
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"hotc/internal/config"
 	"hotc/internal/container"
 	"hotc/internal/obs"
+	"hotc/internal/sharing"
 	"hotc/internal/workload"
 )
 
@@ -322,42 +326,49 @@ func (p *Pool) Fresh(spec *container.Spec, done func(c *container.Container, reu
 	})
 }
 
-// shareCandidate picks the lender for an inter-function lease: the
-// least-recently-used available container whose runtime key differs
-// from the requested spec's. Staleness mirrors keep-alive's eviction
-// order — the container most likely to expire unused is rented first,
-// and a busy function's freshly-released containers are left alone.
-// The (LastUsedAt, CreatedAt, ID) order is total, so the choice is
-// deterministic under Go's randomized map iteration (see older).
-// Containers idle for less than ShareIdleGrace are never offered.
+// shareCandidate picks the lender for an inter-function lease with
+// sharing.Pick, the rule the live gateway follows too. Every other
+// runtime key offers its least-recently-used available container — the
+// one most likely to expire unused — as a neutral owner with no
+// forecast and a compatible candidate (the simulator has no roles or
+// policy yet), in creation-then-ID order, Pick's tie order: the pick
+// follows age's total order, not the order keys were first seen.
 // Candidates are health-checked like any other hand-out.
 func (p *Pool) shareCandidate(spec *container.Spec) *container.Container {
 	own := p.entryFor(spec)
 	now := p.eng.Scheduler().Now()
-	var best *container.Container
-	for _, e := range p.byKey {
-		if e == nil || e == own {
-			continue
-		}
-		for _, c := range e.list {
-			if c.State() != container.Available {
+	anyone := sharing.Candidate{Shareable: true}
+	for {
+		var lrus []*container.Container
+		for _, e := range p.byKey {
+			if e == nil || e == own {
 				continue
 			}
-			if now-c.LastUsedAt < p.opts.ShareIdleGrace {
-				continue // still in its owner's working set
+			var lru *container.Container
+			for _, c := range e.list {
+				if c.State() == container.Available && (lru == nil || age(c, lru, true) < 0) {
+					lru = c
+				}
 			}
-			if best == nil || older(c, best, true) {
-				best = c
+			if lru != nil {
+				lrus = append(lrus, lru)
 			}
 		}
-	}
-	if best != nil && p.opts.HealthCheck != nil {
-		if err := p.opts.HealthCheck(best); err != nil {
-			p.Quarantine(best)
-			return p.shareCandidate(spec)
+		slices.SortFunc(lrus, func(a, b *container.Container) int { return age(a, b, false) })
+		offers := make([]sharing.Offer, len(lrus))
+		for i, c := range lrus {
+			offers[i] = sharing.Offer{Role: sharing.RoleNeutral, Owner: anyone, Idle: p.entryOf(c).avail, IdleFor: now - c.LastUsedAt}
 		}
+		i, _ := sharing.Pick(sharing.Policy{}, anyone, offers, p.opts.ShareIdleGrace)
+		if i < 0 {
+			return nil
+		}
+		c := lrus[i]
+		if p.opts.HealthCheck == nil || p.opts.HealthCheck(c) == nil {
+			return c
+		}
+		p.Quarantine(c)
 	}
-	return best
 }
 
 // Lease re-keys an idle container of another runtime key as a zygote
@@ -541,7 +552,7 @@ func (p *Pool) EvictOldest() bool {
 			if c.State() != container.Available {
 				continue
 			}
-			if victim == nil || older(c, victim, lru) {
+			if victim == nil || age(c, victim, lru) < 0 {
 				victim = c
 			}
 		}
@@ -555,17 +566,15 @@ func (p *Pool) EvictOldest() bool {
 	return true
 }
 
-// older is the pool's age order over containers: last use first when
-// lru is set, then creation time, then ID. It is total, so a victim or
-// lender picked by it does not depend on map iteration order.
-func older(c, than *container.Container, lru bool) bool {
+// age is the pool's age order over containers, negative when c is the
+// older: last use first when lru is set, then creation time, then ID.
+// It is total, so a victim or lender picked by it does not depend on
+// map iteration order.
+func age(c, than *container.Container, lru bool) int {
 	if lru && c.LastUsedAt != than.LastUsedAt {
-		return c.LastUsedAt < than.LastUsedAt
+		return cmp.Compare(c.LastUsedAt, than.LastUsedAt)
 	}
-	if c.CreatedAt != than.CreatedAt {
-		return c.CreatedAt < than.CreatedAt
-	}
-	return c.ID < than.ID
+	return cmp.Or(cmp.Compare(c.CreatedAt, than.CreatedAt), strings.Compare(c.ID, than.ID))
 }
 
 // memoryPressure reports whether host memory usage exceeds the
@@ -624,15 +633,9 @@ func (p *Pool) firstAvailable(list []*container.Container) *container.Container 
 // re-reads the (mutated) list: Quarantine removes the candidate from
 // the pool indexes.
 func (p *Pool) firstHealthy(list []*container.Container) *container.Container {
-	if p.opts.HealthCheck == nil {
-		return p.firstAvailable(list)
-	}
 	for {
 		c := p.firstAvailable(list)
-		if c == nil {
-			return nil
-		}
-		if err := p.opts.HealthCheck(c); err == nil {
+		if c == nil || p.opts.HealthCheck == nil || p.opts.HealthCheck(c) == nil {
 			return c
 		}
 		p.Quarantine(c)
@@ -695,11 +698,6 @@ func removeFrom(list []*container.Container, c *container.Container) []*containe
 		}
 	}
 	return list
-}
-
-// IdleMemMB reports the memory consumed by idle pool containers.
-func (p *Pool) IdleMemMB() float64 {
-	return p.eng.IdleOverheadMemMB()
 }
 
 // OldestAge returns the age of the oldest live container at the given

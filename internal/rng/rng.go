@@ -48,14 +48,8 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63 returns a non-negative uniform int64.
-func (s *Source) Int63() int64 { return s.r.Int63() }
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle randomises the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Norm returns a normally distributed value with the given mean and
 // standard deviation.

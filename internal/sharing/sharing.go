@@ -1,20 +1,22 @@
 // Package sharing implements the policy half of inter-function
 // warm-container sharing (Pagurus, arXiv:2108.11240): deciding which
 // functions are lenders or renters from the controller's demand
-// history, and which pairs of functions may share a container at all.
+// history, which pairs of functions may share a container at all, and
+// — Pick — whose idle runtime a renter takes.
 //
 // The package is mechanism-free on purpose: neither the lease path
-// (wipe, re-specialize, re-key) nor any locking lives here. Only the
-// live gateway consults it today. The simulated pool does not — it
-// picks its lender with a rule of its own (pool.shareCandidate: the
-// least recently used container of any other key, no roles, no
-// compatibility policy); putting both substrates behind this package's
-// rules is the second half of ROADMAP item 3.
+// (wipe, re-specialize, re-key) nor any locking lives here. Both
+// substrates choose their lender with Pick: the live gateway offers
+// each other function's warm list, with its role and forecast; the
+// simulated pool offers each other runtime key's least recently used
+// container, every owner neutral with no forecast and every pair
+// compatible (the simulator keeps no classifier yet).
 package sharing
 
 import (
 	"fmt"
 	"math"
+	"time"
 )
 
 // Role is a function's sharing classification.
@@ -240,4 +242,59 @@ func (p Policy) Compatible(renter, lender Candidate) (bool, string) {
 		return false, DenyMemory
 	}
 	return true, ""
+}
+
+// Offer is one owner's lendable stock, as Pick judges it.
+type Offer struct {
+	Role     Role          // lenders are asked first, then neutral owners; a renter never lends
+	Owner    Candidate     // the owner's deployment, as the policy judges it
+	Idle     int           // idle instances; 0 offers nothing
+	Forecast float64       // a neutral owner keeps ⌈Forecast⌉ idle instances for itself
+	IdleFor  time.Duration // how long the longest-idle instance, the one lent, has been idle
+}
+
+// Lends reports whether o may lend its longest-idle instance to renter,
+// whatever the other offers, or that only the policy refused it.
+func (o Offer) Lends(p Policy, renter Candidate, grace time.Duration) (ok, denied bool) {
+	if o.Role == RoleRenter {
+		return false, false
+	}
+	if compatible, _ := p.Compatible(renter, o.Owner); !compatible {
+		return false, true
+	}
+	reserve := 0 // a classified lender has more than it needs
+	if o.Role != RoleLender {
+		reserve = int(math.Ceil(o.Forecast))
+	}
+	return o.Idle > reserve && o.IdleFor >= grace, false
+}
+
+// Pick is the one lender rule: it chooses the offer renter rents from,
+// or -1. Classified lenders are tried first, then neutral owners;
+// among a tier's offers that Lends allows — nothing idle for less than
+// grace, its owner's working set — the longest-idle instance wins, the
+// one most likely to expire unused, and a tie goes to the earlier
+// offer, so callers hand the offers over in their tie order. With no
+// pick, denied reports that the policy refused the renter or an owner.
+func Pick(p Policy, renter Candidate, offers []Offer, grace time.Duration) (i int, denied bool) {
+	if !renter.Shareable {
+		return -1, true
+	}
+	for _, tier := range [...]Role{RoleLender, RoleNeutral} {
+		best := -1
+		for j, o := range offers {
+			if o.Role != tier {
+				continue
+			}
+			ok, refused := o.Lends(p, renter, grace)
+			denied = denied || refused
+			if ok && (best < 0 || o.IdleFor > offers[best].IdleFor) {
+				best = j
+			}
+		}
+		if best >= 0 {
+			return best, false
+		}
+	}
+	return -1, denied
 }

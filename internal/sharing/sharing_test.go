@@ -1,6 +1,9 @@
 package sharing
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestClassifierNeutralUntilMinTicks(t *testing.T) {
 	c := NewClassifier(ClassifierConfig{MinTicks: 3})
@@ -137,6 +140,47 @@ func TestPolicyCompatible(t *testing.T) {
 		ok, reason := tc.p.Compatible(tc.renter, tc.lender)
 		if ok != tc.ok || reason != tc.reason {
 			t.Errorf("%s: Compatible = (%v, %q), want (%v, %q)", tc.name, ok, reason, tc.ok, tc.reason)
+		}
+	}
+}
+
+func TestPick(t *testing.T) {
+	const grace = time.Second
+	py := Candidate{Image: "python:3.8", Shareable: true}
+	node := Candidate{Image: "node:10", Shareable: true}
+	offer := func(role Role, idle int, forecast float64, idleFor time.Duration) Offer {
+		return Offer{Role: role, Owner: py, Idle: idle, Forecast: forecast, IdleFor: idleFor}
+	}
+	nodeOffer := offer(RoleNeutral, 3, 0, time.Hour)
+	nodeOffer.Owner = node
+
+	for _, tc := range []struct {
+		name   string
+		renter Candidate
+		offers []Offer
+		i      int
+		denied bool
+	}{
+		{"nothing offered", py, nil, -1, false},
+		{"longest idle wins", py, []Offer{offer(RoleNeutral, 1, 0, 2*time.Second), offer(RoleNeutral, 1, 0, 5*time.Second)}, 1, false},
+		{"lender beats older neutral", py, []Offer{offer(RoleNeutral, 3, 0, time.Hour), offer(RoleLender, 1, 0, 2*time.Second)}, 1, false},
+		{"neutral when no lender can", py, []Offer{offer(RoleLender, 0, 0, 0), offer(RoleNeutral, 1, 0, 2*time.Second)}, 1, false},
+		{"renter never lends", py, []Offer{offer(RoleRenter, 5, 0, time.Hour)}, -1, false},
+		{"neutral keeps ceil forecast", py, []Offer{offer(RoleNeutral, 2, 1.2, time.Hour)}, -1, false},
+		{"neutral lends above ceil forecast", py, []Offer{offer(RoleNeutral, 3, 1.2, time.Hour)}, 0, false},
+		{"lender reserves nothing", py, []Offer{offer(RoleLender, 1, 4, time.Hour)}, 0, false},
+		{"grace holds", py, []Offer{offer(RoleLender, 1, 0, grace-time.Nanosecond)}, -1, false},
+		{"grace reached", py, []Offer{offer(RoleLender, 1, 0, grace)}, 0, false},
+		{"policy refusal alone", py, []Offer{nodeOffer}, -1, true},
+		{"refusal beside a pick", py, []Offer{nodeOffer, offer(RoleNeutral, 1, 0, 2*time.Second)}, 1, false},
+		{"refusal beside nothing idle", py, []Offer{nodeOffer, offer(RoleNeutral, 0, 0, 0)}, -1, true},
+		{"renter opted out", Candidate{Image: "python:3.8"}, nil, -1, true},
+		{"tie to the earlier offer", py, []Offer{offer(RoleNeutral, 1, 0, 3*time.Second), offer(RoleNeutral, 2, 0, 3*time.Second)}, 0, false},
+		{"tie among lenders", py, []Offer{offer(RoleNeutral, 1, 0, time.Hour), offer(RoleLender, 1, 0, 3*time.Second), offer(RoleLender, 1, 0, 3*time.Second)}, 1, false},
+	} {
+		i, denied := Pick(Policy{}, tc.renter, tc.offers, grace)
+		if i != tc.i || denied != tc.denied {
+			t.Errorf("%s: Pick = (%d, %v), want (%d, %v)", tc.name, i, denied, tc.i, tc.denied)
 		}
 	}
 }

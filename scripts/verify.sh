@@ -222,6 +222,25 @@ if grep -nE 'leastLoaded|rrNext|inFlight(\[[^]]*\])? *[<>]|[<>]=? *[A-Za-z_.]*in
 	echo "verify: internal/cluster orders nodes itself: build router.View records and let router.Place choose" >&2
 	exit 1
 fi
+echo "== one lender rule (the simulated pool and the live gateway choose whom to rent from with sharing.Pick)"
+# The pool picked its lender with shareCandidate's own scan while the
+# gateway ran a two-pass lendableLocked scan, with other ties and other
+# ideas of who may lend. So non-test Go calls sharing.Pick once in
+# internal/pool (shareCandidate) and once in internal/faas/live
+# (leaseInstance) and nowhere else, and neither old scan comes back.
+sites="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build \
+	-E '(^|[^A-Za-z_.])Pick\(|sharing\.Pick\(' . | grep -v 'func Pick(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)"
+if [ "$(echo "$sites" | grep -c '^\./internal/pool/')" -ne 1 ] ||
+	[ "$(echo "$sites" | grep -c '^\./internal/faas/live/')" -ne 1 ] ||
+	[ "$(echo "$sites" | grep -c .)" -ne 2 ]; then
+	echo "$sites" >&2
+	echo "verify: sharing.Pick must be called once in internal/pool and once in internal/faas/live: both substrates rent with the one rule" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' --exclude-dir=.bench_build 'lendableLocked|bestSince' . >&2; then
+	echo "verify: a lender scan of its own: build sharing.Offer records and let sharing.Pick choose" >&2
+	exit 1
+fi
 echo "== go test -race"
 go test -race ./...
 echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity)"
