@@ -123,6 +123,10 @@ type WarmMemoryStats struct {
 	Reclaimed int `json:"reclaimed"`
 }
 
+// instanceMemBytes is what one warm instance or idle generic counts
+// against MemoryBudget: the order of a small language runtime's RSS.
+const instanceMemBytes = 64 << 20
+
 // WarmMemory snapshots the memory-budget accounting. Idle generic
 // pre-forked watchdogs count against the budget like any other warm
 // instance.
@@ -132,16 +136,14 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 	}
 	total := 0
 	for _, s := range g.snapshotShards() {
-		s.mu.Lock()
-		total += len(s.idle)
-		s.mu.Unlock()
+		total += int(s.m.warm.Value())
 	}
 	if g.cold.pool != nil {
 		total += g.cold.pool.Idle()
 	}
 	return WarmMemoryStats{
 		BudgetBytes: g.cfg.MemoryBudget,
-		WarmBytes:   int64(total) * g.cfg.InstanceMemBytes,
+		WarmBytes:   int64(total) * instanceMemBytes,
 		Reclaimed:   int(g.obs.admMemReclaimed.Value()),
 	}
 }
@@ -154,19 +156,17 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 // before any shard below L loses an instance. Runs from the janitor;
 // tests call it directly. Returns the number of instances reclaimed.
 func (g *Gateway) reclaimMemoryOnce() int {
-	budget, est := g.cfg.MemoryBudget, g.cfg.InstanceMemBytes
+	budget := g.cfg.MemoryBudget
 	if budget <= 0 || g.stopped.Load() {
 		return 0
 	}
-	budgetInst := int(budget / est)
+	budgetInst := int(budget / instanceMemBytes)
 
 	shards := g.snapshotShards()
 	counts := make([]int, len(shards))
 	total := 0
 	for i, s := range shards {
-		s.mu.Lock()
-		counts[i] = len(s.idle)
-		s.mu.Unlock()
+		counts[i] = int(s.m.warm.Value())
 		total += counts[i]
 	}
 	generics := 0
@@ -175,7 +175,7 @@ func (g *Gateway) reclaimMemoryOnce() int {
 		total += generics
 	}
 	ins := g.obs
-	ins.admMemBytes.Set(float64(total) * float64(est))
+	ins.admMemBytes.Set(float64(total) * instanceMemBytes)
 	if total <= budgetInst {
 		return 0
 	}
@@ -210,13 +210,13 @@ func (g *Gateway) reclaimMemoryOnce() int {
 			continue
 		}
 		s.mu.Lock()
-		doomed = append(doomed, s.takeOldestLocked(quota[i], &s.stats.Retired)...)
+		doomed = append(doomed, s.takeOldestLocked(quota[i], evictBudget)...)
 		s.mu.Unlock()
 	}
 	reclaimed := reapedGen + len(doomed)
 	if reclaimed > 0 {
 		ins.admMemReclaimed.Add(float64(reclaimed))
-		ins.admMemBytes.Set(float64(total-len(doomed)) * float64(est))
+		ins.admMemBytes.Set(float64(total-len(doomed)) * instanceMemBytes)
 	}
 	stopAll(doomed)
 	return reclaimed

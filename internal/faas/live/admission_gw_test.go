@@ -368,8 +368,7 @@ func TestStopDrainsQueuedAdmissionWaiters(t *testing.T) {
 // cut before the one holding 2 loses anything.
 func TestMemoryBudgetReclaimsLargestHoldersFirst(t *testing.T) {
 	g := New(PoolConfig{
-		MemoryBudget:     4 << 20,
-		InstanceMemBytes: 1 << 20, // budget = 4 instances
+		MemoryBudget: 4 * instanceMemBytes, // budget = 4 instances
 	})
 	for _, spec := range []struct {
 		name string
@@ -419,7 +418,7 @@ func TestMemoryBudgetReclaimsLargestHoldersFirst(t *testing.T) {
 		t.Fatalf("post-reclaim warm = big:%d small:%d, want 2/2 (largest holder pays)", b, s)
 	}
 	mem := g.WarmMemory()
-	if mem.Reclaimed != 2 || mem.WarmBytes != 4<<20 || mem.BudgetBytes != 4<<20 {
+	if mem.Reclaimed != 2 || mem.WarmBytes != 4*instanceMemBytes || mem.BudgetBytes != 4*instanceMemBytes {
 		t.Fatalf("WarmMemory = %+v", mem)
 	}
 	// Under budget now: another pass is a no-op.
@@ -447,9 +446,8 @@ func TestAdmissionChurnWithControlLoops(t *testing.T) {
 	g, clk, base := startControlled(t, PoolConfig{
 		NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: time.Minute, MaxIdlePerFunction: 4,
 		MaxInFlight: 2, QueueDepth: 4,
-		TenantWeights:    map[string]int{"gold": 2},
-		MemoryBudget:     3 << 20,
-		InstanceMemBytes: 1 << 20,
+		TenantWeights: map[string]int{"gold": 2},
+		MemoryBudget:  3 * instanceMemBytes,
 	})
 	names := make([]string, 3)
 	for i := range names {

@@ -1,0 +1,183 @@
+package live
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+)
+
+// One gateway driven through every kind of event its books count — warm
+// hits, a full cold, a generic and a rented boot, a failing boot, a
+// request canceled mid-boot, prewarms, a cap eviction, a scale-down, a
+// redeploy, a budget reclaim and a keep-alive expiry — balances DESIGN
+// §8's "Books (live)" identities at quiescence, and /system/stats
+// reports exactly what Stats reads.
+func TestLiveBooksBalance(t *testing.T) {
+	cfg := testSharing()
+	cfg.Prefork, cfg.PreforkSize = true, 1
+	cfg.NewPredictor = naiveFactory
+	cfg.IdleTTL, cfg.MaxIdlePerFunction = time.Minute, 2
+	cfg.MemoryBudget = 2 * instanceMemBytes
+	d := NewDaemon(cfg) // never started: every stage below is driven by hand
+	defer d.Stop()
+	g := d.gw
+	clk := newFakeClock()
+	g.nowFn = clk.Now
+	for _, name := range []string{"a", "b", "c", "n"} {
+		fn := echoFn(name, 0)
+		fn.NoShare = name == "c" || name == "n" // never rent, so they boot below the lease
+		if err := g.Register(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func(name, boot string, status int) {
+		t.Helper()
+		rec := postRec(t, g, name, "x")
+		if rec.Code != status || rec.Header().Get(BootHeader) != boot {
+			t.Fatalf("%s: status %d boot %q, want %d %q", name, rec.Code, rec.Header().Get(BootHeader), status, boot)
+		}
+	}
+
+	serve("a", "cold", http.StatusOK) // no lender, no generic yet
+	serve("a", "", http.StatusOK)     // a warm hit
+	waitIdleGenerics(t, g, 1)
+	dial := g.dial
+	g.dial = func(context.Context, string) (net.Conn, error) { return nil, errors.New("dial refused") }
+	serve("n", "", http.StatusBadGateway) // a failing (generic) boot
+	g.dial = dial
+	waitIdleGenerics(t, g, 1)
+	serve("n", "generic", http.StatusOK)
+	serve("b", "rented", http.StatusOK) // leases a's instance
+	serve("b", "", http.StatusOK)
+	gone, hangUp := context.WithCancel(context.Background())
+	hangUp()
+	g.handle(httptest.NewRecorder(), httptest.NewRequest("POST", "/function/c", strings.NewReader("x")).WithContext(gone))
+
+	a := g.shard("a")
+	a.mu.Lock()
+	a.ctl.Peak = 2
+	a.mu.Unlock()
+	g.controlOnce("a", clk.Now()) // prewarms a back to two
+	settle(t, g)
+
+	n := g.shard("n")
+	held := make([]*instance, 3) // one warm, two booted: the third release evicts at the cap
+	for i := range held {
+		inst, _, err := g.acquire(context.Background(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = inst
+	}
+	for _, inst := range held {
+		g.release(n, inst, true)
+	}
+	g.controlOnce("a", clk.Now()) // demand gone: scale a down
+	// A redeploy drains b's instance.
+	if err := g.Register(echoFn("b", 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitIdleGenerics(t, g, 1)
+	if got := g.reclaimMemoryOnce(); got < 2 { // the generic, then a warm instance
+		t.Fatalf("reclaimed %d over a two-instance budget, want the generic and a warm instance", got)
+	}
+	g.janitorOnce(clk.Advance(2 * time.Minute)) // expires the rest
+	checkPool(t, g)
+
+	metric := func(family string, labelValues ...string) float64 {
+		t.Helper()
+		v := metricSum(t, g.reg, family, labelValues...)
+		if v == 0 {
+			t.Errorf("%s%v never moved: the drive does not cover it", family, labelValues)
+		}
+		return v
+	}
+	hits, misses := metric("hotc_pool_hits_total", "exact"), metric("hotc_pool_misses_total")
+	boots := 0.0
+	for _, mode := range []string{"rented", "generic", "cold"} {
+		boots += metric("hotc_coldpath_boots_total", mode)
+	}
+	bootFailures := metric("hotc_resilience_events_total", "boot.failures")
+	midBoot := metric("hotc_adm_canceled_total") // the one cancel landed mid-boot
+	retired := 0.0
+	for _, reason := range []string{"scale_down", "cap", "budget", "redeploy", "expired"} {
+		retired += metric("hotc_pool_retired_total", reason)
+	}
+	canceled, queueCanceled := 0.0, 0.0
+	for _, s := range g.snapshotShards() {
+		canceled += metricSum(t, g.reg, "hotc_requests_total", s.name, "canceled")
+		queueCanceled += metricSum(t, g.reg, "hotc_adm_rejected_total", s.name, "canceled")
+	}
+
+	st, sh := g.Stats(), g.SharingStats()
+	for _, c := range []struct {
+		identity  string
+		got, want float64
+	}{
+		{"hits + misses = Requests", hits + misses, float64(st.Requests)},
+		{"hits = Reused", hits, float64(st.Reused)},
+		{"misses = ColdStarts", misses, float64(st.ColdStarts)},
+		{"misses = Σ boots_total{mode} + failed acquires", misses, boots + bootFailures + midBoot},
+		{"boots_total{rented} = leases{granted}", metric("hotc_coldpath_boots_total", "rented"), metric("hotc_share_leases_total", "granted")},
+		{"boots_total{rented} = RentedBoots", metric("hotc_coldpath_boots_total", "rented"), float64(st.RentedBoots)},
+		{"boots_total{rented} = SharingStats.RentedBoots", metric("hotc_coldpath_boots_total", "rented"), float64(sh.RentedBoots)},
+		{"boots_total{generic} = GenericHandoffs", metric("hotc_coldpath_boots_total", "generic"), float64(st.GenericHandoffs)},
+		{"prewarmed = Prewarmed", metric("hotc_pool_prewarmed_total"), float64(st.Prewarmed)},
+		{"Σ retired{reason} = Retired + Expired", retired, float64(st.Retired + st.Expired)},
+		{"retired{expired} = Expired", metric("hotc_pool_retired_total", "expired"), float64(st.Expired)},
+		{"mem_reclaimed = generic_reaped + retired{budget}", metric("hotc_adm_mem_reclaimed_total"),
+			metric("hotc_coldpath_generic_reaped_total") + metric("hotc_pool_retired_total", "budget")},
+		{"Σ requests{canceled} = adm_canceled + adm_rejected{canceled}", canceled, metric("hotc_adm_canceled_total") + queueCanceled},
+		{"Σ requests{canceled} = Canceled", canceled, float64(st.Canceled)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %v != %v", c.identity, c.got, c.want)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	d.routes().ServeHTTP(rec, httptest.NewRequest("GET", "/system/stats", nil))
+	var sys struct {
+		Stats   Stats        `json:"stats"`
+		Sharing SharingStats `json:"sharing"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&sys); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Stats != st || sys.Sharing.RentedBoots != st.RentedBoots {
+		t.Errorf("/system/stats = %+v (rentedBoots %d), Stats() = %+v", sys.Stats, sys.Sharing.RentedBoots, st)
+	}
+}
+
+// The counts are read from the registry, so a shard held locked — a long
+// pool operation, a stuck lender scan — delays neither Stats nor
+// SharingStats.
+func TestStatsTakesNoShardLock(t *testing.T) {
+	g := New(testSharing())
+	defer g.Stop()
+	if err := g.Register(echoFn("f", 0)); err != nil {
+		t.Fatal(err)
+	}
+	postRec(t, g, "f", "x")
+	s := g.shard("f")
+	s.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Stats()
+		g.SharingStats()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Error("Stats or SharingStats waited on a shard lock")
+	}
+	s.mu.Unlock()
+	<-done
+}

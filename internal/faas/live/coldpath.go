@@ -239,8 +239,9 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 	return inst, info, err
 }
 
-// observeBoot feeds one boot's phase accounting into the
-// hotc_coldpath_* and hotc_share_boot_phase_ms families.
+// observeBoot feeds every boot's phases and layer-cache savings into
+// the hotc_coldpath_* and hotc_share_boot_phase_ms families; acquire
+// alone counts the boots that served a request.
 func (g *Gateway) observeBoot(info bootInfo) {
 	ins := g.obs
 	if info.skippedMB > 0 {
@@ -250,15 +251,11 @@ func (g *Gateway) observeBoot(info bootInfo) {
 	case bootRented:
 		// Rented boots have their own phase family (wipe has no
 		// cold-boot analogue) and stay out of hotc_coldpath_phase_ms.
-		ins.coldBootsRented.Inc()
 		ins.sharePhaseWipe.ObserveDuration(info.wipe)
 		ins.sharePhasePull.ObserveDuration(info.pull)
 		ins.sharePhaseApp.ObserveDuration(info.app)
 		return
-	case bootGeneric:
-		ins.coldBootsGeneric.Inc()
 	case bootCold:
-		ins.coldBootsFull.Inc()
 		ins.coldPhaseRuntime.ObserveDuration(info.runtime)
 	}
 	// Pull is observed on every boot: a zero is a layer-cache hit, the

@@ -193,8 +193,7 @@ func TestLayerCacheScalesPullPhase(t *testing.T) {
 // before touching any function's warm pool: generics carry no function
 // state, so they are the cheapest reclaim.
 func TestReclaimMemoryReapsGenericsFirst(t *testing.T) {
-	const mib = int64(1 << 20)
-	g := New(PoolConfig{Prefork: true, PreforkSize: 2, MemoryBudget: 1 * mib, InstanceMemBytes: mib})
+	g := New(PoolConfig{Prefork: true, PreforkSize: 2, MemoryBudget: 1 * instanceMemBytes})
 	if err := g.Register(echoFn("f", time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +221,15 @@ func TestReclaimMemoryReapsGenericsFirst(t *testing.T) {
 	if st := g.ColdPathStats(); st.GenericReaped != 2 {
 		t.Fatalf("ColdPathStats = %+v, want GenericReaped 2", st)
 	}
-	if wm := g.WarmMemory(); wm.Reclaimed != 2 || wm.WarmBytes != mib {
-		t.Fatalf("WarmMemory = %+v, want 2 reclaimed and 1MiB resident", wm)
+	if wm := g.WarmMemory(); wm.Reclaimed != 2 || wm.WarmBytes != instanceMemBytes {
+		t.Fatalf("WarmMemory = %+v, want 2 reclaimed and one instance resident", wm)
 	}
 }
 
 // When the generics alone do not cover the excess, the remainder still
 // comes out of the warm shards.
 func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
-	const mib = int64(1 << 20)
-	g := New(PoolConfig{Prefork: true, PreforkSize: 1, MemoryBudget: 1 * mib, InstanceMemBytes: mib})
+	g := New(PoolConfig{Prefork: true, PreforkSize: 1, MemoryBudget: 1 * instanceMemBytes})
 	if err := g.Register(echoFn("f", time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -350,10 +348,9 @@ func TestDaemonDeployWithImage(t *testing.T) {
 // requests over several functions, pool refills, reclaims and stats
 // snapshots.
 func TestColdPathConcurrentChurn(t *testing.T) {
-	const mib = int64(1 << 20)
 	g := New(PoolConfig{
 		Prefork: true, PreforkSize: 2, PreforkBoot: time.Millisecond,
-		MemoryBudget: 4 * mib, InstanceMemBytes: mib,
+		MemoryBudget: 4 * instanceMemBytes,
 	})
 	names := []string{"a", "b", "c"}
 	images := []string{"python:3.8", "node:10", ""}

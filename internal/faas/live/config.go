@@ -23,8 +23,8 @@ type PoolConfig struct {
 	// — the keep-alive enforced by the gateway's janitor.
 	IdleTTL time.Duration
 	// MaxIdlePerFunction caps warm instances per function (0 = no
-	// cap), enforced continuously — at release time, at prewarm time
-	// and by the janitor — with oldest-first eviction.
+	// cap), enforced wherever an instance is parked: release evicts the
+	// oldest, a prewarm refuses to park.
 	MaxIdlePerFunction int
 	// ReapInterval is how often the janitor scans (default 1s). The
 	// janitor runs when IdleTTL or MemoryBudget is set.
@@ -72,13 +72,10 @@ type PoolConfig struct {
 	// (unlisted tenants weigh 1).
 	TenantWeights map[string]int
 	// MemoryBudget bounds estimated warm-instance memory across all
-	// functions, in bytes (0 = unlimited); the janitor reclaims from
-	// the biggest holders first, oldest instances first, when exceeded.
+	// functions, in bytes (0 = unlimited), at 64 MiB per instance; the
+	// janitor reclaims from the biggest holders first, oldest instances
+	// first, when exceeded.
 	MemoryBudget int64
-	// InstanceMemBytes overrides the per-instance estimate backing the
-	// budget (default 64 MiB, the order of a small language runtime's
-	// RSS).
-	InstanceMemBytes int64
 	// DisableTracing turns live request tracing off. Tracing is on by
 	// default: its sampled-out path costs a handful of atomics per
 	// request and nothing on the pool hot path.
@@ -147,9 +144,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.ControlInterval <= 0 {
 		c.ControlInterval = 2 * time.Second
 	}
-	if c.InstanceMemBytes <= 0 {
-		c.InstanceMemBytes = 64 << 20
-	}
 	if c.TraceCapacity <= 0 {
 		c.TraceCapacity = 2048
 	}
@@ -201,7 +195,6 @@ func (c PoolConfig) Validate() error {
 		{"QueueDepth", float64(c.QueueDepth)},
 		{"DefaultDeadline", float64(c.DefaultDeadline)},
 		{"MemoryBudget", float64(c.MemoryBudget)},
-		{"InstanceMemBytes", float64(c.InstanceMemBytes)},
 		{"TraceCapacity", float64(c.TraceCapacity)},
 		{"SLOLatency", float64(c.SLOLatency)},
 		{"SLOColdStartPct", c.SLOColdStartPct},

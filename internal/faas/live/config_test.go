@@ -15,7 +15,6 @@ func TestPoolConfigDefaults(t *testing.T) {
 	defaults := PoolConfig{
 		ReapInterval:       time.Second,
 		ControlInterval:    2 * time.Second,
-		InstanceMemBytes:   64 << 20,
 		TraceCapacity:      2048,
 		TraceSampleRate:    0.01,
 		TraceSlowThreshold: 500 * time.Millisecond,
@@ -30,7 +29,6 @@ func TestPoolConfigDefaults(t *testing.T) {
 		MaxIdlePerFunction: 3,
 		ReapInterval:       3 * time.Second,
 		ControlInterval:    5 * time.Second,
-		InstanceMemBytes:   1 << 20,
 		TraceCapacity:      16,
 		TraceSampleRate:    0.5,
 		TraceSlowThreshold: time.Second,
@@ -76,7 +74,6 @@ func TestPoolConfigValidate(t *testing.T) {
 		"QueueDepth":         {QueueDepth: -1},
 		"DefaultDeadline":    {DefaultDeadline: -time.Second},
 		"MemoryBudget":       {MemoryBudget: -1},
-		"InstanceMemBytes":   {InstanceMemBytes: -1},
 		"TraceCapacity":      {TraceCapacity: -1},
 		"SLOLatency":         {SLOLatency: -time.Second},
 		"SLOColdStartPct":    {SLOColdStartPct: -1},

@@ -148,11 +148,11 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	if g.cfg.Share {
 		prevRole := st.share.Role()
 		if role := st.share.Observe(d.Predicted, d.Observed, float64(len(s.idle))); role != prevRole {
-			g.shareRoleTransition(prevRole, role)
+			g.shareRoleTransition(s, prevRole, role)
 		}
 	}
 	st.booting += d.Boot
-	retire := s.takeOldestLocked(d.Retire, &s.stats.Retired)
+	retire := s.takeOldestLocked(d.Retire, evictScaleDown)
 	g.obs.ctl.For(name).Record(d)
 	g.wg.Add(d.Boot)
 	s.mu.Unlock()
@@ -181,7 +181,7 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	switch {
 	case err == nil && g.keepLocked(s, inst) && !overCap:
 		s.pushLocked(inst, g.nowFn())
-		s.stats.Prewarmed++
+		g.obs.poolPrewarmed.Inc()
 		inst = nil
 	case err != nil && g.life.Err() == nil:
 		g.event("prewarm-boot-failure")
@@ -192,13 +192,13 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	}
 }
 
-// janitorOnce enforces the keep-alive and the warm cap once, oldest
-// first; expired instances are stopped outside the locks,
-// concurrently. Shards are scanned one at a time — a function with a
-// huge idle list delays only its own requests, not every function's.
-// Tests call it with deterministic now values. A stopped gateway is
-// left alone: Stop already owns teardown, and racing it could
-// double-stop or resurrect state.
+// janitorOnce enforces the keep-alive once, oldest first; expired
+// instances are stopped outside the locks, concurrently. Shards are
+// scanned one at a time — a function with a huge idle list delays only
+// its own requests, not every function's. Tests call it with
+// deterministic now values. A stopped gateway is left alone: Stop
+// already owns teardown, and racing it could double-stop or resurrect
+// state.
 func (g *Gateway) janitorOnce(now time.Time) {
 	if g.stopped.Load() {
 		return
@@ -215,12 +215,7 @@ func (g *Gateway) janitorOnce(now time.Time) {
 		for g.cfg.IdleTTL > 0 && expired < len(s.idle) && now.Sub(s.idle[expired].idleSince) >= g.cfg.IdleTTL {
 			expired++
 		}
-		doomed = append(doomed, s.takeOldestLocked(expired, &s.stats.Expired)...)
-		// Cap backstop (release-time eviction normally keeps this
-		// invariant): drop the oldest beyond the limit.
-		if limit := g.cfg.MaxIdlePerFunction; limit > 0 {
-			doomed = append(doomed, s.takeOldestLocked(len(s.idle)-limit, &s.stats.Retired)...)
-		}
+		doomed = append(doomed, s.takeOldestLocked(expired, evictExpired)...)
 		s.mu.Unlock()
 	}
 	stopAll(doomed)

@@ -133,7 +133,7 @@ func TestBackgroundDecisionsIgnoreMapOrder(t *testing.T) {
 
 	t.Run("budget tie", func(t *testing.T) {
 		for run := 0; run < 20; run++ {
-			g := New(PoolConfig{MemoryBudget: 2 << 20, InstanceMemBytes: 1 << 20})
+			g := New(PoolConfig{MemoryBudget: 2 * instanceMemBytes})
 			at := time.Now()
 			for _, name := range []string{"c", "a", "b"} {
 				if err := g.Register(echoFn(name, 0)); err != nil {
@@ -168,9 +168,10 @@ func TestBackgroundDecisionsIgnoreMapOrder(t *testing.T) {
 // runDemandScript feeds a fresh gateway — sharing, predictor, keep-alive
 // and memory budget armed — six functions' per-interval demands on the
 // fake clock and returns every decision the cycle's stages took: per
-// rented acquisition the lender, per tick and function the target,
-// prewarm boots and retirements so far, per janitor pass the expiries
-// and budget evictions so far and what is left warm.
+// rented acquisition the lender, per tick and function the target and
+// what is warm, per tick the prewarms and retirements so far, per
+// janitor pass the expiries and budget evictions so far and what is left
+// warm.
 func runDemandScript(t *testing.T) []string {
 	t.Helper()
 	const tick = 10 * time.Second
@@ -178,7 +179,7 @@ func runDemandScript(t *testing.T) []string {
 	cfg.NewPredictor = naiveFactory
 	cfg.ControlInterval, cfg.ReapInterval = time.Hour, time.Hour
 	cfg.IdleTTL = tick
-	cfg.MemoryBudget, cfg.InstanceMemBytes = 5<<20, 1<<20
+	cfg.MemoryBudget = 5 * instanceMemBytes
 	g := New(cfg)
 	defer g.Stop()
 	clk := newFakeClock()
@@ -217,11 +218,11 @@ func runDemandScript(t *testing.T) []string {
 		g.controlTick(now)
 		settle(t, g)
 		for _, s := range shards {
-			s.mu.Lock()
-			target, st := g.reg.GaugeVec("hotc_ctl_target", "", "key").With(s.name).Value(), s.stats
-			s.mu.Unlock()
-			log = append(log, fmt.Sprintf("t%d %s target=%v prewarmed=%d retired=%d", i, s.name, target, st.Prewarmed, st.Retired))
+			target := g.reg.GaugeVec("hotc_ctl_target", "", "key").With(s.name).Value()
+			log = append(log, fmt.Sprintf("t%d %s target=%v warm=%d", i, s.name, target, g.WarmInstances(s.name)))
 		}
+		st := g.Stats()
+		log = append(log, fmt.Sprintf("t%d prewarmed=%d retired=%d", i, st.Prewarmed, st.Retired))
 
 		g.janitorOnce(now)
 		log = append(log, fmt.Sprintf("t%d expired=%d reclaimed=%d warm=%v", i,

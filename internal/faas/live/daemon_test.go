@@ -238,7 +238,7 @@ func TestWarmCapEnforcedContinuously(t *testing.T) {
 	if st := d.Stats(); st.Retired != 2 {
 		t.Fatalf("Retired = %d, want 2 oldest-first cap evictions", st.Retired)
 	}
-	// The janitor's cap backstop finds nothing left to do.
+	// A janitor pass leaves the capped list alone.
 	d.gw.janitorOnce(time.Now())
 	if got := d.WarmInstances("s"); got != 2 {
 		t.Fatalf("warm after reap = %d, want 2", got)

@@ -21,8 +21,13 @@ type instruments struct {
 
 	// ctl are the control loop's books, the simulated controller's own
 	// families (hotc_ctl_*), declared once in core.
-	ctl         *core.Books
-	poolRetired *obs.Counter // hotc_pool_retired_total
+	ctl *core.Books
+
+	// The simulated pool's families, which Stats reads back:
+	// hotc_pool_{hits{kind="exact"},misses,prewarmed}_total, and
+	// hotc_pool_retired_total{reason} per evictReason (notEvicted: nil).
+	poolHits, poolMisses, poolPrewarmed *obs.Counter
+	poolRetired                         [numEvictReasons]*obs.Counter
 
 	// bodyBytes tracks response bytes streamed to clients, recorded
 	// from the copy loop's running count — the gateway never buffers a
@@ -63,12 +68,10 @@ type instruments struct {
 
 	// startsWarm/startsCold are the two children of hotc_starts_total{mode},
 	// resolved once so the request path pays a single atomic add; likewise
-	// hotc_coldpath_boots_total{mode} and hotc_coldpath_phase_ms{phase}.
+	// hotc_coldpath_phase_ms{phase} and hotc_coldpath_boots_total{mode}.
 	startsWarm       *obs.Counter
 	startsCold       *obs.Counter
-	coldBootsGeneric *obs.Counter
-	coldBootsFull    *obs.Counter
-	coldBootsRented  *obs.Counter
+	coldBoots        [bootCold + 1]*obs.Counter
 	coldPhasePull    *obs.Histogram
 	coldPhaseRuntime *obs.Histogram
 	coldPhaseApp     *obs.Histogram
@@ -92,7 +95,7 @@ type shardMetrics struct {
 	reqCanceled *obs.Counter
 	latency     *obs.Histogram
 	warm        *obs.Gauge
-	poolRetired *obs.Counter // the gateway-wide hotc_pool_retired_total
+	retired     *[numEvictReasons]*obs.Counter // the gateway-wide hotc_pool_retired_total{reason}
 	breakerSt   *obs.Gauge
 	admDepth    *obs.Gauge
 	admInFlight *obs.Gauge
@@ -108,7 +111,7 @@ func (ins *instruments) forFunction(name string) *shardMetrics {
 		reqCanceled: ins.requests.With(name, "canceled"),
 		latency:     ins.latency.With(name),
 		warm:        ins.warm.With(name),
-		poolRetired: ins.poolRetired,
+		retired:     &ins.poolRetired,
 		breakerSt:   ins.breakerState.With(name),
 		admDepth:    ins.admDepth.With(name),
 		admInFlight: ins.admInFlight.With(name),
@@ -124,8 +127,11 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Watchdog instance starts behind served requests, by mode (warm = reused, cold = fresh boot).",
 		"mode")
 	coldBoots := reg.CounterVec("hotc_coldpath_boots_total",
-		"Cold boots by mode (generic = specialized from the pre-forked pool, cold = full boot).",
+		"Cold boots behind requests, by mode (rented = leased from another function, generic = specialized from the pre-forked pool, cold = full boot).",
 		"mode")
+	poolRetired := reg.CounterVec("hotc_pool_retired_total",
+		"Warm instances stopped, by reason (scale_down|cap|budget|redeploy|expired).",
+		"reason")
 	coldPhase := reg.HistogramVec("hotc_coldpath_phase_ms",
 		"Cold-boot phase delays actually paid, in milliseconds, by phase (pull|runtime_init|app_init); a zero pull is a layer-cache hit.",
 		obs.DefaultLatencyBucketsMS(), "phase")
@@ -149,8 +155,13 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"Per-function circuit breaker state (0 closed, 1 open, 2 half-open).",
 			"key"),
 		ctl: core.NewBooks(reg),
-		poolRetired: reg.Counter("hotc_pool_retired_total",
-			"Containers stopped by scale-down, cap eviction or keep-alive expiry."),
+		poolHits: reg.CounterVec("hotc_pool_hits_total",
+			"Acquire calls served by a warm instance, by match kind (exact).",
+			"kind").With("exact"),
+		poolMisses: reg.Counter("hotc_pool_misses_total",
+			"Acquire calls that found no warm instance and climbed the cold ladder."),
+		poolPrewarmed: reg.Counter("hotc_pool_prewarmed_total",
+			"Instances the controller booted ahead of demand that landed in a warm list."),
 		bodyBytes: reg.Histogram("hotc_gateway_body_bytes",
 			"Response bytes streamed through the gateway per request.",
 			obs.DefaultBodySizeBuckets()),
@@ -208,9 +219,12 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Kept spans dropped because their trace-ring slot was busy.")
 	ins.startsWarm = starts.With("warm")
 	ins.startsCold = starts.With("cold")
-	ins.coldBootsGeneric = coldBoots.With("generic")
-	ins.coldBootsFull = coldBoots.With("cold")
-	ins.coldBootsRented = coldBoots.With("rented")
+	for m := bootRented; m <= bootCold; m++ {
+		ins.coldBoots[m] = coldBoots.With(m.String())
+	}
+	for r := evictScaleDown; r < numEvictReasons; r++ {
+		ins.poolRetired[r] = poolRetired.With(evictReasons[r])
+	}
 	ins.coldPhasePull = coldPhase.With("pull")
 	ins.coldPhaseRuntime = coldPhase.With("runtime_init")
 	ins.coldPhaseApp = coldPhase.With("app_init")
@@ -309,6 +323,23 @@ var resilienceKinds = [...]struct{ kind, key string }{
 	{"watchdog-serve-error", "watchdog.serve_errors"},
 	{"prefork-boot-failure", "prefork.boot_failures"},
 }
+
+// evictReason is the hotc_pool_retired_total{reason} child a removal is
+// counted under; notEvicted (a lease, the Stop drain) is counted under
+// none. Expired comes last: Stats.Retired sums the reasons before it.
+type evictReason uint8
+
+const (
+	notEvicted     evictReason = iota
+	evictScaleDown             // the controller's Retire
+	evictCap                   // release parks one past MaxIdlePerFunction
+	evictBudget                // the memory budget's water-fill
+	evictRedeploy              // Register drains the old deployment
+	evictExpired               // the janitor's keep-alive
+	numEvictReasons
+)
+
+var evictReasons = [numEvictReasons]string{"", "scale_down", "cap", "budget", "redeploy", "expired"}
 
 // event counts one resilience event; kind is a row of resilienceKinds.
 func (g *Gateway) event(kind string) { g.obs.events[kind].Inc() }

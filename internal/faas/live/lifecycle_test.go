@@ -14,15 +14,19 @@ import (
 )
 
 // checkPool asserts the warm-list invariants on every shard: the
-// hotc_live_warm_instances gauge equals the list length, no tainted
-// instance is idle, every idle instance holds a connection, and — the
-// caller has quiesced its requests — nothing is counted in flight.
+// hotc_live_warm_instances gauge equals the list length, the list is
+// within the warm cap, no tainted instance is idle, every idle instance
+// holds a connection, and — the caller has quiesced its requests —
+// nothing is counted in flight.
 func checkPool(t *testing.T, g *Gateway) {
 	t.Helper()
 	for _, s := range g.snapshotShards() {
 		s.mu.Lock()
 		if got := int(s.m.warm.Value()); got != len(s.idle) {
 			t.Errorf("%s: warm gauge = %d, list holds %d", s.name, got, len(s.idle))
+		}
+		if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(s.idle) > limit {
+			t.Errorf("%s: %d idle past the warm cap %d", s.name, len(s.idle), limit)
 		}
 		for i, inst := range s.idle {
 			if inst.tainted.Load() {

@@ -40,20 +40,18 @@
 //
 // Every event is counted at one site, in the metrics registry, and the
 // JSON views (/system/stats, the *Stats methods) read the registry
-// back. Only the warm path's integers (Stats.Requests, Reused,
-// ColdStarts, the eviction counts) stay under the shard lock they are
-// already bumped under.
+// back.
 //
 // # Hot-path concurrency
 //
 // All mutable per-function state — the idle warm list, the circuit
-// breaker, controller demand accounting and the stats deltas — lives in
-// a per-function shard guarded by its own small mutex. Shards are
-// resolved through a read-mostly RWMutex registry, so requests for two
-// different functions never contend on a lock, and requests for the
-// same function only serialize for the few instructions of pool
-// bookkeeping. Aggregate views (Stats, /system/stats) sum across shards
-// on demand, locking one shard at a time: there is no global pause.
+// breaker and controller demand accounting — lives in a per-function
+// shard guarded by its own small mutex. Shards are resolved through a
+// read-mostly RWMutex registry, so requests for two different functions
+// never contend on a lock, and requests for the same function only
+// serialize for the few instructions of pool bookkeeping. Counts are read
+// back from the registry without any shard lock; views of the warm lists
+// lock one shard at a time: there is no global pause.
 // Metric observations go through per-shard pre-resolved obs handles
 // whose updates are lock-free atomics.
 //
@@ -196,43 +194,30 @@ func stopAll(insts []*instance) {
 	wg.Wait()
 }
 
-// Stats counts gateway activity.
+// Stats counts gateway activity. Gateway.Stats reads each field back
+// from the registry series named beside it, so Requests = Reused +
+// ColdStarts in every snapshot.
 type Stats struct {
-	Requests   int
-	ColdStarts int
-	Reused     int
-	// GenericHandoffs counts the subset of ColdStarts served by
-	// specializing a pre-forked generic watchdog instead of a full
-	// boot (these requests still report X-Hotc-Reused: false).
+	Requests   int // Reused + ColdStarts
+	ColdStarts int // hotc_pool_misses_total
+	Reused     int // hotc_pool_hits_total{kind="exact"}
+	// GenericHandoffs and RentedBoots count the subsets of ColdStarts
+	// served by specializing a pre-forked generic watchdog and by leasing
+	// another function's idle instance (X-Hotc-Boot: generic|rented; both
+	// report X-Hotc-Reused: false): hotc_coldpath_boots_total{mode}.
 	GenericHandoffs int
-	// RentedBoots counts the subset of ColdStarts served by leasing an
-	// idle instance from another function (X-Hotc-Boot: rented; these
-	// requests also report X-Hotc-Reused: false).
-	RentedBoots int
-	// Prewarmed counts instances the controller booted ahead of demand.
+	RentedBoots     int
+	// Prewarmed counts controller boots ahead of demand that landed in a
+	// warm list: hotc_pool_prewarmed_total.
 	Prewarmed int
-	// Retired counts instances stopped by controller scale-down or the
-	// warm-pool cap's oldest-first eviction.
+	// Retired counts warm instances evicted by controller scale-down, the
+	// warm cap, memory-budget reclaim or a redeploy's drain, and Expired
+	// those stopped by keep-alive expiry: hotc_pool_retired_total{reason}.
 	Retired int
-	// Expired counts instances stopped by keep-alive (idle TTL) expiry.
 	Expired int
-	// Canceled counts requests abandoned mid-flight or mid-queue by
-	// client disconnect or deadline expiry: the sum of
-	// hotc_requests_total{outcome="canceled"}, read back by Gateway.Stats.
+	// Canceled counts requests abandoned mid-queue or mid-flight by client
+	// disconnect or deadline expiry: Σ hotc_requests_total{outcome="canceled"}.
 	Canceled int
-}
-
-// add accumulates another shard's under-lock deltas (Canceled is not
-// one: Gateway.Stats reads it from the registry).
-func (s *Stats) add(o Stats) {
-	s.Requests += o.Requests
-	s.ColdStarts += o.ColdStarts
-	s.Reused += o.Reused
-	s.GenericHandoffs += o.GenericHandoffs
-	s.RentedBoots += o.RentedBoots
-	s.Prewarmed += o.Prewarmed
-	s.Retired += o.Retired
-	s.Expired += o.Expired
 }
 
 // shard is one function's slice of the gateway: everything a request
@@ -248,14 +233,14 @@ type shard struct {
 	// idle is the warm pool, oldest first; written only by the list
 	// methods in warmlist.go.
 	idle []*instance
-	// stats are this function's deltas; Gateway.Stats sums shards.
-	stats Stats
 	// breaker guards the function; nil when breaking is off
 	// (PoolConfig.BreakerThreshold 0). Set by newShard, used under mu.
 	breaker *faas.Breaker
 	// ctl is the adaptive-control state: in-flight demand accounting,
 	// the predictor and its evaluation series.
 	ctl fnControl
+	// role mirrors ctl.share.Role() for SharingStats, which takes no lock.
+	role atomic.Int32
 
 	// adm is the function's admission queue; nil when overload control
 	// is off. It has its own internal lock and is never touched under
@@ -406,7 +391,7 @@ func (g *Gateway) Register(fn Function) error {
 	s.mu.Lock()
 	fn.gen = s.fn.gen + 1
 	s.fn = fn
-	old := s.takeOldestLocked(len(s.idle), &s.stats.Retired)
+	old := s.takeOldestLocked(len(s.idle), evictRedeploy)
 	s.mu.Unlock()
 	stopAll(old)
 	return nil
@@ -469,7 +454,7 @@ func (g *Gateway) Stop() {
 	var insts []*instance
 	for _, s := range shards {
 		s.mu.Lock()
-		insts = append(insts, s.takeOldestLocked(len(s.idle), nil)...)
+		insts = append(insts, s.takeOldestLocked(len(s.idle), notEvicted)...)
 		s.mu.Unlock()
 	}
 	stopAll(insts)
@@ -493,31 +478,35 @@ func (g *Gateway) SetDraining(on bool) { g.draining.Store(on) }
 // Draining reports whether the gateway is refusing new placements.
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
-// Stats sums the per-shard counters into a snapshot. Each shard is
-// locked for a handful of integer reads; requests for other functions
-// proceed untouched and requests for the sampled function wait only
-// for that copy — there is no global pause.
+// Stats reads the gateway's counters back from its registry and takes
+// no shard lock. Parts are read before their wholes — boots before
+// misses — so a request booked between two reads can leave a whole
+// larger than the sum of its parts, never smaller.
 func (g *Gateway) Stats() Stats {
-	var total Stats
-	for _, s := range g.snapshotShards() {
-		s.mu.Lock()
-		total.add(s.stats)
-		s.mu.Unlock()
-		total.Canceled += int(s.m.reqCanceled.Value())
+	ins := g.obs
+	st := Stats{
+		GenericHandoffs: int(ins.coldBoots[bootGeneric].Value()),
+		RentedBoots:     int(ins.coldBoots[bootRented].Value()),
+		Prewarmed:       int(ins.poolPrewarmed.Value()),
+		Expired:         int(ins.poolRetired[evictExpired].Value()),
 	}
-	return total
+	st.ColdStarts, st.Reused = int(ins.poolMisses.Value()), int(ins.poolHits.Value())
+	st.Requests = st.Reused + st.ColdStarts
+	for r := evictScaleDown; r < evictExpired; r++ {
+		st.Retired += int(ins.poolRetired[r].Value())
+	}
+	for _, s := range g.snapshotShards() {
+		st.Canceled += int(s.m.reqCanceled.Value())
+	}
+	return st
 }
 
-// WarmInstances reports the number of idle warm instances for a
-// function.
+// WarmInstances reads a function's hotc_live_warm_instances back.
 func (g *Gateway) WarmInstances(name string) int {
-	s := g.shard(name)
-	if s == nil {
-		return 0
+	if s := g.shard(name); s != nil {
+		return int(s.m.warm.Value())
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.idle)
+	return 0
 }
 
 // acquire is Algorithm 1: take the function's newest warm instance, or
@@ -530,30 +519,26 @@ func (g *Gateway) acquire(ctx context.Context, s *shard) (*instance, bootInfo, e
 	s.mu.Lock()
 	fn := s.fn
 	s.ctl.Begin()
-	s.stats.Requests++
 	if inst := s.popNewestLocked(); inst != nil {
-		s.stats.Reused++
 		s.mu.Unlock()
+		g.obs.poolHits.Inc()
 		return inst, bootInfo{mode: bootWarm}, nil
 	}
-	s.stats.ColdStarts++
 	s.mu.Unlock()
+	g.obs.poolMisses.Inc()
 
 	inst, info, err := g.leaseInstance(ctx, s, fn) // boots run outside the lock
 	if inst == nil && err == nil {
 		inst, info, err = g.bootInstance(ctx, fn)
 	}
-	s.mu.Lock()
-	switch {
-	case err != nil:
+	if err != nil {
+		s.mu.Lock()
 		s.ctl.End()
-	case info.mode == bootRented:
-		s.stats.RentedBoots++
-	case info.mode == bootGeneric:
-		s.stats.GenericHandoffs++
+		s.mu.Unlock()
+		return inst, info, err
 	}
-	s.mu.Unlock()
-	return inst, info, err
+	g.obs.coldBoots[info.mode].Inc()
+	return inst, info, nil
 }
 
 // keepLocked reports whether inst may enter s's warm list: not once the
@@ -575,7 +560,7 @@ func (g *Gateway) release(s *shard, inst *instance, healthy bool) {
 	if healthy && g.reuse && g.keepLocked(s, inst) {
 		doomed = nil
 		if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(s.idle) >= limit {
-			doomed = s.takeOldestLocked(1, &s.stats.Retired)[0]
+			doomed = s.takeOldestLocked(1, evictCap)[0]
 		}
 		s.ctl.lastDone = g.nowFn()
 		s.pushLocked(inst, s.ctl.lastDone)

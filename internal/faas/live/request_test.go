@@ -550,7 +550,7 @@ func TestEveryExitCountsOnce(t *testing.T) {
 func TestStatsViewsReadTheRegistry(t *testing.T) {
 	cfg := testSharing()
 	cfg.Prefork, cfg.PreforkSize = true, 1
-	cfg.MemoryBudget, cfg.InstanceMemBytes = 1, 1           // one instance fits
+	cfg.MemoryBudget = instanceMemBytes                     // one instance fits
 	cfg.TraceSampleRate, cfg.TraceSlowThreshold = -1, -1    // plain warm successes are sampled out
 	cfg.BreakerThreshold, cfg.BreakerOpenFor = 1, time.Hour // one blamed failure trips it
 	g := New(cfg)

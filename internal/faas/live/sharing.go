@@ -98,14 +98,15 @@ func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, now time.Time) *ins
 	if ok, _ := offerLocked(s, now).Lends(g.share.policy, rc, g.cfg.ShareIdleGrace); !ok {
 		return nil
 	}
-	lent := s.takeOldestLocked(1, nil)[0]
+	lent := s.takeOldestLocked(1, notEvicted)[0]
 	lent.tainted.Store(true)
 	return lent
 }
 
-// shareRoleTransition moves the lender/renter population gauges when a
-// function's classification changes.
-func (g *Gateway) shareRoleTransition(prev, next sharing.Role) {
+// shareRoleTransition publishes s's new classification to s.role and
+// the lender/renter population gauges. Caller holds s.mu.
+func (g *Gateway) shareRoleTransition(s *shard, prev, next sharing.Role) {
+	s.role.Store(int32(next))
 	adj := func(r sharing.Role, d float64) {
 		switch r {
 		case sharing.RoleLender:
@@ -133,16 +134,16 @@ type SharingStats struct {
 	LeasesGranted     uint64 `json:"leasesGranted"`
 	LeasesNoCandidate uint64 `json:"leasesNoCandidate"`
 	LeasesDenied      uint64 `json:"leasesDenied"`
-	// RentedBoots counts requests served by a rented zygote (the
-	// per-shard sum). It always equals LeasesGranted: a controller
-	// prewarm boots below the renting tier, so it never rents.
+	// RentedBoots counts requests served by a rented zygote,
+	// hotc_coldpath_boots_total{mode="rented"}. It always equals
+	// LeasesGranted: both count a lease whose boot succeeded.
 	RentedBoots int `json:"rentedBoots"`
 	// Roles maps each function to its current classification.
 	Roles map[string]string `json:"roles,omitempty"`
 }
 
 // SharingStats reports the sharing layer's accounting (only Enabled
-// and Policy are set when sharing is off).
+// and Policy are set when sharing is off). It takes no shard lock.
 func (g *Gateway) SharingStats() SharingStats {
 	st := SharingStats{
 		Enabled: g.cfg.Share,
@@ -157,12 +158,10 @@ func (g *Gateway) SharingStats() SharingStats {
 	st.LeasesGranted = uint64(g.obs.shareLeaseGranted.Value())
 	st.LeasesNoCandidate = uint64(g.obs.shareLeaseNoCandidate.Value())
 	st.LeasesDenied = uint64(g.obs.shareLeaseDenied.Value())
+	st.RentedBoots = int(g.obs.coldBoots[bootRented].Value())
 	st.Roles = make(map[string]string)
 	for _, s := range g.snapshotShards() {
-		s.mu.Lock()
-		st.Roles[s.name] = s.ctl.share.Role().String()
-		st.RentedBoots += s.stats.RentedBoots
-		s.mu.Unlock()
+		st.Roles[s.name] = sharing.Role(s.role.Load()).String()
 	}
 	return st
 }

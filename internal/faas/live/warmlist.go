@@ -30,11 +30,10 @@ func (s *shard) popNewestLocked() *instance {
 }
 
 // takeOldestLocked removes the n oldest warm instances (all of them when
-// there are fewer) and returns them. evicted names the shard counter the
-// removal is an eviction under — &s.stats.Retired or &s.stats.Expired —
-// and also feeds hotc_pool_retired_total; a lease and the Stop drain,
-// which evict nothing, pass nil.
-func (s *shard) takeOldestLocked(n int, evicted *int) []*instance {
+// there are fewer) and returns them, counted under reason's
+// hotc_pool_retired_total child; a lease and the Stop drain, which evict
+// nothing, pass notEvicted.
+func (s *shard) takeOldestLocked(n int, reason evictReason) []*instance {
 	if n > len(s.idle) {
 		n = len(s.idle)
 	}
@@ -44,9 +43,8 @@ func (s *shard) takeOldestLocked(n int, evicted *int) []*instance {
 	out := s.idle[:n:n]
 	s.idle = append(s.idle[:0:0], s.idle[n:]...) // a fresh array: out keeps the old one
 	s.m.warm.Set(float64(len(s.idle)))
-	if evicted != nil {
-		*evicted += n
-		s.m.poolRetired.Add(float64(n))
+	if reason != notEvicted {
+		s.m.retired[reason].Add(float64(n))
 	}
 	return out
 }

@@ -142,6 +142,34 @@ if [ "$n" -ne 1 ]; then
 	echo "verify: hotc_resilience_events_total is incremented at $n sites in the sim (want 1): book a resilience event with request.annotate" >&2
 	exit 1
 fi
+echo "== one book (live: every Stats field read back from the registry, each counted at one site)"
+# The live half of "one book": the gateway kept eight hand-counted
+# shard.stats integers beside the registry families that count the same
+# events, and the two disagreed (hotc_coldpath_boots_total also counted
+# prewarm boots). So non-test internal/faas/live increments no stats
+# field, gives shard no stats field, names an eviction's reason to
+# takeOldestLocked (an evictReason, never a pointer to a counter) and
+# bumps hotc_coldpath_boots_total at one site, acquire.
+LIVEGO="$(ls "$LIVE"/*.go | grep -v '_test\.go$')"
+if grep -nE 'stats\.[A-Za-z]+ *(\+\+|\+=)' $LIVEGO >&2; then
+	echo "verify: the live gateway hand-counts a stat: increment its registry counter (g.obs) and let Gateway.Stats read it back" >&2
+	exit 1
+fi
+bad="$(awk '/^type shard struct/{body=1; next} body && /^}/{body=0} body && /^[[:space:]]*stats[[:space:]]/{print FILENAME":"FNR": "$0}' $LIVEGO)"
+if [ -n "$bad" ]; then
+	echo "$bad" >&2
+	echo "verify: shard keeps a stats field: the registry is the gateway's one book" >&2
+	exit 1
+fi
+if grep -nE 'takeOldestLocked\([^,]*, *(&|nil\))' $LIVEGO >&2; then
+	echo "verify: takeOldestLocked given a pointer: pass the evictReason the removal is counted under (notEvicted for a lease or the Stop drain)" >&2
+	exit 1
+fi
+n="$(echo "$LIVEGO" | xargs grep -hE 'coldBoots[A-Za-z]*(\[[^]]*\])?\.(Inc|Add)\(' | grep -vc '^[[:space:]]*//' || true)"
+if [ "$n" -ne 1 ]; then
+	echo "verify: hotc_coldpath_boots_total is incremented at $n sites in $LIVE (want 1): acquire counts the boot that served a request" >&2
+	exit 1
+fi
 echo "== one control step (both substrates close an interval with core.Demand.Step and book it in core's control books)"
 # Algorithm 3's interval close — tick the demand accounting, forecast,
 # plan, book the decision — was written twice, in core.HotC.tick and
