@@ -6,7 +6,7 @@ import (
 
 	"hotc/internal/cluster"
 	"hotc/internal/core"
-	"hotc/internal/router"
+	"hotc/internal/kernel"
 	"hotc/internal/trace"
 )
 
@@ -60,7 +60,7 @@ func NewClusterSimulation(cfg ClusterConfig) (*ClusterSimulation, error) {
 	c := cluster.New(cluster.Options{
 		Nodes:   cfg.Nodes,
 		Profile: prof,
-		Routing: router.Policy(cfg.Routing),
+		Routing: kernel.Policy(cfg.Routing),
 		Seed:    cfg.Seed,
 		PrePull: cfg.LocalImages,
 		Core:    core.Options{Interval: cfg.ControlInterval},

@@ -33,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"hotc/internal/kernel"
 	"hotc/internal/router"
 )
 
@@ -41,7 +42,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
 		nodes     = flag.String("nodes", "", "comma-separated hotcd base URLs (e.g. 127.0.0.1:8081,127.0.0.1:8082)")
 		policy    = flag.String("policy", "warm", "placement policy: warm (warm-affinity over a consistent-hash ring) or rr (round-robin baseline)")
-		vnodes    = flag.Int("vnodes", router.DefaultVNodes, "virtual nodes per member on the hash ring")
+		vnodes    = flag.Int("vnodes", kernel.DefaultVNodes, "virtual nodes per member on the hash ring")
 		poll      = flag.Duration("poll-interval", 500*time.Millisecond, "stats-poll/health-probe period")
 		misses    = flag.Int("probe-failures", 3, "consecutive missed probes before a node is unhealthy")
 		attempts  = flag.Int("max-attempts", 3, "placement attempts per request: first choice plus spills")
@@ -76,7 +77,7 @@ func main() {
 
 	rt, err := router.New(router.Config{
 		Nodes:         urls,
-		Policy:        router.Policy(*policy),
+		Policy:        kernel.Policy(*policy),
 		VNodes:        *vnodes,
 		PollInterval:  *poll,
 		ProbeFailures: *misses,

@@ -7,8 +7,8 @@ import (
 	"hotc/internal/cluster"
 	"hotc/internal/config"
 	"hotc/internal/core"
+	"hotc/internal/kernel"
 	"hotc/internal/metrics"
-	"hotc/internal/router"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
 )
@@ -20,7 +20,7 @@ import (
 func ClusterStudy() *Report {
 	r := NewReport("cluster", "multi-host HotC: routing policies and failure handling (§VII)")
 
-	policies := []router.Policy{router.PolicyRoundRobin, router.PolicyWarmAware}
+	policies := []kernel.Policy{kernel.PolicyRoundRobin, kernel.PolicyWarmAware}
 
 	// (a) serial traffic.
 	ta := r.NewTable("Serial traffic (1 request/30s, 40 requests, 4 nodes)",
@@ -80,7 +80,7 @@ func ClusterStudy() *Report {
 	}
 
 	// (c) failure: kill a node mid-run under warm placement.
-	c := newStudyCluster(router.PolicyWarmAware)
+	c := newStudyCluster(kernel.PolicyWarmAware)
 	sched := trace.Serial{Interval: 10 * time.Second, Count: 30}.Generate()
 	half := len(sched) / 2
 	c.Scheduler().At(sched[half].At, func() { c.FailNode(0) })
@@ -108,7 +108,7 @@ func ClusterStudy() *Report {
 	return r
 }
 
-func newStudyCluster(p router.Policy) *cluster.Cluster {
+func newStudyCluster(p kernel.Policy) *cluster.Cluster {
 	c := cluster.New(cluster.Options{
 		Nodes:   4,
 		Routing: p,

@@ -6,7 +6,7 @@
 // A Cluster is a set of nodes, each a full single-host HotC stack
 // (engine, pool, adaptive controller, gateway) sharing one virtual
 // clock. Each request is placed with the placement rule hotc-router
-// ships (router.Place): a node holding a spare warm runtime for the
+// ships (kernel.Place): a node holding a spare warm runtime for the
 // function first, else the function's owner on a consistent-hash ring.
 package cluster
 
@@ -18,7 +18,7 @@ import (
 	"hotc/internal/core"
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
-	"hotc/internal/router"
+	"hotc/internal/kernel"
 	"hotc/internal/simclock"
 	"hotc/internal/stack"
 	"hotc/internal/trace"
@@ -60,8 +60,8 @@ type Options struct {
 	Nodes int
 	// Profile is the per-node hardware profile (default server).
 	Profile costmodel.Profile
-	// Routing is the placement policy (default router.PolicyWarmAware).
-	Routing router.Policy
+	// Routing is the placement policy (default kernel.PolicyWarmAware).
+	Routing kernel.Policy
 	// Seed drives per-node latency jitter (0 = noiseless).
 	Seed int64
 	// Core configures each node's HotC controller.
@@ -78,7 +78,7 @@ func (o Options) withDefaults() Options {
 		o.Profile = costmodel.Server()
 	}
 	if o.Routing == "" {
-		o.Routing = router.PolicyWarmAware
+		o.Routing = kernel.PolicyWarmAware
 	}
 	return o
 }
@@ -88,7 +88,7 @@ type Cluster struct {
 	sched *simclock.Scheduler
 	opts  Options
 	nodes []*Node
-	ring  *router.Ring
+	ring  *kernel.Ring
 	// placed counts placements: the round-robin policy's tick.
 	placed uint64
 
@@ -102,7 +102,7 @@ func New(opts Options) *Cluster {
 	c := &Cluster{
 		sched: simclock.New(),
 		opts:  o,
-		ring:  router.NewRing(0),
+		ring:  kernel.NewRing(0),
 		keys:  make(map[string]config.Key),
 	}
 	for i := 0; i < o.Nodes; i++ {
@@ -185,17 +185,17 @@ func (c *Cluster) Functions() []string {
 }
 
 // place picks the node for a request of the named function: the first
-// choice of router.Place over the nodes that have not failed, or nil
+// choice of kernel.Place over the nodes that have not failed, or nil
 // when every node has.
 func (c *Cluster) place(name string) *Node {
 	key := c.keys[name]
-	views := make([]router.View, 0, len(c.nodes))
+	views := make([]kernel.View, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		if !n.failed {
-			views = append(views, router.View{Name: n.Name, Warm: n.spare(key)})
+			views = append(views, kernel.View{Name: n.Name, Warm: n.spare(key)})
 		}
 	}
-	choices := router.Place(c.opts.Routing, name, c.ring, views, c.placed, 1)
+	choices := kernel.Place(c.opts.Routing, name, c.ring, views, c.placed, 1)
 	if len(choices) == 0 {
 		return nil
 	}

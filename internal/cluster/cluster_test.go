@@ -14,6 +14,7 @@ import (
 	"hotc/internal/core"
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
+	"hotc/internal/kernel"
 	"hotc/internal/router"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
@@ -35,7 +36,7 @@ func serialSchedule(n int, gap time.Duration) []trace.Request {
 }
 
 func TestRoundRobinSpreads(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 3, Routing: router.PolicyRoundRobin})
+	c := newCluster(t, Options{Nodes: 3, Routing: kernel.PolicyRoundRobin})
 	results, err := c.Run(serialSchedule(9, time.Minute), func(int) string { return "qr" })
 	if err != nil {
 		t.Fatal(err)
@@ -56,12 +57,12 @@ func TestRoundRobinSpreads(t *testing.T) {
 func TestReuseAffinityBeatsRoundRobinOnReuse(t *testing.T) {
 	// Single-threaded serial traffic: warm placement should send every
 	// request after the first to the same warm node.
-	aff := newCluster(t, Options{Nodes: 4, Routing: router.PolicyWarmAware})
+	aff := newCluster(t, Options{Nodes: 4, Routing: kernel.PolicyWarmAware})
 	affRes, err := aff.Run(serialSchedule(12, time.Minute), func(int) string { return "qr" })
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := newCluster(t, Options{Nodes: 4, Routing: router.PolicyRoundRobin})
+	rr := newCluster(t, Options{Nodes: 4, Routing: kernel.PolicyRoundRobin})
 	rrRes, err := rr.Run(serialSchedule(12, time.Minute), func(int) string { return "qr" })
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestNodeFailureRoutesAround(t *testing.T) {
 	if !c.RecoverNode(0) {
 		t.Fatal("RecoverNode rejected valid index")
 	}
-	c2 := newCluster(t, Options{Nodes: 1, Routing: router.PolicyRoundRobin})
+	c2 := newCluster(t, Options{Nodes: 1, Routing: kernel.PolicyRoundRobin})
 	if c2.FailNode(5) || c2.RecoverNode(-1) {
 		t.Fatal("out-of-range node indices accepted")
 	}
@@ -176,7 +177,7 @@ func TestFailedNodeWithRequestInFlightIsNotPlaced(t *testing.T) {
 // Regression: served used to count every completion, errors included,
 // so LoadImbalance and Served mistook failure churn for useful work.
 func TestServedCountsSuccessesOnly(t *testing.T) {
-	c := newCluster(t, Options{Nodes: 2, Routing: router.PolicyRoundRobin})
+	c := newCluster(t, Options{Nodes: 2, Routing: kernel.PolicyRoundRobin})
 	if _, err := c.Run(serialSchedule(4, time.Minute), func(int) string { return "qr" }); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +403,7 @@ func TestClusterPlacesLikeRouter(t *testing.T) {
 	t.Cleanup(c.Close)
 	// The router names a member by its URL: give the sim's nodes the same
 	// names, so both rings hash the same labels.
-	c.ring = router.NewRing(0)
+	c.ring = kernel.NewRing(0)
 	for _, n := range c.nodes {
 		n.Name = "http://" + n.Name
 		c.ring.Add(n.Name)

@@ -18,6 +18,7 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/container"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 	"hotc/internal/pool"
 	"hotc/internal/predictor"
@@ -67,7 +68,7 @@ func (o Options) withDefaults() Options {
 		o.RetainIdle = 30 * time.Minute
 	}
 	if o.ScaleDownFrac <= 0 || o.ScaleDownFrac > 1 {
-		o.ScaleDownFrac = DefaultScaleDownFrac
+		o.ScaleDownFrac = kernel.DefaultScaleDownFrac
 	}
 	if o.Pool.Metrics == nil {
 		o.Pool.Metrics = obs.New()
@@ -79,8 +80,8 @@ func (o Options) withDefaults() Options {
 type keyState struct {
 	spec  *container.Spec
 	app   workload.App
-	books *KeyBooks // nil until the first tick books the key
-	Demand
+	books *kernel.KeyBooks // nil until the first tick books the key
+	kernel.Demand
 
 	everUsed    bool
 	lastArrival simclock.Time
@@ -102,7 +103,7 @@ type HotC struct {
 	stopCtl func()
 
 	// books are the controller's, on the pool's registry.
-	books *Books
+	books *kernel.Books
 }
 
 // New builds HotC over a container engine.
@@ -116,7 +117,7 @@ func New(eng *container.Engine, opts Options) *HotC {
 		eng:   eng,
 		sched: eng.Scheduler(),
 		opts:  o,
-		books: NewBooks(o.Pool.Metrics),
+		books: kernel.NewBooks(o.Pool.Metrics),
 	}
 }
 
@@ -147,7 +148,7 @@ func (h *HotC) state(spec *container.Spec, app *workload.App) *keyState {
 	for int(id) >= len(h.keys) {
 		h.keys = append(h.keys, nil)
 	}
-	st := &keyState{spec: spec, Demand: Demand{Pred: h.opts.NewPredictor()}}
+	st := &keyState{spec: spec, Demand: kernel.Demand{Pred: h.opts.NewPredictor()}}
 	if app != nil {
 		st.app = *app
 	}
@@ -236,7 +237,7 @@ func (h *HotC) tick() {
 	h.books.Cycle()
 	for _, st := range h.order {
 		live, idle := h.pool.Occupancy(st.spec)
-		d := st.Step(PlanInput{
+		d := st.Step(kernel.PlanInput{
 			Headroom: h.opts.Headroom,
 			InFlight: st.InFlight, Live: live, Idle: idle,
 			Retain:        st.everUsed && now-st.lastArrival <= h.opts.RetainIdle,
@@ -256,7 +257,7 @@ func (h *HotC) tick() {
 // Trail returns a runtime type's last decisions, oldest first (Fig. 10's
 // observed and predicted demand among them). The boolean reports
 // whether the key is known.
-func (h *HotC) Trail(key config.Key) ([]Decision, bool) {
+func (h *HotC) Trail(key config.Key) ([]kernel.Decision, bool) {
 	id, ok := h.eng.LookupKey(key)
 	if !ok || int(id) >= len(h.keys) || h.keys[id] == nil {
 		return nil, false

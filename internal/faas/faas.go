@@ -27,6 +27,7 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/container"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 	"hotc/internal/simclock"
 	"hotc/internal/trace"
@@ -183,7 +184,7 @@ type deployment struct {
 // and the key sees traffic) and its metric series (nil until first set).
 type runtimeKey struct {
 	key     string
-	brk     *Breaker
+	brk     *kernel.Breaker
 	metrics *keyHandles
 }
 
@@ -200,7 +201,7 @@ const (
 
 // BreakerFor returns the circuit breaker guarding the runtime key, or
 // nil when breaking is disabled or the key has seen no traffic yet.
-func (g *Gateway) BreakerFor(key string) *Breaker {
+func (g *Gateway) BreakerFor(key string) *kernel.Breaker {
 	if id, ok := g.eng.LookupKey(config.Key(key)); ok && int(id) < len(g.keys) && g.keys[id] != nil {
 		return g.keys[id].brk
 	}
@@ -226,12 +227,12 @@ func NewGateway(eng *container.Engine, provider Provider, reg *obs.Registry) *Ga
 
 // breakerFor lazily builds the breaker guarding a runtime key; nil when
 // breaking is disabled.
-func (g *Gateway) breakerFor(k *runtimeKey) *Breaker {
+func (g *Gateway) breakerFor(k *runtimeKey) *kernel.Breaker {
 	if g.BreakerThreshold <= 0 {
 		return nil
 	}
 	if k.brk == nil {
-		k.brk = NewBreaker(g.BreakerThreshold, g.BreakerOpenFor)
+		k.brk = kernel.NewBreaker(g.BreakerThreshold, g.BreakerOpenFor)
 	}
 	return k.brk
 }
@@ -392,7 +393,7 @@ type request struct {
 	// Read from the deployment at start.
 	spec *container.Spec
 	key  *runtimeKey
-	brk  *Breaker // nil when breaking is disabled
+	brk  *kernel.Breaker // nil when breaking is disabled
 
 	// res is the result as it is built: the trace entry, the six
 	// timestamps as they are stamped and the resilience events as they
@@ -530,7 +531,7 @@ func (r *request) acquired(c *container.Container, reused bool, delta config.Del
 		return
 	}
 	if r.brk != nil {
-		if was := r.brk.State(g.sched.Now()); was != BreakerClosed {
+		if was := r.brk.State(g.sched.Now()); was != kernel.BreakerClosed {
 			r.annotate("breaker-close", r.key.key)
 		}
 		r.brk.OnSuccess()

@@ -3,6 +3,7 @@ package faas
 import (
 	"time"
 
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 )
 
@@ -66,37 +67,27 @@ func (g *Gateway) keyMetrics(k *runtimeKey) *keyHandles {
 }
 
 // newInstruments registers the gateway's metric families on the
-// registry.
+// registry; those the live gateway counts into too come from the
+// kernel's request books.
 func newInstruments(reg *obs.Registry) *instruments {
+	shared := kernel.NewRequestBooks(reg)
 	ins := &instruments{
-		reg: reg,
-		requests: reg.CounterVec("hotc_requests_total",
-			"Requests handled by the gateway, by function and outcome (ok|error).",
-			"function", "outcome"),
-		latency: reg.HistogramVec("hotc_request_latency_ms",
-			"End-to-end request latency (client in to client out), in milliseconds.",
-			obs.DefaultLatencyBucketsMS(), "function"),
+		reg:      reg,
+		requests: shared.Requests,
+		latency:  shared.Latency,
 		queueWait: reg.HistogramVec("hotc_gateway_queue_wait_ms",
 			"Time spent queued behind the per-function concurrency cap, in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "function"),
 		acquire: reg.HistogramVec("hotc_acquire_latency_ms",
 			"Gateway-to-watchdog time: forwarding plus runtime acquisition with retries, in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "key"),
-		breakerState: reg.GaugeVec("hotc_breaker_state",
-			"Per-runtime-key circuit breaker state (0 closed, 1 open, 2 half-open).",
-			"key"),
-		events: make(map[string]*obs.Counter, len(resilienceKinds)),
+		breakerState: shared.Breaker,
+		events:       make(map[string]*obs.Counter, len(resilienceKinds)),
+		startsWarm:   shared.Starts.With("warm"),
+		startsCold:   shared.Starts.With("cold"),
 	}
-	starts := reg.CounterVec("hotc_starts_total",
-		"Container starts behind served requests, by mode (warm = live runtime reused, cold = fresh boot).",
-		"mode")
-	ins.startsWarm = starts.With("warm")
-	ins.startsCold = starts.With("cold")
-	events := reg.CounterVec("hotc_resilience_events_total",
-		"Resilience events on the request path, by kind.",
-		"kind")
 	for _, k := range resilienceKinds {
-		ins.events[k.kind] = events.With(k.kind)
+		ins.events[k.kind] = shared.Events.With(k.kind)
 	}
 	return ins
 }
@@ -147,7 +138,7 @@ func (g *Gateway) ResilienceCounters() map[string]int {
 func (g *Gateway) Trace(t *obs.Tracer) { g.tracer = t }
 
 // setBreakerGauge reflects a breaker transition into the state gauge.
-func (g *Gateway) setBreakerGauge(k *runtimeKey, brk *Breaker) {
+func (g *Gateway) setBreakerGauge(k *runtimeKey, brk *kernel.Breaker) {
 	if brk == nil {
 		return
 	}

@@ -10,6 +10,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hotc/internal/config"
+	"hotc/internal/faas"
+	"hotc/internal/obs"
+	"hotc/internal/stack"
+	"hotc/internal/trace"
+	"hotc/internal/workload"
 )
 
 // One gateway driven through every kind of event its books count — warm
@@ -180,4 +187,71 @@ func TestStatsTakesNoShardLock(t *testing.T) {
 	}
 	s.mu.Unlock()
 	<-done
+}
+
+// The families both substrates count into are declared once, in the
+// kernel, so one registry hosts a simulated stack and a live gateway
+// side by side: each family appears once, under the one HELP string a
+// gateway on a registry of its own shows, with both substrates' series.
+func TestOneRegistryHostsBothSubstrates(t *testing.T) {
+	shared := []string{
+		"hotc_requests_total", "hotc_request_latency_ms", "hotc_starts_total",
+		"hotc_resilience_events_total", "hotc_breaker_state", "hotc_pool_hits_total",
+		"hotc_pool_misses_total", "hotc_pool_prewarmed_total", "hotc_pool_retired_total",
+	}
+	reg := obs.New()
+	st, err := stack.New(stack.Options{PrePull: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sim := faas.Function{Name: "sim", Runtime: config.Runtime{Image: "python:3.8"}, App: workload.QRApp(workload.Python)}
+	if err := st.Deploy(sim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := faas.Run(st.Gateway, make([]trace.Request, 1), func(int) string { return "sim" }); err != nil {
+		t.Fatal(err)
+	}
+
+	g := New(PoolConfig{})
+	g.reg, g.obs = reg, newInstruments(reg)
+	if err := g.Register(echoFn("live", 0)); err != nil {
+		t.Fatal(err)
+	}
+	base, err := g.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	if body, _ := post(t, base+"/function/live", "x"); body != "echo:x" {
+		t.Fatalf("live body = %q", body)
+	}
+
+	alone := New(PoolConfig{})
+	defer alone.Stop()
+	own := map[string]obs.FamilySnapshot{}
+	for _, f := range alone.reg.Snapshot() {
+		own[f.Name] = f
+	}
+	seen := map[string]int{}
+	for _, f := range reg.Snapshot() {
+		seen[f.Name]++
+		if _, ok := own[f.Name]; ok && f.Help != own[f.Name].Help {
+			t.Errorf("%s: HELP %q on the shared registry, %q on the gateway's own", f.Name, f.Help, own[f.Name].Help)
+		}
+		if f.Name == "hotc_requests_total" {
+			fns := map[string]bool{}
+			for _, s := range f.Series {
+				fns[s.LabelValues[0]] = true
+			}
+			if !fns["sim"] || !fns["live"] {
+				t.Errorf("hotc_requests_total has series for %v, want both sim and live", fns)
+			}
+		}
+	}
+	for _, name := range shared {
+		if seen[name] != 1 {
+			t.Errorf("%s appears %d times in the shared registry, want once", name, seen[name])
+		}
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"hotc/internal/core"
+	"hotc/internal/kernel"
 	"hotc/internal/predictor"
 	"hotc/internal/sharing"
 )
@@ -32,7 +32,7 @@ func PredictorFactory(name string) (func() predictor.Predictor, error) {
 // accounting and decision trail the simulated controller also uses
 // (Pred nil = no prediction) plus what only the live substrate tracks.
 type fnControl struct {
-	core.Demand
+	kernel.Demand
 
 	booting  int       // prewarm boots in flight (counted as live)
 	lastDone time.Time // when release last pooled an instance; zero = never
@@ -110,7 +110,7 @@ func (g *Gateway) controlTick(now time.Time) {
 	g.refillPrefork()
 }
 
-// controlOnce is controlTick's per-function stage: core.Demand.Step
+// controlOnce is controlTick's per-function stage: kernel.Demand.Step
 // observes the interval's peak concurrent demand, forecasts the next
 // interval and plans; controlOnce prewarms or retires warm instances as
 // the decision says and books it. Tests call it directly with
@@ -135,12 +135,12 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	// The keep-alive, not the forecast, takes a used function's last
 	// warm instance: retain one until the janitor would expire it.
 	ttl := g.cfg.IdleTTL
-	d := st.Step(core.PlanInput{
+	d := st.Step(kernel.PlanInput{
 		Headroom: g.cfg.Headroom,
 		InFlight: st.InFlight, Live: st.InFlight + st.booting + len(s.idle), Idle: len(s.idle),
 		Retain:        !st.lastDone.IsZero() && (ttl == 0 || now.Sub(st.lastDone) < ttl),
 		MaxWarm:       g.cfg.MaxIdlePerFunction,
-		ScaleDownFrac: core.DefaultScaleDownFrac,
+		ScaleDownFrac: kernel.DefaultScaleDownFrac,
 	})
 	// The sharing classifier judges the one-step-ahead pair — the
 	// forecast that had been made for the interval just observed — plus
@@ -228,7 +228,7 @@ func (g *Gateway) janitorOnce(now time.Time) {
 // PredictionTrace is one function's live controller trace: the
 // predictor identity, its latest forecast, and the one-step-ahead
 // evaluation series read off the decision trail (observed demand vs the
-// forecast made for that interval, the last core.TrailCap intervals).
+// forecast made for that interval, the last kernel.TrailCap intervals).
 type PredictionTrace struct {
 	Predictor string    `json:"predictor"`
 	Forecast  float64   `json:"forecast"`

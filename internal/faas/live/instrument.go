@@ -4,8 +4,7 @@ import (
 	"sort"
 	"time"
 
-	"hotc/internal/core"
-	"hotc/internal/faas"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 )
 
@@ -20,8 +19,8 @@ type instruments struct {
 	breakerState *obs.GaugeVec           // hotc_breaker_state{key}
 
 	// ctl are the control loop's books, the simulated controller's own
-	// families (hotc_ctl_*), declared once in core.
-	ctl *core.Books
+	// families (hotc_ctl_*), declared once in the kernel.
+	ctl *kernel.Books
 
 	// The simulated pool's families, which Stats reads back:
 	// hotc_pool_{hits{kind="exact"},misses,prewarmed}_total, and
@@ -120,18 +119,15 @@ func (ins *instruments) forFunction(name string) *shardMetrics {
 }
 
 // newInstruments registers the gateway's metric families on its
-// registry. The families reuse the simulated pipeline's names, so
-// dashboards built against a sim dump read hotcd's /metrics unchanged.
+// registry. The families both substrates count into come from the
+// kernel's books, declared there once with one HELP string and one
+// label set, so dashboards built against a sim dump read hotcd's
+// /metrics unchanged.
 func newInstruments(reg *obs.Registry) *instruments {
-	starts := reg.CounterVec("hotc_starts_total",
-		"Watchdog instance starts behind served requests, by mode (warm = reused, cold = fresh boot).",
-		"mode")
+	shared, pool := kernel.NewRequestBooks(reg), kernel.NewPoolBooks(reg)
 	coldBoots := reg.CounterVec("hotc_coldpath_boots_total",
 		"Cold boots behind requests, by mode (rented = leased from another function, generic = specialized from the pre-forked pool, cold = full boot).",
 		"mode")
-	poolRetired := reg.CounterVec("hotc_pool_retired_total",
-		"Warm instances stopped, by reason (scale_down|cap|budget|redeploy|expired).",
-		"reason")
 	coldPhase := reg.HistogramVec("hotc_coldpath_phase_ms",
 		"Cold-boot phase delays actually paid, in milliseconds, by phase (pull|runtime_init|app_init); a zero pull is a layer-cache hit.",
 		obs.DefaultLatencyBucketsMS(), "phase")
@@ -142,26 +138,16 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Rented-boot phase delays actually paid, in milliseconds, by phase (wipe|pull|app_init); a zero pull is a same-image lease.",
 		obs.DefaultLatencyBucketsMS(), "phase")
 	ins := &instruments{
-		requests: reg.CounterVec("hotc_requests_total",
-			"Requests handled by the gateway, by function and outcome (ok|error|rejected|canceled).",
-			"function", "outcome"),
-		latency: reg.HistogramVec("hotc_request_latency_ms",
-			"End-to-end request latency at the gateway, in milliseconds.",
-			obs.DefaultLatencyBucketsMS(), "function"),
+		requests: shared.Requests,
+		latency:  shared.Latency,
 		warm: reg.GaugeVec("hotc_live_warm_instances",
 			"Idle warm watchdog instances per function.",
 			"function"),
-		breakerState: reg.GaugeVec("hotc_breaker_state",
-			"Per-function circuit breaker state (0 closed, 1 open, 2 half-open).",
-			"key"),
-		ctl: core.NewBooks(reg),
-		poolHits: reg.CounterVec("hotc_pool_hits_total",
-			"Acquire calls served by a warm instance, by match kind (exact).",
-			"kind").With("exact"),
-		poolMisses: reg.Counter("hotc_pool_misses_total",
-			"Acquire calls that found no warm instance and climbed the cold ladder."),
-		poolPrewarmed: reg.Counter("hotc_pool_prewarmed_total",
-			"Instances the controller booted ahead of demand that landed in a warm list."),
+		breakerState:  shared.Breaker,
+		ctl:           kernel.NewBooks(reg),
+		poolHits:      pool.Hits.With("exact"),
+		poolMisses:    pool.Misses,
+		poolPrewarmed: pool.Prewarmed,
 		bodyBytes: reg.Histogram("hotc_gateway_body_bytes",
 			"Response bytes streamed through the gateway per request.",
 			obs.DefaultBodySizeBuckets()),
@@ -199,12 +185,9 @@ func newInstruments(reg *obs.Registry) *instruments {
 		shareRenters: reg.Gauge("hotc_share_renters",
 			"Functions currently classified as renters (persistently under-forecasted)."),
 	}
-	events := reg.CounterVec("hotc_resilience_events_total",
-		"Resilience events on the request path, by kind.",
-		"kind")
 	ins.events = make(map[string]*obs.Counter, len(resilienceKinds))
 	for _, k := range resilienceKinds {
-		ins.events[k.kind] = events.With(k.kind)
+		ins.events[k.kind] = shared.Events.With(k.kind)
 	}
 	traceKept := reg.CounterVec("hotc_trace_kept_total",
 		"Spans retained by the tail sampler, by keep reason (error|shed|cold|slow|sampled).",
@@ -217,13 +200,13 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Completed requests whose spans the tail sampler dropped.")
 	ins.traceRingFull = reg.Counter("hotc_trace_ring_dropped_total",
 		"Kept spans dropped because their trace-ring slot was busy.")
-	ins.startsWarm = starts.With("warm")
-	ins.startsCold = starts.With("cold")
+	ins.startsWarm = shared.Starts.With("warm")
+	ins.startsCold = shared.Starts.With("cold")
 	for m := bootRented; m <= bootCold; m++ {
 		ins.coldBoots[m] = coldBoots.With(m.String())
 	}
 	for r := evictScaleDown; r < numEvictReasons; r++ {
-		ins.poolRetired[r] = poolRetired.With(evictReasons[r])
+		ins.poolRetired[r] = pool.Retired.With(evictReasons[r])
 	}
 	ins.coldPhasePull = coldPhase.With("pull")
 	ins.coldPhaseRuntime = coldPhase.With("runtime_init")
@@ -303,7 +286,7 @@ func (g *Gateway) breakerSuccess(s *shard) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.breaker.State(g.since()) != faas.BreakerClosed {
+	if s.breaker.State(g.since()) != kernel.BreakerClosed {
 		g.event("breaker-close")
 	}
 	s.breaker.OnSuccess()
@@ -339,7 +322,7 @@ const (
 	numEvictReasons
 )
 
-var evictReasons = [numEvictReasons]string{"", "scale_down", "cap", "budget", "redeploy", "expired"}
+var evictReasons = [numEvictReasons]string{"", kernel.RetireScaleDown, kernel.RetireCap, kernel.RetireBudget, kernel.RetireRedeploy, kernel.RetireExpired}
 
 // event counts one resilience event; kind is a row of resilienceKinds.
 func (g *Gateway) event(kind string) { g.obs.events[kind].Inc() }

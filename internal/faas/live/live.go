@@ -76,7 +76,7 @@ import (
 	"time"
 
 	"hotc/internal/admission"
-	"hotc/internal/faas"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 	"hotc/internal/prefork"
 	"hotc/internal/sharing"
@@ -235,7 +235,7 @@ type shard struct {
 	idle []*instance
 	// breaker guards the function; nil when breaking is off
 	// (PoolConfig.BreakerThreshold 0). Set by newShard, used under mu.
-	breaker *faas.Breaker
+	breaker *kernel.Breaker
 	// ctl is the adaptive-control state: in-flight demand accounting,
 	// the predictor and its evaluation series.
 	ctl fnControl
@@ -360,7 +360,7 @@ func (g *Gateway) newShard(name string) *shard {
 		s.adm = g.newAdmissionQueue(s)
 	}
 	if g.cfg.BreakerThreshold > 0 {
-		s.breaker = faas.NewBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerOpenFor)
+		s.breaker = kernel.NewBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerOpenFor)
 	}
 	return s
 }

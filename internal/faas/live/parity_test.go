@@ -8,6 +8,7 @@ import (
 	"hotc/internal/config"
 	"hotc/internal/core"
 	"hotc/internal/faas"
+	"hotc/internal/kernel"
 	"hotc/internal/predictor"
 	"hotc/internal/stack"
 	"hotc/internal/trace"
@@ -19,7 +20,7 @@ import (
 // on virtual time, and the control loop ticks at its end. It returns
 // the controller's decision trail and the pool size each interval's
 // demand found.
-func simTrail(t *testing.T, tick time.Duration, demands []int) ([]core.Decision, []int) {
+func simTrail(t *testing.T, tick time.Duration, demands []int) ([]kernel.Decision, []int) {
 	t.Helper()
 	st, err := stack.New(stack.Options{PrePull: true, Core: core.Options{Interval: tick}})
 	if err != nil {
@@ -52,7 +53,7 @@ func simTrail(t *testing.T, tick time.Duration, demands []int) ([]core.Decision,
 // liveTrail drives the same demands through a live gateway: real
 // watchdogs with zero-cost boots, the fake clock for time, acquire and
 // release called directly so an interval's requests overlap exactly.
-func liveTrail(t *testing.T, tick, keepAlive time.Duration, demands []int) ([]core.Decision, []int) {
+func liveTrail(t *testing.T, tick, keepAlive time.Duration, demands []int) ([]kernel.Decision, []int) {
 	t.Helper()
 	g, clk, _ := startControlled(t,
 		PoolConfig{NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: keepAlive},

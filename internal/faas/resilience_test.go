@@ -6,6 +6,7 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/container"
+	"hotc/internal/kernel"
 	"hotc/internal/rng"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
@@ -63,7 +64,7 @@ func TestBackoffJitterSeededAndBounded(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(3, 10*time.Second)
+	b := kernel.NewBreaker(3, 10*time.Second)
 	now := func(d time.Duration) time.Duration { return d }
 
 	// Closed: failures below the threshold keep it closed.
@@ -76,7 +77,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.OnFailure(now(2 * time.Second)) {
 		t.Fatal("second failure tripped the breaker")
 	}
-	if b.State(now(2*time.Second)) != BreakerClosed {
+	if b.State(now(2*time.Second)) != kernel.BreakerClosed {
 		t.Fatalf("state = %v, want closed", b.State(now(2*time.Second)))
 	}
 
@@ -84,7 +85,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.OnFailure(now(3 * time.Second)) {
 		t.Fatal("threshold failure did not trip the breaker")
 	}
-	if b.State(now(3*time.Second)) != BreakerOpen || b.Trips() != 1 {
+	if b.State(now(3*time.Second)) != kernel.BreakerOpen || b.Trips() != 1 {
 		t.Fatalf("state = %v trips = %d, want open/1", b.State(now(3*time.Second)), b.Trips())
 	}
 	if b.Allow(now(5 * time.Second)) {
@@ -96,7 +97,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Window elapsed: half-open, exactly one probe admitted.
-	if b.State(now(13*time.Second)) != BreakerHalfOpen {
+	if b.State(now(13*time.Second)) != kernel.BreakerHalfOpen {
 		t.Fatalf("state after window = %v, want half-open", b.State(now(13*time.Second)))
 	}
 	if !b.Allow(now(13 * time.Second)) {
@@ -108,7 +109,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Successful probe closes the breaker.
 	b.OnSuccess()
-	if b.State(now(14*time.Second)) != BreakerClosed {
+	if b.State(now(14*time.Second)) != kernel.BreakerClosed {
 		t.Fatalf("state after good probe = %v, want closed", b.State(now(14*time.Second)))
 	}
 	if !b.Allow(now(14 * time.Second)) {
@@ -117,7 +118,7 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
-	b := NewBreaker(1, 10*time.Second)
+	b := kernel.NewBreaker(1, 10*time.Second)
 	if !b.OnFailure(0) {
 		t.Fatal("threshold 1 should trip on the first failure")
 	}
@@ -127,7 +128,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if !b.OnFailure(11 * time.Second) {
 		t.Fatal("failed probe should re-trip the breaker")
 	}
-	if b.State(12*time.Second) != BreakerOpen || b.Trips() != 2 {
+	if b.State(12*time.Second) != kernel.BreakerOpen || b.Trips() != 2 {
 		t.Fatalf("state = %v trips = %d, want open/2", b.State(12*time.Second), b.Trips())
 	}
 	// The re-opened window is anchored at the probe failure.
@@ -140,7 +141,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
-	b := NewBreaker(3, time.Second)
+	b := kernel.NewBreaker(3, time.Second)
 	b.OnFailure(0)
 	b.OnFailure(0)
 	b.OnSuccess()
@@ -148,13 +149,13 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	if b.OnFailure(0) || b.OnFailure(0) {
 		t.Fatal("breaker tripped on a broken streak")
 	}
-	if b.State(0) != BreakerClosed {
+	if b.State(0) != kernel.BreakerClosed {
 		t.Fatalf("state = %v, want closed", b.State(0))
 	}
 }
 
 func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(0, 0)
+	b := kernel.NewBreaker(0, 0)
 	if b.Threshold != 5 || b.OpenFor != 30*time.Second {
 		t.Fatalf("defaults = %d/%v, want 5/30s", b.Threshold, b.OpenFor)
 	}
@@ -383,7 +384,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	if r.Err != nil {
 		t.Fatalf("probe request failed: %v", r.Err)
 	}
-	if brk.State(f.sched.Now()) != BreakerClosed {
+	if brk.State(f.sched.Now()) != kernel.BreakerClosed {
 		t.Fatalf("breaker = %v after good probe, want closed", brk.State(f.sched.Now()))
 	}
 	if got := f.gw.ResilienceCounters()[CounterBreakerCloses]; got != 1 {

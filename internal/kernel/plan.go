@@ -1,4 +1,10 @@
-package core
+// Package kernel holds what the simulated middleware and the live
+// gateway share: Algorithm 3's control step (Plan, Demand.Step), the
+// circuit breaker, node placement over the consistent-hash ring
+// (Place), and the metric families both substrates count into. It is
+// a leaf: it imports only obs, predictor and simclock, so neither
+// substrate links the other to reach a shared rule.
+package kernel
 
 import (
 	"math"

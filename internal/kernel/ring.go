@@ -1,11 +1,4 @@
-// Package router is the multi-node front tier: an HTTP reverse proxy
-// that places function invocations across a fleet of hotcd nodes. The
-// paper's runtime-reuse economics only pay off when requests for a
-// function keep landing where its warm runtimes live, so placement is
-// a consistent-hash ring over function keys biased by each node's
-// advertised warm-instance count, with bounded spill to ring
-// successors when the preferred node is saturated or draining.
-package router
+package kernel
 
 import (
 	"hash/fnv"
@@ -20,8 +13,9 @@ const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring with virtual nodes. A key hashes to
 // a point on the ring and is owned by the first virtual node at or
-// after it; removing a node moves only that node's keys. Not
-// concurrency-safe — the Router guards it with its membership lock.
+// after it; removing a node moves only that node's keys. Not safe for
+// concurrent use: the router guards it with its membership lock, and
+// the simulated cluster keeps it on the simulation goroutine.
 type Ring struct {
 	vnodes int
 	nodes  map[string]bool

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,37 +26,70 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseTraceparentStrictness(t *testing.T) {
-	const valid = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	accept := []string{
-		valid,
+// validTraceparent is the W3C specification's example header.
+const validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+// traceparentAccept and traceparentReject are the parser's strictness
+// table; FuzzParseTraceparent seeds from both.
+var (
+	traceparentAccept = []string{
+		validTraceparent,
 		// Future versions must parse as long as the 00 layout holds,
 		// including ones extended with new dash-separated fields.
 		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-		valid + "-extrafield",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extrafield",
 	}
-	for _, s := range accept {
-		if _, ok := ParseTraceparent(s); !ok {
-			t.Errorf("ParseTraceparent(%q) rejected, want accepted", s)
-		}
-	}
-	reject := []string{
+	traceparentReject = []string{
 		"",
-		valid[:54],             // truncated
-		valid + "x",            // extension without separator
-		strings.ToUpper(valid), // uppercase hex is invalid per spec
-		"ff" + valid[2:],       // version ff reserved
+		validTraceparent[:54],             // truncated
+		validTraceparent + "x",            // extension without separator
+		validTraceparent + "-extrafield",  // version 00 has no extension
+		strings.ToUpper(validTraceparent), // uppercase hex is invalid per spec
+		"ff" + validTraceparent[2:],       // version ff reserved
 		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",  // zero trace ID
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span ID
 		"00x4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad separator
 		"00-4bf92f3577b34da6a3ce929d0e0e473g-00f067aa0ba902b7-01", // non-hex
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // bad flags
 	}
-	for _, s := range reject {
+)
+
+func TestParseTraceparentStrictness(t *testing.T) {
+	for _, s := range traceparentAccept {
+		if _, ok := ParseTraceparent(s); !ok {
+			t.Errorf("ParseTraceparent(%q) rejected, want accepted", s)
+		}
+	}
+	for _, s := range traceparentReject {
 		if tc, ok := ParseTraceparent(s); ok {
 			t.Errorf("ParseTraceparent(%q) = %+v, want rejected", s, tc)
 		}
 	}
+}
+
+// A header that parses renders back as its version-00 form (the first
+// 55 characters with the version reset) and re-parses to the same
+// context; one that does not parse yields the zero context.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range append(slices.Clone(traceparentAccept), traceparentReject...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceparent(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected with %+v, want the zero context", s, tc)
+			}
+			return
+		}
+		hdr := tc.Traceparent()
+		if want := "00" + s[2:traceparentLen]; hdr != want {
+			t.Fatalf("ParseTraceparent(%q).Traceparent() = %q, want %q", s, hdr, want)
+		}
+		if again, ok := ParseTraceparent(hdr); !ok || again != tc {
+			t.Fatalf("%q re-parses to %+v, %v; want %+v", hdr, again, ok, tc)
+		}
+	})
 }
 
 func TestIDGenDeterministicAndDistinct(t *testing.T) {

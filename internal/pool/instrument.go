@@ -2,6 +2,7 @@ package pool
 
 import (
 	"hotc/internal/config"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 )
 
@@ -20,14 +21,15 @@ type instruments struct {
 	misses      *obs.Counter  // hotc_pool_misses_total
 	evictions   *obs.Counter  // hotc_pool_evictions_total
 	prewarmed   *obs.Counter  // hotc_pool_prewarmed_total
-	retired     *obs.Counter  // hotc_pool_retired_total
 	quarantined *obs.Counter  // hotc_pool_quarantined_total
 	leases      *obs.Counter  // hotc_pool_leases_total
 	live        *obs.GaugeVec // hotc_pool_live{key}
 	avail       *obs.GaugeVec // hotc_pool_available{key}
 
-	hitsExact   *obs.Counter // hotc_pool_hits_total{kind="exact"}
-	hitsRelaxed *obs.Counter // hotc_pool_hits_total{kind="relaxed"}
+	hitsExact      *obs.Counter // hotc_pool_hits_total{kind="exact"}
+	hitsRelaxed    *obs.Counter // hotc_pool_hits_total{kind="relaxed"}
+	retiredScaled  *obs.Counter // hotc_pool_retired_total{reason="scale_down"}
+	retiredExpired *obs.Counter // hotc_pool_retired_total{reason="expired"}
 }
 
 // gauges resolves one runtime key's occupancy gauges.
@@ -36,20 +38,16 @@ func (ins *instruments) gauges(key config.Key) *keyGauges {
 	return &keyGauges{live: ins.live.With(k), avail: ins.avail.With(k)}
 }
 
-// newInstruments registers the pool's metric families on the registry.
+// newInstruments registers the pool's metric families on the registry;
+// those the live gateway counts into too come from the kernel's pool
+// books.
 func newInstruments(reg *obs.Registry) *instruments {
-	hits := reg.CounterVec("hotc_pool_hits_total",
-		"Acquire calls served by a live runtime, by match kind (exact|relaxed).",
-		"kind")
+	shared := kernel.NewPoolBooks(reg)
 	return &instruments{
-		misses: reg.Counter("hotc_pool_misses_total",
-			"Acquire calls that had to cold-start a new container."),
+		misses: shared.Misses,
 		evictions: reg.Counter("hotc_pool_evictions_total",
 			"Forced terminations under the live cap or memory threshold."),
-		prewarmed: reg.Counter("hotc_pool_prewarmed_total",
-			"Containers created ahead of demand by the controller."),
-		retired: reg.Counter("hotc_pool_retired_total",
-			"Containers stopped by scale-down or keep-alive expiry."),
+		prewarmed: shared.Prewarmed,
 		quarantined: reg.Counter("hotc_pool_quarantined_total",
 			"Containers removed after failing a health check or corrupting an execution."),
 		leases: reg.Counter("hotc_pool_leases_total",
@@ -60,8 +58,10 @@ func newInstruments(reg *obs.Registry) *instruments {
 		avail: reg.GaugeVec("hotc_pool_available",
 			"Pool containers available for immediate reuse per runtime key.",
 			"key"),
-		hitsExact:   hits.With("exact"),
-		hitsRelaxed: hits.With("relaxed"),
+		hitsExact:      shared.Hits.With("exact"),
+		hitsRelaxed:    shared.Hits.With("relaxed"),
+		retiredScaled:  shared.Retired.With(kernel.RetireScaleDown),
+		retiredExpired: shared.Retired.With(kernel.RetireExpired),
 	}
 }
 
@@ -75,7 +75,7 @@ func (p *Pool) Stats() Stats {
 		Misses:      int(o.misses.Value()),
 		Evictions:   int(o.evictions.Value()),
 		Prewarmed:   int(o.prewarmed.Value()),
-		Retired:     int(o.retired.Value()),
+		Retired:     int(o.retiredScaled.Value()) + int(o.retiredExpired.Value()),
 		Quarantined: int(o.quarantined.Value()),
 		Leases:      int(o.leases.Value()),
 	}

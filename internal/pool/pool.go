@@ -120,7 +120,8 @@ type Stats struct {
 	Evictions int
 	// Prewarmed counts containers created ahead of demand.
 	Prewarmed int
-	// Retired counts containers stopped by the controller scale-down.
+	// Retired counts containers stopped by the controller scale-down
+	// or keep-alive expiry.
 	Retired int
 	// Quarantined counts containers removed because they failed a
 	// health check or were reported corrupted after an execution.
@@ -503,7 +504,7 @@ func (p *Pool) Retire(spec *container.Spec, n int) int {
 			continue
 		}
 		p.remove(c)
-		p.obs.retired.Inc()
+		p.obs.retiredScaled.Inc()
 		stopped++
 		p.eng.Stop(c, nil)
 	}
@@ -518,7 +519,7 @@ func (p *Pool) Stop(c *container.Container) bool {
 		return false
 	}
 	p.remove(c)
-	p.obs.retired.Inc()
+	p.obs.retiredExpired.Inc()
 	p.eng.Stop(c, nil)
 	return true
 }

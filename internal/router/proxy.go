@@ -2,17 +2,16 @@ package router
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"hotc/internal/faas/live"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 )
 
@@ -32,63 +31,6 @@ type candidate struct {
 	kind string
 }
 
-// View is a node placement may choose: its name on the ring and how
-// many warm instances of the function it has to spare.
-type View struct {
-	Name string
-	Warm int
-}
-
-// Choice is one node of a fallback chain. Kind is the placement
-// outcome if it serves as the first attempt: warm, hash or rr.
-type Choice struct {
-	Name string
-	Kind string
-}
-
-// Place orders views into fn's fallback chain, capped at limit. Under
-// PolicyRoundRobin that is every node in name order, rotated by tick.
-// Otherwise it is warm affinity first (most spare warm instances wins,
-// name breaks ties), then the other nodes in ring order from fn's
-// owner. It is the one placement rule: the router calls it over its
-// healthy, non-draining members and the simulated cluster over its
-// live nodes.
-func Place(policy Policy, fn string, ring *Ring, views []View, tick uint64, limit int) []Choice {
-	if len(views) == 0 {
-		return nil
-	}
-	nodes := slices.Clone(views)
-	out := make([]Choice, 0, len(nodes))
-	if policy == PolicyRoundRobin {
-		slices.SortFunc(nodes, func(a, b View) int { return strings.Compare(a.Name, b.Name) })
-		start := int(tick % uint64(len(nodes)))
-		for i := range nodes {
-			out = append(out, Choice{nodes[(start+i)%len(nodes)].Name, "rr"})
-		}
-	} else {
-		slices.SortFunc(nodes, func(a, b View) int {
-			if c := cmp.Compare(b.Warm, a.Warm); c != 0 {
-				return c
-			}
-			return strings.Compare(a.Name, b.Name)
-		})
-		cold := make(map[string]bool, len(nodes))
-		for _, v := range nodes {
-			if v.Warm > 0 {
-				out = append(out, Choice{v.Name, "warm"})
-			} else {
-				cold[v.Name] = true
-			}
-		}
-		for _, name := range ring.Ordered(fn) {
-			if cold[name] {
-				out = append(out, Choice{name, "hash"})
-			}
-		}
-	}
-	return out[:min(len(out), limit)]
-}
-
 // placement builds a function's fallback chain over the healthy,
 // non-draining members, capped at MaxAttempts. Each member's warm
 // count is read once, so the order is consistent while the poller
@@ -96,15 +38,15 @@ func Place(policy Policy, fn string, ring *Ring, views []View, tick uint64, limi
 func (rt *Router) placement(fn string) []candidate {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	views := make([]View, 0, len(rt.nodes))
+	views := make([]kernel.View, 0, len(rt.nodes))
 	for u, n := range rt.nodes {
 		n.mu.Lock()
 		if n.healthy && !n.draining {
-			views = append(views, View{u, n.warm[fn]})
+			views = append(views, kernel.View{Name: u, Warm: n.warm[fn]})
 		}
 		n.mu.Unlock()
 	}
-	choices := Place(rt.cfg.Policy, fn, rt.ring, views, rt.rr.Add(1)-1, rt.cfg.MaxAttempts)
+	choices := kernel.Place(rt.cfg.Policy, fn, rt.ring, views, rt.rr.Add(1)-1, rt.cfg.MaxAttempts)
 	out := make([]candidate, len(choices))
 	for i, c := range choices {
 		out[i] = candidate{rt.nodes[c.Name], c.Kind}
@@ -465,11 +407,11 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	deploys := len(rt.deploys)
 	rt.mu.RUnlock()
 	writeJSON(w, http.StatusOK, struct {
-		Policy       Policy       `json:"policy"`
-		Nodes        []NodeStatus `json:"nodes"`
-		Healthy      int          `json:"healthyNodes"`
-		Deployments  int          `json:"routedDeployments"`
-		PollInterval string       `json:"pollInterval"`
+		Policy       kernel.Policy `json:"policy"`
+		Nodes        []NodeStatus  `json:"nodes"`
+		Healthy      int           `json:"healthyNodes"`
+		Deployments  int           `json:"routedDeployments"`
+		PollInterval string        `json:"pollInterval"`
 	}{rt.cfg.Policy, nodes, healthy, deploys, rt.cfg.PollInterval.String()})
 }
 

@@ -3,10 +3,12 @@ package router
 import (
 	"fmt"
 	"testing"
+
+	"hotc/internal/kernel"
 )
 
 func TestRingOwnerStableAndComplete(t *testing.T) {
-	r := NewRing(0)
+	r := kernel.NewRing(0)
 	if r.Owner("k") != "" {
 		t.Fatal("empty ring owns keys")
 	}
@@ -39,7 +41,7 @@ func TestRingOwnerStableAndComplete(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0)
+	r := kernel.NewRing(0)
 	for i := 0; i < 3; i++ {
 		r.Add(fmt.Sprintf("http://node-%d", i))
 	}
@@ -59,7 +61,7 @@ func TestRingBalance(t *testing.T) {
 // The consistent-hashing property: removing a node moves only the
 // keys it owned; every other key keeps its owner.
 func TestRingRemoveMovesOnlyDepartedKeys(t *testing.T) {
-	r := NewRing(0)
+	r := kernel.NewRing(0)
 	nodes := []string{"http://a", "http://b", "http://c"}
 	for _, n := range nodes {
 		r.Add(n)

@@ -1,3 +1,10 @@
+// Package router is the multi-node front tier: an HTTP reverse proxy
+// that places function invocations across a fleet of hotcd nodes. The
+// paper's runtime-reuse economics only pay off when requests for a
+// function keep landing where its warm runtimes live, so placement
+// (kernel.Place) is a consistent-hash ring over function keys biased
+// by each node's advertised warm-instance count, with bounded spill to
+// ring successors when the preferred node is saturated or draining.
 package router
 
 import (
@@ -14,30 +21,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 )
 
-// Policy selects how the router places requests.
-type Policy string
+// NewRing is kernel.NewRing under the name the benchmark harness
+// calls.
+func NewRing(vnodes int) *kernel.Ring { return kernel.NewRing(vnodes) }
 
-// The placement policies.
-const (
-	// PolicyWarmAware is the default: warm-affinity first, then the
-	// consistent-hash owner, spilling to ring successors on
-	// saturation.
-	PolicyWarmAware Policy = "warm"
-	// PolicyRoundRobin ignores warmth and hashing — the baseline the
-	// cluster bench compares against.
-	PolicyRoundRobin Policy = "rr"
-)
+// PolicyWarmAware is kernel.PolicyWarmAware under the name the
+// benchmark harness uses.
+const PolicyWarmAware = kernel.PolicyWarmAware
 
 // Config tunes the router.
 type Config struct {
 	// Nodes are the initial hotcd base URLs (scheme optional).
 	Nodes []string
-	// Policy selects placement (default PolicyWarmAware).
-	Policy Policy
-	// VNodes is the virtual-node multiplier (default DefaultVNodes).
+	// Policy selects placement (default kernel.PolicyWarmAware).
+	Policy kernel.Policy
+	// VNodes is the virtual-node multiplier (default kernel.DefaultVNodes).
 	VNodes int
 	// PollInterval is the stats-poll/health-probe period (default
 	// 500ms).
@@ -123,7 +125,7 @@ type Router struct {
 	client *http.Client
 
 	mu    sync.RWMutex
-	ring  *Ring
+	ring  *kernel.Ring
 	nodes map[string]*node
 	// deploys replays through-the-router deployments to late joiners,
 	// so a node added mid-run serves the same functions: one entry per
@@ -155,13 +157,13 @@ type Router struct {
 // cluster serves immediately.
 func New(cfg Config) (*Router, error) {
 	if cfg.Policy == "" {
-		cfg.Policy = PolicyWarmAware
+		cfg.Policy = kernel.PolicyWarmAware
 	}
-	if cfg.Policy != PolicyWarmAware && cfg.Policy != PolicyRoundRobin {
+	if cfg.Policy != kernel.PolicyWarmAware && cfg.Policy != kernel.PolicyRoundRobin {
 		return nil, fmt.Errorf("router: unknown policy %q", cfg.Policy)
 	}
 	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
+		cfg.VNodes = kernel.DefaultVNodes
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
@@ -191,7 +193,7 @@ func New(cfg Config) (*Router, error) {
 		reg:    reg,
 		ids:    obs.NewIDGen(cfg.TraceSeed),
 		client: client,
-		ring:   NewRing(cfg.VNodes),
+		ring:   kernel.NewRing(cfg.VNodes),
 		nodes:  make(map[string]*node),
 	}
 	rt.stopped, rt.stop = context.WithCancel(context.Background())

@@ -17,13 +17,14 @@ import (
 	"time"
 
 	"hotc/internal/faas/live"
+	"hotc/internal/kernel"
 )
 
 // --- placement table tests (no network) ---
 
 // bareRouter builds a router over fake node URLs without starting it;
 // tests poke node state directly.
-func bareRouter(t *testing.T, policy Policy, urls ...string) *Router {
+func bareRouter(t *testing.T, policy kernel.Policy, urls ...string) *Router {
 	t.Helper()
 	rt, err := New(Config{Nodes: urls, Policy: policy, PollInterval: time.Hour, TraceSeed: 1})
 	if err != nil {
@@ -149,7 +150,7 @@ func TestPlacementTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := bareRouter(t, PolicyWarmAware, urls...)
+			rt := bareRouter(t, kernel.PolicyWarmAware, urls...)
 			tc.setup(rt)
 			got := placementNames(rt.placement(fn))
 			want := tc.want(rt)
@@ -173,7 +174,7 @@ func TestPlacementCapsAtMaxAttempts(t *testing.T) {
 }
 
 func TestPlacementRoundRobinRotates(t *testing.T) {
-	rt := bareRouter(t, PolicyRoundRobin, "n1:1", "n2:1", "n3:1")
+	rt := bareRouter(t, kernel.PolicyRoundRobin, "n1:1", "n2:1", "n3:1")
 	first := map[string]int{}
 	for i := 0; i < 9; i++ {
 		cands := rt.placement("fn")
@@ -196,7 +197,7 @@ func TestPlacementRoundRobinRotates(t *testing.T) {
 // placements, leaving removes it, and surviving keys keep their
 // owners (the consistent-hashing property, via Ring).
 func TestPlacementRebalancesOnJoinLeave(t *testing.T) {
-	rt := bareRouter(t, PolicyWarmAware, "n1:1", "n2:1")
+	rt := bareRouter(t, kernel.PolicyWarmAware, "n1:1", "n2:1")
 	owners := map[string]string{}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("fn-%d", i)

@@ -11,6 +11,7 @@ import (
 	"hotc/internal/costmodel"
 	"hotc/internal/faas"
 	"hotc/internal/faults"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 	"hotc/internal/pool"
 	"hotc/internal/simclock"
@@ -191,11 +192,13 @@ func TestSimStatsViewsReadTheRegistry(t *testing.T) {
 					Misses:      counted(reg, "hotc_pool_misses_total", nil),
 					Evictions:   counted(reg, "hotc_pool_evictions_total", nil),
 					Prewarmed:   counted(reg, "hotc_pool_prewarmed_total", nil),
-					Retired:     counted(reg, "hotc_pool_retired_total", nil),
+					Retired: counted(reg, "hotc_pool_retired_total", func(l []string) bool {
+						return l[0] == kernel.RetireScaleDown || l[0] == kernel.RetireExpired
+					}),
 					Quarantined: counted(reg, "hotc_pool_quarantined_total", nil),
 					Leases:      counted(reg, "hotc_pool_leases_total", nil),
 				}
-				if got := s.Pool.Stats(); got != want || hits == 0 {
+				if got := s.Pool.Stats(); got != want || hits == 0 || want.Retired == 0 {
 					t.Errorf("Pool.Stats() = %+v, the registry says %+v", got, want)
 				}
 				wantRes := map[string]int{}

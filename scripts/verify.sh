@@ -170,28 +170,28 @@ if [ "$n" -ne 1 ]; then
 	echo "verify: hotc_coldpath_boots_total is incremented at $n sites in $LIVE (want 1): acquire counts the boot that served a request" >&2
 	exit 1
 fi
-echo "== one control step (both substrates close an interval with core.Demand.Step and book it in core's control books)"
+echo "== one control step (both substrates close an interval with kernel.Demand.Step and book it in the kernel's control books)"
 # Algorithm 3's interval close — tick the demand accounting, forecast,
 # plan, book the decision — was written twice, in core.HotC.tick and
 # live.controlOnce, each with its own prediction trail and its own
 # declaration of the hotc_ctl_* families, and the copies drifted (live's
 # hotc_ctl_prewarm_total counted landings under a HELP that says asked).
-# So non-test Go outside internal/core calls neither core.Plan nor a
-# Demand's Tick and names no hotc_ctl_ family, and inside internal/core
+# So non-test Go outside internal/kernel calls neither kernel.Plan nor a
+# Demand's Tick and names no hotc_ctl_ family, and inside internal/kernel
 # Plan and Tick are each called once, in Step.
 bad="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build \
-	-E 'core\.Plan\(|\.Tick\(\)|"hotc_ctl_' . | grep -v '^\./internal/core/' || true)"
+	-E 'kernel\.Plan\(|\.Tick\(\)|"hotc_ctl_' . | grep -v '^\./internal/kernel/' || true)"
 if [ -n "$bad" ]; then
 	echo "$bad" >&2
-	echo "verify: a control interval closed or booked outside core: call core.Demand.Step and apply its Boot/Retire, book the decision with core's control books (core.KeyBooks.Record)" >&2
+	echo "verify: a control interval closed or booked outside the kernel: call kernel.Demand.Step and apply its Boot/Retire, book the decision with the kernel's control books (kernel.KeyBooks.Record)" >&2
 	exit 1
 fi
-CORE="$(ls internal/core/*.go | grep -v '_test\.go$')"
+KERNEL="$(ls internal/kernel/*.go | grep -v '_test\.go$')"
 for call in '(^|[^A-Za-z_])Plan[(]' '[.]Tick[(][)]'; do
-	sites="$(awk -v pat="$call" '/^func /{fn=$0} /^[[:space:]]*\/\//{next} $0 ~ pat && !/^func Plan[(]/ {print FILENAME":"FNR": in "fn}' $CORE)"
+	sites="$(awk -v pat="$call" '/^func /{fn=$0} /^[[:space:]]*\/\//{next} $0 ~ pat && !/^func Plan[(]/ {print FILENAME":"FNR": in "fn}' $KERNEL)"
 	if [ "$(echo "$sites" | grep -c 'func (d \*Demand) Step(')" -ne 1 ] || [ "$(echo "$sites" | grep -c .)" -ne 1 ]; then
 		echo "$sites" >&2
-		echo "verify: internal/core must call $call exactly once, in core.Demand.Step: every interval closes there" >&2
+		echo "verify: internal/kernel must call $call exactly once, in kernel.Demand.Step: every interval closes there" >&2
 		exit 1
 	fi
 done
@@ -228,26 +228,26 @@ if [ -n "$bad" ]; then
 	echo "verify: a map indexed with a runtime key: reach the key's record through its handle (Engine.KeyOf on the spec or the container's spec)" >&2
 	exit 1
 fi
-echo "== one placement (the router and the simulated cluster order nodes with router.Place)"
+echo "== one placement (the router and the simulated cluster order nodes with kernel.Place)"
 # hotc-router placed with warm affinity over a ring while the simulated
 # cluster had a three-policy router of its own, so hotc-bench's cluster
 # table measured a placement no deployment ran. So non-test Go calls
-# router.Place once in internal/router (placement) and once in
+# kernel.Place once in internal/router (placement) and once in
 # internal/cluster (place) and nowhere else, and internal/cluster orders
 # no nodes itself: no leastLoaded, no rrNext, no comparison of in-flight
 # counts.
 sites="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build \
-	-E '(^|[^A-Za-z_.])Place\(|router\.Place\(' . | grep -v 'func Place(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)"
+	-E '(^|[^A-Za-z_.])Place\(|kernel\.Place\(' . | grep -v 'func Place(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)"
 if [ "$(echo "$sites" | grep -c '^\./internal/router/')" -ne 1 ] ||
 	[ "$(echo "$sites" | grep -c '^\./internal/cluster/')" -ne 1 ] ||
 	[ "$(echo "$sites" | grep -c .)" -ne 2 ]; then
 	echo "$sites" >&2
-	echo "verify: router.Place must be called once in internal/router and once in internal/cluster: both place with the one rule" >&2
+	echo "verify: kernel.Place must be called once in internal/router and once in internal/cluster: both place with the one rule" >&2
 	exit 1
 fi
 if grep -nE 'leastLoaded|rrNext|inFlight(\[[^]]*\])? *[<>]|[<>]=? *[A-Za-z_.]*inFlight' \
 	$(ls internal/cluster/*.go | grep -v '_test\.go$') >&2; then
-	echo "verify: internal/cluster orders nodes itself: build router.View records and let router.Place choose" >&2
+	echo "verify: internal/cluster orders nodes itself: build kernel.View records and let kernel.Place choose" >&2
 	exit 1
 fi
 echo "== one lender rule (the simulated pool and the live gateway choose whom to rent from with sharing.Pick)"
@@ -267,6 +267,52 @@ if [ "$(echo "$sites" | grep -c '^\./internal/pool/')" -ne 1 ] ||
 fi
 if grep -rnE --include='*.go' --exclude-dir=.bench_build 'lendableLocked|bestSince' . >&2; then
 	echo "verify: a lender scan of its own: build sharing.Offer records and let sharing.Pick choose" >&2
+	exit 1
+fi
+echo "== layers (the kernel is a leaf; the live stack links no simulator package, the simulator no live one)"
+# Every decision and metric family both substrates share lives in
+# internal/kernel. Before it, the shared rules sat in core, faas and
+# router, so hotcd linked the simulator's pool, container, core and
+# faas, and hotc-sim linked the live gateway, the router, admission and
+# prefork. So, by go list -deps: the kernel reaches only obs, metrics,
+# predictor and simclock; the live side reaches no simulator package;
+# the simulator side reaches no live package.
+layer() { # layer <forbidden packages, a regexp under hotc/internal/> <package>...
+	forbid="$1"
+	shift
+	for p in "$@"; do
+		bad="$(go list -deps "$p" | grep -xE "hotc/internal/($forbid)" || true)"
+		if [ -n "$bad" ]; then
+			echo "verify: $p reaches" $bad >&2
+			echo "verify: a rule both substrates need goes in internal/kernel, not in either substrate's packages" >&2
+			exit 1
+		fi
+	done
+}
+layer 'pool|container|faas|stack|core|cluster' ./internal/faas/live ./internal/router ./cmd/hotcd ./cmd/hotc-router
+layer 'faas/live|router|admission|prefork' ./internal/stack ./internal/cluster . ./cmd/hotc-sim ./cmd/hotc-bench
+bad="$(go list -deps ./internal/kernel | grep '^hotc' | grep -vxE 'hotc/internal/(kernel|obs|metrics|predictor|simclock)' || true)"
+if [ -n "$bad" ]; then
+	echo "verify: internal/kernel reaches" $bad >&2
+	echo "verify: the kernel is a leaf: it may import only obs, predictor and simclock" >&2
+	exit 1
+fi
+echo "== declared once (no hotc_* family registered at two sites)"
+# Nine families were registered once per substrate, and the two
+# declarations drifted apart (the simulator's hotc_pool_retired_total
+# had no reason label), so one registry could not host both. So no
+# metric name is the first argument of a registry constructor at two
+# non-test sites, by the same extraction as lint-metrics.sh's first rule:
+# a family both substrates count into is declared in the kernel's books.
+dup="$(grep -rn --include='*.go' --exclude='*_test.go' \
+	-E '\.(Counter|Gauge|Histogram|CounterVec|GaugeVec|HistogramVec)\("' \
+	cmd internal *.go |
+	grep -v '^internal/obs/' |
+	sed -E 's/.*\.(Counter|Gauge|Histogram|CounterVec|GaugeVec|HistogramVec)\("([^"]*)".*/\2/' |
+	sort | uniq -d)"
+if [ -n "$dup" ]; then
+	echo "$dup" >&2
+	echo "verify: a metric family is registered at two sites: declare it once (internal/kernel's books when both substrates count into it)" >&2
 	exit 1
 fi
 echo "== go test -race"
