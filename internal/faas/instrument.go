@@ -28,16 +28,11 @@ type keyHandles struct {
 // deployment record, and a runtime key's into its key record, so
 // steady-state recording is vec-lookup free.
 type instruments struct {
-	reg          *obs.Registry
-	requests     *obs.CounterVec         // hotc_requests_total{function, outcome}
-	latency      *obs.HistogramVec       // hotc_request_latency_ms{function}
-	queueWait    *obs.HistogramVec       // hotc_gateway_queue_wait_ms{function}
-	acquire      *obs.HistogramVec       // hotc_acquire_latency_ms{key}
-	events       map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
-	breakerState *obs.GaugeVec           // hotc_breaker_state{key}
-
-	startsWarm *obs.Counter // hotc_starts_total{mode="warm"}
-	startsCold *obs.Counter // hotc_starts_total{mode="cold"}
+	kernel.RequestBooks
+	reg       *obs.Registry
+	queueWait *obs.HistogramVec       // hotc_gateway_queue_wait_ms{function}
+	acquire   *obs.HistogramVec       // hotc_acquire_latency_ms{key}
+	events    map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
 }
 
 // fnMetrics returns a deployment's handles, resolving them on first use.
@@ -45,9 +40,9 @@ func (g *Gateway) fnMetrics(d *deployment) *fnHandles {
 	if d.metrics == nil {
 		ins, name := g.obs, d.fn.Name
 		d.metrics = &fnHandles{
-			reqOK:     ins.requests.With(name, "ok"),
-			reqErr:    ins.requests.With(name, "error"),
-			latency:   ins.latency.With(name),
+			reqOK:     ins.Requests.With(name, "ok"),
+			reqErr:    ins.Requests.With(name, "error"),
+			latency:   ins.Latency.With(name),
 			queueWait: ins.queueWait.With(name),
 		}
 	}
@@ -60,34 +55,28 @@ func (g *Gateway) keyMetrics(k *runtimeKey) *keyHandles {
 	if k.metrics == nil {
 		k.metrics = &keyHandles{
 			acquire:      g.obs.acquire.With(k.key),
-			breakerState: g.obs.breakerState.With(k.key),
+			breakerState: g.obs.Breaker.With(k.key),
 		}
 	}
 	return k.metrics
 }
 
 // newInstruments registers the gateway's metric families on the
-// registry; those the live gateway counts into too come from the
-// kernel's request books.
+// registry.
 func newInstruments(reg *obs.Registry) *instruments {
-	shared := kernel.NewRequestBooks(reg)
 	ins := &instruments{
-		reg:      reg,
-		requests: shared.Requests,
-		latency:  shared.Latency,
+		RequestBooks: kernel.NewRequestBooks(reg),
+		reg:          reg,
 		queueWait: reg.HistogramVec("hotc_gateway_queue_wait_ms",
 			"Time spent queued behind the per-function concurrency cap, in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "function"),
 		acquire: reg.HistogramVec("hotc_acquire_latency_ms",
 			"Gateway-to-watchdog time: forwarding plus runtime acquisition with retries, in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "key"),
-		breakerState: shared.Breaker,
-		events:       make(map[string]*obs.Counter, len(resilienceKinds)),
-		startsWarm:   shared.Starts.With("warm"),
-		startsCold:   shared.Starts.With("cold"),
+		events: make(map[string]*obs.Counter, len(resilienceKinds)),
 	}
 	for _, k := range resilienceKinds {
-		ins.events[k.kind] = shared.Events.With(k.kind)
+		ins.events[k.kind] = ins.Events.With(k.kind)
 	}
 	return ins
 }
@@ -155,9 +144,9 @@ func (g *Gateway) record(r *request, reused bool, err error) {
 	} else {
 		h.reqOK.Inc()
 		if reused {
-			g.obs.startsWarm.Inc()
+			g.obs.StartsWarm.Inc()
 		} else {
-			g.obs.startsCold.Inc()
+			g.obs.StartsCold.Inc()
 		}
 		h.latency.ObserveDuration(ts.Total())
 		if ts.WatchdogIn > 0 {

@@ -122,9 +122,9 @@ func benchGatewayHotPath(b *testing.B, workers, fns int) {
 				g.release(s, inst, true)
 				g.breakerSuccess(s)
 				if boot.mode == bootWarm {
-					g.obs.startsWarm.Inc()
+					g.obs.StartsWarm.Inc()
 				} else {
-					g.obs.startsCold.Inc()
+					g.obs.StartsCold.Inc()
 				}
 				s.observe("ok", start)
 			}

@@ -181,7 +181,7 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	switch {
 	case err == nil && g.keepLocked(s, inst) && !overCap:
 		s.pushLocked(inst, g.nowFn())
-		g.obs.poolPrewarmed.Inc()
+		g.obs.Prewarmed.Inc()
 		inst = nil
 	case err != nil && g.life.Err() == nil:
 		g.event("prewarm-boot-failure")

@@ -12,21 +12,20 @@ import (
 // pre-resolved handles for the unlabeled (or fixed-label) families the
 // hot path bumps. Every gateway has one, on its own registry.
 type instruments struct {
-	requests     *obs.CounterVec         // hotc_requests_total{function, outcome}
-	latency      *obs.HistogramVec       // hotc_request_latency_ms{function}
-	warm         *obs.GaugeVec           // hotc_live_warm_instances{function}
-	events       map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
-	breakerState *obs.GaugeVec           // hotc_breaker_state{key}
+	// The families the simulator counts into too, declared once in the
+	// kernel: the request path's, and the pool's, which Stats reads
+	// back (hotc_pool_{hits{kind="exact"},misses,prewarmed}_total, and
+	// hotc_pool_retired_total{reason} per evictReason, notEvicted: nil).
+	kernel.RequestBooks
+	kernel.PoolBooks
+	poolRetired [numEvictReasons]*obs.Counter
+
+	warm   *obs.GaugeVec           // hotc_live_warm_instances{function}
+	events map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
 
 	// ctl are the control loop's books, the simulated controller's own
 	// families (hotc_ctl_*), declared once in the kernel.
 	ctl *kernel.Books
-
-	// The simulated pool's families, which Stats reads back:
-	// hotc_pool_{hits{kind="exact"},misses,prewarmed}_total, and
-	// hotc_pool_retired_total{reason} per evictReason (notEvicted: nil).
-	poolHits, poolMisses, poolPrewarmed *obs.Counter
-	poolRetired                         [numEvictReasons]*obs.Counter
 
 	// bodyBytes tracks response bytes streamed to clients, recorded
 	// from the copy loop's running count — the gateway never buffers a
@@ -65,11 +64,9 @@ type instruments struct {
 	shareLenders *obs.Gauge // hotc_share_lenders
 	shareRenters *obs.Gauge // hotc_share_renters
 
-	// startsWarm/startsCold are the two children of hotc_starts_total{mode},
-	// resolved once so the request path pays a single atomic add; likewise
-	// hotc_coldpath_phase_ms{phase} and hotc_coldpath_boots_total{mode}.
-	startsWarm       *obs.Counter
-	startsCold       *obs.Counter
+	// The children of hotc_coldpath_phase_ms{phase} and
+	// hotc_coldpath_boots_total{mode}, resolved once so the request path
+	// pays a single atomic add.
 	coldBoots        [bootCold + 1]*obs.Counter
 	coldPhasePull    *obs.Histogram
 	coldPhaseRuntime *obs.Histogram
@@ -104,14 +101,14 @@ type shardMetrics struct {
 // forFunction resolves the per-function handle set.
 func (ins *instruments) forFunction(name string) *shardMetrics {
 	return &shardMetrics{
-		reqOK:       ins.requests.With(name, "ok"),
-		reqError:    ins.requests.With(name, "error"),
-		reqRejected: ins.requests.With(name, "rejected"),
-		reqCanceled: ins.requests.With(name, "canceled"),
-		latency:     ins.latency.With(name),
+		reqOK:       ins.Requests.With(name, "ok"),
+		reqError:    ins.Requests.With(name, "error"),
+		reqRejected: ins.Requests.With(name, "rejected"),
+		reqCanceled: ins.Requests.With(name, "canceled"),
+		latency:     ins.Latency.With(name),
 		warm:        ins.warm.With(name),
 		retired:     &ins.poolRetired,
-		breakerSt:   ins.breakerState.With(name),
+		breakerSt:   ins.Breaker.With(name),
 		admDepth:    ins.admDepth.With(name),
 		admInFlight: ins.admInFlight.With(name),
 		admWait:     ins.admWait.With(name),
@@ -119,12 +116,10 @@ func (ins *instruments) forFunction(name string) *shardMetrics {
 }
 
 // newInstruments registers the gateway's metric families on its
-// registry. The families both substrates count into come from the
-// kernel's books, declared there once with one HELP string and one
-// label set, so dashboards built against a sim dump read hotcd's
+// registry. The families the simulator counts into too are the
+// kernel's, so dashboards built against a sim dump read hotcd's
 // /metrics unchanged.
 func newInstruments(reg *obs.Registry) *instruments {
-	shared, pool := kernel.NewRequestBooks(reg), kernel.NewPoolBooks(reg)
 	coldBoots := reg.CounterVec("hotc_coldpath_boots_total",
 		"Cold boots behind requests, by mode (rented = leased from another function, generic = specialized from the pre-forked pool, cold = full boot).",
 		"mode")
@@ -138,16 +133,12 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Rented-boot phase delays actually paid, in milliseconds, by phase (wipe|pull|app_init); a zero pull is a same-image lease.",
 		obs.DefaultLatencyBucketsMS(), "phase")
 	ins := &instruments{
-		requests: shared.Requests,
-		latency:  shared.Latency,
+		RequestBooks: kernel.NewRequestBooks(reg),
+		PoolBooks:    kernel.NewPoolBooks(reg),
 		warm: reg.GaugeVec("hotc_live_warm_instances",
 			"Idle warm watchdog instances per function.",
 			"function"),
-		breakerState:  shared.Breaker,
-		ctl:           kernel.NewBooks(reg),
-		poolHits:      pool.Hits.With("exact"),
-		poolMisses:    pool.Misses,
-		poolPrewarmed: pool.Prewarmed,
+		ctl: kernel.NewBooks(reg),
 		bodyBytes: reg.Histogram("hotc_gateway_body_bytes",
 			"Response bytes streamed through the gateway per request.",
 			obs.DefaultBodySizeBuckets()),
@@ -187,7 +178,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 	}
 	ins.events = make(map[string]*obs.Counter, len(resilienceKinds))
 	for _, k := range resilienceKinds {
-		ins.events[k.kind] = shared.Events.With(k.kind)
+		ins.events[k.kind] = ins.Events.With(k.kind)
 	}
 	traceKept := reg.CounterVec("hotc_trace_kept_total",
 		"Spans retained by the tail sampler, by keep reason (error|shed|cold|slow|sampled).",
@@ -200,13 +191,11 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Completed requests whose spans the tail sampler dropped.")
 	ins.traceRingFull = reg.Counter("hotc_trace_ring_dropped_total",
 		"Kept spans dropped because their trace-ring slot was busy.")
-	ins.startsWarm = shared.Starts.With("warm")
-	ins.startsCold = shared.Starts.With("cold")
 	for m := bootRented; m <= bootCold; m++ {
 		ins.coldBoots[m] = coldBoots.With(m.String())
 	}
 	for r := evictScaleDown; r < numEvictReasons; r++ {
-		ins.poolRetired[r] = pool.Retired.With(evictReasons[r])
+		ins.poolRetired[r] = ins.Retired.With(evictReasons[r])
 	}
 	ins.coldPhasePull = coldPhase.With("pull")
 	ins.coldPhaseRuntime = coldPhase.With("runtime_init")

@@ -487,10 +487,10 @@ func (g *Gateway) Stats() Stats {
 	st := Stats{
 		GenericHandoffs: int(ins.coldBoots[bootGeneric].Value()),
 		RentedBoots:     int(ins.coldBoots[bootRented].Value()),
-		Prewarmed:       int(ins.poolPrewarmed.Value()),
+		Prewarmed:       int(ins.Prewarmed.Value()),
 		Expired:         int(ins.poolRetired[evictExpired].Value()),
 	}
-	st.ColdStarts, st.Reused = int(ins.poolMisses.Value()), int(ins.poolHits.Value())
+	st.ColdStarts, st.Reused = int(ins.Misses.Value()), int(ins.HitsExact.Value())
 	st.Requests = st.Reused + st.ColdStarts
 	for r := evictScaleDown; r < evictExpired; r++ {
 		st.Retired += int(ins.poolRetired[r].Value())
@@ -521,11 +521,11 @@ func (g *Gateway) acquire(ctx context.Context, s *shard) (*instance, bootInfo, e
 	s.ctl.Begin()
 	if inst := s.popNewestLocked(); inst != nil {
 		s.mu.Unlock()
-		g.obs.poolHits.Inc()
+		g.obs.HitsExact.Inc()
 		return inst, bootInfo{mode: bootWarm}, nil
 	}
 	s.mu.Unlock()
-	g.obs.poolMisses.Inc()
+	g.obs.Misses.Inc()
 
 	inst, info, err := g.leaseInstance(ctx, s, fn) // boots run outside the lock
 	if inst == nil && err == nil {
@@ -638,8 +638,8 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	// random paths must not grow the registry or flush the span ring.
 	s := g.shard(name)
 	if s == nil {
-		g.obs.requests.With("", "error").Inc() // function="" is undeployable: one series for them all
-		g.obs.latency.With("").ObserveDuration(time.Since(start))
+		g.obs.Requests.With("", "error").Inc() // function="" is undeployable: one series for them all
+		g.obs.Latency.With("").ObserveDuration(time.Since(start))
 		http.Error(w, fmt.Sprintf("live: unknown function %q", name), http.StatusNotFound)
 		return
 	}
@@ -866,9 +866,9 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	}
 	g.release(s, inst, inst.hop.finish() || g.redial(inst))
 	if rt.reused {
-		g.obs.startsWarm.Inc()
+		g.obs.StartsWarm.Inc()
 	} else {
-		g.obs.startsCold.Inc()
+		g.obs.StartsCold.Inc()
 	}
 	g.obs.bodyBytes.Observe(float64(n))
 	if resp.StatusCode >= 400 {

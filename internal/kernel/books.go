@@ -64,18 +64,21 @@ func (k *KeyBooks) Record(d Decision) {
 func (b *Books) Cycle() { b.ticks.Inc() }
 
 // RequestBooks are the request path's families. The simulated gateway
-// and the live gateway both count into them, each resolving the
-// children its own requests need.
+// and the live gateway both embed them in their instruments and resolve
+// the children their own requests need.
 type RequestBooks struct {
-	Requests *obs.CounterVec   // hotc_requests_total{function, outcome}
-	Latency  *obs.HistogramVec // hotc_request_latency_ms{function}
-	Starts   *obs.CounterVec   // hotc_starts_total{mode}
-	Events   *obs.CounterVec   // hotc_resilience_events_total{kind}
-	Breaker  *obs.GaugeVec     // hotc_breaker_state{key}
+	Requests               *obs.CounterVec   // hotc_requests_total{function, outcome}
+	Latency                *obs.HistogramVec // hotc_request_latency_ms{function}
+	Events                 *obs.CounterVec   // hotc_resilience_events_total{kind}
+	Breaker                *obs.GaugeVec     // hotc_breaker_state{key}
+	StartsWarm, StartsCold *obs.Counter      // hotc_starts_total{mode}
 }
 
 // NewRequestBooks registers the request path's metric families on reg.
 func NewRequestBooks(reg *obs.Registry) RequestBooks {
+	starts := reg.CounterVec("hotc_starts_total",
+		"Runtime starts behind served requests, by mode (warm = a live runtime reused, cold = fresh boot).",
+		"mode")
 	return RequestBooks{
 		Requests: reg.CounterVec("hotc_requests_total",
 			"Requests handled by the gateway, by function and outcome (ok|error|rejected|canceled).",
@@ -83,15 +86,14 @@ func NewRequestBooks(reg *obs.Registry) RequestBooks {
 		Latency: reg.HistogramVec("hotc_request_latency_ms",
 			"End-to-end request latency at the gateway (client in to client out), in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "function"),
-		Starts: reg.CounterVec("hotc_starts_total",
-			"Runtime starts behind served requests, by mode (warm = a live runtime reused, cold = fresh boot).",
-			"mode"),
 		Events: reg.CounterVec("hotc_resilience_events_total",
 			"Resilience events on the request path, by kind.",
 			"kind"),
 		Breaker: reg.GaugeVec("hotc_breaker_state",
 			"Circuit breaker state per runtime key, a function on the live gateway (0 closed, 1 open, 2 half-open).",
 			"key"),
+		StartsWarm: starts.With("warm"),
+		StartsCold: starts.With("cold"),
 	}
 }
 
@@ -106,9 +108,10 @@ const (
 )
 
 // PoolBooks are the runtime pool's shared families: the simulated pool
-// and the live gateway's warm lists both count into them.
+// and the live gateway's warm lists both embed them.
 type PoolBooks struct {
 	Hits      *obs.CounterVec // hotc_pool_hits_total{kind}
+	HitsExact *obs.Counter    // hotc_pool_hits_total{kind="exact"}
 	Misses    *obs.Counter    // hotc_pool_misses_total
 	Prewarmed *obs.Counter    // hotc_pool_prewarmed_total
 	Retired   *obs.CounterVec // hotc_pool_retired_total{reason}
@@ -116,10 +119,12 @@ type PoolBooks struct {
 
 // NewPoolBooks registers the pool's shared metric families on reg.
 func NewPoolBooks(reg *obs.Registry) PoolBooks {
+	hits := reg.CounterVec("hotc_pool_hits_total",
+		"Acquire calls served by a warm runtime, by match kind (exact|relaxed).",
+		"kind")
 	return PoolBooks{
-		Hits: reg.CounterVec("hotc_pool_hits_total",
-			"Acquire calls served by a warm runtime, by match kind (exact|relaxed).",
-			"kind"),
+		Hits:      hits,
+		HitsExact: hits.With("exact"),
 		Misses: reg.Counter("hotc_pool_misses_total",
 			"Acquire calls that found no warm runtime and had to start one."),
 		Prewarmed: reg.Counter("hotc_pool_prewarmed_total",

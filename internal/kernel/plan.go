@@ -14,7 +14,7 @@ import (
 )
 
 // DefaultScaleDownFrac is the share of a key's live set the control
-// loop retires per tick at most (see Options.ScaleDownFrac).
+// loop retires per tick at most (see core.Options.ScaleDownFrac).
 const DefaultScaleDownFrac = 0.25
 
 // TrailCap bounds each key's decision trail: the last TrailCap control

@@ -18,15 +18,13 @@ type keyGauges struct {
 // once, and Stats reads the counters back. The hit counters are
 // resolved once; each key's gauges once, into its pool entry.
 type instruments struct {
-	misses      *obs.Counter  // hotc_pool_misses_total
+	kernel.PoolBooks
 	evictions   *obs.Counter  // hotc_pool_evictions_total
-	prewarmed   *obs.Counter  // hotc_pool_prewarmed_total
 	quarantined *obs.Counter  // hotc_pool_quarantined_total
 	leases      *obs.Counter  // hotc_pool_leases_total
 	live        *obs.GaugeVec // hotc_pool_live{key}
 	avail       *obs.GaugeVec // hotc_pool_available{key}
 
-	hitsExact      *obs.Counter // hotc_pool_hits_total{kind="exact"}
 	hitsRelaxed    *obs.Counter // hotc_pool_hits_total{kind="relaxed"}
 	retiredScaled  *obs.Counter // hotc_pool_retired_total{reason="scale_down"}
 	retiredExpired *obs.Counter // hotc_pool_retired_total{reason="expired"}
@@ -38,16 +36,13 @@ func (ins *instruments) gauges(key config.Key) *keyGauges {
 	return &keyGauges{live: ins.live.With(k), avail: ins.avail.With(k)}
 }
 
-// newInstruments registers the pool's metric families on the registry;
-// those the live gateway counts into too come from the kernel's pool
-// books.
+// newInstruments registers the pool's metric families on the registry.
 func newInstruments(reg *obs.Registry) *instruments {
 	shared := kernel.NewPoolBooks(reg)
 	return &instruments{
-		misses: shared.Misses,
+		PoolBooks: shared,
 		evictions: reg.Counter("hotc_pool_evictions_total",
 			"Forced terminations under the live cap or memory threshold."),
-		prewarmed: shared.Prewarmed,
 		quarantined: reg.Counter("hotc_pool_quarantined_total",
 			"Containers removed after failing a health check or corrupting an execution."),
 		leases: reg.Counter("hotc_pool_leases_total",
@@ -58,7 +53,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 		avail: reg.GaugeVec("hotc_pool_available",
 			"Pool containers available for immediate reuse per runtime key.",
 			"key"),
-		hitsExact:      shared.Hits.With("exact"),
 		hitsRelaxed:    shared.Hits.With("relaxed"),
 		retiredScaled:  shared.Retired.With(kernel.RetireScaleDown),
 		retiredExpired: shared.Retired.With(kernel.RetireExpired),
@@ -70,11 +64,11 @@ func (p *Pool) Stats() Stats {
 	o := p.obs
 	relaxed := int(o.hitsRelaxed.Value())
 	return Stats{
-		Hits:        int(o.hitsExact.Value()) + relaxed,
+		Hits:        int(o.HitsExact.Value()) + relaxed,
 		RelaxedHits: relaxed,
-		Misses:      int(o.misses.Value()),
+		Misses:      int(o.Misses.Value()),
 		Evictions:   int(o.evictions.Value()),
-		Prewarmed:   int(o.prewarmed.Value()),
+		Prewarmed:   int(o.Prewarmed.Value()),
 		Retired:     int(o.retiredScaled.Value()) + int(o.retiredExpired.Value()),
 		Quarantined: int(o.quarantined.Value()),
 		Leases:      int(o.leases.Value()),

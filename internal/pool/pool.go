@@ -273,7 +273,7 @@ func (p *Pool) Reuse(spec *container.Spec) (*container.Container, config.Delta, 
 		if err := p.eng.Reserve(c); err != nil {
 			return nil, config.Delta{}, fmt.Errorf("pool: reserving hit: %w", err)
 		}
-		p.obs.hitsExact.Inc()
+		p.obs.HitsExact.Inc()
 		p.sync(k)
 		return c, config.Delta{}, nil
 	}
@@ -297,7 +297,7 @@ func (p *Pool) Reuse(spec *container.Spec) (*container.Container, config.Delta, 
 // cold boot delay) — or, under sharing, first tries renting an idle one
 // from another runtime key.
 func (p *Pool) Fresh(spec *container.Spec, done func(c *container.Container, reused bool, delta config.Delta, err error)) {
-	p.obs.misses.Inc()
+	p.obs.Misses.Inc()
 	if p.opts.EnableSharing {
 		if c := p.shareCandidate(spec); c != nil {
 			p.Lease(c, spec, func(err error) {
@@ -483,7 +483,7 @@ func (p *Pool) prewarm(spec *container.Spec, app workload.App, done func(error))
 			return
 		}
 		p.admit(c)
-		p.obs.prewarmed.Inc()
+		p.obs.Prewarmed.Inc()
 		p.eng.Warmup(c, app, func(err error) {
 			p.sync(p.entryOf(c))
 			done(err)

@@ -25,12 +25,10 @@ import (
 	"hotc/internal/obs"
 )
 
-// NewRing is kernel.NewRing under the name the benchmark harness
-// calls.
+// NewRing and PolicyWarmAware are the kernel's, under the names the
+// benchmark harness uses.
 func NewRing(vnodes int) *kernel.Ring { return kernel.NewRing(vnodes) }
 
-// PolicyWarmAware is kernel.PolicyWarmAware under the name the
-// benchmark harness uses.
 const PolicyWarmAware = kernel.PolicyWarmAware
 
 // Config tunes the router.
