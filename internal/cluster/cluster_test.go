@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -390,25 +389,36 @@ func TestWarmthCountsOnlyTheKeysOwnRequests(t *testing.T) {
 	}
 }
 
-// roundTripFunc is an http.RoundTripper made of a function.
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
 // The simulated cluster places with hotc-router's rule: given the same
 // members and the same warm counts, both put the same node first, and
 // a function warm nowhere goes to its ring owner on both.
 func TestClusterPlacesLikeRouter(t *testing.T) {
 	c := New(Options{Nodes: 3, PrePull: true, Core: core.Options{Interval: time.Hour}})
 	t.Cleanup(c.Close)
-	// The router names a member by its URL: give the sim's nodes the same
-	// names, so both rings hash the same labels.
-	c.ring = kernel.NewRing(0)
-	for _, n := range c.nodes {
-		n.Name = "http://" + n.Name
-		c.ring.Add(n.Name)
-	}
 	names := make([]string, 50)
+	// Each sim node gets a server of its own, whose stats are the node's
+	// spare runtimes per function and whose invocations all succeed. The
+	// router names a member by its URL: the sim node takes its server's
+	// URL as its name, so both rings hash the same labels.
+	c.ring = kernel.NewRing(0)
+	urls := make([]string, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/system/stats" {
+				io.WriteString(w, "ok")
+				return
+			}
+			warm := map[string]int{}
+			for _, name := range names {
+				warm[name] = n.spare(c.keys[name])
+			}
+			json.NewEncoder(w).Encode(map[string]any{"warmInstances": warm})
+		}))
+		t.Cleanup(srv.Close)
+		n.Name = srv.URL
+		c.ring.Add(n.Name)
+		urls = append(urls, n.Name)
+	}
 	for i := range names {
 		names[i] = fmt.Sprintf("fn-%d", i)
 		rt := config.Runtime{Image: "python:3.8", Env: []string{fmt.Sprintf("F=%d", i)}}
@@ -434,29 +444,12 @@ func TestClusterPlacesLikeRouter(t *testing.T) {
 	for pending > 0 && c.sched.Step() {
 	}
 
-	// A bare router over the same members, whose probes read the sim's
-	// counts and whose forwards all succeed.
-	byName := map[string]*Node{}
-	urls := make([]string, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		byName[n.Name] = n
-		urls = append(urls, n.Name)
-	}
-	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		body := []byte("ok")
-		if r.URL.Path == "/system/stats" {
-			warm := map[string]int{}
-			for _, name := range names {
-				warm[name] = byName["http://"+r.URL.Host].spare(c.keys[name])
-			}
-			body, _ = json.Marshal(map[string]any{"warmInstances": warm})
-		}
-		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(body))}, nil
-	})}
-	rt, err := router.New(router.Config{Nodes: urls, Client: client, PollInterval: time.Hour, TraceSeed: 1})
+	// A bare router over the same members.
+	rt, err := router.New(router.Config{Nodes: urls, PollInterval: time.Hour, TraceSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Stop)
 	rt.PollOnce()
 	mux := rt.Routes()
 

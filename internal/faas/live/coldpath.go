@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"hotc/internal/hop"
 	"hotc/internal/image"
 	"hotc/internal/prefork"
 )
@@ -203,7 +204,7 @@ type bootSource struct {
 func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*instance, bootInfo, error) {
 	ph := g.phasesFor(fn)
 	info := bootInfo{mode: bootCold, runtime: ph.runtime, app: ph.app}
-	wd, conn, pull := from.generic, (*hop)(nil), true
+	wd, conn, pull := from.generic, (*hop.Conn)(nil), true
 	switch {
 	case from.lent != nil:
 		info.mode, info.runtime, info.wipe = bootRented, 0, g.cfg.ShareWipe
@@ -232,7 +233,7 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 	}
 	if err != nil {
 		if conn != nil {
-			conn.close() // before the watchdog: its shutdown waits on idle connections
+			conn.Close() // before the watchdog: its shutdown waits on idle connections
 		}
 		wd.Stop()
 	}

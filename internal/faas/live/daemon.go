@@ -15,6 +15,7 @@ import (
 	"unicode/utf8"
 
 	"hotc/internal/admission"
+	"hotc/internal/hop"
 	"hotc/internal/obs"
 )
 
@@ -100,8 +101,8 @@ func builtinFunction(name string) (Function, error) {
 // bytes.ToUpper, with an incomplete trailing rune carried into the
 // next read so no rune is ever split across a chunk boundary.
 func upperStream(r io.Reader, w io.Writer) error {
-	bp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bp)
+	bp := hop.GetBuf()
+	defer hop.PutBuf(bp)
 	buf := *bp
 	keep := 0
 	for {
@@ -193,8 +194,8 @@ func upperASCII(p []byte) {
 // holding more than one token: a bufio scanner over a pooled buffer,
 // strconv.Itoa for the allocation-free reply.
 func wordcountStream(r io.Reader, w io.Writer) error {
-	bp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bp)
+	bp := hop.GetBuf()
+	defer hop.PutBuf(bp)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(*bp, bufio.MaxScanTokenSize)
 	sc.Split(bufio.ScanWords)

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+
+	"hotc/internal/hop"
 )
 
 // This file is the byte-moving half of the live data path: pooled
@@ -16,11 +18,6 @@ import (
 // removes the boot stages, so at steady state a request through this
 // path allocates no body-sized memory at all — every chunk moves
 // through a recycled buffer.
-
-// copyBufSize is the pooled copy-chunk size: 32 KiB amortizes the
-// loopback syscalls without blowing the cache, matching net/http's own
-// internal copy granularity.
-const copyBufSize = 32 << 10
 
 // maxPooledBody caps how large a compat-shim body buffer may grow and
 // still return to the pool: buffers up to the bench suite's largest
@@ -33,20 +30,17 @@ const maxPooledBody = 8 << 20
 // re-dialing is cheaper than draining.
 const drainLimit = 256 << 10
 
-// copyBufPool recycles the fixed-size copy chunks. It stores *[]byte
-// so Put never re-boxes the slice header onto the heap.
-var copyBufPool = sync.Pool{New: func() any { b := make([]byte, copyBufSize); return &b }}
-
 // bodyBufPool recycles the compat shim's whole-body buffers.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// copyPooled streams src into dst through a pooled chunk buffer. It is
-// io.CopyBuffer minus the WriterTo/ReaderFrom delegation and the
-// interface re-boxing needed to defeat it: the copy always goes
-// through the pooled buffer, so steady-state throughput costs zero
-// heap allocations regardless of the endpoints' concrete types.
+// copyPooled streams src into dst through a pooled chunk buffer
+// (hop.GetBuf's). It is io.CopyBuffer minus the WriterTo/ReaderFrom
+// delegation and the interface re-boxing needed to defeat it: the copy
+// always goes through the pooled buffer, so steady-state throughput
+// costs zero heap allocations regardless of the endpoints' concrete
+// types.
 func copyPooled(dst io.Writer, src io.Reader) (written int64, err error) {
-	bp := copyBufPool.Get().(*[]byte)
+	bp := hop.GetBuf()
 	buf := *bp
 	for {
 		nr, rerr := src.Read(buf)
@@ -71,7 +65,7 @@ func copyPooled(dst io.Writer, src io.Reader) (written int64, err error) {
 			break
 		}
 	}
-	copyBufPool.Put(bp)
+	hop.PutBuf(bp)
 	return written, err
 }
 
@@ -125,7 +119,7 @@ func (t *trackWriter) Write(p []byte) (int, error) {
 // of poisoned by unread bytes, then closes the body. On the success
 // path the body already sits at EOF and this is one cheap read.
 func drainClose(rc io.ReadCloser) {
-	bp := copyBufPool.Get().(*[]byte)
+	bp := hop.GetBuf()
 	buf := *bp
 	var total int64
 	for total < drainLimit {
@@ -135,7 +129,7 @@ func drainClose(rc io.ReadCloser) {
 			break
 		}
 	}
-	copyBufPool.Put(bp)
+	hop.PutBuf(bp)
 	rc.Close()
 }
 

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"hotc/internal/hop"
 )
 
 // streamEcho is the canonical StreamHandler: a pooled pass-through
@@ -205,7 +207,7 @@ func TestDaemonMaxBodySize(t *testing.T) {
 // boundary: a leading ASCII byte misaligns a run of two-byte runes so
 // every chunk ends mid-rune.
 func TestUpperStreamRuneBoundaries(t *testing.T) {
-	in := "a" + strings.Repeat("é", copyBufSize)
+	in := "a" + strings.Repeat("é", hop.BufSize)
 	var out bytes.Buffer
 	if err := upperStream(strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)

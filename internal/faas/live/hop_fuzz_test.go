@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"hotc/internal/hop"
 )
 
 // zeros is an endless request body that costs no memory.
@@ -126,7 +128,7 @@ func FuzzHopExchange(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer func() {
-			c.close()
+			c.Close()
 			close(release)
 			<-served
 		}()
@@ -138,26 +140,26 @@ func FuzzHopExchange(f *testing.F) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				resp, err := c.roundTrip(ctx, body, length, "")
+				resp, err := c.RoundTrip(ctx, watchdogHead(""), body, length)
 				if err != nil {
 					return // a failed roundTrip has already aborted
 				}
 				var buf bytes.Buffer
 				src := readTracker{r: resp.Body}
 				if _, err := copyPooled(&buf, &src); err != nil && src.failed {
-					c.abort()
+					c.Abort()
 					return
 				}
 				drainClose(resp.Body)
-				reusable, got = c.finish(), buf.Bytes()
+				reusable, got = c.Finish(), buf.Bytes()
 			}()
 			select {
 			case <-done:
 			case <-time.After(5 * time.Second):
 				t.Fatalf("the exchange outlived its 150ms deadline by seconds (reply %q, %d KiB, flags %04b)", reply, bodyKB, flags)
 			}
-			if c.streaming || len(c.wdone) != 0 {
-				t.Fatalf("the exchange ended with its body writer unaccounted for (streaming=%v, %d results unread)", c.streaming, len(c.wdone))
+			if !c.Settled() {
+				t.Fatal("the exchange ended with its body writer unaccounted for (still running, or its result unread)")
 			}
 			want := open
 			if reusable {
@@ -192,7 +194,7 @@ func FuzzHopExchange(f *testing.F) {
 			if plain && (!again || string(got) != "ok") {
 				t.Fatalf("the exchange after a clean one: reusable=%v, body %q", again, got)
 			}
-			whole := len(reply)+len(hopFuzzExtra) <= hopReadBuf && flags&(hopFuzzDeaf|hopFuzzHangUp) == 0
+			whole := len(reply)+len(hopFuzzExtra) <= hop.ReadBufSize && flags&(hopFuzzDeaf|hopFuzzHangUp) == 0
 			if whole && string(got) != "ok" {
 				t.Fatalf("reusable after reply %q (flags %05b), yet the next exchange read %q, not its own response", reply, flags, got)
 			}

@@ -132,7 +132,7 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	exchange := func() {
 		body.Reset(payload)
-		resp, err := c.roundTrip(ctx, body, int64(len(payload)), "")
+		resp, err := c.RoundTrip(ctx, watchdogHead(""), body, int64(len(payload)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 		if n, err := copyPooled(io.Discard, resp.Body); err != nil || n != 64 {
 			t.Fatalf("body: %d bytes, %v", n, err)
 		}
-		if !c.finish() {
+		if !c.Finish() {
 			t.Fatal("connection not reusable after a clean exchange")
 		}
 	}
@@ -155,7 +155,7 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 			t.Errorf("one warm hop round trip allocates %.0f objects, budget %d", allocs, budget)
 		}
 	}
-	c.close()
+	c.Close()
 	<-served
 }
 
@@ -543,13 +543,13 @@ func TestHopRefusesReuseAfterSurplus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		c.close()
+		c.Close()
 		lis.Close()
 		serving.Wait()
 	}()
 
 	for _, want := range []string{"1", "2"} {
-		resp, err := c.roundTrip(context.Background(), bytes.NewReader([]byte("x")), 1, "")
+		resp, err := c.RoundTrip(context.Background(), watchdogHead(""), bytes.NewReader([]byte("x")), 1)
 		if err != nil {
 			t.Fatalf("exchange %s: %v (the surplus was read as its response)", want, err)
 		}
@@ -557,7 +557,7 @@ func TestHopRefusesReuseAfterSurplus(t *testing.T) {
 		if err != nil || string(got) != want {
 			t.Fatalf("exchange %s: body %q, err %v; want its own answer", want, got, err)
 		}
-		if !c.finish() {
+		if !c.Finish() {
 			if c, err = g.dialHop(context.Background(), lis.Addr().String()); err != nil {
 				t.Fatal(err)
 			}
@@ -615,14 +615,14 @@ func BenchmarkHopRoundTrip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				body.Reset(payload)
-				resp, err := inst.hop.roundTrip(ctx, body, int64(size), "")
+				resp, err := inst.hop.RoundTrip(ctx, watchdogHead(""), body, int64(size))
 				if err != nil {
 					b.Fatal(err)
 				}
 				if n, err := copyPooled(io.Discard, resp.Body); err != nil || n != int64(size) {
 					b.Fatalf("echo: %d bytes, %v", n, err)
 				}
-				if !inst.hop.finish() {
+				if !inst.hop.Finish() {
 					b.Fatal("connection not reusable after a clean exchange")
 				}
 			}

@@ -76,6 +76,7 @@ import (
 	"time"
 
 	"hotc/internal/admission"
+	"hotc/internal/hop"
 	"hotc/internal/kernel"
 	"hotc/internal/obs"
 	"hotc/internal/prefork"
@@ -144,9 +145,9 @@ type instance struct {
 	fn Function
 	wd *prefork.Watchdog
 	// hop is the instance's own connection to wd, dialed with the boot
-	// and touched only by whoever holds the instance (see hop.go). A
+	// and touched only by whoever holds the instance (package hop). A
 	// sharing lease moves it to the renter's struct.
-	hop *hop
+	hop *hop.Conn
 	// idleSince is when the instance last returned to the warm pool
 	// (set under the shard lock; read by the janitor).
 	idleSince time.Time
@@ -162,7 +163,7 @@ type instance struct {
 // calls it. This is where the hop connection is dialed — once per
 // watchdog, as the last step of the boot. A rented boot passes the
 // lender's connection along instead: same watchdog, nothing to dial.
-func (g *Gateway) newInstance(ctx context.Context, fn Function, wd *prefork.Watchdog, conn *hop) (*instance, error) {
+func (g *Gateway) newInstance(ctx context.Context, fn Function, wd *prefork.Watchdog, conn *hop.Conn) (*instance, error) {
 	if conn == nil {
 		var err error
 		if conn, err = g.dialHop(ctx, wd.Addr()); err != nil {
@@ -175,8 +176,26 @@ func (g *Gateway) newInstance(ctx context.Context, fn Function, wd *prefork.Watc
 // stop tears the instance down. The connection goes first: a watchdog
 // shutdown waits on connections that never carried a request.
 func (i *instance) stop() {
-	i.hop.close()
+	i.hop.Close()
 	i.wd.Stop()
+}
+
+// dialHop opens an instance's connection to the watchdog at addr.
+func (g *Gateway) dialHop(ctx context.Context, addr string) (*hop.Conn, error) {
+	conn, err := g.dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return hop.New(conn, addr), nil
+}
+
+// watchdogHeader is the one header every request to a watchdog carries.
+var watchdogHeader = http.Header{"Content-Type": {"application/octet-stream"}}
+
+// watchdogHead is the head of a request to a watchdog: a POST of the
+// client's body to /, with the trace context when the request is traced.
+func watchdogHead(traceparent string) hop.Head {
+	return hop.Head{Method: http.MethodPost, Path: "/", Header: watchdogHeader, Traceparent: traceparent}
 }
 
 // stopAll shuts instances down concurrently and waits for all of them:
@@ -785,7 +804,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	if rt.active {
 		traceparent = rt.tc.Traceparent()
 	}
-	resp, err := inst.hop.roundTrip(ctx, r.Body, r.ContentLength, traceparent)
+	resp, err := inst.hop.RoundTrip(ctx, watchdogHead(traceparent), r.Body, r.ContentLength)
 	if err != nil {
 		g.release(s, inst, false)
 		switch {
@@ -842,7 +861,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		// draining and tear it down. When the read died because the
 		// request context did (client disconnect / deadline), the
 		// watchdog is blameless: same teardown, no breaker.
-		inst.hop.abort()
+		inst.hop.Abort()
 		g.release(s, inst, false)
 		if ctx.Err() != nil {
 			return g.abandoned(req, true)
@@ -864,7 +883,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	if g.trace != nil {
 		g.trace.noteWatchdog(resp.Trailer, rt)
 	}
-	g.release(s, inst, inst.hop.finish() || g.redial(inst))
+	g.release(s, inst, inst.hop.Finish() || g.redial(inst))
 	if rt.reused {
 		g.obs.StartsWarm.Inc()
 	} else {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hotc/internal/hop"
 	"hotc/internal/obs"
 )
 
@@ -21,7 +22,7 @@ const (
 	// "00-<trace-id>-<parent-id>-<flags>". Inbound it joins the request
 	// to the caller's trace; the gateway forwards it to the watchdog
 	// with its own span ID as parent-id.
-	TraceparentHeader = "Traceparent"
+	TraceparentHeader = hop.TraceparentHeader
 	// TraceIDHeader echoes the request's 32-hex trace ID on every
 	// response for a deployed function (including refusals), so clients
 	// and load generators can correlate a response with its span in

@@ -2,15 +2,19 @@ package router
 
 import (
 	"bytes"
+	"context"
+	"crypto/tls"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"hotc/internal/faas/live"
+	"hotc/internal/hop"
 	"hotc/internal/kernel"
 	"hotc/internal/obs"
 )
@@ -134,11 +138,7 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 		}
 		c.n.mu.Unlock()
 
-		var body io.Reader = tail
-		if replayable {
-			body = bytes.NewReader(buf)
-		}
-		resp, err := rt.forward(r, c.n, name, body, traceparent)
+		resp, err := rt.forward(r, c.n, name, buf, tail, traceparent)
 		if err != nil && r.Context().Err() != nil {
 			// The client gave up: no node failed, and nobody waits for
 			// another attempt.
@@ -180,22 +180,124 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 	rt.finish(w, "error", start, tc, attempts, lastNode, lastResp)
 }
 
-// forward proxies the request to one node, propagating headers and
-// the router's trace context.
-func (rt *Router) forward(orig *http.Request, n *node, name string, body io.Reader, traceparent string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(orig.Context(), orig.Method, n.url+"/function/"+name, body)
+// forward proxies the request to one node over one of the node's
+// keep-alive connections, on the request's goroutine. The returned
+// body's Close ends the exchange and gives the connection back (see
+// upstream). A pooled connection the node closed while it sat idle
+// fails before any response byte: a replayable body then goes once
+// more on a fresh connection, and that is no failure of the node.
+func (rt *Router) forward(orig *http.Request, n *node, name string, buf []byte, tail io.Reader, traceparent string) (*http.Response, error) {
+	ctx := orig.Context()
+	head := hop.Head{Method: orig.Method, Path: n.path + "/function/" + name, Header: orig.Header, Traceparent: traceparent}
+	var replay *bytes.Reader
+	body, length := tail, orig.ContentLength
+	if tail == nil {
+		replay = bytes.NewReader(buf)
+		body, length = replay, int64(len(buf))
+	}
+	u, reused, err := rt.conn(ctx, n)
+	for err == nil {
+		var resp *http.Response
+		if resp, err = u.c.RoundTrip(ctx, head, body, length); err == nil {
+			u.body = resp.Body
+			resp.Body = u
+			return resp, nil
+		}
+		if !reused || replay == nil || ctx.Err() != nil || !hop.Unanswered(err) {
+			break
+		}
+		replay.Reset(buf)
+		u, err = rt.dialUpstream(ctx, n)
+		reused = false
+	}
+	return nil, err
+}
+
+// maxIdlePerNode caps a node's free list of keep-alive connections.
+const maxIdlePerNode = 64
+
+// upstream is one keep-alive connection to a node. Between exchanges
+// it sits on its node's free list; during one it is the relayed body.
+type upstream struct {
+	n    *node
+	c    *hop.Conn
+	body io.ReadCloser // the response being relayed; nil between exchanges
+}
+
+func (u *upstream) Read(p []byte) (int, error) { return u.body.Read(p) }
+
+// Close ends the exchange: a connection the hop can reuse goes back on
+// its node's free list, any other is closed.
+func (u *upstream) Close() error {
+	if u.body == nil {
+		return nil
+	}
+	u.body = nil
+	u.n.put(u, u.c.Finish())
+	return nil
+}
+
+// conn hands out a connection to n: the most recently used idle one,
+// else a fresh dial. reused reports which.
+func (rt *Router) conn(ctx context.Context, n *node) (u *upstream, reused bool, err error) {
+	n.mu.Lock()
+	if k := len(n.idle); k > 0 {
+		u = n.idle[k-1]
+		n.idle[k-1] = nil
+		n.idle = n.idle[:k-1]
+		n.mu.Unlock()
+		return u, true, nil
+	}
+	n.mu.Unlock()
+	u, err = rt.dialUpstream(ctx, n)
+	return u, false, err
+}
+
+// dialUpstream opens a connection to n, through crypto/tls for an
+// https:// member.
+func (rt *Router) dialUpstream(ctx context.Context, n *node) (*upstream, error) {
+	var conn net.Conn
+	var err error
+	if n.tls {
+		d := tls.Dialer{Config: rt.tlsConf}
+		conn, err = d.DialContext(ctx, "tcp", n.addr)
+	} else {
+		var d net.Dialer
+		conn, err = d.DialContext(ctx, "tcp", n.addr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	for k, vs := range orig.Header {
-		switch k {
-		case "Connection", "Keep-Alive", "Transfer-Encoding", "Upgrade", "Content-Length":
-			continue
-		}
-		req.Header[k] = vs
+	return &upstream{n: n, c: hop.New(conn, n.host)}, nil
+}
+
+// put takes a connection back after an exchange. A reusable one joins
+// the free list unless the list is full or the node has left;
+// otherwise it is closed.
+func (n *node) put(u *upstream, reusable bool) {
+	if !reusable {
+		return // Finish closed it
 	}
-	req.Header.Set(live.TraceparentHeader, traceparent)
-	return rt.client.Do(req)
+	n.mu.Lock()
+	if !n.gone && len(n.idle) < maxIdlePerNode {
+		n.idle = append(n.idle, u)
+		n.mu.Unlock()
+		return
+	}
+	n.mu.Unlock()
+	u.c.Close()
+}
+
+// closeIdle closes the free list and keeps it closed: a connection
+// coming back from an exchange still in flight is closed, not kept.
+func (n *node) closeIdle() {
+	n.mu.Lock()
+	idle := n.idle
+	n.idle, n.gone = nil, true
+	n.mu.Unlock()
+	for _, u := range idle {
+		u.c.Close()
+	}
 }
 
 // finish relays the upstream response (or synthesizes a failure),

@@ -10,6 +10,7 @@ package router
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,7 +57,11 @@ type Config struct {
 	SpillMaxBody int64
 	// Registry receives hotc_router_* metrics (nil = a private one).
 	Registry *obs.Registry
-	// Client overrides the upstream HTTP client (tests).
+	// Client is the control plane's HTTP client: probes, deploy
+	// fan-out and drain (nil = a default one). Invocations do not use
+	// it: they go over the router's own keep-alive connections, which
+	// take their TLS settings from Client's *http.Transport when it has
+	// one.
 	Client *http.Client
 	// TraceSeed seeds the trace-ID generator (0 = random).
 	TraceSeed uint64
@@ -74,6 +79,11 @@ type node struct {
 	url string
 	// name labels metrics and response headers (host:port).
 	name string
+	// addr is the host:port invocations dial, host the Host header they
+	// carry, path the URL's path prefix, and tls whether the member is
+	// an https:// one.
+	addr, host, path string
+	tls              bool
 
 	mu       sync.Mutex
 	healthy  bool
@@ -85,6 +95,11 @@ type node struct {
 	misses int
 	// lastPoll is when the node last answered a probe.
 	lastPoll time.Time
+	// idle is the free list of keep-alive connections for invocations,
+	// most recently used last; gone is set once the node has left or
+	// the router stopped, after which no connection is kept.
+	idle []*upstream
+	gone bool
 }
 
 func (n *node) snapshot() NodeStatus {
@@ -121,6 +136,8 @@ type Router struct {
 	reg    *obs.Registry
 	ids    *obs.IDGen
 	client *http.Client
+	// tlsConf dials https:// members for invocations.
+	tlsConf *tls.Config
 
 	mu    sync.RWMutex
 	ring  *kernel.Ring
@@ -181,18 +198,16 @@ func New(cfg Config) (*Router, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     30 * time.Second,
-		}}
+		client = &http.Client{Transport: &http.Transport{IdleConnTimeout: 30 * time.Second}}
 	}
 	rt := &Router{
-		cfg:    cfg,
-		reg:    reg,
-		ids:    obs.NewIDGen(cfg.TraceSeed),
-		client: client,
-		ring:   kernel.NewRing(cfg.VNodes),
-		nodes:  make(map[string]*node),
+		cfg:     cfg,
+		reg:     reg,
+		ids:     obs.NewIDGen(cfg.TraceSeed),
+		client:  client,
+		tlsConf: upstreamTLS(client),
+		ring:    kernel.NewRing(cfg.VNodes),
+		nodes:   make(map[string]*node),
 	}
 	rt.stopped, rt.stop = context.WithCancel(context.Background())
 	rt.mRequests = reg.CounterVec("hotc_router_requests_total",
@@ -254,6 +269,41 @@ func nodeName(url string) string {
 	return name
 }
 
+// newNode is a member's record for a normalized URL. The dial address
+// gets the scheme's default port when the URL names none.
+func newNode(u string) *node {
+	rest, secure := strings.CutPrefix(u, "https://")
+	if !secure {
+		rest = strings.TrimPrefix(u, "http://")
+	}
+	host, path := rest, ""
+	if i := strings.IndexByte(rest, '/'); i >= 0 {
+		host, path = rest[:i], rest[i:]
+	}
+	addr := host
+	if i := strings.LastIndexByte(host, ':'); i < 0 || i < strings.LastIndexByte(host, ']') {
+		if secure {
+			addr += ":443"
+		} else {
+			addr += ":80"
+		}
+	}
+	return &node{url: u, name: nodeName(u), addr: addr, host: host, path: path, tls: secure,
+		healthy: true, warm: map[string]int{}}
+}
+
+// upstreamTLS is the TLS configuration invocations dial https://
+// members with: the control-plane client's, so one member list is
+// trusted the same way on both paths, speaking HTTP/1.1 only.
+func upstreamTLS(client *http.Client) *tls.Config {
+	conf := &tls.Config{}
+	if t, ok := client.Transport.(*http.Transport); ok && t.TLSClientConfig != nil {
+		conf = t.TLSClientConfig.Clone()
+	}
+	conf.NextProtos = []string{"http/1.1"}
+	return conf
+}
+
 // Join adds a node to the ring and replays deployments made through
 // the router so the newcomer serves the same functions. It reports
 // the normalized URL.
@@ -267,7 +317,7 @@ func (rt *Router) Join(rawURL string) (string, error) {
 		rt.mu.Unlock()
 		return u, nil
 	}
-	n := &node{url: u, name: nodeName(u), healthy: true, warm: map[string]int{}}
+	n := newNode(u)
 	rt.nodes[u] = n
 	rt.ring.Add(u)
 	replay := make([]deploy, len(rt.deploys))
@@ -290,7 +340,7 @@ func (rt *Router) Join(rawURL string) (string, error) {
 
 // Leave removes a node from the ring, reporting whether it was a
 // member. In-flight requests to it complete; new placements skip it
-// immediately.
+// immediately, and its idle connections are closed.
 func (rt *Router) Leave(rawURL string) bool {
 	u, err := normalizeURL(rawURL)
 	if err != nil {
@@ -307,6 +357,7 @@ func (rt *Router) Leave(rawURL string) bool {
 	if !ok {
 		return false
 	}
+	n.closeIdle()
 	rt.mNodes.Set(float64(size))
 	rt.mHealthy.With(n.name).Set(0)
 	rt.mWarm.With(n.name).Set(0)
@@ -494,12 +545,20 @@ func (rt *Router) StartOn(addr string) (string, error) {
 	return "http://" + ln.Addr().String(), nil
 }
 
-// Stop shuts the listener and poll loop down and abandons probes in
-// flight.
+// Stop shuts the listener and poll loop down, abandons probes in
+// flight and closes every idle upstream connection, the control
+// plane's included. A request still in flight closes its connection
+// when it ends.
 func (rt *Router) Stop() {
 	rt.stop()
 	if rt.srv != nil {
 		rt.srv.Close()
 	}
 	rt.wg.Wait()
+	rt.mu.RLock()
+	for _, n := range rt.nodes {
+		n.closeIdle()
+	}
+	rt.mu.RUnlock()
+	rt.client.CloseIdleConnections()
 }

@@ -77,11 +77,12 @@ done
 # map order before, so non-test live code names time.NewTicker only
 # inside cycle, ranges over g.shards only where Register rebuilds the
 # ordered slice, and starts a goroutine only for the cycle, a prewarm
-# boot, stopAll's teardowns, the hop's body writer and the accept loop.
+# boot, stopAll's teardowns and the accept loop (the hop's body writer
+# lives in internal/hop).
 for f in "$LIVE"/*.go; do
 	case "$f" in *_test.go) continue ;; esac
 	bad="$(grep -nE '^[[:space:]]*go ' "$f" |
-		grep -vE 'go (g\.cycle\(|g\.prewarmOne\(|g\.server\.Serve\(|func\(i \*instance\) \{|func\(\) \{ c\.wdone <- c\.sendBody\()' || true)"
+		grep -vE 'go (g\.cycle\(|g\.prewarmOne\(|g\.server\.Serve\(|func\(i \*instance\) \{)' || true)"
 	if [ -n "$bad" ]; then
 		echo "$f:$bad" >&2
 		echo "verify: $f starts a goroutine of its own: periodic work is a stage of the control cycle, a boot nobody waits on goes through prewarmOne under g.wg, teardowns through stopAll" >&2
@@ -100,6 +101,18 @@ for f in "$LIVE"/*.go; do
 		exit 1
 	fi
 done
+echo "== one hop (live and router: /function/ requests go over internal/hop's owned connections)"
+# The gateway forwarded to its watchdogs over an instance-owned
+# connection while the router forwarded to its nodes with an
+# http.Client, whose transport cost a warm routed request ~40 µs of CPU
+# in goroutine handoffs, getConn and the request and header copies. So
+# non-test internal/faas/live and internal/router/proxy.go name no
+# http.Transport and call no .Do(: both proxy legs use internal/hop.
+# (The router's control plane, in router.go, keeps Config.Client.)
+if grep -nE 'http\.Transport|\.Do\(' $(ls "$LIVE"/*.go | grep -v '_test\.go$') internal/router/proxy.go >&2; then
+	echo "verify: a /function/ forward through net/http's client: use a hop.Conn (the gateway's per instance, the router's per node free list)" >&2
+	exit 1
+fi
 echo "== wired once (sim: engine, host monitor, gateway and pre-pull only in internal/stack)"
 # The simulator's half: hotc.NewSimulation, bench.NewEnv and every
 # cluster node are one stack.New. Three hand-wired copies drifted before
@@ -333,11 +346,12 @@ echo "== alloc regression guard (non-race: AllocsPerRun)"
 # The race run above skips these: the detector's instrumentation
 # perturbs allocation counts. This non-race pass asserts the pooled
 # copy and the []byte shim stay at zero heap allocations per request,
-# one warm watchdog-hop round trip stays inside its budget, and a warm
+# one warm watchdog-hop round trip and one routed forward with its relay
+# stay inside their budgets, and a warm
 # simulator replay stays inside its allocations per simulated request,
 # a warm hit with its exec and release allocates nothing, and the
 # scheduler recycles its events.
-go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/obs/ ./internal/simclock/
+go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/obs/ ./internal/router/ ./internal/simclock/
 echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
 # The harness is its own module, so the root ./... above never reaches
 # it. The smoke run exits non-zero when an echo fails verification or
