@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"hotc/internal/hop"
 )
 
 // zeros is an endless request body that costs no memory.
@@ -32,6 +30,10 @@ const (
 
 // hopFuzzExtra is what a hopFuzzSurplus watchdog writes past its reply.
 const hopFuzzExtra = "surplus:16 bytes"
+
+// hopReadBuf is the size of the hop's response reader: a reply that
+// fits it arrives whole in the first read.
+const hopReadBuf = 4 << 10
 
 // hopFuzzOK is a well-formed reply; the scripted watchdog also answers
 // every request after the first with it.
@@ -74,8 +76,8 @@ func scriptedWatchdog(conn net.Conn, reply []byte, flags uint8, release <-chan s
 // response, then exactly one of finish or abort — against a watchdog
 // whose first reply is the fuzz input, and a second, plain exchange when
 // the hop calls its connection reusable. Whatever the bytes: the
-// exchange returns within its deadline; once it has ended no body writer
-// runs and the request's context no longer reaches the connection; a
+// exchange returns within its deadline; once it has ended the request's
+// context no longer reaches the connection; a
 // connection that is not reusable is closed, and one that is — what a
 // re-pooled instance would hold — is open with no deadline armed on it,
 // and hands the next exchange its own response. (Bytes that reach the
@@ -158,9 +160,6 @@ func FuzzHopExchange(f *testing.F) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("the exchange outlived its 150ms deadline by seconds (reply %q, %d KiB, flags %04b)", reply, bodyKB, flags)
 			}
-			if !c.Settled() {
-				t.Fatal("the exchange ended with its body writer unaccounted for (still running, or its result unread)")
-			}
 			want := open
 			if reusable {
 				want++
@@ -194,7 +193,7 @@ func FuzzHopExchange(f *testing.F) {
 			if plain && (!again || string(got) != "ok") {
 				t.Fatalf("the exchange after a clean one: reusable=%v, body %q", again, got)
 			}
-			whole := len(reply)+len(hopFuzzExtra) <= hop.ReadBufSize && flags&(hopFuzzDeaf|hopFuzzHangUp) == 0
+			whole := len(reply)+len(hopFuzzExtra) <= hopReadBuf && flags&(hopFuzzDeaf|hopFuzzHangUp) == 0
 			if whole && string(got) != "ok" {
 				t.Fatalf("reusable after reply %q (flags %05b), yet the next exchange read %q, not its own response", reply, flags, got)
 			}

@@ -27,9 +27,9 @@ const (
 	// loopback syscalls without blowing the cache, matching net/http's
 	// own internal copy granularity.
 	BufSize = 32 << 10
-	// ReadBufSize sizes the response reader: heads and chunk framing go
+	// readBufSize sizes the response reader: heads and chunk framing go
 	// through it, body reads larger than it bypass it.
-	ReadBufSize = 4 << 10
+	readBufSize = 4 << 10
 	// headRoom is the write buffer's share for the request head, on top
 	// of BufSize for an inline body.
 	headRoom = 512
@@ -117,7 +117,7 @@ func (b *respBody) Close() error { return nil }
 func New(conn net.Conn, host string) *Conn {
 	c := &Conn{
 		conn:  conn,
-		br:    bufio.NewReaderSize(conn, ReadBufSize),
+		br:    bufio.NewReaderSize(conn, readBufSize),
 		bw:    bufio.NewWriterSize(conn, BufSize+headRoom),
 		host:  host,
 		wdone: make(chan error, 1),
@@ -148,8 +148,13 @@ func Unanswered(err error) bool {
 // firing fails whatever I/O the exchange is blocked in. On error the
 // exchange is over and the connection closed; the error is a
 // *http.MaxBytesError when the body tripped its limit, else ctx's when
-// ctx fired. RoundTrip never retries.
+// ctx fired, and errInvalidHead, with nothing sent, when the method,
+// path or host cannot be written as they are. RoundTrip never retries.
 func (c *Conn) RoundTrip(ctx context.Context, head Head, body io.Reader, length int64) (*http.Response, error) {
+	if !wireToken(head.Method) || !wireToken(head.Path) || !wireToken(c.host) {
+		c.conn.Close()
+		return nil, errInvalidHead
+	}
 	c.detach = context.AfterFunc(ctx, c.poison)
 	c.writeHead(&head, length)
 	bw := c.bw
@@ -189,6 +194,24 @@ func (c *Conn) RoundTrip(ctx context.Context, head Head, body io.Reader, length 
 	resp.Body = &c.body
 	c.closing = resp.Close
 	return resp, nil
+}
+
+// errInvalidHead refuses a method, path or host that is empty or holds
+// a space or a byte outside printable ASCII: written raw into the
+// request line or the Host field, such a byte would end it early and
+// let the rest pass for more headers or a second request. A caller
+// escapes what it puts in a path.
+var errInvalidHead = errors.New("hop: request method, path or host is not printable ASCII")
+
+// wireToken reports whether s is non-empty and every byte of it is
+// printable ASCII other than the space.
+func wireToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] <= ' ' || s[i] >= 0x7f {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // writeHead buffers the request line and headers. Host and the body's
@@ -389,10 +412,10 @@ func (c *Conn) Abort() error {
 	return werr
 }
 
-// Settled reports whether no exchange is running: no body writer is
+// settled reports whether no exchange is running: no body writer is
 // left and no result of one is unread. It holds whenever RoundTrip has
 // failed or Finish or Abort has returned.
-func (c *Conn) Settled() bool { return !c.streaming && len(c.wdone) == 0 }
+func (c *Conn) settled() bool { return !c.streaming && len(c.wdone) == 0 }
 
 // end waits for the body writer and unhooks ctx, so nothing touches
 // the connection once its owner moves on. It reports the writer's

@@ -103,8 +103,80 @@ func TestUnansweredMarksOnlyFailuresBeforeAnyByte(t *testing.T) {
 		if err == nil || Unanswered(err) != tc.want {
 			t.Errorf("reply %q: error %v, Unanswered %v; want an error, Unanswered %v", tc.reply, err, Unanswered(err), tc.want)
 		}
-		if !c.Settled() {
+		if !c.settled() {
 			t.Errorf("reply %q: a failed exchange left its body writer running", tc.reply)
 		}
+	}
+}
+
+// A method, path or host that would break the request line or the Host
+// field is refused before a byte is sent, and the connection is closed.
+func TestRoundTripRefusesUnwritableHead(t *testing.T) {
+	for _, tc := range []struct {
+		method, path, host string
+	}{
+		{"POST", "/function/x\r\nX-Evil: 1\r\n\r\nGET /function/y", "node:1"},
+		{"POST", "/function/a b", "node:1"},
+		{"POST", "/function/\x00", "node:1"},
+		{"POST", "/function/caf\xc3\xa9", "node:1"},
+		{"POST", "", "node:1"},
+		{"GET /x HTTP/1.1\r\n", "/", "node:1"},
+		{"", "/", "node:1"},
+		{"POST", "/", "node:1\r\nX-Evil: 1"},
+		{"POST", "/", ""},
+	} {
+		client, peer := net.Pipe()
+		read := make(chan int, 1)
+		go func() {
+			n, _ := io.Copy(io.Discard, peer)
+			read <- int(n)
+		}()
+		c := New(client, tc.host)
+		_, err := c.RoundTrip(context.Background(), Head{Method: tc.method, Path: tc.path}, strings.NewReader("x"), 1)
+		if err != errInvalidHead {
+			t.Errorf("%q %q host %q: error %v, want errInvalidHead", tc.method, tc.path, tc.host, err)
+		}
+		if n := <-read; n != 0 {
+			t.Errorf("%q %q host %q: the peer read %d bytes, want none and a closed connection", tc.method, tc.path, tc.host, n)
+		}
+	}
+}
+
+// However a streamed exchange ends, its body writer has ended with it
+// and its result has been read: a peer that answers while reading, and
+// one that answers without reading a byte of the body.
+func TestStreamedExchangeEndsSettled(t *testing.T) {
+	for _, deaf := range []bool{false, true} {
+		client, peer := net.Pipe()
+		go func() {
+			defer peer.Close()
+			br := bufio.NewReader(peer)
+			req, err := http.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			if !deaf {
+				io.Copy(io.Discard, req.Body)
+			}
+			io.WriteString(peer, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+			if deaf {
+				return
+			}
+			http.ReadRequest(br)
+		}()
+		c := New(client, "node:1")
+		body := strings.Repeat("b", 3*BufSize) // too long to ride behind the head
+		resp, err := c.RoundTrip(context.Background(), Head{Method: http.MethodPost, Path: "/"}, strings.NewReader(body), -1)
+		if err != nil {
+			t.Fatalf("deaf=%v: %v", deaf, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		if reusable := c.Finish(); reusable == deaf {
+			t.Errorf("deaf=%v: Finish = %v", deaf, reusable)
+		}
+		if !c.settled() {
+			t.Errorf("deaf=%v: the exchange ended with its body writer unaccounted for", deaf)
+		}
+		c.Close()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -283,6 +284,103 @@ func TestRoutedExpectContinue(t *testing.T) {
 	}
 }
 
+// The function name reaches the router decoded. Forwarded as it is, a
+// CR LF or a space in it ended the request line early, and what
+// followed went to the node as headers or as a request of its own on
+// the pooled connection. Escaped again, it is one request for the name
+// the client asked for, and the next request is the next the node
+// parses. A name with a '/' in it is no function name: the router
+// answers 404 and sends the node nothing.
+func TestRoutedNameCannotSmuggle(t *testing.T) {
+	var mu sync.Mutex
+	var seen []fuzzRecord
+	srv, _ := countingNode(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/system/stats" {
+			mu.Lock()
+			seen = append(seen, fuzzRecord{method: r.Method, path: r.URL.Path, header: r.Header.Clone()})
+			mu.Unlock()
+		}
+		echoNode(w, r)
+	})
+	_, base := startRouter(t, Config{Nodes: []string{srv.URL}})
+	for _, name := range []string{
+		"x%0D%0AX-Evil:%201%0D%0A%0D%0AOPTIONS%20*%20HTTP%0D%0A",
+		"x%0D%0AX-Evil:%201%0D%0A%0D%0AGET%20/function/y%20HTTP/1.1%0D%0AHost:%20n",
+		"a%20b",
+		"a%3Fb%25",
+	} {
+		mu.Lock()
+		seen = nil
+		mu.Unlock()
+		decoded, _ := url.PathUnescape(name)
+		var want []string
+		if !strings.Contains(decoded, "/") {
+			want = append(want, "/function/"+decoded)
+		}
+		want = append(want, "/function/sentinel")
+		for _, target := range []string{name, "sentinel"} {
+			resp := invoke(t, base, target, "x")
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		mu.Lock()
+		got := seen
+		mu.Unlock()
+		var paths []string
+		for _, r := range got {
+			paths = append(paths, r.path)
+			if r.header.Get("X-Evil") != "" {
+				t.Errorf("name %q: a header in the name reached the node", name)
+			}
+		}
+		if !reflect.DeepEqual(paths, want) {
+			t.Errorf("name %q: the node parsed %q, want %q", name, paths, want)
+		}
+	}
+}
+
+// The router relays what the node answers, as it is: a redirect is not
+// followed, and neither Accept-Encoding nor decompression is added.
+func TestRoutedReplyRelayedAsIs(t *testing.T) {
+	var mu sync.Mutex
+	var acceptEncoding []string
+	srv, _ := countingNode(t, func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/system/stats":
+			io.WriteString(w, "{}")
+		case "/function/moved":
+			http.Redirect(w, r, "/function/elsewhere", http.StatusFound)
+		case "/function/packed":
+			mu.Lock()
+			acceptEncoding = r.Header.Values("Accept-Encoding")
+			mu.Unlock()
+			w.Header().Set("Content-Encoding", "gzip")
+			io.WriteString(w, "not really gzip")
+		default:
+			http.Error(w, "redirect followed", http.StatusTeapot)
+		}
+	})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	rec := route(rt, http.MethodPost, "moved", "x", nil)
+	if rec.Code != http.StatusFound || rec.Header().Get("Location") != "/function/elsewhere" {
+		t.Errorf("redirect relayed as %d, Location %q; want 302 to /function/elsewhere", rec.Code, rec.Header().Get("Location"))
+	}
+	rec = route(rt, http.MethodPost, "packed", "x", nil)
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Encoding") != "gzip" || rec.Body.String() != "not really gzip" {
+		t.Errorf("encoded reply relayed as %d, Content-Encoding %q, body %q; want it unchanged",
+			rec.Code, rec.Header().Get("Content-Encoding"), rec.Body)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(acceptEncoding) != 0 {
+		t.Errorf("the node was sent Accept-Encoding %q the client never sent", acceptEncoding)
+	}
+}
+
 // sinkWriter is a ResponseWriter that allocates nothing of its own. Its
 // ReadFrom stands for the server's, which copies through a pooled
 // buffer.
@@ -372,10 +470,12 @@ func TestRouterForwardAllocBudget(t *testing.T) {
 	}
 }
 
-// fuzzRecord is one request as a router handler or the node saw it.
+// fuzzRecord is one request as a router handler or the node saw it;
+// answered marks a handler's request the router answered from the node.
 type fuzzRecord struct {
-	method string
-	header http.Header
+	method, path string
+	header       http.Header
+	answered     bool
 }
 
 // hopByHopFor is what the router must not forward of h: the hop-by-hop
@@ -395,33 +495,42 @@ func hopByHopFor(h http.Header) map[string]bool {
 	return drop
 }
 
-// FuzzRoutedHead sends a request with a fuzzed method, two fuzzed header
+// FuzzRoutedHead sends a request with a fuzzed method, function name
+// (as it stands, escaped, in the request line), two fuzzed header
 // fields and a body of fuzzed length, as raw bytes, to a router whose
 // one node is a canned upstream that parses every request it is sent.
 // Every request the router's handler forwards reaches the node exactly
-// once, as one request, with the handler's headers minus the hop-by-hop
-// set; a plain request after it is the next thing the node parses, so
-// nothing was smuggled onto the pooled connection; nothing panics.
+// once, and every one it answers from the node did, as one request, for
+// the function the handler was asked for,
+// with the handler's headers minus the hop-by-hop set; a plain request
+// after it is the next thing the node parses, so nothing was smuggled
+// onto the pooled connection; nothing panics.
 func FuzzRoutedHead(f *testing.F) {
 	for _, seed := range []struct {
-		method, k1, v1, k2, v2 string
-		body                   uint16
+		method, name, k1, v1, k2, v2 string
+		body                         uint16
 	}{
-		{"POST", "X-Hotc-Tenant", "acme", "Content-Type", "text/plain", 64},
-		{"POST", "X-Hotc-Tenant", "acme", "X-Hotc-Deadline-Ms", "250", 40 << 10}, // streamed body
-		{"GET", "X-Hotc-Deadline-Ms", "100", "Te", "trailers", 0},
-		{"HEAD", "X-Hotc-Tenant", "b", "Accept", "*/*", 0},
-		{"POST", "Expect", "100-continue", "X-Hotc-Tenant", "c", 4 << 10},
-		{"POST", "Connection", "X-A, keep-alive", "X-A", "secret", 16},
-		{"PUT", "Upgrade", "websocket", "Keep-Alive", "timeout=5", 10},
-		{"POST", "Proxy-Connection", "keep-alive", "Trailer", "X-T", 8},
-		{"POST", "Transfer-Encoding", "chunked", "X-B", "1", 8},
-		{"POST", "X-A", "v\r\nX-Smuggled: 1", "X-Hotc-Tenant", "d", 5},
-		{"POST", "X-C", "x\r\n\r\nGET /function/f HTTP/1.1\r\nHost: r", "X-D", "y", 0},
-		{"DELETE", "Traceparent", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01", "X-E", "", 0},
-		{"POST", "Content-Length", "3", "X-F", "z", 7},
+		{"POST", "f", "X-Hotc-Tenant", "acme", "Content-Type", "text/plain", 64},
+		{"POST", "f", "X-Hotc-Tenant", "acme", "X-Hotc-Deadline-Ms", "250", 40 << 10}, // streamed body
+		{"GET", "f", "X-Hotc-Deadline-Ms", "100", "Te", "trailers", 0},
+		{"HEAD", "f", "X-Hotc-Tenant", "b", "Accept", "*/*", 0},
+		{"POST", "f", "Expect", "100-continue", "X-Hotc-Tenant", "c", 4 << 10},
+		{"POST", "f", "Connection", "X-A, keep-alive", "X-A", "secret", 16},
+		{"PUT", "f", "Upgrade", "websocket", "Keep-Alive", "timeout=5", 10},
+		{"POST", "f", "Proxy-Connection", "keep-alive", "Trailer", "X-T", 8},
+		{"POST", "f", "Transfer-Encoding", "chunked", "X-B", "1", 8},
+		{"POST", "f", "X-A", "v\r\nX-Smuggled: 1", "X-Hotc-Tenant", "d", 5},
+		{"POST", "f", "X-C", "x\r\n\r\nGET /function/f HTTP/1.1\r\nHost: r", "X-D", "y", 0},
+		{"DELETE", "f", "Traceparent", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01", "X-E", "", 0},
+		{"POST", "f", "Content-Length", "3", "X-F", "z", 7},
+		{"POST", "x%0D%0AX-Evil:%201%0D%0A%0D%0AOPTIONS%20*%20HTTP%0D%0A", "X-G", "1", "X-H", "2", 4}, // a header and a request in the name
+		{"POST", "x%0D%0AX-Evil:%201%0D%0A%0D%0AGET%20/function/y%20HTTP/1.1%0D%0AHost:%20n", "X-G", "1", "X-H", "2", 4},
+		{"POST", "a%20b", "X-G", "1", "X-H", "2", 4},
+		{"GET", "%00%7F%C3%A9", "X-G", "1", "X-H", "2", 0},  // a NUL, a DEL and a non-ASCII letter
+		{"POST", "a%3Fb%23c%25", "X-G", "1", "X-H", "2", 1}, // '?', '#' and '%' in the name
+		{"POST", "f?q=1", "X-G", "1", "X-H", "2", 1},        // a query the node is not sent
 	} {
-		f.Add(seed.method, seed.k1, seed.v1, seed.k2, seed.v2, seed.body)
+		f.Add(seed.method, seed.name, seed.k1, seed.v1, seed.k2, seed.v2, seed.body)
 	}
 
 	// The node: parse every request on every connection, book it, answer.
@@ -450,7 +559,7 @@ func FuzzRoutedHead(f *testing.F) {
 						return
 					}
 					mu.Lock()
-					upstream = append(upstream, fuzzRecord{req.Method, req.Header})
+					upstream = append(upstream, fuzzRecord{method: req.Method, path: req.URL.Path, header: req.Header})
 					mu.Unlock()
 					reply := "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
 					if req.Method == http.MethodHead {
@@ -482,9 +591,13 @@ func FuzzRoutedHead(f *testing.F) {
 		defer active.Add(-1)
 		r.Header.Set("X-Fuzz-Seq", strconv.FormatInt(seq.Add(1), 10))
 		mu.Lock()
-		handled = append(handled, fuzzRecord{r.Method, r.Header.Clone()})
+		i := len(handled)
+		handled = append(handled, fuzzRecord{method: r.Method, path: r.URL.Path, header: r.Header.Clone()})
 		mu.Unlock()
 		rt.Routes().ServeHTTP(w, r)
+		mu.Lock()
+		handled[i].answered = w.Header().Get(NodeHeader) != ""
+		mu.Unlock()
 	}))
 	defer front.Close()
 
@@ -513,9 +626,9 @@ func FuzzRoutedHead(f *testing.F) {
 		return append(saw, handled[fromHandled:]...), append(got, upstream[fromUpstream:]...)
 	}
 
-	f.Fuzz(func(t *testing.T, method, k1, v1, k2, v2 string, bodyLen uint16) {
+	f.Fuzz(func(t *testing.T, method, name, k1, v1, k2, v2 string, bodyLen uint16) {
 		n := int(min(bodyLen, 48<<10))
-		raw := method + " /function/f HTTP/1.1\r\nHost: router\r\nConnection: close\r\n" +
+		raw := method + " /function/" + name + " HTTP/1.1\r\nHost: router\r\nConnection: close\r\n" +
 			k1 + ": " + v1 + "\r\n" + k2 + ": " + v2 + "\r\n" +
 			"Content-Length: " + strconv.Itoa(n) + "\r\n\r\n" + strings.Repeat("b", n)
 		mu.Lock()
@@ -539,8 +652,8 @@ func FuzzRoutedHead(f *testing.F) {
 				t.Fatalf("request %s reached the node twice", id)
 			}
 			forwarded[id] = true
-			if up.method != h.method {
-				t.Fatalf("request %s: method %q reached the node as %q", id, h.method, up.method)
+			if up.method != h.method || up.path != h.path {
+				t.Fatalf("request %s: %s %q reached the node as %s %q", id, h.method, h.path, up.method, up.path)
 			}
 			if tp := up.header["Traceparent"]; len(tp) != 1 {
 				t.Fatalf("request %s reached the node with traceparent %q, want the router's one", id, tp)
@@ -559,6 +672,11 @@ func FuzzRoutedHead(f *testing.F) {
 				t.Fatalf("request %s reached the node with\n%v\nwant the handler's minus the hop-by-hop set:\n%v", id, have, want)
 			}
 		}
+		for id, h := range bySeq {
+			if h.answered && !forwarded[id] {
+				t.Fatalf("request %s: the router relayed a node's answer to %s %q, which the node never parsed", id, h.method, h.path)
+			}
+		}
 
 		// The next request through the router is the next the node parses.
 		mu.Lock()
@@ -573,21 +691,52 @@ func FuzzRoutedHead(f *testing.F) {
 }
 
 // A member's URL names what an invocation dials and says: the scheme's
-// port when the URL has none, the URL's host as Host, and its path as
-// the prefix of /function/.
+// port when the URL has none, the URL's host as Host, and its escaped
+// path as the prefix of /function/. A URL whose parts would reach the
+// wire as something else is no member: Join refuses it.
 func TestNodeDialAddress(t *testing.T) {
-	for _, tc := range []struct{ url, addr, host, path string }{
-		{"http://n1:8080", "n1:8080", "n1:8080", ""},
-		{"http://n1", "n1:80", "n1", ""},
-		{"https://n1", "n1:443", "n1", ""},
-		{"http://[::1]", "[::1]:80", "[::1]", ""},
-		{"http://[::1]:9", "[::1]:9", "[::1]:9", ""},
-		{"http://n1:8080/hotc", "n1:8080", "n1:8080", "/hotc"},
+	for _, tc := range []struct{ url, key, addr, host, path string }{
+		{"http://n1:8080", "http://n1:8080", "n1:8080", "n1:8080", ""},
+		{"n1:8080/", "http://n1:8080", "n1:8080", "n1:8080", ""},
+		{"http://n1", "http://n1", "n1:80", "n1", ""},
+		{"https://n1", "https://n1", "n1:443", "n1", ""},
+		{"http://[::1]", "http://[::1]", "[::1]:80", "[::1]", ""},
+		{"http://[::1]:9", "http://[::1]:9", "[::1]:9", "[::1]:9", ""},
+		{"http://n1:8080/hotc", "http://n1:8080/hotc", "n1:8080", "n1:8080", "/hotc"},
+		{"http://n1:8080/a b", "http://n1:8080/a%20b", "n1:8080", "n1:8080", "/a%20b"},
 	} {
-		n := newNode(tc.url)
-		if n.addr != tc.addr || n.host != tc.host || n.path != tc.path || n.tls != strings.HasPrefix(tc.url, "https") {
-			t.Errorf("%s: dials %q (tls %v) with Host %q under %q; want %q, %q, %q",
-				tc.url, n.addr, n.tls, n.host, n.path, tc.addr, tc.host, tc.path)
+		u, err := parseMember(tc.url)
+		if err != nil {
+			t.Errorf("%s: %v", tc.url, err)
+			continue
 		}
+		n := newNode(u)
+		if n.url != tc.key || n.addr != tc.addr || n.host != tc.host || n.path != tc.path || n.tls != strings.HasPrefix(tc.url, "https") {
+			t.Errorf("%s: member %q dials %q (tls %v) with Host %q under %q; want %q, %q, %q, %q",
+				tc.url, n.url, n.addr, n.tls, n.host, n.path, tc.key, tc.addr, tc.host, tc.path)
+		}
+	}
+	rt := bareRouter(t, "")
+	for _, bad := range []string{
+		"http://u:p@n1:8080",            // credentials
+		"http://u@n1",                   // a user alone
+		"http://n1:8080/?q=1",           // query
+		"http://n1:8080?",               // empty query
+		"http://n1:8080#frag",           // fragment
+		"http://n1\r\nX-Evil: 1",        // CR LF in the host
+		"http://n1:8080/a\r\nX-Evil: 1", // CR LF in the path
+		"http://n1:8080/a\x00",          // NUL in the path
+		"http://n 1:8080",               // a space in the host
+		"http://caf\u00e9:8080",         // a non-ASCII host
+		"http://n1:port",                // no port
+		"http:///hotc",                  // no host
+		"ftp://n1",                      // scheme
+	} {
+		if u, err := rt.Join(bad); err == nil {
+			t.Errorf("Join(%q) = %q, want an error", bad, u)
+		}
+	}
+	if got := len(rt.Nodes()); got != 0 {
+		t.Errorf("%d members after refused joins, want 0", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -188,7 +189,9 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 // more on a fresh connection, and that is no failure of the node.
 func (rt *Router) forward(orig *http.Request, n *node, name string, buf []byte, tail io.Reader, traceparent string) (*http.Response, error) {
 	ctx := orig.Context()
-	head := hop.Head{Method: orig.Method, Path: n.path + "/function/" + name, Header: orig.Header, Traceparent: traceparent}
+	// name is the decoded path segment: escaped again, it cannot end the
+	// request line early, and the node decodes the same name.
+	head := hop.Head{Method: orig.Method, Path: n.path + "/function/" + url.PathEscape(name), Header: orig.Header, Traceparent: traceparent}
 	var replay *bytes.Reader
 	body, length := tail, orig.ContentLength
 	if tail == nil {

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -249,46 +250,64 @@ func (rt *Router) Registry() *obs.Registry { return rt.reg }
 // given to New after its defaults were resolved.
 func (rt *Router) Config() Config { return rt.cfg }
 
-// normalizeURL defaults the scheme and strips a trailing slash.
-func normalizeURL(u string) (string, error) {
-	u = strings.TrimRight(strings.TrimSpace(u), "/")
-	if u == "" {
-		return "", fmt.Errorf("router: empty node URL")
+// parseMember parses a node URL: the scheme defaults to http and a
+// trailing slash is dropped. The URL must name an http or https host
+// with at most a path — no userinfo, query or fragment — and url.Parse
+// refuses control bytes and a host it could not write as one.
+func parseMember(raw string) (*url.URL, error) {
+	s := strings.TrimRight(strings.TrimSpace(raw), "/")
+	if s == "" {
+		return nil, fmt.Errorf("router: empty node URL")
 	}
-	if !strings.Contains(u, "://") {
-		u = "http://" + u
+	if !strings.Contains(s, "://") {
+		s = "http://" + s
 	}
-	if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-		return "", fmt.Errorf("router: unsupported node URL %q", u)
+	u, err := url.Parse(s)
+	if err != nil {
+		return nil, fmt.Errorf("router: node URL: %w", err)
+	}
+	switch {
+	case u.Scheme != "http" && u.Scheme != "https":
+		return nil, fmt.Errorf("router: unsupported node URL %q", s)
+	case u.Host == "":
+		return nil, fmt.Errorf("router: node URL %q names no host", s)
+	case u.User != nil:
+		return nil, fmt.Errorf("router: node URL %q carries credentials", s)
+	case u.RawQuery != "" || u.ForceQuery || strings.ContainsRune(s, '#'):
+		return nil, fmt.Errorf("router: node URL %q has a query or fragment", s)
+	case strings.IndexFunc(u.Host, func(r rune) bool { return r >= 0x80 }) >= 0:
+		return nil, fmt.Errorf("router: node URL %q has a non-ASCII host", s)
 	}
 	return u, nil
 }
 
-func nodeName(url string) string {
-	name := strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
-	return name
+// normalizeURL is a member's key: its URL as parseMember reads it.
+func normalizeURL(raw string) (string, error) {
+	u, err := parseMember(raw)
+	if err != nil {
+		return "", err
+	}
+	return u.String(), nil
 }
 
-// newNode is a member's record for a normalized URL. The dial address
-// gets the scheme's default port when the URL names none.
-func newNode(u string) *node {
-	rest, secure := strings.CutPrefix(u, "https://")
-	if !secure {
-		rest = strings.TrimPrefix(u, "http://")
-	}
-	host, path := rest, ""
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		host, path = rest[:i], rest[i:]
-	}
-	addr := host
-	if i := strings.LastIndexByte(host, ':'); i < 0 || i < strings.LastIndexByte(host, ']') {
+func nodeName(u string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(u, "http://"), "https://")
+}
+
+// newNode is a member's record for a parsed URL. The dial address gets
+// the scheme's default port when the URL names none.
+func newNode(u *url.URL) *node {
+	secure := u.Scheme == "https"
+	addr := u.Host
+	if u.Port() == "" {
+		port := "80"
 		if secure {
-			addr += ":443"
-		} else {
-			addr += ":80"
+			port = "443"
 		}
+		addr = net.JoinHostPort(u.Hostname(), port)
 	}
-	return &node{url: u, name: nodeName(u), addr: addr, host: host, path: path, tls: secure,
+	key := u.String()
+	return &node{url: key, name: nodeName(key), addr: addr, host: u.Host, path: u.EscapedPath(), tls: secure,
 		healthy: true, warm: map[string]int{}}
 }
 
@@ -308,16 +327,17 @@ func upstreamTLS(client *http.Client) *tls.Config {
 // the router so the newcomer serves the same functions. It reports
 // the normalized URL.
 func (rt *Router) Join(rawURL string) (string, error) {
-	u, err := normalizeURL(rawURL)
+	parsed, err := parseMember(rawURL)
 	if err != nil {
 		return "", err
 	}
+	u := parsed.String()
 	rt.mu.Lock()
 	if _, ok := rt.nodes[u]; ok {
 		rt.mu.Unlock()
 		return u, nil
 	}
-	n := newNode(u)
+	n := newNode(parsed)
 	rt.nodes[u] = n
 	rt.ring.Add(u)
 	replay := make([]deploy, len(rt.deploys))
