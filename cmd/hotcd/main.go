@@ -48,7 +48,7 @@ func main() {
 		maxInFl   = flag.Int("max-inflight", 128, "max concurrently executing requests per function; excess queues for admission (0 = admission control off)")
 		queueLen  = flag.Int("queue-depth", 256, "max queued requests per tenant per function before 429 + Retry-After")
 		deadline  = flag.Duration("default-deadline", 0, "deadline applied to requests without an X-Hotc-Deadline-Ms header: queued requests past it are shed with 429, in-flight backend work is canceled (0 = none)")
-		memBudget = flag.Int64("memory-budget", 0, "estimated warm-instance memory budget in bytes across all functions; the janitor reclaims from the biggest holders first (0 = unlimited)")
+		memBudget = flag.Int64("memory-budget", 0, "estimated warm-instance memory budget in bytes across all functions; past it the janitor reclaims idle generic watchdogs, then the longest-idle warm instances first (0 = unlimited)")
 		noTrace   = flag.Bool("no-trace", false, "disable live request tracing (/system/trace and traceparent propagation)")
 		trCap     = flag.Int("trace-capacity", 2048, "span ring capacity behind /system/trace")
 		trSample  = flag.Float64("trace-sample", 0.01, "probabilistic keep rate for unremarkable successful spans; errors, sheds, cold starts and slow requests are always kept (negative = always-keep classes only)")
@@ -147,7 +147,7 @@ func main() {
 		fmt.Println("admission: off (-max-inflight 0)")
 	}
 	if rc.MemoryBudget > 0 {
-		fmt.Printf("warm memory budget: %d bytes (janitor reclaims biggest holders past it, generic watchdogs first)\n", rc.MemoryBudget)
+		fmt.Printf("warm memory budget: %d bytes (janitor reclaims past it: generic watchdogs, then the longest idle first)\n", rc.MemoryBudget)
 	}
 	if rc.Prefork {
 		fmt.Printf("cold path: prefork pool size=%d generic-boot=%v; cold starts pay pull+app-init only (X-Hotc-Boot: generic|cold)\n",

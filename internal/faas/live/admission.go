@@ -114,149 +114,6 @@ func (g *Gateway) AdmissionStats() map[string]admission.Stats {
 	return out
 }
 
-// WarmMemoryStats reports the estimated warm-instance memory footprint
-// against the configured budget (both zero when no budget is set).
-type WarmMemoryStats struct {
-	BudgetBytes int64 `json:"budgetBytes"`
-	WarmBytes   int64 `json:"warmBytes"`
-	// Reclaimed counts instances evicted by budget pressure.
-	Reclaimed int `json:"reclaimed"`
-}
-
-// instanceMemBytes is what one warm instance or idle generic counts
-// against MemoryBudget: the order of a small language runtime's RSS.
-const instanceMemBytes = 64 << 20
-
-// WarmMemory snapshots the memory-budget accounting. Idle generic
-// pre-forked watchdogs count against the budget like any other warm
-// instance.
-func (g *Gateway) WarmMemory() WarmMemoryStats {
-	if g.cfg.MemoryBudget <= 0 {
-		return WarmMemoryStats{}
-	}
-	total := 0
-	for _, s := range g.snapshotShards() {
-		total += int(s.m.warm.Value())
-	}
-	if g.cold.pool != nil {
-		total += g.cold.pool.Idle()
-	}
-	return WarmMemoryStats{
-		BudgetBytes: g.cfg.MemoryBudget,
-		WarmBytes:   int64(total) * instanceMemBytes,
-		Reclaimed:   int(g.obs.admMemReclaimed.Value()),
-	}
-}
-
-// reclaimMemoryOnce enforces the warm-memory budget: when the summed
-// per-instance estimates exceed it, warm capacity is reclaimed from
-// the functions holding the most (the over-quota tenants), oldest
-// instances first, until the estimate fits. Water-filling keeps the
-// eviction proportional: every shard is cut down to the same level L
-// before any shard below L loses an instance. Runs from the janitor;
-// tests call it directly. Returns the number of instances reclaimed.
-func (g *Gateway) reclaimMemoryOnce() int {
-	budget := g.cfg.MemoryBudget
-	if budget <= 0 || g.stopped.Load() {
-		return 0
-	}
-	budgetInst := int(budget / instanceMemBytes)
-
-	shards := g.snapshotShards()
-	counts := make([]int, len(shards))
-	total := 0
-	for i, s := range shards {
-		counts[i] = int(s.m.warm.Value())
-		total += counts[i]
-	}
-	generics := 0
-	if g.cold.pool != nil {
-		generics = g.cold.pool.Idle()
-		total += generics
-	}
-	ins := g.obs
-	ins.admMemBytes.Set(float64(total) * instanceMemBytes)
-	if total <= budgetInst {
-		return 0
-	}
-
-	// Generic pre-forked watchdogs are the cheapest memory to hand
-	// back — no function state or warm affinity is lost, and the pool
-	// re-grows whenever the budget allows — so they go first, oldest
-	// first.
-	reapedGen := 0
-	if excess := total - budgetInst; generics > 0 {
-		want := excess
-		if want > generics {
-			want = generics
-		}
-		reapedGen = g.cold.pool.Reap(want)
-		ins.coldReaped.Add(float64(reapedGen))
-		total -= reapedGen
-	}
-
-	// Water-filling over the warm shards for the remainder: find the
-	// level L such that capping every shard at L fits the budget, then
-	// each shard's quota is what it holds past L (spread one-by-one
-	// across the largest when L is fractional). The remaining generics
-	// (all reaped by now unless the pool emptied mid-scan) stay counted
-	// against the shard budget; the quota is all zero when reaping
-	// generics already fit it.
-	quota := overQuota(counts, budgetInst-(generics-reapedGen))
-
-	var doomed []*instance
-	for i, s := range shards {
-		if quota[i] <= 0 {
-			continue
-		}
-		s.mu.Lock()
-		doomed = append(doomed, s.takeOldestLocked(quota[i], evictBudget)...)
-		s.mu.Unlock()
-	}
-	reclaimed := reapedGen + len(doomed)
-	if reclaimed > 0 {
-		ins.admMemReclaimed.Add(float64(reclaimed))
-		ins.admMemBytes.Set(float64(total-len(doomed)) * instanceMemBytes)
-	}
-	stopAll(doomed)
-	return reclaimed
-}
-
-// overQuota distributes the eviction burden of fitting counts into
-// budget: shards are cut down toward a common water level, largest
-// holders first, and nobody below the level is touched. Equal holders
-// give in index order — name order, counts being in registry order.
-// Returns the per-shard eviction quota.
-func overQuota(counts []int, budget int) []int {
-	quota := make([]int, len(counts))
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	excess := total - budget
-	if excess <= 0 || len(counts) == 0 {
-		return quota
-	}
-	// Peel one instance at a time from the current largest holder:
-	// O(excess * n) with tiny constants, and exactly the water-filling
-	// result without fractional-level bookkeeping.
-	remaining := append([]int(nil), counts...)
-	for evicted := 0; evicted < excess; evicted++ {
-		best := 0
-		for i := range remaining {
-			if remaining[i] > remaining[best] {
-				best = i
-			}
-		}
-		if remaining[best] == 0 {
-			break
-		}
-		remaining[best]--
-		quota[best]++
-	}
-	return quota
-}
-
 // statusClientClosedRequest is the span status for requests abandoned
 // by their client before any status line went out (nginx's 499
 // convention) — not a wire status, only trace/SLO bookkeeping.

@@ -363,79 +363,6 @@ func TestStopDrainsQueuedAdmissionWaiters(t *testing.T) {
 	}
 }
 
-// The janitor's memory budget reclaims warm capacity from the largest
-// holders first (water-filling): the function hoarding 4 instances is
-// cut before the one holding 2 loses anything.
-func TestMemoryBudgetReclaimsLargestHoldersFirst(t *testing.T) {
-	g := New(PoolConfig{
-		MemoryBudget: 4 * instanceMemBytes, // budget = 4 instances
-	})
-	for _, spec := range []struct {
-		name string
-		warm int
-	}{{"big", 4}, {"small", 2}} {
-		if err := g.Register(echoFn(spec.name, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
-
-	warmUp := func(name string, n int) {
-		var wg sync.WaitGroup
-		gate := make(chan struct{})
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				req, _ := http.NewRequest(http.MethodPost, base+"/function/"+name, &gatedReader{gate: gate})
-				resp, err := http.DefaultClient.Do(req)
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}()
-		}
-		// All n requests are in flight (each pinning an instance)
-		// before any completes, so n instances exist.
-		time.Sleep(50 * time.Millisecond)
-		close(gate)
-		wg.Wait()
-	}
-	warmUp("big", 4)
-	warmUp("small", 2)
-	if b, s := g.WarmInstances("big"), g.WarmInstances("small"); b != 4 || s != 2 {
-		t.Fatalf("warm = big:%d small:%d, want 4/2", b, s)
-	}
-
-	if n := g.reclaimMemoryOnce(); n != 2 {
-		t.Fatalf("reclaimed %d instances, want 2 (6 warm, budget 4)", n)
-	}
-	if b, s := g.WarmInstances("big"), g.WarmInstances("small"); b != 2 || s != 2 {
-		t.Fatalf("post-reclaim warm = big:%d small:%d, want 2/2 (largest holder pays)", b, s)
-	}
-	mem := g.WarmMemory()
-	if mem.Reclaimed != 2 || mem.WarmBytes != 4*instanceMemBytes || mem.BudgetBytes != 4*instanceMemBytes {
-		t.Fatalf("WarmMemory = %+v", mem)
-	}
-	// Under budget now: another pass is a no-op.
-	if n := g.reclaimMemoryOnce(); n != 0 {
-		t.Fatalf("under-budget reclaim evicted %d", n)
-	}
-}
-
-// gatedReader blocks the request body until gate closes, then EOFs:
-// the cheapest way to pin a request in flight without a busy handler.
-type gatedReader struct{ gate chan struct{} }
-
-func (r *gatedReader) Read(p []byte) (int, error) {
-	<-r.gate
-	return 0, io.EOF
-}
-
 // Admission, adaptive control, the janitor's memory reclaim and stat
 // snapshots all churn concurrently under -race: four workers hammer
 // three functions through the full handler (tenants, deadlines,
@@ -491,7 +418,7 @@ func TestAdmissionChurnWithControlLoops(t *testing.T) {
 		for _, name := range names {
 			g.controlOnce(name, clk.Advance(time.Millisecond))
 		}
-		g.janitorOnce(clk.Now()) // includes reclaimMemoryOnce
+		g.janitorOnce(clk.Now()) // expiry and the budget, one pass
 		g.AdmissionStats()
 		g.WarmMemory()
 		g.Stats()

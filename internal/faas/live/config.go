@@ -72,9 +72,9 @@ type PoolConfig struct {
 	// (unlisted tenants weigh 1).
 	TenantWeights map[string]int
 	// MemoryBudget bounds estimated warm-instance memory across all
-	// functions, in bytes (0 = unlimited), at 64 MiB per instance; the
-	// janitor reclaims from the biggest holders first, oldest instances
-	// first, when exceeded.
+	// functions, in bytes (0 = unlimited), at 64 MiB per instance; when
+	// it is exceeded the janitor reclaims idle generics first, then the
+	// longest-idle warm instances, whichever functions hold them.
 	MemoryBudget int64
 	// DisableTracing turns live request tracing off. Tracing is on by
 	// default: its sampled-out path costs a handful of atomics per

@@ -192,37 +192,118 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	}
 }
 
-// janitorOnce enforces the keep-alive once, oldest first; expired
-// instances are stopped outside the locks, concurrently. Shards are
-// scanned one at a time — a function with a huge idle list delays only
-// its own requests, not every function's. Tests call it with
-// deterministic now values. A stopped gateway is left alone: Stop
-// already owns teardown, and racing it could double-stop or resurrect
-// state.
-func (g *Gateway) janitorOnce(now time.Time) {
-	if g.stopped.Load() {
-		return
+// janitorOnce is the janitor stage of the control cycle: one reclaim
+// pass at now under the configured keep-alive. Tests call it with
+// deterministic now values.
+func (g *Gateway) janitorOnce(now time.Time) { g.reclaim(now, g.cfg.IdleTTL) }
+
+// WarmMemoryStats reports the estimated warm-instance memory footprint
+// against the configured budget (both zero when no budget is set).
+type WarmMemoryStats struct {
+	BudgetBytes int64 `json:"budgetBytes"`
+	WarmBytes   int64 `json:"warmBytes"`
+	// Reclaimed counts instances evicted by budget pressure.
+	Reclaimed int `json:"reclaimed"`
+}
+
+// instanceMemBytes is what one warm instance or idle generic counts
+// against MemoryBudget: the order of a small language runtime's RSS.
+const instanceMemBytes = 64 << 20
+
+// WarmMemory snapshots the memory-budget accounting. Idle generic
+// pre-forked watchdogs count against the budget like any other warm
+// instance.
+func (g *Gateway) WarmMemory() WarmMemoryStats {
+	if g.cfg.MemoryBudget <= 0 {
+		return WarmMemoryStats{}
 	}
-	var doomed []*instance
+	total := 0
 	for _, s := range g.snapshotShards() {
+		total += int(s.m.warm.Value())
+	}
+	if g.cold.pool != nil {
+		total += g.cold.pool.Idle()
+	}
+	return WarmMemoryStats{
+		BudgetBytes: g.cfg.MemoryBudget,
+		WarmBytes:   int64(total) * instanceMemBytes,
+		Reclaimed:   int(g.obs.admMemReclaimed.Value()),
+	}
+}
+
+// reclaim is the janitor's one pass over the registry, in name order.
+// Each shard's warm instances idle for ttl or longer expire (none when
+// ttl is zero). Then, with a memory budget armed, what the summed
+// per-instance estimates hold over the budget is given back: idle
+// generics first — they carry no function state, and the pre-forked
+// pool re-grows whenever the budget allows — then the warm instances
+// kernel.Reclaim picks, the longest idle first, ties in name order.
+// A shard's list is in parking order, so its victims are a prefix of
+// it. Everything taken is stopped outside the locks, concurrently. It
+// returns the number of instances the budget reclaimed. A stopped
+// gateway is left alone: Stop already owns teardown, and racing it
+// could double-stop or resurrect state.
+func (g *Gateway) reclaim(now time.Time, ttl time.Duration) int {
+	if g.stopped.Load() {
+		return 0
+	}
+	budget := g.cfg.MemoryBudget > 0
+	shards := g.snapshotShards()
+	var doomed []*instance
+	var ages []time.Duration // what expiry left idle, shard by shard in list order
+	var owner []int          // the index in shards of each entry of ages
+	for i, s := range shards {
 		s.mu.Lock()
 		if g.stopped.Load() {
 			s.mu.Unlock()
 			break
 		}
-		// The list is in parking order, so the expired are a prefix.
 		expired := 0
-		for g.cfg.IdleTTL > 0 && expired < len(s.idle) && now.Sub(s.idle[expired].idleSince) >= g.cfg.IdleTTL {
+		for ttl > 0 && expired < len(s.idle) && now.Sub(s.idle[expired].idleSince) >= ttl {
 			expired++
 		}
 		doomed = append(doomed, s.takeOldestLocked(expired, evictExpired)...)
+		if budget {
+			for _, inst := range s.idle {
+				ages = append(ages, now.Sub(inst.idleSince))
+				owner = append(owner, i)
+			}
+		}
 		s.mu.Unlock()
 	}
+	if !budget || g.stopped.Load() {
+		stopAll(doomed)
+		return 0
+	}
+
+	generics := 0
+	if g.cold.pool != nil {
+		generics = g.cold.pool.Idle()
+	}
+	held, reclaimed := len(ages)+generics, 0
+	if excess := held - int(g.cfg.MemoryBudget/instanceMemBytes); excess > 0 {
+		if generics > 0 {
+			reclaimed = g.cold.pool.Reap(min(excess, generics))
+			g.obs.coldReaped.Add(float64(reclaimed))
+		}
+		take := make([]int, len(shards))
+		for _, v := range kernel.Reclaim(ages, excess-reclaimed) {
+			take[owner[v]]++
+		}
+		for i, s := range shards {
+			if take[i] > 0 {
+				s.mu.Lock()
+				victims := s.takeOldestLocked(take[i], evictBudget)
+				s.mu.Unlock()
+				doomed = append(doomed, victims...)
+				reclaimed += len(victims)
+			}
+		}
+		g.obs.admMemReclaimed.Add(float64(reclaimed))
+	}
+	g.obs.admMemBytes.Set(float64(held-reclaimed) * instanceMemBytes)
 	stopAll(doomed)
-	// With a memory budget armed, the same scan enforces it: reclaim
-	// warm capacity from the biggest holders once the summed estimates
-	// exceed the budget.
-	g.reclaimMemoryOnce()
+	return reclaimed
 }
 
 // PredictionTrace is one function's live controller trace: the

@@ -3,6 +3,7 @@ package live
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -315,6 +316,109 @@ func TestJanitorNoopAfterStop(t *testing.T) {
 	if st := g.Stats(); st.Expired != 0 {
 		t.Fatalf("janitor expired %d instances on a stopped gateway", st.Expired)
 	}
+}
+
+// reclaimMemoryOnce is the janitor's pass with the keep-alive off: the
+// memory budget alone, at the gateway's now.
+func (g *Gateway) reclaimMemoryOnce() int { return g.reclaim(g.nowFn(), 0) }
+
+// Over the memory budget the longest-idle warm instances go first,
+// whichever function holds them: "quiet" parked two a minute ago and
+// "hot" four just now, so over a four-instance budget both of quiet's
+// go and hot keeps its four.
+func TestMemoryBudgetReclaimsLongestIdleFirst(t *testing.T) {
+	g := New(PoolConfig{MemoryBudget: 4 * instanceMemBytes})
+	defer g.Stop()
+	clk := newFakeClock()
+	g.nowFn = clk.Now
+	for _, name := range []string{"hot", "quiet"} {
+		if err := g.Register(echoFn(name, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		park(t, g, "quiet", clk.Now())
+	}
+	clk.Advance(time.Minute)
+	for i := 0; i < 4; i++ {
+		park(t, g, "hot", clk.Now())
+	}
+
+	if n := g.reclaimMemoryOnce(); n != 2 {
+		t.Fatalf("reclaimed %d instances, want 2 (6 warm, budget 4)", n)
+	}
+	if got := warmCounts(g); got["hot"] != 4 || got["quiet"] != 0 {
+		t.Fatalf("post-reclaim warm = %v, want hot:4 quiet:0 (the longest idle go first)", got)
+	}
+	mem := g.WarmMemory()
+	if mem.Reclaimed != 2 || mem.WarmBytes != 4*instanceMemBytes || mem.BudgetBytes != 4*instanceMemBytes {
+		t.Fatalf("WarmMemory = %+v", mem)
+	}
+	// Under budget now: another pass is a no-op.
+	if n := g.reclaimMemoryOnce(); n != 0 {
+		t.Fatalf("under-budget reclaim evicted %d", n)
+	}
+}
+
+// A function busy every round keeps its working set under budget
+// pressure: its instances are always the most recently parked, so a
+// quieter function's go first and, after warm-up, every hot request is
+// a warm hit, although the hot function is the largest holder.
+func TestBudgetSparesTheHotFunction(t *testing.T) {
+	g := New(PoolConfig{MemoryBudget: 4 * instanceMemBytes})
+	defer g.Stop()
+	clk := newFakeClock()
+	g.nowFn = clk.Now
+	type held struct{ entered, release chan struct{} }
+	fns := map[string]held{}
+	for _, name := range []string{"hot", "quiet"} {
+		h := held{make(chan struct{}), make(chan struct{})}
+		if err := g.Register(blockingFn(name, h.entered, h.release)); err != nil {
+			t.Fatal(err)
+		}
+		fns[name] = h
+	}
+	// burst serves n concurrent requests, all holding an instance at
+	// once, and returns how many of them missed the warm pool.
+	burst := func(name string, n int) int {
+		h := fns[name]
+		recs := make([]*httptest.ResponseRecorder, n)
+		var wg sync.WaitGroup
+		for i := range recs {
+			recs[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func(rec *httptest.ResponseRecorder) {
+				defer wg.Done()
+				g.handle(rec, httptest.NewRequest(http.MethodPost, "/function/"+name, strings.NewReader("x")))
+			}(recs[i])
+		}
+		for range recs {
+			<-h.entered
+		}
+		for range recs {
+			h.release <- struct{}{}
+		}
+		wg.Wait()
+		misses := 0
+		for _, rec := range recs {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", name, rec.Code)
+			}
+			if rec.Header().Get("X-Hotc-Reused") != "true" {
+				misses++
+			}
+		}
+		return misses
+	}
+	for round := 0; round < 5; round++ {
+		burst("quiet", 2)
+		clk.Advance(time.Second)
+		if misses := burst("hot", 4); round > 0 && misses != 0 {
+			t.Fatalf("round %d: hot missed %d of 4 after warm-up", round, misses)
+		}
+		g.janitorOnce(clk.Advance(time.Second))
+	}
+	checkPool(t, g)
 }
 
 // Race coverage: acquire/release traffic, controller ticks, janitor

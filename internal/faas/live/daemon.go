@@ -259,17 +259,29 @@ type DeploySpec struct {
 	MemoryMB int `json:"memoryMB,omitempty"`
 }
 
+// maxBootMs bounds a deploy's boot delays — ColdStartMs, each explicit
+// phase and the phases' sum — to what a time.Duration holds, as
+// maxDeadlineMs bounds a deadline: a larger delay would wrap negative.
+const maxBootMs = maxDeadlineMs
+
 // Deploy registers a function from a spec.
 func (d *Daemon) Deploy(spec DeploySpec) error {
 	fn, err := builtinFunction(spec.Handler)
 	if err != nil {
 		return err
 	}
-	if spec.ColdStartMs < 0 {
-		return fmt.Errorf("live: negative cold start")
+	if spec.ColdStartMs < 0 || int64(spec.ColdStartMs) > maxBootMs {
+		return fmt.Errorf("live: coldStartMs %d outside [0, %d]", spec.ColdStartMs, maxBootMs)
 	}
-	if spec.PullMs < 0 || spec.RuntimeInitMs < 0 || spec.AppInitMs < 0 {
-		return fmt.Errorf("live: negative boot phase")
+	var phases int64
+	for _, ms := range []int{spec.PullMs, spec.RuntimeInitMs, spec.AppInitMs} {
+		if ms < 0 || int64(ms) > maxBootMs {
+			return fmt.Errorf("live: boot phase of %d ms outside [0, %d]", ms, maxBootMs)
+		}
+		phases += int64(ms)
+	}
+	if phases > maxBootMs {
+		return fmt.Errorf("live: boot phases sum to %d ms, over %d", phases, maxBootMs)
 	}
 	if spec.Image != "" {
 		// An unknown image would silently degrade to no-image boots

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -151,6 +152,86 @@ func TestDaemonDeployValidation(t *testing.T) {
 	if string(body) != "3" {
 		t.Fatalf("wordcount = %q", body)
 	}
+}
+
+// A boot delay past what a time.Duration holds wrapped negative and
+// made every boot instant: ColdStartMs, each explicit phase and the
+// phases' sum are refused above maxBootMs, and the largest delay
+// accepted stays a positive boot.
+func TestDeployRefusesBootDelaysThatWrap(t *testing.T) {
+	d := NewDaemon(PoolConfig{})
+	defer d.Stop()
+	for _, spec := range []DeploySpec{
+		{ColdStartMs: 9223372036855},
+		{PullMs: 9223372036855},
+		{AppInitMs: 9223372036855},
+		{PullMs: 4e12, RuntimeInitMs: 4e12, AppInitMs: 4e12},
+	} {
+		spec.Name, spec.Handler = "f", "echo"
+		if err := d.Deploy(spec); err == nil {
+			t.Errorf("%+v accepted: boot phases %+v", spec, d.gw.phasesFor(d.gw.shard("f").fn))
+		}
+	}
+	for _, spec := range []DeploySpec{
+		{ColdStartMs: 9223372036854},
+		{PullMs: 3e12, RuntimeInitMs: 3e12, AppInitMs: 3e12},
+	} {
+		spec.Name, spec.Handler = "max", "echo"
+		if err := d.Deploy(spec); err != nil {
+			t.Fatalf("%+v refused: %v", spec, err)
+		}
+		if ph := d.gw.phasesFor(d.gw.shard("max").fn); ph.pull <= 0 || ph.runtime <= 0 || ph.app <= 0 {
+			t.Fatalf("%+v: boot phases %+v, want all positive", spec, ph)
+		}
+	}
+}
+
+// FuzzDeploySpec posts arbitrary JSON to POST /system/functions:
+// nothing panics, and a spec the daemon accepts boots with phases that
+// are each non-negative and sum without wrapping.
+func FuzzDeploySpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"f","handler":"echo"}`,
+		`{"name":"f","handler":"upper","coldStartMs":400}`,
+		`{"name":"f","handler":"echo","coldStartMs":9223372036854}`,
+		`{"name":"f","handler":"echo","coldStartMs":9223372036855}`,
+		`{"name":"f","handler":"echo","pullMs":4000000000000,"runtimeInitMs":4000000000000,"appInitMs":4000000000000}`,
+		`{"name":"f","handler":"echo","pullMs":-1}`,
+		`{"name":"f","handler":"echo","coldStartMs":1e3}`,
+		`{"name":"f","handler":"wordcount","image":"python:3.8","pullMs":5,"appInitMs":1}`,
+		`{"name":"f","handler":"echo","image":"no-such-image:1.0"}`,
+		`{"name":"f","handler":"echo","memoryMB":-1,"shareable":false}`,
+		`{"name":"","handler":"echo"}`,
+		`{"name":"f","handler":"teleport"}`,
+		`not json`,
+	} {
+		f.Add(seed)
+	}
+	d := NewDaemon(PoolConfig{})
+	f.Cleanup(d.Stop)
+	mux := d.routes()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/system/functions", strings.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var spec DeploySpec
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&spec); err != nil {
+			t.Fatalf("%q accepted but does not decode: %v", body, err)
+		}
+		s := d.gw.shard(spec.Name)
+		if s == nil {
+			t.Fatalf("%q accepted but %q is not deployed", body, spec.Name)
+		}
+		s.mu.Lock()
+		fn := s.fn
+		s.mu.Unlock()
+		ph := d.gw.phasesFor(fn)
+		if fn.ColdStart < 0 || ph.pull < 0 || ph.runtime < 0 || ph.app < 0 || ph.pull+ph.runtime+ph.app < 0 {
+			t.Fatalf("%q accepted with cold start %v and boot phases %+v", body, fn.ColdStart, ph)
+		}
+	})
 }
 
 func TestDaemonMethodNotAllowed(t *testing.T) {

@@ -305,7 +305,7 @@ const (
 	notEvicted     evictReason = iota
 	evictScaleDown             // the controller's Retire
 	evictCap                   // release parks one past MaxIdlePerFunction
-	evictBudget                // the memory budget's water-fill
+	evictBudget                // the memory budget's reclaim
 	evictRedeploy              // Register drains the old deployment
 	evictExpired               // the janitor's keep-alive
 	numEvictReasons

@@ -16,6 +16,7 @@ import (
 
 	"hotc/internal/config"
 	"hotc/internal/container"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 	"hotc/internal/sharing"
 	"hotc/internal/workload"
@@ -56,8 +57,9 @@ type Options struct {
 	// costs more than the lease saves. Zero disables the gate (any
 	// available container qualifies).
 	ShareIdleGrace time.Duration
-	// Eviction selects the forced-eviction victim order (default
-	// EvictOldest, the paper's choice).
+	// Eviction selects the age forced eviction goes by: creation
+	// (EvictOldest, the default and the paper's choice) or last use
+	// (EvictLRU).
 	Eviction EvictionPolicy
 	// HealthCheck, when non-nil, vets every pooled container before it
 	// is handed out. A container that fails the check is quarantined —
@@ -311,7 +313,7 @@ func (p *Pool) Fresh(spec *container.Spec, done func(c *container.Container, reu
 		}
 	}
 	k := p.entryFor(spec)
-	p.makeRoom()
+	p.evictDownTo(p.opts.MaxLive - 1)
 	p.eng.Create(spec, func(c *container.Container, err error) {
 		if err != nil {
 			done(nil, false, config.Delta{}, err)
@@ -437,23 +439,8 @@ func (p *Pool) released(k *keyed) {
 	// The pool may have grown past its cap while every container was
 	// busy (requests must still be served); shrink back now that a
 	// container has become evictable.
-	p.shrinkToCap()
+	p.evictDownTo(p.opts.MaxLive)
 	p.sync(k)
-}
-
-// shrinkToCap evicts oldest available containers until the pool is
-// back within its live cap and memory threshold.
-func (p *Pool) shrinkToCap() {
-	for p.Live() > p.opts.MaxLive {
-		if !p.EvictOldest() {
-			return
-		}
-	}
-	for p.memoryPressure() {
-		if !p.EvictOldest() {
-			return
-		}
-	}
 }
 
 // Prewarm creates and initialises n containers for the spec/app pair
@@ -468,7 +455,7 @@ func (p *Pool) Prewarm(spec *container.Spec, app workload.App, n int, done func(
 			done(fmt.Errorf("pool: at capacity (%d live)", p.Live()))
 			continue
 		}
-		p.makeRoom()
+		p.evictDownTo(p.opts.MaxLive - 1)
 		p.prewarm(spec, app, done)
 	}
 }
@@ -536,31 +523,39 @@ func (p *Pool) Available(spec *container.Spec) []*container.Container {
 	return out
 }
 
-// EvictOldest force-stops one available container chosen by the pool's
-// eviction policy — by default the oldest (§IV.B: "the oldest live
+// EvictOldest force-stops the one available container kernel.Reclaim
+// picks — by default the oldest by creation (§IV.B: "the oldest live
 // container is forcibly terminated and releases the resources"), or
-// the least recently used under EvictLRU; containers created (or last
-// used) at the same instant fall back to ID order. It reports whether
-// a container was evicted.
+// the least recently used under EvictLRU. The candidates go in in
+// creation-then-ID order, Reclaim's tie order, so containers created
+// (or last used) at the same instant give way in ID order. It reports
+// whether a container was evicted.
 func (p *Pool) EvictOldest() bool {
-	var victim *container.Container
-	lru := p.opts.Eviction == EvictLRU
+	var avail []*container.Container
 	for _, k := range p.byKey {
 		if k == nil {
 			continue
 		}
 		for _, c := range k.list {
-			if c.State() != container.Available {
-				continue
-			}
-			if victim == nil || age(c, victim, lru) < 0 {
-				victim = c
+			if c.State() == container.Available {
+				avail = append(avail, c)
 			}
 		}
 	}
-	if victim == nil {
+	if len(avail) == 0 {
 		return false
 	}
+	slices.SortFunc(avail, func(a, b *container.Container) int { return age(a, b, false) })
+	now := p.eng.Scheduler().Now()
+	ages := make([]time.Duration, len(avail))
+	for i, c := range avail {
+		since := c.CreatedAt
+		if p.opts.Eviction == EvictLRU {
+			since = c.LastUsedAt
+		}
+		ages[i] = now - since
+	}
+	victim := avail[kernel.Reclaim(ages, 1)[0]]
 	p.remove(victim)
 	p.obs.evictions.Inc()
 	p.eng.Stop(victim, nil)
@@ -602,17 +597,14 @@ func (p *Pool) anyAvailable() bool {
 	return false
 }
 
-// makeRoom enforces the live-container cap and the memory threshold by
-// evicting oldest available containers ("If there exist too many
-// containers or fewer resources, the oldest live container is forcibly
-// terminated").
-func (p *Pool) makeRoom() {
-	for p.Live() >= p.opts.MaxLive {
-		if !p.EvictOldest() {
-			return // everything is busy; nothing to evict
-		}
-	}
-	for p.memoryPressure() {
+// evictDownTo enforces the live-container cap and the memory threshold
+// by evicting with EvictOldest until at most limit containers live and
+// memory is under the threshold ("If there exist too many containers
+// or fewer resources, the oldest live container is forcibly
+// terminated"): MaxLive-1 before a create, MaxLive after a release.
+// Everything busy leaves nothing to evict, and the pool stays over.
+func (p *Pool) evictDownTo(limit int) {
+	for p.Live() > limit || p.memoryPressure() {
 		if !p.EvictOldest() {
 			return
 		}
@@ -699,24 +691,4 @@ func removeFrom(list []*container.Container, c *container.Container) []*containe
 		}
 	}
 	return list
-}
-
-// OldestAge returns the age of the oldest live container at the given
-// virtual time, or zero when the pool is empty.
-func (p *Pool) OldestAge(now time.Duration) time.Duration {
-	var oldest *container.Container
-	for _, k := range p.byKey {
-		if k == nil {
-			continue
-		}
-		for _, c := range k.list {
-			if oldest == nil || c.CreatedAt < oldest.CreatedAt {
-				oldest = c
-			}
-		}
-	}
-	if oldest == nil {
-		return 0
-	}
-	return now - oldest.CreatedAt
 }

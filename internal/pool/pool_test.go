@@ -413,19 +413,6 @@ func TestAcquirePropagatesCreateError(t *testing.T) {
 	}
 }
 
-func TestOldestAge(t *testing.T) {
-	f := newFixture(t, Options{})
-	if f.pool.OldestAge(f.sched.Now()) != 0 {
-		t.Fatal("empty pool should report zero age")
-	}
-	c, _ := f.acquire(t, pySpec(t, f))
-	f.execAndRelease(t, c, workload.QRApp(workload.Python))
-	f.sched.Sleep(time.Minute)
-	if age := f.pool.OldestAge(f.sched.Now()); age < time.Minute {
-		t.Fatalf("age = %v", age)
-	}
-}
-
 func TestEvictionPolicyLRU(t *testing.T) {
 	// Three runtime types at cap 3. The oldest container is the most
 	// recently used: oldest-first evicts it, LRU spares it.

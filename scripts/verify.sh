@@ -282,6 +282,28 @@ if grep -rnE --include='*.go' --exclude-dir=.bench_build 'lendableLocked|bestSin
 	echo "verify: a lender scan of its own: build sharing.Offer records and let sharing.Pick choose" >&2
 	exit 1
 fi
+echo "== one reclaim rule (the simulated pool and the live gateway pick every over-limit victim with kernel.Reclaim)"
+# The pool evicted the oldest available container through two
+# near-identical loops (makeRoom before a create, shrinkToCap after a
+# release) while the gateway's memory budget water-filled (overQuota),
+# taking from the largest holder: under load, the hot function. So
+# non-test Go calls kernel.Reclaim once in internal/pool (EvictOldest)
+# and once in internal/faas/live (the janitor's reclaim) and nowhere
+# else, and neither the water-fill nor a second eviction loop comes
+# back.
+sites="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build \
+	-E '(^|[^A-Za-z_.])Reclaim\(|kernel\.Reclaim\(' . | grep -v 'func Reclaim(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)"
+if [ "$(echo "$sites" | grep -c '^\./internal/pool/')" -ne 1 ] ||
+	[ "$(echo "$sites" | grep -c '^\./internal/faas/live/')" -ne 1 ] ||
+	[ "$(echo "$sites" | grep -c .)" -ne 2 ]; then
+	echo "$sites" >&2
+	echo "verify: kernel.Reclaim must be called once in internal/pool and once in internal/faas/live: both substrates give capacity back by the one rule" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' --exclude-dir=.bench_build 'overQuota|makeRoom|shrinkToCap' . >&2; then
+	echo "verify: a reclaim rule or eviction loop of its own: feed the ages to kernel.Reclaim (the pool evicts through evictDownTo and EvictOldest)" >&2
+	exit 1
+fi
 echo "== layers (the kernel is a leaf; the live stack links no simulator package, the simulator no live one)"
 # Every decision and metric family both substrates share lives in
 # internal/kernel. Before it, the shared rules sat in core, faas and
