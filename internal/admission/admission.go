@@ -191,7 +191,7 @@ type Ticket struct {
 func (t *Ticket) Waited() time.Duration { return t.waited }
 
 // Tenant reports the tenant the queue billed the request to: the name
-// Acquire was given, or the shared overflow tenant once the queue tracks maxTenants
+// Acquire was given, or the shared overflow tenant once the queue tracks MaxTenants
 // others — a bounded set, safe to use as a metric label.
 func (t *Ticket) Tenant() string { return t.tq.name }
 
@@ -349,14 +349,15 @@ func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket
 	}
 }
 
-// maxTenants bounds the distinct tenants one queue tracks. The name is
+// MaxTenants bounds the distinct tenants one queue tracks. The name is
 // client-controlled (the X-Hotc-Tenant header) and a tenantQ lives as
 // long as its queue, so without a bound a scan of random names grows
-// the map — and every label keyed off it — forever.
-const maxTenants = 1024
+// the map — and every label keyed off it — forever. The overflow
+// tenant and those listed in Config.Weights come on top.
+const MaxTenants = 1024
 
 // overflowTenant is the one queue shared by every tenant that arrives
-// after maxTenants others: together they get one tenant's depth and one
+// after MaxTenants others: together they get one tenant's depth and one
 // tenant's share of dispatch.
 const overflowTenant = "~overflow"
 
@@ -372,7 +373,7 @@ func (q *Queue) tenantLocked(name string) *tenantQ {
 		if w > 0 {
 			weight = w
 		}
-	} else if len(q.tenants) >= maxTenants && name != overflowTenant {
+	} else if len(q.tenants) >= MaxTenants && name != overflowTenant {
 		return q.tenantLocked(overflowTenant)
 	}
 	tq := &tenantQ{name: name, weight: weight}

@@ -234,7 +234,7 @@ func checkWeightedDispatch(t *testing.T, q *Queue) {
 }
 
 // A flood of distinct tenant names — the name is a client-controlled
-// header — leaves the queue tracking a bounded set: maxTenants of them
+// header — leaves the queue tracking a bounded set: MaxTenants of them
 // keep their own queue, the rest share the overflow tenant's, and the
 // tenants Config.Weights lists still get their own queue and their
 // weighted share however late they arrive.
@@ -247,23 +247,23 @@ func TestTenantCardinalityBounded(t *testing.T) {
 		if rej != nil {
 			t.Fatalf("tenant %d rejected: %v", i, rej)
 		}
-		if want := fmt.Sprintf("scan-%d", i); i < maxTenants && tk.Tenant() != want {
+		if want := fmt.Sprintf("scan-%d", i); i < MaxTenants && tk.Tenant() != want {
 			t.Fatalf("ticket %d bills %q, want %q", i, tk.Tenant(), want)
-		} else if i >= maxTenants && tk.Tenant() != overflowTenant {
+		} else if i >= MaxTenants && tk.Tenant() != overflowTenant {
 			t.Fatalf("ticket %d bills %q, want the overflow tenant", i, tk.Tenant())
 		}
 		tk.Done()
 	}
 	st := q.Snapshot()
-	if got := len(st.Tenants); got != maxTenants+1 {
-		t.Fatalf("%d tenants tracked after %d distinct names, want %d and the overflow tenant", got, flood, maxTenants)
+	if got := len(st.Tenants); got != MaxTenants+1 {
+		t.Fatalf("%d tenants tracked after %d distinct names, want %d and the overflow tenant", got, flood, MaxTenants)
 	}
-	if got := st.Tenants[overflowTenant].Admitted; got != flood-maxTenants {
-		t.Fatalf("overflow tenant admitted %d, want %d", got, flood-maxTenants)
+	if got := st.Tenants[overflowTenant].Admitted; got != flood-MaxTenants {
+		t.Fatalf("overflow tenant admitted %d, want %d", got, flood-MaxTenants)
 	}
 
 	checkWeightedDispatch(t, q)
-	if got, bound := len(q.Snapshot().Tenants), maxTenants+1+len(cfg.Weights); got > bound {
+	if got, bound := len(q.Snapshot().Tenants), MaxTenants+1+len(cfg.Weights); got > bound {
 		t.Fatalf("%d tenants tracked, bound %d", got, bound)
 	}
 }

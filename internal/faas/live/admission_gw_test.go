@@ -496,3 +496,50 @@ func FuzzDeadlineHeader(f *testing.F) {
 		}
 	})
 }
+
+// X-Hotc-Tenant is any string a client sends: empty, 64 KiB long, full
+// of control bytes, or one of more names than a queue tracks. Whatever
+// it is, g.handle answers 200 or a refusal the books counted, the
+// queue tracks at most admission.MaxTenants names and the overflow
+// tenant, and the goodput family has no more series than that. spread
+// adds that many further distinct names, so a seed can pass the bound.
+// The gateway persists across inputs, as the queue does on a daemon.
+// The seed corpus runs with the suite.
+func FuzzTenantHeader(f *testing.F) {
+	f.Add("", uint16(0))
+	f.Add("acme", uint16(0))
+	f.Add(strings.Repeat("t", 64<<10), uint16(0))
+	f.Add("\x00\x01\t\r\n\x7f\xff", uint16(0))
+	f.Add("~overflow", uint16(0))
+	f.Add("scan", uint16(admission.MaxTenants+16))
+	g := New(PoolConfig{MaxInFlight: 4, QueueDepth: 4})
+	f.Cleanup(g.Stop)
+	if err := g.Register(echoFn("f", 0)); err != nil {
+		f.Fatal(err)
+	}
+	const bound = admission.MaxTenants + 1 // and the overflow tenant
+	f.Fuzz(func(t *testing.T, tenant string, spread uint16) {
+		for i := 0; i <= int(spread)%(2*admission.MaxTenants); i++ {
+			name := tenant
+			if i > 0 {
+				name += "-" + strconv.Itoa(i)
+			}
+			refused := metricSum(t, g.reg, "hotc_requests_total", "f", "rejected")
+			rec := postHeader(g, "f", strings.NewReader("x"), map[string]string{TenantHeader: name})
+			switch {
+			case rec.Code == http.StatusOK:
+				if rec.Body.String() != "echo:x" {
+					t.Fatalf("tenant %q: body %q", name, rec.Body)
+				}
+			case metricSum(t, g.reg, "hotc_requests_total", "f", "rejected") != refused+1:
+				t.Fatalf("tenant %q: status %d, neither served nor a counted refusal", name, rec.Code)
+			}
+		}
+		if n := len(g.AdmissionStats()["f"].Tenants); n > bound {
+			t.Fatalf("the queue tracks %d tenants, want at most %d", n, bound)
+		}
+		if n := seriesCount(t, g.reg, "hotc_adm_goodput_total"); n > bound {
+			t.Fatalf("hotc_adm_goodput_total has %d series, want at most %d", n, bound)
+		}
+	})
+}

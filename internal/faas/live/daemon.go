@@ -57,7 +57,7 @@ func builtinFunction(name string) (Function, error) {
 	switch name {
 	case "echo":
 		return Function{Stream: func(r io.Reader, w io.Writer) error {
-			_, err := copyPooled(w, r)
+			_, err := hop.Copy(w, r)
 			return err
 		}}, nil
 	case "upper":
@@ -192,12 +192,15 @@ func upperASCII(p []byte) {
 
 // wordcountStream counts whitespace-separated words without ever
 // holding more than one token: a bufio scanner over a pooled buffer,
-// strconv.Itoa for the allocation-free reply.
+// strconv.Itoa for the allocation-free reply. The scanner's token
+// limit is the larger of its buffer's capacity and the max it is
+// given, so the chunk is capped at bufio.MaxScanTokenSize: a word of
+// 64 KiB or more fails whatever hop.BufSize is.
 func wordcountStream(r io.Reader, w io.Writer) error {
 	bp := hop.GetBuf()
 	defer hop.PutBuf(bp)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(*bp, bufio.MaxScanTokenSize)
+	sc.Buffer((*bp)[:bufio.MaxScanTokenSize:bufio.MaxScanTokenSize], bufio.MaxScanTokenSize)
 	sc.Split(bufio.ScanWords)
 	count := 0
 	for sc.Scan() {

@@ -33,42 +33,6 @@ const drainLimit = 256 << 10
 // bodyBufPool recycles the compat shim's whole-body buffers.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// copyPooled streams src into dst through a pooled chunk buffer
-// (hop.GetBuf's). It is io.CopyBuffer minus the WriterTo/ReaderFrom
-// delegation and the interface re-boxing needed to defeat it: the copy
-// always goes through the pooled buffer, so steady-state throughput
-// costs zero heap allocations regardless of the endpoints' concrete
-// types.
-func copyPooled(dst io.Writer, src io.Reader) (written int64, err error) {
-	bp := hop.GetBuf()
-	buf := *bp
-	for {
-		nr, rerr := src.Read(buf)
-		if nr > 0 {
-			nw, werr := dst.Write(buf[:nr])
-			if nw > 0 {
-				written += int64(nw)
-			}
-			if werr != nil {
-				err = werr
-				break
-			}
-			if nw != nr {
-				err = io.ErrShortWrite
-				break
-			}
-		}
-		if rerr != nil {
-			if rerr != io.EOF {
-				err = rerr
-			}
-			break
-		}
-	}
-	hop.PutBuf(bp)
-	return written, err
-}
-
 // getBodyBuf hands out a reset whole-body buffer for the compat shim.
 func getBodyBuf() *bytes.Buffer {
 	buf := bodyBufPool.Get().(*bytes.Buffer)

@@ -3,7 +3,6 @@ package live
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -96,13 +95,7 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 			})
 		})
 		b.Run("stream_"+sizeLabel(size), func(b *testing.B) {
-			benchThroughput(b, size, Function{
-				Name: "f",
-				Stream: func(r io.Reader, w io.Writer) error {
-					_, err := copyPooled(w, r)
-					return err
-				},
-			})
+			benchThroughput(b, size, Function{Name: "f", Stream: streamEcho})
 		})
 	}
 }

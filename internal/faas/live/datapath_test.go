@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -19,7 +20,7 @@ import (
 // streamEcho is the canonical StreamHandler: a pooled pass-through
 // copy, never holding more than one chunk.
 func streamEcho(r io.Reader, w io.Writer) error {
-	_, err := copyPooled(w, r)
+	_, err := hop.Copy(w, r)
 	return err
 }
 
@@ -203,9 +204,9 @@ func TestDaemonMaxBodySize(t *testing.T) {
 	}
 }
 
-// upperStream must never split a UTF-8 rune across its 32 KiB chunk
-// boundary: a leading ASCII byte misaligns a run of two-byte runes so
-// every chunk ends mid-rune.
+// upperStream must never split a UTF-8 rune across its hop.BufSize
+// chunk boundary: a leading ASCII byte misaligns a run of two-byte
+// runes so every chunk ends mid-rune.
 func TestUpperStreamRuneBoundaries(t *testing.T) {
 	in := "a" + strings.Repeat("é", hop.BufSize)
 	var out bytes.Buffer
@@ -243,6 +244,21 @@ func TestWordcountStream(t *testing.T) {
 	}
 }
 
+// wordcount's word limit is bufio.MaxScanTokenSize whatever the copy
+// chunk: a word one byte short of 64 KiB counts and a 64 KiB word fails
+// (the scanner needs the byte after a word to end it).
+func TestWordcountWordLimit(t *testing.T) {
+	const limit = bufio.MaxScanTokenSize
+	var out bytes.Buffer
+	if err := wordcountStream(strings.NewReader(strings.Repeat("w", limit-1)+" x"), &out); err != nil || out.String() != "2" {
+		t.Errorf("a %d B word: count %q, err %v; want 2", limit-1, out.String(), err)
+	}
+	out.Reset()
+	if err := wordcountStream(strings.NewReader(strings.Repeat("w", limit)+" x"), &out); err != bufio.ErrTooLong {
+		t.Errorf("a %d B word: count %q, err %v; want bufio.ErrTooLong", limit, out.String(), err)
+	}
+}
+
 // The streaming builtins behave like their buffered ancestors end to
 // end through the daemon.
 func TestBuiltinStreamsViaDaemon(t *testing.T) {
@@ -274,17 +290,17 @@ func TestCopyPooledZeroAlloc(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte("z"), 64<<10)
 	src := bytes.NewReader(payload)
-	if _, err := copyPooled(io.Discard, src); err != nil { // warm the pool
+	if _, err := hop.Copy(io.Discard, src); err != nil { // warm the pool
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		src.Reset(payload)
-		if _, err := copyPooled(io.Discard, src); err != nil {
+		if _, err := hop.Copy(io.Discard, src); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs >= 1 {
-		t.Fatalf("copyPooled allocates %.1f objects per copy; the pooled path must stay at 0", allocs)
+		t.Fatalf("hop.Copy allocates %.1f objects per copy; the pooled path must stay at 0", allocs)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"hotc/internal/hop"
 )
 
 // zeros is an endless request body that costs no memory.
@@ -148,7 +150,7 @@ func FuzzHopExchange(f *testing.F) {
 				}
 				var buf bytes.Buffer
 				src := readTracker{r: resp.Body}
-				if _, err := copyPooled(&buf, &src); err != nil && src.failed {
+				if _, err := hop.Copy(&buf, &src); err != nil && src.failed {
 					c.Abort()
 					return
 				}

@@ -5,15 +5,20 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hotc/internal/hop"
 )
 
 // connTracker wraps a gateway's dial hook: how many connections the
@@ -139,7 +144,7 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || resp.ContentLength != 64 {
 			t.Fatalf("status %d, length %d: the request did not go out as %q", resp.StatusCode, resp.ContentLength, want)
 		}
-		if n, err := copyPooled(io.Discard, resp.Body); err != nil || n != 64 {
+		if n, err := hop.Copy(io.Discard, resp.Body); err != nil || n != 64 {
 			t.Fatalf("body: %d bytes, %v", n, err)
 		}
 		if !c.Finish() {
@@ -459,10 +464,10 @@ func TestDeadlineAbortsBlockedBodyWriter(t *testing.T) {
 	}
 }
 
-// A handler that answers without reading its (large) request leaves a
-// connection that cannot be reused: the response still reaches the
-// client, and the instance re-dials before it re-enters the pool, so
-// the next warm hit finds a working connection.
+// A handler that answers without reading its (large) request still
+// leaves a working connection: the watchdog drains the unread body, so
+// the exchange ends at a message boundary, the hop keeps the
+// connection and the next warm hit reuses it without a re-dial.
 func TestEarlyResponseRedials(t *testing.T) {
 	g := NewGateway(true)
 	conns := trackConns(g)
@@ -482,8 +487,8 @@ func TestEarlyResponseRedials(t *testing.T) {
 		if got := rec.Header().Get("X-Hotc-Reused"); got != wantReused {
 			t.Fatalf("round %d: X-Hotc-Reused = %q, want %q", i, got, wantReused)
 		}
-		if dials, open := conns.dials.Load(), conns.open.Load(); dials != int64(i+2) || open != 1 {
-			t.Fatalf("round %d: %d dials, %d open; want %d dials (boot + one re-dial per round) and 1 open", i, dials, open, i+2)
+		if dials, open := conns.dials.Load(), conns.open.Load(); dials != 1 || open != 1 {
+			t.Fatalf("round %d: %d dials, %d open; want the boot's 1 dial, kept open", i, dials, open)
 		}
 	}
 	if got := g.ResilienceCounters()["proxy.failures"]; got != 0 {
@@ -619,7 +624,7 @@ func BenchmarkHopRoundTrip(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if n, err := copyPooled(io.Discard, resp.Body); err != nil || n != int64(size) {
+				if n, err := hop.Copy(io.Discard, resp.Body); err != nil || n != int64(size) {
 					b.Fatalf("echo: %d bytes, %v", n, err)
 				}
 				if !inst.hop.Finish() {
@@ -627,5 +632,61 @@ func BenchmarkHopRoundTrip(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// lockedLog collects the standard logger's output, where a watchdog's
+// http.Server reports a panic in a handler it serves.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// A stream function that answers before reading its body leaves the
+// rest to the watchdog, which drains it before the exchange ends. A
+// 1 MiB remainder fits the socket buffers, so the hop's body writer
+// finishes in time and the connection is kept; were the body left
+// unread, net/http would close that connection under the next
+// request (it discards at most 256 KiB of a body a handler left), which
+// would then fail and charge the breaker. Every request answers, one
+// boot serves all five and the watchdog never panics.
+func TestStreamAnswerBeforeBodyKeepsInstance(t *testing.T) {
+	var logged lockedLog
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	g := NewGateway(true)
+	if err := g.Register(Function{Name: "early", Stream: func(_ io.Reader, w io.Writer) error {
+		_, err := io.WriteString(w, "early")
+		return err
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, size := range []int{1 << 20, 10, 10, 1 << 20, 10} {
+		rec := postHeader(g, "early", bytes.NewReader(make([]byte, size)), nil)
+		if rec.Code != http.StatusOK || rec.Body.String() != "early" {
+			t.Fatalf("request %d (%d B): status %d body %q", i, size, rec.Code, rec.Body)
+		}
+	}
+	g.Stop()
+	if st := g.Stats(); st.ColdStarts != 1 || st.Reused != 4 {
+		t.Errorf("%d cold starts, %d reused; want 1 and 4", st.ColdStarts, st.Reused)
+	}
+	if got := g.ResilienceCounters()["proxy.failures"]; got != 0 {
+		t.Errorf("proxy.failures = %d for a function that answered early", got)
+	}
+	if strings.Contains(logged.String(), "panic serving") {
+		t.Errorf("a watchdog panicked:\n%s", logged.String())
 	}
 }

@@ -824,7 +824,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	// Forward the watchdog's response headers (Content-Type etc.) and
 	// length before committing the status line, then stream the body to
 	// the client through a pooled chunk buffer: the gateway never holds
-	// more than one 32 KiB chunk of any response in memory, and at
+	// more than one hop.BufSize chunk of any response in memory, and at
 	// steady state the copy allocates nothing. Streaming functions
 	// produce response bytes while the request body is still being
 	// forwarded, so the gateway's own server must run full duplex —
@@ -853,7 +853,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	}
 	w.WriteHeader(resp.StatusCode)
 	src := readTracker{r: resp.Body}
-	n, copyErr := copyPooled(w, &src)
+	n, copyErr := hop.Copy(w, &src)
 	if copyErr != nil && src.failed {
 		// The backend read died mid-stream. The status line is already
 		// committed, so the client sees a truncated body; the instance

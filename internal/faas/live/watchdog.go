@@ -1,9 +1,12 @@
 package live
 
 import (
+	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"hotc/internal/hop"
 )
 
 // This file is the watchdog's side of the hop: the handler a specialized
@@ -73,6 +76,12 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody 
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}
+		// Read what the handler left of the body, so the exchange ends
+		// at a message boundary and the gateway keeps its connection.
+		// Left unread, more than net/http's 256 KiB makes it close the
+		// connection under a gateway that may already have re-pooled it.
+		// The body limit bounds the drain; a tripped limit ends it.
+		hop.Copy(io.Discard, body)
 		return
 	}
 	buf := getBodyBuf()

@@ -2,11 +2,13 @@ package hop
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"io"
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -178,5 +180,80 @@ func TestStreamedExchangeEndsSettled(t *testing.T) {
 			t.Errorf("deaf=%v: the exchange ended with its body writer unaccounted for", deaf)
 		}
 		c.Close()
+	}
+}
+
+// countingConn counts the Write calls made on a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// A 1 MiB body of known length goes out in BufSize chunks: the head
+// and the first chunk fill the write buffer once and the rest of that
+// chunk bypasses it, so 8 chunks cost 9 writes (32 KiB chunks cost 32).
+func TestRoundTripWritesWholeChunks(t *testing.T) {
+	client, peer := net.Pipe()
+	go func() {
+		req, err := http.ReadRequest(bufio.NewReader(peer))
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, req.Body)
+		io.WriteString(peer, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+	}()
+	counted := &countingConn{Conn: client}
+	c := New(counted, "node:1")
+	t.Cleanup(c.Close)
+	body := make([]byte, 1<<20)
+	resp, err := c.RoundTrip(context.Background(), Head{Method: http.MethodPost, Path: "/"}, bytes.NewReader(body), int64(len(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	if !c.Finish() {
+		t.Fatal("a clean exchange must leave the connection reusable")
+	}
+	if n := counted.writes.Load(); n > 9 {
+		t.Errorf("a 1 MiB body took %d writes, want at most 9", n)
+	}
+}
+
+// writeCounter discards what it is given and counts the calls.
+type writeCounter int
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	*w++
+	return len(p), nil
+}
+
+// Copy moves 1 MiB in 8 BufSize writes, delegating to neither end, and
+// once the pool is warm it allocates nothing.
+func TestCopyWholeChunksZeroAlloc(t *testing.T) {
+	payload := make([]byte, 1<<20)
+	src := bytes.NewReader(payload)
+	var w writeCounter
+	if n, err := Copy(&w, src); err != nil || n != int64(len(payload)) {
+		t.Fatalf("copied %d bytes, err %v; want %d", n, err, len(payload))
+	}
+	if w > 8 {
+		t.Errorf("1 MiB took %d writes, want at most 8", w)
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation perturbs AllocsPerRun
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(payload)
+		if _, err := Copy(&w, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1 {
+		t.Errorf("Copy allocates %.1f objects per copy, want 0", allocs)
 	}
 }

@@ -304,7 +304,9 @@ func (n *node) closeIdle() {
 }
 
 // finish relays the upstream response (or synthesizes a failure),
-// stamps the router headers and records the request metrics.
+// stamps the router headers and records the request metrics. The body
+// moves in hop.Copy's chunks, as on the gateway's relay: net/http's
+// ReadFrom would copy it in 32 KiB ones.
 func (rt *Router) finish(w http.ResponseWriter, outcome string, start time.Time, tc obs.TraceContext, attempts int, n *node, resp *http.Response) {
 	rt.mRequests.With(outcome).Inc()
 	rt.mLatency.With(outcome).ObserveDuration(time.Since(start))
@@ -342,7 +344,7 @@ func (rt *Router) finish(w http.ResponseWriter, outcome string, start time.Time,
 		return
 	}
 	w.WriteHeader(status)
-	io.Copy(w, body)
+	hop.Copy(w, body)
 	body.Close()
 }
 
@@ -426,7 +428,7 @@ func (rt *Router) handleFunctions(w http.ResponseWriter, r *http.Request) {
 			defer resp.Body.Close()
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(resp.StatusCode)
-			io.Copy(w, resp.Body)
+			hop.Copy(w, resp.Body)
 			return
 		}
 		writeJSON(w, http.StatusOK, []string{})

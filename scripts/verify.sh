@@ -113,6 +113,29 @@ if grep -nE 'http\.Transport|\.Do\(' $(ls "$LIVE"/*.go | grep -v '_test\.go$') i
 	echo "verify: a /function/ forward through net/http's client: use a hop.Conn (the gateway's per instance, the router's per node free list)" >&2
 	exit 1
 fi
+echo "== one copy loop (live and router: bodies move through hop.Copy in hop.BufSize chunks)"
+# Three copy loops moved bodies: the gateway's copyPooled, and the
+# router's io.Copy into its ResponseWriter, which net/http's ReadFrom
+# runs in its own 32 KiB chunks. Every chunk is a read and a write on a
+# socket, so a smaller second chunk size costs syscalls on every body.
+# So non-test internal/faas/live and internal/router call no
+# io.Copy/io.CopyBuffer/io.CopyN except into io.Discard, copyPooled does
+# not come back, and the only byte chunk those two and internal/hop
+# make is hop's pooled BufSize chunk.
+COPIERS="$(ls "$LIVE"/*.go internal/router/*.go | grep -v '_test\.go$')"
+if grep -nE 'io\.Copy(Buffer|N)?\(' $COPIERS | grep -vE 'io\.Copy(Buffer|N)?\(io\.Discard,' >&2; then
+	echo "verify: a body copy outside hop.Copy: move bytes with hop.Copy (into io.Discard, io.Copy is fine)" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' 'copyPooled' . >&2; then
+	echo "verify: copyPooled is back: hop.Copy is the one copy loop" >&2
+	exit 1
+fi
+n="$(ls $COPIERS internal/hop/*.go | grep -v '_test\.go$' | xargs grep -h 'make(\[\]byte' | grep -vc '^[[:space:]]*//' || true)"
+if [ "$n" -ne 1 ]; then
+	echo "verify: $n byte chunks are made in $LIVE, internal/router and internal/hop (want 1, hop's BufSize pool): take a chunk with hop.GetBuf" >&2
+	exit 1
+fi
 echo "== wired once (sim: engine, host monitor, gateway and pre-pull only in internal/stack)"
 # The simulator's half: hotc.NewSimulation, bench.NewEnv and every
 # cluster node are one stack.New. Three hand-wired copies drifted before
@@ -367,13 +390,13 @@ go test -run '^$' -bench CampusReplay -benchtime=1x .
 echo "== alloc regression guard (non-race: AllocsPerRun)"
 # The race run above skips these: the detector's instrumentation
 # perturbs allocation counts. This non-race pass asserts the pooled
-# copy and the []byte shim stay at zero heap allocations per request,
+# copy (hop.Copy) and the []byte shim stay at zero heap allocations per request,
 # one warm watchdog-hop round trip and one routed forward with its relay
 # stay inside their budgets, and a warm
 # simulator replay stays inside its allocations per simulated request,
 # a warm hit with its exec and release allocates nothing, and the
 # scheduler recycles its events.
-go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/obs/ ./internal/router/ ./internal/simclock/
+go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/hop/ ./internal/obs/ ./internal/router/ ./internal/simclock/
 echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
 # The harness is its own module, so the root ./... above never reaches
 # it. The smoke run exits non-zero when an echo fails verification or
