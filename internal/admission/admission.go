@@ -356,6 +356,12 @@ func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket
 // tenant and those listed in Config.Weights come on top.
 const MaxTenants = 1024
 
+// MaxTenantName bounds the length of a tenant name a queue keeps. A
+// tracked name lives as long as its queue, so MaxTenants names of up to
+// the server's 1 MiB header limit could pin ~1 GiB per queue; a longer
+// name is billed to overflowTenant instead.
+const MaxTenantName = 256
+
 // overflowTenant is the one queue shared by every tenant that arrives
 // after MaxTenants others: together they get one tenant's depth and one
 // tenant's share of dispatch.
@@ -363,7 +369,7 @@ const overflowTenant = "~overflow"
 
 // tenantLocked resolves (lazily creating) a tenant's queue. Tenants
 // listed in Config.Weights always get their own; any other name past
-// the bound shares overflowTenant's.
+// either bound shares overflowTenant's.
 func (q *Queue) tenantLocked(name string) *tenantQ {
 	if tq := q.tenants[name]; tq != nil {
 		return tq
@@ -373,7 +379,7 @@ func (q *Queue) tenantLocked(name string) *tenantQ {
 		if w > 0 {
 			weight = w
 		}
-	} else if len(q.tenants) >= MaxTenants && name != overflowTenant {
+	} else if (len(q.tenants) >= MaxTenants || len(name) > MaxTenantName) && name != overflowTenant {
 		return q.tenantLocked(overflowTenant)
 	}
 	tq := &tenantQ{name: name, weight: weight}

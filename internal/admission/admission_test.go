@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,6 +266,34 @@ func TestTenantCardinalityBounded(t *testing.T) {
 	checkWeightedDispatch(t, q)
 	if got, bound := len(q.Snapshot().Tenants), MaxTenants+1+len(cfg.Weights); got > bound {
 		t.Fatalf("%d tenants tracked, bound %d", got, bound)
+	}
+}
+
+// A name over MaxTenantName bytes is billed to the overflow tenant and
+// never tracked, so long names cannot pin memory; one at the cap keeps
+// its own queue.
+func TestLongTenantNameBilledToOverflow(t *testing.T) {
+	q := New(Config{MaxInFlight: 1, QueueDepth: 1})
+	for _, tc := range []struct {
+		name, want string
+	}{
+		{strings.Repeat("a", MaxTenantName), strings.Repeat("a", MaxTenantName)},
+		{strings.Repeat("b", MaxTenantName+1), overflowTenant},
+		{strings.Repeat("c", 1<<20), overflowTenant},
+	} {
+		tk, rej := q.Acquire(context.Background(), tc.name, time.Time{})
+		if rej != nil {
+			t.Fatalf("%d-byte name rejected: %v", len(tc.name), rej)
+		}
+		if got := tk.Tenant(); got != tc.want {
+			t.Errorf("a %d-byte name bills %.20q, want %.20q", len(tc.name), got, tc.want)
+		}
+		tk.Done()
+	}
+	for name := range q.Snapshot().Tenants {
+		if len(name) > MaxTenantName {
+			t.Errorf("a %d-byte tenant name is tracked", len(name))
+		}
 	}
 }
 

@@ -220,7 +220,8 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 	}
 	err := g.sleep(ctx, info.wipe)
 	if err == nil {
-		wd.Specialize(watchdogHandler(fn, g.cfg.MaxBodyBytes))
+		wd.Specialize(watchdogHandler(fn))
+		wd.LimitBodies(g.cfg.MaxBodyBytes)
 		if pull {
 			info.pull, info.skippedMB = g.pullCost(ph)
 		}
@@ -233,7 +234,7 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 	}
 	if err != nil {
 		if conn != nil {
-			conn.Close() // before the watchdog: its shutdown waits on idle connections
+			conn.Close()
 		}
 		wd.Stop()
 	}

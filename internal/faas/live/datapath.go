@@ -65,19 +65,6 @@ func (t *readTracker) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// trackWriter counts bytes written so the watchdog knows whether a
-// failed StreamHandler already committed the response.
-type trackWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (t *trackWriter) Write(p []byte) (int, error) {
-	n, err := t.w.Write(p)
-	t.n += int64(n)
-	return n, err
-}
-
 // drainClose consumes up to drainLimit of the remaining body so the
 // connection underneath is left at a message boundary, reusable instead
 // of poisoned by unread bytes, then closes the body. On the success
@@ -98,7 +85,8 @@ func drainClose(rc io.ReadCloser) {
 }
 
 // isMaxBytesErr reports whether err (possibly wrapped, or flattened to
-// text by a handler) originates from an http.MaxBytesReader limit — the
+// text by a handler) originates from a body limit — the gateway's
+// http.MaxBytesReader or the watchdog's hop.Serve — the
 // signal to answer 413 instead of blaming the backend.
 func isMaxBytesErr(err error) bool {
 	var mbe *http.MaxBytesError

@@ -153,9 +153,9 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 	}
 	exchange()
 	if !raceEnabled {
-		// ReadResponse's share (response, header map and values, body
-		// reader) plus the context hook.
-		const budget = 11
+		// The reply's header map, its head as one string, one array for
+		// its values, and the context hook.
+		const budget = 6
 		if allocs := testing.AllocsPerRun(200, exchange); allocs > budget {
 			t.Errorf("one warm hop round trip allocates %.0f objects, budget %d", allocs, budget)
 		}
@@ -190,7 +190,7 @@ func TestHopForwardsDeclaredLength(t *testing.T) {
 	got := make(chan seen, 1)
 	idleInstances(g, "f")[0].wd.Specialize(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got <- seen{r.ContentLength, r.TransferEncoding}
-		serveFunction(w, r, fn, 0)
+		serveFunction(w, r, fn)
 	}))
 
 	payload := patternedPayload(256 << 10)
@@ -468,7 +468,7 @@ func TestDeadlineAbortsBlockedBodyWriter(t *testing.T) {
 // leaves a working connection: the watchdog drains the unread body, so
 // the exchange ends at a message boundary, the hop keeps the
 // connection and the next warm hit reuses it without a re-dial.
-func TestEarlyResponseRedials(t *testing.T) {
+func TestEarlyResponseKeepsConnection(t *testing.T) {
 	g := NewGateway(true)
 	conns := trackConns(g)
 	if err := g.Register(Function{Name: "terse", Stream: func(_ io.Reader, w io.Writer) error {
@@ -636,7 +636,7 @@ func BenchmarkHopRoundTrip(b *testing.B) {
 }
 
 // lockedLog collects the standard logger's output, where a watchdog's
-// http.Server reports a panic in a handler it serves.
+// hop.Serve reports a panic in a handler it serves.
 type lockedLog struct {
 	mu  sync.Mutex
 	buf bytes.Buffer

@@ -12,9 +12,9 @@ import (
 // TestMain adds an opt-in goroutine-leak pass over the whole package:
 // with HOTC_LEAKCHECK set (scripts/verify.sh does), the process fails
 // if the goroutine count has not returned to near the pre-test
-// baseline once every gateway is stopped. Leaked watchdog
-// http.Servers — the release-after-Stop class of bug — hold their
-// Serve goroutine forever and trip this.
+// baseline once every gateway is stopped. Leaked watchdogs — the
+// release-after-Stop class of bug — hold their accept loop forever and
+// trip this.
 func TestMain(m *testing.M) {
 	baseline := runtime.NumGoroutine()
 	code := m.Run()

@@ -1,9 +1,9 @@
 // Package live is a real (non-simulated) miniature of the OpenFaaS
 // pipeline the paper instruments: an HTTP gateway that proxies
 // requests to per-function watchdog processes over actual TCP sockets
-// on localhost. Each watchdog is an http.Server wrapping the function
-// handler — the role OpenFaaS's "tiny Golang HTTP server" plays inside
-// the container.
+// on localhost. Each watchdog is a loopback listener whose connections
+// internal/hop's server half answers with the function handler — the
+// role OpenFaaS's "tiny Golang HTTP server" plays inside the container.
 //
 // Cold start is modelled by a configurable delay when a new watchdog
 // instance boots (standing in for container creation, runtime init and
@@ -173,8 +173,7 @@ func (g *Gateway) newInstance(ctx context.Context, fn Function, wd *prefork.Watc
 	return &instance{fn: fn, wd: wd, hop: conn}, nil
 }
 
-// stop tears the instance down. The connection goes first: a watchdog
-// shutdown waits on connections that never carried a request.
+// stop tears the instance down: its connection, then its watchdog.
 func (i *instance) stop() {
 	i.hop.Close()
 	i.wd.Stop()
@@ -199,7 +198,7 @@ func watchdogHead(traceparent string) hop.Head {
 }
 
 // stopAll shuts instances down concurrently and waits for all of them:
-// each Shutdown can block up to its timeout on active connections, so
+// each watchdog's Stop can wait up to a second for a running handler, so
 // serial teardown would cost the sum instead of the max.
 func stopAll(insts []*instance) {
 	var wg sync.WaitGroup
@@ -816,7 +815,10 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		return ending{outcome: "error", status: http.StatusBadGateway,
 			refusal: err.Error(), errMsg: err.Error(), blame: "proxy.failures"}
 	}
+	// resp is the hop's own and valid only until the exchange ends: what
+	// outlives the release below is read out of it first.
 	rt.served = true
+	status := resp.StatusCode
 	if g.trace != nil {
 		g.trace.noteWatchdog(resp.Header, rt)
 	}
@@ -851,7 +853,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	if resp.ContentLength >= 0 {
 		hdr.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
-	w.WriteHeader(resp.StatusCode)
+	w.WriteHeader(status)
 	src := readTracker{r: resp.Body}
 	n, copyErr := hop.Copy(w, &src)
 	if copyErr != nil && src.failed {
@@ -866,7 +868,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		if ctx.Err() != nil {
 			return g.abandoned(req, true)
 		}
-		return ending{outcome: "error", status: resp.StatusCode,
+		return ending{outcome: "error", status: status,
 			errMsg: "backend read failed mid-stream", blame: "proxy.failures"}
 	}
 	// The round-trip worked (a handler-level error status is the
@@ -890,8 +892,8 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		g.obs.StartsCold.Inc()
 	}
 	g.obs.bodyBytes.Observe(float64(n))
-	if resp.StatusCode >= 400 {
-		return ending{outcome: "error", status: resp.StatusCode, healthy: true}
+	if status >= 400 {
+		return ending{outcome: "error", status: status, healthy: true}
 	}
 	// Per-tenant goodput: completed useful work, the number the
 	// saturation curves are drawn from. It bills the tenant the queue
@@ -901,7 +903,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		tenant = req.ticket.Tenant()
 	}
 	g.obs.admGoodput.With(tenant).Inc()
-	return ending{outcome: "ok", status: resp.StatusCode, healthy: true}
+	return ending{outcome: "ok", status: status, healthy: true}
 }
 
 // conclude is the one way out of handle: it turns an ending into every

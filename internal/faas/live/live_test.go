@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -222,9 +223,9 @@ func TestConcurrentRequestsGetDistinctInstances(t *testing.T) {
 
 // Regression: an in-flight request that finishes after Stop must tear
 // its instance down, not re-append it into the freshly-reset idle map
-// where its watchdog http.Server would leak forever. The handler
-// outlasts Stop's 1s shutdown grace so release() runs strictly after
-// Stop returned.
+// where its watchdog's accept loop would leak forever. The handler
+// outlasts Stop's 1s grace for running handlers so release() runs
+// strictly after Stop returned.
 func TestReleaseAfterStopTearsDownInstance(t *testing.T) {
 	g := NewGateway(true)
 	g.Register(Function{
@@ -389,6 +390,74 @@ func TestGatewayForwardsWatchdogHeaders(t *testing.T) {
 	}
 	if resp.Header.Get("X-Hotc-Reused") == "" {
 		t.Fatal("gateway's own header missing")
+	}
+}
+
+// What a client sees of a watchdog's reply through the gateway, pinned
+// at the last commit whose watchdogs ran net/http's server: the
+// Content-Type (sniffed by the gateway's own server now that the
+// watchdog's codec sniffs nothing), the Content-Length, http.Error's
+// X-Content-Type-Options and the gateway's X-Hotc-* headers, for a
+// bytes reply, a short and a long stream reply, a 413 and a 500, cold
+// and then warm.
+func TestWatchdogReplyHeadersUnchanged(t *testing.T) {
+	g := NewGateway(true)
+	for _, fn := range []Function{
+		echoFn("bytes", 0),
+		{Name: "stream", Stream: func(r io.Reader, w io.Writer) error { _, err := io.Copy(w, r); return err }},
+		{Name: "long", Stream: func(r io.Reader, w io.Writer) error { _, err := io.Copy(w, r); return err }},
+		{Name: "toolarge", Stream: func(io.Reader, io.Writer) error { return errors.New("http: request body too large") }},
+		{Name: "boom", Handler: func([]byte) ([]byte, error) { return nil, errors.New("kaput") }},
+	} {
+		if err := g.Register(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := g.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	const text, trace = "text/plain; charset=utf-8", "*"
+	for _, tc := range []struct {
+		fn     string
+		size   int
+		status int
+		want   map[string]string
+	}{
+		{"bytes", 64, 200, map[string]string{"Content-Type": text, "Content-Length": "69"}},
+		{"stream", 64, 200, map[string]string{"Content-Type": text, "Content-Length": "64"}},
+		{"long", 5000, 200, map[string]string{"Content-Type": text}},
+		{"toolarge", 64, 413, map[string]string{"Content-Type": text, "Content-Length": "29", "X-Content-Type-Options": "nosniff"}},
+		{"boom", 64, 500, map[string]string{"Content-Type": text, "Content-Length": "6", "X-Content-Type-Options": "nosniff"}},
+	} {
+		for _, warm := range []bool{false, true} {
+			resp, err := http.Post(base+"/function/"+tc.fn, "application/octet-stream", strings.NewReader(strings.Repeat("a", tc.size)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			got := map[string]string{}
+			for k, vs := range resp.Header {
+				switch {
+				case k == TraceIDHeader:
+					got[k] = trace
+				case k == "Content-Type", k == "Content-Length", k == "X-Content-Type-Options", strings.HasPrefix(k, "X-Hotc-"):
+					got[k] = strings.Join(vs, ",")
+				}
+			}
+			want := map[string]string{TraceIDHeader: trace, "X-Hotc-Reused": fmt.Sprint(warm)}
+			if !warm {
+				want[BootHeader] = "cold"
+			}
+			for k, v := range tc.want {
+				want[k] = v
+			}
+			if resp.StatusCode != tc.status || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s (warm=%v): %d %v\nwant %d %v", tc.fn, warm, resp.StatusCode, got, tc.status, want)
+			}
+		}
 	}
 }
 

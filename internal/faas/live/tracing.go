@@ -200,13 +200,14 @@ func (tr *tracing) noteWatchdog(h http.Header, rt *reqTrace) {
 }
 
 // headerNanos converts one unix-nano timestamp header to an epoch
-// offset (0 when absent or malformed).
+// offset (0 when absent or malformed). key is canonical, so the map is
+// read directly.
 func (tr *tracing) headerNanos(h http.Header, key string) int64 {
-	v := h.Get(key)
-	if v == "" {
+	vs := h[key]
+	if len(vs) == 0 {
 		return 0
 	}
-	n, err := strconv.ParseInt(v, 10, 64)
+	n, err := strconv.ParseInt(vs[0], 10, 64)
 	if err != nil || n <= tr.epochNano {
 		return 0
 	}

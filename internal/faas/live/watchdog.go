@@ -1,7 +1,6 @@
 package live
 
 import (
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -17,57 +16,56 @@ import (
 // watchdogHandler builds the watchdog-side request handler for fn —
 // what specialization installs into a generic or freshly-booted
 // watchdog.
-func watchdogHandler(fn Function, maxBody int64) http.Handler {
+func watchdogHandler(fn Function) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveFunction(w, r, fn, maxBody)
+		serveFunction(w, r, fn)
 	})
 }
 
-// serveFunction is the watchdog request handler. Streaming bodies run
-// directly against the socket; []byte handlers go through the pooled
-// compat shim, which replaces the old per-request io.ReadAll with a
-// recycled whole-body buffer. maxBody > 0 bounds the request body
-// (HTTP 413 on overflow) so one request can never balloon the
-// watchdog's memory.
+// spanTrailer declares the stream path's two late moments as trailers;
+// shared by every reply, never written.
+var spanTrailer = []string{SpanFuncDoneHeader + ", " + SpanWatchdogOutHeader}
+
+// serveFunction is the watchdog request handler, run by hop.Serve, which
+// bounds the request body (a read past the watchdog's limit fails with
+// *http.MaxBytesError: HTTP 413 here), reads whatever the function left
+// of it, and lets a streaming function read and write full duplex.
+// Streaming bodies run directly against the socket; []byte handlers go
+// through the pooled compat shim, which replaces the old per-request
+// io.ReadAll with a recycled whole-body buffer.
 //
 // A request carrying a traceparent gets the watchdog's §III.A moments
 // (2)..(5) back as X-Hotc-Span-* unix-nano headers. On the streaming
 // path moments (4) and (5) are unknowable before the response body
 // starts, so they return as HTTP trailers on the chunked reply; the
 // gateway reads them after draining the body.
-func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody int64) {
-	traced := r.Header.Get(TraceparentHeader) != ""
+func serveFunction(w http.ResponseWriter, r *http.Request, fn Function) {
+	traced := len(r.Header[TraceparentHeader]) > 0
 	var watchdogIn int64
 	if traced {
 		watchdogIn = time.Now().UnixNano() // moment (2)
 	}
-	body := r.Body
-	if maxBody > 0 {
-		body = http.MaxBytesReader(w, body, maxBody)
+	var spans []string // the span headers' values, one array for all four
+	if traced {
+		spans = make([]string, 4)
 	}
 	if fn.Stream != nil {
-		// A streaming handler reads the request while writing the
-		// response; without full duplex the HTTP/1.1 server aborts
-		// body reads at the first response write. Writers that don't
-		// support it (tests' fakes) just stay half-duplex.
-		http.NewResponseController(w).EnableFullDuplex()
 		if traced {
 			h := w.Header()
-			h.Set("Trailer", SpanFuncDoneHeader+", "+SpanWatchdogOutHeader)
-			h.Set(SpanWatchdogInHeader, strconv.FormatInt(watchdogIn, 10))
-			h.Set(SpanFuncStartHeader, strconv.FormatInt(time.Now().UnixNano(), 10))
+			h["Trailer"] = spanTrailer
+			stamp(h, spans, 0, SpanWatchdogInHeader, watchdogIn)
+			stamp(h, spans, 1, SpanFuncStartHeader, time.Now().UnixNano())
 		}
-		tw := &trackWriter{w: w}
-		err := fn.Stream(body, tw)
+		err := fn.Stream(r.Body, w)
 		if traced {
 			// Moments (4) and (5) coincide for a stream: the handler's
 			// last write is the response leaving the watchdog. Written
 			// into the declared trailers when the reply is chunked.
-			now := strconv.FormatInt(time.Now().UnixNano(), 10)
-			w.Header().Set(SpanFuncDoneHeader, now)
-			w.Header().Set(SpanWatchdogOutHeader, now)
+			now := time.Now().UnixNano()
+			stamp(w.Header(), spans, 2, SpanFuncDoneHeader, now)
+			stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, now)
 		}
-		if err != nil && tw.n == 0 {
+		if err != nil && !hop.Committed(w) {
 			// Nothing committed yet: a real status line is still
 			// possible. After first byte, all we can do is truncate.
 			if isMaxBytesErr(err) {
@@ -76,16 +74,10 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody 
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}
-		// Read what the handler left of the body, so the exchange ends
-		// at a message boundary and the gateway keeps its connection.
-		// Left unread, more than net/http's 256 KiB makes it close the
-		// connection under a gateway that may already have re-pooled it.
-		// The body limit bounds the drain; a tripped limit ends it.
-		hop.Copy(io.Discard, body)
 		return
 	}
 	buf := getBodyBuf()
-	if _, err := buf.ReadFrom(body); err != nil {
+	if _, err := buf.ReadFrom(r.Body); err != nil {
 		putBodyBuf(buf)
 		if isMaxBytesErr(err) {
 			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
@@ -101,14 +93,14 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody 
 	out, err := fn.Handler(buf.Bytes())
 	if traced {
 		h := w.Header()
-		h.Set(SpanWatchdogInHeader, strconv.FormatInt(watchdogIn, 10))
-		h.Set(SpanFuncStartHeader, strconv.FormatInt(funcStart, 10))
-		h.Set(SpanFuncDoneHeader, strconv.FormatInt(time.Now().UnixNano(), 10)) // moment (4)
+		stamp(h, spans, 0, SpanWatchdogInHeader, watchdogIn)
+		stamp(h, spans, 1, SpanFuncStartHeader, funcStart)
+		stamp(h, spans, 2, SpanFuncDoneHeader, time.Now().UnixNano()) // moment (4)
 	}
 	if err != nil {
 		putBodyBuf(buf)
 		if traced {
-			w.Header().Set(SpanWatchdogOutHeader, strconv.FormatInt(time.Now().UnixNano(), 10))
+			stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, time.Now().UnixNano())
 		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -118,9 +110,16 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function, maxBody 
 	// handlers return slices aliasing it.
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	if traced {
-		w.Header().Set(SpanWatchdogOutHeader, strconv.FormatInt(time.Now().UnixNano(), 10)) // moment (5)
+		stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, time.Now().UnixNano()) // moment (5)
 	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
 	putBodyBuf(buf)
+}
+
+// stamp sets span header k to the unix-nano time t, its value in
+// spans[i]: the reply's span headers share one value array.
+func stamp(h http.Header, spans []string, i int, k string, t int64) {
+	spans[i] = strconv.FormatInt(t, 10)
+	h[k] = spans[i : i+1 : i+1]
 }

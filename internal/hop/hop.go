@@ -1,11 +1,16 @@
-// Package hop is one keep-alive HTTP/1.1 client connection driven by
-// its owner, one exchange at a time, on the owner's goroutine. Both
-// proxy legs use it: the live gateway holds one per instance, to that
-// instance's watchdog, and the router keeps a free list of them per
-// node. A connection with a single owner needs none of what a
-// general-purpose client carries — idle pool, per-request goroutines
-// and timers, a request object — so a warm exchange allocates little
-// more than http.ReadResponse does. The package imports only the
+// Package hop is the HTTP/1.1 codec of the internal leg, both halves of
+// it. Conn is one keep-alive client connection driven by its owner, one
+// exchange at a time, on the owner's goroutine. Both proxy legs use it:
+// the live gateway holds one per instance, to that instance's watchdog,
+// and the router keeps a free list of them per node. Serve is the other
+// end: it answers the requests read from one connection with an
+// http.Handler, and every watchdog serves with it. A connection with a
+// single owner needs none of what a general-purpose client or server
+// carries — idle pool, per-request goroutines and timers, MIME parsing
+// for any field a peer might send — so both halves parse a head into one
+// string and one value array, and a warm exchange allocates a handful of
+// objects. The wire stays HTTP/1.1, so any client can talk to a Serve
+// and any server can answer a Conn. The package imports only the
 // standard library.
 package hop
 
@@ -16,7 +21,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -29,8 +33,8 @@ const (
 	// of net/http's 32 KiB chunks. Larger chunks measured no faster
 	// on a 1 MiB echo (DESIGN §13).
 	BufSize = 128 << 10
-	// readBufSize sizes the response reader: heads and chunk framing go
-	// through it, body reads larger than it bypass it.
+	// readBufSize sizes both halves' readers: heads and chunk framing
+	// go through it, body reads larger than it bypass it.
 	readBufSize = 4 << 10
 	// writeBufSize sizes the request writer: the head plus an inline
 	// body of up to 32 KiB go out in one write. Larger bodies stream in
@@ -96,10 +100,6 @@ func Copy(dst io.Writer, src io.Reader) (written int64, err error) {
 // fails every blocked and future read or write at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// headRequest tells http.ReadResponse that a reply to HEAD has no body
-// whatever its Content-Length says. ReadResponse only reads it.
-var headRequest = &http.Request{Method: http.MethodHead}
-
 // Head is what a request says before its body: the request line's
 // method and path, the header to forward and, when not empty, the
 // traceparent that replaces any in Header. The connection writes Host
@@ -127,11 +127,17 @@ type Conn struct {
 	// exchange.
 	wdone chan error
 
-	// Per-exchange state.
+	// Per-exchange state. resp is what RoundTrip returns, valid until
+	// Finish or Abort; its Header and Trailer are new each exchange, so
+	// an owner may keep them.
 	detach    func() bool // stops the context hook; false = it ran
 	streaming bool        // a body writer is running
+	resp      http.Response
 	body      respBody
-	closing   bool // the peer said Connection: close
+	length    lengthBody
+	chunked   chunkedBody
+	closing   bool   // the peer said Connection: close
+	raw       []byte // the response head, read before it is parsed
 }
 
 // respBody is the response body handed to the owner. It remembers reaching
@@ -184,7 +190,8 @@ func Unanswered(err error) bool {
 
 // RoundTrip sends one request — head, then body of the given length,
 // negative when unknown — and returns the response with its head parsed
-// and its body (and trailers) still to be read from resp.Body. ctx
+// and its body (and trailers) still to be read from resp.Body. The
+// response is the connection's own, valid until Finish or Abort. ctx
 // firing fails whatever I/O the exchange is blocked in. On error the
 // exchange is over and the connection closed; the error is a
 // *http.MaxBytesError when the body tripped its limit, else ctx's when
@@ -217,23 +224,66 @@ func (c *Conn) RoundTrip(ctx context.Context, head Head, body io.Reader, length 
 		go func() { c.wdone <- c.sendBody(body, length) }()
 	}
 	if _, err := c.br.Peek(1); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // what ReadResponse says of an empty reply
-		}
-		return nil, c.fail(ctx, &unanswered{err})
+		return nil, c.fail(ctx, &unanswered{unexpected(err)})
 	}
-	var req *http.Request
-	if head.Method == http.MethodHead {
-		req = headRequest
-	}
-	resp, err := http.ReadResponse(c.br, req)
-	if err != nil {
+	if err := c.readResponse(head.Method == http.MethodHead); err != nil {
 		return nil, c.fail(ctx, err)
 	}
-	c.body = respBody{r: resp.Body}
-	resp.Body = &c.body
-	c.closing = resp.Close
-	return resp, nil
+	return &c.resp, nil
+}
+
+// readResponse reads a response head into c.resp and sets its body up:
+// none for a reply to HEAD or a 1xx, 204 or 304, else the one framing
+// the head declares, or the rest of the connection when it declares
+// none.
+func (c *Conn) readResponse(head bool) error {
+	raw, err := readHead(c.br, c.raw)
+	c.raw = raw
+	if err != nil {
+		return unexpected(err)
+	}
+	h := make(http.Header)
+	line, err := parseHead(raw, h)
+	if err != nil {
+		return err
+	}
+	proto, status, _ := strings.Cut(line, " ")
+	minor, ok := parseProto(proto)
+	code, _, _ := strings.Cut(status, " ")
+	if !ok || len(code) != 3 || code[0] == '0' || parseLength(code) < 0 {
+		return errMalformed
+	}
+	length, chunked, err := framing(h)
+	if err != nil {
+		return err
+	}
+	c.resp = http.Response{
+		Status: status, StatusCode: int(parseLength(code)),
+		Proto: proto, ProtoMajor: 1, ProtoMinor: minor,
+		Header: h, Body: &c.body, ContentLength: length,
+		Close: closeAsked(minor, h),
+	}
+	if chunked {
+		delete(h, "Transfer-Encoding")
+		c.resp.TransferEncoding = chunkedTE
+	}
+	c.body = respBody{r: http.NoBody}
+	switch n := c.resp.StatusCode; {
+	case head: // keeps the length it declares
+	case n < 200 || n == http.StatusNoContent || n == http.StatusNotModified:
+		c.resp.ContentLength = 0
+	case chunked:
+		c.chunked.reset(c.br, &c.resp.Trailer, &c.raw)
+		c.body.r = &c.chunked
+	case length >= 0:
+		c.length = lengthBody{br: c.br, n: length}
+		c.body.r = &c.length
+	default:
+		c.resp.Close = true // the body ends where the connection does
+		c.body.r = c.br
+	}
+	c.closing = c.resp.Close
+	return nil
 }
 
 // errInvalidHead refuses a method, path or host that is empty or holds
@@ -293,7 +343,7 @@ func (c *Conn) writeHead(head *Head, length int64) {
 		return
 	}
 	bw.WriteString("Content-Length: ")
-	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), length, 10))
+	writeInt(bw, length, 10)
 	bw.WriteString("\r\n\r\n")
 }
 
@@ -313,15 +363,7 @@ func dropped(k string) bool {
 			return true
 		}
 	}
-	if k == "" {
-		return true
-	}
-	for i := 0; i < len(k); i++ {
-		if !tokenByte(k[i]) {
-			return true
-		}
-	}
-	return false
+	return !token(k)
 }
 
 // named reports whether a Connection header lists k.
@@ -338,14 +380,23 @@ func named(connection []string, k string) bool {
 	return false
 }
 
-// tokenByte reports whether b may appear in a field name (RFC 9110
-// §5.6.2's tchar).
-func tokenByte(b byte) bool {
-	switch {
-	case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9':
-		return true
+// tchar marks the bytes that may appear in a field name (RFC 9110
+// §5.6.2).
+var tchar = func() (t [256]bool) {
+	for _, c := range "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" {
+		t[c] = true
 	}
-	return strings.IndexByte("!#$%&'*+-.^_`|~", b) >= 0
+	return t
+}()
+
+// token reports whether s is a non-empty field name.
+func token(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !tchar[s[i]] {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // validValue reports whether v can be written as a field value without
@@ -378,7 +429,7 @@ func (c *Conn) sendBody(body io.Reader, length int64) error {
 			var werr error
 			switch {
 			case chunked:
-				bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(n), 16))
+				writeInt(bw, int64(n), 16)
 				bw.WriteString("\r\n")
 				bw.Write(buf[:n])
 				bw.WriteString("\r\n")

@@ -43,6 +43,11 @@ func exchange(t *testing.T, head Head, body string, reply string) (sent string, 
 	return <-read, string(b), c
 }
 
+// goldenRequest is what TestHeadForwardsEndToEndHeadersOnly's head
+// goes out as.
+const goldenRequest = "PUT /function/f HTTP/1.1\r\nHost: node:1\r\nX-Hotc-Tenant: acme\r\n" +
+	"Traceparent: 00-new\r\nContent-Length: 4\r\n\r\nbody"
+
 // The head carries the forwarded header minus what is the hop's own or
 // stops at a hop; a traceparent in Head replaces the header's.
 func TestHeadForwardsEndToEndHeadersOnly(t *testing.T) {
@@ -64,10 +69,8 @@ func TestHeadForwardsEndToEndHeadersOnly(t *testing.T) {
 		"Bad Name":          {"x"},
 	}}
 	sent, got, c := exchange(t, head, "body", "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
-	want := "PUT /function/f HTTP/1.1\r\nHost: node:1\r\nX-Hotc-Tenant: acme\r\n" +
-		"Traceparent: 00-new\r\nContent-Length: 4\r\n\r\nbody"
-	if sent != want {
-		t.Errorf("the peer read\n%q\nwant\n%q", sent, want)
+	if sent != goldenRequest {
+		t.Errorf("the peer read\n%q\nwant\n%q", sent, goldenRequest)
 	}
 	if got != "ok" || !c.Finish() {
 		t.Errorf("body %q: a clean exchange must leave the connection reusable", got)

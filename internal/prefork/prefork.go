@@ -1,10 +1,10 @@
 // Package prefork implements the generic pre-forked watchdog pool
 // behind the live gateway's fast cold path. The expensive,
 // function-agnostic part of a watchdog boot — binding a loopback
-// listener, getting an HTTP server's accept loop running, paying the
-// generic runtime-init delay — happens here, ahead of any request.
-// A cold start then collapses to *specialization*: swapping the
-// function handler into an already-running server and paying only the
+// listener, getting its accept loop running, paying the generic
+// runtime-init delay — happens here, ahead of any request. A cold start
+// then collapses to *specialization*: swapping the function handler
+// into an already-running watchdog and paying only the
 // function-specific share of init (the pool-of-pre-baked-generic-
 // runtimes design of Lin & Glikson, arXiv:1903.12221).
 //
@@ -12,61 +12,105 @@
 // handler a specialization installs, and the policy for when to refill
 // or reap all belong to the caller (internal/faas/live); the pool just
 // guarantees that refills never run on the caller's goroutine and that
-// Stop is deterministic (every Serve goroutine has exited when Stop
+// Stop is deterministic (every accept loop has exited when Stop
 // returns).
 package prefork
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hotc/internal/hop"
 )
 
-// Watchdog is one pre-forked worker: an http.Server bound to a
-// loopback port whose handler is swapped in at specialization time.
-// Until then requests get 503 — a generic watchdog serves nobody.
+// Watchdog is one pre-forked worker: a loopback listener whose
+// connections hop.Serve answers with the handler swapped in at
+// specialization time. Until then requests get 503 — a generic watchdog
+// serves nobody.
 type Watchdog struct {
 	addr    string
 	lis     net.Listener
-	server  *http.Server
 	handler atomic.Pointer[http.Handler]
+	maxBody atomic.Int64
 
-	// done closes when the Serve goroutine has returned, which is what
-	// makes Stop deterministic for goroutine-leak checks.
+	// mu guards conns, the open connections, and stopped; serving
+	// counts the connection goroutines.
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	stopped bool
+	serving sync.WaitGroup
+
+	// done closes when the accept loop has returned, which is what makes
+	// Stop deterministic for goroutine-leak checks.
 	done     chan struct{}
 	stopOnce sync.Once
 }
 
+// stopGrace is how long Stop waits for running handlers once it has
+// closed their connections.
+const stopGrace = time.Second
+
 // Start boots a generic watchdog: listener bound, accept loop running,
 // no handler installed. onServeErr, if non-nil, is called at most once
-// with the error Serve returned — any error other than the expected
-// http.ErrServerClosed after Stop. The previous design dropped that
-// error on the floor inside an anonymous goroutine; surfacing it is
-// what lets the gateway count watchdog accept-loop failures as
-// resilience events.
+// with the error that ended the accept loop — any error other than the
+// listener closing under Stop. Surfacing it is what lets the gateway
+// count watchdog accept-loop failures as resilience events.
 func Start(onServeErr func(error)) (*Watchdog, error) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("prefork: watchdog listen: %w", err)
 	}
 	w := &Watchdog{
-		addr: lis.Addr().String(),
-		lis:  lis,
-		done: make(chan struct{}),
+		addr:  lis.Addr().String(),
+		lis:   lis,
+		conns: map[net.Conn]struct{}{},
+		done:  make(chan struct{}),
 	}
-	w.server = &http.Server{Handler: http.HandlerFunc(w.dispatch)}
 	go func() {
-		err := w.server.Serve(lis)
-		if err != nil && err != http.ErrServerClosed && onServeErr != nil {
+		if err := w.accept(); err != nil && onServeErr != nil {
 			onServeErr(err)
 		}
 		close(w.done)
 	}()
 	return w, nil
+}
+
+// accept runs the accept loop, one serve goroutine per connection,
+// until the listener fails; after Stop that is no error.
+func (w *Watchdog) accept() error {
+	for {
+		conn, err := w.lis.Accept()
+		w.mu.Lock()
+		if w.stopped {
+			w.mu.Unlock()
+			if err != nil {
+				return nil
+			}
+			conn.Close()
+			continue
+		}
+		if err != nil {
+			w.mu.Unlock()
+			return err
+		}
+		w.conns[conn] = struct{}{}
+		w.serving.Add(1)
+		w.mu.Unlock()
+		go w.serve(conn)
+	}
+}
+
+// serve answers one connection until either end closes it.
+func (w *Watchdog) serve(conn net.Conn) {
+	defer w.serving.Done()
+	hop.Serve(conn, http.HandlerFunc(w.dispatch), w.maxBody.Load())
+	w.mu.Lock()
+	delete(w.conns, conn)
+	w.mu.Unlock()
 }
 
 // dispatch routes a request to the specialized handler, or refuses it
@@ -82,11 +126,16 @@ func (w *Watchdog) dispatch(rw http.ResponseWriter, r *http.Request) {
 }
 
 // Specialize installs (or replaces) the watchdog's function handler.
-// Safe to call while the server is accepting: the swap is one atomic
+// Safe to call while the watchdog is accepting: the swap is one atomic
 // pointer store.
 func (w *Watchdog) Specialize(h http.Handler) {
 	w.handler.Store(&h)
 }
+
+// LimitBodies bounds every request body read on a connection accepted
+// from now on at n bytes (0: unbounded): a handler reading past it gets
+// *http.MaxBytesError.
+func (w *Watchdog) LimitBodies(n int64) { w.maxBody.Store(n) }
 
 // Specialized reports whether a handler is installed.
 func (w *Watchdog) Specialized() bool { return w.handler.Load() != nil }
@@ -94,16 +143,34 @@ func (w *Watchdog) Specialized() bool { return w.handler.Load() != nil }
 // Addr is the watchdog's host:port.
 func (w *Watchdog) Addr() string { return w.addr }
 
-// Stop shuts the server down and waits for the Serve goroutine to
-// exit. Idempotent; concurrent callers all block until the first
-// Stop's work is done. Shutdown waits up to a second for in-flight
-// requests, then the accept-loop exit is awaited unconditionally —
-// after Stop returns, the watchdog owns no goroutines.
+// Stop closes the listener and every connection, waits up to a second
+// for handlers still running, then for the accept loop to exit, which
+// it always does: after Stop returns, the watchdog owns no accept loop.
+// A handler that outlives the grace, as under http.Server's Shutdown,
+// finishes on its own against a closed connection. Idempotent;
+// concurrent callers all block until the first Stop's work is done.
 func (w *Watchdog) Stop() {
 	w.stopOnce.Do(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		w.server.Shutdown(ctx)
+		w.mu.Lock()
+		w.stopped = true
+		conns := w.conns
+		w.conns = nil
+		w.mu.Unlock()
+		w.lis.Close()
+		for conn := range conns {
+			conn.Close()
+		}
+		idle := make(chan struct{})
+		go func() {
+			w.serving.Wait()
+			close(idle)
+		}()
+		grace := time.NewTimer(stopGrace)
+		select {
+		case <-idle:
+		case <-grace.C:
+		}
+		grace.Stop()
 	})
 	<-w.done
 }

@@ -1,8 +1,10 @@
 package prefork
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -10,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hotc/internal/hop"
 )
 
 func instantBoot() (*Watchdog, error) { return Start(nil) }
@@ -94,6 +98,52 @@ func TestWatchdogServeErrorReachesHook(t *testing.T) {
 		t.Fatal("serve error never reached the hook")
 	}
 	w.Stop()
+}
+
+// Stop under traffic: clients on several connections keep exchanging
+// until Stop closes their connections under them; Stop returns within
+// its grace and every connection goroutine has exited.
+func TestWatchdogStopDuringTraffic(t *testing.T) {
+	w, err := Start(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Specialize(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) { hop.Copy(rw, r.Body) }))
+	var served atomic.Int64
+	var clients sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		conn, err := net.Dial("tcp", w.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := hop.New(conn, w.Addr())
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			defer c.Close()
+			for {
+				resp, err := c.RoundTrip(context.Background(), hop.Head{Method: "POST", Path: "/"}, strings.NewReader("ping"), 4)
+				if err != nil {
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				if !c.Finish() {
+					return
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	for served.Load() < 100 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	w.Stop()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Stop under traffic took %v", d)
+	}
+	clients.Wait()
+	w.serving.Wait() // every connection goroutine is gone
 }
 
 func TestPoolRefillTopsUpToSize(t *testing.T) {

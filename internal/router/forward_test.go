@@ -463,7 +463,7 @@ func TestRouterForwardAllocBudget(t *testing.T) {
 	}
 	forward()
 	if !raceEnabled {
-		const budget = 25
+		const budget = 20
 		if allocs := testing.AllocsPerRun(200, forward); allocs > budget {
 			t.Errorf("one routed forward allocates %.0f objects, budget %d", allocs, budget)
 		}

@@ -136,6 +136,19 @@ if [ "$n" -ne 1 ]; then
 	echo "verify: $n byte chunks are made in $LIVE, internal/router and internal/hop (want 1, hop's BufSize pool): take a chunk with hop.GetBuf" >&2
 	exit 1
 fi
+echo "== one codec (the watchdog serves with hop.Serve, the hop reads its own replies)"
+# Both ends of the internal leg are this repository's code, yet a
+# net/http.Server per watchdog parsed every request and
+# http.ReadResponse every reply: general-purpose MIME parsing cost ~18 %
+# of a warm request's CPU and ~50 of its allocations. So non-test
+# internal/prefork and internal/hop build no http.Server and call no
+# http.ReadResponse or http.ReadRequest: internal/hop's Serve and Conn
+# are the one codec, and its framing rules live there once.
+CODEC="$(ls internal/prefork/*.go internal/hop/*.go | grep -v '_test\.go$')"
+if grep -nE 'http\.(Server|ReadResponse|ReadRequest)\b' $CODEC | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+	echo "verify: net/http's codec on the internal leg: serve with hop.Serve, read replies with hop.Conn" >&2
+	exit 1
+fi
 echo "== wired once (sim: engine, host monitor, gateway and pre-pull only in internal/stack)"
 # The simulator's half: hotc.NewSimulation, bench.NewEnv and every
 # cluster node are one stack.New. Three hand-wired copies drifted before
@@ -391,8 +404,8 @@ echo "== alloc regression guard (non-race: AllocsPerRun)"
 # The race run above skips these: the detector's instrumentation
 # perturbs allocation counts. This non-race pass asserts the pooled
 # copy (hop.Copy) and the []byte shim stay at zero heap allocations per request,
-# one warm watchdog-hop round trip and one routed forward with its relay
-# stay inside their budgets, and a warm
+# one warm watchdog-hop round trip, one hop.Conn-to-hop.Serve exchange
+# and one routed forward with its relay stay inside their budgets, and a warm
 # simulator replay stays inside its allocations per simulated request,
 # a warm hit with its exec and release allocates nothing, and the
 # scheduler recycles its events.
