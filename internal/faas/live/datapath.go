@@ -48,23 +48,6 @@ func putBodyBuf(buf *bytes.Buffer) {
 	}
 }
 
-// readTracker distinguishes read-side (backend) failures from
-// write-side (client) failures during the response copy: a watchdog
-// that dies mid-stream must feed the breaker and doom its instance; a
-// client that hangs up must not.
-type readTracker struct {
-	r      io.Reader
-	failed bool
-}
-
-func (t *readTracker) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if err != nil && err != io.EOF {
-		t.failed = true
-	}
-	return n, err
-}
-
 // drainClose consumes up to drainLimit of the remaining body so the
 // connection underneath is left at a message boundary, reusable instead
 // of poisoned by unread bytes, then closes the body. On the success
@@ -85,9 +68,9 @@ func drainClose(rc io.ReadCloser) {
 }
 
 // isMaxBytesErr reports whether err (possibly wrapped, or flattened to
-// text by a handler) originates from a body limit — the gateway's
-// http.MaxBytesReader or the watchdog's hop.Serve — the
-// signal to answer 413 instead of blaming the backend.
+// text by a handler) originates from a body limit — the hop codec's, at
+// the gateway's front door or a watchdog — the signal to answer 413
+// instead of blaming the backend.
 func isMaxBytesErr(err error) bool {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {

@@ -149,8 +149,7 @@ func FuzzHopExchange(f *testing.F) {
 					return // a failed roundTrip has already aborted
 				}
 				var buf bytes.Buffer
-				src := readTracker{r: resp.Body}
-				if _, err := hop.Copy(&buf, &src); err != nil && src.failed {
+				if _, err := hop.Copy(&buf, resp.Body); hop.ReadFailed(err) {
 					c.Abort()
 					return
 				}

@@ -4,6 +4,8 @@
 // on localhost. Each watchdog is a loopback listener whose connections
 // internal/hop's server half answers with the function handler — the
 // role OpenFaaS's "tiny Golang HTTP server" plays inside the container.
+// The gateway's own clients are answered by the same server in its
+// front-door role.
 //
 // Cold start is modelled by a configurable delay when a new watchdog
 // instance boots (standing in for container creation, runtime init and
@@ -338,8 +340,9 @@ type Gateway struct {
 	// objective armed.
 	slo *obs.SLOMonitor
 
-	server *http.Server
-	lis    net.Listener
+	// server is the front door: the hop's codec in its front-door role,
+	// accepting the gateway's clients.
+	server *hop.Server
 	// dial opens an instance's connection to its watchdog; tests wrap it
 	// to count dials.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -422,15 +425,16 @@ func (g *Gateway) Start() (string, error) {
 	return g.startOn("127.0.0.1:0", mux)
 }
 
-// startOn binds to an explicit address and launches the control
-// cycle.
+// startOn binds to an explicit address, serves it with the front door
+// and launches the control cycle. The front door enforces MaxBodyBytes
+// on every body, declared or chunked.
 func (g *Gateway) startOn(addr string, mux *http.ServeMux) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("live: gateway listen: %w", err)
 	}
-	g.lis = lis
-	g.server = &http.Server{Handler: mux}
+	g.server = &hop.Server{Handler: mux, Front: true}
+	g.server.LimitBodies(g.cfg.MaxBodyBytes)
 	go g.server.Serve(lis)
 	g.startCycle()
 	return "http://" + lis.Addr().String(), nil
@@ -456,8 +460,8 @@ func (g *Gateway) Stop() {
 	shards := g.snapshotShards()
 
 	// Wake every queued request with a "stopped" refusal before the
-	// server drains: a waiter blocked in its admission queue is an
-	// in-flight handler Shutdown would otherwise wait out (or strand).
+	// front door drains: a waiter blocked in its admission queue is an
+	// in-flight handler its Stop would otherwise wait out (or strand).
 	for _, s := range shards {
 		if s.adm != nil {
 			s.adm.Stop()
@@ -465,9 +469,7 @@ func (g *Gateway) Stop() {
 	}
 	g.endLife()
 	if g.server != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		g.server.Shutdown(ctx)
-		cancel()
+		g.server.Stop()
 	}
 	var insts []*instance
 	for _, s := range shards {
@@ -713,12 +715,9 @@ func (g *Gateway) serve(req *request) ending {
 
 	// Bound the request body before any instance is committed: a
 	// declared-oversize body is rejected for free here; an undeclared
-	// (chunked) one is caught by MaxBytesReader mid-proxy.
-	if limit := g.cfg.MaxBodyBytes; limit > 0 {
-		if req.r.ContentLength > limit {
-			return bodyTooLarge()
-		}
-		req.r.Body = http.MaxBytesReader(req.w, req.r.Body, limit)
+	// (chunked) one trips the front door's limit mid-proxy.
+	if limit := g.cfg.MaxBodyBytes; limit > 0 && req.r.ContentLength > limit {
+		return bodyTooLarge()
 	}
 
 	// While the breaker is open, fast-fail instead of piling boots onto
@@ -797,8 +796,8 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	// carrying the trace context so the watchdog returns its span
 	// timestamps. A failed hop makes the instance suspect: tear it down
 	// rather than re-pool it — unless the failure was the client's own
-	// doing (an oversized body tripping MaxBytesReader, a disconnect, an
-	// expired deadline), which must not feed the breaker.
+	// doing (an oversized body tripping the front door's limit, a
+	// disconnect, an expired deadline), which must not feed the breaker.
 	var traceparent string
 	if rt.active {
 		traceparent = rt.tc.Traceparent()
@@ -824,17 +823,13 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	}
 
 	// Forward the watchdog's response headers (Content-Type etc.) and
-	// length before committing the status line, then stream the body to
-	// the client through a pooled chunk buffer: the gateway never holds
-	// more than one hop.BufSize chunk of any response in memory, and at
-	// steady state the copy allocates nothing. Streaming functions
-	// produce response bytes while the request body is still being
-	// forwarded, so the gateway's own server must run full duplex —
-	// otherwise its first response write aborts the client's body reads
-	// and truncates the upstream request.
+	// length before committing the status line, then relay the body with
+	// hop.Copy: in the kernel when both ends are the hop's sockets and
+	// the body is larger than the reader's buffer, else through a pooled
+	// chunk. The front door reads full duplex, so a streaming function's
+	// reply flows while its request body is still being forwarded.
 	// The watchdog's X-Hotc-Span-* timestamps (and its trailer
 	// declaration) are consumed above, not forwarded to the client.
-	http.NewResponseController(w).EnableFullDuplex()
 	hdr := w.Header()
 	for k, vv := range resp.Header {
 		if internalRespHeader(k) {
@@ -854,15 +849,14 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		hdr.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	w.WriteHeader(status)
-	src := readTracker{r: resp.Body}
-	n, copyErr := hop.Copy(w, &src)
-	if copyErr != nil && src.failed {
-		// The backend read died mid-stream. The status line is already
-		// committed, so the client sees a truncated body; the instance
-		// is suspect and its connection poisoned — close without
-		// draining and tear it down. When the read died because the
-		// request context did (client disconnect / deadline), the
-		// watchdog is blameless: same teardown, no breaker.
+	n, copyErr := hop.Copy(w, resp.Body)
+	if copyErr != nil && (hop.ReadFailed(copyErr) || ctx.Err() != nil) {
+		// The backend read died mid-stream, or the request's context did
+		// (client disconnect / deadline) and poisoned it. The status line
+		// is already committed, so the client sees a truncated body; the
+		// instance is suspect and its connection poisoned — close without
+		// draining and tear it down. When the context died, the watchdog
+		// is blameless: same teardown, no breaker.
 		inst.hop.Abort()
 		g.release(s, inst, false)
 		if ctx.Err() != nil {
@@ -871,21 +865,24 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		return ending{outcome: "error", status: status,
 			errMsg: "backend read failed mid-stream", blame: "proxy.failures"}
 	}
-	// The round-trip worked (a handler-level error status is the
-	// function's business, not a runtime fault) — or only the client's
-	// write side failed, which the watchdog cannot be blamed for.
-	// Drain whatever the client refused so the instance keeps its
+	// The round trip worked (a handler-level error status is the
+	// function's business, not a runtime fault), or only the client's
+	// side failed, which the watchdog cannot be blamed for. Drain
+	// whatever the client did not take so the instance keeps its
 	// connection, then re-pool it. A chunked (streaming) reply carries
 	// moments (4) and (5) as trailers, readable only now that the body
 	// is fully drained. An instance whose connection could not be kept
 	// (too much left to drain, Connection: close, a body the watchdog
-	// answered without reading) re-dials before it goes back: a pooled
-	// instance always holds a usable connection.
+	// answered without reading, a relay cut midway) re-dials before it
+	// goes back: a pooled instance always holds a usable connection.
 	drainClose(resp.Body)
 	if g.trace != nil {
 		g.trace.noteWatchdog(resp.Trailer, rt)
 	}
 	g.release(s, inst, inst.hop.Finish() || g.redial(inst))
+	if copyErr != nil {
+		return g.abandoned(req, true) // the client left mid-relay
+	}
 	if rt.reused {
 		g.obs.StartsWarm.Inc()
 	} else {

@@ -1,0 +1,162 @@
+package live
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
+
+// procIO reads the process's rchar and wchar: bytes read and written by
+// system calls, which bytes spliced socket to socket never reach.
+func procIO(t *testing.T) (rchar, wchar int64) {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no /proc/self/io: %v", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		k, v, _ := strings.Cut(line, ": ")
+		n, _ := strconv.ParseInt(v, 10, 64)
+		switch k {
+		case "rchar":
+			rchar = n
+		case "wchar":
+			wchar = n
+		}
+	}
+	return rchar, wchar
+}
+
+// A 1 MiB echo through a started gateway crosses the node in the kernel:
+// the process's read and write counts each grow by the client's own
+// 1 MiB and the heads, where copying through user space on the three
+// relay legs (client → gateway → watchdog → gateway → client) reads and
+// writes about 4 MiB of each.
+func TestLargeRelayStaysInKernel(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("splice(2) is Linux's")
+	}
+	g := New(PoolConfig{TraceSampleRate: 1})
+	echo, _ := builtinFunction("echo")
+	echo.Name = "echo"
+	if err := g.Register(echo); err != nil {
+		t.Fatal(err)
+	}
+	base, err := g.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	payload := patternedPayload(1 << 20)
+	send := func() {
+		resp, err := http.Post(base+"/function/echo", "application/octet-stream", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 || !bytes.Equal(got, payload) {
+			t.Fatalf("echo: %d, %d bytes, %v", resp.StatusCode, len(got), err)
+		}
+	}
+	send() // the cold boot and the client's connection
+	r0, w0 := procIO(t)
+	send()
+	r1, w1 := procIO(t)
+	const bound = 3 << 19 // 1.5 MiB
+	if r1-r0 >= bound || w1-w0 >= bound {
+		t.Errorf("one 1 MiB echo read %d and wrote %d bytes in user space, want each < %d", r1-r0, w1-w0, bound)
+	}
+}
+
+// Two requests in one write: the disconnect watch, which starts once the
+// first request's body is read, takes the second request's first byte,
+// and the front door still answers both, in order — the second as the
+// GET it is (without its first byte it would be a method nobody serves).
+func TestFrontPipelinedRequests(t *testing.T) {
+	d, base := startDaemon(t, PoolConfig{})
+	if err := d.Deploy(DeploySpec{Name: "echo", Handler: "echo"}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The first body is larger than the reader's buffer, so it ends on a
+	// read of the socket's own and the second request is still in it
+	// when the watch reads.
+	first := patternedPayload(64 << 10)
+	var req bytes.Buffer
+	fmt.Fprintf(&req, "POST /function/echo HTTP/1.1\r\nHost: h\r\nContent-Length: %d\r\n\r\n", len(first))
+	req.Write(first)
+	req.WriteString("GET /system/functions HTTP/1.1\r\nHost: h\r\n\r\n")
+	if _, err := conn.Write(req.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	for i, want := range [][]byte{first, []byte(`["echo"]` + "\n")} {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 || !bytes.Equal(got, want) {
+			t.Fatalf("reply %d: %d, %d bytes %.40q (want %d), %v", i, resp.StatusCode, len(got), got, len(want), err)
+		}
+	}
+}
+
+// A reply that leaves its body unread — a 404 for a 1 MiB upload —
+// reads at most 256 KiB of it, then closes the connection rather than
+// read the rest, as net/http's server did.
+func TestFrontDrainsUnreadBodyThenCloses(t *testing.T) {
+	g := NewGateway(true)
+	base, err := g.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r0, _ := procIO(t)
+	const size = 1 << 20
+	fmt.Fprintf(conn, "POST /function/nope HTTP/1.1\r\nHost: h\r\nContent-Length: %d\r\n\r\n", size)
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		conn.Write(make([]byte, size)) // fails once the gateway closes
+	}()
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusNotFound || !resp.Close {
+		t.Fatalf("reply %d, close %v; want 404 and a close", resp.StatusCode, resp.Close)
+	}
+	if n, err := br.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("the connection stayed open: read %d, %v", n, err)
+	}
+	r1, _ := procIO(t)
+	if read := r1 - r0; read > 264<<10 {
+		t.Errorf("the gateway read %d bytes of a body nobody wanted, want at most 256 KiB and its buffer", read)
+	}
+	conn.Close()
+	<-wrote
+}

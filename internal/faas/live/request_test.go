@@ -202,8 +202,8 @@ func (rig *exitRig) post(body io.Reader, hdr map[string]string) *reply {
 
 // walkAway sends the measured request, waits until the gateway has it
 // where the row wants it, and hangs up. The body must be one the
-// server has finished reading by then (or none): net/http only notices
-// a hang-up once it has.
+// server has finished reading by then (or none): the front door only
+// notices a hang-up once it has.
 func (rig *exitRig) walkAway(body io.Reader, there func()) *reply {
 	rig.t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -225,6 +225,18 @@ func (rig *exitRig) walkAway(body io.Reader, there func()) *reply {
 	if err := <-gone; err == nil {
 		rig.t.Fatal("the abandoned request got a reply")
 	}
+	return nil
+}
+
+// readHeadAndLeave sends the measured request, reads the head of its
+// reply and hangs up without reading the body.
+func (rig *exitRig) readHeadAndLeave(body io.Reader) *reply {
+	rig.t.Helper()
+	resp, err := http.Post(rig.base+"/function/f", "text/plain", body)
+	if err != nil {
+		rig.t.Fatalf("post: %v", err)
+	}
+	resp.Body.Close() // unread: the transport closes the connection
 	return nil
 }
 
@@ -279,6 +291,13 @@ func TestEveryExitCountsOnce(t *testing.T) {
 	dying := Function{Name: "f", Stream: func(_ io.Reader, w io.Writer) error {
 		w.Write(make([]byte, 64<<10))
 		panic(http.ErrAbortHandler)
+	}}
+	// large answers 8 MiB whatever it is asked: more than loopback's
+	// socket buffers hold (a send buffer grows to 4 MiB), so a client
+	// that stops reading stalls the relay mid-body.
+	large := Function{Name: "f", Stream: func(_ io.Reader, w io.Writer) error {
+		_, err := w.Write(make([]byte, 8<<20))
+		return err
 	}}
 	queue := func(depth int) func(*PoolConfig) {
 		return func(c *PoolConfig) { c.MaxInFlight, c.QueueDepth = 1, depth }
@@ -418,6 +437,11 @@ func TestEveryExitCountsOnce(t *testing.T) {
 				return rig.walkAway(strings.NewReader("x"), func() { <-rig.entered })
 			},
 			undo:    func(rig *exitRig) { close(rig.release) },
+			outcome: "canceled", spanStatus: statusClientClosedRequest, event: "canceled"},
+		// The relay's write to the client fails, not its read of the
+		// watchdog: no verdict on the backend.
+		{name: "client gone mid-relay", fn: &large,
+			do:      func(rig *exitRig) *reply { return rig.readHeadAndLeave(strings.NewReader("x")) },
 			outcome: "canceled", spanStatus: statusClientClosedRequest, event: "canceled"},
 		{name: "ok",
 			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },

@@ -4,7 +4,10 @@
 // the live gateway holds one per instance, to that instance's watchdog,
 // and the router keeps a free list of them per node. Serve is the other
 // end: it answers the requests read from one connection with an
-// http.Handler, and every watchdog serves with it. A connection with a
+// http.Handler. Server accepts the connections: every watchdog runs
+// one, and the gateway runs one in the front-door role for its own
+// clients. A large body read off one of their sockets and written to
+// another moves in the kernel (splice.go). A connection with a
 // single owner needs none of what a general-purpose client or server
 // carries — idle pool, per-request goroutines and timers, MIME parsing
 // for any field a peer might send — so both halves parse a head into one
@@ -61,18 +64,49 @@ func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
 // PutBuf recycles a chunk from GetBuf.
 func PutBuf(bp *[]byte) { bufPool.Put(bp) }
 
-// Copy streams src into dst through a pooled chunk, one Write per Read.
-// It is io.CopyBuffer without the WriterTo/ReaderFrom delegation, which
-// would hand the copy to net/http's own 32 KiB buffers or io.Discard's
-// 8 KiB ones: the copy always moves BufSize chunks, and at steady state
-// it allocates nothing whatever the endpoints' types.
+// Copy moves src into dst. A body this package reads off a socket, going
+// into a Serve reply on another, moves in the kernel (splice.go) in each
+// segment larger than the reader's buffer. Anything else streams through
+// a pooled chunk, one Write per Read: io.CopyBuffer without the
+// WriterTo/ReaderFrom delegation, which would hand the copy to net/http's
+// own 32 KiB buffers or io.Discard's 8 KiB ones, so the copy always moves
+// BufSize chunks and at steady state allocates nothing whatever the
+// endpoints' types. A failure reading src comes back marked for
+// ReadFailed.
 func Copy(dst io.Writer, src io.Reader) (written int64, err error) {
+	w, _ := dst.(*response)
+	b, _ := src.(wireBody)
+	if w == nil || !w.splices(b) {
+		b = nil
+	}
 	bp := GetBuf()
 	buf := *bp
 	for {
-		nr, rerr := src.Read(buf)
+		p := buf
+		if b != nil {
+			n, serr := b.segment()
+			if serr != nil {
+				if serr != io.EOF {
+					err = &readError{serr}
+				}
+				break
+			}
+			if n > spliceMin && w.takes(n) {
+				m, serr := w.splice(b, n)
+				written += m
+				if serr != nil {
+					err = serr
+					break
+				}
+				continue
+			}
+			if n > 0 && n < int64(len(p)) {
+				p = p[:n] // a segment at a time, so the next one may splice
+			}
+		}
+		nr, rerr := src.Read(p)
 		if nr > 0 {
-			nw, werr := dst.Write(buf[:nr])
+			nw, werr := dst.Write(p[:nr])
 			if nw > 0 {
 				written += int64(nw)
 			}
@@ -87,7 +121,7 @@ func Copy(dst io.Writer, src io.Reader) (written int64, err error) {
 		}
 		if rerr != nil {
 			if rerr != io.EOF {
-				err = rerr
+				err = &readError{rerr}
 			}
 			break
 		}
@@ -144,11 +178,16 @@ type Conn struct {
 // EOF — the precondition for reusing the connection — and its Close is
 // a no-op: the exchange is ended by Finish or Abort.
 type respBody struct {
+	c   *Conn
 	r   io.Reader
 	eof bool
+	err error // a splice that failed midway: the body lost its place
 }
 
 func (b *respBody) Read(p []byte) (int, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
 	n, err := b.r.Read(p)
 	if err == io.EOF {
 		b.eof = true
@@ -157,6 +196,30 @@ func (b *respBody) Read(p []byte) (int, error) {
 }
 
 func (b *respBody) Close() error { return nil }
+
+func (b *respBody) segment() (int64, error) {
+	f, ok := b.r.(framer)
+	if !ok || b.err != nil {
+		return 0, b.err
+	}
+	n, err := f.segment()
+	if err == io.EOF {
+		b.eof = true
+	}
+	return n, err
+}
+
+func (b *respBody) wire() (*bufio.Reader, *net.TCPConn) {
+	tc, _ := canSplice(b.c.conn)
+	return b.c.br, tc
+}
+
+func (b *respBody) moved(n int64, err error) {
+	b.r.(framer).skip(n)
+	if err != nil {
+		b.err = err
+	}
+}
 
 // New wraps a dialed connection to host, the value of every request's
 // Host header.
@@ -267,7 +330,7 @@ func (c *Conn) readResponse(head bool) error {
 		delete(h, "Transfer-Encoding")
 		c.resp.TransferEncoding = chunkedTE
 	}
-	c.body = respBody{r: http.NoBody}
+	c.body = respBody{c: c, r: http.NoBody}
 	switch n := c.resp.StatusCode; {
 	case head: // keeps the length it declares
 	case n < 200 || n == http.StatusNoContent || n == http.StatusNotModified:
@@ -407,12 +470,16 @@ func validValue(v string) bool {
 
 // sendBody streams the request body, chunked when its length is
 // unknown, one write per read so a duplex handler sees bytes as the
-// client sends them. A failing source (client gone, body limit hit,
-// body short of its length) poisons the connection: the peer is owed
-// bytes that will never come, and the blocked response read must
-// return. A failing socket needs no help — the reader sees it too, or
-// sees the early response that explains it.
+// client sends them; a Serve request's length-framed body goes in the
+// kernel instead (spliceBody). A failing source (client gone, body
+// limit hit, body short of its length) poisons the connection: the
+// peer is owed bytes that will never come, and the blocked response
+// read must return. A failing socket needs no help — the reader sees
+// it too, or sees the early response that explains it.
 func (c *Conn) sendBody(body io.Reader, length int64) error {
+	if handled, err := c.spliceBody(body, length); handled {
+		return err
+	}
 	chunked := length < 0
 	bw := c.bw
 	bp := GetBuf()

@@ -2,6 +2,7 @@ package hop
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,15 +10,37 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// pendingSize is how much of a reply with no declared length Serve holds
-// back: a reply that ends within it goes out with a Content-Length, as
-// net/http's server does for a handler that returns within 2 KiB.
-const pendingSize = 2 << 10
+const (
+	// pendingSize is how much of a reply with no declared length Serve
+	// holds back: a reply that ends within it goes out with a
+	// Content-Length, as net/http's server does for a handler that
+	// returns within 2 KiB.
+	pendingSize = 2 << 10
+	// sniffLen is how much of a front-door reply's body its Content-Type
+	// is sniffed from, as net/http's.
+	sniffLen = 512
+	// frontDrain is how much of a body its handler left unread a front
+	// door reads before it closes the connection instead, as net/http's
+	// server does.
+	frontDrain = 256 << 10
+)
+
+// Connection states: Stop closes an idle connection at once and lets a
+// busy one finish its request.
+const (
+	idle int32 = iota
+	busy
+	shut
+)
 
 var (
 	errNoHost      = errors.New("hop: missing or duplicate Host")
@@ -36,28 +59,32 @@ var (
 // handler leaves unread is read to the message boundary after it
 // returns. The reply is not sniffed for a Content-Type. A handler panic
 // closes the connection and is logged unless it is
-// http.ErrAbortHandler.
+// http.ErrAbortHandler. A Server in the front-door role adds what a
+// client is owed on top (Server.Front).
 func Serve(conn net.Conn, h http.Handler, maxBody int64) {
-	s := &server{
-		br:      bufio.NewReaderSize(conn, readBufSize),
-		bw:      bufio.NewWriterSize(conn, readBufSize),
-		maxBody: maxBody,
-		remote:  conn.RemoteAddr().String(),
-		header:  http.Header{},
-	}
-	s.w = response{s: s, header: http.Header{}}
-	defer conn.Close()
-	for s.next(h) {
-	}
+	newServer(conn, maxBody, false, nil).run(h)
 }
 
 // server is one connection's state, reused by each request on it.
 type server struct {
+	conn    net.Conn
+	owner   *Server // nil for a lone Serve
+	front   bool
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	maxBody int64
 	remote  string
 	raw     []byte // the request head, read before it is parsed
+	state   atomic.Int32
+
+	// A front door's: the reader under br, which hands out first the byte
+	// the disconnect watch took, and the watch itself.
+	cr       connReader
+	cancel   context.CancelFunc // ends the running request's context
+	wmu      sync.Mutex         // guards running and watching
+	running  bool               // a handler runs: the body's end starts the watch
+	watching bool
+	watched  chan struct{} // the watch's goroutine is done
 
 	// Per-request state.
 	req     http.Request
@@ -67,6 +94,34 @@ type server struct {
 	w       response
 	head    bool // a HEAD request: the reply has no body
 	closing bool // the connection ends after this reply
+}
+
+func newServer(conn net.Conn, maxBody int64, front bool, owner *Server) *server {
+	s := &server{
+		conn:    conn,
+		owner:   owner,
+		front:   front,
+		bw:      bufio.NewWriterSize(conn, readBufSize),
+		maxBody: maxBody,
+		remote:  conn.RemoteAddr().String(),
+		header:  http.Header{},
+	}
+	var rd io.Reader = conn
+	if front {
+		s.cr.conn = conn
+		rd = &s.cr
+		s.watched = make(chan struct{}, 1)
+	}
+	s.br = bufio.NewReaderSize(rd, readBufSize)
+	s.w = response{s: s, header: http.Header{}}
+	return s
+}
+
+// run serves conn until it ends, then closes it.
+func (s *server) run(h http.Handler) {
+	defer s.conn.Close()
+	for s.next(h) {
+	}
 }
 
 // next serves one request and reports whether the connection carries
@@ -79,11 +134,16 @@ func (s *server) next(h http.Handler) bool {
 		s.refuse(err)
 		return false
 	}
-	if !s.call(h) {
-		return false
+	if !s.state.CompareAndSwap(idle, busy) {
+		return false // Stop closed the connection meanwhile
 	}
-	return s.finish()
+	ok := s.call(h) && s.finish()
+	s.state.Store(idle)
+	return ok && !s.stopping()
 }
+
+// stopping reports whether the connection's Server is stopping.
+func (s *server) stopping() bool { return s.owner != nil && s.owner.stopping.Load() }
 
 // readRequest reads a request head into s.req and sets its body up. An
 // error means the request is refused unserved.
@@ -178,6 +238,11 @@ func (s *server) refuse(err error) {
 
 // call runs the handler; false means it panicked.
 func (s *server) call(h http.Handler) (ok bool) {
+	req := &s.req
+	if s.front {
+		req = s.begin()
+		defer s.end()
+	}
 	defer func() {
 		if v := recover(); v != nil {
 			ok = false
@@ -186,23 +251,98 @@ func (s *server) call(h http.Handler) (ok bool) {
 			}
 		}
 	}()
-	h.ServeHTTP(&s.w, &s.req)
+	h.ServeHTTP(&s.w, req)
 	return true
 }
 
+// begin gives a front-door request its context, which ends when the
+// handler returns or the client goes away, and starts the disconnect
+// watch at once when there is no body to read first.
+func (s *server) begin() *http.Request {
+	ctx, cancel := context.WithCancel(context.Background())
+	s.cancel = cancel
+	s.wmu.Lock()
+	s.running = true
+	s.wmu.Unlock()
+	if s.body.err == io.EOF {
+		s.watch()
+	}
+	return s.req.WithContext(ctx)
+}
+
+// end ends a front-door request: the watch stops, a byte it read stays
+// for the next parse, and the context ends.
+func (s *server) end() {
+	s.wmu.Lock()
+	s.running = false
+	watching := s.watching
+	s.watching = false
+	s.wmu.Unlock()
+	if watching {
+		s.conn.SetReadDeadline(aLongTimeAgo)
+		<-s.watched
+		s.conn.SetReadDeadline(time.Time{})
+	}
+	s.cancel()
+}
+
+// watch starts the disconnect watch while a handler runs and its body
+// has been read: one read on the connection, which has nothing else to
+// read until the next request. An end or an error means the client went
+// away and ends the request's context; a byte is the next pipelined
+// request's first, kept for its parse. Once the handler returns, end
+// stops it, so it never races the next parse.
+func (s *server) watch() {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if !s.running || s.watching {
+		return
+	}
+	s.watching = true
+	go func() {
+		n, err := s.conn.Read(s.cr.b[:])
+		if n > 0 {
+			s.cr.held = true
+		} else if !errors.Is(err, os.ErrDeadlineExceeded) {
+			s.cancel()
+		}
+		s.watched <- struct{}{}
+	}()
+}
+
+// connReader is what a front door's reader reads: the byte the
+// disconnect watch took, then the connection.
+type connReader struct {
+	conn net.Conn
+	b    [1]byte
+	held bool
+}
+
+func (r *connReader) Read(p []byte) (int, error) {
+	if r.held && len(p) > 0 {
+		r.held = false
+		p[0] = r.b[0]
+		return 1, nil
+	}
+	return r.conn.Read(p)
+}
+
 // finish ends the exchange a handler returned from: it reads what the
-// handler left of the request body, then completes the reply. It reports
-// whether the connection carries another request.
+// handler left of the request body — up to frontDrain at a front door,
+// else all of it — then completes the reply. It reports whether the
+// connection carries another request.
 func (s *server) finish() bool {
 	b := &s.body
 	if b.continueOwed {
 		s.closing = true // the peer may or may not send a body nobody asked for
 	} else if !s.closing && b.err == nil {
-		if _, err := Copy(io.Discard, b); err != nil {
-			s.closing = true
+		var rest io.Reader = b
+		if s.front {
+			rest = io.LimitReader(b, frontDrain)
 		}
+		Copy(io.Discard, rest)
 	}
-	if b.err != nil && b.err != io.EOF {
+	if b.err != io.EOF {
 		s.closing = true
 	}
 	w := &s.w
@@ -210,7 +350,7 @@ func (s *server) finish() bool {
 		w.WriteHeader(http.StatusOK)
 	}
 	if !w.sent {
-		w.commit(true)
+		w.commit(true, nil)
 	}
 	bw := s.bw
 	if w.chunked && !s.head {
@@ -235,7 +375,7 @@ func (s *server) finish() bool {
 // 100 Continue owed to a peer that asked for one.
 type reqBody struct {
 	s            *server
-	r            io.Reader // the framing: &length or &chunked
+	r            framer // &length or &chunked; nil with no body
 	length       lengthBody
 	chunked      chunkedBody
 	max          int64 // bytes still allowed past the limit check; -1 none
@@ -250,15 +390,8 @@ func (b *reqBody) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if b.continueOwed {
-		b.continueOwed = false
-		if !b.s.w.sent {
-			b.s.bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n")
-			if err := b.s.bw.Flush(); err != nil {
-				b.err = err
-				return 0, err
-			}
-		}
+	if err := b.ask(); err != nil {
+		return 0, err
 	}
 	if b.max >= 0 && int64(len(p)) > b.max+1 {
 		p = p[:b.max+1] // one byte past the limit tells whether it is crossed
@@ -273,8 +406,78 @@ func (b *reqBody) Read(p []byte) (int, error) {
 		}
 		b.max -= int64(n)
 	}
-	b.err = err
+	b.settle(err)
 	return n, err
+}
+
+// ask sends the 100 Continue a peer waits for before it sends the body,
+// unless the reply has started.
+func (b *reqBody) ask() error {
+	if !b.continueOwed {
+		return nil
+	}
+	b.continueOwed = false
+	if !b.s.w.sent {
+		b.s.bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n")
+		if err := b.s.bw.Flush(); err != nil {
+			b.err = err
+			return err
+		}
+	}
+	return nil
+}
+
+// settle books what a read of the body returned. At a front door the
+// body's end starts the disconnect watch, and the connection failing
+// under it means the client went away.
+func (b *reqBody) settle(err error) {
+	b.err = err
+	switch {
+	case !b.s.front || err == nil:
+	case err == io.EOF:
+		b.s.watch()
+	default:
+		var ne net.Error
+		if err == io.ErrUnexpectedEOF || errors.As(err, &ne) {
+			b.s.cancel()
+		}
+	}
+}
+
+func (b *reqBody) segment() (int64, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
+	if err := b.ask(); err != nil {
+		return 0, err
+	}
+	n, err := b.r.segment()
+	if err != nil {
+		b.settle(err)
+		return 0, err
+	}
+	if b.max >= 0 && n > b.max {
+		return 0, nil // Read trips the limit
+	}
+	return n, nil
+}
+
+func (b *reqBody) wire() (*bufio.Reader, *net.TCPConn) {
+	tc, _ := canSplice(b.s.conn)
+	return b.s.br, tc
+}
+
+func (b *reqBody) moved(n int64, err error) {
+	b.r.skip(n)
+	if b.max >= 0 {
+		b.max -= n
+	}
+	if ReadFailed(err) {
+		b.settle(io.ErrUnexpectedEOF) // the client's side failed
+	}
+	if err != nil {
+		b.err = err // the body lost its place
+	}
 }
 
 func (b *reqBody) Close() error { return nil }
@@ -325,23 +528,25 @@ func (w *response) Write(p []byte) (int, error) {
 		return 0, http.ErrContentLength
 	}
 	w.written += int64(len(p))
+	n := len(p)
 	if !w.sent {
-		if w.n+len(p) <= len(w.pending) {
-			w.n += copy(w.pending[w.n:], p)
-			return len(p), nil
+		k := copy(w.pending[w.n:], p)
+		if w.n += k; k == len(p) {
+			return n, nil
 		}
-		if err := w.commit(false); err != nil {
+		if err := w.commit(false, nil); err != nil {
 			return 0, err
 		}
+		p = p[k:]
 	}
 	if err := w.send(p); err != nil {
 		return 0, err
 	}
-	return len(p), nil
+	return n, nil
 }
 
-// ReadFrom copies through hop.Copy's pooled chunk, so an io.Copy into
-// the reply moves BufSize chunks.
+// ReadFrom is Copy, so an io.Copy into the reply moves BufSize chunks,
+// or a body read off another socket in the kernel.
 func (w *response) ReadFrom(r io.Reader) (int64, error) { return Copy(w, r) }
 
 // Committed reports whether a handler Serve runs has written any byte of
@@ -356,11 +561,14 @@ func Committed(w http.ResponseWriter) bool {
 // length; else, when the handler is done, the length it wrote — any
 // trailers it declared are set by then and go in the head; else
 // chunked (close-delimited for an HTTP/1.0 peer), with the declared
-// trailers after the last chunk. Then it sends what was held back.
-func (w *response) commit(done bool) error {
+// trailers after the last chunk. Then it sends what was held back. At a
+// front door the head also carries a Date and, when the handler set
+// none, a Content-Type sniffed from what was held back, or else from
+// next, the bytes about to follow.
+func (w *response) commit(done bool, next []byte) error {
 	w.sent = true
 	s := w.s
-	if named(w.header["Connection"], "close") {
+	if named(w.header["Connection"], "close") || s.stopping() {
 		s.closing = true
 	}
 	switch {
@@ -390,6 +598,9 @@ func (w *response) commit(done bool) error {
 			w.writeField(k)
 		}
 	}
+	if s.front {
+		w.frontFields(next)
+	}
 	switch {
 	case w.chunked:
 		bw.WriteString("Transfer-Encoding: chunked\r\n")
@@ -405,6 +616,33 @@ func (w *response) commit(done bool) error {
 	n := w.n
 	w.n = 0
 	return w.send(w.pending[:n])
+}
+
+// sniffs reports whether a front door owes the reply a sniffed
+// Content-Type, as net/http's server does: the handler set none and no
+// Content-Encoding, and the reply has a body.
+func (w *response) sniffs() bool {
+	_, typed := w.header["Content-Type"]
+	return w.s.front && !typed && bodyAllowed(w.status) && w.header.Get("Content-Encoding") == ""
+}
+
+// frontFields writes what a front door adds to a head: a Date, unless
+// the handler set the field, and the sniffed Content-Type it owes.
+func (w *response) frontFields(next []byte) {
+	bw := w.s.bw
+	if _, dated := w.header["Date"]; !dated {
+		bw.WriteString("Date: ")
+		bw.Write(time.Now().UTC().AppendFormat(bw.AvailableBuffer(), http.TimeFormat))
+		bw.WriteString("\r\n")
+	}
+	if w.n > 0 {
+		next = w.pending[:w.n]
+	}
+	if len(next) > 0 && w.sniffs() {
+		bw.WriteString("Content-Type: ")
+		bw.WriteString(http.DetectContentType(next))
+		bw.WriteString("\r\n")
+	}
 }
 
 // writeField writes the values of header field k that can be written

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -31,8 +32,9 @@ func (c *scriptConn) Write(p []byte) (int, error) {
 	c.writes++
 	return c.out.Write(p)
 }
-func (c *scriptConn) Close() error         { return nil }
-func (c *scriptConn) RemoteAddr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+func (c *scriptConn) Close() error                    { return nil }
+func (c *scriptConn) RemoteAddr() net.Addr            { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+func (c *scriptConn) SetReadDeadline(time.Time) error { return nil }
 
 // seen is one request as a handler saw it.
 type seen struct {
@@ -75,16 +77,29 @@ func (rec *recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveScript serves in and returns the connection Serve wrote to.
 func serveScript(t *testing.T, in string, h http.Handler, maxBody int64) *scriptConn {
 	t.Helper()
-	c := &scriptConn{in: strings.NewReader(in)}
+	return serveScriptAs(t, in, h, maxBody, false)
+}
+
+// serveScriptAs is serveScript in either role: a lone Serve's, or a
+// front door's.
+func serveScriptAs(t *testing.T, in string, h http.Handler, maxBody int64, front bool) *scriptConn {
+	t.Helper()
+	return serveReader(t, strings.NewReader(in), h, maxBody, front)
+}
+
+// serveReader serves what in reads, each Read of it arriving as one.
+func serveReader(t *testing.T, in io.Reader, h http.Handler, maxBody int64, front bool) *scriptConn {
+	t.Helper()
+	c := &scriptConn{in: in}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Serve(c, h, maxBody)
+		newServer(c, maxBody, front, nil).run(h)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("Serve did not return on %q", in)
+		t.Fatalf("Serve did not return on %v", in)
 	}
 	return c
 }
@@ -421,8 +436,17 @@ func FuzzServe(f *testing.F) {
 	f.Add([]byte("POST / HTTP/1.1\r\nHost: h\r\nX-Big: " + strings.Repeat("a", 1<<10) + "\r\n\r\n"))
 	const limit = 4 << 10
 	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, front := range []bool{false, true} {
+			fuzzServe(t, in, limit, front)
+		}
+	})
+}
+
+// fuzzServe is FuzzServe's check of one role.
+func fuzzServe(t *testing.T, in []byte, limit int64, front bool) {
+	{
 		rec := &recorder{}
-		c := serveScript(t, string(in), rec, limit)
+		c := serveScriptAs(t, string(in), rec, limit, front)
 		methods := make([]string, len(rec.seen))
 		for i, s := range rec.seen {
 			methods[i] = s.method
@@ -463,5 +487,72 @@ func FuzzServe(f *testing.F) {
 				t.Fatalf("request %d: served body %q, net/http reads %q", i, s.body, b)
 			}
 		}
-	})
+	}
+}
+
+// A front door owes its client a Date and, when the handler set none, a
+// Content-Type sniffed from the body, as net/http's server does; a type
+// the handler set stays as it is.
+func TestFrontDoorDatesAndSniffs(t *testing.T) {
+	for _, tc := range []struct {
+		typ, body, want string
+	}{
+		{"", "<html>hi</html>", "text/html; charset=utf-8"},
+		{"", strings.Repeat("l", 5000), "text/plain; charset=utf-8"},
+		{"application/json", "{}", "application/json"},
+	} {
+		c := serveScriptAs(t, plain, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if tc.typ != "" {
+				w.Header().Set("Content-Type", tc.typ)
+			}
+			io.WriteString(w, tc.body)
+		}), 0, true)
+		got := replies(t, c.out.Bytes(), "GET")[0]
+		if ct := got.Header.Get("Content-Type"); ct != tc.want || body(got) != tc.body {
+			t.Errorf("%q: Content-Type %q, want %q", tc.body[:2], ct, tc.want)
+		}
+		if _, err := http.ParseTime(got.Header.Get("Date")); err != nil {
+			t.Errorf("%q: Date %q: %v", tc.body[:2], got.Header.Get("Date"), err)
+		}
+	}
+}
+
+// A front-door request's context ends when the client goes away once
+// its body is read — here the peer closed after the request — and not
+// when the client sent its next request instead, whose first byte the
+// watch keeps for the next parse.
+func TestFrontDoorContextEndsWithClient(t *testing.T) {
+	for _, tc := range []struct {
+		in    []string // what arrives, one read each
+		ended bool
+	}{
+		{[]string{plain}, true},
+		{[]string{"POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody", plain}, false},
+	} {
+		var parts []io.Reader
+		for _, p := range tc.in {
+			parts = append(parts, strings.NewReader(p))
+		}
+		var ended []bool
+		var methods []string
+		c := serveReader(t, io.MultiReader(parts...), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			methods = append(methods, r.Method)
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+				ended = append(ended, true)
+			case <-time.After(100 * time.Millisecond):
+				ended = append(ended, false)
+			}
+		}), 0, true)
+		if len(ended) == 0 || ended[0] != tc.ended {
+			t.Errorf("%q: context ended %v, want %v first", tc.in, ended, tc.ended)
+		}
+		if !tc.ended && fmt.Sprint(methods) != "[POST GET]" {
+			t.Errorf("served %v, want [POST GET]: the watch's byte was lost", methods)
+		}
+		if !tc.ended {
+			replies(t, c.out.Bytes(), "POST", "GET")
+		}
+	}
 }

@@ -192,6 +192,17 @@ type lengthBody struct {
 	n  int64 // bytes left
 }
 
+// segment reports the rest of the body: what follows without framing.
+func (b *lengthBody) segment() (int64, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	return b.n, nil
+}
+
+// skip books n bytes of the segment as read past the reader.
+func (b *lengthBody) skip(n int64) { b.n -= n }
+
 func (b *lengthBody) Read(p []byte) (int, error) {
 	if b.n <= 0 {
 		return 0, io.EOF
@@ -228,21 +239,48 @@ func (b *chunkedBody) reset(br *bufio.Reader, trailer *http.Header, raw *[]byte)
 	*b = chunkedBody{br: br, trailer: trailer, raw: raw}
 }
 
+// segment reports what is left of the current chunk, beginning the next
+// one when the current is done: the bytes that follow without framing.
+// At the end of the body it returns io.EOF, the trailers read.
+func (b *chunkedBody) segment() (int64, error) {
+	for b.err == nil && b.n == 0 {
+		if b.checkEnd {
+			b.endChunk()
+		} else {
+			b.beginChunk()
+		}
+	}
+	return b.n, b.err
+}
+
+// skip books n bytes of the segment as read past the reader.
+func (b *chunkedBody) skip(n int64) {
+	if b.n -= n; b.n == 0 {
+		b.checkEnd = true
+	}
+}
+
+// endChunk reads the CRLF that closes a chunk's data.
+func (b *chunkedBody) endChunk() {
+	if crlf, err := b.br.Peek(2); err != nil {
+		b.err = unexpected(err)
+	} else if crlf[0] != '\r' || crlf[1] != '\n' {
+		b.err = errChunk
+	} else {
+		b.br.Discard(2)
+		b.checkEnd = false
+	}
+}
+
 func (b *chunkedBody) Read(p []byte) (n int, err error) {
 	for b.err == nil {
 		if b.checkEnd {
 			if n > 0 && b.br.Buffered() < 2 {
 				break // return what we have rather than block for the CRLF
 			}
-			if crlf, err := b.br.Peek(2); err != nil {
-				b.err = unexpected(err)
-				break
-			} else if crlf[0] != '\r' || crlf[1] != '\n' {
-				b.err = errChunk
+			if b.endChunk(); b.err != nil {
 				break
 			}
-			b.br.Discard(2)
-			b.checkEnd = false
 		}
 		if b.n == 0 {
 			if n > 0 && !b.sizeBuffered() {

@@ -22,37 +22,25 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hotc/internal/hop"
 )
 
 // Watchdog is one pre-forked worker: a loopback listener whose
-// connections hop.Serve answers with the handler swapped in at
+// connections a hop.Server answers with the handler swapped in at
 // specialization time. Until then requests get 503 — a generic watchdog
 // serves nobody.
 type Watchdog struct {
 	addr    string
-	lis     net.Listener
+	lis     net.Listener // what srv accepts on
+	srv     hop.Server
 	handler atomic.Pointer[http.Handler]
-	maxBody atomic.Int64
 
-	// mu guards conns, the open connections, and stopped; serving
-	// counts the connection goroutines.
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	stopped bool
-	serving sync.WaitGroup
-
-	// done closes when the accept loop has returned, which is what makes
-	// Stop deterministic for goroutine-leak checks.
+	// done closes when the accept loop's goroutine has returned, which
+	// is what makes Stop deterministic for goroutine-leak checks.
 	done     chan struct{}
 	stopOnce sync.Once
 }
-
-// stopGrace is how long Stop waits for running handlers once it has
-// closed their connections.
-const stopGrace = time.Second
 
 // Start boots a generic watchdog: listener bound, accept loop running,
 // no handler installed. onServeErr, if non-nil, is called at most once
@@ -64,53 +52,15 @@ func Start(onServeErr func(error)) (*Watchdog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prefork: watchdog listen: %w", err)
 	}
-	w := &Watchdog{
-		addr:  lis.Addr().String(),
-		lis:   lis,
-		conns: map[net.Conn]struct{}{},
-		done:  make(chan struct{}),
-	}
+	w := &Watchdog{addr: lis.Addr().String(), lis: lis, done: make(chan struct{})}
+	w.srv.Handler = http.HandlerFunc(w.dispatch)
 	go func() {
-		if err := w.accept(); err != nil && onServeErr != nil {
+		if err := w.srv.Serve(lis); err != nil && onServeErr != nil {
 			onServeErr(err)
 		}
 		close(w.done)
 	}()
 	return w, nil
-}
-
-// accept runs the accept loop, one serve goroutine per connection,
-// until the listener fails; after Stop that is no error.
-func (w *Watchdog) accept() error {
-	for {
-		conn, err := w.lis.Accept()
-		w.mu.Lock()
-		if w.stopped {
-			w.mu.Unlock()
-			if err != nil {
-				return nil
-			}
-			conn.Close()
-			continue
-		}
-		if err != nil {
-			w.mu.Unlock()
-			return err
-		}
-		w.conns[conn] = struct{}{}
-		w.serving.Add(1)
-		w.mu.Unlock()
-		go w.serve(conn)
-	}
-}
-
-// serve answers one connection until either end closes it.
-func (w *Watchdog) serve(conn net.Conn) {
-	defer w.serving.Done()
-	hop.Serve(conn, http.HandlerFunc(w.dispatch), w.maxBody.Load())
-	w.mu.Lock()
-	delete(w.conns, conn)
-	w.mu.Unlock()
 }
 
 // dispatch routes a request to the specialized handler, or refuses it
@@ -135,7 +85,7 @@ func (w *Watchdog) Specialize(h http.Handler) {
 // LimitBodies bounds every request body read on a connection accepted
 // from now on at n bytes (0: unbounded): a handler reading past it gets
 // *http.MaxBytesError.
-func (w *Watchdog) LimitBodies(n int64) { w.maxBody.Store(n) }
+func (w *Watchdog) LimitBodies(n int64) { w.srv.LimitBodies(n) }
 
 // Specialized reports whether a handler is installed.
 func (w *Watchdog) Specialized() bool { return w.handler.Load() != nil }
@@ -143,35 +93,13 @@ func (w *Watchdog) Specialized() bool { return w.handler.Load() != nil }
 // Addr is the watchdog's host:port.
 func (w *Watchdog) Addr() string { return w.addr }
 
-// Stop closes the listener and every connection, waits up to a second
-// for handlers still running, then for the accept loop to exit, which
-// it always does: after Stop returns, the watchdog owns no accept loop.
-// A handler that outlives the grace, as under http.Server's Shutdown,
-// finishes on its own against a closed connection. Idempotent;
-// concurrent callers all block until the first Stop's work is done.
+// Stop is the server's Stop — listener and idle connections closed at
+// once, up to a second for handlers still running — and then waits for
+// the accept loop's goroutine to exit, which it always does: after Stop
+// returns, the watchdog owns no accept loop. Idempotent; concurrent
+// callers all block until the first Stop's work is done.
 func (w *Watchdog) Stop() {
-	w.stopOnce.Do(func() {
-		w.mu.Lock()
-		w.stopped = true
-		conns := w.conns
-		w.conns = nil
-		w.mu.Unlock()
-		w.lis.Close()
-		for conn := range conns {
-			conn.Close()
-		}
-		idle := make(chan struct{})
-		go func() {
-			w.serving.Wait()
-			close(idle)
-		}()
-		grace := time.NewTimer(stopGrace)
-		select {
-		case <-idle:
-		case <-grace.C:
-		}
-		grace.Stop()
-	})
+	w.stopOnce.Do(w.srv.Stop)
 	<-w.done
 }
 

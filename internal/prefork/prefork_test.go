@@ -143,7 +143,18 @@ func TestWatchdogStopDuringTraffic(t *testing.T) {
 		t.Fatalf("Stop under traffic took %v", d)
 	}
 	clients.Wait()
-	w.serving.Wait() // every connection goroutine is gone
+	// Every connection goroutine is gone.
+	for deadline := time.Now().Add(2 * time.Second); serving() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connection goroutines outlived Stop", serving())
+		}
+	}
+}
+
+// serving counts the goroutines answering a watchdog connection.
+func serving() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "hop.(*Server).serve(")
 }
 
 func TestPoolRefillTopsUpToSize(t *testing.T) {

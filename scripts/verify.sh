@@ -136,17 +136,29 @@ if [ "$n" -ne 1 ]; then
 	echo "verify: $n byte chunks are made in $LIVE, internal/router and internal/hop (want 1, hop's BufSize pool): take a chunk with hop.GetBuf" >&2
 	exit 1
 fi
-echo "== one codec (the watchdog serves with hop.Serve, the hop reads its own replies)"
+echo "== one codec (watchdogs and the gateway's front door serve with hop.Server, the hop reads its own replies)"
 # Both ends of the internal leg are this repository's code, yet a
 # net/http.Server per watchdog parsed every request and
 # http.ReadResponse every reply: general-purpose MIME parsing cost ~18 %
-# of a warm request's CPU and ~50 of its allocations. So non-test
-# internal/prefork and internal/hop build no http.Server and call no
-# http.ReadResponse or http.ReadRequest: internal/hop's Serve and Conn
-# are the one codec, and its framing rules live there once.
-CODEC="$(ls internal/prefork/*.go internal/hop/*.go | grep -v '_test\.go$')"
-if grep -nE 'http\.(Server|ReadResponse|ReadRequest)\b' $CODEC | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
-	echo "verify: net/http's codec on the internal leg: serve with hop.Serve, read replies with hop.Conn" >&2
+# of a warm request's CPU and ~50 of its allocations. The gateway's own
+# net/http front door then kept every relayed body in user space: it
+# splices neither a request body nor a chunked reply. So non-test
+# internal/prefork, internal/hop and internal/faas/live build no
+# http.Server and call no http.ReadResponse or http.ReadRequest, and
+# live wraps no body in http.MaxBytesReader and asks for no
+# EnableFullDuplex: internal/hop's Server, Serve and Conn are the one
+# codec, its framing rules and body limit live there once, and its
+# front door is full duplex.
+CODEC="$(ls internal/prefork/*.go internal/hop/*.go "$LIVE"/*.go | grep -v '_test\.go$')"
+if grep -nE 'http\.(Server|ReadResponse|ReadRequest|MaxBytesReader)\b|EnableFullDuplex' $CODEC | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+	echo "verify: net/http's codec on a leg of the gateway: serve with hop.Server, read replies with hop.Conn, bound bodies with its limit" >&2
+	exit 1
+fi
+# One accept loop: the watchdog kept its own accept loop, connection set
+# and stop grace beside the gateway's server. hop.Server is both now, so
+# non-test internal/prefork and internal/faas/live accept no connection.
+if grep -nE '\.Accept\(\)' $(ls internal/prefork/*.go "$LIVE"/*.go | grep -v '_test\.go$') >&2; then
+	echo "verify: an accept loop outside hop.Server: serve the listener with a hop.Server" >&2
 	exit 1
 fi
 echo "== wired once (sim: engine, host monitor, gateway and pre-pull only in internal/stack)"
