@@ -828,11 +828,12 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	// the body is larger than the reader's buffer, else through a pooled
 	// chunk. The front door reads full duplex, so a streaming function's
 	// reply flows while its request body is still being forwarded.
-	// The watchdog's X-Hotc-Span-* timestamps (and its trailer
-	// declaration) are consumed above, not forwarded to the client.
+	// The watchdog's X-Hotc-Span-* timestamps are consumed above, not
+	// forwarded to the client, and neither is a hop-by-hop field: its
+	// trailer declaration, or one that describes its connection.
 	hdr := w.Header()
 	for k, vv := range resp.Header {
-		if internalRespHeader(k) {
+		if internalRespHeader(k) || !hop.Relayed(resp.Header, k) {
 			continue
 		}
 		for _, v := range vv {

@@ -3,10 +3,12 @@ package live
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptrace"
 	"os"
 	"runtime"
 	"strconv"
@@ -159,4 +161,74 @@ func TestFrontDrainsUnreadBodyThenCloses(t *testing.T) {
 	}
 	conn.Close()
 	<-wrote
+}
+
+// A watchdog's hop-by-hop reply fields describe its connection to the
+// gateway, not the client's: Connection, Keep-Alive and what Connection
+// names stay behind, and a watchdog closing its own connection (as one
+// does in its Stop grace) leaves the client's open for the next request.
+func TestFrontDropsWatchdogHopByHopFields(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				req, err := http.ReadRequest(bufio.NewReader(conn))
+				if err != nil {
+					return
+				}
+				io.Copy(io.Discard, req.Body)
+				io.WriteString(conn, "HTTP/1.1 200 OK\r\nConnection: close, X-Private\r\nKeep-Alive: timeout=5\r\n"+
+					"X-Private: watchdog only\r\nX-Kept: yes\r\nContent-Length: 2\r\n\r\nok")
+			}()
+		}
+	}()
+	g := NewGateway(true)
+	// Every instance's connection goes to the scripted watchdog.
+	g.dial = func(ctx context.Context, _ string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", lis.Addr().String())
+	}
+	if err := g.Register(echoFn("f", 0)); err != nil {
+		t.Fatal(err)
+	}
+	base, err := g.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	for i := 0; i < 2; i++ {
+		var reused bool
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+		})
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, base+"/function/f", strings.NewReader("x"))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(b) != "ok" || resp.Header.Get("X-Kept") != "yes" {
+			t.Fatalf("request %d: %d %q, X-Kept %q", i, resp.StatusCode, b, resp.Header.Get("X-Kept"))
+		}
+		for _, k := range []string{"Connection", "Keep-Alive", "X-Private"} {
+			if v, ok := resp.Header[k]; ok {
+				t.Errorf("request %d: the client got the watchdog's %s: %q", i, k, v)
+			}
+		}
+		if i == 1 && !reused {
+			t.Error("the second request needed a new connection: the watchdog's Connection: close closed the client's")
+		}
+	}
 }

@@ -216,9 +216,10 @@ func (tr *tracing) headerNanos(h http.Header, key string) int64 {
 
 // internalRespHeader reports response headers the gateway consumes
 // itself and must not forward to clients: the watchdog's span
-// timestamps and its trailer declaration.
+// timestamps. (Its trailer declaration is hop-by-hop: hop.Relayed
+// drops it.)
 func internalRespHeader(k string) bool {
-	return k == "Trailer" || strings.HasPrefix(k, spanHeaderPrefix)
+	return strings.HasPrefix(k, spanHeaderPrefix)
 }
 
 // finishRequest concludes a request's observability: feed the SLO

@@ -410,23 +410,37 @@ func (c *Conn) writeHead(head *Head, length int64) {
 	bw.WriteString("\r\n\r\n")
 }
 
+// hopByHop are the fields that describe one connection, not the
+// message (RFC 9110 §7.6.1, plus the legacy Proxy-Connection): a proxy
+// passes none of them on, either way.
+var hopByHop = []string{"Connection", "Keep-Alive", "Proxy-Connection", "TE", "Trailer", "Transfer-Encoding", "Upgrade"}
+
 // notForwarded are the request headers a hop never writes from Head:
-// Host and Content-Length are its own, Expect it does not honour, the
-// rest are hop-by-hop (RFC 9110 §7.6.1, plus the legacy
-// Proxy-Connection).
-var notForwarded = []string{
-	"Host", "Content-Length", "Expect",
-	"Connection", "Keep-Alive", "Proxy-Connection", "TE", "Trailer", "Transfer-Encoding", "Upgrade",
-}
+// Host and Content-Length are its own, Expect it does not honour, and
+// the hop-by-hop ones.
+var notForwarded = append([]string{"Host", "Content-Length", "Expect"}, hopByHop...)
 
 // dropped reports whether k is never forwarded, or is no field name.
 func dropped(k string) bool {
-	for _, h := range notForwarded {
+	return listed(notForwarded, k) || !token(k)
+}
+
+// listed reports whether names holds k, in any case.
+func listed(names []string, k string) bool {
+	for _, h := range names {
 		if strings.EqualFold(k, h) {
 			return true
 		}
 	}
-	return !token(k)
+	return false
+}
+
+// Relayed reports whether a proxy passes field k of reply header h on
+// to its client: k is a field name, not hop-by-hop and not one that h's
+// Connection names. So an upstream closing its own connection does not
+// close the client's.
+func Relayed(h http.Header, k string) bool {
+	return token(k) && !listed(hopByHop, k) && !named(h["Connection"], k)
 }
 
 // named reports whether a Connection header lists k.

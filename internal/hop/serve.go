@@ -32,6 +32,11 @@ const (
 	// door reads before it closes the connection instead, as net/http's
 	// server does.
 	frontDrain = 256 << 10
+	// watchDelay is how long a front-door request runs before its
+	// disconnect watch may start. A warm request is answered well within
+	// it, so it pays for no goroutine, read or deadline; a client's
+	// hang-up is seen at most this much later.
+	watchDelay = time.Millisecond
 )
 
 // Connection states: Stop closes an idle connection at once and lets a
@@ -45,6 +50,7 @@ const (
 var (
 	errNoHost      = errors.New("hop: missing or duplicate Host")
 	errExpectation = errors.New("hop: unsupported Expect")
+	errOldChunked  = errors.New("hop: Transfer-Encoding on an HTTP/1.0 request")
 )
 
 // Serve answers the requests read from conn with h, one at a time, until
@@ -78,11 +84,17 @@ type server struct {
 	state   atomic.Int32
 
 	// A front door's: the reader under br, which hands out first the byte
-	// the disconnect watch took, and the watch itself.
+	// the disconnect watch took, and the watch itself, which starts once
+	// the running request's body is read and its timer has fired.
 	cr       connReader
 	cancel   context.CancelFunc // ends the running request's context
-	wmu      sync.Mutex         // guards running and watching
-	running  bool               // a handler runs: the body's end starts the watch
+	timer    *time.Timer        // fires watchDelay into each request
+	wmu      sync.Mutex         // guards the fields below
+	gen      uint64             // requests begun: the running one's generation
+	settled  uint64             // generations whose timer fired or was stopped
+	running  bool               // a handler runs
+	read     bool               // its body is read
+	due      bool               // its timer fired
 	watching bool
 	watched  chan struct{} // the watch's goroutine is done
 
@@ -181,6 +193,11 @@ func (s *server) readRequest() error {
 	if err != nil {
 		return err
 	}
+	if chunked && minor == 0 {
+		// net/http ignores the field here and reads no body: refused, no
+		// peer reads the message two ways.
+		return errOldChunked
+	}
 	s.body = reqBody{s: s, max: -1}
 	s.req = http.Request{
 		Method: method, URL: &s.url, RequestURI: target,
@@ -256,24 +273,30 @@ func (s *server) call(h http.Handler) (ok bool) {
 }
 
 // begin gives a front-door request its context, which ends when the
-// handler returns or the client goes away, and starts the disconnect
-// watch at once when there is no body to read first.
+// handler returns or the client goes away, and arms the connection's
+// timer for the disconnect watch.
 func (s *server) begin() *http.Request {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
 	s.wmu.Lock()
-	s.running = true
-	s.wmu.Unlock()
-	if s.body.err == io.EOF {
-		s.watch()
+	s.gen++
+	s.running, s.read, s.due = true, s.body.err == io.EOF, false
+	if s.timer == nil {
+		s.timer = time.AfterFunc(watchDelay, s.expire)
+	} else {
+		s.timer.Reset(watchDelay)
 	}
+	s.wmu.Unlock()
 	return s.req.WithContext(ctx)
 }
 
-// end ends a front-door request: the watch stops, a byte it read stays
-// for the next parse, and the context ends.
+// end ends a front-door request: its timer stops, the watch stops, a
+// byte it read stays for the next parse, and the context ends.
 func (s *server) end() {
 	s.wmu.Lock()
+	if s.timer.Stop() {
+		s.settled++ // this generation's timer will not fire
+	}
 	s.running = false
 	watching := s.watching
 	s.watching = false
@@ -286,15 +309,48 @@ func (s *server) end() {
 	s.cancel()
 }
 
-// watch starts the disconnect watch while a handler runs and its body
-// has been read: one read on the connection, which has nothing else to
-// read until the next request. An end or an error means the client went
-// away and ends the request's context; a byte is the next pipelined
-// request's first, kept for its parse. Once the handler returns, end
-// stops it, so it never races the next parse.
-func (s *server) watch() {
+// expire is the timer's callback. A callback stands for the oldest
+// generation not yet settled: one that fired as its request ended may
+// run after the next request began, and must not arm that one early.
+// (Two callbacks pending at once may take each other's generation, but
+// by then the newer request has run watchDelay too.)
+func (s *server) expire() {
 	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.settled++
+	s.fire(s.settled)
+	s.wmu.Unlock()
+}
+
+// fire marks generation gen's delay as passed, which starts its watch
+// once its body is read; an older generation's is ignored. wmu is held.
+func (s *server) fire(gen uint64) {
+	if gen != s.gen {
+		return
+	}
+	s.due = true
+	if s.read {
+		s.watch()
+	}
+}
+
+// bodyRead marks the running request's body as read, which starts its
+// watch once its delay has passed.
+func (s *server) bodyRead() {
+	s.wmu.Lock()
+	s.read = true
+	if s.due {
+		s.watch()
+	}
+	s.wmu.Unlock()
+}
+
+// watch starts the disconnect watch while a handler runs: one read on
+// the connection, which has nothing else to read until the next
+// request. An end or an error means the client went away and ends the
+// request's context; a byte is the next pipelined request's first, kept
+// for its parse. Once the handler returns, end stops it, so it never
+// races the next parse. wmu is held.
+func (s *server) watch() {
 	if !s.running || s.watching {
 		return
 	}
@@ -428,14 +484,14 @@ func (b *reqBody) ask() error {
 }
 
 // settle books what a read of the body returned. At a front door the
-// body's end starts the disconnect watch, and the connection failing
-// under it means the client went away.
+// body's end lets the disconnect watch start, and the connection
+// failing under it means the client went away.
 func (b *reqBody) settle(err error) {
 	b.err = err
 	switch {
 	case !b.s.front || err == nil:
 	case err == io.EOF:
-		b.s.watch()
+		b.s.bodyRead()
 	default:
 		var ne net.Error
 		if err == io.ErrUnexpectedEOF || errors.As(err, &ne) {

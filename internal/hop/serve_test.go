@@ -14,6 +14,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -165,6 +166,7 @@ var refusals = []struct {
 	{"length and chunked", "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 400},
 	{"two lengths", "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nabcdef", 400},
 	{"gzip", "POST / HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: gzip, chunked\r\n\r\n0\r\n\r\n", 501},
+	{"chunked HTTP/1.0", "POST / HTTP/1.0\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n", 400},
 	{"obs-fold", "POST / HTTP/1.1\r\nHost: h\r\nX-A: 1\r\n Content-Length: 3\r\n\r\nabc", 400},
 	{"control byte", "POST / HTTP/1.1\r\nHost: h\r\nX-A: a\x01b\r\n\r\n", 400},
 	{"no host", "POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 400},
@@ -554,5 +556,107 @@ func TestFrontDoorContextEndsWithClient(t *testing.T) {
 		if !tc.ended {
 			replies(t, c.out.Bytes(), "POST", "GET")
 		}
+	}
+}
+
+// deadlineConn counts the read deadlines set on a connection: the
+// disconnect watch sets two each time it runs.
+type deadlineConn struct {
+	net.Conn
+	deadlines atomic.Int64
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+// A front-door request answered within watchDelay starts no disconnect
+// watch: 100 quick requests on one connection set no read deadline. A
+// request still running after it is watched: its client hanging up
+// ends its context well inside the handler's 20 ms.
+func TestFrontDoorWatchesOnlySlowRequests(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	served := make(chan *deadlineConn, 1)
+	ended := make(chan bool, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		c := &deadlineConn{Conn: conn}
+		newServer(c, 0, true, nil).run(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/slow" {
+				select {
+				case <-r.Context().Done():
+					ended <- true
+				case <-time.After(20 * time.Millisecond):
+					ended <- false
+				}
+			}
+			io.WriteString(w, "ok")
+		}))
+		served <- c
+	}()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	for i := 0; i < 100; i++ {
+		io.WriteString(conn, "GET /quick HTTP/1.1\r\nHost: h\r\n\r\n")
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil || body(resp) != "ok" {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	io.WriteString(conn, "GET /slow HTTP/1.1\r\nHost: h\r\n\r\n")
+	conn.Close()
+	if !<-ended {
+		t.Error("the client hung up, yet the slow request's context outlived its 20 ms")
+	}
+	c := <-served
+	if n := c.deadlines.Load(); n != 2 {
+		t.Errorf("%d read deadlines set, want 2: only the slow request is watched", n)
+	}
+}
+
+// A timer that fired as its request ended may run its callback after
+// the next request began. The callback stands for the older generation
+// and must not start the newer request's watch before its own delay.
+func TestStaleWatchTimerArmsNothing(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	s := newServer(a, 0, true, nil)
+	var ctx context.Context
+	ctx, s.cancel = context.WithCancel(context.Background())
+	s.timer = time.AfterFunc(time.Hour, s.expire)
+	s.wmu.Lock()
+	s.gen, s.settled = 2, 0 // generation 1's callback is still to run
+	s.running, s.read = true, true
+	s.wmu.Unlock()
+	watching := func() bool {
+		s.wmu.Lock()
+		defer s.wmu.Unlock()
+		return s.watching
+	}
+	s.expire()
+	if watching() {
+		t.Fatal("generation 1's callback started generation 2's watch")
+	}
+	s.expire()
+	if !watching() {
+		t.Fatal("generation 2's own callback did not start its watch")
+	}
+	s.end()
+	if ctx.Err() == nil || watching() {
+		t.Fatal("end left the watch running or the context alive")
 	}
 }

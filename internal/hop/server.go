@@ -16,12 +16,13 @@ const stopGrace = time.Second
 // Server is the listener half of Serve, one for both roles: an accept
 // loop that answers each connection on a goroutine of its own, the set
 // of open connections, and Stop. A watchdog runs one per instance; the
-// gateway runs one in the front-door role.
+// gateway and the router each run one in the front-door role.
 //
 // In the front-door role a Server owes its clients what net/http's
 // server gave them and the internal leg does without: each request's
 // context ends when the handler returns or the client goes away (a read
-// on the connection once the body is read, while the handler runs);
+// on the connection once the body is read and the request has run
+// 1 ms, while the handler runs);
 // the reply carries a Date and, when the handler set none, a sniffed
 // Content-Type; and a body the handler left unread is read up to
 // 256 KiB, past which the connection closes instead.

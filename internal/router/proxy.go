@@ -100,12 +100,20 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 	traceparent := tc.Traceparent()
 
 	// Bodies up to SpillMaxBody buffer for replay so a spill can
-	// resend them; larger bodies stream to the first candidate only.
+	// resend them, in one read of the declared length when there is
+	// one; larger bodies stream to the first candidate only.
 	var buf []byte
 	var tail io.Reader
 	replayable := true
 	if r.Body != nil {
-		b, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.SpillMaxBody+1))
+		var b []byte
+		var err error
+		if r.ContentLength >= 0 && r.ContentLength <= rt.cfg.SpillMaxBody {
+			b = make([]byte, r.ContentLength)
+			_, err = io.ReadFull(r.Body, b)
+		} else {
+			b, err = io.ReadAll(io.LimitReader(r.Body, rt.cfg.SpillMaxBody+1))
+		}
 		if err != nil {
 			http.Error(w, "router: reading body: "+err.Error(), http.StatusBadRequest)
 			return
@@ -316,7 +324,9 @@ func (rt *Router) finish(w http.ResponseWriter, outcome string, start time.Time,
 	var body io.ReadCloser
 	if resp != nil {
 		for k, vs := range resp.Header {
-			h[k] = vs
+			if hop.Relayed(resp.Header, k) {
+				h[k] = vs
+			}
 		}
 		status = resp.StatusCode
 		body = resp.Body

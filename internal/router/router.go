@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hotc/internal/hop"
 	"hotc/internal/kernel"
 	"hotc/internal/obs"
 )
@@ -150,7 +151,7 @@ type Router struct {
 
 	rr atomic.Uint64
 
-	srv *http.Server
+	srv *hop.Server
 	// stopped ends with Stop: the poll loop exits and probes in flight
 	// are abandoned.
 	stopped context.Context
@@ -547,14 +548,14 @@ func (rt *Router) Start() (string, error) {
 	return rt.StartOn("127.0.0.1:0")
 }
 
-// StartOn binds the router to an explicit address and launches the
-// poll loop.
+// StartOn binds the router to an explicit address, serves it with the
+// hop's front door and launches the poll loop.
 func (rt *Router) StartOn(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	rt.srv = &http.Server{Handler: rt.Routes()}
+	rt.srv = &hop.Server{Handler: rt.Routes(), Front: true}
 	rt.wg.Add(2)
 	go func() {
 		defer rt.wg.Done()
@@ -566,13 +567,15 @@ func (rt *Router) StartOn(addr string) (string, error) {
 }
 
 // Stop shuts the listener and poll loop down, abandons probes in
-// flight and closes every idle upstream connection, the control
-// plane's included. A request still in flight closes its connection
+// flight, lets requests being served finish for up to a second — past
+// that their clients' connections close, which ends their contexts —
+// and closes every idle upstream connection, the control plane's
+// included. A request still in flight closes its upstream connection
 // when it ends.
 func (rt *Router) Stop() {
 	rt.stop()
 	if rt.srv != nil {
-		rt.srv.Close()
+		rt.srv.Stop()
 	}
 	rt.wg.Wait()
 	rt.mu.RLock()

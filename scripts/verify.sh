@@ -121,7 +121,9 @@ echo "== one copy loop (live and router: bodies move through hop.Copy in hop.Buf
 # So non-test internal/faas/live and internal/router call no
 # io.Copy/io.CopyBuffer/io.CopyN except into io.Discard, copyPooled does
 # not come back, and the only byte chunk those two and internal/hop
-# make is hop's pooled BufSize chunk.
+# make is hop's pooled BufSize chunk. The router's replay buffer, made
+# to a request's declared length, holds one body whole and is no copy
+# chunk: that one make is not counted.
 COPIERS="$(ls "$LIVE"/*.go internal/router/*.go | grep -v '_test\.go$')"
 if grep -nE 'io\.Copy(Buffer|N)?\(' $COPIERS | grep -vE 'io\.Copy(Buffer|N)?\(io\.Discard,' >&2; then
 	echo "verify: a body copy outside hop.Copy: move bytes with hop.Copy (into io.Discard, io.Copy is fine)" >&2
@@ -131,33 +133,36 @@ if grep -rn --include='*.go' 'copyPooled' . >&2; then
 	echo "verify: copyPooled is back: hop.Copy is the one copy loop" >&2
 	exit 1
 fi
-n="$(ls $COPIERS internal/hop/*.go | grep -v '_test\.go$' | xargs grep -h 'make(\[\]byte' | grep -vc '^[[:space:]]*//' || true)"
+n="$(ls $COPIERS internal/hop/*.go | grep -v '_test\.go$' | xargs grep -h 'make(\[\]byte' | grep -v 'make(\[\]byte, r\.ContentLength)' | grep -vc '^[[:space:]]*//' || true)"
 if [ "$n" -ne 1 ]; then
 	echo "verify: $n byte chunks are made in $LIVE, internal/router and internal/hop (want 1, hop's BufSize pool): take a chunk with hop.GetBuf" >&2
 	exit 1
 fi
-echo "== one codec (watchdogs and the gateway's front door serve with hop.Server, the hop reads its own replies)"
+echo "== one codec (watchdogs and the gateway's and router's front doors serve with hop.Server, the hop reads its own replies)"
 # Both ends of the internal leg are this repository's code, yet a
 # net/http.Server per watchdog parsed every request and
 # http.ReadResponse every reply: general-purpose MIME parsing cost ~18 %
 # of a warm request's CPU and ~50 of its allocations. The gateway's own
 # net/http front door then kept every relayed body in user space: it
-# splices neither a request body nor a chunked reply. So non-test
-# internal/prefork, internal/hop and internal/faas/live build no
-# http.Server and call no http.ReadResponse or http.ReadRequest, and
-# live wraps no body in http.MaxBytesReader and asks for no
-# EnableFullDuplex: internal/hop's Server, Serve and Conn are the one
-# codec, its framing rules and body limit live there once, and its
-# front door is full duplex.
-CODEC="$(ls internal/prefork/*.go internal/hop/*.go "$LIVE"/*.go | grep -v '_test\.go$')"
+# splices neither a request body nor a chunked reply. The router's was
+# the last net/http.Server on a request's path, and cost a routed warm
+# request about a tenth of its throughput. So non-test internal/prefork,
+# internal/hop, internal/faas/live, internal/router and cmd/hotc-router
+# build no http.Server and call no http.ReadResponse or
+# http.ReadRequest, and none wraps a body in http.MaxBytesReader or
+# asks for EnableFullDuplex: internal/hop's Server, Serve and Conn are
+# the one codec, its framing rules and body limit live there once, and
+# its front door is full duplex.
+CODEC="$(ls internal/prefork/*.go internal/hop/*.go "$LIVE"/*.go internal/router/*.go cmd/hotc-router/*.go | grep -v '_test\.go$')"
 if grep -nE 'http\.(Server|ReadResponse|ReadRequest|MaxBytesReader)\b|EnableFullDuplex' $CODEC | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
-	echo "verify: net/http's codec on a leg of the gateway: serve with hop.Server, read replies with hop.Conn, bound bodies with its limit" >&2
+	echo "verify: net/http's codec on a leg of a request: serve with hop.Server, read replies with hop.Conn, bound bodies with its limit" >&2
 	exit 1
 fi
 # One accept loop: the watchdog kept its own accept loop, connection set
-# and stop grace beside the gateway's server. hop.Server is both now, so
-# non-test internal/prefork and internal/faas/live accept no connection.
-if grep -nE '\.Accept\(\)' $(ls internal/prefork/*.go "$LIVE"/*.go | grep -v '_test\.go$') >&2; then
+# and stop grace beside the gateway's server. hop.Server is every one
+# now, so non-test internal/prefork, internal/faas/live, internal/router
+# and cmd/hotc-router accept no connection.
+if grep -nE '\.Accept\(\)' $(ls internal/prefork/*.go "$LIVE"/*.go internal/router/*.go cmd/hotc-router/*.go | grep -v '_test\.go$') >&2; then
 	echo "verify: an accept loop outside hop.Server: serve the listener with a hop.Server" >&2
 	exit 1
 fi
