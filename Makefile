@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Full verification tier: build, vet, race-enabled tests, metric-name lint.
+# Full verification tier: build, vet, race-enabled tests (the design rules
+# in internal/archtest among them), smokes, doc lint.
 verify:
 	./scripts/verify.sh
 

@@ -1,0 +1,539 @@
+// Package archtest holds the design's structural rules as one table,
+// rules, that go test checks against the module's own source.
+package archtest
+
+import (
+	"cmp"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// L prefixes the live gateway's files in the table's allowed sites.
+const L = "internal/faas/live/"
+
+var (
+	live, all = []string{"internal/faas/live"}, []string{"..."}
+	sim       = []string{"internal/faas", "internal/pool", "internal/core"}
+	legs      = []string{"internal/prefork", "internal/faas/live", "internal/router", "cmd/hotc-router"}
+	metrics   = []string{"cmd/...", "internal/...", "."}
+	atomics   = []string{"Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value"}
+	isObs     = regexp.MustCompile(`obs$`).MatchString
+	isIdle    = regexp.MustCompile(`^[\w.]*\.idle\b`).MatchString
+)
+
+// rules is the design, one row per rule. A new structural property is a
+// row here and a tree under testdata/ that breaks it.
+var rules = []row{
+	// One way in, one way out. The live gateway builds an instance in one
+	// boot whose every modelled delay goes through pay(ctx, d), and only
+	// warmlist.go's shard methods write a warm list: duplicates of either
+	// grew back unnoticed before.
+	{name: "one way in, one way out: delays paid through pay", in: live, match: sel("time", "Sleep"),
+		allow: sites{L + "coldpath.go pay": 1, L + "daemon.go builtinFunction": 1}},
+	{name: "one way in, one way out: warm lists written in warmlist.go", in: live, out: []string{L + "warmlist.go"},
+		match: either(assigns(`.*\.idle(\[.*\])?`, token.ASSIGN, token.DEFINE),
+			is(func(c *at, x *ast.CallExpr) bool {
+				return callee(x) == "append" && isIdle(text(x.Args[0]))
+			}))},
+	// Every /function/ request leaves handle through conclude, which alone
+	// writes a gateway refusal, counts the outcome and latency and finishes
+	// the span; every event is booked once, in the registry the JSON views
+	// read back. watchdog.go (the function's replies) and daemon.go (the
+	// management API) write their own errors.
+	{name: "one way in, one way out: requests finished by conclude", in: live, match: call("finishRequest"),
+		allow: sites{L + "live.go Gateway.conclude": 1}, exact: true},
+	{name: "one way in, one way out: outcomes observed by conclude", in: live, match: call("observe"),
+		allow: sites{L + "live.go Gateway.conclude": 1}, exact: true},
+	{name: "one way in, one way out: refusals written by conclude and the 404", in: live, out: []string{L + "watchdog.go", L + "daemon.go"},
+		match: sel("net/http", "Error"), allow: sites{L + "live.go Gateway.conclude": 1, L + "live.go Gateway.handle": 1}},
+	{name: "one way in, one way out: sharing and the cold path count in the registry", in: []string{L + "sharing.go", L + "coldpath.go"},
+		match: sel("sync/atomic", "Uint64", "Int64")},
+	{name: "one way in, one way out: reclaims and sampled-out spans count in the registry", in: live,
+		out: []string{L + "sharing.go", L + "coldpath.go", L + "watchdog.go", L + "daemon.go"},
+		match: either(is(func(c *at, f *ast.Field) bool {
+			return hasName(f.Names, "memReclaimed", "sampledOut") && isSel(c, f.Type, "sync/atomic", atomics...)
+		}), is(func(c *at, v *ast.ValueSpec) bool {
+			return hasName(v.Names, "memReclaimed", "sampledOut") && isSel(c, v.Type, "sync/atomic", atomics...)
+		}))},
+	// One background goroutine, the control cycle, runs every periodic
+	// decision as a stage, over the registry in name order: N + 1 free
+	// tickers and a map iteration per walk made decisions depend on map
+	// order. Goroutines: the cycle, a prewarm boot, stopAll's teardowns
+	// and the server (the hop's body writer lives in internal/hop).
+	{name: "one way in, one way out: goroutines for the cycle, prewarms, teardowns and serving", in: live,
+		match: is(func(c *at, g *ast.GoStmt) bool { return true }), allow: sites{L + "controller.go Gateway.startCycle": 1,
+			L + "controller.go Gateway.controlOnce": 1, L + "live.go stopAll": 1, L + "live.go Gateway.startOn": 1}},
+	{name: "one way in, one way out: tickers only in the cycle", in: live, match: sel("time", "NewTicker"),
+		allow: sites{L + "controller.go Gateway.cycle": 2}},
+	{name: "one way in, one way out: the registry walked in name order", in: live, match: ranges("g.shards"),
+		allow: sites{L + "live.go Gateway.Register": 1}},
+
+	// One hop. net/http's client cost a warm routed request ~40 µs of CPU
+	// in handoffs and copies: both proxy legs use internal/hop. (The
+	// router's control plane, in router.go, keeps Config.Client.)
+	{name: "one hop: no net/http client on a proxy leg", in: []string{"internal/faas/live", "internal/router/proxy.go"},
+		match: either(sel("net/http", "Transport"), call("Do"))},
+
+	// One copy loop. Each chunk is a read and a write on a socket, so a
+	// second chunk size costs syscalls on every body: bodies move through
+	// hop.Copy, in hop's pooled BufSize chunks. A buffer sized by the
+	// request holds one body whole and is no chunk.
+	{name: "one copy loop: io.Copy only into io.Discard", in: []string{"internal/faas/live", "internal/router"},
+		match: is(func(c *at, x *ast.CallExpr) bool {
+			return isSel(c, x.Fun, "io", "Copy", "CopyBuffer", "CopyN") && !isSel(c, x.Args[0], "io", "Discard")
+		})},
+	{name: "one copy loop: copyPooled stays gone", in: all, tests: true, match: ident("copyPooled")},
+	{name: "one copy loop: one constant-size byte chunk", in: []string{"internal/faas/live", "internal/router", "internal/hop"},
+		match: is(func(c *at, x *ast.CallExpr) bool {
+			return callee(x) == "make" && text(x.Args[0]) == "[]byte" && !slices.ContainsFunc(x.Args[1:], func(e ast.Expr) bool { return !c.constant(e) })
+		}), allow: sites{"internal/hop/hop.go bufPool": 1}, exact: true},
+
+	// One codec. net/http's MIME parsing cost ~18 % of a warm request's
+	// CPU, its front door kept relayed bodies in user space, and the
+	// watchdog kept an accept loop of its own: hop's Server, Serve and
+	// Conn are the codec, with its framing rules and body limit once.
+	{name: "one codec: no net/http server or parser", in: append([]string{"internal/hop"}, legs...),
+		match: either(sel("net/http", "Server", "ReadResponse", "ReadRequest", "MaxBytesReader"), ident("EnableFullDuplex"))},
+	{name: "one codec: one accept loop, in hop.Server", in: legs, match: call("Accept")},
+
+	// Wired once. hotc.NewSimulation, bench.NewEnv and every cluster node
+	// are one stack.New: hand-wired copies drifted (cluster nodes never
+	// armed the memory threshold).
+	wired("container.NewEngine", sel("hotc/internal/container", "NewEngine")),
+	wired("host.New", sel("hotc/internal/host", "New")),
+	wired("faas.NewGateway", sel("hotc/internal/faas", "NewGateway")),
+	wired("Refs", call("Refs")),
+
+	// One book (sim). The gateway, the pool and the controller count into
+	// the registry every stack has, and Pool.Stats and ResilienceCounters
+	// read it back: hand-kept twins and obs != nil branches drifted apart.
+	{name: "one book (sim): no nil test on obs", in: sim, match: is(func(c *at, b *ast.BinaryExpr) bool {
+		x, y := text(b.X), text(b.Y)
+		return (b.Op == token.EQL || b.Op == token.NEQ) && (x == "nil" && isObs(y) || y == "nil" && isObs(x))
+	})},
+	{name: "one book (sim): no metrics.Counters", in: sim, match: sel("hotc/internal/metrics", "Counters")},
+	{name: "one book (sim): no hand-counted pool stat", in: []string{"internal/pool"}, match: assigns(`.*stats\.\w+`, token.INC, token.ADD_ASSIGN)},
+	{name: "one book (sim): resilience events booked by request.annotate", in: sim, match: bumps(`.*events(\[.*\]|\.With\(.*\))`),
+		allow: sites{"internal/faas/faas.go request.annotate": 1}, exact: true},
+
+	// One book (live). Eight hand-counted shard.stats sat beside the
+	// families counting the same events, and disagreed (boots counted
+	// prewarms too).
+	{name: "one book (live): no hand-counted stat", in: live, match: assigns(`.*stats\.\w+`, token.INC, token.ADD_ASSIGN)},
+	{name: "one book (live): shard keeps no stats", in: live,
+		match: is(func(c *at, f *ast.Field) bool { return c.fn == "shard" && hasName(f.Names, "stats") })},
+	{name: "one book (live): evictions named by reason", in: live, match: is(func(c *at, x *ast.CallExpr) bool {
+		return callee(x) == "takeOldestLocked" && len(x.Args) > 1 && (text(x.Args[1]) == "nil" || strings.HasPrefix(text(x.Args[1]), "&"))
+	})},
+	{name: "one book (live): boots counted by acquire", in: live, match: bumps(`.*coldBoots\w*(\[.*\])?`),
+		allow: sites{L + "live.go Gateway.acquire": 1}, exact: true},
+
+	// One control step. Algorithm 3's interval close (tick, forecast, plan,
+	// book) was written twice, with two declarations of hotc_ctl_* that
+	// drifted: kernel.Demand.Step is the one close.
+	{name: "one control step: intervals closed and booked in the kernel", in: all, out: []string{"internal/kernel/..."},
+		match: either(sel("hotc/internal/kernel", "Plan"), call("Tick"),
+			is(func(c *at, l *ast.BasicLit) bool { return strings.HasPrefix(l.Value[1:], "hotc_ctl_") }))},
+	{name: "one control step: Plan called by Demand.Step", in: []string{"internal/kernel"}, match: call("Plan"),
+		allow: sites{"internal/kernel/plan.go Demand.Step": 1}, exact: true},
+	{name: "one control step: Tick called by Demand.Step", in: []string{"internal/kernel"}, match: call("Tick"),
+		allow: sites{"internal/kernel/plan.go Demand.Step": 1}, exact: true},
+
+	// Counted, not resolved per request. Walking every container on a
+	// release and name-keyed lookups behind an RWMutex cost the simulator
+	// a quarter of its time, hashing the ~100-byte runtime key a sixth:
+	// occupancy is counted where it changes, a key is a handle
+	// (Engine.KeyOf), and per-key records live in slices under it.
+	{name: "counted, not resolved per request: containers walked by Engine.Live and LiveContainers", in: []string{"internal/container"},
+		match: ranges("e.containers"), allow: sites{"internal/container/container.go Engine.Live": 1, "internal/container/container.go Engine.LiveContainers": 1}},
+	{name: "counted, not resolved per request: no RWMutex", in: []string{"internal/faas", "internal/pool"}, match: sel("sync", "RWMutex")},
+	{name: "counted, not resolved per request: no map read by runtime key", in: append([]string{"internal/container"}, sim...),
+		match: is(func(c *at, ix *ast.IndexExpr) bool {
+			key, ok := ix.Index.(*ast.CallExpr)
+			a, set := c.up[len(c.up)-1].(*ast.AssignStmt)
+			return ok && callee(key) == "Key" && len(key.Args) == 0 && !(set && a.Tok == token.ASSIGN && slices.Contains(a.Lhs, ast.Expr(ix)))
+		})},
+
+	// One placement, one lender rule, one reclaim rule. The router and the
+	// simulated cluster placed by two rules, so hotc-bench measured a
+	// placement no deployment ran; the pool and the gateway chose lenders
+	// by two scans with other ties; the gateway's water-fill reclaimed from
+	// the hot function first.
+	{name: "one placement: kernel.Place called by the router and the cluster", in: all, match: call("Place"),
+		allow: sites{"internal/router/proxy.go Router.placement": 1, "internal/cluster/cluster.go Cluster.place": 1}, exact: true},
+	{name: "one placement: the cluster orders no nodes itself", in: []string{"internal/cluster"}, match: either(ident("leastLoaded", "rrNext"),
+		is(func(c *at, b *ast.BinaryExpr) bool {
+			return slices.Contains([]token.Token{token.LSS, token.GTR, token.LEQ, token.GEQ}, b.Op) && strings.Contains(text(b.X)+text(b.Y), "inFlight")
+		}))},
+	{name: "one lender rule: sharing.Pick called by the pool and the gateway", in: all, match: call("Pick"),
+		allow: sites{"internal/pool/pool.go Pool.shareCandidate": 1, L + "sharing.go Gateway.leaseInstance": 1}, exact: true},
+	{name: "one lender rule: no lender scan of its own", in: all, tests: true, match: ident("lendableLocked", "bestSince")},
+	{name: "one reclaim rule: kernel.Reclaim called by the pool and the janitor", in: all, match: call("Reclaim"),
+		allow: sites{"internal/pool/pool.go Pool.EvictOldest": 1, L + "controller.go Gateway.reclaim": 1}, exact: true},
+	{name: "one reclaim rule: no water-fill or second eviction loop", in: all, tests: true, match: ident("overQuota", "makeRoom", "shrinkToCap")},
+
+	// Layers. Every rule and family both substrates share lives in the
+	// leaf kernel; hotcd linked the simulator's pool, container, core and
+	// faas before, and hotc-sim the gateway, router, admission and prefork.
+	{name: "layers: the live side reaches no simulator package", in: []string{"internal/faas/live", "internal/router", "cmd/hotcd", "cmd/hotc-router"},
+		match: reaches(`pool|container|faas|stack|core|cluster`, true)},
+	{name: "layers: the simulator reaches no live package", in: []string{"internal/stack", "internal/cluster", ".", "cmd/hotc-sim", "cmd/hotc-bench"},
+		match: reaches(`faas/live|router|admission|prefork`, true)},
+	{name: "layers: the kernel reaches only obs, metrics, predictor and simclock", in: []string{"internal/kernel"},
+		match: reaches(`kernel|obs|metrics|predictor|simclock`, false)},
+
+	// Declared once. Nine families were registered once per substrate and
+	// drifted apart, so one registry could not host both: a family both
+	// count into is declared in the kernel's books. Names match
+	// hotc_[a-z_]+, as obs.Registry enforces at run time, and the tracing,
+	// SLO, cold-path and sharing families are a public contract. The
+	// first two read past obs, whose sources mention the rule.
+	{name: "declared once: no family registered at two sites", in: metrics, out: []string{"internal/obs/..."},
+		check: eachFamily(func(name string, at []string) bool { return len(at) > 1 })},
+	{name: "declared once: family names match hotc_[a-z_]+", in: metrics, out: []string{"internal/obs/..."},
+		check: eachFamily(func(name string, at []string) bool { return !regexp.MustCompile(`^hotc_[a-z_]+$`).MatchString(name) })},
+	{name: "declared once: the contract's families are registered", in: []string{"cmd/...", "internal/..."}, check: func(t *tree, r row) (bad []string) {
+		have := t.families(r)
+		for _, name := range strings.Fields(`hotc_trace_kept_total hotc_trace_sampled_out_total hotc_trace_ring_dropped_total
+			hotc_slo_burn_rate hotc_slo_bad_fraction hotc_slo_breach hotc_slo_budget hotc_build_info hotc_uptime_seconds
+			hotc_coldpath_boots_total hotc_coldpath_phase_ms hotc_coldpath_generic_idle hotc_coldpath_refills_total
+			hotc_coldpath_generic_reaped_total hotc_coldpath_pull_skipped_mb_total hotc_share_leases_total
+			hotc_share_lenders hotc_share_renters hotc_share_boot_phase_ms`) {
+			if have[name] == nil {
+				bad = append(bad, name+" is registered nowhere")
+			}
+		}
+		return bad
+	}},
+}
+
+// wired is the row for a constructor that only stack.New calls.
+func wired(what string, m func(*at) bool) row {
+	return row{name: "wired once: " + what + " only in stack.New", in: all, match: m, allow: sites{"internal/stack/stack.go New": 1}, exact: true}
+}
+
+// A row is one rule: no node of its files matches, but at its allowed
+// sites. A rule over the whole tree has check instead of match.
+type row struct {
+	name    string
+	in, out []string // its files: named by in and not by out (see covers)
+	tests   bool     // test files too
+	match   func(c *at) bool
+	allow   sites
+	exact   bool // the allowed sites hold exactly their counts
+	check   func(t *tree, r row) []string
+}
+
+// sites maps "file Func" to how many matches a rule allows there.
+type sites = map[string]int
+
+// A tree is every Go file under a root but benchmark/ (a module of its
+// own), testdata/ and hidden directories, parsed once.
+type tree struct {
+	fset  *token.FileSet
+	files []*file
+	deps  map[string][]string // package → module packages its non-test files import
+}
+
+type file struct {
+	path, dir, pkg string // slash paths from the root, and the import path
+	test           bool
+	ast            *ast.File
+	imports        map[string]string // the name the file uses → import path
+}
+
+func load(root string) (*tree, error) {
+	t := &tree{fset: token.NewFileSet(), deps: map[string][]string{}}
+	return t, filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		rel, _ := filepath.Rel(root, p)
+		if rel = filepath.ToSlash(rel); err != nil || d.IsDir() && rel != "." && (rel == "benchmark" || d.Name() == "testdata" || d.Name()[0] == '.') {
+			return cmp.Or(err, filepath.SkipDir)
+		} else if d.IsDir() || !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		a, err := parser.ParseFile(t.fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		f := &file{path: rel, dir: path.Dir(rel), test: strings.HasSuffix(rel, "_test.go"), ast: a, imports: map[string]string{}}
+		f.pkg = strings.TrimSuffix("hotc/"+f.dir, "/.")
+		for _, s := range a.Imports {
+			ip, _ := strconv.Unquote(s.Path.Value)
+			if f.imports[path.Base(ip)] = ip; s.Name != nil {
+				f.imports[s.Name.Name] = ip
+			}
+			if !f.test && strings.HasPrefix(ip+"/", "hotc/") {
+				t.deps[f.pkg] = append(t.deps[f.pkg], ip)
+			}
+		}
+		t.files = append(t.files, f)
+		return nil
+	})
+}
+
+// covers reports whether r reads f: a test file only if r.tests, and
+// named by r.in and not by r.out, each a file, a directory or, as
+// "dir/...", a directory and all below it ("..." alone: every one).
+func (r row) covers(f *file) bool {
+	named := func(pats []string) bool {
+		return slices.ContainsFunc(pats, func(p string) bool {
+			d, below := strings.CutSuffix(p, "...")
+			return below && strings.HasPrefix(f.dir+"/", d) || p == f.path || p == f.dir
+		})
+	}
+	return (r.tests || !f.test) && named(r.in) && !named(r.out)
+}
+
+// An at is one node of a walk, and where it is.
+type at struct {
+	n  ast.Node
+	up []ast.Node // the nodes around it, innermost last
+	f  *file
+	t  *tree
+	fn string // the declaration it is in: "Func", "Type.Method", or a var's or type's name
+}
+
+var receiver = regexp.MustCompile(`^\*|\[.*`) // *T[K] → T
+
+// walk calls visit on every node of the files r reads.
+func (t *tree) walk(r row, visit func(c *at)) {
+	for _, f := range t.files {
+		if !r.covers(f) {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			c := &at{f: f, t: t}
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if c.fn = d.Name.Name; d.Recv != nil {
+					c.fn = receiver.ReplaceAllString(text(d.Recv.List[0].Type), "") + "." + c.fn
+				}
+			case *ast.GenDecl:
+				if s, ok := d.Specs[0].(*ast.ValueSpec); ok {
+					c.fn = s.Names[0].Name
+				} else if s, ok := d.Specs[0].(*ast.TypeSpec); ok {
+					c.fn = s.Name.Name
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if n == nil {
+					c.up = c.up[:len(c.up)-1]
+					return false
+				}
+				c.n = n
+				visit(c)
+				c.up = append(c.up, n)
+				return true
+			})
+		}
+	}
+}
+
+func (c *at) pos() string {
+	return fmt.Sprintf("%s:%d (%s)", c.f.path, c.t.fset.Position(c.n.Pos()).Line, c.fn)
+}
+
+// run returns what breaks r in t.
+func (t *tree) run(r row) []string {
+	if r.check != nil {
+		return r.check(t, r)
+	}
+	var bad []string
+	count := map[string]int{}
+	t.walk(r, func(c *at) {
+		if site := c.f.path + " " + c.fn; r.match(c) {
+			if count[site]++; r.allow[site] == 0 {
+				bad = append(bad, c.pos())
+			}
+		}
+	})
+	for site, n := range r.allow {
+		if got := count[site]; got > n || r.exact && got != n {
+			bad = append(bad, fmt.Sprintf("%s: %d, want %d", site, got, n))
+		}
+	}
+	return bad
+}
+
+// The matchers the table is written in.
+
+func text(e ast.Expr) string { return types.ExprString(e) }
+
+// is matches a node of type T for which ok holds.
+func is[T ast.Node](ok func(c *at, n T) bool) func(*at) bool {
+	return func(c *at) bool { n, yes := c.n.(T); return yes && ok(c, n) }
+}
+
+func either(ms ...func(*at) bool) func(*at) bool {
+	return func(c *at) bool { return slices.ContainsFunc(ms, func(m func(*at) bool) bool { return m(c) }) }
+}
+
+// isSel reports whether e is pkg.Name for one of names, with pkg the
+// package imported from path, whatever the file calls it.
+func isSel(c *at, e ast.Expr, path string, names ...string) bool {
+	s, ok := e.(*ast.SelectorExpr)
+	return ok && c.f.imports[text(s.X)] == path && slices.Contains(names, s.Sel.Name)
+}
+
+func sel(path string, names ...string) func(*at) bool {
+	return is(func(c *at, s *ast.SelectorExpr) bool { return isSel(c, s, path, names...) })
+}
+
+// callee is the name a call calls: f for f(), x.f() and pkg.f().
+func callee(x *ast.CallExpr) string { f := text(x.Fun); return f[strings.LastIndex(f, ".")+1:] }
+
+func call(names ...string) func(*at) bool {
+	return is(func(c *at, x *ast.CallExpr) bool { return slices.Contains(names, callee(x)) })
+}
+
+func ident(names ...string) func(*at) bool {
+	return is(func(c *at, x *ast.Ident) bool { return slices.Contains(names, x.Name) })
+}
+
+func hasName(ids []*ast.Ident, names ...string) bool {
+	return slices.ContainsFunc(ids, func(id *ast.Ident) bool { return slices.Contains(names, id.Name) })
+}
+
+func ranges(x string) func(*at) bool {
+	return is(func(c *at, r *ast.RangeStmt) bool { return text(r.X) == x })
+}
+
+// assigns matches an assignment with one of toks (token.INC for ++) to
+// an expression whose text matches pat in full.
+func assigns(pat string, toks ...token.Token) func(*at) bool {
+	re := regexp.MustCompile("^(?:" + pat + ")$")
+	to := func(e ast.Expr) bool { return re.MatchString(text(e)) }
+	return func(c *at) bool {
+		switch n := c.n.(type) {
+		case *ast.AssignStmt:
+			return slices.Contains(toks, n.Tok) && slices.ContainsFunc(n.Lhs, to)
+		case *ast.IncDecStmt:
+			return slices.Contains(toks, n.Tok) && to(n.X)
+		}
+		return false
+	}
+}
+
+// bumps matches .Inc( or .Add( on an expression whose text matches pat
+// in full.
+func bumps(pat string) func(*at) bool {
+	on := regexp.MustCompile("^(?:" + pat + ")$")
+	return is(func(c *at, x *ast.CallExpr) bool {
+		s, ok := x.Fun.(*ast.SelectorExpr)
+		return ok && (s.Sel.Name == "Inc" || s.Sel.Name == "Add") && on.MatchString(text(s.X))
+	})
+}
+
+// constant reports whether e is a literal, a package-level const, or an
+// operation on them.
+func (c *at) constant(e ast.Expr) bool {
+	pkg, name := c.f.pkg, text(e)
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return true
+	case *ast.BinaryExpr:
+		return c.constant(e.X) && c.constant(e.Y)
+	case *ast.SelectorExpr:
+		pkg, name = c.f.imports[text(e.X)], e.Sel.Name
+	}
+	return slices.ContainsFunc(c.t.files, func(f *file) bool {
+		return f.pkg == pkg && !f.test && slices.ContainsFunc(f.ast.Decls, func(d ast.Decl) bool {
+			g, ok := d.(*ast.GenDecl)
+			return ok && g.Tok == token.CONST && slices.ContainsFunc(g.Specs, func(s ast.Spec) bool { return hasName(s.(*ast.ValueSpec).Names, name) })
+		})
+	})
+}
+
+// reaches matches an import through which the file's package reaches a
+// module package under internal/ that pkgs names (in), or that it does
+// not (!in).
+func reaches(pkgs string, in bool) func(*at) bool {
+	named := regexp.MustCompile(`^hotc/internal/(` + pkgs + `)$`).MatchString
+	return is(func(c *at, s *ast.ImportSpec) bool {
+		seen := map[string]bool{}
+		var reach func(p string) bool
+		reach = func(p string) bool {
+			seen[p] = true
+			return strings.HasPrefix(p, "hotc/") && named(p) == in ||
+				slices.ContainsFunc(c.t.deps[p], func(q string) bool { return !seen[q] && reach(q) })
+		}
+		p, _ := strconv.Unquote(s.Path.Value)
+		return reach(p)
+	})
+}
+
+// families maps each metric family a registry constructor declares in
+// r's files, by a string first argument, to the sites that declare it.
+func (t *tree) families(r row) map[string][]string {
+	sites := map[string][]string{}
+	ctor := regexp.MustCompile(`\.(Counter|Gauge|Histogram)(Vec)?$`)
+	t.walk(r, func(c *at) {
+		if x, ok := c.n.(*ast.CallExpr); ok && len(x.Args) > 0 && ctor.MatchString(text(x.Fun)) {
+			if lit, ok := x.Args[0].(*ast.BasicLit); ok && lit.Value[0] == '"' {
+				name, _ := strconv.Unquote(lit.Value)
+				sites[name] = append(sites[name], c.pos())
+			}
+		}
+	})
+	return sites
+}
+
+// eachFamily is a check that reports every family for which bad holds.
+func eachFamily(bad func(name string, at []string) bool) func(*tree, row) []string {
+	return func(t *tree, r row) (out []string) {
+		for name, at := range t.families(r) {
+			if bad(name, at) {
+				out = append(out, name+": "+strings.Join(at, ", "))
+			}
+		}
+		return out
+	}
+}
+
+func TestTreeKeepsTheRules(t *testing.T) {
+	tr, err := load("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rules {
+		if bad := tr.run(r); len(bad) > 0 {
+			slices.Sort(bad)
+			t.Errorf("%s:\n\t%s", r.name, strings.Join(bad, "\n\t"))
+		}
+	}
+}
+
+// Every rule reports the tree under testdata/ named after it, and every
+// tree there is some rule's.
+func TestEachRuleFiresOnItsFixture(t *testing.T) {
+	dirs, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused := map[string]bool{}
+	for _, d := range dirs {
+		unused[d.Name()] = true
+	}
+	for _, r := range rules {
+		dir := strings.Trim(regexp.MustCompile(`[^a-z0-9]+`).ReplaceAllString(strings.ToLower(r.name), "-"), "-")
+		delete(unused, dir)
+		if tr, err := load(filepath.Join("testdata", dir)); err != nil || len(tr.run(r)) == 0 {
+			t.Errorf("%s: reports nothing on testdata/%s (%v)", r.name, dir, err)
+		}
+	}
+	for dir := range unused {
+		t.Errorf("testdata/%s belongs to no rule", dir)
+	}
+}

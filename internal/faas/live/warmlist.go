@@ -6,8 +6,8 @@ import "time"
 // reuse takes the newest, every eviction takes the oldest. The three
 // methods below are the only code that assigns s.idle, syncs the
 // hotc_live_warm_instances gauge or counts an eviction
-// (scripts/verify.sh enforces it); callers hold s.mu and stop what they
-// are handed outside it.
+// (an internal/archtest row enforces it); callers hold s.mu and stop
+// what they are handed outside it.
 
 // pushLocked parks inst as the newest warm instance.
 func (s *shard) pushLocked(inst *instance, now time.Time) {

@@ -258,12 +258,17 @@ func Unanswered(err error) bool {
 // firing fails whatever I/O the exchange is blocked in. On error the
 // exchange is over and the connection closed; the error is a
 // *http.MaxBytesError when the body tripped its limit, else ctx's when
-// ctx fired, and errInvalidHead, with nothing sent, when the method,
-// path or host cannot be written as they are. RoundTrip never retries.
+// ctx fired (with nothing sent when it had already ended), and
+// errInvalidHead, with nothing sent, when the method, path or host
+// cannot be written as they are. RoundTrip never retries.
 func (c *Conn) RoundTrip(ctx context.Context, head Head, body io.Reader, length int64) (*http.Response, error) {
 	if !wireToken(head.Method) || !wireToken(head.Path) || !wireToken(c.host) {
 		c.conn.Close()
 		return nil, errInvalidHead
+	}
+	if err := ctx.Err(); err != nil {
+		c.conn.Close()
+		return nil, err
 	}
 	c.detach = context.AfterFunc(ctx, c.poison)
 	c.writeHead(&head, length)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // exchange runs one request over a fresh connection to a peer that
@@ -144,6 +145,37 @@ func TestRoundTripRefusesUnwritableHead(t *testing.T) {
 		if n := <-read; n != 0 {
 			t.Errorf("%q %q host %q: the peer read %d bytes, want none and a closed connection", tc.method, tc.path, tc.host, n)
 		}
+	}
+}
+
+// scriptedConn answers every request with reply and keeps what it is
+// sent; its deadlines are no-ops, so nothing but RoundTrip itself can
+// keep a request off the wire.
+type scriptedConn struct {
+	net.Conn
+	reply *strings.Reader
+	sent  bytes.Buffer
+}
+
+func (c *scriptedConn) Read(p []byte) (int, error)       { return c.reply.Read(p) }
+func (c *scriptedConn) Write(p []byte) (int, error)      { return c.sent.Write(p) }
+func (c *scriptedConn) SetDeadline(time.Time) error      { return nil }
+func (c *scriptedConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *scriptedConn) Close() error                     { return nil }
+
+// An exchange whose context has already ended sends nothing, however
+// fast the peer would have answered: the caller gave up first.
+func TestPreCanceledExchangeSendsNothing(t *testing.T) {
+	conn := &scriptedConn{reply: strings.NewReader("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := New(conn, "node:1").RoundTrip(ctx, Head{Method: http.MethodPost, Path: "/"}, strings.NewReader("x"), 1)
+	if err != context.Canceled {
+		t.Errorf("error %v, want context.Canceled", err)
+	}
+	if conn.sent.Len() != 0 {
+		t.Errorf("sent %q, want nothing", conn.sent.String())
 	}
 }
 

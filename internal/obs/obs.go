@@ -8,7 +8,7 @@
 // run's JSONL dump and hotcd's Prometheus /metrics endpoint expose the
 // same metric families under the same names. Every metric name must
 // match `hotc_[a-z_]+` — the registry enforces it at registration and
-// `scripts/lint-metrics.sh` enforces it at verify time — so dashboards
+// an internal/archtest row enforces it under go test — so dashboards
 // built against one binary work against the others.
 package obs
 

@@ -380,15 +380,23 @@ func (rt *Router) recordDeploy(body []byte) {
 	rt.deploys = append(rt.deploys, deploy{spec.Name, body})
 }
 
+// maxDeployBody bounds a deployment spec: a longer one is refused
+// whole, never forwarded cut short.
+const maxDeployBody = 1 << 20
+
 // handleFunctions fans a deployment out to every member (so any node
 // can serve any key) and records it for replay to late joiners; GET
 // proxies the listing from the first healthy node.
 func (rt *Router) handleFunctions(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxDeployBody+1))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if len(body) > maxDeployBody {
+			http.Error(w, "router: deployment spec over 1 MiB", http.StatusRequestEntityTooLarge)
 			return
 		}
 		statuses := rt.Nodes()

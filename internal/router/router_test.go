@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -742,6 +743,33 @@ func TestDeployFansOutToAllNodes(t *testing.T) {
 		if len(fns) != 1 || fns[0] != "fn" {
 			t.Fatalf("node %s functions = %v, want [fn]", n, fns)
 		}
+	}
+}
+
+// A deployment spec over 1 MiB is refused whole, before any node sees
+// it: read through a 1 MiB limit it used to reach every node cut short,
+// each node refused the broken JSON and the router answered 502.
+func TestOversizeDeployRefusedBeforeAnyNode(t *testing.T) {
+	var deploys atomic.Int64
+	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path == "/system/functions" {
+			deploys.Add(1)
+		}
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("{}"))}, nil
+	})}
+	rt, err := New(Config{Nodes: []string{"n1:1", "n2:1"}, Client: client, PollInterval: time.Hour, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"name":"big","handler":"echo","pad":"` + strings.Repeat("x", 1<<20) + `"}`
+	spec = spec[:1<<20+1]
+	rec := httptest.NewRecorder()
+	rt.Routes().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/system/functions", strings.NewReader(spec)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", rec.Code)
+	}
+	if n := deploys.Load(); n != 0 {
+		t.Errorf("%d nodes saw the deploy, want none", n)
 	}
 }
 
