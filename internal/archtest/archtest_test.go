@@ -80,11 +80,23 @@ var rules = []row{
 	{name: "one way in, one way out: the registry walked in name order", in: live, match: ranges("g.shards"),
 		allow: sites{L + "live.go Gateway.Register": 1}},
 
-	// One hop. net/http's client cost a warm routed request ~40 µs of CPU
-	// in handoffs and copies: both proxy legs use internal/hop. (The
-	// router's control plane, in router.go, keeps Config.Client.)
-	{name: "one hop: no net/http client on a proxy leg", in: []string{"internal/faas/live", "internal/router/proxy.go"},
-		match: either(sel("net/http", "Transport"), call("Do"))},
+	// One client, one relay. net/http's client cost a warm routed request
+	// ~40 µs of CPU in handoffs and copies, and the router's control plane
+	// kept one beside the hop: a second pool per node, and a drain with no
+	// context that a hung node held for good. Every node link is a
+	// hop.Conn (the watchdog's stopOnce is a sync.Once). Each proxy's relay
+	// filtered, framed and copied its reply its own way, and only one acted
+	// on a cut: a reply is copied by hop.Relay, and outside internal/hop
+	// hop.Copy moves only echo's request body.
+	{name: "one client: no net/http client on a node link", in: []string{"internal/router", "internal/faas/live", "internal/prefork", "internal/hop"},
+		match: either(sel("net/http", "Client", "Transport", "DefaultClient", "DefaultTransport", "NewRequest", "NewRequestWithContext", "Get", "Post", "Head", "PostForm"),
+			call("Do")), allow: sites{"internal/prefork/prefork.go Watchdog.Stop": 1}},
+	{name: "one relay: replies copied by hop.Relay", in: all, match: is(func(c *at, x *ast.CallExpr) bool {
+		if c.f.pkg == "hotc/internal/hop" {
+			return text(x.Fun) == "Copy" && len(x.Args) == 2 && strings.HasSuffix(text(x.Args[1]), ".Body")
+		}
+		return isSel(c, x.Fun, "hotc/internal/hop", "Copy")
+	}), allow: sites{"internal/hop/hop.go Relay": 1, L + "daemon.go builtinFunction": 1}, exact: true},
 
 	// One copy loop. Each chunk is a read and a write on a socket, so a
 	// second chunk size costs syscalls on every body: bodies move through

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"hotc/internal/config"
 	"hotc/internal/container"
 	"hotc/internal/costmodel"
-	"hotc/internal/image"
 	"hotc/internal/network"
 	"hotc/internal/workload"
 )
@@ -83,27 +81,4 @@ func mustSpec(env *Env, rt config.Runtime) *container.Spec {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	return spec
-}
-
-// coldRequestTotal is the full client-observed cold latency for an app
-// under a network mode, used by several figures.
-func coldRequestTotal(env *Env, spec *container.Spec, app workload.App) time.Duration {
-	m := env.Engine.Model()
-	return env.Engine.StartCost(spec) + m.InitCost(app.InitCost()) +
-		m.ColdExecCost(app.Exec) + m.WatchdogShimCost() + 2*m.GatewayForwardCost()
-}
-
-// warmRequestTotal is the client-observed warm latency.
-func warmRequestTotal(env *Env, app workload.App) time.Duration {
-	m := env.Engine.Model()
-	return m.ExecCost(app.Exec) + m.WatchdogShimCost() + 2*m.GatewayForwardCost()
-}
-
-// mustLookupImage fetches a catalog image.
-func mustLookupImage(env *Env, ref string) image.Image {
-	im, err := env.Registry.Lookup(ref)
-	if err != nil {
-		panic(err)
-	}
-	return im
 }

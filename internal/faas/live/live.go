@@ -822,35 +822,20 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 		g.trace.noteWatchdog(resp.Header, rt)
 	}
 
-	// Forward the watchdog's response headers (Content-Type etc.) and
-	// length before committing the status line, then relay the body with
-	// hop.Copy: in the kernel when both ends are the hop's sockets and
-	// the body is larger than the reader's buffer, else through a pooled
-	// chunk. The front door reads full duplex, so a streaming function's
-	// reply flows while its request body is still being forwarded.
-	// The watchdog's X-Hotc-Span-* timestamps are consumed above, not
-	// forwarded to the client, and neither is a hop-by-hop field: its
-	// trailer declaration, or one that describes its connection.
+	// Relay the reply: its body moves in the kernel when both ends are
+	// the hop's sockets and it is larger than the reader's buffer, else
+	// through a pooled chunk. The front door reads full duplex, so a
+	// streaming function's reply flows while its request body is still
+	// being forwarded. The watchdog's X-Hotc-Span-* timestamps are
+	// consumed above, not forwarded; the gateway's stamps, set first, win.
 	hdr := w.Header()
-	for k, vv := range resp.Header {
-		if internalRespHeader(k) || !hop.Relayed(resp.Header, k) {
-			continue
-		}
-		for _, v := range vv {
-			hdr.Add(k, v)
-		}
-	}
 	hdr.Set("X-Hotc-Reused", strconv.FormatBool(rt.reused))
 	if !rt.reused {
 		// Cold responses also say which cold path served them; warm
 		// responses skip the extra header (zero-alloc hot path).
 		hdr.Set(BootHeader, mode.String())
 	}
-	if resp.ContentLength >= 0 {
-		hdr.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-	}
-	w.WriteHeader(status)
-	n, copyErr := hop.Copy(w, resp.Body)
+	n, copyErr := hop.Relay(w, resp, internalRespHeader)
 	if copyErr != nil && (hop.ReadFailed(copyErr) || ctx.Err() != nil) {
 		// The backend read died mid-stream, or the request's context did
 		// (client disconnect / deadline) and poisoned it. The status line

@@ -216,8 +216,8 @@ func (tr *tracing) headerNanos(h http.Header, key string) int64 {
 
 // internalRespHeader reports response headers the gateway consumes
 // itself and must not forward to clients: the watchdog's span
-// timestamps. (Its trailer declaration is hop-by-hop: hop.Relayed
-// drops it.)
+// timestamps. (Its trailer declaration is hop-by-hop: hop.Relay drops
+// it.)
 func internalRespHeader(k string) bool {
 	return strings.HasPrefix(k, spanHeaderPrefix)
 }

@@ -440,12 +440,30 @@ func listed(names []string, k string) bool {
 	return false
 }
 
-// Relayed reports whether a proxy passes field k of reply header h on
+// relayed reports whether a proxy passes field k of reply header h on
 // to its client: k is a field name, not hop-by-hop and not one that h's
 // Connection names. So an upstream closing its own connection does not
 // close the client's.
-func Relayed(h http.Header, k string) bool {
+func relayed(h http.Header, k string) bool {
 	return token(k) && !listed(hopByHop, k) && !named(h["Connection"], k)
+}
+
+// Relay passes a proxied reply on to w, the one relay both proxies
+// run: the fields relayed allows and skip (when not nil) does not
+// refuse, Content-Length among them when the reply declares one, then
+// the status, then the body through Copy. A field w's header already
+// holds is the proxy's own stamp and keeps its value. The error is
+// Copy's, so ReadFailed tells a reply the upstream cut short from a
+// client that stopped taking it. The caller ends the exchange.
+func Relay(w http.ResponseWriter, resp *http.Response, skip func(string) bool) (int64, error) {
+	h := w.Header()
+	for k, vs := range resp.Header {
+		if _, own := h[k]; !own && relayed(resp.Header, k) && (skip == nil || !skip(k)) {
+			h[k] = vs
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	return Copy(w, resp.Body)
 }
 
 // named reports whether a Connection header lists k.

@@ -187,8 +187,8 @@ func TestRouterRedialsStaleConnection(t *testing.T) {
 	}
 }
 
-// An https:// member is dialed through crypto/tls and trusted the way
-// the control-plane client trusts it.
+// An https:// member is dialed through crypto/tls and trusted by the
+// roots of the router's TLS configuration.
 func TestRouterForwardsToHTTPSMember(t *testing.T) {
 	srv := httptest.NewTLSServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.TLS == nil {
@@ -198,10 +198,11 @@ func TestRouterForwardsToHTTPSMember(t *testing.T) {
 		echoNode(w, r)
 	}))
 	t.Cleanup(srv.Close)
-	rt, err := New(Config{Nodes: []string{srv.URL}, Client: srv.Client(), PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.tlsConf.RootCAs = srv.Client().Transport.(*http.Transport).TLSClientConfig.RootCAs
 	t.Cleanup(rt.Stop)
 	for i := 0; i < 2; i++ {
 		if rec := route(rt, http.MethodPost, "fn", "sealed", nil); rec.Code != http.StatusOK || rec.Body.String() != "sealed" {
@@ -209,7 +210,7 @@ func TestRouterForwardsToHTTPSMember(t *testing.T) {
 		}
 	}
 
-	// Without the client's roots the member's certificate is not trusted.
+	// Without those roots the member's certificate is not trusted.
 	untrusting, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +337,80 @@ func TestRoutedNameCannotSmuggle(t *testing.T) {
 		if !reflect.DeepEqual(paths, want) {
 			t.Errorf("name %q: the node parsed %q, want %q", name, paths, want)
 		}
+	}
+}
+
+// A reply the node cuts short — half of its declared length, then a
+// close — is booked once the relay is over: outcome="error" and a miss
+// against the node, as a transport error is, not the placement's
+// outcome.
+func TestCutRelayBookedError(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		req, err := http.ReadRequest(bufio.NewReader(conn))
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, req.Body)
+		io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n"+strings.Repeat("x", 32))
+	}()
+	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	if rec := route(rt, http.MethodPost, "fn", "x", nil); rec.Body.Len() != 32 {
+		t.Fatalf("the client got %d bytes, want the 32 the node sent", rec.Body.Len())
+	}
+	for _, o := range []string{"warm", "hash", "spill", "rr", "no_node", "error", "canceled"} {
+		want := 0.0
+		if o == "error" {
+			want = 1
+		}
+		if got := rt.mRequests.With(o).Value(); got != want {
+			t.Errorf(`hotc_router_requests_total{outcome=%q} = %v, want %v`, o, got, want)
+		}
+	}
+	if st := rt.Nodes()[0]; st.Misses != 1 {
+		t.Errorf("the node has %d misses, want 1", st.Misses)
+	}
+}
+
+// Probes and invocations share one pool per node: the connection a
+// poll leaves idle carries the next invocation.
+func TestPollThenInvokeUsesOneConnection(t *testing.T) {
+	var accepted atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(echoNode))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	rt.PollOnce()
+	if st := rt.Nodes()[0]; !st.Healthy || st.Misses != 0 {
+		t.Fatalf("node healthy=%v with %d misses after the poll, want healthy with none", st.Healthy, st.Misses)
+	}
+	if rec := route(rt, http.MethodPost, "fn", "x", nil); rec.Code != http.StatusOK || rec.Body.String() != "x" {
+		t.Fatalf("invocation = %d %q, want 200 x", rec.Code, rec.Body)
+	}
+	if got := accepted.Load(); got != 1 {
+		t.Errorf("the node accepted %d connections, want 1", got)
 	}
 }
 

@@ -128,7 +128,7 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 
 	cands := rt.placement(name)
 	if len(cands) == 0 {
-		rt.finish(w, "no_node", start, tc, 0, nil, nil)
+		rt.finish(w, r, "no_node", start, tc, 0, nil, nil)
 		return
 	}
 	var lastResp *http.Response
@@ -151,7 +151,7 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 		if err != nil && r.Context().Err() != nil {
 			// The client gave up: no node failed, and nobody waits for
 			// another attempt.
-			rt.finish(w, "canceled", start, tc, attempts, c.n, nil)
+			rt.finish(w, r, "canceled", start, tc, attempts, c.n, nil)
 			return
 		}
 		if err != nil {
@@ -180,28 +180,54 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			outcome = "spill"
 		}
-		rt.finish(w, outcome, start, tc, attempts, c.n, resp)
+		rt.finish(w, r, outcome, start, tc, attempts, c.n, resp)
 		return
 	}
 	// Every candidate was saturated or unreachable. Relay the last
 	// saturation response when there is one (it carries Retry-After
 	// and the drain marker); otherwise synthesize a 503.
-	rt.finish(w, "error", start, tc, attempts, lastNode, lastResp)
+	rt.finish(w, r, "error", start, tc, attempts, lastNode, lastResp)
 }
 
-// forward proxies the request to one node over one of the node's
-// keep-alive connections, on the request's goroutine. The returned
-// body's Close ends the exchange and gives the connection back (see
-// upstream). A pooled connection the node closed while it sat idle
-// fails before any response byte: a replayable body then goes once
-// more on a fresh connection, and that is no failure of the node.
+// forward proxies the request to one node, on the request's goroutine.
 func (rt *Router) forward(orig *http.Request, n *node, name string, buf []byte, tail io.Reader, traceparent string) (*http.Response, error) {
-	ctx := orig.Context()
 	// name is the decoded path segment: escaped again, it cannot end the
 	// request line early, and the node decodes the same name.
 	head := hop.Head{Method: orig.Method, Path: n.path + "/function/" + url.PathEscape(name), Header: orig.Header, Traceparent: traceparent}
+	return rt.send(orig.Context(), n, head, buf, tail, orig.ContentLength)
+}
+
+// jsonBody is the header of a control request: a JSON body, or none.
+var jsonBody = http.Header{"Content-Type": {"application/json"}}
+
+// control is one control-plane exchange with n — a probe, a deploy or
+// its replay, a drain — on the connections invocations use, the reply
+// read whole: read to its end, the connection goes back on n's free
+// list. The exchange ends with ctx or with Stop.
+func (rt *Router) control(ctx context.Context, n *node, method, path string, body []byte) (status int, reply []byte, err error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer context.AfterFunc(rt.stopped, cancel)()
+	defer cancel()
+	resp, err := rt.send(ctx, n, hop.Head{Method: method, Path: n.path + path, Header: jsonBody}, body, nil, 0)
+	if err != nil {
+		return 0, nil, err
+	}
+	status = resp.StatusCode
+	reply, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return status, reply, err
+}
+
+// send does one exchange with n over one of the node's keep-alive
+// connections: the body is buf, or tail of the given length when tail
+// is not nil. The returned body's Close ends the exchange and gives the
+// connection back (see upstream). A pooled connection the node closed
+// while it sat idle fails before any response byte: a replayable body
+// then goes once more on a fresh connection, and that is no failure of
+// the node.
+func (rt *Router) send(ctx context.Context, n *node, head hop.Head, buf []byte, tail io.Reader, length int64) (*http.Response, error) {
 	var replay *bytes.Reader
-	body, length := tail, orig.ContentLength
+	body := tail
 	if tail == nil {
 		replay = bytes.NewReader(buf)
 		body, length = replay, int64(len(buf))
@@ -265,16 +291,18 @@ func (rt *Router) conn(ctx context.Context, n *node) (u *upstream, reused bool, 
 }
 
 // dialUpstream opens a connection to n, through crypto/tls for an
-// https:// member.
+// https:// member, whose certificate must name the host it is dialed
+// at.
 func (rt *Router) dialUpstream(ctx context.Context, n *node) (*upstream, error) {
-	var conn net.Conn
-	var err error
-	if n.tls {
-		d := tls.Dialer{Config: rt.tlsConf}
-		conn, err = d.DialContext(ctx, "tcp", n.addr)
-	} else {
-		var d net.Dialer
-		conn, err = d.DialContext(ctx, "tcp", n.addr)
+	conn, err := rt.dial(ctx, "tcp", n.addr)
+	if err == nil && n.tls {
+		conf := rt.tlsConf.Clone()
+		conf.ServerName, _, _ = net.SplitHostPort(n.addr)
+		secure := tls.Client(conn, conf)
+		if err = secure.HandshakeContext(ctx); err != nil {
+			conn.Close()
+		}
+		conn = secure
 	}
 	if err != nil {
 		return nil, err
@@ -312,37 +340,24 @@ func (n *node) closeIdle() {
 }
 
 // finish relays the upstream response (or synthesizes a failure),
-// stamps the router headers and records the request metrics. The body
-// moves in hop.Copy's chunks, as on the gateway's relay: net/http's
-// ReadFrom would copy it in 32 KiB ones.
-func (rt *Router) finish(w http.ResponseWriter, outcome string, start time.Time, tc obs.TraceContext, attempts int, n *node, resp *http.Response) {
-	rt.mRequests.With(outcome).Inc()
-	rt.mLatency.With(outcome).ObserveDuration(time.Since(start))
-
+// stamps the router headers and records the request metrics once the
+// relay is over: a reply the node cut short is an error and a miss
+// against the node, as a transport error is, and one the client
+// stopped taking is canceled.
+func (rt *Router) finish(w http.ResponseWriter, r *http.Request, outcome string, start time.Time, tc obs.TraceContext, attempts int, n *node, resp *http.Response) {
 	h := w.Header()
-	status := http.StatusServiceUnavailable
-	var body io.ReadCloser
-	if resp != nil {
-		for k, vs := range resp.Header {
-			if hop.Relayed(resp.Header, k) {
-				h[k] = vs
-			}
-		}
-		status = resp.StatusCode
-		body = resp.Body
-	}
 	if n != nil {
 		h.Set(NodeHeader, n.name)
 	}
 	if attempts > 0 {
 		h.Set(AttemptsHeader, strconv.Itoa(attempts))
 	}
-	if h.Get(live.TraceIDHeader) == "" {
+	if resp == nil || resp.Header.Get(live.TraceIDHeader) == "" {
 		h.Set(live.TraceIDHeader, tc.TraceIDString())
 	}
 	if resp == nil {
 		h.Set("Retry-After", "1")
-		msg := "router: no node accepted the request"
+		status, msg := http.StatusServiceUnavailable, "router: no node accepted the request"
 		switch outcome {
 		case "no_node":
 			msg = "router: no healthy node available"
@@ -351,11 +366,20 @@ func (rt *Router) finish(w http.ResponseWriter, outcome string, start time.Time,
 			status, msg = 499, "router: client closed request"
 		}
 		http.Error(w, msg, status)
-		return
+	} else {
+		_, err := hop.Relay(w, resp, nil)
+		resp.Body.Close()
+		switch {
+		case err == nil:
+		case hop.ReadFailed(err) && r.Context().Err() == nil:
+			outcome = "error"
+			rt.recordMiss(n)
+		default:
+			outcome = "canceled"
+		}
 	}
-	w.WriteHeader(status)
-	hop.Copy(w, body)
-	body.Close()
+	rt.mRequests.With(outcome).Inc()
+	rt.mLatency.With(outcome).ObserveDuration(time.Since(start))
 }
 
 // recordDeploy keeps an accepted deployment for replay to late joiners,
@@ -399,26 +423,24 @@ func (rt *Router) handleFunctions(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "router: deployment spec over 1 MiB", http.StatusRequestEntityTooLarge)
 			return
 		}
-		statuses := rt.Nodes()
-		if len(statuses) == 0 {
+		members := rt.members()
+		if len(members) == 0 {
 			http.Error(w, "router: no members", http.StatusServiceUnavailable)
 			return
 		}
 		okCount := 0
 		var firstErr string
-		for _, st := range statuses {
-			resp, err := rt.client.Post(st.URL+"/system/functions", "application/json", bytes.NewReader(body))
+		for _, n := range members {
+			status, reply, err := rt.control(r.Context(), n, http.MethodPost, "/system/functions", body)
 			if err != nil {
 				if firstErr == "" {
-					firstErr = err.Error()
+					firstErr = fmt.Sprintf("%s: %v", n.name, err)
 				}
 				continue
 			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode >= 300 {
+			if status >= 300 {
 				if firstErr == "" {
-					firstErr = fmt.Sprintf("%s: %s", st.Name, strings.TrimSpace(string(b)))
+					firstErr = fmt.Sprintf("%s: %s", n.name, strings.TrimSpace(string(reply)))
 				}
 				continue
 			}
@@ -433,20 +455,19 @@ func (rt *Router) handleFunctions(w http.ResponseWriter, r *http.Request) {
 			Deployed int    `json:"deployedNodes"`
 			Total    int    `json:"totalNodes"`
 			Error    string `json:"error,omitempty"`
-		}{okCount, len(statuses), firstErr})
+		}{okCount, len(members), firstErr})
 	case http.MethodGet:
-		for _, st := range rt.Nodes() {
-			if !st.Healthy {
+		for _, n := range rt.members() {
+			if !n.snapshot().Healthy {
 				continue
 			}
-			resp, err := rt.client.Get(st.URL + "/system/functions")
+			resp, err := rt.send(r.Context(), n, hop.Head{Method: http.MethodGet, Path: n.path + "/system/functions"}, nil, nil, 0)
 			if err != nil {
 				continue
 			}
-			defer resp.Body.Close()
 			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(resp.StatusCode)
-			hop.Copy(w, resp.Body)
+			hop.Relay(w, resp, nil)
+			resp.Body.Close()
 			return
 		}
 		writeJSON(w, http.StatusOK, []string{})
@@ -510,7 +531,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "router: ?url= required", http.StatusBadRequest)
 		return
 	}
-	if err := rt.Drain(u, r.Method == http.MethodPost); err != nil {
+	if err := rt.Drain(r.Context(), u, r.Method == http.MethodPost); err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}

@@ -8,12 +8,10 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"crypto/tls"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -59,12 +57,6 @@ type Config struct {
 	SpillMaxBody int64
 	// Registry receives hotc_router_* metrics (nil = a private one).
 	Registry *obs.Registry
-	// Client is the control plane's HTTP client: probes, deploy
-	// fan-out and drain (nil = a default one). Invocations do not use
-	// it: they go over the router's own keep-alive connections, which
-	// take their TLS settings from Client's *http.Transport when it has
-	// one.
-	Client *http.Client
 	// TraceSeed seeds the trace-ID generator (0 = random).
 	TraceSeed uint64
 }
@@ -97,9 +89,10 @@ type node struct {
 	misses int
 	// lastPoll is when the node last answered a probe.
 	lastPoll time.Time
-	// idle is the free list of keep-alive connections for invocations,
-	// most recently used last; gone is set once the node has left or
-	// the router stopped, after which no connection is kept.
+	// idle is the free list of keep-alive connections, most recently
+	// used last, that invocations and control exchanges share; gone is
+	// set once the node has left or the router stopped, after which no
+	// connection is kept.
 	idle []*upstream
 	gone bool
 }
@@ -134,11 +127,12 @@ type NodeStatus struct {
 // node's /system/stats for warmth and drain state, and proxies
 // /function/ requests to the placement the policy picks.
 type Router struct {
-	cfg    Config
-	reg    *obs.Registry
-	ids    *obs.IDGen
-	client *http.Client
-	// tlsConf dials https:// members for invocations.
+	cfg Config
+	reg *obs.Registry
+	ids *obs.IDGen
+	// dial opens a TCP connection to a member's address; tlsConf
+	// secures one to an https:// member.
+	dial    func(ctx context.Context, network, addr string) (net.Conn, error)
 	tlsConf *tls.Config
 
 	mu    sync.RWMutex
@@ -198,16 +192,12 @@ func New(cfg Config) (*Router, error) {
 	if reg == nil {
 		reg = obs.New()
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{IdleConnTimeout: 30 * time.Second}}
-	}
 	rt := &Router{
 		cfg:     cfg,
 		reg:     reg,
 		ids:     obs.NewIDGen(cfg.TraceSeed),
-		client:  client,
-		tlsConf: upstreamTLS(client),
+		dial:    (&net.Dialer{}).DialContext,
+		tlsConf: &tls.Config{NextProtos: []string{"http/1.1"}},
 		ring:    kernel.NewRing(cfg.VNodes),
 		nodes:   make(map[string]*node),
 	}
@@ -312,21 +302,9 @@ func newNode(u *url.URL) *node {
 		healthy: true, warm: map[string]int{}}
 }
 
-// upstreamTLS is the TLS configuration invocations dial https://
-// members with: the control-plane client's, so one member list is
-// trusted the same way on both paths, speaking HTTP/1.1 only.
-func upstreamTLS(client *http.Client) *tls.Config {
-	conf := &tls.Config{}
-	if t, ok := client.Transport.(*http.Transport); ok && t.TLSClientConfig != nil {
-		conf = t.TLSClientConfig.Clone()
-	}
-	conf.NextProtos = []string{"http/1.1"}
-	return conf
-}
-
 // Join adds a node to the ring and replays deployments made through
-// the router so the newcomer serves the same functions. It reports
-// the normalized URL.
+// the router so the newcomer serves the same functions; a replay
+// exchange ends at Stop. It reports the normalized URL.
 func (rt *Router) Join(rawURL string) (string, error) {
 	parsed, err := parseMember(rawURL)
 	if err != nil {
@@ -350,11 +328,7 @@ func (rt *Router) Join(rawURL string) (string, error) {
 	rt.mHealthy.With(n.name).Set(1)
 	rt.mMembershp.With("join").Inc()
 	for _, dep := range replay {
-		resp, err := rt.client.Post(u+"/system/functions", "application/json", bytes.NewReader(dep.body))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+		rt.control(rt.stopped, n, http.MethodPost, "/system/functions", dep.body)
 	}
 	return u, nil
 }
@@ -387,9 +361,9 @@ func (rt *Router) Leave(rawURL string) bool {
 }
 
 // Drain toggles a member's drain state: the node's /system/drain is
-// called and the router stops (or resumes) placing new work there
-// without waiting for the next poll.
-func (rt *Router) Drain(rawURL string, on bool) error {
+// called, in an exchange ctx bounds, and the router stops (or resumes)
+// placing new work there without waiting for the next poll.
+func (rt *Router) Drain(ctx context.Context, rawURL string, on bool) error {
 	u, err := normalizeURL(rawURL)
 	if err != nil {
 		return err
@@ -404,18 +378,12 @@ func (rt *Router) Drain(rawURL string, on bool) error {
 	if !on {
 		method = http.MethodDelete
 	}
-	req, err := http.NewRequest(method, u+"/system/drain", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.client.Do(req)
+	status, _, err := rt.control(ctx, n, method, "/system/drain", nil)
 	if err != nil {
 		return fmt.Errorf("router: drain %s: %w", u, err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("router: drain %s: status %d", u, resp.StatusCode)
+	if status != http.StatusOK {
+		return fmt.Errorf("router: drain %s: status %d", u, status)
 	}
 	n.mu.Lock()
 	n.draining = on
@@ -423,19 +391,25 @@ func (rt *Router) Drain(rawURL string, on bool) error {
 	return nil
 }
 
-// Nodes returns every member's status, sorted by URL.
-func (rt *Router) Nodes() []NodeStatus {
+// members returns every member, sorted by URL.
+func (rt *Router) members() []*node {
 	rt.mu.RLock()
-	members := make([]*node, 0, len(rt.nodes))
+	out := make([]*node, 0, len(rt.nodes))
 	for _, n := range rt.nodes {
-		members = append(members, n)
+		out = append(out, n)
 	}
 	rt.mu.RUnlock()
-	out := make([]NodeStatus, 0, len(members))
-	for _, n := range members {
-		out = append(out, n.snapshot())
+	sort.Slice(out, func(i, j int) bool { return out[i].url < out[j].url })
+	return out
+}
+
+// Nodes returns every member's status, sorted by URL.
+func (rt *Router) Nodes() []NodeStatus {
+	members := rt.members()
+	out := make([]NodeStatus, len(members))
+	for i, n := range members {
+		out[i] = n.snapshot()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
 }
 
@@ -448,14 +422,8 @@ type nodeStats struct {
 // PollOnce probes every member once, synchronously — the poll loop's
 // body, exported so tests drive probes deterministically.
 func (rt *Router) PollOnce() {
-	rt.mu.RLock()
-	members := make([]*node, 0, len(rt.nodes))
-	for _, n := range rt.nodes {
-		members = append(members, n)
-	}
-	rt.mu.RUnlock()
 	var wg sync.WaitGroup
-	for _, n := range members {
+	for _, n := range rt.members() {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
@@ -471,26 +439,9 @@ func (rt *Router) PollOnce() {
 func (rt *Router) probe(n *node) {
 	ctx, cancel := context.WithTimeout(rt.stopped, rt.cfg.PollInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/system/stats", nil)
-	if err != nil {
-		rt.recordMiss(n)
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.recordMiss(n)
-		return
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		rt.recordMiss(n)
-		return
-	}
+	status, reply, err := rt.control(ctx, n, http.MethodGet, "/system/stats", nil)
 	var st nodeStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err != nil || status != http.StatusOK || json.Unmarshal(reply, &st) != nil {
 		rt.recordMiss(n)
 		return
 	}
@@ -566,12 +517,11 @@ func (rt *Router) StartOn(addr string) (string, error) {
 	return "http://" + ln.Addr().String(), nil
 }
 
-// Stop shuts the listener and poll loop down, abandons probes in
-// flight, lets requests being served finish for up to a second — past
-// that their clients' connections close, which ends their contexts —
-// and closes every idle upstream connection, the control plane's
-// included. A request still in flight closes its upstream connection
-// when it ends.
+// Stop shuts the listener and poll loop down, ends the control
+// exchanges bound to it, lets requests being served finish for up to a
+// second — past that their clients' connections close, which ends
+// their contexts — and closes every idle upstream connection. A
+// request still in flight closes its upstream connection when it ends.
 func (rt *Router) Stop() {
 	rt.stop()
 	if rt.srv != nil {
@@ -583,5 +533,4 @@ func (rt *Router) Stop() {
 		n.closeIdle()
 	}
 	rt.mu.RUnlock()
-	rt.client.CloseIdleConnections()
 }

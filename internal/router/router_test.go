@@ -682,10 +682,10 @@ func TestChurnUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			rt.Drain(s2, true)
+			rt.Drain(context.Background(), s2, true)
 			rt.PollOnce()
 			time.Sleep(5 * time.Millisecond)
-			rt.Drain(s2, false)
+			rt.Drain(context.Background(), s2, false)
 			rt.PollOnce()
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -751,16 +751,16 @@ func TestDeployFansOutToAllNodes(t *testing.T) {
 // each node refused the broken JSON and the router answered 502.
 func TestOversizeDeployRefusedBeforeAnyNode(t *testing.T) {
 	var deploys atomic.Int64
-	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		if r.URL.Path == "/system/functions" {
-			deploys.Add(1)
-		}
-		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("{}"))}, nil
-	})}
-	rt, err := New(Config{Nodes: []string{"n1:1", "n2:1"}, Client: client, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{"n1:1", "n2:1"}, PollInterval: time.Hour, TraceSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.dial = fakeNodes(func(line string) {
+		if strings.Contains(line, " /system/functions ") {
+			deploys.Add(1)
+		}
+	})
+	defer rt.Stop()
 	spec := `{"name":"big","handler":"echo","pad":"` + strings.Repeat("x", 1<<20) + `"}`
 	spec = spec[:1<<20+1]
 	rec := httptest.NewRecorder()
@@ -866,17 +866,111 @@ func TestProbeOfHungNodeIsBounded(t *testing.T) {
 	}
 }
 
-// fakeNodes is a client whose every node answers 200 with an empty
-// stats body: the membership API's upstream, with no sockets.
-func fakeNodes() *http.Client {
-	return &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("{}"))}, nil
-	})}
+// The drain and the deploy fan-out talk to a node that accepts the
+// connection and never answers: each returns within 2 s of its
+// request's context ending, and Stop ends one in flight. Drain once
+// built its request with no context on a client with no timeout, and
+// stayed blocked for good.
+func TestHungControlExchangesAreBounded(t *testing.T) {
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hung.Close() })
+	accepted, closed := make(chan struct{}, 8), make(chan struct{}, 8)
+	go func() {
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- struct{}{}
+			go func() {
+				// Reads what the router sends, answers nothing, and
+				// reports the router's close.
+				io.Copy(io.Discard, c)
+				c.Close()
+				closed <- struct{}{}
+			}()
+		}
+	}()
+	within := func(what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: still blocked 2s on", what)
+		}
+	}
+	rt, err := New(Config{Nodes: []string{hung.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	member := url.QueryEscape("http://" + hung.Addr().String())
+	for _, c := range []struct{ what, target, body string }{
+		{"drain", "/system/drain?url=" + member, ""},
+		{"deploy fan-out", "/system/functions", `{"name":"fn","handler":"echo"}`},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest(http.MethodPost, c.target, strings.NewReader(c.body)).WithContext(ctx)
+		done := make(chan struct{})
+		go func() {
+			rt.Routes().ServeHTTP(httptest.NewRecorder(), req)
+			close(done)
+		}()
+		within(c.what+" reaching the node", accepted)
+		cancel()
+		within(c.what+" after its request ended", done)
+		within(c.what+"'s connection after its request ended", closed)
+	}
+
+	// Stop ends a drain in flight whose request never ends.
+	done := make(chan struct{})
+	go func() {
+		rt.Routes().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/system/drain?url="+member, nil))
+		close(done)
+	}()
+	within("drain reaching the node", accepted)
+	stopped := make(chan struct{})
+	go func() {
+		rt.Stop()
+		close(stopped)
+	}()
+	within("Stop with a drain in flight", stopped)
+	within("the drain after Stop", done)
+	within("the drain's connection after Stop", closed)
 }
 
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+// fakeNodes is a dial whose every member is a canned node over an
+// in-memory pipe: a router's upstream, with no sockets. Each write the
+// router makes — a request head with its small body — is one request:
+// seen (when not nil) gets its request line, and the node answers 200
+// with an empty stats body. A TLS hello gets the same answer, which no
+// handshake accepts.
+func fakeNodes(seen func(line string)) func(context.Context, string, string) (net.Conn, error) {
+	return func(context.Context, string, string) (net.Conn, error) {
+		conn, node := net.Pipe()
+		go func() {
+			defer node.Close()
+			buf := make([]byte, 64<<10)
+			for {
+				n, err := node.Read(buf)
+				if err != nil {
+					return
+				}
+				if seen != nil {
+					line, _, _ := strings.Cut(string(buf[:n]), "\r\n")
+					seen(line)
+				}
+				if _, err := io.WriteString(node, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"); err != nil {
+					return
+				}
+			}
+		}()
+		return conn, nil
+	}
+}
 
 // FuzzRouterMembership drives the membership API on a bare router: a
 // POST /system/nodes body, then POST and DELETE /system/drain and
@@ -892,10 +986,12 @@ func FuzzRouterMembership(f *testing.F) {
 	f.Add([]byte(`not json`), "n2:1", "http://n1:1")
 	f.Add([]byte(`{"url":"http://a b/%zz"}`), "http://a b/%zz", "http://a b/%zz")
 	f.Fuzz(func(t *testing.T, join []byte, leave, drain string) {
-		rt, err := New(Config{Nodes: []string{"n1:1"}, Client: fakeNodes(), PollInterval: time.Hour, TraceSeed: 1})
+		rt, err := New(Config{Nodes: []string{"n1:1"}, PollInterval: time.Hour, TraceSeed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt.dial = fakeNodes(nil)
+		defer rt.Stop()
 		mux := rt.Routes()
 		members := map[string]bool{"http://n1:1": true}
 		call := func(method, target string, body []byte) (int, []byte) {
