@@ -180,11 +180,24 @@ func BenchmarkCampusReplay(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reqs, "allocs/req")
 }
 
+// BenchmarkCampusTraceGeneration builds the harness's sim_campus day
+// (seed 1, scale 1, 1440 minutes, four classes): what the harness
+// reports as trace.campus_gen_ms, per generated request.
 func BenchmarkCampusTraceGeneration(b *testing.B) {
+	c := trace.Campus{Seed: 1, Scale: 1, Minutes: 1440, Classes: 4}
+	var before, after runtime.MemStats
+	n := 0
 	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		_ = trace.Campus{Seed: 1, Scale: 10}.Generate()
+		n += len(c.Generate())
 	}
+	runtime.ReadMemStats(&after)
+	reqs := float64(n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/req")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/reqs, "B/req")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reqs, "allocs/req")
 }
 
 func BenchmarkSeriesPercentile(b *testing.B) {

@@ -107,6 +107,10 @@ var rules = []row{
 			return isSel(c, x.Fun, "io", "Copy", "CopyBuffer", "CopyN") && !isSel(c, x.Args[0], "io", "Discard")
 		})},
 	{name: "one copy loop: copyPooled stays gone", in: all, tests: true, match: ident("copyPooled")},
+	// One arrival order. The campus day's insertion sort was quadratic
+	// within each minute and ReadCSV's over a whole file: a day is built
+	// in order, minute by minute, and a file is sorted by SortStableFunc.
+	{name: "one arrival order: sortByTime stays gone", in: all, tests: true, match: ident("sortByTime")},
 	{name: "one copy loop: one constant-size byte chunk", in: []string{"internal/faas/live", "internal/router", "internal/hop"},
 		match: is(func(c *at, x *ast.CallExpr) bool {
 			return callee(x) == "make" && text(x.Args[0]) == "[]byte" && !slices.ContainsFunc(x.Args[1:], func(e ast.Expr) bool { return !c.constant(e) })
@@ -195,6 +199,11 @@ var rules = []row{
 	{name: "one reclaim rule: kernel.Reclaim called by the pool and the janitor", in: all, match: call("Reclaim"),
 		allow: sites{"internal/pool/pool.go Pool.EvictOldest": 1, L + "controller.go Gateway.reclaim": 1}, exact: true},
 	{name: "one reclaim rule: no water-fill or second eviction loop", in: all, tests: true, match: ident("overQuota", "makeRoom", "shrinkToCap")},
+
+	// No dead code. Three fig04 helpers outlived their last caller: an
+	// unexported function is named somewhere in its package besides its
+	// declaration, a test counting.
+	{name: "no dead code: an unexported function is referenced in its package", in: all, tests: true, check: unreferenced},
 
 	// Layers. Every rule and family both substrates share lives in the
 	// leaf kernel; hotcd linked the simulator's pool, container, core and
@@ -484,6 +493,28 @@ func reaches(pkgs string, in bool) func(*at) bool {
 		p, _ := strconv.Unquote(s.Path.Value)
 		return reach(p)
 	})
+}
+
+// unreferenced reports each unexported function (not a method, init
+// or main) of r's files whose name no other identifier of its directory
+// spells.
+func unreferenced(t *tree, r row) (bad []string) {
+	refs := map[string]int{} // "dir name" → identifiers spelling it, declarations included
+	decls := map[string]string{}
+	t.walk(r, func(c *at) {
+		if id, ok := c.n.(*ast.Ident); ok {
+			refs[c.f.dir+" "+id.Name]++
+		}
+		if d, ok := c.n.(*ast.FuncDecl); ok && d.Recv == nil && !ast.IsExported(d.Name.Name) && !slices.Contains([]string{"init", "main", "_"}, d.Name.Name) {
+			decls[c.f.dir+" "+d.Name.Name] = c.pos()
+		}
+	})
+	for key, pos := range decls {
+		if refs[key] == 1 {
+			bad = append(bad, pos)
+		}
+	}
+	return bad
 }
 
 // families maps each metric family a registry constructor declares in

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -13,7 +16,9 @@ import (
 var csvHeader = []string{"at_ms", "class", "round"}
 
 // WriteCSV writes a request schedule as CSV with an "at_ms,class,round"
-// header, so real traces can be exported, edited and replayed.
+// header, so real traces can be exported, edited and replayed. Times
+// carry six decimals, whole nanoseconds, so ReadCSV gets them back
+// exactly.
 func WriteCSV(w io.Writer, reqs []Request) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
@@ -21,7 +26,7 @@ func WriteCSV(w io.Writer, reqs []Request) error {
 	}
 	for i, r := range reqs {
 		rec := []string{
-			strconv.FormatFloat(float64(r.At)/float64(time.Millisecond), 'f', 3, 64),
+			strconv.FormatFloat(float64(r.At)/float64(time.Millisecond), 'f', 6, 64),
 			strconv.Itoa(r.Class),
 			strconv.Itoa(r.Round),
 		}
@@ -35,8 +40,8 @@ func WriteCSV(w io.Writer, reqs []Request) error {
 
 // ReadCSV parses a schedule written by WriteCSV (or hand-authored with
 // the same header). Rows must carry non-negative times, classes and
-// rounds; the result is sorted by arrival time, preserving file order
-// for equal timestamps.
+// rounds; times are rounded to the nanosecond, and the result is
+// sorted by arrival time, preserving file order for equal timestamps.
 func ReadCSV(r io.Reader) ([]Request, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
@@ -71,12 +76,12 @@ func ReadCSV(r io.Reader) ([]Request, error) {
 			return nil, fmt.Errorf("trace: line %d: bad round %q", line, rec[2])
 		}
 		reqs = append(reqs, Request{
-			At:    time.Duration(atMS * float64(time.Millisecond)),
+			At:    time.Duration(math.Round(atMS * float64(time.Millisecond))),
 			Class: class,
 			Round: round,
 		})
 	}
-	sortByTime(reqs)
+	slices.SortStableFunc(reqs, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
 	return reqs, nil
 }
 

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"hotc/internal/rng"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -25,6 +28,32 @@ func TestCSVRoundTrip(t *testing.T) {
 		if back[i] != orig[i] {
 			t.Fatalf("row %d: %+v != %+v", i, back[i], orig[i])
 		}
+	}
+}
+
+// A campus day's arrivals fall on arbitrary nanoseconds: six decimals
+// of at_ms bring every one back (three moved 160 549 of these 160 703).
+func TestCSVRoundTripCampusDay(t *testing.T) {
+	orig := Campus{Seed: 7, Scale: 1, Classes: 4}.Generate()
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(orig) {
+		t.Fatalf("len = %d, want %d", len(back), len(orig))
+	}
+	moved := 0
+	for i := range orig {
+		if back[i] != orig[i] {
+			moved++
+		}
+	}
+	if moved > 0 {
+		t.Fatalf("%d of %d rows came back changed", moved, len(orig))
 	}
 }
 
@@ -53,6 +82,51 @@ func TestReadCSVSortsByTime(t *testing.T) {
 	}
 }
 
+// A shuffled file comes back ordered by time, rows with equal
+// timestamps in file order. Class carries each row's file position.
+func TestReadCSVOrdersShuffledFile(t *testing.T) {
+	const rows = 50000
+	src := rng.New(3)
+	var b strings.Builder
+	b.WriteString("at_ms,class,round\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "%d.5,%d,0\n", src.Intn(rows/10), i) // ~10 rows per timestamp
+	}
+	reqs, err := ReadCSV(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reqs) != rows {
+		t.Fatalf("len = %d, want %d", len(reqs), rows)
+	}
+	for i := 1; i < rows; i++ {
+		prev, r := reqs[i-1], reqs[i]
+		if r.At < prev.At || r.At == prev.At && r.Class < prev.Class {
+			t.Fatalf("row %d (%v, file row %d) after (%v, file row %d)", i, r.At, r.Class, prev.At, prev.Class)
+		}
+	}
+}
+
+// BenchmarkReadCSV reads a 40 000-row file written in reverse time
+// order, the worst case for an insertion sort.
+func BenchmarkReadCSV(b *testing.B) {
+	reqs := make([]Request, 40000)
+	for i := range reqs {
+		reqs[i] = Request{At: time.Duration(len(reqs)-i) * time.Millisecond, Round: i}
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, reqs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCSV(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	cases := []string{
 		"",                                 // no header
@@ -73,8 +147,7 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-// Property: any generated schedule survives a CSV round trip exactly
-// (times have sub-millisecond precision in the patterns used here).
+// Property: any generated schedule survives a CSV round trip exactly.
 func TestPropertyCSVRoundTrip(t *testing.T) {
 	f := func(n uint8, interval uint8, classes uint8) bool {
 		p := Parallel{

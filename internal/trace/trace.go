@@ -9,6 +9,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"hotc/internal/rng"
@@ -250,7 +252,9 @@ type Campus struct {
 // Name implements Pattern.
 func (c Campus) Name() string { return "campus-youtube-diurnal" }
 
-// Generate implements Pattern.
+// Generate implements Pattern. Float64 < 1 puts every arrival of
+// minute m in [m, m+1) minutes, so ordering each minute's arrivals
+// orders the day: no sort over the whole schedule.
 func (c Campus) Generate() []Request {
 	src := rng.New(c.Seed)
 	minutes := c.Minutes
@@ -265,23 +269,67 @@ func (c Campus) Generate() []Request {
 	if classes <= 0 {
 		classes = 1
 	}
-	var reqs []Request
-	seq := 0
+	// Size the schedule and the per-minute scratch once: the expected
+	// count plus four standard deviations (a Poisson count's variance is
+	// its mean). A rarer draw still fits, by append.
+	total, peak := 0.0, 0.0
 	for m := 0; m < minutes; m++ {
 		mean := CampusEnvelope(m) / scale
-		n := src.Poisson(mean)
+		total += mean
+		peak = max(peak, mean)
+	}
+	reqs := make([]Request, 0, int(total+4*math.Sqrt(total))+1)
+	offs := make([]time.Duration, 0, int(peak+4*math.Sqrt(peak))+1)
+	starts := make([]int, 0, cap(offs)+1)
+	seq := 0
+	for m := 0; m < minutes; m++ {
+		n := src.Poisson(CampusEnvelope(m) / scale)
+		// Spread the minute's arrivals uniformly across it.
+		offs = offs[:0]
 		for i := 0; i < n; i++ {
-			// Spread the minute's arrivals uniformly across it.
-			off := time.Duration(src.Float64() * float64(time.Minute))
-			reqs = append(reqs, Request{
-				At:    time.Duration(m)*time.Minute + off,
-				Class: seq % classes,
-				Round: m,
-			})
-			seq++
+			offs = append(offs, time.Duration(src.Float64()*float64(time.Minute)))
+		}
+		starts = slices.Grow(starts[:0], n+1)[:n+1]
+		reqs = appendInOrder(reqs, offs, starts, m, seq, classes)
+		seq += n
+	}
+	return reqs
+}
+
+// appendInOrder appends minute m's arrivals, given by their offsets in
+// generation order, to reqs in arrival order, ties in generation order.
+// One counting pass places them in n equal-width buckets of the minute
+// (starts, n+1 long, is its scratch); an insertion sort then moves an
+// arrival only within its bucket, since a lower bucket holds only
+// earlier offsets: stable, and linear in expectation.
+func appendInOrder(reqs []Request, offs []time.Duration, starts []int, m, seq, classes int) []Request {
+	n := len(offs)
+	perNs := float64(n) / float64(time.Minute)
+	bucket := func(off time.Duration) int { return min(int(float64(off)*perNs), n-1) }
+	clear(starts)
+	for _, off := range offs {
+		starts[bucket(off)+1]++
+	}
+	for b := 1; b < n; b++ {
+		starts[b] += starts[b-1]
+	}
+	base := len(reqs)
+	reqs = slices.Grow(reqs, n)[:base+n]
+	minute := reqs[base:]
+	for i, off := range offs {
+		b := bucket(off)
+		minute[starts[b]] = Request{
+			At:    time.Duration(m)*time.Minute + off,
+			Class: (seq + i) % classes,
+			Round: m,
+		}
+		starts[b]++
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && minute[j].At < minute[j-1].At; j-- {
+			minute[j], minute[j-1] = minute[j-1], minute[j]
 		}
 	}
-	sortByTime(reqs)
 	return reqs
 }
 
@@ -325,17 +373,6 @@ func (p Poisson) Generate() []Request {
 		i++
 	}
 	return reqs
-}
-
-// sortByTime sorts requests by arrival, stable on generation order.
-func sortByTime(reqs []Request) {
-	// Insertion-friendly: requests are nearly sorted (per-minute
-	// generation), so a simple stable sort suffices.
-	for i := 1; i < len(reqs); i++ {
-		for j := i; j > 0 && reqs[j].At < reqs[j-1].At; j-- {
-			reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
-		}
-	}
 }
 
 // ScheduleStats summarises a request schedule.

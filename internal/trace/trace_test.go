@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -302,5 +305,68 @@ func TestPropertySchedulesSane(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// campusDigest is an FNV-64a digest of a schedule's (At, Class, Round)
+// triples, in order.
+func campusDigest(reqs []Request) uint64 {
+	h := fnv.New64a()
+	var b [24]byte
+	for _, r := range reqs {
+		binary.LittleEndian.PutUint64(b[0:], uint64(r.At))
+		binary.LittleEndian.PutUint64(b[8:], uint64(r.Class))
+		binary.LittleEndian.PutUint64(b[16:], uint64(r.Round))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestCampusGolden pins the campus schedules byte for byte: full days at
+// seeds 1 (the benchmark harness's day), 7 and 11 (Fig. 11's), and a
+// high-rate hour with over a thousand arrivals a minute. The digests were
+// taken from the insertion-sorted generator; never regenerate them to
+// make a change pass.
+func TestCampusGolden(t *testing.T) {
+	cases := []struct {
+		c      Campus
+		n      int
+		digest uint64
+	}{
+		{Campus{Seed: 1, Scale: 1, Classes: 4}, 160372, 0x7e5b4ff16885c703},
+		{Campus{Seed: 7, Scale: 1, Classes: 4}, 160703, 0x92eb2bdd0a14022c},
+		{Campus{Seed: 11, Scale: 1}, 160159, 0x5387dbf9f670c9a3},
+		{Campus{Seed: 1, Scale: 0.05, Minutes: 60, Classes: 3}, 68403, 0xd04204222c3877d4},
+	}
+	for _, tc := range cases {
+		reqs := tc.c.Generate()
+		if got := campusDigest(reqs); len(reqs) != tc.n || got != tc.digest {
+			t.Errorf("%+v: %d requests, digest %#x; want %d, %#x", tc.c, len(reqs), got, tc.n, tc.digest)
+		}
+	}
+}
+
+// campusAllocBudget bounds what generating the harness's campus day
+// allocates: the schedule, sized once (24 B a request), the per-minute
+// scratch and the random source. A growing append made 34 allocations
+// and ~139 B a request.
+const (
+	campusAllocBudget      = 16
+	campusBytesPerReqLimit = 32
+)
+
+func TestCampusGenerateAllocBudget(t *testing.T) {
+	c := Campus{Seed: 1, Scale: 1, Classes: 4}
+	var n int
+	allocs := testing.AllocsPerRun(3, func() { n = len(c.Generate()) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Generate()
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%.0f allocations, %.1f B a request over %d requests", allocs, perReq, n)
+	if allocs > campusAllocBudget || perReq > campusBytesPerReqLimit {
+		t.Fatalf("a campus day makes %.0f allocations and %.1f B a request, budget %d and %d B",
+			allocs, perReq, campusAllocBudget, campusBytesPerReqLimit)
 	}
 }

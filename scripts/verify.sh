@@ -35,9 +35,10 @@ echo "== alloc regression guard (non-race: AllocsPerRun)"
 # one warm watchdog-hop round trip, one hop.Conn-to-hop.Serve exchange
 # and one routed forward with its relay stay inside their budgets, and a warm
 # simulator replay stays inside its allocations per simulated request,
-# a warm hit with its exec and release allocates nothing, and the
-# scheduler recycles its events.
-go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/hop/ ./internal/obs/ ./internal/router/ ./internal/simclock/
+# a warm hit with its exec and release allocates nothing, the
+# scheduler recycles its events, and a campus day is built into one
+# presized schedule.
+go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/hop/ ./internal/obs/ ./internal/router/ ./internal/simclock/ ./internal/trace/
 echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
 # The harness is its own module, so the root ./... above never reaches
 # it. The smoke run exits non-zero when an echo fails verification or
