@@ -12,7 +12,7 @@ import (
 // the report's counters must agree with each other and the tenant split
 // must follow the shares exactly.
 func TestRunReportIsConsistent(t *testing.T) {
-	d := live.NewDaemon(live.PoolConfig{})
+	d := live.New(live.PoolConfig{})
 	base, err := d.StartOn("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hotcd:", err)
 		os.Exit(2)
 	}
-	d := live.NewDaemon(cfg)
+	d := live.New(cfg)
 	if *preload {
 		for _, h := range live.Builtins() {
 			if err := d.Deploy(live.DeploySpec{Name: h, Handler: h, ColdStartMs: 400}); err != nil {
@@ -188,7 +188,7 @@ func main() {
 	fmt.Println("\nhotcd: shutting down")
 }
 
-// orNone prints a resolved "0 = none" duration (see live.Daemon.Config).
+// orNone prints a resolved "0 = none" duration (see live.Gateway.Config).
 func orNone(d time.Duration) string {
 	if d == 0 {
 		return "none"

@@ -40,7 +40,7 @@ func (g *Gateway) newAdmissionQueue(s *shard) *admission.Queue {
 		MaxInFlight:  g.cfg.MaxInFlight,
 		QueueDepth:   g.cfg.QueueDepth,
 		Weights:      g.cfg.TenantWeights,
-		Now:          func() time.Time { return g.nowFn() },
+		Now:          func() time.Time { return g.clock.Now() },
 		OnQueueDepth: func(n int) { s.m.admDepth.Set(float64(n)) },
 		OnInFlight:   func(n int) { s.m.admInFlight.Set(float64(n)) },
 	})

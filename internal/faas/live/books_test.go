@@ -31,11 +31,10 @@ func TestLiveBooksBalance(t *testing.T) {
 	cfg.NewPredictor = naiveFactory
 	cfg.IdleTTL, cfg.MaxIdlePerFunction = time.Minute, 2
 	cfg.MemoryBudget = 2 * instanceMemBytes
-	d := NewDaemon(cfg) // never started: every stage below is driven by hand
-	defer d.Stop()
-	g := d.gw
+	g := New(cfg) // never started: every stage below is driven by hand
+	defer g.Stop()
 	clk := newFakeClock()
-	g.nowFn = clk.Now
+	g.clock = clk
 	for _, name := range []string{"a", "b", "c", "n"} {
 		fn := echoFn(name, 0)
 		fn.NoShare = name == "c" || name == "n" // never rent, so they boot below the lease
@@ -149,7 +148,7 @@ func TestLiveBooksBalance(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	d.routes().ServeHTTP(rec, httptest.NewRequest("GET", "/system/stats", nil))
+	g.routes().ServeHTTP(rec, httptest.NewRequest("GET", "/system/stats", nil))
 	var sys struct {
 		Stats   Stats        `json:"stats"`
 		Sharing SharingStats `json:"sharing"`

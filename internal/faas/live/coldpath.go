@@ -36,23 +36,6 @@ type coldPath struct {
 	pool *prefork.Pool
 }
 
-// pay is every gateway's sleep, the context-aware stand-in for
-// time.Sleep: nil once d has passed, ctx's error as soon as ctx is done
-// (at once when it already is, so an abandoned request starts no boot).
-func pay(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // bootGeneric boots one generic watchdog for the pool, paying the
 // generic share of cold start (pre-baked image create + runtime init)
 // here — on a refill goroutine, under the gateway's lifetime — instead
@@ -62,7 +45,7 @@ func (g *Gateway) bootGeneric() (*prefork.Watchdog, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := g.sleep(g.life, g.cfg.PreforkBoot); err != nil {
+	if err := g.clock.Sleep(g.life, g.cfg.PreforkBoot); err != nil {
 		wd.Stop()
 		return nil, err
 	}
@@ -197,7 +180,7 @@ type bootSource struct {
 //
 // Pull is cache-scaled (pullCost); a generic pre-paid its runtime share,
 // a lent container has runtime and layers in place. Every phase is paid
-// through g.sleep under ctx: a boot abandoned mid-flight returns ctx's
+// through the clock under ctx: a boot abandoned mid-flight returns ctx's
 // error with its watchdog stopped — a lent container included, half-wiped
 // or wiped. It was tainted when taken, so it is destroyed, never handed
 // back.
@@ -218,14 +201,14 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 			return nil, bootInfo{}, err
 		}
 	}
-	err := g.sleep(ctx, info.wipe)
+	err := g.clock.Sleep(ctx, info.wipe)
 	if err == nil {
-		wd.Specialize(watchdogHandler(fn))
+		wd.Specialize(g.watchdogHandler(fn))
 		wd.LimitBodies(g.cfg.MaxBodyBytes)
 		if pull {
 			info.pull, info.skippedMB = g.pullCost(ph)
 		}
-		err = g.sleep(ctx, info.pull+info.runtime+info.app)
+		err = g.clock.Sleep(ctx, info.pull+info.runtime+info.app)
 	}
 	var inst *instance
 	if err == nil {

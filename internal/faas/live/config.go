@@ -50,7 +50,7 @@ type PoolConfig struct {
 	// (default 30s when a threshold is set).
 	BreakerOpenFor time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
-	// daemon mux. Off by default: profiling endpoints expose internals
+	// gateway's routes. Off by default: profiling endpoints expose internals
 	// and should be opted into.
 	EnablePprof bool
 	// MaxBodyBytes bounds request bodies at the gateway and every
@@ -172,7 +172,7 @@ func zeroDefault[T ~int64 | ~float64](v, def T) T {
 
 // Validate reports the first field New would have to guess about: an
 // unknown share policy, or a negative size, count or duration. The
-// error names the field. The CLIs call it before NewDaemon;
+// error names the field. The CLIs call it before New;
 // TraceSampleRate, TraceSlowThreshold and ShareIdleGrace are not
 // checked, negative being their "none".
 func (c PoolConfig) Validate() error {
@@ -211,24 +211,24 @@ func (c PoolConfig) Validate() error {
 }
 
 // New builds a gateway from its one configuration: defaults resolved,
-// share policy parsed, and the metrics registry, tracer, SLO monitor,
-// layer cache and generic pool constructed here — nothing about a
-// gateway is configurable afterwards. Register functions, then Start.
+// share policy parsed, the clock resolved to the wall clock, and the
+// metrics registry, tracer, SLO monitor, layer cache and generic pool
+// constructed here — nothing about a gateway is configurable afterwards.
+// Register functions (or Deploy them), then Start.
 func New(cfg PoolConfig) *Gateway {
 	cfg = cfg.withDefaults()
 	var dialer net.Dialer
 	g := &Gateway{
 		cfg:    cfg,
 		reuse:  true,
-		epoch:  time.Now(),
-		nowFn:  time.Now,
-		sleep:  pay,
+		clock:  wallClock{},
 		shards: make(map[string]*shard),
 		dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			return dialer.DialContext(ctx, "tcp", addr)
 		},
 		reg: obs.New(),
 	}
+	g.started = g.clock.Now()
 	g.life, g.endLife = context.WithCancel(context.Background())
 	g.obs = newInstruments(g.reg)
 	// Unknown = same-image, the documented fallback.
@@ -248,6 +248,7 @@ func New(cfg PoolConfig) *Gateway {
 		g.slo = obs.NewSLOMonitor(obs.SLOConfig{
 			LatencyThreshold: cfg.SLOLatency,
 			ColdStartBudget:  cfg.SLOColdStartPct / 100,
+			Now:              func() time.Time { return g.clock.Now() },
 		})
 		g.slo.Instrument(g.reg)
 	}

@@ -126,7 +126,7 @@ func benchGatewayHotPath(b *testing.B, workers, fns int) {
 				} else {
 					g.obs.StartsCold.Inc()
 				}
-				s.observe("ok", start)
+				s.observe("ok", time.Since(start))
 			}
 		}()
 	}

@@ -75,23 +75,23 @@ func (g *Gateway) cycle(control, janitor bool) {
 	defer g.wg.Done()
 	var controlC, reapC <-chan time.Time
 	if control {
-		t := time.NewTicker(g.cfg.ControlInterval)
-		defer t.Stop()
-		controlC = t.C
+		c, stop := g.clock.NewTicker(g.cfg.ControlInterval)
+		defer stop()
+		controlC = c
 	}
 	if janitor {
-		t := time.NewTicker(g.cfg.ReapInterval)
-		defer t.Stop()
-		reapC = t.C
+		c, stop := g.clock.NewTicker(g.cfg.ReapInterval)
+		defer stop()
+		reapC = c
 	}
 	for {
 		select {
 		case <-g.life.Done():
 			return
 		case <-controlC:
-			g.controlTick(g.nowFn())
+			g.controlTick(g.clock.Now())
 		case <-reapC:
-			g.janitorOnce(g.nowFn())
+			g.janitorOnce(g.clock.Now())
 		}
 	}
 }
@@ -180,7 +180,7 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 	overCap := g.cfg.MaxIdlePerFunction > 0 && len(s.idle) >= g.cfg.MaxIdlePerFunction
 	switch {
 	case err == nil && g.keepLocked(s, inst) && !overCap:
-		s.pushLocked(inst, g.nowFn())
+		s.pushLocked(inst, g.clock.Now())
 		g.obs.Prewarmed.Inc()
 		inst = nil
 	case err != nil && g.life.Err() == nil:

@@ -1,9 +1,11 @@
 package live
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,14 +14,28 @@ import (
 	"hotc/internal/predictor"
 )
 
-// fakeClock is an injectable wall clock for deterministic keep-alive
-// and controller timing.
+// fakeClock is the test clock a gateway's clock field is swapped to.
+// Its time moves only when a test advances it or a Sleep spends it: a
+// sleeper advances the clock by what it sleeps, as a process does on the
+// simulator's virtual time. Its tickers fire as the clock passes their
+// instants, once per pass however many periods it spans.
 type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+	mu      sync.Mutex
+	t       time.Time
+	slept   []time.Duration // every Sleep's d, in call order
+	tickers []*fakeTicker
 }
 
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+type fakeTicker struct {
+	c     chan time.Time
+	every time.Duration
+	next  time.Time
+}
+
+// newFakeClock starts at the wall clock's reading, so a gateway it is
+// swapped into right after New finds its construction instant — the
+// span epoch and the breaker's time base — just behind it.
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Now().Round(0)} }
 
 func (f *fakeClock) Now() time.Time {
 	f.mu.Lock()
@@ -31,13 +47,69 @@ func (f *fakeClock) Advance(d time.Duration) time.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.t = f.t.Add(d)
+	for _, tk := range f.tickers {
+		if !tk.next.After(f.t) {
+			select {
+			case tk.c <- f.t:
+			default: // the reader has not taken the last tick: drop this one
+			}
+			tk.next = tk.next.Add((f.t.Sub(tk.next)/tk.every + 1) * tk.every)
+		}
+	}
 	return f.t
 }
 
-// startControlled builds a started gateway with adaptive control armed
-// and background loops effectively idle (hour-long periods), so tests
-// drive controlOnce/janitorOnce by hand with the fake clock.
+// Sleep logs d and, unless ctx is done, spends it at once.
+func (f *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
+	f.mu.Lock()
+	f.slept = append(f.slept, d)
+	f.mu.Unlock()
+	if err := ctx.Err(); err != nil || d <= 0 {
+		return err
+	}
+	f.Advance(d)
+	return nil
+}
+
+func (f *fakeClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	tk := &fakeTicker{c: make(chan time.Time, 1), every: d, next: f.t.Add(d)}
+	f.tickers = append(f.tickers, tk)
+	return tk.c, func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.tickers = slices.DeleteFunc(f.tickers, func(x *fakeTicker) bool { return x == tk })
+	}
+}
+
+// sleeps returns what Sleep has been asked for so far.
+func (f *fakeClock) sleeps() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.slept)
+}
+
+// ticking reports how many tickers are running on the clock.
+func (f *fakeClock) ticking() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.tickers)
+}
+
+// startControlled builds a gateway on the fake clock, started with
+// adaptive control armed and the cycle's periods an hour unless cfg sets
+// them, so tests drive controlOnce/janitorOnce by hand.
 func startControlled(t *testing.T, cfg PoolConfig, fns ...Function) (*Gateway, *fakeClock, string) {
+	t.Helper()
+	clk := newFakeClock()
+	g, base := startWith(t, clk, cfg, fns...)
+	return g, clk, base
+}
+
+// startWith builds and starts a gateway on c, with the cycle's periods an
+// hour unless cfg sets them, and stops it when the test ends.
+func startWith(t *testing.T, c clock, cfg PoolConfig, fns ...Function) (*Gateway, string) {
 	t.Helper()
 	if cfg.ControlInterval == 0 {
 		cfg.ControlInterval = time.Hour
@@ -46,8 +118,7 @@ func startControlled(t *testing.T, cfg PoolConfig, fns ...Function) (*Gateway, *
 		cfg.ReapInterval = time.Hour
 	}
 	g := New(cfg)
-	clk := newFakeClock()
-	g.nowFn = clk.Now
+	g.clock = c
 	for _, fn := range fns {
 		if err := g.Register(fn); err != nil {
 			t.Fatal(err)
@@ -58,7 +129,7 @@ func startControlled(t *testing.T, cfg PoolConfig, fns ...Function) (*Gateway, *
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Stop)
-	return g, clk, base
+	return g, base
 }
 
 func waitWarm(t *testing.T, g *Gateway, name string, want int) {
@@ -232,7 +303,8 @@ func TestControllerPrewarmRespectsMaxWarm(t *testing.T) {
 // instead of populating a dead pool — the janitor-side variant of the
 // release-after-Stop race.
 func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
-	g, clk, _ := startControlled(t,
+	// On the wall clock: the boots must still be in flight when Stop comes.
+	g, _ := startWith(t, wallClock{},
 		PoolConfig{NewPredictor: naiveFactory},
 		echoFn("f", 150*time.Millisecond))
 
@@ -240,7 +312,7 @@ func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
 	s.mu.Lock()
 	s.ctl.Peak = 2
 	s.mu.Unlock()
-	g.controlOnce("f", clk.Now()) // schedules 2 boots of 150ms each
+	g.controlOnce("f", g.clock.Now()) // schedules 2 boots of 150ms each
 
 	g.Stop() // abandons the boots; they must self-destruct
 	if got := g.WarmInstances("f"); got != 0 {
@@ -256,7 +328,8 @@ func TestStopDuringPrewarmDoesNotLeak(t *testing.T) {
 // as in the simulator and its HELP string, even when none lands; how
 // many landed is Stats.Prewarmed.
 func TestCtlPrewarmCountsWhatWasAsked(t *testing.T) {
-	g, clk, _ := startControlled(t,
+	// On the wall clock: the boots must still be in flight when Stop comes.
+	g, _ := startWith(t, wallClock{},
 		PoolConfig{NewPredictor: naiveFactory},
 		echoFn("f", 150*time.Millisecond))
 
@@ -264,7 +337,7 @@ func TestCtlPrewarmCountsWhatWasAsked(t *testing.T) {
 	s.mu.Lock()
 	s.ctl.Peak = 2
 	s.mu.Unlock()
-	g.controlOnce("f", clk.Now())
+	g.controlOnce("f", g.clock.Now())
 	s.mu.Lock()
 	asked := s.ctl.booting // the 150ms boots are still in flight
 	s.mu.Unlock()
@@ -320,7 +393,7 @@ func TestJanitorNoopAfterStop(t *testing.T) {
 
 // reclaimMemoryOnce is the janitor's pass with the keep-alive off: the
 // memory budget alone, at the gateway's now.
-func (g *Gateway) reclaimMemoryOnce() int { return g.reclaim(g.nowFn(), 0) }
+func (g *Gateway) reclaimMemoryOnce() int { return g.reclaim(g.clock.Now(), 0) }
 
 // Over the memory budget the longest-idle warm instances go first,
 // whichever function holds them: "quiet" parked two a minute ago and
@@ -330,7 +403,7 @@ func TestMemoryBudgetReclaimsLongestIdleFirst(t *testing.T) {
 	g := New(PoolConfig{MemoryBudget: 4 * instanceMemBytes})
 	defer g.Stop()
 	clk := newFakeClock()
-	g.nowFn = clk.Now
+	g.clock = clk
 	for _, name := range []string{"hot", "quiet"} {
 		if err := g.Register(echoFn(name, 0)); err != nil {
 			t.Fatal(err)
@@ -368,7 +441,7 @@ func TestBudgetSparesTheHotFunction(t *testing.T) {
 	g := New(PoolConfig{MemoryBudget: 4 * instanceMemBytes})
 	defer g.Stop()
 	clk := newFakeClock()
-	g.nowFn = clk.Now
+	g.clock = clk
 	type held struct{ entered, release chan struct{} }
 	fns := map[string]held{}
 	for _, name := range []string{"hot", "quiet"} {

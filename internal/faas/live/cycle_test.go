@@ -90,7 +90,7 @@ func TestBackgroundDecisionsIgnoreMapOrder(t *testing.T) {
 		for run := 0; run < 20; run++ {
 			g := New(testSharing())
 			clk := newFakeClock()
-			g.nowFn = clk.Now
+			g.clock = clk
 			if err := g.Register(echoFn("renter", 0)); err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func runDemandScript(t *testing.T) []string {
 	g := New(cfg)
 	defer g.Stop()
 	clk := newFakeClock()
-	g.nowFn = clk.Now
+	g.clock = clk
 	for _, name := range []string{"f3", "f0", "f5", "f1", "f4", "f2"} {
 		if err := g.Register(echoFn(name, 0)); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package live
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,26 +20,12 @@ import (
 	"hotc/internal/obs"
 )
 
-// Daemon is the long-running HotC gateway server: the live gateway
-// plus adaptive control, idle-instance expiry and an HTTP management
-// API.
-//
-// Routes:
-//
-//	POST /function/{name}          invoke a function
-//	GET  /system/functions         list deployed functions
-//	POST /system/functions         deploy {"name","handler","coldStartMs"}
-//	GET  /system/stats             gateway counters, warm pool sizes, forecasts
-//	GET  /system/predictions       per-function controller prediction traces
-//
-// Handlers are chosen from a built-in registry by name (this is a
-// demonstration daemon; it does not execute arbitrary code).
-type Daemon struct {
-	gw *Gateway
-	// started anchors hotc_uptime_seconds, refreshed on each scrape.
-	started time.Time
-	uptime  *obs.Gauge
-}
+// Daemon is Gateway and NewDaemon is New, under the names the
+// benchmark harness calls them by.
+type Daemon = Gateway
+
+// NewDaemon is New; see Daemon.
+func NewDaemon(cfg PoolConfig) *Gateway { return New(cfg) }
 
 // Version labels hotc_build_info; release builds override it via
 // -ldflags "-X hotc/internal/faas/live.Version=v1.2.3".
@@ -52,8 +39,8 @@ func Builtins() []string { return []string{"echo", "qr", "sleep", "upper", "word
 // are streaming: they process the body chunk-wise through pooled
 // buffers and never hold the full payload. qr stays a []byte handler
 // deliberately — it keeps the pooled compat shim exercised on the
-// daemon path.
-func builtinFunction(name string) (Function, error) {
+// daemon path. sleep waits on the gateway's clock.
+func (g *Gateway) builtinFunction(name string) (Function, error) {
 	switch name {
 	case "echo":
 		return Function{Stream: func(r io.Reader, w io.Writer) error {
@@ -87,7 +74,7 @@ func builtinFunction(name string) (Function, error) {
 				}
 				ms = n
 			}
-			time.Sleep(time.Duration(ms) * time.Millisecond)
+			g.clock.Sleep(context.Background(), time.Duration(ms)*time.Millisecond)
 			return []byte(fmt.Sprintf("slept %dms", ms)), nil
 		}}, nil
 	default:
@@ -213,26 +200,14 @@ func wordcountStream(r io.Reader, w io.Writer) error {
 	return err
 }
 
-// NewDaemon is New(cfg) plus the management API and the daemon-level
-// build-info and uptime metrics.
-func NewDaemon(cfg PoolConfig) *Daemon {
-	d := &Daemon{gw: New(cfg), started: time.Now()}
-	d.gw.reg.GaugeVec("hotc_build_info",
-		"Build metadata: constant 1, labeled by gateway version and Go runtime version.",
-		"version", "go_version").With(Version, runtime.Version()).Set(1)
-	d.uptime = d.gw.reg.Gauge("hotc_uptime_seconds",
-		"Seconds since the daemon started, refreshed on scrape.")
-	return d
-}
-
 // Config returns the configuration the gateway runs with: the
-// PoolConfig given to NewDaemon after New resolved its defaults, so a
-// zero TraceSampleRate, TraceSlowThreshold or ShareIdleGrace here means
+// PoolConfig given to New after it resolved the defaults, so a zero
+// TraceSampleRate, TraceSlowThreshold or ShareIdleGrace here means
 // "none", not "default".
-func (d *Daemon) Config() PoolConfig { return d.gw.cfg }
+func (g *Gateway) Config() PoolConfig { return g.cfg }
 
-// Registry exposes the daemon's metrics registry (served at /metrics).
-func (d *Daemon) Registry() *obs.Registry { return d.gw.reg }
+// Registry exposes the gateway's metrics registry (served at /metrics).
+func (g *Gateway) Registry() *obs.Registry { return g.reg }
 
 // DeploySpec is the management-API deployment payload.
 type DeploySpec struct {
@@ -241,7 +216,7 @@ type DeploySpec struct {
 	// Handler is a builtin handler name; see Builtins.
 	Handler string `json:"handler"`
 	// ColdStartMs is the artificial instance boot delay, decomposed
-	// into pull/runtime-init/app-init by the daemon's phase split
+	// into pull/runtime-init/app-init by the gateway's phase split
 	// unless the explicit phase fields below are set.
 	ColdStartMs int `json:"coldStartMs"`
 	// Image, optional, names the function's container image in the
@@ -268,8 +243,8 @@ type DeploySpec struct {
 const maxBootMs = maxDeadlineMs
 
 // Deploy registers a function from a spec.
-func (d *Daemon) Deploy(spec DeploySpec) error {
-	fn, err := builtinFunction(spec.Handler)
+func (g *Gateway) Deploy(spec DeploySpec) error {
+	fn, err := g.builtinFunction(spec.Handler)
 	if err != nil {
 		return err
 	}
@@ -289,7 +264,7 @@ func (d *Daemon) Deploy(spec DeploySpec) error {
 	if spec.Image != "" {
 		// An unknown image would silently degrade to no-image boots
 		// (full pull every time); refuse it up front instead.
-		if _, err := d.gw.cold.registry.Lookup(spec.Image); err != nil {
+		if _, err := g.cold.registry.Lookup(spec.Image); err != nil {
 			return err
 		}
 	}
@@ -304,43 +279,29 @@ func (d *Daemon) Deploy(spec DeploySpec) error {
 		return fmt.Errorf("live: negative memoryMB")
 	}
 	fn.MemoryMB = spec.MemoryMB
-	return d.gw.Register(fn)
+	return g.Register(fn)
 }
 
-// Start binds the daemon to a random loopback port and begins the
-// control cycle. It returns the base URL.
-func (d *Daemon) Start() (string, error) {
-	return d.StartOn("127.0.0.1:0")
-}
-
-// StartOn binds the daemon to an explicit address. The gateway's
-// control cycle launches with it.
-func (d *Daemon) StartOn(addr string) (string, error) {
-	return d.gw.startOn(addr, d.routes())
-}
-
-// Stop shuts down the HTTP server, the control cycle and all warm
-// instances.
-func (d *Daemon) Stop() {
-	d.gw.Stop()
-}
-
-// Stats reports gateway counters.
-func (d *Daemon) Stats() Stats { return d.gw.Stats() }
-
-// WarmInstances reports the warm pool size for a function.
-func (d *Daemon) WarmInstances(name string) int { return d.gw.WarmInstances(name) }
-
-func (d *Daemon) routes() *http.ServeMux {
+// routes is the route table StartOn serves:
+//
+//	POST /function/{name}          invoke a function
+//	GET  /system/functions         list deployed functions
+//	POST /system/functions         deploy {"name","handler","coldStartMs"}
+//	GET  /system/stats             gateway counters, warm pool sizes, forecasts
+//	GET  /system/predictions       per-function controller prediction traces
+//
+// Handlers are chosen from a built-in registry by name (this is a
+// demonstration daemon; it does not execute arbitrary code).
+func (g *Gateway) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/function/", d.gw.handle)
+	mux.HandleFunc("/function/", g.handle)
 	mux.HandleFunc("/system/functions", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
 			// The registry lists each function once, sorted; a redeploy
 			// replaces it in place (Gateway.Register).
 			var names []string
-			for _, s := range d.gw.snapshotShards() {
+			for _, s := range g.snapshotShards() {
 				names = append(names, s.name)
 			}
 			writeJSON(w, names)
@@ -350,7 +311,7 @@ func (d *Daemon) routes() *http.ServeMux {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if err := d.Deploy(spec); err != nil {
+			if err := g.Deploy(spec); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
@@ -361,8 +322,8 @@ func (d *Daemon) routes() *http.ServeMux {
 	})
 	mux.HandleFunc("/system/stats", func(w http.ResponseWriter, r *http.Request) {
 		warm := map[string]int{}
-		for _, s := range d.gw.snapshotShards() {
-			warm[s.name] = d.gw.WarmInstances(s.name)
+		for _, s := range g.snapshotShards() {
+			warm[s.name] = g.WarmInstances(s.name)
 		}
 		// resilience, warmAges, forecast and admission share their
 		// source of truth with the /metrics endpoint (the same gateway
@@ -382,11 +343,11 @@ func (d *Daemon) routes() *http.ServeMux {
 			ColdPath      ColdPathStats              `json:"coldPath"`
 			Sharing       SharingStats               `json:"sharing"`
 			Trace         TraceStats                 `json:"trace"`
-		}{Version, runtime.Version(), time.Since(d.started).Seconds(),
-			d.gw.Draining(), d.gw.Stats(), warm, d.gw.Forecasts(),
-			d.gw.ResilienceCounters(), d.gw.WarmAges(time.Now()),
-			d.gw.AdmissionStats(), d.gw.WarmMemory(), d.gw.ColdPathStats(),
-			d.gw.SharingStats(), d.gw.TraceStats()})
+		}{Version, runtime.Version(), g.uptime().Seconds(),
+			g.Draining(), g.Stats(), warm, g.Forecasts(),
+			g.ResilienceCounters(), g.WarmAges(g.clock.Now()),
+			g.AdmissionStats(), g.WarmMemory(), g.ColdPathStats(),
+			g.SharingStats(), g.TraceStats()})
 	})
 	mux.HandleFunc("/system/drain", func(w http.ResponseWriter, r *http.Request) {
 		// POST drains (stop accepting placements, finish in-flight),
@@ -394,9 +355,9 @@ func (d *Daemon) routes() *http.ServeMux {
 		// /system/stats, which is what the router's poller watches.
 		switch r.Method {
 		case http.MethodPost:
-			d.gw.SetDraining(true)
+			g.SetDraining(true)
 		case http.MethodDelete:
-			d.gw.SetDraining(false)
+			g.SetDraining(false)
 		case http.MethodGet:
 		default:
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -404,10 +365,10 @@ func (d *Daemon) routes() *http.ServeMux {
 		}
 		writeJSON(w, struct {
 			Draining bool `json:"draining"`
-		}{d.gw.Draining()})
+		}{g.Draining()})
 	})
 	mux.HandleFunc("/system/trace", func(w http.ResponseWriter, r *http.Request) {
-		spans := d.gw.TraceSpans()
+		spans := g.TraceSpans()
 		if v := r.URL.Query().Get("limit"); v != "" {
 			if n, err := strconv.Atoi(v); err == nil && n >= 0 && n < len(spans) {
 				spans = spans[:n]
@@ -423,31 +384,31 @@ func (d *Daemon) routes() *http.ServeMux {
 		writeJSON(w, struct {
 			Trace TraceStats `json:"trace"`
 			Spans []obs.Span `json:"spans"`
-		}{d.gw.TraceStats(), spans})
+		}{g.TraceStats(), spans})
 	})
 	mux.HandleFunc("/system/slo", func(w http.ResponseWriter, r *http.Request) {
-		if d.gw.slo == nil {
+		if g.slo == nil {
 			writeJSON(w, obs.SLOReport{})
 			return
 		}
 		// Sync refreshes the hotc_slo_* gauges from the same pass that
 		// builds the JSON, so the two views never disagree.
-		writeJSON(w, d.gw.slo.Sync())
+		writeJSON(w, g.slo.Sync())
 	})
 	mux.HandleFunc("/system/predictions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, d.gw.PredictionTraces())
+		writeJSON(w, g.PredictionTraces())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Scrape-time refresh: uptime and the SLO burn-rate gauges are
 		// computed views, made exactly as fresh as the scrape.
-		d.uptime.Set(time.Since(d.started).Seconds())
-		if d.gw.slo != nil {
-			d.gw.slo.Sync()
+		g.obs.uptime.Set(g.uptime().Seconds())
+		if g.slo != nil {
+			g.slo.Sync()
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		d.gw.reg.WritePrometheus(w)
+		g.reg.WritePrometheus(w)
 	})
-	if d.gw.cfg.EnablePprof {
+	if g.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -12,15 +12,15 @@ import (
 	"time"
 )
 
-func startDaemon(t *testing.T, cfg PoolConfig) (*Daemon, string) {
+func startDaemon(t *testing.T, cfg PoolConfig) (*Gateway, string) {
 	t.Helper()
-	d := NewDaemon(cfg)
-	base, err := d.Start()
+	g := New(cfg)
+	base, err := g.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.Stop)
-	return d, base
+	t.Cleanup(g.Stop)
+	return g, base
 }
 
 func postJSON(t *testing.T, url string, body string) *http.Response {
@@ -159,7 +159,7 @@ func TestDaemonDeployValidation(t *testing.T) {
 // phases' sum are refused above maxBootMs, and the largest delay
 // accepted stays a positive boot.
 func TestDeployRefusesBootDelaysThatWrap(t *testing.T) {
-	d := NewDaemon(PoolConfig{})
+	d := New(PoolConfig{})
 	defer d.Stop()
 	for _, spec := range []DeploySpec{
 		{ColdStartMs: 9223372036855},
@@ -169,7 +169,7 @@ func TestDeployRefusesBootDelaysThatWrap(t *testing.T) {
 	} {
 		spec.Name, spec.Handler = "f", "echo"
 		if err := d.Deploy(spec); err == nil {
-			t.Errorf("%+v accepted: boot phases %+v", spec, d.gw.phasesFor(d.gw.shard("f").fn))
+			t.Errorf("%+v accepted: boot phases %+v", spec, d.phasesFor(d.shard("f").fn))
 		}
 	}
 	for _, spec := range []DeploySpec{
@@ -180,7 +180,7 @@ func TestDeployRefusesBootDelaysThatWrap(t *testing.T) {
 		if err := d.Deploy(spec); err != nil {
 			t.Fatalf("%+v refused: %v", spec, err)
 		}
-		if ph := d.gw.phasesFor(d.gw.shard("max").fn); ph.pull <= 0 || ph.runtime <= 0 || ph.app <= 0 {
+		if ph := d.phasesFor(d.shard("max").fn); ph.pull <= 0 || ph.runtime <= 0 || ph.app <= 0 {
 			t.Fatalf("%+v: boot phases %+v, want all positive", spec, ph)
 		}
 	}
@@ -207,7 +207,7 @@ func FuzzDeploySpec(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	d := NewDaemon(PoolConfig{})
+	d := New(PoolConfig{})
 	f.Cleanup(d.Stop)
 	mux := d.routes()
 	f.Fuzz(func(t *testing.T, body string) {
@@ -220,14 +220,14 @@ func FuzzDeploySpec(f *testing.F) {
 		if err := json.NewDecoder(strings.NewReader(body)).Decode(&spec); err != nil {
 			t.Fatalf("%q accepted but does not decode: %v", body, err)
 		}
-		s := d.gw.shard(spec.Name)
+		s := d.shard(spec.Name)
 		if s == nil {
 			t.Fatalf("%q accepted but %q is not deployed", body, spec.Name)
 		}
 		s.mu.Lock()
 		fn := s.fn
 		s.mu.Unlock()
-		ph := d.gw.phasesFor(fn)
+		ph := d.phasesFor(fn)
 		if fn.ColdStart < 0 || ph.pull < 0 || ph.runtime < 0 || ph.app < 0 || ph.pull+ph.runtime+ph.app < 0 {
 			t.Fatalf("%q accepted with cold start %v and boot phases %+v", body, fn.ColdStart, ph)
 		}
@@ -257,12 +257,12 @@ func TestReaperTTLExpiry(t *testing.T) {
 		t.Fatalf("warm = %d", d.WarmInstances("echo"))
 	}
 	// Within TTL: kept.
-	d.gw.janitorOnce(time.Now().Add(30 * time.Minute))
+	d.janitorOnce(time.Now().Add(30 * time.Minute))
 	if d.WarmInstances("echo") != 1 {
 		t.Fatal("instance reaped before TTL")
 	}
 	// Past TTL: reaped.
-	d.gw.janitorOnce(time.Now().Add(2 * time.Hour))
+	d.janitorOnce(time.Now().Add(2 * time.Hour))
 	if d.WarmInstances("echo") != 0 {
 		t.Fatal("instance survived TTL")
 	}
@@ -287,7 +287,7 @@ func TestWarmCapEnforcedContinuously(t *testing.T) {
 	// request is.
 	var inFlight sync.WaitGroup
 	inFlight.Add(4)
-	if err := d.gw.Register(Function{Name: "s", Handler: func(b []byte) ([]byte, error) {
+	if err := d.Register(Function{Name: "s", Handler: func(b []byte) ([]byte, error) {
 		inFlight.Done()
 		inFlight.Wait()
 		return b, nil
@@ -320,7 +320,7 @@ func TestWarmCapEnforcedContinuously(t *testing.T) {
 		t.Fatalf("Retired = %d, want 2 oldest-first cap evictions", st.Retired)
 	}
 	// A janitor pass leaves the capped list alone.
-	d.gw.janitorOnce(time.Now())
+	d.janitorOnce(time.Now())
 	if got := d.WarmInstances("s"); got != 2 {
 		t.Fatalf("warm after reap = %d, want 2", got)
 	}
@@ -477,8 +477,10 @@ func TestPredictorFactory(t *testing.T) {
 }
 
 func TestBuiltinsListed(t *testing.T) {
+	g := New(PoolConfig{})
+	defer g.Stop()
 	for _, name := range Builtins() {
-		fn, err := builtinFunction(name)
+		fn, err := g.builtinFunction(name)
 		if err != nil {
 			t.Errorf("builtin %q unavailable: %v", name, err)
 			continue
@@ -487,7 +489,7 @@ func TestBuiltinsListed(t *testing.T) {
 			t.Errorf("builtin %q resolved to no handler", name)
 		}
 	}
-	if _, err := builtinFunction("nope"); err == nil {
+	if _, err := g.builtinFunction("nope"); err == nil {
 		t.Fatal("unknown builtin accepted")
 	}
 }
@@ -502,9 +504,9 @@ func TestBreakerOpensAndRejects(t *testing.T) {
 		t.Fatalf("healthy invoke = %d", resp.StatusCode)
 	}
 	// Feed the breaker consecutive backend failures until it trips.
-	echo := d.gw.shard("echo")
-	d.gw.breakerFailure(echo, "boot.failures")
-	d.gw.breakerFailure(echo, "boot.failures")
+	echo := d.shard("echo")
+	d.breakerFailure(echo, "boot.failures")
+	d.breakerFailure(echo, "boot.failures")
 
 	resp := postJSON(t, base+"/function/echo", "x")
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -516,7 +518,7 @@ func TestBreakerOpensAndRejects(t *testing.T) {
 		t.Fatalf("open-breaker Retry-After = %q, want ~3600s (remaining open window)", resp.Header.Get("Retry-After"))
 	}
 
-	res := d.gw.ResilienceCounters()
+	res := d.ResilienceCounters()
 	for counter, want := range map[string]int{
 		"boot.failures":    2,
 		"breaker.trips":    1,
@@ -677,7 +679,7 @@ func TestDrainCompletesInFlightAndRefusesNew(t *testing.T) {
 	if resp := doMethod(t, http.MethodPost, base+"/system/drain"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain status %d", resp.StatusCode)
 	}
-	if !d.gw.Draining() {
+	if !d.Draining() {
 		t.Fatal("gateway not draining after POST /system/drain")
 	}
 

@@ -190,7 +190,7 @@ func TestHopForwardsDeclaredLength(t *testing.T) {
 	got := make(chan seen, 1)
 	idleInstances(g, "f")[0].wd.Specialize(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got <- seen{r.ContentLength, r.TransferEncoding}
-		serveFunction(w, r, fn)
+		g.serveFunction(w, r, fn)
 	}))
 
 	payload := patternedPayload(256 << 10)

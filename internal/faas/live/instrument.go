@@ -1,6 +1,7 @@
 package live
 
 import (
+	"runtime"
 	"sort"
 	"time"
 
@@ -21,6 +22,7 @@ type instruments struct {
 	poolRetired [numEvictReasons]*obs.Counter
 
 	warm   *obs.GaugeVec           // hotc_live_warm_instances{function}
+	uptime *obs.Gauge              // hotc_uptime_seconds, refreshed on scrape
 	events map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
 
 	// ctl are the control loop's books, the simulated controller's own
@@ -138,6 +140,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 		warm: reg.GaugeVec("hotc_live_warm_instances",
 			"Idle warm watchdog instances per function.",
 			"function"),
+		uptime: reg.Gauge("hotc_uptime_seconds",
+			"Seconds since the daemon started, refreshed on scrape."),
 		ctl: kernel.NewBooks(reg),
 		bodyBytes: reg.Histogram("hotc_gateway_body_bytes",
 			"Response bytes streamed through the gateway per request.",
@@ -176,6 +180,9 @@ func newInstruments(reg *obs.Registry) *instruments {
 		shareRenters: reg.Gauge("hotc_share_renters",
 			"Functions currently classified as renters (persistently under-forecasted)."),
 	}
+	reg.GaugeVec("hotc_build_info",
+		"Build metadata: constant 1, labeled by gateway version and Go runtime version.",
+		"version", "go_version").With(Version, runtime.Version()).Set(1)
 	ins.events = make(map[string]*obs.Counter, len(resilienceKinds))
 	for _, k := range resilienceKinds {
 		ins.events[k.kind] = ins.Events.With(k.kind)
@@ -211,7 +218,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 
 // observe emits the per-request latency and outcome counters through
 // the shard's cached handles: no locks, no label resolution.
-func (s *shard) observe(outcome string, start time.Time) {
+func (s *shard) observe(outcome string, latency time.Duration) {
 	m := s.m
 	switch outcome {
 	case "ok":
@@ -223,13 +230,13 @@ func (s *shard) observe(outcome string, start time.Time) {
 	default:
 		m.reqError.Inc()
 	}
-	m.latency.ObserveDuration(time.Since(start))
+	m.latency.ObserveDuration(latency)
 }
 
-// since is the gateway's monotonic clock for the breaker: offsets from
-// the gateway's construction, matching the simulated breaker's virtual
-// time contract.
-func (g *Gateway) since() time.Duration { return time.Since(g.epoch) }
+// uptime is the clock's offset from the gateway's construction: what
+// hotc_uptime_seconds reports, and the breaker's time base, matching the
+// simulated breaker's virtual time contract.
+func (g *Gateway) uptime() time.Duration { return g.clock.Now().Sub(g.started) }
 
 // breakerAllow reports whether a request for the function may proceed,
 // counting the fast-fail when it may not; a refusal comes with the
@@ -242,7 +249,7 @@ func (g *Gateway) breakerAllow(s *shard) (bool, time.Duration) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := g.since()
+	now := g.uptime()
 	ok := s.breaker.Allow(now)
 	var retryAfter time.Duration
 	if !ok {
@@ -262,7 +269,7 @@ func (g *Gateway) breakerFailure(s *shard, kind string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.breaker.OnFailure(g.since()) {
+	if s.breaker.OnFailure(g.uptime()) {
 		g.event("breaker-open")
 	}
 	g.syncBreakerGaugeLocked(s)
@@ -275,7 +282,7 @@ func (g *Gateway) breakerSuccess(s *shard) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.breaker.State(g.since()) != kernel.BreakerClosed {
+	if s.breaker.State(g.uptime()) != kernel.BreakerClosed {
 		g.event("breaker-close")
 	}
 	s.breaker.OnSuccess()
@@ -319,7 +326,7 @@ func (g *Gateway) event(kind string) { g.obs.events[kind].Inc() }
 // syncBreakerGaugeLocked refreshes the breaker-state gauge. Caller
 // holds s.mu.
 func (g *Gateway) syncBreakerGaugeLocked(s *shard) {
-	s.m.breakerSt.Set(float64(s.breaker.State(g.since())))
+	s.m.breakerSt.Set(float64(s.breaker.State(g.uptime())))
 }
 
 // ResilienceCounters reads hotc_resilience_events_total back under the

@@ -60,17 +60,14 @@ func stackCount(frame string) int {
 // abandons its watchdog without stopping it shows up here exactly.
 func liveWatchdogs() int { return stackCount("hotc/internal/prefork.Start.func1") }
 
-// The phase table, row by row, read off the delays a boot hands to
-// g.sleep: which of wipe, pull, runtime init and app init each mode
-// pays, without waiting any of them out.
+// The phase table, row by row, read off the delays a boot asks the
+// clock to sleep: which of wipe, pull, runtime init and app init each
+// mode pays, without waiting any of them out.
 func TestBootPhaseTable(t *testing.T) {
 	g := New(PoolConfig{ShareWipe: 3 * time.Millisecond, DisableLayerCache: true})
 	defer g.Stop()
-	var paid []time.Duration
-	g.sleep = func(_ context.Context, d time.Duration) error {
-		paid = append(paid, d)
-		return nil
-	}
+	clk := newFakeClock()
+	g.clock = clk
 	ms := time.Millisecond
 	fn := func(image string) Function {
 		f := echoFn("f", 0)
@@ -103,11 +100,12 @@ func TestBootPhaseTable(t *testing.T) {
 		{"rented same image", fn("python:3.8"), lent("python:3.8"), bootInfo{mode: bootRented, wipe: 3 * ms, app: 10 * ms}},
 		{"rented other image", fn("node:10"), lent("python:3.8"), bootInfo{mode: bootRented, wipe: 3 * ms, pull: 100 * ms, app: 10 * ms}},
 	} {
-		paid = nil
+		before := len(clk.sleeps())
 		inst, info, err := g.boot(context.Background(), tc.fn, tc.from)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		paid := clk.sleeps()[before:]
 		if info != tc.want {
 			t.Errorf("%s: boot paid %+v, want %+v", tc.name, info, tc.want)
 		}

@@ -19,8 +19,8 @@
 // layer cache and generic pool, and keeps the resolved config for the
 // gateway's whole life — nothing is settable afterwards, and a
 // function registered before Start is set up exactly like one
-// registered after. NewDaemon is New plus the management routes;
-// NewGateway is New(PoolConfig{}).
+// registered after. New builds the whole node — its routes, its node
+// metrics and its one clock (clock.go). NewGateway is New(PoolConfig{}).
 //
 // With PoolConfig.NewPredictor the gateway also runs the paper's
 // adaptive live-container control (Algorithm 3) against the real pool:
@@ -280,14 +280,10 @@ type Gateway struct {
 	// reuse is false only for NewGateway(false), the boot-per-request
 	// baseline.
 	reuse bool
-	// epoch anchors the breaker's monotonic clock.
-	epoch time.Time
-	// nowFn is the wall clock; tests inject a fake for deterministic
-	// keep-alive and controller timing.
-	nowFn func() time.Time
-	// sleep is pay, which every modelled delay (boot phase, wipe, generic
-	// boot) goes through; tests swap it to read what a boot pays.
-	sleep func(ctx context.Context, d time.Duration) error
+	// clock is the node's one time source, the wall clock unless a test
+	// swaps it; started is when New built the gateway, on it.
+	clock   clock
+	started time.Time
 
 	// smu guards the shard registry and the gateway lifecycle
 	// transitions (start/stop/register). The request path only ever
@@ -418,22 +414,19 @@ func (g *Gateway) Register(fn Function) error {
 	return nil
 }
 
-// Start binds the gateway to a loopback port and returns its base URL.
-func (g *Gateway) Start() (string, error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/function/", g.handle)
-	return g.startOn("127.0.0.1:0", mux)
-}
+// Start binds the gateway to a random loopback port and returns its base
+// URL.
+func (g *Gateway) Start() (string, error) { return g.StartOn("127.0.0.1:0") }
 
-// startOn binds to an explicit address, serves it with the front door
-// and launches the control cycle. The front door enforces MaxBodyBytes
-// on every body, declared or chunked.
-func (g *Gateway) startOn(addr string, mux *http.ServeMux) (string, error) {
+// StartOn binds the gateway to addr, serves its routes there with the
+// front door and launches the control cycle. The front door enforces
+// MaxBodyBytes on every body, declared or chunked.
+func (g *Gateway) StartOn(addr string) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("live: gateway listen: %w", err)
 	}
-	g.server = &hop.Server{Handler: mux, Front: true}
+	g.server = &hop.Server{Handler: g.routes(), Front: true}
 	g.server.LimitBodies(g.cfg.MaxBodyBytes)
 	go g.server.Serve(lis)
 	g.startCycle()
@@ -582,7 +575,7 @@ func (g *Gateway) release(s *shard, inst *instance, healthy bool) {
 		if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(s.idle) >= limit {
 			doomed = s.takeOldestLocked(1, evictCap)[0]
 		}
-		s.ctl.lastDone = g.nowFn()
+		s.ctl.lastDone = g.clock.Now()
 		s.pushLocked(inst, s.ctl.lastDone)
 	}
 	s.mu.Unlock()
@@ -649,7 +642,7 @@ type ending struct {
 // through the stages, and conclude whatever ending they reach.
 func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/function/")
-	start := time.Now()
+	start := g.clock.Now()
 
 	// Unknown functions are a client error and must not feed the
 	// breaker: a typo cannot open the circuit for a healthy function.
@@ -659,7 +652,7 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	s := g.shard(name)
 	if s == nil {
 		g.obs.Requests.With("", "error").Inc() // function="" is undeployable: one series for them all
-		g.obs.Latency.With("").ObserveDuration(time.Since(start))
+		g.obs.Latency.With("").ObserveDuration(g.clock.Now().Sub(start))
 		http.Error(w, fmt.Sprintf("live: unknown function %q", name), http.StatusNotFound)
 		return
 	}
@@ -732,13 +725,14 @@ func (g *Gateway) serve(req *request) ending {
 	if e := g.admit(req); e.outcome != "" {
 		return e
 	}
-	// The backend call runs under the client's context bounded by the
-	// deadline: a disconnect or an expired deadline cancels in-flight
-	// backend work instead of letting it run to waste.
+	// The backend call runs under the client's context bounded by what is
+	// left of the deadline on the clock: a disconnect or an expired
+	// deadline cancels in-flight backend work instead of letting it run
+	// to waste.
 	ctx := req.r.Context()
 	if !req.deadline.IsZero() {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, req.deadline)
+		ctx, cancel = context.WithTimeout(ctx, req.deadline.Sub(g.clock.Now()))
 		defer cancel()
 	}
 	inst, boot, err := g.acquire(ctx, req.s)
@@ -892,7 +886,8 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 // conclude is the one way out of handle: it turns an ending into every
 // effect the gateway owes for the request, each exactly once — the
 // breaker's verdict, the refusal (when no status line went out yet), the
-// outcome and latency, the span event, the SLO record and the span.
+// span event, then, at one reading of the clock, the outcome and
+// latency, the SLO record and the span.
 func (g *Gateway) conclude(req *request, e ending) {
 	switch {
 	case e.blame != "":
@@ -914,9 +909,10 @@ func (g *Gateway) conclude(req *request, e ending) {
 		}
 		http.Error(req.w, e.refusal, e.status)
 	}
-	req.s.observe(e.outcome, req.rt.start)
 	if e.event != "" {
 		g.traceEvent(&req.rt, e.event, e.detail)
 	}
-	g.finishRequest(req.s, &req.rt, e.status, e.errMsg)
+	end := g.clock.Now()
+	req.s.observe(e.outcome, end.Sub(req.rt.start))
+	g.finishRequest(req.s, &req.rt, e.status, e.errMsg, end)
 }

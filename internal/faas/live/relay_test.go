@@ -48,7 +48,7 @@ func TestLargeRelayStaysInKernel(t *testing.T) {
 		t.Skip("splice(2) is Linux's")
 	}
 	g := New(PoolConfig{TraceSampleRate: 1})
-	echo, _ := builtinFunction("echo")
+	echo, _ := g.builtinFunction("echo")
 	echo.Name = "echo"
 	if err := g.Register(echo); err != nil {
 		t.Fatal(err)

@@ -20,39 +20,65 @@ import (
 
 // One warm request through g.handle, end to end in this process —
 // handle, the hop, the watchdog's hop.Serve and the response copy — with
-// a prebuilt request and a reused writer, tracing sampled out. The
-// budget is the count measured once both ends of the hop spoke
+// a prebuilt request and a reused writer, tracing sampled out. The bare
+// row's budget is the count measured once both ends of the hop spoke
 // internal/hop's codec (26, down from 66 under net/http's), with a
-// little room. verify.sh runs it in its non-race alloc pass.
+// little room. The second row runs hotcd's flag defaults — admission,
+// the breaker, both SLOs, the predictor and the keep-alive armed, as on
+// every warm_* workload — and holds the 19 it read with one to spare.
+// verify.sh runs it in its non-race alloc pass.
 func TestHandleWarmAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed under -race")
 	}
-	const budget = 32
-	g := New(PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1})
-	defer g.Stop()
-	if err := g.Register(Function{Name: "f", Handler: func(b []byte) ([]byte, error) { return b, nil }}); err != nil {
+	newPred, err := PredictorFactory("es+markov")
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload := patternedPayload(64)
-	body := bytes.NewReader(payload)
-	req := httptest.NewRequest("POST", "/function/f", nil)
-	req.Body, req.ContentLength = io.NopCloser(body), int64(len(payload))
-	w := &discardResponseWriter{}
-	call := func() {
-		body.Reset(payload)
-		clear(w.h)
-		w.status, w.n = 0, 0
-		g.handle(w, req)
-		if w.status != http.StatusOK || w.n != int64(len(payload)) {
-			t.Fatalf("status %d, %d bytes (want 200, %d)", w.status, w.n, len(payload))
-		}
-	}
-	call() // the cold boot
-	if allocs := testing.AllocsPerRun(500, call); allocs > budget {
-		t.Fatalf("a warm g.handle allocates %.1f objects, budget %d", allocs, budget)
-	} else {
-		t.Logf("warm g.handle: %.1f allocs (budget %d)", allocs, budget)
+	for _, row := range []struct {
+		name   string
+		cfg    PoolConfig
+		budget float64
+	}{
+		{"bare", PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1}, 32},
+		{"hotcd defaults", PoolConfig{
+			IdleTTL: 5 * time.Minute, MaxIdlePerFunction: 8, ReapInterval: time.Second,
+			ControlInterval: 2 * time.Second, NewPredictor: newPred,
+			BreakerThreshold: 5, BreakerOpenFor: 30 * time.Second, MaxBodyBytes: 32 << 20,
+			MaxInFlight: 128, QueueDepth: 256, TraceCapacity: 2048,
+			TraceSampleRate: -1, TraceSlowThreshold: -1,
+			SLOLatency: 250 * time.Millisecond, SLOColdStartPct: 5,
+			PreforkSize: 4, PreforkBoot: 120 * time.Millisecond,
+			SharePolicy: "same-image", ShareWipe: 5 * time.Millisecond, ShareIdleGrace: 250 * time.Millisecond,
+		}, 20},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			g := New(row.cfg)
+			defer g.Stop()
+			if err := g.Register(Function{Name: "f", Handler: func(b []byte) ([]byte, error) { return b, nil }}); err != nil {
+				t.Fatal(err)
+			}
+			payload := patternedPayload(64)
+			body := bytes.NewReader(payload)
+			req := httptest.NewRequest("POST", "/function/f", nil)
+			req.Body, req.ContentLength = io.NopCloser(body), int64(len(payload))
+			w := &discardResponseWriter{}
+			call := func() {
+				body.Reset(payload)
+				clear(w.h)
+				w.status, w.n = 0, 0
+				g.handle(w, req)
+				if w.status != http.StatusOK || w.n != int64(len(payload)) {
+					t.Fatalf("status %d, %d bytes (want 200, %d)", w.status, w.n, len(payload))
+				}
+			}
+			call() // the cold boot
+			if allocs := testing.AllocsPerRun(500, call); allocs > row.budget {
+				t.Fatalf("a warm g.handle allocates %.1f objects, budget %v", allocs, row.budget)
+			} else {
+				t.Logf("warm g.handle: %.1f allocs (budget %v)", allocs, row.budget)
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 		return nil, bootInfo{}, nil
 	}
 	rc := candidateOf(fn)
-	now := g.nowFn()
+	now := g.clock.Now()
 	var owners []*shard
 	var offers []sharing.Offer
 	for _, s := range g.snapshotShards() {

@@ -326,7 +326,7 @@ func TestClassifierDrivenByControlLoop(t *testing.T) {
 		s.mu.Lock()
 		s.ctl.Peak = peak
 		s.mu.Unlock()
-		g.controlOnce("f", g.nowFn())
+		g.controlOnce("f", g.clock.Now())
 	}
 	// Demand appears, the forecast learns it, then demand vanishes:
 	// the forecast overshoots reality tick after tick — a lender.

@@ -77,7 +77,7 @@ func (g *Gateway) newTracing() *tracing {
 			SampleRate:    g.cfg.TraceSampleRate,
 		}),
 		ids:       obs.NewIDGen(0),
-		epochNano: g.epoch.UnixNano(),
+		epochNano: g.started.UnixNano(),
 	}
 }
 
@@ -178,7 +178,7 @@ func (g *Gateway) traceEvent(rt *reqTrace, kind, detail string) {
 	if !rt.active { // only tr.begin sets it
 		return
 	}
-	rt.addEvent(time.Duration(time.Now().UnixNano()-g.trace.epochNano), kind, detail)
+	rt.addEvent(time.Duration(g.clock.Now().UnixNano()-g.trace.epochNano), kind, detail)
 }
 
 // noteWatchdog parses the watchdog's span-timestamp headers (or
@@ -222,21 +222,21 @@ func internalRespHeader(k string) bool {
 	return strings.HasPrefix(k, spanHeaderPrefix)
 }
 
-// finishRequest concludes a request's observability: feed the SLO
+// finishRequest concludes a request's observability at end: feed the SLO
 // monitor, assemble the span, let the tail sampler judge it, and (for
 // keepers) commit it to the ring with its trace IDs and a latency
 // exemplar. conclude calls it for every request; on the sampled-out
 // path it touches only stack state and a handful of atomics — no locks,
 // no allocation.
-func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg string) {
+func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg string, end time.Time) {
 	if g.slo != nil {
-		g.slo.Record(status, rt.served, rt.served && !rt.reused, time.Since(rt.start))
+		g.slo.Record(status, rt.served, rt.served && !rt.reused, end.Sub(rt.start))
 	}
 	if !rt.active { // only tr.begin sets it
 		return
 	}
 	tr := g.trace
-	clientOut := time.Duration(time.Now().UnixNano() - tr.epochNano)
+	clientOut := time.Duration(end.UnixNano() - tr.epochNano)
 	sp := obs.Span{
 		Function:    rt.name,
 		Tenant:      rt.tenant,

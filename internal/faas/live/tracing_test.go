@@ -213,9 +213,9 @@ func TestTraceRetentionClasses(t *testing.T) {
 	if resp, _ := invokeTraced(t, base, "sl", "400", nil); resp.StatusCode != 200 {
 		t.Fatalf("slow sleep = %d", resp.StatusCode) // warm, 400ms -> kept: slow
 	}
-	echo := d.gw.shard("echo")
-	d.gw.breakerFailure(echo, "boot.failures")
-	d.gw.breakerFailure(echo, "boot.failures")
+	echo := d.shard("echo")
+	d.breakerFailure(echo, "boot.failures")
+	d.breakerFailure(echo, "boot.failures")
 	if resp, _ := invokeTraced(t, base, "echo", "x", nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("open-breaker invoke = %d, want 503", resp.StatusCode) // -> kept: shed
 	}
@@ -545,7 +545,7 @@ func TestFinishRequestSampledOutZeroAlloc(t *testing.T) {
 		var rt reqTrace
 		rt.active, rt.reused, rt.served = true, true, true
 		rt.name, rt.start = "f", start
-		g.finishRequest(s, &rt, http.StatusOK, "")
+		g.finishRequest(s, &rt, http.StatusOK, "", g.clock.Now())
 	})
 	if allocs > 0 {
 		t.Fatalf("finishRequest allocates %.1f objects on the sampled-out path; must stay at 0", allocs)

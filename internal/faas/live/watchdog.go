@@ -3,7 +3,6 @@ package live
 import (
 	"net/http"
 	"strconv"
-	"time"
 
 	"hotc/internal/hop"
 )
@@ -16,9 +15,9 @@ import (
 // watchdogHandler builds the watchdog-side request handler for fn —
 // what specialization installs into a generic or freshly-booted
 // watchdog.
-func watchdogHandler(fn Function) http.Handler {
+func (g *Gateway) watchdogHandler(fn Function) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveFunction(w, r, fn)
+		g.serveFunction(w, r, fn)
 	})
 }
 
@@ -35,15 +34,16 @@ var spanTrailer = []string{SpanFuncDoneHeader + ", " + SpanWatchdogOutHeader}
 // io.ReadAll with a recycled whole-body buffer.
 //
 // A request carrying a traceparent gets the watchdog's §III.A moments
-// (2)..(5) back as X-Hotc-Span-* unix-nano headers. On the streaming
+// (2)..(5) back as X-Hotc-Span-* unix-nano headers, read on the gateway's
+// clock. On the streaming
 // path moments (4) and (5) are unknowable before the response body
 // starts, so they return as HTTP trailers on the chunked reply; the
 // gateway reads them after draining the body.
-func serveFunction(w http.ResponseWriter, r *http.Request, fn Function) {
+func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request, fn Function) {
 	traced := len(r.Header[TraceparentHeader]) > 0
 	var watchdogIn int64
 	if traced {
-		watchdogIn = time.Now().UnixNano() // moment (2)
+		watchdogIn = g.clock.Now().UnixNano() // moment (2)
 	}
 	var spans []string // the span headers' values, one array for all four
 	if traced {
@@ -54,14 +54,14 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function) {
 			h := w.Header()
 			h["Trailer"] = spanTrailer
 			stamp(h, spans, 0, SpanWatchdogInHeader, watchdogIn)
-			stamp(h, spans, 1, SpanFuncStartHeader, time.Now().UnixNano())
+			stamp(h, spans, 1, SpanFuncStartHeader, g.clock.Now().UnixNano())
 		}
 		err := fn.Stream(r.Body, w)
 		if traced {
 			// Moments (4) and (5) coincide for a stream: the handler's
 			// last write is the response leaving the watchdog. Written
 			// into the declared trailers when the reply is chunked.
-			now := time.Now().UnixNano()
+			now := g.clock.Now().UnixNano()
 			stamp(w.Header(), spans, 2, SpanFuncDoneHeader, now)
 			stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, now)
 		}
@@ -88,19 +88,19 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function) {
 	}
 	var funcStart int64
 	if traced {
-		funcStart = time.Now().UnixNano() // moment (3)
+		funcStart = g.clock.Now().UnixNano() // moment (3)
 	}
 	out, err := fn.Handler(buf.Bytes())
 	if traced {
 		h := w.Header()
 		stamp(h, spans, 0, SpanWatchdogInHeader, watchdogIn)
 		stamp(h, spans, 1, SpanFuncStartHeader, funcStart)
-		stamp(h, spans, 2, SpanFuncDoneHeader, time.Now().UnixNano()) // moment (4)
+		stamp(h, spans, 2, SpanFuncDoneHeader, g.clock.Now().UnixNano()) // moment (4)
 	}
 	if err != nil {
 		putBodyBuf(buf)
 		if traced {
-			stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, time.Now().UnixNano())
+			stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, g.clock.Now().UnixNano())
 		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -110,7 +110,7 @@ func serveFunction(w http.ResponseWriter, r *http.Request, fn Function) {
 	// handlers return slices aliasing it.
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	if traced {
-		stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, time.Now().UnixNano()) // moment (5)
+		stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, g.clock.Now().UnixNano()) // moment (5)
 	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)

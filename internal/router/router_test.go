@@ -232,9 +232,9 @@ func TestPlacementRebalancesOnJoinLeave(t *testing.T) {
 
 // --- integration tests against real daemons ---
 
-func startNode(t *testing.T, cfg live.PoolConfig) (*live.Daemon, string) {
+func startNode(t *testing.T, cfg live.PoolConfig) (*live.Gateway, string) {
 	t.Helper()
-	d := live.NewDaemon(cfg)
+	d := live.New(cfg)
 	base, err := d.Start()
 	if err != nil {
 		t.Fatal(err)

@@ -45,6 +45,9 @@ func WriteCSV(w io.Writer, reqs []Request) error {
 func ReadCSV(r io.Reader) ([]Request, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
+	// Each Read may reuse the last record's slice: the header is checked,
+	// and every row parsed, before the next Read.
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)

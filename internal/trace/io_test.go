@@ -127,6 +127,30 @@ func BenchmarkReadCSV(b *testing.B) {
 	}
 }
 
+// ReadCSV makes one allocation a row, the string csv slices the row's
+// fields from, plus the schedule's growth and the reader's own: a record
+// slice a row besides made it two.
+func TestReadCSVAllocBudget(t *testing.T) {
+	const rows, overhead = 4000, 64
+	reqs := make([]Request, rows)
+	for i := range reqs {
+		reqs[i] = Request{At: time.Duration(i) * time.Millisecond, Class: i % 4, Round: i}
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, reqs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadCSV(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations over %d rows", allocs, rows)
+	if allocs > rows+overhead {
+		t.Fatalf("reading %d rows makes %.0f allocations, budget %d", rows, allocs, rows+overhead)
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	cases := []string{
 		"",                                 // no header
