@@ -39,6 +39,8 @@
 package admission
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -238,7 +240,8 @@ type Blocker interface {
 // Rejection when refused. deadline, when non-zero, sheds the request
 // if it is still queued at that instant (the caller's ctx is expected
 // to carry the same deadline, which is what actually wakes the
-// waiter). ctx cancellation withdraws a queued request immediately.
+// waiter). ctx cancellation withdraws a queued request immediately, as
+// a deadline shed when ctx's deadline passed and as canceled otherwise.
 func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket, *Rejection) {
 	now := q.cfg.Now()
 	q.mu.Lock()
@@ -319,13 +322,13 @@ func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket
 			if q.cfg.OnQueueDepth != nil {
 				q.cfg.OnQueueDepth(q.queued)
 			}
-			reason := ReasonCanceled
-			if !w.deadline.IsZero() && q.cfg.Now().After(w.deadline) {
-				reason = ReasonDeadline
+			rej := &Rejection{Reason: ReasonCanceled}
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) || !w.deadline.IsZero() && q.cfg.Now().After(w.deadline) {
+				rej = &Rejection{Reason: ReasonDeadline, RetryAfter: q.retryAfterLocked()}
 			}
-			q.rejected[reason]++
+			q.rejected[rej.Reason]++
 			q.mu.Unlock()
-			return nil, &Rejection{Reason: reason}
+			return nil, rej
 		}
 		q.mu.Unlock()
 		// The dispatcher resolved us in the same instant; honour its

@@ -153,6 +153,28 @@ func TestContextCancelWithdrawsWaiter(t *testing.T) {
 	t2.Done()
 }
 
+// A waiter woken by its context's deadline is a deadline shed, with a
+// retry hint, even while the queue's clock has not reached the deadline
+// it was given.
+func TestContextDeadlineShedsWaiter(t *testing.T) {
+	clk := newFakeClock()
+	q := New(Config{MaxInFlight: 1, QueueDepth: 4, Now: clk.Now})
+	t1, rej := q.Acquire(context.Background(), "a", time.Time{})
+	if rej != nil {
+		t.Fatal(rej)
+	}
+	defer t1.Done()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, r := q.Acquire(ctx, "a", clk.Now().Add(10*time.Millisecond))
+	if r == nil || r.Reason != ReasonDeadline || r.RetryAfter <= 0 {
+		t.Fatalf("want a deadline shed with Retry-After, got %+v", r)
+	}
+	if q.Depth() != 0 || q.Snapshot().Rejected[ReasonDeadline] != 1 {
+		t.Fatalf("depth %d, stats %+v: want the waiter withdrawn as one deadline shed", q.Depth(), q.Snapshot())
+	}
+}
+
 // Weighted round-robin: with weights a=2, b=1 and deep backlogs on
 // both, dispatch order grants a two slots for every one of b's — one
 // hot tenant cannot starve the other.

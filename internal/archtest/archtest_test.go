@@ -31,6 +31,7 @@ var (
 	atomics   = []string{"Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value"}
 	isObs     = regexp.MustCompile(`obs$`).MatchString
 	isIdle    = regexp.MustCompile(`^[\w.]*\.idle\b`).MatchString
+	isStamp   = regexp.MustCompile(`\b(idleSince|LastUsedAt|lastDone)\b`).MatchString
 )
 
 // rules is the design, one row per rule. A new structural property is a
@@ -203,6 +204,20 @@ var rules = []row{
 	{name: "one reclaim rule: kernel.Reclaim called by the pool and the janitor", in: all, match: call("Reclaim"),
 		allow: sites{"internal/pool/pool.go Pool.EvictOldest": 1, L + "controller.go Gateway.reclaim": 1}, exact: true},
 	{name: "one reclaim rule: no water-fill or second eviction loop", in: all, tests: true, match: ident("overQuota", "makeRoom", "shrinkToCap")},
+
+	// One retention rule. The simulator's keep-alives were three providers
+	// around one expiry timer and the live janitor compared idle time with
+	// its TTL itself, so the paper's baselines were written twice: a
+	// keep-alive window comes from a kernel rule and is applied by
+	// kernel.Expired, at the pooled provider's idle check, the janitor's
+	// expiry and the controller's retain-one test.
+	{name: "one retention rule: the kernel's expiry test called by the pooled provider, the janitor and the controller", in: all,
+		match: call("Expired"), allow: sites{"internal/policy/policy.go KeepAlive.expire": 1,
+			L + "controller.go Gateway.reclaim": 1, L + "controller.go Gateway.controlOnce": 1}, exact: true},
+	{name: "one retention rule: no armExpiry, windowFor or idle-time comparison of its own", in: all, out: []string{"internal/kernel/..."},
+		match: either(ident("armExpiry", "windowFor", "expiring"), is(func(c *at, b *ast.BinaryExpr) bool {
+			return slices.Contains([]token.Token{token.LSS, token.GTR, token.LEQ, token.GEQ}, b.Op) && isStamp(text(b.X)+" "+text(b.Y))
+		}))},
 
 	// No dead code. Three fig04 helpers outlived their last caller: an
 	// unexported function is named somewhere in its package besides its

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -71,16 +72,17 @@ func (g *Gateway) requestDeadline(r *http.Request, start time.Time) (time.Time, 
 
 // admit is the admission stage: pass the bounded, deadline-shedding,
 // tenant-fair queue before touching the warm pool (a no-op pass when
-// admission is off). Admitted, the request holds a ticket until handle
-// is done with it; refused, the ending carries the 429/503 and its
-// Retry-After — or 499 and no refusal when the client hung up while
-// queued and nobody is listening for a status line.
-func (g *Gateway) admit(req *request) ending {
+// admission is off). ctx carries the request's deadline, which wakes it
+// if it is still queued then. Admitted, the request holds a ticket
+// until handle is done with it; refused, the ending carries the 429/503
+// and its Retry-After — or 499 and no refusal when the client hung up
+// while queued and nobody is listening for a status line.
+func (g *Gateway) admit(ctx context.Context, req *request) ending {
 	s := req.s
 	if s.adm == nil {
 		return ending{}
 	}
-	ticket, rej := s.adm.Acquire(req.r.Context(), req.rt.tenant, req.deadline)
+	ticket, rej := s.adm.Acquire(ctx, req.rt.tenant, req.deadline)
 	if rej == nil {
 		req.ticket = ticket
 		req.rt.queueWait = ticket.Waited()

@@ -177,7 +177,7 @@ func TestAdmissionShedsExpiredQueuedRequest(t *testing.T) {
 	waitAdm(t, g, "f", "one queued", func(st admission.Stats) bool { return st.Queued == 1 })
 
 	// Hold the slot until well past the queued request's deadline,
-	// then free it: dispatch must shed, not serve.
+	// then free it: the queued request must be shed, not served.
 	time.Sleep(120 * time.Millisecond)
 	close(release)
 	wg.Wait()
@@ -195,6 +195,56 @@ func TestAdmissionShedsExpiredQueuedRequest(t *testing.T) {
 	}
 	if st := g.AdmissionStats()["f"]; st.Rejected[admission.ReasonDeadline] != 1 {
 		t.Fatalf("admission stats = %+v, want 1 deadline shed", st)
+	}
+}
+
+// A queued request is answered at its own deadline, not when the slot
+// it waits for frees: the deadline wakes the waiter, which is shed 429
+// deadline while the holder still runs.
+func TestQueuedRequestAnsweredAtItsDeadline(t *testing.T) {
+	g := New(PoolConfig{MaxInFlight: 1, QueueDepth: 4})
+	if err := g.Register(Function{
+		Name: "sleep",
+		Handler: func(b []byte) ([]byte, error) {
+			time.Sleep(500 * time.Millisecond)
+			return b, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	base, err := g.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if resp, err := postTenant(base, "sleep", "", "x", nil); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	defer wg.Wait()
+	waitAdm(t, g, "sleep", "the holder in flight", func(st admission.Stats) bool { return st.InFlight == 1 })
+
+	start := time.Now()
+	resp, err := postTenant(base, "sleep", "", "x", map[string]string{DeadlineHeader: "50"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if took := time.Since(start); took > 300*time.Millisecond {
+		t.Fatalf("a queued request with a 50 ms deadline was answered after %v", took)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get(RejectedHeader) != string(admission.ReasonDeadline) {
+		t.Fatalf("status = %d %s = %q, want 429 %q", resp.StatusCode, RejectedHeader, resp.Header.Get(RejectedHeader), admission.ReasonDeadline)
+	}
+	if st := g.AdmissionStats()["sleep"]; st.Rejected[admission.ReasonDeadline] != 1 || st.Rejected[admission.ReasonCanceled] != 0 {
+		t.Fatalf("admission stats = %+v, want one deadline shed", st)
 	}
 }
 

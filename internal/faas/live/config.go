@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hotc/internal/image"
+	"hotc/internal/kernel"
 	"hotc/internal/obs"
 	"hotc/internal/predictor"
 	"hotc/internal/prefork"
@@ -220,6 +221,7 @@ func New(cfg PoolConfig) *Gateway {
 	var dialer net.Dialer
 	g := &Gateway{
 		cfg:    cfg,
+		keep:   kernel.Fixed(cfg.IdleTTL),
 		reuse:  true,
 		clock:  wallClock{},
 		shards: make(map[string]*shard),

@@ -134,11 +134,10 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 
 	// The keep-alive, not the forecast, takes a used function's last
 	// warm instance: retain one until the janitor would expire it.
-	ttl := g.cfg.IdleTTL
 	d := st.Step(kernel.PlanInput{
 		Headroom: g.cfg.Headroom,
 		InFlight: st.InFlight, Live: st.InFlight + st.booting + len(s.idle), Idle: len(s.idle),
-		Retain:        !st.lastDone.IsZero() && (ttl == 0 || now.Sub(st.lastDone) < ttl),
+		Retain:        !st.lastDone.IsZero() && !kernel.Expired(now.Sub(st.lastDone), g.keep.Window(name)),
 		MaxWarm:       g.cfg.MaxIdlePerFunction,
 		ScaleDownFrac: kernel.DefaultScaleDownFrac,
 	})
@@ -193,9 +192,9 @@ func (g *Gateway) prewarmOne(s *shard, fn Function) {
 }
 
 // janitorOnce is the janitor stage of the control cycle: one reclaim
-// pass at now under the configured keep-alive. Tests call it with
+// pass at now under the gateway's keep-alive rule. Tests call it with
 // deterministic now values.
-func (g *Gateway) janitorOnce(now time.Time) { g.reclaim(now, g.cfg.IdleTTL) }
+func (g *Gateway) janitorOnce(now time.Time) { g.reclaim(now, g.keep) }
 
 // WarmMemoryStats reports the estimated warm-instance memory footprint
 // against the configured budget (both zero when no budget is set).
@@ -232,9 +231,9 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 }
 
 // reclaim is the janitor's one pass over the registry, in name order.
-// Each shard's warm instances idle for ttl or longer expire (none when
-// ttl is zero). Then, with a memory budget armed, what the summed
-// per-instance estimates hold over the budget is given back: idle
+// Each shard's warm instances that have outlived keep's window
+// (kernel.Expired) expire. Then, with a memory budget armed, what the
+// summed per-instance estimates hold over the budget is given back: idle
 // generics first — they carry no function state, and the pre-forked
 // pool re-grows whenever the budget allows — then the warm instances
 // kernel.Reclaim picks, the longest idle first, ties in name order.
@@ -243,7 +242,7 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 // returns the number of instances the budget reclaimed. A stopped
 // gateway is left alone: Stop already owns teardown, and racing it
 // could double-stop or resurrect state.
-func (g *Gateway) reclaim(now time.Time, ttl time.Duration) int {
+func (g *Gateway) reclaim(now time.Time, keep kernel.Fixed) int {
 	if g.stopped.Load() {
 		return 0
 	}
@@ -258,8 +257,8 @@ func (g *Gateway) reclaim(now time.Time, ttl time.Duration) int {
 			s.mu.Unlock()
 			break
 		}
-		expired := 0
-		for ttl > 0 && expired < len(s.idle) && now.Sub(s.idle[expired].idleSince) >= ttl {
+		expired, window := 0, keep.Window(s.name)
+		for expired < len(s.idle) && kernel.Expired(now.Sub(s.idle[expired].idleSince), window) {
 			expired++
 		}
 		doomed = append(doomed, s.takeOldestLocked(expired, evictExpired)...)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hotc/internal/kernel"
 	"hotc/internal/predictor"
 )
 
@@ -393,7 +394,7 @@ func TestJanitorNoopAfterStop(t *testing.T) {
 
 // reclaimMemoryOnce is the janitor's pass with the keep-alive off: the
 // memory budget alone, at the gateway's now.
-func (g *Gateway) reclaimMemoryOnce() int { return g.reclaim(g.clock.Now(), 0) }
+func (g *Gateway) reclaimMemoryOnce() int { return g.reclaim(g.clock.Now(), kernel.Fixed(0)) }
 
 // Over the memory budget the longest-idle warm instances go first,
 // whichever function holds them: "quiet" parked two a minute ago and

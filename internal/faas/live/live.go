@@ -108,8 +108,9 @@ type Function struct {
 	Stream StreamHandler
 	// ColdStart is the artificial boot delay a fresh instance pays
 	// (container create + runtime init + app init). When the explicit
-	// phase fields below are zero, ColdStart is decomposed by the
-	// gateway's configured phase split (PoolConfig.Boot*Frac).
+	// phase fields below are zero, ColdStart is split by the fixed
+	// §III.B fractions bootPullFrac and bootRuntimeFrac (coldpath.go),
+	// app init taking the rest.
 	ColdStart time.Duration
 
 	// Image, when set, names this function's container image
@@ -277,6 +278,8 @@ type Gateway struct {
 	// cfg is the gateway's one configuration, defaults resolved by New
 	// and never written again: every policy below reads it directly.
 	cfg PoolConfig
+	// keep is IdleTTL's keep-alive rule, for the janitor and the controller.
+	keep kernel.Fixed
 	// reuse is false only for NewGateway(false), the boot-per-request
 	// baseline.
 	reuse bool
@@ -722,18 +725,18 @@ func (g *Gateway) serve(req *request) ending {
 			retryAfter: retryAfter, event: "breaker-rejected", detail: "circuit open"}
 	}
 
-	if e := g.admit(req); e.outcome != "" {
-		return e
-	}
-	// The backend call runs under the client's context bounded by what is
-	// left of the deadline on the clock: a disconnect or an expired
-	// deadline cancels in-flight backend work instead of letting it run
-	// to waste.
+	// The request queues and runs under the client's context bounded by
+	// what is left of the deadline on the clock: the deadline wakes a
+	// queued request, and a disconnect or an expired deadline cancels
+	// in-flight backend work instead of letting it run to waste.
 	ctx := req.r.Context()
 	if !req.deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, req.deadline.Sub(g.clock.Now()))
 		defer cancel()
+	}
+	if e := g.admit(ctx, req); e.outcome != "" {
+		return e
 	}
 	inst, boot, err := g.acquire(ctx, req.s)
 	req.rt.reused = boot.mode == bootWarm

@@ -384,16 +384,12 @@ func TestEveryExitCountsOnce(t *testing.T) {
 			outcome: "rejected", spanStatus: 429, wire: 429, body: "live: overloaded (queue_full)",
 			header: map[string]string{RejectedHeader: "queue_full", "Retry-After": "*"}, event: "admission-rejected"},
 		{name: "deadline shed while queued", cfg: queue(4), set: holdSlot,
+			// The deadline wakes the queued request while the slot is
+			// still held.
 			do: func(rig *exitRig) *reply {
-				// Shedding happens at dispatch: free the slot once the
-				// queued request's deadline has passed.
-				go func() {
-					rig.queued()
-					time.Sleep(60 * time.Millisecond)
-					rig.hold.Done()
-				}()
 				return rig.post(strings.NewReader("x"), map[string]string{DeadlineHeader: "30"})
 			},
+			undo:    func(rig *exitRig) { rig.hold.Done() },
 			outcome: "rejected", spanStatus: 429, wire: 429, body: "live: overloaded (deadline)",
 			header: map[string]string{RejectedHeader: "deadline", "Retry-After": "*"}, event: "admission-rejected"},
 		{name: "client gone while queued", cfg: queue(4), set: holdSlot,

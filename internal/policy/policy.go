@@ -3,25 +3,27 @@
 //
 //   - NoReuse — the default serverless behaviour: every request boots a
 //     fresh container and tears it down afterwards.
-//   - FixedKeepAlive — the AWS Lambda approach: "a fixed keep-alive
+//   - NewFixedKeepAlive — the AWS Lambda approach: "a fixed keep-alive
 //     policy that retains the resources in memory for minutes after
 //     function execution" (15 minutes in AWS).
 //   - PeriodicWarmup — the Azure Logic approach of "periodically waking
 //     up containers to keep warm".
-//   - Histogram — the Serverless-in-the-Wild style policy of "using
+//   - NewHistogram — the Serverless-in-the-Wild style policy of "using
 //     different keep-alive values for workloads according to their
 //     actual invocation frequency and patterns".
 //
-// All policies satisfy the faas.Provider interface; HotC itself lives
-// in the core package.
+// The keep-alives are one pooled provider, KeepAlive, over a kernel
+// retention rule (kernel.Fixed, kernel.Histogram) the live gateway's
+// janitor applies too. All policies satisfy the faas.Provider
+// interface; HotC itself lives in the core package.
 package policy
 
 import (
-	"sort"
 	"time"
 
 	"hotc/internal/config"
 	"hotc/internal/container"
+	"hotc/internal/kernel"
 	"hotc/internal/pool"
 	"hotc/internal/simclock"
 	"hotc/internal/workload"
@@ -70,102 +72,85 @@ func (n *NoReuse) Discard(c *container.Container, spec *container.Spec) {
 	n.Complete(c, spec)
 }
 
-// expiring is the shared keep-alive machinery: release containers back
-// to a pool and stop them once they have sat idle for the policy's
-// time-to-live.
-type expiring struct {
+// KeepAlive is the pooled provider every keep-alive baseline runs as:
+// a runtime goes back to the pool after use and is stopped once it has
+// sat idle for its key's window, the kernel retention rule's answer.
+type KeepAlive struct {
+	name  string
+	rule  kernel.Retention
 	pool  *pool.Pool
 	sched *simclock.Scheduler
-	// ttl returns the keep-alive window for a key at completion time.
-	ttl func(key config.Key) time.Duration
 }
 
-func (e *expiring) acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
-	e.pool.Acquire(spec, done)
-}
-
-func (e *expiring) complete(c *container.Container, spec *container.Spec) {
-	e.pool.Release(c, func(error) {
-		e.armExpiry(c, spec.Key())
-	})
-}
-
-// discard quarantines a suspect container instead of re-pooling it.
-func (e *expiring) discard(c *container.Container) {
-	e.pool.Quarantine(c)
-}
-
-// armExpiry schedules an idle check at LastUsedAt + ttl. If the
-// container was reused in the meantime the check re-arms itself for
-// the new deadline; if it sits idle past the deadline it is stopped.
-func (e *expiring) armExpiry(c *container.Container, key config.Key) {
-	ttl := e.ttl(key)
-	deadline := c.LastUsedAt + ttl
-	now := e.sched.Now()
-	var wait time.Duration
-	if deadline > now {
-		wait = deadline - now
+func newKeepAlive(name string, p *pool.Pool, rule kernel.Retention) *KeepAlive {
+	if p == nil {
+		panic("policy: a keep-alive requires a pool")
 	}
-	e.sched.After(wait, func() {
-		if c.State() == container.Stopped {
-			return
-		}
-		if c.State() != container.Available {
-			// Busy right now; the completion of that execution will
-			// arm a fresh expiry.
-			return
-		}
-		if e.sched.Now()-c.LastUsedAt >= e.ttl(key) {
-			e.pool.Stop(c)
-			return
-		}
-		e.armExpiry(c, key) // reused since; sleep again
-	})
-}
-
-// FixedKeepAlive retains containers for a fixed window after their
-// last use, like AWS Lambda's 15-minute policy.
-type FixedKeepAlive struct {
-	expiring
-	window time.Duration
+	return &KeepAlive{name: name, rule: rule, pool: p, sched: p.Engine().Scheduler()}
 }
 
 // DefaultKeepAlive is the AWS-style window the paper cites ("i.e., 15
 // minutes in AWS Lambda").
 const DefaultKeepAlive = 15 * time.Minute
 
-// NewFixedKeepAlive returns the fixed-window policy over the pool.
-func NewFixedKeepAlive(p *pool.Pool, window time.Duration) *FixedKeepAlive {
-	if p == nil {
-		panic("policy: NewFixedKeepAlive requires a pool")
-	}
+// NewFixedKeepAlive returns the fixed-window policy over the pool, AWS
+// Lambda's 15-minute one by default: a window ≤ 0 is DefaultKeepAlive.
+func NewFixedKeepAlive(p *pool.Pool, window time.Duration) *KeepAlive {
 	if window <= 0 {
 		window = DefaultKeepAlive
 	}
-	f := &FixedKeepAlive{window: window}
-	f.pool = p
-	f.sched = p.Engine().Scheduler()
-	f.ttl = func(config.Key) time.Duration { return f.window }
-	return f
+	return newKeepAlive("fixed-keepalive("+window.String()+")", p, kernel.Fixed(window))
+}
+
+// NewHistogram returns the adaptive keep-alive policy over the pool,
+// kernel.Histogram's window per runtime key.
+func NewHistogram(p *pool.Pool) *KeepAlive {
+	return newKeepAlive("histogram-keepalive", p, kernel.NewHistogram())
 }
 
 // Name implements faas.Provider.
-func (f *FixedKeepAlive) Name() string { return "fixed-keepalive(" + f.window.String() + ")" }
+func (k *KeepAlive) Name() string { return k.name }
 
-// Acquire implements faas.Provider.
-func (f *FixedKeepAlive) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
-	f.acquire(spec, done)
+// Acquire implements faas.Provider, telling the rule of the arrival.
+func (k *KeepAlive) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
+	k.rule.Arrive(string(spec.Key()), k.sched.Now())
+	k.pool.Acquire(spec, done)
 }
 
-// Complete implements faas.Provider.
-func (f *FixedKeepAlive) Complete(c *container.Container, spec *container.Spec) {
-	f.complete(c, spec)
+// Complete implements faas.Provider: the runtime is pooled and its idle
+// check armed.
+func (k *KeepAlive) Complete(c *container.Container, spec *container.Spec) {
+	k.pool.Release(c, func(error) {
+		k.expire(c, string(spec.Key()))
+	})
 }
 
 // Discard implements faas.Provider: the suspect container is
 // quarantined, never re-entering the pool.
-func (f *FixedKeepAlive) Discard(c *container.Container, _ *container.Spec) {
-	f.discard(c)
+func (k *KeepAlive) Discard(c *container.Container, _ *container.Spec) {
+	k.pool.Quarantine(c)
+}
+
+// expire schedules c's idle check at LastUsedAt + the key's window. If
+// c was reused in the meantime the check re-arms itself for the new
+// deadline; if it sat idle past the deadline it is stopped. A window
+// that never expires arms nothing.
+func (k *KeepAlive) expire(c *container.Container, key string) {
+	window := k.rule.Window(key)
+	if window <= 0 {
+		return
+	}
+	k.sched.After(max(c.LastUsedAt+window-k.sched.Now(), 0), func() {
+		switch {
+		case c.State() != container.Available:
+			// Stopped, or busy: the completion of that execution arms
+			// a fresh check.
+		case kernel.Expired(k.sched.Now()-c.LastUsedAt, k.rule.Window(key)):
+			k.pool.Stop(c)
+		default:
+			k.expire(c, key) // reused since; sleep again
+		}
+	})
 }
 
 // PeriodicWarmup layers scheduled warm-up pings on a fixed keep-alive:
@@ -173,7 +158,7 @@ func (f *FixedKeepAlive) Discard(c *container.Container, _ *container.Spec) {
 // none is live) every period, so the keep-alive window never lapses —
 // at the price of paying for the pings.
 type PeriodicWarmup struct {
-	*FixedKeepAlive
+	*KeepAlive
 	period  time.Duration
 	pings   int
 	stopped []func()
@@ -185,14 +170,10 @@ func NewPeriodicWarmup(p *pool.Pool, period, window time.Duration) *PeriodicWarm
 	if period <= 0 {
 		period = 5 * time.Minute
 	}
-	return &PeriodicWarmup{
-		FixedKeepAlive: NewFixedKeepAlive(p, window),
-		period:         period,
-	}
+	w := &PeriodicWarmup{KeepAlive: NewFixedKeepAlive(p, window), period: period}
+	w.name = "periodic-warmup(" + period.String() + ")"
+	return w
 }
-
-// Name implements faas.Provider.
-func (w *PeriodicWarmup) Name() string { return "periodic-warmup(" + w.period.String() + ")" }
 
 // Pings reports how many warm-up pings have fired.
 func (w *PeriodicWarmup) Pings() int { return w.pings }
@@ -226,87 +207,4 @@ func (w *PeriodicWarmup) StopPingers() {
 		stop()
 	}
 	w.stopped = nil
-}
-
-// Histogram adapts the keep-alive window per runtime type from the
-// observed inter-arrival times of its requests: the window is the 99th
-// percentile inter-arrival time with a safety margin, clamped to
-// [MinWindow, MaxWindow]. Frequently invoked functions stay warm; rare
-// ones release their resources quickly.
-type Histogram struct {
-	expiring
-	// MinWindow and MaxWindow clamp the adaptive keep-alive.
-	MinWindow, MaxWindow time.Duration
-	// Margin multiplies the p99 inter-arrival time.
-	Margin float64
-
-	lastArrival map[config.Key]simclock.Time
-	iats        map[config.Key][]time.Duration
-}
-
-// NewHistogram returns the adaptive keep-alive policy.
-func NewHistogram(p *pool.Pool) *Histogram {
-	if p == nil {
-		panic("policy: NewHistogram requires a pool")
-	}
-	h := &Histogram{
-		MinWindow:   10 * time.Second,
-		MaxWindow:   time.Hour,
-		Margin:      1.2,
-		lastArrival: make(map[config.Key]simclock.Time),
-		iats:        make(map[config.Key][]time.Duration),
-	}
-	h.pool = p
-	h.sched = p.Engine().Scheduler()
-	h.ttl = h.windowFor
-	return h
-}
-
-// Name implements faas.Provider.
-func (h *Histogram) Name() string { return "histogram-keepalive" }
-
-// windowFor computes the adaptive window for a key.
-func (h *Histogram) windowFor(key config.Key) time.Duration {
-	iats := h.iats[key]
-	if len(iats) < 2 {
-		return h.MaxWindow // not enough signal: be conservative
-	}
-	sorted := append([]time.Duration(nil), iats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(float64(len(sorted)-1) * 0.99)
-	w := time.Duration(float64(sorted[idx]) * h.Margin)
-	if w < h.MinWindow {
-		w = h.MinWindow
-	}
-	if w > h.MaxWindow {
-		w = h.MaxWindow
-	}
-	return w
-}
-
-// Acquire implements faas.Provider, recording the arrival for the
-// key's inter-arrival histogram.
-func (h *Histogram) Acquire(spec *container.Spec, done func(*container.Container, bool, config.Delta, error)) {
-	key := spec.Key()
-	now := h.sched.Now()
-	if last, ok := h.lastArrival[key]; ok {
-		h.iats[key] = append(h.iats[key], now-last)
-		// Bound history to the most recent observations.
-		if len(h.iats[key]) > 4096 {
-			h.iats[key] = h.iats[key][len(h.iats[key])-2048:]
-		}
-	}
-	h.lastArrival[key] = now
-	h.acquire(spec, done)
-}
-
-// Complete implements faas.Provider.
-func (h *Histogram) Complete(c *container.Container, spec *container.Spec) {
-	h.complete(c, spec)
-}
-
-// Discard implements faas.Provider: the suspect container is
-// quarantined, never re-entering the pool.
-func (h *Histogram) Discard(c *container.Container, _ *container.Spec) {
-	h.discard(c)
 }

@@ -204,7 +204,7 @@ func TestHistogramAdaptsWindowToArrivalRate(t *testing.T) {
 		acquireExecComplete(t, f, h, spec, app)
 		f.sched.Sleep(30 * time.Second)
 	}
-	w := h.windowFor(spec.Key())
+	w := h.rule.Window(string(spec.Key()))
 	if w < 30*time.Second || w > 2*time.Minute {
 		t.Fatalf("adaptive window = %v, want ~36s", w)
 	}
@@ -216,30 +216,6 @@ func TestHistogramAdaptsWindowToArrivalRate(t *testing.T) {
 	f.sched.Sleep(5 * time.Minute)
 	if f.eng.Live() != 0 {
 		t.Fatalf("live = %d after adaptive expiry, want 0", f.eng.Live())
-	}
-}
-
-func TestHistogramConservativeWithoutSignal(t *testing.T) {
-	f := newFixture(t)
-	h := NewHistogram(f.pool)
-	spec := f.spec(t, "python:3.8")
-	if h.windowFor(spec.Key()) != h.MaxWindow {
-		t.Fatal("no-signal window should be the conservative maximum")
-	}
-}
-
-func TestHistogramClampsToMin(t *testing.T) {
-	f := newFixture(t)
-	h := NewHistogram(f.pool)
-	spec := f.spec(t, "python:3.8")
-	app := workload.RandomNumber(workload.Python)
-	// Rapid-fire arrivals: IATs near zero, window clamps to MinWindow.
-	for i := 0; i < 10; i++ {
-		acquireExecComplete(t, f, h, spec, app)
-		f.sched.Sleep(100 * time.Millisecond)
-	}
-	if w := h.windowFor(spec.Key()); w != h.MinWindow {
-		t.Fatalf("window = %v, want clamped to %v", w, h.MinWindow)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"hotc/internal/admission"
 	"hotc/internal/faas/live"
 	"hotc/internal/hop"
 	"hotc/internal/kernel"
@@ -74,11 +75,18 @@ func (rt *Router) Routes() *http.ServeMux {
 	return mux
 }
 
-// saturated reports whether an upstream status is a spill signal: the
+// saturated reports whether an upstream reply is a spill signal: the
 // node is shedding (429) or refusing placements (503, including
-// drain).
-func saturated(status int) bool {
-	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
+// drain). A 429 the node shed for the request's own deadline is not:
+// another node would start that deadline afresh, so it is the answer.
+func saturated(resp *http.Response) bool {
+	switch resp.StatusCode {
+	case http.StatusTooManyRequests:
+		return resp.Header.Get(live.RejectedHeader) != string(admission.ReasonDeadline)
+	case http.StatusServiceUnavailable:
+		return true
+	}
+	return false
 }
 
 func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
@@ -163,7 +171,7 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		if saturated(resp.StatusCode) {
+		if saturated(resp) {
 			if resp.Header.Get(live.DrainingHeader) == "true" {
 				rt.mDrains.Inc()
 			}

@@ -19,6 +19,7 @@ import (
 
 	"hotc/internal/faas/live"
 	"hotc/internal/kernel"
+	"hotc/internal/obs"
 )
 
 // --- placement table tests (no network) ---
@@ -363,6 +364,106 @@ func TestSpillOnSaturationSignal(t *testing.T) {
 	}
 	if rt.mSpills.Value() < 1 || rt.mDrains.Value() < 1 {
 		t.Fatalf("spill/drain counters = %v/%v, want both >= 1", rt.mSpills.Value(), rt.mDrains.Value())
+	}
+}
+
+// A node that sheds a request for its deadline has answered it: the
+// router relays the 429 instead of replaying the request on another
+// node, where it would start a fresh full deadline.
+func TestDeadlineShedIsNotSpilled(t *testing.T) {
+	cfg := live.PoolConfig{MaxInFlight: 1, QueueDepth: 4}
+	gateways := map[string]*live.Gateway{}
+	g1, n1 := startNode(t, cfg)
+	g2, n2 := startNode(t, cfg)
+	gateways[n1], gateways[n2] = g1, g2
+	rt, base := startRouter(t, Config{Nodes: []string{n1, n2}})
+	deployVia(t, base, "fn", "sleep", 0)
+
+	first := rt.placement("fn")[0].n.name
+	var shedder, other *live.Gateway
+	var shedderURL string
+	for _, st := range rt.Nodes() {
+		if st.Name == first {
+			shedder, shedderURL = gateways[st.URL], st.URL
+		} else {
+			other = gateways[st.URL]
+		}
+	}
+	// Hold the first choice's one slot for 500 ms, straight to the node.
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		if resp, err := http.Post(shedderURL+"/function/fn", "text/plain", strings.NewReader("500")); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	defer func() { <-held }()
+	for deadline := time.Now().Add(5 * time.Second); shedder.AdmissionStats()["fn"].InFlight != 1; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the holder never took the first choice's slot")
+		}
+	}
+
+	req, _ := http.NewRequest(http.MethodPost, base+"/function/fn", strings.NewReader("1"))
+	req.Header.Set(live.DeadlineHeader, "50")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get(live.RejectedHeader) != "deadline" {
+		t.Fatalf("reply = %d %s %q, want the node's 429 deadline", resp.StatusCode, live.RejectedHeader, resp.Header.Get(live.RejectedHeader))
+	}
+	if got := resp.Header.Get(AttemptsHeader); got != "1" {
+		t.Fatalf("%s = %s, want 1", AttemptsHeader, got)
+	}
+	if st := other.Stats(); st.Requests != 0 {
+		t.Fatalf("the second node served %d requests, want none", st.Requests)
+	}
+	if got := rt.mSpills.Value(); got != 0 {
+		t.Fatalf("hotc_router_spill_attempts_total = %v, want 0", got)
+	}
+}
+
+// The router's /metrics passes the strict exposition parser and holds
+// every family the router registers, each named here, after one routed
+// request and one poll.
+func TestRouterMetricsExposition(t *testing.T) {
+	_, n1 := startNode(t, live.PoolConfig{})
+	rt, base := startRouter(t, Config{Nodes: []string{n1}})
+	deployVia(t, base, "fn", "sleep", 0)
+	io.Copy(io.Discard, invoke(t, base, "fn", "1").Body)
+	rt.PollOnce()
+
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	st, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatalf("ParseExposition rejects the router's /metrics: %v", err)
+	}
+	want := []string{
+		"hotc_router_requests_total", "hotc_router_request_duration_ms", "hotc_router_spill_attempts_total",
+		"hotc_router_node_healthy", "hotc_router_node_warm_instances", "hotc_router_poll_failures_total",
+		"hotc_router_nodes", "hotc_router_drain_rejections_total", "hotc_router_membership_changes_total",
+	}
+	var registered []string
+	for _, f := range rt.reg.Snapshot() {
+		registered = append(registered, f.Name)
+	}
+	sorted := slices.Clone(want)
+	slices.Sort(sorted)
+	if slices.Sort(registered); !slices.Equal(registered, sorted) {
+		t.Fatalf("the router registers %v, this test names %v", registered, want)
+	}
+	for _, name := range want {
+		if !slices.Contains(st.Names, name) {
+			t.Errorf("/metrics has no %s family (it has %v)", name, st.Names)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+	"time"
 )
 
 // campusClassFn maps a campus request class onto the four-key
@@ -16,7 +17,13 @@ func campusClassFn(class int) string { return fmt.Sprintf("qr%d", class%4) }
 // runtime keys. seed 0 is noiseless; any other seed turns jitter on.
 func newCampusSim(tb testing.TB, seed int64) *Simulation {
 	tb.Helper()
-	s, err := NewSimulation(Config{Policy: PolicyHotC, LocalImages: true, Seed: seed})
+	return newFourKeySim(tb, PolicyHotC, seed)
+}
+
+// newFourKeySim is newCampusSim's deployment under any policy.
+func newFourKeySim(tb testing.TB, policy Policy, seed int64) *Simulation {
+	tb.Helper()
+	s, err := NewSimulation(Config{Policy: policy, LocalImages: true, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -99,6 +106,57 @@ const (
 	goldenJitter    uint64 = 0x22e987a136063bc9
 	goldenFullDay   uint64 = 0x331f6b569755b0e8
 )
+
+// TestBaselineReplayGolden pins the paper's four baselines the way
+// TestCampusReplayGolden pins HotC: every virtual-time output of a
+// burst trace — whose burst containers outlive the base load, so each
+// baseline's window, or its warm-up pings, decides when they go — and
+// of two campus hours, noiseless and jittered. The constants were computed before the
+// keep-alive rules moved into internal/kernel; never regenerate them to
+// make a change pass.
+func TestBaselineReplayGolden(t *testing.T) {
+	traces := map[string]Workload{
+		"burst":  BurstWorkload(2, 8, []int{5, 30}, 45, 2*time.Minute),
+		"campus": CampusWorkload(1, 1.0, 120, 4),
+	}
+	for _, tc := range []struct {
+		policy Policy
+		trace  string
+		seed   int64
+		want   uint64
+	}{
+		{PolicyCold, "burst", 0, 0x32dd934c43ad2139},
+		{PolicyCold, "burst", 42, 0x2bbec629c01496d},
+		{PolicyCold, "campus", 0, 0x24eebdab956dd545},
+		{PolicyCold, "campus", 42, 0x6b7d4dc328857c2a},
+		{PolicyKeepAlive, "burst", 0, 0x9242a079b747ab99},
+		{PolicyKeepAlive, "burst", 42, 0x4ec65fa33637fbe7},
+		{PolicyKeepAlive, "campus", 0, 0x11c78c896b68a61c},
+		{PolicyKeepAlive, "campus", 42, 0x82a4fd0c6469f6b0},
+		{PolicyWarmup, "burst", 0, 0xf7de64dceb8590dd},
+		{PolicyWarmup, "burst", 42, 0x72cb0438ad712717},
+		{PolicyWarmup, "campus", 0, 0xcefd8d59e5f90825},
+		{PolicyWarmup, "campus", 42, 0x6038bf8a05197746},
+		{PolicyHistogram, "burst", 0, 0xb6a2d90df986642d},
+		{PolicyHistogram, "burst", 42, 0x8e0079e4df9ccd32},
+		{PolicyHistogram, "campus", 0, 0xc93503caa9d23a99},
+		{PolicyHistogram, "campus", 42, 0xbf46d147ca72ff48},
+	} {
+		t.Run(fmt.Sprintf("%s/%s/seed%d", tc.policy, tc.trace, tc.seed), func(t *testing.T) {
+			results, err := newFourKeySim(t, tc.policy, tc.seed).Replay(traces[tc.trace], campusClassFn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := Summarize(results)
+			if st.Requests == 0 || st.ColdStarts == 0 || st.Errors != 0 || (st.Reused == 0) != (tc.policy == PolicyCold) {
+				t.Fatalf("replay exercises nothing: %+v", st)
+			}
+			if got := replayDigest(results); got != tc.want {
+				t.Fatalf("digest of %d results = %#x, want %#x: a virtual-time output moved", len(results), got, tc.want)
+			}
+		})
+	}
+}
 
 // simReplayAllocBudget is the ceiling on heap allocations per simulated
 // request of a warm replay (64 before the hot path was first rewritten,
