@@ -26,11 +26,11 @@
 //     work never started. Callers additionally pass their context, so a
 //     client that disconnects mid-queue frees its slot immediately.
 //
-//   - Weighted fair dispatch across tenants. Dispatch cycles tenants in
-//     weighted round-robin order (per-tenant FIFOs underneath), so a
-//     tenant flooding its own queue delays itself, never its
-//     neighbours: with equal weights, N active tenants each get 1/N of
-//     the dispatch slots regardless of how deep any one backlog is.
+//   - Round-robin dispatch across tenants. Dispatch cycles tenants in
+//     round-robin order (per-tenant FIFOs underneath), so a tenant
+//     flooding its own queue delays itself, never its neighbours: N
+//     active tenants each get 1/N of the dispatch slots regardless of
+//     how deep any one backlog is.
 //
 // One Queue guards one function; the gateway owns one per shard and
 // keys tenants off the X-Hotc-Tenant header (defaulting to the
@@ -82,10 +82,6 @@ type Config struct {
 	// MaxInFlight means no queueing at all: requests beyond the
 	// in-flight cap are rejected on arrival.
 	QueueDepth int
-	// Weights are the fair-dispatch quanta per tenant: a tenant with
-	// weight 2 gets two dispatch slots per round where a weight-1
-	// tenant gets one. Unlisted tenants get weight 1.
-	Weights map[string]int
 	// Now is the clock; nil means time.Now. Tests inject fakes.
 	Now func() time.Time
 	// OnQueueDepth, when set, is called (under the queue lock) whenever
@@ -133,11 +129,9 @@ type waiter struct {
 	ready    chan struct{}
 }
 
-// tenantQ is one tenant's FIFO plus its fair-dispatch credit.
+// tenantQ is one tenant's FIFO.
 type tenantQ struct {
 	name     string
-	weight   int
-	credit   int
 	q        []*waiter
 	inRing   bool
 	admitted uint64
@@ -228,13 +222,6 @@ func (t *Ticket) Done() {
 	q.mu.Unlock()
 }
 
-// Blocker is the canceling half of a context: Done and Err, which is
-// all Acquire needs (and all tests must fake).
-type Blocker interface {
-	Done() <-chan struct{}
-	Err() error
-}
-
 // Acquire asks for an execution slot for tenant. It returns a Ticket
 // when admitted — possibly after blocking in the fair queue — or a
 // Rejection when refused. deadline, when non-zero, sheds the request
@@ -242,7 +229,7 @@ type Blocker interface {
 // to carry the same deadline, which is what actually wakes the
 // waiter). ctx cancellation withdraws a queued request immediately, as
 // a deadline shed when ctx's deadline passed and as canceled otherwise.
-func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket, *Rejection) {
+func (q *Queue) Acquire(ctx context.Context, tenant string, deadline time.Time) (*Ticket, *Rejection) {
 	now := q.cfg.Now()
 	q.mu.Lock()
 	if q.stopped {
@@ -291,13 +278,9 @@ func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket
 	q.dispatchLocked()
 	q.mu.Unlock()
 
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	select {
 	case <-w.ready:
-	case <-done:
+	case <-ctx.Done():
 		q.mu.Lock()
 		if w.state == stateQueued {
 			// Withdraw: unlink the entry so it neither occupies depth
@@ -356,7 +339,7 @@ func (q *Queue) Acquire(ctx Blocker, tenant string, deadline time.Time) (*Ticket
 // client-controlled (the X-Hotc-Tenant header) and a tenantQ lives as
 // long as its queue, so without a bound a scan of random names grows
 // the map — and every label keyed off it — forever. The overflow
-// tenant and those listed in Config.Weights come on top.
+// tenant comes on top.
 const MaxTenants = 1024
 
 // MaxTenantName bounds the length of a tenant name a queue keeps. A
@@ -370,28 +353,22 @@ const MaxTenantName = 256
 // tenant's share of dispatch.
 const overflowTenant = "~overflow"
 
-// tenantLocked resolves (lazily creating) a tenant's queue. Tenants
-// listed in Config.Weights always get their own; any other name past
-// either bound shares overflowTenant's.
+// tenantLocked resolves (lazily creating) a tenant's queue. A name
+// past either bound shares overflowTenant's.
 func (q *Queue) tenantLocked(name string) *tenantQ {
 	if tq := q.tenants[name]; tq != nil {
 		return tq
 	}
-	weight := 1
-	if w, listed := q.cfg.Weights[name]; listed {
-		if w > 0 {
-			weight = w
-		}
-	} else if (len(q.tenants) >= MaxTenants || len(name) > MaxTenantName) && name != overflowTenant {
+	if (len(q.tenants) >= MaxTenants || len(name) > MaxTenantName) && name != overflowTenant {
 		return q.tenantLocked(overflowTenant)
 	}
-	tq := &tenantQ{name: name, weight: weight}
+	tq := &tenantQ{name: name}
 	q.tenants[name] = tq
 	return tq
 }
 
 // dispatchLocked moves waiters into flight while capacity lasts,
-// cycling tenants in weighted round-robin order and shedding entries
+// cycling tenants in round-robin order and shedding entries
 // whose deadline already passed. Caller holds q.mu.
 func (q *Queue) dispatchLocked() {
 	for (q.cfg.MaxInFlight <= 0 || q.inFlight < q.cfg.MaxInFlight) && q.queued > 0 {
@@ -423,10 +400,9 @@ func (q *Queue) dispatchLocked() {
 	}
 }
 
-// nextLocked picks the next live waiter by weighted round-robin:
-// the tenant under the cursor serves one entry per unit of credit,
-// refilled to its weight when the cursor returns with credit spent.
-// Withdrawn waiters are discarded in passing. Caller holds q.mu.
+// nextLocked picks the next waiter by round-robin: the tenant under
+// the cursor serves its oldest entry and the cursor moves on. Caller
+// holds q.mu.
 func (q *Queue) nextLocked() *waiter {
 	for len(q.ring) > 0 {
 		if q.ringIdx >= len(q.ring) {
@@ -437,15 +413,11 @@ func (q *Queue) nextLocked() *waiter {
 			q.removeRingLocked(q.ringIdx)
 			continue
 		}
-		if tq.credit <= 0 {
-			tq.credit = tq.weight
-		}
-		tq.credit--
 		w := tq.q[0]
 		tq.q = tq.q[1:]
 		if len(tq.q) == 0 {
 			q.removeRingLocked(q.ringIdx)
-		} else if tq.credit <= 0 {
+		} else {
 			q.ringIdx++
 		}
 		return w
@@ -458,7 +430,6 @@ func (q *Queue) nextLocked() *waiter {
 func (q *Queue) removeRingLocked(i int) {
 	tq := q.ring[i]
 	tq.inRing = false
-	tq.credit = 0
 	q.ring = append(q.ring[:i], q.ring[i+1:]...)
 	if q.ringIdx > i || q.ringIdx >= len(q.ring) {
 		if q.ringIdx > 0 {
@@ -513,7 +484,6 @@ func (q *Queue) Stop() {
 		}
 		tq.q = nil
 		tq.inRing = false
-		tq.credit = 0
 	}
 	q.ring = nil
 	q.ringIdx = 0

@@ -31,7 +31,7 @@ var (
 	atomics   = []string{"Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value"}
 	isObs     = regexp.MustCompile(`obs$`).MatchString
 	isIdle    = regexp.MustCompile(`^[\w.]*\.idle\b`).MatchString
-	isStamp   = regexp.MustCompile(`\b(idleSince|LastUsedAt|lastDone)\b`).MatchString
+	isStamp   = regexp.MustCompile(`\b(idleSince|LastUsedAt|lastDone|lastArrival)\b`).MatchString
 )
 
 // rules is the design, one row per rule. A new structural property is a
@@ -42,9 +42,13 @@ var rules = []row{
 	// ran the breaker, the SLO windows, the cycle's tickers, uptime and span
 	// stamps on the wall clock: every read and wait goes through the
 	// gateway's clock field, and only the wall clock's methods call time.
+	// A request's deadline was a context.WithTimeout, a wall-clock timer
+	// the test clock never fired: a deadline context is the clock's too.
 	{name: "one clock: time read and waited on only by wallClock", in: live,
-		match: sel("time", "Now", "Since", "Until", "Sleep", "NewTicker", "NewTimer", "After", "AfterFunc", "Tick"),
-		allow: sites{L + "clock.go wallClock.Now": 1, L + "clock.go wallClock.Sleep": 1, L + "clock.go wallClock.NewTicker": 1}, exact: true},
+		match: either(sel("time", "Now", "Since", "Until", "Sleep", "NewTicker", "NewTimer", "After", "AfterFunc", "Tick"),
+			sel("context", "WithTimeout", "WithTimeoutCause", "WithDeadline", "WithDeadlineCause")),
+		allow: sites{L + "clock.go wallClock.Now": 1, L + "clock.go wallClock.Sleep": 1, L + "clock.go wallClock.NewTicker": 1,
+			L + "clock.go wallClock.WithDeadline": 1}, exact: true},
 
 	// One way in, one way out. The live gateway builds an instance in one
 	// boot, and only warmlist.go's shard methods write a warm list:
@@ -206,14 +210,15 @@ var rules = []row{
 	{name: "one reclaim rule: no water-fill or second eviction loop", in: all, tests: true, match: ident("overQuota", "makeRoom", "shrinkToCap")},
 
 	// One retention rule. The simulator's keep-alives were three providers
-	// around one expiry timer and the live janitor compared idle time with
-	// its TTL itself, so the paper's baselines were written twice: a
+	// around one expiry timer, the live janitor compared idle time with
+	// its TTL itself and the simulated controller kept a retain window
+	// inclusive at its end, so the paper's baselines were written twice: a
 	// keep-alive window comes from a kernel rule and is applied by
 	// kernel.Expired, at the pooled provider's idle check, the janitor's
-	// expiry and the controller's retain-one test.
+	// expiry and both controllers' retain-one test.
 	{name: "one retention rule: the kernel's expiry test called by the pooled provider, the janitor and the controller", in: all,
 		match: call("Expired"), allow: sites{"internal/policy/policy.go KeepAlive.expire": 1,
-			L + "controller.go Gateway.reclaim": 1, L + "controller.go Gateway.controlOnce": 1}, exact: true},
+			L + "controller.go Gateway.reclaim": 1, L + "controller.go Gateway.controlOnce": 1, "internal/core/core.go HotC.tick": 1}, exact: true},
 	{name: "one retention rule: no armExpiry, windowFor or idle-time comparison of its own", in: all, out: []string{"internal/kernel/..."},
 		match: either(ident("armExpiry", "windowFor", "expiring"), is(func(c *at, b *ast.BinaryExpr) bool {
 			return slices.Contains([]token.Token{token.LSS, token.GTR, token.LEQ, token.GEQ}, b.Op) && isStamp(text(b.X)+" "+text(b.Y))
@@ -223,6 +228,14 @@ var rules = []row{
 	// unexported function is named somewhere in its package besides its
 	// declaration, a test counting.
 	{name: "no dead code: an unexported function is referenced in its package", in: all, tests: true, check: unreferenced},
+
+	// No dead option. Seven settings were written by tests alone, one of
+	// them keeping a weighted dispatch production could never reach: every
+	// exported field of the option structs is written, as a composite-literal
+	// key or an assignment, by non-test code outside its package. The
+	// package's own defaulting does not count.
+	{name: "no dead option: every config field is set outside its package", in: all,
+		check: unset("internal/faas/live.PoolConfig", "internal/admission.Config", "internal/core.Options", "internal/pool.Options", "internal/router.Config")},
 
 	// Layers. Every rule and family both substrates share lives in the
 	// leaf kernel; hotcd linked the simulator's pool, container, core and
@@ -501,17 +514,96 @@ func (c *at) constant(e ast.Expr) bool {
 // not (!in).
 func reaches(pkgs string, in bool) func(*at) bool {
 	named := regexp.MustCompile(`^hotc/internal/(` + pkgs + `)$`).MatchString
+	bad := func(p string) bool { return strings.HasPrefix(p, "hotc/") && named(p) == in }
 	return is(func(c *at, s *ast.ImportSpec) bool {
-		seen := map[string]bool{}
-		var reach func(p string) bool
-		reach = func(p string) bool {
-			seen[p] = true
-			return strings.HasPrefix(p, "hotc/") && named(p) == in ||
-				slices.ContainsFunc(c.t.deps[p], func(q string) bool { return !seen[q] && reach(q) })
-		}
 		p, _ := strconv.Unquote(s.Path.Value)
-		return reach(p)
+		return bad(p) || c.t.reaches(p, bad)
 	})
+}
+
+// reaches reports whether package from imports a package for which is
+// holds, directly or through module packages.
+func (t *tree) reaches(from string, is func(string) bool) bool {
+	seen := map[string]bool{}
+	var reach func(p string) bool
+	reach = func(p string) bool {
+		seen[p] = true
+		return slices.ContainsFunc(t.deps[p], func(q string) bool { return is(q) || !seen[q] && reach(q) })
+	}
+	return reach(from)
+}
+
+// unset reports each exported field of the named structs ("dir.Type")
+// that no file r reads outside dir writes: as a key of a composite
+// literal of the struct, or as a selector assigned to in a package that
+// reaches dir. A struct the tree lacks is reported too.
+func unset(structs ...string) func(*tree, row) []string {
+	return func(t *tree, r row) (bad []string) {
+		for _, s := range structs {
+			dir, typ, _ := strings.Cut(s, ".")
+			written := map[string]bool{} // field → written
+			for _, f := range t.files {
+				if f.dir != dir || f.test {
+					continue
+				}
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == typ {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							for _, fl := range st.Fields.List {
+								for _, id := range fl.Names {
+									if id.IsExported() {
+										written[id.Name] = false
+									}
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+			if len(written) == 0 {
+				bad = append(bad, s+": no such struct")
+				continue
+			}
+			pkg := "hotc/" + dir
+			mark := func(name string) {
+				if _, ok := written[name]; ok {
+					written[name] = true
+				}
+			}
+			t.walk(r, func(c *at) {
+				if c.f.dir == dir {
+					return
+				}
+				switch n := c.n.(type) {
+				case *ast.CompositeLit:
+					if isSel(c, n.Type, pkg, typ) {
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								mark(text(kv.Key))
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					if !c.t.reaches(c.f.pkg, func(p string) bool { return p == pkg }) {
+						return
+					}
+					for _, l := range n.Lhs {
+						// o.Pool.MaxLive = n writes Pool and MaxLive.
+						for sel, ok := l.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+							mark(sel.Sel.Name)
+						}
+					}
+				}
+			})
+			for name, ok := range written {
+				if !ok {
+					bad = append(bad, s+"."+name+" is set by no non-test code outside "+dir)
+				}
+			}
+		}
+		return bad
+	}
 }
 
 // unreferenced reports each unexported function (not a method, init

@@ -1,0 +1,15 @@
+package main
+
+import (
+	"hotc/internal/core"
+	"hotc/internal/faas/live"
+	"hotc/internal/router"
+)
+
+func main() {
+	_ = live.PoolConfig{MaxInFlight: 4}
+	_ = router.Config{Nodes: []string{"n1"}}
+	var o core.Options
+	o.Interval = 1
+	o.Pool.MaxLive = 2
+}

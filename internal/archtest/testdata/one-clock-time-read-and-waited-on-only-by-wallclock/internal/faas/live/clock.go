@@ -24,3 +24,7 @@ func (wallClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
 	t := time.NewTicker(d)
 	return t.C, t.Stop
 }
+
+func (wallClock) WithDeadline(parent context.Context, t time.Time) (context.Context, context.CancelFunc) {
+	return context.WithDeadline(parent, t)
+}

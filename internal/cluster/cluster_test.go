@@ -445,7 +445,7 @@ func TestClusterPlacesLikeRouter(t *testing.T) {
 	}
 
 	// A bare router over the same members.
-	rt, err := router.New(router.Config{Nodes: urls, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := router.New(router.Config{Nodes: urls, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,19 +35,9 @@ type Options struct {
 	// Interval is the control-loop period; each tick observes demand
 	// and adjusts the pool. Default 10s.
 	Interval time.Duration
-	// NewPredictor constructs the per-runtime-type demand predictor.
-	// Default: the paper's combined ES+Markov with α = 0.8. Swapping
-	// this in ablations gives ES-only or Markov-only control.
-	NewPredictor func() predictor.Predictor
 	// Headroom is added to every prediction before provisioning, as a
 	// fraction (0.1 = +10%). Default 0.
 	Headroom float64
-	// RetainIdle keeps one container alive for a runtime type that has
-	// seen a request within this window, even when the prediction
-	// rounds to zero — the pool's reuse-on-request behaviour for
-	// low-rate traffic (Fig. 12a). The cap and memory threshold still
-	// evict under pressure. Default 30 minutes.
-	RetainIdle time.Duration
 	// ScaleDownFrac caps how much of a runtime type's pool may be
 	// retired per control tick, as a fraction of its live containers
 	// (hysteresis). Slow scale-down is what lets recurring bursts find
@@ -60,12 +50,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 10 * time.Second
-	}
-	if o.NewPredictor == nil {
-		o.NewPredictor = func() predictor.Predictor { return predictor.Default() }
-	}
-	if o.RetainIdle <= 0 {
-		o.RetainIdle = 30 * time.Minute
 	}
 	if o.ScaleDownFrac <= 0 || o.ScaleDownFrac > 1 {
 		o.ScaleDownFrac = kernel.DefaultScaleDownFrac
@@ -104,6 +88,12 @@ type HotC struct {
 
 	// books are the controller's, on the pool's registry.
 	books *kernel.Books
+	// retain keeps one container alive for a runtime type that has seen
+	// a request within its window, even when the prediction rounds to
+	// zero — the pool's reuse-on-request behaviour for low-rate traffic
+	// (Fig. 12a). The cap and memory threshold still evict under
+	// pressure.
+	retain kernel.Fixed
 }
 
 // New builds HotC over a container engine.
@@ -113,11 +103,12 @@ func New(eng *container.Engine, opts Options) *HotC {
 	}
 	o := opts.withDefaults()
 	return &HotC{
-		pool:  pool.New(eng, o.Pool),
-		eng:   eng,
-		sched: eng.Scheduler(),
-		opts:  o,
-		books: kernel.NewBooks(o.Pool.Metrics),
+		pool:   pool.New(eng, o.Pool),
+		eng:    eng,
+		sched:  eng.Scheduler(),
+		opts:   o,
+		books:  kernel.NewBooks(o.Pool.Metrics),
+		retain: kernel.Fixed(30 * time.Minute),
 	}
 }
 
@@ -148,7 +139,9 @@ func (h *HotC) state(spec *container.Spec, app *workload.App) *keyState {
 	for int(id) >= len(h.keys) {
 		h.keys = append(h.keys, nil)
 	}
-	st := &keyState{spec: spec, Demand: kernel.Demand{Pred: h.opts.NewPredictor()}}
+	// Each runtime type forecasts its demand with the paper's combined
+	// ES+Markov predictor, α = 0.8.
+	st := &keyState{spec: spec, Demand: kernel.Demand{Pred: predictor.Default()}}
 	if app != nil {
 		st.app = *app
 	}
@@ -240,7 +233,7 @@ func (h *HotC) tick() {
 		d := st.Step(kernel.PlanInput{
 			Headroom: h.opts.Headroom,
 			InFlight: st.InFlight, Live: live, Idle: idle,
-			Retain:        st.everUsed && now-st.lastArrival <= h.opts.RetainIdle,
+			Retain:        st.everUsed && !kernel.Expired(now-st.lastArrival, h.retain.Window(string(st.spec.Key()))),
 			ScaleDownFrac: h.opts.ScaleDownFrac,
 		})
 		if st.app.Name != "" { // else nothing is known to pre-warm the runtime with

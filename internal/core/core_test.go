@@ -11,7 +11,6 @@ import (
 	"hotc/internal/image"
 	"hotc/internal/obs"
 	"hotc/internal/pool"
-	"hotc/internal/predictor"
 	"hotc/internal/simclock"
 	"hotc/internal/trace"
 	"hotc/internal/workload"
@@ -186,23 +185,6 @@ func TestPredictionTraceRecorded(t *testing.T) {
 	}
 }
 
-func TestAblationPredictorSwap(t *testing.T) {
-	f := newFixture(t, Options{
-		Interval:     5 * time.Second,
-		NewPredictor: func() predictor.Predictor { return predictor.NewES(0.5) },
-	})
-	spec := f.deploy(t, "qr", "python:3.8", workload.QRApp(workload.Python))
-	f.hotc.Start()
-	defer f.hotc.Stop()
-	sched := trace.Serial{Interval: 2 * time.Second, Count: 10}.Generate()
-	if _, err := faas.Run(f.gw, sched, func(int) string { return "qr" }); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.hotc.Trail(spec.Key()); !ok {
-		t.Fatal("swapped predictor lost the trace")
-	}
-}
-
 func TestDistinctConfigsDistinctPools(t *testing.T) {
 	f := newFixture(t, Options{})
 	specA := f.deploy(t, "py", "python:3.8", workload.QRApp(workload.Python))
@@ -282,7 +264,7 @@ func TestHotCWithMemoryPressurePool(t *testing.T) {
 // ScaleDownFrac bounds how fast the pool shrinks per tick.
 func TestScaleDownHysteresis(t *testing.T) {
 	run := func(frac float64) []int {
-		f := newFixture(t, Options{Interval: 10 * time.Second, ScaleDownFrac: frac, RetainIdle: time.Millisecond})
+		f := newFixture(t, Options{Interval: 10 * time.Second, ScaleDownFrac: frac})
 		spec := f.deploy(t, "qr", "python:3.8", workload.QRApp(workload.Python))
 		f.hotc.Start()
 		defer f.hotc.Stop()
@@ -338,23 +320,55 @@ func TestHeadroomProvisioning(t *testing.T) {
 	}
 }
 
-// RetainIdle keeps one warm container within the window and releases
-// it afterwards.
+// The controller keeps one warm container within its 30-minute retain
+// window and releases it afterwards.
 func TestRetainIdleWindow(t *testing.T) {
-	f := newFixture(t, Options{Interval: 10 * time.Second, RetainIdle: 2 * time.Minute})
+	f := newFixture(t, Options{Interval: 10 * time.Second})
 	spec := f.deploy(t, "qr", "python:3.8", workload.QRApp(workload.Python))
 	f.hotc.Start()
 	defer f.hotc.Stop()
 	if _, err := faas.Run(f.gw, []trace.Request{{At: 0}}, func(int) string { return "qr" }); err != nil {
 		t.Fatal(err)
 	}
-	f.sched.Sleep(time.Minute) // inside the window
+	f.sched.Sleep(29 * time.Minute) // inside the window
 	if f.hotc.Pool().NumLive(spec.Key()) != 1 {
 		t.Fatal("runtime retired inside the retain-idle window")
 	}
-	f.sched.Sleep(3 * time.Minute) // beyond the window
+	f.sched.Sleep(2 * time.Minute) // beyond the window
 	if f.hotc.Pool().NumLive(spec.Key()) != 0 {
 		t.Fatal("runtime survived past the retain-idle window")
+	}
+}
+
+// The retain window ends exclusively, as kernel.Expired does for every
+// keep-alive: a runtime type whose last request arrived exactly one
+// window before a tick is not retained at that tick.
+func TestRetainWindowExclusiveAtItsEnd(t *testing.T) {
+	f := newFixture(t, Options{Interval: 10 * time.Second})
+	app := workload.QRApp(workload.Python)
+	spec := f.deploy(t, "qr", "python:3.8", app)
+	f.hotc.Start()
+	defer f.hotc.Stop()
+	// The request arrives at the instant the controller started, so a
+	// tick falls exactly 30 minutes after it.
+	f.hotc.Acquire(spec, func(c *container.Container, _ bool, _ config.Delta, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.eng.Exec(c, app, func(_ time.Duration, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.hotc.Complete(c, spec)
+		})
+	})
+	f.sched.Sleep(30*time.Minute - time.Second)
+	if n := f.hotc.Pool().NumLive(spec.Key()); n != 1 {
+		t.Fatalf("%d runtimes live a second before the window ends, want 1", n)
+	}
+	f.sched.Sleep(2 * time.Second) // the tick at exactly 30 minutes, and no other
+	if n := f.hotc.Pool().NumLive(spec.Key()); n != 0 {
+		t.Fatalf("%d runtimes live after the tick one window after the last arrival, want 0", n)
 	}
 }
 

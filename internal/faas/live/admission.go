@@ -34,13 +34,12 @@ const (
 
 // newAdmissionQueue builds one shard's admission queue (see
 // internal/admission: bounded per-tenant queues in front of the warm
-// pool, deadline-aware shedding, weighted fair dispatch), wiring its
+// pool, deadline-aware shedding, round-robin dispatch), wiring its
 // occupancy hooks to the shard's gauges.
 func (g *Gateway) newAdmissionQueue(s *shard) *admission.Queue {
 	return admission.New(admission.Config{
 		MaxInFlight:  g.cfg.MaxInFlight,
 		QueueDepth:   g.cfg.QueueDepth,
-		Weights:      g.cfg.TenantWeights,
 		Now:          func() time.Time { return g.clock.Now() },
 		OnQueueDepth: func(n int) { s.m.admDepth.Set(float64(n)) },
 		OnInFlight:   func(n int) { s.m.admInFlight.Set(float64(n)) },

@@ -423,8 +423,7 @@ func TestAdmissionChurnWithControlLoops(t *testing.T) {
 	g, clk, base := startControlled(t, PoolConfig{
 		NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: time.Minute, MaxIdlePerFunction: 4,
 		MaxInFlight: 2, QueueDepth: 4,
-		TenantWeights: map[string]int{"gold": 2},
-		MemoryBudget:  3 * instanceMemBytes,
+		MemoryBudget: 3 * instanceMemBytes,
 	})
 	names := make([]string, 3)
 	for i := range names {

@@ -15,6 +15,9 @@ type clock interface {
 	Sleep(ctx context.Context, d time.Duration) error
 	// NewTicker ticks every d, dropping ticks a slow reader misses.
 	NewTicker(d time.Duration) (c <-chan time.Time, stop func())
+	// WithDeadline is parent ended, with context.DeadlineExceeded, when
+	// the clock reaches t.
+	WithDeadline(parent context.Context, t time.Time) (context.Context, context.CancelFunc)
 }
 
 // wallClock is the process's clock, its readings monotonic.
@@ -39,4 +42,8 @@ func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
 func (wallClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
 	t := time.NewTicker(d)
 	return t.C, t.Stop
+}
+
+func (wallClock) WithDeadline(parent context.Context, t time.Time) (context.Context, context.CancelFunc) {
+	return context.WithDeadline(parent, t)
 }

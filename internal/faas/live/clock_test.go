@@ -143,8 +143,9 @@ func TestCycleTicksDeterministicallyOnTheClock(t *testing.T) {
 	}
 }
 
-// A queued request whose deadline passes on the clock is shed at
-// dispatch with a 429, however little wall time went by.
+// A queued request whose deadline passes on the clock is answered 429
+// at once, however little wall time went by and with the slot it waits
+// for still held.
 func TestQueuedDeadlineExpiresOnTheClock(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
 	free := sync.OnceFunc(func() { close(release) })
@@ -169,9 +170,17 @@ func TestQueuedDeadlineExpiresOnTheClock(t *testing.T) {
 	}()
 	waitAdm(t, g, "f", "one queued", func(st admission.Stats) bool { return st.Queued == 1 })
 
+	// The slot stays held: only the clock passing the deadline can
+	// answer the queued request.
 	clk.Advance(time.Minute + time.Second)
+	var resp *http.Response
+	select {
+	case resp = <-queued:
+	case <-time.After(5 * time.Second):
+		free()
+		t.Fatal("the queued request was not answered when the clock passed its deadline")
+	}
 	free()
-	resp := <-queued
 	if resp == nil {
 		t.Fatal("the queued request got no response")
 	}

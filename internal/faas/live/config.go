@@ -69,9 +69,6 @@ type PoolConfig struct {
 	// X-Hotc-Deadline-Ms header (0 = none): queued requests past their
 	// deadline are shed, in-flight backend work is canceled at it.
 	DefaultDeadline time.Duration
-	// TenantWeights sets admission fair-dispatch quanta per tenant
-	// (unlisted tenants weigh 1).
-	TenantWeights map[string]int
 	// MemoryBudget bounds estimated warm-instance memory across all
 	// functions, in bytes (0 = unlimited), at 64 MiB per instance; when
 	// it is exceeded the janitor reclaims idle generics first, then the

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,12 +20,14 @@ import (
 // Its time moves only when a test advances it or a Sleep spends it: a
 // sleeper advances the clock by what it sleeps, as a process does on the
 // simulator's virtual time. Its tickers fire as the clock passes their
-// instants, once per pass however many periods it spans.
+// instants, once per pass however many periods it spans, and its
+// deadline contexts end as it reaches their instants.
 type fakeClock struct {
-	mu      sync.Mutex
-	t       time.Time
-	slept   []time.Duration // every Sleep's d, in call order
-	tickers []*fakeTicker
+	mu        sync.Mutex
+	t         time.Time
+	slept     []time.Duration // every Sleep's d, in call order
+	tickers   []*fakeTicker
+	deadlines []*fakeDeadline
 }
 
 type fakeTicker struct {
@@ -57,7 +60,59 @@ func (f *fakeClock) Advance(d time.Duration) time.Time {
 			tk.next = tk.next.Add((f.t.Sub(tk.next)/tk.every + 1) * tk.every)
 		}
 	}
+	f.deadlines = slices.DeleteFunc(f.deadlines, func(d *fakeDeadline) bool {
+		if d.at.After(f.t) {
+			return false
+		}
+		d.expire()
+		return true
+	})
 	return f.t
+}
+
+// fakeDeadline is a context fakeClock.WithDeadline hands out: its parent
+// under a cancel, which the clock fires on reaching at.
+type fakeDeadline struct {
+	context.Context
+	at      time.Time
+	cancel  context.CancelFunc
+	expired atomic.Bool
+}
+
+func (d *fakeDeadline) Deadline() (time.Time, bool) { return d.at, true }
+
+// Err is context.DeadlineExceeded once the clock has ended d.
+func (d *fakeDeadline) Err() error {
+	if d.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return d.Context.Err()
+}
+
+// expire ends d at its deadline, unless its parent ended it first.
+func (d *fakeDeadline) expire() {
+	if d.Context.Err() == nil {
+		d.expired.Store(true)
+	}
+	d.cancel()
+}
+
+func (f *fakeClock) WithDeadline(parent context.Context, t time.Time) (context.Context, context.CancelFunc) {
+	inner, cancel := context.WithCancel(parent)
+	d := &fakeDeadline{Context: inner, at: t, cancel: cancel}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !t.After(f.t) {
+		d.expire()
+		return d, cancel
+	}
+	f.deadlines = append(f.deadlines, d)
+	return d, func() {
+		f.mu.Lock()
+		f.deadlines = slices.DeleteFunc(f.deadlines, func(x *fakeDeadline) bool { return x == d })
+		f.mu.Unlock()
+		cancel()
+	}
 }
 
 // Sleep logs d and, unless ctx is done, spends it at once.

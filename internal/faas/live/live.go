@@ -725,14 +725,14 @@ func (g *Gateway) serve(req *request) ending {
 			retryAfter: retryAfter, event: "breaker-rejected", detail: "circuit open"}
 	}
 
-	// The request queues and runs under the client's context bounded by
-	// what is left of the deadline on the clock: the deadline wakes a
-	// queued request, and a disconnect or an expired deadline cancels
-	// in-flight backend work instead of letting it run to waste.
+	// The request queues and runs under the client's context ended at
+	// its deadline on the gateway's clock: the deadline wakes a queued
+	// request, and a disconnect or an expired deadline cancels in-flight
+	// backend work instead of letting it run to waste.
 	ctx := req.r.Context()
 	if !req.deadline.IsZero() {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.deadline.Sub(g.clock.Now()))
+		ctx, cancel = g.clock.WithDeadline(ctx, req.deadline)
 		defer cancel()
 	}
 	if e := g.admit(ctx, req); e.outcome != "" {

@@ -17,8 +17,8 @@ import (
 
 // The built-in objective names.
 const (
-	// SLOLatency: at least LatencyObjective of successful requests
-	// complete under LatencyThreshold.
+	// SLOLatency: at least 99% of successful requests complete under
+	// LatencyThreshold.
 	SLOLatency = "latency"
 	// SLOColdStart: at most ColdStartBudget of served requests pay a
 	// cold start.
@@ -31,12 +31,9 @@ const (
 // (or threshold) disables that objective.
 type SLOConfig struct {
 	// LatencyThreshold is the latency target: a 2xx request slower
-	// than this is a bad event for the latency objective.
+	// than this is a bad event for the latency objective, which 99% of
+	// them must meet — the threshold is the implied p99 target.
 	LatencyThreshold time.Duration
-	// LatencyObjective is the fraction of successful requests that
-	// must meet the threshold (default 0.99 when a threshold is set) —
-	// i.e. the threshold is the implied p99 target.
-	LatencyObjective float64
 	// ColdStartBudget is the allowed fraction of served requests that
 	// may pay a cold start (0 disables the objective).
 	ColdStartBudget float64
@@ -84,12 +81,14 @@ type SLOMonitor struct {
 	budget  *GaugeVec // hotc_slo_budget{objective}
 }
 
-// NewSLOMonitor builds a monitor, applying defaults: objective 0.99
-// for latency, error budget 0.001, windows 1m/5m/30m.
+// latencyObjective is the fraction of successful requests that must
+// meet SLOConfig.LatencyThreshold. Typed, it is rounded to float64 as a
+// field was, so its budget 1 − latencyObjective is too.
+const latencyObjective float64 = 0.99
+
+// NewSLOMonitor builds a monitor, applying defaults: error budget
+// 0.001, windows 1m/5m/30m.
 func NewSLOMonitor(cfg SLOConfig) *SLOMonitor {
-	if cfg.LatencyThreshold > 0 && cfg.LatencyObjective <= 0 {
-		cfg.LatencyObjective = 0.99
-	}
 	if cfg.ErrorBudget == 0 {
 		cfg.ErrorBudget = 0.001
 	}
@@ -246,7 +245,7 @@ func (m *SLOMonitor) Report() SLOReport {
 	}
 
 	if m.cfg.LatencyThreshold > 0 {
-		objective(SLOLatency, 1-m.cfg.LatencyObjective,
+		objective(SLOLatency, 1-latencyObjective,
 			func(c sloCounts) (uint64, uint64) { return c.ok, c.slow })
 	}
 	if m.cfg.ColdStartBudget > 0 {

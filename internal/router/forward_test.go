@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hotc/internal/faas/live"
 )
 
 // countingNode serves handler and counts the connections it holds open.
@@ -72,7 +75,7 @@ func route(rt *Router, method, name, body string, hdr http.Header) *httptest.Res
 // probes' stay open to the node once the router has stopped.
 func TestStopLeaksNoUpstreamConnection(t *testing.T) {
 	srv, open := countingNode(t, echoNode)
-	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestLeaveClosesTheNodesConnections(t *testing.T) {
 		}
 		echoNode(w, r)
 	})
-	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestRouterRedialsStaleConnection(t *testing.T) {
 			}()
 		}
 	}()
-	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,7 @@ func TestRouterForwardsToHTTPSMember(t *testing.T) {
 		echoNode(w, r)
 	}))
 	t.Cleanup(srv.Close)
-	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestRouterForwardsToHTTPSMember(t *testing.T) {
 	}
 
 	// Without those roots the member's certificate is not trusted.
-	untrusting, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	untrusting, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +277,17 @@ func TestRoutedExpectContinue(t *testing.T) {
 		}
 	}
 	for k, want := range map[string]string{
-		"X-Hotc-Tenant":      "acme",
-		"X-Hotc-Deadline-Ms": "5000",
-		"Content-Type":       "application/octet-stream",
-		"Content-Length":     strconv.Itoa(len(payload)),
+		"X-Hotc-Tenant":  "acme",
+		"Content-Type":   "application/octet-stream",
+		"Content-Length": strconv.Itoa(len(payload)),
 	} {
 		if got := seen.Get(k); got != want {
 			t.Errorf("%s reached the node as %q, want %q", k, got, want)
 		}
+	}
+	// The deadline goes on as what is left of the client's budget.
+	if ms, err := strconv.Atoi(seen.Get(live.DeadlineHeader)); err != nil || ms < 1 || ms > 5000 {
+		t.Errorf("%s reached the node as %q, want what is left of 5000", live.DeadlineHeader, seen.Get(live.DeadlineHeader))
 	}
 }
 
@@ -363,7 +369,7 @@ func TestCutRelayBookedError(t *testing.T) {
 		io.Copy(io.Discard, req.Body)
 		io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n"+strings.Repeat("x", 32))
 	}()
-	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +403,7 @@ func TestPollThenInvokeUsesOneConnection(t *testing.T) {
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
-	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +441,7 @@ func TestRoutedReplyRelayedAsIs(t *testing.T) {
 			http.Error(w, "redirect followed", http.StatusTeapot)
 		}
 	})
-	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +522,7 @@ func TestRouterForwardAllocBudget(t *testing.T) {
 			conn.Write(reply)
 		}
 	}()
-	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +583,8 @@ func hopByHopFor(h http.Header) map[string]bool {
 // Every request the router's handler forwards reaches the node exactly
 // once, and every one it answers from the node did, as one request, for
 // the function the handler was asked for,
-// with the handler's headers minus the hop-by-hop set; a plain request
+// with the handler's headers minus the hop-by-hop set and a deadline
+// budget cut to what is left of it; a plain request
 // after it is the next thing the node parses, so nothing was smuggled
 // onto the pooled connection; nothing panics.
 func FuzzRoutedHead(f *testing.F) {
@@ -645,7 +652,7 @@ func FuzzRoutedHead(f *testing.F) {
 			}()
 		}
 	}()
-	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -743,6 +750,16 @@ func FuzzRoutedHead(f *testing.F) {
 			have := up.header.Clone()
 			delete(have, "Content-Length")
 			delete(have, "Traceparent")
+			// A deadline budget goes on as what is left of it; any other
+			// value goes on as it came.
+			if sent, err := strconv.ParseInt(h.header.Get(live.DeadlineHeader), 10, 64); err == nil && sent > 0 && sent <= math.MaxInt64/int64(time.Millisecond) {
+				left := have.Values(live.DeadlineHeader)
+				if ms, err := strconv.ParseInt(strings.Join(left, ","), 10, 64); err != nil || ms < 1 || ms > sent {
+					t.Fatalf("request %s: a %d ms deadline reached the node as %q, want what is left of it", id, sent, left)
+				}
+				delete(have, live.DeadlineHeader)
+				delete(want, live.DeadlineHeader)
+			}
 			if !reflect.DeepEqual(have, want) {
 				t.Fatalf("request %s reached the node with\n%v\nwant the handler's minus the hop-by-hop set:\n%v", id, have, want)
 			}
@@ -813,5 +830,57 @@ func TestNodeDialAddress(t *testing.T) {
 	}
 	if got := len(rt.Nodes()); got != 0 {
 		t.Errorf("%d members after refused joins, want 0", got)
+	}
+}
+
+// A spill carries what is left of the client's deadline, not the whole
+// budget again: the first choice accepts, stalls 150 ms and closes
+// without a reply, and the second sees at most 850 ms of a 1000 ms
+// deadline.
+func TestSpillCarriesTheRemainingDeadline(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, err := http.ReadRequest(bufio.NewReader(conn)); err == nil {
+					time.Sleep(150 * time.Millisecond)
+				}
+			}()
+		}
+	}()
+	seen := make(chan string, 1)
+	srv, _ := countingNode(t, func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get(live.DeadlineHeader)
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, "ok")
+	})
+	rt, err := New(Config{Nodes: []string{lis.Addr().String(), srv.URL}, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	// A function whose first choice is the stalling node.
+	fn := ""
+	for i := 0; fn == ""; i++ {
+		if name := "fn" + strconv.Itoa(i); rt.placement(name)[0].n.addr == lis.Addr().String() {
+			fn = name
+		}
+	}
+	rec := route(rt, http.MethodPost, fn, "x", http.Header{live.DeadlineHeader: {"1000"}})
+	if rec.Code != http.StatusOK || rec.Header().Get(AttemptsHeader) != "2" {
+		t.Fatalf("reply = %d after %s attempts, want 200 after 2", rec.Code, rec.Header().Get(AttemptsHeader))
+	}
+	got, err := strconv.ParseInt(<-seen, 10, 64)
+	if err != nil || got < 1 || got > 850 {
+		t.Fatalf("the second node saw %s %d (%v), want 1..850 of the 1000 ms budget", live.DeadlineHeader, got, err)
 	}
 }

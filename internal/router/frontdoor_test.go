@@ -78,7 +78,7 @@ func TestRouterStopWithHungNodeLeaksNothing(t *testing.T) {
 		<-r.Context().Done() // answers nothing until the router hangs up
 	})
 	goroutines := runtime.NumGoroutine()
-	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{srv.URL}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

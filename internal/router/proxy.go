@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -134,6 +135,16 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The client's deadline is its whole budget: each attempt carries
+	// what is left of it, never less than 1 ms, as 0 tells a node "no
+	// deadline". A value a node would refuse goes on as it came.
+	var budget time.Duration
+	if h := r.Header.Get(live.DeadlineHeader); h != "" {
+		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+			budget = time.Duration(ms) * time.Millisecond
+		}
+	}
+
 	cands := rt.placement(name)
 	if len(cands) == 0 {
 		rt.finish(w, r, "no_node", start, tc, 0, nil, nil)
@@ -155,6 +166,9 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 		}
 		c.n.mu.Unlock()
 
+		if budget > 0 {
+			r.Header.Set(live.DeadlineHeader, strconv.FormatInt(max((budget-time.Since(start)).Milliseconds(), 1), 10))
+		}
 		resp, err := rt.forward(r, c.n, name, buf, tail, traceparent)
 		if err != nil && r.Context().Err() != nil {
 			// The client gave up: no node failed, and nobody waits for

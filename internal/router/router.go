@@ -55,10 +55,6 @@ type Config struct {
 	// spill (default 1 MiB). Larger bodies stream to the first
 	// candidate only.
 	SpillMaxBody int64
-	// Registry receives hotc_router_* metrics (nil = a private one).
-	Registry *obs.Registry
-	// TraceSeed seeds the trace-ID generator (0 = random).
-	TraceSeed uint64
 }
 
 // deploy is one function's latest accepted deployment body.
@@ -188,14 +184,11 @@ func New(cfg Config) (*Router, error) {
 	if cfg.SpillMaxBody <= 0 {
 		cfg.SpillMaxBody = 1 << 20
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.New()
-	}
+	reg := obs.New()
 	rt := &Router{
 		cfg:     cfg,
 		reg:     reg,
-		ids:     obs.NewIDGen(cfg.TraceSeed),
+		ids:     obs.NewIDGen(0),
 		dial:    (&net.Dialer{}).DialContext,
 		tlsConf: &tls.Config{NextProtos: []string{"http/1.1"}},
 		ring:    kernel.NewRing(cfg.VNodes),

@@ -28,7 +28,7 @@ import (
 // tests poke node state directly.
 func bareRouter(t *testing.T, policy kernel.Policy, urls ...string) *Router {
 	t.Helper()
-	rt, err := New(Config{Nodes: urls, Policy: policy, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: urls, Policy: policy, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,6 @@ func startRouter(t *testing.T, cfg Config) (*Router, string) {
 	if cfg.PollInterval == 0 {
 		cfg.PollInterval = time.Hour // tests drive PollOnce explicitly
 	}
-	cfg.TraceSeed = 1
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -852,7 +851,7 @@ func TestDeployFansOutToAllNodes(t *testing.T) {
 // each node refused the broken JSON and the router answered 502.
 func TestOversizeDeployRefusedBeforeAnyNode(t *testing.T) {
 	var deploys atomic.Int64
-	rt, err := New(Config{Nodes: []string{"n1:1", "n2:1"}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{"n1:1", "n2:1"}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -926,7 +925,7 @@ func TestProbeOfHungNodeIsBounded(t *testing.T) {
 		}
 	}
 
-	rt, err := New(Config{Nodes: []string{hung.Addr().String(), healthy.URL}, PollInterval: 50 * time.Millisecond, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{hung.Addr().String(), healthy.URL}, PollInterval: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -942,7 +941,7 @@ func TestProbeOfHungNodeIsBounded(t *testing.T) {
 	}
 
 	// A probe that PollInterval would let run for an hour ends with Stop.
-	slow, err := New(Config{Nodes: []string{hung.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	slow, err := New(Config{Nodes: []string{hung.Addr().String()}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1003,7 +1002,7 @@ func TestHungControlExchangesAreBounded(t *testing.T) {
 			t.Fatalf("%s: still blocked 2s on", what)
 		}
 	}
-	rt, err := New(Config{Nodes: []string{hung.Addr().String()}, PollInterval: time.Hour, TraceSeed: 1})
+	rt, err := New(Config{Nodes: []string{hung.Addr().String()}, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1087,7 +1086,7 @@ func FuzzRouterMembership(f *testing.F) {
 	f.Add([]byte(`not json`), "n2:1", "http://n1:1")
 	f.Add([]byte(`{"url":"http://a b/%zz"}`), "http://a b/%zz", "http://a b/%zz")
 	f.Fuzz(func(t *testing.T, join []byte, leave, drain string) {
-		rt, err := New(Config{Nodes: []string{"n1:1"}, PollInterval: time.Hour, TraceSeed: 1})
+		rt, err := New(Config{Nodes: []string{"n1:1"}, PollInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}

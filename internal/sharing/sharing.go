@@ -57,19 +57,23 @@ type ClassifierConfig struct {
 	// LendThreshold is the smoothed over-forecast (forecast − demand)
 	// at or above which a function becomes a lender (default 1).
 	LendThreshold float64
-	// RentThreshold is the smoothed under-forecast at or below which a
-	// function becomes a renter (default −0.5: renting is cheap to be
-	// wrong about, lending is not).
-	RentThreshold float64
-	// SurplusThreshold classifies a lender from persistent idle
-	// surplus (idle − ⌈forecast⌉) even when the forecast itself tracks
-	// demand — headroom and hysteresis strand containers the forecast
-	// error never sees (default 1).
-	SurplusThreshold float64
 	// MinTicks is how many control intervals must be observed before
 	// any non-neutral classification (default 3).
 	MinTicks int
 }
+
+// The classifier's fixed thresholds.
+const (
+	// rentThreshold is the smoothed under-forecast at or below which a
+	// function becomes a renter: renting is cheap to be wrong about,
+	// lending is not.
+	rentThreshold = -0.5
+	// surplusThreshold classifies a lender from persistent idle surplus
+	// (idle − ⌈forecast⌉) even when the forecast itself tracks demand —
+	// headroom and hysteresis strand containers the forecast error
+	// never sees.
+	surplusThreshold = 1
+)
 
 func (c ClassifierConfig) withDefaults() ClassifierConfig {
 	if c.Alpha <= 0 || c.Alpha > 1 {
@@ -77,12 +81,6 @@ func (c ClassifierConfig) withDefaults() ClassifierConfig {
 	}
 	if c.LendThreshold <= 0 {
 		c.LendThreshold = 1
-	}
-	if c.RentThreshold >= 0 {
-		c.RentThreshold = -0.5
-	}
-	if c.SurplusThreshold <= 0 {
-		c.SurplusThreshold = 1
 	}
 	if c.MinTicks <= 0 {
 		c.MinTicks = 3
@@ -138,9 +136,9 @@ func (c *Classifier) Observe(forecast, demand, idle float64) Role {
 		return c.role
 	}
 	switch {
-	case c.errEWMA <= c.cfg.RentThreshold:
+	case c.errEWMA <= rentThreshold:
 		c.role = RoleRenter
-	case c.errEWMA >= c.cfg.LendThreshold || c.surplusEWMA >= c.cfg.SurplusThreshold:
+	case c.errEWMA >= c.cfg.LendThreshold || c.surplusEWMA >= surplusThreshold:
 		c.role = RoleLender
 	default:
 		c.role = RoleNeutral

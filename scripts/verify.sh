@@ -16,12 +16,14 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 echo "== go test -race (internal/archtest checks the design rules here)"
 go test -race ./...
-echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity, the baselines' golden)"
+echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity, the baselines' golden, the live clock)"
 # Map-order bugs pass most single runs: the jittered four-key replay
 # and the eviction tie-break diverge roughly one run in three without
 # the fixed iteration order, so these run three times; so does the
-# keep-alive baselines' golden replay, whose rules key maps by runtime.
-go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden' . ./internal/core/ ./internal/pool/ ./internal/faas/live/
+# keep-alive baselines' golden replay, whose rules key maps by runtime,
+# and the live gateway's fake-clock tests, whose deadline contexts race
+# the admission dispatcher.
+go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock' . ./internal/core/ ./internal/pool/ ./internal/faas/live/
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
 echo "== one iteration of BenchmarkGatewayParallel|ObsHotPath|GatewayThroughput|CampusReplay"
