@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -31,26 +33,15 @@ func TestHandleWarmAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed under -race")
 	}
-	newPred, err := PredictorFactory("es+markov")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sampledOut := hotcdDefaults(t)
+	sampledOut.TraceSampleRate, sampledOut.TraceSlowThreshold = -1, -1
 	for _, row := range []struct {
 		name   string
 		cfg    PoolConfig
 		budget float64
 	}{
 		{"bare", PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1}, 32},
-		{"hotcd defaults", PoolConfig{
-			IdleTTL: 5 * time.Minute, MaxIdlePerFunction: 8, ReapInterval: time.Second,
-			ControlInterval: 2 * time.Second, NewPredictor: newPred,
-			BreakerThreshold: 5, BreakerOpenFor: 30 * time.Second, MaxBodyBytes: 32 << 20,
-			MaxInFlight: 128, QueueDepth: 256, TraceCapacity: 2048,
-			TraceSampleRate: -1, TraceSlowThreshold: -1,
-			SLOLatency: 250 * time.Millisecond, SLOColdStartPct: 5,
-			PreforkSize: 4, PreforkBoot: 120 * time.Millisecond,
-			SharePolicy: "same-image", ShareWipe: 5 * time.Millisecond, ShareIdleGrace: 250 * time.Millisecond,
-		}, 20},
+		{"hotcd defaults", sampledOut, 20},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			g := New(row.cfg)
@@ -80,6 +71,52 @@ func TestHandleWarmAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hotcdDefaults is the PoolConfig hotcd's flag defaults resolve to.
+func hotcdDefaults(t *testing.T) PoolConfig {
+	t.Helper()
+	newPred, err := PredictorFactory("es+markov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return PoolConfig{
+		IdleTTL: 5 * time.Minute, MaxIdlePerFunction: 8, ReapInterval: time.Second,
+		ControlInterval: 2 * time.Second, NewPredictor: newPred,
+		BreakerThreshold: 5, BreakerOpenFor: 30 * time.Second, MaxBodyBytes: 32 << 20,
+		MaxInFlight: 128, QueueDepth: 256, TraceCapacity: 2048,
+		TraceSampleRate: 0.01, TraceSlowThreshold: 500 * time.Millisecond,
+		SLOLatency: 250 * time.Millisecond, SLOColdStartPct: 5,
+		PreforkSize: 4, PreforkBoot: 120 * time.Millisecond,
+		SharePolicy: "same-image", ShareWipe: 5 * time.Millisecond, ShareIdleGrace: 250 * time.Millisecond,
+	}
+}
+
+// A node stands up without pre-touching state it fills later: New at
+// hotcd's defaults allocates its span ring and SLO buckets as they are
+// written, not up front (~638 KB when it did). The fewest bytes over
+// three builds, so a background allocation cannot fail it. verify.sh
+// runs it in its non-race alloc pass.
+func TestNewAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed under -race")
+	}
+	const budget = 64 << 10
+	cfg := hotcdDefaults(t)
+	New(cfg).Stop() // first use of anything New reaches lazily
+	var before, after runtime.MemStats
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		g := New(cfg)
+		runtime.ReadMemStats(&after)
+		g.Stop()
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > budget {
+		t.Fatalf("New at hotcd's defaults allocates %d B, budget %d B", best, budget)
+	}
+	t.Logf("New at hotcd's defaults allocates %d B (budget %d B)", best, budget)
 }
 
 // seriesCount reports how many series a metric family holds.

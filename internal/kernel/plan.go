@@ -115,20 +115,28 @@ type PlanInput struct {
 
 // Plan is Algorithm 3's decision, the only copy: the size the key's
 // live set should have, and how many runtimes to boot or retire now to
-// move towards it. At most one of boot and retire is non-zero.
+// move towards it. At most one of boot and retire is non-zero. A
+// forecast too large for an int, +Inf or NaN is overwhelming: it
+// saturates at the cap, and with no cap it leaves Live as it is.
 func Plan(in PlanInput) (target, boot, retire int) {
-	target = int(math.Ceil(in.Forecast * (1 + in.Headroom)))
+	f := math.Ceil(in.Forecast * (1 + in.Headroom))
+	if math.IsNaN(f) {
+		f = math.Inf(1)
+	}
+	// The idle share stays under the cap. Live - InFlight is idle +
+	// booting, so this also keeps a boot inside the room the cap leaves:
+	// target - Live <= MaxWarm - idle - booting.
+	if in.MaxWarm > 0 {
+		f = min(f, float64(in.InFlight+in.MaxWarm))
+	} else if f >= float64(math.MaxInt) {
+		return in.Live, 0, 0
+	}
+	target = int(max(f, 0))
 	if target < in.InFlight {
 		target = in.InFlight // never scale below what is executing
 	}
 	if target == 0 && in.Retain {
 		target = 1
-	}
-	// The idle share stays under the cap. Live - InFlight is idle +
-	// booting, so this also keeps a boot inside the room the cap leaves:
-	// target - Live <= MaxWarm - idle - booting.
-	if in.MaxWarm > 0 && target > in.InFlight+in.MaxWarm {
-		target = in.InFlight + in.MaxWarm
 	}
 	switch {
 	case target > in.Live:

@@ -15,7 +15,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -23,9 +22,21 @@ import (
 	"time"
 )
 
-// nameRE is the metric naming scheme: a mandatory hotc_ prefix followed
-// by lowercase words separated by underscores.
-var nameRE = regexp.MustCompile(`^hotc_[a-z_]+$`)
+// validName reports whether name follows the metric naming scheme
+// hotc_[a-z_]+: a mandatory hotc_ prefix followed by lowercase words
+// separated by underscores.
+func validName(name string) bool {
+	rest, ok := strings.CutPrefix(name, "hotc_")
+	if !ok || rest == "" {
+		return false
+	}
+	for i := 0; i < len(rest); i++ {
+		if c := rest[i]; (c < 'a' || c > 'z') && c != '_' {
+			return false
+		}
+	}
+	return true
+}
 
 // Kind classifies a metric family.
 type Kind int
@@ -201,7 +212,7 @@ func (f *family) get(labelValues []string) *series {
 // family registers (or fetches) a family, validating the name and that
 // any prior registration has an identical shape.
 func (r *Registry) family(name, help string, kind Kind, labels []string, bounds []float64) *family {
-	if !nameRE.MatchString(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("obs: metric name %q violates the naming scheme hotc_[a-z_]+", name))
 	}
 	for i := 1; i < len(bounds); i++ {

@@ -17,13 +17,15 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 func TestNameValidation(t *testing.T) {
 	r := New()
-	for _, bad := range []string{"", "requests_total", "hotc_Requests", "hotc_req-total", "hotc_req total", "HOTC_X"} {
+	for _, bad := range []string{"", "requests_total", "hotc_Requests", "hotc_req-total", "hotc_req total", "HOTC_X",
+		"hotc_", "hotc", "xhotc_a", "hotc_a1", "hotc_a`", "hotc_a{", "hotc_é"} {
 		bad := bad
 		mustPanic(t, "name "+bad, func() { r.Counter(bad, "") })
 	}
 	// Valid names register fine.
 	r.Counter("hotc_requests_total", "requests")
 	r.Gauge("hotc_pool_live", "live runtimes")
+	r.Gauge("hotc__", "underscores only")
 }
 
 func TestCounterSemantics(t *testing.T) {

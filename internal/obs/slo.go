@@ -42,7 +42,8 @@ type SLOConfig struct {
 	ErrorBudget float64
 	// Windows are the burn-rate evaluation windows, ascending
 	// (default 1m, 5m, 30m). The longest window bounds the monitor's
-	// memory: one 56-byte bucket per second of it.
+	// memory: one 56-byte bucket per second of it, allocated 64 seconds
+	// at a time as the clock first reaches them.
 	Windows []time.Duration
 	// Now is the clock; tests inject a fake. Default time.Now.
 	Now func() time.Time
@@ -66,13 +67,21 @@ type sloBucket struct {
 	errs   atomic.Uint64
 }
 
+// sloChunk is how many seconds' buckets are allocated together.
+const sloChunk = 64
+
 // SLOMonitor ingests per-request outcomes and answers burn-rate
 // queries over its windows. Record is the hot-path entry: resolve the
-// current second's bucket (one atomic load in the common case) and
-// bump up to four atomic counters — no locks, no allocation.
+// current second's bucket (two atomic loads in the common case) and
+// bump up to four atomic counters — no locks, and no allocation but one
+// 3.6 KB chunk of buckets per 64 s until the horizon is full.
 type SLOMonitor struct {
-	cfg     SLOConfig
-	buckets []sloBucket
+	cfg SLOConfig
+	// chunks hold the per-second buckets, nil until first recorded
+	// into: second s lives in bucket i = s % buckets, which is
+	// chunks[i/sloChunk][i%sloChunk]. A missing chunk reads as empty.
+	chunks  []atomic.Pointer[[sloChunk]sloBucket]
+	buckets int64
 
 	// Pre-resolved gauge handles, nil until Instrument.
 	burn    *GaugeVec // hotc_slo_burn_rate{objective, window}
@@ -81,10 +90,11 @@ type SLOMonitor struct {
 	budget  *GaugeVec // hotc_slo_budget{objective}
 }
 
-// latencyObjective is the fraction of successful requests that must
-// meet SLOConfig.LatencyThreshold. Typed, it is rounded to float64 as a
-// field was, so its budget 1 − latencyObjective is too.
-const latencyObjective float64 = 0.99
+// latencyBudget is the fraction of successful requests that may miss
+// SLOConfig.LatencyThreshold: a 99% objective. It is stated exactly, not
+// as 1 − 0.99 in float64 (0.010000000000000009), so a bad fraction of
+// exactly 1% burns at exactly 1.
+const latencyBudget = 0.01
 
 // NewSLOMonitor builds a monitor, applying defaults: error budget
 // 0.001, windows 1m/5m/30m.
@@ -98,20 +108,39 @@ func NewSLOMonitor(cfg SLOConfig) *SLOMonitor {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	horizon := cfg.Windows[len(cfg.Windows)-1] / time.Second
-	m := &SLOMonitor{cfg: cfg, buckets: make([]sloBucket, horizon+2)}
-	for i := range m.buckets {
-		m.buckets[i].epoch.Store(-1)
+	buckets := int64(cfg.Windows[len(cfg.Windows)-1]/time.Second) + 2
+	return &SLOMonitor{
+		cfg:     cfg,
+		chunks:  make([]atomic.Pointer[[sloChunk]sloBucket], (buckets+sloChunk-1)/sloChunk),
+		buckets: buckets,
 	}
-	return m
+}
+
+// stored returns second sec's bucket, or nil when its chunk was never
+// recorded into.
+func (m *SLOMonitor) stored(sec int64) *sloBucket {
+	i := sec % m.buckets
+	if c := m.chunks[i/sloChunk].Load(); c != nil {
+		return &c[i%sloChunk]
+	}
+	return nil
 }
 
 // bucket resolves (recycling if stale) the bucket for unix second
-// sec. Returns nil when the bucket already moved past sec — a writer
+// sec, allocating its chunk if nothing has recorded into it yet.
+// Returns nil when the bucket already moved past sec — a writer
 // descheduled for longer than the whole horizon — whose observation
 // is then dropped rather than misfiled.
 func (m *SLOMonitor) bucket(sec int64) *sloBucket {
-	b := &m.buckets[sec%int64(len(m.buckets))]
+	b := m.stored(sec)
+	if b == nil {
+		fresh := new([sloChunk]sloBucket)
+		for i := range fresh {
+			fresh[i].epoch.Store(-1)
+		}
+		m.chunks[sec%m.buckets/sloChunk].CompareAndSwap(nil, fresh)
+		b = m.stored(sec)
+	}
 	for {
 		e := b.epoch.Load()
 		switch {
@@ -205,8 +234,8 @@ func (m *SLOMonitor) windowCounts(nowSec int64, window time.Duration) sloCounts 
 	var c sloCounts
 	secs := int64(window / time.Second)
 	for s := nowSec - secs + 1; s <= nowSec; s++ {
-		b := &m.buckets[s%int64(len(m.buckets))]
-		if b.epoch.Load() != s {
+		b := m.stored(s)
+		if b == nil || b.epoch.Load() != s {
 			continue // never written or already recycled
 		}
 		c.total += b.total.Load()
@@ -245,7 +274,7 @@ func (m *SLOMonitor) Report() SLOReport {
 	}
 
 	if m.cfg.LatencyThreshold > 0 {
-		objective(SLOLatency, 1-latencyObjective,
+		objective(SLOLatency, latencyBudget,
 			func(c sloCounts) (uint64, uint64) { return c.ok, c.slow })
 	}
 	if m.cfg.ColdStartBudget > 0 {

@@ -324,6 +324,28 @@ func TestSLOLatencyBurnAndRecovery(t *testing.T) {
 	}
 }
 
+// The latency objective breaches at its own budget: 1 slow 2xx in 100
+// is a bad fraction of exactly 1%, which burns at exactly 1.
+func TestSLOLatencyBreachesAtItsBudget(t *testing.T) {
+	m, _ := sloAt(SLOConfig{
+		LatencyThreshold: 100 * time.Millisecond,
+		Windows:          []time.Duration{10 * time.Second, time.Minute},
+	})
+	for i := 0; i < 99; i++ {
+		m.Record(200, true, false, 10*time.Millisecond)
+	}
+	m.Record(200, true, false, 200*time.Millisecond)
+	obj := sloObjective(t, m.Report(), SLOLatency)
+	for _, w := range obj.Windows {
+		if w.Total != 100 || w.Bad != 1 || w.BurnRate != 1 {
+			t.Fatalf("window %ds = %+v, want 1/100 burning at exactly 1", w.Seconds, w)
+		}
+	}
+	if obj.Budget != 0.01 || !obj.Breach {
+		t.Fatalf("budget %v breach %v, want 0.01 and a breach", obj.Budget, obj.Breach)
+	}
+}
+
 func TestSLOColdStartAndGoodputObjectives(t *testing.T) {
 	m, _ := sloAt(SLOConfig{
 		ColdStartBudget: 0.2,
@@ -377,8 +399,8 @@ func TestSLOSyncExportsGauges(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		`hotc_slo_burn_rate{objective="latency",window="1m0s"} 9`,
-		`hotc_slo_burn_rate{objective="latency",window="5m0s"} 9`,
+		`hotc_slo_burn_rate{objective="latency",window="1m0s"} 100`,
+		`hotc_slo_burn_rate{objective="latency",window="5m0s"} 100`,
 		`hotc_slo_bad_fraction{objective="latency",window="1m0s"} 1`,
 		`hotc_slo_breach{objective="latency"} 1`,
 		`hotc_slo_budget{objective="latency"} 0.01`,

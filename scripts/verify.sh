@@ -16,14 +16,15 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 echo "== go test -race (internal/archtest checks the design rules here)"
 go test -race ./...
-echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity, the baselines' golden, the live clock)"
+echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity, the baselines' golden, the live clock, the span ring's first use)"
 # Map-order bugs pass most single runs: the jittered four-key replay
 # and the eviction tie-break diverge roughly one run in three without
 # the fixed iteration order, so these run three times; so does the
 # keep-alive baselines' golden replay, whose rules key maps by runtime,
-# and the live gateway's fake-clock tests, whose deadline contexts race
-# the admission dispatcher.
-go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock' . ./internal/core/ ./internal/pool/ ./internal/faas/live/
+# the live gateway's fake-clock tests, whose deadline contexts race
+# the admission dispatcher, and the span ring's writers racing to
+# allocate its chunks against a reader.
+go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock|ConcurrentFirstUse' . ./internal/core/ ./internal/pool/ ./internal/faas/live/ ./internal/obs/
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
 echo "== one iteration of BenchmarkGatewayParallel|ObsHotPath|GatewayThroughput|CampusReplay"
@@ -39,8 +40,9 @@ echo "== alloc regression guard (non-race: AllocsPerRun)"
 # and one routed forward with its relay stay inside their budgets, and a warm
 # simulator replay stays inside its allocations per simulated request,
 # a warm hit with its exec and release allocates nothing, the
-# scheduler recycles its events, and a campus day is built into one
-# presized schedule.
+# scheduler recycles its events, a campus day is built into one
+# presized schedule, and a node, its span ring and its SLO monitor are
+# built without pre-touching the slots and buckets they fill later.
 go test -run 'ZeroAlloc|AllocBudget' -count=1 . ./internal/core/ ./internal/faas/live/ ./internal/hop/ ./internal/obs/ ./internal/router/ ./internal/simclock/ ./internal/trace/
 echo "== benchmark module (vet, unit tests, warm_small smoke with output verification)"
 # The harness is its own module, so the root ./... above never reaches
