@@ -229,13 +229,22 @@ var rules = []row{
 	// declaration, a test counting.
 	{name: "no dead code: an unexported function is referenced in its package", in: all, tests: true, check: unreferenced},
 
-	// No dead option. Seven settings were written by tests alone, one of
-	// them keeping a weighted dispatch production could never reach: every
-	// exported field of the option structs is written, as a composite-literal
-	// key or an assignment, by non-test code outside its package. The
-	// package's own defaulting does not count.
+	// No dead option. Settings only tests wrote kept paths production
+	// never ran, such as a weighted dispatch and SLO windows shorter than
+	// any daemon's: every exported field of the option structs is
+	// written, as a composite-literal key or an assignment, by non-test
+	// code outside its package. The package's own defaulting does not
+	// count.
 	{name: "no dead option: every config field is set outside its package", in: all,
-		check: unset("internal/faas/live.PoolConfig", "internal/admission.Config", "internal/core.Options", "internal/pool.Options", "internal/router.Config")},
+		check: unset("internal/faas/live.PoolConfig", "internal/admission.Config", "internal/core.Options", "internal/pool.Options", "internal/router.Config",
+			"internal/obs.SLOConfig", "internal/obs.SamplerConfig")},
+
+	// Docs cite only tests that exist. The docs name the tests that pin
+	// what they describe, and a test renamed or deleted left its citation
+	// pointing at nothing: every backticked Test*, Fuzz* or Benchmark*
+	// name in them is a function of a _test.go file, and one ending in *
+	// begins one.
+	{name: "docs cite only tests that exist", in: all, tests: true, check: cited("DESIGN.md", "README.md", "EXPERIMENTS.md")},
 
 	// Layers. Every rule and family both substrates share lives in the
 	// leaf kernel; hotcd linked the simulator's pool, container, core and
@@ -295,6 +304,7 @@ type sites = map[string]int
 // A tree is every Go file under a root but benchmark/ (a module of its
 // own), testdata/ and hidden directories, parsed once.
 type tree struct {
+	root  string
 	fset  *token.FileSet
 	files []*file
 	deps  map[string][]string // package → module packages its non-test files import
@@ -308,7 +318,7 @@ type file struct {
 }
 
 func load(root string) (*tree, error) {
-	t := &tree{fset: token.NewFileSet(), deps: map[string][]string{}}
+	t := &tree{root: root, fset: token.NewFileSet(), deps: map[string][]string{}}
 	return t, filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		rel, _ := filepath.Rel(root, p)
 		if rel = filepath.ToSlash(rel); err != nil || d.IsDir() && rel != "." && (rel == "benchmark" || d.Name() == "testdata" || d.Name()[0] == '.') {
@@ -626,6 +636,41 @@ func unreferenced(t *tree, r row) (bad []string) {
 		}
 	}
 	return bad
+}
+
+// cited reports each backticked Test*, Fuzz* or Benchmark* name in the
+// docs at the tree's root that names no function of r's test files, or
+// with a trailing * begins none.
+func cited(docs ...string) func(*tree, row) []string {
+	span := regexp.MustCompile("(?s)```.*?```|`[^`]*`")
+	name := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)\w*\*?`)
+	return func(t *tree, r row) (bad []string) {
+		var funcs []string
+		for _, f := range t.files {
+			if f.test && r.covers(f) {
+				for _, d := range f.ast.Decls {
+					if d, ok := d.(*ast.FuncDecl); ok && d.Recv == nil {
+						funcs = append(funcs, d.Name.Name)
+					}
+				}
+			}
+		}
+		for _, doc := range docs {
+			b, err := os.ReadFile(filepath.Join(t.root, doc))
+			if err != nil {
+				bad = append(bad, err.Error())
+			}
+			for _, s := range span.FindAllString(string(b), -1) {
+				for _, n := range name.FindAllString(s, -1) {
+					prefix, glob := strings.CutSuffix(n, "*")
+					if !slices.ContainsFunc(funcs, func(f string) bool { return f == n || glob && strings.HasPrefix(f, prefix) }) {
+						bad = append(bad, doc+" cites "+n)
+					}
+				}
+			}
+		}
+		return bad
+	}
 }
 
 // families maps each metric family a registry constructor declares in

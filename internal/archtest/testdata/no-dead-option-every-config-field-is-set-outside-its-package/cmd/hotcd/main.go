@@ -3,6 +3,7 @@ package main
 import (
 	"hotc/internal/core"
 	"hotc/internal/faas/live"
+	"hotc/internal/obs"
 	"hotc/internal/router"
 )
 
@@ -12,4 +13,6 @@ func main() {
 	var o core.Options
 	o.Interval = 1
 	o.Pool.MaxLive = 2
+	_ = obs.SLOConfig{LatencyThreshold: 1}
+	_ = obs.SamplerConfig{SampleRate: 0.01}
 }

@@ -339,7 +339,7 @@ func PolicyShootout() *Report {
 	}{
 		{PolicyCold, EnvOptions{Seed: 34, PrePull: true}},
 		{PolicyKeepAlive, EnvOptions{Seed: 34, KeepAliveWindow: 15 * time.Minute, PrePull: true}},
-		{PolicyWarmup, EnvOptions{Seed: 34, WarmupPeriod: 5 * time.Minute, KeepAliveWindow: 15 * time.Minute, PrePull: true}},
+		{PolicyWarmup, EnvOptions{Seed: 34, KeepAliveWindow: 15 * time.Minute, PrePull: true}},
 		{PolicyHistogram, EnvOptions{Seed: 34, PrePull: true}},
 		{PolicyHotC, EnvOptions{Seed: 34, PrePull: true, Core: core.Options{Interval: time.Minute}}},
 	}

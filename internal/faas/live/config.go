@@ -232,7 +232,7 @@ func New(cfg PoolConfig) *Gateway {
 	g.obs = newInstruments(g.reg)
 	// Unknown = same-image, the documented fallback.
 	mode, _ := sharing.ParseMode(cfg.SharePolicy)
-	g.share.policy = sharing.Policy{Mode: mode}
+	g.sharePolicy = sharing.Policy{Mode: mode}
 	g.cold.registry = image.StandardCatalog()
 	if !cfg.DisableLayerCache {
 		g.cold.cache = image.NewCache()

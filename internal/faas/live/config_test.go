@@ -100,14 +100,13 @@ func TestNewFallsBackToSameImagePolicy(t *testing.T) {
 }
 
 // A function registered before Start and one registered after are set
-// up alike: same predictor, classifier tuning, admission queue and
+// up alike: same predictor, a fresh classifier, admission queue and
 // metric handles, and both join the control loop.
 func TestRegisterBeforeAndAfterStartAlike(t *testing.T) {
 	cfg := testSharing()
 	cfg.NewPredictor, cfg.ControlInterval = naiveFactory, time.Hour
 	cfg.MaxInFlight, cfg.QueueDepth = 2, 2
 	g := New(cfg)
-	g.share.classifier = sharing.ClassifierConfig{LendThreshold: 0.4}
 	if err := g.Register(echoFn("before", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,6 @@ func TestRegisterBeforeAndAfterStartAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tuned := *sharing.NewClassifier(g.share.classifier)
 	for _, name := range []string{"before", "after"} {
 		s := g.shard(name)
 		s.mu.Lock()
@@ -129,8 +127,8 @@ func TestRegisterBeforeAndAfterStartAlike(t *testing.T) {
 		if pred == nil || pred.Name() != naiveFactory().Name() {
 			t.Errorf("%s: predictor = %v, want %s", name, pred, naiveFactory().Name())
 		}
-		if cls != tuned {
-			t.Errorf("%s: classifier = %+v, want the configured tuning %+v", name, cls, tuned)
+		if cls != (sharing.Classifier{}) {
+			t.Errorf("%s: classifier = %+v, want a fresh one", name, cls)
 		}
 		if s.adm == nil {
 			t.Fatalf("%s: no admission queue", name)

@@ -323,9 +323,9 @@ type Gateway struct {
 	// generic pre-forked pool and their counters (see coldpath.go).
 	cold coldPath
 
-	// share is the inter-function sharing state: parsed policy and
-	// lease-outcome counters (see sharing.go).
-	share shareState
+	// sharePolicy is PoolConfig.SharePolicy, parsed once by New: which
+	// functions may rent each other's instances (see sharing.go).
+	sharePolicy sharing.Policy
 
 	// reg is the gateway's own metrics registry; obs holds the families
 	// registered on it plus the pre-resolved hot-path handles.
@@ -366,15 +366,12 @@ func (g *Gateway) snapshotShards() []*shard {
 }
 
 // newShard creates a function's shard with everything the config gives
-// it — predictor, sharing classifier, admission queue, breaker, metric
-// handles — so a function is set up the same whenever it registers.
+// it — predictor, admission queue, breaker, metric handles — so a
+// function is set up the same whenever it registers.
 func (g *Gateway) newShard(name string) *shard {
 	s := &shard{name: name, m: g.obs.forFunction(name)}
 	if g.cfg.NewPredictor != nil {
 		s.ctl.Pred = g.cfg.NewPredictor()
-	}
-	if g.cfg.Share {
-		s.ctl.share = *sharing.NewClassifier(g.share.classifier)
 	}
 	if g.cfg.MaxInFlight > 0 {
 		s.adm = g.newAdmissionQueue(s)

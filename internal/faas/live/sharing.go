@@ -7,19 +7,6 @@ import (
 	"hotc/internal/sharing"
 )
 
-// shareState is the gateway's inter-function sharing state
-// (Pagurus-style: on a warm miss, before any boot is paid, lease an idle
-// instance from another function). policy is PoolConfig.SharePolicy
-// parsed once by New; classifier tunes the lender/renter classifier of
-// shards created afterwards (zero value = defaults; only in-package
-// tests set it, before registering functions). Lease outcomes and the
-// lender/renter population are counted in the hotc_share_* families,
-// which SharingStats reads back.
-type shareState struct {
-	policy     sharing.Policy
-	classifier sharing.ClassifierConfig
-}
-
 // candidateOf builds the policy slice of a deployed function.
 func candidateOf(fn Function) sharing.Candidate {
 	return sharing.Candidate{Image: fn.Image, MemoryMB: fn.MemoryMB, Shareable: !fn.NoShare}
@@ -57,7 +44,7 @@ func (g *Gateway) leaseInstance(ctx context.Context, renter *shard, fn Function)
 	}
 	var lend *instance
 	for lend == nil {
-		i, denied := sharing.Pick(g.share.policy, rc, offers, g.cfg.ShareIdleGrace)
+		i, denied := sharing.Pick(g.sharePolicy, rc, offers, g.cfg.ShareIdleGrace)
 		if i < 0 {
 			if denied {
 				g.obs.shareLeaseDenied.Inc()
@@ -95,7 +82,7 @@ func offerLocked(s *shard, now time.Time) sharing.Offer {
 func (g *Gateway) lendOldest(s *shard, rc sharing.Candidate, now time.Time) *instance {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ok, _ := offerLocked(s, now).Lends(g.share.policy, rc, g.cfg.ShareIdleGrace); !ok {
+	if ok, _ := offerLocked(s, now).Lends(g.sharePolicy, rc, g.cfg.ShareIdleGrace); !ok {
 		return nil
 	}
 	lent := s.takeOldestLocked(1, notEvicted)[0]
@@ -143,11 +130,13 @@ type SharingStats struct {
 }
 
 // SharingStats reports the sharing layer's accounting (only Enabled
-// and Policy are set when sharing is off). It takes no shard lock.
+// and Policy are set when sharing is off), read back from the
+// hotc_share_* families that count lease outcomes and the
+// lender/renter population. It takes no shard lock.
 func (g *Gateway) SharingStats() SharingStats {
 	st := SharingStats{
 		Enabled: g.cfg.Share,
-		Policy:  g.share.policy.Mode.String(),
+		Policy:  g.sharePolicy.Mode.String(),
 	}
 	if !g.cfg.Share {
 		return st

@@ -268,7 +268,7 @@ func TestLenderReservesAndRenterNeverLends(t *testing.T) {
 	// now goes through even though forecast == idle, because lenders
 	// reserve nothing.
 	ls.mu.Lock()
-	ls.ctl.share = *sharing.NewClassifier(sharing.ClassifierConfig{})
+	ls.ctl.share = sharing.Classifier{}
 	for i := 0; i < 6; i++ {
 		ls.ctl.share.Observe(5, 0, 1) // persistently over-forecasted
 	}
@@ -312,10 +312,6 @@ func TestClassifierDrivenByControlLoop(t *testing.T) {
 	cfg := testSharing()
 	cfg.ControlInterval, cfg.NewPredictor, cfg.MaxIdlePerFunction = time.Hour, pf, 1
 	g := New(cfg)
-	// The ES forecast decays toward zero alongside the vanished demand,
-	// so the steady-state over-forecast error is modest; lower the lend
-	// threshold so the classification flips within a few ticks.
-	g.share.classifier = sharing.ClassifierConfig{LendThreshold: 0.4}
 	if err := g.Register(echoFn("f", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +325,12 @@ func TestClassifierDrivenByControlLoop(t *testing.T) {
 		g.controlOnce("f", g.clock.Now())
 	}
 	// Demand appears, the forecast learns it, then demand vanishes:
-	// the forecast overshoots reality tick after tick — a lender.
+	// the forecast overshoots reality tick after tick — a lender. The ES
+	// forecast decays toward zero alongside the vanished demand, so the
+	// smoothed over-forecast six ticks on is about an eighth of the
+	// peak: a peak of 12 keeps it above the lend threshold of 1.
 	for i := 0; i < 3; i++ {
-		tick(4)
+		tick(12)
 	}
 	for i := 0; i < 6; i++ {
 		tick(0)

@@ -101,23 +101,36 @@ func (d *Demand) Tick() (observed, predicted float64) {
 }
 
 // PlanInput is what Algorithm 3 decides from, for one key at one tick.
-// Step fills in Forecast; the substrate fills in the rest.
+// Step fills in Forecast; the substrate fills in the rest. Plan expects
+// InFlight + Idle ≤ Live, a finite Headroom ≥ 0 and ScaleDownFrac in
+// [0, 1].
 type PlanInput struct {
-	Forecast      float64 // raw predictor output for the next interval
-	Headroom      float64 // fraction added on top of the forecast (0.1 = +10%)
-	InFlight      int     // requests executing now
-	Live          int     // in-flight + booting + idle
-	Idle          int     // what could be retired right now
-	Retain        bool    // recently used: keep one even when the forecast rounds to zero (Fig. 12a)
-	MaxWarm       int     // cap on idle + booting; 0 = none
-	ScaleDownFrac float64 // share of Live that may retire per tick (hysteresis)
+	Forecast float64 // raw predictor output for the next interval
+	Headroom float64 // fraction added on top of the forecast (0.1 = +10%)
+	InFlight int     // requests executing now
+	Live     int     // in-flight + booting + idle
+	Idle     int     // what could be retired right now
+	Retain   bool    // recently used: keep one even when the forecast rounds to zero (Fig. 12a)
+	MaxWarm  int     // cap on idle + booting; 0 = none
+	// ScaleDownFrac is the share of Live that may retire per tick
+	// (hysteresis), rounded up: 0 retires nothing, and above 0 a retire
+	// takes at least one whenever Live is above the target and Idle > 0.
+	ScaleDownFrac float64
 }
 
 // Plan is Algorithm 3's decision, the only copy: the size the key's
 // live set should have, and how many runtimes to boot or retire now to
-// move towards it. At most one of boot and retire is non-zero. A
-// forecast too large for an int, +Inf or NaN is overwhelming: it
-// saturates at the cap, and with no cap it leaves Live as it is.
+// move towards it. FuzzPlan checks its contract:
+//   - at most one of boot and retire is non-zero, and neither passes
+//     the target;
+//   - target ≥ InFlight, and with Retain target ≥ 1;
+//   - a boot never takes idle + booting past MaxWarm;
+//   - retire ≤ Idle and retire ≤ ⌈ScaleDownFrac × Live⌉, so
+//     ScaleDownFrac 0 retires nothing;
+//   - boot never decreases as Forecast grows, except with no cap, where
+//     an overwhelming forecast boots nothing;
+//   - a forecast too large for an int, +Inf or NaN is overwhelming: it
+//     saturates at the cap, and with no cap it targets Live as it is.
 func Plan(in PlanInput) (target, boot, retire int) {
 	f := math.Ceil(in.Forecast * (1 + in.Headroom))
 	if math.IsNaN(f) {
@@ -129,7 +142,7 @@ func Plan(in PlanInput) (target, boot, retire int) {
 	if in.MaxWarm > 0 {
 		f = min(f, float64(in.InFlight+in.MaxWarm))
 	} else if f >= float64(math.MaxInt) {
-		return in.Live, 0, 0
+		f = float64(in.Live)
 	}
 	target = int(max(f, 0))
 	if target < in.InFlight {
@@ -142,7 +155,8 @@ func Plan(in PlanInput) (target, boot, retire int) {
 	case target > in.Live:
 		boot = target - in.Live
 	case target < in.Live:
-		// Hysteresis: a fraction of the live set, at least one, only idle.
+		// Hysteresis: a ScaleDownFrac share of the live set, rounded up,
+		// only idle.
 		retire = min(in.Live-target, int(math.Ceil(float64(in.Live)*in.ScaleDownFrac)), in.Idle)
 	}
 	return target, boot, retire

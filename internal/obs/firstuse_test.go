@@ -42,7 +42,7 @@ func TestTraceRingAllocBudget(t *testing.T) {
 	}{
 		{"NewTraceRing(8192)", func() { allocSink = NewTraceRing(8192) }},
 		{"NewSLOMonitor(30m)", func() {
-			allocSink = NewSLOMonitor(SLOConfig{LatencyThreshold: time.Second, Windows: []time.Duration{30 * time.Minute}})
+			allocSink = NewSLOMonitor(SLOConfig{LatencyThreshold: time.Second})
 		}},
 	} {
 		if got := allocatedBytes(c.f); got > budget {
@@ -192,17 +192,15 @@ func (mo sloModel) window(now int64, w time.Duration) sloCounts {
 	return sum
 }
 
-// 2 000 s on a fake clock, with quiet gaps longer than a chunk and
-// longer than the horizon: the monitor's report equals the per-second
-// model's, so missing chunks read as empty and recycled buckets forget
-// what they held.
+// 12 000 s on a fake clock, with quiet gaps longer than a chunk and
+// longer than the 30 m horizon, and stretches of steady traffic longer
+// than the horizon between them: the monitor's report equals the
+// per-second model's, so missing chunks read as empty and recycled
+// buckets forget what they held.
 func TestSLOMatchesPerSecondModel(t *testing.T) {
-	windows := []time.Duration{10 * time.Second, 100 * time.Second, 300 * time.Second}
 	m, now := sloAt(SLOConfig{
 		LatencyThreshold: 100 * time.Millisecond,
 		ColdStartBudget:  0.05,
-		ErrorBudget:      0.01,
-		Windows:          windows,
 	})
 	start := now.Unix()
 	model := sloModel{}
@@ -214,7 +212,7 @@ func TestSLOMatchesPerSecondModel(t *testing.T) {
 		rep := m.Report()
 		for _, obj := range rep.Objectives {
 			for i, w := range obj.Windows {
-				c := model.window(sec, windows[i])
+				c := model.window(sec, sloWindows[i])
 				total, bad := c.total, c.errs
 				switch obj.Name {
 				case SLOLatency:
@@ -224,19 +222,23 @@ func TestSLOMatchesPerSecondModel(t *testing.T) {
 				}
 				if w.Total != total || w.Bad != bad {
 					t.Fatalf("at %d s, %s over %v: %d/%d, model %d/%d",
-						sec-start, obj.Name, windows[i], w.Bad, w.Total, bad, total)
+						sec-start, obj.Name, sloWindows[i], w.Bad, w.Total, bad, total)
 				}
 			}
 		}
 	}
 	check() // nothing recorded: every chunk is missing
-	for now.Unix()-start < 2000 {
-		switch p := rng.Intn(100); {
-		case p < 3:
+	var chunkGaps, horizonGaps, recycled int
+	last := map[int64]int64{} // bucket index → last second recorded into it
+	for now.Unix()-start < 12000 {
+		switch p := rng.Intn(1000); {
+		case p < 30:
+			chunkGaps++
 			*now = now.Add(time.Duration(sloChunk+rng.Intn(2*sloChunk)) * time.Second)
-		case p < 5:
-			*now = now.Add(time.Duration(300+rng.Intn(200)) * time.Second)
-		case p < 20:
+		case p < 32:
+			horizonGaps++
+			*now = now.Add(time.Duration(1800+rng.Intn(400)) * time.Second)
+		case p < 200:
 			// several steps inside one second
 		default:
 			*now = now.Add(time.Second)
@@ -250,7 +252,16 @@ func TestSLOMatchesPerSecondModel(t *testing.T) {
 			}
 			m.Record(status, served, cold, latency)
 			model.record(now.Unix(), status, served, cold, slow)
+			sec := now.Unix()
+			if prev, ok := last[sec%m.buckets]; ok && prev != sec {
+				recycled++
+			}
+			last[sec%m.buckets] = sec
 		}
 		check()
+	}
+	if chunkGaps == 0 || horizonGaps == 0 || recycled == 0 {
+		t.Fatalf("%d gaps past a chunk, %d past the horizon and %d recycled buckets, want some of each",
+			chunkGaps, horizonGaps, recycled)
 	}
 }

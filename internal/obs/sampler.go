@@ -39,8 +39,6 @@ type SamplerConfig struct {
 	// SampleRate is the keep probability for spans no always-keep rule
 	// matched, in [0,1].
 	SampleRate float64
-	// Seed fixes the probabilistic stream for tests; 0 draws random.
-	Seed uint64
 }
 
 // TailSampler decides, after a request completes, whether its span is
@@ -57,7 +55,7 @@ type TailSampler struct {
 }
 
 // NewTailSampler builds a sampler from the config, clamping the rate
-// into [0,1].
+// into [0,1]. Its probabilistic draws start from a random seed.
 func NewTailSampler(cfg SamplerConfig) *TailSampler {
 	rate := cfg.SampleRate
 	if rate < 0 {
@@ -75,7 +73,7 @@ func NewTailSampler(cfg SamplerConfig) *TailSampler {
 	return &TailSampler{
 		slow:      cfg.SlowThreshold,
 		threshold: threshold,
-		rng:       NewIDGen(cfg.Seed),
+		rng:       NewIDGen(0),
 	}
 }
 

@@ -23,12 +23,13 @@ const (
 	// SLOColdStart: at most ColdStartBudget of served requests pay a
 	// cold start.
 	SLOColdStart = "coldstart"
-	// SLOGoodput: at most ErrorBudget of all requests end in 5xx.
+	// SLOGoodput: at most 0.1% of all requests end in 5xx.
 	SLOGoodput = "goodput"
 )
 
-// SLOConfig declares the objectives the monitor tracks. A zero budget
-// (or threshold) disables that objective.
+// SLOConfig declares the objectives the monitor tracks. A zero
+// threshold or budget disables that objective; the goodput objective
+// is always on.
 type SLOConfig struct {
 	// LatencyThreshold is the latency target: a 2xx request slower
 	// than this is a bad event for the latency objective, which 99% of
@@ -37,17 +38,14 @@ type SLOConfig struct {
 	// ColdStartBudget is the allowed fraction of served requests that
 	// may pay a cold start (0 disables the objective).
 	ColdStartBudget float64
-	// ErrorBudget is the allowed fraction of requests that may end in
-	// 5xx (default 0.001 = 99.9% goodput; negative disables).
-	ErrorBudget float64
-	// Windows are the burn-rate evaluation windows, ascending
-	// (default 1m, 5m, 30m). The longest window bounds the monitor's
-	// memory: one 56-byte bucket per second of it, allocated 64 seconds
-	// at a time as the clock first reaches them.
-	Windows []time.Duration
 	// Now is the clock; tests inject a fake. Default time.Now.
 	Now func() time.Time
 }
+
+// sloWindows are the burn-rate evaluation windows, ascending. The
+// longest bounds the monitor's memory: one 56-byte bucket per second of
+// it, allocated 64 seconds at a time as the clock first reaches them.
+var sloWindows = [...]time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
 
 // sloEpochResetting marks a bucket mid-recycle: writers that lose the
 // recycle race spin until the winner publishes the new epoch.
@@ -90,25 +88,22 @@ type SLOMonitor struct {
 	budget  *GaugeVec // hotc_slo_budget{objective}
 }
 
-// latencyBudget is the fraction of successful requests that may miss
-// SLOConfig.LatencyThreshold: a 99% objective. It is stated exactly, not
-// as 1 − 0.99 in float64 (0.010000000000000009), so a bad fraction of
-// exactly 1% burns at exactly 1.
-const latencyBudget = 0.01
+// The objectives' budgets. latencyBudget is the fraction of successful
+// requests that may miss SLOConfig.LatencyThreshold: a 99% objective,
+// stated exactly, not as 1 − 0.99 in float64 (0.010000000000000009), so
+// a bad fraction of exactly 1% burns at exactly 1. errorBudget is the
+// fraction of requests that may end in 5xx: 99.9% goodput.
+const (
+	latencyBudget = 0.01
+	errorBudget   = 0.001
+)
 
-// NewSLOMonitor builds a monitor, applying defaults: error budget
-// 0.001, windows 1m/5m/30m.
+// NewSLOMonitor builds a monitor over the 1m, 5m and 30m windows.
 func NewSLOMonitor(cfg SLOConfig) *SLOMonitor {
-	if cfg.ErrorBudget == 0 {
-		cfg.ErrorBudget = 0.001
-	}
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	buckets := int64(cfg.Windows[len(cfg.Windows)-1]/time.Second) + 2
+	buckets := int64(sloWindows[len(sloWindows)-1]/time.Second) + 2
 	return &SLOMonitor{
 		cfg:     cfg,
 		chunks:  make([]atomic.Pointer[[sloChunk]sloBucket], (buckets+sloChunk-1)/sloChunk),
@@ -251,15 +246,15 @@ func (m *SLOMonitor) windowCounts(nowSec int64, window time.Duration) sloCounts 
 // Report computes every enabled objective's burn rates now.
 func (m *SLOMonitor) Report() SLOReport {
 	nowSec := m.cfg.Now().Unix()
-	counts := make([]sloCounts, len(m.cfg.Windows))
-	for i, w := range m.cfg.Windows {
+	var counts [len(sloWindows)]sloCounts
+	for i, w := range sloWindows {
 		counts[i] = m.windowCounts(nowSec, w)
 	}
 
 	var rep SLOReport
 	objective := func(name string, budget float64, pick func(sloCounts) (total, bad uint64)) {
 		obj := SLOObjective{Name: name, Budget: budget}
-		for i, w := range m.cfg.Windows {
+		for i, w := range sloWindows {
 			total, bad := pick(counts[i])
 			win := SLOWindow{Seconds: int(w / time.Second), Total: total, Bad: bad}
 			if total > 0 {
@@ -281,10 +276,8 @@ func (m *SLOMonitor) Report() SLOReport {
 		objective(SLOColdStart, m.cfg.ColdStartBudget,
 			func(c sloCounts) (uint64, uint64) { return c.served, c.cold })
 	}
-	if m.cfg.ErrorBudget > 0 {
-		objective(SLOGoodput, m.cfg.ErrorBudget,
-			func(c sloCounts) (uint64, uint64) { return c.total, c.errs })
-	}
+	objective(SLOGoodput, errorBudget,
+		func(c sloCounts) (uint64, uint64) { return c.total, c.errs })
 	return rep
 }
 

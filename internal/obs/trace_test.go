@@ -115,7 +115,7 @@ func TestIDGenDeterministicAndDistinct(t *testing.T) {
 func TestTailSamplerKeepRules(t *testing.T) {
 	// Sampler with the slow rule armed and the probabilistic baseline
 	// off: only the always-keep classes survive.
-	s := NewTailSampler(SamplerConfig{SlowThreshold: 500 * time.Millisecond, Seed: 1})
+	s := NewTailSampler(SamplerConfig{SlowThreshold: 500 * time.Millisecond})
 	slowSpan := Span{Status: 200, Reused: true, ClientOut: 600 * time.Millisecond}
 	cases := []struct {
 		name string
@@ -147,14 +147,14 @@ func TestTailSamplerKeepRules(t *testing.T) {
 		t.Fatalf("rate-0 sampler kept unremarkable span as %q", reason)
 	}
 	// ...and kept at rate 1.
-	always := NewTailSampler(SamplerConfig{SampleRate: 1, Seed: 1})
+	always := NewTailSampler(SamplerConfig{SampleRate: 1})
 	if reason, keep := always.Decide(&fast); !keep || reason != KeepSampled {
 		t.Fatalf("rate-1 sampler: Decide = %q, %v", reason, keep)
 	}
 }
 
 func TestTailSamplerRateIsProbabilistic(t *testing.T) {
-	s := NewTailSampler(SamplerConfig{SampleRate: 0.5, Seed: 99})
+	s := NewTailSampler(SamplerConfig{SampleRate: 0.5})
 	span := Span{Status: 200, Reused: true, ClientOut: time.Millisecond}
 	kept := 0
 	const n = 10_000
@@ -278,10 +278,7 @@ func sloObjective(t *testing.T, rep SLOReport, name string) SLOObjective {
 }
 
 func TestSLOLatencyBurnAndRecovery(t *testing.T) {
-	m, now := sloAt(SLOConfig{
-		LatencyThreshold: 100 * time.Millisecond,
-		Windows:          []time.Duration{10 * time.Second, time.Minute},
-	})
+	m, now := sloAt(SLOConfig{LatencyThreshold: 100 * time.Millisecond})
 	// 50 fast successes: no burn.
 	for i := 0; i < 50; i++ {
 		m.Record(200, true, false, 10*time.Millisecond)
@@ -289,6 +286,9 @@ func TestSLOLatencyBurnAndRecovery(t *testing.T) {
 	obj := sloObjective(t, m.Report(), SLOLatency)
 	if math.Abs(obj.Budget-0.01) > 1e-9 {
 		t.Fatalf("latency budget = %v, want 0.01 (default 0.99 objective)", obj.Budget)
+	}
+	if len(obj.Windows) != 3 || obj.Windows[0].Seconds != 60 || obj.Windows[1].Seconds != 300 || obj.Windows[2].Seconds != 1800 {
+		t.Fatalf("windows = %+v, want 1m, 5m and 30m", obj.Windows)
 	}
 	if obj.Breach || obj.Windows[0].Bad != 0 || obj.Windows[0].Total != 50 {
 		t.Fatalf("healthy report = %+v", obj)
@@ -301,7 +301,7 @@ func TestSLOLatencyBurnAndRecovery(t *testing.T) {
 		m.Record(200, true, false, 200*time.Millisecond)
 	}
 	obj = sloObjective(t, m.Report(), SLOLatency)
-	short, long := obj.Windows[0], obj.Windows[1]
+	short, long := obj.Windows[0], obj.Windows[2]
 	if short.Total != 100 || short.Bad != 50 || short.BadFraction != 0.5 {
 		t.Fatalf("short window = %+v", short)
 	}
@@ -309,17 +309,17 @@ func TestSLOLatencyBurnAndRecovery(t *testing.T) {
 		t.Fatalf("burn = %v/%v breach=%v, want 50/50 true", short.BurnRate, long.BurnRate, obj.Breach)
 	}
 
-	// 15s later the short window is clean but the long one still burns:
-	// the multiwindow rule reports no breach (blip filter), and once the
-	// long window expires too the report is fully clean.
-	*now = now.Add(15 * time.Second)
-	obj = sloObjective(t, m.Report(), SLOLatency)
-	if obj.Windows[0].Total != 0 || obj.Windows[1].Bad != 50 || obj.Breach {
-		t.Fatalf("post-blip report = %+v", obj)
-	}
+	// Two minutes later the short window is clean but the long one still
+	// burns: the multiwindow rule reports no breach (blip filter), and
+	// once the long window expires too the report is fully clean.
 	*now = now.Add(2 * time.Minute)
 	obj = sloObjective(t, m.Report(), SLOLatency)
-	if obj.Windows[1].Total != 0 || obj.Breach {
+	if obj.Windows[0].Total != 0 || obj.Windows[2].Bad != 50 || obj.Breach {
+		t.Fatalf("post-blip report = %+v", obj)
+	}
+	*now = now.Add(30 * time.Minute)
+	obj = sloObjective(t, m.Report(), SLOLatency)
+	if obj.Windows[2].Total != 0 || obj.Breach {
 		t.Fatalf("expired report = %+v", obj)
 	}
 }
@@ -327,10 +327,7 @@ func TestSLOLatencyBurnAndRecovery(t *testing.T) {
 // The latency objective breaches at its own budget: 1 slow 2xx in 100
 // is a bad fraction of exactly 1%, which burns at exactly 1.
 func TestSLOLatencyBreachesAtItsBudget(t *testing.T) {
-	m, _ := sloAt(SLOConfig{
-		LatencyThreshold: 100 * time.Millisecond,
-		Windows:          []time.Duration{10 * time.Second, time.Minute},
-	})
+	m, _ := sloAt(SLOConfig{LatencyThreshold: 100 * time.Millisecond})
 	for i := 0; i < 99; i++ {
 		m.Record(200, true, false, 10*time.Millisecond)
 	}
@@ -347,11 +344,7 @@ func TestSLOLatencyBreachesAtItsBudget(t *testing.T) {
 }
 
 func TestSLOColdStartAndGoodputObjectives(t *testing.T) {
-	m, _ := sloAt(SLOConfig{
-		ColdStartBudget: 0.2,
-		ErrorBudget:     0.1,
-		Windows:         []time.Duration{10 * time.Second, time.Minute},
-	})
+	m, _ := sloAt(SLOConfig{ColdStartBudget: 0.2})
 	// 8 warm + 2 cold served requests: cold fraction 0.2 burns exactly
 	// at budget -> burn 1.0, breach (>= 1).
 	for i := 0; i < 8; i++ {
@@ -376,17 +369,15 @@ func TestSLOColdStartAndGoodputObjectives(t *testing.T) {
 	if w := good.Windows[0]; w.Total != 16 || w.Bad != 1 {
 		t.Fatalf("goodput window = %+v, want 1/16 5xx", w)
 	}
-	// 429s are overload refusals, not goodput failures.
-	if good.Windows[0].BurnRate >= 1 || good.Breach {
-		t.Fatalf("goodput burning on 429s: %+v", good)
+	// 429s are overload refusals, not goodput failures: only the one 5xx
+	// burns the 0.1% budget, 1/16 over 0.001, not 6/16.
+	if good.Budget != 0.001 || math.Abs(good.Windows[0].BurnRate-62.5) > 1e-9 {
+		t.Fatalf("goodput = %+v, want budget 0.001 burning at 62.5", good)
 	}
 }
 
 func TestSLOSyncExportsGauges(t *testing.T) {
-	m, _ := sloAt(SLOConfig{
-		LatencyThreshold: 10 * time.Millisecond,
-		Windows:          []time.Duration{time.Minute, 5 * time.Minute},
-	})
+	m, _ := sloAt(SLOConfig{LatencyThreshold: 10 * time.Millisecond})
 	reg := New()
 	m.Instrument(reg)
 	for i := 0; i < 4; i++ {
@@ -444,7 +435,7 @@ func TestTraceHotPathZeroAlloc(t *testing.T) {
 		t.Skip("alloc counts are perturbed under -race")
 	}
 	// Sampler drop decision.
-	s := NewTailSampler(SamplerConfig{SampleRate: 0, Seed: 1})
+	s := NewTailSampler(SamplerConfig{SampleRate: 0})
 	span := Span{Status: 200, Reused: true, ClientOut: time.Millisecond}
 	if allocs := testing.AllocsPerRun(200, func() { s.Decide(&span) }); allocs > 0 {
 		t.Errorf("TailSampler.Decide allocates %.1f/op", allocs)

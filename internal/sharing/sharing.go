@@ -48,22 +48,20 @@ func (r Role) String() string {
 	}
 }
 
-// ClassifierConfig tunes the lender/renter classifier.
-type ClassifierConfig struct {
-	// Alpha is the EWMA smoothing factor over forecast error and idle
-	// surplus (default 0.3): high enough to follow workload shifts,
-	// low enough that one noisy interval cannot flip a role.
-	Alpha float64
-	// LendThreshold is the smoothed over-forecast (forecast − demand)
-	// at or above which a function becomes a lender (default 1).
-	LendThreshold float64
-	// MinTicks is how many control intervals must be observed before
-	// any non-neutral classification (default 3).
-	MinTicks int
-}
+// ClassifierConfig is empty: the classifier runs on fixed constants.
+// NewClassifier still takes one because the benchmark harness's
+// adapter passes it.
+type ClassifierConfig struct{}
 
-// The classifier's fixed thresholds.
+// The classifier's fixed constants.
 const (
+	// alpha is the EWMA smoothing factor over forecast error and idle
+	// surplus: high enough to follow workload shifts, low enough that
+	// one noisy interval cannot flip a role.
+	alpha = 0.3
+	// lendThreshold is the smoothed over-forecast (forecast − demand)
+	// at or above which a function becomes a lender.
+	lendThreshold = 1
 	// rentThreshold is the smoothed under-forecast at or below which a
 	// function becomes a renter: renting is cheap to be wrong about,
 	// lending is not.
@@ -73,38 +71,24 @@ const (
 	// headroom and hysteresis strand containers the forecast error
 	// never sees.
 	surplusThreshold = 1
+	// minTicks is how many control intervals must be observed before
+	// any non-neutral classification.
+	minTicks = 3
 )
 
-func (c ClassifierConfig) withDefaults() ClassifierConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.LendThreshold <= 0 {
-		c.LendThreshold = 1
-	}
-	if c.MinTicks <= 0 {
-		c.MinTicks = 3
-	}
-	return c
-}
-
 // Classifier derives one function's sharing role from its control
-// history. The zero value is usable (defaults applied on first
-// Observe); it is not goroutine-safe — callers hold their own shard or
-// simulation lock, matching the controller state it feeds on.
+// history. The zero value is ready to use; it is not goroutine-safe —
+// callers hold their own shard or simulation lock, matching the
+// controller state it feeds on.
 type Classifier struct {
-	cfg         ClassifierConfig
-	inited      bool
 	ticks       int
 	errEWMA     float64 // forecast − demand, smoothed
 	surplusEWMA float64 // idle − ⌈forecast⌉, smoothed
 	role        Role
 }
 
-// NewClassifier builds a classifier with explicit tuning.
-func NewClassifier(cfg ClassifierConfig) *Classifier {
-	return &Classifier{cfg: cfg.withDefaults(), inited: true}
-}
+// NewClassifier returns a zero classifier.
+func NewClassifier(ClassifierConfig) *Classifier { return &Classifier{} }
 
 // Observe feeds one control interval: the forecast that had been made
 // for it, the demand actually observed, and the idle pool size at the
@@ -113,32 +97,27 @@ func NewClassifier(cfg ClassifierConfig) *Classifier {
 // A function is a lender when it is persistently over-forecasted OR
 // persistently carries idle surplus beyond its forecast; it is a
 // renter when persistently under-forecasted. Both thresholds apply
-// only after MinTicks intervals, and the two sides are deliberately
+// only after minTicks intervals, and the two sides are deliberately
 // asymmetric: lending a container that turns out to be needed costs a
 // real cold start, renting one that was not needed costs nothing.
 func (c *Classifier) Observe(forecast, demand, idle float64) Role {
-	if !c.inited {
-		c.cfg = c.cfg.withDefaults()
-		c.inited = true
-	}
-	a := c.cfg.Alpha
 	err := forecast - demand
 	surplus := idle - math.Ceil(forecast)
 	if c.ticks == 0 {
 		c.errEWMA, c.surplusEWMA = err, surplus
 	} else {
-		c.errEWMA = a*err + (1-a)*c.errEWMA
-		c.surplusEWMA = a*surplus + (1-a)*c.surplusEWMA
+		c.errEWMA = alpha*err + (1-alpha)*c.errEWMA
+		c.surplusEWMA = alpha*surplus + (1-alpha)*c.surplusEWMA
 	}
 	c.ticks++
-	if c.ticks < c.cfg.MinTicks {
+	if c.ticks < minTicks {
 		c.role = RoleNeutral
 		return c.role
 	}
 	switch {
 	case c.errEWMA <= rentThreshold:
 		c.role = RoleRenter
-	case c.errEWMA >= c.cfg.LendThreshold || c.surplusEWMA >= surplusThreshold:
+	case c.errEWMA >= lendThreshold || c.surplusEWMA >= surplusThreshold:
 		c.role = RoleLender
 	default:
 		c.role = RoleNeutral

@@ -6,7 +6,7 @@ import (
 )
 
 func TestClassifierNeutralUntilMinTicks(t *testing.T) {
-	c := NewClassifier(ClassifierConfig{MinTicks: 3})
+	c := NewClassifier(ClassifierConfig{})
 	if got := c.Observe(10, 0, 10); got != RoleNeutral {
 		t.Fatalf("tick 1: got %v, want neutral", got)
 	}
@@ -64,7 +64,7 @@ func TestClassifierAccurateForecastStaysNeutral(t *testing.T) {
 }
 
 func TestClassifierRecoversFromRole(t *testing.T) {
-	c := NewClassifier(ClassifierConfig{Alpha: 0.5})
+	c := NewClassifier(ClassifierConfig{})
 	for i := 0; i < 6; i++ {
 		c.Observe(8, 2, 0)
 	}

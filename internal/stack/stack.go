@@ -60,9 +60,9 @@ type Options struct {
 	PrePull bool
 	// Policy is the strategy to run (default HotC).
 	Policy Policy
-	// KeepAliveWindow is the KeepAlive/Warmup window (default 15m) and
-	// WarmupPeriod the Warmup ping interval (default 5m).
-	KeepAliveWindow, WarmupPeriod time.Duration
+	// KeepAliveWindow is the KeepAlive/Warmup window (default 15m). The
+	// Warmup policy pings every 5m.
+	KeepAliveWindow time.Duration
 	// Core configures the HotC controller; Core.Pool configures the pool
 	// of whichever policy runs. Pool.MemUsedPct, Pool.HealthCheck and
 	// Pool.Metrics are set here, from the stack's own host, injector and
@@ -154,7 +154,7 @@ func New(o Options) (*Stack, error) {
 		s.Provider = policy.NewFixedKeepAlive(s.Pool, o.KeepAliveWindow)
 	case Warmup:
 		s.Pool = pool.New(s.Engine, o.Core.Pool)
-		s.Provider = policy.NewPeriodicWarmup(s.Pool, o.WarmupPeriod, o.KeepAliveWindow)
+		s.Provider = policy.NewPeriodicWarmup(s.Pool, 0, o.KeepAliveWindow)
 	case Histogram:
 		s.Pool = pool.New(s.Engine, o.Core.Pool)
 		s.Provider = policy.NewHistogram(s.Pool)

@@ -3,7 +3,6 @@ package trace
 import (
 	"cmp"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -86,57 +85,4 @@ func ReadCSV(r io.Reader) ([]Request, error) {
 	}
 	slices.SortStableFunc(reqs, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
 	return reqs, nil
-}
-
-// faultEventLine is the JSONL wire shape of a FaultEvent. Times travel
-// as integer nanoseconds so round trips are exact.
-type faultEventLine struct {
-	AtNs   int64  `json:"atNs"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// WriteFaultEvents writes fault events as JSONL, one event per line,
-// so chaos runs can stream their resilience annotations to disk for
-// offline analysis.
-func WriteFaultEvents(w io.Writer, events []FaultEvent) error {
-	enc := json.NewEncoder(w)
-	for i, ev := range events {
-		if err := enc.Encode(faultEventLine{
-			AtNs:   int64(ev.At),
-			Kind:   ev.Kind,
-			Detail: ev.Detail,
-		}); err != nil {
-			return fmt.Errorf("trace: writing fault event %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadFaultEvents parses a JSONL fault-event stream written by
-// WriteFaultEvents. Every line must carry a non-empty kind and a
-// non-negative timestamp.
-func ReadFaultEvents(r io.Reader) ([]FaultEvent, error) {
-	dec := json.NewDecoder(r)
-	var events []FaultEvent
-	for line := 1; ; line++ {
-		var fl faultEventLine
-		if err := dec.Decode(&fl); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: fault event line %d: %w", line, err)
-		}
-		if fl.Kind == "" {
-			return nil, fmt.Errorf("trace: fault event line %d: empty kind", line)
-		}
-		if fl.AtNs < 0 {
-			return nil, fmt.Errorf("trace: fault event line %d: negative timestamp %d", line, fl.AtNs)
-		}
-		events = append(events, FaultEvent{
-			At:     time.Duration(fl.AtNs),
-			Kind:   fl.Kind,
-			Detail: fl.Detail,
-		})
-	}
-	return events, nil
 }

@@ -202,60 +202,3 @@ func TestPropertyCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFaultEventsRoundTrip(t *testing.T) {
-	orig := []FaultEvent{
-		{At: 0, Kind: "acquire-retry", Detail: "create failed: injected"},
-		{At: 1500 * time.Millisecond, Kind: "breaker-open"},
-		{At: 2 * time.Minute, Kind: "quarantine", Detail: "container c-42"},
-		{At: 3 * time.Minute, Kind: "degraded-cold", Detail: `quote " and newline
-inside`},
-	}
-	var buf bytes.Buffer
-	if err := WriteFaultEvents(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != len(orig) {
-		t.Fatalf("wrote %d lines, want %d", got, len(orig))
-	}
-	back, err := ReadFaultEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(orig) {
-		t.Fatalf("read %d events, want %d", len(back), len(orig))
-	}
-	for i := range orig {
-		if back[i] != orig[i] {
-			t.Fatalf("event %d: got %+v, want %+v", i, back[i], orig[i])
-		}
-	}
-}
-
-func TestFaultEventsEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFaultEvents(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("empty stream wrote %q", buf.String())
-	}
-	back, err := ReadFaultEvents(&buf)
-	if err != nil || back != nil {
-		t.Fatalf("ReadFaultEvents(empty) = %v, %v", back, err)
-	}
-}
-
-func TestFaultEventsValidation(t *testing.T) {
-	cases := map[string]string{
-		"empty kind":   `{"atNs":10,"kind":""}`,
-		"missing kind": `{"atNs":10}`,
-		"negative at":  `{"atNs":-1,"kind":"quarantine"}`,
-		"not json":     `at=10 kind=quarantine`,
-	}
-	for name, line := range cases {
-		if _, err := ReadFaultEvents(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("%s: ReadFaultEvents accepted %q", name, line)
-		}
-	}
-}

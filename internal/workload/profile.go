@@ -1,17 +1,17 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 )
 
-// Profile is the JSON-serialisable form of an App, so users can define
-// their own application cost profiles and replay them with hotc-sim:
+// Profile is the JSON form of an App, so users can define their own
+// application cost profiles: a scenario function's "appProfile" (see
+// scenarios/custom-profile.json) is one, e.g.
 //
-//	[{"name":"my-api","image":"python:3.8","language":"python",
-//	  "appInitMs":300,"execMs":45,"cpuPct":6,"memMB":80}]
+//	{"name":"my-api","image":"python:3.8","language":"python",
+//	 "appInitMs":300,"execMs":45,"cpuPct":6,"memMB":80}
 type Profile struct {
 	// Name identifies the app.
 	Name string `json:"name"`
@@ -64,49 +64,4 @@ func (p Profile) App() (App, error) {
 		return App{}, err
 	}
 	return app, nil
-}
-
-// ParseProfiles parses a JSON array of profiles into apps, rejecting
-// duplicates.
-func ParseProfiles(data []byte) ([]App, error) {
-	var profiles []Profile
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&profiles); err != nil {
-		return nil, fmt.Errorf("workload: parsing profiles: %w", err)
-	}
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("workload: no profiles in file")
-	}
-	seen := map[string]bool{}
-	apps := make([]App, 0, len(profiles))
-	for i, p := range profiles {
-		app, err := p.App()
-		if err != nil {
-			return nil, fmt.Errorf("workload: profile %d: %w", i, err)
-		}
-		if seen[app.Name] {
-			return nil, fmt.Errorf("workload: duplicate profile name %q", app.Name)
-		}
-		seen[app.Name] = true
-		apps = append(apps, app)
-	}
-	return apps, nil
-}
-
-// MarshalProfiles renders apps as a profiles JSON document.
-func MarshalProfiles(apps []App) ([]byte, error) {
-	profiles := make([]Profile, len(apps))
-	for i, a := range apps {
-		profiles[i] = Profile{
-			Name:      a.Name,
-			Image:     a.Image,
-			Language:  a.Lang.String(),
-			AppInitMs: float64(a.AppInit) / float64(time.Millisecond),
-			ExecMs:    float64(a.Exec) / float64(time.Millisecond),
-			CPUPct:    a.CPUPct,
-			MemMB:     a.MemMB,
-		}
-	}
-	return json.MarshalIndent(profiles, "", "  ")
 }

@@ -5,22 +5,15 @@ import (
 	"time"
 )
 
-func TestParseProfiles(t *testing.T) {
-	data := []byte(`[
-	  {"name":"api","image":"python:3.8","language":"python",
-	   "appInitMs":300,"execMs":45,"cpuPct":6,"memMB":80},
-	  {"name":"worker","image":"golang:1.12","language":"go",
-	   "appInitMs":100,"execMs":500,"cpuPct":20,"memMB":200}
-	]`)
-	apps, err := ParseProfiles(data)
+// A profile becomes the App it describes: its language's runtime init
+// plus its own app init, and its exec time.
+func TestProfileApp(t *testing.T) {
+	api, err := Profile{Name: " api ", Image: "python:3.8", Language: "python",
+		AppInitMs: 300, ExecMs: 45, CPUPct: 6, MemMB: 80}.App()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(apps) != 2 {
-		t.Fatalf("len = %d", len(apps))
-	}
-	api := apps[0]
-	if api.Name != "api" || api.Lang != Python {
+	if api.Name != "api" || api.Image != "python:3.8" || api.Lang != Python || api.CPUPct != 6 || api.MemMB != 80 {
 		t.Fatalf("api = %+v", api)
 	}
 	if api.AppInit != 300*time.Millisecond || api.Exec != 45*time.Millisecond {
@@ -31,43 +24,24 @@ func TestParseProfiles(t *testing.T) {
 	}
 }
 
-func TestParseProfilesErrors(t *testing.T) {
-	cases := []string{
-		``,
-		`[]`,
-		`not json`,
-		`[{"name":"x","image":"a","language":"cobol","execMs":1}]`,
-		`[{"name":"x","image":"","language":"go","execMs":1}]`,
-		`[{"name":"x","image":"a","language":"go","execMs":0}]`,
-		`[{"name":"x","image":"a","language":"go","execMs":1,"cpuPct":-1}]`,
-		`[{"name":"x","image":"a","language":"go","execMs":1,"bogus":2}]`,
-		`[{"name":"x","image":"a","language":"go","execMs":1},
-		  {"name":"x","image":"b","language":"go","execMs":1}]`,
-	}
-	for i, in := range cases {
-		if _, err := ParseProfiles([]byte(in)); err == nil {
-			t.Errorf("case %d accepted: %s", i, in)
+// Profile.App refuses what no App can run.
+func TestProfileAppErrors(t *testing.T) {
+	ok := Profile{Name: "x", Image: "a", Language: "go", ExecMs: 1}
+	for name, mutate := range map[string]func(*Profile){
+		"unknown language": func(p *Profile) { p.Language = "cobol" },
+		"empty image":      func(p *Profile) { p.Image = " " },
+		"zero exec":        func(p *Profile) { p.ExecMs = 0 },
+		"negative cpu":     func(p *Profile) { p.CPUPct = -1 },
+		"negative memory":  func(p *Profile) { p.MemMB = -1 },
+	} {
+		p := ok
+		mutate(&p)
+		if app, err := p.App(); err == nil {
+			t.Errorf("%s: App() = %+v, want an error", name, app)
 		}
 	}
-}
-
-func TestProfilesRoundTrip(t *testing.T) {
-	orig := []App{V3App(), TFAPIApp(), QRApp(Node)}
-	data, err := MarshalProfiles(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseProfiles(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(orig) {
-		t.Fatalf("len = %d", len(back))
-	}
-	for i := range orig {
-		if back[i] != orig[i] {
-			t.Fatalf("app %d changed: %+v != %+v", i, back[i], orig[i])
-		}
+	if _, err := ok.App(); err != nil {
+		t.Fatalf("the valid profile is refused: %v", err)
 	}
 }
 

@@ -16,7 +16,7 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 echo "== go test -race (internal/archtest checks the design rules here)"
 go test -race ./...
-echo "== one control law, reproducibly (3x: plan table/properties, sim determinism, sim-vs-live parity, the baselines' golden, the live clock, the span ring's first use)"
+echo "== one control law, reproducibly (3x: plan table/properties and FuzzPlan's seeds, sim determinism, sim-vs-live parity, the baselines' golden, the live clock, the span ring's first use)"
 # Map-order bugs pass most single runs: the jittered four-key replay
 # and the eviction tie-break diverge roughly one run in three without
 # the fixed iteration order, so these run three times; so does the
@@ -24,7 +24,7 @@ echo "== one control law, reproducibly (3x: plan table/properties, sim determini
 # the live gateway's fake-clock tests, whose deadline contexts race
 # the admission dispatcher, and the span ring's writers racing to
 # allocate its chunks against a reader.
-go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock|ConcurrentFirstUse' . ./internal/core/ ./internal/pool/ ./internal/faas/live/ ./internal/obs/
+go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock|ConcurrentFirstUse' . ./internal/core/ ./internal/kernel/ ./internal/pool/ ./internal/faas/live/ ./internal/obs/
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
 echo "== one iteration of BenchmarkGatewayParallel|ObsHotPath|GatewayThroughput|CampusReplay"
