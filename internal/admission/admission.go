@@ -522,13 +522,6 @@ func (q *Queue) Snapshot() Stats {
 	return st
 }
 
-// Depth reports the number of waiting requests.
-func (q *Queue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queued
-}
-
 // InFlight reports the number of dispatched, unfinished requests.
 func (q *Queue) InFlight() int {
 	q.mu.Lock()

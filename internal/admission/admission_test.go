@@ -53,7 +53,7 @@ func TestBoundedQueueRejectsOverflow(t *testing.T) {
 		}
 		got <- tk
 	}()
-	waitFor(t, func() bool { return q.Depth() == 1 })
+	waitFor(t, func() bool { return q.Snapshot().Queued == 1 })
 
 	_, rej = q.Acquire(context.Background(), "a", time.Time{})
 	if rej == nil || rej.Reason != ReasonQueueFull {
@@ -94,7 +94,7 @@ func TestDeadlineShedAtDispatch(t *testing.T) {
 		_, r := q.Acquire(context.Background(), "a", deadline)
 		res <- r
 	}()
-	waitFor(t, func() bool { return q.Depth() == 1 })
+	waitFor(t, func() bool { return q.Snapshot().Queued == 1 })
 
 	clk.Advance(time.Second) // deadline long gone
 	t1.Done()                // frees the slot; dispatcher must shed, not admit
@@ -134,14 +134,14 @@ func TestContextCancelWithdrawsWaiter(t *testing.T) {
 		_, r := q.Acquire(ctx, "a", time.Time{})
 		res <- r
 	}()
-	waitFor(t, func() bool { return q.Depth() == 1 })
+	waitFor(t, func() bool { return q.Snapshot().Queued == 1 })
 	cancel()
 	r := <-res
 	if r == nil || r.Reason != ReasonCanceled {
 		t.Fatalf("want canceled, got %v", r)
 	}
-	if q.Depth() != 0 {
-		t.Fatalf("withdrawn waiter still occupies depth %d", q.Depth())
+	if q.Snapshot().Queued != 0 {
+		t.Fatalf("withdrawn waiter still occupies depth %d", q.Snapshot().Queued)
 	}
 
 	// The slot still works for the next arrival.
@@ -170,8 +170,8 @@ func TestContextDeadlineShedsWaiter(t *testing.T) {
 	if r == nil || r.Reason != ReasonDeadline || r.RetryAfter <= 0 {
 		t.Fatalf("want a deadline shed with Retry-After, got %+v", r)
 	}
-	if q.Depth() != 0 || q.Snapshot().Rejected[ReasonDeadline] != 1 {
-		t.Fatalf("depth %d, stats %+v: want the waiter withdrawn as one deadline shed", q.Depth(), q.Snapshot())
+	if q.Snapshot().Queued != 0 || q.Snapshot().Rejected[ReasonDeadline] != 1 {
+		t.Fatalf("depth %d, stats %+v: want the waiter withdrawn as one deadline shed", q.Snapshot().Queued, q.Snapshot())
 	}
 }
 
@@ -303,7 +303,7 @@ func TestStopDrainsWaiters(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, func() bool { return q.Depth() == waiters })
+	waitFor(t, func() bool { return q.Snapshot().Queued == waiters })
 
 	q.Stop()
 	wg.Wait()
@@ -354,8 +354,8 @@ func TestConcurrentChurn(t *testing.T) {
 	if admitted.Load()+refused.Load() != 128 {
 		t.Fatalf("lost requests: admitted=%d refused=%d", admitted.Load(), refused.Load())
 	}
-	if q.Depth() != 0 || q.InFlight() != 0 {
-		t.Fatalf("books not empty: depth=%d inflight=%d", q.Depth(), q.InFlight())
+	if q.Snapshot().Queued != 0 || q.InFlight() != 0 {
+		t.Fatalf("books not empty: depth=%d inflight=%d", q.Snapshot().Queued, q.InFlight())
 	}
 	st := q.Snapshot()
 	var rejects uint64
@@ -391,7 +391,7 @@ func TestRetryAfterTracksBacklog(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, func() bool { return q.Depth() == 2 })
+	waitFor(t, func() bool { return q.Snapshot().Queued == 2 })
 
 	_, rej := q.Acquire(context.Background(), "a", time.Time{})
 	if rej == nil || rej.Reason != ReasonQueueFull {
@@ -419,8 +419,8 @@ func TestUnlimitedAdmitsImmediately(t *testing.T) {
 		}
 		defer tk.Done()
 	}
-	if q.InFlight() != 50 || q.Depth() != 0 {
-		t.Fatalf("inflight=%d depth=%d", q.InFlight(), q.Depth())
+	if q.InFlight() != 50 || q.Snapshot().Queued != 0 {
+		t.Fatalf("inflight=%d depth=%d", q.InFlight(), q.Snapshot().Queued)
 	}
 }
 
@@ -451,5 +451,5 @@ func enqueueBoth(t *testing.T, q *Queue, enqueue func(string, int), aName string
 	t.Helper()
 	enqueue(aName, aN)
 	enqueue(bName, bN)
-	waitFor(t, func() bool { return q.Depth() == aN+bN })
+	waitFor(t, func() bool { return q.Snapshot().Queued == aN+bN })
 }

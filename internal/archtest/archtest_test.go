@@ -237,7 +237,18 @@ var rules = []row{
 	// count.
 	{name: "no dead option: every config field is set outside its package", in: all,
 		check: unset("internal/faas/live.PoolConfig", "internal/admission.Config", "internal/core.Options", "internal/pool.Options", "internal/router.Config",
-			"internal/obs.SLOConfig", "internal/obs.SamplerConfig")},
+			"internal/obs.SLOConfig", "internal/obs.SamplerConfig", "internal/stack.Options")},
+
+	// No test-only export. Accessors and hand counts only tests read kept
+	// a second book beside the registry (a breaker's trips, the deployment's
+	// queue peak, a node's failures) and surface no program called: an
+	// exported function or method outside the root façade, README's public
+	// API, is named by non-test code.
+	{name: "no test-only export: an exported function or method is named by non-test code", in: all, out: []string{"."},
+		check: testOnly(map[string]string{
+			"internal/simclock Scheduler.SetEventLimit": "a fault guard against a runaway event loop, which only tests arm",
+			"internal/cluster/kvstore":                  "imported by nothing, and deleted whole on its own",
+		})},
 
 	// Docs cite only tests that exist. The docs name the tests that pin
 	// what they describe, and a test renamed or deleted left its citation
@@ -260,7 +271,7 @@ var rules = []row{
 	// drifted apart, so one registry could not host both: a family both
 	// count into is declared in the kernel's books. Names match
 	// hotc_[a-z_]+, as obs.Registry enforces at run time, and the tracing,
-	// SLO, cold-path and sharing families are a public contract. The
+	// SLO, cold-path, sharing and wire families are a public contract. The
 	// first two read past obs, whose sources mention the rule.
 	{name: "declared once: no family registered at two sites", in: metrics, out: []string{"internal/obs/..."},
 		check: eachFamily(func(name string, at []string) bool { return len(at) > 1 })},
@@ -272,7 +283,7 @@ var rules = []row{
 			hotc_slo_burn_rate hotc_slo_bad_fraction hotc_slo_breach hotc_slo_budget hotc_build_info hotc_uptime_seconds
 			hotc_coldpath_boots_total hotc_coldpath_phase_ms hotc_coldpath_generic_idle hotc_coldpath_refills_total
 			hotc_coldpath_generic_reaped_total hotc_coldpath_pull_skipped_mb_total hotc_share_leases_total
-			hotc_share_lenders hotc_share_renters hotc_share_boot_phase_ms`) {
+			hotc_share_lenders hotc_share_renters hotc_share_boot_phase_ms hotc_wire_refusals_total`) {
 			if have[name] == nil {
 				bad = append(bad, name+" is registered nowhere")
 			}
@@ -326,24 +337,34 @@ func load(root string) (*tree, error) {
 		} else if d.IsDir() || !strings.HasSuffix(rel, ".go") {
 			return nil
 		}
-		a, err := parser.ParseFile(t.fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		f := &file{path: rel, dir: path.Dir(rel), test: strings.HasSuffix(rel, "_test.go"), ast: a, imports: map[string]string{}}
-		f.pkg = strings.TrimSuffix("hotc/"+f.dir, "/.")
-		for _, s := range a.Imports {
-			ip, _ := strconv.Unquote(s.Path.Value)
-			if f.imports[path.Base(ip)] = ip; s.Name != nil {
-				f.imports[s.Name.Name] = ip
-			}
-			if !f.test && strings.HasPrefix(ip+"/", "hotc/") {
-				t.deps[f.pkg] = append(t.deps[f.pkg], ip)
+		f, err := t.parse(rel)
+		if err == nil {
+			t.files = append(t.files, f)
+			for _, ip := range f.imports {
+				if !f.test && strings.HasPrefix(ip+"/", "hotc/") && !slices.Contains(t.deps[f.pkg], ip) {
+					t.deps[f.pkg] = append(t.deps[f.pkg], ip)
+				}
 			}
 		}
-		t.files = append(t.files, f)
-		return nil
+		return err
 	})
+}
+
+// parse reads the file at rel, a slash path from the root.
+func (t *tree) parse(rel string) (*file, error) {
+	a, err := parser.ParseFile(t.fset, filepath.Join(t.root, rel), nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	f := &file{path: rel, dir: path.Dir(rel), test: strings.HasSuffix(rel, "_test.go"), ast: a, imports: map[string]string{}}
+	f.pkg = strings.TrimSuffix("hotc/"+f.dir, "/.")
+	for _, s := range a.Imports {
+		ip, _ := strconv.Unquote(s.Path.Value)
+		if f.imports[path.Base(ip)] = ip; s.Name != nil {
+			f.imports[s.Name.Name] = ip
+		}
+	}
+	return f, nil
 }
 
 // covers reports whether r reads f: a test file only if r.tests, and
@@ -545,19 +566,26 @@ func (t *tree) reaches(from string, is func(string) bool) bool {
 
 // unset reports each exported field of the named structs ("dir.Type")
 // that no file r reads outside dir writes: as a key of a composite
-// literal of the struct, or as a selector assigned to in a package that
-// reaches dir. A struct the tree lacks is reported too.
+// literal of the struct or of an alias of it, or as a selector assigned
+// to in a package that reaches dir. A struct the tree lacks is reported
+// too.
 func unset(structs ...string) func(*tree, row) []string {
 	return func(t *tree, r row) (bad []string) {
 		for _, s := range structs {
 			dir, typ, _ := strings.Cut(s, ".")
-			written := map[string]bool{} // field → written
+			pkg := "hotc/" + dir
+			written := map[string]bool{}                    // field → written
+			names := map[string]bool{pkg + " " + typ: true} // "pkg Name" of the struct and its aliases
 			for _, f := range t.files {
-				if f.dir != dir || f.test {
+				if f.test {
 					continue
 				}
 				ast.Inspect(f.ast, func(n ast.Node) bool {
-					if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == typ {
+					ts, ok := n.(*ast.TypeSpec)
+					if ok && ts.Assign.IsValid() && isSel(&at{f: f}, ts.Type, pkg, typ) {
+						names[f.pkg+" "+ts.Name.Name] = true
+					}
+					if ok && f.dir == dir && ts.Name.Name == typ {
 						if st, ok := ts.Type.(*ast.StructType); ok {
 							for _, fl := range st.Fields.List {
 								for _, id := range fl.Names {
@@ -575,11 +603,17 @@ func unset(structs ...string) func(*tree, row) []string {
 				bad = append(bad, s+": no such struct")
 				continue
 			}
-			pkg := "hotc/" + dir
 			mark := func(name string) {
 				if _, ok := written[name]; ok {
 					written[name] = true
 				}
+			}
+			// named reports whether e spells the struct or an alias of it.
+			named := func(c *at, e ast.Expr) bool {
+				if sel, ok := e.(*ast.SelectorExpr); ok {
+					return names[c.f.imports[text(sel.X)]+" "+sel.Sel.Name]
+				}
+				return names[c.f.pkg+" "+text(e)]
 			}
 			t.walk(r, func(c *at) {
 				if c.f.dir == dir {
@@ -587,7 +621,7 @@ func unset(structs ...string) func(*tree, row) []string {
 				}
 				switch n := c.n.(type) {
 				case *ast.CompositeLit:
-					if isSel(c, n.Type, pkg, typ) {
+					if named(c, n.Type) {
 						for _, e := range n.Elts {
 							if kv, ok := e.(*ast.KeyValueExpr); ok {
 								mark(text(kv.Key))
@@ -612,6 +646,65 @@ func unset(structs ...string) func(*tree, row) []string {
 				}
 			}
 		}
+		return bad
+	}
+}
+
+// testOnly reports each exported function or method of r's non-test
+// files that no non-test file of the tree, benchmark/adapter.go (the
+// harness's one import site) or examples/ names: a function as pkg.Name,
+// or Name in its own package; a method as .Name anywhere, or by an
+// interface method of its name, the tree's or std's. except maps a
+// directory, or "dir Type.Method", to why it may keep such exports.
+func testOnly(except map[string]string) func(*tree, row) []string {
+	std := strings.Fields("Error String Unwrap ServeHTTP Read Write Close MarshalJSON UnmarshalJSON") // the standard library calls these through its interfaces
+	return func(t *tree, r row) (bad []string) {
+		files := slices.Clone(t.files)
+		if f, err := t.parse("benchmark/adapter.go"); err == nil {
+			files = append(files, f)
+		}
+		named := map[string]int{}     // "pkg Name" for a function, ".Name" for a method
+		skip := map[*ast.Ident]bool{} // declared names and selected ones
+		for _, f := range files {
+			if f.test {
+				continue
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					skip[n.Name] = true
+				case *ast.SelectorExpr:
+					if skip[n.Sel] = true; f.imports[text(n.X)] != "" {
+						named[f.imports[text(n.X)]+" "+n.Sel.Name]++
+					} else {
+						named["."+n.Sel.Name]++
+					}
+				case *ast.Ident:
+					if !skip[n] {
+						named[f.pkg+" "+n.Name]++
+					}
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, id := range m.Names {
+							named["."+id.Name]++
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, m := range std {
+			named["."+m]++
+		}
+		t.walk(r, func(c *at) {
+			d, ok := c.n.(*ast.FuncDecl)
+			if !ok || !d.Name.IsExported() || except[c.f.dir] != "" || except[c.f.dir+" "+c.fn] != "" {
+				return
+			}
+			if d.Recv == nil && named[c.f.pkg+" "+d.Name.Name] == 0 || d.Recv != nil && named["."+d.Name.Name] == 0 {
+				bad = append(bad, c.pos()+" is named by tests only")
+			}
+		})
 		return bad
 	}
 }

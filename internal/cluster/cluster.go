@@ -33,20 +33,15 @@ type Node struct {
 	*stack.Stack
 
 	// inFlight counts the requests each runtime key has on the node.
-	inFlight  map[config.Key]int
-	served    int
-	failedReq int
-	failed    bool
+	inFlight map[config.Key]int
+	served   int
+	failed   bool
 }
 
 // Served reports how many requests the node has completed
-// successfully. Failures are tracked separately (FailedRequests) so
-// load accounting never mistakes error churn for useful work.
+// successfully: failures do not count, so load accounting never
+// mistakes error churn for useful work.
 func (n *Node) Served() int { return n.served }
-
-// FailedRequests reports how many requests the node completed with an
-// error.
-func (n *Node) FailedRequests() int { return n.failedReq }
 
 // spare reports the node's live runtimes of key that no request of
 // key is using: its warmth for placement.
@@ -229,8 +224,6 @@ func (c *Cluster) Handle(name string, req trace.Request, done func(Result)) {
 		node.inFlight[key]--
 		if r.Err == nil {
 			node.served++
-		} else {
-			node.failedReq++
 		}
 		done(Result{Result: r, Node: node.Name})
 	})

@@ -444,8 +444,3 @@ func ParseFile(data []byte) (Runtime, error) {
 	}
 	return r.Normalize(), nil
 }
-
-// MarshalFile renders the runtime as a JSON configuration file.
-func MarshalFile(r Runtime) ([]byte, error) {
-	return json.MarshalIndent(r.Normalize(), "", "  ")
-}

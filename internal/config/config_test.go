@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,7 +216,7 @@ func TestParseFileRoundTrip(t *testing.T) {
 		Env:     []string{"MODEL=v3"},
 		Labels:  map[string]string{"app": "imgrec"},
 	}
-	data, err := MarshalFile(orig)
+	data, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,7 @@ func FuzzParseCommand(f *testing.F) {
 			t.Fatal("accepted command produced empty key")
 		}
 		// Round-trip through the config-file form.
-		data, err := MarshalFile(rt)
+		data, err := json.Marshal(rt)
 		if err != nil {
 			t.Fatalf("marshal of accepted runtime failed: %v", err)
 		}

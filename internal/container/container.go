@@ -227,10 +227,7 @@ func (c *Container) State() State { return c.state }
 // Key returns the runtime pool key.
 func (c *Container) Key() config.Key { return c.Spec.Key() }
 
-// WarmFor reports whether app has already initialised in this
-// container.
-func (c *Container) WarmFor(app workload.App) bool { return c.warmFor(app.Name) }
-
+// warmFor reports whether the named app has already initialised in c.
 func (c *Container) warmFor(name string) bool {
 	for _, w := range c.warm {
 		if w == name {
@@ -247,7 +244,7 @@ func (c *Container) markWarm(name string) {
 	}
 }
 
-// Phases returns the nominal phases (see Engine.ExecPhases) of the exec
+// Phases returns the nominal phases (see Engine.phases) of the exec
 // in flight in c, or of its last one: the split its executor apportions
 // the measured duration over.
 func (c *Container) Phases() (init, exec time.Duration) { return c.initPhase, c.execPhase }
@@ -550,9 +547,6 @@ func (e *Engine) Unreserve(c *Container) {
 	}
 }
 
-// Reserved reports whether the container is currently reserved.
-func (c *Container) Reserved() bool { return c.reserved }
-
 // ExecCost computes the duration of running app in c right now: a
 // container not yet warm for the app pays runtime + app init and the
 // cache-cold execution penalty; a warm one runs at full speed.
@@ -561,15 +555,10 @@ func (e *Engine) ExecCost(c *Container, app workload.App) time.Duration {
 	return init + exec
 }
 
-// ExecPhases splits ExecCost into the watchdog-visible phases used for
-// the Fig. 5 timestamp breakdown: the initialisation phase (watchdog
-// shim plus runtime/app init when cold) and the function execution
-// phase.
-func (e *Engine) ExecPhases(c *Container, app workload.App) (init, exec time.Duration) {
-	return e.phases(&app, c.warmFor(app.Name))
-}
-
-// phases is ExecPhases for an app that is, or is not, warm.
+// phases splits ExecCost into the watchdog-visible phases used for the
+// Fig. 5 timestamp breakdown: the initialisation phase (watchdog shim
+// plus runtime/app init when cold) and the function execution phase,
+// for an app that is, or is not, warm.
 func (e *Engine) phases(app *workload.App, warm bool) (init, exec time.Duration) {
 	init = e.cm.WatchdogShimCost()
 	if warm {

@@ -137,7 +137,7 @@ func TestExecColdThenWarm(t *testing.T) {
 	if gotCold != coldCost {
 		t.Fatalf("cold exec = %v, want %v", gotCold, coldCost)
 	}
-	if !c.WarmFor(app) {
+	if !c.warmFor(app.Name) {
 		t.Fatal("container not warm after exec")
 	}
 
@@ -196,7 +196,7 @@ func TestWarmup(t *testing.T) {
 	if warmErr != nil {
 		t.Fatal(warmErr)
 	}
-	if !c.WarmFor(app) {
+	if !c.warmFor(app.Name) {
 		t.Fatal("not warm after warmup")
 	}
 	wantCost := f.engine.Model().InitCost(app.InitCost())
@@ -383,7 +383,7 @@ func TestReserveUnreserve(t *testing.T) {
 	if err := f.engine.Reserve(c); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Reserved() || c.State() != NotAvailable {
+	if !c.reserved || c.State() != NotAvailable {
 		t.Fatal("reserve did not mark the container")
 	}
 	// A second reservation must fail.
@@ -391,7 +391,7 @@ func TestReserveUnreserve(t *testing.T) {
 		t.Fatal("double reserve accepted")
 	}
 	f.engine.Unreserve(c)
-	if c.Reserved() || c.State() != Available {
+	if c.reserved || c.State() != Available {
 		t.Fatal("unreserve did not restore the container")
 	}
 	// Unreserve of an unreserved container is a no-op.
@@ -415,7 +415,7 @@ func TestExecConsumesReservation(t *testing.T) {
 	if execErr != nil {
 		t.Fatal(execErr)
 	}
-	if c.Reserved() {
+	if c.reserved {
 		t.Fatal("reservation not consumed by exec")
 	}
 }
@@ -424,18 +424,22 @@ func TestExecPhasesMatchExecCost(t *testing.T) {
 	f := newFixture(t)
 	c := f.mustCreate(t, pySpec(t, f))
 	app := workload.QRApp(workload.Python)
-	initD, execD := f.engine.ExecPhases(c, app)
-	if initD+execD != f.engine.ExecCost(c, app) {
-		t.Fatal("cold phases do not sum to ExecCost")
+	// Each exec's phases, as Phases reports them after it, sum to what
+	// ExecCost quoted before it: cold first, then warm.
+	run := func(what string) (init, exec time.Duration) {
+		t.Helper()
+		want := f.engine.ExecCost(c, app)
+		f.engine.Exec(c, app, func(time.Duration, error) {})
+		if err := f.sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if init, exec = c.Phases(); init+exec != want {
+			t.Fatalf("%s phases %v + %v do not sum to ExecCost %v", what, init, exec, want)
+		}
+		return init, exec
 	}
-	f.engine.Exec(c, app, func(time.Duration, error) {})
-	if err := f.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	initW, execW := f.engine.ExecPhases(c, app)
-	if initW+execW != f.engine.ExecCost(c, app) {
-		t.Fatal("warm phases do not sum to ExecCost")
-	}
+	initD, execD := run("cold")
+	initW, execW := run("warm")
 	if initW >= initD {
 		t.Fatal("warm init phase should be smaller than cold")
 	}

@@ -257,14 +257,3 @@ func (h *HotC) Trail(key config.Key) ([]kernel.Decision, bool) {
 	}
 	return h.keys[id].Trail(), true
 }
-
-// LiveByKey reports the current number of live containers per key.
-func (h *HotC) LiveByKey() map[config.Key]int {
-	out := make(map[config.Key]int, len(h.order))
-	for _, st := range h.order {
-		if n, _ := h.pool.Occupancy(st.spec); n > 0 {
-			out[st.spec.Key()] = n
-		}
-	}
-	return out
-}

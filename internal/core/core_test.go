@@ -375,15 +375,14 @@ func TestRetainWindowExclusiveAtItsEnd(t *testing.T) {
 func TestLiveByKey(t *testing.T) {
 	f := newFixture(t, Options{})
 	spec := f.deploy(t, "qr", "python:3.8", workload.QRApp(workload.Python))
-	if len(f.hotc.LiveByKey()) != 0 {
-		t.Fatal("no containers yet")
+	if live, _ := f.hotc.pool.Occupancy(spec); live != 0 {
+		t.Fatalf("%d containers live before any request", live)
 	}
 	if _, err := faas.Run(f.gw, []trace.Request{{At: 0}}, func(int) string { return "qr" }); err != nil {
 		t.Fatal(err)
 	}
-	m := f.hotc.LiveByKey()
-	if m[spec.Key()] != 1 {
-		t.Fatalf("LiveByKey = %v", m)
+	if live, _ := f.hotc.pool.Occupancy(spec); live != 1 {
+		t.Fatalf("%d containers live for the key after one request, want 1", live)
 	}
 }
 

@@ -90,12 +90,6 @@ func (ts Timestamps) Initiation() time.Duration { return ts.FuncStart - ts.Watch
 // Execution is the (3)->(4) gap.
 func (ts Timestamps) Execution() time.Duration { return ts.FuncStop - ts.FuncStart }
 
-// Forwarding is the network/proxy time: everything outside
-// initiation and execution.
-func (ts Timestamps) Forwarding() time.Duration {
-	return ts.Total() - ts.Initiation() - ts.Execution()
-}
-
 // Result is the outcome of one request.
 type Result struct {
 	// Request is the originating trace entry.
@@ -174,9 +168,8 @@ type deployment struct {
 	key     *runtimeKey
 	metrics *fnHandles // nil until the first request starts
 
-	inFlight   int
-	waiting    []*request
-	queuedPeak int
+	inFlight int
+	waiting  []*request
 }
 
 // runtimeKey is one runtime key's record, shared by every function
@@ -198,15 +191,6 @@ const (
 	CounterBreakerCloses    = "breaker.closes"
 	CounterDegradedRequests = "degraded.requests"
 )
-
-// BreakerFor returns the circuit breaker guarding the runtime key, or
-// nil when breaking is disabled or the key has seen no traffic yet.
-func (g *Gateway) BreakerFor(key string) *kernel.Breaker {
-	if id, ok := g.eng.LookupKey(config.Key(key)); ok && int(id) < len(g.keys) && g.keys[id] != nil {
-		return g.keys[id].brk
-	}
-	return nil
-}
 
 // NewGateway builds a gateway over the engine with the given runtime
 // provider, counting into reg.
@@ -237,15 +221,6 @@ func (g *Gateway) breakerFor(k *runtimeKey) *kernel.Breaker {
 	return k.brk
 }
 
-// QueuedPeak reports the maximum gateway queue depth observed for a
-// concurrency-limited function.
-func (g *Gateway) QueuedPeak(name string) int {
-	if d := g.deployments[name]; d != nil {
-		return d.queuedPeak
-	}
-	return 0
-}
-
 // admit starts the request immediately if its function has a free
 // concurrency slot, otherwise enqueues it.
 func (g *Gateway) admit(r *request) {
@@ -256,7 +231,6 @@ func (g *Gateway) admit(r *request) {
 		return
 	}
 	d.waiting = append(d.waiting, r)
-	d.queuedPeak = max(d.queuedPeak, len(d.waiting))
 }
 
 // releaseSlot frees a concurrency slot and starts the next queued

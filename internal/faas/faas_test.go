@@ -130,8 +130,8 @@ func TestTimestampOrderingAndInitiationDominance(t *testing.T) {
 	if ts.Initiation() < ts.Execution() {
 		t.Fatalf("cold initiation %v should dominate execution %v", ts.Initiation(), ts.Execution())
 	}
-	if ts.Total() != ts.Initiation()+ts.Execution()+ts.Forwarding() {
-		t.Fatal("phase decomposition does not sum to total")
+	if ts.Total() < ts.Initiation()+ts.Execution() {
+		t.Fatal("initiation and execution outlast the request")
 	}
 }
 
@@ -271,6 +271,29 @@ func TestParallelSameInstantRequestsGetDistinctContainers(t *testing.T) {
 	}
 }
 
+// series is what the gateway's registry holds for family under label.
+func series(g *Gateway, family, label string) obs.SeriesSnapshot {
+	for _, fam := range g.obs.reg.Snapshot() {
+		for _, s := range fam.Series {
+			if fam.Name == family && s.LabelValues[0] == label {
+				return s
+			}
+		}
+	}
+	return obs.SeriesSnapshot{}
+}
+
+// queued counts the function's requests that waited behind its
+// concurrency cap, as hotc_gateway_queue_wait_ms booked them: every wait
+// past the first bucket's 1 ms.
+func queued(g *Gateway, fn string) uint64 {
+	s := series(g, "hotc_gateway_queue_wait_ms", fn)
+	if s.Count == 0 {
+		return 0
+	}
+	return s.Count - s.BucketCounts[0]
+}
+
 func TestMaxConcurrencySerializes(t *testing.T) {
 	f := newFixture(t, keepAliveProvider)
 	fn := Function{
@@ -305,8 +328,8 @@ func TestMaxConcurrencySerializes(t *testing.T) {
 	if rs[3].Timestamps.Total() <= rs[0].Timestamps.Total() {
 		t.Fatal("queued request should observe higher latency")
 	}
-	if f.gw.QueuedPeak("limited") < 2 {
-		t.Fatalf("queued peak = %d, want >= 2", f.gw.QueuedPeak("limited"))
+	if n := queued(f.gw, "limited"); n < 2 {
+		t.Fatalf("%d requests queued, want >= 2", n)
 	}
 	// With keep-alive reuse and serialization the pool stays tiny: the
 	// first request boots one container, and at most one more boots
@@ -380,7 +403,7 @@ func TestUnlimitedConcurrencyByDefault(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	if f.gw.QueuedPeak("qr") != 0 {
+	if queued(f.gw, "qr") != 0 {
 		t.Fatal("unlimited function should never queue")
 	}
 }
@@ -508,7 +531,7 @@ func TestPropertyTimestampInvariants(t *testing.T) {
 			if !ordered {
 				return false
 			}
-			if ts.Total() != ts.Initiation()+ts.Execution()+ts.Forwarding() {
+			if ts.Total() < ts.Initiation()+ts.Execution() {
 				return false
 			}
 			if ts.Total() < warmFloor {

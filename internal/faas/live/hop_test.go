@@ -636,7 +636,7 @@ func BenchmarkHopRoundTrip(b *testing.B) {
 }
 
 // lockedLog collects the standard logger's output, where a watchdog's
-// hop.Serve reports a panic in a handler it serves.
+// hop.Server reports a panic in a handler it serves.
 type lockedLog struct {
 	mu  sync.Mutex
 	buf bytes.Buffer

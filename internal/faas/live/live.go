@@ -428,6 +428,7 @@ func (g *Gateway) StartOn(addr string) (string, error) {
 	}
 	g.server = &hop.Server{Handler: g.routes(), Front: true}
 	g.server.LimitBodies(g.cfg.MaxBodyBytes)
+	g.server.OnRefusal(kernel.WireRefusals(g.reg, "gateway"))
 	go g.server.Serve(lis)
 	g.startCycle()
 	return "http://" + lis.Addr().String(), nil

@@ -232,3 +232,26 @@ func TestFrontDropsWatchdogHopByHopFields(t *testing.T) {
 		}
 	}
 }
+
+// A head the front door refuses before any handler runs counts once in
+// hotc_wire_refusals_total{role="gateway"}, under its own reason.
+func TestFrontCountsRefusals(t *testing.T) {
+	g, base := startDaemon(t, PoolConfig{})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	io.WriteString(conn, "POST /function/x HTTP/1.1\r\nHost: h\r\nExpect: 200-ok\r\nContent-Length: 1\r\n\r\nx")
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil) // counted before the reply is written
+	if err != nil || resp.StatusCode != http.StatusExpectationFailed {
+		t.Fatalf("an unsupported Expect: %v, %v; want 417", resp, err)
+	}
+	if n := metricSum(t, g.Registry(), "hotc_wire_refusals_total", "gateway"); n != 1 {
+		t.Fatalf("refusals = %v, want 1", n)
+	}
+	if n := metricSum(t, g.Registry(), "hotc_wire_refusals_total", "gateway", "expect"); n != 1 {
+		t.Fatalf("expect refusals = %v, want 1", n)
+	}
+}

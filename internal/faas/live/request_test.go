@@ -21,7 +21,7 @@ import (
 )
 
 // One warm request through g.handle, end to end in this process —
-// handle, the hop, the watchdog's hop.Serve and the response copy — with
+// handle, the hop, the watchdog's hop.Server and the response copy — with
 // a prebuilt request and a reused writer, tracing sampled out. The bare
 // row's budget is the count measured once both ends of the hop spoke
 // internal/hop's codec (26, down from 66 under net/http's), with a

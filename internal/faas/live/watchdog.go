@@ -25,7 +25,7 @@ func (g *Gateway) watchdogHandler(fn Function) http.Handler {
 // shared by every reply, never written.
 var spanTrailer = []string{SpanFuncDoneHeader + ", " + SpanWatchdogOutHeader}
 
-// serveFunction is the watchdog request handler, run by hop.Serve, which
+// serveFunction is the watchdog request handler, run by a hop.Server, which
 // bounds the request body (a read past the watchdog's limit fails with
 // *http.MaxBytesError: HTTP 413 here), reads whatever the function left
 // of it, and lets a streaming function read and write full duplex.

@@ -278,6 +278,3 @@ func (in *Injector) HealthCheck(c *container.Container) error {
 	}
 	return nil
 }
-
-// IsCorrupted reports whether a container is currently poisoned.
-func (in *Injector) IsCorrupted(c *container.Container) bool { return in.corrupted[c.ID] }

@@ -240,7 +240,7 @@ func TestCorruptionCaughtByHealthCheckOnce(t *testing.T) {
 	if err := f.exec(t, c, app); err != nil {
 		t.Fatalf("corruption must be silent at exec time: %v", err)
 	}
-	if !f.inj.IsCorrupted(c) {
+	if !f.inj.corrupted[c.ID] {
 		t.Fatal("container not marked corrupted after exec at rate 1")
 	}
 	if f.inj.Stats().Corruptions != 1 {

@@ -2,10 +2,10 @@
 // it. Conn is one keep-alive client connection driven by its owner, one
 // exchange at a time, on the owner's goroutine. Both proxy legs use it:
 // the live gateway holds one per instance, to that instance's watchdog,
-// and the router keeps a free list of them per node. Serve is the other
-// end: it answers the requests read from one connection with an
-// http.Handler. Server accepts the connections: every watchdog runs
-// one, and the gateway runs one in the front-door role for its own
+// and the router keeps a free list of them per node. Server is the
+// other end: it accepts connections and answers the requests read from
+// each with an http.Handler. Every watchdog runs one, and the gateway
+// and the router each run one in the front-door role for their own
 // clients. A large body read off one of their sockets and written to
 // another moves in the kernel (splice.go). A connection with a
 // single owner needs none of what a general-purpose client or server
@@ -65,7 +65,7 @@ func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
 func PutBuf(bp *[]byte) { bufPool.Put(bp) }
 
 // Copy moves src into dst. A body this package reads off a socket, going
-// into a Serve reply on another, moves in the kernel (splice.go) in each
+// into a Server's reply on another, moves in the kernel (splice.go) in each
 // segment larger than the reader's buffer. Anything else streams through
 // a pooled chunk, one Write per Read: io.CopyBuffer without the
 // WriterTo/ReaderFrom delegation, which would hand the copy to net/http's
@@ -507,7 +507,7 @@ func validValue(v string) bool {
 
 // sendBody streams the request body, chunked when its length is
 // unknown, one write per read so a duplex handler sees bytes as the
-// client sends them; a Serve request's length-framed body goes in the
+// client sends them; a served request's length-framed body goes in the
 // kernel instead (spliceBody). A failing source (client gone, body
 // limit hit, body short of its length) poisons the connection: the
 // peer is owed bytes that will never come, and the blocked response

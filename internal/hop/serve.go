@@ -53,28 +53,10 @@ var (
 	errOldChunked  = errors.New("hop: Transfer-Encoding on an HTTP/1.0 request")
 )
 
-// Serve answers the requests read from conn with h, one at a time, until
-// the peer closes conn, a request is refused or a reply must end the
-// connection; then it closes conn. maxBody > 0 bounds every request
-// body: a read past it fails with *http.MaxBytesError, and the
-// connection closes after the reply.
-//
-// The request a handler gets, its Header and its Body are the
-// connection's own and valid only until the handler returns. The body
-// reads full duplex, before or after the reply starts; whatever the
-// handler leaves unread is read to the message boundary after it
-// returns. The reply is not sniffed for a Content-Type. A handler panic
-// closes the connection and is logged unless it is
-// http.ErrAbortHandler. A Server in the front-door role adds what a
-// client is owed on top (Server.Front).
-func Serve(conn net.Conn, h http.Handler, maxBody int64) {
-	newServer(conn, maxBody, false, nil).run(h)
-}
-
 // server is one connection's state, reused by each request on it.
 type server struct {
 	conn    net.Conn
-	owner   *Server // nil for a lone Serve
+	owner   *Server
 	front   bool
 	br      *bufio.Reader
 	bw      *bufio.Writer
@@ -108,18 +90,20 @@ type server struct {
 	closing bool // the connection ends after this reply
 }
 
-func newServer(conn net.Conn, maxBody int64, front bool, owner *Server) *server {
+// newServer is owner's state for conn, in its role and under its body
+// limit.
+func newServer(conn net.Conn, owner *Server) *server {
 	s := &server{
 		conn:    conn,
 		owner:   owner,
-		front:   front,
+		front:   owner.Front,
 		bw:      bufio.NewWriterSize(conn, readBufSize),
-		maxBody: maxBody,
+		maxBody: owner.maxBody.Load(),
 		remote:  conn.RemoteAddr().String(),
 		header:  http.Header{},
 	}
 	var rd io.Reader = conn
-	if front {
+	if s.front {
 		s.cr.conn = conn
 		rd = &s.cr
 		s.watched = make(chan struct{}, 1)
@@ -155,7 +139,7 @@ func (s *server) next(h http.Handler) bool {
 }
 
 // stopping reports whether the connection's Server is stopping.
-func (s *server) stopping() bool { return s.owner != nil && s.owner.stopping.Load() }
+func (s *server) stopping() bool { return s.owner.stopping.Load() }
 
 // readRequest reads a request head into s.req and sets its body up. An
 // error means the request is refused unserved.
@@ -234,18 +218,32 @@ func (s *server) readRequest() error {
 }
 
 // refuse answers a request that cannot be served, and the connection
-// closes after it.
+// closes after it. The owner's refusal hook hears why the head was
+// refused; a connection that failed mid-head refused nothing.
 func (s *server) refuse(err error) {
-	status := http.StatusBadRequest
+	status, reason := http.StatusBadRequest, ""
 	switch err {
 	case io.EOF, io.ErrUnexpectedEOF:
 		return // nobody to answer
 	case errHeadTooLarge:
-		status = http.StatusRequestHeaderFieldsTooLarge
+		status, reason = http.StatusRequestHeaderFieldsTooLarge, "head_too_large"
 	case errUnsupportedT:
-		status = http.StatusNotImplemented
+		status, reason = http.StatusNotImplemented, "coding"
 	case errExpectation:
-		status = http.StatusExpectationFailed
+		status, reason = http.StatusExpectationFailed, "expect"
+	case errBothFramings:
+		reason = "both_framings"
+	case errTwoLengths:
+		reason = "two_lengths"
+	case errNoHost:
+		reason = "host"
+	case errOldChunked:
+		reason = "chunked_http10"
+	case errMalformed, errBadLength:
+		reason = "malformed"
+	}
+	if reason != "" && s.owner.refused != nil {
+		s.owner.refused(reason)
 	}
 	msg := err.Error()
 	fmt.Fprintf(s.bw, "HTTP/1.1 %d %s\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s",

@@ -22,7 +22,7 @@ import (
 // scriptConn is a connection whose peer sent in and closed its side;
 // what the server writes collects in out.
 type scriptConn struct {
-	net.Conn // nil: Serve calls only the methods below
+	net.Conn // nil: a server calls only the methods below
 	in       io.Reader
 	out      bytes.Buffer
 	writes   int
@@ -75,13 +75,13 @@ func (rec *recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveScript serves in and returns the connection Serve wrote to.
+// serveScript serves in and returns the connection the server wrote to.
 func serveScript(t *testing.T, in string, h http.Handler, maxBody int64) *scriptConn {
 	t.Helper()
 	return serveScriptAs(t, in, h, maxBody, false)
 }
 
-// serveScriptAs is serveScript in either role: a lone Serve's, or a
+// serveScriptAs is serveScript in either role: a watchdog's, or a
 // front door's.
 func serveScriptAs(t *testing.T, in string, h http.Handler, maxBody int64, front bool) *scriptConn {
 	t.Helper()
@@ -91,16 +91,30 @@ func serveScriptAs(t *testing.T, in string, h http.Handler, maxBody int64, front
 // serveReader serves what in reads, each Read of it arriving as one.
 func serveReader(t *testing.T, in io.Reader, h http.Handler, maxBody int64, front bool) *scriptConn {
 	t.Helper()
+	return serveBy(t, owner(maxBody, front), in, h)
+}
+
+// owner is a Server in the role, under the body limit, that serves no
+// listener: the tests hand it connections.
+func owner(maxBody int64, front bool) *Server {
+	srv := &Server{Front: front}
+	srv.LimitBodies(maxBody)
+	return srv
+}
+
+// serveBy serves what in reads as one of srv's connections.
+func serveBy(t *testing.T, srv *Server, in io.Reader, h http.Handler) *scriptConn {
+	t.Helper()
 	c := &scriptConn{in: in}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		newServer(c, maxBody, front, nil).run(h)
+		newServer(c, srv).run(h)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("Serve did not return on %v", in)
+		t.Fatalf("the server did not return on %v", in)
 	}
 	return c
 }
@@ -141,38 +155,55 @@ func body(resp *http.Response) string {
 const plain = "GET /next HTTP/1.1\r\nHost: h\r\n\r\n"
 
 // Each way a head could be framed twice, or read differently by another
-// parser, is refused with a status and a close, unserved, and nothing
-// after it on the connection is served either.
+// parser, is refused in either role with a status and a close, unserved,
+// and nothing after it on the connection is served either; the server's
+// refusal hook hears its reason once. A served head reaches no hook.
 func TestServeRefusesAmbiguousHeads(t *testing.T) {
-	for _, tc := range refusals {
-		rec := &recorder{}
-		c := serveScript(t, tc.head+plain, rec, 0)
-		got := replies(t, c.out.Bytes(), "POST")
-		if got[0].StatusCode != tc.status || !got[0].Close {
-			t.Errorf("%s: status %d, close %v; want %d and a close", tc.name, got[0].StatusCode, got[0].Close, tc.status)
+	for _, front := range []bool{false, true} {
+		var heard []string
+		srv := owner(0, front)
+		srv.OnRefusal(func(reason string) { heard = append(heard, reason) })
+		for _, tc := range refusals {
+			heard = nil
+			rec := &recorder{}
+			c := serveBy(t, srv, strings.NewReader(tc.head+plain), rec)
+			got := replies(t, c.out.Bytes(), "POST")
+			if got[0].StatusCode != tc.status || !got[0].Close {
+				t.Errorf("%s: status %d, close %v; want %d and a close", tc.name, got[0].StatusCode, got[0].Close, tc.status)
+			}
+			if len(rec.seen) != 0 {
+				t.Errorf("%s: the handler served %+v", tc.name, rec.seen)
+			}
+			if len(heard) != 1 || heard[0] != tc.reason {
+				t.Errorf("%s (front %v): the hook heard %q, want [%s]", tc.name, front, heard, tc.reason)
+			}
 		}
-		if len(rec.seen) != 0 {
-			t.Errorf("%s: the handler served %+v", tc.name, rec.seen)
+		heard = nil
+		serveBy(t, srv, strings.NewReader(goldenRequest+plain), &recorder{})
+		if len(heard) != 0 {
+			t.Errorf("front %v: served heads reached the refusal hook: %q", front, heard)
 		}
 	}
 }
 
-// refusals are the heads Serve refuses, with the status it answers;
-// FuzzServe seeds from them.
+// refusals are the heads a server refuses, with the status it answers
+// and the reason its refusal hook hears; FuzzServe seeds from them.
 var refusals = []struct {
 	name, head string
 	status     int
+	reason     string
 }{
-	{"length and chunked", "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 400},
-	{"two lengths", "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nabcdef", 400},
-	{"gzip", "POST / HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: gzip, chunked\r\n\r\n0\r\n\r\n", 501},
-	{"chunked HTTP/1.0", "POST / HTTP/1.0\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n", 400},
-	{"obs-fold", "POST / HTTP/1.1\r\nHost: h\r\nX-A: 1\r\n Content-Length: 3\r\n\r\nabc", 400},
-	{"control byte", "POST / HTTP/1.1\r\nHost: h\r\nX-A: a\x01b\r\n\r\n", 400},
-	{"no host", "POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 400},
-	{"two hosts", "POST / HTTP/1.1\r\nHost: h\r\nHost: i\r\n\r\n", 400},
-	{"head over 1 MiB", "POST / HTTP/1.1\r\nHost: h\r\nX-Big: " + strings.Repeat("a", maxHead) + "\r\n\r\n", 431},
-	{"expect", "POST / HTTP/1.1\r\nHost: h\r\nExpect: 200-ok\r\nContent-Length: 1\r\n\r\nx", 417},
+	{"length and chunked", "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 400, "both_framings"},
+	{"two lengths", "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nabcdef", 400, "two_lengths"},
+	{"gzip", "POST / HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: gzip, chunked\r\n\r\n0\r\n\r\n", 501, "coding"},
+	{"chunked HTTP/1.0", "POST / HTTP/1.0\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n", 400, "chunked_http10"},
+	{"obs-fold", "POST / HTTP/1.1\r\nHost: h\r\nX-A: 1\r\n Content-Length: 3\r\n\r\nabc", 400, "malformed"},
+	{"control byte", "POST / HTTP/1.1\r\nHost: h\r\nX-A: a\x01b\r\n\r\n", 400, "malformed"},
+	{"bad length", "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: +5\r\n\r\nabcde", 400, "malformed"},
+	{"no host", "POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 400, "host"},
+	{"two hosts", "POST / HTTP/1.1\r\nHost: h\r\nHost: i\r\n\r\n", 400, "host"},
+	{"head over 1 MiB", "POST / HTTP/1.1\r\nHost: h\r\nX-Big: " + strings.Repeat("a", maxHead) + "\r\n\r\n", 431, "head_too_large"},
+	{"expect", "POST / HTTP/1.1\r\nHost: h\r\nExpect: 200-ok\r\nContent-Length: 1\r\n\r\nx", 417, "expect"},
 }
 
 // The hop's golden request is served as written, and the keep-alive
@@ -325,7 +356,7 @@ func TestServeCommitted(t *testing.T) {
 		t.Errorf("Committed before a write %v, after %v; want false, true", before, after)
 	}
 	if Committed(httptest.NewRecorder()) {
-		t.Error("a writer Serve did not hand out reports committed")
+		t.Error("a writer the server did not hand out reports committed")
 	}
 }
 
@@ -369,7 +400,7 @@ func TestChunkedBodyFillsBuffer(t *testing.T) {
 	}
 }
 
-// What one warm exchange between a Conn and a Serve allocates on both
+// What one warm exchange between a Conn and a Server allocates on both
 // ends together, in this process: the request head parsed on one side,
 // the response head on the other, and the context hook.
 func TestExchangeAllocBudget(t *testing.T) {
@@ -383,7 +414,7 @@ func TestExchangeAllocBudget(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		if conn, err := lis.Accept(); err == nil {
-			Serve(conn, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { Copy(w, r.Body) }), 1<<20)
+			newServer(conn, owner(1<<20, false)).run(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { Copy(w, r.Body) }))
 		}
 	}()
 	conn, err := net.Dial("tcp", lis.Addr().String())
@@ -419,8 +450,8 @@ func TestExchangeAllocBudget(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzServe feeds arbitrary bytes to Serve as what a peer sent before
-// closing. Whatever they are, Serve returns, never panics, and writes
+// FuzzServe feeds arbitrary bytes to a server as what a peer sent
+// before closing. Whatever they are, it returns, never panics, and writes
 // replies net/http can read; and it never serves a request net/http's
 // own parser would not read at the same place, with the same method,
 // target and body: every message boundary it finds, net/http finds
@@ -589,7 +620,7 @@ func TestFrontDoorWatchesOnlySlowRequests(t *testing.T) {
 			return
 		}
 		c := &deadlineConn{Conn: conn}
-		newServer(c, 0, true, nil).run(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		newServer(c, owner(0, true)).run(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/slow" {
 				select {
 				case <-r.Context().Done():
@@ -634,7 +665,7 @@ func TestStaleWatchTimerArmsNothing(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	s := newServer(a, 0, true, nil)
+	s := newServer(a, owner(0, true))
 	var ctx context.Context
 	ctx, s.cancel = context.WithCancel(context.Background())
 	s.timer = time.AfterFunc(time.Hour, s.expire)

@@ -13,10 +13,21 @@ import (
 // gateway.
 const stopGrace = time.Second
 
-// Server is the listener half of Serve, one for both roles: an accept
-// loop that answers each connection on a goroutine of its own, the set
-// of open connections, and Stop. A watchdog runs one per instance; the
-// gateway and the router each run one in the front-door role.
+// Server is the hop's server, one for both roles: an accept loop that
+// answers each connection on a goroutine of its own, the set of open
+// connections, and Stop. A watchdog runs one per instance; the gateway
+// and the router each run one in the front-door role.
+//
+// A connection's requests are answered one at a time, until the peer
+// closes it, a request is refused or a reply must end it. The request a
+// handler gets, its Header and its Body are the connection's own and
+// valid only until the handler returns. The body reads full duplex,
+// before or after the reply starts; whatever the handler leaves unread
+// is read to the message boundary after it returns. A handler panic
+// closes the connection and is logged unless it is
+// http.ErrAbortHandler. A head framed two ways, or that another parser
+// would read differently, is refused with a status and a close, and the
+// refusal hook (OnRefusal) hears why.
 //
 // In the front-door role a Server owes its clients what net/http's
 // server gave them and the internal leg does without: each request's
@@ -34,6 +45,7 @@ type Server struct {
 
 	maxBody  atomic.Int64
 	stopping atomic.Bool
+	refused  func(reason string)
 
 	mu      sync.Mutex
 	lis     net.Listener
@@ -46,6 +58,13 @@ type Server struct {
 // from now on at n bytes (0: unbounded): a handler reading past it gets
 // *http.MaxBytesError, and the connection closes after the reply.
 func (s *Server) LimitBodies(n int64) { s.maxBody.Store(n) }
+
+// OnRefusal has f called, before Serve, with the reason for each head
+// the server refuses unserved: both_framings, two_lengths, coding (a
+// transfer coding other than chunked), host (a missing or duplicate
+// Host), expect (an Expect other than 100-continue), chunked_http10,
+// head_too_large (over 1 MiB) or malformed.
+func (s *Server) OnRefusal(f func(reason string)) { s.refused = f }
 
 // Serve accepts connections on lis until it fails, or until Stop, when
 // it returns nil.
@@ -85,7 +104,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			s.mu.Unlock()
 			return err
 		}
-		c := newServer(conn, s.maxBody.Load(), s.Front, s)
+		c := newServer(conn, s)
 		s.conns[c] = struct{}{}
 		s.serving.Add(1)
 		s.mu.Unlock()

@@ -14,8 +14,8 @@ import (
 // (*net.TCPConn).ReadFrom runs splice(2) through a pipe when it is handed
 // an io.LimitedReader over another bare *net.TCPConn. It applies where a
 // body read off a connection by this package's own framing (a wireBody)
-// is written straight to another: Copy into a Serve reply, and a Conn's
-// request body when it is a Serve request's. The bytes the reader
+// is written straight to another: Copy into a Server's reply, and a
+// Conn's request body when it is a served request's. The bytes the reader
 // already holds go through the writer first.
 
 // spliceMin is the largest segment the copy path keeps: one the reader
@@ -25,7 +25,7 @@ const spliceMin = readBufSize
 // probeWait bounds the read that tells which side failed a splice.
 const probeWait = time.Millisecond
 
-// A wireBody is a Serve request's body or a Conn response's.
+// A wireBody is a served request's body or a Conn response's.
 type wireBody interface {
 	io.Reader
 	// segment reports how many body bytes follow before the next framing
@@ -159,7 +159,7 @@ func (w *response) splice(b wireBody, n int64) (int64, error) {
 	return m, nil
 }
 
-// spliceBody sends body, a Serve request's length-framed body of the
+// spliceBody sends body, a served request's length-framed body of the
 // given length, behind the head bw holds; handled is false, with nothing
 // sent, when it cannot. A source that fails poisons the connection, as
 // in sendBody.

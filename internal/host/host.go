@@ -45,29 +45,13 @@ func (h *Host) UsedMemMB() float64 {
 	return h.prof.BaseMemMB + h.eng.IdleOverheadMemMB() + h.eng.ActiveMemMB()
 }
 
-// UsedSwapMB reports simulated swap usage: demand beyond physical
-// memory spills to swap. This is the second half of the paper's §IV.B
-// heuristic ("monitoring used_mem and used_swap in the kernel").
-func (h *Host) UsedSwapMB() float64 {
-	over := h.UsedMemMB() - h.prof.TotalMemoryMB
-	if over < 0 {
-		return 0
-	}
-	return over
-}
-
 // UsedMemPct reports memory usage as a percentage of the host's
-// physical memory — the pool's eviction signal. Any swap usage pins
+// physical memory — the pool's eviction signal. Demand beyond physical
+// memory, which spills to swap (the heuristic's used_swap > 0), pins
 // the signal above 100, so the pool sheds containers aggressively when
 // the host is thrashing.
 func (h *Host) UsedMemPct() float64 {
 	return 100 * h.UsedMemMB() / h.prof.TotalMemoryMB
-}
-
-// UnderMemoryPressure applies the paper's heuristic directly: memory
-// above the threshold percentage, or any swap in use.
-func (h *Host) UnderMemoryPressure(thresholdPct float64) bool {
-	return h.UsedMemPct() >= thresholdPct || h.UsedSwapMB() > 0
 }
 
 // UsedCPUPct reports current CPU usage in percent of one core-set

@@ -116,8 +116,12 @@ func TestFig15bApplicationLifecycle(t *testing.T) {
 		t.Fatalf("monitor samples: cpu=%d mem=%d", mon.CPU.Len(), mon.Mem.Len())
 	}
 	// The CPU series must show the execution bump.
-	if mon.CPU.MaxValue() < app.CPUPct {
-		t.Fatalf("monitor never saw the execution: max CPU %v", mon.CPU.MaxValue())
+	peak := 0.0
+	for i := 0; i < mon.CPU.Len(); i++ {
+		peak = max(peak, mon.CPU.At(i).V)
+	}
+	if peak < app.CPUPct {
+		t.Fatalf("monitor never saw the execution: max CPU %v", peak)
 	}
 }
 
@@ -139,26 +143,17 @@ func TestUsedMemPctOnPi(t *testing.T) {
 
 func TestSwapAccounting(t *testing.T) {
 	f := newFixture(t, costmodel.EdgePi()) // 1 GB physical
-	if f.host.UsedSwapMB() != 0 {
-		t.Fatal("idle host should not swap")
+	if pct := f.host.UsedMemPct(); pct >= 80 {
+		t.Fatalf("idle host should not be under pressure: %v%% used", pct)
 	}
-	if f.host.UnderMemoryPressure(80) {
-		t.Fatal("idle host should not be under pressure")
-	}
-	// A 1.2 GB workload on a 1 GB device spills to swap.
+	// A 1.2 GB workload on a 1 GB device spills to swap, which pins the
+	// pool's signal past 100 %: pressure under any threshold.
 	c := f.create(t, "cassandra:3.11")
 	f.eng.Exec(c, workload.Cassandra(), func(time.Duration, error) {})
 	f.sched.Sleep(time.Second)
-	if f.host.UsedSwapMB() <= 0 {
-		t.Fatalf("oversubscribed host should swap: mem=%vMB of %vMB",
-			f.host.UsedMemMB(), costmodel.EdgePi().TotalMemoryMB)
-	}
-	if !f.host.UnderMemoryPressure(80) {
-		t.Fatal("swapping host must report pressure")
-	}
-	// Even with a generous threshold, any swap means pressure.
-	if !f.host.UnderMemoryPressure(99999) {
-		t.Fatal("used_swap > 0 must trigger the heuristic regardless of threshold")
+	if pct := f.host.UsedMemPct(); pct <= 100 {
+		t.Fatalf("oversubscribed host should swap: mem=%vMB of %vMB (%v%%)",
+			f.host.UsedMemMB(), costmodel.EdgePi().TotalMemoryMB, pct)
 	}
 }
 

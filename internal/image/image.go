@@ -250,11 +250,6 @@ func (c *Cache) evictLRU(protected map[string]bool) {
 	}
 }
 
-// Contains reports whether every layer of the image is cached.
-func (c *Cache) Contains(im Image) bool {
-	return c.MissingMB(im) == 0
-}
-
 // SizeMB reports the total cached bytes.
 func (c *Cache) SizeMB() float64 {
 	c.mu.Lock()

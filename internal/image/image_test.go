@@ -76,7 +76,7 @@ func TestCachePullAccounting(t *testing.T) {
 	if added := c.Admit(im); added != 30 {
 		t.Fatalf("Admit = %v", added)
 	}
-	if !c.Contains(im) {
+	if c.MissingMB(im) != 0 {
 		t.Fatal("image not contained after admit")
 	}
 	if got := c.MissingMB(im); got != 0 {
@@ -109,7 +109,7 @@ func TestCacheEvict(t *testing.T) {
 	if freed := c.Evict(im); freed != 10 {
 		t.Fatalf("Evict freed %v", freed)
 	}
-	if c.Contains(im) {
+	if c.MissingMB(im) == 0 {
 		t.Fatal("still contained after evict")
 	}
 	if freed := c.Evict(im); freed != 0 {
@@ -132,10 +132,10 @@ func TestCacheCapacityLRUEviction(t *testing.T) {
 	if c.SizeMB() > 100 {
 		t.Fatalf("cache over capacity: %v MB", c.SizeMB())
 	}
-	if !c.Contains(a) || !c.Contains(d) {
+	if c.MissingMB(a) != 0 || c.MissingMB(d) != 0 {
 		t.Fatal("recently used layers evicted")
 	}
-	if c.Contains(b) {
+	if c.MissingMB(b) == 0 {
 		t.Fatal("LRU layer survived")
 	}
 }
@@ -146,16 +146,16 @@ func TestCacheCapacityProtectsAdmittedImage(t *testing.T) {
 	c.Admit(big)
 	// The image exceeds the cap alone but must stay resident: the
 	// engine cannot run a partially present image.
-	if !c.Contains(big) {
+	if c.MissingMB(big) != 0 {
 		t.Fatal("admitted image evicted")
 	}
 	// A later admit evicts it once it is no longer protected.
 	small := Image{Name: "s", Layers: []Layer{{ID: "y", SizeMB: 10}}}
 	c.Admit(small)
-	if c.Contains(big) {
+	if c.MissingMB(big) == 0 {
 		t.Fatal("oversized stale image should be the first eviction victim")
 	}
-	if !c.Contains(small) {
+	if c.MissingMB(small) != 0 {
 		t.Fatal("small image lost")
 	}
 }
@@ -254,7 +254,7 @@ func TestPropertyCacheConservation(t *testing.T) {
 		c.Admit(pre)
 		missing := c.MissingMB(im)
 		added := c.Admit(im)
-		return math.Abs(missing-added) < 1e-9 && c.Contains(im)
+		return math.Abs(missing-added) < 1e-9 && c.MissingMB(im) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestCacheCapacityLayerLargerThanCap(t *testing.T) {
 	if added := c.Admit(huge); added != 300 {
 		t.Fatalf("Admit added %v MB, want 300", added)
 	}
-	if !c.Contains(huge) {
+	if c.MissingMB(huge) != 0 {
 		t.Fatal("oversized layer not resident after its own admit")
 	}
 	if got := c.SizeMB(); got != 300 {
@@ -281,7 +281,7 @@ func TestCacheCapacityLayerLargerThanCap(t *testing.T) {
 	// the LRU victim and the cache returns under cap.
 	tiny := Image{Name: "tiny", Layers: []Layer{{ID: "t1", SizeMB: 5}}}
 	c.Admit(tiny)
-	if c.Contains(huge) {
+	if c.MissingMB(huge) == 0 {
 		t.Fatal("oversized layer survived the next admission")
 	}
 	if got := c.SizeMB(); got > 50 {
@@ -300,10 +300,10 @@ func TestCacheCapacityPinsWholeProtectedSet(t *testing.T) {
 		{ID: "m1", SizeMB: 40}, {ID: "m2", SizeMB: 40}, {ID: "m3", SizeMB: 40},
 	}}
 	c.Admit(multi) // 180 MB total: both stale layers must go, no multi layer may
-	if !c.Contains(multi) {
+	if c.MissingMB(multi) != 0 {
 		t.Fatal("admitted image lost one of its own layers to the sweep")
 	}
-	if c.Contains(stale) {
+	if c.MissingMB(stale) == 0 {
 		t.Fatal("stale layers survived while the cache is over cap")
 	}
 	if got := c.SizeMB(); got != 120 {
@@ -347,7 +347,7 @@ func TestCacheConcurrentAdmit(t *testing.T) {
 		t.Fatalf("concurrent admits paid %d MB total, want %d (layers double-paid or lost)", totalAdded, want)
 	}
 	for _, im := range images {
-		if !c.Contains(im) {
+		if c.MissingMB(im) != 0 {
 			t.Fatalf("image %s incomplete after concurrent admits", im.Name)
 		}
 	}

@@ -97,6 +97,17 @@ func NewRequestBooks(reg *obs.Registry) RequestBooks {
 	}
 }
 
+// WireRefusals declares hotc_wire_refusals_total{role,reason} on reg and
+// returns the refusal hook of a front door in role (gateway|router),
+// which counts each head it refuses unserved, before any handler runs,
+// under the reason hop.Server.OnRefusal names.
+func WireRefusals(reg *obs.Registry, role string) func(reason string) {
+	v := reg.CounterVec("hotc_wire_refusals_total",
+		"Requests a front door refused unserved, before any handler ran, by role (gateway|router) and reason.",
+		"role", "reason")
+	return func(reason string) { v.With(role, reason).Inc() }
+}
+
 // The hotc_pool_retired_total{reason} values: why an idle runtime was
 // stopped.
 const (

@@ -52,7 +52,6 @@ type Breaker struct {
 	fails    int
 	openedAt simclock.Time
 	probing  bool
-	trips    int
 }
 
 // NewBreaker returns a closed breaker. threshold <= 0 defaults to 5;
@@ -75,9 +74,6 @@ func (b *Breaker) State(now simclock.Time) BreakerState {
 	}
 	return b.state
 }
-
-// Trips reports how many times the breaker has tripped open.
-func (b *Breaker) Trips() int { return b.trips }
 
 // RemainingOpen reports how much of the open window is left at now —
 // the honest Retry-After for a fast-failed request. Zero when the
@@ -132,7 +128,6 @@ func (b *Breaker) OnFailure(now simclock.Time) bool {
 		b.probing = false
 		b.state = BreakerOpen
 		b.openedAt = now
-		b.trips++
 		return true
 	case BreakerOpen:
 		return false
@@ -142,7 +137,6 @@ func (b *Breaker) OnFailure(now simclock.Time) bool {
 			b.state = BreakerOpen
 			b.openedAt = now
 			b.fails = 0
-			b.trips++
 			return true
 		}
 		return false

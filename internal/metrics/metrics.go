@@ -1,11 +1,11 @@
 // Package metrics provides the measurement plumbing shared by every
 // experiment in the repository: latency sample series with percentile
-// and CDF extraction, timestamped time series, and prediction-error
-// scores. (Bucketed histograms live in internal/obs.)
+// extraction, timestamped time series, and prediction-error scores.
+// (Bucketed histograms live in internal/obs.)
 //
 // All of the paper's figures are ultimately rendered from these types:
-// latency-versus-request plots are Series, the Fig. 1(b) long-tail plot
-// is a CDF, Fig. 10 prediction traces are TimeSeries, and Fig. 15
+// latency-versus-request plots and the Fig. 1(b) long-tail percentiles
+// are Series, Fig. 10 prediction traces are TimeSeries, and Fig. 15
 // resource monitoring is a pair of TimeSeries.
 package metrics
 
@@ -38,15 +38,6 @@ func (s *Series) AddDuration(d time.Duration) {
 
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.samples) }
-
-// Values returns the samples in arrival order. The slice aliases the
-// series' internal storage; because callers historically sort or scale
-// it in place, handing it out invalidates the lazily-sorted cache so
-// the next distribution query re-sorts against the current contents.
-func (s *Series) Values() []float64 {
-	s.dirty = true
-	return s.samples
-}
 
 // At returns the i-th sample in arrival order.
 func (s *Series) At(i int) float64 { return s.samples[i] }
@@ -135,9 +126,6 @@ func (s *Series) Percentile(p float64) float64 {
 	return s.sorted[lo]*(1-frac) + s.sorted[hi]*frac
 }
 
-// Median is Percentile(50).
-func (s *Series) Median() float64 { return s.Percentile(50) }
-
 // P99 is Percentile(99) — the tail quantile every resilience and
 // latency table reports.
 func (s *Series) P99() float64 { return s.Percentile(99) }
@@ -159,33 +147,6 @@ func (s *Series) Sum() float64 {
 		sum += v
 	}
 	return sum
-}
-
-// CDFPoint is one point of an empirical cumulative distribution.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // fraction of samples <= Value, in (0, 1]
-}
-
-// CDF returns the empirical CDF of the series as (value, fraction)
-// pairs with non-decreasing value and fraction.
-func (s *Series) CDF() []CDFPoint {
-	if len(s.samples) == 0 {
-		return nil
-	}
-	s.ensureSorted()
-	n := len(s.sorted)
-	pts := make([]CDFPoint, 0, n)
-	for i, v := range s.sorted {
-		frac := float64(i+1) / float64(n)
-		// Collapse runs of equal values into their final fraction.
-		if len(pts) > 0 && pts[len(pts)-1].Value == v {
-			pts[len(pts)-1].Fraction = frac
-			continue
-		}
-		pts = append(pts, CDFPoint{Value: v, Fraction: frac})
-	}
-	return pts
 }
 
 // Summary is a compact distribution description used in reports.
@@ -243,26 +204,6 @@ func (ts *TimeSeries) Len() int { return len(ts.points) }
 // At returns point i.
 func (ts *TimeSeries) At(i int) TimePoint { return ts.points[i] }
 
-// Values returns just the values, in time order.
-func (ts *TimeSeries) Values() []float64 {
-	vs := make([]float64, len(ts.points))
-	for i, p := range ts.points {
-		vs[i] = p.V
-	}
-	return vs
-}
-
-// MaxValue returns the largest value, or 0 for an empty series.
-func (ts *TimeSeries) MaxValue() float64 {
-	max := 0.0
-	for i, p := range ts.points {
-		if i == 0 || p.V > max {
-			max = p.V
-		}
-	}
-	return max
-}
-
 // MeanValue returns the arithmetic mean of the values.
 func (ts *TimeSeries) MeanValue() float64 {
 	if len(ts.points) == 0 {
@@ -273,35 +214,6 @@ func (ts *TimeSeries) MeanValue() float64 {
 		sum += p.V
 	}
 	return sum / float64(len(ts.points))
-}
-
-// AutoCorrelation estimates the lag-k autocorrelation of a series: the
-// correlation between x[t] and x[t+k] over the available pairs. It
-// returns 0 for degenerate inputs (fewer than k+2 points or zero
-// variance). The predictor diagnostics use it to characterise which
-// error structures the Markov correction can exploit.
-func AutoCorrelation(xs []float64, k int) float64 {
-	if k < 1 || len(xs) < k+2 {
-		return 0
-	}
-	n := len(xs)
-	mean := 0.0
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(n)
-	num, den := 0.0, 0.0
-	for t := 0; t < n; t++ {
-		d := xs[t] - mean
-		den += d * d
-		if t+k < n {
-			num += d * (xs[t+k] - mean)
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // MeanAbsError returns the mean absolute error between two equal-length

@@ -19,6 +19,33 @@ func seriesOf(vs ...float64) *Series {
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// cdfPoint is one point of an empirical cumulative distribution.
+type cdfPoint struct {
+	Value    float64 // sample value
+	Fraction float64 // fraction of samples <= Value, in (0, 1]
+}
+
+// cdf reads the series' sorted cache, the order every percentile is
+// taken from, as its empirical CDF: each distinct value with the
+// fraction of samples at or below it.
+func cdf(s *Series) []cdfPoint {
+	if s.Len() == 0 {
+		return nil
+	}
+	s.ensureSorted()
+	n := len(s.sorted)
+	pts := make([]cdfPoint, 0, n)
+	for i, v := range s.sorted {
+		frac := float64(i+1) / float64(n)
+		if len(pts) > 0 && pts[len(pts)-1].Value == v {
+			pts[len(pts)-1].Fraction = frac
+			continue
+		}
+		pts = append(pts, cdfPoint{Value: v, Fraction: frac})
+	}
+	return pts
+}
+
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
 	if s.Len() != 0 || s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Stddev() != 0 {
@@ -27,7 +54,7 @@ func TestSeriesEmpty(t *testing.T) {
 	if s.Percentile(99) != 0 {
 		t.Fatal("empty percentile should be 0")
 	}
-	if s.CDF() != nil {
+	if cdf(&s) != nil {
 		t.Fatal("empty CDF should be nil")
 	}
 }
@@ -70,7 +97,7 @@ func TestPercentile(t *testing.T) {
 	if got := s.Percentile(100); !almost(got, 10) {
 		t.Fatalf("p100 = %v", got)
 	}
-	if got := s.Median(); !almost(got, 5.5) {
+	if got := s.Percentile(50); !almost(got, 5.5) {
 		t.Fatalf("median = %v", got)
 	}
 	if got := s.Percentile(90); !almost(got, 9.1) {
@@ -108,8 +135,8 @@ func TestStddev(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	s := seriesOf(1, 1, 2, 3)
-	pts := s.CDF()
-	want := []CDFPoint{{1, 0.5}, {2, 0.75}, {3, 1}}
+	pts := cdf(s)
+	want := []cdfPoint{{1, 0.5}, {2, 0.75}, {3, 1}}
 	if len(pts) != len(want) {
 		t.Fatalf("CDF = %v, want %v", pts, want)
 	}
@@ -139,14 +166,8 @@ func TestTimeSeries(t *testing.T) {
 	if ts.Len() != 3 {
 		t.Fatalf("len = %d", ts.Len())
 	}
-	if ts.MaxValue() != 5 {
-		t.Fatalf("max = %v", ts.MaxValue())
-	}
 	if !almost(ts.MeanValue(), 3) {
 		t.Fatalf("mean = %v", ts.MeanValue())
-	}
-	if got := ts.Values(); len(got) != 3 || got[1] != 5 {
-		t.Fatalf("values = %v", got)
 	}
 	if p := ts.At(1); p.T != time.Second || p.V != 5 {
 		t.Fatalf("At(1) = %+v", p)
@@ -166,7 +187,7 @@ func TestTimeSeriesBackwardsPanics(t *testing.T) {
 
 func TestTimeSeriesEmpty(t *testing.T) {
 	var ts TimeSeries
-	if ts.MaxValue() != 0 || ts.MeanValue() != 0 {
+	if ts.Len() != 0 || ts.MeanValue() != 0 {
 		t.Fatal("empty time series should report zeros")
 	}
 }
@@ -198,30 +219,6 @@ func TestMeanErrorLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	MeanAbsError([]float64{1}, []float64{1, 2})
-}
-
-func TestAutoCorrelation(t *testing.T) {
-	// A strictly alternating series has lag-1 autocorrelation near -1
-	// and lag-2 near +1.
-	var alt []float64
-	for i := 0; i < 100; i++ {
-		alt = append(alt, float64(i%2))
-	}
-	if ac := AutoCorrelation(alt, 1); ac > -0.9 {
-		t.Fatalf("alternating lag-1 AC = %v, want ~-1", ac)
-	}
-	if ac := AutoCorrelation(alt, 2); ac < 0.9 {
-		t.Fatalf("alternating lag-2 AC = %v, want ~+1", ac)
-	}
-	// A constant series has zero variance: defined as 0.
-	if ac := AutoCorrelation([]float64{5, 5, 5, 5, 5}, 1); ac != 0 {
-		t.Fatalf("constant AC = %v", ac)
-	}
-	// Degenerate inputs.
-	if AutoCorrelation(nil, 1) != 0 || AutoCorrelation([]float64{1, 2}, 5) != 0 ||
-		AutoCorrelation([]float64{1, 2, 3}, 0) != 0 {
-		t.Fatal("degenerate autocorrelation should be 0")
-	}
 }
 
 // Property: percentiles are monotone in p and bounded by [min, max].
@@ -266,7 +263,7 @@ func TestPropertyCDFMonotone(t *testing.T) {
 			}
 			s.Add(v)
 		}
-		pts := s.CDF()
+		pts := cdf(&s)
 		if s.Len() == 0 {
 			return pts == nil
 		}
@@ -294,7 +291,7 @@ func TestPropertySortedCache(t *testing.T) {
 			s.Add(v)
 			ref = append(ref, v)
 			if i%3 == 0 && s.Len() > 0 {
-				_ = s.Median() // interleave queries to exercise cache invalidation
+				_ = s.Percentile(50) // interleave queries to exercise cache invalidation
 			}
 		}
 		if len(ref) == 0 {
@@ -317,25 +314,6 @@ func TestPercentileNaNPanics(t *testing.T) {
 	seriesOf(1, 2, 3).Percentile(math.NaN())
 }
 
-// Regression: Values hands out the live sample slice and callers sort
-// it in place; the sorted cache must not survive that.
-func TestValuesInvalidatesSortedCache(t *testing.T) {
-	s := seriesOf(5, 1, 9, 3)
-	if got := s.Median(); !almost(got, 4) { // populate the cache
-		t.Fatalf("median = %v, want 4", got)
-	}
-	vs := s.Values()
-	for i := range vs {
-		vs[i] *= 10 // mutate through the alias
-	}
-	if got := s.Max(); !almost(got, 90) {
-		t.Fatalf("Max after external mutation = %v, want 90", got)
-	}
-	if got := s.Median(); !almost(got, 40) {
-		t.Fatalf("Median after external mutation = %v, want 40", got)
-	}
-}
-
 func TestPercentileDuplicatesAtBoundary(t *testing.T) {
 	// All mass at one value: every quantile must return it.
 	s := seriesOf(7, 7, 7, 7)
@@ -346,7 +324,7 @@ func TestPercentileDuplicatesAtBoundary(t *testing.T) {
 	}
 	// A run of duplicates straddling the median rank.
 	s = seriesOf(1, 2, 2, 2, 3)
-	if got := s.Median(); !almost(got, 2) {
+	if got := s.Percentile(50); !almost(got, 2) {
 		t.Fatalf("median = %v, want 2", got)
 	}
 	if got := s.Percentile(100); !almost(got, 3) {
@@ -355,11 +333,11 @@ func TestPercentileDuplicatesAtBoundary(t *testing.T) {
 }
 
 func TestCDFSingleAndDuplicates(t *testing.T) {
-	if pts := seriesOf(4).CDF(); len(pts) != 1 || pts[0].Value != 4 || !almost(pts[0].Fraction, 1) {
+	if pts := cdf(seriesOf(4)); len(pts) != 1 || pts[0].Value != 4 || !almost(pts[0].Fraction, 1) {
 		t.Fatalf("single-sample CDF = %v", pts)
 	}
 	// Equal values collapse to one point carrying the full fraction.
-	pts := seriesOf(2, 2, 2).CDF()
+	pts := cdf(seriesOf(2, 2, 2))
 	if len(pts) != 1 || pts[0].Value != 2 || !almost(pts[0].Fraction, 1) {
 		t.Fatalf("all-duplicates CDF = %v", pts)
 	}

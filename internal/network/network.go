@@ -64,9 +64,6 @@ func (m Mode) String() string {
 	}
 }
 
-// MultiHost reports whether the mode spans hosts (overlay/routing).
-func (m Mode) MultiHost() bool { return m == Overlay || m == Routing }
-
 // Parse maps a config network string to a Mode. "container:<peer>"
 // returns the peer container name. "nat" is accepted as an alias for
 // bridge (the paper's Fig. 9 setup). An empty string means bridge, the

@@ -56,19 +56,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMultiHost(t *testing.T) {
-	for _, m := range []Mode{None, Bridge, Host, Container} {
-		if m.MultiHost() {
-			t.Errorf("%v should be single-host", m)
-		}
-	}
-	for _, m := range []Mode{Overlay, Routing} {
-		if !m.MultiHost() {
-			t.Errorf("%v should be multi-host", m)
-		}
-	}
-}
-
 // Fig. 4(c) single host: bridge and host mode boot close to None,
 // container mode about half of it.
 func TestFig4cSingleHostShape(t *testing.T) {

@@ -65,18 +65,6 @@ func (k Kind) String() string {
 	}
 }
 
-// LinearBuckets returns n upper bounds starting at start, width apart.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		panic("obs: LinearBuckets needs n > 0 and width > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n upper bounds starting at start, growing
 // by factor.
 func ExponentialBuckets(start, factor float64, n int) []float64 {
@@ -338,12 +326,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.s.sumBits.Load())
 }
 
-// BucketCount reports the (non-cumulative) count of bucket i; index
-// len(bounds) is the +Inf bucket.
-func (h *Histogram) BucketCount(i int) uint64 {
-	return h.s.counts[i].Load()
-}
-
 // SetExemplar attaches an exemplar for value v to the bucket v falls
 // in, without recording an observation (the observation was already
 // counted by Observe; the exemplar only names a representative). One
@@ -356,11 +338,6 @@ func (h *Histogram) SetExemplar(v float64, traceID string, at time.Time) {
 	}
 	i := sort.SearchFloat64s(h.f.bounds, v)
 	h.s.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v, TSUnixMs: at.UnixMilli()})
-}
-
-// Exemplar returns bucket i's exemplar, or nil if none was attached.
-func (h *Histogram) Exemplar(i int) *Exemplar {
-	return h.s.exemplars[i].Load()
 }
 
 // Counter registers (or fetches) an unlabeled counter.

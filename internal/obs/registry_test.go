@@ -72,7 +72,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		want[c.bucket]++
 	}
 	for i, w := range want {
-		if got := h.BucketCount(i); got != w {
+		if got := h.s.counts[i].Load(); got != w {
 			t.Errorf("bucket %d count = %d, want %d", i, got, w)
 		}
 	}
@@ -187,10 +187,6 @@ func TestConcurrentAddSnapshot(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(10, 5, 3)
-	if len(lin) != 3 || lin[0] != 10 || lin[1] != 15 || lin[2] != 20 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 	exp := ExponentialBuckets(1, 2, 4)
 	if len(exp) != 4 || exp[3] != 8 {
 		t.Errorf("ExponentialBuckets = %v", exp)
@@ -201,6 +197,5 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("default buckets not increasing at %d: %v", i, def)
 		}
 	}
-	mustPanic(t, "linear n<=0", func() { LinearBuckets(0, 1, 0) })
 	mustPanic(t, "exp factor<=1", func() { ExponentialBuckets(1, 1, 3) })
 }

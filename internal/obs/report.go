@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"hotc/internal/metrics"
 )
@@ -90,21 +89,4 @@ func sortedKeys(m map[string]int) []string {
 		}
 	}
 	return ks
-}
-
-// ObserveInto feeds every successful span's phase durations into
-// per-phase histograms of a registry, so a registry snapshot carries
-// the same breakdown /metrics exposes live.
-func ObserveInto(reg *Registry, spans []Span) {
-	h := reg.HistogramVec("hotc_span_phase_ms",
-		"Per-phase request latency from recorded spans, in milliseconds.",
-		DefaultLatencyBucketsMS(), "phase")
-	for _, s := range spans {
-		if !s.OK() {
-			continue
-		}
-		for _, name := range Phases() {
-			h.With(name).Observe(float64(s.Phase(name)) / float64(time.Millisecond))
-		}
-	}
 }

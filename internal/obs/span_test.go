@@ -187,20 +187,3 @@ func TestSummarizeAndRender(t *testing.T) {
 		}
 	}
 }
-
-func TestObserveInto(t *testing.T) {
-	reg := New()
-	ObserveInto(reg, []Span{sampleSpan(1), {Err: "x"}})
-	snap := reg.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "hotc_span_phase_ms" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	// 6 phases × 1 successful span.
-	var total uint64
-	for _, s := range snap[0].Series {
-		total += s.Count
-	}
-	if total != 6 {
-		t.Fatalf("observed %d phase samples, want 6", total)
-	}
-}

@@ -153,36 +153,30 @@ func (k *KeepAlive) expire(c *container.Container, key string) {
 	})
 }
 
+// warmupPeriod is PeriodicWarmup's ping interval.
+const warmupPeriod = 5 * time.Minute
+
 // PeriodicWarmup layers scheduled warm-up pings on a fixed keep-alive:
 // a pinger per function refreshes idle containers (and boots one if
-// none is live) every period, so the keep-alive window never lapses —
-// at the price of paying for the pings.
+// none is live) every warmupPeriod, so the keep-alive window never
+// lapses — at the price of paying for the pings.
 type PeriodicWarmup struct {
 	*KeepAlive
-	period  time.Duration
-	pings   int
 	stopped []func()
 }
 
-// NewPeriodicWarmup returns the warm-up policy. period is the ping
-// interval; window the keep-alive window (both defaulted when zero).
-func NewPeriodicWarmup(p *pool.Pool, period, window time.Duration) *PeriodicWarmup {
-	if period <= 0 {
-		period = 5 * time.Minute
-	}
-	w := &PeriodicWarmup{KeepAlive: NewFixedKeepAlive(p, window), period: period}
-	w.name = "periodic-warmup(" + period.String() + ")"
+// NewPeriodicWarmup returns the warm-up policy over window, the
+// keep-alive window (defaulted when zero).
+func NewPeriodicWarmup(p *pool.Pool, window time.Duration) *PeriodicWarmup {
+	w := &PeriodicWarmup{KeepAlive: NewFixedKeepAlive(p, window)}
+	w.name = "periodic-warmup(" + warmupPeriod.String() + ")"
 	return w
 }
-
-// Pings reports how many warm-up pings have fired.
-func (w *PeriodicWarmup) Pings() int { return w.pings }
 
 // StartPinger begins periodic warm-up for one function runtime. Call
 // StopPingers to halt all pingers.
 func (w *PeriodicWarmup) StartPinger(spec *container.Spec, app workload.App) {
-	stop := w.sched.Every(w.period, func() {
-		w.pings++
+	stop := w.sched.Every(warmupPeriod, func() {
 		avail := w.pool.Available(spec)
 		if len(avail) == 0 {
 			if live, _ := w.pool.Occupancy(spec); live == 0 {

@@ -150,7 +150,7 @@ func TestFixedKeepAliveDefaultWindow(t *testing.T) {
 
 func TestPeriodicWarmupKeepsWarmForever(t *testing.T) {
 	f := newFixture(t)
-	p := NewPeriodicWarmup(f.pool, 5*time.Minute, 10*time.Minute)
+	p := NewPeriodicWarmup(f.pool, 10*time.Minute)
 	spec := f.spec(t, "python:3.8")
 	app := workload.QRApp(workload.Python)
 
@@ -162,8 +162,9 @@ func TestPeriodicWarmupKeepsWarmForever(t *testing.T) {
 	if f.eng.Live() != 1 {
 		t.Fatalf("live = %d under periodic warmup, want 1", f.eng.Live())
 	}
-	if p.Pings() < 10 {
-		t.Fatalf("pings = %d, want >= 10", p.Pings())
+	// The last ping, at most a period ago, refreshed it.
+	if idle := f.pool.Available(spec); len(idle) != 1 || idle[0].LastUsedAt < f.sched.Now()-warmupPeriod {
+		t.Fatalf("no ping refreshed the idle container in the last %v", warmupPeriod)
 	}
 	if !acquireExecComplete(t, f, p, spec, app) {
 		t.Fatal("request under periodic warmup should reuse")
@@ -177,11 +178,11 @@ func TestPeriodicWarmupKeepsWarmForever(t *testing.T) {
 
 func TestPeriodicWarmupBootsWhenNoneLive(t *testing.T) {
 	f := newFixture(t)
-	p := NewPeriodicWarmup(f.pool, time.Minute, 10*time.Minute)
+	p := NewPeriodicWarmup(f.pool, 10*time.Minute)
 	spec := f.spec(t, "python:3.8")
 	app := workload.QRApp(workload.Python)
 	p.StartPinger(spec, app)
-	f.sched.Sleep(2 * time.Minute)
+	f.sched.Sleep(warmupPeriod + time.Minute)
 	if f.eng.Live() != 1 {
 		t.Fatalf("pinger should boot a container: live = %d", f.eng.Live())
 	}
@@ -225,7 +226,7 @@ func TestNames(t *testing.T) {
 	for _, n := range []string{
 		NewNoReuse(f.eng).Name(),
 		NewFixedKeepAlive(f.pool, time.Minute).Name(),
-		NewPeriodicWarmup(f.pool, time.Minute, time.Minute).Name(),
+		NewPeriodicWarmup(f.pool, time.Minute).Name(),
 		NewHistogram(f.pool).Name(),
 	} {
 		if n == "" || names[n] {

@@ -98,7 +98,7 @@ func TestAcquireLeasesIdleContainerOfOtherKey(t *testing.T) {
 		t.Fatalf("engine Repurposed = %d, want 1", eng.Repurposed)
 	}
 	// The leased container must not remember the lender's warm apps.
-	if c2.WarmFor(workload.QRApp(workload.Python)) {
+	if f.warmFor(c2, workload.QRApp(workload.Python)) {
 		t.Fatal("repurposed container kept the lender's warm state")
 	}
 

@@ -20,7 +20,7 @@ import (
 // sequence of engine and pool operations — including ones callers never
 // issue, such as stopping a container mid-exec — each count must give
 // exactly what the walk gives: the idle overheads bit for bit, Pool.Live
-// and every key's NumAvail to the container.
+// and every key's available count to the container.
 func TestEngineOccupancyMatchesScan(t *testing.T) {
 	check := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
@@ -106,8 +106,8 @@ func TestEngineOccupancyMatchesScan(t *testing.T) {
 						avail++
 					}
 				}
-				if p.NumAvail(k.key) != avail {
-					t.Logf("seed %d, op %d: key %s counts %d available, its list holds %d", seed, op, k.key, p.NumAvail(k.key), avail)
+				if k.avail != avail {
+					t.Logf("seed %d, op %d: key %s counts %d available, its list holds %d", seed, op, k.key, k.avail, avail)
 					return false
 				}
 			}

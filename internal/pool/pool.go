@@ -219,15 +219,6 @@ func (p *Pool) lookup(key config.Key) *keyed {
 // Live reports the number of live containers tracked by the pool.
 func (p *Pool) Live() int { return p.live }
 
-// NumAvail reports how many containers of the given runtime type are
-// available for immediate reuse — the paper's num_avail[key].
-func (p *Pool) NumAvail(key config.Key) int {
-	if k := p.lookup(key); k != nil {
-		return k.avail
-	}
-	return 0
-}
-
 // NumLive reports how many live containers (available or busy) exist
 // for the key.
 func (p *Pool) NumLive(key config.Key) int {
@@ -238,7 +229,7 @@ func (p *Pool) NumLive(key config.Key) int {
 }
 
 // Occupancy reports the spec's live containers and how many of them are
-// available: NumLive and NumAvail through the spec's key handle.
+// available (the paper's num_avail) through the spec's key handle.
 func (p *Pool) Occupancy(spec *container.Spec) (live, avail int) {
 	k := p.entryFor(spec)
 	return len(k.list), k.avail
@@ -403,12 +394,6 @@ func (p *Pool) Lease(c *container.Container, spec *container.Spec, done func(err
 		p.sync(p.entryFor(spec))
 		done(nil)
 	})
-}
-
-// ReleaseUnused returns a reserved-but-unused container to the pool.
-func (p *Pool) ReleaseUnused(c *container.Container) {
-	p.eng.Unreserve(c)
-	p.sync(p.entryOf(c))
 }
 
 // Release implements Algorithm 2: after the request finishes, clean

@@ -62,6 +62,22 @@ func (f *fixture) acquire(t *testing.T, spec *container.Spec) (*container.Contai
 	return ctr, reused
 }
 
+// numAvail is the paper's num_avail[key]: how many of key's containers
+// the pool counts available for immediate reuse.
+func numAvail(p *Pool, key config.Key) int {
+	if k := p.lookup(key); k != nil {
+		return k.avail
+	}
+	return 0
+}
+
+// warmFor reports whether app has initialised in c: its next exec
+// costs the watchdog shim and the warm execution only.
+func (f *fixture) warmFor(c *container.Container, app workload.App) bool {
+	m := f.eng.Model()
+	return f.eng.ExecCost(c, app) == m.WatchdogShimCost()+m.ExecCost(app.Exec)
+}
+
 // execAndRelease runs the app and returns the container to the pool.
 func (f *fixture) execAndRelease(t *testing.T, c *container.Container, app workload.App) {
 	t.Helper()
@@ -180,11 +196,11 @@ func TestReleaseUnused(t *testing.T) {
 	if !reused {
 		t.Fatal("expected hit")
 	}
-	if f.pool.NumAvail(spec.Key()) != 0 {
+	if numAvail(f.pool, spec.Key()) != 0 {
 		t.Fatal("reserved container still counted available")
 	}
-	f.pool.ReleaseUnused(c2)
-	if f.pool.NumAvail(spec.Key()) != 1 {
+	f.eng.Unreserve(c2) // the engine's state change reaches the pool's tally
+	if numAvail(f.pool, spec.Key()) != 1 {
 		t.Fatal("unreserved container should be available again")
 	}
 }
@@ -196,12 +212,12 @@ func TestNumAvailTracksStates(t *testing.T) {
 	key := spec.Key()
 
 	c, _ := f.acquire(t, spec)
-	if f.pool.NumAvail(key) != 0 {
+	if numAvail(f.pool, key) != 0 {
 		t.Fatal("freshly acquired container should be reserved")
 	}
 	f.execAndRelease(t, c, app)
-	if f.pool.NumAvail(key) != 1 {
-		t.Fatalf("NumAvail = %d after release", f.pool.NumAvail(key))
+	if numAvail(f.pool, key) != 1 {
+		t.Fatalf("NumAvail = %d after release", numAvail(f.pool, key))
 	}
 }
 
@@ -280,8 +296,8 @@ func TestPrewarm(t *testing.T) {
 	if doneCount != 3 {
 		t.Fatalf("prewarm completions = %d", doneCount)
 	}
-	if f.pool.NumAvail(spec.Key()) != 3 {
-		t.Fatalf("NumAvail = %d", f.pool.NumAvail(spec.Key()))
+	if numAvail(f.pool, spec.Key()) != 3 {
+		t.Fatalf("NumAvail = %d", numAvail(f.pool, spec.Key()))
 	}
 	if f.pool.Stats().Prewarmed != 3 {
 		t.Fatalf("Prewarmed = %d", f.pool.Stats().Prewarmed)
@@ -291,7 +307,7 @@ func TestPrewarm(t *testing.T) {
 	if !reused {
 		t.Fatal("prewarmed container not reused")
 	}
-	if !c.WarmFor(app) {
+	if !f.warmFor(c, app) {
 		t.Fatal("prewarmed container not warm")
 	}
 }
@@ -560,7 +576,7 @@ func TestPropertyPoolInvariants(t *testing.T) {
 						avail++
 					}
 				}
-				if fix.pool.NumAvail(key) != avail {
+				if numAvail(fix.pool, key) != avail {
 					return false
 				}
 			}

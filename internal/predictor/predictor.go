@@ -173,22 +173,6 @@ func (m *Markov) midpoint(i int) float64 {
 	return m.min + (float64(i)+0.5)*width
 }
 
-// TransitionMatrix estimates the k-step transition probability matrix
-// P(k) from the observation history: P_ij(k) = T_ij(k)/T_i, where T_i
-// counts visits to state R_i with a successor k steps later and
-// T_ij(k) counts transitions R_i -> R_j after k steps (Eq. 2). Rows
-// with no data are uniform.
-func (m *Markov) TransitionMatrix(k int) [][]float64 {
-	if k < 1 {
-		panic(fmt.Sprintf("predictor: transition step k=%d must be >= 1", k))
-	}
-	p := make([][]float64, m.States)
-	for i := range p {
-		p[i] = append([]float64(nil), m.transitionRow(i, k)...)
-	}
-	return p
-}
-
 // transitionRow estimates row cur of P(k) — the only row a forecast
 // reads — into a scratch slice that the next call overwrites.
 func (m *Markov) transitionRow(cur, k int) []float64 {
@@ -249,25 +233,6 @@ func argmaxFrom(row []float64, seed int) int {
 		}
 	}
 	return best
-}
-
-// PredictExpected forecasts the next value as the probability-weighted
-// average of region-state midpoints under the 1-step transition matrix
-// (the expectation rather than the maximum-likelihood state). The
-// Combined predictor uses this smoother form for its error correction.
-func (m *Markov) PredictExpected() float64 {
-	n := len(m.obs)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 || m.max <= m.min {
-		return m.obs[n-1]
-	}
-	sum := 0.0
-	for j, pj := range m.transitionRow(m.stateOf(m.obs[n-1]), 1) {
-		sum += pj * m.midpoint(j)
-	}
-	return sum
 }
 
 // Combined is HotC's predictor (§IV.C.3): exponential smoothing fits

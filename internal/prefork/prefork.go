@@ -87,9 +87,6 @@ func (w *Watchdog) Specialize(h http.Handler) {
 // *http.MaxBytesError.
 func (w *Watchdog) LimitBodies(n int64) { w.srv.LimitBodies(n) }
 
-// Specialized reports whether a handler is installed.
-func (w *Watchdog) Specialized() bool { return w.handler.Load() != nil }
-
 // Addr is the watchdog's host:port.
 func (w *Watchdog) Addr() string { return w.addr }
 

@@ -38,13 +38,13 @@ func TestWatchdogRefusesUntilSpecialized(t *testing.T) {
 	if code, _ := get(t, w.Addr()); code != http.StatusServiceUnavailable {
 		t.Fatalf("unspecialized watchdog answered %d, want 503", code)
 	}
-	if w.Specialized() {
+	if w.handler.Load() != nil {
 		t.Fatal("watchdog claims specialized before Specialize")
 	}
 	w.Specialize(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		io.WriteString(rw, "specialized")
 	}))
-	if !w.Specialized() {
+	if w.handler.Load() == nil {
 		t.Fatal("watchdog not specialized after Specialize")
 	}
 	if code, body := get(t, w.Addr()); code != http.StatusOK || !strings.Contains(body, "specialized") {

@@ -57,19 +57,6 @@ func (s *Source) Norm(mean, stddev float64) float64 {
 	return mean + stddev*s.r.NormFloat64()
 }
 
-// NormClamped is Norm truncated to [lo, hi]. It is used for latency
-// jitter, where a negative sample would be physically meaningless.
-func (s *Source) NormClamped(mean, stddev, lo, hi float64) float64 {
-	v := s.Norm(mean, stddev)
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Exp returns an exponentially distributed value with the given mean
 // (i.e. rate 1/mean). Used for Poisson inter-arrival times.
 func (s *Source) Exp(mean float64) float64 {

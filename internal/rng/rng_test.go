@@ -70,16 +70,6 @@ func TestRepeatedSplitSameNameDiffers(t *testing.T) {
 	}
 }
 
-func TestNormClamped(t *testing.T) {
-	s := New(3)
-	for i := 0; i < 1000; i++ {
-		v := s.NormClamped(10, 100, 0, 20)
-		if v < 0 || v > 20 {
-			t.Fatalf("NormClamped escaped bounds: %v", v)
-		}
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	s := New(11)
 	const n = 200000
@@ -187,17 +177,13 @@ func TestZipfLowSkewClamped(t *testing.T) {
 	}
 }
 
-// Property: Exp and NormClamped never produce values outside their
-// documented ranges.
+// Property: Exp never produces a negative value.
 func TestPropertyRanges(t *testing.T) {
 	f := func(seed int64, mean uint8) bool {
 		s := New(seed)
 		m := float64(mean%50) + 0.1
 		for i := 0; i < 100; i++ {
 			if s.Exp(m) < 0 {
-				return false
-			}
-			if v := s.NormClamped(m, m, 0, 2*m); v < 0 || v > 2*m {
 				return false
 			}
 		}

@@ -500,6 +500,7 @@ func (rt *Router) StartOn(addr string) (string, error) {
 		return "", err
 	}
 	rt.srv = &hop.Server{Handler: rt.Routes(), Front: true}
+	rt.srv.OnRefusal(kernel.WireRefusals(rt.reg, "router"))
 	rt.wg.Add(2)
 	go func() {
 		defer rt.wg.Done()

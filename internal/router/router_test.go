@@ -428,13 +428,21 @@ func TestDeadlineShedIsNotSpilled(t *testing.T) {
 
 // The router's /metrics passes the strict exposition parser and holds
 // every family the router registers, each named here, after one routed
-// request and one poll.
+// request, one poll and one refused head, which its front door counts
+// once under its reason.
 func TestRouterMetricsExposition(t *testing.T) {
 	_, n1 := startNode(t, live.PoolConfig{})
 	rt, base := startRouter(t, Config{Nodes: []string{n1}})
 	deployVia(t, base, "fn", "sleep", 0)
 	io.Copy(io.Discard, invoke(t, base, "fn", "1").Body)
 	rt.PollOnce()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(conn, "GET / HTTP/1.1\r\n\r\n") // no Host: refused
+	io.ReadAll(conn)                               // counted before the reply is written
+	conn.Close()
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -449,10 +457,14 @@ func TestRouterMetricsExposition(t *testing.T) {
 		"hotc_router_requests_total", "hotc_router_request_duration_ms", "hotc_router_spill_attempts_total",
 		"hotc_router_node_healthy", "hotc_router_node_warm_instances", "hotc_router_poll_failures_total",
 		"hotc_router_nodes", "hotc_router_drain_rejections_total", "hotc_router_membership_changes_total",
+		"hotc_wire_refusals_total",
 	}
 	var registered []string
 	for _, f := range rt.reg.Snapshot() {
 		registered = append(registered, f.Name)
+		if f.Name == "hotc_wire_refusals_total" && (len(f.Series) != 1 || !slices.Equal(f.Series[0].LabelValues, []string{"router", "host"}) || f.Series[0].Value != 1) {
+			t.Errorf("refusals booked %+v, want one under router/host", f.Series)
+		}
 	}
 	sorted := slices.Clone(want)
 	slices.Sort(sorted)

@@ -132,9 +132,6 @@ func (c *Classifier) Role() Role { return c.role }
 // demand): positive means over-forecasted.
 func (c *Classifier) ForecastError() float64 { return c.errEWMA }
 
-// Ticks returns how many control intervals have been observed.
-func (c *Classifier) Ticks() int { return c.ticks }
-
 // PolicyMode selects the compatibility rule between lender and renter.
 type PolicyMode int
 

@@ -37,13 +37,9 @@ type event struct {
 // its event has fired or been reaped it acts on nothing, even after the
 // scheduler has reused the event's slot. The zero Event is inert.
 type Event struct {
-	ev   *event
-	gen  uint64
-	when Time
+	ev  *event
+	gen uint64
 }
-
-// When reports the virtual deadline the event was scheduled for.
-func (e Event) When() Time { return e.when }
 
 // Cancel prevents a pending event from firing. Canceling an event that
 // already fired (or was already canceled) is a no-op. Cancel reports
@@ -155,9 +151,6 @@ func New() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Fired reports how many events have executed so far.
-func (s *Scheduler) Fired() uint64 { return s.fired }
-
 // SetEventLimit installs a safety valve: Run and RunUntil return
 // ErrEventLimit once more than n events have fired. n == 0 removes the
 // limit.
@@ -179,7 +172,7 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 	}
 	s.seq++
 	ev := s.schedule(t, s.seq, fn)
-	return Event{ev: ev, gen: ev.gen, when: t}
+	return Event{ev: ev, gen: ev.gen}
 }
 
 // AtEach schedules fn(i) at whens[i] for every i, as len(whens) calls
@@ -257,10 +250,6 @@ func (s *Scheduler) Every(interval time.Duration, fn func()) (stop func()) {
 		pending.Cancel()
 	}
 }
-
-// Pending reports the number of events waiting to fire (including
-// canceled events not yet reaped).
-func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Step executes the single next event, advancing virtual time to its
 // deadline. It reports whether an event was executed (false when the

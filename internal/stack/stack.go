@@ -154,7 +154,7 @@ func New(o Options) (*Stack, error) {
 		s.Provider = policy.NewFixedKeepAlive(s.Pool, o.KeepAliveWindow)
 	case Warmup:
 		s.Pool = pool.New(s.Engine, o.Core.Pool)
-		s.Provider = policy.NewPeriodicWarmup(s.Pool, 0, o.KeepAliveWindow)
+		s.Provider = policy.NewPeriodicWarmup(s.Pool, o.KeepAliveWindow)
 	case Histogram:
 		s.Pool = pool.New(s.Engine, o.Core.Pool)
 		s.Provider = policy.NewHistogram(s.Pool)

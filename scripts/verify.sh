@@ -81,6 +81,21 @@ stop_daemons() {
 	PIDS=""
 }
 trap 'stop_daemons; rm -rf "$WORK"' EXIT
+# expect_refused <base> <role>: send the front door at base one request
+# with an Expect it refuses (417, unserved) and check that
+# hotc_wire_refusals_total{role,reason="expect"} reads 1 there.
+expect_refused() {
+	code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$1/function/echo" -d 'x' -H 'Expect: 200-ok')"
+	if [ "$code" != 417 ]; then
+		echo "verify: the $2 answered an unsupported Expect with $code, want 417" >&2
+		exit 1
+	fi
+	curl -sf "$1/metrics" | grep -qx "hotc_wire_refusals_total{role=\"$2\",reason=\"expect\"} 1" || {
+		echo "verify: the $2's /metrics does not count the refused Expect once" >&2
+		curl -sf "$1/metrics" | grep hotc_wire_refusals_total >&2 || true
+		exit 1
+	}
+}
 for c in hotcd hotc-load hotc-trace hotc-router; do
 	go build -o "$WORK/$c" "./cmd/$c"
 done
@@ -91,7 +106,7 @@ echo "== load-generator smoke (2s open loop against a real hotcd)"
 start_daemon "$WORK/hotcd.log" "$WORK/hotcd" -addr 127.0.0.1:0
 "$WORK/hotc-load" -target "$BASE" -rate 50 -duration 2s -assert-min-ok 0.9 -assert-max-5xx 0 \
 	-out "$WORK/smoke.json"
-echo "== prometheus-exposition check (strict parse of a live hotcd /metrics)"
+echo "== prometheus-exposition check (a refused head counted, then a strict parse of a live hotcd /metrics)"
 # On the daemon the load just ran against, drive a traced request so
 # exemplars and the hotc_trace_*/hotc_slo_* families are live, then run
 # the strict exposition parser (hotc-trace metrics) over the actual
@@ -100,6 +115,9 @@ echo "== prometheus-exposition check (strict parse of a live hotcd /metrics)"
 curl -sf -X POST "$BASE/function/echo" -d 'verify' \
 	-H 'traceparent: 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01' >/dev/null
 curl -sf -X POST "$BASE/function/qr" -d 'verify' >/dev/null
+# A head the front door refuses before any handler runs (an Expect it
+# does not support) counts once in hotc_wire_refusals_total.
+expect_refused "$BASE" gateway
 "$WORK/hotc-trace" metrics "$BASE/metrics"
 "$WORK/hotc-trace" spans "$BASE/system/trace" >/dev/null
 stop_daemons
@@ -167,7 +185,7 @@ curl -sf "$BASE/system/stats" | grep -q '"leasesGranted": *1' || {
 }
 echo "   rented boot: ${RENT_MS}ms (full cold is 400ms)"
 stop_daemons
-echo "== router smoke (hotc-router + 2 hotcd: routed request round-trips with trace headers)"
+echo "== router smoke (hotc-router + 2 hotcd: routed request round-trips with trace headers, a refused head is counted, /metrics parses)"
 # Boot a two-node cluster behind the router and drive one traced
 # request through it: the response must come back 200 with the
 # caller's trace ID echoed (one trace crosses router -> node ->
@@ -196,6 +214,8 @@ grep -qi '^x-hotc-node: ' "$WORK/routed-headers" || {
 	cat "$WORK/routed-headers" >&2
 	exit 1
 }
+expect_refused "$BASE" router
+"$WORK/hotc-trace" metrics "$BASE/metrics"
 stop_daemons
 echo "== doc lint (bench estate, cited harness metrics)"
 ./scripts/lint-metrics.sh
