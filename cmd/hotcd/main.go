@@ -34,6 +34,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
+		backend   = flag.String("backend", live.BackendInProcess, "where functions run: in-process (on the front door's goroutine, no watchdog socket) or socket (a loopback watchdog per instance, the paper's gateway→watchdog leg)")
 		keepalive = flag.Duration("keepalive", 5*time.Minute, "stop instances idle longer than this (0 = never)")
 		maxWarm   = flag.Int("max-warm", 8, "max warm instances per function, evicting oldest first (0 = unlimited)")
 		reap      = flag.Duration("reap-interval", time.Second, "janitor scan interval for keep-alive expiry")
@@ -74,6 +75,7 @@ func main() {
 	}
 
 	cfg := live.PoolConfig{
+		Backend:            *backend,
 		IdleTTL:            *keepalive,
 		MaxIdlePerFunction: *maxWarm,
 		ReapInterval:       *reap,
@@ -124,6 +126,7 @@ func main() {
 	}
 	defer d.Stop()
 	fmt.Printf("hotcd listening on %s\n", base)
+	fmt.Printf("backend: %s\n", d.Config().Backend)
 	if *preload {
 		fmt.Printf("preloaded functions: %v (cold start 400ms each)\n", live.Builtins())
 	}

@@ -37,6 +37,7 @@ func TestBadConfigRefused(t *testing.T) {
 		{[]string{"-share", "-share-policy", "bogus"}, "PoolConfig.SharePolicy"},
 		{[]string{"-queue-depth", "-1"}, "PoolConfig.QueueDepth"},
 		{[]string{"-predictor", "bogus"}, "bogus"},
+		{[]string{"-backend", "subprocess"}, "PoolConfig.Backend"},
 	} {
 		out, err := hotcd(append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()
 		var exit *exec.ExitError
@@ -77,7 +78,7 @@ func TestBannerPrintsResolvedConfig(t *testing.T) {
 	cmd.Process.Kill()
 	cmd.Wait()
 	for _, want := range []string{
-		"idle-grace=250ms", "sample=0.01 ", "slow=none", "pool size=4 ", "interval=2s ",
+		"idle-grace=250ms", "sample=0.01 ", "slow=none", "pool size=4 ", "interval=2s ", "backend: in-process\n",
 	} {
 		if !strings.Contains(banner.String(), want) {
 			t.Errorf("banner lacks %q:\n%s", want, banner.String())

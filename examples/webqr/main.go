@@ -1,4 +1,4 @@
-// Web QR over real sockets: a live net/http gateway and watchdog pool
+// Web QR over real sockets: a live HTTP gateway and its warm pool
 // (the paper's Fig. 9 web application), serving an actual URL-to-text
 // "QR" encoding function. The same function is served twice — once by
 // a cold-start-per-request gateway and once by a runtime-reusing
@@ -6,8 +6,9 @@
 // printed.
 //
 // Unlike the other examples this one exercises the real network stack:
-// every request crosses two real TCP connections (client -> gateway,
-// gateway -> watchdog).
+// every request crosses a real TCP connection to the gateway, which runs
+// the function in process (its default backend; the socket backend adds
+// a second connection, gateway -> watchdog).
 //
 // Run with:
 //
@@ -15,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -27,7 +29,7 @@ import (
 
 // qrEncode is a stand-in QR encoder: it renders the URL into a tiny
 // deterministic ASCII matrix (a real deployment would produce a PNG).
-func qrEncode(body []byte) ([]byte, error) {
+func qrEncode(_ context.Context, body []byte) ([]byte, error) {
 	url := strings.TrimSpace(string(body))
 	if url == "" {
 		return nil, fmt.Errorf("empty url")

@@ -133,6 +133,13 @@ var rules = []row{
 		match: either(sel("net/http", "Server", "ReadResponse", "ReadRequest", "MaxBytesReader"), ident("EnableFullDuplex"))},
 	{name: "one codec: one accept loop, in hop.Server", in: legs, match: call("Accept")},
 
+	// One backend seam. A watchdog was started at two sites, a generic's
+	// boot and a full cold boot's, each calling prefork.Start, so a
+	// second backend would have been a second branch at each: a watchdog
+	// comes to exist in a backend's start, which New resolves once.
+	{name: "one backend seam: watchdogs started by the backend's start", in: all, match: sel("hotc/internal/prefork", "Start", "Inline"),
+		allow: sites{L + "watchdog.go socketBackend.start": 1, L + "watchdog.go inlineBackend.start": 1}, exact: true},
+
 	// Wired once. hotc.NewSimulation, bench.NewEnv and every cluster node
 	// are one stack.New: hand-wired copies drifted (cluster nodes never
 	// armed the memory threshold).
@@ -283,7 +290,7 @@ var rules = []row{
 			hotc_slo_burn_rate hotc_slo_bad_fraction hotc_slo_breach hotc_slo_budget hotc_build_info hotc_uptime_seconds
 			hotc_coldpath_boots_total hotc_coldpath_phase_ms hotc_coldpath_generic_idle hotc_coldpath_refills_total
 			hotc_coldpath_generic_reaped_total hotc_coldpath_pull_skipped_mb_total hotc_share_leases_total
-			hotc_share_lenders hotc_share_renters hotc_share_boot_phase_ms hotc_wire_refusals_total`) {
+			hotc_share_lenders hotc_share_renters hotc_share_boot_phase_ms hotc_wire_refusals_total hotc_wire_panics_total`) {
 			if have[name] == nil {
 				bad = append(bad, name+" is registered nowhere")
 			}

@@ -333,6 +333,10 @@ type target struct {
 // is valid only until done returns.
 func (g *Gateway) handle(t target, req trace.Request, slot int, done func(int, *Result)) {
 	if t.d == nil {
+		// Booked as the live gateway books it: function="" is
+		// undeployable, one series for every unknown name.
+		g.obs.Requests.With("", "error").Inc()
+		g.obs.Latency.With("").Observe(0)
 		done(slot, &Result{Request: req, Function: t.name, Err: fmt.Errorf("faas: unknown function %q", t.name)})
 		return
 	}

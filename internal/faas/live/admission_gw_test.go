@@ -21,14 +21,18 @@ import (
 
 // blockingFn is a handler that parks on release after announcing
 // itself on entered, letting tests hold instances busy for exactly as
-// long as they need.
+// long as they need — or until its request's context ends.
 func blockingFn(name string, entered chan struct{}, release chan struct{}) Function {
 	return Function{
 		Name: name,
-		Handler: func(b []byte) ([]byte, error) {
+		Handler: func(ctx context.Context, b []byte) ([]byte, error) {
 			entered <- struct{}{}
-			<-release
-			return b, nil
+			select {
+			case <-release:
+				return b, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		},
 	}
 }
@@ -205,7 +209,7 @@ func TestQueuedRequestAnsweredAtItsDeadline(t *testing.T) {
 	g := New(PoolConfig{MaxInFlight: 1, QueueDepth: 4})
 	if err := g.Register(Function{
 		Name: "sleep",
-		Handler: func(b []byte) ([]byte, error) {
+		Handler: func(_ context.Context, b []byte) ([]byte, error) {
 			time.Sleep(500 * time.Millisecond)
 			return b, nil
 		},
@@ -251,49 +255,60 @@ func TestQueuedRequestAnsweredAtItsDeadline(t *testing.T) {
 // A deadline that expires mid-execution cancels the backend call: the
 // client gets 504, the instance is torn down (its work was abandoned
 // mid-flight), and the breaker is NOT fed — the backend did nothing
-// wrong.
+// wrong. In process the function waits on its request's context, so
+// the 504 comes at the deadline, not at the function's 500 ms.
 func TestDeadlineCancelsInFlightBackend(t *testing.T) {
-	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour}) // hair trigger: one blamed failure opens it
-	if err := g.Register(Function{
-		Name: "slow",
-		Handler: func(b []byte) ([]byte, error) {
-			time.Sleep(500 * time.Millisecond)
-			return b, nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend, BreakerThreshold: 1, BreakerOpenFor: time.Hour}) // hair trigger: one blamed failure opens it
+		if err := g.Register(Function{
+			Name: "slow",
+			Handler: func(ctx context.Context, b []byte) ([]byte, error) {
+				select {
+				case <-time.After(500 * time.Millisecond):
+					return b, nil
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		base, err := g.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
 
-	resp, err := postTenant(base, "slow", "", "x", map[string]string{DeadlineHeader: "50"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired-in-flight status = %d, want 504", resp.StatusCode)
-	}
-	if got := resp.Header.Get(RejectedHeader); got != string(admission.ReasonDeadline) {
-		t.Fatalf("%s = %q, want %q", RejectedHeader, got, admission.ReasonDeadline)
-	}
-	if warm := g.WarmInstances("slow"); warm != 0 {
-		t.Fatalf("abandoned instance re-pooled: warm = %d, want 0", warm)
-	}
+		start := time.Now()
+		resp, err := postTenant(base, "slow", "", "x", map[string]string{DeadlineHeader: "50"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("expired-in-flight status = %d, want 504", resp.StatusCode)
+		}
+		if took := time.Since(start); backend == BackendInProcess && took >= 400*time.Millisecond {
+			t.Fatalf("the 504 took %v: the function's context did not end at the 50 ms deadline", took)
+		}
+		if got := resp.Header.Get(RejectedHeader); got != string(admission.ReasonDeadline) {
+			t.Fatalf("%s = %q, want %q", RejectedHeader, got, admission.ReasonDeadline)
+		}
+		if warm := g.WarmInstances("slow"); warm != 0 {
+			t.Fatalf("abandoned instance re-pooled: warm = %d, want 0", warm)
+		}
 
-	// The breaker must still be closed: a deadline is the client's
-	// choice, not a backend fault. A healthy follow-up proves it.
-	body, _ := post(t, base+"/function/slow", "y")
-	if body != "y" {
-		t.Fatalf("post-cancel invoke = %q", body)
-	}
-	if res := g.ResilienceCounters(); res["proxy.failures"] != 0 || res["breaker.trips"] != 0 {
-		t.Fatalf("client deadline fed the breaker: %v", res)
-	}
+		// The breaker must still be closed: a deadline is the client's
+		// choice, not a backend fault. A healthy follow-up proves it.
+		body, _ := post(t, base+"/function/slow", "y")
+		if body != "y" {
+			t.Fatalf("post-cancel invoke = %q", body)
+		}
+		if res := g.ResilienceCounters(); res["proxy.failures"] != 0 || res["breaker.trips"] != 0 {
+			t.Fatalf("client deadline fed the breaker: %v", res)
+		}
+	})
 }
 
 // Regression for the proxy-context audit: a client that disconnects
@@ -301,10 +316,19 @@ func TestDeadlineCancelsInFlightBackend(t *testing.T) {
 // the instance (never re-pools abandoned work), feeds nothing to the
 // breaker, and the admission slot is released.
 func TestClientDisconnectCancelsBackend(t *testing.T) {
+	onBackends(t, clientDisconnect)
+}
+
+// clientDisconnect is TestClientDisconnectCancelsBackend on backend. In
+// process the function returns as its request's context ends, which the
+// front door ends when it sees the hang-up.
+func clientDisconnect(t *testing.T, backend string) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	defer close(release)
-	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour, MaxInFlight: 4, QueueDepth: 4})
+	var once sync.Once
+	let := func() { once.Do(func() { close(release) }) }
+	defer let()
+	g := New(PoolConfig{Backend: backend, BreakerThreshold: 1, BreakerOpenFor: time.Hour, MaxInFlight: 4, QueueDepth: 4})
 	if err := g.Register(blockingFn("f", entered, release)); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +454,7 @@ func TestAdmissionChurnWithControlLoops(t *testing.T) {
 		names[i] = fmt.Sprintf("f%d", i)
 		if err := g.Register(Function{
 			Name:    names[i],
-			Handler: func(b []byte) ([]byte, error) { return b, nil },
+			Handler: func(_ context.Context, b []byte) ([]byte, error) { return b, nil },
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -24,9 +24,14 @@ import (
 // request canceled mid-boot, prewarms, a cap eviction, a scale-down, a
 // redeploy, a budget reclaim and a keep-alive expiry — balances DESIGN
 // §8's "Books (live)" identities at quiescence, and /system/stats
-// reports exactly what Stats reads.
+// reports exactly what Stats reads — on either backend.
 func TestLiveBooksBalance(t *testing.T) {
+	onBackends(t, liveBooksBalance)
+}
+
+func liveBooksBalance(t *testing.T, backend string) {
 	cfg := testSharing()
+	cfg.Backend = backend
 	cfg.Prefork, cfg.PreforkSize = true, 1
 	cfg.NewPredictor = naiveFactory
 	cfg.IdleTTL, cfg.MaxIdlePerFunction = time.Minute, 2
@@ -35,6 +40,18 @@ func TestLiveBooksBalance(t *testing.T) {
 	defer g.Stop()
 	clk := newFakeClock()
 	g.clock = clk
+	refuse := refuseBoots(g)
+	// failBoot fails the next boot until restored: a socket one at its
+	// dial, its last step; one in process in its first phase.
+	failBoot := func() (restore func()) {
+		if backend == BackendInProcess {
+			refuse.armed.Store(true)
+			return func() {}
+		}
+		dial := g.dial
+		g.dial = func(context.Context, string) (net.Conn, error) { return nil, errors.New("dial refused") }
+		return func() { g.dial = dial }
+	}
 	for _, name := range []string{"a", "b", "c", "n"} {
 		fn := echoFn(name, 0)
 		fn.NoShare = name == "c" || name == "n" // never rent, so they boot below the lease
@@ -53,10 +70,9 @@ func TestLiveBooksBalance(t *testing.T) {
 	serve("a", "cold", http.StatusOK) // no lender, no generic yet
 	serve("a", "", http.StatusOK)     // a warm hit
 	waitIdleGenerics(t, g, 1)
-	dial := g.dial
-	g.dial = func(context.Context, string) (net.Conn, error) { return nil, errors.New("dial refused") }
+	restore := failBoot()
 	serve("n", "", http.StatusBadGateway) // a failing (generic) boot
-	g.dial = dial
+	restore()
 	waitIdleGenerics(t, g, 1)
 	serve("n", "generic", http.StatusOK)
 	serve("b", "rented", http.StatusOK) // leases a's instance
@@ -252,5 +268,55 @@ func TestOneRegistryHostsBothSubstrates(t *testing.T) {
 		if seen[name] != 1 {
 			t.Errorf("%s appears %d times in the shared registry, want once", name, seen[name])
 		}
+	}
+}
+
+// The same requests for a function nobody deployed, sent to a
+// simulation and to a live gateway, are booked alike: each substrate
+// counts every one under hotc_requests_total{function="",outcome="error"},
+// the one series for all unknown names, and the simulator's
+// requests.failed, which sums the error outcomes, counts them too.
+func TestUnknownFunctionBookedAlikeOnBothSubstrates(t *testing.T) {
+	const n = 3
+	st, err := stack.New(stack.Options{PrePull: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	results, err := faas.Run(st.Gateway, make([]trace.Request, n), func(int) string { return "nope" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err == nil {
+			t.Fatal("the simulation served an undeployed function")
+		}
+	}
+	g := New(PoolConfig{})
+	defer g.Stop()
+	base, err := g.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		resp, err := http.Post(base+"/function/nope", "text/plain", strings.NewReader("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("live answered %d, want 404", resp.StatusCode)
+		}
+	}
+	for _, sub := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"simulation", st.Metrics}, {"live", g.reg}} {
+		if got := metricSum(t, sub.reg, "hotc_requests_total", "", "error"); got != n {
+			t.Errorf("%s: hotc_requests_total{function=\"\",outcome=\"error\"} = %v, want %d", sub.name, got, n)
+		}
+	}
+	if got := st.Gateway.ResilienceCounters()[faas.CounterRequestsFailed]; got != n {
+		t.Errorf("simulation requests.failed = %d, want %d", got, n)
 	}
 }

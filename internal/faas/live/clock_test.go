@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -79,7 +80,7 @@ func TestStatsWarmAgesOnTheClock(t *testing.T) {
 // is a bad event in every window until the clock leaves the 1m window,
 // then the 30m one, behind it.
 func TestSLOWindowsSlideOnTheClock(t *testing.T) {
-	fail := Function{Name: "f", Handler: func([]byte) ([]byte, error) { return nil, errors.New("boom") }}
+	fail := Function{Name: "f", Handler: func(context.Context, []byte) ([]byte, error) { return nil, errors.New("boom") }}
 	g, clk, base := startControlled(t, PoolConfig{SLOLatency: time.Second}, fail)
 	if resp := postJSON(t, base+"/function/f", "x"); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want the function's 500", resp.StatusCode)

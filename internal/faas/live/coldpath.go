@@ -41,7 +41,7 @@ type coldPath struct {
 // here — on a refill goroutine, under the gateway's lifetime — instead
 // of on some future request.
 func (g *Gateway) bootGeneric() (*prefork.Watchdog, error) {
-	wd, err := prefork.Start(g.watchdogServeError)
+	wd, err := g.backend.start()
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,9 @@ func (g *Gateway) bootInstance(ctx context.Context, fn Function) (*instance, boo
 }
 
 // bootSource is what a boot starts from: nothing (a full cold boot), a
-// generic pre-forked watchdog, or another function's idle instance.
+// generic pre-forked watchdog, or another function's idle instance. On
+// either backend it holds the same shapes: an in-process watchdog has no
+// socket, and its instance no connection.
 type bootSource struct {
 	generic *prefork.Watchdog
 	lent    *instance
@@ -197,14 +199,12 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 		info.mode, info.runtime, pull = bootGeneric, 0, ph.hasImage
 	default:
 		var err error
-		if wd, err = prefork.Start(g.watchdogServeError); err != nil {
+		if wd, err = g.backend.start(); err != nil {
 			return nil, bootInfo{}, err
 		}
 	}
 	err := g.clock.Sleep(ctx, info.wipe)
 	if err == nil {
-		wd.Specialize(g.watchdogHandler(fn))
-		wd.LimitBodies(g.cfg.MaxBodyBytes)
 		if pull {
 			info.pull, info.skippedMB = g.pullCost(ph)
 		}
@@ -213,7 +213,9 @@ func (g *Gateway) boot(ctx context.Context, fn Function, from bootSource) (*inst
 	var inst *instance
 	if err == nil {
 		g.observeBoot(info)
-		inst, err = g.newInstance(ctx, fn, wd, conn)
+		if conn, err = g.backend.specialize(ctx, wd, fn, conn); err == nil {
+			inst = &instance{fn: fn, wd: wd, hop: conn}
+		}
 	}
 	if err != nil {
 		if conn != nil {

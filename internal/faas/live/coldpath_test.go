@@ -60,45 +60,47 @@ func TestPhaseSplitExplicitPhasesWin(t *testing.T) {
 // The response carries X-Hotc-Reused: false (it IS a cold start from
 // the client's perspective) plus X-Hotc-Boot: generic.
 func TestGenericHandoffFasterThanFullCold(t *testing.T) {
-	g := New(PoolConfig{Prefork: true, PreforkSize: 1})
-	if err := g.Register(echoFn("f", 300*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
-	g.refillPrefork()
-	waitIdleGenerics(t, g, 1)
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend, Prefork: true, PreforkSize: 1})
+		if err := g.Register(echoFn("f", 300*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
+		g.refillPrefork()
+		waitIdleGenerics(t, g, 1)
 
-	start := time.Now()
-	rec := httptest.NewRecorder()
-	g.handle(rec, httptest.NewRequest("POST", "/function/f", strings.NewReader("hi")))
-	elapsed := time.Since(start)
-	if rec.Code != 200 || rec.Body.String() != "echo:hi" {
-		t.Fatalf("status %d body %q", rec.Code, rec.Body)
-	}
-	if got := rec.Header().Get("X-Hotc-Reused"); got != "false" {
-		t.Fatalf("X-Hotc-Reused = %q, want false", got)
-	}
-	if got := rec.Header().Get(BootHeader); got != "generic" {
-		t.Fatalf("%s = %q, want generic", BootHeader, got)
-	}
-	// App init is 45ms of the 300ms ColdStart; anything under 150ms
-	// proves the pull+runtime shares were not paid on this request.
-	if elapsed >= 150*time.Millisecond {
-		t.Fatalf("generic handoff took %v, want well under the 300ms full cold", elapsed)
-	}
-	if st := g.Stats(); st.GenericHandoffs != 1 || st.ColdStarts != 1 {
-		t.Fatalf("stats = %+v, want 1 generic handoff counted as the cold start", st)
-	}
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		g.handle(rec, httptest.NewRequest("POST", "/function/f", strings.NewReader("hi")))
+		elapsed := time.Since(start)
+		if rec.Code != 200 || rec.Body.String() != "echo:hi" {
+			t.Fatalf("status %d body %q", rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Hotc-Reused"); got != "false" {
+			t.Fatalf("X-Hotc-Reused = %q, want false", got)
+		}
+		if got := rec.Header().Get(BootHeader); got != "generic" {
+			t.Fatalf("%s = %q, want generic", BootHeader, got)
+		}
+		// App init is 45ms of the 300ms ColdStart; anything under 150ms
+		// proves the pull+runtime shares were not paid on this request.
+		if elapsed >= 150*time.Millisecond {
+			t.Fatalf("generic handoff took %v, want well under the 300ms full cold", elapsed)
+		}
+		if st := g.Stats(); st.GenericHandoffs != 1 || st.ColdStarts != 1 {
+			t.Fatalf("stats = %+v, want 1 generic handoff counted as the cold start", st)
+		}
 
-	// The warm reuse that follows carries no boot header at all.
-	rec = httptest.NewRecorder()
-	g.handle(rec, httptest.NewRequest("POST", "/function/f", strings.NewReader("x")))
-	if got := rec.Header().Get("X-Hotc-Reused"); got != "true" {
-		t.Fatalf("second request X-Hotc-Reused = %q, want true", got)
-	}
-	if got := rec.Header().Get(BootHeader); got != "" {
-		t.Fatalf("warm response carries %s = %q, want unset", BootHeader, got)
-	}
+		// The warm reuse that follows carries no boot header at all.
+		rec = httptest.NewRecorder()
+		g.handle(rec, httptest.NewRequest("POST", "/function/f", strings.NewReader("x")))
+		if got := rec.Header().Get("X-Hotc-Reused"); got != "true" {
+			t.Fatalf("second request X-Hotc-Reused = %q, want true", got)
+		}
+		if got := rec.Header().Get(BootHeader); got != "" {
+			t.Fatalf("warm response carries %s = %q, want unset", BootHeader, got)
+		}
+	})
 }
 
 // When the pool is empty the request pays the full cold boot — but it
@@ -270,32 +272,34 @@ func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
 // is just a boot nobody is waiting on, and it should be as cheap as
 // any other.
 func TestPrewarmUsesGenericPool(t *testing.T) {
-	g := New(PoolConfig{Prefork: true, PreforkSize: 1})
-	if err := g.Register(echoFn("f", 50*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
-	g.refillPrefork()
-	waitIdleGenerics(t, g, 1)
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend, Prefork: true, PreforkSize: 1})
+		if err := g.Register(echoFn("f", 50*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
+		g.refillPrefork()
+		waitIdleGenerics(t, g, 1)
 
-	s := g.shard("f")
-	g.wg.Add(1) // prewarmOne is normally spawned by controlOnce, which Adds
-	start := time.Now()
-	g.prewarmOne(s, s.fn)
-	elapsed := time.Since(start)
-	if got := g.WarmInstances("f"); got != 1 {
-		t.Fatalf("warm instances after prewarm = %d, want 1", got)
-	}
-	// A generic handoff pays only app init (7.5ms of the 50ms split); a
-	// full cold boot would have paid all 50ms.
-	if elapsed >= 35*time.Millisecond {
-		t.Fatalf("prewarm took %v, want the generic-pool fast path", elapsed)
-	}
-	// The prewarm drained the pool and triggered its refill.
-	waitIdleGenerics(t, g, 1)
-	if st := g.ColdPathStats(); st.RefillBoots < 2 {
-		t.Fatalf("ColdPathStats = %+v, want a second refill boot after the prewarm", st)
-	}
+		s := g.shard("f")
+		g.wg.Add(1) // prewarmOne is normally spawned by controlOnce, which Adds
+		start := time.Now()
+		g.prewarmOne(s, s.fn)
+		elapsed := time.Since(start)
+		if got := g.WarmInstances("f"); got != 1 {
+			t.Fatalf("warm instances after prewarm = %d, want 1", got)
+		}
+		// A generic handoff pays only app init (7.5ms of the 50ms split); a
+		// full cold boot would have paid all 50ms.
+		if elapsed >= 35*time.Millisecond {
+			t.Fatalf("prewarm took %v, want the generic-pool fast path", elapsed)
+		}
+		// The prewarm drained the pool and triggered its refill.
+		waitIdleGenerics(t, g, 1)
+		if st := g.ColdPathStats(); st.RefillBoots < 2 {
+			t.Fatalf("ColdPathStats = %+v, want a second refill boot after the prewarm", st)
+		}
+	})
 }
 
 // A watchdog accept loop dying is no longer silent: the error feeds a
@@ -348,57 +352,60 @@ func TestDaemonDeployWithImage(t *testing.T) {
 // requests over several functions, pool refills, reclaims and stats
 // snapshots.
 func TestColdPathConcurrentChurn(t *testing.T) {
-	g := New(PoolConfig{
-		Prefork: true, PreforkSize: 2, PreforkBoot: time.Millisecond,
-		MemoryBudget: 4 * instanceMemBytes,
-	})
-	names := []string{"a", "b", "c"}
-	images := []string{"python:3.8", "node:10", ""}
-	for i, n := range names {
-		fn := echoFn(n, 2*time.Millisecond)
-		fn.Image = images[i]
-		if err := g.Register(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer g.Stop()
-	g.refillPrefork()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				name := names[(w+i)%len(names)]
-				rec := httptest.NewRecorder()
-				g.handle(rec, httptest.NewRequest("POST", "/function/"+name, strings.NewReader("x")))
-				if rec.Code != 200 {
-					t.Errorf("status %d for %s", rec.Code, name)
-					return
-				}
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{
+			Backend: backend,
+			Prefork: true, PreforkSize: 2, PreforkBoot: time.Millisecond,
+			MemoryBudget: 4 * instanceMemBytes,
+		})
+		names := []string{"a", "b", "c"}
+		images := []string{"python:3.8", "node:10", ""}
+		for i, n := range names {
+			fn := echoFn(n, 2*time.Millisecond)
+			fn.Image = images[i]
+			if err := g.Register(fn); err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 20; i++ {
-			g.reclaimMemoryOnce()
-			g.ColdPathStats()
-			g.Stats()
-			time.Sleep(time.Millisecond)
 		}
-	}()
-	wg.Wait()
-	<-done
-	st := g.Stats()
-	if st.Requests != 8*30 {
-		t.Fatalf("requests = %d, want %d", st.Requests, 8*30)
-	}
-	if cp := g.ColdPathStats(); cp.PullSkippedMB <= 0 {
-		t.Fatalf("ColdPathStats = %+v, want layer-cache hits under churn", cp)
-	}
+		defer g.Stop()
+		g.refillPrefork()
+
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 30; i++ {
+					name := names[(w+i)%len(names)]
+					rec := httptest.NewRecorder()
+					g.handle(rec, httptest.NewRequest("POST", "/function/"+name, strings.NewReader("x")))
+					if rec.Code != 200 {
+						t.Errorf("status %d for %s", rec.Code, name)
+						return
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 20; i++ {
+				g.reclaimMemoryOnce()
+				g.ColdPathStats()
+				g.Stats()
+				time.Sleep(time.Millisecond)
+			}
+		}()
+		wg.Wait()
+		<-done
+		st := g.Stats()
+		if st.Requests != 8*30 {
+			t.Fatalf("requests = %d, want %d", st.Requests, 8*30)
+		}
+		if cp := g.ColdPathStats(); cp.PullSkippedMB <= 0 {
+			t.Fatalf("ColdPathStats = %+v, want layer-cache hits under churn", cp)
+		}
+	})
 }
 
 // Ensure the string form of every boot mode is stable: these are wire

@@ -14,12 +14,29 @@ import (
 	"hotc/internal/sharing"
 )
 
+// The backends PoolConfig.Backend names: where a function runs.
+const (
+	// BackendInProcess runs a function on the front door's own goroutine,
+	// against the client's connection: no watchdog socket, no hop
+	// exchange, no relay. The default. It is not the paper's
+	// architecture: a reused runtime taken to its limit.
+	BackendInProcess = "in-process"
+	// BackendSocket runs each instance's watchdog behind its own loopback
+	// listener, reached over the instance's hop connection: the paper's
+	// gateway→watchdog leg.
+	BackendSocket = "socket"
+)
+
 // PoolConfig is the one and only configuration of the live stack: the
 // CLIs fill it from their flags, New resolves its defaults once, and
 // the gateway keeps the resolved copy for its whole life. The zero
-// value is a working gateway: warm reuse, tracing and the layer cache
-// on; control, breaker, admission, prefork, sharing and SLOs off.
+// value is a working gateway: functions in process, warm reuse, tracing
+// and the layer cache on; control, breaker, admission, prefork, sharing
+// and SLOs off.
 type PoolConfig struct {
+	// Backend is where functions run: BackendInProcess (the default, "")
+	// or BackendSocket.
+	Backend string
 	// IdleTTL stops instances idle longer than this (0 = keep forever)
 	// — the keep-alive enforced by the gateway's janitor.
 	IdleTTL time.Duration
@@ -136,6 +153,9 @@ type PoolConfig struct {
 // means "none" (their "negative = none" inputs resolve to it), so a
 // second pass would turn them back on.
 func (c PoolConfig) withDefaults() PoolConfig {
+	if c.Backend == "" {
+		c.Backend = BackendInProcess
+	}
 	if c.ReapInterval <= 0 {
 		c.ReapInterval = time.Second
 	}
@@ -169,11 +189,16 @@ func zeroDefault[T ~int64 | ~float64](v, def T) T {
 }
 
 // Validate reports the first field New would have to guess about: an
-// unknown share policy, or a negative size, count or duration. The
+// unknown backend or share policy, or a negative size, count or duration. The
 // error names the field. The CLIs call it before New;
 // TraceSampleRate, TraceSlowThreshold and ShareIdleGrace are not
 // checked, negative being their "none".
 func (c PoolConfig) Validate() error {
+	switch c.Backend {
+	case "", BackendInProcess, BackendSocket:
+	default:
+		return fmt.Errorf("live: PoolConfig.Backend: unknown backend %q (want %s or %s)", c.Backend, BackendInProcess, BackendSocket)
+	}
 	if _, err := sharing.ParseMode(c.SharePolicy); err != nil {
 		return fmt.Errorf("live: PoolConfig.SharePolicy: %w", err)
 	}
@@ -209,7 +234,7 @@ func (c PoolConfig) Validate() error {
 }
 
 // New builds a gateway from its one configuration: defaults resolved,
-// share policy parsed, the clock resolved to the wall clock, and the
+// backend and share policy resolved, the clock resolved to the wall clock, and the
 // metrics registry, tracer, SLO monitor, layer cache and generic pool
 // constructed here — nothing about a gateway is configurable afterwards.
 // Register functions (or Deploy them), then Start.
@@ -230,6 +255,7 @@ func New(cfg PoolConfig) *Gateway {
 	g.started = g.clock.Now()
 	g.life, g.endLife = context.WithCancel(context.Background())
 	g.obs = newInstruments(g.reg)
+	g.backend = g.newBackend(cfg.Backend)
 	// Unknown = same-image, the documented fallback.
 	mode, _ := sharing.ParseMode(cfg.SharePolicy)
 	g.sharePolicy = sharing.Policy{Mode: mode}

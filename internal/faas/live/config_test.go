@@ -13,6 +13,7 @@ import (
 // pinned source of truth for every one of them.
 func TestPoolConfigDefaults(t *testing.T) {
 	defaults := PoolConfig{
+		Backend:            BackendInProcess,
 		ReapInterval:       time.Second,
 		ControlInterval:    2 * time.Second,
 		TraceCapacity:      2048,
@@ -25,6 +26,7 @@ func TestPoolConfigDefaults(t *testing.T) {
 	none := defaults
 	none.TraceSampleRate, none.TraceSlowThreshold, none.ShareIdleGrace = 0, 0, 0
 	explicit := PoolConfig{
+		Backend:            BackendSocket,
 		IdleTTL:            time.Minute,
 		MaxIdlePerFunction: 3,
 		ReapInterval:       3 * time.Second,
@@ -61,6 +63,7 @@ func TestPoolConfigValidate(t *testing.T) {
 		t.Fatalf("zero config refused: %v", err)
 	}
 	for field, bad := range map[string]PoolConfig{
+		"Backend":            {Backend: "subprocess"},
 		"SharePolicy":        {SharePolicy: "bogus"},
 		"IdleTTL":            {IdleTTL: -time.Second},
 		"MaxIdlePerFunction": {MaxIdlePerFunction: -1},

@@ -24,7 +24,7 @@ func benchGateway(b *testing.B, workers, fns int) {
 		names[i] = fmt.Sprintf("f%d", i)
 		if err := g.Register(Function{
 			Name:    names[i],
-			Handler: func(body []byte) ([]byte, error) { return body, nil },
+			Handler: func(_ context.Context, body []byte) ([]byte, error) { return body, nil },
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func benchGatewayHotPath(b *testing.B, workers, fns int) {
 		name := fmt.Sprintf("f%d", i)
 		if err := g.Register(Function{
 			Name:    name,
-			Handler: func(body []byte) ([]byte, error) { return body, nil },
+			Handler: func(_ context.Context, body []byte) ([]byte, error) { return body, nil },
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkGatewayStatsUnderLoad(b *testing.B) {
 	g := NewGateway(true)
 	if err := g.Register(Function{
 		Name:    "f",
-		Handler: func(body []byte) ([]byte, error) { return body, nil },
+		Handler: func(_ context.Context, body []byte) ([]byte, error) { return body, nil },
 	}); err != nil {
 		b.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func naiveFactory() predictor.Predictor { return predictor.NewNaive() }
 func TestControllerPrewarmsForecastDemand(t *testing.T) {
 	g, clk, base := startControlled(t,
 		PoolConfig{NewPredictor: naiveFactory, IdleTTL: time.Minute},
-		Function{Name: "f", Handler: func(b []byte) ([]byte, error) {
+		Function{Name: "f", Handler: func(_ context.Context, b []byte) ([]byte, error) {
 			time.Sleep(50 * time.Millisecond)
 			return b, nil
 		}})

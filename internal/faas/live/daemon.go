@@ -39,11 +39,12 @@ func Builtins() []string { return []string{"echo", "qr", "sleep", "upper", "word
 // are streaming: they process the body chunk-wise through pooled
 // buffers and never hold the full payload. qr stays a []byte handler
 // deliberately — it keeps the pooled compat shim exercised on the
-// daemon path. sleep waits on the gateway's clock.
+// daemon path. sleep waits on the gateway's clock, under its request's
+// context.
 func (g *Gateway) builtinFunction(name string) (Function, error) {
 	switch name {
 	case "echo":
-		return Function{Stream: func(r io.Reader, w io.Writer) error {
+		return Function{Stream: func(_ context.Context, r io.Reader, w io.Writer) error {
 			_, err := hop.Copy(w, r)
 			return err
 		}}, nil
@@ -52,7 +53,7 @@ func (g *Gateway) builtinFunction(name string) (Function, error) {
 	case "wordcount":
 		return Function{Stream: wordcountStream}, nil
 	case "qr":
-		return Function{Handler: func(b []byte) ([]byte, error) {
+		return Function{Handler: func(_ context.Context, b []byte) ([]byte, error) {
 			s := strings.TrimSpace(string(b))
 			if s == "" {
 				return nil, fmt.Errorf("empty input")
@@ -65,7 +66,7 @@ func (g *Gateway) builtinFunction(name string) (Function, error) {
 		// its instance for the whole interval, which is what makes
 		// saturation reproducible — throughput is instances/latency,
 		// not CPU-bound.
-		return Function{Handler: func(b []byte) ([]byte, error) {
+		return Function{Handler: func(ctx context.Context, b []byte) ([]byte, error) {
 			ms := 20
 			if s := strings.TrimSpace(string(b)); s != "" {
 				n, err := strconv.Atoi(s)
@@ -74,7 +75,9 @@ func (g *Gateway) builtinFunction(name string) (Function, error) {
 				}
 				ms = n
 			}
-			g.clock.Sleep(context.Background(), time.Duration(ms)*time.Millisecond)
+			if err := g.clock.Sleep(ctx, time.Duration(ms)*time.Millisecond); err != nil {
+				return nil, err
+			}
 			return []byte(fmt.Sprintf("slept %dms", ms)), nil
 		}}, nil
 	default:
@@ -87,7 +90,7 @@ func (g *Gateway) builtinFunction(name string) (Function, error) {
 // allocations; chunks containing multi-byte runes fall back to
 // bytes.ToUpper, with an incomplete trailing rune carried into the
 // next read so no rune is ever split across a chunk boundary.
-func upperStream(r io.Reader, w io.Writer) error {
+func upperStream(_ context.Context, r io.Reader, w io.Writer) error {
 	bp := hop.GetBuf()
 	defer hop.PutBuf(bp)
 	buf := *bp
@@ -183,7 +186,7 @@ func upperASCII(p []byte) {
 // limit is the larger of its buffer's capacity and the max it is
 // given, so the chunk is capped at bufio.MaxScanTokenSize: a word of
 // 64 KiB or more fails whatever hop.BufSize is.
-func wordcountStream(r io.Reader, w io.Writer) error {
+func wordcountStream(_ context.Context, r io.Reader, w io.Writer) error {
 	bp := hop.GetBuf()
 	defer hop.PutBuf(bp)
 	sc := bufio.NewScanner(r)
@@ -331,6 +334,7 @@ func (g *Gateway) routes() *http.ServeMux {
 		writeJSON(w, struct {
 			Version       string                     `json:"version"`
 			GoVersion     string                     `json:"goVersion"`
+			Backend       string                     `json:"backend"`
 			UptimeSeconds float64                    `json:"uptimeSeconds"`
 			Draining      bool                       `json:"draining"`
 			Stats         Stats                      `json:"stats"`
@@ -343,7 +347,7 @@ func (g *Gateway) routes() *http.ServeMux {
 			ColdPath      ColdPathStats              `json:"coldPath"`
 			Sharing       SharingStats               `json:"sharing"`
 			Trace         TraceStats                 `json:"trace"`
-		}{Version, runtime.Version(), g.uptime().Seconds(),
+		}{Version, runtime.Version(), g.cfg.Backend, g.uptime().Seconds(),
 			g.Draining(), g.Stats(), warm, g.Forecasts(),
 			g.ResilienceCounters(), g.WarmAges(g.clock.Now()),
 			g.AdmissionStats(), g.WarmMemory(), g.ColdPathStats(),

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -287,7 +288,7 @@ func TestWarmCapEnforcedContinuously(t *testing.T) {
 	// request is.
 	var inFlight sync.WaitGroup
 	inFlight.Add(4)
-	if err := d.Register(Function{Name: "s", Handler: func(b []byte) ([]byte, error) {
+	if err := d.Register(Function{Name: "s", Handler: func(_ context.Context, b []byte) ([]byte, error) {
 		inFlight.Done()
 		inFlight.Wait()
 		return b, nil

@@ -67,14 +67,18 @@ func drainClose(rc io.ReadCloser) {
 	rc.Close()
 }
 
+// frontLimit reports whether err is the front door's own body limit
+// (*http.MaxBytesError), which a function in process reads straight off
+// the client's body.
+func frontLimit(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
 // isMaxBytesErr reports whether err (possibly wrapped, or flattened to
 // text by a handler) originates from a body limit — the hop codec's, at
 // the gateway's front door or a watchdog — the signal to answer 413
 // instead of blaming the backend.
 func isMaxBytesErr(err error) bool {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return true
-	}
-	return err != nil && strings.Contains(err.Error(), "request body too large")
+	return frontLimit(err) || err != nil && strings.Contains(err.Error(), "request body too large")
 }

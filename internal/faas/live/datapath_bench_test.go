@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -26,6 +27,9 @@ func (d *discardResponseWriter) Header() http.Header {
 }
 
 func (d *discardResponseWriter) Write(p []byte) (int, error) {
+	if d.status == 0 {
+		d.status = http.StatusOK // a write without a status line is a 200, as net/http's
+	}
 	d.n += int64(len(p))
 	return len(p), nil
 }
@@ -42,11 +46,12 @@ func sizeLabel(n int) string {
 }
 
 // benchThroughput drives payloads of the given size through the full
-// gateway data path (handle → watchdog TCP round trip → response copy)
-// against an echo function of the given kind, reporting MB/s and B/op.
-func benchThroughput(b *testing.B, size int, fn Function) {
+// gateway data path on backend (handle → watchdog TCP round trip →
+// response copy on a socket, handle → function call in process) against
+// an echo function of the given kind, reporting MB/s and B/op.
+func benchThroughput(b *testing.B, backend string, size int, fn Function) {
 	b.Helper()
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: backend})
 	if err := g.Register(fn); err != nil {
 		b.Fatal(err)
 	}
@@ -85,17 +90,21 @@ func benchThroughput(b *testing.B, size int, fn Function) {
 // judged on: echo payloads from 1 KiB to 4 MiB through the live
 // gateway, for both handler kinds. bytes_* uses the []byte Handler
 // (through the pooled compat shim); stream_* uses a StreamHandler, so
-// no stage of the pipeline ever buffers the payload.
+// no stage of the pipeline ever buffers the payload. Each runs on both
+// backends, so the socket leg's cost is measured beside the call that
+// replaces it.
 func BenchmarkGatewayThroughput(b *testing.B) {
-	for _, size := range []int{1 << 10, 64 << 10, 1 << 20, 4 << 20} {
-		b.Run("bytes_"+sizeLabel(size), func(b *testing.B) {
-			benchThroughput(b, size, Function{
-				Name:    "f",
-				Handler: func(p []byte) ([]byte, error) { return p, nil },
+	for _, backend := range []string{BackendSocket, BackendInProcess} {
+		for _, size := range []int{1 << 10, 64 << 10, 1 << 20, 4 << 20} {
+			b.Run(backend+"/bytes_"+sizeLabel(size), func(b *testing.B) {
+				benchThroughput(b, backend, size, Function{
+					Name:    "f",
+					Handler: func(_ context.Context, p []byte) ([]byte, error) { return p, nil },
+				})
 			})
-		})
-		b.Run("stream_"+sizeLabel(size), func(b *testing.B) {
-			benchThroughput(b, size, Function{Name: "f", Stream: streamEcho})
-		})
+			b.Run(backend+"/stream_"+sizeLabel(size), func(b *testing.B) {
+				benchThroughput(b, backend, size, Function{Name: "f", Stream: streamEcho})
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,7 +20,7 @@ import (
 
 // streamEcho is the canonical StreamHandler: a pooled pass-through
 // copy, never holding more than one chunk.
-func streamEcho(r io.Reader, w io.Writer) error {
+func streamEcho(_ context.Context, r io.Reader, w io.Writer) error {
 	_, err := hop.Copy(w, r)
 	return err
 }
@@ -40,83 +41,89 @@ func patternedPayload(n int) []byte {
 }
 
 // Eight mebibytes must flow through a StreamHandler byte-for-byte over
-// the real socket path — proving no stage of the pipeline buffers or
-// truncates the payload — and the gateway's own headers must survive
-// the streamed response.
+// the real socket path, and through the front door's own connection in
+// process — proving no stage of the pipeline buffers or truncates the
+// payload — and the gateway's own headers must survive the streamed
+// response.
 func TestStreamLargePayloadRoundTrip(t *testing.T) {
-	g := NewGateway(true)
-	if err := g.Register(Function{Name: "big", Stream: streamEcho}); err != nil {
-		t.Fatal(err)
-	}
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend})
+		if err := g.Register(Function{Name: "big", Stream: streamEcho}); err != nil {
+			t.Fatal(err)
+		}
+		base, err := g.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
 
-	payload := patternedPayload(8 << 20)
-	for i, wantReused := range []string{"false", "true"} {
-		resp, err := http.Post(base+"/function/big", "application/octet-stream", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
+		payload := patternedPayload(8 << 20)
+		for i, wantReused := range []string{"false", "true"} {
+			resp, err := http.Post(base+"/function/big", "application/octet-stream", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("round %d: status %d", i, resp.StatusCode)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("round %d: %d bytes back (want %d), integrity lost", i, len(got), len(payload))
+			}
+			if hv := resp.Header.Get("X-Hotc-Reused"); hv != wantReused {
+				t.Fatalf("round %d: X-Hotc-Reused = %q, want %q", i, hv, wantReused)
+			}
 		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("round %d: status %d", i, resp.StatusCode)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("round %d: %d bytes back (want %d), integrity lost", i, len(got), len(payload))
-		}
-		if hv := resp.Header.Get("X-Hotc-Reused"); hv != wantReused {
-			t.Fatalf("round %d: X-Hotc-Reused = %q, want %q", i, hv, wantReused)
-		}
-	}
+	})
 }
 
 // The pooled compat shim must carry the same 8 MiB for plain []byte
 // handlers, and — because the watchdog declares the response length —
-// the gateway must forward Content-Length instead of chunking.
+// the gateway must forward Content-Length instead of chunking, on
+// either backend.
 func TestBytesLargePayloadForwardsLength(t *testing.T) {
-	g := NewGateway(true)
-	if err := g.Register(Function{
-		Name:    "big",
-		Handler: func(b []byte) ([]byte, error) { return b, nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend})
+		if err := g.Register(Function{
+			Name:    "big",
+			Handler: func(_ context.Context, b []byte) ([]byte, error) { return b, nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		base, err := g.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
 
-	payload := patternedPayload(8 << 20)
-	resp, err := http.Post(base+"/function/big", "application/octet-stream", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if resp.ContentLength != int64(len(payload)) {
-		t.Fatalf("ContentLength = %d, want %d (watchdog length not forwarded)", resp.ContentLength, len(payload))
-	}
-	// The watchdog's sniffed Content-Type must ride along too.
-	if resp.Header.Get("Content-Type") == "" {
-		t.Fatal("watchdog Content-Type dropped")
-	}
-	got, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("%d bytes back (want %d), integrity lost", len(got), len(payload))
-	}
+		payload := patternedPayload(8 << 20)
+		resp, err := http.Post(base+"/function/big", "application/octet-stream", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if resp.ContentLength != int64(len(payload)) {
+			t.Fatalf("ContentLength = %d, want %d (watchdog length not forwarded)", resp.ContentLength, len(payload))
+		}
+		// The watchdog's sniffed Content-Type must ride along too.
+		if resp.Header.Get("Content-Type") == "" {
+			t.Fatal("watchdog Content-Type dropped")
+		}
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%d bytes back (want %d), integrity lost", len(got), len(payload))
+		}
+	})
 }
 
 // -max-body-size regression: a body declaring its oversize is rejected
@@ -126,67 +133,70 @@ func TestBytesLargePayloadForwardsLength(t *testing.T) {
 // body sails through. (A *streaming* handler that has already
 // committed its 200 can only truncate on overflow — HTTP cannot
 // retract a sent status line — so the chunked case pins the buffered
-// kind, where the 413 is deterministic.)
+// kind, where the 413 is deterministic.) In process the front door's
+// own limit trips where the watchdog shim's would; both backends.
 func TestMaxBodySizeRejectsOversize(t *testing.T) {
-	g := New(PoolConfig{MaxBodyBytes: 1 << 10})
-	if err := g.Register(Function{Name: "f", Stream: streamEcho}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Register(Function{
-		Name:    "buf",
-		Handler: func(b []byte) ([]byte, error) { return b, nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend, MaxBodyBytes: 1 << 10})
+		if err := g.Register(Function{Name: "f", Stream: streamEcho}); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Register(Function{
+			Name:    "buf",
+			Handler: func(_ context.Context, b []byte) ([]byte, error) { return b, nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		base, err := g.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
 
-	big := bytes.Repeat([]byte("x"), 4<<10)
+		big := bytes.Repeat([]byte("x"), 4<<10)
 
-	// Declared oversize: Content-Length is known, so the gateway must
-	// answer 413 without booting (or touching) any instance.
-	resp, err := http.Post(base+"/function/f", "text/plain", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("declared oversize: status %d, want 413", resp.StatusCode)
-	}
-	if st := g.Stats(); st.ColdStarts != 0 {
-		t.Fatalf("declared oversize booted %d instances; the early reject must be free", st.ColdStarts)
-	}
+		// Declared oversize: Content-Length is known, so the gateway must
+		// answer 413 without booting (or touching) any instance.
+		resp, err := http.Post(base+"/function/f", "text/plain", bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("declared oversize: status %d, want 413", resp.StatusCode)
+		}
+		if st := g.Stats(); st.ColdStarts != 0 {
+			t.Fatalf("declared oversize booted %d instances; the early reject must be free", st.ColdStarts)
+		}
 
-	// Undeclared oversize: io.MultiReader hides the size, forcing
-	// chunked encoding; MaxBytesReader trips while the watchdog shim
-	// buffers the body, before any status is committed.
-	resp, err = http.Post(base+"/function/buf", "text/plain", io.MultiReader(bytes.NewReader(big)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("chunked oversize: status %d, want 413", resp.StatusCode)
-	}
-	if res := g.ResilienceCounters(); res["proxy.failures"] != 0 {
-		t.Fatalf("the client's oversized body was blamed on the watchdog: %v", res)
-	}
+		// Undeclared oversize: io.MultiReader hides the size, forcing
+		// chunked encoding; MaxBytesReader trips while the watchdog shim
+		// buffers the body, before any status is committed.
+		resp, err = http.Post(base+"/function/buf", "text/plain", io.MultiReader(bytes.NewReader(big)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("chunked oversize: status %d, want 413", resp.StatusCode)
+		}
+		if res := g.ResilienceCounters(); res["proxy.failures"] != 0 {
+			t.Fatalf("the client's oversized body was blamed on the watchdog: %v", res)
+		}
 
-	// An in-bounds request still works.
-	resp, err = http.Post(base+"/function/f", "text/plain", strings.NewReader("ok"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != "ok" {
-		t.Fatalf("in-bounds: %d %q", resp.StatusCode, body)
-	}
+		// An in-bounds request still works.
+		resp, err = http.Post(base+"/function/f", "text/plain", strings.NewReader("ok"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != "ok" {
+			t.Fatalf("in-bounds: %d %q", resp.StatusCode, body)
+		}
+	})
 }
 
 // The daemon plumbs PoolConfig.MaxBodyBytes through to the gateway.
@@ -210,7 +220,7 @@ func TestDaemonMaxBodySize(t *testing.T) {
 func TestUpperStreamRuneBoundaries(t *testing.T) {
 	in := "a" + strings.Repeat("é", hop.BufSize)
 	var out bytes.Buffer
-	if err := upperStream(strings.NewReader(in), &out); err != nil {
+	if err := upperStream(context.Background(), strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)
 	}
 	if want := strings.ToUpper(in); out.String() != want {
@@ -219,7 +229,7 @@ func TestUpperStreamRuneBoundaries(t *testing.T) {
 
 	// One-byte reads force the carry logic on every multi-byte rune.
 	out.Reset()
-	if err := upperStream(iotest.OneByteReader(strings.NewReader("héllo wörld")), &out); err != nil {
+	if err := upperStream(context.Background(), iotest.OneByteReader(strings.NewReader("héllo wörld")), &out); err != nil {
 		t.Fatal(err)
 	}
 	if got := out.String(); got != "HÉLLO WÖRLD" {
@@ -236,7 +246,7 @@ func TestWordcountStream(t *testing.T) {
 		fmt.Fprintf(&in, "word%d ", i)
 	}
 	var out bytes.Buffer
-	if err := wordcountStream(strings.NewReader(in.String()), &out); err != nil {
+	if err := wordcountStream(context.Background(), strings.NewReader(in.String()), &out); err != nil {
 		t.Fatal(err)
 	}
 	if got := out.String(); got != "100000" {
@@ -250,11 +260,11 @@ func TestWordcountStream(t *testing.T) {
 func TestWordcountWordLimit(t *testing.T) {
 	const limit = bufio.MaxScanTokenSize
 	var out bytes.Buffer
-	if err := wordcountStream(strings.NewReader(strings.Repeat("w", limit-1)+" x"), &out); err != nil || out.String() != "2" {
+	if err := wordcountStream(context.Background(), strings.NewReader(strings.Repeat("w", limit-1)+" x"), &out); err != nil || out.String() != "2" {
 		t.Errorf("a %d B word: count %q, err %v; want 2", limit-1, out.String(), err)
 	}
 	out.Reset()
-	if err := wordcountStream(strings.NewReader(strings.Repeat("w", limit)+" x"), &out); err != bufio.ErrTooLong {
+	if err := wordcountStream(context.Background(), strings.NewReader(strings.Repeat("w", limit)+" x"), &out); err != bufio.ErrTooLong {
 		t.Errorf("a %d B word: count %q, err %v; want bufio.ErrTooLong", limit, out.String(), err)
 	}
 }
@@ -313,14 +323,14 @@ func TestBytesShimZeroAlloc(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte("z"), 64<<10)
 	src := bytes.NewReader(payload)
-	handler := Handler(func(b []byte) ([]byte, error) { return b, nil })
+	handler := Handler(func(_ context.Context, b []byte) ([]byte, error) { return b, nil })
 	run := func() {
 		src.Reset(payload)
 		buf := getBodyBuf()
 		if _, err := buf.ReadFrom(src); err != nil {
 			t.Fatal(err)
 		}
-		out, err := handler(buf.Bytes())
+		out, err := handler(context.Background(), buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

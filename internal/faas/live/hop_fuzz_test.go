@@ -114,7 +114,7 @@ func FuzzHopExchange(f *testing.F) {
 		f.Fatal(err)
 	}
 	defer lis.Close()
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	defer g.Stop()
 	conns := trackConns(g)
 

@@ -129,7 +129,7 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 		}
 	}()
 
-	c, err := NewGateway(true).dialHop(context.Background(), addr)
+	c, err := New(PoolConfig{Backend: BackendSocket}).dialHop(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestHopRoundTripAllocBudget(t *testing.T) {
 // went inline or through the body writer; only an unknown-length
 // inbound body is chunked. All three come back intact.
 func TestHopForwardsDeclaredLength(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	fn := Function{Name: "f", Stream: streamEcho}
 	if err := g.Register(fn); err != nil {
 		t.Fatal(err)
@@ -268,7 +268,9 @@ func TestHopLargeFullDuplexBuiltins(t *testing.T) {
 // the renter's first warm hit dial nothing, and the lender's tainted
 // struct is left holding no connection.
 func TestLeaseMovesConnection(t *testing.T) {
-	g := New(testSharing())
+	cfg := testSharing()
+	cfg.Backend = BackendSocket
+	g := New(cfg)
 	conns := trackConns(g)
 	for _, n := range []string{"lender", "renter"} {
 		if err := g.Register(echoFn(n, 0)); err != nil {
@@ -300,6 +302,7 @@ func TestStopClosesEveryHopConnection(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testSharing()
 	cfg.Prefork, cfg.PreforkSize = true, 2
+	cfg.Backend = BackendSocket
 	g := New(cfg)
 	conns := trackConns(g)
 	for _, n := range []string{"lender", "renter", "solo1", "solo2"} {
@@ -345,7 +348,7 @@ func TestStopClosesEveryHopConnection(t *testing.T) {
 // one 502: the instance is discarded, the failure is counted, nothing
 // hangs and nothing is retried on a fresh connection.
 func TestWatchdogDeathBetweenRequests(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	conns := trackConns(g)
 	if err := g.Register(echoFn("f", 0)); err != nil {
 		t.Fatal(err)
@@ -387,7 +390,7 @@ func TestWatchdogDeathBetweenRequests(t *testing.T) {
 func TestNoHiddenCallTimeout(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
-	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour})
+	g := New(PoolConfig{Backend: BackendSocket, BreakerThreshold: 1, BreakerOpenFor: time.Hour})
 	conns := trackConns(g)
 	if err := g.Register(blockingFn("f", entered, release)); err != nil {
 		t.Fatal(err)
@@ -430,9 +433,9 @@ func TestNoHiddenCallTimeout(t *testing.T) {
 // the request still answers 504 (once the discarded watchdog's handler
 // has returned) with the writer gone and the instance discarded.
 func TestDeadlineAbortsBlockedBodyWriter(t *testing.T) {
-	g := New(PoolConfig{BreakerThreshold: 1, BreakerOpenFor: time.Hour})
+	g := New(PoolConfig{Backend: BackendSocket, BreakerThreshold: 1, BreakerOpenFor: time.Hour})
 	conns := trackConns(g)
-	if err := g.Register(Function{Name: "deaf", Stream: func(io.Reader, io.Writer) error {
+	if err := g.Register(Function{Name: "deaf", Stream: func(context.Context, io.Reader, io.Writer) error {
 		time.Sleep(100 * time.Millisecond) // well past the deadline
 		return nil
 	}}); err != nil {
@@ -469,9 +472,9 @@ func TestDeadlineAbortsBlockedBodyWriter(t *testing.T) {
 // the exchange ends at a message boundary, the hop keeps the
 // connection and the next warm hit reuses it without a re-dial.
 func TestEarlyResponseKeepsConnection(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	conns := trackConns(g)
-	if err := g.Register(Function{Name: "terse", Stream: func(_ io.Reader, w io.Writer) error {
+	if err := g.Register(Function{Name: "terse", Stream: func(_ context.Context, _ io.Reader, w io.Writer) error {
 		_, err := io.WriteString(w, "no thanks")
 		return err
 	}}); err != nil {
@@ -542,7 +545,7 @@ func TestHopRefusesReuseAfterSurplus(t *testing.T) {
 			}()
 		}
 	}()
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	c, err := g.dialHop(context.Background(), lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -574,7 +577,7 @@ func TestHopRefusesReuseAfterSurplus(t *testing.T) {
 // completed: the writer gives up, the blocked response read is woken,
 // and the instance is discarded rather than left waiting.
 func TestShortBodyFailsTheExchange(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	if err := g.Register(echoFn("f", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -604,10 +607,10 @@ func TestShortBodyFailsTheExchange(t *testing.T) {
 // BenchmarkHopRoundTrip is the hop alone against a real watchdog: one
 // warm exchange, no handle() around it.
 func BenchmarkHopRoundTrip(b *testing.B) {
-	echo := Function{Name: "f", Handler: func(p []byte) ([]byte, error) { return p, nil }}
+	echo := Function{Name: "f", Handler: func(_ context.Context, p []byte) ([]byte, error) { return p, nil }}
 	for _, size := range []int{64, 64 << 10} {
 		b.Run(strconv.Itoa(size), func(b *testing.B) {
-			inst, _, err := NewGateway(true).bootInstance(context.Background(), echo)
+			inst, _, err := New(PoolConfig{Backend: BackendSocket}).bootInstance(context.Background(), echo)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -666,8 +669,8 @@ func TestStreamAnswerBeforeBodyKeepsInstance(t *testing.T) {
 	var logged lockedLog
 	log.SetOutput(&logged)
 	t.Cleanup(func() { log.SetOutput(os.Stderr) })
-	g := NewGateway(true)
-	if err := g.Register(Function{Name: "early", Stream: func(_ io.Reader, w io.Writer) error {
+	g := New(PoolConfig{Backend: BackendSocket})
+	if err := g.Register(Function{Name: "early", Stream: func(_ context.Context, _ io.Reader, w io.Writer) error {
 		_, err := io.WriteString(w, "early")
 		return err
 	}}); err != nil {

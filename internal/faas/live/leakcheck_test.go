@@ -31,8 +31,13 @@ func TestMain(m *testing.M) {
 // package-wide, so a shard-lifecycle leak is pinned to this test
 // instead of surfacing as an end-of-run failure.
 func TestShardTeardownLeavesNoGoroutines(t *testing.T) {
+	onBackends(t, shardTeardown)
+}
+
+func shardTeardown(t *testing.T, backend string) {
 	before := runtime.NumGoroutine()
 	g := New(PoolConfig{
+		Backend:         backend,
 		NewPredictor:    naiveFactory,
 		ControlInterval: time.Hour, ReapInterval: time.Hour,
 		IdleTTL: time.Minute,

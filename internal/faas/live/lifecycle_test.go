@@ -7,16 +7,53 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hotc/internal/prefork"
 )
 
+// onBackends runs test once per backend, as a subtest named after it:
+// what a test pins through it holds on the socket and in process.
+func onBackends(t *testing.T, test func(t *testing.T, backend string)) {
+	t.Helper()
+	for _, b := range []string{BackendSocket, BackendInProcess} {
+		t.Run(b, func(t *testing.T) { test(t, b) })
+	}
+}
+
+// errBootRefused is what a bootRefused clock's waits fail with.
+var errBootRefused = errors.New("live: boot refused")
+
+// bootRefused is a clock whose next wait on a request's behalf fails
+// once armed: that request's boot fails in its first phase, on either
+// backend — the one way to fail a boot in process. Waits under life, the
+// gateway's own (a generic refill's), are never refused.
+type bootRefused struct {
+	clock
+	life  context.Context
+	armed atomic.Bool
+}
+
+// refuseBoots wraps g's clock, before anything reads it concurrently.
+func refuseBoots(g *Gateway) *bootRefused {
+	c := &bootRefused{clock: g.clock, life: g.life}
+	g.clock = c
+	return c
+}
+
+func (c *bootRefused) Sleep(ctx context.Context, d time.Duration) error {
+	if ctx != c.life && c.armed.CompareAndSwap(true, false) {
+		return errBootRefused
+	}
+	return c.clock.Sleep(ctx, d)
+}
+
 // checkPool asserts the warm-list invariants on every shard: the
 // hotc_live_warm_instances gauge equals the list length, the list is
 // within the warm cap, no tainted instance is idle, every idle instance
-// holds a connection, and — the caller has quiesced its requests —
+// holds a connection on the socket backend and none in process, and — the caller has quiesced its requests —
 // nothing is counted in flight.
 func checkPool(t *testing.T, g *Gateway) {
 	t.Helper()
@@ -32,8 +69,8 @@ func checkPool(t *testing.T, g *Gateway) {
 			if inst.tainted.Load() {
 				t.Errorf("%s: idle[%d] is tainted", s.name, i)
 			}
-			if inst.hop == nil {
-				t.Errorf("%s: idle[%d] holds no connection", s.name, i)
+			if (inst.hop == nil) != (g.cfg.Backend == BackendInProcess) {
+				t.Errorf("%s: idle[%d] holds a connection: %v, want one only on the socket backend", s.name, i, inst.hop != nil)
 			}
 		}
 		if s.ctl.InFlight != 0 {
@@ -64,7 +101,7 @@ func liveWatchdogs() int { return stackCount("hotc/internal/prefork.Start.func1"
 // clock to sleep: which of wipe, pull, runtime init and app init each
 // mode pays, without waiting any of them out.
 func TestBootPhaseTable(t *testing.T) {
-	g := New(PoolConfig{ShareWipe: 3 * time.Millisecond, DisableLayerCache: true})
+	g := New(PoolConfig{Backend: BackendSocket, ShareWipe: 3 * time.Millisecond, DisableLayerCache: true})
 	defer g.Stop()
 	clk := newFakeClock()
 	g.clock = clk
@@ -130,71 +167,73 @@ func TestBootCancellationPerTier(t *testing.T) {
 	const bootTime = 2 * time.Second
 	for _, tier := range []string{"cold", "generic", "rented", "rented mid-wipe"} {
 		t.Run(tier, func(t *testing.T) {
-			before := liveWatchdogs()
-			cfg := PoolConfig{BreakerThreshold: 1}
-			f := echoFn("f", 0)
-			f.AppInit = bootTime // the phase every tier pays
-			switch tier {
-			case "generic":
-				cfg.Prefork, cfg.PreforkSize = true, 1
-			case "rented":
-				cfg.Share, cfg.ShareWipe, cfg.ShareIdleGrace = true, time.Millisecond, -1
-			case "rented mid-wipe":
-				cfg.Share, cfg.ShareWipe, cfg.ShareIdleGrace = true, bootTime, -1
-				f.AppInit = 0
-			}
-			g := New(cfg)
-			defer g.Stop()
-			for _, fn := range []Function{f, echoFn("lender", 0)} {
-				if err := g.Register(fn); err != nil {
-					t.Fatal(err)
+			onBackends(t, func(t *testing.T, backend string) {
+				before := liveWatchdogs()
+				cfg := PoolConfig{Backend: backend, BreakerThreshold: 1}
+				f := echoFn("f", 0)
+				f.AppInit = bootTime // the phase every tier pays
+				switch tier {
+				case "generic":
+					cfg.Prefork, cfg.PreforkSize = true, 1
+				case "rented":
+					cfg.Share, cfg.ShareWipe, cfg.ShareIdleGrace = true, time.Millisecond, -1
+				case "rented mid-wipe":
+					cfg.Share, cfg.ShareWipe, cfg.ShareIdleGrace = true, bootTime, -1
+					f.AppInit = 0
 				}
-			}
-			var lent *instance
-			wantCold := 1
-			if cfg.Prefork {
-				g.refillPrefork()
-				waitIdleGenerics(t, g, 1)
-			}
-			if cfg.Share {
-				postRec(t, g, "lender", "warm")
-				lent = idleInstances(g, "lender")[0]
-				wantCold++ // the lender's own
-			}
+				g := New(cfg)
+				defer g.Stop()
+				for _, fn := range []Function{f, echoFn("lender", 0)} {
+					if err := g.Register(fn); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var lent *instance
+				wantCold := 1
+				if cfg.Prefork {
+					g.refillPrefork()
+					waitIdleGenerics(t, g, 1)
+				}
+				if cfg.Share {
+					postRec(t, g, "lender", "warm")
+					lent = idleInstances(g, "lender")[0]
+					wantCold++ // the lender's own
+				}
 
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			time.AfterFunc(10*time.Millisecond, cancel)
-			req := httptest.NewRequest("POST", "/function/f", strings.NewReader("x")).WithContext(ctx)
-			start := time.Now()
-			g.handle(httptest.NewRecorder(), req)
-			if elapsed := time.Since(start); elapsed >= bootTime/4 {
-				t.Fatalf("abandoned request took %v of a %v boot", elapsed, bootTime)
-			}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				time.AfterFunc(10*time.Millisecond, cancel)
+				req := httptest.NewRequest("POST", "/function/f", strings.NewReader("x")).WithContext(ctx)
+				start := time.Now()
+				g.handle(httptest.NewRecorder(), req)
+				if elapsed := time.Since(start); elapsed >= bootTime/4 {
+					t.Fatalf("abandoned request took %v of a %v boot", elapsed, bootTime)
+				}
 
-			if got := g.WarmInstances("f"); got != 0 {
-				t.Errorf("abandoned boot pooled %d instances", got)
-			}
-			if st := g.Stats(); st.Canceled != 1 || st.ColdStarts != wantCold || st.RentedBoots+st.GenericHandoffs != 0 {
-				t.Errorf("stats = %+v, want the abandoned cold start counted canceled and under no tier", st)
-			}
-			res := g.ResilienceCounters()
-			if res["boot.failures"]+res["breaker.trips"]+res["breaker.rejected"] != 0 {
-				t.Errorf("resilience = %v, want an abandoned boot to feed neither boot.failures nor the breaker", res)
-			}
-			if lent != nil {
-				if g.WarmInstances("lender") != 0 || !lent.tainted.Load() {
-					t.Error("the lent instance went back to its lender")
+				if got := g.WarmInstances("f"); got != 0 {
+					t.Errorf("abandoned boot pooled %d instances", got)
 				}
-				if sh := g.SharingStats(); sh.LeasesGranted != 0 {
-					t.Errorf("LeasesGranted = %d for an abandoned lease", sh.LeasesGranted)
+				if st := g.Stats(); st.Canceled != 1 || st.ColdStarts != wantCold || st.RentedBoots+st.GenericHandoffs != 0 {
+					t.Errorf("stats = %+v, want the abandoned cold start counted canceled and under no tier", st)
 				}
-			}
-			checkPool(t, g)
-			g.Stop()
-			if got := liveWatchdogs(); got != before {
-				t.Errorf("%d watchdogs still running after Stop: the abandoned boot leaked its own", got-before)
-			}
+				res := g.ResilienceCounters()
+				if res["boot.failures"]+res["breaker.trips"]+res["breaker.rejected"] != 0 {
+					t.Errorf("resilience = %v, want an abandoned boot to feed neither boot.failures nor the breaker", res)
+				}
+				if lent != nil {
+					if g.WarmInstances("lender") != 0 || !lent.tainted.Load() {
+						t.Error("the lent instance went back to its lender")
+					}
+					if sh := g.SharingStats(); sh.LeasesGranted != 0 {
+						t.Errorf("LeasesGranted = %d for an abandoned lease", sh.LeasesGranted)
+					}
+				}
+				checkPool(t, g)
+				g.Stop()
+				if got := liveWatchdogs(); got != before {
+					t.Errorf("%d watchdogs still running after Stop: the abandoned boot leaked its own", got-before)
+				}
+			})
 		})
 	}
 }
@@ -202,30 +241,32 @@ func TestBootCancellationPerTier(t *testing.T) {
 // Stop abandons generic refills mid-boot instead of waiting them out,
 // and an abandoned refill is not a prefork boot failure.
 func TestStopDuringGenericRefillDoesNotWait(t *testing.T) {
-	before := liveWatchdogs()
-	g := New(PoolConfig{Prefork: true, PreforkSize: 2, PreforkBoot: 2 * time.Second})
-	g.refillPrefork()
-	if got := g.cold.pool.Booting(); got != 2 {
-		t.Fatalf("booting = %d, want 2 refills in flight", got)
-	}
-	start := time.Now()
-	g.Stop()
-	if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
-		t.Fatalf("Stop took %v: it waited out the 2s generic boots", elapsed)
-	}
-	if got := g.ResilienceCounters()["prefork.boot_failures"]; got != 0 {
-		t.Errorf("prefork.boot_failures = %d for refills Stop abandoned", got)
-	}
-	if got := liveWatchdogs(); got != before {
-		t.Errorf("%d generic watchdogs still running after Stop", got-before)
-	}
+	onBackends(t, func(t *testing.T, backend string) {
+		before := liveWatchdogs()
+		g := New(PoolConfig{Backend: backend, Prefork: true, PreforkSize: 2, PreforkBoot: 2 * time.Second})
+		g.refillPrefork()
+		if got := g.cold.pool.Booting(); got != 2 {
+			t.Fatalf("booting = %d, want 2 refills in flight", got)
+		}
+		start := time.Now()
+		g.Stop()
+		if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
+			t.Fatalf("Stop took %v: it waited out the 2s generic boots", elapsed)
+		}
+		if got := g.ResilienceCounters()["prefork.boot_failures"]; got != 0 {
+			t.Errorf("prefork.boot_failures = %d for refills Stop abandoned", got)
+		}
+		if got := liveWatchdogs(); got != before {
+			t.Errorf("%d generic watchdogs still running after Stop", got-before)
+		}
+	})
 }
 
 // A failed prewarm boot is counted and evented under its own key, so
 // boot.failures — failures a request saw — does not move.
 func TestPrewarmBootFailureIsCounted(t *testing.T) {
 	before := liveWatchdogs()
-	g := New(PoolConfig{NewPredictor: naiveFactory, ControlInterval: time.Hour})
+	g := New(PoolConfig{Backend: BackendSocket, NewPredictor: naiveFactory, ControlInterval: time.Hour})
 	defer g.Stop()
 	g.dial = func(context.Context, string) (net.Conn, error) { return nil, errors.New("dial refused") }
 	if err := g.Register(echoFn("f", 0)); err != nil {
@@ -257,7 +298,7 @@ func TestRedeployStopsInstanceInFlight(t *testing.T) {
 	g := NewGateway(true)
 	defer g.Stop()
 	entered, proceed := make(chan struct{}), make(chan struct{})
-	if err := g.Register(Function{Name: "f", Handler: func([]byte) ([]byte, error) {
+	if err := g.Register(Function{Name: "f", Handler: func(context.Context, []byte) ([]byte, error) {
 		close(entered)
 		<-proceed
 		return []byte("old"), nil

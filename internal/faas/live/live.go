@@ -1,11 +1,13 @@
 // Package live is a real (non-simulated) miniature of the OpenFaaS
-// pipeline the paper instruments: an HTTP gateway that proxies
-// requests to per-function watchdog processes over actual TCP sockets
-// on localhost. Each watchdog is a loopback listener whose connections
+// pipeline the paper instruments: an HTTP gateway whose functions run on
+// one of two backends (PoolConfig.Backend). On the socket backend it
+// proxies requests to per-function watchdogs over actual TCP sockets on
+// localhost: each watchdog is a loopback listener whose connections
 // internal/hop's server half answers with the function handler — the
 // role OpenFaaS's "tiny Golang HTTP server" plays inside the container.
-// The gateway's own clients are answered by the same server in its
-// front-door role.
+// On the in-process backend, the default, the gateway calls the function
+// itself, on the request's own goroutine. The gateway's own clients are
+// answered by the same server in its front-door role.
 //
 // Cold start is modelled by a configurable delay when a new watchdog
 // instance boots (standing in for container creation, runtime init and
@@ -32,7 +34,8 @@
 //
 // handle serves /function/<name> as a pipeline over one request value
 // on its stack frame: drain check → deadline → declared-body cap →
-// breaker → admission → acquire → hop round trip → response copy. Each
+// breaker → admission → acquire → hop round trip → response copy (in
+// process: the function call). Each
 // stage passes the request on or returns an ending (outcome, status,
 // refusal, headers owed, span event, backend blame), and one function,
 // conclude, turns the ending into effects, each exactly once. A stage
@@ -87,14 +90,16 @@ import (
 
 // Handler is the buffered function body: bytes in, bytes out. The
 // watchdog runs it through a pooled-buffer shim, so existing []byte
-// handlers ride the streaming data path unchanged.
-type Handler func(body []byte) ([]byte, error)
+// handlers ride the streaming data path unchanged. ctx is the request's:
+// in process it ends at the request's deadline or when its client
+// leaves, and a function that waits should wait on it (DESIGN §10).
+type Handler func(ctx context.Context, body []byte) ([]byte, error)
 
 // StreamHandler is the streaming function body: consume the request
 // from r, produce the response on w. Handlers that can work chunk-wise
 // never hold the full payload in memory — the watchdog wires both ends
-// straight to the socket.
-type StreamHandler func(r io.Reader, w io.Writer) error
+// straight to the socket. ctx is the request's, as for Handler.
+type StreamHandler func(ctx context.Context, r io.Reader, w io.Writer) error
 
 // Function describes a deployable function.
 type Function struct {
@@ -139,17 +144,18 @@ type Function struct {
 	gen uint64
 }
 
-// instance is one live watchdog bound to a loopback port, running the
-// function handler. The server itself is a prefork.Watchdog: full cold
-// boots and generic-pool handoffs produce the same instance shape, and
-// stop() is deterministic (the accept-loop goroutine has exited when it
-// returns).
+// instance is one live watchdog running the function handler: bound to
+// a loopback port on the socket backend, with no socket in process. The
+// watchdog is a prefork.Watchdog: full cold boots and generic-pool
+// handoffs produce the same instance shape on either backend, and stop()
+// is deterministic (the accept-loop goroutine, if any, has exited when
+// it returns).
 type instance struct {
 	fn Function
 	wd *prefork.Watchdog
 	// hop is the instance's own connection to wd, dialed with the boot
-	// and touched only by whoever holds the instance (package hop). A
-	// sharing lease moves it to the renter's struct.
+	// and touched only by whoever holds the instance (package hop); nil
+	// in process. A sharing lease moves it to the renter's struct.
 	hop *hop.Conn
 	// idleSince is when the instance last returned to the warm pool
 	// (set under the shard lock; read by the janitor).
@@ -162,23 +168,12 @@ type instance struct {
 	tainted atomic.Bool
 }
 
-// newInstance wraps a specialized watchdog as fn's instance; only boot
-// calls it. This is where the hop connection is dialed — once per
-// watchdog, as the last step of the boot. A rented boot passes the
-// lender's connection along instead: same watchdog, nothing to dial.
-func (g *Gateway) newInstance(ctx context.Context, fn Function, wd *prefork.Watchdog, conn *hop.Conn) (*instance, error) {
-	if conn == nil {
-		var err error
-		if conn, err = g.dialHop(ctx, wd.Addr()); err != nil {
-			return nil, fmt.Errorf("live: dial watchdog: %w", err)
-		}
-	}
-	return &instance{fn: fn, wd: wd, hop: conn}, nil
-}
-
-// stop tears the instance down: its connection, then its watchdog.
+// stop tears the instance down: its connection, if it holds one, then
+// its watchdog.
 func (i *instance) stop() {
-	i.hop.Close()
+	if i.hop != nil {
+		i.hop.Close()
+	}
 	i.wd.Stop()
 }
 
@@ -322,6 +317,9 @@ type Gateway struct {
 	// cold is the fast-cold-path state: image catalog, layer cache,
 	// generic pre-forked pool and their counters (see coldpath.go).
 	cold coldPath
+	// backend is where functions run, which New resolved
+	// PoolConfig.Backend to (watchdog.go).
+	backend backend
 
 	// sharePolicy is PoolConfig.SharePolicy, parsed once by New: which
 	// functions may rent each other's instances (see sharing.go).
@@ -429,6 +427,7 @@ func (g *Gateway) StartOn(addr string) (string, error) {
 	g.server = &hop.Server{Handler: g.routes(), Front: true}
 	g.server.LimitBodies(g.cfg.MaxBodyBytes)
 	g.server.OnRefusal(kernel.WireRefusals(g.reg, "gateway"))
+	g.server.OnPanic(kernel.WirePanics(g.reg, "gateway"))
 	go g.server.Serve(lis)
 	g.startCycle()
 	return "http://" + lis.Addr().String(), nil
@@ -637,6 +636,10 @@ type ending struct {
 	// healthy feeds it a success. Neither: the backend was not judged.
 	blame   string
 	healthy bool
+	// cut ends the client's connection once the books are closed: the
+	// status line is out and the reply is not whole, so the client must
+	// see a truncated body, not a short complete one.
+	cut bool
 }
 
 // handle serves /function/<name>: open the request's trace, run it
@@ -681,8 +684,9 @@ func (req *request) done() {
 }
 
 // serve runs the stages in order — drain check, deadline, declared-body
-// cap, breaker, admission, acquire, then proxy's hop round trip and
-// response copy — up to the first ending. Nothing before admit spends
+// cap, breaker, admission, acquire, then the backend's exchange (a hop
+// round trip and response copy, or the function call in process) — up
+// to the first ending. Nothing before admit spends
 // anything on the request.
 func (g *Gateway) serve(req *request) ending {
 	name := req.s.name
@@ -757,7 +761,7 @@ func (g *Gateway) serve(req *request) ending {
 	case bootCold:
 		g.traceEvent(&req.rt, "boot", "full-cold")
 	}
-	return g.proxy(ctx, req, inst, boot.mode)
+	return g.exchange(ctx, req, inst, boot.mode)
 }
 
 // bodyTooLarge ends a request whose body exceeds MaxBodyBytes, declared
@@ -782,11 +786,10 @@ func (g *Gateway) abandoned(req *request, committed bool) ending {
 		event: "canceled", detail: "client disconnect mid-flight"}
 }
 
-// proxy is the hop round trip and the response copy. It owns inst: every
-// path releases it — torn down when the hop made it suspect — before
-// returning, so no instance is held across the accounting.
-func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode bootMode) ending {
-	s, w, r, rt := req.s, req.w, req.r, &req.rt
+// call is the socket backend's exchange: the hop round trip and the
+// response copy.
+func (b *socketBackend) call(ctx context.Context, req *request, inst *instance, mode bootMode) ending {
+	g, s, w, r, rt := b.g, req.s, req.w, req.r, &req.rt
 	// Forward to the watchdog over the instance's own connection,
 	// carrying the trace context so the watchdog returns its span
 	// timestamps. A failed hop makes the instance suspect: tear it down
@@ -823,28 +826,19 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	// streaming function's reply flows while its request body is still
 	// being forwarded. The watchdog's X-Hotc-Span-* timestamps are
 	// consumed above, not forwarded; the gateway's stamps, set first, win.
-	hdr := w.Header()
-	hdr.Set("X-Hotc-Reused", strconv.FormatBool(rt.reused))
-	if !rt.reused {
-		// Cold responses also say which cold path served them; warm
-		// responses skip the extra header (zero-alloc hot path).
-		hdr.Set(BootHeader, mode.String())
-	}
+	stampBoot(w.Header(), rt.reused, mode)
 	n, copyErr := hop.Relay(w, resp, internalRespHeader)
 	if copyErr != nil && (hop.ReadFailed(copyErr) || ctx.Err() != nil) {
 		// The backend read died mid-stream, or the request's context did
-		// (client disconnect / deadline) and poisoned it. The status line
-		// is already committed, so the client sees a truncated body; the
-		// instance is suspect and its connection poisoned — close without
-		// draining and tear it down. When the context died, the watchdog
-		// is blameless: same teardown, no breaker.
+		// (client disconnect / deadline) and poisoned it. The instance is
+		// suspect and its connection poisoned — close without draining
+		// and tear it down. When the context died, the watchdog is
+		// blameless: same teardown, no breaker.
 		inst.hop.Abort()
 		g.release(s, inst, false)
-		if ctx.Err() != nil {
-			return g.abandoned(req, true)
-		}
-		return ending{outcome: "error", status: status,
-			errMsg: "backend read failed mid-stream", blame: "proxy.failures"}
+		return g.failed(ctx, req, ending{outcome: "error", status: http.StatusBadGateway,
+			refusal: "live: backend read failed mid-stream", errMsg: "backend read failed mid-stream",
+			blame: "proxy.failures"}, status)
 	}
 	// The round trip worked (a handler-level error status is the
 	// function's business, not a runtime fault), or only the client's
@@ -864,7 +858,76 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	if copyErr != nil {
 		return g.abandoned(req, true) // the client left mid-relay
 	}
-	if rt.reused {
+	return g.answered(req, status, n)
+}
+
+// call is the in-process backend's exchange: inst's function runs on
+// this goroutine against the client's own w and r (serve) — no hop
+// exchange, no relay, no second goroutine, no socket. Each way out ends
+// as the socket row it stands for: a panic as a hop failure, the front
+// door's body limit as a body that ran over mid-proxy, a client that
+// stopped taking the reply as one gone mid-relay. A function that
+// ignores its context is answered when it returns, not at the deadline.
+func (b *inlineBackend) call(ctx context.Context, req *request, inst *instance, mode bootMode) ending {
+	g, s, w, rt := b.g, req.s, req.w, &req.rt
+	stampBoot(w.Header(), rt.reused, mode)
+	status, err := b.serve(ctx, w, req.r, inst.fn, rt)
+	n, lost := hop.Sent(w)
+	rt.served = err == nil || n > 0
+	var e ending
+	switch {
+	case err == errPanicked:
+		e = ending{outcome: "error", status: http.StatusBadGateway,
+			refusal: err.Error(), errMsg: err.Error(), blame: "proxy.failures"}
+	case err != nil && ctx.Err() != nil:
+	case frontLimit(err):
+		e = bodyTooLarge()
+	default:
+		g.release(s, inst, true)
+		if lost {
+			return g.abandoned(req, true) // the client left mid-reply
+		}
+		return g.answered(req, status, n)
+	}
+	g.release(s, inst, false)
+	return g.failed(ctx, req, e, status)
+}
+
+// failed ends a request whose exchange failed once the function had
+// begun its reply, on either backend: e (or, when ctx ended, abandoned's
+// ending) if no status line went out yet — what the function wrote is
+// taken back, and so are the boot stamps, as a refusal carries none —
+// else status, the one committed, with the connection cut.
+func (g *Gateway) failed(ctx context.Context, req *request, e ending, status int) ending {
+	sent := !hop.Retract(req.w)
+	if !sent {
+		h := req.w.Header()
+		delete(h, "X-Hotc-Reused")
+		delete(h, BootHeader)
+	}
+	if ctx.Err() != nil {
+		e = g.abandoned(req, sent)
+	} else if sent {
+		e.status, e.refusal = status, ""
+	}
+	e.cut = sent
+	return e
+}
+
+// stampBoot sets the reply's X-Hotc-Reused and, on a cold start, which
+// cold path served it; warm replies skip the extra header (zero-alloc
+// hot path).
+func stampBoot(h http.Header, reused bool, mode bootMode) {
+	h.Set("X-Hotc-Reused", strconv.FormatBool(reused))
+	if !reused {
+		h.Set(BootHeader, mode.String())
+	}
+}
+
+// answered ends a request whose function answered with status and n
+// body bytes, on either backend.
+func (g *Gateway) answered(req *request, status int, n int64) ending {
+	if req.rt.reused {
 		g.obs.StartsWarm.Inc()
 	} else {
 		g.obs.StartsCold.Inc()
@@ -876,7 +939,7 @@ func (g *Gateway) proxy(ctx context.Context, req *request, inst *instance, mode 
 	// Per-tenant goodput: completed useful work, the number the
 	// saturation curves are drawn from. It bills the tenant the queue
 	// resolved (a bounded set); with admission off, the function.
-	tenant := s.name
+	tenant := req.s.name
 	if req.ticket != nil {
 		tenant = req.ticket.Tenant()
 	}
@@ -916,4 +979,7 @@ func (g *Gateway) conclude(req *request, e ending) {
 	end := g.clock.Now()
 	req.s.observe(e.outcome, end.Sub(req.rt.start))
 	g.finishRequest(req.s, &req.rt, e.status, e.errMsg, end)
+	if e.cut {
+		panic(http.ErrAbortHandler) // the front door drops the connection
+	}
 }

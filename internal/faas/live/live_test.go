@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +18,7 @@ import (
 func echoFn(name string, cold time.Duration) Function {
 	return Function{
 		Name: name,
-		Handler: func(body []byte) ([]byte, error) {
+		Handler: func(_ context.Context, body []byte) ([]byte, error) {
 			return append([]byte("echo:"), body...), nil
 		},
 		ColdStart: cold,
@@ -142,7 +143,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	g := NewGateway(true)
 	g.Register(Function{
 		Name:    "boom",
-		Handler: func([]byte) ([]byte, error) { return nil, fmt.Errorf("kaput") },
+		Handler: func(context.Context, []byte) ([]byte, error) { return nil, fmt.Errorf("kaput") },
 	})
 	base, err := g.Start()
 	if err != nil {
@@ -176,7 +177,7 @@ func TestConcurrentRequestsGetDistinctInstances(t *testing.T) {
 	inFlight, maxInFlight := 0, 0
 	g.Register(Function{
 		Name: "slow",
-		Handler: func(b []byte) ([]byte, error) {
+		Handler: func(_ context.Context, b []byte) ([]byte, error) {
 			mu.Lock()
 			inFlight++
 			if inFlight > maxInFlight {
@@ -227,70 +228,72 @@ func TestConcurrentRequestsGetDistinctInstances(t *testing.T) {
 // outlasts Stop's 1s grace for running handlers so release() runs
 // strictly after Stop returned.
 func TestReleaseAfterStopTearsDownInstance(t *testing.T) {
-	g := NewGateway(true)
-	g.Register(Function{
-		Name: "slow",
-		Handler: func(b []byte) ([]byte, error) {
-			time.Sleep(1300 * time.Millisecond)
-			return b, nil
-		},
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend})
+		g.Register(Function{
+			Name: "slow",
+			Handler: func(_ context.Context, b []byte) ([]byte, error) {
+				time.Sleep(1300 * time.Millisecond)
+				return b, nil
+			},
+		})
+		base, err := g.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		before := runtime.NumGoroutine()
+
+		// Boot one instance and let it return to the pool, then capture its
+		// watchdog address.
+		reqDone := make(chan struct{})
+		go func() {
+			defer close(reqDone)
+			resp, err := http.Post(base+"/function/slow", "text/plain", strings.NewReader("x"))
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+		// Wait until the request holds the (only) instance in flight.
+		deadline := time.Now().Add(2 * time.Second)
+		for g.Stats().Requests == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("request never started")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		time.Sleep(100 * time.Millisecond) // instance booted, handler sleeping
+
+		g.Stop() // returns after ~1s grace, before the handler finishes
+		<-reqDone
+
+		// The late release must not have resurrected the instance.
+		waitDeadline := time.Now().Add(3 * time.Second)
+		for g.WarmInstances("slow") != 0 {
+			if time.Now().After(waitDeadline) {
+				t.Fatalf("late release re-pooled an instance into a stopped gateway: warm = %d",
+					g.WarmInstances("slow"))
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+
+		// And its watchdog goroutines must be gone: the goroutine count
+		// returns to (about) the pre-test baseline.
+		if tr, ok := http.DefaultTransport.(*http.Transport); ok {
+			tr.CloseIdleConnections()
+		}
+		for {
+			if n := runtime.NumGoroutine(); n <= before+1 {
+				break
+			}
+			if time.Now().After(waitDeadline) {
+				t.Fatalf("goroutines leaked: %d before, %d after stop+release",
+					before, runtime.NumGoroutine())
+			}
+			time.Sleep(25 * time.Millisecond)
+		}
 	})
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := runtime.NumGoroutine()
-
-	// Boot one instance and let it return to the pool, then capture its
-	// watchdog address.
-	reqDone := make(chan struct{})
-	go func() {
-		defer close(reqDone)
-		resp, err := http.Post(base+"/function/slow", "text/plain", strings.NewReader("x"))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
-	// Wait until the request holds the (only) instance in flight.
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Stats().Requests == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(100 * time.Millisecond) // instance booted, handler sleeping
-
-	g.Stop() // returns after ~1s grace, before the handler finishes
-	<-reqDone
-
-	// The late release must not have resurrected the instance.
-	waitDeadline := time.Now().Add(3 * time.Second)
-	for g.WarmInstances("slow") != 0 {
-		if time.Now().After(waitDeadline) {
-			t.Fatalf("late release re-pooled an instance into a stopped gateway: warm = %d",
-				g.WarmInstances("slow"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// And its watchdog goroutines must be gone: the goroutine count
-	// returns to (about) the pre-test baseline.
-	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
-		tr.CloseIdleConnections()
-	}
-	for {
-		if n := runtime.NumGoroutine(); n <= before+1 {
-			break
-		}
-		if time.Now().After(waitDeadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after stop+release",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
 }
 
 // Regression: Stop must not hold the gateway lock while shutting
@@ -299,10 +302,10 @@ func TestReleaseAfterStopTearsDownInstance(t *testing.T) {
 // Three pinned instances must shut down concurrently (~1s), not
 // serially (~3s).
 func TestStopShutsPinnedInstancesConcurrently(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	g.Register(Function{
 		Name: "slow",
-		Handler: func(b []byte) ([]byte, error) {
+		Handler: func(_ context.Context, b []byte) ([]byte, error) {
 			time.Sleep(50 * time.Millisecond)
 			return b, nil
 		},
@@ -363,34 +366,36 @@ func TestStopShutsPinnedInstancesConcurrently(t *testing.T) {
 // and friends. The watchdog's error path sets X-Content-Type-Options,
 // which the gateway cannot re-derive from the body.
 func TestGatewayForwardsWatchdogHeaders(t *testing.T) {
-	g := NewGateway(true)
-	g.Register(Function{
-		Name:    "boom",
-		Handler: func([]byte) ([]byte, error) { return nil, fmt.Errorf("kaput") },
-	})
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend})
+		g.Register(Function{
+			Name:    "boom",
+			Handler: func(context.Context, []byte) ([]byte, error) { return nil, fmt.Errorf("kaput") },
+		})
+		base, err := g.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
 
-	resp, err := http.Post(base+"/function/boom", "text/plain", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Content-Type-Options"); got != "nosniff" {
-		t.Fatalf("X-Content-Type-Options = %q: watchdog headers dropped", got)
-	}
-	if got := resp.Header.Get("Content-Type"); !strings.HasPrefix(got, "text/plain") {
-		t.Fatalf("Content-Type = %q, want the watchdog's text/plain", got)
-	}
-	if resp.Header.Get("X-Hotc-Reused") == "" {
-		t.Fatal("gateway's own header missing")
-	}
+		resp, err := http.Post(base+"/function/boom", "text/plain", strings.NewReader("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("status = %d, want 500", resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Content-Type-Options"); got != "nosniff" {
+			t.Fatalf("X-Content-Type-Options = %q: watchdog headers dropped", got)
+		}
+		if got := resp.Header.Get("Content-Type"); !strings.HasPrefix(got, "text/plain") {
+			t.Fatalf("Content-Type = %q, want the watchdog's text/plain", got)
+		}
+		if resp.Header.Get("X-Hotc-Reused") == "" {
+			t.Fatal("gateway's own header missing")
+		}
+	})
 }
 
 // What a client sees of a watchdog's reply through the gateway, pinned
@@ -399,15 +404,19 @@ func TestGatewayForwardsWatchdogHeaders(t *testing.T) {
 // watchdog's codec sniffs nothing), the Content-Length, http.Error's
 // X-Content-Type-Options and the gateway's X-Hotc-* headers, for a
 // bytes reply, a short and a long stream reply, a 413 and a 500, cold
-// and then warm.
+// and then warm, on either backend.
 func TestWatchdogReplyHeadersUnchanged(t *testing.T) {
-	g := NewGateway(true)
+	onBackends(t, func(t *testing.T, backend string) { watchdogReplyHeaders(t, backend) })
+}
+
+func watchdogReplyHeaders(t *testing.T, backend string) {
+	g := New(PoolConfig{Backend: backend})
 	for _, fn := range []Function{
 		echoFn("bytes", 0),
-		{Name: "stream", Stream: func(r io.Reader, w io.Writer) error { _, err := io.Copy(w, r); return err }},
-		{Name: "long", Stream: func(r io.Reader, w io.Writer) error { _, err := io.Copy(w, r); return err }},
-		{Name: "toolarge", Stream: func(io.Reader, io.Writer) error { return errors.New("http: request body too large") }},
-		{Name: "boom", Handler: func([]byte) ([]byte, error) { return nil, errors.New("kaput") }},
+		{Name: "stream", Stream: func(_ context.Context, r io.Reader, w io.Writer) error { _, err := io.Copy(w, r); return err }},
+		{Name: "long", Stream: func(_ context.Context, r io.Reader, w io.Writer) error { _, err := io.Copy(w, r); return err }},
+		{Name: "toolarge", Stream: func(context.Context, io.Reader, io.Writer) error { return errors.New("http: request body too large") }},
+		{Name: "boom", Handler: func(context.Context, []byte) ([]byte, error) { return nil, errors.New("kaput") }},
 	} {
 		if err := g.Register(fn); err != nil {
 			t.Fatal(err)

@@ -53,10 +53,10 @@ func simTrail(t *testing.T, tick time.Duration, demands []int) ([]kernel.Decisio
 // liveTrail drives the same demands through a live gateway: real
 // watchdogs with zero-cost boots, the fake clock for time, acquire and
 // release called directly so an interval's requests overlap exactly.
-func liveTrail(t *testing.T, tick, keepAlive time.Duration, demands []int) ([]kernel.Decision, []int) {
+func liveTrail(t *testing.T, backend string, tick, keepAlive time.Duration, demands []int) ([]kernel.Decision, []int) {
 	t.Helper()
 	g, clk, _ := startControlled(t,
-		PoolConfig{NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: keepAlive},
+		PoolConfig{Backend: backend, NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: keepAlive},
 		echoFn("f", 0))
 	s := g.shard("f")
 	var warm []int
@@ -98,7 +98,7 @@ func liveTrail(t *testing.T, tick, keepAlive time.Duration, demands []int) ([]ke
 // trail — observation, forecasts, every PlanInput field, target, boot
 // and retire — and the same pool, tick by tick: one control step, two
 // substrates. The simulation retains a used runtime for 30 minutes; the
-// live side gets the same window as its keep-alive.
+// live side gets the same window as its keep-alive, on either backend.
 func TestSimLiveControlParity(t *testing.T) {
 	const tick, retain = time.Minute, 30 * time.Minute
 	silence := make([]int, 36) // runs past the retain window
@@ -110,16 +110,18 @@ func TestSimLiveControlParity(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			want, wantWarm := simTrail(t, tick, demands)
-			got, gotWarm := liveTrail(t, tick, retain, demands)
-			if len(got) != len(demands) || len(want) != len(demands) {
-				t.Fatalf("trails of %d (live) and %d (simulation) decisions, want %d", len(got), len(want), len(demands))
-			}
-			for i := range want {
-				if got[i] != want[i] || gotWarm[i] != wantWarm[i] {
-					t.Errorf("interval %d (demand %d):\n live       %d warm, %+v\n simulation %d warm, %+v",
-						i, demands[i], gotWarm[i], got[i], wantWarm[i], want[i])
+			onBackends(t, func(t *testing.T, backend string) {
+				got, gotWarm := liveTrail(t, backend, tick, retain, demands)
+				if len(got) != len(demands) || len(want) != len(demands) {
+					t.Fatalf("trails of %d (live) and %d (simulation) decisions, want %d", len(got), len(want), len(demands))
 				}
-			}
+				for i := range want {
+					if got[i] != want[i] || gotWarm[i] != wantWarm[i] {
+						t.Errorf("interval %d (demand %d):\n live       %d warm, %+v\n simulation %d warm, %+v",
+							i, demands[i], gotWarm[i], got[i], wantWarm[i], want[i])
+					}
+				}
+			})
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptrace"
@@ -13,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -47,7 +49,7 @@ func TestLargeRelayStaysInKernel(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("splice(2) is Linux's")
 	}
-	g := New(PoolConfig{TraceSampleRate: 1})
+	g := New(PoolConfig{Backend: BackendSocket, TraceSampleRate: 1})
 	echo, _ := g.builtinFunction("echo")
 	echo.Name = "echo"
 	if err := g.Register(echo); err != nil {
@@ -123,7 +125,7 @@ func TestFrontPipelinedRequests(t *testing.T) {
 // reads at most 256 KiB of it, then closes the connection rather than
 // read the rest, as net/http's server did.
 func TestFrontDrainsUnreadBodyThenCloses(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	base, err := g.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +193,7 @@ func TestFrontDropsWatchdogHopByHopFields(t *testing.T) {
 			}()
 		}
 	}()
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	// Every instance's connection goes to the scripted watchdog.
 	g.dial = func(ctx context.Context, _ string) (net.Conn, error) {
 		var d net.Dialer
@@ -253,5 +255,141 @@ func TestFrontCountsRefusals(t *testing.T) {
 	}
 	if n := metricSum(t, g.Registry(), "hotc_wire_refusals_total", "gateway", "expect"); n != 1 {
 		t.Fatalf("expect refusals = %v, want 1", n)
+	}
+}
+
+// panicNow is a clock whose next reading, once armed, panics: the
+// gateway's own handler panics where it first reads the time.
+type panicNow struct {
+	clock
+	armed atomic.Bool
+}
+
+func (c *panicNow) Now() time.Time {
+	if c.armed.CompareAndSwap(true, false) {
+		panic("gateway bug")
+	}
+	return c.clock.Now()
+}
+
+// A handler panic counts once in hotc_wire_panics_total, under the role
+// of the server it happened in, on either backend: a function's under
+// its watchdog's — the socket watchdog's server, or the in-process
+// exchange that recovers it — and the gateway's own under its front
+// door's. The other role's series does not move.
+func TestWirePanicsCountOnce(t *testing.T) {
+	onBackends(t, func(t *testing.T, backend string) {
+		for _, role := range []string{"watchdog", "gateway"} {
+			t.Run(role, func(t *testing.T) {
+				g := New(PoolConfig{Backend: backend, ControlInterval: time.Hour, ReapInterval: time.Hour})
+				clk := &panicNow{clock: g.clock}
+				g.clock = clk
+				if err := g.Register(Function{Name: "f", Handler: func(context.Context, []byte) ([]byte, error) { panic("function bug") }}); err != nil {
+					t.Fatal(err)
+				}
+				base, err := g.Start()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer g.Stop()
+				clk.armed.Store(role == "gateway")
+				resp, err := http.Post(base+"/function/f", "text/plain", strings.NewReader("x"))
+				switch {
+				case role == "gateway" && err == nil:
+					resp.Body.Close()
+					t.Fatalf("a panicking gateway answered %d", resp.StatusCode)
+				case role == "watchdog" && err != nil:
+					t.Fatal(err)
+				case role == "watchdog":
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusBadGateway {
+						t.Fatalf("a panicking function was answered %d, want 502", resp.StatusCode)
+					}
+				}
+				for _, r := range []string{"watchdog", "gateway"} {
+					want := 0.0
+					if r == role {
+						want = 1
+					}
+					if got := metricSum(t, g.reg, "hotc_wire_panics_total", r); got != want {
+						t.Errorf("hotc_wire_panics_total{role=%q} = %v, want %v", r, got, want)
+					}
+				}
+			})
+		}
+	})
+}
+
+// syscw reads the process's count of write(2)-family system calls.
+func syscw(t *testing.T) int64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no /proc/self/io: %v", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, _ := strconv.ParseInt(v, 10, 64)
+			return n
+		}
+	}
+	t.Skip("no syscw in /proc/self/io")
+	return 0
+}
+
+// A warm 64 B echo — client and gateway in this process — costs the
+// client's one write and the gateway's reply in process, about 2
+// write(2) a request; on the socket backend the watchdog leg adds the
+// gateway's write to its watchdog and the watchdog's reply, about 4.
+// In process it is at most half the socket's count, each rounded to a
+// whole write: the runtime's own writes add a few hundredths.
+func TestWarmWritesPerRequest(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("/proc/self/io is Linux's")
+	}
+	per := map[string]float64{}
+	onBackends(t, func(t *testing.T, backend string) {
+		g := New(PoolConfig{Backend: backend})
+		echo, _ := g.builtinFunction("echo")
+		echo.Name = "echo"
+		if err := g.Register(echo); err != nil {
+			t.Fatal(err)
+		}
+		base, err := g.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
+		client := &http.Client{Transport: &http.Transport{}}
+		defer client.CloseIdleConnections()
+		payload := strings.Repeat("e", 64)
+		call := func() {
+			resp, err := client.Post(base+"/function/echo", "application/octet-stream", strings.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || string(b) != payload {
+				t.Fatalf("echo: %d %q, %v", resp.StatusCode, b, err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			call() // the cold boot and every connection
+		}
+		const n = 500
+		w0 := syscw(t)
+		for i := 0; i < n; i++ {
+			call()
+		}
+		per[backend] = float64(syscw(t)-w0) / n
+		t.Logf("%.2f writes per warm echo", per[backend])
+	})
+	socket, inProcess := math.Round(per[BackendSocket]), math.Round(per[BackendInProcess])
+	if socket == 0 || inProcess == 0 {
+		return // a backend was skipped
+	}
+	if inProcess > 2 || 2*inProcess > socket {
+		t.Errorf("%.0f writes per warm echo in process, %.0f on a socket: want at most 2 and at most half", inProcess, socket)
 	}
 }

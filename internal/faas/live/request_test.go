@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,25 +29,31 @@ import (
 // little room. The second row runs hotcd's flag defaults — admission,
 // the breaker, both SLOs, the predictor and the keep-alive armed, as on
 // every warm_* workload — and holds the 19 it read with one to spare.
-// verify.sh runs it in its non-race alloc pass.
+// Both run on the socket backend; the in-process rows, which make no
+// hop exchange, hold the 5 and 6 they read. verify.sh runs it in its
+// non-race alloc pass.
 func TestHandleWarmAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed under -race")
 	}
 	sampledOut := hotcdDefaults(t)
 	sampledOut.TraceSampleRate, sampledOut.TraceSlowThreshold = -1, -1
+	bare := PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1}
+	socket := func(c PoolConfig) PoolConfig { c.Backend = BackendSocket; return c }
 	for _, row := range []struct {
 		name   string
 		cfg    PoolConfig
 		budget float64
 	}{
-		{"bare", PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1}, 32},
-		{"hotcd defaults", sampledOut, 20},
+		{"bare", socket(bare), 32},
+		{"hotcd defaults", socket(sampledOut), 20},
+		{"bare in process", bare, 5},
+		{"hotcd defaults in process", sampledOut, 6},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			g := New(row.cfg)
 			defer g.Stop()
-			if err := g.Register(Function{Name: "f", Handler: func(b []byte) ([]byte, error) { return b, nil }}); err != nil {
+			if err := g.Register(Function{Name: "f", Handler: func(_ context.Context, b []byte) ([]byte, error) { return b, nil }}); err != nil {
 				t.Fatal(err)
 			}
 			payload := patternedPayload(64)
@@ -222,19 +229,23 @@ type exitRig struct {
 	g    *Gateway
 	s    *shard
 	base string
-	// entered and release gate blockingFn rows; hold is the admission
-	// slot a queue row's setup takes so that the measured request queues
-	// with no other request in the books.
+	// entered and release gate blockingFn rows (let closes release
+	// once); hold is the admission slot a queue row's setup takes so
+	// that the measured request queues with no other request in the
+	// books.
 	entered, release chan struct{}
+	let              func()
 	hold             *admission.Ticket
 }
 
 // reply is what came back on the wire; a nil *reply means the client
-// hung up before any status line.
+// hung up before any status line. truncated is a body cut short of its
+// framing.
 type reply struct {
-	status int
-	header http.Header
-	body   string
+	status    int
+	header    http.Header
+	body      string
+	truncated bool
 }
 
 // post sends the row's one measured request and reads the reply out
@@ -253,8 +264,8 @@ func (rig *exitRig) post(body io.Reader, hdr map[string]string) *reply {
 		rig.t.Fatalf("post: %v", err)
 	}
 	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return &reply{status: resp.StatusCode, header: resp.Header, body: string(b)}
+	b, err := io.ReadAll(resp.Body)
+	return &reply{status: resp.StatusCode, header: resp.Header, body: string(b), truncated: err != nil}
 }
 
 // walkAway sends the measured request, waits until the gateway has it
@@ -335,24 +346,33 @@ func (rig *exitRig) books() books {
 // resilience keys the ending names and no other — the breaker is a hair
 // trigger, so a fed failure shows as breaker.trips — and leaves the
 // pool, the controller's in-flight count and the admission queue at
-// rest. This is DESIGN's "Request lifecycle" table, row for row.
+// rest. This is DESIGN's "Request lifecycle" table, row for row, on
+// each backend a row holds on.
 func TestEveryExitCountsOnce(t *testing.T) {
 	slowBoot := echoFn("f", 5*time.Second)
-	failing := Function{Name: "f", Handler: func([]byte) ([]byte, error) { return nil, errors.New("handler said no") }}
-	sleepy := Function{Name: "f", Handler: func(b []byte) ([]byte, error) {
+	failing := Function{Name: "f", Handler: func(context.Context, []byte) ([]byte, error) { return nil, errors.New("handler said no") }}
+	sleepy := Function{Name: "f", Handler: func(_ context.Context, b []byte) ([]byte, error) {
 		time.Sleep(200 * time.Millisecond)
 		return b, nil
 	}}
+	// panicking fails before any byte of its reply.
+	panicking := Function{Name: "f", Handler: func(context.Context, []byte) ([]byte, error) { panic("function bug") }}
+	// stammering writes a few bytes, less than a reply holds back before
+	// its head, then panics: nothing of it went out.
+	stammering := Function{Name: "f", Stream: func(_ context.Context, _ io.Reader, w io.Writer) error {
+		w.Write([]byte("partial"))
+		panic("function bug")
+	}}
 	// dying commits a status line and part of a chunked body, then its
 	// watchdog drops the connection (ErrAbortHandler: no log, no reply).
-	dying := Function{Name: "f", Stream: func(_ io.Reader, w io.Writer) error {
+	dying := Function{Name: "f", Stream: func(_ context.Context, _ io.Reader, w io.Writer) error {
 		w.Write(make([]byte, 64<<10))
 		panic(http.ErrAbortHandler)
 	}}
 	// large answers 8 MiB whatever it is asked: more than loopback's
 	// socket buffers hold (a send buffer grows to 4 MiB), so a client
 	// that stops reading stalls the relay mid-body.
-	large := Function{Name: "f", Stream: func(_ io.Reader, w io.Writer) error {
+	large := Function{Name: "f", Stream: func(_ context.Context, _ io.Reader, w io.Writer) error {
 		_, err := w.Write(make([]byte, 8<<20))
 		return err
 	}}
@@ -371,6 +391,7 @@ func TestEveryExitCountsOnce(t *testing.T) {
 
 	for _, row := range []struct {
 		name string
+		only string // the one backend the row holds on; "" = both
 		cfg  func(*PoolConfig)
 		fn   *Function                 // nil = echo; blocking rows build theirs from the rig
 		pre  func(*exitRig)            // before Start
@@ -382,6 +403,7 @@ func TestEveryExitCountsOnce(t *testing.T) {
 		spanStatus int
 		wire       int               // 0 = the client got nothing
 		body       string            // prefix of the reply body
+		truncated  bool              // the body is cut short of its framing
 		header     map[string]string // "*" = any non-empty value
 		event      string            // span event kind; "" = none but the boot's
 		spanErr    bool
@@ -456,13 +478,19 @@ func TestEveryExitCountsOnce(t *testing.T) {
 			},
 			outcome: "canceled", spanStatus: statusClientClosedRequest, event: "canceled"},
 		{name: "boot failure",
+			pre:     func(rig *exitRig) { refuseBoots(rig.g).armed.Store(true) },
+			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
+			outcome: "error", spanStatus: 502, wire: 502, body: errBootRefused.Error(), spanErr: true,
+			res: map[string]int{"boot.failures": 1, "breaker.trips": 1}},
+		// A socket boot's last step is the dial of its connection.
+		{name: "boot failure (dial)", only: BackendSocket,
 			pre: func(rig *exitRig) {
 				rig.g.dial = func(context.Context, string) (net.Conn, error) { return nil, errors.New("dial refused") }
 			},
 			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
 			outcome: "error", spanStatus: 502, wire: 502, body: "live: dial watchdog", spanErr: true,
 			res: map[string]int{"boot.failures": 1, "breaker.trips": 1}},
-		{name: "hop failure",
+		{name: "hop failure", only: BackendSocket,
 			set: func(rig *exitRig) {
 				rig.post(strings.NewReader("warm"), nil)
 				idleInstances(rig.g, "f")[0].wd.Stop() // the watchdog dies under its idle instance
@@ -470,9 +498,21 @@ func TestEveryExitCountsOnce(t *testing.T) {
 			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
 			outcome: "error", spanStatus: 502, wire: 502, spanErr: true,
 			res: map[string]int{"proxy.failures": 1, "breaker.trips": 1}},
+		// In process the exchange recovers the panic; on a socket the
+		// watchdog's server does and drops the connection.
+		{name: "function panic", fn: &panicking,
+			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
+			outcome: "error", spanStatus: 502, wire: 502, spanErr: true,
+			res: map[string]int{"proxy.failures": 1, "breaker.trips": 1}},
+		// Before its head went out the reply is taken back: a 502, as if
+		// the function had written nothing.
+		{name: "function panic after a short write", fn: &stammering,
+			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
+			outcome: "error", spanStatus: 502, wire: 502, spanErr: true,
+			res: map[string]int{"proxy.failures": 1, "breaker.trips": 1}},
 		{name: "backend death mid-stream", fn: &dying,
 			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
-			outcome: "error", spanStatus: 200, wire: 200, spanErr: true,
+			outcome: "error", spanStatus: 200, wire: 200, truncated: true, spanErr: true,
 			res: map[string]int{"proxy.failures": 1, "breaker.trips": 1}},
 		{name: "deadline mid-flight", fn: &sleepy,
 			do: func(rig *exitRig) *reply {
@@ -489,7 +529,7 @@ func TestEveryExitCountsOnce(t *testing.T) {
 			do: func(rig *exitRig) *reply {
 				return rig.walkAway(strings.NewReader("x"), func() { <-rig.entered })
 			},
-			undo:    func(rig *exitRig) { close(rig.release) },
+			undo:    func(rig *exitRig) { rig.let() },
 			outcome: "canceled", spanStatus: statusClientClosedRequest, event: "canceled"},
 		// The relay's write to the client fails, not its read of the
 		// watchdog: no verdict on the backend.
@@ -508,113 +548,123 @@ func TestEveryExitCountsOnce(t *testing.T) {
 			outcome: "error", spanStatus: 500, wire: 500, body: "handler said no"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := PoolConfig{TraceSampleRate: 1, SLOLatency: time.Hour, BreakerThreshold: 1, BreakerOpenFor: time.Hour}
-			if row.cfg != nil {
-				row.cfg(&cfg)
-			}
-			rig := &exitRig{t: t, g: New(cfg), entered: make(chan struct{}, 1), release: make(chan struct{})}
-			defer rig.g.Stop()
-			fn := echoFn("f", 0)
-			if row.fn != nil {
-				fn = *row.fn
-			}
-			if err := rig.g.Register(fn); err != nil {
-				t.Fatal(err)
-			}
-			rig.s = rig.g.shard("f")
-			if row.pre != nil {
-				row.pre(rig)
-			}
-			var err error
-			if rig.base, err = rig.g.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if row.set != nil {
-				row.set(rig)
-			}
+			onBackends(t, func(t *testing.T, backend string) {
+				if row.only != "" && row.only != backend {
+					t.Skipf("no %s row in process", row.name)
+				}
+				cfg := PoolConfig{Backend: backend, TraceSampleRate: 1, SLOLatency: time.Hour, BreakerThreshold: 1, BreakerOpenFor: time.Hour}
+				if row.cfg != nil {
+					row.cfg(&cfg)
+				}
+				rig := &exitRig{t: t, g: New(cfg), entered: make(chan struct{}, 1), release: make(chan struct{})}
+				var once sync.Once
+				rig.let = func() { once.Do(func() { close(rig.release) }) }
+				defer rig.g.Stop()
+				fn := echoFn("f", 0)
+				if row.fn != nil {
+					fn = *row.fn
+				}
+				if err := rig.g.Register(fn); err != nil {
+					t.Fatal(err)
+				}
+				rig.s = rig.g.shard("f")
+				if row.pre != nil {
+					row.pre(rig)
+				}
+				var err error
+				if rig.base, err = rig.g.Start(); err != nil {
+					t.Fatal(err)
+				}
+				if row.set != nil {
+					row.set(rig)
+				}
 
-			before := rig.books()
-			got := row.do(rig)
-			// conclude's last effect is the span; once it is in, give a
-			// second count of anything a moment to show itself.
-			for deadline := time.Now().Add(5 * time.Second); rig.g.TraceStats().Kept == before.kept; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("the request never concluded: no span kept")
-				}
-			}
-			time.Sleep(20 * time.Millisecond)
-			after := rig.books()
-
-			for o, was := range before.outcomes {
-				want := 0.0
-				if o == row.outcome {
-					want = 1
-				}
-				if moved := after.outcomes[o] - was; moved != want {
-					t.Errorf("hotc_requests_total{outcome=%q} moved by %v, want %v", o, moved, want)
-				}
-			}
-			if moved := after.latency - before.latency; moved != 1 {
-				t.Errorf("hotc_request_latency_ms took %d samples, want 1", moved)
-			}
-			if moved := after.kept - before.kept; moved != 1 {
-				t.Errorf("%d spans kept, want 1", moved)
-			}
-			if moved := after.slo - before.slo; moved != 1 {
-				t.Errorf("%d SLO records, want 1", moved)
-			}
-			for _, k := range resilienceKinds {
-				if moved := after.res[k.key] - before.res[k.key]; moved != row.res[k.key] {
-					t.Errorf("resilience[%q] moved by %d, want %d", k.key, moved, row.res[k.key])
-				}
-			}
-
-			span := rig.g.TraceSpans()[0]
-			if span.Function != "f" || span.Status != row.spanStatus || (span.Err != "") != row.spanErr {
-				t.Errorf("span = %s status %d err %q, want f status %d (err: %v)", span.Function, span.Status, span.Err, row.spanStatus, row.spanErr)
-			}
-			var events []string
-			for _, e := range span.Events {
-				if e.Kind != "boot" {
-					events = append(events, e.Kind)
-				}
-			}
-			if want := strings.Fields(row.event); !slices.Equal(events, want) {
-				t.Errorf("span events = %v, want %v", events, want)
-			}
-
-			switch {
-			case row.wire == 0 && got != nil:
-				t.Errorf("a client that hung up was sent %d %q", got.status, got.body)
-			case row.wire != 0:
-				if got.status != row.wire || !strings.HasPrefix(got.body, row.body) {
-					t.Errorf("reply = %d %q, want %d %q...", got.status, got.body, row.wire, row.body)
-				}
-				if id := got.header.Get(TraceIDHeader); id != span.TraceID {
-					t.Errorf("%s = %q, the span's trace is %q", TraceIDHeader, id, span.TraceID)
-				}
-				for h, want := range row.header {
-					if v := got.header.Get(h); v == "" || (want != "*" && v != want) {
-						t.Errorf("%s = %q, want %q", h, v, want)
+				before := rig.books()
+				got := row.do(rig)
+				// conclude's last effect is the span; once it is in, give a
+				// second count of anything a moment to show itself.
+				for deadline := time.Now().Add(5 * time.Second); rig.g.TraceStats().Kept == before.kept; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the request never concluded: no span kept")
 					}
 				}
-				for _, h := range []string{"Retry-After", RejectedHeader, DrainingHeader} {
-					if _, owed := row.header[h]; !owed && got.header.Get(h) != "" {
-						t.Errorf("%s = %q on an ending that does not owe it", h, got.header.Get(h))
+				time.Sleep(20 * time.Millisecond)
+				after := rig.books()
+
+				for o, was := range before.outcomes {
+					want := 0.0
+					if o == row.outcome {
+						want = 1
+					}
+					if moved := after.outcomes[o] - was; moved != want {
+						t.Errorf("hotc_requests_total{outcome=%q} moved by %v, want %v", o, moved, want)
 					}
 				}
-			}
+				if moved := after.latency - before.latency; moved != 1 {
+					t.Errorf("hotc_request_latency_ms took %d samples, want 1", moved)
+				}
+				if moved := after.kept - before.kept; moved != 1 {
+					t.Errorf("%d spans kept, want 1", moved)
+				}
+				if moved := after.slo - before.slo; moved != 1 {
+					t.Errorf("%d SLO records, want 1", moved)
+				}
+				for _, k := range resilienceKinds {
+					if moved := after.res[k.key] - before.res[k.key]; moved != row.res[k.key] {
+						t.Errorf("resilience[%q] moved by %d, want %d", k.key, moved, row.res[k.key])
+					}
+				}
 
-			if row.undo != nil {
-				row.undo(rig)
-			}
-			if st := rig.g.Stats(); st.Requests != st.Reused+st.ColdStarts {
-				t.Errorf("stats = %+v: Requests != Reused + ColdStarts", st)
-			}
-			if rig.s.adm != nil && rig.s.adm.InFlight() != 0 {
-				t.Errorf("%d admission slots still held", rig.s.adm.InFlight())
-			}
-			checkPool(t, rig.g)
+				span := rig.g.TraceSpans()[0]
+				if span.Function != "f" || span.Status != row.spanStatus || (span.Err != "") != row.spanErr {
+					t.Errorf("span = %s status %d err %q, want f status %d (err: %v)", span.Function, span.Status, span.Err, row.spanStatus, row.spanErr)
+				}
+				var events []string
+				for _, e := range span.Events {
+					if e.Kind != "boot" {
+						events = append(events, e.Kind)
+					}
+				}
+				if want := strings.Fields(row.event); !slices.Equal(events, want) {
+					t.Errorf("span events = %v, want %v", events, want)
+				}
+
+				switch {
+				case row.wire == 0 && got != nil:
+					t.Errorf("a client that hung up was sent %d %q", got.status, got.body)
+				case row.wire != 0:
+					if got.status != row.wire || !strings.HasPrefix(got.body, row.body) {
+						t.Errorf("reply = %d %q, want %d %q...", got.status, got.body, row.wire, row.body)
+					}
+					if got.truncated != row.truncated {
+						t.Errorf("reply body truncated: %v, want %v", got.truncated, row.truncated)
+					}
+					if id := got.header.Get(TraceIDHeader); id != span.TraceID {
+						t.Errorf("%s = %q, the span's trace is %q", TraceIDHeader, id, span.TraceID)
+					}
+					for h, want := range row.header {
+						if v := got.header.Get(h); v == "" || (want != "*" && v != want) {
+							t.Errorf("%s = %q, want %q", h, v, want)
+						}
+					}
+					for _, h := range []string{"Retry-After", RejectedHeader, DrainingHeader} {
+						if _, owed := row.header[h]; !owed && got.header.Get(h) != "" {
+							t.Errorf("%s = %q on an ending that does not owe it", h, got.header.Get(h))
+						}
+					}
+				}
+
+				if row.undo != nil {
+					row.undo(rig)
+				}
+				if st := rig.g.Stats(); st.Requests != st.Reused+st.ColdStarts {
+					t.Errorf("stats = %+v: Requests != Reused + ColdStarts", st)
+				}
+				if rig.s.adm != nil && rig.s.adm.InFlight() != 0 {
+					t.Errorf("%d admission slots still held", rig.s.adm.InFlight())
+				}
+				checkPool(t, rig.g)
+			})
 		})
 	}
 }

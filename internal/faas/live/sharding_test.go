@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -40,11 +41,11 @@ func hammer(g *Gateway, workers, perWorker, want int) int64 {
 // dial count is exactly the number of instances booted, whatever the
 // number of requests served.
 func TestHopDialsOncePerInstance(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	conns := trackConns(g)
 	if err := g.Register(Function{
 		Name:    "f",
-		Handler: func(b []byte) ([]byte, error) { return b, nil },
+		Handler: func(_ context.Context, b []byte) ([]byte, error) { return b, nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func TestHopDialsOncePerInstance(t *testing.T) {
 // body to EOF, and the instance goes back to the pool with the same
 // connection — zero dials beyond the boots.
 func TestHopKeepsConnectionOnErrorStatus(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{Backend: BackendSocket})
 	conns := trackConns(g)
 	if err := g.Register(Function{
 		Name:    "f",
-		Handler: func(b []byte) ([]byte, error) { return nil, fmt.Errorf("boom") },
+		Handler: func(_ context.Context, b []byte) ([]byte, error) { return nil, fmt.Errorf("boom") },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSnapshotsDuringTraffic(t *testing.T) {
 		names[i] = fmt.Sprintf("f%d", i)
 		if err := g.Register(Function{
 			Name:    names[i],
-			Handler: func(b []byte) ([]byte, error) { return b, nil },
+			Handler: func(_ context.Context, b []byte) ([]byte, error) { return b, nil },
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func TestConcurrentRegisterDuringTraffic(t *testing.T) {
 		defer reg.Done()
 		if err := g.Register(Function{
 			Name:    "f0",
-			Handler: func(b []byte) ([]byte, error) { return append(b, '!'), nil },
+			Handler: func(_ context.Context, b []byte) ([]byte, error) { return append(b, '!'), nil },
 		}); err != nil {
 			t.Errorf("re-register f0: %v", err)
 		}

@@ -354,47 +354,51 @@ func TestClassifierDrivenByControlLoop(t *testing.T) {
 // Concurrent renters and lenders churning across functions must stay
 // race-free (run under -race) and account every request exactly once.
 func TestSharingChurnRace(t *testing.T) {
-	g := New(testSharing())
-	const fns = 3
-	for i := 0; i < fns; i++ {
-		if err := g.Register(echoFn(fmt.Sprintf("f%d", i), 2*time.Millisecond)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer g.Stop()
-
-	const workers, perWorker = 8, 25
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				name := fmt.Sprintf("f%d", (w+i)%fns)
-				rec := httptest.NewRecorder()
-				g.handle(rec, httptest.NewRequest("POST", "/function/"+name, strings.NewReader("x")))
-				if rec.Code != 200 {
-					t.Errorf("status %d", rec.Code)
-					return
-				}
+	onBackends(t, func(t *testing.T, backend string) {
+		cfg := testSharing()
+		cfg.Backend = backend
+		g := New(cfg)
+		const fns = 3
+		for i := 0; i < fns; i++ {
+			if err := g.Register(echoFn(fmt.Sprintf("f%d", i), 2*time.Millisecond)); err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		defer g.Stop()
 
-	st := g.Stats()
-	if st.Requests != workers*perWorker {
-		t.Fatalf("Requests = %d, want %d", st.Requests, workers*perWorker)
-	}
-	if st.Reused+st.ColdStarts != st.Requests {
-		t.Fatalf("Reused(%d) + ColdStarts(%d) != Requests(%d)", st.Reused, st.ColdStarts, st.Requests)
-	}
-	if st.RentedBoots > st.ColdStarts {
-		t.Fatalf("RentedBoots(%d) > ColdStarts(%d)", st.RentedBoots, st.ColdStarts)
-	}
-	sh := g.SharingStats()
-	if int(sh.LeasesGranted) != st.RentedBoots {
-		t.Fatalf("LeasesGranted(%d) != RentedBoots(%d)", sh.LeasesGranted, st.RentedBoots)
-	}
-	checkPool(t, g)
+		const workers, perWorker = 8, 25
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					name := fmt.Sprintf("f%d", (w+i)%fns)
+					rec := httptest.NewRecorder()
+					g.handle(rec, httptest.NewRequest("POST", "/function/"+name, strings.NewReader("x")))
+					if rec.Code != 200 {
+						t.Errorf("status %d", rec.Code)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		st := g.Stats()
+		if st.Requests != workers*perWorker {
+			t.Fatalf("Requests = %d, want %d", st.Requests, workers*perWorker)
+		}
+		if st.Reused+st.ColdStarts != st.Requests {
+			t.Fatalf("Reused(%d) + ColdStarts(%d) != Requests(%d)", st.Reused, st.ColdStarts, st.Requests)
+		}
+		if st.RentedBoots > st.ColdStarts {
+			t.Fatalf("RentedBoots(%d) > ColdStarts(%d)", st.RentedBoots, st.ColdStarts)
+		}
+		sh := g.SharingStats()
+		if int(sh.LeasesGranted) != st.RentedBoots {
+			t.Fatalf("LeasesGranted(%d) != RentedBoots(%d)", sh.LeasesGranted, st.RentedBoots)
+		}
+		checkPool(t, g)
+	})
 }

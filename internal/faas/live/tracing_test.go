@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -536,7 +537,7 @@ func TestFinishRequestSampledOutZeroAlloc(t *testing.T) {
 		t.Skip("alloc counts are perturbed under -race")
 	}
 	g := New(PoolConfig{TraceSampleRate: -1, TraceSlowThreshold: -1})
-	if err := g.Register(Function{Name: "f", Handler: func(b []byte) ([]byte, error) { return b, nil }}); err != nil {
+	if err := g.Register(Function{Name: "f", Handler: func(_ context.Context, b []byte) ([]byte, error) { return b, nil }}); err != nil {
 		t.Fatal(err)
 	}
 	s := g.shard("f")

@@ -262,6 +262,9 @@ func (s *server) call(h http.Handler) (ok bool) {
 		if v := recover(); v != nil {
 			ok = false
 			if v != http.ErrAbortHandler {
+				if s.owner.panicked != nil {
+					s.owner.panicked()
+				}
 				log.Printf("hop: panic serving %s: %v\n%s", s.remote, v, debug.Stack())
 			}
 		}
@@ -548,13 +551,14 @@ type response struct {
 	written int64 // body bytes the handler wrote
 	sent    bool  // the head is written
 	chunked bool
-	n       int // bytes held back in pending
+	lost    bool // a write to the peer failed: it is gone
+	n       int  // bytes held back in pending
 	pending [pendingSize]byte
 }
 
 func (w *response) reset() {
 	clear(w.header)
-	w.status, w.length, w.written, w.sent, w.chunked, w.n = 0, -1, 0, false, false, 0
+	w.status, w.length, w.written, w.sent, w.chunked, w.lost, w.n = 0, -1, 0, false, false, false, 0
 }
 
 func (w *response) Header() http.Header { return w.header }
@@ -589,11 +593,13 @@ func (w *response) Write(p []byte) (int, error) {
 			return n, nil
 		}
 		if err := w.commit(false, nil); err != nil {
+			w.lost = true
 			return 0, err
 		}
 		p = p[k:]
 	}
 	if err := w.send(p); err != nil {
+		w.lost = true
 		return 0, err
 	}
 	return n, nil
@@ -609,6 +615,32 @@ func (w *response) ReadFrom(r io.Reader) (int64, error) { return Copy(w, r) }
 func Committed(w http.ResponseWriter) bool {
 	r, ok := w.(*response)
 	return ok && r.written > 0
+}
+
+// Sent reports what a handler Serve runs has sent of its reply so far:
+// the body bytes it wrote, and whether a write to the peer failed, the
+// peer being gone. Zero and false for any other writer.
+func Sent(w http.ResponseWriter) (written int64, lost bool) {
+	if r, ok := w.(*response); ok {
+		return r.written, r.lost
+	}
+	return 0, false
+}
+
+// Retract takes back a reply whose head is not out yet: its status and
+// the body bytes held back are dropped and its header fields kept, so
+// the handler can still answer with another status. It reports false
+// once the head is sent; any other writer is left as it is, and true.
+func Retract(w http.ResponseWriter) bool {
+	r, ok := w.(*response)
+	if !ok {
+		return true
+	}
+	if r.sent {
+		return false
+	}
+	r.status, r.length, r.written, r.n = 0, -1, 0, 0
+	return true
 }
 
 // commit writes the head, framing the body one way: the declared

@@ -360,6 +360,33 @@ func TestServeCommitted(t *testing.T) {
 	}
 }
 
+// Retract takes back a reply held back before its head, header fields
+// kept, so another status can answer; once the head is out it cannot.
+func TestServeRetract(t *testing.T) {
+	c := serveScript(t, plain, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Kept", "1")
+		io.WriteString(w, "partial")
+		if !Retract(w) {
+			t.Error("a reply held back before its head could not be taken back")
+		}
+		w.WriteHeader(http.StatusBadGateway)
+		io.WriteString(w, "refused")
+	}), 0)
+	if out := c.out.String(); !strings.HasPrefix(out, "HTTP/1.1 502 ") || !strings.Contains(out, "X-Kept: 1\r\n") ||
+		!strings.HasSuffix(out, "\r\n\r\nrefused") {
+		t.Errorf("retracted reply = %q, want a 502 with X-Kept and only the second body", out)
+	}
+	serveScript(t, plain, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(make([]byte, 3*pendingSize)) // past what is held back: the head goes out
+		if Retract(w) {
+			t.Error("a reply whose head is out was taken back")
+		}
+	}), 0)
+	if !Retract(httptest.NewRecorder()) {
+		t.Error("a writer the server did not hand out is not left to its own status")
+	}
+}
+
 // A handler panic closes its connection and is logged, unless the value
 // is http.ErrAbortHandler.
 func TestServePanicClosesConnection(t *testing.T) {

@@ -46,6 +46,7 @@ type Server struct {
 	maxBody  atomic.Int64
 	stopping atomic.Bool
 	refused  func(reason string)
+	panicked func()
 
 	mu      sync.Mutex
 	lis     net.Listener
@@ -65,6 +66,11 @@ func (s *Server) LimitBodies(n int64) { s.maxBody.Store(n) }
 // Host), expect (an Expect other than 100-continue), chunked_http10,
 // head_too_large (over 1 MiB) or malformed.
 func (s *Server) OnRefusal(f func(reason string)) { s.refused = f }
+
+// OnPanic has f called, before Serve, once for each handler panic the
+// server recovers and logs: every one but http.ErrAbortHandler, the
+// deliberate abort.
+func (s *Server) OnPanic(f func()) { s.panicked = f }
 
 // Serve accepts connections on lis until it fails, or until Stop, when
 // it returns nil.

@@ -139,6 +139,7 @@ func (w *response) splice(b wireBody, n int64) (int64, error) {
 			next, _ = rd.Peek(int(min(n, sniffLen)))
 		}
 		if err := w.commit(false, next); err != nil {
+			w.lost = true
 			return 0, err
 		}
 	}
@@ -151,6 +152,7 @@ func (w *response) splice(b wireBody, n int64) (int64, error) {
 	w.written += m
 	if err != nil {
 		s.closing = true
+		w.lost = !ReadFailed(err)
 		return m, err
 	}
 	if w.chunked {

@@ -108,6 +108,17 @@ func WireRefusals(reg *obs.Registry, role string) func(reason string) {
 	return func(reason string) { v.With(role, reason).Inc() }
 }
 
+// WirePanics declares hotc_wire_panics_total{role} on reg and returns
+// the panic hook of a server in role (gateway|router|watchdog), which
+// counts each handler panic the server recovers (hop.Server.OnPanic).
+// An in-process watchdog, which has no server, books its function's
+// panics through the same hook.
+func WirePanics(reg *obs.Registry, role string) func() {
+	return reg.CounterVec("hotc_wire_panics_total",
+		"Handler panics a server recovered, by role (gateway|router|watchdog).",
+		"role").With(role).Inc
+}
+
 // The hotc_pool_retired_total{reason} values: why an idle runtime was
 // stopped.
 const (

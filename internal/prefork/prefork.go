@@ -29,10 +29,11 @@ import (
 // Watchdog is one pre-forked worker: a loopback listener whose
 // connections a hop.Server answers with the handler swapped in at
 // specialization time. Until then requests get 503 — a generic watchdog
-// serves nobody.
+// serves nobody. An in-process watchdog (Inline) has no listener: its
+// owner runs the function itself, on its own goroutine.
 type Watchdog struct {
 	addr    string
-	lis     net.Listener // what srv accepts on
+	lis     net.Listener // what srv accepts on; nil in process
 	srv     hop.Server
 	handler atomic.Pointer[http.Handler]
 
@@ -42,26 +43,46 @@ type Watchdog struct {
 	stopOnce sync.Once
 }
 
+// Hooks are what a watchdog's owner hears of it. Either may be nil.
+type Hooks struct {
+	// ServeError is called at most once with the error that ended the
+	// accept loop — any error other than the listener closing under
+	// Stop. Surfacing it is what lets the gateway count watchdog
+	// accept-loop failures as resilience events.
+	ServeError func(error)
+	// Panic is called for each handler panic the watchdog's server
+	// recovers (hop.Server.OnPanic).
+	Panic func()
+}
+
 // Start boots a generic watchdog: listener bound, accept loop running,
-// no handler installed. onServeErr, if non-nil, is called at most once
-// with the error that ended the accept loop — any error other than the
-// listener closing under Stop. Surfacing it is what lets the gateway
-// count watchdog accept-loop failures as resilience events.
-func Start(onServeErr func(error)) (*Watchdog, error) {
+// no handler installed. h, if non-nil, is what its owner hears of it.
+func Start(h *Hooks) (*Watchdog, error) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("prefork: watchdog listen: %w", err)
 	}
 	w := &Watchdog{addr: lis.Addr().String(), lis: lis, done: make(chan struct{})}
 	w.srv.Handler = http.HandlerFunc(w.dispatch)
+	if h == nil {
+		h = &Hooks{}
+	}
+	w.srv.OnPanic(h.Panic)
 	go func() {
-		if err := w.srv.Serve(lis); err != nil && onServeErr != nil {
-			onServeErr(err)
+		if err := w.srv.Serve(lis); err != nil && h.ServeError != nil {
+			h.ServeError(err)
 		}
 		close(w.done)
 	}()
 	return w, nil
 }
+
+// Inline is a generic in-process watchdog: no listener, no accept loop,
+// no goroutine. Its owner runs the function on the request's own
+// goroutine, so Addr is empty and Stop returns at once. It is what the
+// generic pool holds, and a boot starts from, when functions run in
+// process.
+func Inline() *Watchdog { return &Watchdog{} }
 
 // dispatch routes a request to the specialized handler, or refuses it
 // when none is installed yet (a request racing specialization — the
@@ -87,15 +108,19 @@ func (w *Watchdog) Specialize(h http.Handler) {
 // *http.MaxBytesError.
 func (w *Watchdog) LimitBodies(n int64) { w.srv.LimitBodies(n) }
 
-// Addr is the watchdog's host:port.
+// Addr is the watchdog's host:port, empty in process.
 func (w *Watchdog) Addr() string { return w.addr }
 
 // Stop is the server's Stop — listener and idle connections closed at
 // once, up to a second for handlers still running — and then waits for
 // the accept loop's goroutine to exit, which it always does: after Stop
 // returns, the watchdog owns no accept loop. Idempotent; concurrent
-// callers all block until the first Stop's work is done.
+// callers all block until the first Stop's work is done. In process it
+// returns at once.
 func (w *Watchdog) Stop() {
+	if w.lis == nil {
+		return
+	}
 	w.stopOnce.Do(w.srv.Stop)
 	<-w.done
 }

@@ -84,7 +84,7 @@ func TestWatchdogStopWaitsForServeGoroutine(t *testing.T) {
 // server forces one.
 func TestWatchdogServeErrorReachesHook(t *testing.T) {
 	errs := make(chan error, 1)
-	w, err := Start(func(e error) { errs <- e })
+	w, err := Start(&Hooks{ServeError: func(e error) { errs <- e }})
 	if err != nil {
 		t.Fatal(err)
 	}

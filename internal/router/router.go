@@ -501,6 +501,7 @@ func (rt *Router) StartOn(addr string) (string, error) {
 	}
 	rt.srv = &hop.Server{Handler: rt.Routes(), Front: true}
 	rt.srv.OnRefusal(kernel.WireRefusals(rt.reg, "router"))
+	rt.srv.OnPanic(kernel.WirePanics(rt.reg, "router"))
 	rt.wg.Add(2)
 	go func() {
 		defer rt.wg.Done()

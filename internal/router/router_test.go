@@ -429,7 +429,7 @@ func TestDeadlineShedIsNotSpilled(t *testing.T) {
 // The router's /metrics passes the strict exposition parser and holds
 // every family the router registers, each named here, after one routed
 // request, one poll and one refused head, which its front door counts
-// once under its reason.
+// once under its reason, and no panic.
 func TestRouterMetricsExposition(t *testing.T) {
 	_, n1 := startNode(t, live.PoolConfig{})
 	rt, base := startRouter(t, Config{Nodes: []string{n1}})
@@ -457,13 +457,16 @@ func TestRouterMetricsExposition(t *testing.T) {
 		"hotc_router_requests_total", "hotc_router_request_duration_ms", "hotc_router_spill_attempts_total",
 		"hotc_router_node_healthy", "hotc_router_node_warm_instances", "hotc_router_poll_failures_total",
 		"hotc_router_nodes", "hotc_router_drain_rejections_total", "hotc_router_membership_changes_total",
-		"hotc_wire_refusals_total",
+		"hotc_wire_refusals_total", "hotc_wire_panics_total",
 	}
 	var registered []string
 	for _, f := range rt.reg.Snapshot() {
 		registered = append(registered, f.Name)
 		if f.Name == "hotc_wire_refusals_total" && (len(f.Series) != 1 || !slices.Equal(f.Series[0].LabelValues, []string{"router", "host"}) || f.Series[0].Value != 1) {
 			t.Errorf("refusals booked %+v, want one under router/host", f.Series)
+		}
+		if f.Name == "hotc_wire_panics_total" && (len(f.Series) != 1 || !slices.Equal(f.Series[0].LabelValues, []string{"router"}) || f.Series[0].Value != 0) {
+			t.Errorf("panics booked %+v, want none under router", f.Series)
 		}
 	}
 	sorted := slices.Clone(want)
@@ -1148,4 +1151,75 @@ func FuzzRouterMembership(f *testing.F) {
 		}
 		check("leave", code)
 	})
+}
+
+// A handler panic at the router's front door counts once, under
+// hotc_wire_panics_total{role="router"}, whichever backend its node
+// runs, and moves neither of the node's series (gateway, watchdog).
+func TestRouterPanicCountsOnce(t *testing.T) {
+	for _, backend := range []string{live.BackendSocket, live.BackendInProcess} {
+		t.Run(backend, func(t *testing.T) {
+			node, n1 := startNode(t, live.PoolConfig{Backend: backend})
+			rt, err := New(Config{Nodes: []string{n1}, PollInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var armed atomic.Bool
+			dial := rt.dial
+			rt.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+				conn, err := dial(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return panicConn{conn, &armed}, nil
+			}
+			base, err := rt.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Stop()
+			armed.Store(true)
+			if resp, err := http.Post(base+"/function/f", "text/plain", strings.NewReader("x")); err == nil {
+				resp.Body.Close()
+				t.Fatalf("a panicking router answered %d", resp.StatusCode)
+			}
+			for _, c := range []struct {
+				reg  *obs.Registry
+				role string
+				want float64
+			}{{rt.reg, "router", 1}, {node.Registry(), "gateway", 0}, {node.Registry(), "watchdog", 0}} {
+				if got := panicsOf(c.reg, c.role); got != c.want {
+					t.Errorf("hotc_wire_panics_total{role=%q} = %v, want %v", c.role, got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// panicConn is a node link whose next write, once armed, panics: the
+// router's handler panics as it forwards.
+type panicConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c panicConn) Write(p []byte) (int, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		panic("router bug")
+	}
+	return c.Conn.Write(p)
+}
+
+// panicsOf reads hotc_wire_panics_total{role} off reg (0 when no series).
+func panicsOf(reg *obs.Registry, role string) float64 {
+	for _, f := range reg.Snapshot() {
+		if f.Name == "hotc_wire_panics_total" {
+			for _, s := range f.Series {
+				if s.LabelValues[0] == role {
+					return s.Value
+				}
+			}
+		}
+	}
+	return 0
 }

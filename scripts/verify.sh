@@ -99,13 +99,22 @@ expect_refused() {
 for c in hotcd hotc-load hotc-trace hotc-router; do
 	go build -o "$WORK/$c" "./cmd/$c"
 done
-echo "== load-generator smoke (2s open loop against a real hotcd)"
 # A non-saturating rate through the admission tier at hotcd's defaults:
 # the run must complete with non-zero goodput and zero 5xx, proving the
-# generator and the daemon against a real socket path.
-start_daemon "$WORK/hotcd.log" "$WORK/hotcd" -addr 127.0.0.1:0
-"$WORK/hotc-load" -target "$BASE" -rate 50 -duration 2s -assert-min-ok 0.9 -assert-max-5xx 0 \
-	-out "$WORK/smoke.json"
+# generator and the daemon against a real socket path, once per backend
+# (the default, in-process, last: the exposition check below reuses it).
+# /system/stats must name the backend the flag chose.
+for backend in socket in-process; do
+	echo "== load-generator smoke (2s open loop against a real hotcd -backend $backend)"
+	stop_daemons
+	start_daemon "$WORK/hotcd-$backend.log" "$WORK/hotcd" -addr 127.0.0.1:0 -backend "$backend"
+	curl -sf "$BASE/system/stats" | grep -q "\"backend\":\"$backend\"" || {
+		echo "verify: /system/stats does not report backend $backend" >&2
+		exit 1
+	}
+	"$WORK/hotc-load" -target "$BASE" -rate 50 -duration 2s -assert-min-ok 0.9 -assert-max-5xx 0 \
+		-out "$WORK/smoke-$backend.json"
+done
 echo "== prometheus-exposition check (a refused head counted, then a strict parse of a live hotcd /metrics)"
 # On the daemon the load just ran against, drive a traced request so
 # exemplars and the hotc_trace_*/hotc_slo_* families are live, then run
