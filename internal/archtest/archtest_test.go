@@ -81,11 +81,12 @@ var rules = []row{
 	// One background goroutine, the control cycle, runs every periodic
 	// decision as a stage, over the registry in name order: N + 1 free
 	// tickers and a map iteration per walk made decisions depend on map
-	// order. Goroutines: the cycle, a prewarm boot, stopAll's teardowns
-	// and the server (the hop's body writer lives in internal/hop).
+	// order. Goroutines: the cycle, a prewarm boot, stopAll's and
+	// retire's teardowns and the server (the hop's body writer lives in
+	// internal/hop).
 	{name: "one way in, one way out: goroutines for the cycle, prewarms, teardowns and serving", in: live,
 		match: is(func(c *at, g *ast.GoStmt) bool { return true }), allow: sites{L + "controller.go Gateway.startCycle": 1,
-			L + "controller.go Gateway.controlOnce": 1, L + "live.go stopAll": 1, L + "live.go Gateway.StartOn": 1}},
+			L + "controller.go Gateway.controlOnce": 1, L + "live.go stopAll": 1, L + "live.go Gateway.retire": 1, L + "live.go Gateway.StartOn": 1}},
 	{name: "one way in, one way out: the registry walked in name order", in: live, match: ranges("g.shards"),
 		allow: sites{L + "live.go Gateway.Register": 1}},
 
@@ -136,9 +137,18 @@ var rules = []row{
 	// One backend seam. A watchdog was started at two sites, a generic's
 	// boot and a full cold boot's, each calling prefork.Start, so a
 	// second backend would have been a second branch at each: a watchdog
-	// comes to exist in a backend's start, which New resolves once.
-	{name: "one backend seam: watchdogs started by the backend's start", in: all, match: sel("hotc/internal/prefork", "Start", "Inline"),
-		allow: sites{L + "watchdog.go socketBackend.start": 1, L + "watchdog.go inlineBackend.start": 1}, exact: true},
+	// comes to exist in a backend's start, which New resolves once. And
+	// the function step had a copy per backend, the socket watchdog's
+	// handler and the in-process call's, which drifted apart (a stream
+	// that failed mid-reply was booked whole by both, a deadline answered
+	// late by one): a function runs in run alone, once as a stream and
+	// once as a buffered handler.
+	{name: "one backend seam: watchdogs started by the backend's start, functions run by run", in: all,
+		match: either(sel("hotc/internal/prefork", "Start", "Inline"), is(func(c *at, x *ast.CallExpr) bool {
+			_, method := x.Fun.(*ast.SelectorExpr)
+			return method && c.f.dir == "internal/faas/live" && slices.Contains([]string{"Stream", "Handler"}, callee(x))
+		})),
+		allow: sites{L + "watchdog.go socketBackend.start": 1, L + "watchdog.go inlineBackend.start": 1, L + "watchdog.go Gateway.run": 2}, exact: true},
 
 	// Wired once. hotc.NewSimulation, bench.NewEnv and every cluster node
 	// are one stack.New: hand-wired copies drifted (cluster nodes never
@@ -290,7 +300,8 @@ var rules = []row{
 			hotc_slo_burn_rate hotc_slo_bad_fraction hotc_slo_breach hotc_slo_budget hotc_build_info hotc_uptime_seconds
 			hotc_coldpath_boots_total hotc_coldpath_phase_ms hotc_coldpath_generic_idle hotc_coldpath_refills_total
 			hotc_coldpath_generic_reaped_total hotc_coldpath_pull_skipped_mb_total hotc_share_leases_total
-			hotc_share_lenders hotc_share_renters hotc_share_boot_phase_ms hotc_wire_refusals_total hotc_wire_panics_total`) {
+			hotc_share_lenders hotc_share_renters hotc_share_boot_phase_ms hotc_wire_refusals_total hotc_wire_panics_total
+			hotc_wire_body_bytes_total hotc_wire_redials_total`) {
 			if have[name] == nil {
 				bad = append(bad, name+" is registered nowhere")
 			}

@@ -289,8 +289,8 @@ func TestDeadlineCancelsInFlightBackend(t *testing.T) {
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Fatalf("expired-in-flight status = %d, want 504", resp.StatusCode)
 		}
-		if took := time.Since(start); backend == BackendInProcess && took >= 400*time.Millisecond {
-			t.Fatalf("the 504 took %v: the function's context did not end at the 50 ms deadline", took)
+		if took := time.Since(start); took >= 400*time.Millisecond {
+			t.Fatalf("the 504 took %v: it was not answered at the 50 ms deadline", took)
 		}
 		if got := resp.Header.Get(RejectedHeader); got != string(admission.ReasonDeadline) {
 			t.Fatalf("%s = %q, want %q", RejectedHeader, got, admission.ReasonDeadline)

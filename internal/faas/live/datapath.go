@@ -67,10 +67,10 @@ func drainClose(rc io.ReadCloser) {
 	rc.Close()
 }
 
-// frontLimit reports whether err is the front door's own body limit
-// (*http.MaxBytesError), which a function in process reads straight off
-// the client's body.
-func frontLimit(err error) bool {
+// bodyLimit reports whether err is a hop server's body limit
+// (*http.MaxBytesError): a socket watchdog's own, or the front door's,
+// which a function in process reads straight off the client's body.
+func bodyLimit(err error) bool {
 	var mbe *http.MaxBytesError
 	return errors.As(err, &mbe)
 }
@@ -80,5 +80,5 @@ func frontLimit(err error) bool {
 // the gateway's front door or a watchdog — the signal to answer 413
 // instead of blaming the backend.
 func isMaxBytesErr(err error) bool {
-	return frontLimit(err) || err != nil && strings.Contains(err.Error(), "request body too large")
+	return bodyLimit(err) || err != nil && strings.Contains(err.Error(), "request body too large")
 }

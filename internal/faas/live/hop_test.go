@@ -190,7 +190,7 @@ func TestHopForwardsDeclaredLength(t *testing.T) {
 	got := make(chan seen, 1)
 	idleInstances(g, "f")[0].wd.Specialize(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got <- seen{r.ContentLength, r.TransferEncoding}
-		g.serveFunction(w, r, fn)
+		g.watchdogHandler(fn).ServeHTTP(w, r)
 	}))
 
 	payload := patternedPayload(256 << 10)

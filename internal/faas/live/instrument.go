@@ -29,6 +29,12 @@ type instruments struct {
 	// families (hotc_ctl_*), declared once in the kernel.
 	ctl *kernel.Books
 
+	// The gateway's wire books (hotc_wire_*{role="gateway"}): the body
+	// bytes its front door and its instance connections send, and the
+	// instance connections it dials anew.
+	wireBody func(copied, spliced int64)
+	redialed func()
+
 	// bodyBytes tracks response bytes streamed to clients, recorded
 	// from the copy loop's running count — the gateway never buffers a
 	// body just to measure it.
@@ -142,7 +148,9 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"function"),
 		uptime: reg.Gauge("hotc_uptime_seconds",
 			"Seconds since the daemon started, refreshed on scrape."),
-		ctl: kernel.NewBooks(reg),
+		ctl:      kernel.NewBooks(reg),
+		wireBody: kernel.WireBodyBytes(reg, "gateway"),
+		redialed: kernel.WireRedials(reg, "gateway"),
 		bodyBytes: reg.Histogram("hotc_gateway_body_bytes",
 			"Response bytes streamed through the gateway per request.",
 			obs.DefaultBodySizeBuckets()),

@@ -183,7 +183,9 @@ func (g *Gateway) dialHop(ctx context.Context, addr string) (*hop.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return hop.New(conn, addr), nil
+	c := hop.New(conn, addr)
+	c.OnBody(g.obs.wireBody)
+	return c, nil
 }
 
 // watchdogHeader is the one header every request to a watchdog carries.
@@ -309,7 +311,7 @@ type Gateway struct {
 	life    context.Context
 	endLife context.CancelFunc
 	// wg tracks every background goroutine the gateway owns: the
-	// control cycle and prewarm boots.
+	// control cycle, prewarm boots and retire's teardowns.
 	// Adds happen under smu (read or write side) after a stopped
 	// check, so they cannot race Stop's Wait.
 	wg sync.WaitGroup
@@ -428,6 +430,7 @@ func (g *Gateway) StartOn(addr string) (string, error) {
 	g.server.LimitBodies(g.cfg.MaxBodyBytes)
 	g.server.OnRefusal(kernel.WireRefusals(g.reg, "gateway"))
 	g.server.OnPanic(kernel.WirePanics(g.reg, "gateway"))
+	g.server.OnBody(g.obs.wireBody)
 	go g.server.Serve(lis)
 	g.startCycle()
 	return "http://" + lis.Addr().String(), nil
@@ -580,8 +583,29 @@ func (g *Gateway) release(s *shard, inst *instance, healthy bool) {
 	}
 	s.mu.Unlock()
 	if doomed != nil {
-		doomed.stop()
+		g.retire(doomed)
 	}
+}
+
+// retire stops inst off the caller's goroutine: a socket watchdog whose
+// handler still runs (its request was abandoned mid-call) takes up to
+// its stop grace, which the request must not wait out before its answer.
+// g.wg holds the stop, so Stop leaks nothing; once the gateway has
+// stopped, and in process, where a stop waits for nothing, inst stops
+// here.
+func (g *Gateway) retire(inst *instance) {
+	g.smu.RLock()
+	if g.stopped.Load() || inst.wd.Addr() == "" {
+		g.smu.RUnlock()
+		inst.stop()
+		return
+	}
+	g.wg.Add(1)
+	g.smu.RUnlock()
+	go func() {
+		defer g.wg.Done()
+		inst.stop()
+	}()
 }
 
 // redial replaces a connection finish had to close, so the instance can
@@ -589,6 +613,7 @@ func (g *Gateway) release(s *shard, inst *instance, healthy bool) {
 // request may be over by now, so the dial runs under the gateway's
 // lifetime, not the request's.
 func (g *Gateway) redial(inst *instance) bool {
+	g.obs.redialed()
 	conn, err := g.dialHop(g.life, inst.wd.Addr())
 	if err != nil {
 		return false
@@ -861,33 +886,49 @@ func (b *socketBackend) call(ctx context.Context, req *request, inst *instance, 
 	return g.answered(req, status, n)
 }
 
-// call is the in-process backend's exchange: inst's function runs on
-// this goroutine against the client's own w and r (serve) — no hop
-// exchange, no relay, no second goroutine, no socket. Each way out ends
-// as the socket row it stands for: a panic as a hop failure, the front
-// door's body limit as a body that ran over mid-proxy, a client that
-// stopped taking the reply as one gone mid-relay. A function that
-// ignores its context is answered when it returns, not at the deadline.
+// call is the in-process backend's exchange: run, on this goroutine
+// against the client's own w and r, under the recover a socket
+// watchdog's server gives it — no hop exchange, no relay, no second
+// goroutine, no socket. Each way out ends as the socket row it stands
+// for: a panic, or a stream that failed after its first byte, as a
+// reply the watchdog cut; the front door's body limit as a body that ran
+// over mid-proxy; a client that stopped taking the reply as one gone
+// mid-relay. A function that ignores its context is answered when it
+// returns, not at the deadline.
 func (b *inlineBackend) call(ctx context.Context, req *request, inst *instance, mode bootMode) ending {
 	g, s, w, rt := b.g, req.s, req.w, &req.rt
 	stampBoot(w.Header(), rt.reused, mode)
-	status, err := b.serve(ctx, w, req.r, inst.fn, rt)
+	var m *moments
+	if rt.active {
+		m = &rt.m
+	}
+	status, err := func() (status int, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				if v != http.ErrAbortHandler {
+					b.panicked()
+				}
+				status, err = http.StatusOK, errPanicked
+			}
+		}()
+		return g.run(ctx, w, req.r, inst.fn, m)
+	}()
 	n, lost := hop.Sent(w)
 	rt.served = err == nil || n > 0
 	var e ending
 	switch {
-	case err == errPanicked:
-		e = ending{outcome: "error", status: http.StatusBadGateway,
-			refusal: err.Error(), errMsg: err.Error(), blame: "proxy.failures"}
 	case err != nil && ctx.Err() != nil:
-	case frontLimit(err):
+	case bodyLimit(err):
 		e = bodyTooLarge()
-	default:
+	case err == nil, lost && err != errPanicked:
 		g.release(s, inst, true)
 		if lost {
 			return g.abandoned(req, true) // the client left mid-reply
 		}
 		return g.answered(req, status, n)
+	default:
+		e = ending{outcome: "error", status: http.StatusBadGateway,
+			refusal: err.Error(), errMsg: err.Error(), blame: "proxy.failures"}
 	}
 	g.release(s, inst, false)
 	return g.failed(ctx, req, e, status)

@@ -82,6 +82,71 @@ func TestLargeRelayStaysInKernel(t *testing.T) {
 	}
 }
 
+// Every body a hop endpoint sends is counted once, under the role that
+// sent it and the way it went: a 1 MiB echo moves
+// hotc_wire_body_bytes_total{path="spliced"} by its bytes once for each
+// leg a role spliced it on — on a socket the gateway's request to its
+// watchdog and its reply to the client, and the watchdog's reply; in
+// process the gateway's reply — and a 64 B echo moves {path="copied"}
+// alike, each leaving the other path where it was.
+func TestWireBodyBytesByPath(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("splice(2) is Linux's")
+	}
+	onBackends(t, func(t *testing.T, backend string) {
+		g, base := startDaemon(t, PoolConfig{Backend: backend})
+		if err := g.Deploy(DeploySpec{Name: "echo", Handler: "echo"}); err != nil {
+			t.Fatal(err)
+		}
+		send := func(n int) {
+			payload := patternedPayload(n)
+			resp, err := http.Post(base+"/function/echo", "application/octet-stream", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 || !bytes.Equal(got, payload) {
+				t.Fatalf("echo: %d, %d bytes, %v", resp.StatusCode, len(got), err)
+			}
+		}
+		legs := map[string]float64{"gateway": 2, "watchdog": 1}
+		if backend == BackendInProcess {
+			legs = map[string]float64{"gateway": 1, "watchdog": 0}
+		}
+		paths := []string{"copied", "spliced"}
+		books := func() map[string]float64 {
+			m := map[string]float64{}
+			for role := range legs {
+				for _, path := range paths {
+					m[role+" "+path] = metricSum(t, g.reg, "hotc_wire_body_bytes_total", role, path)
+				}
+			}
+			return m
+		}
+		send(64) // the cold boot and the client's connection
+		for _, tc := range []struct {
+			size int
+			path string
+		}{{64, "copied"}, {1 << 20, "spliced"}} {
+			before := books()
+			send(tc.size)
+			after := books()
+			for role, n := range legs {
+				for _, path := range paths {
+					want := 0.0
+					if path == tc.path {
+						want = n * float64(tc.size)
+					}
+					if moved := after[role+" "+path] - before[role+" "+path]; moved != want {
+						t.Errorf("a %d B echo moved {role=%q,path=%q} by %v, want %v", tc.size, role, path, moved, want)
+					}
+				}
+			}
+		}
+	})
+}
+
 // Two requests in one write: the disconnect watch, which starts once the
 // first request's body is read, takes the second request's first byte,
 // and the front door still answers both, in order — the second as the

@@ -369,6 +369,12 @@ func TestEveryExitCountsOnce(t *testing.T) {
 		w.Write(make([]byte, 64<<10))
 		panic(http.ErrAbortHandler)
 	}}
+	// failing64k commits a status line and part of a chunked body, then
+	// its stream returns an error: the reply is not whole.
+	failing64k := Function{Name: "f", Stream: func(_ context.Context, _ io.Reader, w io.Writer) error {
+		w.Write(make([]byte, 64<<10))
+		return errors.New("stream broke")
+	}}
 	// large answers 8 MiB whatever it is asked: more than loopback's
 	// socket buffers hold (a send buffer grows to 4 MiB), so a client
 	// that stops reading stalls the relay mid-body.
@@ -511,6 +517,12 @@ func TestEveryExitCountsOnce(t *testing.T) {
 			outcome: "error", spanStatus: 502, wire: 502, spanErr: true,
 			res: map[string]int{"proxy.failures": 1, "breaker.trips": 1}},
 		{name: "backend death mid-stream", fn: &dying,
+			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
+			outcome: "error", spanStatus: 200, wire: 200, truncated: true, spanErr: true,
+			res: map[string]int{"proxy.failures": 1, "breaker.trips": 1}},
+		// A stream's error after its first byte ends the reply as its
+		// backend's death does: cut, never whole.
+		{name: "stream error mid-reply", fn: &failing64k,
 			do:      func(rig *exitRig) *reply { return rig.post(strings.NewReader("x"), nil) },
 			outcome: "error", spanStatus: 200, wire: 200, truncated: true, spanErr: true,
 			res: map[string]int{"proxy.failures": 1, "breaker.trips": 1}},

@@ -137,12 +137,12 @@ type reqTrace struct {
 	name    string
 	tenant  string
 	start   time.Time
-	// clientIn and the watchdog moments are nanoseconds from the
-	// gateway epoch (0 = never reached).
-	clientIn                                     int64
-	watchdogIn, funcStart, funcDone, watchdogOut int64
-	queueWait                                    time.Duration
-	events                                       [4]obs.SpanEvent
+	// clientIn is nanoseconds from the gateway epoch; m holds moments
+	// (2)..(5), stamped in process, read off the reply on a socket.
+	clientIn  int64
+	m         moments
+	queueWait time.Duration
+	events    [4]obs.SpanEvent
 }
 
 // begin stamps moment (1) and resolves the request's trace context:
@@ -185,23 +185,16 @@ func (g *Gateway) traceEvent(rt *reqTrace, kind, detail string) {
 // trailers) into the request state, filling only moments not already
 // set — headers first, then trailers complete the streaming path.
 func (tr *tracing) noteWatchdog(h http.Header, rt *reqTrace) {
-	if rt.watchdogIn == 0 {
-		rt.watchdogIn = tr.headerNanos(h, SpanWatchdogInHeader)
-	}
-	if rt.funcStart == 0 {
-		rt.funcStart = tr.headerNanos(h, SpanFuncStartHeader)
-	}
-	if rt.funcDone == 0 {
-		rt.funcDone = tr.headerNanos(h, SpanFuncDoneHeader)
-	}
-	if rt.watchdogOut == 0 {
-		rt.watchdogOut = tr.headerNanos(h, SpanWatchdogOutHeader)
+	for i, k := range spanHeaders {
+		if rt.m.at[i] == 0 {
+			rt.m.at[i] = tr.headerNanos(h, k)
+		}
 	}
 }
 
-// headerNanos converts one unix-nano timestamp header to an epoch
-// offset (0 when absent or malformed). key is canonical, so the map is
-// read directly.
+// headerNanos reads one unix-nano timestamp header (0 when absent,
+// malformed or before the epoch). key is canonical, so the map is read
+// directly.
 func (tr *tracing) headerNanos(h http.Header, key string) int64 {
 	vs := h[key]
 	if len(vs) == 0 {
@@ -211,7 +204,16 @@ func (tr *tracing) headerNanos(h http.Header, key string) int64 {
 	if err != nil || n <= tr.epochNano {
 		return 0
 	}
-	return n - tr.epochNano
+	return n
+}
+
+// since is moment t's offset from the tracer's epoch, 0 when t was
+// never reached.
+func (tr *tracing) since(t int64) time.Duration {
+	if t == 0 {
+		return 0
+	}
+	return time.Duration(t - tr.epochNano)
 }
 
 // internalRespHeader reports response headers the gateway consumes
@@ -245,10 +247,10 @@ func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg strin
 		Status:      status,
 		ClientIn:    time.Duration(rt.clientIn),
 		GatewayIn:   time.Duration(rt.clientIn) + rt.queueWait,
-		WatchdogIn:  time.Duration(rt.watchdogIn),
-		FuncStart:   time.Duration(rt.funcStart),
-		FuncDone:    time.Duration(rt.funcDone),
-		WatchdogOut: time.Duration(rt.watchdogOut),
+		WatchdogIn:  tr.since(rt.m.at[watchdogIn]),
+		FuncStart:   tr.since(rt.m.at[funcStart]),
+		FuncDone:    tr.since(rt.m.at[funcDone]),
+		WatchdogOut: tr.since(rt.m.at[watchdogOut]),
 		ClientOut:   clientOut,
 	}
 	reason, keep := tr.sampler.Decide(&sp)

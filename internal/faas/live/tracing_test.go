@@ -63,9 +63,15 @@ func findSpan(spans []obs.Span, fn func(obs.Span) bool) (obs.Span, bool) {
 
 // A request carrying a W3C traceparent joins the caller's trace and
 // yields a span with all six §III.A moments, on both the streaming
-// (echo) and buffered (qr) watchdog paths.
+// (echo) and buffered (qr) watchdog paths, on either backend: the
+// socket's moments travel back as reply fields, the in-process ones are
+// stamped into the span.
 func TestTraceEndToEndWithTraceparent(t *testing.T) {
-	d, base := startDaemon(t, PoolConfig{TraceSampleRate: 1})
+	onBackends(t, traceEndToEnd)
+}
+
+func traceEndToEnd(t *testing.T, backend string) {
+	d, base := startDaemon(t, PoolConfig{Backend: backend, TraceSampleRate: 1})
 	for _, fn := range []string{"echo", "qr"} {
 		if err := d.Deploy(DeploySpec{Name: fn, Handler: fn, ColdStartMs: 5}); err != nil {
 			t.Fatal(err)

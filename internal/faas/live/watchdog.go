@@ -52,14 +52,15 @@ func (g *Gateway) exchange(ctx context.Context, req *request, inst *instance, mo
 func (g *Gateway) newBackend(name string) backend {
 	panicked := kernel.WirePanics(g.reg, "watchdog")
 	if name == BackendSocket {
-		return &socketBackend{g: g, hooks: prefork.Hooks{ServeError: g.watchdogServeError, Panic: panicked}}
+		return &socketBackend{g: g, hooks: prefork.Hooks{ServeError: g.watchdogServeError, Panic: panicked,
+			Body: kernel.WireBodyBytes(g.reg, "watchdog")}}
 	}
 	return &inlineBackend{g: g, panicked: panicked}
 }
 
 // socketBackend runs each instance's function behind its own loopback
 // watchdog, reached over the instance's hop connection: the paper's
-// gateway→watchdog leg. Its call is proxy (live.go).
+// gateway→watchdog leg. Its call is in live.go.
 type socketBackend struct {
 	g     *Gateway
 	hooks prefork.Hooks // what the gateway hears of its watchdogs
@@ -84,7 +85,7 @@ func (b *socketBackend) specialize(ctx context.Context, wd *prefork.Watchdog, fn
 }
 
 // inlineBackend runs a function on the front door's own goroutine,
-// against the client's connection (serve): no socket, no hop exchange,
+// against the client's connection (call): no socket, no hop exchange,
 // no relay. Its watchdogs are prefork.Inline's, its instances hold no
 // connection, and the instance's fn is what runs.
 type inlineBackend struct {
@@ -98,159 +99,100 @@ func (b *inlineBackend) specialize(context.Context, *prefork.Watchdog, Function,
 	return nil, nil
 }
 
-// watchdogHandler builds the watchdog-side request handler for fn —
+// watchdogHandler builds a socket watchdog's request handler for fn —
 // what specialization installs into a generic or freshly-booted
-// watchdog.
+// watchdog. It runs fn through run under the request's own context,
+// which a socket watchdog never ends. A request carrying a traceparent
+// gets its moments back as X-Hotc-Span-* unix-nano fields of the reply's
+// header, read on the gateway's clock: a stream's last two are
+// unknowable before its reply starts, so it declares them as trailers,
+// which the gateway reads after draining the body. The handler answers
+// 413 on the watchdog's own body limit and cuts a reply that failed once
+// committed, so the gateway reads it cut short, never whole.
 func (g *Gateway) watchdogHandler(fn Function) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.serveFunction(w, r, fn)
+		var m *moments
+		if len(r.Header[TraceparentHeader]) > 0 {
+			h := w.Header()
+			if fn.Stream != nil {
+				h["Trailer"] = spanTrailer
+			}
+			m = &moments{wire: h, vals: make([]string, len(spanHeaders))}
+		}
+		_, err := g.run(r.Context(), w, r, fn, m)
+		switch {
+		case err == nil:
+		case bodyLimit(err) && !hop.Committed(w):
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		default:
+			panic(http.ErrAbortHandler) // the server drops the connection
+		}
 	})
 }
 
-// spanTrailer declares the stream path's two late moments as trailers;
-// shared by every reply, never written.
+// spanTrailer declares a stream's two late moments as trailers; shared
+// by every reply, never written.
 var spanTrailer = []string{SpanFuncDoneHeader + ", " + SpanWatchdogOutHeader}
 
-// serveFunction is the watchdog request handler, run by a hop.Server, which
-// bounds the request body (a read past the watchdog's limit fails with
-// *http.MaxBytesError: HTTP 413 here), reads whatever the function left
-// of it, and lets a streaming function read and write full duplex.
-// Streaming bodies run directly against the socket; []byte handlers go
-// through the pooled compat shim, which replaces the old per-request
-// io.ReadAll with a recycled whole-body buffer.
-//
-// A request carrying a traceparent gets the watchdog's §III.A moments
-// (2)..(5) back as X-Hotc-Span-* unix-nano headers, read on the gateway's
-// clock. On the streaming
-// path moments (4) and (5) are unknowable before the response body
-// starts, so they return as HTTP trailers on the chunked reply; the
-// gateway reads them after draining the body.
-func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request, fn Function) {
-	traced := len(r.Header[TraceparentHeader]) > 0
-	var watchdogIn int64
-	if traced {
-		watchdogIn = g.clock.Now().UnixNano() // moment (2)
-	}
-	var spans []string // the span headers' values, one array for all four
-	if traced {
-		spans = make([]string, 4)
-	}
-	if fn.Stream != nil {
-		if traced {
-			h := w.Header()
-			h["Trailer"] = spanTrailer
-			stamp(h, spans, 0, SpanWatchdogInHeader, watchdogIn)
-			stamp(h, spans, 1, SpanFuncStartHeader, g.clock.Now().UnixNano())
-		}
-		err := fn.Stream(r.Context(), r.Body, w)
-		if traced {
-			// Moments (4) and (5) coincide for a stream: the handler's
-			// last write is the response leaving the watchdog. Written
-			// into the declared trailers when the reply is chunked.
-			now := g.clock.Now().UnixNano()
-			stamp(w.Header(), spans, 2, SpanFuncDoneHeader, now)
-			stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, now)
-		}
-		if err != nil && !hop.Committed(w) {
-			// Nothing committed yet: a real status line is still
-			// possible. After first byte, all we can do is truncate.
-			if isMaxBytesErr(err) {
-				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			} else {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		}
-		return
-	}
-	buf := getBodyBuf()
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		putBodyBuf(buf)
-		if isMaxBytesErr(err) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
-		return
-	}
-	var funcStart int64
-	if traced {
-		funcStart = g.clock.Now().UnixNano() // moment (3)
-	}
-	out, err := fn.Handler(r.Context(), buf.Bytes())
-	if traced {
-		h := w.Header()
-		stamp(h, spans, 0, SpanWatchdogInHeader, watchdogIn)
-		stamp(h, spans, 1, SpanFuncStartHeader, funcStart)
-		stamp(h, spans, 2, SpanFuncDoneHeader, g.clock.Now().UnixNano()) // moment (4)
-	}
-	if err != nil {
-		putBodyBuf(buf)
-		if traced {
-			stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, g.clock.Now().UnixNano())
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// Declare the length so the gateway can forward it instead of
-	// chunking. The buffer recycles only after the write: echo-style
-	// handlers return slices aliasing it.
-	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-	if traced {
-		stamp(w.Header(), spans, 3, SpanWatchdogOutHeader, g.clock.Now().UnixNano()) // moment (5)
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
-	putBodyBuf(buf)
+// moments are §III.A moments (2)..(5) of one request, in spanHeaders'
+// order, as unix nanoseconds on the gateway's clock (0 = not reached).
+// run stamps them; in process they are the request's span's own. On a
+// socket wire is the reply's header, and each stamp is also set there as
+// its X-Hotc-Span-* field, its value in vals: one array for all four.
+type moments struct {
+	at   [4]int64
+	wire http.Header
+	vals []string
 }
 
-// stamp sets span header k to the unix-nano time t, its value in
-// spans[i]: the reply's span headers share one value array.
-func stamp(h http.Header, spans []string, i int, k string, t int64) {
-	spans[i] = strconv.FormatInt(t, 10)
-	h[k] = spans[i : i+1 : i+1]
+// The moments, as indices into moments.at.
+const (
+	watchdogIn  = iota // (2) the request reached the watchdog
+	funcStart          // (3) the function began
+	funcDone           // (4) the function finished
+	watchdogOut        // (5) the reply left the watchdog
+)
+
+// spanHeaders name the moments on the wire.
+var spanHeaders = [...]string{SpanWatchdogInHeader, SpanFuncStartHeader, SpanFuncDoneHeader, SpanWatchdogOutHeader}
+
+// mark stamps moments is of m, one reading of the gateway's clock for
+// all; a no-op for an untraced request (m nil).
+func (g *Gateway) mark(m *moments, is ...int) {
+	if m == nil {
+		return
+	}
+	t := g.clock.Now().UnixNano()
+	for _, i := range is {
+		m.at[i] = t
+		if m.wire != nil {
+			m.vals[i] = strconv.FormatInt(t, 10)
+			m.wire[spanHeaders[i]] = m.vals[i : i+1 : i+1]
+		}
+	}
 }
 
-// errPanicked is serve's error for a function that panicked.
-var errPanicked = errors.New("live: function panicked")
-
-// serve is the in-process watchdog: serveFunction's work, with fn run
-// on the front door's own goroutine against the client's w and r, whose
-// body the front door already bounds, under the request's ctx, and the
-// §III.A moments (2)..(5) stamped straight into the request's span. It
-// returns the reply's status and the error call books: the front door's
-// body limit, ctx's error when ctx ended before a buffered reply could
-// go out, a stream's failure after its first byte, or errPanicked — the
-// function's panic, recovered here and counted as the in-process
-// watchdog's. A function's own error before any byte went out is
-// answered here, as a socket watchdog answers it.
-func (b *inlineBackend) serve(ctx context.Context, w http.ResponseWriter, r *http.Request, fn Function, rt *reqTrace) (status int, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			if v != http.ErrAbortHandler {
-				b.panicked()
-			}
-			status, err = http.StatusOK, errPanicked
-		}
-	}()
-	g := b.g
-	traced := rt.active
-	if traced {
-		rt.watchdogIn = g.traceNow() // moment (2)
-	}
+// run is the function step, the one on either backend: fn runs under
+// ctx against r's body and w, and a traced request's moments go into m.
+// A streaming function reads and writes full duplex; a buffered one gets
+// its body through the pooled compat shim, a recycled whole-body buffer,
+// and its reply declares its Content-Length. While nothing of the reply
+// is committed, a function's error is answered 500 (413 for a stream's
+// body-limit error flattened to text), and a body that failed to read
+// 400. Three ways out are left to the caller, unanswered: the hop
+// server's body limit (bodyLimit), ctx's end, and a stream that failed
+// after its first byte. status is the reply's, 0 when there is none.
+func (g *Gateway) run(ctx context.Context, w http.ResponseWriter, r *http.Request, fn Function, m *moments) (status int, err error) {
+	g.mark(m, watchdogIn)
 	if fn.Stream != nil {
-		if traced {
-			rt.funcStart = g.traceNow() // moment (3)
-		}
+		g.mark(m, funcStart)
 		err = fn.Stream(ctx, r.Body, w)
-		if traced {
-			// Moments (4) and (5) coincide for a stream, as on a socket.
-			rt.funcDone = g.traceNow()
-			rt.watchdogOut = rt.funcDone
-		}
-		if err == nil || hop.Committed(w) || frontLimit(err) || ctx.Err() != nil {
+		// Moments (4) and (5) coincide for a stream: the function's last
+		// write is the reply leaving the watchdog.
+		g.mark(m, funcDone, watchdogOut)
+		if err == nil || hop.Committed(w) || bodyLimit(err) || ctx.Err() != nil {
 			return http.StatusOK, err
 		}
-		// Nothing committed yet: a real status line is still possible.
 		status = http.StatusInternalServerError
 		if isMaxBytesErr(err) {
 			status = http.StatusRequestEntityTooLarge
@@ -259,47 +201,38 @@ func (b *inlineBackend) serve(ctx context.Context, w http.ResponseWriter, r *htt
 		return status, nil
 	}
 	buf := getBodyBuf()
+	// The buffer recycles only after the write: echo-style handlers
+	// return slices aliasing it.
+	defer putBodyBuf(buf)
 	if _, err := buf.ReadFrom(r.Body); err != nil {
-		putBodyBuf(buf)
-		if frontLimit(err) || ctx.Err() != nil {
+		if bodyLimit(err) || ctx.Err() != nil {
 			return 0, err
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return http.StatusBadRequest, nil
 	}
-	if traced {
-		rt.funcStart = g.traceNow() // moment (3)
-	}
+	g.mark(m, funcStart)
 	out, err := fn.Handler(ctx, buf.Bytes())
-	if traced {
-		rt.funcDone = g.traceNow() // moment (4)
-	}
+	g.mark(m, funcDone)
 	switch {
 	case ctx.Err() != nil:
 		// The deadline passed, or the client left, while the function
-		// ran: nothing goes out but what call answers.
-		putBodyBuf(buf)
+		// ran: nothing goes out but what the caller answers.
 		return 0, ctx.Err()
 	case err != nil:
-		putBodyBuf(buf)
-		if traced {
-			rt.watchdogOut = g.traceNow()
-		}
+		g.mark(m, watchdogOut)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return http.StatusInternalServerError, nil
 	}
-	// Declare the length, as a socket watchdog does. The buffer recycles
-	// only after the write: echo-style handlers return slices aliasing it.
+	// Declare the length, so the gateway can forward it instead of
+	// chunking.
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-	if traced {
-		rt.watchdogOut = g.traceNow() // moment (5)
-	}
+	g.mark(m, watchdogOut)
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
-	putBodyBuf(buf)
 	return http.StatusOK, nil
 }
 
-// traceNow is the gateway's clock as a span stamp: nanoseconds from the
-// tracer's epoch. Only a traced request reads it.
-func (g *Gateway) traceNow() int64 { return g.clock.Now().UnixNano() - g.trace.epochNano }
+// errPanicked is the in-process backend's error for a function that
+// panicked.
+var errPanicked = errors.New("live: function panicked")

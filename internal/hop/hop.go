@@ -160,6 +160,8 @@ type Conn struct {
 	// wdone carries the body writer's result, one send per streamed
 	// exchange.
 	wdone chan error
+	// bodies is the owner's body hook (OnBody).
+	bodies func(copied, spliced int64)
 
 	// Per-exchange state. resp is what RoundTrip returns, valid until
 	// Finish or Abort; its Header and Trailer are new each exchange, so
@@ -235,6 +237,19 @@ func New(conn net.Conn, host string) *Conn {
 	return c
 }
 
+// OnBody has f called, before the first RoundTrip, after each request
+// body the connection sent any byte of, with the bytes sent: spliced,
+// moved in the kernel from a served request's socket (a segment the
+// reader already held rides along), and copied, written from user space.
+func (c *Conn) OnBody(f func(copied, spliced int64)) { c.bodies = f }
+
+// count hands a request body's bytes to the body hook.
+func (c *Conn) count(copied, spliced int64) {
+	if c.bodies != nil && copied+spliced > 0 {
+		c.bodies(copied, spliced)
+	}
+}
+
 // unanswered marks a RoundTrip failure that came before any byte of a
 // response.
 type unanswered struct{ err error }
@@ -284,6 +299,7 @@ func (c *Conn) RoundTrip(ctx context.Context, head Head, body io.Reader, length 
 		if err := bw.Flush(); err != nil {
 			return nil, c.fail(ctx, &unanswered{err})
 		}
+		c.count(length, 0)
 	} else {
 		// Streaming handlers answer while still reading: writing the
 		// whole body before the first response read would deadlock on
@@ -522,6 +538,7 @@ func (c *Conn) sendBody(body io.Reader, length int64) error {
 	bp := GetBuf()
 	defer PutBuf(bp)
 	var sent int64
+	defer func() { c.count(sent, 0) }()
 	for chunked || sent < length {
 		buf := *bp
 		if !chunked && length-sent < int64(len(buf)) {

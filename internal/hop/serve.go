@@ -261,6 +261,7 @@ func (s *server) call(h http.Handler) (ok bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			ok = false
+			s.w.count()
 			if v != http.ErrAbortHandler {
 				if s.owner.panicked != nil {
 					s.owner.panicked()
@@ -425,6 +426,7 @@ func (s *server) finish() bool {
 	if w.length >= 0 && w.written < w.length && bodyAllowed(w.status) && !s.head {
 		s.closing = true // the reply is short of what its head declares
 	}
+	w.count() // before the peer can see the reply end
 	return bw.Flush() == nil && !s.closing
 }
 
@@ -549,6 +551,7 @@ type response struct {
 	status  int   // 0 until WriteHeader
 	length  int64 // the declared Content-Length, -1 none
 	written int64 // body bytes the handler wrote
+	spliced int64 // of them, the ones splice moved
 	sent    bool  // the head is written
 	chunked bool
 	lost    bool // a write to the peer failed: it is gone
@@ -558,7 +561,17 @@ type response struct {
 
 func (w *response) reset() {
 	clear(w.header)
-	w.status, w.length, w.written, w.sent, w.chunked, w.lost, w.n = 0, -1, 0, false, false, false, 0
+	w.status, w.length, w.written, w.spliced, w.sent, w.chunked, w.lost, w.n = 0, -1, 0, 0, false, false, false, 0
+}
+
+// count hands the reply's body bytes to the server's body hook, once
+// the handler is done: what it wrote, but what is still held back when a
+// panic ended the reply unsent.
+func (w *response) count() {
+	f := w.s.owner.bodies
+	if sent := w.written - int64(w.n); f != nil && sent > 0 && !w.s.head {
+		f(sent-w.spliced, w.spliced)
+	}
 }
 
 func (w *response) Header() http.Header { return w.header }

@@ -47,6 +47,7 @@ type Server struct {
 	stopping atomic.Bool
 	refused  func(reason string)
 	panicked func()
+	bodies   func(copied, spliced int64)
 
 	mu      sync.Mutex
 	lis     net.Listener
@@ -71,6 +72,12 @@ func (s *Server) OnRefusal(f func(reason string)) { s.refused = f }
 // server recovers and logs: every one but http.ErrAbortHandler, the
 // deliberate abort.
 func (s *Server) OnPanic(f func()) { s.panicked = f }
+
+// OnBody has f called, before Serve, after each reply whose body sent
+// any byte, with the body bytes sent: spliced, moved in the kernel from
+// another socket (a segment the reader already held rides along), and
+// copied, written from user space.
+func (s *Server) OnBody(f func(copied, spliced int64)) { s.bodies = f }
 
 // Serve accepts connections on lis until it fails, or until Stop, when
 // it returns nil.

@@ -150,6 +150,7 @@ func (w *response) splice(b wireBody, n int64) (int64, error) {
 	m, err := move(s.bw, dst, rd, src, n)
 	b.moved(m, err)
 	w.written += m
+	w.spliced += m
 	if err != nil {
 		s.closing = true
 		w.lost = !ReadFailed(err)
@@ -177,6 +178,7 @@ func (c *Conn) spliceBody(body io.Reader, length int64) (handled bool, err error
 	}
 	m, err := move(c.bw, dst, rd, src, length)
 	b.moved(m, err)
+	c.count(0, m)
 	var re *readError
 	if errors.As(err, &re) {
 		c.poison()

@@ -119,6 +119,37 @@ func WirePanics(reg *obs.Registry, role string) func() {
 		"role").With(role).Inc
 }
 
+// WireBodyBytes declares hotc_wire_body_bytes_total{role,path} on reg
+// and returns the body hook of the hop endpoints in role
+// (gateway|router|watchdog), hop.Server.OnBody and hop.Conn.OnBody,
+// which counts the body bytes they send by path: spliced, moved socket
+// to socket in the kernel, or copied, written from user space.
+func WireBodyBytes(reg *obs.Registry, role string) func(copied, spliced int64) {
+	v := reg.CounterVec("hotc_wire_body_bytes_total",
+		"Body bytes the hop sent, by role (gateway|router|watchdog) and path: spliced (socket to socket in the kernel) or copied (from user space).",
+		"role", "path")
+	copied, spliced := v.With(role, "copied"), v.With(role, "spliced")
+	return func(c, s int64) {
+		if c > 0 {
+			copied.Add(float64(c))
+		}
+		if s > 0 {
+			spliced.Add(float64(s))
+		}
+	}
+}
+
+// WireRedials declares hotc_wire_redials_total{role} on reg and returns
+// the hook a proxy in role (gateway|router) calls each time it dials a
+// connection anew because the one it held could not carry the next
+// exchange: the gateway's instance connection it could not keep, the
+// router's pooled connection the node had closed.
+func WireRedials(reg *obs.Registry, role string) func() {
+	return reg.CounterVec("hotc_wire_redials_total",
+		"Connections a proxy dialed anew because the one it held could not carry the next exchange, by role (gateway|router).",
+		"role").With(role).Inc
+}
+
 // The hotc_pool_retired_total{reason} values: why an idle runtime was
 // stopped.
 const (

@@ -43,7 +43,7 @@ type Watchdog struct {
 	stopOnce sync.Once
 }
 
-// Hooks are what a watchdog's owner hears of it. Either may be nil.
+// Hooks are what a watchdog's owner hears of it. Any may be nil.
 type Hooks struct {
 	// ServeError is called at most once with the error that ended the
 	// accept loop — any error other than the listener closing under
@@ -53,6 +53,8 @@ type Hooks struct {
 	// Panic is called for each handler panic the watchdog's server
 	// recovers (hop.Server.OnPanic).
 	Panic func()
+	// Body is called with each reply's body bytes (hop.Server.OnBody).
+	Body func(copied, spliced int64)
 }
 
 // Start boots a generic watchdog: listener bound, accept loop running,
@@ -68,6 +70,7 @@ func Start(h *Hooks) (*Watchdog, error) {
 		h = &Hooks{}
 	}
 	w.srv.OnPanic(h.Panic)
+	w.srv.OnBody(h.Body)
 	go func() {
 		if err := w.srv.Serve(lis); err != nil && h.ServeError != nil {
 			h.ServeError(err)

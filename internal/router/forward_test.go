@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"hotc/internal/faas/live"
+	"hotc/internal/hop"
 )
 
 // countingNode serves handler and counts the connections it holds open.
@@ -61,12 +62,19 @@ func waitOpen(t *testing.T, open *atomic.Int64, want int64, what string) {
 }
 
 // route drives one invocation through the router's handler.
-func route(rt *Router, method, name, body string, hdr http.Header) *httptest.ResponseRecorder {
+func route(rt *Router, method, name, body string, hdr http.Header) (rec *httptest.ResponseRecorder) {
 	req := httptest.NewRequest(method, "/function/"+name, strings.NewReader(body))
 	for k, vs := range hdr {
 		req.Header[k] = vs
 	}
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
+	defer func() {
+		// The front door drops the connection on this panic; the
+		// recorder keeps what was written before it.
+		if v := recover(); v != nil && v != http.ErrAbortHandler {
+			panic(v)
+		}
+	}()
 	rt.Routes().ServeHTTP(rec, req)
 	return rec
 }
@@ -171,6 +179,11 @@ func TestRouterRedialsStaleConnection(t *testing.T) {
 		rec := route(rt, http.MethodPost, "fn", "body", nil)
 		if rec.Code != http.StatusOK || rec.Body.String() != "ok" {
 			t.Fatalf("invocation %d = %d %q, want 200 ok", i, rec.Code, rec.Body)
+		}
+		// The first dials fresh; each later one finds the connection the
+		// node closed and dials once more.
+		if got := wireBook(rt.reg, "hotc_wire_redials_total", "router"); got != float64(i) {
+			t.Errorf("after invocation %d hotc_wire_redials_total{role=\"router\"} = %v, want %d", i, got, i)
 		}
 		n.mu.Lock()
 		idle := len(n.idle)
@@ -385,6 +398,91 @@ func TestCutRelayBookedError(t *testing.T) {
 		if got := rt.mRequests.With(o).Value(); got != want {
 			t.Errorf(`hotc_router_requests_total{outcome=%q} = %v, want %v`, o, got, want)
 		}
+	}
+	if st := rt.Nodes()[0]; st.Misses != 1 {
+		t.Errorf("the node has %d misses, want 1", st.Misses)
+	}
+}
+
+// The router counts the bodies it sends, its request to the node and its
+// reply to the client, by the way each went: a 64 B echo moves
+// hotc_wire_body_bytes_total{role="router"} by twice its bytes, copied;
+// a 1 MiB echo by twice its bytes too, at least the request copied, as
+// it is buffered for a spill.
+func TestRouterWireBodyBytes(t *testing.T) {
+	_, n1 := startNode(t, live.PoolConfig{})
+	rt, base := startRouter(t, Config{Nodes: []string{n1}})
+	deployVia(t, base, "echo", "echo", 0)
+	send := func(n int) {
+		payload := strings.Repeat("x", n)
+		resp := invoke(t, base, "echo", payload)
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || string(got) != payload {
+			t.Fatalf("echo: %d bytes back, %v", len(got), err)
+		}
+	}
+	send(64) // the cold boot and the connections
+	book := func(path string) float64 { return wireBook(rt.reg, "hotc_wire_body_bytes_total", "router", path) }
+	for _, size := range []int{64, 1 << 20} {
+		copied, spliced := book("copied"), book("spliced")
+		send(size)
+		copied, spliced = book("copied")-copied, book("spliced")-spliced
+		if copied+spliced != float64(2*size) || copied < float64(size) || size < 4<<10 && spliced != 0 {
+			t.Errorf("a %d B echo moved the router's books by %v copied and %v spliced, want %d in all, at least %d copied, none spliced below 4 KiB",
+				size, copied, spliced, 2*size, size)
+		}
+	}
+}
+
+// A reply the node cuts mid-body reaches the router's client cut too:
+// a node that sends a 200, chunked, one 4 KiB chunk and then closes
+// leaves the client a read error, not a complete 4 KiB body, and the
+// router books an error and a miss.
+func TestCutRelayReachesTheClientCut(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		req, err := http.ReadRequest(bufio.NewReader(conn))
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, req.Body)
+		io.WriteString(conn, "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1000\r\n"+strings.Repeat("x", 4<<10)+"\r\n")
+	}()
+	rt, err := New(Config{Nodes: []string{lis.Addr().String()}, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	// The router's front door without Start's probe, which would take
+	// the node's one reply.
+	front, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &hop.Server{Handler: rt.Routes(), Front: true}
+	go srv.Serve(front)
+	t.Cleanup(srv.Stop)
+	resp, err := http.Post("http://"+front.Addr().String()+"/function/fn", "text/plain", strings.NewReader("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil {
+		t.Fatalf("the client read a whole %d-byte reply (status %d), want a read error", len(body), resp.StatusCode)
+	}
+	if got := rt.mRequests.With("error").Value(); got != 1 {
+		t.Errorf(`hotc_router_requests_total{outcome="error"} = %v, want 1`, got)
 	}
 	if st := rt.Nodes()[0]; st.Misses != 1 {
 		t.Errorf("the node has %d misses, want 1", st.Misses)

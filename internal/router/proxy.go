@@ -266,6 +266,7 @@ func (rt *Router) send(ctx context.Context, n *node, head hop.Head, buf []byte, 
 			break
 		}
 		replay.Reset(buf)
+		rt.redialed()
 		u, err = rt.dialUpstream(ctx, n)
 		reused = false
 	}
@@ -329,7 +330,9 @@ func (rt *Router) dialUpstream(ctx context.Context, n *node) (*upstream, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &upstream{n: n, c: hop.New(conn, n.host)}, nil
+	u := &upstream{n: n, c: hop.New(conn, n.host)}
+	u.c.OnBody(rt.wireBody)
+	return u, nil
 }
 
 // put takes a connection back after an exchange. A reusable one joins
@@ -364,8 +367,9 @@ func (n *node) closeIdle() {
 // finish relays the upstream response (or synthesizes a failure),
 // stamps the router headers and records the request metrics once the
 // relay is over: a reply the node cut short is an error and a miss
-// against the node, as a transport error is, and one the client
-// stopped taking is canceled.
+// against the node, as a transport error is, and the client's
+// connection is dropped once it is booked, so the client too reads the
+// reply cut, never whole; one the client stopped taking is canceled.
 func (rt *Router) finish(w http.ResponseWriter, r *http.Request, outcome string, start time.Time, tc obs.TraceContext, attempts int, n *node, resp *http.Response) {
 	h := w.Header()
 	if n != nil {
@@ -377,6 +381,7 @@ func (rt *Router) finish(w http.ResponseWriter, r *http.Request, outcome string,
 	if resp == nil || resp.Header.Get(live.TraceIDHeader) == "" {
 		h.Set(live.TraceIDHeader, tc.TraceIDString())
 	}
+	cut := false
 	if resp == nil {
 		h.Set("Retry-After", "1")
 		status, msg := http.StatusServiceUnavailable, "router: no node accepted the request"
@@ -396,12 +401,16 @@ func (rt *Router) finish(w http.ResponseWriter, r *http.Request, outcome string,
 		case hop.ReadFailed(err) && r.Context().Err() == nil:
 			outcome = "error"
 			rt.recordMiss(n)
+			cut = true
 		default:
 			outcome = "canceled"
 		}
 	}
 	rt.mRequests.With(outcome).Inc()
 	rt.mLatency.With(outcome).ObserveDuration(time.Since(start))
+	if cut {
+		panic(http.ErrAbortHandler) // the front door drops the connection
+	}
 }
 
 // recordDeploy keeps an accepted deployment for replay to late joiners,

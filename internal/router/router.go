@@ -157,6 +157,11 @@ type Router struct {
 	mNodes     *obs.Gauge
 	mDrains    *obs.Counter
 	mMembershp *obs.CounterVec
+	// The router's wire books (hotc_wire_*{role="router"}): the body
+	// bytes its front door and its node connections send, and the node
+	// connections it dials anew.
+	wireBody func(copied, spliced int64)
+	redialed func()
 }
 
 // New builds a router over the configured nodes. Nodes are assumed
@@ -219,6 +224,8 @@ func New(cfg Config) (*Router, error) {
 	rt.mMembershp = reg.CounterVec("hotc_router_membership_changes_total",
 		"Join and leave operations.",
 		"op")
+	rt.wireBody = kernel.WireBodyBytes(reg, "router")
+	rt.redialed = kernel.WireRedials(reg, "router")
 	for _, u := range cfg.Nodes {
 		if _, err := rt.Join(u); err != nil {
 			return nil, err
@@ -502,6 +509,7 @@ func (rt *Router) StartOn(addr string) (string, error) {
 	rt.srv = &hop.Server{Handler: rt.Routes(), Front: true}
 	rt.srv.OnRefusal(kernel.WireRefusals(rt.reg, "router"))
 	rt.srv.OnPanic(kernel.WirePanics(rt.reg, "router"))
+	rt.srv.OnBody(rt.wireBody)
 	rt.wg.Add(2)
 	go func() {
 		defer rt.wg.Done()

@@ -457,7 +457,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 		"hotc_router_requests_total", "hotc_router_request_duration_ms", "hotc_router_spill_attempts_total",
 		"hotc_router_node_healthy", "hotc_router_node_warm_instances", "hotc_router_poll_failures_total",
 		"hotc_router_nodes", "hotc_router_drain_rejections_total", "hotc_router_membership_changes_total",
-		"hotc_wire_refusals_total", "hotc_wire_panics_total",
+		"hotc_wire_refusals_total", "hotc_wire_panics_total", "hotc_wire_body_bytes_total", "hotc_wire_redials_total",
 	}
 	var registered []string
 	for _, f := range rt.reg.Snapshot() {
@@ -1188,7 +1188,7 @@ func TestRouterPanicCountsOnce(t *testing.T) {
 				role string
 				want float64
 			}{{rt.reg, "router", 1}, {node.Registry(), "gateway", 0}, {node.Registry(), "watchdog", 0}} {
-				if got := panicsOf(c.reg, c.role); got != c.want {
+				if got := wireBook(c.reg, "hotc_wire_panics_total", c.role); got != c.want {
 					t.Errorf("hotc_wire_panics_total{role=%q} = %v, want %v", c.role, got, c.want)
 				}
 			}
@@ -1210,16 +1210,16 @@ func (c panicConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// panicsOf reads hotc_wire_panics_total{role} off reg (0 when no series).
-func panicsOf(reg *obs.Registry, role string) float64 {
+// wireBook sums reg's series of family whose label values begin with
+// labels (0 when none).
+func wireBook(reg *obs.Registry, family string, labels ...string) float64 {
+	sum := 0.0
 	for _, f := range reg.Snapshot() {
-		if f.Name == "hotc_wire_panics_total" {
-			for _, s := range f.Series {
-				if s.LabelValues[0] == role {
-					return s.Value
-				}
+		for _, s := range f.Series {
+			if f.Name == family && slices.Equal(s.LabelValues[:min(len(labels), len(s.LabelValues))], labels) {
+				sum += s.Value
 			}
 		}
 	}
-	return 0
+	return sum
 }

@@ -16,15 +16,16 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 echo "== go test -race (internal/archtest checks the design rules here)"
 go test -race ./...
-echo "== one control law, reproducibly (3x: plan table/properties and FuzzPlan's seeds, sim determinism, sim-vs-live parity, the baselines' golden, the live clock, the span ring's first use)"
+echo "== one control law, reproducibly (3x: plan table/properties and FuzzPlan's seeds, FuzzRetention's seeds, sim determinism, sim-vs-live parity, the baselines' golden, the live clock, the span ring's first use)"
 # Map-order bugs pass most single runs: the jittered four-key replay
 # and the eviction tie-break diverge roughly one run in three without
 # the fixed iteration order, so these run three times; so does the
 # keep-alive baselines' golden replay, whose rules key maps by runtime,
 # the live gateway's fake-clock tests, whose deadline contexts race
-# the admission dispatcher, and the span ring's writers racing to
-# allocate its chunks against a reader.
-go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock|ConcurrentFirstUse' . ./internal/core/ ./internal/kernel/ ./internal/pool/ ./internal/faas/live/ ./internal/obs/
+# the admission dispatcher, the span ring's writers racing to
+# allocate its chunks against a reader, and the keep-alive rules'
+# fuzzer's seeds.
+go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock|ConcurrentFirstUse|FuzzRetention' . ./internal/core/ ./internal/kernel/ ./internal/pool/ ./internal/faas/live/ ./internal/obs/
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
 echo "== one iteration of BenchmarkGatewayParallel|ObsHotPath|GatewayThroughput|CampusReplay"
@@ -83,7 +84,9 @@ stop_daemons() {
 trap 'stop_daemons; rm -rf "$WORK"' EXIT
 # expect_refused <base> <role>: send the front door at base one request
 # with an Expect it refuses (417, unserved) and check that
-# hotc_wire_refusals_total{role,reason="expect"} reads 1 there.
+# hotc_wire_refusals_total{role,reason="expect"} reads 1 there; and that
+# its /metrics carries the other wire families, the body bytes it sent
+# and its re-dials, under its role.
 expect_refused() {
 	code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$1/function/echo" -d 'x' -H 'Expect: 200-ok')"
 	if [ "$code" != 417 ]; then
@@ -95,6 +98,12 @@ expect_refused() {
 		curl -sf "$1/metrics" | grep hotc_wire_refusals_total >&2 || true
 		exit 1
 	}
+	for series in "hotc_wire_body_bytes_total{role=\"$2\",path=\"copied\"}" "hotc_wire_redials_total{role=\"$2\"}"; do
+		curl -sf "$1/metrics" | grep -qF "$series " || {
+			echo "verify: the $2's /metrics has no $series series" >&2
+			exit 1
+		}
+	done
 }
 for c in hotcd hotc-load hotc-trace hotc-router; do
 	go build -o "$WORK/$c" "./cmd/$c"
