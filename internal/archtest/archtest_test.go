@@ -241,10 +241,17 @@ var rules = []row{
 			return slices.Contains([]token.Token{token.LSS, token.GTR, token.LEQ, token.GEQ}, b.Op) && isStamp(text(b.X)+" "+text(b.Y))
 		}))},
 
-	// No dead code. Three fig04 helpers outlived their last caller: an
-	// unexported function is named somewhere in its package besides its
-	// declaration, a test counting.
+	// No dead code. Three fig04 helpers outlived their last caller, and a
+	// second Fig. 1 replay lived on for one test: an unexported function
+	// is named in its package besides its declaration, by non-test code
+	// unless it is a test's own helper.
 	{name: "no dead code: an unexported function is referenced in its package", in: all, tests: true, check: unreferenced},
+
+	// No orphan. internal/cluster/kvstore, a quorum store, outlived its
+	// last importer and its tests ran on: every internal package is
+	// imported by non-test code outside itself, cmd/, examples/, the root
+	// façade and benchmark/adapter.go among them.
+	{name: "no orphan: every internal package is imported by non-test code outside itself", in: []string{"internal/..."}, check: orphans},
 
 	// No dead option. Settings only tests wrote kept paths production
 	// never ran, such as a weighted dispatch and SLO windows shorter than
@@ -264,7 +271,6 @@ var rules = []row{
 	{name: "no test-only export: an exported function or method is named by non-test code", in: all, out: []string{"."},
 		check: testOnly(map[string]string{
 			"internal/simclock Scheduler.SetEventLimit": "a fault guard against a runaway event loop, which only tests arm",
-			"internal/cluster/kvstore":                  "imported by nothing, and deleted whole on its own",
 		})},
 
 	// Docs cite only tests that exist. The docs name the tests that pin
@@ -294,6 +300,11 @@ var rules = []row{
 		check: eachFamily(func(name string, at []string) bool { return len(at) > 1 })},
 	{name: "declared once: family names match hotc_[a-z_]+", in: metrics, out: []string{"internal/obs/..."},
 		check: eachFamily(func(name string, at []string) bool { return !regexp.MustCompile(`^hotc_[a-z_]+$`).MatchString(name) })},
+	// Read or gone. The simulated gateway observed a histogram on every
+	// request that no test, doc or harness read: every family declared in
+	// non-test code is named by a test (this package's own do not count), a
+	// doc at the root or a file of the harness under benchmark/.
+	{name: "read or gone: every family is named by a test, a doc or the harness", in: metrics, check: unread},
 	{name: "declared once: the contract's families are registered", in: []string{"cmd/...", "internal/..."}, check: func(t *tree, r row) (bad []string) {
 		have := t.families(r)
 		for _, name := range strings.Fields(`hotc_trace_kept_total hotc_trace_sampled_out_total hotc_trace_ring_dropped_total
@@ -729,21 +740,85 @@ func testOnly(except map[string]string) func(*tree, row) []string {
 
 // unreferenced reports each unexported function (not a method, init
 // or main) of r's files whose name no other identifier of its directory
-// spells.
+// spells: of a non-test file for a function of a non-test file, of any
+// file for a test's helper.
 func unreferenced(t *tree, r row) (bad []string) {
-	refs := map[string]int{} // "dir name" → identifiers spelling it, declarations included
-	decls := map[string]string{}
+	// "dir name" → identifiers spelling it, declarations included: in
+	// non-test files, and in all.
+	prod, refs := map[string]int{}, map[string]int{}
+	type decl struct {
+		pos  string
+		test bool
+	}
+	decls := map[string]decl{}
 	t.walk(r, func(c *at) {
 		if id, ok := c.n.(*ast.Ident); ok {
-			refs[c.f.dir+" "+id.Name]++
+			if refs[c.f.dir+" "+id.Name]++; !c.f.test {
+				prod[c.f.dir+" "+id.Name]++
+			}
 		}
 		if d, ok := c.n.(*ast.FuncDecl); ok && d.Recv == nil && !ast.IsExported(d.Name.Name) && !slices.Contains([]string{"init", "main", "_"}, d.Name.Name) {
-			decls[c.f.dir+" "+d.Name.Name] = c.pos()
+			decls[c.f.dir+" "+d.Name.Name] = decl{c.pos(), c.f.test}
 		}
 	})
-	for key, pos := range decls {
-		if refs[key] == 1 {
-			bad = append(bad, pos)
+	for key, d := range decls {
+		if !d.test && prod[key] == 1 || d.test && refs[key] == 1 {
+			bad = append(bad, d.pos)
+		}
+	}
+	return bad
+}
+
+// orphans reports each package of r's files that no non-test file of
+// another package, nor benchmark/adapter.go, imports.
+func orphans(t *tree, r row) (bad []string) {
+	imported := map[string]bool{}
+	for _, deps := range t.deps {
+		for _, p := range deps {
+			imported[p] = true
+		}
+	}
+	if f, err := t.parse("benchmark/adapter.go"); err == nil {
+		for _, p := range f.imports {
+			imported[p] = true
+		}
+	}
+	for _, f := range t.files {
+		if r.covers(f) && !imported[f.pkg] {
+			imported[f.pkg] = true // reported once
+			bad = append(bad, f.dir+" is imported by no non-test code outside it")
+		}
+	}
+	return bad
+}
+
+// unread reports each family declared in r's files that no _test.go file
+// outside this package, no doc at the tree's root and no .go, .sh or .md
+// file under benchmark/ names, as itself or as a histogram's _bucket,
+// _sum or _count series.
+func unread(t *tree, r row) (bad []string) {
+	var corpus []byte
+	read := func(p string) {
+		b, _ := os.ReadFile(p)
+		corpus = append(corpus, b...)
+	}
+	for _, f := range t.files {
+		if f.test && f.dir != "internal/archtest" {
+			read(filepath.Join(t.root, f.path))
+		}
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		read(filepath.Join(t.root, doc))
+	}
+	filepath.WalkDir(filepath.Join(t.root, "benchmark"), func(p string, d fs.DirEntry, err error) error {
+		if err == nil && slices.Contains([]string{".go", ".sh", ".md"}, filepath.Ext(p)) {
+			read(p)
+		}
+		return nil
+	})
+	for name, at := range t.families(r) {
+		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `(_bucket|_sum|_count)?\b`).Match(corpus) {
+			bad = append(bad, name+" is named by no test, doc or harness file: "+strings.Join(at, ", "))
 		}
 	}
 	return bad

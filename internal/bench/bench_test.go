@@ -13,7 +13,8 @@ import (
 )
 
 func TestFig01Shape(t *testing.T) {
-	results := fig01Results(6)
+	env, _, results := fig01Replay(6)
+	env.Close()
 	var all metrics.Series
 	firsts := map[int]bool{}
 	for _, r := range results {

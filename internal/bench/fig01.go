@@ -22,32 +22,8 @@ func Fig01(cycles int) *Report {
 		cycles = 6
 	}
 	r := NewReport("fig01", "AWS Lambda request latency and cold-start long tail")
-
-	env := NewEnv(PolicyKeepAlive, EnvOptions{
-		Seed:            101,
-		KeepAliveWindow: 15 * time.Minute,
-		PrePull:         true,
-	})
+	env, app, results := fig01Replay(cycles)
 	defer env.Close()
-	app := workload.RandomNumber(workload.Python)
-	if err := env.Deploy("rand", config.Runtime{Image: "python:3.8"}, app); err != nil {
-		panic(err)
-	}
-
-	// Build the burst-and-idle schedule.
-	var schedule []trace.Request
-	at := time.Duration(0)
-	for c := 0; c < cycles; c++ {
-		for i := 0; i < 10; i++ {
-			schedule = append(schedule, trace.Request{At: at, Round: c*10 + i})
-			at += time.Second
-		}
-		at += 30 * time.Minute
-	}
-	results, err := env.Replay(schedule, singleClass("rand"))
-	if err != nil {
-		panic(err)
-	}
 
 	// The paper measures at the client, through API Gateway over the
 	// internet: the wire time is part of every sample and compresses
@@ -98,10 +74,12 @@ func Fig01(cycles int) *Report {
 	return r
 }
 
-// fig01Results is exposed for tests: the burst replay outcome.
-func fig01Results(cycles int) []faas.Result {
+// fig01Replay replays Fig. 1's schedule, cycles bursts of one request a
+// second for 10 seconds each, 30 minutes apart, against a 15-minute
+// keep-alive. It returns the environment, which the caller closes, the
+// function and the results.
+func fig01Replay(cycles int) (*Env, workload.App, []faas.Result) {
 	env := NewEnv(PolicyKeepAlive, EnvOptions{Seed: 101, KeepAliveWindow: 15 * time.Minute, PrePull: true})
-	defer env.Close()
 	app := workload.RandomNumber(workload.Python)
 	if err := env.Deploy("rand", config.Runtime{Image: "python:3.8"}, app); err != nil {
 		panic(err)
@@ -119,5 +97,5 @@ func fig01Results(cycles int) []faas.Result {
 	if err != nil {
 		panic(err)
 	}
-	return results
+	return env, app, results
 }

@@ -174,11 +174,12 @@ type deployment struct {
 
 // runtimeKey is one runtime key's record, shared by every function
 // deployed on the key: its circuit breaker (nil until breaking is armed
-// and the key sees traffic) and its metric series (nil until first set).
+// and the key sees traffic) and its breaker-state gauge (nil until first
+// set).
 type runtimeKey struct {
-	key     string
-	brk     *kernel.Breaker
-	metrics *keyHandles
+	key          string
+	brk          *kernel.Breaker
+	breakerState *obs.Gauge
 }
 
 // Keys of ResilienceCounters.

@@ -16,12 +16,6 @@ type fnHandles struct {
 	queueWait *obs.Histogram
 }
 
-// keyHandles holds the pre-resolved per-runtime-key series.
-type keyHandles struct {
-	acquire      *obs.Histogram
-	breakerState *obs.Gauge
-}
-
 // instruments are the gateway's books: every request outcome and every
 // resilience event is counted here, once, and ResilienceCounters reads
 // them back. A function's handles are resolved once, into its
@@ -31,7 +25,6 @@ type instruments struct {
 	kernel.RequestBooks
 	reg       *obs.Registry
 	queueWait *obs.HistogramVec       // hotc_gateway_queue_wait_ms{function}
-	acquire   *obs.HistogramVec       // hotc_acquire_latency_ms{key}
 	events    map[string]*obs.Counter // hotc_resilience_events_total{kind}, one child per resilienceKinds row
 }
 
@@ -49,18 +42,6 @@ func (g *Gateway) fnMetrics(d *deployment) *fnHandles {
 	return d.metrics
 }
 
-// keyMetrics returns a runtime key's handles, resolving them on first
-// use.
-func (g *Gateway) keyMetrics(k *runtimeKey) *keyHandles {
-	if k.metrics == nil {
-		k.metrics = &keyHandles{
-			acquire:      g.obs.acquire.With(k.key),
-			breakerState: g.obs.Breaker.With(k.key),
-		}
-	}
-	return k.metrics
-}
-
 // newInstruments registers the gateway's metric families on the
 // registry.
 func newInstruments(reg *obs.Registry) *instruments {
@@ -70,9 +51,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 		queueWait: reg.HistogramVec("hotc_gateway_queue_wait_ms",
 			"Time spent queued behind the per-function concurrency cap, in milliseconds.",
 			obs.DefaultLatencyBucketsMS(), "function"),
-		acquire: reg.HistogramVec("hotc_acquire_latency_ms",
-			"Gateway-to-watchdog time: forwarding plus runtime acquisition with retries, in milliseconds.",
-			obs.DefaultLatencyBucketsMS(), "key"),
 		events: make(map[string]*obs.Counter, len(resilienceKinds)),
 	}
 	for _, k := range resilienceKinds {
@@ -131,7 +109,10 @@ func (g *Gateway) setBreakerGauge(k *runtimeKey, brk *kernel.Breaker) {
 	if brk == nil {
 		return
 	}
-	g.keyMetrics(k).breakerState.Set(float64(brk.State(g.sched.Now())))
+	if k.breakerState == nil {
+		k.breakerState = g.obs.Breaker.With(k.key)
+	}
+	k.breakerState.Set(float64(brk.State(g.sched.Now())))
 }
 
 // record emits the per-request metrics and span once the outcome is
@@ -149,9 +130,6 @@ func (g *Gateway) record(r *request, reused bool, err error) {
 			g.obs.StartsCold.Inc()
 		}
 		h.latency.ObserveDuration(ts.Total())
-		if ts.WatchdogIn > 0 {
-			g.keyMetrics(r.key).acquire.ObserveDuration(ts.WatchdogIn - r.admitAt)
-		}
 	}
 	if g.tracer != nil {
 		s := obs.Span{

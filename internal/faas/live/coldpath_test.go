@@ -266,6 +266,11 @@ func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
 	if st := g.ColdPathStats(); st.GenericReaped != 1 {
 		t.Fatalf("ColdPathStats = %+v, want GenericReaped 1", st)
 	}
+	// What the pass left held, 3 − 2 instances, is the node's memory on
+	// /metrics.
+	if got := metricSum(t, g.reg, "hotc_adm_mem_bytes"); got != (3-2)*instanceMemBytes {
+		t.Errorf("hotc_adm_mem_bytes = %v after the budget pass, want %v", got, (3-2)*instanceMemBytes)
+	}
 }
 
 // The controller's prewarms draw from the generic pool too: a prewarm

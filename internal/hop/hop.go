@@ -341,6 +341,9 @@ func (c *Conn) readResponse(head bool) error {
 	if err != nil {
 		return err
 	}
+	if chunked && minor == 0 {
+		return errOldChunked // RFC 9112 §6.1: faulty framing; net/http reads the body raw
+	}
 	c.resp = http.Response{
 		Status: status, StatusCode: int(parseLength(code)),
 		Proto: proto, ProtoMajor: 1, ProtoMinor: minor,

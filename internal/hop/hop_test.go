@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -153,8 +154,9 @@ func TestRoundTripRefusesUnwritableHead(t *testing.T) {
 // keep a request off the wire.
 type scriptedConn struct {
 	net.Conn
-	reply *strings.Reader
-	sent  bytes.Buffer
+	reply  *strings.Reader
+	sent   bytes.Buffer
+	closed bool
 }
 
 func (c *scriptedConn) Read(p []byte) (int, error)       { return c.reply.Read(p) }
@@ -162,7 +164,7 @@ func (c *scriptedConn) Write(p []byte) (int, error)      { return c.sent.Write(p
 func (c *scriptedConn) SetDeadline(time.Time) error      { return nil }
 func (c *scriptedConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
-func (c *scriptedConn) Close() error                     { return nil }
+func (c *scriptedConn) Close() error                     { c.closed = true; return nil }
 
 // An exchange whose context has already ended sends nothing, however
 // fast the peer would have answered: the caller gave up first.
@@ -291,4 +293,96 @@ func TestCopyWholeChunksZeroAlloc(t *testing.T) {
 	if allocs >= 1 {
 		t.Errorf("Copy allocates %.1f objects per copy, want 0", allocs)
 	}
+}
+
+// FuzzConnReply feeds arbitrary bytes to a Conn as the reply to a GET.
+// A reply the Conn takes, its head in RoundTrip and its body read whole,
+// is the one net/http's ReadResponse reads from the same bytes: the same
+// status, header fields, body and trailers. Any other it refuses, and a
+// refused exchange closes the connection, as does one net/http would
+// close: Finish never calls either reusable.
+func FuzzConnReply(f *testing.F) {
+	for _, reply := range []string{
+		// FuzzHopExchange's replies.
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nno thanks",
+		"HTTP/1.1 200 OK\r\nContent-Le",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\nX-Hotc-Span-Func-Done: 7\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		// TestCutRelayReachesTheClientCut's cut chunk.
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1000\r\n" + strings.Repeat("x", 4<<10) + "\r\n",
+		// Two lengths, both framings, a bad chunk size.
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok!",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2x\r\nok\r\n0\r\n\r\n",
+		// A chunked HTTP/1.0 reply, whose body net/http reads raw.
+		"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+	} {
+		f.Add([]byte(reply))
+	}
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		conn := &scriptedConn{reply: strings.NewReader(string(reply))}
+		c := New(conn, "node:1")
+		resp, err := c.RoundTrip(context.Background(), Head{Method: http.MethodGet, Path: "/"}, http.NoBody, 0)
+		if err != nil {
+			if !conn.closed {
+				t.Fatalf("RoundTrip refused %q (%v) and left the connection open", reply, err)
+			}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			if c.Finish() || !conn.closed {
+				t.Fatalf("the body of %q failed (%v), yet the connection was kept", reply, err)
+			}
+			return
+		}
+		want, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(reply)), &http.Request{Method: http.MethodGet})
+		var wantBody []byte
+		if err == nil {
+			wantBody, err = io.ReadAll(want.Body)
+		}
+		if err != nil {
+			t.Fatalf("the Conn took %q, which net/http refuses: %v", reply, err)
+		}
+		// net/http keeps one of two equal Content-Lengths, moves a
+		// chunked reply's Trailer field into the keys of Trailer, turns a
+		// Connection: close into Close and a Pragma: no-cache into a
+		// Cache-Control too.
+		fields := func(h http.Header) http.Header {
+			h = h.Clone()
+			for _, k := range []string{"Content-Length", "Trailer", "Connection"} {
+				delete(h, k)
+			}
+			if p := h["Pragma"]; len(p) > 0 && p[0] == "no-cache" && h["Cache-Control"] == nil {
+				h["Cache-Control"] = []string{"no-cache"}
+			}
+			return h
+		}
+		sent := func(h http.Header) http.Header {
+			out := http.Header{}
+			for k, vs := range h {
+				if len(vs) > 0 {
+					out[k] = vs
+				}
+			}
+			return out
+		}
+		switch {
+		case resp.StatusCode != want.StatusCode || resp.Status != want.Status:
+			t.Fatalf("%q: status %d %q, net/http reads %d %q", reply, resp.StatusCode, resp.Status, want.StatusCode, want.Status)
+		case resp.ContentLength != want.ContentLength || !reflect.DeepEqual(fields(resp.Header), fields(want.Header)):
+			t.Fatalf("%q: length %d and fields %v, net/http reads %d and %v", reply, resp.ContentLength, resp.Header, want.ContentLength, want.Header)
+		case !bytes.Equal(body, wantBody):
+			t.Fatalf("%q: body %q, net/http reads %q", reply, body, wantBody)
+		case !reflect.DeepEqual(sent(resp.Trailer), sent(want.Trailer)):
+			t.Fatalf("%q: trailers %v, net/http reads %v", reply, resp.Trailer, want.Trailer)
+		}
+		if c.Finish() && want.Close {
+			t.Fatalf("%q: the connection was kept after a reply net/http closes it on", reply)
+		}
+	})
 }

@@ -50,7 +50,7 @@ const (
 var (
 	errNoHost      = errors.New("hop: missing or duplicate Host")
 	errExpectation = errors.New("hop: unsupported Expect")
-	errOldChunked  = errors.New("hop: Transfer-Encoding on an HTTP/1.0 request")
+	errOldChunked  = errors.New("hop: Transfer-Encoding on an HTTP/1.0 message")
 )
 
 // server is one connection's state, reused by each request on it.

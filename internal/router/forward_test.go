@@ -405,10 +405,11 @@ func TestCutRelayBookedError(t *testing.T) {
 }
 
 // The router counts the bodies it sends, its request to the node and its
-// reply to the client, by the way each went: a 64 B echo moves
-// hotc_wire_body_bytes_total{role="router"} by twice its bytes, copied;
-// a 1 MiB echo by twice its bytes too, at least the request copied, as
-// it is buffered for a spill.
+// reply to the client, by the way each went. A 64 B echo is copied both
+// ways. A 1 MiB and a 2 MiB echo splice their reply, the node's wire
+// body, socket to socket, and copy their request: the 1 MiB one from the
+// buffer a spill would replay, the 2 MiB one behind the bytes read to
+// find it too large for that buffer.
 func TestRouterWireBodyBytes(t *testing.T) {
 	_, n1 := startNode(t, live.PoolConfig{})
 	rt, base := startRouter(t, Config{Nodes: []string{n1}})
@@ -424,13 +425,17 @@ func TestRouterWireBodyBytes(t *testing.T) {
 	}
 	send(64) // the cold boot and the connections
 	book := func(path string) float64 { return wireBook(rt.reg, "hotc_wire_body_bytes_total", "router", path) }
-	for _, size := range []int{64, 1 << 20} {
+	for _, tc := range []struct{ size, copied, spliced int }{
+		{64, 2 * 64, 0},
+		{1 << 20, 1 << 20, 1 << 20},
+		{2 << 20, 2 << 20, 2 << 20},
+	} {
 		copied, spliced := book("copied"), book("spliced")
-		send(size)
+		send(tc.size)
 		copied, spliced = book("copied")-copied, book("spliced")-spliced
-		if copied+spliced != float64(2*size) || copied < float64(size) || size < 4<<10 && spliced != 0 {
-			t.Errorf("a %d B echo moved the router's books by %v copied and %v spliced, want %d in all, at least %d copied, none spliced below 4 KiB",
-				size, copied, spliced, 2*size, size)
+		if copied != float64(tc.copied) || spliced != float64(tc.spliced) {
+			t.Errorf("a %d B echo moved the router's books by %v copied and %v spliced, want %d and %d",
+				tc.size, copied, spliced, tc.copied, tc.spliced)
 		}
 	}
 }
@@ -515,6 +520,88 @@ func TestPollThenInvokeUsesOneConnection(t *testing.T) {
 	}
 	if got := accepted.Load(); got != 1 {
 		t.Errorf("the node accepted %d connections, want 1", got)
+	}
+}
+
+// Every exchange gives its connection back once: a relay, a spill past
+// a node that answers 429, the last 429 relayed, a probe, a deploy
+// fan-out and a listing, each run three times in turn, leave each node
+// one idle connection and cost it one accept in all, with no re-dial.
+func TestEverySendCallerReusesItsConnection(t *testing.T) {
+	node := func() (*httptest.Server, *atomic.Int64) {
+		var accepted atomic.Int64
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			switch r.URL.Path {
+			case "/system/stats":
+				io.WriteString(w, "{}")
+			case "/system/functions":
+				if r.Method == http.MethodPost {
+					w.WriteHeader(http.StatusAccepted)
+				}
+				io.WriteString(w, `["fn"]`)
+			case "/function/busy":
+				http.Error(w, "saturated", http.StatusTooManyRequests)
+			default:
+				io.WriteString(w, "x")
+			}
+		}))
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				accepted.Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		return srv, &accepted
+	}
+	a, acceptedA := node()
+	b, acceptedB := node()
+	rt, err := New(Config{Nodes: []string{a.URL, b.URL}, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	serve := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		rt.Routes().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	steps := []struct {
+		what string
+		run  func() int
+		want int
+	}{
+		{"a probe of each node", func() int { rt.PollOnce(); return http.StatusOK }, http.StatusOK},
+		{"a relay", func() int { return route(rt, http.MethodPost, "fn", "x", nil).Code }, http.StatusOK},
+		{"a spill, then the last 429 relayed", func() int { return route(rt, http.MethodPost, "busy", "x", nil).Code }, http.StatusTooManyRequests},
+		{"a deploy fan-out", func() int { return serve(http.MethodPost, "/system/functions", `{"name":"fn"}`) }, http.StatusAccepted},
+		{"a listing", func() int { return serve(http.MethodGet, "/system/functions", "") }, http.StatusOK},
+	}
+	for round := 0; round < 3; round++ {
+		for _, s := range steps {
+			if got := s.run(); got != s.want {
+				t.Fatalf("round %d, %s: %d, want %d", round, s.what, got, s.want)
+			}
+			for _, st := range rt.Nodes() {
+				n := rt.nodes[st.URL]
+				n.mu.Lock()
+				idle := len(n.idle)
+				n.mu.Unlock()
+				if idle != 1 {
+					t.Fatalf("round %d, after %s: %s has %d idle connections, want 1", round, s.what, st.URL, idle)
+				}
+			}
+		}
+	}
+	if got := rt.mSpills.Value(); got != 3 {
+		t.Errorf("hotc_router_spill_attempts_total = %v, want 3", got)
+	}
+	if na, nb := acceptedA.Load(), acceptedB.Load(); na != 1 || nb != 1 {
+		t.Errorf("the nodes accepted %d and %d connections, want 1 each", na, nb)
+	}
+	if got := wireBook(rt.reg, "hotc_wire_redials_total", "router"); got != 0 {
+		t.Errorf(`hotc_wire_redials_total{role="router"} = %v, want 0`, got)
 	}
 }
 

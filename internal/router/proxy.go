@@ -147,11 +147,12 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 
 	cands := rt.placement(name)
 	if len(cands) == 0 {
-		rt.finish(w, r, "no_node", start, tc, 0, nil, nil)
+		rt.finish(w, r, "no_node", start, tc, 0, nil, nil, nil)
 		return
 	}
 	var lastResp *http.Response
 	var lastNode *node
+	var lastConn *upstream
 	attempts := 0
 	for i, c := range cands {
 		if i > 0 && !replayable {
@@ -169,11 +170,11 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 		if budget > 0 {
 			r.Header.Set(live.DeadlineHeader, strconv.FormatInt(max((budget-time.Since(start)).Milliseconds(), 1), 10))
 		}
-		resp, err := rt.forward(r, c.n, name, buf, tail, traceparent)
+		resp, u, err := rt.forward(r, c.n, name, buf, tail, traceparent)
 		if err != nil && r.Context().Err() != nil {
 			// The client gave up: no node failed, and nobody waits for
 			// another attempt.
-			rt.finish(w, r, "canceled", start, tc, attempts, c.n, nil)
+			rt.finish(w, r, "canceled", start, tc, attempts, c.n, nil, nil)
 			return
 		}
 		if err != nil {
@@ -191,28 +192,28 @@ func (rt *Router) handleFunction(w http.ResponseWriter, r *http.Request) {
 			}
 			if i < len(cands)-1 && replayable {
 				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+				u.release()
 				rt.mSpills.Inc()
 				continue
 			}
-			lastResp, lastNode = resp, c.n
+			lastResp, lastNode, lastConn = resp, c.n, u
 			break
 		}
 		outcome := c.kind
 		if i > 0 {
 			outcome = "spill"
 		}
-		rt.finish(w, r, outcome, start, tc, attempts, c.n, resp)
+		rt.finish(w, r, outcome, start, tc, attempts, c.n, resp, u)
 		return
 	}
 	// Every candidate was saturated or unreachable. Relay the last
 	// saturation response when there is one (it carries Retry-After
 	// and the drain marker); otherwise synthesize a 503.
-	rt.finish(w, r, "error", start, tc, attempts, lastNode, lastResp)
+	rt.finish(w, r, "error", start, tc, attempts, lastNode, lastResp, lastConn)
 }
 
 // forward proxies the request to one node, on the request's goroutine.
-func (rt *Router) forward(orig *http.Request, n *node, name string, buf []byte, tail io.Reader, traceparent string) (*http.Response, error) {
+func (rt *Router) forward(orig *http.Request, n *node, name string, buf []byte, tail io.Reader, traceparent string) (*http.Response, *upstream, error) {
 	// name is the decoded path segment: escaped again, it cannot end the
 	// request line early, and the node decodes the same name.
 	head := hop.Head{Method: orig.Method, Path: n.path + "/function/" + url.PathEscape(name), Header: orig.Header, Traceparent: traceparent}
@@ -230,24 +231,25 @@ func (rt *Router) control(ctx context.Context, n *node, method, path string, bod
 	ctx, cancel := context.WithCancel(ctx)
 	defer context.AfterFunc(rt.stopped, cancel)()
 	defer cancel()
-	resp, err := rt.send(ctx, n, hop.Head{Method: method, Path: n.path + path, Header: jsonBody}, body, nil, 0)
+	resp, u, err := rt.send(ctx, n, hop.Head{Method: method, Path: n.path + path, Header: jsonBody}, body, nil, 0)
 	if err != nil {
 		return 0, nil, err
 	}
 	status = resp.StatusCode
 	reply, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
+	u.release()
 	return status, reply, err
 }
 
 // send does one exchange with n over one of the node's keep-alive
 // connections: the body is buf, or tail of the given length when tail
-// is not nil. The returned body's Close ends the exchange and gives the
-// connection back (see upstream). A pooled connection the node closed
+// is not nil. The response is the hop's own, its body the node's wire
+// body, so a relay of it splices; the caller ends the exchange with
+// u.release once done with it. A pooled connection the node closed
 // while it sat idle fails before any response byte: a replayable body
 // then goes once more on a fresh connection, and that is no failure of
 // the node.
-func (rt *Router) send(ctx context.Context, n *node, head hop.Head, buf []byte, tail io.Reader, length int64) (*http.Response, error) {
+func (rt *Router) send(ctx context.Context, n *node, head hop.Head, buf []byte, tail io.Reader, length int64) (*http.Response, *upstream, error) {
 	var replay *bytes.Reader
 	body := tail
 	if tail == nil {
@@ -258,9 +260,7 @@ func (rt *Router) send(ctx context.Context, n *node, head hop.Head, buf []byte, 
 	for err == nil {
 		var resp *http.Response
 		if resp, err = u.c.RoundTrip(ctx, head, body, length); err == nil {
-			u.body = resp.Body
-			resp.Body = u
-			return resp, nil
+			return resp, u, nil
 		}
 		if !reused || replay == nil || ctx.Err() != nil || !hop.Unanswered(err) {
 			break
@@ -270,31 +270,35 @@ func (rt *Router) send(ctx context.Context, n *node, head hop.Head, buf []byte, 
 		u, err = rt.dialUpstream(ctx, n)
 		reused = false
 	}
-	return nil, err
+	return nil, nil, err
 }
 
 // maxIdlePerNode caps a node's free list of keep-alive connections.
 const maxIdlePerNode = 64
 
 // upstream is one keep-alive connection to a node. Between exchanges
-// it sits on its node's free list; during one it is the relayed body.
+// it sits on its node's free list; during one, send's caller holds it.
 type upstream struct {
-	n    *node
-	c    *hop.Conn
-	body io.ReadCloser // the response being relayed; nil between exchanges
+	n *node
+	c *hop.Conn
 }
 
-func (u *upstream) Read(p []byte) (int, error) { return u.body.Read(p) }
-
-// Close ends the exchange: a connection the hop can reuse goes back on
-// its node's free list, any other is closed.
-func (u *upstream) Close() error {
-	if u.body == nil {
-		return nil
+// release ends the exchange: a connection the hop can reuse goes back
+// on its node's free list unless the list is full or the node has
+// left; any other is closed.
+func (u *upstream) release() {
+	if !u.c.Finish() {
+		return // Finish closed it
 	}
-	u.body = nil
-	u.n.put(u, u.c.Finish())
-	return nil
+	n := u.n
+	n.mu.Lock()
+	if !n.gone && len(n.idle) < maxIdlePerNode {
+		n.idle = append(n.idle, u)
+		n.mu.Unlock()
+		return
+	}
+	n.mu.Unlock()
+	u.c.Close()
 }
 
 // conn hands out a connection to n: the most recently used idle one,
@@ -335,23 +339,6 @@ func (rt *Router) dialUpstream(ctx context.Context, n *node) (*upstream, error) 
 	return u, nil
 }
 
-// put takes a connection back after an exchange. A reusable one joins
-// the free list unless the list is full or the node has left;
-// otherwise it is closed.
-func (n *node) put(u *upstream, reusable bool) {
-	if !reusable {
-		return // Finish closed it
-	}
-	n.mu.Lock()
-	if !n.gone && len(n.idle) < maxIdlePerNode {
-		n.idle = append(n.idle, u)
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	u.c.Close()
-}
-
 // closeIdle closes the free list and keeps it closed: a connection
 // coming back from an exchange still in flight is closed, not kept.
 func (n *node) closeIdle() {
@@ -364,13 +351,14 @@ func (n *node) closeIdle() {
 	}
 }
 
-// finish relays the upstream response (or synthesizes a failure),
-// stamps the router headers and records the request metrics once the
-// relay is over: a reply the node cut short is an error and a miss
-// against the node, as a transport error is, and the client's
-// connection is dropped once it is booked, so the client too reads the
-// reply cut, never whole; one the client stopped taking is canceled.
-func (rt *Router) finish(w http.ResponseWriter, r *http.Request, outcome string, start time.Time, tc obs.TraceContext, attempts int, n *node, resp *http.Response) {
+// finish relays the upstream response, received on u, and ends u's
+// exchange (or synthesizes a failure), stamps the router headers and
+// records the request metrics once the relay is over: a reply the node
+// cut short is an error and a miss against the node, as a transport
+// error is, and the client's connection is dropped once it is booked,
+// so the client too reads the reply cut, never whole; one the client
+// stopped taking is canceled.
+func (rt *Router) finish(w http.ResponseWriter, r *http.Request, outcome string, start time.Time, tc obs.TraceContext, attempts int, n *node, resp *http.Response, u *upstream) {
 	h := w.Header()
 	if n != nil {
 		h.Set(NodeHeader, n.name)
@@ -395,7 +383,7 @@ func (rt *Router) finish(w http.ResponseWriter, r *http.Request, outcome string,
 		http.Error(w, msg, status)
 	} else {
 		_, err := hop.Relay(w, resp, nil)
-		resp.Body.Close()
+		u.release()
 		switch {
 		case err == nil:
 		case hop.ReadFailed(err) && r.Context().Err() == nil:
@@ -492,13 +480,13 @@ func (rt *Router) handleFunctions(w http.ResponseWriter, r *http.Request) {
 			if !n.snapshot().Healthy {
 				continue
 			}
-			resp, err := rt.send(r.Context(), n, hop.Head{Method: http.MethodGet, Path: n.path + "/system/functions"}, nil, nil, 0)
+			resp, u, err := rt.send(r.Context(), n, hop.Head{Method: http.MethodGet, Path: n.path + "/system/functions"}, nil, nil, 0)
 			if err != nil {
 				continue
 			}
 			w.Header().Set("Content-Type", "application/json")
 			hop.Relay(w, resp, nil)
-			resp.Body.Close()
+			u.release()
 			return
 		}
 		writeJSON(w, http.StatusOK, []string{})

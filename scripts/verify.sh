@@ -203,7 +203,7 @@ curl -sf "$BASE/system/stats" | grep -q '"leasesGranted": *1' || {
 }
 echo "   rented boot: ${RENT_MS}ms (full cold is 400ms)"
 stop_daemons
-echo "== router smoke (hotc-router + 2 hotcd: routed request round-trips with trace headers, a refused head is counted, /metrics parses)"
+echo "== router smoke (hotc-router + 2 hotcd: routed request round-trips with trace headers, a 2 MiB echo splices, a refused head is counted, /metrics parses)"
 # Boot a two-node cluster behind the router and drive one traced
 # request through it: the response must come back 200 with the
 # caller's trace ID echoed (one trace crosses router -> node ->
@@ -232,6 +232,19 @@ grep -qi '^x-hotc-node: ' "$WORK/routed-headers" || {
 	cat "$WORK/routed-headers" >&2
 	exit 1
 }
+# A 2 MiB routed echo comes back byte for byte, and the node's reply
+# crosses the router in the kernel: at least its 2 MiB count as spliced.
+head -c 2097152 /dev/urandom >"$WORK/big"
+curl -sf -o "$WORK/big-echo" -X POST "$BASE/function/echo" --data-binary "@$WORK/big"
+cmp -s "$WORK/big" "$WORK/big-echo" || {
+	echo "verify: a 2 MiB routed echo came back altered" >&2
+	exit 1
+}
+SPLICED="$(curl -sf "$BASE/metrics" | awk '$1 == "hotc_wire_body_bytes_total{role=\"router\",path=\"spliced\"}" { print $2 + 0 }')"
+if [ "${SPLICED:-0}" -lt 2097152 ]; then
+	echo "verify: the router spliced ${SPLICED:-no} bytes of a 2 MiB routed echo, want at least 2097152" >&2
+	exit 1
+fi
 expect_refused "$BASE" router
 "$WORK/hotc-trace" metrics "$BASE/metrics"
 stop_daemons
