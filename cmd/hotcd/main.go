@@ -31,87 +31,82 @@ import (
 	"hotc/internal/faas/live"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
-		backend   = flag.String("backend", live.BackendInProcess, "where functions run: in-process (on the front door's goroutine, no watchdog socket) or socket (a loopback watchdog per instance, the paper's gateway→watchdog leg)")
-		keepalive = flag.Duration("keepalive", 5*time.Minute, "stop instances idle longer than this (0 = never)")
-		maxWarm   = flag.Int("max-warm", 8, "max warm instances per function, evicting oldest first (0 = unlimited)")
-		reap      = flag.Duration("reap-interval", time.Second, "janitor scan interval for keep-alive expiry")
-		ctlEvery  = flag.Duration("control-interval", 2*time.Second, "adaptive controller period: demand is sampled and the warm pool resized every interval")
-		predName  = flag.String("predictor", "es+markov", "demand predictor driving prewarm/retire: es|markov|es+markov|off")
-		headroom  = flag.Float64("headroom", 0, "fraction added to every forecast before provisioning (0.1 = +10%)")
-		preload   = flag.Bool("preload", true, "deploy the builtin demo functions at startup")
-		brkThresh = flag.Int("breaker-threshold", 5, "consecutive backend failures that open a function's circuit breaker (0 = disabled)")
-		brkOpen   = flag.Duration("breaker-open", 30*time.Second, "how long an open breaker fast-fails before probing again")
-		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		maxBody   = flag.Int64("max-body-size", 32<<20, "max request body bytes before HTTP 413 (0 = unlimited)")
-		maxInFl   = flag.Int("max-inflight", 128, "max concurrently executing requests per function; excess queues for admission (0 = admission control off)")
-		queueLen  = flag.Int("queue-depth", 256, "max queued requests per tenant per function before 429 + Retry-After")
-		deadline  = flag.Duration("default-deadline", 0, "deadline applied to requests without an X-Hotc-Deadline-Ms header: queued requests past it are shed with 429, in-flight backend work is canceled (0 = none)")
-		memBudget = flag.Int64("memory-budget", 0, "estimated warm-instance memory budget in bytes across all functions; past it the janitor reclaims idle generic watchdogs, then the longest-idle warm instances first (0 = unlimited)")
-		noTrace   = flag.Bool("no-trace", false, "disable live request tracing (/system/trace and traceparent propagation)")
-		trCap     = flag.Int("trace-capacity", 2048, "span ring capacity behind /system/trace")
-		trSample  = flag.Float64("trace-sample", 0.01, "probabilistic keep rate for unremarkable successful spans; errors, sheds, cold starts and slow requests are always kept (negative = always-keep classes only)")
-		trSlowMs  = flag.Int("trace-slow-ms", 500, "always keep spans at or above this end-to-end latency, in milliseconds (negative = off)")
-		sloLatMs  = flag.Int("slo-latency-ms", 250, "latency SLO: 2xx requests slower than this are bad events against a p99 objective (0 = objective off)")
-		sloColdPc = flag.Float64("slo-coldstart-pct", 5, "cold-start SLO: percent of served requests allowed to pay a cold start (0 = objective off)")
-		prefork   = flag.Bool("prefork", false, "maintain a pool of generic pre-forked watchdogs: cold starts specialize a running generic instance and pay only image pull (layer-cache-scaled) + app init")
-		preforkN  = flag.Int("prefork-size", 4, "target number of idle generic pre-forked watchdogs")
-		preforkMs = flag.Int("prefork-boot", 120, "milliseconds one generic watchdog boot pays, always off the request path")
-		layerCch  = flag.Bool("layer-cache", true, "cache image layers on the host so functions sharing base layers skip most of the pull phase")
-		layerCap  = flag.Float64("layer-cache-cap", 0, "layer cache capacity in MB with LRU eviction (0 = unbounded)")
-		share     = flag.Bool("share", false, "inter-function sharing: cold starts may rent an idle instance from another function, paying only volume wipe + app init (+ image-layer delta) instead of a full boot")
-		sharePol  = flag.String("share-policy", "same-image", "which function pairs may share: same-image|any")
-		shareWp   = flag.Int("share-wipe-ms", 5, "milliseconds one lease pays to wipe the lender's volume before re-specialization")
-		shareGr   = flag.Duration("share-idle-grace", 250*time.Millisecond, "minimum idle age before an instance may be lent to another function (0 = the 250ms default; negative = none)")
-	)
-	flag.Parse()
+// daemon is hotcd's command line: every flag is bound to its field of
+// cfg, except the daemon's own -addr and -preload and the few that
+// need converting after the parse (resolve).
+type daemon struct {
+	cfg     live.PoolConfig
+	addr    string
+	preload bool
 
-	newPred, err := live.PredictorFactory(*predName)
+	predictor  string
+	layerCache bool
+	// The flags given in milliseconds.
+	traceSlowMs, sloLatencyMs, preforkBootMs, shareWipeMs int
+}
+
+// flags registers every flag on a new set named name, bound to d.
+func (d *daemon) flags(name string, onError flag.ErrorHandling) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, onError)
+	c := &d.cfg
+	fs.StringVar(&d.addr, "addr", "127.0.0.1:8080", "listen address")
+	fs.StringVar(&c.Backend, "backend", live.BackendInProcess, "where functions run: in-process (on the front door's goroutine, no watchdog socket) or socket (a loopback watchdog per instance, the paper's gateway→watchdog leg)")
+	fs.DurationVar(&c.IdleTTL, "keepalive", 5*time.Minute, "stop instances idle longer than this (0 = never)")
+	fs.IntVar(&c.MaxIdlePerFunction, "max-warm", 8, "max warm instances per function, evicting oldest first (0 = unlimited)")
+	fs.DurationVar(&c.ReapInterval, "reap-interval", time.Second, "janitor scan interval for keep-alive expiry")
+	fs.DurationVar(&c.ControlInterval, "control-interval", 2*time.Second, "adaptive controller period: demand is sampled and the warm pool resized every interval")
+	fs.StringVar(&d.predictor, "predictor", "es+markov", "demand predictor driving prewarm/retire: es|markov|es+markov|off")
+	fs.BoolVar(&d.preload, "preload", true, "deploy the builtin demo functions at startup")
+	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", 5, "consecutive backend failures that open a function's circuit breaker (0 = disabled)")
+	fs.DurationVar(&c.BreakerOpenFor, "breaker-open", 30*time.Second, "how long an open breaker fast-fails before probing again")
+	fs.BoolVar(&c.EnablePprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
+	fs.Int64Var(&c.MaxBodyBytes, "max-body-size", 32<<20, "max request body bytes before HTTP 413 (0 = unlimited)")
+	fs.IntVar(&c.MaxInFlight, "max-inflight", 128, "max concurrently executing requests per function; excess queues for admission (0 = admission control off)")
+	fs.IntVar(&c.QueueDepth, "queue-depth", 256, "max queued requests per tenant per function before 429 + Retry-After")
+	fs.DurationVar(&c.DefaultDeadline, "default-deadline", 0, "deadline applied to requests without an X-Hotc-Deadline-Ms header: queued requests past it are shed with 429, in-flight backend work is canceled (0 = none)")
+	fs.Int64Var(&c.MemoryBudget, "memory-budget", 0, "estimated warm-instance memory budget in bytes across all functions; past it the janitor reclaims idle generic watchdogs, then the longest-idle warm instances first (0 = unlimited)")
+	fs.IntVar(&c.TraceCapacity, "trace-capacity", 2048, "span ring capacity behind /system/trace")
+	fs.Float64Var(&c.TraceSampleRate, "trace-sample", 0.01, "probabilistic keep rate for unremarkable successful spans; errors, sheds, cold starts and slow requests are always kept (negative = always-keep classes only)")
+	fs.IntVar(&d.traceSlowMs, "trace-slow-ms", 500, "always keep spans at or above this end-to-end latency, in milliseconds (negative = off)")
+	fs.IntVar(&d.sloLatencyMs, "slo-latency-ms", 250, "latency SLO: 2xx requests slower than this are bad events against a p99 objective (0 = objective off)")
+	fs.Float64Var(&c.SLOColdStartPct, "slo-coldstart-pct", 5, "cold-start SLO: percent of served requests allowed to pay a cold start (0 = objective off)")
+	fs.BoolVar(&c.Prefork, "prefork", false, "maintain a pool of generic pre-forked watchdogs: cold starts specialize a running generic instance and pay only image pull (layer-cache-scaled) + app init")
+	fs.IntVar(&c.PreforkSize, "prefork-size", 4, "target number of idle generic pre-forked watchdogs")
+	fs.IntVar(&d.preforkBootMs, "prefork-boot", 120, "milliseconds one generic watchdog boot pays, always off the request path")
+	fs.BoolVar(&d.layerCache, "layer-cache", true, "cache image layers on the host so functions sharing base layers skip most of the pull phase")
+	fs.BoolVar(&c.Share, "share", false, "inter-function sharing: cold starts may rent an idle instance from another function, paying only volume wipe + app init (+ image-layer delta) instead of a full boot")
+	fs.StringVar(&c.SharePolicy, "share-policy", "same-image", "which function pairs may share: same-image|any")
+	fs.IntVar(&d.shareWipeMs, "share-wipe-ms", 5, "milliseconds one lease pays to wipe the lender's volume before re-specialization")
+	fs.DurationVar(&c.ShareIdleGrace, "share-idle-grace", 250*time.Millisecond, "minimum idle age before an instance may be lent to another function (0 = the 250ms default; negative = none)")
+	return fs
+}
+
+// resolve converts the flags that are not a field's own type into cfg
+// and validates the result.
+func (d *daemon) resolve() error {
+	newPred, err := live.PredictorFactory(d.predictor)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hotcd:", err)
-		os.Exit(2)
+		return err
 	}
+	c := &d.cfg
+	c.NewPredictor = newPred
+	c.DisableLayerCache = !d.layerCache
+	c.TraceSlowThreshold = time.Duration(d.traceSlowMs) * time.Millisecond
+	c.SLOLatency = time.Duration(d.sloLatencyMs) * time.Millisecond
+	c.PreforkBoot = time.Duration(d.preforkBootMs) * time.Millisecond
+	c.ShareWipe = time.Duration(d.shareWipeMs) * time.Millisecond
+	return c.Validate()
+}
 
-	cfg := live.PoolConfig{
-		Backend:            *backend,
-		IdleTTL:            *keepalive,
-		MaxIdlePerFunction: *maxWarm,
-		ReapInterval:       *reap,
-		ControlInterval:    *ctlEvery,
-		NewPredictor:       newPred,
-		Headroom:           *headroom,
-		BreakerThreshold:   *brkThresh,
-		BreakerOpenFor:     *brkOpen,
-		EnablePprof:        *pprofOn,
-		MaxBodyBytes:       *maxBody,
-		MaxInFlight:        *maxInFl,
-		QueueDepth:         *queueLen,
-		DefaultDeadline:    *deadline,
-		MemoryBudget:       *memBudget,
-		DisableTracing:     *noTrace,
-		TraceCapacity:      *trCap,
-		TraceSampleRate:    *trSample,
-		TraceSlowThreshold: time.Duration(*trSlowMs) * time.Millisecond,
-		SLOLatency:         time.Duration(*sloLatMs) * time.Millisecond,
-		SLOColdStartPct:    *sloColdPc,
-		Prefork:            *prefork,
-		PreforkSize:        *preforkN,
-		PreforkBoot:        time.Duration(*preforkMs) * time.Millisecond,
-		DisableLayerCache:  !*layerCch,
-		LayerCacheCapMB:    *layerCap,
-		Share:              *share,
-		SharePolicy:        *sharePol,
-		ShareWipe:          time.Duration(*shareWp) * time.Millisecond,
-		ShareIdleGrace:     *shareGr,
-	}
-	if err := cfg.Validate(); err != nil {
+func main() {
+	var cmd daemon
+	cmd.flags(os.Args[0], flag.ExitOnError).Parse(os.Args[1:])
+	if err := cmd.resolve(); err != nil {
 		fmt.Fprintln(os.Stderr, "hotcd:", err)
 		os.Exit(2)
 	}
-	d := live.New(cfg)
-	if *preload {
+	d := live.New(cmd.cfg)
+	if cmd.preload {
 		for _, h := range live.Builtins() {
 			if err := d.Deploy(live.DeploySpec{Name: h, Handler: h, ColdStartMs: 400}); err != nil {
 				fmt.Fprintln(os.Stderr, "hotcd:", err)
@@ -119,7 +114,7 @@ func main() {
 			}
 		}
 	}
-	base, err := d.StartOn(*addr)
+	base, err := d.StartOn(cmd.addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hotcd:", err)
 		os.Exit(1)
@@ -127,7 +122,7 @@ func main() {
 	defer d.Stop()
 	fmt.Printf("hotcd listening on %s\n", base)
 	fmt.Printf("backend: %s\n", d.Config().Backend)
-	if *preload {
+	if cmd.preload {
 		fmt.Printf("preloaded functions: %v (cold start 400ms each)\n", live.Builtins())
 	}
 	// Everything below reports the configuration the gateway resolved,
@@ -135,7 +130,7 @@ func main() {
 	rc := d.Config()
 	if rc.NewPredictor != nil {
 		fmt.Printf("adaptive control: predictor=%s interval=%v keepalive=%v reap-interval=%v max-warm=%d\n",
-			*predName, rc.ControlInterval, rc.IdleTTL, rc.ReapInterval, rc.MaxIdlePerFunction)
+			cmd.predictor, rc.ControlInterval, rc.IdleTTL, rc.ReapInterval, rc.MaxIdlePerFunction)
 	} else {
 		fmt.Printf("adaptive control: off (keepalive=%v reap-interval=%v max-warm=%d still enforced)\n",
 			rc.IdleTTL, rc.ReapInterval, rc.MaxIdlePerFunction)
@@ -161,20 +156,12 @@ func main() {
 			rc.SharePolicy, rc.ShareWipe, orNone(rc.ShareIdleGrace))
 	}
 	if !rc.DisableLayerCache {
-		capNote := "unbounded"
-		if rc.LayerCacheCapMB > 0 {
-			capNote = fmt.Sprintf("%.0f MB, LRU", rc.LayerCacheCapMB)
-		}
-		fmt.Printf("layer cache: on (%s); deploys with \"image\" skip the pull share of cached layers\n", capNote)
+		fmt.Println("layer cache: on (unbounded); deploys with \"image\" skip the pull share of cached layers")
 	} else {
 		fmt.Println("layer cache: off (-layer-cache=false)")
 	}
-	if rc.DisableTracing {
-		fmt.Println("tracing: off (-no-trace)")
-	} else {
-		fmt.Printf("tracing: ring=%d sample=%.4g slow=%s (GET /system/trace, traceparent accepted, X-Hotc-Trace-Id echoed)\n",
-			rc.TraceCapacity, rc.TraceSampleRate, orNone(rc.TraceSlowThreshold))
-	}
+	fmt.Printf("tracing: ring=%d sample=%.4g slow=%s (GET /system/trace, traceparent accepted, X-Hotc-Trace-Id echoed)\n",
+		rc.TraceCapacity, rc.TraceSampleRate, orNone(rc.TraceSlowThreshold))
 	if rc.SLOLatency > 0 || rc.SLOColdStartPct > 0 {
 		fmt.Printf("slo: latency p99<%v coldstart<%.4g%% (GET /system/slo, hotc_slo_* burn rates)\n",
 			rc.SLOLatency, rc.SLOColdStartPct)

@@ -3,8 +3,11 @@ package main
 import (
 	"bufio"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,5 +86,86 @@ func TestBannerPrintsResolvedConfig(t *testing.T) {
 		if !strings.Contains(banner.String(), want) {
 			t.Errorf("banner lacks %q:\n%s", want, banner.String())
 		}
+	}
+}
+
+// parse runs hotcd's flag set and its post-parse glue over args.
+func parse(t *testing.T, args ...string) daemon {
+	t.Helper()
+	var d daemon
+	fs := d.flags("hotcd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	if err := d.resolve(); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return d
+}
+
+// nonDefault gives every flag of hotcd a value other than its default.
+var nonDefault = map[string]string{
+	"addr": "127.0.0.1:0", "backend": "socket", "keepalive": "1m", "max-warm": "3",
+	"reap-interval": "2s", "control-interval": "3s", "predictor": "off", "preload": "false",
+	"breaker-threshold": "2", "breaker-open": "1m", "pprof": "true", "max-body-size": "1024",
+	"max-inflight": "4", "queue-depth": "5", "default-deadline": "1s", "memory-budget": "1048576",
+	"trace-capacity": "64", "trace-sample": "0.5", "trace-slow-ms": "7", "slo-latency-ms": "9",
+	"slo-coldstart-pct": "2", "prefork": "true", "prefork-size": "2", "prefork-boot": "11",
+	"layer-cache": "false", "share": "true", "share-policy": "any", "share-wipe-ms": "3",
+	"share-idle-grace": "1s",
+}
+
+// view is what a flag can set: the config, with NewPredictor reduced to
+// whether it is armed, and the daemon's own address and preload.
+func view(d daemon) any {
+	cfg := d.cfg
+	armed := cfg.NewPredictor != nil
+	cfg.NewPredictor = nil
+	return struct {
+		cfg     any
+		armed   bool
+		addr    string
+		preload bool
+	}{cfg, armed, d.addr, d.preload}
+}
+
+// Every knob of hotcd reaches the gateway: each flag alone moves what
+// it is bound to, every flag at once moves every PoolConfig field, and
+// -h lists exactly the flags bound here.
+func TestEveryFlagSetsItsField(t *testing.T) {
+	var names []string
+	(&daemon{}).flags("hotcd", flag.ContinueOnError).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if len(names) != len(nonDefault) {
+		t.Errorf("%d flags, %d non-default values: %v", len(names), len(nonDefault), names)
+	}
+	def := parse(t)
+	var all []string
+	for _, name := range names {
+		v, ok := nonDefault[name]
+		if !ok {
+			t.Errorf("-%s has no non-default value here", name)
+			continue
+		}
+		arg := "-" + name + "=" + v
+		all = append(all, arg)
+		if reflect.DeepEqual(view(parse(t, arg)), view(def)) {
+			t.Errorf("%s leaves the config unchanged", arg)
+		}
+	}
+	got, want := reflect.ValueOf(parse(t, all...).cfg), reflect.ValueOf(def.cfg)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if name != "NewPredictor" && reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
+			t.Errorf("PoolConfig.%s = %v with every flag set, as by default", name, got.Field(i))
+		}
+	}
+
+	out, err := hotcd("-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("hotcd -h: %v\n%s", err, out)
+	}
+	if n := strings.Count(string(out), "\n  -"); n != 29 {
+		t.Errorf("hotcd -h lists %d flags, want 29:\n%s", n, out)
 	}
 }

@@ -1,9 +1,8 @@
 // Web QR over real sockets: a live HTTP gateway and its warm pool
 // (the paper's Fig. 9 web application), serving an actual URL-to-text
-// "QR" encoding function. The same function is served twice — once by
-// a cold-start-per-request gateway and once by a runtime-reusing
-// (HotC-style) gateway — and the measured wall-clock latencies are
-// printed.
+// "QR" encoding function. The same function is served twice — once
+// with a cold start per request and once with runtime reuse
+// (HotC-style) — and the measured wall-clock latencies are printed.
 //
 // Unlike the other examples this one exercises the real network stack:
 // every request crosses a real TCP connection to the gateway, which runs
@@ -58,12 +57,13 @@ func run(reuse bool, requests int) {
 	if reuse {
 		label = "HotC-style runtime reuse"
 	}
-	g := live.NewGateway(reuse)
-	if err := g.Register(live.Function{
+	g := live.New(live.PoolConfig{})
+	fn := live.Function{
 		Name:      "url2qr",
 		Handler:   qrEncode,
 		ColdStart: 400 * time.Millisecond, // container boot + runtime + app init
-	}); err != nil {
+	}
+	if err := g.Register(fn); err != nil {
 		log.Fatal(err)
 	}
 	base, err := g.Start()
@@ -75,6 +75,12 @@ func run(reuse bool, requests int) {
 	fmt.Printf("--- %s ---\n", label)
 	var total time.Duration
 	for i := 0; i < requests; i++ {
+		if !reuse {
+			// A redeploy drains the warm pool, so this request boots.
+			if err := g.Register(fn); err != nil {
+				log.Fatal(err)
+			}
+		}
 		url := fmt.Sprintf("https://example.org/page/%d", i)
 		t0 := time.Now()
 		resp, err := http.Post(base+"/function/url2qr", "text/plain", strings.NewReader(url))

@@ -596,8 +596,9 @@ func (t *tree) reaches(from string, is func(string) bool) bool {
 // unset reports each exported field of the named structs ("dir.Type")
 // that no file r reads outside dir writes: as a key of a composite
 // literal of the struct or of an alias of it, or as a selector assigned
-// to in a package that reaches dir. A struct the tree lacks is reported
-// too.
+// to or whose address is taken (a flag bound to the field with
+// flag.IntVar(&cfg.F, ...)) in a package that reaches dir. A struct the
+// tree lacks is reported too.
 func unset(structs ...string) func(*tree, row) []string {
 	return func(t *tree, r row) (bad []string) {
 		for _, s := range structs {
@@ -666,6 +667,13 @@ func unset(structs ...string) func(*tree, row) []string {
 						for sel, ok := l.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
 							mark(sel.Sel.Name)
 						}
+					}
+				case *ast.UnaryExpr:
+					if n.Op != token.AND || !c.t.reaches(c.f.pkg, func(p string) bool { return p == pkg }) {
+						return
+					}
+					for sel, ok := n.X.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+						mark(sel.Sel.Name)
 					}
 				}
 			})

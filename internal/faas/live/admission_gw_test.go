@@ -513,7 +513,7 @@ func TestAdmissionChurnWithControlLoops(t *testing.T) {
 // A malformed or out-of-range deadline header is the client's error:
 // 400, nothing admitted, nothing fed to the breaker.
 func TestBadDeadlineHeaderRejected(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	if err := g.Register(echoFn("f", 0)); err != nil {
 		t.Fatal(err)
 	}

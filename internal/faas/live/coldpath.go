@@ -104,25 +104,21 @@ type bootPhases struct {
 	hasImage           bool
 }
 
-// The §III.B anatomy of a boot without explicit phases: image
-// pull/unpack dominates container start time, runtime init follows, and
-// app init takes the rest.
+// The §III.B anatomy of a boot: image pull/unpack dominates container
+// start time, generic runtime init (pre-paid by a pre-forked generic)
+// follows, and function/app init (always paid) takes the rest.
 const bootPullFrac, bootRuntimeFrac = 0.55, 0.30
 
-// phasesFor resolves a function's boot phases: explicit fields win;
-// otherwise ColdStart is split by the §III.B fractions, with the
-// remainder assigned to app init so the three phases always sum to
-// exactly ColdStart.
+// phasesFor resolves a function's boot phases: ColdStart split by the
+// §III.B fractions, with the remainder assigned to app init so the
+// three phases always sum to exactly ColdStart.
 func (g *Gateway) phasesFor(fn Function) bootPhases {
-	var ph bootPhases
-	if fn.Pull > 0 || fn.RuntimeInit > 0 || fn.AppInit > 0 {
-		ph.pull, ph.runtime, ph.app = fn.Pull, fn.RuntimeInit, fn.AppInit
-	} else {
-		cs := fn.ColdStart
-		ph.pull = time.Duration(bootPullFrac * float64(cs))
-		ph.runtime = time.Duration(bootRuntimeFrac * float64(cs))
-		ph.app = cs - ph.pull - ph.runtime
+	cs := fn.ColdStart
+	ph := bootPhases{
+		pull:    time.Duration(bootPullFrac * float64(cs)),
+		runtime: time.Duration(bootRuntimeFrac * float64(cs)),
 	}
+	ph.app = cs - ph.pull - ph.runtime
 	if fn.Image != "" {
 		if im, err := g.cold.registry.Lookup(fn.Image); err == nil {
 			ph.im, ph.hasImage = im, true

@@ -29,7 +29,7 @@ func waitIdleGenerics(t *testing.T, g *Gateway, want int) {
 // total: pull+runtime+app must equal ColdStart exactly, for any value,
 // so an unconfigured gateway boots in the same time it always did.
 func TestPhaseSplitSumsToColdStart(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	defer g.Stop()
 	for _, cs := range []time.Duration{0, time.Millisecond, 7 * time.Millisecond, 200 * time.Millisecond, 333 * time.Millisecond} {
 		ph := g.phasesFor(echoFn("f", cs))
@@ -39,18 +39,6 @@ func TestPhaseSplitSumsToColdStart(t *testing.T) {
 		if cs > 0 && !(ph.pull > ph.runtime && ph.runtime > ph.app) {
 			t.Errorf("ColdStart %v: want pull > runtime > app, got %v/%v/%v", cs, ph.pull, ph.runtime, ph.app)
 		}
-	}
-}
-
-// Explicit per-phase durations override the fractional split entirely.
-func TestPhaseSplitExplicitPhasesWin(t *testing.T) {
-	g := NewGateway(true)
-	defer g.Stop()
-	fn := echoFn("f", 999*time.Millisecond)
-	fn.Pull, fn.RuntimeInit, fn.AppInit = 30*time.Millisecond, 20*time.Millisecond, 10*time.Millisecond
-	ph := g.phasesFor(fn)
-	if ph.pull != fn.Pull || ph.runtime != fn.RuntimeInit || ph.app != fn.AppInit {
-		t.Fatalf("phases = %v/%v/%v, want explicit 30ms/20ms/10ms", ph.pull, ph.runtime, ph.app)
 	}
 }
 
@@ -138,20 +126,21 @@ func TestEmptyPoolFullColdNeverWaitsForRefill(t *testing.T) {
 // phase. python:3.8 and node:10 share the 101MB debian base; a second
 // python boot skips everything.
 func TestLayerCacheScalesPullPhase(t *testing.T) {
-	g := NewGateway(true) // standard catalog and an unbounded layer cache are the defaults
+	g := New(PoolConfig{}) // standard catalog and an unbounded layer cache are the defaults
 	defer g.Stop()
 
-	pyFn := echoFn("py", 0)
+	// A 20ms boot splits into an 11ms pull, 6ms runtime and 3ms app init.
+	fullPull := 11 * time.Millisecond
+	pyFn := echoFn("py", 20*time.Millisecond)
 	pyFn.Image = "python:3.8"
-	pyFn.Pull, pyFn.AppInit = 100*time.Millisecond, time.Millisecond
 
 	inst, info, err := g.bootInstance(context.Background(), pyFn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst.stop()
-	if info.mode != bootCold || info.skippedMB != 0 || info.pull != 100*time.Millisecond {
-		t.Fatalf("first python boot = %+v, want full 100ms pull, nothing skipped", info)
+	if info.mode != bootCold || info.skippedMB != 0 || info.pull != fullPull {
+		t.Fatalf("first python boot = %+v, want the full %v pull, nothing skipped", info, fullPull)
 	}
 
 	// Second boot of the same image: every layer is cached.
@@ -169,9 +158,8 @@ func TestLayerCacheScalesPullPhase(t *testing.T) {
 
 	// node:10 shares only the debian base: it pays pull pro-rata of its
 	// own 67MB runtime layer out of 168MB total.
-	nodeFn := echoFn("node", 0)
+	nodeFn := echoFn("node", 20*time.Millisecond)
 	nodeFn.Image = "node:10"
-	nodeFn.Pull, nodeFn.AppInit = 100*time.Millisecond, time.Millisecond
 	inst, info, err = g.bootInstance(context.Background(), nodeFn)
 	if err != nil {
 		t.Fatal(err)
@@ -180,9 +168,8 @@ func TestLayerCacheScalesPullPhase(t *testing.T) {
 	if info.skippedMB != 101 {
 		t.Fatalf("node boot skipped %.0fMB, want the 101MB shared debian base", info.skippedMB)
 	}
-	phase := float64(100 * time.Millisecond)
-	wantPull := time.Duration(phase * 67 / 168)
-	if diff := info.pull - wantPull; diff < -time.Millisecond || diff > time.Millisecond {
+	wantPull := time.Duration(float64(fullPull) * 67 / 168)
+	if diff := info.pull - wantPull; diff < -time.Microsecond || diff > time.Microsecond {
 		t.Fatalf("node pull = %v, want ~%v (67/168 of the phase)", info.pull, wantPull)
 	}
 
@@ -310,7 +297,7 @@ func TestPrewarmUsesGenericPool(t *testing.T) {
 // A watchdog accept loop dying is no longer silent: the error feeds a
 // resilience counter and event instead of vanishing in a goroutine.
 func TestWatchdogServeErrorSurfaces(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	defer g.Stop()
 	g.watchdogServeError(errors.New("accept: too many open files"))
 	if got := g.ResilienceCounters()["watchdog.serve_errors"]; got != 1 {
@@ -326,10 +313,7 @@ func TestDaemonDeployWithImage(t *testing.T) {
 	if err := d.Deploy(DeploySpec{Name: "bad", Handler: "echo", Image: "no-such-image:1.0"}); err == nil {
 		t.Fatal("deploy with unknown image succeeded, want error")
 	}
-	if err := d.Deploy(DeploySpec{Name: "neg", Handler: "echo", PullMs: -1}); err == nil {
-		t.Fatal("deploy with negative pull phase succeeded, want error")
-	}
-	if err := d.Deploy(DeploySpec{Name: "py", Handler: "echo", Image: "python:3.8", PullMs: 5, AppInitMs: 1}); err != nil {
+	if err := d.Deploy(DeploySpec{Name: "py", Handler: "echo", Image: "python:3.8", ColdStartMs: 6}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -57,9 +57,6 @@ type PoolConfig struct {
 	// disables prediction; the janitor and warm cap stay active. Use
 	// PredictorFactory to resolve names.
 	NewPredictor func() predictor.Predictor
-	// Headroom is added to every forecast before provisioning, as a
-	// fraction (0.1 = +10%). Default 0.
-	Headroom float64
 	// BreakerThreshold arms the per-function circuit breaker: after
 	// this many consecutive boot/proxy failures requests fast-fail with
 	// 503 until the open window elapses. 0 disables breaking.
@@ -91,10 +88,6 @@ type PoolConfig struct {
 	// it is exceeded the janitor reclaims idle generics first, then the
 	// longest-idle warm instances, whichever functions hold them.
 	MemoryBudget int64
-	// DisableTracing turns live request tracing off. Tracing is on by
-	// default: its sampled-out path costs a handful of atomics per
-	// request and nothing on the pool hot path.
-	DisableTracing bool
 	// TraceCapacity sizes the span ring behind /system/trace (default
 	// 2048).
 	TraceCapacity int
@@ -125,9 +118,6 @@ type PoolConfig struct {
 	// with an Image pays its full pull phase. The cache is on by
 	// default — sharing base layers is the point of image modelling.
 	DisableLayerCache bool
-	// LayerCacheCapMB bounds the layer cache with LRU eviction (0 =
-	// unbounded).
-	LayerCacheCapMB float64
 	// Share arms inter-function sharing: on a warm miss the gateway
 	// leases an idle instance from another function — wipe its volume,
 	// swap the watchdog handler, pay app init plus any image-layer
@@ -210,7 +200,6 @@ func (c PoolConfig) Validate() error {
 		{"MaxIdlePerFunction", float64(c.MaxIdlePerFunction)},
 		{"ReapInterval", float64(c.ReapInterval)},
 		{"ControlInterval", float64(c.ControlInterval)},
-		{"Headroom", c.Headroom},
 		{"BreakerThreshold", float64(c.BreakerThreshold)},
 		{"BreakerOpenFor", float64(c.BreakerOpenFor)},
 		{"MaxBodyBytes", float64(c.MaxBodyBytes)},
@@ -223,7 +212,6 @@ func (c PoolConfig) Validate() error {
 		{"SLOColdStartPct", c.SLOColdStartPct},
 		{"PreforkSize", float64(c.PreforkSize)},
 		{"PreforkBoot", float64(c.PreforkBoot)},
-		{"LayerCacheCapMB", c.LayerCacheCapMB},
 		{"ShareWipe", float64(c.ShareWipe)},
 	} {
 		if !(f.v >= 0) { // also catches NaN
@@ -244,7 +232,6 @@ func New(cfg PoolConfig) *Gateway {
 	g := &Gateway{
 		cfg:    cfg,
 		keep:   kernel.Fixed(cfg.IdleTTL),
-		reuse:  true,
 		clock:  wallClock{},
 		shards: make(map[string]*shard),
 		dial: func(ctx context.Context, addr string) (net.Conn, error) {
@@ -262,13 +249,8 @@ func New(cfg PoolConfig) *Gateway {
 	g.cold.registry = image.StandardCatalog()
 	if !cfg.DisableLayerCache {
 		g.cold.cache = image.NewCache()
-		if cfg.LayerCacheCapMB > 0 {
-			g.cold.cache = image.NewCacheWithCap(cfg.LayerCacheCapMB)
-		}
 	}
-	if !cfg.DisableTracing {
-		g.trace = g.newTracing()
-	}
+	g.trace = g.newTracing()
 	if cfg.SLOLatency > 0 || cfg.SLOColdStartPct > 0 {
 		g.slo = obs.NewSLOMonitor(obs.SLOConfig{
 			LatencyThreshold: cfg.SLOLatency,
@@ -291,14 +273,5 @@ func New(cfg PoolConfig) *Gateway {
 			OnIdle: func(n int) { g.obs.coldGenericIdle.Set(float64(n)) },
 		})
 	}
-	return g
-}
-
-// NewGateway is the zero-config form of New. reuse=false is the
-// no-reuse baseline the examples compare against: every request boots
-// and tears down its own instance (the default cold behaviour).
-func NewGateway(reuse bool) *Gateway {
-	g := New(PoolConfig{})
-	g.reuse = reuse
 	return g
 }

@@ -69,7 +69,6 @@ func TestPoolConfigValidate(t *testing.T) {
 		"MaxIdlePerFunction": {MaxIdlePerFunction: -1},
 		"ReapInterval":       {ReapInterval: -time.Second},
 		"ControlInterval":    {ControlInterval: -time.Second},
-		"Headroom":           {Headroom: -0.1},
 		"BreakerThreshold":   {BreakerThreshold: -1},
 		"BreakerOpenFor":     {BreakerOpenFor: -time.Second},
 		"MaxBodyBytes":       {MaxBodyBytes: -1},
@@ -82,7 +81,6 @@ func TestPoolConfigValidate(t *testing.T) {
 		"SLOColdStartPct":    {SLOColdStartPct: -1},
 		"PreforkSize":        {PreforkSize: -1},
 		"PreforkBoot":        {PreforkBoot: -time.Second},
-		"LayerCacheCapMB":    {LayerCacheCapMB: -1},
 		"ShareWipe":          {ShareWipe: -time.Millisecond},
 	} {
 		err := bad.Validate()

@@ -18,7 +18,7 @@ import (
 // serialization the per-function sharding is meant to remove.
 func benchGateway(b *testing.B, workers, fns int) {
 	b.Helper()
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	names := make([]string, fns)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
@@ -81,7 +81,7 @@ func benchGateway(b *testing.B, workers, fns int) {
 // trip, which is syscall-bound and swamps lock effects on small hosts.
 func benchGatewayHotPath(b *testing.B, workers, fns int) {
 	b.Helper()
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	shards := make([]*shard, fns)
 	for i := range shards {
 		name := fmt.Sprintf("f%d", i)
@@ -161,7 +161,7 @@ func BenchmarkGatewayParallel(b *testing.B) {
 // BenchmarkGatewayStatsUnderLoad measures Stats() while request traffic
 // flows: the snapshot must not stop the world.
 func BenchmarkGatewayStatsUnderLoad(b *testing.B) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	if err := g.Register(Function{
 		Name:    "f",
 		Handler: func(_ context.Context, body []byte) ([]byte, error) { return body, nil },

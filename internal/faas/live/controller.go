@@ -135,7 +135,6 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 	// The keep-alive, not the forecast, takes a used function's last
 	// warm instance: retain one until the janitor would expire it.
 	d := st.Step(kernel.PlanInput{
-		Headroom: g.cfg.Headroom,
 		InFlight: st.InFlight, Live: st.InFlight + st.booting + len(s.idle), Idle: len(s.idle),
 		Retain:        !st.lastDone.IsZero() && !kernel.Expired(now.Sub(st.lastDone), g.keep.Window(name)),
 		MaxWarm:       g.cfg.MaxIdlePerFunction,

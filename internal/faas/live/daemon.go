@@ -219,18 +219,12 @@ type DeploySpec struct {
 	// Handler is a builtin handler name; see Builtins.
 	Handler string `json:"handler"`
 	// ColdStartMs is the artificial instance boot delay, decomposed
-	// into pull/runtime-init/app-init by the gateway's phase split
-	// unless the explicit phase fields below are set.
+	// into pull/runtime-init/app-init by the gateway's phase split.
 	ColdStartMs int `json:"coldStartMs"`
 	// Image, optional, names the function's container image in the
 	// standard catalog ("python:3.8", "node:10", ...): boots then skip
 	// the pull share of layers already cached on the host.
 	Image string `json:"image,omitempty"`
-	// PullMs, RuntimeInitMs and AppInitMs, when any is set, spell the
-	// boot phases out explicitly instead of splitting ColdStartMs.
-	PullMs        int `json:"pullMs,omitempty"`
-	RuntimeInitMs int `json:"runtimeInitMs,omitempty"`
-	AppInitMs     int `json:"appInitMs,omitempty"`
 	// Shareable is the per-deploy sharing opt-out (default true):
 	// false keeps this function's instances out of inter-function
 	// sharing on both sides.
@@ -240,9 +234,9 @@ type DeploySpec struct {
 	MemoryMB int `json:"memoryMB,omitempty"`
 }
 
-// maxBootMs bounds a deploy's boot delays — ColdStartMs, each explicit
-// phase and the phases' sum — to what a time.Duration holds, as
-// maxDeadlineMs bounds a deadline: a larger delay would wrap negative.
+// maxBootMs bounds a deploy's boot delay, ColdStartMs, to what a
+// time.Duration holds, as maxDeadlineMs bounds a deadline: a larger
+// delay would wrap negative.
 const maxBootMs = maxDeadlineMs
 
 // Deploy registers a function from a spec.
@@ -254,16 +248,6 @@ func (g *Gateway) Deploy(spec DeploySpec) error {
 	if spec.ColdStartMs < 0 || int64(spec.ColdStartMs) > maxBootMs {
 		return fmt.Errorf("live: coldStartMs %d outside [0, %d]", spec.ColdStartMs, maxBootMs)
 	}
-	var phases int64
-	for _, ms := range []int{spec.PullMs, spec.RuntimeInitMs, spec.AppInitMs} {
-		if ms < 0 || int64(ms) > maxBootMs {
-			return fmt.Errorf("live: boot phase of %d ms outside [0, %d]", ms, maxBootMs)
-		}
-		phases += int64(ms)
-	}
-	if phases > maxBootMs {
-		return fmt.Errorf("live: boot phases sum to %d ms, over %d", phases, maxBootMs)
-	}
 	if spec.Image != "" {
 		// An unknown image would silently degrade to no-image boots
 		// (full pull every time); refuse it up front instead.
@@ -274,9 +258,6 @@ func (g *Gateway) Deploy(spec DeploySpec) error {
 	fn.Name = spec.Name
 	fn.ColdStart = time.Duration(spec.ColdStartMs) * time.Millisecond
 	fn.Image = spec.Image
-	fn.Pull = time.Duration(spec.PullMs) * time.Millisecond
-	fn.RuntimeInit = time.Duration(spec.RuntimeInitMs) * time.Millisecond
-	fn.AppInit = time.Duration(spec.AppInitMs) * time.Millisecond
 	fn.NoShare = spec.Shareable != nil && !*spec.Shareable
 	if spec.MemoryMB < 0 {
 		return fmt.Errorf("live: negative memoryMB")

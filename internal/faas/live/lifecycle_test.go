@@ -106,9 +106,9 @@ func TestBootPhaseTable(t *testing.T) {
 	clk := newFakeClock()
 	g.clock = clk
 	ms := time.Millisecond
-	fn := func(image string) Function {
-		f := echoFn("f", 0)
-		f.Image, f.Pull, f.RuntimeInit, f.AppInit = image, 100*ms, 20*ms, 10*ms
+	fn := func(image string) Function { // pull 110ms, runtime 60ms, app 30ms
+		f := echoFn("f", 200*ms)
+		f.Image = image
 		return f
 	}
 	generic := func() bootSource {
@@ -131,11 +131,11 @@ func TestBootPhaseTable(t *testing.T) {
 		from bootSource
 		want bootInfo
 	}{
-		{"full cold", fn("python:3.8"), bootSource{}, bootInfo{mode: bootCold, pull: 100 * ms, runtime: 20 * ms, app: 10 * ms}},
-		{"generic with image", fn("python:3.8"), generic(), bootInfo{mode: bootGeneric, pull: 100 * ms, app: 10 * ms}},
-		{"generic without image", fn(""), generic(), bootInfo{mode: bootGeneric, app: 10 * ms}},
-		{"rented same image", fn("python:3.8"), lent("python:3.8"), bootInfo{mode: bootRented, wipe: 3 * ms, app: 10 * ms}},
-		{"rented other image", fn("node:10"), lent("python:3.8"), bootInfo{mode: bootRented, wipe: 3 * ms, pull: 100 * ms, app: 10 * ms}},
+		{"full cold", fn("python:3.8"), bootSource{}, bootInfo{mode: bootCold, pull: 110 * ms, runtime: 60 * ms, app: 30 * ms}},
+		{"generic with image", fn("python:3.8"), generic(), bootInfo{mode: bootGeneric, pull: 110 * ms, app: 30 * ms}},
+		{"generic without image", fn(""), generic(), bootInfo{mode: bootGeneric, app: 30 * ms}},
+		{"rented same image", fn("python:3.8"), lent("python:3.8"), bootInfo{mode: bootRented, wipe: 3 * ms, app: 30 * ms}},
+		{"rented other image", fn("node:10"), lent("python:3.8"), bootInfo{mode: bootRented, wipe: 3 * ms, pull: 110 * ms, app: 30 * ms}},
 	} {
 		before := len(clk.sleeps())
 		inst, info, err := g.boot(context.Background(), tc.fn, tc.from)
@@ -170,8 +170,9 @@ func TestBootCancellationPerTier(t *testing.T) {
 			onBackends(t, func(t *testing.T, backend string) {
 				before := liveWatchdogs()
 				cfg := PoolConfig{Backend: backend, BreakerThreshold: 1}
-				f := echoFn("f", 0)
-				f.AppInit = bootTime // the phase every tier pays
+				// App init, the phase every tier pays, is 15% of the
+				// boot: bootTime.
+				f := echoFn("f", bootTime*100/15)
 				switch tier {
 				case "generic":
 					cfg.Prefork, cfg.PreforkSize = true, 1
@@ -179,7 +180,7 @@ func TestBootCancellationPerTier(t *testing.T) {
 					cfg.Share, cfg.ShareWipe, cfg.ShareIdleGrace = true, time.Millisecond, -1
 				case "rented mid-wipe":
 					cfg.Share, cfg.ShareWipe, cfg.ShareIdleGrace = true, bootTime, -1
-					f.AppInit = 0
+					f.ColdStart = 0
 				}
 				g := New(cfg)
 				defer g.Stop()
@@ -295,7 +296,7 @@ func TestPrewarmBootFailureIsCounted(t *testing.T) {
 // it is stopped when its request finishes, never parked under the new
 // function.
 func TestRedeployStopsInstanceInFlight(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	defer g.Stop()
 	entered, proceed := make(chan struct{}), make(chan struct{})
 	if err := g.Register(Function{Name: "f", Handler: func(context.Context, []byte) ([]byte, error) {

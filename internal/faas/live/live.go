@@ -22,7 +22,7 @@
 // gateway's whole life — nothing is settable afterwards, and a
 // function registered before Start is set up exactly like one
 // registered after. New builds the whole node — its routes, its node
-// metrics and its one clock (clock.go). NewGateway is New(PoolConfig{}).
+// metrics and its one clock (clock.go).
 //
 // With PoolConfig.NewPredictor the gateway also runs the paper's
 // adaptive live-container control (Algorithm 3) against the real pool:
@@ -112,10 +112,9 @@ type Function struct {
 	// body as a stream instead of a buffered slice.
 	Stream StreamHandler
 	// ColdStart is the artificial boot delay a fresh instance pays
-	// (container create + runtime init + app init). When the explicit
-	// phase fields below are zero, ColdStart is split by the fixed
-	// §III.B fractions bootPullFrac and bootRuntimeFrac (coldpath.go),
-	// app init taking the rest.
+	// (image pull + runtime init + app init), split by the fixed §III.B
+	// fractions bootPullFrac and bootRuntimeFrac (coldpath.go), app init
+	// taking the rest.
 	ColdStart time.Duration
 
 	// Image, when set, names this function's container image
@@ -124,11 +123,6 @@ type Function struct {
 	// for layers actually missing — functions sharing base layers skip
 	// most of the pull.
 	Image string
-	// Pull, RuntimeInit and AppInit, when any is set, spell the boot
-	// phases out explicitly instead of splitting ColdStart: image
-	// pull/unpack, generic runtime init (pre-paid by a pre-forked
-	// generic), and function/app init (always paid).
-	Pull, RuntimeInit, AppInit time.Duration
 
 	// MemoryMB is the function's declared memory class for the sharing
 	// policy (0 = unconstrained): a renter must fit inside its lender's
@@ -277,9 +271,6 @@ type Gateway struct {
 	cfg PoolConfig
 	// keep is IdleTTL's keep-alive rule, for the janitor and the controller.
 	keep kernel.Fixed
-	// reuse is false only for NewGateway(false), the boot-per-request
-	// baseline.
-	reuse bool
 	// clock is the node's one time source, the wall clock unless a test
 	// swaps it; started is when New built the gateway, on it.
 	clock   clock
@@ -333,7 +324,7 @@ type Gateway struct {
 	obs *instruments
 
 	// trace is the live-tracing state: span ring, tail sampler and ID
-	// generator. nil = tracing off (PoolConfig.DisableTracing).
+	// generator.
 	trace *tracing
 	// slo is the SLO monitor fed by every completed request. nil = no
 	// objective armed.
@@ -387,10 +378,14 @@ func (g *Gateway) newShard(name string) *shard {
 // Re-registering a name swaps the function in place and starts a new
 // deployment generation: the old version's warm instances are drained
 // here, and one in flight across the redeploy is stopped when it comes
-// back (keepLocked).
+// back (keepLocked). A name holding a '/' is refused: no
+// /function/<name> path reaches it through a router.
 func (g *Gateway) Register(fn Function) error {
 	if fn.Name == "" || (fn.Handler == nil && fn.Stream == nil) {
 		return fmt.Errorf("live: function needs a name and a handler")
+	}
+	if strings.ContainsRune(fn.Name, '/') {
+		return fmt.Errorf("live: function name %q holds a '/', which /function/<name> cannot route", fn.Name)
 	}
 	g.smu.Lock()
 	s, existed := g.shards[fn.Name]
@@ -567,13 +562,13 @@ func (g *Gateway) keepLocked(s *shard, inst *instance) bool {
 
 // release is Algorithm 2, the one way an instance leaves its request:
 // back as the newest warm instance, the warm cap evicting the oldest —
-// or torn down, when it is suspect after a transport failure (!healthy),
-// reuse is off or keepLocked refuses it.
+// or torn down, when it is suspect after a transport failure (!healthy)
+// or keepLocked refuses it.
 func (g *Gateway) release(s *shard, inst *instance, healthy bool) {
 	s.mu.Lock()
 	s.ctl.End()
 	doomed := inst
-	if healthy && g.reuse && g.keepLocked(s, inst) {
+	if healthy && g.keepLocked(s, inst) {
 		doomed = nil
 		if limit := g.cfg.MaxIdlePerFunction; limit > 0 && len(s.idle) >= limit {
 			doomed = s.takeOldestLocked(1, evictCap)[0]
@@ -692,10 +687,8 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	// heap if the tail sampler keeps the span.
 	req := request{s: s, w: w, r: r}
 	req.rt.name, req.rt.start = name, start
-	if g.trace != nil {
-		g.trace.begin(&req.rt, r, start)
-		w.Header().Set(TraceIDHeader, req.rt.tc.TraceIDString())
-	}
+	g.trace.begin(&req.rt, r, start)
+	w.Header().Set(TraceIDHeader, req.rt.tc.TraceIDString())
 	defer req.done()
 	g.conclude(&req, g.serve(&req))
 }
@@ -821,11 +814,7 @@ func (b *socketBackend) call(ctx context.Context, req *request, inst *instance, 
 	// rather than re-pool it — unless the failure was the client's own
 	// doing (an oversized body tripping the front door's limit, a
 	// disconnect, an expired deadline), which must not feed the breaker.
-	var traceparent string
-	if rt.active {
-		traceparent = rt.tc.Traceparent()
-	}
-	resp, err := inst.hop.RoundTrip(ctx, watchdogHead(traceparent), r.Body, r.ContentLength)
+	resp, err := inst.hop.RoundTrip(ctx, watchdogHead(rt.tc.Traceparent()), r.Body, r.ContentLength)
 	if err != nil {
 		g.release(s, inst, false)
 		switch {
@@ -841,9 +830,7 @@ func (b *socketBackend) call(ctx context.Context, req *request, inst *instance, 
 	// outlives the release below is read out of it first.
 	rt.served = true
 	status := resp.StatusCode
-	if g.trace != nil {
-		g.trace.noteWatchdog(resp.Header, rt)
-	}
+	g.trace.noteWatchdog(resp.Header, rt)
 
 	// Relay the reply: its body moves in the kernel when both ends are
 	// the hop's sockets and it is larger than the reader's buffer, else
@@ -876,9 +863,7 @@ func (b *socketBackend) call(ctx context.Context, req *request, inst *instance, 
 	// answered without reading, a relay cut midway) re-dials before it
 	// goes back: a pooled instance always holds a usable connection.
 	drainClose(resp.Body)
-	if g.trace != nil {
-		g.trace.noteWatchdog(resp.Trailer, rt)
-	}
+	g.trace.noteWatchdog(resp.Trailer, rt)
 	g.release(s, inst, inst.hop.Finish() || g.redial(inst))
 	if copyErr != nil {
 		return g.abandoned(req, true) // the client left mid-relay
@@ -898,10 +883,6 @@ func (b *socketBackend) call(ctx context.Context, req *request, inst *instance, 
 func (b *inlineBackend) call(ctx context.Context, req *request, inst *instance, mode bootMode) ending {
 	g, s, w, rt := b.g, req.s, req.w, &req.rt
 	stampBoot(w.Header(), rt.reused, mode)
-	var m *moments
-	if rt.active {
-		m = &rt.m
-	}
 	status, err := func() (status int, err error) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -911,7 +892,7 @@ func (b *inlineBackend) call(ctx context.Context, req *request, inst *instance, 
 				status, err = http.StatusOK, errPanicked
 			}
 		}()
-		return g.run(ctx, w, req.r, inst.fn, m)
+		return g.run(ctx, w, req.r, inst.fn, &rt.m)
 	}()
 	n, lost := hop.Sent(w)
 	rt.served = err == nil || n > 0

@@ -43,7 +43,7 @@ func post(t *testing.T, url, body string) (string, http.Header) {
 }
 
 func TestGatewayRoundTrip(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	if err := g.Register(echoFn("echo", 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestGatewayRoundTrip(t *testing.T) {
 
 func TestReuseEliminatesColdLatency(t *testing.T) {
 	const cold = 150 * time.Millisecond
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	g.Register(echoFn("echo", cold))
 	base, err := g.Start()
 	if err != nil {
@@ -98,32 +98,8 @@ func TestReuseEliminatesColdLatency(t *testing.T) {
 	}
 }
 
-func TestNoReuseAlwaysCold(t *testing.T) {
-	g := NewGateway(false)
-	g.Register(echoFn("echo", 5*time.Millisecond))
-	base, err := g.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
-
-	for i := 0; i < 3; i++ {
-		_, hdr := post(t, base+"/function/echo", "x")
-		if hdr.Get("X-Hotc-Reused") != "false" {
-			t.Fatalf("request %d reused under no-reuse gateway", i)
-		}
-	}
-	if g.WarmInstances("echo") != 0 {
-		t.Fatal("no-reuse gateway kept instances warm")
-	}
-	st := g.Stats()
-	if st.ColdStarts != 3 || st.Reused != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestUnknownFunction404(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	base, err := g.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +116,7 @@ func TestUnknownFunction404(t *testing.T) {
 }
 
 func TestHandlerErrorPropagates(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	g.Register(Function{
 		Name:    "boom",
 		Handler: func(context.Context, []byte) ([]byte, error) { return nil, fmt.Errorf("kaput") },
@@ -165,14 +141,14 @@ func TestHandlerErrorPropagates(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	if err := g.Register(Function{}); err == nil {
 		t.Fatal("invalid function registered")
 	}
 }
 
 func TestConcurrentRequestsGetDistinctInstances(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	var mu sync.Mutex
 	inFlight, maxInFlight := 0, 0
 	g.Register(Function{
@@ -471,7 +447,7 @@ func watchdogReplyHeaders(t *testing.T, backend string) {
 }
 
 func TestStopShutsInstancesDown(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	g.Register(echoFn("echo", 0))
 	base, err := g.Start()
 	if err != nil {

@@ -164,7 +164,7 @@ func metricSum(t *testing.T, reg *obs.Registry, family string, labelValues ...st
 // counter and the latency histogram by one series each, however many
 // names it tries.
 func TestUnknownFunctionsShareOneSeries(t *testing.T) {
-	g := NewGateway(true)
+	g := New(PoolConfig{})
 	defer g.Stop()
 	if err := g.Register(echoFn("f", 0)); err != nil {
 		t.Fatal(err)
@@ -711,8 +711,8 @@ func TestStatsViewsReadTheRegistry(t *testing.T) {
 		{"renter", ""},        // a warm hit, sampled out
 	} {
 		if g.shard(step.fn) == nil {
-			fn := echoFn(step.fn, 0)
-			fn.Image, fn.Pull, fn.AppInit = "python:3.8", time.Millisecond, time.Millisecond
+			fn := echoFn(step.fn, 2*time.Millisecond)
+			fn.Image = "python:3.8"
 			fn.NoShare = step.fn == "loner"
 			if err := g.Register(fn); err != nil {
 				t.Fatal(err)

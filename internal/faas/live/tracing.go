@@ -52,8 +52,7 @@ const (
 	spanHeaderPrefix = "X-Hotc-Span-"
 )
 
-// tracing is the gateway's live-tracing state (nil = tracing off, the
-// request path pays one pointer test).
+// tracing is the gateway's live-tracing state.
 type tracing struct {
 	ring    *obs.TraceRing
 	sampler *obs.TailSampler
@@ -82,17 +81,10 @@ func (g *Gateway) newTracing() *tracing {
 }
 
 // TraceSpans snapshots the span ring, newest first.
-func (g *Gateway) TraceSpans() []obs.Span {
-	if g.trace == nil {
-		return nil
-	}
-	return g.trace.ring.Snapshot()
-}
+func (g *Gateway) TraceSpans() []obs.Span { return g.trace.ring.Snapshot() }
 
 // TraceStats summarizes the tracing subsystem's accounting.
 type TraceStats struct {
-	// Enabled reports whether tracing is armed.
-	Enabled bool `json:"enabled"`
 	// Capacity is the span ring size.
 	Capacity int `json:"capacity"`
 	// Kept counts spans the tail sampler retained (including any later
@@ -106,15 +98,10 @@ type TraceStats struct {
 	RingDropped uint64 `json:"ringDropped"`
 }
 
-// TraceStats reports the tracing subsystem's accounting (zero value
-// when tracing is off).
+// TraceStats reports the tracing subsystem's accounting.
 func (g *Gateway) TraceStats() TraceStats {
 	tr := g.trace
-	if tr == nil {
-		return TraceStats{}
-	}
 	return TraceStats{
-		Enabled:     true,
 		Capacity:    tr.ring.Capacity(),
 		Kept:        tr.ring.Written() + tr.ring.Contended(),
 		SampledOut:  uint64(g.obs.traceSampledOut.Value()),
@@ -126,7 +113,6 @@ func (g *Gateway) TraceStats() TraceStats {
 // nothing here escapes to the heap unless the span is kept, which is
 // what keeps the sampled-out path allocation-free.
 type reqTrace struct {
-	active    bool
 	hasParent bool
 	reused    bool
 	// served reports the request reached a watchdog and got a response.
@@ -149,7 +135,6 @@ type reqTrace struct {
 // join the inbound traceparent when one parses, else start a new
 // trace. The gateway's own span ID is always fresh.
 func (tr *tracing) begin(rt *reqTrace, r *http.Request, start time.Time) {
-	rt.active = true
 	rt.clientIn = start.UnixNano() - tr.epochNano
 	if parent, ok := obs.ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
 		rt.parent = parent
@@ -172,12 +157,8 @@ func (rt *reqTrace) addEvent(at time.Duration, kind, detail string) {
 	}
 }
 
-// traceEvent records a resilience event on the request's span (no-op
-// when tracing is off).
+// traceEvent records a resilience event on the request's span.
 func (g *Gateway) traceEvent(rt *reqTrace, kind, detail string) {
-	if !rt.active { // only tr.begin sets it
-		return
-	}
 	rt.addEvent(time.Duration(g.clock.Now().UnixNano()-g.trace.epochNano), kind, detail)
 }
 
@@ -233,9 +214,6 @@ func internalRespHeader(k string) bool {
 func (g *Gateway) finishRequest(s *shard, rt *reqTrace, status int, errMsg string, end time.Time) {
 	if g.slo != nil {
 		g.slo.Record(status, rt.served, rt.served && !rt.reused, end.Sub(rt.start))
-	}
-	if !rt.active { // only tr.begin sets it
-		return
 	}
 	tr := g.trace
 	clientOut := time.Duration(end.UnixNano() - tr.epochNano)

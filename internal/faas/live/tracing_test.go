@@ -385,28 +385,14 @@ func TestMetricsBuildInfoUptimeExemplars(t *testing.T) {
 	if got.UptimeSeconds < 0 || got.UptimeSeconds > 300 {
 		t.Errorf("uptimeSeconds = %v", got.UptimeSeconds)
 	}
-	if !got.Trace.Enabled || got.Trace.Kept < 1 {
+	if got.Trace.Kept < 1 {
 		t.Errorf("stats trace = %+v", got.Trace)
 	}
 }
 
-func TestTracingDisabled(t *testing.T) {
-	d, base := startDaemon(t, PoolConfig{DisableTracing: true})
-	if err := d.Deploy(DeploySpec{Name: "echo", Handler: "echo"}); err != nil {
-		t.Fatal(err)
-	}
-	resp, _ := invokeTraced(t, base, "echo", "x", map[string]string{"Traceparent": testTraceparent})
-	if resp.StatusCode != 200 {
-		t.Fatalf("invoke = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Hotc-Trace-Id"); got != "" {
-		t.Fatalf("tracing disabled but X-Hotc-Trace-Id = %q", got)
-	}
-	stats, spans := traceSnapshot(t, base)
-	if stats.Enabled || len(spans) != 0 {
-		t.Fatalf("tracing disabled but /system/trace = %+v, %d spans", stats, len(spans))
-	}
-	// No SLO objectives configured: /system/slo answers an empty report.
+// With no SLO objective configured, /system/slo answers an empty report.
+func TestSLOReportEmptyWithoutObjectives(t *testing.T) {
+	_, base := startDaemon(t, PoolConfig{})
 	sresp, err := http.Get(base + "/system/slo")
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +536,7 @@ func TestFinishRequestSampledOutZeroAlloc(t *testing.T) {
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {
 		var rt reqTrace
-		rt.active, rt.reused, rt.served = true, true, true
+		rt.reused, rt.served = true, true
 		rt.name, rt.start = "f", start
 		g.finishRequest(s, &rt, http.StatusOK, "", g.clock.Now())
 	})

@@ -267,15 +267,16 @@ func Unanswered(err error) bool {
 }
 
 // RoundTrip sends one request — head, then body of the given length,
-// negative when unknown — and returns the response with its head parsed
-// and its body (and trailers) still to be read from resp.Body. The
-// response is the connection's own, valid until Finish or Abort. ctx
-// firing fails whatever I/O the exchange is blocked in. On error the
-// exchange is over and the connection closed; the error is a
-// *http.MaxBytesError when the body tripped its limit, else ctx's when
-// ctx fired (with nothing sent when it had already ended), and
-// errInvalidHead, with nothing sent, when the method, path or host
-// cannot be written as they are. RoundTrip never retries.
+// negative when unknown — and returns the final response, interim 1xx
+// replies skipped, with its head parsed and its body (and trailers)
+// still to be read from resp.Body. The response is the connection's
+// own, valid until Finish or Abort. ctx firing fails whatever I/O the
+// exchange is blocked in. On error the exchange is over and the
+// connection closed; the error is a *http.MaxBytesError when the body
+// tripped its limit, else ctx's when ctx fired (with nothing sent when
+// it had already ended), and errInvalidHead, with nothing sent, when
+// the method, path or host cannot be written as they are. RoundTrip
+// never retries.
 func (c *Conn) RoundTrip(ctx context.Context, head Head, body io.Reader, length int64) (*http.Response, error) {
 	if !wireToken(head.Method) || !wireToken(head.Path) || !wireToken(c.host) {
 		c.conn.Close()
@@ -310,11 +311,32 @@ func (c *Conn) RoundTrip(ctx context.Context, head Head, body io.Reader, length 
 	if _, err := c.br.Peek(1); err != nil {
 		return nil, c.fail(ctx, &unanswered{unexpected(err)})
 	}
-	if err := c.readResponse(head.Method == http.MethodHead); err != nil {
-		return nil, c.fail(ctx, err)
+	// Interim 1xx replies are read past, up to maxInterim of them, as
+	// net/http's Transport does; a 101 would hand the connection to
+	// another protocol, which the hop does not speak.
+	for interim := 0; ; interim++ {
+		if err := c.readResponse(head.Method == http.MethodHead); err != nil {
+			return nil, c.fail(ctx, err)
+		}
+		switch code := c.resp.StatusCode; {
+		case code == http.StatusSwitchingProtocols:
+			return nil, c.fail(ctx, errUpgrade)
+		case code >= 200:
+			return &c.resp, nil
+		case interim == maxInterim:
+			return nil, c.fail(ctx, errTooManyInterim)
+		}
 	}
-	return &c.resp, nil
 }
+
+// maxInterim is how many interim 1xx replies RoundTrip reads past before
+// it gives up on the final one: net/http's Transport allows as many.
+const maxInterim = 5
+
+var (
+	errUpgrade        = errors.New("hop: 101 Switching Protocols: the hop does not upgrade")
+	errTooManyInterim = errors.New("hop: too many interim 1xx replies")
+)
 
 // readResponse reads a response head into c.resp and sets its body up:
 // none for a reply to HEAD or a 1xx, 204 or 304, else the one framing

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -181,6 +182,44 @@ func TestPreCanceledExchangeSendsNothing(t *testing.T) {
 	}
 }
 
+// Interim 1xx replies are read past to the final one, as net/http's
+// Transport reads them, and the connection is kept; a 101 and a sixth
+// interim reply are refused with the connection closed.
+func TestInterimRepliesAreSkipped(t *testing.T) {
+	const final = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+	for _, tc := range []struct {
+		reply string
+		ok    bool
+	}{
+		{"HTTP/1.1 100 Continue\r\n\r\n" + final, true},
+		{"HTTP/1.1 103 Early Hints\r\nLink: </a.css>\r\n\r\n" + final, true},
+		{strings.Repeat("HTTP/1.1 100 Continue\r\n\r\n", 5) + final, true},
+		{strings.Repeat("HTTP/1.1 100 Continue\r\n\r\n", 6) + final, false},
+		{"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n\r\n", false},
+	} {
+		conn := &scriptedConn{reply: strings.NewReader(tc.reply)}
+		c := New(conn, "node:1")
+		resp, err := c.RoundTrip(context.Background(), Head{Method: http.MethodPost, Path: "/"}, strings.NewReader("x"), 1)
+		if !tc.ok {
+			if err == nil || !conn.closed {
+				t.Errorf("%q: error %v, closed %v; want a refusal that closes", tc.reply, err, conn.closed)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.reply, err)
+			continue
+		}
+		body, err := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || string(body) != "ok" || err != nil || resp.Header.Get("Link") != "" {
+			t.Errorf("%q: status %d, body %q (%v), fields %v; want 200 ok and the final head's fields", tc.reply, resp.StatusCode, body, err, resp.Header)
+		}
+		if !c.Finish() {
+			t.Errorf("%q: the connection was not kept", tc.reply)
+		}
+	}
+}
+
 // However a streamed exchange ends, its body writer has ended with it
 // and its result has been read: a peer that answers while reading, and
 // one that answers without reading a byte of the body.
@@ -320,6 +359,10 @@ func FuzzConnReply(f *testing.F) {
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2x\r\nok\r\n0\r\n\r\n",
 		// A chunked HTTP/1.0 reply, whose body net/http reads raw.
 		"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		// Interim replies: one before the final, one too many, an upgrade.
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		strings.Repeat("HTTP/1.1 102 Processing\r\n\r\n", 6) + "HTTP/1.1 204 No Content\r\n\r\n",
+		"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\n\r\n",
 	} {
 		f.Add([]byte(reply))
 	}
@@ -340,7 +383,20 @@ func FuzzConnReply(f *testing.F) {
 			}
 			return
 		}
-		want, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(reply)), &http.Request{Method: http.MethodGet})
+		// The oracle reads past interim 1xx heads as net/http's Transport
+		// does, at most five of them; a 101 is an upgrade the hop refuses.
+		br := bufio.NewReader(bytes.NewReader(reply))
+		var want *http.Response
+		for interim := 0; ; interim++ {
+			want, err = http.ReadResponse(br, &http.Request{Method: http.MethodGet})
+			if err != nil || want.StatusCode >= 200 {
+				break
+			}
+			if want.StatusCode == http.StatusSwitchingProtocols || interim == 5 {
+				err = fmt.Errorf("status %d after %d interim replies", want.StatusCode, interim)
+				break
+			}
+		}
 		var wantBody []byte
 		if err == nil {
 			wantBody, err = io.ReadAll(want.Body)

@@ -146,51 +146,26 @@ func (r *Registry) Refs() []string {
 // (e.g. every python:* image shares the debian base layers), so
 // pulling one image warms part of the next pull — the same effect the
 // paper exploits by observing that serverless images are highly
-// similar (Fig. 2).
-//
-// An optional capacity bounds the cache (the paper's edge device has
-// only 32 GB of storage): admitting past the cap evicts the least
-// recently used layers not belonging to the image being admitted.
+// similar (Fig. 2). It is unbounded: a layer stays until Evict removes
+// it.
 type Cache struct {
 	mu     sync.Mutex
-	layers map[string]*cachedLayer
-	maxMB  float64 // 0 = unbounded
-	tick   uint64  // logical LRU clock
+	layers map[string]float64 // layer ID → size in MB
 }
 
-type cachedLayer struct {
-	sizeMB   float64
-	lastUsed uint64
-}
-
-// NewCache returns an empty, unbounded layer cache.
+// NewCache returns an empty layer cache.
 func NewCache() *Cache {
-	return &Cache{layers: make(map[string]*cachedLayer)}
-}
-
-// NewCacheWithCap returns a layer cache bounded to maxMB megabytes
-// with LRU layer eviction. It panics if maxMB <= 0.
-func NewCacheWithCap(maxMB float64) *Cache {
-	if maxMB <= 0 {
-		panic("image: cache capacity must be positive")
-	}
-	c := NewCache()
-	c.maxMB = maxMB
-	return c
+	return &Cache{layers: make(map[string]float64)}
 }
 
 // MissingMB returns the total size of the image's layers that are not
-// cached locally: the amount that a pull must download. Present layers
-// count as used (a lookup is a touch).
+// cached locally: the amount that a pull must download.
 func (c *Cache) MissingMB(im Image) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tick++
 	total := 0.0
 	for _, l := range im.Layers {
-		if cl, ok := c.layers[l.ID]; ok {
-			cl.lastUsed = c.tick
-		} else {
+		if _, ok := c.layers[l.ID]; !ok {
 			total += l.SizeMB
 		}
 	}
@@ -198,56 +173,18 @@ func (c *Cache) MissingMB(im Image) float64 {
 }
 
 // Admit records the image's layers as cached, returning the number of
-// megabytes that were newly admitted. With a capacity set, LRU layers
-// outside the admitted image are evicted to make room; the admitted
-// image's own layers are always kept (even if the image alone exceeds
-// the cap — the engine cannot run a partially present image).
+// megabytes that were newly admitted.
 func (c *Cache) Admit(im Image) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tick++
-	admitting := make(map[string]bool, len(im.Layers))
 	added := 0.0
 	for _, l := range im.Layers {
-		admitting[l.ID] = true
-		if cl, ok := c.layers[l.ID]; ok {
-			cl.lastUsed = c.tick
-			continue
+		if _, ok := c.layers[l.ID]; !ok {
+			c.layers[l.ID] = l.SizeMB
+			added += l.SizeMB
 		}
-		c.layers[l.ID] = &cachedLayer{sizeMB: l.SizeMB, lastUsed: c.tick}
-		added += l.SizeMB
-	}
-	if c.maxMB > 0 {
-		c.evictLRU(admitting)
 	}
 	return added
-}
-
-// evictLRU drops least-recently-used layers (excluding protected ones)
-// until the cache fits its capacity. Caller holds the lock.
-func (c *Cache) evictLRU(protected map[string]bool) {
-	total := 0.0
-	for _, cl := range c.layers {
-		total += cl.sizeMB
-	}
-	for total > c.maxMB {
-		victimID := ""
-		var victim *cachedLayer
-		for id, cl := range c.layers {
-			if protected[id] {
-				continue
-			}
-			if victim == nil || cl.lastUsed < victim.lastUsed ||
-				(cl.lastUsed == victim.lastUsed && id < victimID) {
-				victimID, victim = id, cl
-			}
-		}
-		if victim == nil {
-			return // everything left is protected
-		}
-		total -= victim.sizeMB
-		delete(c.layers, victimID)
-	}
 }
 
 // SizeMB reports the total cached bytes.
@@ -255,8 +192,8 @@ func (c *Cache) SizeMB() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0.0
-	for _, cl := range c.layers {
-		total += cl.sizeMB
+	for _, mb := range c.layers {
+		total += mb
 	}
 	return total
 }
@@ -270,8 +207,8 @@ func (c *Cache) Evict(im Image) float64 {
 	defer c.mu.Unlock()
 	freed := 0.0
 	for _, l := range im.Layers {
-		if cl, ok := c.layers[l.ID]; ok {
-			freed += cl.sizeMB
+		if mb, ok := c.layers[l.ID]; ok {
+			freed += mb
 			delete(c.layers, l.ID)
 		}
 	}

@@ -117,80 +117,6 @@ func TestCacheEvict(t *testing.T) {
 	}
 }
 
-func TestCacheCapacityLRUEviction(t *testing.T) {
-	c := NewCacheWithCap(100)
-	a := Image{Name: "a", Layers: []Layer{{ID: "a1", SizeMB: 40}}}
-	b := Image{Name: "b", Layers: []Layer{{ID: "b1", SizeMB: 40}}}
-	d := Image{Name: "d", Layers: []Layer{{ID: "d1", SizeMB: 40}}}
-	c.Admit(a)
-	c.Admit(b)
-	// Touch a so b is the LRU.
-	if c.MissingMB(a) != 0 {
-		t.Fatal("a should be cached")
-	}
-	c.Admit(d) // 120 MB > 100: evict the LRU layer (b1)
-	if c.SizeMB() > 100 {
-		t.Fatalf("cache over capacity: %v MB", c.SizeMB())
-	}
-	if c.MissingMB(a) != 0 || c.MissingMB(d) != 0 {
-		t.Fatal("recently used layers evicted")
-	}
-	if c.MissingMB(b) == 0 {
-		t.Fatal("LRU layer survived")
-	}
-}
-
-func TestCacheCapacityProtectsAdmittedImage(t *testing.T) {
-	c := NewCacheWithCap(50)
-	big := Image{Name: "big", Layers: []Layer{{ID: "x", SizeMB: 80}}}
-	c.Admit(big)
-	// The image exceeds the cap alone but must stay resident: the
-	// engine cannot run a partially present image.
-	if c.MissingMB(big) != 0 {
-		t.Fatal("admitted image evicted")
-	}
-	// A later admit evicts it once it is no longer protected.
-	small := Image{Name: "s", Layers: []Layer{{ID: "y", SizeMB: 10}}}
-	c.Admit(small)
-	if c.MissingMB(big) == 0 {
-		t.Fatal("oversized stale image should be the first eviction victim")
-	}
-	if c.MissingMB(small) != 0 {
-		t.Fatal("small image lost")
-	}
-}
-
-func TestCacheCapacityInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero capacity did not panic")
-		}
-	}()
-	NewCacheWithCap(0)
-}
-
-// A bounded cache on the edge profile: repeated alternation between
-// two images that together exceed the cap forces re-pulls — the
-// limited-storage effect.
-func TestCacheCapacityThrashing(t *testing.T) {
-	c := NewCacheWithCap(100)
-	a := Image{Name: "a", Layers: []Layer{{ID: "a1", SizeMB: 70}}}
-	b := Image{Name: "b", Layers: []Layer{{ID: "b1", SizeMB: 70}}}
-	pulls := 0.0
-	for i := 0; i < 6; i++ {
-		im := a
-		if i%2 == 1 {
-			im = b
-		}
-		pulls += c.MissingMB(im)
-		c.Admit(im)
-	}
-	// Every alternation evicts the other image: six full pulls.
-	if pulls != 6*70 {
-		t.Fatalf("pulled %v MB, want %v (thrashing)", pulls, 6*70.0)
-	}
-}
-
 func TestStandardCatalog(t *testing.T) {
 	r := StandardCatalog()
 	if r.Len() < 15 {
@@ -258,56 +184,6 @@ func TestPropertyCacheConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// A single layer larger than the whole cap must still be admitted and
-// stay resident while protected (the engine cannot run a partially
-// present image), then be evicted by the next admission like any other
-// unprotected LRU content — the NewCacheWithCap boundary.
-func TestCacheCapacityLayerLargerThanCap(t *testing.T) {
-	c := NewCacheWithCap(50)
-	huge := Image{Name: "huge", Layers: []Layer{{ID: "h1", SizeMB: 300}}}
-	if added := c.Admit(huge); added != 300 {
-		t.Fatalf("Admit added %v MB, want 300", added)
-	}
-	if c.MissingMB(huge) != 0 {
-		t.Fatal("oversized layer not resident after its own admit")
-	}
-	if got := c.SizeMB(); got != 300 {
-		t.Fatalf("cache size %v MB, want 300 (protected overflow)", got)
-	}
-	// A tiny follow-up admission unprotects it: the oversized layer is
-	// the LRU victim and the cache returns under cap.
-	tiny := Image{Name: "tiny", Layers: []Layer{{ID: "t1", SizeMB: 5}}}
-	c.Admit(tiny)
-	if c.MissingMB(huge) == 0 {
-		t.Fatal("oversized layer survived the next admission")
-	}
-	if got := c.SizeMB(); got > 50 {
-		t.Fatalf("cache still over cap after eviction: %v MB", got)
-	}
-}
-
-// The LRU sweep must never evict layers of the image being admitted,
-// even when several shared layers tie on last-use: the protected set is
-// pinned as a whole.
-func TestCacheCapacityPinsWholeProtectedSet(t *testing.T) {
-	c := NewCacheWithCap(100)
-	stale := Image{Name: "stale", Layers: []Layer{{ID: "s1", SizeMB: 30}, {ID: "s2", SizeMB: 30}}}
-	c.Admit(stale)
-	multi := Image{Name: "multi", Layers: []Layer{
-		{ID: "m1", SizeMB: 40}, {ID: "m2", SizeMB: 40}, {ID: "m3", SizeMB: 40},
-	}}
-	c.Admit(multi) // 180 MB total: both stale layers must go, no multi layer may
-	if c.MissingMB(multi) != 0 {
-		t.Fatal("admitted image lost one of its own layers to the sweep")
-	}
-	if c.MissingMB(stale) == 0 {
-		t.Fatal("stale layers survived while the cache is over cap")
-	}
-	if got := c.SizeMB(); got != 120 {
-		t.Fatalf("cache size %v MB, want 120 (protected set alone)", got)
 	}
 }
 

@@ -322,6 +322,37 @@ func TestRoutedRequestRoundTripsWithWarmAffinity(t *testing.T) {
 	}
 }
 
+// A name holding a '/' has no /function/<name> path through the router,
+// so a node refuses to deploy it, directly and through the router's
+// fan-out: no node serves it and nothing is recorded for replay.
+func TestUnroutableNameRefusedAtDeploy(t *testing.T) {
+	_, n1 := startNode(t, live.PoolConfig{})
+	_, base := startRouter(t, Config{Nodes: []string{n1}})
+	const spec = `{"name":"a/b","handler":"echo"}`
+	for _, tc := range []struct {
+		at   string
+		want int
+	}{{n1, http.StatusBadRequest}, {base, http.StatusBadGateway}} {
+		resp, err := http.Post(tc.at+"/system/functions", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("deploy of a/b at %s: %d %s, want %d", tc.at, resp.StatusCode, b, tc.want)
+		}
+	}
+	list, err := http.Get(n1 + "/system/functions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer list.Body.Close()
+	if b, _ := io.ReadAll(list.Body); strings.Contains(string(b), "a/b") {
+		t.Errorf("the node lists %s after the refused deploys", b)
+	}
+}
+
 func TestSpillOnSaturationSignal(t *testing.T) {
 	_, n1 := startNode(t, live.PoolConfig{})
 	_, n2 := startNode(t, live.PoolConfig{})

@@ -250,4 +250,15 @@ expect_refused "$BASE" router
 stop_daemons
 echo "== doc lint (bench estate, cited harness metrics)"
 ./scripts/lint-metrics.sh
+echo "== size (tracked lines outside benchmark/ and testdata/; archtest is part of test Go)"
+if git rev-parse --git-dir >/dev/null 2>&1; then
+	lines() { git ls-files -- "$@" | grep -v -e '^benchmark/' -e '/testdata/' | tr '\n' '\0' | xargs -0 cat | wc -l; }
+	echo "   non-test Go $(lines '*.go' ':!*_test.go')"
+	echo "   test Go     $(lines '*_test.go')"
+	echo "   archtest    $(lines 'internal/archtest/*.go')"
+	echo "   DESIGN.md   $(lines DESIGN.md)"
+else
+	echo "   not a git checkout: line counts skipped"
+fi
+echo "   hotcd flags $("$WORK/hotcd" -h 2>&1 | grep -c '^  -')"
 echo "verify: OK"
