@@ -74,7 +74,7 @@ func (d *daemon) flags(name string, onError flag.ErrorHandling) *flag.FlagSet {
 	fs.IntVar(&c.PreforkSize, "prefork-size", 4, "target number of idle generic pre-forked watchdogs")
 	fs.IntVar(&d.preforkBootMs, "prefork-boot", 120, "milliseconds one generic watchdog boot pays, always off the request path")
 	fs.BoolVar(&d.layerCache, "layer-cache", true, "cache image layers on the host so functions sharing base layers skip most of the pull phase")
-	fs.BoolVar(&c.Share, "share", false, "inter-function sharing: cold starts may rent an idle instance from another function, paying only volume wipe + app init (+ image-layer delta) instead of a full boot")
+	fs.BoolVar(&c.Share, "share", false, "inter-function sharing: cold starts may rent an idle instance from another function, paying only volume wipe + app init (+ image-layer delta) instead of a full boot; functions of the same runtime key (image and memoryMB) share first, with no forecast reserve")
 	fs.StringVar(&c.SharePolicy, "share-policy", "same-image", "which function pairs may share: same-image|any")
 	fs.IntVar(&d.shareWipeMs, "share-wipe-ms", 5, "milliseconds one lease pays to wipe the lender's volume before re-specialization")
 	fs.DurationVar(&c.ShareIdleGrace, "share-idle-grace", 250*time.Millisecond, "minimum idle age before an instance may be lent to another function (0 = the 250ms default; negative = none)")

@@ -219,7 +219,17 @@ func TestReclaimMemoryReapsGenericsFirst(t *testing.T) {
 // comes out of the warm shards.
 func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
 	g := New(PoolConfig{Prefork: true, PreforkSize: 1, MemoryBudget: 1 * instanceMemBytes})
-	if err := g.Register(echoFn("f", time.Millisecond)); err != nil {
+	// The handler holds both requests at a barrier until both are in
+	// flight, so they run on two instances however fast one request is.
+	var inFlight sync.WaitGroup
+	inFlight.Add(2)
+	fn := echoFn("f", time.Millisecond)
+	fn.Handler = func(_ context.Context, b []byte) ([]byte, error) {
+		inFlight.Done()
+		inFlight.Wait()
+		return b, nil
+	}
+	if err := g.Register(fn); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Stop()
@@ -238,7 +248,7 @@ func TestReclaimMemorySpillsPastGenerics(t *testing.T) {
 	}
 	wg.Wait()
 	if got := g.WarmInstances("f"); got != 2 {
-		t.Skipf("warm instances = %d, want 2 (requests did not overlap)", got)
+		t.Fatalf("warm instances = %d, want 2", got)
 	}
 	waitIdleGenerics(t, g, 1) // one request took the generic; its refill is asynchronous
 

@@ -290,8 +290,13 @@ func (g *Gateway) routes() *http.ServeMux {
 			}
 			writeJSON(w, names)
 		case http.MethodPost:
+			// An unknown field is refused by name, as scenario specs
+			// are: dropped silently, a misspelt knob would deploy
+			// something other than what was asked for.
 			var spec DeploySpec
-			if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			dec := json.NewDecoder(r.Body)
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}

@@ -155,6 +155,21 @@ func TestDaemonDeployValidation(t *testing.T) {
 	}
 }
 
+// A deploy carrying a field the daemon does not know — here the removed
+// per-phase pullMs — is refused with the field named, not deployed with
+// the field dropped.
+func TestDeployRefusesUnknownFields(t *testing.T) {
+	d, base := startDaemon(t, PoolConfig{})
+	resp := postJSON(t, base+"/system/functions", `{"name":"f","handler":"echo","coldStartMs":400,"pullMs":5}`)
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"pullMs"`) {
+		t.Fatalf("deploy with pullMs: %d %q, want 400 naming the field", resp.StatusCode, body)
+	}
+	if d.shard("f") != nil {
+		t.Fatal("the refused spec deployed f")
+	}
+}
+
 // A boot delay past what a time.Duration holds wrapped negative and
 // made every boot instant: ColdStartMs is refused above maxBootMs, and
 // the largest delay accepted stays a positive boot.
@@ -191,6 +206,7 @@ func FuzzDeploySpec(f *testing.F) {
 		`{"name":"f","handler":"echo","memoryMB":-1,"shareable":false}`,
 		`{"name":"","handler":"echo"}`,
 		`{"name":"f","handler":"teleport"}`,
+		`{"name":"f","handler":"echo","coldStartMs":400,"pullMs":5}`,
 		`not json`,
 	} {
 		f.Add(seed)

@@ -81,6 +81,7 @@ import (
 	"time"
 
 	"hotc/internal/admission"
+	"hotc/internal/config"
 	"hotc/internal/hop"
 	"hotc/internal/kernel"
 	"hotc/internal/obs"
@@ -136,6 +137,10 @@ type Function struct {
 	// gen is the deployment generation, stamped by Register (see
 	// Gateway.keepLocked).
 	gen uint64
+	// key is the runtime key, config.Runtime{Image, MemoryMB}.Key(),
+	// stamped by Register; "" without an image, which matches no other
+	// function (see sharing.Candidate.Key).
+	key string
 }
 
 // instance is one live watchdog running the function handler: bound to
@@ -400,6 +405,9 @@ func (g *Gateway) Register(fn Function) error {
 		g.ordered = ordered
 	}
 	g.smu.Unlock()
+	if fn.Image != "" {
+		fn.key = string(config.Runtime{Image: fn.Image, MemoryMB: fn.MemoryMB}.Key())
+	}
 	s.mu.Lock()
 	fn.gen = s.fn.gen + 1
 	s.fn = fn

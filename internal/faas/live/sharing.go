@@ -9,7 +9,7 @@ import (
 
 // candidateOf builds the policy slice of a deployed function.
 func candidateOf(fn Function) sharing.Candidate {
-	return sharing.Candidate{Image: fn.Image, MemoryMB: fn.MemoryMB, Shareable: !fn.NoShare}
+	return sharing.Candidate{Image: fn.Image, MemoryMB: fn.MemoryMB, Key: fn.key, Shareable: !fn.NoShare}
 }
 
 // leaseInstance tries to rent an idle instance from another function's
@@ -17,9 +17,10 @@ func candidateOf(fn Function) sharing.Candidate {
 // and the generic prefork handoff. Each other shard offers its warm
 // list, under its lock once, in name order — Pick's tie order — and
 // sharing.Pick, the rule the simulated pool follows too, chooses the
-// lender. A fresh function with no classification history can rent,
-// which is what makes the very first cold start of a new deploy
-// avoidable.
+// lender: a function of the renter's own runtime key first, with no
+// reserve kept back. A fresh function with no classification history
+// can rent, which is what makes the very first cold start of a new
+// deploy avoidable.
 //
 // The lease itself is boot's rented row, outside every lock. No
 // eligible lender returns (nil, _, nil) and the caller boots instead; an

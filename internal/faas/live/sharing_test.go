@@ -402,3 +402,97 @@ func TestSharingChurnRace(t *testing.T) {
 		checkPool(t, g)
 	})
 }
+
+// A miss reuses an idle instance of its own runtime key. The lender's
+// one instance is idle past the grace and a control tick has forecast
+// it, so the neutral reserve refuses it to every other key; a renter of
+// the same image and memory class rents it anyway, paying no generic or
+// cold boot. A different memory class, no image, an opt-out on either
+// side, or an instance younger than the grace each keep the old cold
+// boot.
+func TestSameKeyRentsPastTheReserve(t *testing.T) {
+	const grace = 20 * time.Millisecond
+	fnOf := func(name, image string, mem int) Function {
+		fn := echoFn(name, 0) // a boot would move the fake clock past park's stamp
+		fn.Image, fn.MemoryMB = image, mem
+		return fn
+	}
+	optOut := func(fn Function) Function { fn.NoShare = true; return fn }
+	pf, err := PredictorFactory("es")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		lender, renter Function
+		idleFor        time.Duration
+		want           string
+	}{
+		{"same key", fnOf("lender", "python:3.8", 128), fnOf("renter", "python:3.8", 128), time.Second, "rented"},
+		{"other memory class", fnOf("lender", "python:3.8", 128), fnOf("renter", "python:3.8", 64), time.Second, "cold"},
+		{"no image", fnOf("lender", "", 128), fnOf("renter", "", 128), time.Second, "cold"},
+		{"renter opted out", fnOf("lender", "python:3.8", 128), optOut(fnOf("renter", "python:3.8", 128)), time.Second, "cold"},
+		{"lender opted out", optOut(fnOf("lender", "python:3.8", 128)), fnOf("renter", "python:3.8", 128), time.Second, "cold"},
+		{"younger than the grace", fnOf("lender", "python:3.8", 128), fnOf("renter", "python:3.8", 128), grace / 2, "cold"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			onBackends(t, func(t *testing.T, backend string) {
+				cfg := PoolConfig{Backend: backend, Share: true, ShareWipe: time.Millisecond, ShareIdleGrace: grace,
+					NewPredictor: pf, ControlInterval: time.Hour, MaxIdlePerFunction: 1}
+				g := New(cfg)
+				clk := newFakeClock()
+				g.clock = clk
+				for _, fn := range []Function{tc.lender, tc.renter} {
+					if err := g.Register(fn); err != nil {
+						t.Fatal(err)
+					}
+				}
+				defer g.Stop()
+				park(t, g, "lender", clk.Now().Add(-tc.idleFor))
+				ls := g.shard("lender")
+				ls.mu.Lock()
+				ls.ctl.Peak = 1
+				ls.mu.Unlock()
+				g.controlOnce("lender", clk.Now())
+				settle(t, g)
+
+				// The precondition: the reserve refuses the lease to a
+				// renter of no key, the pre-same-key rule.
+				ls.mu.Lock()
+				offer := offerLocked(ls, clk.Now())
+				ls.mu.Unlock()
+				keyless := candidateOf(g.shard("renter").fn)
+				keyless.Key = ""
+				if offer.Idle != 1 || offer.Forecast < 1 {
+					t.Fatalf("setup: lender offers %d idle at forecast %.2f, want 1 at ≥ 1", offer.Idle, offer.Forecast)
+				}
+				if ok, _ := offer.Lends(g.sharePolicy, keyless, grace); ok {
+					t.Fatal("setup: the reserve lends to a renter of no key")
+				}
+
+				granted := g.SharingStats().LeasesGranted
+				generic, cold := g.obs.coldBoots[bootGeneric].Value(), g.obs.coldBoots[bootCold].Value()
+				rec := postRec(t, g, "renter", "b")
+				if rec.Code != 200 || rec.Body.String() != "echo:b" {
+					t.Fatalf("status %d body %q", rec.Code, rec.Body)
+				}
+				if got := rec.Header().Get(BootHeader); got != tc.want {
+					t.Fatalf("X-Hotc-Boot = %q, want %q", got, tc.want)
+				}
+				wantGranted, wantCold := granted, cold+1
+				if tc.want == "rented" {
+					wantGranted, wantCold = granted+1, cold
+				}
+				if got := g.SharingStats().LeasesGranted; got != wantGranted {
+					t.Fatalf("leasesGranted went %d -> %d, want %d", granted, got, wantGranted)
+				}
+				if got := g.obs.coldBoots[bootCold].Value(); got != wantCold {
+					t.Fatalf("cold boots went %v -> %v, want %v", cold, got, wantCold)
+				}
+				if got := g.obs.coldBoots[bootGeneric].Value(); got != generic {
+					t.Fatalf("generic boots went %v -> %v, want unchanged", generic, got)
+				}
+			})
+		})
+	}
+}

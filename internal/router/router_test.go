@@ -353,6 +353,30 @@ func TestUnroutableNameRefusedAtDeploy(t *testing.T) {
 	}
 }
 
+// A spec every node refuses — here for a field no node knows — is
+// answered 502 by the router's fan-out, naming the node's reason, and
+// recorded for no replay.
+func TestUnknownDeployFieldRefusedByEveryNode(t *testing.T) {
+	_, n1 := startNode(t, live.PoolConfig{})
+	_, n2 := startNode(t, live.PoolConfig{})
+	rt, base := startRouter(t, Config{Nodes: []string{n1, n2}})
+	resp, err := http.Post(base+"/system/functions", "application/json", strings.NewReader(`{"name":"f","handler":"echo","pullMs":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(b), "pullMs") {
+		t.Fatalf("deploy with pullMs through the router: %d %s, want 502 naming the field", resp.StatusCode, b)
+	}
+	rt.mu.Lock()
+	replayed := len(rt.deploys)
+	rt.mu.Unlock()
+	if replayed != 0 {
+		t.Fatalf("%d deploys recorded for replay, want none", replayed)
+	}
+}
+
 func TestSpillOnSaturationSignal(t *testing.T) {
 	_, n1 := startNode(t, live.PoolConfig{})
 	_, n2 := startNode(t, live.PoolConfig{})

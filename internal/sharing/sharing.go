@@ -7,10 +7,11 @@
 // The package is mechanism-free on purpose: neither the lease path
 // (wipe, re-specialize, re-key) nor any locking lives here. Both
 // substrates choose their lender with Pick: the live gateway offers
-// each other function's warm list, with its role and forecast; the
-// simulated pool offers each other runtime key's least recently used
-// container, every owner neutral with no forecast and every pair
-// compatible (the simulator keeps no classifier yet).
+// each other function's warm list, with its role, forecast and runtime
+// key; the simulated pool offers each other runtime key's least
+// recently used container, every owner neutral with no forecast or key
+// and every pair compatible (the simulator keeps no classifier yet, and
+// its same-key reuse is the pool's own exact hit).
 package sharing
 
 import (
@@ -180,6 +181,10 @@ type Candidate struct {
 	Image string
 	// MemoryMB is the declared memory class (0 = unconstrained).
 	MemoryMB int
+	// Key is the runtime key, the pool's identity of a container
+	// (config.Runtime.Key); empty matches nothing. Owners of the
+	// renter's own key lend first and keep no reserve (see Offer.Lends).
+	Key string
 	// Shareable is the per-deploy opt-in (default true at the deploy
 	// layer); false removes the function from both sides of sharing.
 	Shareable bool
@@ -220,44 +225,72 @@ func (p Policy) Compatible(renter, lender Candidate) (bool, string) {
 
 // Offer is one owner's lendable stock, as Pick judges it.
 type Offer struct {
-	Role     Role          // lenders are asked first, then neutral owners; a renter never lends
+	Role     Role          // lenders are asked before neutral owners; a renter lends only to its own key
 	Owner    Candidate     // the owner's deployment, as the policy judges it
 	Idle     int           // idle instances; 0 offers nothing
-	Forecast float64       // a neutral owner keeps ⌈Forecast⌉ idle instances for itself
+	Forecast float64       // a neutral owner keeps ⌈Forecast⌉ idle instances from other keys
 	IdleFor  time.Duration // how long the longest-idle instance, the one lent, has been idle
 }
 
+// The rungs of the lender order: Pick asks each in turn.
+const (
+	rungSameKey = iota // the renter's own runtime key, whatever the owner's role
+	rungLender         // a classified lender of another key
+	rungNeutral        // a neutral owner of another key
+	rungs
+)
+
+// rung is o's place in renter's lender order, or -1 for a renter-role
+// owner of another key, which never lends.
+func (o Offer) rung(renter Candidate) int {
+	switch {
+	case renter.Key != "" && o.Owner.Key == renter.Key:
+		return rungSameKey
+	case o.Role == RoleLender:
+		return rungLender
+	case o.Role == RoleNeutral:
+		return rungNeutral
+	}
+	return -1
+}
+
 // Lends reports whether o may lend its longest-idle instance to renter,
-// whatever the other offers, or that only the policy refused it.
+// whatever the other offers, or that only the policy refused it. An
+// owner of the renter's own runtime key keeps no reserve, whatever its
+// role: a request of that key is the key's own demand, and its
+// instances are interchangeable. The idle grace holds on every rung: it
+// guards a busy owner's working set.
 func (o Offer) Lends(p Policy, renter Candidate, grace time.Duration) (ok, denied bool) {
-	if o.Role == RoleRenter {
+	rung := o.rung(renter)
+	if rung < 0 {
 		return false, false
 	}
 	if compatible, _ := p.Compatible(renter, o.Owner); !compatible {
 		return false, true
 	}
-	reserve := 0 // a classified lender has more than it needs
-	if o.Role != RoleLender {
+	reserve := 0 // the renter's own key and a classified lender keep nothing back
+	if rung == rungNeutral {
 		reserve = int(math.Ceil(o.Forecast))
 	}
 	return o.Idle > reserve && o.IdleFor >= grace, false
 }
 
 // Pick is the one lender rule: it chooses the offer renter rents from,
-// or -1. Classified lenders are tried first, then neutral owners;
-// among a tier's offers that Lends allows — nothing idle for less than
-// grace, its owner's working set — the longest-idle instance wins, the
-// one most likely to expire unused, and a tie goes to the earlier
-// offer, so callers hand the offers over in their tie order. With no
-// pick, denied reports that the policy refused the renter or an owner.
+// or -1. Owners of the renter's own runtime key are tried first, then
+// classified lenders, then neutral owners; among a rung's offers that
+// Lends allows — nothing idle for less than grace, its owner's working
+// set — the longest-idle instance wins, the one most likely to expire
+// unused, and a tie goes to the earlier offer, so callers hand the
+// offers over in their tie order. With no pick, denied reports that the
+// policy refused the renter or an owner.
 func Pick(p Policy, renter Candidate, offers []Offer, grace time.Duration) (i int, denied bool) {
 	if !renter.Shareable {
 		return -1, true
 	}
-	for _, tier := range [...]Role{RoleLender, RoleNeutral} {
+	for rung := 0; rung < rungs; rung++ {
 		best := -1
 		for j, o := range offers {
-			if o.Role != tier {
+			if o.rung(renter) != rung {
 				continue
 			}
 			ok, refused := o.Lends(p, renter, grace)
