@@ -51,7 +51,7 @@ func (d *daemon) flags(name string, onError flag.ErrorHandling) *flag.FlagSet {
 	c := &d.cfg
 	fs.StringVar(&d.addr, "addr", "127.0.0.1:8080", "listen address")
 	fs.StringVar(&c.Backend, "backend", live.BackendInProcess, "where functions run: in-process (on the front door's goroutine, no watchdog socket) or socket (a loopback watchdog per instance, the paper's gateway→watchdog leg)")
-	fs.DurationVar(&c.IdleTTL, "keepalive", 5*time.Minute, "stop instances idle longer than this (0 = never)")
+	fs.DurationVar(&c.IdleTTL, "keepalive", 5*time.Minute, "stop instances idle longer than this, beyond what the controller's forecast holds (0 = never)")
 	fs.IntVar(&c.MaxIdlePerFunction, "max-warm", 8, "max warm instances per function, evicting oldest first (0 = unlimited)")
 	fs.DurationVar(&c.ReapInterval, "reap-interval", time.Second, "janitor scan interval for keep-alive expiry")
 	fs.DurationVar(&c.ControlInterval, "control-interval", 2*time.Second, "adaptive controller period: demand is sampled and the warm pool resized every interval")

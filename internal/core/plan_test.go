@@ -108,7 +108,7 @@ func TestPlanStepTrail(t *testing.T) {
 	want := kernel.Decision{
 		Observed: 2, Predicted: 0,
 		Input:  kernel.PlanInput{Forecast: 2, Headroom: 0.5, InFlight: 2, Live: 2, ScaleDownFrac: 0.25},
-		Target: 3, Boot: 1,
+		Target: 3, Hold: 3, Boot: 1,
 	}
 	if first != want {
 		t.Fatalf("first step = %+v, want %+v", first, want)

@@ -37,8 +37,9 @@ type PoolConfig struct {
 	// Backend is where functions run: BackendInProcess (the default, "")
 	// or BackendSocket.
 	Backend string
-	// IdleTTL stops instances idle longer than this (0 = keep forever)
-	// — the keep-alive enforced by the gateway's janitor.
+	// IdleTTL stops instances idle longer than this, beyond what the
+	// controller's forecast holds (0 = never) — the keep-alive enforced
+	// by the gateway's janitor.
 	IdleTTL time.Duration
 	// MaxIdlePerFunction caps warm instances per function (0 = no
 	// cap), enforced wherever an instance is parked: release evicts the

@@ -35,6 +35,7 @@ type fnControl struct {
 	kernel.Demand
 
 	booting  int       // prewarm boots in flight (counted as live)
+	hold     int       // the last step's Decision.Hold: the live set its forecast plans
 	lastDone time.Time // when release last pooled an instance; zero = never
 
 	// share classifies the function as lender/renter/neutral from the
@@ -150,6 +151,7 @@ func (g *Gateway) controlOnce(name string, now time.Time) {
 		}
 	}
 	st.booting += d.Boot
+	st.hold = d.Hold
 	retire := s.takeOldestLocked(d.Retire, evictScaleDown)
 	g.obs.ctl.For(name).Record(d)
 	g.wg.Add(d.Boot)
@@ -231,16 +233,21 @@ func (g *Gateway) WarmMemory() WarmMemoryStats {
 
 // reclaim is the janitor's one pass over the registry, in name order.
 // Each shard's warm instances that have outlived keep's window
-// (kernel.Expired) expire. Then, with a memory budget armed, what the
-// summed per-instance estimates hold over the budget is given back: idle
-// generics first — they carry no function state, and the pre-forked
-// pool re-grows whenever the budget allows — then the warm instances
-// kernel.Reclaim picks, the longest idle first, ties in name order.
-// A shard's list is in parking order, so its victims are a prefix of
-// it. Everything taken is stopped outside the locks, concurrently. It
-// returns the number of instances the budget reclaimed. A stopped
-// gateway is left alone: Stop already owns teardown, and racing it
-// could double-stop or resurrect state.
+// (kernel.Expired) expire, but only those above the idle share the last
+// control step's forecast plans (its Hold, less what is in flight or
+// booting): the simulator never expires what its plan keeps, and a
+// prewarm expired before the arrival it was booted for is a boot paid
+// twice. The Retain floor is not in that share, so the keep-alive still
+// ends a quiet function's last instance. Then, with a memory budget
+// armed, what the summed per-instance estimates hold over the budget is
+// given back: idle generics first — they carry no function state, and
+// the pre-forked pool re-grows whenever the budget allows — then the
+// warm instances kernel.Reclaim picks, the longest idle first, ties in
+// name order. A shard's list is in parking order, so its victims are a
+// prefix of it. Everything taken is stopped outside the locks,
+// concurrently. It returns the number of instances the budget
+// reclaimed. A stopped gateway is left alone: Stop already owns
+// teardown, and racing it could double-stop or resurrect state.
 func (g *Gateway) reclaim(now time.Time, keep kernel.Fixed) int {
 	if g.stopped.Load() {
 		return 0
@@ -257,7 +264,8 @@ func (g *Gateway) reclaim(now time.Time, keep kernel.Fixed) int {
 			break
 		}
 		expired, window := 0, keep.Window(s.name)
-		for expired < len(s.idle) && kernel.Expired(now.Sub(s.idle[expired].idleSince), window) {
+		above := len(s.idle) - max(s.ctl.hold-s.ctl.InFlight-s.ctl.booting, 0)
+		for expired < above && kernel.Expired(now.Sub(s.idle[expired].idleSince), window) {
 			expired++
 		}
 		doomed = append(doomed, s.takeOldestLocked(expired, evictExpired)...)

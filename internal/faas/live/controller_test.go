@@ -434,6 +434,113 @@ func TestJanitorExpiryWithInjectedClock(t *testing.T) {
 	}
 }
 
+// Expiry leaves the planned set. One function at a steady rate, two
+// arrivals per control interval, each gap five keep-alives long, the
+// janitor at every keep-alive: the forecast holds the one instance the
+// arrivals use, so from the first forecast on nothing expires, every
+// arrival is warm and the controller boots nothing more — no prewarm is
+// booted only to expire before its arrival.
+func TestJanitorLeavesThePlannedSet(t *testing.T) {
+	const tick, ttl = time.Second, 100 * time.Millisecond
+	onBackends(t, func(t *testing.T, backend string) {
+		g, clk, base := startControlled(t,
+			PoolConfig{Backend: backend, NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: ttl},
+			echoFn("f", 0))
+
+		post(t, base+"/function/f", "x")
+		waitWarm(t, g, "f", 1)
+		g.controlOnce("f", clk.Now()) // the first forecast
+		settle(t, g)
+		first := g.Stats()
+		for i := 1; i <= 12; i++ {
+			for range 2 {
+				post(t, base+"/function/f", "x")
+				waitWarm(t, g, "f", 1)
+				for range tick / 2 / ttl {
+					g.janitorOnce(clk.Advance(ttl))
+				}
+			}
+			g.controlOnce("f", clk.Now())
+			settle(t, g)
+			if st := g.Stats(); st.Expired != 0 || st.Prewarmed != first.Prewarmed || st.ColdStarts != first.ColdStarts {
+				t.Fatalf("tick %d: Expired %d, Prewarmed %d, ColdStarts %d; want 0, %d and %d: the planned instance left alone",
+					i, st.Expired, st.Prewarmed, st.ColdStarts, first.Prewarmed, first.ColdStarts)
+			}
+		}
+	})
+}
+
+// What the plan holds is safe from the keep-alive only: the memory
+// budget (oldest first), a redeploy and the plan's own Retire still take
+// a held instance, and an instance above the forecast still expires at
+// IdleTTL. hold parks n instances of f a second apart, so the oldest is
+// known, and steps f's plan to a naive forecast of n, which holds them.
+func TestJanitorPlannedSetYields(t *testing.T) {
+	const ttl = time.Minute
+	hold := func(t *testing.T, cfg PoolConfig, n int) (*Gateway, *fakeClock, *shard) {
+		cfg.NewPredictor, cfg.IdleTTL = naiveFactory, ttl
+		g, clk, _ := startControlled(t, cfg, echoFn("f", 0))
+		for i := 0; i < n; i++ {
+			park(t, g, "f", clk.Advance(time.Second))
+		}
+		s := g.shard("f")
+		s.mu.Lock()
+		s.ctl.Peak = n
+		s.mu.Unlock()
+		g.controlOnce("f", clk.Now())
+		if st := g.Stats(); st.Retired != 0 || st.Prewarmed != 0 || s.ctl.hold != n {
+			t.Fatalf("the plan holds %d with %+v, want %d with no boot or retire", s.ctl.hold, st, n)
+		}
+		return g, clk, s
+	}
+	onBackends(t, func(t *testing.T, backend string) {
+		t.Run("memory budget", func(t *testing.T) {
+			g, clk, s := hold(t, PoolConfig{Backend: backend, MemoryBudget: instanceMemBytes}, 2)
+			newest := s.idle[1]
+			g.janitorOnce(clk.Advance(2 * ttl))
+			if got := g.obs.poolRetired[evictBudget].Value(); got != 1 || len(s.idle) != 1 || s.idle[0] != newest || g.Stats().Expired != 0 {
+				t.Fatalf("retired{budget} %v, idle %d, Expired %d; want the older held instance reclaimed, not expired",
+					got, len(s.idle), g.Stats().Expired)
+			}
+		})
+		t.Run("redeploy", func(t *testing.T) {
+			g, _, _ := hold(t, PoolConfig{Backend: backend}, 2)
+			if err := g.Register(echoFn("f", 0)); err != nil {
+				t.Fatal(err)
+			}
+			if got := g.obs.poolRetired[evictRedeploy].Value(); got != 2 || g.WarmInstances("f") != 0 {
+				t.Fatalf("retired{redeploy} %v, warm %d; want both held instances gone", got, g.WarmInstances("f"))
+			}
+		})
+		t.Run("falling forecast", func(t *testing.T) {
+			g, clk, _ := hold(t, PoolConfig{Backend: backend}, 2)
+			g.controlOnce("f", clk.Now()) // nothing in the interval: the forecast falls to 0
+			if st := g.Stats(); st.Retired != 1 || g.WarmInstances("f") != 1 {
+				t.Fatalf("Retired %d, warm %d; want the plan's Retire to take one", st.Retired, g.WarmInstances("f"))
+			}
+			g.janitorOnce(clk.Advance(ttl)) // and nothing is held any more
+			if st := g.Stats(); st.Expired != 1 || g.WarmInstances("f") != 0 {
+				t.Fatalf("Expired %d, warm %d; want the unheld rest expired", st.Expired, g.WarmInstances("f"))
+			}
+		})
+		t.Run("surplus above the forecast", func(t *testing.T) {
+			g, clk, s := hold(t, PoolConfig{Backend: backend}, 1)
+			idleAt := clk.Now()
+			park(t, g, "f", idleAt)
+			park(t, g, "f", idleAt)
+			held := s.idle[2]
+			g.janitorOnce(idleAt.Add(ttl - time.Nanosecond))
+			if g.WarmInstances("f") != 3 {
+				t.Fatalf("janitor expired an instance %v before its keep-alive", time.Nanosecond)
+			}
+			g.janitorOnce(idleAt.Add(ttl))
+			if st := g.Stats(); st.Expired != 2 || len(s.idle) != 1 || s.idle[0] != held {
+				t.Fatalf("Expired %d, idle %d; want the two oldest expired and the planned one kept", st.Expired, len(s.idle))
+			}
+		})
+	})
+}
+
 // The janitor must not touch a stopped gateway: Stop owns teardown.
 func TestJanitorNoopAfterStop(t *testing.T) {
 	g, clk, base := startControlled(t,

@@ -53,7 +53,9 @@ func simTrail(t *testing.T, tick time.Duration, demands []int) ([]kernel.Decisio
 // liveTrail drives the same demands through a live gateway: real
 // watchdogs with zero-cost boots, the fake clock for time, acquire and
 // release called directly so an interval's requests overlap exactly.
-func liveTrail(t *testing.T, backend string, tick, keepAlive time.Duration, demands []int) ([]kernel.Decision, []int) {
+// With reap, the janitor runs at every half-tick: in the middle of an
+// interval before its demand is served, and at its end after the tick.
+func liveTrail(t *testing.T, backend string, tick, keepAlive time.Duration, reap bool, demands []int) ([]kernel.Decision, []int) {
 	t.Helper()
 	g, clk, _ := startControlled(t,
 		PoolConfig{Backend: backend, NewPredictor: func() predictor.Predictor { return predictor.Default() }, IdleTTL: keepAlive},
@@ -61,7 +63,7 @@ func liveTrail(t *testing.T, backend string, tick, keepAlive time.Duration, dema
 	s := g.shard("f")
 	var warm []int
 	for i, d := range demands {
-		clk.Advance(tick / 2)
+		mid := clk.Advance(tick / 2)
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 			s.mu.Lock()
 			booting := s.ctl.booting
@@ -72,6 +74,9 @@ func liveTrail(t *testing.T, backend string, tick, keepAlive time.Duration, dema
 			if time.Now().After(deadline) {
 				t.Fatalf("interval %d: %d prewarm boots never landed", i, booting)
 			}
+		}
+		if reap {
+			g.janitorOnce(mid)
 		}
 		warm = append(warm, g.WarmInstances("f"))
 		held := make([]*instance, d)
@@ -85,7 +90,11 @@ func liveTrail(t *testing.T, backend string, tick, keepAlive time.Duration, dema
 		for _, inst := range held {
 			g.release(s, inst, true)
 		}
-		g.controlOnce("f", clk.Advance(tick/2))
+		end := clk.Advance(tick / 2)
+		g.controlOnce("f", end)
+		if reap {
+			g.janitorOnce(end)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -95,27 +104,40 @@ func liveTrail(t *testing.T, backend string, tick, keepAlive time.Duration, dema
 // The simulator referees the live stack: the same per-interval demand
 // through the simulation (core.HotC on virtual time) and through a live
 // gateway (controlOnce on the fake clock) must leave the same decision
-// trail — observation, forecasts, every PlanInput field, target, boot
-// and retire — and the same pool, tick by tick: one control step, two
-// substrates. The simulation retains a used runtime for 30 minutes; the
-// live side gets the same window as its keep-alive, on either backend.
+// trail — observation, forecasts, every PlanInput field, target, hold,
+// boot and retire — and the same pool, tick by tick: one control step,
+// two substrates. The simulation retains a used runtime for 30 minutes;
+// the live side gets the same window as its keep-alive, on either
+// backend. Under a keep-alive shorter than half a tick, with the
+// janitor at every half-tick, the simulation still keeps what its plan
+// holds and so must the live pool: its Retain reads false at every tick
+// (the last release was half a tick ago), which under a steady forecast
+// changes nothing else.
 func TestSimLiveControlParity(t *testing.T) {
 	const tick, retain = time.Minute, 30 * time.Minute
 	silence := make([]int, 36) // runs past the retain window
 	silence[0] = 1
-	for name, demands := range map[string][]int{
-		"burst then decay":         {6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"ramp":                     {1, 2, 3, 4, 5, 6, 6, 6, 3, 3, 0, 0},
-		"one request then silence": silence,
+	for name, script := range map[string]struct {
+		demands   []int
+		keepAlive time.Duration // the live side's; the janitor runs only when it is below retain
+	}{
+		"burst then decay":                       {[]int{6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, retain},
+		"ramp":                                   {[]int{1, 2, 3, 4, 5, 6, 6, 6, 3, 3, 0, 0}, retain},
+		"one request then silence":               {silence, retain},
+		"steady demand under a short keep-alive": {[]int{2, 2, 2, 2, 2, 2, 2, 2}, tick / 4},
 	} {
 		t.Run(name, func(t *testing.T) {
+			demands, reap := script.demands, script.keepAlive < retain
 			want, wantWarm := simTrail(t, tick, demands)
 			onBackends(t, func(t *testing.T, backend string) {
-				got, gotWarm := liveTrail(t, backend, tick, retain, demands)
+				got, gotWarm := liveTrail(t, backend, tick, script.keepAlive, reap, demands)
 				if len(got) != len(demands) || len(want) != len(demands) {
 					t.Fatalf("trails of %d (live) and %d (simulation) decisions, want %d", len(got), len(want), len(demands))
 				}
 				for i := range want {
+					if reap {
+						got[i].Input.Retain = want[i].Input.Retain
+					}
 					if got[i] != want[i] || gotWarm[i] != wantWarm[i] {
 						t.Errorf("interval %d (demand %d):\n live       %d warm, %+v\n simulation %d warm, %+v",
 							i, demands[i], gotWarm[i], got[i], wantWarm[i], want[i])

@@ -40,12 +40,15 @@ type Demand struct {
 
 // Decision is one closed control interval, Fig. 10's evaluation pair
 // plus everything Algorithm 3 decided from and decided. The substrate
-// applies Boot and Retire; nothing else acts on it.
+// applies Boot and Retire; the live gateway's keep-alive also leaves the
+// idle share Hold plans for (the simulator never expires on a
+// keep-alive, so it has nothing to leave).
 type Decision struct {
 	Observed  float64   // the interval's peak concurrent demand
 	Predicted float64   // the forecast made for the interval a step earlier
 	Input     PlanInput // what Plan decided from; Input.Forecast is the next interval's forecast
 	Target    int       // the size the key's live set should have
+	Hold      int       // Target before the Retain floor: the live set the forecast itself asks for
 	Boot      int       // runtimes to boot now
 	Retire    int       // idle runtimes to retire now
 }
@@ -57,7 +60,7 @@ type Decision struct {
 func (d *Demand) Step(in PlanInput) Decision {
 	observed, predicted := d.Tick()
 	in.Forecast = d.Forecast
-	dec := Decision{Observed: observed, Predicted: predicted, Input: in}
+	dec := Decision{Observed: observed, Predicted: predicted, Input: in, Hold: hold(in)}
 	dec.Target, dec.Boot, dec.Retire = Plan(in)
 	if len(d.trail) < TrailCap {
 		d.trail = append(d.trail, dec)
@@ -132,22 +135,7 @@ type PlanInput struct {
 //   - a forecast too large for an int, +Inf or NaN is overwhelming: it
 //     saturates at the cap, and with no cap it targets Live as it is.
 func Plan(in PlanInput) (target, boot, retire int) {
-	f := math.Ceil(in.Forecast * (1 + in.Headroom))
-	if math.IsNaN(f) {
-		f = math.Inf(1)
-	}
-	// The idle share stays under the cap. Live - InFlight is idle +
-	// booting, so this also keeps a boot inside the room the cap leaves:
-	// target - Live <= MaxWarm - idle - booting.
-	if in.MaxWarm > 0 {
-		f = min(f, float64(in.InFlight+in.MaxWarm))
-	} else if f >= float64(math.MaxInt) {
-		f = float64(in.Live)
-	}
-	target = int(max(f, 0))
-	if target < in.InFlight {
-		target = in.InFlight // never scale below what is executing
-	}
+	target = hold(in)
 	if target == 0 && in.Retain {
 		target = 1
 	}
@@ -160,4 +148,23 @@ func Plan(in PlanInput) (target, boot, retire int) {
 		retire = min(in.Live-target, int(math.Ceil(float64(in.Live)*in.ScaleDownFrac)), in.Idle)
 	}
 	return target, boot, retire
+}
+
+// hold is Plan's target before the Retain floor: the forecast with its
+// headroom, under the cap and saturated as Plan's contract says, never
+// below what is executing. It is what Decision.Hold records.
+func hold(in PlanInput) int {
+	f := math.Ceil(in.Forecast * (1 + in.Headroom))
+	if math.IsNaN(f) {
+		f = math.Inf(1)
+	}
+	// The idle share stays under the cap. Live - InFlight is idle +
+	// booting, so this also keeps a boot inside the room the cap leaves:
+	// target - Live <= MaxWarm - idle - booting.
+	if in.MaxWarm > 0 {
+		f = min(f, float64(in.InFlight+in.MaxWarm))
+	} else if f >= float64(math.MaxInt) {
+		f = float64(in.Live)
+	}
+	return max(int(max(f, 0)), in.InFlight) // never scale below what is executing
 }

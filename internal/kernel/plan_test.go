@@ -76,7 +76,8 @@ var planSeeds = []PlanInput{
 }
 
 // FuzzPlan checks Plan's contract (see its doc comment) on any input in
-// its domain.
+// its domain, and Decision.Hold's beside it: Plan's target before the
+// Retain floor.
 func FuzzPlan(f *testing.F) {
 	for _, in := range planSeeds {
 		f.Add(in.Forecast, in.Headroom, uint8(in.InFlight), uint8(in.Live-in.InFlight-in.Idle), uint8(in.Idle), uint8(in.MaxWarm), in.ScaleDownFrac, in.Retain)
@@ -88,9 +89,10 @@ func FuzzPlan(f *testing.F) {
 		in := PlanInput{Forecast: forecast, Headroom: headroom, InFlight: int(inFlight), Live: int(inFlight) + int(booting) + int(idle),
 			Idle: int(idle), Retain: retain, MaxWarm: int(maxWarm), ScaleDownFrac: frac}
 		target, boot, retire := Plan(in)
+		held := hold(in)
 		holds := func(ok bool, property string) {
 			if !ok {
-				t.Fatalf("Plan(%+v) = (%d, %d, %d): not %s", in, target, boot, retire, property)
+				t.Fatalf("Plan(%+v) = (%d, %d, %d), hold %d: not %s", in, target, boot, retire, held, property)
 			}
 		}
 		holds(boot >= 0 && retire >= 0 && (boot == 0 || retire == 0), "at most one of boot and retire")
@@ -101,6 +103,9 @@ func FuzzPlan(f *testing.F) {
 		holds(boot == 0 || in.MaxWarm == 0 || in.Live+boot-in.InFlight <= in.MaxWarm, "a boot inside MaxWarm")
 		holds(retire <= in.Idle && float64(retire) <= math.Ceil(frac*float64(in.Live)), "retire ≤ Idle and ≤ ⌈ScaleDownFrac × Live⌉")
 		holds(frac == 0 || in.Live <= target || in.Idle == 0 || retire >= 1, "a retire of at least one above ScaleDownFrac 0")
+		holds(held <= target, "Hold ≤ Target")
+		holds(held == target || retain && held == 0 && target == 1, "Hold = Target unless Retain lifted a zero target to 1")
+		holds(in.MaxWarm == 0 || held <= in.InFlight+in.MaxWarm, "Hold inside MaxWarm")
 
 		overwhelming := func(forecast float64) bool {
 			f := math.Ceil(forecast * (1 + headroom))
@@ -114,6 +119,11 @@ func FuzzPlan(f *testing.F) {
 				want = in.Live
 			}
 			holds(target == want, "an overwhelming forecast saturating at the cap, or targeting Live with none")
+			want = in.Live
+			if in.MaxWarm > 0 {
+				want = in.InFlight + in.MaxWarm
+			}
+			holds(held == want, "an overwhelming forecast holding the cap, or Live with none")
 		}
 		for _, more := range []float64{math.Nextafter(forecast, math.Inf(1)), forecast + 1, 2 * forecast, math.Inf(1)} {
 			if !(more > forecast) || in.MaxWarm == 0 && overwhelming(more) {

@@ -16,7 +16,7 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 echo "== go test -race (internal/archtest checks the design rules here)"
 go test -race ./...
-echo "== one control law, reproducibly (3x: plan table/properties and FuzzPlan's seeds, FuzzRetention's seeds, the lender rule's table and FuzzPick's seeds with the same-key lease, sim determinism, sim-vs-live parity, the baselines' golden, the live clock, the span ring's first use)"
+echo "== one control law, reproducibly (3x: plan table/properties and FuzzPlan's seeds, FuzzRetention's seeds, the lender rule's table and FuzzPick's seeds with the same-key lease, sim determinism, sim-vs-live parity, expiry leaves the planned set, the baselines' golden, the live clock, the span ring's first use)"
 # Map-order bugs pass most single runs: the jittered four-key replay
 # and the eviction tie-break diverge roughly one run in three without
 # the fixed iteration order, so these run three times; so does the
@@ -24,8 +24,10 @@ echo "== one control law, reproducibly (3x: plan table/properties and FuzzPlan's
 # the live gateway's fake-clock tests, whose deadline contexts race
 # the admission dispatcher, the span ring's writers racing to
 # allocate its chunks against a reader, the keep-alive rules'
-# fuzzer's seeds, and the lender rule sharing.Pick — its table, its
-# fuzzer's seeds and the gateway's same-key lease on the fake clock.
+# fuzzer's seeds, the lender rule sharing.Pick — its table, its
+# fuzzer's seeds and the gateway's same-key lease on the fake clock —
+# and the janitor's fake-clock rows that pin what the plan holds
+# against the keep-alive (named PlannedSet, so 'Plan' runs them).
 go test -race -count=3 -run 'Determinis|Parity|Plan|BaselineReplayGolden|OnTheClock|ConcurrentFirstUse|FuzzRetention|FuzzPick|TestPick|SameKey' . ./internal/core/ ./internal/kernel/ ./internal/pool/ ./internal/faas/live/ ./internal/obs/ ./internal/sharing/
 echo "== goroutine-leak check (live gateway)"
 HOTC_LEAKCHECK=1 go test -race -count=1 ./internal/faas/live/
