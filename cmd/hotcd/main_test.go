@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -167,5 +168,37 @@ func TestEveryFlagSetsItsField(t *testing.T) {
 	}
 	if n := strings.Count(string(out), "\n  -"); n != 29 {
 		t.Errorf("hotcd -h lists %d flags, want 29:\n%s", n, out)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite README.md's flag table from hotcd's flags")
+
+// README's flag table is what hotcd -h prints, rendered from the same
+// FlagSet into the region between its generated markers: a flag added,
+// renamed or given another default or usage changes it, and -update
+// rewrites it.
+func TestDocTables(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("| flag | default | what it does |\n|---|---|---|\n")
+	(&daemon{}).flags("hotcd", flag.ContinueOnError).VisitAll(func(f *flag.Flag) {
+		fmt.Fprintf(&b, "| `-%s` | `%s` | %s |\n", f.Name, f.DefValue, strings.ReplaceAll(f.Usage, "|", `\|`))
+	})
+	const path, begin, end = "../../README.md", "<!-- generated: hotcd-flags -->\n", "<!-- end: hotcd-flags -->"
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, rest, ok := strings.Cut(string(doc), begin)
+	old, tail, ok2 := strings.Cut(rest, end)
+	switch {
+	case !ok || !ok2:
+		t.Fatalf("README.md has no hotcd-flags region")
+	case old == b.String():
+	case *update:
+		if err := os.WriteFile(path, []byte(head+begin+b.String()+end+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Errorf("README.md's flag table is not hotcd's flags (go test -run TestDocTables -update rewrites it):\n%s", b.String())
 	}
 }

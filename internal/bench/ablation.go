@@ -374,10 +374,3 @@ func PolicyShootout() *Report {
 	r.Notef("HotC matches the latency of always-warm policies at a fraction of the retained pool; the cold baseline pays full setup on every request")
 	return r
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -13,6 +13,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -260,34 +261,22 @@ func (r Runtime) DeltaFrom(base Runtime) Delta {
 	n := r.Normalize()
 	b := base.Normalize()
 	var d Delta
-	if !equalStrings(n.Env, b.Env) {
+	if !slices.Equal(n.Env, b.Env) {
 		d.Env = n.Env
 	}
-	if !equalStrings(n.Cmd, b.Cmd) {
+	if !slices.Equal(n.Cmd, b.Cmd) {
 		d.Cmd = n.Cmd
 	}
-	if !equalStrings(n.Entrypoint, b.Entrypoint) {
+	if !slices.Equal(n.Entrypoint, b.Entrypoint) {
 		d.Entrypoint = n.Entrypoint
 	}
-	if !equalStrings(n.Volumes, b.Volumes) {
+	if !slices.Equal(n.Volumes, b.Volumes) {
 		d.Volumes = n.Volumes
 	}
 	if !equalLabels(n.Labels, b.Labels) {
 		d.Labels = n.Labels
 	}
 	return d
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func equalLabels(a, b map[string]string) bool {

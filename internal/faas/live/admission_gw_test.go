@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hotc/internal/admission"
+	"hotc/internal/obs"
 	"hotc/internal/predictor"
 )
 
@@ -574,7 +575,8 @@ func FuzzDeadlineHeader(f *testing.F) {
 // of control bytes, or one of more names than a queue tracks. Whatever
 // it is, g.handle answers 200 or a refusal the books counted, the
 // queue tracks at most admission.MaxTenants names and the overflow
-// tenant, and the goodput family has no more series than that. spread
+// tenant, the goodput family has no more series than that, and the
+// exposition that labels them with the name still parses. spread
 // adds that many further distinct names, so a seed can pass the bound.
 // The gateway persists across inputs, as the queue does on a daemon.
 // The seed corpus runs with the suite.
@@ -613,6 +615,13 @@ func FuzzTenantHeader(f *testing.F) {
 		}
 		if n := seriesCount(t, g.reg, "hotc_adm_goodput_total"); n > bound {
 			t.Fatalf("hotc_adm_goodput_total has %d series, want at most %d", n, bound)
+		}
+		var expo strings.Builder
+		if err := g.reg.WritePrometheus(&expo); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obs.ParseExposition(strings.NewReader(expo.String())); err != nil {
+			t.Fatalf("tenant %q: the exposition does not parse: %v", tenant, err)
 		}
 	})
 }

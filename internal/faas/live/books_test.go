@@ -23,7 +23,7 @@ import (
 // hits, a full cold, a generic and a rented boot, a failing boot, a
 // request canceled mid-boot, prewarms, a cap eviction, a scale-down, a
 // redeploy, a budget reclaim and a keep-alive expiry — balances DESIGN
-// §8's "Books (live)" identities at quiescence, and /system/stats
+// §8's "Books" identities at quiescence, and /system/stats
 // reports exactly what Stats reads — on either backend.
 func TestLiveBooksBalance(t *testing.T) {
 	onBackends(t, liveBooksBalance)

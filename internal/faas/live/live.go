@@ -11,8 +11,8 @@
 //
 // Cold start is modelled by a configurable delay when a new watchdog
 // instance boots (standing in for container creation, runtime init and
-// application init); with reuse enabled the gateway keeps finished
-// instances warm in a pool, HotC-style, and skips that delay.
+// application init); the gateway keeps finished instances warm in a
+// pool, HotC-style, and a request that finds one skips that delay.
 //
 // # Configuration
 //

@@ -92,23 +92,32 @@ func labelString(names, values []string, extraName, extraValue string) string {
 		if i < len(values) {
 			v = values[i]
 		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(v))
+		writeLabel(&b, n, v)
 	}
 	if extraName != "" {
 		if len(names) > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", extraName, extraValue)
+		writeLabel(&b, extraName, extraValue)
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the exposition format. %q in
-// labelString already escapes quotes and backslashes; newlines must
-// become the two-character sequence \n, which %q also produces, so
-// only raw values are passed through here.
-func escapeLabel(v string) string { return v }
+// labelEscaper escapes a label value's backslashes, double quotes and
+// newlines, the three escapes the exposition format has: %q's \t, \xNN
+// and \uNNNN are escapes no reader of the format accepts.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// writeLabel writes name="value", the value escaped and, since the
+// format is UTF-8, with each invalid byte sequence made U+FFFD: a
+// label value can be a client's header (a tenant) or a deploy's name.
+func writeLabel(b *strings.Builder, name, value string) {
+	b.WriteString(name)
+	b.WriteString(`="`)
+	labelEscaper.WriteString(b, strings.ToValidUTF8(value, "\uFFFD"))
+	b.WriteByte('"')
+}
 
 func escapeHelp(h string) string {
 	h = strings.ReplaceAll(h, "\\", "\\\\")

@@ -15,6 +15,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -211,7 +212,7 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, bounds 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.bounds, bounds) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.bounds, bounds) {
 			panic(fmt.Sprintf("obs: conflicting re-registration of %s", name))
 		}
 		return f
@@ -226,30 +227,6 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, bounds 
 	}
 	r.fams[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Counter is a monotonically non-decreasing total. Increments are a

@@ -101,3 +101,35 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// A label value is whatever a client's header or a deploy names: the
+// registry's exposition of any value parses, and reads back as that
+// value with its invalid UTF-8 made U+FFFD.
+func FuzzExposition(f *testing.F) {
+	for _, v := range []string{"a\tb", "\xe9", `say "hi"`, `C:\dir`, "two\nlines"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		reg := New()
+		reg.CounterVec("hotc_fuzz_total", "Fuzzed label.", "v").With(v).Inc()
+		reg.HistogramVec("hotc_fuzz_ms", "Fuzzed label.", []float64{1}, "v").With(v).Observe(2)
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseExposition(strings.NewReader(buf.String())); err != nil {
+			t.Fatalf("label value %q: %v\n%s", v, err, buf.String())
+		}
+		want := strings.ToValidUTF8(v, "\uFFFD")
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if line == "" || line[0] == '#' {
+				continue
+			}
+			p := &expoScanner{s: line}
+			p.name()
+			if labels, err := p.labels(); err != nil || labels["v"] != want {
+				t.Fatalf("label value %q reads back as %q (%v) from %q", v, labels["v"], err, line)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hotc/internal/metrics"
@@ -71,22 +72,14 @@ func (b Breakdown) Render() string {
 	}
 	if len(b.EventsByKind) > 0 {
 		fmt.Fprintf(&sb, "events:\n")
-		for _, kind := range sortedKeys(b.EventsByKind) {
+		kinds := make([]string, 0, len(b.EventsByKind))
+		for kind := range b.EventsByKind {
+			kinds = append(kinds, kind)
+		}
+		slices.Sort(kinds)
+		for _, kind := range kinds {
 			fmt.Fprintf(&sb, "  %-16s %d\n", kind, b.EventsByKind[kind])
 		}
 	}
 	return sb.String()
-}
-
-func sortedKeys(m map[string]int) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	for i := 1; i < len(ks); i++ { // insertion sort; event kinds are few
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-	return ks
 }

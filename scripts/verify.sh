@@ -139,6 +139,15 @@ curl -sf -X POST "$BASE/function/qr" -d 'verify' >/dev/null
 # A head the front door refuses before any handler runs (an Expect it
 # does not support) counts once in hotc_wire_refusals_total.
 expect_refused "$BASE" gateway
+# A client names its tenant, and the goodput family labels a served
+# request with it: a tab and a byte that is not UTF-8 must still leave
+# an exposition the strict parser reads.
+TAB="$(printf '\t')"
+curl -sf -X POST "$BASE/function/echo" -d 'verify' -H "X-Hotc-Tenant: a${TAB}b$(printf '\351')" >/dev/null
+curl -sf "$BASE/metrics" | grep -q "^hotc_adm_goodput_total{tenant=\"a${TAB}b" || {
+	echo "verify: /metrics has no goodput series for the hostile tenant" >&2
+	exit 1
+}
 "$WORK/hotc-trace" metrics "$BASE/metrics"
 "$WORK/hotc-trace" spans "$BASE/system/trace" >/dev/null
 stop_daemons
@@ -260,6 +269,12 @@ if git rev-parse --git-dir >/dev/null 2>&1; then
 	echo "   test Go     $(lines '*_test.go')"
 	echo "   archtest    $(lines 'internal/archtest/*.go')"
 	echo "   DESIGN.md   $(lines DESIGN.md)"
+	# DESIGN.md says what the code cannot: a table it shares with the
+	# code is rendered from it (TestDocTables), and the rest stays short.
+	if [ "$(lines DESIGN.md)" -gt 1200 ]; then
+		echo "verify: DESIGN.md is over 1200 lines" >&2
+		exit 1
+	fi
 else
 	echo "   not a git checkout: line counts skipped"
 fi
